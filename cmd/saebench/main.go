@@ -208,9 +208,9 @@ func runFastpathFigure(jsonPath string, iters int, seed int64, quiet bool) {
 	}
 }
 
-// runBurstFigure measures the burst serve loop — single-core batching
-// win, GOMAXPROCS lane sweep and the file-backed pread/mmap read paths —
-// and writes BENCH_burst.json alongside a summary.
+// runBurstFigure measures the serve loop under pipelined load — the
+// GOMAXPROCS lane sweep and the file-backed pread/mmap read paths — and
+// writes BENCH_burst.json alongside a summary.
 func runBurstFigure(jsonPath string, burstMs int, seed int64, quiet bool) {
 	cfg := experiments.DefaultBurstConfig()
 	cfg.Seed = seed
@@ -227,8 +227,7 @@ func runBurstFigure(jsonPath string, burstMs int, seed int64, quiet bool) {
 	}
 	fmt.Printf("Burst serving (n=%d, %d-record queries, burst=%d, SHA-NI=%v, GOMAXPROCS=%d)\n",
 		res.N, res.ResultRecords, res.BurstSize, res.SHANI, res.GOMAXPROCS)
-	fmt.Printf("  per-request serving: %8.0f queries/s\n", res.PerRequestQPS)
-	fmt.Printf("  burst serving:       %8.0f queries/s  (batching win %.2fx)\n", res.BurstQPS, res.BatchWin)
+	fmt.Printf("  pipelined serving:   %8.0f queries/s\n", res.BurstQPS)
 	fmt.Printf("  lane sweep:\n")
 	for _, p := range res.Lanes {
 		fmt.Printf("    %2d lanes: %8.0f queries/s  %6.0f ns/record  efficiency %.2f\n",

@@ -1,6 +1,10 @@
 package bufpool
 
-import "sae/internal/pagestore"
+import (
+	"sync"
+
+	"sae/internal/pagestore"
+)
 
 // PinEpoch batches pin lifetimes for a burst serve. The per-request serve
 // path pins each heap page for exactly the window its records are being
@@ -17,33 +21,48 @@ import "sae/internal/pagestore"
 // returns Cache.PinnedCount to zero.
 type PinEpoch struct {
 	cache *Cache
-	ids   []pagestore.PageID
+	ids   *[]pagestore.PageID // pooled; nil without a cache and once released
 }
+
+// pinIDs recycles the epochs' id lists, so a steady-state burst allocates
+// nothing for its pin bookkeeping.
+var pinIDs = sync.Pool{New: func() any { return new([]pagestore.PageID) }}
 
 // NewPinEpoch returns an epoch releasing into cache (nil cache is allowed
 // and makes every method a no-op, matching uncached IO).
 func NewPinEpoch(cache *Cache) PinEpoch {
-	return PinEpoch{cache: cache}
+	e := PinEpoch{cache: cache}
+	if cache != nil {
+		e.ids = pinIDs.Get().(*[]pagestore.PageID)
+	}
+	return e
 }
 
 // Note records one pin taken on id, to be released with the epoch.
 func (e *PinEpoch) Note(id pagestore.PageID) {
-	if e.cache != nil {
-		e.ids = append(e.ids, id)
+	if e.ids != nil {
+		*e.ids = append(*e.ids, id)
 	}
 }
 
 // Len returns the number of pins the epoch currently holds.
-func (e *PinEpoch) Len() int { return len(e.ids) }
+func (e *PinEpoch) Len() int {
+	if e.ids == nil {
+		return 0
+	}
+	return len(*e.ids)
+}
 
-// Release unpins every recorded page and resets the epoch for reuse.
-// Safe to call more than once; the second call is a no-op.
+// Release unpins every recorded page and ends the epoch. Safe to call
+// more than once; the second call is a no-op.
 func (e *PinEpoch) Release() {
-	if e.cache == nil {
+	if e.ids == nil {
 		return
 	}
-	for _, id := range e.ids {
+	for _, id := range *e.ids {
 		e.cache.Unpin(id)
 	}
-	e.ids = e.ids[:0]
+	*e.ids = (*e.ids)[:0]
+	pinIDs.Put(e.ids)
+	e.ids = nil
 }

@@ -9,14 +9,15 @@ import (
 	"sae/internal/record"
 )
 
-// Burst serving. A serve lane collects the pipelined queries that arrived
-// in one read wakeup and pushes them through the SP/TE as a single unit:
+// Burst serving is the ONE streaming serve path: the wire server hands a
+// lane's group of n ≥ 1 pipelined queries to the SP/TE as a single unit —
 // one lock acquisition, the index descents planned back to back into a
 // shared RID arena, the heap runs served under one pin/unpin epoch, and
 // (client-side) the whole burst's digests folded through one worker
-// dispatch. Every query still runs under its OWN request context, so
-// per-query access counts are bit-identical to the per-request path —
-// the burst parity tests enforce results, tokens and counts alike.
+// dispatch. A lone request is a burst of one. Every query still runs
+// under its OWN request context, so per-query access counts are
+// bit-identical to the materializing QueryCtx reference — the burst
+// parity tests enforce results, tokens and counts alike.
 
 // BurstScratch holds the reusable plan buffers for one serve lane. A lane
 // serves one burst at a time on one goroutine, so the scratch needs no
@@ -32,23 +33,29 @@ type BurstScratch struct {
 
 // ServeBurstCtx serves a burst of range queries through the zero-copy
 // path: qs[qi] runs under ctxs[qi], and emit(qi, r) receives query qi's
-// records in key order under the same strict no-retain borrow rule as
-// ServeRangeCtx. The whole burst holds the SP read lock once, plans all
-// descents into sc's shared arena, and serves every heap run through one
-// bufpool pin epoch. A tampering SP falls back to the materializing
+// records in key order, query by query, each as a pointer borrowed from
+// the pinned decoded heap page. emit must not retain the pointer after
+// returning: the borrow is valid only for the duration of the call (the
+// record aliases a cached page that updates may rewrite once the read
+// lock is released). The whole burst holds the SP read lock once, plans
+// all descents into sc's shared arena, and serves every heap run through
+// one bufpool pin epoch. A tampering SP falls back to the materializing
 // per-query path so attack experiments behave identically on every entry
 // point. An error aborts the burst (callers that need per-query error
-// isolation re-serve individually; the wire server does).
+// isolation re-serve as bursts of one; the wire server does).
 func (sp *ServiceProvider) ServeBurstCtx(ctxs []*exec.Context, qs []record.Range, sc *BurstScratch, emit func(int, *record.Record) error) error {
 	sp.mu.RLock()
 	defer sp.mu.RUnlock()
 	if sp.tamper != nil {
 		for qi := range qs {
-			qi := qi
-			if _, _, err := sp.serveTampered(ctxs[qi], qs[qi], func(r *record.Record) error {
-				return emit(qi, r)
-			}); err != nil {
+			recs, _, err := sp.queryLocked(ctxs[qi], qs[qi])
+			if err != nil {
 				return err
+			}
+			for i := range recs {
+				if err := emit(qi, &recs[i]); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
@@ -90,6 +97,48 @@ func (te *TrustedEntity) GenerateVTBurst(ctxs []*exec.Context, qs []record.Range
 		vts[i] = vt
 	}
 	return nil
+}
+
+// View runs f over an SP/TE pair pinned at one commit boundary: while f
+// runs no commit group can apply, so everything f reads belongs to the
+// single generation stamp it is handed. A DurableSystem's view holds the
+// commit lock shared; a replica's holds its apply lock.
+type View func(f func(seq uint64, sp *ServiceProvider, te *TrustedEntity) error) error
+
+// ServeBurst answers a group of n ≥ 1 range queries atomically at a
+// single commit boundary: the emitted records, the tokens written to
+// vts and the returned generation stamp all describe the same group
+// sequence, even while a concurrent write burst is advancing the system.
+// Query qi's SP scan and TE descent are both charged to ctxs[qi].
+func (v View) ServeBurst(ctxs []*exec.Context, qs []record.Range, sc *BurstScratch, vts []digest.Digest, emit func(int, *record.Record) error) (seq uint64, err error) {
+	err = v(func(s uint64, sp *ServiceProvider, te *TrustedEntity) error {
+		seq = s
+		if err := sp.ServeBurstCtx(ctxs, qs, sc, emit); err != nil {
+			return err
+		}
+		return te.GenerateVTBurst(ctxs, qs, vts)
+	})
+	return seq, err
+}
+
+// ServeVerified is ServeBurst at n = 1 with a fresh request context: a
+// client (or router) that receives the (records, token, stamp) triple
+// can verify the records against the token with the ordinary XOR check
+// and knows exactly which generation it is looking at.
+func (v View) ServeVerified(q record.Range, emit func(*record.Record) error) (n int, vt digest.Digest, seq uint64, err error) {
+	var (
+		vts [1]digest.Digest
+		sc  BurstScratch
+	)
+	seq, err = v.ServeBurst([]*exec.Context{exec.NewContext()}, []record.Range{q}, &sc, vts[:],
+		func(_ int, r *record.Record) error {
+			n++
+			return emit(r)
+		})
+	if err != nil {
+		return 0, digest.Zero, 0, err
+	}
+	return n, vts[0], seq, nil
 }
 
 // VerifyEncodedBurst checks a burst of wire-form results against their

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"sae/internal/digest"
@@ -19,60 +20,88 @@ func burstQueries(n int) []record.Range {
 	return qs
 }
 
-// TestServeBurstParity pins the burst serve path to the per-request path:
-// for identical providers and the same queries, the emitted record bytes
-// AND each query's access counts must match exactly — the burst may
-// amortize locks, pins and dispatches, but not change what any single
-// query reads or returns.
+// burstGroupSizes are the group sizes every burst parity test runs at: a
+// lone request (a burst of one), the smallest real group, a full lane
+// burst.
+var burstGroupSizes = []int{1, 2, 64}
+
+// TestServeBurstParity pins the streaming serve path to the materializing
+// reference: for identical providers and the same queries, at every group
+// size, cached and uncached, across selectivities from empty to
+// full-table, the emitted records AND each query's access counts must
+// match QueryCtx exactly — a burst may amortize locks, pins and
+// dispatches, but not change what any single query reads or returns —
+// and no page stays pinned once the burst returns.
 func TestServeBurstParity(t *testing.T) {
 	ds, err := workload.Generate(workload.UNF, 6000, 71)
 	if err != nil {
 		t.Fatal(err)
 	}
-	newSP := func() *ServiceProvider {
-		sp := NewServiceProvider(pagestore.NewMem())
-		if err := sp.Load(ds.Records); err != nil {
-			t.Fatal(err)
+	sorted := append([]record.Record(nil), ds.Records...)
+	slices.SortFunc(sorted, record.SortByKey)
+	qs := append(burstQueries(30),
+		record.Range{Lo: 5, Hi: 4},                                   // inverted: the index guards it
+		record.Range{Lo: sorted[10].Key, Hi: sorted[10].Key},         // point
+		record.Range{Lo: 0, Hi: record.KeyDomain - 1},                // full table
+		record.Range{Lo: sorted[5990].Key, Hi: record.KeyDomain - 1}, // tail
+	)
+	for _, cached := range []bool{true, false} {
+		newSP := func() *ServiceProvider {
+			sp := NewServiceProvider(pagestore.NewMem())
+			if !cached {
+				sp.ConfigureCache(0, 0)
+			}
+			if err := sp.Load(ds.Records); err != nil {
+				t.Fatal(err)
+			}
+			return sp
 		}
-		return sp
-	}
-	spA, spB := newSP(), newSP()
-	qs := burstQueries(30)
-
-	// Per-request reference: records serialized per query, stats per query.
-	wantBytes := make([][]byte, len(qs))
-	wantStats := make([]pagestore.Stats, len(qs))
-	for i, q := range qs {
-		ctx := exec.NewContext()
-		_, _, err := spA.ServeRangeCtx(ctx, q, func(r *record.Record) error {
-			wantBytes[i] = r.AppendBinary(wantBytes[i])
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("ServeRangeCtx(%v): %v", q, err)
+		// Reference: QueryCtx, records serialized per query, stats per query.
+		ref := newSP()
+		wantBytes := make([][]byte, len(qs))
+		wantStats := make([]pagestore.Stats, len(qs))
+		for i, q := range qs {
+			ctx := exec.NewContext()
+			recs, _, err := ref.QueryCtx(ctx, q)
+			if err != nil {
+				t.Fatalf("QueryCtx(%v): %v", q, err)
+			}
+			for j := range recs {
+				wantBytes[i] = recs[j].AppendBinary(wantBytes[i])
+			}
+			wantStats[i] = ctx.Stats()
 		}
-		wantStats[i] = ctx.Stats()
-	}
-
-	// Burst path on the identical twin.
-	lane := exec.NewLane(0)
-	ctxs := lane.Contexts(len(qs))
-	gotBytes := make([][]byte, len(qs))
-	var sc BurstScratch
-	err = spB.ServeBurstCtx(ctxs, qs, &sc, func(qi int, r *record.Record) error {
-		gotBytes[qi] = r.AppendBinary(gotBytes[qi])
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("ServeBurstCtx: %v", err)
-	}
-	for i := range qs {
-		if !bytes.Equal(gotBytes[i], wantBytes[i]) {
-			t.Errorf("query %d (%v): burst records != per-request records", i, qs[i])
-		}
-		if got := ctxs[i].Stats(); got != wantStats[i] {
-			t.Errorf("query %d (%v): burst accesses %+v != per-request accesses %+v",
-				i, qs[i], got, wantStats[i])
+		for _, g := range burstGroupSizes {
+			// Burst path on an identical twin, g queries at a time.
+			sp := newSP()
+			lane := exec.NewLane(0)
+			var sc BurstScratch
+			for lo := 0; lo < len(qs); lo += g {
+				group := qs[lo:min(lo+g, len(qs))]
+				ctxs := lane.Contexts(len(group))
+				gotBytes := make([][]byte, len(group))
+				err := sp.ServeBurstCtx(ctxs, group, &sc, func(qi int, r *record.Record) error {
+					gotBytes[qi] = r.AppendBinary(gotBytes[qi])
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("cached=%v groups of %d: ServeBurstCtx: %v", cached, g, err)
+				}
+				for i := range group {
+					if !bytes.Equal(gotBytes[i], wantBytes[lo+i]) {
+						t.Errorf("cached=%v groups of %d, query %d (%v): burst records != QueryCtx records", cached, g, lo+i, group[i])
+					}
+					if got := ctxs[i].Stats(); got != wantStats[lo+i] {
+						t.Errorf("cached=%v groups of %d, query %d (%v): burst accesses %+v != QueryCtx accesses %+v",
+							cached, g, lo+i, group[i], got, wantStats[lo+i])
+					}
+				}
+			}
+			if cached {
+				if pinned := sp.cache.PinnedCount(); pinned != 0 {
+					t.Fatalf("groups of %d: %d pages still pinned after serving", g, pinned)
+				}
+			}
 		}
 	}
 }
@@ -107,7 +136,8 @@ func TestServeBurstEmitError(t *testing.T) {
 }
 
 // TestGenerateVTBurstParity pins burst token generation to the
-// per-request path: same token bytes, same per-query accesses.
+// per-request reference at every group size: same token bytes, same
+// per-query accesses.
 func TestGenerateVTBurstParity(t *testing.T) {
 	ds, err := workload.Generate(workload.UNF, 6000, 73)
 	if err != nil {
@@ -120,14 +150,14 @@ func TestGenerateVTBurstParity(t *testing.T) {
 		}
 		return te
 	}
-	teA, teB := newTE(), newTE()
+	ref := newTE()
 	qs := burstQueries(25)
 
 	wantVTs := make([]digest.Digest, len(qs))
 	wantStats := make([]pagestore.Stats, len(qs))
 	for i, q := range qs {
 		ctx := exec.NewContext()
-		vt, _, err := teA.GenerateVTCtx(ctx, q)
+		vt, _, err := ref.GenerateVTCtx(ctx, q)
 		if err != nil {
 			t.Fatalf("GenerateVTCtx(%v): %v", q, err)
 		}
@@ -135,19 +165,25 @@ func TestGenerateVTBurstParity(t *testing.T) {
 		wantStats[i] = ctx.Stats()
 	}
 
-	lane := exec.NewLane(0)
-	ctxs := lane.Contexts(len(qs))
-	gotVTs := make([]digest.Digest, len(qs))
-	if err := teB.GenerateVTBurst(ctxs, qs, gotVTs); err != nil {
-		t.Fatalf("GenerateVTBurst: %v", err)
-	}
-	for i := range qs {
-		if gotVTs[i] != wantVTs[i] {
-			t.Errorf("query %d (%v): burst token != per-request token", i, qs[i])
-		}
-		if got := ctxs[i].Stats(); got != wantStats[i] {
-			t.Errorf("query %d (%v): burst accesses %+v != per-request accesses %+v",
-				i, qs[i], got, wantStats[i])
+	for _, g := range burstGroupSizes {
+		te := newTE()
+		lane := exec.NewLane(0)
+		for lo := 0; lo < len(qs); lo += g {
+			group := qs[lo:min(lo+g, len(qs))]
+			ctxs := lane.Contexts(len(group))
+			gotVTs := make([]digest.Digest, len(group))
+			if err := te.GenerateVTBurst(ctxs, group, gotVTs); err != nil {
+				t.Fatalf("groups of %d: GenerateVTBurst: %v", g, err)
+			}
+			for i := range group {
+				if gotVTs[i] != wantVTs[lo+i] {
+					t.Errorf("groups of %d, query %d (%v): burst token != per-request token", g, lo+i, group[i])
+				}
+				if got := ctxs[i].Stats(); got != wantStats[lo+i] {
+					t.Errorf("groups of %d, query %d (%v): burst accesses %+v != per-request accesses %+v",
+						g, lo+i, group[i], got, wantStats[lo+i])
+				}
+			}
 		}
 	}
 }
@@ -172,12 +208,12 @@ func TestVerifyEncodedBurstParity(t *testing.T) {
 	encs := make([][]byte, len(qs))
 	vts := make([]digest.Digest, len(qs))
 	for i, q := range qs {
-		_, _, err := sp.ServeRangeCtx(nil, q, func(r *record.Record) error {
-			encs[i] = r.AppendBinary(encs[i])
-			return nil
-		})
+		recs, _, err := sp.QueryCtx(nil, q)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for j := range recs {
+			encs[i] = recs[j].AppendBinary(encs[i])
 		}
 		vt, _, err := te.GenerateVTCtx(nil, q)
 		if err != nil {
@@ -221,8 +257,9 @@ func TestVerifyEncodedBurstParity(t *testing.T) {
 }
 
 // TestServeBurstTampered checks a tampering SP still tampers under burst
-// serving (the attack experiments must behave identically on every entry
-// point), and that the tampered burst fails burst verification.
+// serving — the burst emits exactly the (tampered) result the query path
+// returns, so attack experiments behave identically on every entry point
+// — and that the tampered burst fails burst verification.
 func TestServeBurstTampered(t *testing.T) {
 	ds, err := workload.Generate(workload.UNF, 3000, 75)
 	if err != nil {
@@ -247,6 +284,19 @@ func TestServeBurstTampered(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("tampered ServeBurstCtx: %v", err)
+	}
+	for i, q := range qs {
+		want, _, err := sp.Query(q)
+		if err != nil {
+			t.Fatalf("tampered Query(%v): %v", q, err)
+		}
+		var wantEnc []byte
+		for j := range want {
+			wantEnc = want[j].AppendBinary(wantEnc)
+		}
+		if !bytes.Equal(encs[i], wantEnc) {
+			t.Fatalf("query %d: tampered burst result != tampered Query result", i)
+		}
 	}
 	vts := make([]digest.Digest, len(qs))
 	if err := te.GenerateVTBurst(lane.Contexts(len(qs)), qs, vts); err != nil {

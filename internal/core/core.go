@@ -195,6 +195,13 @@ func (sp *ServiceProvider) Query(q record.Range) ([]record.Record, QueryCost, er
 func (sp *ServiceProvider) QueryCtx(ctx *exec.Context, q record.Range) ([]record.Record, QueryCost, error) {
 	sp.mu.RLock()
 	defer sp.mu.RUnlock()
+	return sp.queryLocked(ctx, q)
+}
+
+// queryLocked is QueryCtx's body. The caller holds the read lock:
+// ServeBurstCtx routes a tampering SP's burst through it so the tamper
+// hook sees each full result slice.
+func (sp *ServiceProvider) queryLocked(ctx *exec.Context, q record.Range) ([]record.Record, QueryCost, error) {
 	var qc QueryCost
 	before := ctx.Stats()
 	start := time.Now()
@@ -214,93 +221,6 @@ func (sp *ServiceProvider) QueryCtx(ctx *exec.Context, q record.Range) ([]record
 		recs = sp.tamper(recs)
 	}
 	return recs, qc, nil
-}
-
-// ridBufPool recycles the RID buffers the serve fast path scans into, so
-// steady-state serving performs no per-query index-result allocation.
-var ridBufPool = sync.Pool{
-	New: func() any { return new([]heapfile.RID) },
-}
-
-// ServeRange is ServeRangeCtx with a fresh request context.
-func (sp *ServiceProvider) ServeRange(q record.Range, emit func(*record.Record) error) (int, QueryCost, error) {
-	return sp.ServeRangeCtx(exec.NewContext(), q, emit)
-}
-
-// ServeRangeCtx is the zero-copy serve path: it executes the same
-// B+-tree scan and clustered fetch as QueryCtx but streams each result
-// record to emit as a pointer borrowed from the pinned decoded heap page,
-// instead of materializing a []record.Record. The wire layer encodes the
-// record into its frame inside the callback, so the only per-record copy
-// left on the serve path is the one onto the wire itself.
-//
-// emit must not retain the pointer after returning: the borrow is valid
-// only for the duration of the call (the record aliases a cached page
-// that updates may rewrite once the query's read lock is released).
-// Node-access counts, their index/fetch phase split and the returned
-// QueryCost are identical to QueryCtx (TestServeRangeParity); only the
-// copies and allocations are gone. A tampering SP (SetTamper) falls back
-// to the materializing path so attack experiments see identical behavior
-// on both entry points.
-func (sp *ServiceProvider) ServeRangeCtx(ctx *exec.Context, q record.Range, emit func(*record.Record) error) (int, QueryCost, error) {
-	sp.mu.RLock()
-	defer sp.mu.RUnlock()
-	if sp.tamper != nil {
-		return sp.serveTampered(ctx, q, emit)
-	}
-	var qc QueryCost
-	before := ctx.Stats()
-	start := time.Now()
-	buf := ridBufPool.Get().(*[]heapfile.RID)
-	rids, err := sp.index.RangeAppendCtx(ctx, q.Lo, q.Hi, (*buf)[:0])
-	if err != nil {
-		*buf = rids[:0]
-		ridBufPool.Put(buf)
-		return 0, qc, fmt.Errorf("core: SP range scan: %w", err)
-	}
-	mid := ctx.Stats()
-	fetchStart := time.Now()
-	qc.Index = costmodel.Default.Measure(mid.Sub(before), fetchStart.Sub(start))
-	n := 0
-	err = sp.heap.ServeManyCtx(ctx, rids, func(r *record.Record) error {
-		n++
-		return emit(r)
-	})
-	*buf = rids[:0]
-	ridBufPool.Put(buf)
-	if err != nil {
-		return n, qc, fmt.Errorf("core: SP record serve: %w", err)
-	}
-	qc.Fetch = costmodel.Default.Measure(ctx.Stats().Sub(mid), time.Since(fetchStart))
-	return n, qc, nil
-}
-
-// serveTampered routes a ServeRangeCtx call through the materializing
-// query path so the tamper hook sees the full result slice. Caller holds
-// the read lock.
-func (sp *ServiceProvider) serveTampered(ctx *exec.Context, q record.Range, emit func(*record.Record) error) (int, QueryCost, error) {
-	var qc QueryCost
-	before := ctx.Stats()
-	start := time.Now()
-	rids, err := sp.index.RangeCtx(ctx, q.Lo, q.Hi)
-	if err != nil {
-		return 0, qc, fmt.Errorf("core: SP range scan: %w", err)
-	}
-	mid := ctx.Stats()
-	fetchStart := time.Now()
-	qc.Index = costmodel.Default.Measure(mid.Sub(before), fetchStart.Sub(start))
-	recs, err := sp.heap.GetManyCtx(ctx, rids)
-	if err != nil {
-		return 0, qc, fmt.Errorf("core: SP record fetch: %w", err)
-	}
-	qc.Fetch = costmodel.Default.Measure(ctx.Stats().Sub(mid), time.Since(fetchStart))
-	recs = sp.tamper(recs)
-	for i := range recs {
-		if err := emit(&recs[i]); err != nil {
-			return i, qc, err
-		}
-	}
-	return len(recs), qc, nil
 }
 
 // ApplyInsert stores a new record from the owner with a fresh request

@@ -336,26 +336,20 @@ func (ds *DurableSystem) Snapshot() (*SPSnapshot, *TESnapshot, error) {
 // commit group visible in both parties.
 func (ds *DurableSystem) Seq() uint64 { return ds.committer.AppliedSeq() }
 
+// View is the system's read view: f runs with the commit lock held
+// shared, over the live SP and TE at the generation stamp it is handed.
+// This is the primary's half of the replica-set contract (a replica
+// offers the same view over its own pair).
+func (ds *DurableSystem) View() View {
+	return func(f func(uint64, *ServiceProvider, *TrustedEntity) error) error {
+		return ds.committer.ReadView(func(seq uint64) error { return f(seq, ds.SP, ds.TE) })
+	}
+}
+
 // ServeVerified answers one range query atomically at a single commit
-// boundary: the emitted records, the verification token and the returned
-// generation stamp all describe the same group sequence, even while a
-// concurrent write burst is advancing the system. This is the primary's
-// half of the replica-set contract — a client (or router) that receives
-// the triple can verify the records against the token with the ordinary
-// XOR check and knows exactly which generation it is looking at.
+// boundary; see View.ServeVerified.
 func (ds *DurableSystem) ServeVerified(q record.Range, emit func(*record.Record) error) (n int, vt digest.Digest, seq uint64, err error) {
-	err = ds.committer.ReadView(func(s uint64) error {
-		seq = s
-		ctx := exec.NewContext()
-		var serveErr error
-		n, _, serveErr = ds.SP.ServeRangeCtx(ctx, q, emit)
-		if serveErr != nil {
-			return serveErr
-		}
-		vt, _, serveErr = ds.TE.GenerateVTCtx(ctx, q)
-		return serveErr
-	})
-	return n, vt, seq, err
+	return ds.View().ServeVerified(q, emit)
 }
 
 // SnapshotRecords returns the full record set in key order together with

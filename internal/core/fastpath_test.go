@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"sort"
 	"testing"
 
@@ -30,118 +29,6 @@ func fastpathSP(t *testing.T, recs []record.Record, cached bool) *ServiceProvide
 		t.Fatalf("SP load: %v", err)
 	}
 	return sp
-}
-
-// TestServeRangeParity proves the zero-copy serve path emits exactly the
-// records QueryCtx returns with the identical access counts AND the
-// identical index/fetch phase split, cached and uncached, across
-// selectivities from empty to full-table.
-func TestServeRangeParity(t *testing.T) {
-	recs := fastpathRecords(3000)
-	ranges := []record.Range{
-		{Lo: 5, Hi: 4},                                 // empty (inverted guard handled by index)
-		{Lo: 0, Hi: 0},                                 // empty result, valid range
-		{Lo: recs[10].Key, Hi: recs[10].Key},           // point
-		{Lo: recs[100].Key, Hi: recs[700].Key},         // mid-size
-		{Lo: 0, Hi: record.KeyDomain - 1},              // full table
-		{Lo: recs[2990].Key, Hi: record.KeyDomain - 1}, // tail
-	}
-	for _, cached := range []bool{true, false} {
-		name := "cached"
-		if !cached {
-			name = "uncached"
-		}
-		t.Run(name, func(t *testing.T) {
-			sp := fastpathSP(t, recs, cached)
-			for _, q := range ranges {
-				qctx := exec.NewContext()
-				want, wantQC, err := sp.QueryCtx(qctx, q)
-				if err != nil {
-					t.Fatalf("QueryCtx(%v): %v", q, err)
-				}
-				sctx := exec.NewContext()
-				var got []record.Record
-				n, gotQC, err := sp.ServeRangeCtx(sctx, q, func(r *record.Record) error {
-					got = append(got, *r)
-					return nil
-				})
-				if err != nil {
-					t.Fatalf("ServeRangeCtx(%v): %v", q, err)
-				}
-				if n != len(want) || len(got) != len(want) {
-					t.Fatalf("%v: served %d/%d records, want %d", q, n, len(got), len(want))
-				}
-				for i := range want {
-					if !got[i].Equal(&want[i]) {
-						t.Fatalf("%v: record %d mismatch", q, i)
-					}
-				}
-				if g, w := sctx.Stats(), qctx.Stats(); g != w {
-					t.Fatalf("%v: serve accesses %+v != query accesses %+v", q, g, w)
-				}
-				if gotQC.Index.Accesses != wantQC.Index.Accesses || gotQC.Fetch.Accesses != wantQC.Fetch.Accesses {
-					t.Fatalf("%v: phase split (%d,%d) != (%d,%d)", q,
-						gotQC.Index.Accesses, gotQC.Fetch.Accesses,
-						wantQC.Index.Accesses, wantQC.Fetch.Accesses)
-				}
-			}
-			if cached {
-				if pinned := sp.cache.PinnedCount(); pinned != 0 {
-					t.Fatalf("%d pages still pinned after serving", pinned)
-				}
-			}
-		})
-	}
-}
-
-// TestServeRangeTamperedParity proves the tampering fallback emits the
-// same (tampered) result the query path returns.
-func TestServeRangeTamperedParity(t *testing.T) {
-	recs := fastpathRecords(400)
-	sp := fastpathSP(t, recs, true)
-	sp.SetTamper(DropTamper(3))
-	q := record.Range{Lo: 0, Hi: record.KeyDomain - 1}
-	want, _, err := sp.Query(q)
-	if err != nil {
-		t.Fatalf("Query: %v", err)
-	}
-	var got []record.Record
-	n, _, err := sp.ServeRange(q, func(r *record.Record) error {
-		got = append(got, *r)
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("ServeRange: %v", err)
-	}
-	if n != len(want) {
-		t.Fatalf("served %d records, want %d", n, len(want))
-	}
-	for i := range want {
-		if !got[i].Equal(&want[i]) {
-			t.Fatalf("record %d mismatch", i)
-		}
-	}
-}
-
-// TestServeRangeEmitError proves emit errors stop the serve and surface.
-func TestServeRangeEmitError(t *testing.T) {
-	recs := fastpathRecords(100)
-	sp := fastpathSP(t, recs, true)
-	boom := errors.New("downstream full")
-	n := 0
-	_, _, err := sp.ServeRange(record.Range{Lo: 0, Hi: record.KeyDomain - 1}, func(*record.Record) error {
-		n++
-		if n == 5 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want emit error", err)
-	}
-	if pinned := sp.cache.PinnedCount(); pinned != 0 {
-		t.Fatalf("%d pages still pinned after emit error", pinned)
-	}
 }
 
 // TestVerifyPoolParity drives the parallel and encoded verifiers across
@@ -247,10 +134,11 @@ func TestGenerateVTBatchParity(t *testing.T) {
 // per-record garbage. Bounds are small constants, far below one
 // allocation per record.
 
-// TestServeRangeAllocs bounds the steady-state allocations of the SP
-// serve fast path: index scan into a pooled RID buffer, pinned-page
-// record streaming, no result slice materialization.
-func TestServeRangeAllocs(t *testing.T) {
+// TestServeBurstAllocs bounds the steady-state allocations of the SP
+// serve path at n = 1 with a lane's reused scratch: index scan into the
+// scratch's RID arena, pinned-page record streaming, no result slice
+// materialization.
+func TestServeBurstAllocs(t *testing.T) {
 	recs := fastpathRecords(2000)
 	sp := fastpathSP(t, recs, true)
 	// ~400 records = ~50 heap pages: under exec.ScanThreshold, so the
@@ -258,18 +146,22 @@ func TestServeRangeAllocs(t *testing.T) {
 	// hits. (Above the threshold, scan-resistant admission intentionally
 	// re-decodes the tail pages every run — that is hot-set protection,
 	// not an allocation regression.)
-	q := record.Range{Lo: recs[100].Key, Hi: recs[500].Key}
-	sink := 0
+	qs := []record.Range{{Lo: recs[100].Key, Hi: recs[500].Key}}
+	lane := exec.NewLane(0)
+	var sc BurstScratch
+	sink, n := 0, 0
+	emit := func(_ int, r *record.Record) error {
+		sink += int(r.Key)
+		n++
+		return nil
+	}
 	serve := func() {
-		n, _, err := sp.ServeRangeCtx(exec.NewContext(), q, func(r *record.Record) error {
-			sink += int(r.Key)
-			return nil
-		})
-		if err != nil || n == 0 {
+		n = 0
+		if err := sp.ServeBurstCtx(lane.Contexts(1), qs, &sc, emit); err != nil || n == 0 {
 			t.Fatalf("serve: n=%d err=%v", n, err)
 		}
 	}
-	serve() // warm the decoded cache and the RID pool
+	serve() // warm the decoded cache and the scratch
 	allocs := testing.AllocsPerRun(50, serve)
 	if allocs > 8 {
 		t.Fatalf("SP serve path allocates %.1f objects/op for a ~400-record query, want <= 8", allocs)

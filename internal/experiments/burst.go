@@ -19,16 +19,14 @@ import (
 	"sae/internal/workload"
 )
 
-// Burst experiment: the tentpole's numbers. One loopback SP serves the
-// same small-query workload three ways — per-request (the PR 4 fast
-// path: goroutine per frame, two write syscalls per response), burst
-// (pipelined frames drained per read wakeup, served on per-core lanes,
-// one vectored write per burst) and burst over a file-backed store with
-// the mmap read path — and the client drives it with enough in-flight
-// work to saturate the serve side either way. The sweep re-creates the
-// server at each GOMAXPROCS value so the lane count follows, yielding
-// queries/s, ns/record and scaling efficiency per lane count. Results
-// land in BENCH_burst.json via saebench -figure burst.
+// Burst experiment: the serve loop's own numbers. One loopback SP serves
+// a small-query workload to pipelining clients — groups of BurstSize
+// frames per vectored write, drained per read wakeup, served on per-core
+// lanes, one vectored write back per burst — over an in-memory store and
+// over a file-backed store with the pread and mmap read paths. The sweep
+// re-creates the server at each GOMAXPROCS value so the lane count
+// follows, yielding queries/s, ns/record and scaling efficiency per lane
+// count. Results land in BENCH_burst.json via saebench -figure burst.
 
 // BurstConfig parameterizes the run.
 type BurstConfig struct {
@@ -41,11 +39,8 @@ type BurstConfig struct {
 	// BurstSize is the client-side group size per vectored write.
 	BurstSize int
 	// Conns is the number of client connections per measurement; each
-	// maps to one lane at the server.
+	// maps to one lane at the server and keeps BurstSize frames in flight.
 	Conns int
-	// InFlight is the per-connection pipelining depth of the per-request
-	// client (the burst client keeps BurstSize frames in flight).
-	InFlight int
 	// Duration is the measured wall-clock per point.
 	Duration time.Duration
 	Dist     workload.Distribution
@@ -60,7 +55,6 @@ func DefaultBurstConfig() BurstConfig {
 		ResultRecords: 12,
 		BurstSize:     32,
 		Conns:         2,
-		InFlight:      16,
 		Duration:      1200 * time.Millisecond,
 		Dist:          workload.UNF,
 		Seed:          1,
@@ -83,11 +77,8 @@ type BurstResult struct {
 	SHANI         bool `json:"shaNI"`
 	GOMAXPROCS    int  `json:"gomaxprocs"`
 
-	// Single-core batching win: burst vs per-request serving, same
-	// workload, same client concurrency, one lane.
-	PerRequestQPS float64 `json:"perRequestQueriesPerSec"`
-	BurstQPS      float64 `json:"burstQueriesPerSec"`
-	BatchWin      float64 `json:"batchWin"`
+	// Pipelined serving at the run's GOMAXPROCS, in-memory store.
+	BurstQPS float64 `json:"burstQueriesPerSec"`
 
 	// Lane sweep (GOMAXPROCS 1 → N; a single-core host records one point).
 	Lanes []BurstLanePoint `json:"lanes"`
@@ -114,9 +105,9 @@ func burstWorkload(sorted []record.Record, resultRecords, count int, seed int64)
 	return qs
 }
 
-// measureServe drives addr with the configured client shape for cfg.
-// Duration and returns (queries/s, ns served per record).
-func measureServe(cfg *BurstConfig, addr string, qs []record.Range, burst bool) (float64, float64, error) {
+// measureServe drives addr with cfg.Conns pipelining clients for
+// cfg.Duration and returns (queries/s, ns served per record).
+func measureServe(cfg *BurstConfig, addr string, qs []record.Range) (float64, float64, error) {
 	var queries, records atomic.Int64
 	var firstErr atomic.Value
 	stop := make(chan struct{})
@@ -128,49 +119,31 @@ func measureServe(cfg *BurstConfig, addr string, qs []record.Range, burst bool) 
 			return 0, 0, err
 		}
 		defer cl.Close()
-		workers := 1
-		if !burst {
-			workers = cfg.InFlight
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(cl *wire.SPClient, off int) {
-				defer wg.Done()
-				i := off
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if burst {
-						batch := make([]record.Range, cfg.BurstSize)
-						for j := range batch {
-							batch[j] = qs[(i+j)%len(qs)]
-						}
-						i += cfg.BurstSize
-						raws, err := cl.QueryRawMany(batch)
-						if err != nil {
-							firstErr.CompareAndSwap(nil, err)
-							return
-						}
-						queries.Add(int64(len(raws)))
-						for _, raw := range raws {
-							records.Add(int64((len(raw) - 4) / record.Size))
-						}
-					} else {
-						raw, err := cl.QueryRaw(qs[i%len(qs)])
-						if err != nil {
-							firstErr.CompareAndSwap(nil, err)
-							return
-						}
-						i++
-						queries.Add(1)
-						records.Add(int64((len(raw) - 4) / record.Size))
-					}
+		wg.Add(1)
+		go func(cl *wire.SPClient, i int) {
+			defer wg.Done()
+			batch := make([]record.Range, cfg.BurstSize)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
 				}
-			}(cl, c*7919+w*131)
-		}
+				for j := range batch {
+					batch[j] = qs[(i+j)%len(qs)]
+				}
+				i += cfg.BurstSize
+				raws, err := cl.QueryRawMany(batch)
+				if err != nil {
+					firstErr.CompareAndSwap(nil, err)
+					return
+				}
+				queries.Add(int64(len(raws)))
+				for _, raw := range raws {
+					records.Add(int64((len(raw) - 4) / record.Size))
+				}
+			}
+		}(cl, c*7919)
 	}
 	// Warm-up, then reset counters for the measured window.
 	time.Sleep(cfg.Duration / 4)
@@ -222,28 +195,20 @@ func RunBurst(cfg BurstConfig) (*BurstResult, error) {
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 	}
 
-	serveWith := func(burstMode bool) (float64, float64, error) {
-		srv, err := wire.ServeSP("127.0.0.1:0", sp, nil, wire.WithBurstServing(burstMode))
+	serve := func(sp *core.ServiceProvider, cfg *BurstConfig) (float64, float64, error) {
+		srv, err := wire.ServeSP("127.0.0.1:0", sp, nil)
 		if err != nil {
 			return 0, 0, err
 		}
 		defer srv.Close()
-		return measureServe(&cfg, srv.Addr(), qs, burstMode)
+		return measureServe(cfg, srv.Addr(), qs)
 	}
 
-	// Single-core batching win: per-request vs burst at the current
-	// GOMAXPROCS (the CI gate reads this pair on 1-core runners).
-	progress("burst: measuring per-request serving")
-	res.PerRequestQPS, _, err = serveWith(false)
+	progress("burst: measuring pipelined serving")
+	res.BurstQPS, _, err = serve(sp, &cfg)
 	if err != nil {
 		return nil, err
 	}
-	progress("burst: measuring burst serving")
-	res.BurstQPS, _, err = serveWith(true)
-	if err != nil {
-		return nil, err
-	}
-	res.BatchWin = res.BurstQPS / res.PerRequestQPS
 
 	// Lane sweep: lanes follow GOMAXPROCS at server creation.
 	maxProcs := runtime.GOMAXPROCS(0)
@@ -260,13 +225,7 @@ func RunBurst(cfg BurstConfig) (*BurstResult, error) {
 		prev := runtime.GOMAXPROCS(k)
 		laneCfg := cfg
 		laneCfg.Conns = 2 * k
-		srv, err := wire.ServeSP("127.0.0.1:0", sp, nil, wire.WithBurstServing(true))
-		if err != nil {
-			runtime.GOMAXPROCS(prev)
-			return nil, err
-		}
-		qps, nsRec, err := measureServe(&laneCfg, srv.Addr(), qs, true)
-		srv.Close()
+		qps, nsRec, err := serve(sp, &laneCfg)
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			return nil, err
@@ -304,12 +263,7 @@ func RunBurst(cfg BurstConfig) (*BurstResult, error) {
 			return 0, err
 		}
 		res.MmapActive = res.MmapActive || store.MmapActive()
-		srv, err := wire.ServeSP("127.0.0.1:0", fsp, nil, wire.WithBurstServing(true))
-		if err != nil {
-			return 0, err
-		}
-		defer srv.Close()
-		qps, _, err := measureServe(&cfg, srv.Addr(), qs, true)
+		qps, _, err := serve(fsp, &cfg)
 		return qps, err
 	}
 	progress("burst: measuring file-backed serving (pread)")

@@ -234,9 +234,13 @@ func RunFastpath(cfg FastpathConfig) (*FastpathResult, error) {
 		}
 	}
 	frame := make([]byte, 0, 4+nRec*record.Size+1024)
+	// The serving path at n = 1, with the scratch a serve lane would hold.
+	lane := exec.NewLane(0)
+	var sc core.BurstScratch
+	qs := []record.Range{q}
 	fastServe := func() {
 		frame = append(frame[:0], 0, 0, 0, 0)
-		if _, _, err := sys.SP.ServeRangeCtx(exec.NewContext(), q, func(r *record.Record) error {
+		if err := sys.SP.ServeBurstCtx(lane.Contexts(1), qs, &sc, func(_ int, r *record.Record) error {
 			frame = r.AppendBinary(frame)
 			return nil
 		}); err != nil {

@@ -153,23 +153,24 @@ func (r *Replica) TE() *core.TrustedEntity {
 	return r.te
 }
 
+// View is the replica's read view: f runs under the replica lock, over
+// the SP/TE pair at one group boundary, so what it reads can never be a
+// mid-apply mixture. It is the same view a DurableSystem offers, which is
+// what lets one wire server row serve primaries and replicas alike.
+func (r *Replica) View() core.View {
+	return func(f func(uint64, *core.ServiceProvider, *core.TrustedEntity) error) error {
+		r.mu.RLock()
+		defer r.mu.RUnlock()
+		return f(r.seq, r.sp, r.te)
+	}
+}
+
 // ServeVerified answers one range query atomically at a single group
 // boundary: the emitted records, the verification token and the returned
 // generation stamp are mutually consistent even while the feed is
 // applying groups. The triple verifies with the unchanged XOR check.
 func (r *Replica) ServeVerified(q record.Range, emit func(*record.Record) error) (n int, vt digest.Digest, seq uint64, err error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	ctx := exec.NewContext()
-	n, _, err = r.sp.ServeRangeCtx(ctx, q, emit)
-	if err != nil {
-		return 0, digest.Zero, 0, err
-	}
-	vt, _, err = r.te.GenerateVTCtx(ctx, q)
-	if err != nil {
-		return 0, digest.Zero, 0, err
-	}
-	return n, vt, r.seq, nil
+	return r.View().ServeVerified(q, emit)
 }
 
 // Query is ServeVerified with materialized records (tests, tools).

@@ -1,7 +1,6 @@
 package router
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 
@@ -49,90 +48,87 @@ func runMixedBurst(t *testing.T, d *deployment, qs []record.Range) ([][]record.R
 	return saeRes, tomRaws
 }
 
-// TestRouterMixedBurstParity runs mixed SAE/TOM bursts through the
-// router with the upstream party servers in burst mode and in
-// per-request mode (SAE_BURST=0): the verified SAE results and the raw
-// TOM payloads must be identical — burst serving at the upstreams is
-// invisible to the router tier and its clients.
+// groupSizes are the client pipelining depths the router burst tests run
+// at: lone requests, pairs, full lane bursts at the upstream servers.
+var groupSizes = []int{1, 2, 64}
+
+// wantRecords is the in-process reference answer for q: the sharded
+// system's own materializing query path.
+func wantRecords(t *testing.T, d *deployment, q record.Range) []record.Record {
+	t.Helper()
+	out, err := d.sys.Query(q)
+	if err != nil || out.VerifyErr != nil {
+		t.Fatalf("in-process reference query %v: %v / %v", q, err, out.VerifyErr)
+	}
+	return out.Result
+}
+
+func sameRecords(a, b []record.Record) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Equal(&b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRouterMixedBurstParity runs concurrent SAE and TOM bursts through
+// the router at every group size: the verified SAE results must equal
+// the in-process reference and every raw TOM payload must verify and
+// carry the same records — how the upstream party servers group the
+// frames is invisible to the router tier and its clients.
 func TestRouterMixedBurstParity(t *testing.T) {
 	qs := workload.Queries(10, workload.DefaultExtent, 88)
 	qs = append(qs, record.Range{Lo: record.KeyDomain + 1, Hi: record.KeyDomain + 5}) // empty
-
-	type outcome struct {
-		sae [][]record.Record
-		tom [][]byte // re-serialized records only: VO signatures differ by owner key
-	}
-	results := map[string]outcome{}
-	for _, mode := range []string{"1", "0"} {
-		t.Setenv("SAE_BURST", mode)
-		d := newDeployment(t, 4_000, 1, true, Config{})
-		sae, tomRaws := runMixedBurst(t, d, qs)
-		out := outcome{sae: sae, tom: make([][]byte, len(tomRaws))}
-
-		// Every TOM payload must verify against its deployment's owner key
-		// regardless of upstream serve mode. Each deployment generates a
-		// fresh key, so cross-mode comparison uses the record bytes only.
-		for i, raw := range tomRaws {
-			recs, rest, err := wire.DecodeRecords(raw)
-			if err != nil {
-				t.Fatalf("SAE_BURST=%s: decoding TOM payload %d: %v", mode, i, err)
+	d := newDeployment(t, 4_000, 1, true, Config{})
+	for _, g := range groupSizes {
+		for lo := 0; lo < len(qs); lo += g {
+			group := qs[lo:min(lo+g, len(qs))]
+			sae, tomRaws := runMixedBurst(t, d, group)
+			for i, q := range group {
+				want := wantRecords(t, d, q)
+				if !sameRecords(sae[i], want) {
+					t.Fatalf("groups of %d, query %v: SAE result differs from the in-process reference", g, q)
+				}
+				recs, rest, err := wire.DecodeRecords(tomRaws[i])
+				if err != nil {
+					t.Fatalf("groups of %d: decoding TOM payload for %v: %v", g, q, err)
+				}
+				vo, err := mbtree.UnmarshalVO(rest)
+				if err != nil {
+					t.Fatalf("groups of %d: decoding TOM VO for %v: %v", g, q, err)
+				}
+				if err := mbtree.VerifyVO(vo, recs, q.Lo, q.Hi, d.tomOwner.Verifier()); err != nil {
+					t.Fatalf("groups of %d: TOM payload for %v failed verification: %v", g, q, err)
+				}
+				if !sameRecords(recs, want) {
+					t.Fatalf("groups of %d, query %v: TOM records differ from the in-process reference", g, q)
+				}
 			}
-			vo, err := mbtree.UnmarshalVO(rest)
-			if err != nil {
-				t.Fatalf("SAE_BURST=%s: decoding TOM VO %d: %v", mode, i, err)
-			}
-			if err := mbtree.VerifyVO(vo, recs, qs[i].Lo, qs[i].Hi, d.tomOwner.Verifier()); err != nil {
-				t.Fatalf("SAE_BURST=%s: TOM payload %d failed verification: %v", mode, i, err)
-			}
-			for j := range recs {
-				out.tom[i] = recs[j].AppendBinary(out.tom[i])
-			}
-		}
-		results[mode] = out
-	}
-	on, off := results["1"], results["0"]
-	for i := range qs {
-		if len(on.sae[i]) != len(off.sae[i]) {
-			t.Fatalf("query %d: burst-mode upstreams returned %d SAE records, per-request %d",
-				i, len(on.sae[i]), len(off.sae[i]))
-		}
-		for j := range on.sae[i] {
-			if !on.sae[i][j].Equal(&off.sae[i][j]) {
-				t.Fatalf("query %d record %d: SAE result differs across upstream serve modes", i, j)
-			}
-		}
-		if !bytes.Equal(on.tom[i], off.tom[i]) {
-			t.Fatalf("query %d: TOM records differ across upstream serve modes", i)
 		}
 	}
 }
 
-// TestRouterShardedBurst runs a client burst through a 3-shard router
-// deployment in both upstream serve modes: scatter-gather over
-// burst-serving shards must return the same verified results as over
-// per-request shards.
+// TestRouterShardedBurst runs client bursts through a 3-shard router
+// deployment at every group size: scatter-gather over lane-serving
+// shards must return the in-process reference's verified results.
 func TestRouterShardedBurst(t *testing.T) {
 	qs := workload.Queries(8, workload.DefaultExtent, 89)
-	var ref [][]record.Record
-	for _, mode := range []string{"1", "0"} {
-		t.Setenv("SAE_BURST", mode)
-		d := newDeployment(t, 12_000, 3, false, Config{})
-		vc := d.plainClient(t)
-		res, err := vc.QueryBurst(qs)
-		if err != nil {
-			t.Fatalf("SAE_BURST=%s: QueryBurst through 3-shard router: %v", mode, err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		for i := range qs {
-			if len(res[i]) != len(ref[i]) {
-				t.Fatalf("query %d: %d records with per-request upstreams, %d with burst", i, len(res[i]), len(ref[i]))
+	d := newDeployment(t, 12_000, 3, false, Config{})
+	vc := d.plainClient(t)
+	for _, g := range groupSizes {
+		for lo := 0; lo < len(qs); lo += g {
+			group := qs[lo:min(lo+g, len(qs))]
+			res, err := vc.QueryBurst(group)
+			if err != nil {
+				t.Fatalf("groups of %d: QueryBurst through 3-shard router: %v", g, err)
 			}
-			for j := range res[i] {
-				if !res[i][j].Equal(&ref[i][j]) {
-					t.Fatalf("query %d record %d differs across upstream serve modes", i, j)
+			for i, q := range group {
+				if !sameRecords(res[i], wantRecords(t, d, q)) {
+					t.Fatalf("groups of %d, query %v: result differs from the in-process reference", g, q)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -16,10 +17,36 @@ import (
 // handle maps one client request to one response frame. Every branch
 // either returns the complete merged answer or an error frame — a
 // failed or timed-out shard can never surface as a truncated result.
-// The topology is snapshotted ONCE per request: a reshard cutover
+// The topology is snapshotted ONCE per attempt: a reshard cutover
 // landing mid-request never mixes two topologies inside one answer.
 func (r *Router) handle(req wire.Frame, rb *wire.RespBuf) wire.Frame {
+	if req.Type == wire.MsgReshardCutover {
+		cut, err := wire.DecodeCutover(req.Payload)
+		if err == nil {
+			err = r.Cutover(cut)
+		}
+		if err != nil {
+			return wire.ErrFrame(err)
+		}
+		return wire.Frame{Type: wire.MsgAck}
+	}
 	t := r.topo.Load()
+	resp := r.handleOn(t, req, rb)
+	// The coordinator retires the source shards the moment this router
+	// acks a cutover, so a request that snapshotted the displaced topology
+	// just before the swap can find its shard already fenced. The
+	// successor topology holds the same data: re-run there once instead of
+	// surfacing the fence across a reshard. Every other error stands.
+	if next := r.topo.Load(); next != t && resp.Type == wire.MsgErr &&
+		bytes.Contains(resp.Payload, []byte(wire.ShardRetired)) {
+		rb.Reset()
+		resp = r.handleOn(next, req, rb)
+	}
+	return resp
+}
+
+// handleOn answers one query frame against one topology.
+func (r *Router) handleOn(t *topology, req wire.Frame, rb *wire.RespBuf) wire.Frame {
 	switch req.Type {
 	case wire.MsgQuery:
 		return r.handleQuery(t, req, rb)
@@ -41,15 +68,6 @@ func (r *Router) handle(req wire.Frame, rb *wire.RespBuf) wire.Frame {
 		return r.handleVerifiedQuery(t, req, rb)
 	case wire.MsgGenStampReq:
 		return r.handleGenStamp(t, rb)
-	case wire.MsgReshardCutover:
-		cut, err := wire.DecodeCutover(req.Payload)
-		if err != nil {
-			return wire.ErrFrame(err)
-		}
-		if err := r.Cutover(cut); err != nil {
-			return wire.ErrFrame(err)
-		}
-		return wire.Frame{Type: wire.MsgAck}
 	case wire.MsgShardMapReq:
 		// Relay the TE-attested partition plan for observability and
 		// tooling. The index slot is meaningless for a router; by
@@ -59,8 +77,8 @@ func (r *Router) handle(req wire.Frame, rb *wire.RespBuf) wire.Frame {
 		// depends on it.
 		return wire.Frame{Type: wire.MsgShardMap, Payload: wire.EncodeShardInfo(wire.ShardInfo{Index: 0, Plan: t.plan})}
 	default:
-		return wire.ErrFrame(fmt.Errorf("%w: router cannot handle message type %d (the router serves queries; owners update the shards directly)",
-			wire.ErrProtocol, req.Type))
+		// The router serves queries; owners update the shards directly.
+		return wire.ErrFrame(wire.CannotHandle("router", req.Type))
 	}
 }
 
@@ -69,12 +87,12 @@ func (r *Router) handle(req wire.Frame, rb *wire.RespBuf) wire.Frame {
 // side never goes through them, mirroring an attacker who can bend the
 // untrusted result path but not the TE aggregation.
 func (r *Router) scatterSubs(t *topology, q record.Range) []shard.SubQuery {
-	if r.tamper != nil && r.tamper.scatterPlan != nil {
-		return r.tamper.scatterPlan.Scatter(q)
+	if tm := r.tamper.Load(); tm != nil && tm.scatterPlan != nil {
+		return tm.scatterPlan.Scatter(q)
 	}
 	subs := t.plan.Scatter(q)
-	if r.tamper != nil && r.tamper.reshapeSubs != nil {
-		subs = r.tamper.reshapeSubs(subs)
+	if tm := r.tamper.Load(); tm != nil && tm.reshapeSubs != nil {
+		subs = tm.reshapeSubs(subs)
 	}
 	return subs
 }
@@ -123,8 +141,8 @@ func (r *Router) gatherRecords(t *topology, q record.Range, rb *wire.RespBuf) (i
 		}
 		encs[i] = enc
 	}
-	if r.tamper != nil && r.tamper.reshapeParts != nil {
-		encs = r.tamper.reshapeParts(encs)
+	if tm := r.tamper.Load(); tm != nil && tm.reshapeParts != nil {
+		encs = tm.reshapeParts(encs)
 	}
 	// Contiguous partitions: splicing the shard payloads in shard order
 	// is the key-order merge, byte-for-byte what a single SP serving the
@@ -401,8 +419,8 @@ func (r *Router) handleTOM(t *topology, req wire.Frame, rb *wire.RespBuf) wire.F
 		}
 	}
 	plan := t.plan
-	if r.tamper != nil && r.tamper.reshapeTOM != nil {
-		plan, parts = r.tamper.reshapeTOM(plan, parts)
+	if tm := r.tamper.Load(); tm != nil && tm.reshapeTOM != nil {
+		plan, parts = tm.reshapeTOM(plan, parts)
 	}
 	wire.AppendTOMShardedHeader(rb, plan, len(parts))
 	for _, p := range parts {
@@ -453,8 +471,8 @@ func (r *Router) handleAggQuery(t *topology, req wire.Frame, rb *wire.RespBuf) w
 	for _, a := range partials {
 		merged = merged.Merge(a)
 	}
-	if r.tamper != nil && r.tamper.forgeAgg != nil {
-		merged = r.tamper.forgeAgg(merged)
+	if tm := r.tamper.Load(); tm != nil && tm.forgeAgg != nil {
+		merged = tm.forgeAgg(merged)
 	}
 	var buf [agg.Size]byte
 	rb.Append(merged.Normalize().AppendTo(buf[:0]))
@@ -565,8 +583,8 @@ func (r *Router) handleTOMAgg(t *topology, req wire.Frame, rb *wire.RespBuf) wir
 		}
 	}
 	plan := t.plan
-	if r.tamper != nil && r.tamper.reshapeTOM != nil {
-		plan, parts = r.tamper.reshapeTOM(plan, parts)
+	if tm := r.tamper.Load(); tm != nil && tm.reshapeTOM != nil {
+		plan, parts = tm.reshapeTOM(plan, parts)
 	}
 	wire.AppendTOMShardedHeader(rb, plan, len(parts))
 	for _, p := range parts {
@@ -634,8 +652,8 @@ func (r *Router) handleVerifiedQuery(t *topology, req wire.Frame, rb *wire.RespB
 			return wire.ErrFrame(err)
 		}
 	}
-	if r.tamper != nil && r.tamper.replayVerified != nil {
-		raws = r.tamper.replayVerified(raws)
+	if tm := r.tamper.Load(); tm != nil && tm.replayVerified != nil {
+		raws = tm.replayVerified(raws)
 	}
 	var acc digest.Accumulator
 	var minEpoch, minGen uint64

@@ -3,6 +3,7 @@ package router
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"sae/internal/core"
@@ -177,5 +178,71 @@ func TestRouterCrossEpochReplayRejected(t *testing.T) {
 	d.router.setTamper(&tamper{replayVerified: func([][]byte) [][]byte { return cached }})
 	if _, _, err := vc.Query(q); !errors.Is(err, wire.ErrStaleRead) {
 		t.Fatalf("cross-epoch replay not rejected as stale: %v", err)
+	}
+}
+
+// TestRouterRequestRacingCutoverRetries: the coordinator retires the
+// source shards as soon as the router acks the cutover, so a request that
+// snapshotted the displaced topology just before the swap reaches a fenced
+// shard. The hook below lands the cutover and the retirement exactly
+// inside that window; the router must re-run the request on the successor
+// topology instead of surfacing the fence to a reader.
+func TestRouterRequestRacingCutoverRetries(t *testing.T) {
+	d := newReplicaDeployment(t, 2_000, 1, 0, Config{})
+	vc, err := wire.DialVerified(d.router.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vc.Close()
+
+	next := d.plan.WithEpoch(1)
+	succ := epochSuccessor(t, d.syss[0], 0, next)
+	var once sync.Once
+	d.router.setTamper(&tamper{reshapeSubs: func(subs []shard.SubQuery) []shard.SubQuery {
+		once.Do(func() {
+			if err := d.router.Cutover(wire.Cutover{Plan: next, Shards: []wire.CutoverShard{
+				{SPs: []string{succ.Addr()}, TEs: []string{succ.Addr()}}}}); err != nil {
+				t.Errorf("cutover: %v", err)
+			}
+			d.primSrvs[0].Retire()
+		})
+		return subs
+	}})
+	recs, _, err := vc.Query(record.Range{Lo: 0, Hi: record.KeyDomain})
+	if err != nil {
+		t.Fatalf("query racing the cutover: %v", err)
+	}
+	if len(recs) != 2_000 || vc.Epoch() != 1 {
+		t.Fatalf("got %d records at epoch %d, want 2000 at epoch 1", len(recs), vc.Epoch())
+	}
+}
+
+// TestRouterCutoverRaceRetriesOnlyTheFence: the re-run is for the
+// retirement fence alone. Any other error a request meets while a cutover
+// lands — here the displaced shard refusing as "warming" — is surfaced,
+// not papered over by a second attempt.
+func TestRouterCutoverRaceRetriesOnlyTheFence(t *testing.T) {
+	d := newReplicaDeployment(t, 2_000, 1, 0, Config{})
+	vc, err := wire.DialVerified(d.router.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vc.Close()
+
+	next := d.plan.WithEpoch(1)
+	succ := epochSuccessor(t, d.syss[0], 0, next)
+	var once sync.Once
+	d.router.setTamper(&tamper{reshapeSubs: func(subs []shard.SubQuery) []shard.SubQuery {
+		once.Do(func() {
+			if err := d.router.Cutover(wire.Cutover{Plan: next, Shards: []wire.CutoverShard{
+				{SPs: []string{succ.Addr()}, TEs: []string{succ.Addr()}}}}); err != nil {
+				t.Errorf("cutover: %v", err)
+			}
+			d.primSrvs[0].SetWarming(true)
+		})
+		return subs
+	}})
+	if _, _, err := vc.Query(record.Range{Lo: 0, Hi: record.KeyDomain}); err == nil || !strings.Contains(err.Error(), "still warming") {
+		t.Fatalf("query meeting a non-fence error across a cutover: %v, want the warming refusal surfaced", err)
 	}
 }

@@ -189,8 +189,9 @@ type Router struct {
 	proberDone chan struct{}
 
 	// tamper carries the adversarial-test hooks; nil in production. See
-	// tamper.go.
-	tamper *tamper
+	// tamper.go. Atomic because tests flip it between requests while
+	// handler goroutines of earlier requests may still be winding down.
+	tamper atomic.Pointer[tamper]
 }
 
 // newSet builds one shard's empty endpoint set for one role.

@@ -38,4 +38,4 @@ type tamper struct {
 }
 
 // setTamper installs (or clears) the malicious hooks; test-only.
-func (r *Router) setTamper(t *tamper) { r.tamper = t }
+func (r *Router) setTamper(t *tamper) { r.tamper.Store(t) }

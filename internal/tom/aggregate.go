@@ -45,30 +45,12 @@ func (p *Provider) AggregateCtx(ctx *exec.Context, q record.Range) (*mbtree.VO, 
 	return vo, cost, nil
 }
 
-// ServeAggregateCtx is the serve-loop variant: the VO comes from the
-// mbtree shell pool and the caller must hand it back with mbtree.PutVO
-// once encoded.
-func (p *Provider) ServeAggregateCtx(ctx *exec.Context, q record.Range) (*mbtree.VO, costmodel.Breakdown, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	before := ctx.Stats()
-	start := time.Now()
-	shell := mbtree.GetVO()
-	vo, err := p.tree.AggVOCtxInto(ctx, q.Lo, q.Hi, p.sig, shell)
-	if err != nil {
-		mbtree.PutVO(shell)
-		return nil, costmodel.Breakdown{}, fmt.Errorf("tom: provider aggregate VO build: %w", err)
-	}
-	cost := costmodel.Default.Measure(ctx.Stats().Sub(before), time.Since(start))
-	return vo, cost, nil
-}
-
 // ServeAggBurstCtx builds a burst of aggregate VOs under one read-lock
 // acquisition, each canonical-cover descent charged to its own context.
 // The VOs come from the mbtree shell pool and are appended to vos (pass a
 // [:0] scratch slice); the caller must PutVO each once encoded. An error
 // hands every shell built by this call back to the pool and aborts the
-// burst — the wire server then falls back to per-request serving.
+// burst — the wire server then re-serves it as bursts of one.
 func (p *Provider) ServeAggBurstCtx(ctxs []*exec.Context, qs []record.Range, vos []*mbtree.VO) ([]*mbtree.VO, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()

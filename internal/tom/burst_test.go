@@ -42,57 +42,73 @@ func tomBurstQueries(n int) []record.Range {
 	return qs
 }
 
-// TestProviderServeBurstParity pins the TOM burst serve to the
-// per-request path: identical record bytes, identical serialized VOs and
-// identical per-query access counts — the burst changes how many times
-// the lock and the pin epoch are taken, never what a query reads.
+// TestProviderServeBurstParity pins the TOM streaming serve to the
+// materializing reference at every group size, across selectivities from
+// empty to full-table: identical record bytes, identical serialized VOs
+// and identical per-query access counts as QueryCtx — a burst changes how
+// many times the lock and the pin epoch are taken, never what a query
+// reads — and the streamed result verifies like the queried one.
 func TestProviderServeBurstParity(t *testing.T) {
 	sysA, sysB, _ := newBurstPair(t, 4000)
-	qs := tomBurstQueries(15)
+	qs := append(tomBurstQueries(15),
+		record.Range{Lo: 0, Hi: record.KeyDomain - 1}, // full table
+		record.Range{Lo: 500_000, Hi: 2_000_000},      // mid-size
+	)
 
 	wantRecs := make([][]byte, len(qs))
 	wantVOs := make([][]byte, len(qs))
 	wantStats := make([]pagestore.Stats, len(qs))
 	for i, q := range qs {
 		ctx := exec.NewContext()
-		vo, _, _, err := sysA.Provider.ServeQueryCtx(ctx, q, func(r *record.Record) error {
-			wantRecs[i] = r.AppendBinary(wantRecs[i])
-			return nil
-		})
+		recs, vo, _, err := sysA.Provider.QueryCtx(ctx, q)
 		if err != nil {
-			t.Fatalf("ServeQueryCtx(%v): %v", q, err)
+			t.Fatalf("QueryCtx(%v): %v", q, err)
+		}
+		for j := range recs {
+			wantRecs[i] = recs[j].AppendBinary(wantRecs[i])
 		}
 		wantVOs[i] = vo.AppendTo(nil)
-		mbtree.PutVO(vo)
 		wantStats[i] = ctx.Stats()
 	}
 
-	lane := exec.NewLane(0)
-	ctxs := lane.Contexts(len(qs))
-	gotRecs := make([][]byte, len(qs))
-	var sc BurstScratch
-	vos, err := sysB.Provider.ServeBurstCtx(ctxs, qs, &sc, func(qi int, r *record.Record) error {
-		gotRecs[qi] = r.AppendBinary(gotRecs[qi])
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("ServeBurstCtx: %v", err)
-	}
-	if len(vos) != len(qs) {
-		t.Fatalf("burst returned %d VOs for %d queries", len(vos), len(qs))
-	}
-	for i := range qs {
-		if !bytes.Equal(gotRecs[i], wantRecs[i]) {
-			t.Errorf("query %d (%v): burst records != per-request records", i, qs[i])
+	for _, g := range []int{1, 2, 64} {
+		lane := exec.NewLane(0)
+		var sc BurstScratch
+		for lo := 0; lo < len(qs); lo += g {
+			group := qs[lo:min(lo+g, len(qs))]
+			ctxs := lane.Contexts(len(group))
+			got := make([][]record.Record, len(group))
+			vos, err := sysB.Provider.ServeBurstCtx(ctxs, group, &sc, func(qi int, r *record.Record) error {
+				got[qi] = append(got[qi], *r)
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("groups of %d: ServeBurstCtx: %v", g, err)
+			}
+			if len(vos) != len(group) {
+				t.Fatalf("groups of %d: burst returned %d VOs for %d queries", g, len(vos), len(group))
+			}
+			for i, q := range group {
+				var gotRecs []byte
+				for j := range got[i] {
+					gotRecs = got[i][j].AppendBinary(gotRecs)
+				}
+				if !bytes.Equal(gotRecs, wantRecs[lo+i]) {
+					t.Errorf("groups of %d, query %d (%v): burst records != QueryCtx records", g, lo+i, q)
+				}
+				if gotVO := vos[i].AppendTo(nil); !bytes.Equal(gotVO, wantVOs[lo+i]) {
+					t.Errorf("groups of %d, query %d (%v): burst VO != QueryCtx VO", g, lo+i, q)
+				}
+				if st := ctxs[i].Stats(); st != wantStats[lo+i] {
+					t.Errorf("groups of %d, query %d (%v): burst accesses %+v != QueryCtx accesses %+v",
+						g, lo+i, q, st, wantStats[lo+i])
+				}
+				if err := mbtree.VerifyVO(vos[i], got[i], q.Lo, q.Hi, sysB.Owner.Verifier()); err != nil {
+					t.Errorf("groups of %d, query %d (%v): streamed result failed verification: %v", g, lo+i, q, err)
+				}
+				mbtree.PutVO(vos[i])
+			}
 		}
-		if got := vos[i].AppendTo(nil); !bytes.Equal(got, wantVOs[i]) {
-			t.Errorf("query %d (%v): burst VO != per-request VO", i, qs[i])
-		}
-		if got := ctxs[i].Stats(); got != wantStats[i] {
-			t.Errorf("query %d (%v): burst accesses %+v != per-request accesses %+v",
-				i, qs[i], got, wantStats[i])
-		}
-		mbtree.PutVO(vos[i])
 	}
 }
 

@@ -183,6 +183,13 @@ func (p *Provider) Query(q record.Range) ([]record.Record, *mbtree.VO, core.Quer
 func (p *Provider) QueryCtx(ctx *exec.Context, q record.Range) ([]record.Record, *mbtree.VO, core.QueryCost, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
+	return p.queryLocked(ctx, q)
+}
+
+// queryLocked is QueryCtx's body. The caller holds the read lock:
+// ServeBurstCtx routes a tampering provider's burst through it so the
+// tamper hook sees each full result slice.
+func (p *Provider) queryLocked(ctx *exec.Context, q record.Range) ([]record.Record, *mbtree.VO, core.QueryCost, error) {
 	var qc core.QueryCost
 	before := ctx.Stats()
 	start := time.Now()
@@ -204,45 +211,6 @@ func (p *Provider) QueryCtx(ctx *exec.Context, q record.Range) ([]record.Record,
 	return recs, vo, qc, nil
 }
 
-// ServeQueryCtx is the zero-copy serve path: it runs the same MB-Tree VO
-// build as QueryCtx, then streams each result record to emit as a pointer
-// borrowed from the pinned decoded heap page instead of materializing the
-// result slice. The returned VO comes from the mbtree shell pool — the
-// caller must hand it back with mbtree.PutVO once encoded. Node accesses,
-// phase split and VO bytes are identical to QueryCtx. A tampering
-// provider (SetTamper) falls back to the materializing path so attack
-// experiments behave identically on both entry points.
-func (p *Provider) ServeQueryCtx(ctx *exec.Context, q record.Range, emit func(*record.Record) error) (*mbtree.VO, int, core.QueryCost, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	var qc core.QueryCost
-	if p.tamper != nil {
-		return p.serveTampered(ctx, q, emit)
-	}
-	before := ctx.Stats()
-	start := time.Now()
-	shell := mbtree.GetVO()
-	rids, vo, err := p.tree.RangeVOCtxInto(ctx, q.Lo, q.Hi, p.heap, p.sig, shell)
-	if err != nil {
-		mbtree.PutVO(shell)
-		return nil, 0, qc, fmt.Errorf("tom: provider VO build: %w", err)
-	}
-	mid := ctx.Stats()
-	fetchStart := time.Now()
-	qc.Index = costmodel.Default.Measure(mid.Sub(before), fetchStart.Sub(start))
-	n := 0
-	err = p.heap.ServeManyCtx(ctx, rids, func(r *record.Record) error {
-		n++
-		return emit(r)
-	})
-	if err != nil {
-		mbtree.PutVO(vo)
-		return nil, n, qc, fmt.Errorf("tom: provider record serve: %w", err)
-	}
-	qc.Fetch = costmodel.Default.Measure(ctx.Stats().Sub(mid), time.Since(fetchStart))
-	return vo, n, qc, nil
-}
-
 // BurstScratch holds the reusable per-lane buffers for TOM burst serving;
 // one burst at a time per scratch, no locking (see core.BurstScratch).
 type BurstScratch struct {
@@ -250,17 +218,20 @@ type BurstScratch struct {
 	vos  []*mbtree.VO
 }
 
-// ServeBurstCtx serves a burst of TOM queries under ONE read-lock
-// acquisition: every query's MB-Tree VO is built first (charged to its
-// own context), then all heap runs are served through one bufpool pin
-// epoch via heapfile.ServeBurstCtx. emit(qi, r) receives query qi's
-// records under the usual no-retain borrow rule. The returned VOs align
-// with qs and come from the mbtree shell pool — on success the CALLER
-// returns each with mbtree.PutVO once encoded (the slice itself is lane
-// scratch, valid until the next burst on sc); on error every shell built
-// so far is put back here and nil is returned. VO bytes, node accesses
-// and results are bit-identical to per-request ServeQueryCtx calls. A
-// tampering provider falls back to the materializing per-query path.
+// ServeBurstCtx is the ONE streaming serve path of the TOM provider: a
+// burst of n ≥ 1 queries under one read-lock acquisition. Every query's
+// MB-Tree VO is built first (charged to its own context), then all heap
+// runs are served through one bufpool pin epoch via
+// heapfile.ServeBurstCtx. emit(qi, r) receives query qi's records, query
+// by query, each as a pointer borrowed from the pinned decoded heap page
+// — valid only for the duration of the call. The returned VOs align with
+// qs and come from the mbtree shell pool — on success the CALLER returns
+// each with mbtree.PutVO once encoded (the slice itself is lane scratch,
+// valid until the next burst on sc); on error every shell built so far
+// is put back here and nil is returned. VO bytes, node accesses and
+// results are bit-identical to the materializing QueryCtx reference. A
+// tampering provider (SetTamper) falls back to that materializing path
+// so attack experiments behave identically on both entry points.
 func (p *Provider) ServeBurstCtx(ctxs []*exec.Context, qs []record.Range, sc *BurstScratch, emit func(int, *record.Record) error) ([]*mbtree.VO, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -277,14 +248,16 @@ func (p *Provider) ServeBurstCtx(ctxs []*exec.Context, qs []record.Range, sc *Bu
 	}()
 	if p.tamper != nil {
 		for qi := range qs {
-			qi := qi
-			vo, _, _, err := p.serveTampered(ctxs[qi], qs[qi], func(r *record.Record) error {
-				return emit(qi, r)
-			})
+			recs, vo, _, err := p.queryLocked(ctxs[qi], qs[qi])
 			if err != nil {
 				return nil, err
 			}
 			sc.vos = append(sc.vos, vo)
+			for i := range recs {
+				if err := emit(qi, &recs[i]); err != nil {
+					return nil, err
+				}
+			}
 		}
 		ok = true
 		return sc.vos, nil
@@ -304,39 +277,6 @@ func (p *Provider) ServeBurstCtx(ctxs []*exec.Context, qs []record.Range, sc *Bu
 	}
 	ok = true
 	return sc.vos, nil
-}
-
-// serveTampered routes a ServeQueryCtx call through the materializing
-// query path so the tamper hook sees the full result slice. Caller holds
-// the read lock. The VO still comes from the shell pool so the caller's
-// PutVO contract is uniform.
-func (p *Provider) serveTampered(ctx *exec.Context, q record.Range, emit func(*record.Record) error) (*mbtree.VO, int, core.QueryCost, error) {
-	var qc core.QueryCost
-	before := ctx.Stats()
-	start := time.Now()
-	shell := mbtree.GetVO()
-	rids, vo, err := p.tree.RangeVOCtxInto(ctx, q.Lo, q.Hi, p.heap, p.sig, shell)
-	if err != nil {
-		mbtree.PutVO(shell)
-		return nil, 0, qc, fmt.Errorf("tom: provider VO build: %w", err)
-	}
-	mid := ctx.Stats()
-	fetchStart := time.Now()
-	qc.Index = costmodel.Default.Measure(mid.Sub(before), fetchStart.Sub(start))
-	recs, err := p.heap.GetManyCtx(ctx, rids)
-	if err != nil {
-		mbtree.PutVO(vo)
-		return nil, 0, qc, fmt.Errorf("tom: provider record fetch: %w", err)
-	}
-	qc.Fetch = costmodel.Default.Measure(ctx.Stats().Sub(mid), time.Since(fetchStart))
-	recs = p.tamper(recs)
-	for i := range recs {
-		if err := emit(&recs[i]); err != nil {
-			mbtree.PutVO(vo)
-			return nil, i, qc, err
-		}
-	}
-	return vo, len(recs), qc, nil
 }
 
 // ApplyInsert stores a new record with a fresh request context; see

@@ -6,10 +6,7 @@ import (
 
 	"sae/internal/agg"
 	"sae/internal/core"
-	"sae/internal/pagestore"
 	"sae/internal/record"
-	"sae/internal/tom"
-	"sae/internal/workload"
 )
 
 // foldAgg folds the reference aggregate by linear scan over the dataset.
@@ -24,104 +21,85 @@ func foldAgg(recs []record.Record, q record.Range) agg.Agg {
 }
 
 // TestAggregateOverWire runs the verified aggregation fast path through
-// real TCP in both serve modes: every scalar must verify and equal the
-// linear-scan fold, and the per-request and burst forms must agree
-// bit-identically across SAE_BURST modes.
+// real TCP against every role that serves both halves — the stand-alone
+// SP+TE pair, a primary, a replica: every scalar must verify and equal
+// the linear-scan fold, one at a time and pipelined at every group size.
 func TestAggregateOverWire(t *testing.T) {
+	r := launchRoles(t, 4000)
 	qs := burstParityQueries(20)
-	var modes [2][]agg.Agg
-	for mi, burst := range []bool{true, false} {
-		spSrv, teSrv, ds := launchSAEMode(t, 4000, burst)
-		client, err := DialVerifying(spSrv.Addr(), teSrv.Addr())
+	for _, pair := range [][2]string{
+		{r.sp.Addr(), r.te.Addr()},
+		{r.primary.Addr(), r.primary.Addr()},
+		{r.replica.Addr(), r.replica.Addr()},
+	} {
+		client, err := DialVerifying(pair[0], pair[1])
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, q := range qs {
 			a, err := client.Aggregate(q)
 			if err != nil {
-				t.Fatalf("burst=%v Aggregate(%v): %v", burst, q, err)
+				t.Fatalf("%s Aggregate(%v): %v", pair[0], q, err)
 			}
-			if want := foldAgg(ds.Records, q).Normalize(); a != want {
-				t.Fatalf("burst=%v Aggregate(%v) = %v, want %v", burst, q, a, want)
-			}
-		}
-		// The grouped burst path must produce the same scalars.
-		as, err := client.AggregateBurst(qs)
-		if err != nil {
-			t.Fatalf("burst=%v AggregateBurst: %v", burst, err)
-		}
-		for i, q := range qs {
-			if want := foldAgg(ds.Records, q).Normalize(); as[i] != want {
-				t.Fatalf("burst=%v AggregateBurst[%d] (%v) = %v, want %v", burst, i, q, as[i], want)
+			if want := foldAgg(r.ds.Records, q).Normalize(); a != want {
+				t.Fatalf("%s Aggregate(%v) = %v, want %v", pair[0], q, a, want)
 			}
 		}
-		modes[mi] = as
+		for _, g := range groupSizes {
+			for lo := 0; lo < len(qs); lo += g {
+				group := qs[lo:min(lo+g, len(qs))]
+				as, err := client.AggregateBurst(group)
+				if err != nil {
+					t.Fatalf("%s AggregateBurst, groups of %d: %v", pair[0], g, err)
+				}
+				for i, q := range group {
+					if want := foldAgg(r.ds.Records, q).Normalize(); as[i] != want {
+						t.Fatalf("%s AggregateBurst, groups of %d (%v) = %v, want %v", pair[0], g, q, as[i], want)
+					}
+				}
+			}
+		}
 		client.Close()
-	}
-	for i := range qs {
-		if modes[0][i] != modes[1][i] {
-			t.Fatalf("query %d: burst-mode scalar %v != per-request scalar %v", i, modes[0][i], modes[1][i])
-		}
 	}
 }
 
 // TestAggregateWireTampered: a forged SP scalar crossing the wire must be
-// rejected by the client's token comparison, in both serve modes.
+// rejected by the client's token comparison, alone and in a group.
 func TestAggregateWireTampered(t *testing.T) {
-	for _, burst := range []bool{true, false} {
-		spSrv, teSrv, _ := launchSAEMode(t, 2000, burst)
-		spSrv.sp.SetAggTamper(core.InflateAggTamper(1, 0))
-		client, err := DialVerifying(spSrv.Addr(), teSrv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := record.Range{Lo: 0, Hi: record.KeyDomain}
-		if _, err := client.Aggregate(q); !errors.Is(err, core.ErrVerificationFailed) {
-			t.Fatalf("burst=%v tampered Aggregate error = %v, want ErrVerificationFailed", burst, err)
-		}
-		if _, err := client.AggregateBurst(burstParityQueries(4)); !errors.Is(err, core.ErrVerificationFailed) {
-			t.Fatalf("burst=%v tampered AggregateBurst error = %v, want ErrVerificationFailed", burst, err)
-		}
-		client.Close()
+	r := launchRoles(t, 2000)
+	r.servedSP.SetAggTamper(core.InflateAggTamper(1, 0))
+	client, err := DialVerifying(r.sp.Addr(), r.te.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	q := record.Range{Lo: 0, Hi: record.KeyDomain}
+	if _, err := client.Aggregate(q); !errors.Is(err, core.ErrVerificationFailed) {
+		t.Fatalf("tampered Aggregate error = %v, want ErrVerificationFailed", err)
+	}
+	if _, err := client.AggregateBurst(burstParityQueries(4)); !errors.Is(err, core.ErrVerificationFailed) {
+		t.Fatalf("tampered AggregateBurst error = %v, want ErrVerificationFailed", err)
 	}
 }
 
 // TestTOMAggregateOverWire runs the TOM aggregation fast path through real
-// TCP in both serve modes: the replayed VO must produce the fold scalar.
+// TCP: the replayed VO must produce the fold scalar.
 func TestTOMAggregateOverWire(t *testing.T) {
-	ds, err := workload.Generate(workload.UNF, 3000, 61)
+	r := launchRoles(t, 3000)
+	tc, err := DialTOM(r.tom.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner, err := tom.NewOwner()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, burst := range []bool{true, false} {
-		provider := tom.NewProvider(pagestore.NewMem())
-		if err := provider.Load(ds.Records, owner); err != nil {
-			t.Fatal(err)
-		}
-		srv, err := ServeTOM("127.0.0.1:0", provider, owner, nil, WithBurstServing(burst))
+	defer tc.Close()
+	client := &VerifyingTOMClient{Provider: tc, Verifier: r.owner.Verifier()}
+	for _, q := range burstParityQueries(12) {
+		a, err := client.Aggregate(q)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("TOM Aggregate(%v): %v", q, err)
 		}
-		t.Cleanup(func() { srv.Close() })
-		tc, err := DialTOM(srv.Addr())
-		if err != nil {
-			t.Fatal(err)
+		if want := foldAgg(r.ds.Records, q).Normalize(); a != want {
+			t.Fatalf("TOM Aggregate(%v) = %v, want %v", q, a, want)
 		}
-		client := &VerifyingTOMClient{Provider: tc, Verifier: owner.Verifier()}
-		for _, q := range burstParityQueries(12) {
-			a, err := client.Aggregate(q)
-			if err != nil {
-				t.Fatalf("burst=%v TOM Aggregate(%v): %v", burst, q, err)
-			}
-			if want := foldAgg(ds.Records, q).Normalize(); a != want {
-				t.Fatalf("burst=%v TOM Aggregate(%v) = %v, want %v", burst, q, a, want)
-			}
-		}
-		tc.Close()
 	}
 }
 

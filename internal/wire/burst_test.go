@@ -2,48 +2,17 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
-	"sae/internal/core"
+	"sae/internal/exec"
 	"sae/internal/mbtree"
-	"sae/internal/pagestore"
 	"sae/internal/record"
-	"sae/internal/tom"
 	"sae/internal/workload"
 )
 
-// launchSAEMode boots an SP and a TE over loopback with burst serving
-// explicitly forced on or off, so parity tests can hold everything else
-// constant across the two serve paths.
-func launchSAEMode(t *testing.T, n int, burst bool) (*SPServer, *TEServer, *workload.Dataset) {
-	t.Helper()
-	ds, err := workload.Generate(workload.UNF, n, 55)
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	sp := core.NewServiceProvider(pagestore.NewMem())
-	te := core.NewTrustedEntity(pagestore.NewMem())
-	if err := sp.Load(ds.Records); err != nil {
-		t.Fatalf("sp.Load: %v", err)
-	}
-	if err := te.Load(ds.Records); err != nil {
-		t.Fatalf("te.Load: %v", err)
-	}
-	spSrv, err := ServeSP("127.0.0.1:0", sp, nil, WithBurstServing(burst))
-	if err != nil {
-		t.Fatalf("ServeSP: %v", err)
-	}
-	t.Cleanup(func() { spSrv.Close() })
-	teSrv, err := ServeTE("127.0.0.1:0", te, nil, WithBurstServing(burst))
-	if err != nil {
-		t.Fatalf("ServeTE: %v", err)
-	}
-	t.Cleanup(func() { teSrv.Close() })
-	return spSrv, teSrv, ds
-}
-
-// burstParityQueries builds a query mix that exercises every burst
+// burstParityQueries builds a query mix that exercises every group
 // code path: ordinary ranges, empty results (so lazily opened sections
 // must still emit their count slots), point ranges and the full keyspace
 // tail.
@@ -55,167 +24,138 @@ func burstParityQueries(n int) []record.Range {
 	return qs
 }
 
-// TestBurstParitySAE pins the tentpole's core promise at the wire level:
-// the payload bytes and token bytes a burst-mode server produces are
-// bit-identical to the per-request server's, for the same dataset and
-// queries — including empty results and bursts larger than maxBurst.
-func TestBurstParitySAE(t *testing.T) {
-	spB, teB, _ := launchSAEMode(t, 5000, true)
-	spP, teP, _ := launchSAEMode(t, 5000, false)
-
-	// 100 queries > maxBurst, so the burst server must split the group
-	// across bursts without dropping or reordering responses.
-	qs := burstParityQueries(97)
-
-	cb, err := DialSP(spB.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cb.Close()
-	cp, err := DialSP(spP.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp.Close()
-
-	burstRaws, err := cb.QueryRawMany(qs)
-	if err != nil {
-		t.Fatalf("burst QueryRawMany: %v", err)
-	}
-	for i, q := range qs {
-		perReq, err := cp.QueryRaw(q)
+// TestServeParity pins the one serve path at the wire level: for every
+// group row, on every role that serves it, at every group size — a lone
+// request, a pair, bursts past maxBurst that the server must split
+// without dropping or reordering responses — the response payload is
+// bit-identical to what the in-process reference parties' materializing
+// paths (QueryCtx, GenerateVTCtx, AggregateCtx, AggTokenCtx,
+// tom.QueryCtx, tom.AggregateCtx) produce for the same dataset,
+// including empty results.
+func TestServeParity(t *testing.T) {
+	r := launchRoles(t, 4000)
+	qs := burstParityQueries(97) // 100 queries > maxBurst
+	sp, te, tomSrv, primary, rep := r.sp.Addr(), r.te.Addr(), r.tom.Addr(), r.primary.Addr(), r.replica.Addr()
+	must := func(err error) {
+		t.Helper()
 		if err != nil {
-			t.Fatalf("per-request QueryRaw(%v): %v", q, err)
-		}
-		if !bytes.Equal(burstRaws[i], perReq) {
-			t.Fatalf("query %d (%v): burst payload (%d bytes) != per-request payload (%d bytes)",
-				i, q, len(burstRaws[i]), len(perReq))
+			t.Fatalf("reference: %v", err)
 		}
 	}
-
-	tb, err := DialTE(teB.Addr())
-	if err != nil {
-		t.Fatal(err)
+	rows := []struct {
+		req, resp MsgType
+		servers   []string
+		want      func(q record.Range) []byte
+	}{
+		{MsgQuery, MsgResult, []string{sp, primary, rep}, func(q record.Range) []byte {
+			recs, _, err := r.refSP.QueryCtx(exec.NewContext(), q)
+			must(err)
+			return EncodeRecords(recs)
+		}},
+		{MsgVTRequest, MsgVT, []string{te, primary, rep}, func(q record.Range) []byte {
+			vt, _, err := r.refTE.GenerateVTCtx(exec.NewContext(), q)
+			must(err)
+			return vt[:]
+		}},
+		{MsgAggQuery, MsgAggResult, []string{sp, primary, rep}, func(q record.Range) []byte {
+			a, _, err := r.refSP.AggregateCtx(exec.NewContext(), q)
+			must(err)
+			return a.AppendTo(nil)
+		}},
+		{MsgAggTokenReq, MsgAggToken, []string{te, primary, rep}, func(q record.Range) []byte {
+			tok, _, err := r.refTE.AggTokenCtx(exec.NewContext(), q)
+			must(err)
+			return tok.AppendTo(nil)
+		}},
+		{MsgTOMQuery, MsgTOMResult, []string{tomSrv}, func(q record.Range) []byte {
+			recs, vo, _, err := r.refTOM.QueryCtx(exec.NewContext(), q)
+			must(err)
+			// The payload must also decode and verify like any other.
+			if err := mbtree.VerifyVO(vo, recs, q.Lo, q.Hi, r.owner.Verifier()); err != nil {
+				t.Fatalf("reference TOM result for %v failed verification: %v", q, err)
+			}
+			return vo.AppendTo(EncodeRecords(recs))
+		}},
+		{MsgTOMAggQuery, MsgTOMAggResult, []string{tomSrv}, func(q record.Range) []byte {
+			vo, _, err := r.refTOM.AggregateCtx(exec.NewContext(), q)
+			must(err)
+			return vo.AppendTo(nil)
+		}},
+		{MsgVerifiedQuery, MsgVerifiedResult, []string{primary, rep}, func(q record.Range) []byte {
+			recs, _, err := r.refSP.QueryCtx(exec.NewContext(), q)
+			must(err)
+			vt, _, err := r.refTE.GenerateVTCtx(exec.NewContext(), q)
+			must(err)
+			out := binary.BigEndian.AppendUint64(nil, 0) // plan epoch
+			out = binary.BigEndian.AppendUint64(out, r.sys.Seq())
+			out = append(out, vt[:]...)
+			return append(out, EncodeRecords(recs)...)
+		}},
 	}
-	defer tb.Close()
-	tp, err := DialTE(teP.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tp.Close()
-
-	burstVTs, err := tb.GenerateVTMany(qs)
-	if err != nil {
-		t.Fatalf("burst GenerateVTMany: %v", err)
-	}
-	for i, q := range qs {
-		vt, err := tp.GenerateVT(q)
-		if err != nil {
-			t.Fatalf("per-request GenerateVT(%v): %v", q, err)
+	for _, row := range rows {
+		want := make([][]byte, len(qs))
+		for i, q := range qs {
+			want[i] = row.want(q)
 		}
-		if burstVTs[i] != vt {
-			t.Fatalf("query %d (%v): burst token != per-request token", i, q)
+		reqs := rangeFrames(row.req, qs)
+		for _, addr := range row.servers {
+			// len(qs) > maxBurst: one gather write the server must split.
+			for _, g := range append(groupSizes, len(qs)) {
+				for i, resp := range pipeline(t, addr, reqs, g) {
+					if resp.Type != row.resp {
+						t.Fatalf("%s at %s, groups of %d, query %d (%v): got %s %.80q",
+							FrameName(row.req), addr, g, i, qs[i], FrameName(resp.Type), resp.Payload)
+					}
+					if !bytes.Equal(resp.Payload, want[i]) {
+						t.Fatalf("%s at %s, groups of %d, query %d (%v): payload (%d bytes) != reference (%d bytes)",
+							FrameName(row.req), addr, g, i, qs[i], len(resp.Payload), len(want[i]))
+					}
+				}
+			}
 		}
 	}
 }
 
-// TestBurstVerifiedQuery runs the full verified protocol through
-// QueryBurst against servers in BOTH modes: every result must verify,
-// and the records must match a per-request verified query.
+// TestBurstVerifiedQuery runs the full verified protocol through the
+// client stubs' pipelined forms at every group size, against the
+// stand-alone pair and against a primary and a replica serving both
+// halves: every result must verify and match a linear scan.
 func TestBurstVerifiedQuery(t *testing.T) {
-	for _, burst := range []bool{true, false} {
-		spSrv, teSrv, ds := launchSAEMode(t, 4000, burst)
-		client, err := DialVerifying(spSrv.Addr(), teSrv.Addr())
+	r := launchRoles(t, 4000)
+	qs := burstParityQueries(20)
+	for _, pair := range [][2]string{
+		{r.sp.Addr(), r.te.Addr()},
+		{r.primary.Addr(), r.primary.Addr()},
+		{r.replica.Addr(), r.replica.Addr()},
+	} {
+		client, err := DialVerifying(pair[0], pair[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		qs := burstParityQueries(20)
-		results, err := client.QueryBurst(qs)
-		if err != nil {
-			t.Fatalf("burst=%v QueryBurst: %v", burst, err)
-		}
-		for i, q := range qs {
-			want := 0
-			for j := range ds.Records {
-				if q.Contains(ds.Records[j].Key) {
-					want++
+		for _, g := range groupSizes {
+			for lo := 0; lo < len(qs); lo += g {
+				group := qs[lo:min(lo+g, len(qs))]
+				results, err := client.QueryBurst(group)
+				if err != nil {
+					t.Fatalf("QueryBurst at %s, groups of %d: %v", pair[0], g, err)
 				}
-			}
-			if len(results[i]) != want {
-				t.Fatalf("burst=%v query %v: %d records, want %d", burst, q, len(results[i]), want)
+				for i, q := range group {
+					if want := expectCount(r.ds, q); len(results[i]) != want {
+						t.Fatalf("groups of %d, query %v: %d records, want %d", g, q, len(results[i]), want)
+					}
+				}
 			}
 		}
 		client.Close()
 	}
 }
 
-// TestBurstParityTOM pins records+VO byte parity for the TOM provider
-// between burst and per-request serving, and checks the burst result
-// verifies end to end.
-func TestBurstParityTOM(t *testing.T) {
-	ds, err := workload.Generate(workload.UNF, 3000, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	owner, err := tom.NewOwner()
-	if err != nil {
-		t.Fatal(err)
-	}
-	newSrv := func(burst bool) *TOMServer {
-		provider := tom.NewProvider(pagestore.NewMem())
-		if err := provider.Load(ds.Records, owner); err != nil {
-			t.Fatal(err)
-		}
-		srv, err := ServeTOM("127.0.0.1:0", provider, owner, nil, WithBurstServing(burst))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		return srv
-	}
-	srvB, srvP := newSrv(true), newSrv(false)
-
-	cb, err := DialTOM(srvB.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cb.Close()
-	cp, err := DialTOM(srvP.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp.Close()
-
-	qs := burstParityQueries(20)
-	burstRaws, err := cb.QueryRawMany(qs)
-	if err != nil {
-		t.Fatalf("burst TOM QueryRawMany: %v", err)
-	}
-	for i, q := range qs {
-		perReq, err := cp.QueryRawCtx(t.Context(), q)
-		if err != nil {
-			t.Fatalf("per-request TOM query(%v): %v", q, err)
-		}
-		if !bytes.Equal(burstRaws[i], perReq) {
-			t.Fatalf("TOM query %d (%v): burst payload != per-request payload", i, q)
-		}
-		// The burst payload must decode and verify like any other.
-		recs, vo, err := decodeTOMResult(burstRaws[i])
-		if err != nil {
-			t.Fatalf("decoding burst TOM result %d: %v", i, err)
-		}
-		if err := mbtree.VerifyVO(vo, recs, q.Lo, q.Hi, owner.Verifier()); err != nil {
-			t.Fatalf("burst TOM result %d failed verification: %v", i, err)
-		}
-	}
-}
-
-// TestBurstMixedFrames pipelines burstable queries interleaved with
-// non-burstable frames (shard-map requests) in one gather write: the
-// lane must group the queries, serve the rest individually, and answer
-// every id correctly.
+// TestBurstMixedFrames pipelines group-row queries interleaved with
+// own-row frames (shard-map requests) in one gather write: the lane
+// must group the queries, the shard-map requests run on their own
+// goroutines, and every id must be answered correctly.
 func TestBurstMixedFrames(t *testing.T) {
-	spSrv, _, ds := launchSAEMode(t, 3000, true)
+	spSrv, _, ds := launchSAE(t, 3000)
 	c, err := dial(spSrv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -249,13 +189,7 @@ func TestBurstMixedFrames(t *testing.T) {
 			if err != nil || len(rest) != 0 {
 				t.Fatalf("frame %d: bad result payload: %v", i, err)
 			}
-			want := 0
-			for j := range ds.Records {
-				if qs[qi].Contains(ds.Records[j].Key) {
-					want++
-				}
-			}
-			if len(recs) != want {
+			if want := expectCount(ds, qs[qi]); len(recs) != want {
 				t.Fatalf("query %v: %d records, want %d", qs[qi], len(recs), want)
 			}
 			qi++
@@ -263,65 +197,60 @@ func TestBurstMixedFrames(t *testing.T) {
 	}
 }
 
-// TestBurstFallbackOnMalformed sends a burst containing one malformed
-// query: the group must fall back to per-request serving, the bad frame
-// must get an error response, the good frames real results — and the
-// connection must stay healthy for the next burst.
-func TestBurstFallbackOnMalformed(t *testing.T) {
-	spSrv, _, _ := launchSAEMode(t, 2000, true)
-	c, err := dial(spSrv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
+// TestBurstMalformedFrame sends a burst containing one malformed query:
+// the bad frame is refused at dispatch with its own error response, the
+// good frames are grouped and get real results with no fallback — and
+// the connection stays healthy for the next burst.
+func TestBurstMalformedFrame(t *testing.T) {
+	spSrv, _, _ := launchSAE(t, 2000)
 	qs := workload.Queries(3, workload.DefaultExtent, 93)
 	reqs := []Frame{
 		{Type: MsgQuery, Payload: EncodeRange(qs[0])},
 		{Type: MsgQuery, Payload: []byte{1, 2, 3}}, // malformed range
 		{Type: MsgQuery, Payload: EncodeRange(qs[1])},
-	}
-	if _, err := c.roundTripMany(reqs); err == nil ||
-		!strings.Contains(err.Error(), "server error") {
-		t.Fatalf("malformed burst error = %v, want server error", err)
-	}
-
-	// The connection survives: the next burst serves normally.
-	raws, err := c.roundTripMany([]Frame{
+		// A second burst on the same connection.
 		{Type: MsgQuery, Payload: EncodeRange(qs[2])},
 		{Type: MsgQuery, Payload: EncodeRange(qs[0])},
-	})
-	if err != nil {
-		t.Fatalf("burst after malformed burst: %v", err)
 	}
-	for i, r := range raws {
-		if r.Type != MsgResult {
-			t.Fatalf("follow-up frame %d: got type %d, want result", i, r.Type)
+	before := ReadBurstCounters().Fallbacks
+	resps := pipeline(t, spSrv.Addr(), reqs, 3)
+	if got := ReadBurstCounters().Fallbacks - before; got != 0 {
+		t.Errorf("a malformed frame caused %d group fallbacks; it must be refused before grouping", got)
+	}
+	for i, r := range resps {
+		if i == 1 {
+			if r.Type != MsgErr || !strings.Contains(string(r.Payload), "range payload of 3 bytes") {
+				t.Fatalf("malformed frame: got %s %q", FrameName(r.Type), r.Payload)
+			}
+		} else if r.Type != MsgResult {
+			t.Fatalf("frame %d: got %s %.80q, want a result", i, FrameName(r.Type), r.Payload)
 		}
 	}
 }
 
-// TestBurstEnvGate checks SAE_BURST=0 actually disables lane serving
-// (and that the default enables it) via the server's own gate resolver.
-func TestBurstEnvGate(t *testing.T) {
-	t.Setenv("SAE_BURST", "0")
-	spSrv, _, _ := launchSAE(t, 500)
-	if spSrv.lanes != nil {
-		t.Fatal("SAE_BURST=0 server still built serve lanes")
+// TestBurstFallbackOnProviderError sends a burst whose provider pass
+// fails (the MB-Tree rejects an inverted range): the group falls back to
+// groups of one, so the bad query gets exactly its own error and the
+// others answers byte-identical to the same queries sent alone.
+func TestBurstFallbackOnProviderError(t *testing.T) {
+	r := launchRoles(t, 2000)
+	qs := workload.Queries(4, workload.DefaultExtent, 97)
+	const bad = 2
+	qs[bad] = record.Range{Lo: 5, Hi: 4}
+	reqs := rangeFrames(MsgTOMQuery, qs)
+	alone := pipeline(t, r.tom.Addr(), reqs, 1)
+	before := ReadBurstCounters().Fallbacks
+	burst := pipeline(t, r.tom.Addr(), reqs, len(reqs))
+	if got := ReadBurstCounters().Fallbacks - before; got != 1 {
+		t.Errorf("Fallbacks rose by %d for one rejected group, want 1", got)
 	}
-	// The per-request path must serve as before.
-	c, err := DialSP(spSrv.Addr())
-	if err != nil {
-		t.Fatal(err)
+	for i := range reqs {
+		if burst[i].Type != alone[i].Type || !bytes.Equal(burst[i].Payload, alone[i].Payload) {
+			t.Fatalf("query %d: in the burst got %s (%d bytes), alone %s (%d bytes)", i,
+				FrameName(burst[i].Type), len(burst[i].Payload), FrameName(alone[i].Type), len(alone[i].Payload))
+		}
 	}
-	defer c.Close()
-	if _, err := c.QueryRawMany(workload.Queries(4, workload.DefaultExtent, 94)); err != nil {
-		t.Fatalf("pipelined queries with burst disabled: %v", err)
-	}
-
-	t.Setenv("SAE_BURST", "1")
-	spSrv2, _, _ := launchSAE(t, 500)
-	if spSrv2.lanes == nil {
-		t.Fatal("default server did not build serve lanes")
+	if burst[bad].Type != MsgErr || !strings.Contains(string(burst[bad].Payload), "inverted range") {
+		t.Fatalf("inverted query: got %s %q", FrameName(burst[bad].Type), burst[bad].Payload)
 	}
 }

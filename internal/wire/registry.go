@@ -1,79 +1,114 @@
 package wire
 
-// The frame registry is the single authoritative table of every message
-// type the protocol defines. Frame numbers used to be assigned ad hoc
-// across files as the protocol grew; the registry pins each number to a
-// name in one place, a test asserts the table is dense and collision-free
-// (see registry_test.go), and README.md documents the same map for
-// operators reading packet traces. New frames MUST be added here.
-var frameRegistry = []struct {
-	Type MsgType
+import (
+	"fmt"
+	"strconv"
+
+	"sae/internal/record"
+)
+
+// capability names one thing a party can do. A role — SP, TE, TOM
+// provider, primary, replica — is nothing but the set of capabilities its
+// party value has (see party.has); the registry says which one each
+// request frame needs.
+type capability uint8
+
+const (
+	capNone      capability = iota // no party serves it: responses, the router's cutover
+	capShardMap                    // the shard attestation every party server carries
+	capSP                          // SP structures: B+-tree + heap file
+	capTE                          // TE structures: XB-Tree
+	capTOM                         // TOM provider + owner
+	capApply                       // apply(ops): a write path
+	capView                        // a ReadView: SP + TE at one commit boundary
+	capHub                         // a replication hub
+	capLifecycle                   // the reshard lifecycle gate
+)
+
+// frameSpec is one row of the frame registry: the frame's name and, for a
+// request frame, the capability it needs and HOW it is served. Exactly
+// one of group/own is set on a built-in request row:
+//
+//   - group rows carry one range as payload and never wait on anything
+//     but CPU. The connection's lane serves all frames of the row that
+//     arrived in one read wakeup as ONE provider pass — one lock, grouped
+//     descents, one pin epoch — for any n ≥ 1. An error rejects the whole
+//     group, which is then re-served as groups of one, so a singleton's
+//     error is exactly that request's error frame.
+//   - own rows run on their own goroutine because they may block (a write
+//     waits for its group's fsync, a freeze for the committer to drain, a
+//     snapshot ships a whole shard) or are not worth grouping (handshake
+//     and legacy multi-range frames). Served on a lane they would stall
+//     every other connection of that lane behind the wait.
+type frameSpec struct {
 	Name string
-}{
-	{MsgQuery, "Query"},
-	{MsgResult, "Result"},
-	{MsgVTRequest, "VTRequest"},
-	{MsgVT, "VT"},
-	{MsgInsert, "Insert"},
-	{MsgDelete, "Delete"},
-	{MsgAck, "Ack"},
-	{MsgErr, "Err"},
-	{MsgTOMQuery, "TOMQuery"},
-	{MsgTOMResult, "TOMResult"},
-	{MsgBatchQuery, "BatchQuery"},
-	{MsgBatchResult, "BatchResult"},
-	{MsgBatchVT, "BatchVT"},
-	{MsgBatchVTResult, "BatchVTResult"},
-	{MsgShardMapReq, "ShardMapReq"},
-	{MsgShardMap, "ShardMap"},
-	{MsgTOMShardedResult, "TOMShardedResult"},
-	{MsgBatchInsert, "BatchInsert"},
-	{MsgBatchDelete, "BatchDelete"},
-	{MsgAggQuery, "AggQuery"},
-	{MsgAggResult, "AggResult"},
-	{MsgAggTokenReq, "AggTokenReq"},
-	{MsgAggToken, "AggToken"},
-	{MsgTOMAggQuery, "TOMAggQuery"},
-	{MsgTOMAggResult, "TOMAggResult"},
-	{MsgTOMAggShardedResult, "TOMAggShardedResult"},
-	{MsgGenStampReq, "GenStampReq"},
-	{MsgGenStamp, "GenStamp"},
-	{MsgReplicaSnapReq, "ReplicaSnapReq"},
-	{MsgReplicaSnap, "ReplicaSnap"},
-	{MsgReplicaPull, "ReplicaPull"},
-	{MsgReplicaGroups, "ReplicaGroups"},
-	{MsgVerifiedQuery, "VerifiedQuery"},
-	{MsgVerifiedResult, "VerifiedResult"},
-	{MsgPlanUpdate, "PlanUpdate"},
-	{MsgFreeze, "Freeze"},
-	{MsgThaw, "Thaw"},
-	{MsgRetire, "Retire"},
-	{MsgReshardCutover, "ReshardCutover"},
+	need capability
+	// span marks rows whose range must stay inside the server's shard
+	// span (checked per frame at dispatch, before grouping).
+	span  bool
+	group func(s *Server, l *lane, ids []uint32, qs []record.Range) error
+	own   func(s *Server, req Frame, rb *RespBuf) Frame
+}
+
+// frameRegistry is the single authoritative table of every message type
+// the protocol defines, indexed by frame number: the name (README.md
+// documents the same map for operators reading packet traces), and for
+// request frames the serving row the one party server dispatches
+// through. A test asserts the table is dense (see registry_test.go); a
+// reused number does not compile. New frames MUST be added here.
+var frameRegistry = [...]frameSpec{
+	MsgQuery:               {Name: "Query", need: capSP, group: serveQuery},
+	MsgResult:              {Name: "Result"},
+	MsgVTRequest:           {Name: "VTRequest", need: capTE, group: serveVT},
+	MsgVT:                  {Name: "VT"},
+	MsgInsert:              {Name: "Insert", need: capApply, own: serveWrite},
+	MsgDelete:              {Name: "Delete", need: capApply, own: serveWrite},
+	MsgAck:                 {Name: "Ack"},
+	MsgErr:                 {Name: "Err"},
+	MsgTOMQuery:            {Name: "TOMQuery", need: capTOM, group: serveTOMQuery},
+	MsgTOMResult:           {Name: "TOMResult"},
+	MsgBatchQuery:          {Name: "BatchQuery", need: capSP, own: serveBatchQuery},
+	MsgBatchResult:         {Name: "BatchResult"},
+	MsgBatchVT:             {Name: "BatchVT", need: capTE, own: serveBatchVT},
+	MsgBatchVTResult:       {Name: "BatchVTResult"},
+	MsgShardMapReq:         {Name: "ShardMapReq", need: capShardMap, own: serveShardMap},
+	MsgShardMap:            {Name: "ShardMap"},
+	MsgTOMShardedResult:    {Name: "TOMShardedResult"},
+	MsgBatchInsert:         {Name: "BatchInsert", need: capApply, own: serveWrite},
+	MsgBatchDelete:         {Name: "BatchDelete", need: capApply, own: serveWrite},
+	MsgAggQuery:            {Name: "AggQuery", need: capSP, group: serveAggQuery},
+	MsgAggResult:           {Name: "AggResult"},
+	MsgAggTokenReq:         {Name: "AggTokenReq", need: capTE, group: serveAggToken},
+	MsgAggToken:            {Name: "AggToken"},
+	MsgTOMAggQuery:         {Name: "TOMAggQuery", need: capTOM, group: serveTOMAggQuery},
+	MsgTOMAggResult:        {Name: "TOMAggResult"},
+	MsgTOMAggShardedResult: {Name: "TOMAggShardedResult"},
+	MsgGenStampReq:         {Name: "GenStampReq", need: capView, own: serveGenStamp},
+	MsgGenStamp:            {Name: "GenStamp"},
+	MsgReplicaSnapReq:      {Name: "ReplicaSnapReq", need: capHub, own: serveReplicaSnap},
+	MsgReplicaSnap:         {Name: "ReplicaSnap"},
+	MsgReplicaPull:         {Name: "ReplicaPull", need: capHub, own: serveReplicaPull},
+	MsgReplicaGroups:       {Name: "ReplicaGroups"},
+	MsgVerifiedQuery:       {Name: "VerifiedQuery", need: capView, span: true, group: serveVerified},
+	MsgVerifiedResult:      {Name: "VerifiedResult"},
+	MsgPlanUpdate:          {Name: "PlanUpdate", need: capLifecycle, own: servePlanUpdate},
+	MsgFreeze:              {Name: "Freeze", need: capLifecycle, own: serveFreeze},
+	MsgThaw:                {Name: "Thaw", need: capLifecycle, own: serveThaw},
+	MsgRetire:              {Name: "Retire", need: capLifecycle, own: serveRetire},
+	MsgReshardCutover:      {Name: "ReshardCutover"}, // a router's custom Handler answers it
 }
 
 // FrameName returns the registered name of a message type, for logs and
 // error strings; unknown types render as "Msg(<n>)".
 func FrameName(t MsgType) string {
-	for _, e := range frameRegistry {
-		if e.Type == t {
-			return e.Name
-		}
+	if int(t) < len(frameRegistry) && frameRegistry[t].Name != "" {
+		return frameRegistry[t].Name
 	}
-	return "Msg(" + itoa(int(t)) + ")"
+	return "Msg(" + strconv.Itoa(int(t)) + ")"
 }
 
-// itoa avoids pulling strconv into the hot frame path for a log-only
-// helper.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+// CannotHandle is the error every role answers a frame it does not serve
+// with, naming both the role and the frame.
+func CannotHandle(role string, t MsgType) error {
+	return fmt.Errorf("%w: %s cannot handle %s (%d)", ErrProtocol, role, FrameName(t), t)
 }

@@ -6,38 +6,41 @@ import (
 )
 
 // TestFrameRegistryDense pins the protocol's frame map: every message
-// type from 1 through the highest assigned number is registered exactly
-// once, with a unique name. This is the guard against the ad-hoc frame
+// type from 1 through the highest assigned number is registered, with a
+// unique name (the table is indexed by frame number, so a reused number
+// does not compile). This is the guard against the ad-hoc frame
 // numbering that produced collisions-in-waiting before the registry
-// existed — adding a frame without registering it, or reusing a number,
-// fails here.
+// existed — adding a frame without registering it fails here. It also
+// pins each row's shape: a request row is served exactly one way, a
+// response row not at all.
 func TestFrameRegistryDense(t *testing.T) {
-	if len(frameRegistry) == 0 {
-		t.Fatal("empty frame registry")
-	}
-	byType := map[MsgType]string{}
 	byName := map[string]MsgType{}
-	var max MsgType
-	for _, e := range frameRegistry {
-		if prev, dup := byType[e.Type]; dup {
-			t.Errorf("frame number %d registered twice: %s and %s", e.Type, prev, e.Name)
+	max := MsgType(len(frameRegistry) - 1)
+	for n := MsgType(1); n <= max; n++ {
+		e := frameRegistry[n]
+		if e.Name == "" {
+			t.Errorf("frame number %d unassigned — the registry has a gap", n)
+			continue
 		}
 		if prev, dup := byName[e.Name]; dup {
-			t.Errorf("frame name %q registered twice: %d and %d", e.Name, prev, e.Type)
+			t.Errorf("frame name %q registered twice: %d and %d", e.Name, prev, n)
 		}
-		if e.Name == "" {
-			t.Errorf("frame %d registered with an empty name", e.Type)
+		byName[e.Name] = n
+		served := 0
+		if e.group != nil {
+			served++
 		}
-		byType[e.Type] = e.Name
-		byName[e.Name] = e.Type
-		if e.Type > max {
-			max = e.Type
+		if e.own != nil {
+			served++
 		}
-	}
-	// Dense: no gaps between 1 and the highest assigned frame.
-	for n := MsgType(1); n <= max; n++ {
-		if _, ok := byType[n]; !ok {
-			t.Errorf("frame number %d unassigned — the registry has a gap", n)
+		switch {
+		case e.need == capNone && served != 0:
+			t.Errorf("frame %s needs no capability but has a serving row", e.Name)
+		case e.need != capNone && served != 1:
+			t.Errorf("request frame %s is served %d ways, want exactly one", e.Name, served)
+		}
+		if e.span && e.group == nil {
+			t.Errorf("frame %s is span-bound but not a range row", e.Name)
 		}
 	}
 	if want := MsgType(39); max != want {

@@ -1,22 +1,15 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
-
-	"sae/internal/core"
-	"sae/internal/exec"
-	"sae/internal/mbtree"
-	"sae/internal/record"
-	"sae/internal/tom"
-	"sae/internal/wal"
 )
 
 // Handler maps one request frame to one response frame. rb is a pooled
@@ -39,7 +32,7 @@ var respBufPool = sync.Pool{New: func() any { return new(RespBuf) }}
 
 func getRespBuf() *RespBuf {
 	rb := respBufPool.Get().(*RespBuf)
-	rb.b = rb.b[:0]
+	rb.Reset()
 	return rb
 }
 
@@ -48,6 +41,10 @@ func putRespBuf(rb *RespBuf) {
 		respBufPool.Put(rb)
 	}
 }
+
+// Reset discards what has been encoded so far; a Handler that retries
+// starts its second attempt from an empty payload.
+func (rb *RespBuf) Reset() { rb.b = rb.b[:0] }
 
 // Len returns the bytes encoded into the buffer so far.
 func (rb *RespBuf) Len() int { return len(rb.b) }
@@ -71,57 +68,47 @@ func (rb *RespBuf) AppendUint64(v uint64) {
 }
 
 // PatchUint32 backfills a big-endian uint32 at a previously appended
-// offset (count slots reserved before streaming, à la beginRecords).
+// offset (count slots reserved before streaming).
 func (rb *RespBuf) PatchUint32(at int, v uint32) {
 	binary.BigEndian.PutUint32(rb.b[at:at+4], v)
 }
 
-// beginRecords reserves a 4-byte record-count slot in rb and returns its
-// offset; endRecords backfills it once the records have been streamed in.
-// Between the two, appendRecord scatter-appends each borrowed record
-// directly into the frame — EncodeRecords without the intermediate slice.
-func (rb *RespBuf) beginRecords() int {
-	at := len(rb.b)
-	rb.b = append(rb.b, 0, 0, 0, 0)
-	return at
-}
-
-func (rb *RespBuf) appendRecord(r *record.Record) error {
-	rb.b = r.AppendBinary(rb.b)
-	return nil
-}
-
-func (rb *RespBuf) endRecords(at, count int) {
-	binary.BigEndian.PutUint32(rb.b[at:at+4], uint32(count))
-}
-
-// maxInFlight bounds the requests one connection may have executing at
-// once; further frames queue in the kernel's socket buffer. The providers
-// serve reads under RWMutexes, so the bound only caps goroutines, not
-// correctness.
+// maxInFlight bounds the own-goroutine requests one connection may have
+// executing at once; further frames queue in the kernel's socket buffer.
+// The providers serve under their own locks, so the bound only caps
+// goroutines, not correctness.
 const maxInFlight = 32
 
-// Server is the shared TCP accept/serve loop behind every party's
-// endpoint. Use Serve to run a custom Handler on it (the router tier
-// does); the SP/TE/TOM servers below wrap it with their protocol
-// handlers.
+// maxBurst caps the lane requests one burst may carry; further buffered
+// frames form the next burst. 64 is past the point where per-burst
+// overheads are amortized away, and keeps a lane's arena and pin epoch
+// bounded.
+const maxBurst = 64
+
+// burstReadBuf is the connection read-buffer size frames are drained
+// from; frames larger than this still work (they read through the
+// buffer).
+const burstReadBuf = 64 << 10
+
+// Server is the one party server: a TCP accept loop, one read loop per
+// connection that dispatches every request frame through the frame
+// registry, a lane per GOMAXPROCS slot serving the registry's group rows,
+// and a goroutine per in-flight own row. What it answers is decided
+// entirely by its party — the set of capabilities the role has — or, for
+// Serve, by a custom Handler (the router tier).
 type Server struct {
-	ln     net.Listener
-	handle Handler
-	logf   func(string, ...any)
+	ln    net.Listener
+	party party
+	logf  func(string, ...any)
 
 	// shardInfo is this server's place in a sharded deployment; unset
 	// means "shard 0 of the single-shard plan" so stand-alone servers
 	// answer shard-map requests uniformly.
 	shardInfo atomic.Pointer[ShardInfo]
 
-	// burstSrv is set by the built-in party servers (SP/TE/TOM) to enable
-	// burst-mode serving; custom Serve handlers (the router tier, whose
-	// requests block on upstream round trips) keep the concurrent
-	// goroutine-per-frame path. lanes is non-nil iff burst mode is active.
-	burstSrv  burstServer
-	burstMode *bool // WithBurstServing override; nil = SAE_BURST env
-	lanes     *laneSet
+	// lanes serve the group rows; nil for a custom Handler, whose every
+	// frame is an own row.
+	lanes *laneSet
 
 	mu        sync.Mutex
 	conns     map[net.Conn]struct{}
@@ -143,15 +130,6 @@ func WithShardInfo(si ShardInfo) ServerOption {
 	return func(s *Server) { s.shardInfo.Store(&si) }
 }
 
-// WithBurstServing forces burst-mode serving on or off for this server,
-// overriding the SAE_BURST environment gate — the parity tests run every
-// topology in both modes regardless of the environment. It only applies
-// to the built-in party servers; custom Serve handlers always use the
-// concurrent per-frame path.
-func WithBurstServing(on bool) ServerOption {
-	return func(s *Server) { s.burstMode = &on }
-}
-
 // SetShardInfo declares this server's shard index and partition plan,
 // served in response to MsgShardMapReq. Safe to call while serving, but
 // deployments should prefer WithShardInfo so no early client can observe
@@ -160,16 +138,27 @@ func (s *Server) SetShardInfo(si ShardInfo) {
 	s.shardInfo.Store(&si)
 }
 
-// shardMapFrame answers a shard-map request.
-func (s *Server) shardMapFrame() Frame {
-	si := s.shardInfo.Load()
-	if si == nil {
-		si = &ShardInfo{}
+// AdoptPlan installs a new shard attestation. Only a strictly higher
+// epoch is accepted: a replayed MsgPlanUpdate carrying an older topology
+// cannot roll the server back.
+func (s *Server) AdoptPlan(si ShardInfo) error {
+	var curEpoch uint64
+	if cur := s.shardInfo.Load(); cur != nil {
+		curEpoch = cur.Plan.Epoch()
 	}
-	return Frame{Type: MsgShardMap, Payload: EncodeShardInfo(*si)}
+	if si.Plan.Epoch() <= curEpoch {
+		return fmt.Errorf("%w: plan update at epoch %d rejected; already at epoch %d",
+			ErrProtocol, si.Plan.Epoch(), curEpoch)
+	}
+	s.SetShardInfo(si)
+	return nil
 }
 
-func newServer(addr string, handle Handler, logf func(string, ...any), opts []ServerOption) (*Server, error) {
+// serve starts a server for p on addr: the listener, the lanes (a party
+// with group rows needs them; a custom Handler does not) and the accept
+// loop, in that order, so no connection is accepted into a half-wired
+// server.
+func serve(addr string, p party, logf func(string, ...any), opts []ServerOption) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: listening on %s: %w", addr, err)
@@ -178,57 +167,41 @@ func newServer(addr string, handle Handler, logf func(string, ...any), opts []Se
 		logf = func(string, ...any) {}
 	}
 	s := &Server{
-		ln:     ln,
-		handle: handle,
-		logf:   logf,
-		conns:  make(map[net.Conn]struct{}),
-		done:   make(chan struct{}),
+		ln:    ln,
+		party: p,
+		logf:  logf,
+		conns: make(map[net.Conn]struct{}),
+		done:  make(chan struct{}),
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
-	return s, nil
-}
-
-// start spins up the serve lanes (when burst mode applies) and the accept
-// loop. Constructors call it only after the server is fully wired — the
-// built-in party servers set burstSrv first, so no connection can be
-// accepted into a half-configured server.
-func (s *Server) start() *Server {
-	if s.burstSrv != nil && s.burstActive() {
+	if p.custom == nil {
 		s.lanes = newLaneSet(s)
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return s
-}
-
-// burstActive resolves the burst-serving gate: an explicit
-// WithBurstServing option wins; otherwise burst mode is ON unless the
-// environment opts out with SAE_BURST=0.
-func (s *Server) burstActive() bool {
-	if s.burstMode != nil {
-		return *s.burstMode
-	}
-	return os.Getenv("SAE_BURST") != "0"
+	return s, nil
 }
 
 // Serve starts a TCP server running a custom Handler — the hook the
 // router tier builds its client-facing endpoint on (and tests build fake
-// upstreams with). The handler runs once per request frame, concurrently
-// across the requests in flight on a connection; the RespBuf it receives
-// is pooled and recycled after its response frame hits the socket.
+// upstreams with). Every frame is an own row: the handler runs once per
+// request frame, concurrently across the requests in flight on a
+// connection (a router's requests block on upstream round trips); the
+// RespBuf it receives is pooled and recycled after its response frame
+// hits the socket.
 func Serve(addr string, handle Handler, logf func(string, ...any), opts ...ServerOption) (*Server, error) {
-	s, err := newServer(addr, handle, logf, opts)
-	if err != nil {
-		return nil, err
-	}
-	return s.start(), nil
+	return serve(addr, party{role: "custom handler", custom: handle}, logf, opts)
 }
 
 // ErrFrame builds the error response for a request a Handler cannot
 // serve, mirroring what the built-in party servers send.
 func ErrFrame(err error) Frame { return errFrame(err) }
+
+func errFrame(err error) Frame {
+	return Frame{Type: MsgErr, Payload: []byte(err.Error())}
+}
 
 // Addr returns the server's bound address (useful with ":0" listeners).
 func (s *Server) Addr() string { return s.ln.Addr().String() }
@@ -270,343 +243,187 @@ func (s *Server) acceptLoop() {
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
 		s.wg.Add(1)
-		if s.lanes != nil {
-			go s.serveConnBurst(conn, s.lanes.pick())
-		} else {
-			go s.serveConn(conn)
-		}
+		go s.connLoop(conn)
 	}
 }
 
-// serveConn reads frames and dispatches each to its own goroutine, so one
-// connection can have up to maxInFlight requests executing concurrently
-// (the request-id tagging lets responses return out of order). A write
-// mutex keeps response frames from interleaving.
-func (s *Server) serveConn(conn net.Conn) {
+// srvConn is one served connection. Its lane (assigned for life at
+// accept) and its own-row goroutines all answer on it, so every write —
+// a lane's vectored flush or one own-row response — takes wmu once.
+type srvConn struct {
+	nc   net.Conn
+	lane *lane
+	wmu  sync.Mutex
+
+	// bufs double-buffers the bursts: the read loop fills one while the
+	// lane serves the other, and the channel is the backpressure — a
+	// connection has at most two bursts in the pipeline.
+	bufs chan *connBurst
+	sem  chan struct{} // bounds own rows in flight (maxInFlight)
+	// handlers counts the answers still owed: own rows in flight and
+	// bursts not yet flushed. The connection closes after the last one.
+	handlers sync.WaitGroup
+	rng      [8]byte // a group row's payload: one encoded range
+}
+
+// connLoop is the one connection read loop. It blocks for the first frame
+// of a burst, takes the server's attestation once that frame's header is
+// in, then drains every frame the read buffer ALREADY holds completely
+// without further syscalls, up to maxBurst lane requests. The kernel's socket buffer coalesces pipelined
+// client writes, so a busy connection naturally produces multi-frame
+// bursts and an idle one degrades to bursts of one with one extra
+// Buffered() check. Each frame is dispatched as it is read (see
+// dispatch); the burst's group-row requests then go to the lane as one
+// job.
+func (s *Server) connLoop(nc net.Conn) {
 	defer s.wg.Done()
-	var (
-		writeMu  sync.Mutex
-		handlers sync.WaitGroup
-	)
-	sem := make(chan struct{}, maxInFlight)
+	c := &srvConn{nc: nc, bufs: make(chan *connBurst, 2), sem: make(chan struct{}, maxInFlight)}
+	if s.lanes != nil {
+		c.lane = s.lanes.pick()
+	}
+	c.bufs <- &connBurst{}
+	c.bufs <- &connBurst{}
 	defer func() {
-		handlers.Wait()
+		c.handlers.Wait()
 		s.mu.Lock()
-		delete(s.conns, conn)
+		delete(s.conns, nc)
 		s.mu.Unlock()
-		conn.Close()
+		nc.Close()
 	}()
+	br := bufio.NewReaderSize(nc, burstReadBuf)
 	for {
-		req, err := ReadFrame(conn)
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.logf("wire: reading request: %v", err)
-			}
+		cb := <-c.bufs
+		cb.reqs = cb.reqs[:0]
+		// Wait for the burst's first header BEFORE taking the attestation:
+		// loaded ahead of the blocking read it would be as old as the
+		// connection's idle time, and an idle connection would answer its
+		// next burst under a plan AdoptPlan has since replaced.
+		if _, err := br.Peek(HeaderSize); err != nil {
+			s.logReadErr(err)
 			return
 		}
-		sem <- struct{}{}
-		handlers.Add(1)
-		go func(req Frame) {
-			defer handlers.Done()
-			defer func() { <-sem }()
-			rb := getRespBuf()
-			resp := s.handle(req, rb)
-			if len(resp.Payload) > MaxPayload {
-				// The peer's ReadFrame would reject the oversize frame and
-				// tear down the whole pipelined connection; degrade to a
-				// per-request error instead.
-				resp = errFrame(fmt.Errorf("%w: response of %d bytes exceeds frame limit; narrow the query or split the batch",
-					ErrProtocol, len(resp.Payload)))
-			}
-			resp.ID = req.ID
-			writeMu.Lock()
-			err := WriteFrame(conn, resp)
-			writeMu.Unlock()
-			// The frame is on the wire (or the connection is dead); either
-			// way the pooled buffer's flight is over and it may be reused
-			// by the next request.
-			putRespBuf(rb)
+		// One attestation per burst: the span check in dispatch and the
+		// epoch the lane stamps on the answers come from the same plan.
+		cb.si = s.shardInfo.Load()
+		own := 0
+		for first := true; first || (len(cb.reqs) < maxBurst && frameBuffered(br)); first = false {
+			isOwn, err := s.dispatch(c, br, cb)
 			if err != nil {
-				s.logf("wire: writing response: %v", err)
-				// Unblock the read loop so the connection tears down.
-				conn.Close()
+				s.logReadErr(err)
+				return
 			}
-		}(req)
+			if isOwn {
+				own++
+			}
+		}
+		burstCounters.jobs.Add(1)
+		burstCounters.soloFrames.Add(int64(own))
+		if len(cb.reqs) == 0 {
+			c.bufs <- cb
+			continue
+		}
+		c.handlers.Add(1) // until the burst's responses are flushed
+		c.lane.jobs <- burstJob{conn: c, cb: cb}
 	}
 }
 
-func errFrame(err error) Frame {
-	return Frame{Type: MsgErr, Payload: []byte(err.Error())}
+// logReadErr reports a dead or misframed connection; a peer hanging up
+// between requests is not worth a line.
+func (s *Server) logReadErr(err error) {
+	if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+		s.logf("wire: reading request: %v", err)
+	}
 }
 
-// SPServer exposes an SAE service provider over TCP: queries, inserts and
-// deletes.
-type SPServer struct {
-	*Server
-	sp *core.ServiceProvider
+// frameBuffered reports whether the read buffer already holds one whole
+// frame. (An oversize length prefix can never be "whole"; the next
+// blocking dispatch rejects it.)
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < HeaderSize {
+		return false
+	}
+	hdr, _ := br.Peek(HeaderSize)
+	return br.Buffered() >= HeaderSize+int(binary.BigEndian.Uint32(hdr[5:9]))
 }
 
-// ServeSP starts an SP server on addr (use "127.0.0.1:0" for tests).
-func ServeSP(addr string, sp *core.ServiceProvider, logf func(string, ...any), opts ...ServerOption) (*SPServer, error) {
-	srv := &SPServer{sp: sp}
-	s, err := newServer(addr, srv.handle, logf, opts)
+// dispatch reads one request frame and routes it — the ONE place request
+// frames come off a server connection, and where every per-frame safety
+// check runs before any grouping: the payload limit, the registry lookup
+// and capability check, the reshard lifecycle gate, and for group rows
+// the range decode and shard-span check. A frame that fails a check gets
+// its own error frame (queued on the burst so the lane stays the writer);
+// a group row's range joins the burst; an own row starts its goroutine,
+// bounded by the connection's semaphore, with a payload of its own that
+// nothing recycles. The returned error is a dead or misframed connection.
+func (s *Server) dispatch(c *srvConn, br *bufio.Reader, cb *connBurst) (own bool, err error) {
+	var hdr [HeaderSize]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return false, err // io.EOF passes through for clean shutdown
+	}
+	typ, id, n := MsgType(hdr[0]), binary.BigEndian.Uint32(hdr[1:5]), int(binary.BigEndian.Uint32(hdr[5:9]))
+	if n > MaxPayload {
+		return false, fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrProtocol, n)
+	}
+	spec, err := s.party.admit(typ)
 	if err != nil {
-		return nil, err
+		if _, derr := br.Discard(n); derr != nil {
+			return false, fmt.Errorf("%w: truncated payload: %v", ErrProtocol, derr)
+		}
+		cb.reqs = append(cb.reqs, laneReq{id: id, err: err})
+		return false, nil
 	}
-	s.burstSrv = srv
-	srv.Server = s
-	s.start()
-	return srv, nil
+	payload := c.rng[:]
+	if spec.group == nil || n != len(c.rng) {
+		// An own row keeps its payload; a malformed range's is read only
+		// for DecodeRange to name its length.
+		payload = make([]byte, n)
+	}
+	if _, err := io.ReadFull(br, payload); err != nil {
+		return false, fmt.Errorf("%w: truncated payload: %v", ErrProtocol, err)
+	}
+	if spec.group != nil {
+		q, err := DecodeRange(payload)
+		if err == nil && spec.span {
+			err = cb.si.checkSpan(q)
+		}
+		cb.reqs = append(cb.reqs, laneReq{spec: spec, id: id, q: q, err: err})
+		return false, nil
+	}
+	c.sem <- struct{}{}
+	c.handlers.Add(1)
+	go s.serveOwn(c, spec, Frame{Type: typ, ID: id, Payload: payload})
+	return true, nil
 }
 
-func (s *SPServer) handle(req Frame, rb *RespBuf) Frame {
-	// Read-only requests run through the shared serve helpers — the same
-	// code path a composite primary or replica server uses, so every
-	// topology answers reads byte-for-byte identically.
-	if resp, ok := serveSPRead(s.sp, req, rb); ok {
-		return resp
-	}
-	switch req.Type {
-	case MsgInsert:
-		r, err := record.Unmarshal(req.Payload)
-		if err != nil {
-			return errFrame(err)
-		}
-		if err := s.sp.ApplyInsert(r); err != nil {
-			return errFrame(err)
-		}
-		return Frame{Type: MsgAck}
-	case MsgDelete:
-		id, key, err := DecodeDelete(req.Payload)
-		if err != nil {
-			return errFrame(err)
-		}
-		if err := s.sp.ApplyDelete(id, key); err != nil {
-			return errFrame(err)
-		}
-		return Frame{Type: MsgAck}
-	case MsgBatchInsert:
-		ops, err := decodeInsertOps(req.Payload)
-		if err != nil {
-			return errFrame(err)
-		}
-		// The whole wire batch is one commit group: one lock acquisition,
-		// one structure pass.
-		if err := s.sp.ApplyBatchCtx(exec.NewContext(), ops); err != nil {
-			return errFrame(err)
-		}
-		return Frame{Type: MsgAck}
-	case MsgBatchDelete:
-		ops, err := decodeDeleteOps(req.Payload)
-		if err != nil {
-			return errFrame(err)
-		}
-		if err := s.sp.ApplyBatchCtx(exec.NewContext(), ops); err != nil {
-			return errFrame(err)
-		}
-		return Frame{Type: MsgAck}
-	case MsgShardMapReq:
-		return s.shardMapFrame()
-	default:
-		return errFrame(fmt.Errorf("%w: SP cannot handle message type %d", ErrProtocol, req.Type))
-	}
-}
-
-// decodeInsertOps turns a MsgBatchInsert payload into one group's ops.
-func decodeInsertOps(payload []byte) ([]wal.Op, error) {
-	recs, rest, err := DecodeRecords(payload)
+// serveOwn runs one own row to completion and writes its response.
+func (s *Server) serveOwn(c *srvConn, spec *frameSpec, req Frame) {
+	defer c.handlers.Done()
+	defer func() { <-c.sem }()
+	rb := getRespBuf()
+	resp := spec.own(s, req, rb)
+	var f flusher
+	err := c.write(f.gather([]laneResp{checked(laneResp{typ: resp.Type, id: req.ID, direct: resp.Payload})}, nil), false)
+	// The frame is on the wire (or the connection is dead); either way
+	// the pooled buffer's flight is over.
+	putRespBuf(rb)
 	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after insert batch", ErrProtocol, len(rest))
-	}
-	ops := make([]wal.Op, len(recs))
-	for i := range recs {
-		ops[i] = wal.InsertOp(recs[i])
-	}
-	return ops, nil
-}
-
-// decodeDeleteOps turns a MsgBatchDelete payload into one group's ops.
-func decodeDeleteOps(payload []byte) ([]wal.Op, error) {
-	ids, keys, err := DecodeDeletes(payload)
-	if err != nil {
-		return nil, err
-	}
-	ops := make([]wal.Op, len(ids))
-	for i := range ids {
-		ops[i] = wal.DeleteOp(ids[i], keys[i])
-	}
-	return ops, nil
-}
-
-// TEServer exposes a trusted entity over TCP: token requests and owner
-// updates.
-type TEServer struct {
-	*Server
-	te *core.TrustedEntity
-}
-
-// ServeTE starts a TE server on addr.
-func ServeTE(addr string, te *core.TrustedEntity, logf func(string, ...any), opts ...ServerOption) (*TEServer, error) {
-	srv := &TEServer{te: te}
-	s, err := newServer(addr, srv.handle, logf, opts)
-	if err != nil {
-		return nil, err
-	}
-	s.burstSrv = srv
-	srv.Server = s
-	s.start()
-	return srv, nil
-}
-
-func (s *TEServer) handle(req Frame, rb *RespBuf) Frame {
-	// Read-only requests run through the shared serve helper (see
-	// SPServer.handle).
-	if resp, ok := serveTERead(s.te, req, rb); ok {
-		return resp
-	}
-	switch req.Type {
-	case MsgInsert:
-		r, err := record.Unmarshal(req.Payload)
-		if err != nil {
-			return errFrame(err)
-		}
-		if err := s.te.ApplyInsert(r); err != nil {
-			return errFrame(err)
-		}
-		return Frame{Type: MsgAck}
-	case MsgDelete:
-		id, key, err := DecodeDelete(req.Payload)
-		if err != nil {
-			return errFrame(err)
-		}
-		if err := s.te.ApplyDelete(id, key); err != nil {
-			return errFrame(err)
-		}
-		return Frame{Type: MsgAck}
-	case MsgBatchInsert:
-		ops, err := decodeInsertOps(req.Payload)
-		if err != nil {
-			return errFrame(err)
-		}
-		// One group: one lock, one digest dispatch for the whole batch.
-		if err := s.te.ApplyBatchCtx(exec.NewContext(), ops); err != nil {
-			return errFrame(err)
-		}
-		return Frame{Type: MsgAck}
-	case MsgBatchDelete:
-		ops, err := decodeDeleteOps(req.Payload)
-		if err != nil {
-			return errFrame(err)
-		}
-		if err := s.te.ApplyBatchCtx(exec.NewContext(), ops); err != nil {
-			return errFrame(err)
-		}
-		return Frame{Type: MsgAck}
-	case MsgShardMapReq:
-		return s.shardMapFrame()
-	default:
-		return errFrame(fmt.Errorf("%w: TE cannot handle message type %d", ErrProtocol, req.Type))
+		s.logf("wire: writing response: %v", err)
+		// Unblock the read loop so the connection tears down.
+		c.nc.Close()
 	}
 }
 
-// TOMServer exposes a TOM provider over TCP: queries answered with records
-// plus a serialized VO.
-type TOMServer struct {
-	*Server
-	provider *tom.Provider
-	owner    *tom.Owner
-}
-
-// ServeTOM starts a TOM provider server on addr.
-func ServeTOM(addr string, provider *tom.Provider, owner *tom.Owner, logf func(string, ...any), opts ...ServerOption) (*TOMServer, error) {
-	srv := &TOMServer{provider: provider, owner: owner}
-	s, err := newServer(addr, srv.handle, logf, opts)
-	if err != nil {
-		return nil, err
+// checked is the one admission check on responses: a payload over
+// MaxPayload would make the peer's ReadFrame reject the frame and tear
+// down the whole pipelined connection, so it degrades to a per-request
+// error instead.
+func checked(r laneResp) laneResp {
+	if n := r.payloadLen(); n > MaxPayload {
+		e := errFrame(fmt.Errorf("%w: response of %d bytes exceeds frame limit; narrow the query or split the batch",
+			ErrProtocol, n))
+		return laneResp{typ: e.Type, id: r.id, direct: e.Payload}
 	}
-	s.burstSrv = srv
-	srv.Server = s
-	s.start()
-	return srv, nil
-}
-
-func (s *TOMServer) handle(req Frame, rb *RespBuf) Frame {
-	switch req.Type {
-	case MsgTOMQuery:
-		q, err := DecodeRange(req.Payload)
-		if err != nil {
-			return errFrame(err)
-		}
-		// Records stream from pinned pages into the pooled frame, then
-		// the VO (built in a pooled shell) scatter-appends behind them.
-		at := rb.beginRecords()
-		vo, n, _, err := s.provider.ServeQueryCtx(exec.NewContext(), q, rb.appendRecord)
-		if err != nil {
-			return errFrame(err)
-		}
-		rb.endRecords(at, n)
-		rb.b = vo.AppendTo(rb.b)
-		mbtree.PutVO(vo)
-		return Frame{Type: MsgTOMResult, Payload: rb.b}
-	case MsgTOMAggQuery:
-		q, err := DecodeRange(req.Payload)
-		if err != nil {
-			return errFrame(err)
-		}
-		// Under TOM the aggregate VO IS the answer: the client's replay
-		// against the owner-signed root produces the verified scalar.
-		vo, _, err := s.provider.ServeAggregateCtx(exec.NewContext(), q)
-		if err != nil {
-			return errFrame(err)
-		}
-		rb.b = vo.AppendTo(rb.b)
-		mbtree.PutVO(vo)
-		return Frame{Type: MsgTOMAggResult, Payload: rb.b}
-	case MsgInsert:
-		r, err := record.Unmarshal(req.Payload)
-		if err != nil {
-			return errFrame(err)
-		}
-		if err := s.provider.ApplyInsert(r, s.owner); err != nil {
-			return errFrame(err)
-		}
-		return Frame{Type: MsgAck}
-	case MsgDelete:
-		id, key, err := DecodeDelete(req.Payload)
-		if err != nil {
-			return errFrame(err)
-		}
-		if err := s.provider.ApplyDelete(id, key, s.owner); err != nil {
-			return errFrame(err)
-		}
-		return Frame{Type: MsgAck}
-	case MsgBatchInsert:
-		ops, err := decodeInsertOps(req.Payload)
-		if err != nil {
-			return errFrame(err)
-		}
-		// One group: one lock pass and ONE owner re-sign for the batch.
-		if err := s.provider.ApplyBatchCtx(exec.NewContext(), ops, s.owner); err != nil {
-			return errFrame(err)
-		}
-		return Frame{Type: MsgAck}
-	case MsgBatchDelete:
-		ops, err := decodeDeleteOps(req.Payload)
-		if err != nil {
-			return errFrame(err)
-		}
-		if err := s.provider.ApplyBatchCtx(exec.NewContext(), ops, s.owner); err != nil {
-			return errFrame(err)
-		}
-		return Frame{Type: MsgAck}
-	case MsgShardMapReq:
-		return s.shardMapFrame()
-	default:
-		return errFrame(fmt.Errorf("%w: TOM provider cannot handle message type %d", ErrProtocol, req.Type))
-	}
+	return r
 }
 
 // Logf is a convenience logger adapter for the servers.

@@ -99,21 +99,12 @@ def gate_router():
 
 
 def gate_burst():
-    print("burst serving (BENCH_burst.ci.json vs committed BENCH_burst.json):")
-    base = load("BENCH_burst.json")
+    print("burst serving (BENCH_burst.ci.json):")
     ci = load("BENCH_burst.ci.json")
     check(ci["burstQueriesPerSec"] > 0,
           f"burst {ci['burstQueriesPerSec']:.0f} q/s > 0")
-    # Batching must win on any machine, including one-core runners: the
-    # within-run burst/per-request ratio may never drop below break-even,
-    # and not more than 30% below the committed baseline.
-    floor = max(1.0, TOLERANCE * base["batchWin"])
-    check(ci["batchWin"] >= floor,
-          f"batching win {ci['batchWin']:.2f}x >= {floor:.2f}x "
-          f"(baseline {base['batchWin']:.2f}x - 30%, never < 1x)")
     # Scaling efficiency is only meaningful when the runner actually has
-    # cores to sweep; a one-core runner records a single lane point and
-    # asserts the batching win alone.
+    # cores to sweep; a one-core runner records a single lane point.
     lanes = ci.get("lanes", [])
     check(len(lanes) >= 1, f"{len(lanes)} lane points measured")
     if len(lanes) >= 2:

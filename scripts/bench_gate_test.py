@@ -168,5 +168,43 @@ class TestGateShard(unittest.TestCase):
         self.assertIn("speedup", failures[0])
 
 
+class TestGateBurst(unittest.TestCase):
+    """The multicore-efficiency floor arms only with >= 2 lane points."""
+
+    @staticmethod
+    def payload(lanes):
+        return {"BENCH_burst.ci.json": {
+            "burstQueriesPerSec": 90000.0,
+            "lanes": lanes,
+            "filePreadQueriesPerSec": 100000.0,
+            "fileMmapQueriesPerSec": 95000.0,
+            "mmapActive": True,
+        }}
+
+    def test_two_lane_run_passes(self):
+        failures, _ = run_gate(bench_gate.gate_burst, self.payload([
+            {"lanes": 1, "scalingEfficiency": 1.0},
+            {"lanes": 2, "scalingEfficiency": 0.8},
+        ]))
+        self.assertEqual(failures, [])
+
+    def test_poor_two_lane_efficiency_fails(self):
+        failures, _ = run_gate(bench_gate.gate_burst, self.payload([
+            {"lanes": 1, "scalingEfficiency": 1.0},
+            {"lanes": 2, "scalingEfficiency": 0.6},
+        ]))
+        self.assertEqual(len(failures), 1)
+        self.assertIn("2-lane scaling efficiency", failures[0])
+
+    def test_single_lane_point_skips_efficiency(self):
+        one = run_gate(bench_gate.gate_burst, self.payload([
+            {"lanes": 1, "scalingEfficiency": 1.0}]))
+        two = run_gate(bench_gate.gate_burst, self.payload([
+            {"lanes": 1, "scalingEfficiency": 1.0},
+            {"lanes": 2, "scalingEfficiency": 0.8}]))
+        self.assertEqual(one[0], [])
+        self.assertEqual(two[1] - one[1], 1)
+
+
 if __name__ == "__main__":
     unittest.main()
