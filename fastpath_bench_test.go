@@ -191,23 +191,22 @@ func BenchmarkSPServe(b *testing.B) {
 	})
 }
 
-// BenchmarkVTBatchFastpath measures TE token generation for a 64-range
-// batch, serial vs pooled (the wire MsgBatchVT path).
-func BenchmarkVTBatchFastpath(b *testing.B) {
+// BenchmarkVTBurstFastpath measures TE token generation for a 64-range
+// burst — what a lane does with 64 pipelined MsgVTRequest frames: one
+// read lock, one descent per range.
+func BenchmarkVTBurstFastpath(b *testing.B) {
 	f := getFixture(b, workload.UNF)
 	qs := make([]record.Range, 64)
 	for i := range qs {
 		lo := record.Key(i * (record.KeyDomain / 70))
 		qs[i] = record.Range{Lo: lo, Hi: lo + record.KeyDomain/100}
 	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("%dworkers", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := f.sae.TE.GenerateVTBatch(qs, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	lane := exec.NewLane(0)
+	vts := make([]digest.Digest, len(qs))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := f.sae.TE.GenerateVTBurst(lane.Contexts(len(qs)), qs, vts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -151,7 +151,10 @@ func TestGenerateVTBurstParity(t *testing.T) {
 		return te
 	}
 	ref := newTE()
-	qs := burstQueries(25)
+	qs := append(burstQueries(25),
+		record.Range{Lo: 0, Hi: record.KeyDomain - 1},                  // every record
+		record.Range{Lo: ds.Records[100].Key, Hi: ds.Records[100].Key}, // one exact key
+	)
 
 	wantVTs := make([]digest.Digest, len(qs))
 	wantStats := make([]pagestore.Stats, len(qs))

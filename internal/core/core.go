@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sae/internal/bptree"
@@ -442,65 +441,6 @@ func (te *TrustedEntity) GenerateVTCtx(ctx *exec.Context, q record.Range) (diges
 	}
 	cost := costmodel.Default.Measure(ctx.Stats().Sub(before), time.Since(start))
 	return vt, cost, nil
-}
-
-// GenerateVTBatch computes the tokens for many ranges, fanning the
-// generations out across up to `workers` goroutines (0 = the default
-// crypto fan-out). Each query runs under its own request context exactly
-// as the serial batch loop did, so every token is bit-identical to a
-// GenerateVT call and the global access accounting is unchanged — only
-// the wall-clock time shrinks on multicore TEs. Tokens align with qs.
-func (te *TrustedEntity) GenerateVTBatch(qs []record.Range, workers int) ([]digest.Digest, error) {
-	vts := make([]digest.Digest, len(qs))
-	if workers <= 0 {
-		workers = digest.DefaultWorkers()
-	}
-	if workers > len(qs) {
-		workers = len(qs)
-	}
-	if workers <= 1 {
-		for i, q := range qs {
-			vt, _, err := te.GenerateVTCtx(exec.NewContext(), q)
-			if err != nil {
-				return nil, err
-			}
-			vts[i] = vt
-		}
-		return vts, nil
-	}
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	var next atomic.Int64
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(qs) {
-					return
-				}
-				vt, _, err := te.GenerateVTCtx(exec.NewContext(), qs[i])
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					return
-				}
-				vts[i] = vt
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return vts, nil
 }
 
 // ApplyInsert registers a new record from the owner with a fresh request

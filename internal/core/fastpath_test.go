@@ -93,42 +93,6 @@ func TestVerifyPoolParity(t *testing.T) {
 	}
 }
 
-// TestGenerateVTBatchParity proves batch tokens are bit-identical to
-// serial GenerateVT calls at every worker count.
-func TestGenerateVTBatchParity(t *testing.T) {
-	recs := fastpathRecords(1500)
-	te := NewTrustedEntity(pagestore.NewMem())
-	if err := te.Load(recs); err != nil {
-		t.Fatalf("TE load: %v", err)
-	}
-	qs := []record.Range{
-		{Lo: 0, Hi: record.KeyDomain - 1},
-		{Lo: recs[3].Key, Hi: recs[70].Key},
-		{Lo: recs[100].Key, Hi: recs[100].Key},
-		{Lo: 1, Hi: 2},
-		{Lo: recs[900].Key, Hi: recs[1400].Key},
-	}
-	want := make([]digest.Digest, len(qs))
-	for i, q := range qs {
-		vt, _, err := te.GenerateVT(q)
-		if err != nil {
-			t.Fatalf("GenerateVT(%v): %v", q, err)
-		}
-		want[i] = vt
-	}
-	for _, workers := range []int{1, 2, 4, 16} {
-		got, err := te.GenerateVTBatch(qs, workers)
-		if err != nil {
-			t.Fatalf("GenerateVTBatch(workers=%d): %v", workers, err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: token %d mismatch", workers, i)
-			}
-		}
-	}
-}
-
 // Allocation-regression tests: the three hot paths must stay (near)
 // allocation-free per operation so future PRs cannot silently reintroduce
 // per-record garbage. Bounds are small constants, far below one

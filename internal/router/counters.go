@@ -1,6 +1,9 @@
 package router
 
-import "sync/atomic"
+import (
+	"slices"
+	"sync/atomic"
+)
 
 // counters are the router's failure-handling tallies, shared by every
 // endpoint set and bumped lock-free on the request path. They exist for
@@ -43,42 +46,25 @@ func (r *Router) Counters() Counters {
 	}
 }
 
-// UpstreamHealth describes one upstream endpoint's current state.
+// UpstreamHealth describes one upstream address's current state.
 type UpstreamHealth struct {
 	Shard int
-	Role  string
+	Roles []string // the role sets it serves: "SP", "TE", "verified", "TOM"
 	Addr  string
 	Down  bool   // inside its reconnect-backoff window
 	Gen   uint64 // newest generation stamp observed (0 if unstamped)
 }
 
-func healthOf[T upstream](s *endpointSet[T], out []UpstreamHealth) []UpstreamHealth {
-	for _, ep := range s.eps {
-		out = append(out, UpstreamHealth{
-			Shard: ep.shard,
-			Role:  ep.role,
-			Addr:  ep.addr,
-			Down:  ep.isDown(),
-			Gen:   ep.gen.Load(),
-		})
-	}
-	return out
-}
-
-// Health reports every upstream endpoint's state in the currently
-// serving topology, shard by shard.
+// Health reports every upstream address of the currently serving
+// topology once, with the roles it serves, shard by shard.
 func (r *Router) Health() []UpstreamHealth {
 	t := r.topo.Load()
-	var out []UpstreamHealth
-	for i := range t.sps {
-		out = healthOf(t.sps[i], out)
-		out = healthOf(t.tes[i], out)
-		if i < len(t.vqs) {
-			out = healthOf(t.vqs[i], out)
-		}
-		if i < len(t.toms) {
-			out = healthOf(t.toms[i], out)
-		}
+	out := make([]UpstreamHealth, 0, len(t.eps))
+	for _, ep := range t.eps {
+		out = append(out, UpstreamHealth{
+			Shard: ep.shard, Roles: slices.Clone(ep.roles), Addr: ep.addr, Down: ep.isDown(), Gen: ep.gen.Load(),
+		})
 	}
+	slices.SortStableFunc(out, func(a, b UpstreamHealth) int { return a.Shard - b.Shard })
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,14 +14,21 @@ import (
 	"sae/internal/wire"
 )
 
-// upstream is what the router needs from any wire client: lifecycle,
-// liveness, and the attestation/stamp probes the health loop runs.
-type upstream interface {
-	Close() error
-	Err() error
-	ShardMapCtx(context.Context) (wire.ShardInfo, error)
-	GenStampCtx(context.Context) (uint64, error)
-}
+// role names what an upstream is asked for; a shard has one endpoint set
+// per role, and one upstream address may sit in several of them.
+type role uint8
+
+const (
+	roleSP       role = iota // record and aggregate reads
+	roleTE                   // verification and aggregate tokens
+	roleVerified             // stamped (epoch, gen, VT, records) answers
+	roleTOM                  // TOM provider evidence
+	numRoles
+)
+
+var roleNames = [numRoles]string{"SP", "TE", "verified", "TOM"}
+
+func (r role) String() string { return roleNames[r] }
 
 // Reconnect backoff: a failed upstream is retried after backoffMin,
 // doubling (plus jitter) up to backoffMax. The cap stays well under a
@@ -47,16 +55,32 @@ var errStale = errors.New("router: answer exceeds the staleness bound")
 // on it rather than quietly running degraded forever.
 var errAttestMismatch = errors.New("router: upstream attestation mismatch")
 
-// endpoint is one upstream address with its pooled pipelined connections
-// and health state. Connections are (re)dialed lazily: a dead endpoint
-// costs nothing until its backoff expires, and a revived one is adopted
-// on the next pick or probe.
-type endpoint[T upstream] struct {
+// freshness is one shard's staleness bar: the newest generation stamp
+// observed from ANY of the shard's upstreams, which replicas are measured
+// against.
+type freshness struct {
+	maxGen atomic.Uint64
+	maxLag uint64
+}
+
+func (f *freshness) stale(gen uint64) bool {
+	max := f.maxGen.Load()
+	return max > gen && max-gen > f.maxLag
+}
+
+// endpoint is one upstream ADDRESS: one pool of pipelined connections,
+// one health/backoff/attestation state and one generation stamp, however
+// many of its shard's role sets reference it (a combined primary or a
+// replica serves SP, TE and verified reads from one process).
+// Connections are (re)dialed lazily: a dead endpoint costs nothing until
+// its backoff expires, and a revived one is adopted on the next pick or
+// probe.
+type endpoint struct {
 	addr    string
 	shard   int
-	role    string
-	dial    func(string) (T, error)
-	stamped bool // speaks MsgGenStampReq (a primary or replica server)
+	roles   []string // the role sets that reference it, for Health
+	stamped bool     // speaks MsgGenStampReq (a combined primary or a replica)
+	fresh   *freshness
 	ctrs    *counters
 
 	// attest, when non-nil, is re-checked on every fresh dial: the
@@ -66,7 +90,7 @@ type endpoint[T upstream] struct {
 	attest *shard.Plan
 
 	mu      sync.Mutex
-	conns   []T
+	conns   []*wire.Conn
 	next    int
 	down    bool
 	broken  bool // saw an eviction or markDown since the last clean dial
@@ -79,8 +103,7 @@ type endpoint[T upstream] struct {
 // acquire returns a live connection, evicting dead ones and redialing up
 // to want connections. While the endpoint is inside its backoff window
 // with no live connections it fails fast.
-func (e *endpoint[T]) acquire(want int) (T, error) {
-	var zero T
+func (e *endpoint) acquire(want int) (*wire.Conn, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	// Evict connections whose receive loop has died (the passive half of
@@ -96,12 +119,10 @@ func (e *endpoint[T]) acquire(want int) (T, error) {
 			live = append(live, c)
 		}
 	}
-	for i := len(live); i < len(e.conns); i++ {
-		e.conns[i] = zero
-	}
+	clear(e.conns[len(live):])
 	e.conns = live
 	if len(e.conns) == 0 && e.down && time.Now().Before(e.retryAt) {
-		return zero, fmt.Errorf("router: %s %s (shard %d) is down, retrying after backoff", e.role, e.addr, e.shard)
+		return nil, fmt.Errorf("router: upstream %s (shard %d) is down, retrying after backoff", e.addr, e.shard)
 	}
 	for len(e.conns) < want {
 		c, err := e.dialChecked()
@@ -110,7 +131,7 @@ func (e *endpoint[T]) acquire(want int) (T, error) {
 				break // serve on what we have
 			}
 			e.markDownLocked()
-			return zero, err
+			return nil, err
 		}
 		if e.broken {
 			e.ctrs.reconnects.Add(1)
@@ -124,11 +145,10 @@ func (e *endpoint[T]) acquire(want int) (T, error) {
 
 // dialChecked dials one connection and, when an attestation is pinned,
 // verifies the upstream still reports the expected shard and plan.
-func (e *endpoint[T]) dialChecked() (T, error) {
-	var zero T
-	c, err := e.dial(e.addr)
+func (e *endpoint) dialChecked() (*wire.Conn, error) {
+	c, err := wire.Dial(e.addr)
 	if err != nil {
-		return zero, err
+		return nil, err
 	}
 	if e.attest != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -136,12 +156,12 @@ func (e *endpoint[T]) dialChecked() (T, error) {
 		cancel()
 		if err != nil {
 			c.Close()
-			return zero, fmt.Errorf("router: attesting %s %s: %w", e.role, e.addr, err)
+			return nil, fmt.Errorf("router: attesting %s: %w", e.addr, err)
 		}
 		if si.Index != e.shard || !si.Plan.Equal(*e.attest) {
 			c.Close()
-			return zero, fmt.Errorf("%w: %s %s attests shard %d of %d, dialed as shard %d",
-				errAttestMismatch, e.role, e.addr, si.Index, si.Plan.Shards(), e.shard)
+			return nil, fmt.Errorf("%w: %s attests shard %d of %d, dialed as shard %d",
+				errAttestMismatch, e.addr, si.Index, si.Plan.Shards(), e.shard)
 		}
 	}
 	return c, nil
@@ -149,20 +169,14 @@ func (e *endpoint[T]) dialChecked() (T, error) {
 
 // evict drops a connection that failed mid-flight and, if it was the
 // last one, marks the endpoint down with backoff.
-func (e *endpoint[T]) evict(bad T) {
+func (e *endpoint) evict(bad *wire.Conn) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var zero T
-	for i, c := range e.conns {
-		if any(c) == any(bad) {
-			c.Close()
-			e.ctrs.evictions.Add(1)
-			e.broken = true
-			e.conns[i] = e.conns[len(e.conns)-1]
-			e.conns[len(e.conns)-1] = zero
-			e.conns = e.conns[:len(e.conns)-1]
-			break
-		}
+	if i := slices.Index(e.conns, bad); i >= 0 {
+		bad.Close()
+		e.ctrs.evictions.Add(1)
+		e.broken = true
+		e.conns = slices.Delete(e.conns, i, i+1)
 	}
 	if len(e.conns) == 0 {
 		e.markDownLocked()
@@ -172,7 +186,7 @@ func (e *endpoint[T]) evict(bad T) {
 // markDownLocked starts (or extends) the backoff window: exponential
 // with jitter so a fleet of routers does not stampede a restarting
 // upstream in lockstep.
-func (e *endpoint[T]) markDownLocked() {
+func (e *endpoint) markDownLocked() {
 	e.down = true
 	e.broken = true
 	if e.backoff < backoffMin {
@@ -186,21 +200,21 @@ func (e *endpoint[T]) markDownLocked() {
 
 // markUp records a successful round trip: the endpoint is healthy and
 // its backoff resets.
-func (e *endpoint[T]) markUp() {
+func (e *endpoint) markUp() {
 	e.mu.Lock()
 	e.down = false
 	e.backoff = 0
 	e.mu.Unlock()
 }
 
-func (e *endpoint[T]) isDown() bool {
+func (e *endpoint) isDown() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.down && time.Now().Before(e.retryAt)
 }
 
 // closeAll closes every pooled connection (router shutdown).
-func (e *endpoint[T]) closeAll() error {
+func (e *endpoint) closeAll() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var first error
@@ -213,53 +227,73 @@ func (e *endpoint[T]) closeAll() error {
 	return first
 }
 
-// endpointSet is one shard's replica set for one role (SP reads, TE
+// noteGen records a stamp observed from this upstream, raises its shard's
+// freshness bar and reports whether the upstream now exceeds the
+// staleness bound.
+func (e *endpoint) noteGen(gen uint64) (stale bool) {
+	e.gen.Store(gen)
+	for {
+		cur := e.fresh.maxGen.Load()
+		if gen <= cur || e.fresh.maxGen.CompareAndSwap(cur, gen) {
+			break
+		}
+	}
+	return e.fresh.stale(gen)
+}
+
+func (e *endpoint) isStale() bool {
+	return e.stamped && e.fresh.stale(e.gen.Load())
+}
+
+// probe is one health pass over the upstream: past its backoff window it
+// is redialed (with attestation), and a stamped one is asked for its
+// generation stamp so the shard's freshness bar stays current even when
+// no client traffic is flowing.
+func (e *endpoint) probe(timeout time.Duration) {
+	if e.isDown() {
+		return // still inside the backoff window
+	}
+	c, err := e.acquire(1)
+	if err != nil || !e.stamped {
+		return
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	gen, err := c.GenStampCtx(ctx)
+	timedOut := ctx.Err() != nil
+	cancel()
+	if err != nil {
+		// A typed server error (upstream does not speak the stamp) and a
+		// probe timeout (slow, not provably dead) leave the connection
+		// alone; a transport failure evicts it.
+		var se *wire.ServerError
+		if !errors.As(err, &se) && !timedOut {
+			e.evict(c)
+		}
+		return
+	}
+	e.noteGen(gen)
+	e.markUp()
+}
+
+// endpointSet is one shard's upstreams for one role (SP reads, TE
 // tokens, verified queries, TOM): the primary plus any replicas, with
-// pick/failover/hedging across them.
-type endpointSet[T upstream] struct {
-	role  string
+// pick/failover/hedging across them. The endpoints are shared with the
+// shard's other role sets.
+type endpointSet struct {
+	role  role
 	shard int
-	eps   []*endpoint[T]
+	eps   []*endpoint
 	next  atomic.Uint32
 
 	conns      int
 	hedgeAfter time.Duration
-	maxLag     uint64
 	ctrs       *counters
-
-	// maxGen is the newest generation stamp observed from ANY endpoint
-	// of this set — the freshness bar replicas are measured against.
-	maxGen atomic.Uint64
-}
-
-func (s *endpointSet[T]) add(ep *endpoint[T]) { s.eps = append(s.eps, ep) }
-
-// noteGen records a stamp observed from ep and reports whether ep now
-// exceeds the staleness bound.
-func (s *endpointSet[T]) noteGen(ep *endpoint[T], gen uint64) (stale bool) {
-	ep.gen.Store(gen)
-	for {
-		cur := s.maxGen.Load()
-		if gen <= cur || s.maxGen.CompareAndSwap(cur, gen) {
-			break
-		}
-	}
-	return s.isStaleGen(gen)
-}
-
-func (s *endpointSet[T]) isStaleGen(gen uint64) bool {
-	max := s.maxGen.Load()
-	return max > gen && max-gen > s.maxLag
-}
-
-func (s *endpointSet[T]) isStale(ep *endpoint[T]) bool {
-	return ep.stamped && s.isStaleGen(ep.gen.Load())
 }
 
 // pick chooses the next endpoint to try, round-robin with two quality
 // passes: first the healthy-and-fresh, then anything not in backoff.
 // Endpoints in skip (already tried this request) are never returned.
-func (s *endpointSet[T]) pick(skip map[*endpoint[T]]bool) *endpoint[T] {
+func (s *endpointSet) pick(skip map[*endpoint]bool) *endpoint {
 	n := len(s.eps)
 	if n == 0 {
 		return nil
@@ -268,13 +302,7 @@ func (s *endpointSet[T]) pick(skip map[*endpoint[T]]bool) *endpoint[T] {
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < n; i++ {
 			ep := s.eps[(start+i)%n]
-			if skip[ep] {
-				continue
-			}
-			if pass == 0 && (ep.isDown() || s.isStale(ep)) {
-				continue
-			}
-			if pass == 1 && ep.isDown() {
+			if skip[ep] || ep.isDown() || (pass == 0 && ep.isStale()) {
 				continue
 			}
 			return ep
@@ -292,9 +320,10 @@ func (s *endpointSet[T]) pick(skip map[*endpoint[T]]bool) *endpoint[T] {
 	return nil
 }
 
-// opFunc is one request attempt against one upstream connection. ep is
-// supplied so verified ops can record the generation stamps they parse.
-type opFunc[T upstream] func(ctx context.Context, c T, ep *endpoint[T]) (any, error)
+// opFunc is one request attempt against one upstream connection,
+// returning the reply payload. ep is supplied so verified ops can record
+// the generation stamps they parse.
+type opFunc func(ctx context.Context, c *wire.Conn, ep *endpoint) ([]byte, error)
 
 // do runs op with bounded failover: up to maxAttempts distinct endpoints
 // are tried. A typed ServerError never fails over (it came over a
@@ -303,8 +332,8 @@ type opFunc[T upstream] func(ctx context.Context, c T, ep *endpoint[T]) (any, er
 // without eviction; everything else evicts the implicated connection and
 // moves on. With hedging configured, each attempt may race two
 // endpoints.
-func (s *endpointSet[T]) do(parent context.Context, op opFunc[T]) (any, error) {
-	tried := make(map[*endpoint[T]]bool, maxAttempts)
+func (s *endpointSet) do(parent context.Context, op opFunc) ([]byte, error) {
+	tried := make(map[*endpoint]bool, maxAttempts)
 	var lastErr error
 	for try := 0; try < maxAttempts; try++ {
 		ep := s.pick(tried)
@@ -312,7 +341,7 @@ func (s *endpointSet[T]) do(parent context.Context, op opFunc[T]) (any, error) {
 			break
 		}
 		tried[ep] = true
-		var v any
+		var v []byte
 		var err error
 		if s.hedgeAfter > 0 && len(s.eps) > 1 {
 			v, err = s.attemptHedged(parent, ep, tried, op)
@@ -339,7 +368,7 @@ func (s *endpointSet[T]) do(parent context.Context, op opFunc[T]) (any, error) {
 }
 
 // attempt runs op once against ep under a per-attempt context.
-func (s *endpointSet[T]) attempt(parent context.Context, ep *endpoint[T], op opFunc[T]) (any, error) {
+func (s *endpointSet) attempt(parent context.Context, ep *endpoint, op opFunc) ([]byte, error) {
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 	return s.attemptOn(ctx, ep, op)
@@ -347,7 +376,7 @@ func (s *endpointSet[T]) attempt(parent context.Context, ep *endpoint[T], op opF
 
 // attemptOn is attempt with caller-owned context (the hedged race keeps
 // both legs' contexts alive until a winner is chosen).
-func (s *endpointSet[T]) attemptOn(ctx context.Context, ep *endpoint[T], op opFunc[T]) (any, error) {
+func (s *endpointSet) attemptOn(ctx context.Context, ep *endpoint, op opFunc) ([]byte, error) {
 	c, err := ep.acquire(s.conns)
 	if err != nil {
 		return nil, err
@@ -378,9 +407,9 @@ func (s *endpointSet[T]) attemptOn(ctx context.Context, ep *endpoint[T], op opFu
 // which abandons its in-flight request (the wire layer drops the pending
 // entry, so the late response frame is discarded, never double-
 // delivered). The hedge endpoint is added to tried.
-func (s *endpointSet[T]) attemptHedged(parent context.Context, ep1 *endpoint[T], tried map[*endpoint[T]]bool, op opFunc[T]) (any, error) {
+func (s *endpointSet) attemptHedged(parent context.Context, ep1 *endpoint, tried map[*endpoint]bool, op opFunc) ([]byte, error) {
 	type legResult struct {
-		v     any
+		v     []byte
 		err   error
 		hedge bool
 	}
@@ -438,46 +467,4 @@ func (s *endpointSet[T]) attemptHedged(parent context.Context, ep1 *endpoint[T],
 		}
 	}
 	return nil, firstErr
-}
-
-// probe runs one health pass over the set: endpoints past their backoff
-// window are redialed (with attestation), and stamped endpoints are asked
-// for their generation stamp so the set's freshness bar stays current even
-// when no client traffic is flowing.
-func (s *endpointSet[T]) probe(timeout time.Duration) {
-	for _, ep := range s.eps {
-		if ep.isDown() {
-			continue // still inside the backoff window
-		}
-		c, err := ep.acquire(1)
-		if err != nil || !ep.stamped {
-			continue
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		gen, err := c.GenStampCtx(ctx)
-		timedOut := ctx.Err() != nil
-		cancel()
-		if err != nil {
-			// A typed server error (endpoint does not speak the stamp) and a
-			// probe timeout (slow, not provably dead) leave the connection
-			// alone; a transport failure evicts it.
-			var se *wire.ServerError
-			if !errors.As(err, &se) && !timedOut {
-				ep.evict(c)
-			}
-			continue
-		}
-		s.noteGen(ep, gen)
-		ep.markUp()
-	}
-}
-
-func (s *endpointSet[T]) closeAll() error {
-	var first error
-	for _, ep := range s.eps {
-		if err := ep.closeAll(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }

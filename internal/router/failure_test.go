@@ -227,7 +227,7 @@ func TestRoutedConcurrentClients(t *testing.T) {
 					return
 				}
 			}
-			if _, err := vc.QueryBatch(qs); err != nil {
+			if _, err := vc.QueryBurst(qs); err != nil {
 				errs[w] = err
 			}
 		}(w)

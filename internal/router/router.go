@@ -1,24 +1,29 @@
 // Package router implements the deployment tier the ROADMAP calls the
 // missing piece of the horizontal story: a stateless, untrusted router
 // process with ONE client-facing address. It speaks the single-system
-// wire protocol to clients (MsgQuery / MsgBatchQuery / MsgVTRequest /
-// MsgBatchVT / MsgTOMQuery / MsgVerifiedQuery / MsgShardMapReq),
+// wire protocol to clients — every query frame has one row in the frame
+// table (table.go: MsgQuery, MsgVTRequest, MsgAggQuery, MsgAggTokenReq,
+// MsgTOMQuery, MsgTOMAggQuery, MsgVerifiedQuery, plus the locally
+// answered MsgShardMapReq, MsgGenStampReq and MsgReshardCutover) —
 // scatters every request to the overlapping shards over pooled
-// pipelined upstream connections, gathers in shard order and streams
+// pipelined upstream connections (plain wire.Conn: the router relays
+// bytes and needs no typed client), gathers in shard order and streams
 // the merged response back — so an unmodified wire.VerifyingClient can
 // query a sharded deployment exactly as if it were a single SP/TE pair,
 // with bit-identical results and tokens to a client-side scatter
 // (wire.ShardedVerifyingClient).
 //
-// Each shard may additionally run read replicas (Config.Replicas). The
-// router treats the primary and its replicas as one endpoint set per
-// shard: requests round-robin across healthy endpoints, a failed
-// endpoint is evicted and retried with exponential backoff plus jitter,
-// an in-flight failure fails over to a sibling (bounded attempts), and
-// — when Config.HedgeAfter is set — a slow endpoint is raced against a
-// sibling, the loser cancelled. A health prober redials downed
-// endpoints and tracks every stamped endpoint's generation so answers
-// lagging the set's newest observed generation by more than
+// Each shard may additionally run read replicas (Config.Replicas). An
+// upstream address is ONE endpoint — one connection pool, one health and
+// backoff state, one generation stamp — referenced by every role set it
+// serves; the router treats the primary and its replicas as one endpoint
+// set per shard and role: requests round-robin across healthy endpoints,
+// a failed endpoint is evicted and retried with exponential backoff plus
+// jitter, an in-flight failure fails over to a sibling (bounded
+// attempts), and — when Config.HedgeAfter is set — a slow endpoint is
+// raced against a sibling, the loser cancelled. A health prober redials
+// downed endpoints and tracks every stamped endpoint's generation so
+// answers lagging the shard's newest observed generation by more than
 // Config.MaxLag are rejected and retried elsewhere.
 //
 // The whole upstream fabric — the attested plan and every endpoint set —
@@ -50,7 +55,7 @@
 // and generation stamp: the router bounds staleness against the newest
 // stamp it has observed, and a paranoid client enforces its own
 // monotonic lexicographic (epoch, gen) floor
-// (wire.VerifiedClient.QueryAtLeast), so even a rogue router replaying
+// (the verified client's QueryAtLeast), so even a rogue router replaying
 // pre-reshard answers is caught. As everywhere in this wire layer, the
 // client↔TE byte stream itself is assumed authenticated end-to-end — a
 // relay that can rewrite TE token bytes is the paper's
@@ -68,6 +73,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -132,42 +138,37 @@ const DefaultMaxLag = 128
 const DefaultProbeInterval = 100 * time.Millisecond
 
 // topology is one immutable generation of the router's upstream fabric:
-// the attested plan plus every endpoint set, all built together and
-// swapped together. Requests snapshot one topology and never observe a
-// cutover mid-flight.
+// the attested plan, every upstream address once, and the per-role
+// endpoint sets over them, all built together and swapped together.
+// Requests snapshot one topology and never observe a cutover mid-flight.
 type topology struct {
-	plan shard.Plan
-	sps  []*endpointSet[*wire.SPClient]
-	tes  []*endpointSet[*wire.TEClient]
-	toms []*endpointSet[*wire.TOMClient]
-	// vqs are the verified-query sets: each shard's replicas plus its
-	// primary when the primary serves both halves (SPs[i] == TEs[i] —
+	plan  shard.Plan
+	eps   []*endpoint  // every upstream address, once
+	fresh []*freshness // per shard
+	// sets[role][shard]. The verified sets hold each shard's replicas plus
+	// its primary when the primary serves both halves (SPs[i] == TEs[i] —
 	// only a process holding SP and TE together can stamp one atomic
-	// (epoch, gen, VT, records) quadruple).
-	vqs []*endpointSet[*wire.VerifiedClient]
+	// (epoch, gen, VT, records) quadruple). The TOM sets are empty unless
+	// TOM providers are configured.
+	sets [numRoles][]*endpointSet
 }
 
-// closeAll closes every upstream connection of every set.
+// closeAll closes every upstream connection.
 func (t *topology) closeAll() error {
 	var first error
-	keep := func(err error) {
-		if err != nil && first == nil {
+	for _, ep := range t.eps {
+		if err := ep.closeAll(); err != nil && first == nil {
 			first = err
 		}
 	}
-	for _, s := range t.sps {
-		keep(s.closeAll())
-	}
-	for _, s := range t.tes {
-		keep(s.closeAll())
-	}
-	for _, s := range t.vqs {
-		keep(s.closeAll())
-	}
-	for _, s := range t.toms {
-		keep(s.closeAll())
-	}
 	return first
+}
+
+// probe is one prober tick: one health pass per upstream address.
+func (t *topology) probe(timeout time.Duration) {
+	for _, ep := range t.eps {
+		ep.probe(timeout)
+	}
 }
 
 // Router is the client-facing scatter-gather endpoint. It keeps no
@@ -194,29 +195,19 @@ type Router struct {
 	tamper atomic.Pointer[tamper]
 }
 
-// newSet builds one shard's empty endpoint set for one role.
-func newSet[T upstream](role string, shardIdx int, cfg *Config, ctrs *counters) *endpointSet[T] {
-	return &endpointSet[T]{
-		role:       role,
-		shard:      shardIdx,
-		conns:      cfg.Conns,
-		hedgeAfter: cfg.HedgeAfter,
-		maxLag:     cfg.MaxLag,
-		ctrs:       ctrs,
+// join registers addr as one of shard i's upstreams for role, creating its
+// endpoint the first time the address is seen.
+func (r *Router) join(t *topology, ro role, i int, addr string, stamped bool) *endpoint {
+	idx := slices.IndexFunc(t.eps, func(ep *endpoint) bool { return ep.shard == i && ep.addr == addr })
+	if idx < 0 {
+		idx = len(t.eps)
+		t.eps = append(t.eps, &endpoint{addr: addr, shard: i, fresh: t.fresh[i], ctrs: &r.ctrs})
 	}
-}
-
-// addEndpoint registers one upstream address with a set.
-func addEndpoint[T upstream](s *endpointSet[T], addr string, dial func(string) (T, error), stamped bool) *endpoint[T] {
-	ep := &endpoint[T]{
-		addr:    addr,
-		shard:   s.shard,
-		role:    s.role,
-		dial:    dial,
-		stamped: stamped,
-		ctrs:    s.ctrs,
-	}
-	s.add(ep)
+	ep := t.eps[idx]
+	ep.stamped = ep.stamped || stamped
+	ep.roles = append(ep.roles, ro.String())
+	set := t.sets[ro][i]
+	set.eps = append(set.eps, ep)
 	return ep
 }
 
@@ -228,8 +219,10 @@ func addEndpoint[T upstream](s *endpointSet[T], addr string, dial func(string) (
 // with the wrong dataset is rejected on redial. Replicas are dialed
 // best-effort (a dead replica is adopted later by the prober), but a
 // replica that answers with a mismatched attestation fails construction
-// — that is a wiring error, not an outage. On error the half-built
-// topology's connections are closed before returning.
+// — that is a wiring error, not an outage — and so does a TOM provider
+// (untrusted regardless) that does not sit at the index it is dialed as
+// under the plan the TEs attest. On error the half-built topology's
+// connections are closed before returning.
 func (r *Router) buildTopology(spAddrs, teAddrs []string, replicas [][]string, tomAddrs []string) (*topology, error) {
 	cfg := &r.cfg
 	t := &topology{}
@@ -239,99 +232,74 @@ func (r *Router) buildTopology(spAddrs, teAddrs []string, replicas [][]string, t
 			t.closeAll()
 		}
 	}()
+	for i := range spAddrs {
+		t.fresh = append(t.fresh, &freshness{maxLag: cfg.MaxLag})
+		for ro := range t.sets {
+			if role(ro) == roleTOM && len(tomAddrs) == 0 {
+				continue
+			}
+			t.sets[ro] = append(t.sets[ro], &endpointSet{
+				role: role(ro), shard: i, conns: cfg.Conns, hedgeAfter: cfg.HedgeAfter, ctrs: &r.ctrs,
+			})
+		}
+	}
 
 	// Primaries first: their attestations establish the plan.
+	spConns := make([]*wire.Conn, len(spAddrs))
+	teConns := make([]*wire.Conn, len(spAddrs))
 	for i := range spAddrs {
 		combined := spAddrs[i] == teAddrs[i]
-		spSet := newSet[*wire.SPClient]("SP", i, cfg, &r.ctrs)
-		addEndpoint(spSet, spAddrs[i], wire.DialSP, combined)
-		t.sps = append(t.sps, spSet)
-		teSet := newSet[*wire.TEClient]("TE", i, cfg, &r.ctrs)
-		addEndpoint(teSet, teAddrs[i], wire.DialTE, combined)
-		t.tes = append(t.tes, teSet)
-		vqSet := newSet[*wire.VerifiedClient]("verified", i, cfg, &r.ctrs)
+		sp := r.join(t, roleSP, i, spAddrs[i], combined)
+		te := r.join(t, roleTE, i, teAddrs[i], combined)
 		if combined {
-			addEndpoint(vqSet, spAddrs[i], wire.DialVerified, true)
+			r.join(t, roleVerified, i, spAddrs[i], true)
 		}
-		t.vqs = append(t.vqs, vqSet)
-	}
-	firstSPs := make([]*wire.SPClient, len(t.sps))
-	firstTEs := make([]*wire.TEClient, len(t.tes))
-	for i := range t.sps {
-		sp, err := t.sps[i].eps[0].acquire(cfg.Conns)
-		if err != nil {
+		var err error
+		if spConns[i], err = sp.acquire(cfg.Conns); err != nil {
 			return nil, fmt.Errorf("router: shard %d SP: %w", i, err)
 		}
-		firstSPs[i] = sp
-		te, err := t.tes[i].eps[0].acquire(cfg.Conns)
-		if err != nil {
+		if teConns[i], err = te.acquire(cfg.Conns); err != nil {
 			return nil, fmt.Errorf("router: shard %d TE: %w", i, err)
 		}
-		firstTEs[i] = te
 	}
-	plan, err := wire.VerifyShardAttestations(firstSPs, firstTEs)
+	plan, err := wire.VerifyShardAttestations(spConns, teConns)
 	if err != nil {
 		return nil, fmt.Errorf("router: upstream attestation: %w", err)
 	}
 	t.plan = plan
 
-	// Replicas join the read sets under the now-known plan.
+	// Replicas and TOM providers join under the now-known plan, pinned on
+	// every endpoint: from here on, every fresh dial (including prober
+	// re-adoption after a crash) re-verifies the upstream's shard index
+	// and plan before trusting it with traffic.
+	var reps, toms []*endpoint
 	for i := range replicas {
 		for _, addr := range replicas[i] {
-			addEndpoint(t.sps[i], addr, wire.DialSP, true)
-			addEndpoint(t.tes[i], addr, wire.DialTE, true)
-			addEndpoint(t.vqs[i], addr, wire.DialVerified, true)
+			r.join(t, roleSP, i, addr, true)
+			r.join(t, roleTE, i, addr, true)
+			reps = append(reps, r.join(t, roleVerified, i, addr, true))
 		}
 	}
-	// Pin the attested plan on every endpoint: from here on, every fresh
-	// dial (including prober re-adoption after a crash) re-verifies the
-	// upstream's shard index and plan before trusting it with traffic.
-	for i := range t.sps {
-		for _, ep := range t.sps[i].eps {
-			ep.attest = &t.plan
-		}
-		for _, ep := range t.tes[i].eps {
-			ep.attest = &t.plan
-		}
-		for _, ep := range t.vqs[i].eps {
-			ep.attest = &t.plan
-		}
+	for i, addr := range tomAddrs {
+		toms = append(toms, r.join(t, roleTOM, i, addr, false))
+	}
+	for _, ep := range t.eps {
+		ep.attest = &t.plan
 	}
 	// Best-effort eager replica dial: a dead replica only logs (the
 	// prober adopts it when it comes up), a misattested one is fatal.
-	for i := range replicas {
-		for _, ep := range t.vqs[i].eps {
-			if ep.addr == spAddrs[i] {
-				continue // the primary, already verified
+	for _, ep := range reps {
+		if _, err := ep.acquire(1); err != nil {
+			if errors.Is(err, errAttestMismatch) {
+				return nil, err
 			}
-			if _, err := ep.acquire(1); err != nil {
-				if errors.Is(err, errAttestMismatch) {
-					return nil, err
-				}
-				cfg.Logf("router: shard %d replica %s not yet reachable: %v", i, ep.addr, err)
-			}
+			cfg.Logf("router: shard %d replica %s not yet reachable: %v", ep.shard, ep.addr, err)
 		}
 	}
-
-	for i := range tomAddrs {
-		tomSet := newSet[*wire.TOMClient]("TOM", i, cfg, &r.ctrs)
-		ep := addEndpoint(tomSet, tomAddrs[i], wire.DialTOM, false)
-		tc, err := ep.acquire(cfg.Conns)
-		if err != nil {
-			return nil, fmt.Errorf("router: shard %d TOM: %w", i, err)
+	for _, ep := range toms {
+		if _, err := ep.acquire(cfg.Conns); err != nil {
+			return nil, fmt.Errorf("router: shard %d TOM: %w", ep.shard, err)
 		}
-		// Wiring sanity (the provider is untrusted regardless): the TOM
-		// server must sit at the index it is dialed as, under the same
-		// plan the TEs attest.
-		si, err := tc.ShardMap()
-		if err != nil {
-			return nil, fmt.Errorf("router: shard %d TOM map: %w", i, err)
-		}
-		if si.Index != i || !si.Plan.Equal(plan) {
-			return nil, fmt.Errorf("router: TOM dialed as shard %d reports shard %d of %v", i, si.Index, si.Plan)
-		}
-		ep.attest = &t.plan
-		t.toms = append(t.toms, tomSet)
 	}
 	ok = true
 	return t, nil
@@ -457,15 +425,7 @@ func (r *Router) prober() {
 		case <-r.proberStop:
 			return
 		case <-t.C:
-			topo := r.topo.Load()
-			for i := range topo.sps {
-				topo.sps[i].probe(probeTimeout)
-				topo.tes[i].probe(probeTimeout)
-				topo.vqs[i].probe(probeTimeout)
-			}
-			for i := range topo.toms {
-				topo.toms[i].probe(probeTimeout)
-			}
+			r.topo.Load().probe(probeTimeout)
 		}
 	}
 }
@@ -491,7 +451,7 @@ func (r *Router) Addr() string { return r.srv.Addr() }
 func (r *Router) Plan() shard.Plan { return r.topo.Load().plan }
 
 // Shards returns the current upstream shard count.
-func (r *Router) Shards() int { return len(r.topo.Load().sps) }
+func (r *Router) Shards() int { return r.topo.Load().plan.Shards() }
 
 // Close stops the prober and the client-facing server, then closes
 // every upstream connection — the serving topology's and any displaced

@@ -7,6 +7,7 @@ import (
 	"sae/internal/digest"
 	"sae/internal/pagestore"
 	"sae/internal/record"
+	"sae/internal/shard"
 	"sae/internal/tom"
 	"sae/internal/wire"
 	"sae/internal/workload"
@@ -76,21 +77,10 @@ func newDeployment(t *testing.T, n, shards int, withTOM bool, cfg Config) *deplo
 		t.Cleanup(func() { srv.Close() })
 		cfg.TOMs = append(cfg.TOMs, srv.Addr())
 	} else if withTOM {
-		tomSys, err := tom.NewShardedSystem(ds.Records, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !tomSys.Plan.Equal(sys.Plan) {
-			t.Fatal("TOM plan differs from SAE plan over the same dataset")
-		}
-		d.tomSys, d.tomOwner = tomSys, tomSys.Owner
-		for i := 0; i < tomSys.Plan.Shards(); i++ {
-			srv, err := wire.ServeTOM("127.0.0.1:0", tomSys.Providers[i], tomSys.Owner, nil,
-				wire.WithShardInfo(wire.ShardInfo{Index: i, Plan: tomSys.Plan}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { srv.Close() })
+		var srvs []*wire.TOMServer
+		d.tomSys, srvs = serveTOMTier(t, ds.Records, sys.Plan)
+		d.tomOwner = d.tomSys.Owner
+		for _, srv := range srvs {
 			cfg.TOMs = append(cfg.TOMs, srv.Addr())
 		}
 	}
@@ -104,6 +94,30 @@ func newDeployment(t *testing.T, n, shards int, withTOM bool, cfg Config) *deplo
 	}
 	d.router = r
 	return d
+}
+
+// serveTOMTier builds a sharded TOM system over recs and serves one bound
+// provider per shard on loopback; its plan must be the SAE tier's.
+func serveTOMTier(t *testing.T, recs []record.Record, plan shard.Plan) (*tom.ShardedSystem, []*wire.TOMServer) {
+	t.Helper()
+	tomSys, err := tom.NewShardedSystem(recs, plan.Shards())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tomSys.Plan.Equal(plan) {
+		t.Fatal("TOM plan differs from SAE plan over the same dataset")
+	}
+	srvs := make([]*wire.TOMServer, tomSys.Plan.Shards())
+	for i := range srvs {
+		srv, err := wire.ServeTOM("127.0.0.1:0", tomSys.Providers[i], tomSys.Owner, nil,
+			wire.WithShardInfo(wire.ShardInfo{Index: i, Plan: tomSys.Plan}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		srvs[i] = srv
+	}
+	return tomSys, srvs
 }
 
 // plainClient dials the router's one address as both SAE parties — the
@@ -202,30 +216,30 @@ func TestRoutedQueryParity(t *testing.T) {
 	}
 }
 
-// TestRoutedBatchParity: MsgBatchQuery/MsgBatchVT through the router
-// match the direct sharded batch path for every query in the batch.
-func TestRoutedBatchParity(t *testing.T) {
+// TestRoutedBurstParity: a pipelined burst through the router matches
+// the direct client-side scatter for every query in the burst.
+func TestRoutedBurstParity(t *testing.T) {
 	d := newDeployment(t, 12_000, 3, false, Config{})
 	routed := d.plainClient(t)
 	direct := d.directClient(t)
 	qs := testQueries(d, 12, 79)
-	gotRouted, err := routed.QueryBatch(qs)
+	gotRouted, err := routed.QueryBurst(qs)
 	if err != nil {
-		t.Fatalf("routed batch: %v", err)
+		t.Fatalf("routed burst: %v", err)
 	}
-	gotDirect, err := direct.QueryBatch(qs)
-	if err != nil {
-		t.Fatalf("direct batch: %v", err)
+	if len(gotRouted) != len(qs) {
+		t.Fatalf("%d routed results for %d queries", len(gotRouted), len(qs))
 	}
-	if len(gotRouted) != len(qs) || len(gotDirect) != len(qs) {
-		t.Fatalf("%d routed / %d direct results for %d queries", len(gotRouted), len(gotDirect), len(qs))
-	}
-	for qi := range qs {
-		if len(gotRouted[qi]) != len(gotDirect[qi]) {
-			t.Fatalf("query %d: routed %d records, direct %d", qi, len(gotRouted[qi]), len(gotDirect[qi]))
+	for qi, q := range qs {
+		gotDirect, err := direct.Query(q)
+		if err != nil {
+			t.Fatalf("direct %v: %v", q, err)
 		}
-		for i := range gotRouted[qi] {
-			if gotRouted[qi][i] != gotDirect[qi][i] {
+		if len(gotRouted[qi]) != len(gotDirect) {
+			t.Fatalf("query %d: routed %d records, direct %d", qi, len(gotRouted[qi]), len(gotDirect))
+		}
+		for i := range gotDirect {
+			if gotRouted[qi][i] != gotDirect[i] {
 				t.Fatalf("query %d: record %d differs", qi, i)
 			}
 		}

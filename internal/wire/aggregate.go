@@ -27,38 +27,33 @@ func (c *SPClient) Aggregate(q record.Range) (agg.Agg, error) {
 	return c.AggregateWithCtx(context.Background(), q)
 }
 
-// AggregateWithCtx is Aggregate bounded by a context (the router's
-// slow-shard guard).
+// AggregateWithCtx is Aggregate bounded by a context.
 func (c *SPClient) AggregateWithCtx(ctx context.Context, q record.Range) (agg.Agg, error) {
-	resp, err := c.roundTripCtx(ctx, Frame{Type: MsgAggQuery, Payload: EncodeRange(q)})
+	p, err := c.ask(ctx, MsgAggQuery, EncodeRange(q), MsgAggResult)
 	if err != nil {
 		return agg.Agg{}, err
 	}
-	return decodeAggResult(resp)
+	return decodeAggResult(p)
 }
 
-func decodeAggResult(resp Frame) (agg.Agg, error) {
-	if resp.Type != MsgAggResult || len(resp.Payload) != agg.Size {
+func decodeAggResult(p []byte) (agg.Agg, error) {
+	if len(p) != agg.Size {
 		return agg.Agg{}, fmt.Errorf("%w: malformed aggregate response", ErrProtocol)
 	}
-	return agg.FromBytes(resp.Payload), nil
+	return agg.FromBytes(p), nil
 }
 
 // AggregateMany fetches the scalars for a group of ranges as one
 // pipelined burst (single vectored write; a burst-mode server serves the
 // group through one lane pass). Scalars align with qs.
 func (c *SPClient) AggregateMany(qs []record.Range) ([]agg.Agg, error) {
-	reqs := make([]Frame, len(qs))
-	for i, q := range qs {
-		reqs[i] = Frame{Type: MsgAggQuery, Payload: EncodeRange(q)}
-	}
-	resps, err := c.roundTripMany(reqs)
+	raws, err := c.askMany(MsgAggQuery, qs, MsgAggResult)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]agg.Agg, len(qs))
-	for i := range resps {
-		if out[i], err = decodeAggResult(resps[i]); err != nil {
+	out := make([]agg.Agg, len(raws))
+	for i := range raws {
+		if out[i], err = decodeAggResult(raws[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -72,34 +67,30 @@ func (c *TEClient) AggToken(q record.Range) (agg.Token, error) {
 
 // AggTokenWithCtx is AggToken bounded by a context.
 func (c *TEClient) AggTokenWithCtx(ctx context.Context, q record.Range) (agg.Token, error) {
-	resp, err := c.roundTripCtx(ctx, Frame{Type: MsgAggTokenReq, Payload: EncodeRange(q)})
+	p, err := c.ask(ctx, MsgAggTokenReq, EncodeRange(q), MsgAggToken)
 	if err != nil {
 		return agg.Token{}, err
 	}
-	return decodeAggToken(resp)
+	return decodeAggToken(p)
 }
 
-func decodeAggToken(resp Frame) (agg.Token, error) {
-	if resp.Type != MsgAggToken || len(resp.Payload) != agg.TokenSize {
+func decodeAggToken(p []byte) (agg.Token, error) {
+	if len(p) != agg.TokenSize {
 		return agg.Token{}, fmt.Errorf("%w: malformed aggregate token response", ErrProtocol)
 	}
-	return agg.TokenFromBytes(resp.Payload), nil
+	return agg.TokenFromBytes(p), nil
 }
 
 // AggTokenMany fetches the tokens for a group of ranges as one pipelined
 // burst; tokens align with qs.
 func (c *TEClient) AggTokenMany(qs []record.Range) ([]agg.Token, error) {
-	reqs := make([]Frame, len(qs))
-	for i, q := range qs {
-		reqs[i] = Frame{Type: MsgAggTokenReq, Payload: EncodeRange(q)}
-	}
-	resps, err := c.roundTripMany(reqs)
+	raws, err := c.askMany(MsgAggTokenReq, qs, MsgAggToken)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]agg.Token, len(qs))
-	for i := range resps {
-		if out[i], err = decodeAggToken(resps[i]); err != nil {
+	out := make([]agg.Token, len(raws))
+	for i := range raws {
+		if out[i], err = decodeAggToken(raws[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -183,19 +174,6 @@ func (v *VerifyingClient) AggregateBurst(qs []record.Range) ([]agg.Agg, error) {
 		}
 	}
 	return sp.as, nil
-}
-
-// AggregateRawCtx fetches the MsgTOMAggResult payload (the serialized
-// aggregate VO) still in wire form — the router's upstream relay path.
-func (c *TOMClient) AggregateRawCtx(ctx context.Context, q record.Range) ([]byte, error) {
-	resp, err := c.roundTripCtx(ctx, Frame{Type: MsgTOMAggQuery, Payload: EncodeRange(q)})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Type != MsgTOMAggResult {
-		return nil, fmt.Errorf("%w: unexpected response type %d", ErrProtocol, resp.Type)
-	}
-	return resp.Payload, nil
 }
 
 // Aggregate runs the verified TOM aggregation fast path. Under TOM the

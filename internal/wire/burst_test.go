@@ -156,7 +156,7 @@ func TestBurstVerifiedQuery(t *testing.T) {
 // goroutines, and every id must be answered correctly.
 func TestBurstMixedFrames(t *testing.T) {
 	spSrv, _, ds := launchSAE(t, 3000)
-	c, err := dial(spSrv.Addr())
+	c, err := Dial(spSrv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

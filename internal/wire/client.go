@@ -15,12 +15,14 @@ import (
 	"sae/internal/tom"
 )
 
-// conn is a persistent pipelined connection with byte accounting. All
-// client stubs embed it; it is safe for concurrent use, and concurrent
-// calls PIPELINE instead of serializing: each request gets a fresh id, a
-// background loop demultiplexes responses by id, so N goroutines sharing
-// one connection keep N requests in flight at the server.
-type conn struct {
+// Conn is a persistent pipelined connection with byte accounting. Every
+// typed client below is a face over one (it embeds it), and the router
+// tier speaks to its upstreams through nothing else. It is safe for
+// concurrent use, and concurrent calls PIPELINE instead of serializing:
+// each request gets a fresh id, a background loop demultiplexes responses
+// by id, so N goroutines sharing one connection keep N requests in flight
+// at the server.
+type Conn struct {
 	c net.Conn
 
 	// wmu serializes frame writes so concurrent requests do not
@@ -35,12 +37,15 @@ type conn struct {
 	err     error // terminal receive-loop error; set once
 }
 
-func dial(addr string) (*conn, error) {
+// Dial connects to any server of this protocol; there is no handshake,
+// so what the peer serves is learned by asking (ShardMap, or a frame it
+// answers with CannotHandle).
+func Dial(addr string) (*Conn, error) {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dialing %s: %w", addr, err)
 	}
-	c := &conn{c: nc, pending: make(map[uint32]chan Frame)}
+	c := &Conn{c: nc, pending: make(map[uint32]chan Frame)}
 	go c.readLoop()
 	return c, nil
 }
@@ -48,7 +53,7 @@ func dial(addr string) (*conn, error) {
 // readLoop receives response frames and hands each to the waiter
 // registered under its request id. On a receive error every waiter is
 // failed and the connection becomes unusable.
-func (c *conn) readLoop() {
+func (c *Conn) readLoop() {
 	for {
 		resp, err := ReadFrame(c.c)
 		if err != nil {
@@ -69,7 +74,7 @@ func (c *conn) readLoop() {
 }
 
 // fail marks the connection broken and wakes every in-flight request.
-func (c *conn) fail(err error) {
+func (c *Conn) fail(err error) {
 	c.mu.Lock()
 	if c.err == nil {
 		c.err = err
@@ -83,16 +88,17 @@ func (c *conn) fail(err error) {
 
 // roundTrip sends one frame and waits for its tagged response,
 // translating MsgErr. Concurrent calls pipeline on the connection.
-func (c *conn) roundTrip(req Frame) (Frame, error) {
-	return c.roundTripCtx(context.Background(), req)
+func (c *Conn) roundTrip(req Frame) (Frame, error) {
+	return c.RoundTripCtx(context.Background(), req)
 }
 
-// roundTripCtx is roundTrip bounded by a context: if ctx expires before
-// the tagged response arrives, the request is abandoned (its pending
-// entry removed, so a late response is discarded by the demux loop) and
-// ctx's error returned. The connection itself stays healthy — a slow
-// response poisons one request, not the pipeline.
-func (c *conn) roundTripCtx(ctx context.Context, req Frame) (Frame, error) {
+// RoundTripCtx sends one frame and waits for its tagged response,
+// translating MsgErr into a *ServerError, bounded by a context: if ctx
+// expires before the tagged response arrives, the request is abandoned
+// (its pending entry removed, so a late response is discarded by the
+// demux loop) and ctx's error returned. The connection itself stays
+// healthy — a slow response poisons one request, not the pipeline.
+func (c *Conn) RoundTripCtx(ctx context.Context, req Frame) (Frame, error) {
 	ch := make(chan Frame, 1)
 	c.mu.Lock()
 	if c.err != nil {
@@ -154,42 +160,56 @@ type ServerError struct{ Msg string }
 
 func (e *ServerError) Error() string { return "wire: server error: " + e.Msg }
 
+// ask is the shape of every typed call: one request frame out, and the
+// tagged response must be the frame type the request's row answers with.
+// It returns the response payload.
+func (c *Conn) ask(ctx context.Context, typ MsgType, payload []byte, want MsgType) ([]byte, error) {
+	resp, err := c.RoundTripCtx(ctx, Frame{Type: typ, Payload: payload})
+	if err != nil {
+		return nil, err
+	}
+	if resp.Type != want {
+		return nil, fmt.Errorf("%w: unexpected response type %d", ErrProtocol, resp.Type)
+	}
+	return resp.Payload, nil
+}
+
 // Err reports the connection's terminal receive-loop error, nil while the
 // connection is healthy. Endpoint pools poll it to evict broken
 // connections before handing them to the next request.
-func (c *conn) Err() error {
+func (c *Conn) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.err
 }
 
 // BytesSent returns the bytes written to this connection so far.
-func (c *conn) BytesSent() int64 {
+func (c *Conn) BytesSent() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.sent
 }
 
 // BytesReceived returns the bytes read from this connection so far.
-func (c *conn) BytesReceived() int64 {
+func (c *Conn) BytesReceived() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.receivd
 }
 
 // Close closes the connection; in-flight requests fail.
-func (c *conn) Close() error { return c.c.Close() }
+func (c *Conn) Close() error { return c.c.Close() }
 
 // SPClient talks to an SAE service provider.
-type SPClient struct{ *conn }
+type SPClient struct{ *Conn }
 
 // DialSP connects to an SP server.
 func DialSP(addr string) (*SPClient, error) {
-	c, err := dial(addr)
+	c, err := Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	return &SPClient{conn: c}, nil
+	return &SPClient{Conn: c}, nil
 }
 
 // Query fetches the result records for a range.
@@ -223,52 +243,9 @@ func (c *SPClient) QueryRaw(q record.Range) ([]byte, error) {
 	return c.QueryRawCtx(context.Background(), q)
 }
 
-// QueryRawCtx is QueryRaw bounded by a context (the router's slow-shard
-// guard).
+// QueryRawCtx is QueryRaw bounded by a context.
 func (c *SPClient) QueryRawCtx(ctx context.Context, q record.Range) ([]byte, error) {
-	resp, err := c.roundTripCtx(ctx, Frame{Type: MsgQuery, Payload: EncodeRange(q)})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Type != MsgResult {
-		return nil, fmt.Errorf("%w: unexpected response type %d", ErrProtocol, resp.Type)
-	}
-	return resp.Payload, nil
-}
-
-// QueryBatch fetches the results of many ranges in one frame, amortizing
-// framing and round-trip latency. Results align with qs.
-func (c *SPClient) QueryBatch(qs []record.Range) ([][]record.Record, error) {
-	raw, err := c.QueryBatchRaw(qs)
-	if err != nil {
-		return nil, err
-	}
-	batches, err := DecodeRecordBatches(raw)
-	if err != nil {
-		return nil, err
-	}
-	if len(batches) != len(qs) {
-		return nil, fmt.Errorf("%w: %d batch results for %d queries", ErrProtocol, len(batches), len(qs))
-	}
-	return batches, nil
-}
-
-// QueryBatchRaw fetches a batched result still in wire form (the
-// EncodeRecordBatches payload); see QueryRaw.
-func (c *SPClient) QueryBatchRaw(qs []record.Range) ([]byte, error) {
-	return c.QueryBatchRawCtx(context.Background(), qs)
-}
-
-// QueryBatchRawCtx is QueryBatchRaw bounded by a context.
-func (c *SPClient) QueryBatchRawCtx(ctx context.Context, qs []record.Range) ([]byte, error) {
-	resp, err := c.roundTripCtx(ctx, Frame{Type: MsgBatchQuery, Payload: EncodeRanges(qs)})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Type != MsgBatchResult {
-		return nil, fmt.Errorf("%w: unexpected response type %d", ErrProtocol, resp.Type)
-	}
-	return resp.Payload, nil
+	return c.ask(ctx, MsgQuery, EncodeRange(q), MsgResult)
 }
 
 // Insert pushes an owner insertion.
@@ -295,45 +272,36 @@ func (c *SPClient) DeleteBatch(ids []record.ID, keys []record.Key) error {
 
 // ShardMap asks the server which shard it is and under which partition
 // plan it was loaded. Stand-alone servers answer "shard 0 of 1".
-func (c *conn) ShardMap() (ShardInfo, error) {
+func (c *Conn) ShardMap() (ShardInfo, error) {
 	return c.ShardMapCtx(context.Background())
 }
 
 // ShardMapCtx is ShardMap bounded by a context (the router's health
 // prober re-checks attestations on reconnect and must not hang on a sick
 // upstream).
-func (c *conn) ShardMapCtx(ctx context.Context) (ShardInfo, error) {
-	resp, err := c.roundTripCtx(ctx, Frame{Type: MsgShardMapReq})
+func (c *Conn) ShardMapCtx(ctx context.Context) (ShardInfo, error) {
+	p, err := c.ask(ctx, MsgShardMapReq, nil, MsgShardMap)
 	if err != nil {
 		return ShardInfo{}, err
 	}
-	if resp.Type != MsgShardMap {
-		return ShardInfo{}, fmt.Errorf("%w: unexpected response type %d", ErrProtocol, resp.Type)
-	}
-	return DecodeShardInfo(resp.Payload)
+	return DecodeShardInfo(p)
 }
 
-func (c *conn) expectAck(req Frame) error {
-	resp, err := c.roundTrip(req)
-	if err != nil {
-		return err
-	}
-	if resp.Type != MsgAck {
-		return fmt.Errorf("%w: unexpected response type %d", ErrProtocol, resp.Type)
-	}
-	return nil
+func (c *Conn) expectAck(req Frame) error {
+	_, err := c.ask(context.Background(), req.Type, req.Payload, MsgAck)
+	return err
 }
 
 // TEClient talks to a trusted entity.
-type TEClient struct{ *conn }
+type TEClient struct{ *Conn }
 
 // DialTE connects to a TE server.
 func DialTE(addr string) (*TEClient, error) {
-	c, err := dial(addr)
+	c, err := Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	return &TEClient{conn: c}, nil
+	return &TEClient{Conn: c}, nil
 }
 
 // GenerateVT fetches the verification token for a range.
@@ -343,39 +311,18 @@ func (c *TEClient) GenerateVT(q record.Range) (digest.Digest, error) {
 
 // GenerateVTWithCtx is GenerateVT bounded by a context.
 func (c *TEClient) GenerateVTWithCtx(ctx context.Context, q record.Range) (digest.Digest, error) {
-	resp, err := c.roundTripCtx(ctx, Frame{Type: MsgVTRequest, Payload: EncodeRange(q)})
+	p, err := c.ask(ctx, MsgVTRequest, EncodeRange(q), MsgVT)
 	if err != nil {
 		return digest.Zero, err
 	}
-	if resp.Type != MsgVT || len(resp.Payload) != digest.Size {
+	return decodeVT(p)
+}
+
+func decodeVT(p []byte) (digest.Digest, error) {
+	if len(p) != digest.Size {
 		return digest.Zero, fmt.Errorf("%w: malformed token response", ErrProtocol)
 	}
-	return digest.FromBytes(resp.Payload), nil
-}
-
-// GenerateVTBatch fetches the tokens for many ranges in one frame.
-// Tokens align with qs.
-func (c *TEClient) GenerateVTBatch(qs []record.Range) ([]digest.Digest, error) {
-	return c.GenerateVTBatchCtx(context.Background(), qs)
-}
-
-// GenerateVTBatchCtx is GenerateVTBatch bounded by a context.
-func (c *TEClient) GenerateVTBatchCtx(ctx context.Context, qs []record.Range) ([]digest.Digest, error) {
-	resp, err := c.roundTripCtx(ctx, Frame{Type: MsgBatchVT, Payload: EncodeRanges(qs)})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Type != MsgBatchVTResult {
-		return nil, fmt.Errorf("%w: unexpected response type %d", ErrProtocol, resp.Type)
-	}
-	vts, err := DecodeDigests(resp.Payload)
-	if err != nil {
-		return nil, err
-	}
-	if len(vts) != len(qs) {
-		return nil, fmt.Errorf("%w: %d tokens for %d queries", ErrProtocol, len(vts), len(qs))
-	}
-	return vts, nil
+	return digest.FromBytes(p), nil
 }
 
 // Insert pushes an owner insertion.
@@ -400,15 +347,15 @@ func (c *TEClient) DeleteBatch(ids []record.ID, keys []record.Key) error {
 }
 
 // TOMClient talks to a TOM provider.
-type TOMClient struct{ *conn }
+type TOMClient struct{ *Conn }
 
 // DialTOM connects to a TOM provider server.
 func DialTOM(addr string) (*TOMClient, error) {
-	c, err := dial(addr)
+	c, err := Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	return &TOMClient{conn: c}, nil
+	return &TOMClient{Conn: c}, nil
 }
 
 // Query fetches result records plus their verification object from a
@@ -428,19 +375,6 @@ func (c *TOMClient) Query(q record.Range) ([]record.Record, *mbtree.VO, error) {
 // may be a single-provider MsgTOMResult or a router's MsgTOMShardedResult.
 func (c *TOMClient) queryFrame(q record.Range) (Frame, error) {
 	return c.roundTrip(Frame{Type: MsgTOMQuery, Payload: EncodeRange(q)})
-}
-
-// QueryRawCtx fetches the MsgTOMResult payload (records + VO) still in
-// wire form — the router's upstream relay path.
-func (c *TOMClient) QueryRawCtx(ctx context.Context, q record.Range) ([]byte, error) {
-	resp, err := c.roundTripCtx(ctx, Frame{Type: MsgTOMQuery, Payload: EncodeRange(q)})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Type != MsgTOMResult {
-		return nil, fmt.Errorf("%w: unexpected response type %d", ErrProtocol, resp.Type)
-	}
-	return resp.Payload, nil
 }
 
 // decodeTOMResult splits a MsgTOMResult payload into records and VO.
@@ -544,71 +478,6 @@ func (v *VerifyingClient) Query(q record.Range) ([]record.Record, error) {
 	return recs, nil
 }
 
-// QueryBatch runs many verified range queries with one frame to each
-// party: the SP executes the batch while the TE generates all tokens, and
-// every result is verified against its token — in place, off the wire
-// bytes — before any record is decoded.
-func (v *VerifyingClient) QueryBatch(qs []record.Range) ([][]record.Record, error) {
-	type spOut struct {
-		raw []byte
-		err error
-	}
-	type teOut struct {
-		vts []digest.Digest
-		err error
-	}
-	spCh := make(chan spOut, 1)
-	teCh := make(chan teOut, 1)
-	go func() {
-		raw, err := v.SP.QueryBatchRaw(qs)
-		spCh <- spOut{raw, err}
-	}()
-	go func() {
-		vts, err := v.TE.GenerateVTBatch(qs)
-		teCh <- teOut{vts, err}
-	}()
-	sp := <-spCh
-	te := <-teCh
-	if sp.err != nil {
-		return nil, fmt.Errorf("wire: SP batch query failed: %w", sp.err)
-	}
-	if te.err != nil {
-		return nil, fmt.Errorf("wire: TE batch token failed: %w", te.err)
-	}
-	if len(te.vts) != len(qs) {
-		return nil, fmt.Errorf("%w: %d tokens for %d queries", ErrProtocol, len(te.vts), len(qs))
-	}
-	b := sp.raw
-	if len(b) < 4 {
-		return nil, fmt.Errorf("%w: truncated batch count", ErrProtocol)
-	}
-	if n := int(binary.BigEndian.Uint32(b[0:4])); n != len(qs) {
-		return nil, fmt.Errorf("%w: %d batch results for %d queries", ErrProtocol, n, len(qs))
-	}
-	b = b[4:]
-	vp := core.NewVerifyPool(v.VerifyWorkers)
-	batches := make([][]record.Record, len(qs))
-	for i, q := range qs {
-		enc, rest, _, err := RecordsView(b)
-		if err != nil {
-			return nil, fmt.Errorf("%w: batch entry %d: %v", ErrProtocol, i, err)
-		}
-		if _, err := vp.VerifyEncoded(q, enc, te.vts[i]); err != nil {
-			return nil, err
-		}
-		recs, _, err := DecodeRecords(b)
-		if err != nil {
-			return nil, fmt.Errorf("%w: batch entry %d: %v", ErrProtocol, i, err)
-		}
-		batches[i] = recs
-		b = rest
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after batch", ErrProtocol, len(b))
-	}
-	return batches, nil
-}
-
 // VerifyingTOMClient performs the full TOM protocol over the network. It
 // accepts both answer forms: a single provider's records + VO, and a
 // router's stitched per-shard evidence (MsgTOMShardedResult), which it
@@ -680,10 +549,10 @@ func (v *VerifyingTOMClient) verifySharded(q record.Range, payload []byte) ([]re
 // collected in request order. This is the client half of burst serving:
 // a group sent this way lands in the server's read buffer together, so a
 // burst-mode server drains it in one read wakeup and serves it as one
-// unit. Responses align with reqs; the first MsgErr response aborts with
-// its query index (later responses drain harmlessly through the demux
-// loop).
-func (c *conn) roundTripMany(reqs []Frame) ([]Frame, error) {
+// unit. Responses align with reqs; the first MsgErr response aborts as a
+// *ServerError carrying its query index (later responses drain harmlessly
+// through the demux loop, so the connection stays usable).
+func (c *Conn) roundTripMany(reqs []Frame) ([]Frame, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
@@ -742,30 +611,27 @@ func (c *conn) roundTripMany(reqs []Frame) ([]Frame, error) {
 			return nil, err
 		}
 		if resp.Type == MsgErr {
-			return nil, fmt.Errorf("wire: server error (query %d): %s", i, resp.Payload)
+			return nil, &ServerError{Msg: fmt.Sprintf("query %d: %s", i, resp.Payload)}
 		}
 		resps[i] = resp
 	}
 	return resps, nil
 }
 
-// QueryRawMany fetches the results for a group of ranges as one
-// pipelined burst — one request frame per query (so a burst-mode server
-// groups them through the multicore serve lanes), all sent in a single
-// vectored write. Payloads align with qs, each in EncodeRecords wire
-// form.
-func (c *SPClient) QueryRawMany(qs []record.Range) ([][]byte, error) {
+// askMany is ask for a group of ranges pipelined as one burst: one typ
+// frame per range, every response of type want. Payloads align with qs.
+func (c *Conn) askMany(typ MsgType, qs []record.Range, want MsgType) ([][]byte, error) {
 	reqs := make([]Frame, len(qs))
 	for i, q := range qs {
-		reqs[i] = Frame{Type: MsgQuery, Payload: EncodeRange(q)}
+		reqs[i] = Frame{Type: typ, Payload: EncodeRange(q)}
 	}
 	resps, err := c.roundTripMany(reqs)
 	if err != nil {
 		return nil, err
 	}
-	raws := make([][]byte, len(qs))
+	raws := make([][]byte, len(resps))
 	for i := range resps {
-		if resps[i].Type != MsgResult {
+		if resps[i].Type != want {
 			return nil, fmt.Errorf("%w: unexpected response type %d", ErrProtocol, resps[i].Type)
 		}
 		raws[i] = resps[i].Payload
@@ -773,23 +639,26 @@ func (c *SPClient) QueryRawMany(qs []record.Range) ([][]byte, error) {
 	return raws, nil
 }
 
+// QueryRawMany fetches the results for a group of ranges as one
+// pipelined burst — one request frame per query (so the server groups
+// them through the multicore serve lanes), all sent in a single vectored
+// write. Payloads align with qs, each in EncodeRecords wire form.
+func (c *SPClient) QueryRawMany(qs []record.Range) ([][]byte, error) {
+	return c.askMany(MsgQuery, qs, MsgResult)
+}
+
 // GenerateVTMany fetches the tokens for a group of ranges as one
 // pipelined burst; tokens align with qs.
 func (c *TEClient) GenerateVTMany(qs []record.Range) ([]digest.Digest, error) {
-	reqs := make([]Frame, len(qs))
-	for i, q := range qs {
-		reqs[i] = Frame{Type: MsgVTRequest, Payload: EncodeRange(q)}
-	}
-	resps, err := c.roundTripMany(reqs)
+	raws, err := c.askMany(MsgVTRequest, qs, MsgVT)
 	if err != nil {
 		return nil, err
 	}
-	vts := make([]digest.Digest, len(qs))
-	for i := range resps {
-		if resps[i].Type != MsgVT || len(resps[i].Payload) != digest.Size {
-			return nil, fmt.Errorf("%w: malformed token response", ErrProtocol)
+	vts := make([]digest.Digest, len(raws))
+	for i := range raws {
+		if vts[i], err = decodeVT(raws[i]); err != nil {
+			return nil, err
 		}
-		vts[i] = digest.FromBytes(resps[i].Payload)
 	}
 	return vts, nil
 }
@@ -797,22 +666,7 @@ func (c *TEClient) GenerateVTMany(qs []record.Range) ([]digest.Digest, error) {
 // QueryRawMany fetches the records+VO payloads for a group of ranges as
 // one pipelined burst; payloads align with qs.
 func (c *TOMClient) QueryRawMany(qs []record.Range) ([][]byte, error) {
-	reqs := make([]Frame, len(qs))
-	for i, q := range qs {
-		reqs[i] = Frame{Type: MsgTOMQuery, Payload: EncodeRange(q)}
-	}
-	resps, err := c.roundTripMany(reqs)
-	if err != nil {
-		return nil, err
-	}
-	raws := make([][]byte, len(qs))
-	for i := range resps {
-		if resps[i].Type != MsgTOMResult {
-			return nil, fmt.Errorf("%w: unexpected response type %d", ErrProtocol, resps[i].Type)
-		}
-		raws[i] = resps[i].Payload
-	}
-	return raws, nil
+	return c.askMany(MsgTOMQuery, qs, MsgTOMResult)
 }
 
 // QueryBurst runs a group of verified range queries as one burst: the SP

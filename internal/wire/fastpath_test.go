@@ -148,17 +148,17 @@ func TestVerifyingClientFastPath(t *testing.T) {
 		}
 	}
 
-	// Batch path too.
+	// Burst path too.
 	qs := []record.Range{q, {Lo: 1, Hi: 2}, {Lo: recs[2000].Key, Hi: recs[2500].Key}}
-	batches, err := client.QueryBatch(qs)
+	results, err := client.QueryBurst(qs)
 	if err != nil {
-		t.Fatalf("verified batch: %v", err)
+		t.Fatalf("verified burst: %v", err)
 	}
-	if len(batches) != len(qs) {
-		t.Fatalf("%d batches for %d queries", len(batches), len(qs))
+	if len(results) != len(qs) {
+		t.Fatalf("%d results for %d queries", len(results), len(qs))
 	}
-	if len(batches[0]) != len(got) {
-		t.Fatalf("batch result %d records, single result %d", len(batches[0]), len(got))
+	if len(results[0]) != len(got) {
+		t.Fatalf("burst result %d records, single result %d", len(results[0]), len(got))
 	}
 
 	// A tampering SP must fail verification through the zero-copy path.

@@ -10,9 +10,9 @@
 // payload. Connections are persistent and may carry many requests in
 // flight at once: the server handles each request concurrently and tags
 // its response with the request's id, so responses may arrive out of
-// order and the client demultiplexes by id (see client.go). Batch frames
-// (MsgBatchQuery, MsgBatchVT) amortize even the per-request framing over
-// many queries.
+// order and the client demultiplexes by id (see client.go). Many queries
+// are sent as many pipelined frames in one write (roundTripMany); the
+// server groups whatever arrived together.
 package wire
 
 import (
@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 
-	"sae/internal/digest"
 	"sae/internal/record"
 	"sae/internal/shard"
 )
@@ -55,14 +54,7 @@ const (
 	MsgTOMQuery MsgType = 9
 	// TOM provider -> client: records + serialized VO.
 	MsgTOMResult MsgType = 10
-	// Client -> SP: many ranges in one frame.
-	MsgBatchQuery MsgType = 11
-	// SP -> client: one record list per queried range.
-	MsgBatchResult MsgType = 12
-	// Client -> TE: many ranges in one frame.
-	MsgBatchVT MsgType = 13
-	// TE -> client: one 20-byte token per queried range.
-	MsgBatchVTResult MsgType = 14
+	// 11-14 are retired and never reused (see the registry's reservation).
 	// Client -> any server: which shard are you, under which plan?
 	MsgShardMapReq MsgType = 15
 	// Server -> client: shard index + partition plan.
@@ -266,105 +258,6 @@ func RecordsView(b []byte) (enc, rest []byte, n int, err error) {
 		return nil, nil, 0, fmt.Errorf("%w: implausible record count %d for %d payload bytes", ErrProtocol, n, len(b))
 	}
 	return b[:n*record.Size], b[n*record.Size:], n, nil
-}
-
-// EncodeRanges serializes a batch of query ranges: count, then 8 bytes
-// per range.
-func EncodeRanges(qs []record.Range) []byte {
-	out := make([]byte, 4, 4+8*len(qs))
-	binary.BigEndian.PutUint32(out[0:4], uint32(len(qs)))
-	for _, q := range qs {
-		out = append(out, EncodeRange(q)...)
-	}
-	return out
-}
-
-// DecodeRanges parses a batch of query ranges.
-func DecodeRanges(b []byte) ([]record.Range, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("%w: truncated range count", ErrProtocol)
-	}
-	n := int(binary.BigEndian.Uint32(b[0:4]))
-	b = b[4:]
-	if len(b) != 8*n {
-		return nil, fmt.Errorf("%w: %d ranges in %d payload bytes", ErrProtocol, n, len(b))
-	}
-	qs := make([]record.Range, n)
-	for i := 0; i < n; i++ {
-		q, err := DecodeRange(b[8*i : 8*i+8])
-		if err != nil {
-			return nil, err
-		}
-		qs[i] = q
-	}
-	return qs, nil
-}
-
-// EncodeRecordBatches serializes one record list per queried range: the
-// batch count, then each list in EncodeRecords form (self-delimiting).
-func EncodeRecordBatches(batches [][]record.Record) []byte {
-	out := make([]byte, 4)
-	binary.BigEndian.PutUint32(out[0:4], uint32(len(batches)))
-	for _, recs := range batches {
-		out = append(out, EncodeRecords(recs)...)
-	}
-	return out
-}
-
-// DecodeRecordBatches parses a batched query result.
-func DecodeRecordBatches(b []byte) ([][]record.Record, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("%w: truncated batch count", ErrProtocol)
-	}
-	n := int(binary.BigEndian.Uint32(b[0:4]))
-	b = b[4:]
-	// Each batch entry carries at least its own 4-byte record count, so a
-	// count the remaining payload cannot hold is rejected before the
-	// count-sized allocation.
-	if n > len(b)/4 {
-		return nil, fmt.Errorf("%w: implausible batch count %d for %d payload bytes", ErrProtocol, n, len(b))
-	}
-	out := make([][]record.Record, 0, n)
-	for i := 0; i < n; i++ {
-		recs, rest, err := DecodeRecords(b)
-		if err != nil {
-			return nil, fmt.Errorf("%w: batch entry %d: %v", ErrProtocol, i, err)
-		}
-		out = append(out, recs)
-		b = rest
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after batch", ErrProtocol, len(b))
-	}
-	return out, nil
-}
-
-// EncodeDigests serializes a batch of verification tokens: count, then 20
-// bytes per token.
-func EncodeDigests(ds []digest.Digest) []byte {
-	out := make([]byte, 4, 4+digest.Size*len(ds))
-	binary.BigEndian.PutUint32(out[0:4], uint32(len(ds)))
-	for i := range ds {
-		out = append(out, ds[i][:]...)
-	}
-	return out
-}
-
-// DecodeDigests parses a batch of verification tokens.
-func DecodeDigests(b []byte) ([]digest.Digest, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("%w: truncated token count", ErrProtocol)
-	}
-	n := int(binary.BigEndian.Uint32(b[0:4]))
-	b = b[4:]
-	if len(b) != digest.Size*n {
-		return nil, fmt.Errorf("%w: %d tokens in %d payload bytes", ErrProtocol, n, len(b))
-	}
-	out := make([]digest.Digest, n)
-	for i := 0; i < n; i++ {
-		out[i] = digest.FromBytes(b[digest.Size*i : digest.Size*(i+1)])
-	}
-	return out, nil
 }
 
 // ShardInfo identifies one server's place in a sharded deployment: its

@@ -497,53 +497,6 @@ func decodeOps(req Frame) ([]wal.Op, error) {
 	}
 }
 
-// serveBatchQuery answers the legacy many-ranges-in-one-frame query: the
-// frame's ranges are one burst, its response their sections back to back.
-func serveBatchQuery(s *Server, req Frame, rb *RespBuf) Frame {
-	qs, err := DecodeRanges(req.Payload)
-	if err != nil {
-		return errFrame(err)
-	}
-	ctxs := make([]*exec.Context, len(qs))
-	for i := range ctxs {
-		ctxs[i] = exec.NewContext()
-	}
-	var (
-		sec sections
-		sc  core.BurstScratch
-	)
-	rb.AppendUint32(uint32(len(qs)))
-	sec.begin(len(qs))
-	err = s.party.sp().ServeBurstCtx(ctxs, qs, &sc, func(qi int, r *record.Record) error {
-		rb.b = sec.emit(rb.b, qi, r)
-		return nil
-	})
-	if err != nil {
-		return errFrame(err)
-	}
-	rb.b = sec.end(rb.b)
-	return Frame{Type: MsgBatchResult, Payload: rb.b}
-}
-
-// serveBatchVT answers the legacy many-ranges-in-one-frame token
-// request. The batch fans out across the TE's crypto worker pool; each
-// token still runs under its own request context.
-func serveBatchVT(s *Server, req Frame, rb *RespBuf) Frame {
-	qs, err := DecodeRanges(req.Payload)
-	if err != nil {
-		return errFrame(err)
-	}
-	vts, err := s.party.te().GenerateVTBatch(qs, 0)
-	if err != nil {
-		return errFrame(err)
-	}
-	rb.AppendUint32(uint32(len(vts)))
-	for i := range vts {
-		rb.Append(vts[i][:])
-	}
-	return Frame{Type: MsgBatchVTResult, Payload: rb.b}
-}
-
 // attestation is the server's shard index and plan; unset means "shard 0
 // of the single-shard plan".
 func (s *Server) attestation() ShardInfo {

@@ -182,8 +182,6 @@ func TestRoleFrameMatrix(t *testing.T) {
 		MsgInsert:         {true, true, true, true, false},
 		MsgDelete:         {true, true, true, true, false},
 		MsgTOMQuery:       {false, false, true, false, false},
-		MsgBatchQuery:     {true, false, false, true, true},
-		MsgBatchVT:        {false, true, false, true, true},
 		MsgShardMapReq:    {true, true, true, true, true},
 		MsgBatchInsert:    {true, true, true, true, false},
 		MsgBatchDelete:    {true, true, true, true, false},
@@ -208,8 +206,9 @@ func TestRoleFrameMatrix(t *testing.T) {
 		spec := frameRegistry[n]
 		want, listed := golden[n]
 		if spec.need == capNone {
-			// Response frames, and the cutover only a router's custom
-			// Handler answers: every built-in role refuses them.
+			// Response frames, the retired numbers, and the cutover only a
+			// router's custom Handler answers: every built-in role refuses
+			// them.
 			if listed {
 				t.Errorf("%s is a frame no party serves but the matrix lists it", spec.Name)
 			}
@@ -220,11 +219,11 @@ func TestRoleFrameMatrix(t *testing.T) {
 		}
 		for col, srv := range r.addrs() {
 			resp := pipeline(t, srv.addr, []Frame{{Type: n}}, 1)[0]
-			refusal := srv.role + " cannot handle " + spec.Name
+			refusal := srv.role + " cannot handle " + FrameName(n)
 			refused := resp.Type == MsgErr && strings.Contains(string(resp.Payload), refusal)
 			if refused == want[col] {
 				t.Errorf("%s ← %s: served=%v, want %v (response type %s: %.80s)",
-					srv.role, spec.Name, !refused, want[col], FrameName(resp.Type), resp.Payload)
+					srv.role, FrameName(n), !refused, want[col], FrameName(resp.Type), resp.Payload)
 			}
 		}
 	}
@@ -527,34 +526,22 @@ func TestPrimaryPipelinedWritesCoalesce(t *testing.T) {
 const oversizeRecords = MaxPayload/record.Size + 1
 
 // TestOversizeResponseOneCheck trips the response size limit through a
-// lane row (MsgQuery) and through an own-goroutine row (MsgBatchQuery):
-// both degrade to the same per-request error and the connection survives
-// to serve the next request.
+// lane row (MsgQuery) and through an own-goroutine row (MsgReplicaSnapReq,
+// which ships the whole shard): both degrade to the same per-request
+// error and the connection survives to serve the next request.
 func TestOversizeResponseOneCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a >64 MiB dataset")
 	}
-	ds, err := workload.Generate(workload.UNF, oversizeRecords, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := core.NewServiceProvider(pagestore.NewMem())
-	if err := sp.Load(ds.Records); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := ServeSP("127.0.0.1:0", sp, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	_, _, srv := startPrimary(t, oversizeRecords)
 
 	all := record.Range{Lo: 0, Hi: record.KeyDomain}
 	small := record.Range{Lo: 0, Hi: 1000}
 	reqs := []Frame{
 		{Type: MsgQuery, Payload: EncodeRange(all)},
-		{Type: MsgBatchQuery, Payload: EncodeRanges([]record.Range{all})},
+		{Type: MsgReplicaSnapReq},
 		{Type: MsgQuery, Payload: EncodeRange(small)},
-		{Type: MsgBatchQuery, Payload: EncodeRanges([]record.Range{small})},
+		{Type: MsgShardMapReq},
 	}
 	// One connection, one frame at a time: each oversize answer must leave
 	// the connection usable for the request after it.
@@ -565,7 +552,7 @@ func TestOversizeResponseOneCheck(t *testing.T) {
 		}
 	}
 	// Same check, same text — but for the byte count, which differs by the
-	// batch frame's 4-byte query count.
+	// snapshot's attestation and sequence header.
 	lane, own := string(resps[0].Payload), string(resps[1].Payload)
 	strip := func(s string) string {
 		return strings.Map(func(r rune) rune {
@@ -578,7 +565,7 @@ func TestOversizeResponseOneCheck(t *testing.T) {
 	if strip(lane) != strip(own) {
 		t.Fatalf("lane row and own row report oversize differently:\n  %s\n  %s", lane, own)
 	}
-	if resps[2].Type != MsgResult || resps[3].Type != MsgBatchResult {
+	if resps[2].Type != MsgResult || resps[3].Type != MsgShardMap {
 		t.Fatalf("connection did not survive: follow-ups answered %s, %s", FrameName(resps[2].Type), FrameName(resps[3].Type))
 	}
 }

@@ -74,9 +74,10 @@ func (e *mismatchErr) Error() string {
 	return "result does not match its own query (response routed to wrong request?)"
 }
 
-// TestBatchQuery exercises the batched-query frames end to end, verified
-// against the TE's batched tokens.
-func TestBatchQuery(t *testing.T) {
+// TestBurstQuery exercises the one way to send many queries end to end:
+// one pipelined frame per query to each party, every result verified
+// against its own token.
+func TestBurstQuery(t *testing.T) {
 	spSrv, teSrv, ds := launchSAE(t, 5000)
 	client, err := DialVerifying(spSrv.Addr(), teSrv.Addr())
 	if err != nil {
@@ -85,48 +86,24 @@ func TestBatchQuery(t *testing.T) {
 	defer client.Close()
 
 	qs := workload.Queries(12, workload.DefaultExtent, 71)
-	batches, err := client.QueryBatch(qs)
+	results, err := client.QueryBurst(qs)
 	if err != nil {
-		t.Fatalf("QueryBatch: %v", err)
+		t.Fatalf("QueryBurst: %v", err)
 	}
-	if len(batches) != len(qs) {
-		t.Fatalf("got %d batches for %d queries", len(batches), len(qs))
+	if len(results) != len(qs) {
+		t.Fatalf("got %d results for %d queries", len(results), len(qs))
 	}
 	for i, q := range qs {
-		if len(batches[i]) != expectCount(ds, q) {
-			t.Fatalf("batch %d: %d records, want %d", i, len(batches[i]), expectCount(ds, q))
+		if len(results[i]) != expectCount(ds, q) {
+			t.Fatalf("query %d: %d records, want %d", i, len(results[i]), expectCount(ds, q))
 		}
 	}
 
-	// A batch rides in exactly one frame each way on the SP connection.
+	// A burst is nothing but per-query frames: one range frame per query
+	// on the SP connection, no envelope around them.
 	sent := client.SP.BytesSent()
-	wantSent := int64(HeaderSize + 4 + 8*len(qs))
+	wantSent := int64(len(qs) * (HeaderSize + 8))
 	if sent != wantSent {
-		t.Fatalf("SP bytes sent = %d, want %d (one batch frame)", sent, wantSent)
-	}
-}
-
-// TestBatchEmptyAndCodecErrors covers the batch codecs' edges.
-func TestBatchEmptyAndCodecErrors(t *testing.T) {
-	qs, err := DecodeRanges(EncodeRanges(nil))
-	if err != nil || len(qs) != 0 {
-		t.Fatalf("empty ranges round trip: %v, %d", err, len(qs))
-	}
-	if _, err := DecodeRanges([]byte{0, 0, 0, 2, 1}); err == nil {
-		t.Fatal("DecodeRanges accepted truncated payload")
-	}
-	if _, err := DecodeRecordBatches([]byte{0, 0, 0, 1}); err == nil {
-		t.Fatal("DecodeRecordBatches accepted truncated payload")
-	}
-	if _, err := DecodeDigests([]byte{0, 0, 0, 1, 9}); err == nil {
-		t.Fatal("DecodeDigests accepted truncated payload")
-	}
-	recs := [][]record.Record{nil, {record.Synthesize(1, 10)}}
-	got, err := DecodeRecordBatches(EncodeRecordBatches(recs))
-	if err != nil {
-		t.Fatalf("DecodeRecordBatches: %v", err)
-	}
-	if len(got) != 2 || len(got[0]) != 0 || len(got[1]) != 1 {
-		t.Fatalf("batch codec round trip mismatch: %v", got)
+		t.Fatalf("SP bytes sent = %d, want %d (one range frame per query)", sent, wantSent)
 	}
 }

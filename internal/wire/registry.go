@@ -37,9 +37,9 @@ const (
 //     error is exactly that request's error frame.
 //   - own rows run on their own goroutine because they may block (a write
 //     waits for its group's fsync, a freeze for the committer to drain, a
-//     snapshot ships a whole shard) or are not worth grouping (handshake
-//     and legacy multi-range frames). Served on a lane they would stall
-//     every other connection of that lane behind the wait.
+//     snapshot ships a whole shard) or are not worth grouping (the
+//     handshake). Served on a lane they would stall every other
+//     connection of that lane behind the wait.
 type frameSpec struct {
 	Name string
 	need capability
@@ -54,8 +54,15 @@ type frameSpec struct {
 // the protocol defines, indexed by frame number: the name (README.md
 // documents the same map for operators reading packet traces), and for
 // request frames the serving row the one party server dispatches
-// through. A test asserts the table is dense (see registry_test.go); a
-// reused number does not compile. New frames MUST be added here.
+// through. A test asserts the table is dense but for the retired numbers
+// (see registry_test.go); a reused number does not compile. New frames
+// MUST be added here.
+//
+// Retired, never reused: 11-14 were the many-ranges-in-one-frame pairs
+// MsgBatchQuery/MsgBatchResult and MsgBatchVT/MsgBatchVTResult, which
+// pipelined per-query frames replaced. Their empty rows hold the numbers,
+// so a peer still sending one is refused with CannotHandle instead of
+// being answered as some newer frame.
 var frameRegistry = [...]frameSpec{
 	MsgQuery:               {Name: "Query", need: capSP, group: serveQuery},
 	MsgResult:              {Name: "Result"},
@@ -67,10 +74,10 @@ var frameRegistry = [...]frameSpec{
 	MsgErr:                 {Name: "Err"},
 	MsgTOMQuery:            {Name: "TOMQuery", need: capTOM, group: serveTOMQuery},
 	MsgTOMResult:           {Name: "TOMResult"},
-	MsgBatchQuery:          {Name: "BatchQuery", need: capSP, own: serveBatchQuery},
-	MsgBatchResult:         {Name: "BatchResult"},
-	MsgBatchVT:             {Name: "BatchVT", need: capTE, own: serveBatchVT},
-	MsgBatchVTResult:       {Name: "BatchVTResult"},
+	11:                     {}, // retired
+	12:                     {}, // retired
+	13:                     {}, // retired
+	14:                     {}, // retired
 	MsgShardMapReq:         {Name: "ShardMapReq", need: capShardMap, own: serveShardMap},
 	MsgShardMap:            {Name: "ShardMap"},
 	MsgTOMShardedResult:    {Name: "TOMShardedResult"},

@@ -16,61 +16,55 @@ import (
 // GenStamp asks the server for its generation stamp: the sequence of the
 // last commit group folded into its state. Routers probe it to bound
 // replica staleness; paranoid clients compare it across reads.
-func (c *conn) GenStamp() (uint64, error) {
+func (c *Conn) GenStamp() (uint64, error) {
 	return c.GenStampCtx(context.Background())
 }
 
 // GenStampCtx is GenStamp bounded by a context (the router's probe
 // guard).
-func (c *conn) GenStampCtx(ctx context.Context) (uint64, error) {
-	resp, err := c.roundTripCtx(ctx, Frame{Type: MsgGenStampReq})
+func (c *Conn) GenStampCtx(ctx context.Context) (uint64, error) {
+	p, err := c.ask(ctx, MsgGenStampReq, nil, MsgGenStamp)
 	if err != nil {
 		return 0, err
 	}
-	if resp.Type != MsgGenStamp || len(resp.Payload) != 8 {
+	if len(p) != 8 {
 		return 0, fmt.Errorf("%w: malformed generation stamp response", ErrProtocol)
 	}
-	return binary.BigEndian.Uint64(resp.Payload), nil
+	return binary.BigEndian.Uint64(p), nil
 }
 
 // ReplicationClient talks a primary's replication endpoints: bootstrap
 // snapshots and commit-group tailing.
-type ReplicationClient struct{ *conn }
+type ReplicationClient struct{ *Conn }
 
 // DialReplication connects to a primary server's replication endpoints.
 func DialReplication(addr string) (*ReplicationClient, error) {
-	c, err := dial(addr)
+	c, err := Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	return &ReplicationClient{conn: c}, nil
+	return &ReplicationClient{Conn: c}, nil
 }
 
 // Snapshot fetches a sequence-stamped bootstrap snapshot plus the
 // primary's shard attestation.
 func (c *ReplicationClient) Snapshot() (ShardInfo, []record.Record, uint64, error) {
-	resp, err := c.roundTrip(Frame{Type: MsgReplicaSnapReq})
+	p, err := c.ask(context.Background(), MsgReplicaSnapReq, nil, MsgReplicaSnap)
 	if err != nil {
 		return ShardInfo{}, nil, 0, err
 	}
-	if resp.Type != MsgReplicaSnap {
-		return ShardInfo{}, nil, 0, fmt.Errorf("%w: unexpected response type %d", ErrProtocol, resp.Type)
-	}
-	return DecodeReplicaSnap(resp.Payload)
+	return DecodeReplicaSnap(p)
 }
 
 // Pull fetches up to max commit groups after the tailer's sequence.
 // snapshotNeeded reports the sequence has fallen out of the primary's
 // retention window.
 func (c *ReplicationClient) Pull(after uint64, max int) ([]wal.Group, bool, error) {
-	resp, err := c.roundTrip(Frame{Type: MsgReplicaPull, Payload: EncodeReplicaPull(after, max)})
+	p, err := c.ask(context.Background(), MsgReplicaPull, EncodeReplicaPull(after, max), MsgReplicaGroups)
 	if err != nil {
 		return nil, false, err
 	}
-	if resp.Type != MsgReplicaGroups {
-		return nil, false, fmt.Errorf("%w: unexpected response type %d", ErrProtocol, resp.Type)
-	}
-	return DecodeReplicaGroups(resp.Payload)
+	return DecodeReplicaGroups(p)
 }
 
 // BootstrapReplica dials a primary, pulls one snapshot and builds a
@@ -239,20 +233,20 @@ var ErrStaleRead = errors.New("wire: verified answer is staler than required")
 // replay of the pre-reshard deployment and is rejected however large its
 // gen.
 type VerifiedClient struct {
-	*conn
+	*Conn
 	vp        core.VerifyPool
-	lastEpoch uint64 // guarded by conn.mu
-	lastGen   uint64 // guarded by conn.mu
+	lastEpoch uint64 // guarded by Conn.mu
+	lastGen   uint64 // guarded by Conn.mu
 }
 
 // DialVerified connects to any server speaking MsgVerifiedQuery — a
 // primary, a replica, or a router fronting either.
 func DialVerified(addr string) (*VerifiedClient, error) {
-	c, err := dial(addr)
+	c, err := Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	return &VerifiedClient{conn: c, vp: core.NewVerifyPool(0)}, nil
+	return &VerifiedClient{Conn: c, vp: core.NewVerifyPool(0)}, nil
 }
 
 // Gen returns the newest generation stamp observed on this client
@@ -350,15 +344,8 @@ func (c *VerifiedClient) QueryAtLeast(q record.Range, minGen uint64) ([]record.R
 }
 
 // QueryRawVerifiedCtx fetches one verified result still in wire form
-// (epoch + gen + VT + encoded records) without verifying — the router's
-// relay path; end clients should use QueryCtx.
+// (epoch + gen + VT + encoded records) without verifying — for callers
+// that relay or time the raw answer; end clients should use QueryCtx.
 func (c *VerifiedClient) QueryRawVerifiedCtx(ctx context.Context, q record.Range) ([]byte, error) {
-	resp, err := c.roundTripCtx(ctx, Frame{Type: MsgVerifiedQuery, Payload: EncodeRange(q)})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Type != MsgVerifiedResult {
-		return nil, fmt.Errorf("%w: unexpected response type %d", ErrProtocol, resp.Type)
-	}
-	return resp.Payload, nil
+	return c.ask(ctx, MsgVerifiedQuery, EncodeRange(q), MsgVerifiedResult)
 }

@@ -127,28 +127,28 @@ func DecodeFreeze(b []byte) (time.Duration, error) {
 
 // PlanUpdate tells a primary to adopt a new shard attestation; the
 // server accepts only a strictly higher plan epoch.
-func (c *conn) PlanUpdate(si ShardInfo) error {
+func (c *Conn) PlanUpdate(si ShardInfo) error {
 	return c.expectAck(Frame{Type: MsgPlanUpdate, Payload: EncodeShardInfo(si)})
 }
 
 // Freeze blocks the primary's write commits for at most ttl; the ack
 // means every in-flight commit group has drained into the WAL stream.
-func (c *conn) Freeze(ttl time.Duration) error {
+func (c *Conn) Freeze(ttl time.Duration) error {
 	return c.expectAck(Frame{Type: MsgFreeze, Payload: EncodeFreeze(ttl)})
 }
 
 // Thaw releases a freeze.
-func (c *conn) Thaw() error {
+func (c *Conn) Thaw() error {
 	return c.expectAck(Frame{Type: MsgThaw})
 }
 
 // Retire permanently fences a migrated-away shard off from clients.
-func (c *conn) Retire() error {
+func (c *Conn) Retire() error {
 	return c.expectAck(Frame{Type: MsgRetire})
 }
 
 // ReshardCutover orders a router to swap to the successor topology.
-func (c *conn) ReshardCutover(cut Cutover) error {
+func (c *Conn) ReshardCutover(cut Cutover) error {
 	p, err := EncodeCutover(cut)
 	if err != nil {
 		return err

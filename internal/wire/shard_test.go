@@ -93,7 +93,8 @@ func TestShardedVerifyingClient(t *testing.T) {
 	}
 	qs := append(workload.Queries(5, workload.DefaultExtent, 23),
 		record.Range{Lo: 0, Hi: record.KeyDomain}, // all shards
-		sys.Plan.Span(1), // boundary-exact
+		sys.Plan.Span(1),           // boundary-exact
+		record.Range{Lo: 9, Hi: 3}, // empty: no shard is asked
 	)
 	for _, q := range qs {
 		want, err := sys.Query(q)
@@ -122,45 +123,9 @@ func TestShardedVerifyingClient(t *testing.T) {
 	sys.SPs[1].SetTamper(nil)
 }
 
-// TestShardedQueryBatch: many queries, one batch frame per shard, all
-// verified.
-func TestShardedQueryBatch(t *testing.T) {
-	sys, spAddrs, teAddrs := shardedDeployment(t, 10_000, 3)
-	client, err := DialShardedVerifying(spAddrs, teAddrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	qs := append(workload.Queries(16, workload.DefaultExtent, 24),
-		record.Range{Lo: 0, Hi: record.KeyDomain},
-		record.Range{Lo: 9, Hi: 3}, // empty mixed into the batch
-	)
-	results, err := client.QueryBatch(qs)
-	if err != nil {
-		t.Fatalf("QueryBatch: %v", err)
-	}
-	if len(results) != len(qs) {
-		t.Fatalf("%d results for %d queries", len(results), len(qs))
-	}
-	for qi, q := range qs {
-		want, err := sys.Query(q)
-		if err != nil || want.VerifyErr != nil {
-			t.Fatalf("oracle %v: %v / %v", q, err, want.VerifyErr)
-		}
-		if len(results[qi]) != len(want.Result) {
-			t.Fatalf("query %d %v: %d records, want %d", qi, q, len(results[qi]), len(want.Result))
-		}
-		for i := range results[qi] {
-			if results[qi][i].ID != want.Result[i].ID {
-				t.Fatalf("query %d %v diverges at %d", qi, q, i)
-			}
-		}
-	}
-}
-
-// TestShardedQueryBatchConcurrent: batches pipeline from many goroutines
-// over the shared shard connections (race detector food).
-func TestShardedQueryBatchConcurrent(t *testing.T) {
+// TestShardedQueryConcurrent: queries pipeline from many goroutines over
+// the shared shard connections (race detector food).
+func TestShardedQueryConcurrent(t *testing.T) {
 	_, spAddrs, teAddrs := shardedDeployment(t, 6_000, 3)
 	client, err := DialShardedVerifying(spAddrs, teAddrs)
 	if err != nil {
@@ -173,16 +138,18 @@ func TestShardedQueryBatchConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			qs := workload.Queries(6, workload.DefaultExtent, int64(100+w))
-			if _, err := client.QueryBatch(qs); err != nil {
-				errs[w] = err
+			for _, q := range workload.Queries(6, workload.DefaultExtent, int64(100+w)) {
+				if _, err := client.Query(q); err != nil {
+					errs[w] = err
+					return
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			t.Fatalf("concurrent batch: %v", err)
+			t.Fatalf("concurrent query: %v", err)
 		}
 	}
 }

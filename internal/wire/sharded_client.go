@@ -47,10 +47,10 @@ func DialShardedVerifying(spAddrs, teAddrs []string) (*ShardedVerifyingClient, e
 		}
 		c.Shards[i] = vc
 	}
-	sps := make([]*SPClient, len(c.Shards))
-	tes := make([]*TEClient, len(c.Shards))
+	sps := make([]*Conn, len(c.Shards))
+	tes := make([]*Conn, len(c.Shards))
 	for i, vc := range c.Shards {
-		sps[i], tes[i] = vc.SP, vc.TE
+		sps[i], tes[i] = vc.SP.Conn, vc.TE.Conn
 	}
 	plan, err := VerifyShardAttestations(sps, tes)
 	if err != nil {
@@ -68,7 +68,7 @@ func DialShardedVerifying(spAddrs, teAddrs []string) (*ShardedVerifyingClient, e
 // SPs are untrusted. It returns the TE-attested plan. Shared by the
 // shard-aware client and the router tier, which performs the same
 // cross-check against its upstreams at startup.
-func VerifyShardAttestations(sps []*SPClient, tes []*TEClient) (shard.Plan, error) {
+func VerifyShardAttestations(sps, tes []*Conn) (shard.Plan, error) {
 	var plan shard.Plan
 	for i, te := range tes {
 		si, err := te.ShardMap()
@@ -177,83 +177,4 @@ func (c *ShardedVerifyingClient) Query(q record.Range) ([]record.Record, error) 
 		return nil, err
 	}
 	return merged, nil
-}
-
-// QueryBatch runs many verified range queries with at most one batch
-// frame to each shard's SP and TE: every query's sub-ranges are grouped
-// per shard, each shard executes its group as one QueryBatch /
-// GenerateVTBatch, and the per-query results are reassembled and verified
-// against their XOR-combined tokens. Results align with qs.
-func (c *ShardedVerifyingClient) QueryBatch(qs []record.Range) ([][]record.Record, error) {
-	// Group the clamped sub-queries by shard, remembering which query each
-	// one belongs to.
-	subs := make([][]record.Range, len(c.Shards))
-	owners := make([][]int, len(c.Shards))
-	for qi, q := range qs {
-		for _, sq := range c.Plan.Scatter(q) {
-			subs[sq.Shard] = append(subs[sq.Shard], sq.Sub)
-			owners[sq.Shard] = append(owners[sq.Shard], qi)
-		}
-	}
-	type shardOut struct {
-		batches [][]record.Record
-		vts     []digest.Digest
-		err     error
-	}
-	outs := make([]shardOut, len(c.Shards))
-	var wg sync.WaitGroup
-	for idx := range c.Shards {
-		if len(subs[idx]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			vc := c.Shards[idx]
-			var inner sync.WaitGroup
-			inner.Add(1)
-			var vts []digest.Digest
-			var vtErr error
-			go func() {
-				defer inner.Done()
-				vts, vtErr = vc.TE.GenerateVTBatch(subs[idx])
-			}()
-			batches, spErr := vc.SP.QueryBatch(subs[idx])
-			inner.Wait()
-			if spErr != nil {
-				outs[idx].err = fmt.Errorf("wire: shard %d SP batch: %w", idx, spErr)
-				return
-			}
-			if vtErr != nil {
-				outs[idx].err = fmt.Errorf("wire: shard %d TE batch: %w", idx, vtErr)
-				return
-			}
-			outs[idx].batches, outs[idx].vts = batches, vts
-		}(idx)
-	}
-	wg.Wait()
-	for idx := range outs {
-		if outs[idx].err != nil {
-			return nil, outs[idx].err
-		}
-	}
-	// Reassemble per query. Shards are visited in index order and each
-	// shard's group preserves query order, so collecting every query's
-	// parts in visit order hands MergeSAE the Scatter order it expects.
-	parts := make([][]shard.SAEPart, len(qs))
-	for idx := range c.Shards {
-		for j, qi := range owners[idx] {
-			parts[qi] = append(parts[qi], shard.SAEPart{Recs: outs[idx].batches[j], VT: outs[idx].vts[j]})
-		}
-	}
-	vp := core.NewVerifyPool(0)
-	results := make([][]record.Record, len(qs))
-	for qi, q := range qs {
-		merged, vt := shard.MergeSAE(parts[qi])
-		if _, err := vp.Verify(q, merged, vt); err != nil {
-			return nil, fmt.Errorf("query %d %v: %w", qi, q, err)
-		}
-		results[qi] = merged
-	}
-	return results, nil
 }

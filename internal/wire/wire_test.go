@@ -294,7 +294,7 @@ func TestNetworkedTOM(t *testing.T) {
 
 func TestServerRejectsUnknownMessage(t *testing.T) {
 	spSrv, _, _ := launchSAE(t, 100)
-	c, err := dial(spSrv.Addr())
+	c, err := Dial(spSrv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,6 +302,51 @@ func TestServerRejectsUnknownMessage(t *testing.T) {
 	_, err = c.roundTrip(Frame{Type: MsgVT})
 	if err == nil || !strings.Contains(err.Error(), "cannot handle") {
 		t.Fatalf("unknown message error = %v", err)
+	}
+}
+
+// TestPipelinedRefusalIsServerError: a server's refusal on the pipelined
+// path is a *ServerError exactly as on the single-frame path — the
+// distinction the router's never-fail-over rule rests on — and it costs
+// the burst, not the connection.
+func TestPipelinedRefusalIsServerError(t *testing.T) {
+	spSrv, teSrv, _ := launchSAE(t, 500)
+	// Each client is dialed at the OTHER party, which refuses its frames.
+	sp, err := DialSP(teSrv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	te, err := DialTE(spSrv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer te.Close()
+	qs := workload.Queries(4, workload.DefaultExtent, 63)
+	calls := []struct {
+		name string
+		call func() error
+		conn *Conn
+	}{
+		{"QueryRawMany", func() error { _, err := sp.QueryRawMany(qs); return err }, sp.Conn},
+		{"AggregateMany", func() error { _, err := sp.AggregateMany(qs); return err }, sp.Conn},
+		{"GenerateVTMany", func() error { _, err := te.GenerateVTMany(qs); return err }, te.Conn},
+	}
+	for _, c := range calls {
+		err := c.call()
+		var se *ServerError
+		if !errors.As(err, &se) {
+			t.Fatalf("%s against a refusing server: %v (%T), want a *ServerError", c.name, err, err)
+		}
+		if !strings.Contains(se.Msg, "query 0") || !strings.Contains(se.Msg, "cannot handle") {
+			t.Fatalf("%s: ServerError %q does not carry the query index and the refusal", c.name, se.Msg)
+		}
+		if err := c.conn.Err(); err != nil {
+			t.Fatalf("%s: the refusal broke the connection: %v", c.name, err)
+		}
+		if _, err := c.conn.ShardMap(); err != nil {
+			t.Fatalf("%s: connection unusable after the refusal: %v", c.name, err)
+		}
 	}
 }
 
