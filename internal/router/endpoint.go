@@ -143,17 +143,23 @@ func (e *endpoint) acquire(want int) (*wire.Conn, error) {
 	return e.conns[e.next%len(e.conns)], nil
 }
 
+// dialTimeout bounds one upstream dial, attestation included. acquire
+// dials under the endpoint's lock, which every pick of the shard takes: an
+// upstream that swallows SYNs must cost its shard's requests this long,
+// not the kernel's connect timeout.
+const dialTimeout = 2 * time.Second
+
 // dialChecked dials one connection and, when an attestation is pinned,
 // verifies the upstream still reports the expected shard and plan.
 func (e *endpoint) dialChecked() (*wire.Conn, error) {
-	c, err := wire.Dial(e.addr)
+	ctx, cancel := context.WithTimeout(context.Background(), dialTimeout)
+	defer cancel()
+	c, err := wire.DialCtx(ctx, e.addr)
 	if err != nil {
 		return nil, err
 	}
 	if e.attest != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		si, err := c.ShardMapCtx(ctx)
-		cancel()
 		if err != nil {
 			c.Close()
 			return nil, fmt.Errorf("router: attesting %s: %w", e.addr, err)
@@ -293,7 +299,7 @@ type endpointSet struct {
 // pick chooses the next endpoint to try, round-robin with two quality
 // passes: first the healthy-and-fresh, then anything not in backoff.
 // Endpoints in skip (already tried this request) are never returned.
-func (s *endpointSet) pick(skip map[*endpoint]bool) *endpoint {
+func (s *endpointSet) pick(skip []*endpoint) *endpoint {
 	n := len(s.eps)
 	if n == 0 {
 		return nil
@@ -302,7 +308,7 @@ func (s *endpointSet) pick(skip map[*endpoint]bool) *endpoint {
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < n; i++ {
 			ep := s.eps[(start+i)%n]
-			if skip[ep] || ep.isDown() || (pass == 0 && ep.isStale()) {
+			if slices.Contains(skip, ep) || ep.isDown() || (pass == 0 && ep.isStale()) {
 				continue
 			}
 			return ep
@@ -313,7 +319,7 @@ func (s *endpointSet) pick(skip map[*endpoint]bool) *endpoint {
 	// just-revived process gets adopted without waiting for the prober.
 	for i := 0; i < n; i++ {
 		ep := s.eps[(start+i)%n]
-		if !skip[ep] {
+		if !slices.Contains(skip, ep) {
 			return ep
 		}
 	}
@@ -333,18 +339,20 @@ type opFunc func(ctx context.Context, c *wire.Conn, ep *endpoint) ([]byte, error
 // moves on. With hedging configured, each attempt may race two
 // endpoints.
 func (s *endpointSet) do(parent context.Context, op opFunc) ([]byte, error) {
-	tried := make(map[*endpoint]bool, maxAttempts)
+	// At most one endpoint per attempt plus its hedge: the list never
+	// outgrows its backing array.
+	tried := make([]*endpoint, 0, 2*maxAttempts)
 	var lastErr error
 	for try := 0; try < maxAttempts; try++ {
 		ep := s.pick(tried)
 		if ep == nil {
 			break
 		}
-		tried[ep] = true
+		tried = append(tried, ep)
 		var v []byte
 		var err error
 		if s.hedgeAfter > 0 && len(s.eps) > 1 {
-			v, err = s.attemptHedged(parent, ep, tried, op)
+			v, err = s.attemptHedged(parent, ep, &tried, op)
 		} else {
 			v, err = s.attempt(parent, ep, op)
 		}
@@ -407,7 +415,7 @@ func (s *endpointSet) attemptOn(ctx context.Context, ep *endpoint, op opFunc) ([
 // which abandons its in-flight request (the wire layer drops the pending
 // entry, so the late response frame is discarded, never double-
 // delivered). The hedge endpoint is added to tried.
-func (s *endpointSet) attemptHedged(parent context.Context, ep1 *endpoint, tried map[*endpoint]bool, op opFunc) ([]byte, error) {
+func (s *endpointSet) attemptHedged(parent context.Context, ep1 *endpoint, tried *[]*endpoint, op opFunc) ([]byte, error) {
 	type legResult struct {
 		v     []byte
 		err   error
@@ -432,11 +440,11 @@ func (s *endpointSet) attemptHedged(parent context.Context, ep1 *endpoint, tried
 			if hedged {
 				continue
 			}
-			ep2 := s.pick(tried)
+			ep2 := s.pick(*tried)
 			if ep2 == nil {
 				continue
 			}
-			tried[ep2] = true
+			*tried = append(*tried, ep2)
 			hedged = true
 			s.ctrs.hedges.Add(1)
 			var ctx2 context.Context

@@ -94,7 +94,7 @@ func (r *Router) handleOn(t *topology, req wire.Frame, rb *wire.RespBuf) wire.Fr
 	if err != nil {
 		return wire.ErrFrame(err)
 	}
-	return wire.Frame{Type: typ, Payload: rb.Bytes()}
+	return rb.Frame(typ)
 }
 
 func (r *Router) answer(t *topology, ro *row, req wire.Frame, rb *wire.RespBuf) (wire.MsgType, error) {
@@ -115,40 +115,58 @@ func (r *Router) answer(t *topology, ro *row, req wire.Frame, rb *wire.RespBuf) 
 	if g.parts, err = scatter(ctx, sets, g.subs, ro); err != nil {
 		return 0, err
 	}
+	// The reply payloads are the router's now. The merge may reference
+	// their bytes in the answer, so they go back to the receive pool with
+	// the response buffer: once the answer is on the client's socket.
+	for _, p := range g.parts {
+		rb.Hold(p)
+	}
 	return ro.merge(r, t, &g, rb)
 }
 
 // scatter sends one leg frame per sub-query to its shard's endpoint set
 // and returns the reply payloads in sub-query (= shard) order. The first
-// failed leg in that order fails the whole request, naming its shard.
+// leg runs on the calling goroutine — for all but a seam-straddling range
+// it is the only one. The first failed leg in shard order fails the whole
+// request, naming its shard.
 func scatter(ctx context.Context, sets []*endpointSet, subs []shard.SubQuery, ro *row) ([][]byte, error) {
 	parts := make([][]byte, len(subs))
 	errs := make([]error, len(subs))
+	leg := func(i int) {
+		parts[i], errs[i] = sets[subs[i].Shard].do(ctx, func(ctx context.Context, c *wire.Conn, ep *endpoint) ([]byte, error) {
+			resp, err := c.RoundTripCtx(ctx, wire.Frame{Type: ro.leg, Payload: wire.EncodeRange(subs[i].Sub)})
+			if err != nil {
+				return nil, err
+			}
+			if resp.Type != ro.want || (ro.size != 0 && len(resp.Payload) != ro.size) {
+				err = fmt.Errorf("%w: malformed %s response", wire.ErrProtocol, wire.FrameName(ro.leg))
+			} else if ro.accept != nil {
+				err = ro.accept(ep, resp.Payload)
+			}
+			if err != nil {
+				wire.Release(resp.Payload)
+				return nil, err
+			}
+			return resp.Payload, nil
+		})
+	}
 	var wg sync.WaitGroup
-	for i := range subs {
+	for i := 1; i < len(subs); i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			parts[i], errs[i] = sets[subs[i].Shard].do(ctx, func(ctx context.Context, c *wire.Conn, ep *endpoint) ([]byte, error) {
-				resp, err := c.RoundTripCtx(ctx, wire.Frame{Type: ro.leg, Payload: wire.EncodeRange(subs[i].Sub)})
-				if err != nil {
-					return nil, err
-				}
-				if resp.Type != ro.want || (ro.size != 0 && len(resp.Payload) != ro.size) {
-					return nil, fmt.Errorf("%w: malformed %s response", wire.ErrProtocol, wire.FrameName(ro.leg))
-				}
-				if ro.accept != nil {
-					if err := ro.accept(ep, resp.Payload); err != nil {
-						return nil, err
-					}
-				}
-				return resp.Payload, nil
-			})
+			leg(i)
 		}(i)
+	}
+	if len(subs) > 0 {
+		leg(0)
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
+			for _, p := range parts {
+				wire.Release(p) // the legs that did answer
+			}
 			return nil, fmt.Errorf("router: shard %d %s: %w", subs[i].Shard, ro.what, err)
 		}
 	}
@@ -199,10 +217,12 @@ func recordsOf(raw []byte, shardIdx int, what string) ([]byte, error) {
 	return enc, nil
 }
 
-// splice appends the merged EncodeRecords payload (count + packed
-// records). Contiguous partitions: splicing the shard payloads in shard
-// order is the key-order merge, byte-for-byte what a single SP serving
-// the whole dataset would have encoded.
+// splice appends the merged EncodeRecords payload: the total count, then
+// every shard's packed records by reference — the answer's vectored write
+// reads them out of the upstream payloads they arrived in. Contiguous
+// partitions: the shard payloads in shard order are the key-order merge,
+// byte-for-byte what a single SP serving the whole dataset would have
+// encoded.
 func splice(rb *wire.RespBuf, encs [][]byte) {
 	total := 0
 	for _, enc := range encs {
@@ -210,7 +230,7 @@ func splice(rb *wire.RespBuf, encs [][]byte) {
 	}
 	rb.AppendUint32(uint32(total))
 	for _, enc := range encs {
-		rb.Append(enc)
+		rb.AppendRef(enc)
 	}
 }
 
@@ -288,7 +308,7 @@ func mergeAggToken(_ *Router, _ *topology, g *gather, rb *wire.RespBuf) (wire.Ms
 // client checks against the owner-signed shard bindings.
 func mergeTOM(r *Router, t *topology, g *gather, rb *wire.RespBuf) (wire.MsgType, error) {
 	if t.plan.Shards() == 1 {
-		rb.Append(g.parts[0])
+		rb.AppendRef(g.parts[0])
 		return g.row.want, nil
 	}
 	parts := make([]wire.TOMShardPart, len(g.parts))
@@ -323,7 +343,7 @@ func acceptVerified(ep *endpoint, raw []byte) error {
 // mergeVerified merges the shards' atomic (epoch, gen, VT, records)
 // quadruples: the spanning answer is stamped with the MINIMUM epoch and
 // MINIMUM generation (the freshest bounds that hold for every part), the
-// per-shard tokens are XORed and the record payloads spliced in shard
+// per-shard tokens are XORed and the record sections referenced in shard
 // order — so the client's single-system verification (XOR match, key
 // order, containment) and its lexicographic (epoch, gen) freshness floor
 // both apply unchanged. During a reshard transition a surviving primary

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,15 +15,22 @@ import (
 // hedged-request loser, a timed-out sub-request) removes its pending
 // entry, leaves the connection healthy, and its late response — arriving
 // after the abandonment — is discarded by the demux loop rather than
-// delivered to a later request. Runs under -race in CI.
+// delivered to a later request: its payload goes back to the receive
+// pool, exactly once. Runs under -race in CI.
 func TestRoundTripAbandonCleansPending(t *testing.T) {
+	const tag = 0x7003
+	base := releasedCount(tag)
 	release := make(chan struct{})
 	var releaseOnce sync.Once
 	unstall := func() { releaseOnce.Do(func() { close(release) }) }
+	var stalled atomic.Bool
 	srv, err := Serve("127.0.0.1:0", func(req Frame, rb *RespBuf) Frame {
 		switch req.Type {
 		case MsgQuery:
-			<-release // stall until the test releases the response
+			if stalled.CompareAndSwap(false, true) {
+				<-release // stall until the test releases the response
+				return Frame{Type: MsgResult, Payload: tagged(tag, 4096)}
+			}
 			rb.AppendUint32(0)
 			return Frame{Type: MsgResult, Payload: rb.Bytes()}
 		default:
@@ -60,10 +68,11 @@ func TestRoundTripAbandonCleansPending(t *testing.T) {
 	}
 
 	// Let the stalled handler finally answer: the late frame carries the
-	// abandoned request's id, matches no pending entry and is discarded.
-	// A fresh request on the same connection must get ITS response (ids
-	// never collide), proving no double delivery.
+	// abandoned request's id, matches no pending entry and is discarded,
+	// its buffer returned. A fresh request on the same connection must get
+	// ITS response (ids never collide), proving no double delivery.
 	unstall()
+	awaitReleased(t, tag, base+1)
 	raw, err := c.QueryRaw(record.Range{Lo: 0, Hi: 100})
 	if err != nil {
 		t.Fatalf("fresh request after an abandoned one: %v", err)

@@ -189,6 +189,7 @@ func (v *VerifyingTOMClient) Aggregate(q record.Range) (agg.Agg, error) {
 	if err != nil {
 		return agg.Agg{}, err
 	}
+	defer Release(resp.Payload) // VOs are decoded copies
 	switch resp.Type {
 	case MsgTOMAggResult:
 		vo, err := mbtree.UnmarshalVO(resp.Payload)

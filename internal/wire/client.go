@@ -2,7 +2,6 @@ package wire
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -40,8 +39,14 @@ type Conn struct {
 // Dial connects to any server of this protocol; there is no handshake,
 // so what the peer serves is learned by asking (ShardMap, or a frame it
 // answers with CannotHandle).
-func Dial(addr string) (*Conn, error) {
-	nc, err := net.Dial("tcp", addr)
+func Dial(addr string) (*Conn, error) { return DialCtx(context.Background(), addr) }
+
+// DialCtx is Dial bounded by a context: without one, connecting to an
+// address that drops SYNs instead of refusing them blocks for the
+// kernel's connect timeout (minutes).
+func DialCtx(ctx context.Context, addr string) (*Conn, error) {
+	var d net.Dialer
+	nc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dialing %s: %w", addr, err)
 	}
@@ -50,9 +55,11 @@ func Dial(addr string) (*Conn, error) {
 	return c, nil
 }
 
-// readLoop receives response frames and hands each to the waiter
-// registered under its request id. On a receive error every waiter is
-// failed and the connection becomes unusable.
+// readLoop receives response frames into pooled payloads and hands each
+// to the waiter registered under its request id, who owns the payload
+// from then on; a frame nobody waits for any more (its request was
+// abandoned) goes straight back to the pool. On a receive error every
+// waiter is failed and the connection becomes unusable.
 func (c *Conn) readLoop() {
 	for {
 		resp, err := ReadFrame(c.c)
@@ -69,6 +76,8 @@ func (c *Conn) readLoop() {
 		c.mu.Unlock()
 		if ok {
 			ch <- resp // buffered; never blocks
+		} else {
+			Release(resp.Payload)
 		}
 	}
 }
@@ -97,7 +106,8 @@ func (c *Conn) roundTrip(req Frame) (Frame, error) {
 // expires before the tagged response arrives, the request is abandoned
 // (its pending entry removed, so a late response is discarded by the
 // demux loop) and ctx's error returned. The connection itself stays
-// healthy — a slow response poisons one request, not the pipeline.
+// healthy — a slow response poisons one request, not the pipeline. The
+// caller owns the response's payload and may Release it once done.
 func (c *Conn) RoundTripCtx(ctx context.Context, req Frame) (Frame, error) {
 	ch := make(chan Frame, 1)
 	c.mu.Lock()
@@ -131,8 +141,15 @@ func (c *Conn) RoundTripCtx(ctx context.Context, req Frame) (Frame, error) {
 	case resp, ok = <-ch:
 	case <-ctx.Done():
 		c.mu.Lock()
+		_, waiting := c.pending[req.ID]
 		delete(c.pending, req.ID)
 		c.mu.Unlock()
+		if !waiting {
+			// The demux loop took the entry first: the reply (or the close
+			// of a failed connection) is already on its way into ch.
+			resp = <-ch
+			Release(resp.Payload)
+		}
 		return Frame{}, fmt.Errorf("wire: request abandoned: %w", ctx.Err())
 	}
 	if !ok {
@@ -214,31 +231,26 @@ func DialSP(addr string) (*SPClient, error) {
 
 // Query fetches the result records for a range.
 func (c *SPClient) Query(q record.Range) ([]record.Record, error) {
-	recs, _, err := c.queryDecoded(q)
-	return recs, err
-}
-
-// queryDecoded fetches and decodes a result, also returning the raw
-// payload so verifying callers can hash the encoded records in place.
-func (c *SPClient) queryDecoded(q record.Range) ([]record.Record, []byte, error) {
 	raw, err := c.QueryRaw(q)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	defer Release(raw) // DecodeRecords copies
 	recs, rest, err := DecodeRecords(raw)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(rest) != 0 {
-		return nil, nil, fmt.Errorf("%w: %d trailing bytes in result", ErrProtocol, len(rest))
+		return nil, fmt.Errorf("%w: %d trailing bytes in result", ErrProtocol, len(rest))
 	}
-	return recs, raw, nil
+	return recs, nil
 }
 
 // QueryRaw fetches the result for a range still in wire form — the
 // EncodeRecords payload (count + packed canonical records). The verifying
 // client hashes these bytes in place (digest.OfWire) before ever
-// materializing a record.
+// materializing a record. The payload is the caller's: it may Release it
+// once done, or just drop it.
 func (c *SPClient) QueryRaw(q record.Range) ([]byte, error) {
 	return c.QueryRawCtx(context.Background(), q)
 }
@@ -365,6 +377,7 @@ func (c *TOMClient) Query(q record.Range) ([]record.Record, *mbtree.VO, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	defer Release(resp.Payload) // decodeTOMResult copies
 	if resp.Type != MsgTOMResult {
 		return nil, nil, fmt.Errorf("%w: unexpected response type %d", ErrProtocol, resp.Type)
 	}
@@ -453,6 +466,7 @@ func (v *VerifyingClient) Query(q record.Range) ([]record.Record, error) {
 	}()
 	sp := <-spCh
 	te := <-teCh
+	defer Release(sp.raw) // the records returned below are decoded copies
 	if sp.err != nil {
 		return nil, fmt.Errorf("wire: SP query failed: %w", sp.err)
 	}
@@ -498,6 +512,7 @@ func (v *VerifyingTOMClient) Query(q record.Range) ([]record.Record, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer Release(resp.Payload) // records and VOs are decoded copies
 	switch resp.Type {
 	case MsgTOMResult:
 		recs, vo, err := decodeTOMResult(resp.Payload)
@@ -576,9 +591,7 @@ func (c *Conn) roundTripMany(reqs []Frame) ([]Frame, error) {
 	total := 0
 	for i := range reqs {
 		h := hdrs[i*HeaderSize : (i+1)*HeaderSize]
-		h[0] = byte(reqs[i].Type)
-		binary.BigEndian.PutUint32(h[1:5], reqs[i].ID)
-		binary.BigEndian.PutUint32(h[5:9], uint32(len(reqs[i].Payload)))
+		putHeader(h, reqs[i].Type, reqs[i].ID, len(reqs[i].Payload))
 		iov = append(iov, h)
 		if len(reqs[i].Payload) > 0 {
 			iov = append(iov, reqs[i].Payload)
@@ -696,6 +709,11 @@ func (v *VerifyingClient) QueryBurst(qs []record.Range) ([][]record.Record, erro
 	}()
 	sp := <-spCh
 	te := <-teCh
+	defer func() {
+		for _, raw := range sp.raws {
+			Release(raw)
+		}
+	}()
 	if sp.err != nil {
 		return nil, fmt.Errorf("wire: SP burst query failed: %w", sp.err)
 	}

@@ -20,6 +20,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
+	"net"
+	"sync"
 
 	"sae/internal/record"
 	"sae/internal/shard"
@@ -153,24 +156,124 @@ type Frame struct {
 	Type    MsgType
 	ID      uint32
 	Payload []byte
+	// refs are spans a RespBuf spliced into Payload by reference
+	// (RespBuf.AppendRef); only RespBuf.Frame sets them.
+	refs []payloadRef
 }
 
-// WriteFrame writes a frame to w.
-func WriteFrame(w io.Writer, f Frame) error {
-	var hdr [HeaderSize]byte
-	hdr[0] = byte(f.Type)
-	binary.BigEndian.PutUint32(hdr[1:5], f.ID)
-	binary.BigEndian.PutUint32(hdr[5:9], uint32(len(f.Payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: writing frame header: %w", err)
+// payloadRef is one span of a payload carried by reference: on the wire p
+// follows the first at bytes of the payload's own bytes.
+type payloadRef struct {
+	at int
+	p  []byte
+}
+
+// payloadLen is the payload's length on the wire.
+func (f *Frame) payloadLen() int {
+	n := len(f.Payload)
+	for _, ref := range f.refs {
+		n += len(ref.p)
 	}
-	if _, err := w.Write(f.Payload); err != nil {
-		return fmt.Errorf("wire: writing frame payload: %w", err)
+	return n
+}
+
+// appendPayload appends the payload's wire image to iov: the own bytes
+// with every referenced span spliced in where it was appended.
+func (f *Frame) appendPayload(iov net.Buffers) net.Buffers {
+	from := 0
+	for _, ref := range f.refs {
+		if ref.at > from {
+			iov = append(iov, f.Payload[from:ref.at])
+			from = ref.at
+		}
+		iov = append(iov, ref.p)
+	}
+	if len(f.Payload) > from {
+		iov = append(iov, f.Payload[from:])
+	}
+	return iov
+}
+
+func putHeader(hdr []byte, typ MsgType, id uint32, n int) {
+	hdr[0] = byte(typ)
+	binary.BigEndian.PutUint32(hdr[1:5], id)
+	binary.BigEndian.PutUint32(hdr[5:9], uint32(n))
+}
+
+// Received payloads of minPooled..respBufRetain bytes come from one
+// size-classed pool (power-of-two capacities); smaller and larger ones
+// are plain allocations. Whoever is handed a payload owns it and may
+// Release it once nothing references it any more; a payload that is never
+// released is simply garbage collected.
+const (
+	minPooledShift = 10
+	minPooled      = 1 << minPooledShift
+)
+
+var payloadPools [22 - minPooledShift + 1]sync.Pool // one per class, 1<<10 .. respBufRetain = 1<<22
+
+// releaseHook, when set, sees every payload on its way back to the pool.
+var releaseHook func(p []byte)
+
+// SetReleaseHook installs a function that is handed every released
+// payload just before it is pooled. It exists for tests, which poison the
+// bytes so that a use after Release fails loudly; install it before any
+// connection exists (TestMain).
+func SetReleaseHook(hook func(p []byte)) { releaseHook = hook }
+
+func getPayload(n int) []byte {
+	if n < minPooled || n > respBufRetain {
+		return make([]byte, n)
+	}
+	class := bits.Len(uint(n - 1))
+	if p, _ := payloadPools[class-minPooledShift].Get().(*[]byte); p != nil {
+		return (*p)[:n]
+	}
+	return make([]byte, n, 1<<class)
+}
+
+// Release returns a received payload to the receive pool. The caller must
+// own it (a Conn or ReadFrame handed it the Frame, or the payload) and
+// nothing may reference its bytes afterwards. Slices the pool did not hand
+// out — too small, too large, or cut from the middle of a payload — are
+// left to the garbage collector.
+func Release(p []byte) {
+	c := cap(p)
+	if c < minPooled || c > respBufRetain || c&(c-1) != 0 {
+		return
+	}
+	if releaseHook != nil {
+		releaseHook(p[:c])
+	}
+	payloadPools[bits.TrailingZeros(uint(c))-minPooledShift].Put(&p)
+}
+
+// WriteFrame writes a frame to w in one write: a payload below minPooled
+// is copied behind its header, anything larger (or spliced) goes out as
+// one vectored write.
+func WriteFrame(w io.Writer, f Frame) error {
+	n := f.payloadLen()
+	var err error
+	if len(f.refs) == 0 && n < minPooled {
+		buf := make([]byte, HeaderSize, HeaderSize+n)
+		putHeader(buf, f.Type, f.ID, n)
+		_, err = w.Write(append(buf, f.Payload...))
+	} else {
+		hdr := make([]byte, HeaderSize)
+		putHeader(hdr, f.Type, f.ID, n)
+		iov := f.appendPayload(net.Buffers{hdr})
+		_, err = iov.WriteTo(w)
+	}
+	if err != nil {
+		return fmt.Errorf("wire: writing frame: %w", err)
 	}
 	return nil
 }
 
-// ReadFrame reads one frame from r.
+// ReadFrame reads one frame from r. Its payload comes from the receive
+// pool and is the caller's, to Release or to drop. A payload that arrives
+// short goes straight back to the pool: a truncated frame never reaches
+// anyone.
 func ReadFrame(r io.Reader) (Frame, error) {
 	var hdr [HeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -183,9 +286,10 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	f := Frame{
 		Type:    MsgType(hdr[0]),
 		ID:      binary.BigEndian.Uint32(hdr[1:5]),
-		Payload: make([]byte, n),
+		Payload: getPayload(int(n)),
 	}
 	if _, err := io.ReadFull(r, f.Payload); err != nil {
+		Release(f.Payload)
 		return Frame{}, fmt.Errorf("%w: truncated payload: %v", ErrProtocol, err)
 	}
 	return f, nil
@@ -306,9 +410,9 @@ type TOMShardPart struct {
 
 // AppendTOMShardedHeader and AppendTOMShardedPart stream a routed TOM
 // result — the partition plan, the part count, then each part as shard
-// index, sub-range and a length-prefixed relay blob — into a pooled
-// response buffer (the router's gather path builds the frame with these
-// two; DecodeTOMSharded parses it).
+// index, sub-range and a length-prefixed relay blob, carried by reference
+// — into a pooled response buffer (the router's gather path builds the
+// frame with these two; DecodeTOMSharded parses it).
 func AppendTOMShardedHeader(rb *RespBuf, plan shard.Plan, parts int) {
 	rb.Append(plan.Marshal())
 	rb.AppendUint32(uint32(parts))
@@ -318,7 +422,7 @@ func AppendTOMShardedPart(rb *RespBuf, shardIdx int, sub record.Range, blob []by
 	rb.AppendUint32(uint32(shardIdx))
 	rb.Append(EncodeRange(sub))
 	rb.AppendUint32(uint32(len(blob)))
-	rb.Append(blob)
+	rb.AppendRef(blob)
 }
 
 // DecodeTOMSharded parses a routed TOM result. Part blobs alias b.

@@ -26,7 +26,8 @@ func frameBytes(t testing.TB, f Frame) []byte {
 // the payload decoders behind it. The framing layer fronts every open
 // port, so the property under test is total robustness: no panic, no
 // over-allocation past MaxPayload, and a clean round-trip for every frame
-// that parses. Seeds are real frames from the live protocol.
+// that parses — its payload read into the receive pool's buffers when its
+// size says so. Seeds are real frames from the live protocol.
 func FuzzDecodeFrame(f *testing.F) {
 	ds, err := workload.Generate(workload.UNF, 50, 17)
 	if err != nil {
@@ -54,6 +55,18 @@ func FuzzDecodeFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// The payload is pooled when its size says so, carries exactly the
+		// stream's bytes either way, and is ours until released (TestMain
+		// poisons released payloads, so a pool that handed this one out
+		// twice would corrupt the comparisons below).
+		n, c := len(fr.Payload), cap(fr.Payload)
+		if n >= minPooled && n <= respBufRetain && (c&(c-1) != 0 || c < n || c >= 2*n) {
+			t.Fatalf("payload of %d bytes has capacity %d, not its size class", n, c)
+		}
+		if !bytes.Equal(fr.Payload, data[HeaderSize:HeaderSize+n]) {
+			t.Fatal("payload differs from the stream's bytes")
+		}
+		defer Release(fr.Payload)
 		// Whatever parsed must re-encode to a stream that reads back
 		// identically — the server trusts this when relaying frames.
 		var buf bytes.Buffer

@@ -147,18 +147,16 @@ func (ls *laneSet) close() {
 type respPiece struct{ off, end int }
 
 // laneResp is one assembled response awaiting its flush. Payload bytes
-// are either arena spans (a group row — pieces) or a direct slice (an own
-// row's payload, an error string).
+// are either arena spans (a group row — pieces) or the frame's own payload
+// (an own row's answer, an error string).
 type laneResp struct {
-	typ     MsgType
-	id      uint32
+	Frame
 	pieces  [2]respPiece
 	npieces int
-	direct  []byte
 }
 
 func (r *laneResp) payloadLen() int {
-	n := len(r.direct)
+	n := r.Frame.payloadLen()
 	for _, p := range r.pieces[:r.npieces] {
 		n += p.end - p.off
 	}
@@ -195,18 +193,14 @@ func (f *flusher) gather(resps []laneResp, arena []byte) net.Buffers {
 	for i := range resps {
 		r := &resps[i]
 		hdr := f.hdrs[i*HeaderSize : (i+1)*HeaderSize]
-		hdr[0] = byte(r.typ)
-		binary.BigEndian.PutUint32(hdr[1:5], r.id)
-		binary.BigEndian.PutUint32(hdr[5:9], uint32(r.payloadLen()))
+		putHeader(hdr, r.Type, r.ID, r.payloadLen())
 		f.iov = append(f.iov, hdr)
 		for _, p := range r.pieces[:r.npieces] {
 			if p.end > p.off {
 				f.iov = append(f.iov, arena[p.off:p.end])
 			}
 		}
-		if len(r.direct) > 0 {
-			f.iov = append(f.iov, r.direct)
-		}
+		f.iov = r.appendPayload(f.iov)
 	}
 	return f.iov
 }
@@ -423,14 +417,14 @@ func (l *lane) serveGroup(s *Server, spec *frameSpec, ids []uint32, qs []record.
 
 // respond registers a response whose payload is the given arena spans.
 func (l *lane) respond(typ MsgType, id uint32, pieces ...respPiece) {
-	r := laneResp{typ: typ, id: id, npieces: len(pieces)}
+	r := laneResp{Frame: Frame{Type: typ, ID: id}, npieces: len(pieces)}
 	copy(r.pieces[:], pieces)
 	l.resps = append(l.resps, checked(r))
 }
 
 func (l *lane) respondErr(id uint32, err error) {
 	l.solo++
-	l.resps = append(l.resps, laneResp{typ: MsgErr, id: id, direct: []byte(err.Error())})
+	l.resps = append(l.resps, laneResp{Frame: Frame{Type: MsgErr, ID: id, Payload: []byte(err.Error())}})
 }
 
 // reply appends one small payload to the arena and registers it as the

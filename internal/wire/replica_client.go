@@ -297,6 +297,7 @@ func (c *VerifiedClient) QueryCtx(ctx context.Context, q record.Range) ([]record
 	if err != nil {
 		return nil, 0, err
 	}
+	defer Release(raw) // the records returned below are decoded copies
 	epoch, gen, vt, recsRaw, err := DecodeVerifiedResult(raw)
 	if err != nil {
 		return nil, 0, err
@@ -346,6 +347,7 @@ func (c *VerifiedClient) QueryAtLeast(q record.Range, minGen uint64) ([]record.R
 // QueryRawVerifiedCtx fetches one verified result still in wire form
 // (epoch + gen + VT + encoded records) without verifying — for callers
 // that relay or time the raw answer; end clients should use QueryCtx.
+// The payload is the caller's, to Release or to drop.
 func (c *VerifiedClient) QueryRawVerifiedCtx(ctx context.Context, q record.Range) ([]byte, error) {
 	return c.ask(ctx, MsgVerifiedQuery, EncodeRange(q), MsgVerifiedResult)
 }

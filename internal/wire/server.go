@@ -20,8 +20,17 @@ type Handler func(req Frame, rb *RespBuf) Frame
 
 // RespBuf is one pooled response payload buffer. Before pooling, every
 // response frame allocated its payload — for record-heavy results that
-// was the server write path's dominant allocation.
-type RespBuf struct{ b []byte }
+// was the server write path's dominant allocation. Besides its own bytes
+// it can carry spans BY REFERENCE (AppendRef) — how the router relays the
+// record sections of its upstreams' answers without copying them — and it
+// can take over received payloads (Hold), which it releases when its own
+// flight ends.
+type RespBuf struct {
+	b    []byte
+	refs []payloadRef
+	held [][]byte
+	out  flusher // the own row's write scratch, pooled with the buffer
+}
 
 // respBufRetain caps the capacity a recycled buffer may keep. The
 // occasional multi-megabyte response should not pin its buffer in the
@@ -30,32 +39,58 @@ const respBufRetain = 4 << 20
 
 var respBufPool = sync.Pool{New: func() any { return new(RespBuf) }}
 
-func getRespBuf() *RespBuf {
-	rb := respBufPool.Get().(*RespBuf)
-	rb.Reset()
-	return rb
-}
+func getRespBuf() *RespBuf { return respBufPool.Get().(*RespBuf) }
 
 func putRespBuf(rb *RespBuf) {
+	rb.Reset()
 	if cap(rb.b) <= respBufRetain {
 		respBufPool.Put(rb)
 	}
 }
 
-// Reset discards what has been encoded so far; a Handler that retries
-// starts its second attempt from an empty payload.
-func (rb *RespBuf) Reset() { rb.b = rb.b[:0] }
+// Reset discards what has been encoded so far and releases the held
+// payloads; a Handler that retries starts its second attempt from an
+// empty payload.
+func (rb *RespBuf) Reset() {
+	for _, p := range rb.held {
+		Release(p)
+	}
+	clear(rb.held) // a pooled buffer must not pin what it let go of
+	clear(rb.refs)
+	rb.b, rb.refs, rb.held = rb.b[:0], rb.refs[:0], rb.held[:0]
+}
 
-// Len returns the bytes encoded into the buffer so far.
-func (rb *RespBuf) Len() int { return len(rb.b) }
-
-// Bytes returns the encoded payload. The slice aliases the pooled buffer:
-// it is valid until the returned response frame has been written to the
-// socket, exactly the lifetime a Handler's response needs.
+// Bytes returns the buffer's own bytes (referenced spans are not among
+// them; a Handler that used AppendRef answers with Frame). The slice
+// aliases the pooled buffer: it is valid until the returned response frame
+// has been written to the socket, exactly the lifetime a Handler's
+// response needs.
 func (rb *RespBuf) Bytes() []byte { return rb.b }
+
+// Frame returns the response frame of type typ whose payload is everything
+// encoded into the buffer: its own bytes with the referenced spans in
+// place. It is valid for as long as Bytes is.
+func (rb *RespBuf) Frame(typ MsgType) Frame {
+	return Frame{Type: typ, Payload: rb.b, refs: rb.refs}
+}
 
 // Append appends raw bytes to the payload.
 func (rb *RespBuf) Append(p []byte) { rb.b = append(rb.b, p...) }
+
+// AppendRef appends p to the payload by reference: the bytes are not
+// copied, the response's vectored write reads them where they are. p must
+// stay untouched until the response is on the socket — which Hold
+// guarantees for the payload p was cut from.
+func (rb *RespBuf) AppendRef(p []byte) {
+	if len(p) > 0 {
+		rb.refs = append(rb.refs, payloadRef{at: len(rb.b), p: p})
+	}
+}
+
+// Hold hands the buffer a received payload the Handler owns: it is
+// released (see Release) when the buffer is reset or recycled — for a
+// response, after its frame is on the socket.
+func (rb *RespBuf) Hold(p []byte) { rb.held = append(rb.held, p) }
 
 // AppendUint32 appends a big-endian uint32 to the payload.
 func (rb *RespBuf) AppendUint32(v uint32) {
@@ -401,10 +436,11 @@ func (s *Server) serveOwn(c *srvConn, spec *frameSpec, req Frame) {
 	defer func() { <-c.sem }()
 	rb := getRespBuf()
 	resp := spec.own(s, req, rb)
-	var f flusher
-	err := c.write(f.gather([]laneResp{checked(laneResp{typ: resp.Type, id: req.ID, direct: resp.Payload})}, nil), false)
+	resp.ID = req.ID
+	err := c.write(rb.out.gather([]laneResp{checked(laneResp{Frame: resp})}, nil), false)
 	// The frame is on the wire (or the connection is dead); either way
-	// the pooled buffer's flight is over.
+	// the pooled buffer's flight — and that of the payloads it holds — is
+	// over.
 	putRespBuf(rb)
 	if err != nil {
 		s.logf("wire: writing response: %v", err)
@@ -421,7 +457,8 @@ func checked(r laneResp) laneResp {
 	if n := r.payloadLen(); n > MaxPayload {
 		e := errFrame(fmt.Errorf("%w: response of %d bytes exceeds frame limit; narrow the query or split the batch",
 			ErrProtocol, n))
-		return laneResp{typ: e.Type, id: r.id, direct: e.Payload}
+		e.ID = r.ID
+		return laneResp{Frame: e}
 	}
 	return r
 }
