@@ -51,38 +51,31 @@ func (sp *ServiceProvider) Aggregate(q record.Range) (agg.Agg, costmodel.Breakdo
 }
 
 // AggregateCtx answers COUNT/SUM/MIN/MAX over q from the B+-tree's
-// aggregate annotations: a canonical-cover descent touching O(log n)
-// nodes and zero heap pages. Compare QueryCtx, whose cost grows linearly
-// with the result cardinality — this is the fast path the aggregation
-// benchmark prices against scan-and-fold.
+// aggregate annotations: AggregateBurst at n = 1, measured on ctx. Compare
+// QueryCtx, whose cost grows linearly with the result cardinality — this
+// is the fast path the aggregation benchmark prices against
+// scan-and-fold.
 func (sp *ServiceProvider) AggregateCtx(ctx *exec.Context, q record.Range) (agg.Agg, costmodel.Breakdown, error) {
-	sp.mu.RLock()
-	defer sp.mu.RUnlock()
-	before := ctx.Stats()
-	start := time.Now()
-	a, err := sp.index.AggregateCtx(ctx, q.Lo, q.Hi)
-	if err != nil {
-		return agg.Agg{}, costmodel.Breakdown{}, fmt.Errorf("core: SP aggregate: %w", err)
-	}
-	cost := costmodel.Default.Measure(ctx.Stats().Sub(before), time.Since(start))
-	if sp.aggTamper != nil {
-		a = sp.aggTamper(a)
-	}
-	return a.Normalize(), cost, nil
+	var a [1]agg.Agg
+	cost, err := measured(ctx, func() error {
+		return sp.AggregateBurst([]*exec.Context{ctx}, []record.Range{q}, a[:])
+	})
+	return a[0], cost, err
 }
 
 // AggregateBurst answers a burst of aggregate queries under ONE read-lock
-// acquisition, each canonical-cover descent charged to its query's own
-// context. out[i] receives query i's scalar and must be at least len(qs)
-// long. A tampering SP forges each answer exactly as the per-request path
-// would, so attack experiments behave identically on every entry point.
+// acquisition, each a canonical-cover descent touching O(log n) nodes and
+// zero heap pages, charged to its query's own context. out[i] receives
+// query i's scalar and must be at least len(qs) long. A tampering SP
+// forges each answer, so attack experiments behave identically on every
+// entry point.
 func (sp *ServiceProvider) AggregateBurst(ctxs []*exec.Context, qs []record.Range, out []agg.Agg) error {
 	sp.mu.RLock()
 	defer sp.mu.RUnlock()
 	for i, q := range qs {
 		a, err := sp.index.AggregateCtx(ctxs[i], q.Lo, q.Hi)
 		if err != nil {
-			return fmt.Errorf("core: SP burst aggregate: %w", err)
+			return fmt.Errorf("core: SP aggregate: %w", err)
 		}
 		if sp.aggTamper != nil {
 			a = sp.aggTamper(a)
@@ -98,34 +91,28 @@ func (te *TrustedEntity) AggToken(q record.Range) (agg.Token, costmodel.Breakdow
 	return te.AggTokenCtx(exec.NewContext(), q)
 }
 
-// AggTokenCtx computes the TE's aggregate token for q: the XB-Tree's own
-// canonical-cover aggregate (O(log n) node accesses, no tuple-list pages)
-// wrapped with the tag binding it to the exact range. The client checks
-// the SP's scalar against this token just as it checks a range result
-// against the VT.
+// AggTokenCtx computes the TE's aggregate token for q: AggTokenBurst at
+// n = 1, measured on ctx. The client checks the SP's scalar against this
+// token just as it checks a range result against the VT.
 func (te *TrustedEntity) AggTokenCtx(ctx *exec.Context, q record.Range) (agg.Token, costmodel.Breakdown, error) {
-	te.mu.RLock()
-	defer te.mu.RUnlock()
-	before := ctx.Stats()
-	start := time.Now()
-	a, err := te.tree.AggregateCtx(ctx, q.Lo, q.Hi)
-	if err != nil {
-		return agg.Token{}, costmodel.Breakdown{}, fmt.Errorf("core: TE aggregate token: %w", err)
-	}
-	cost := costmodel.Default.Measure(ctx.Stats().Sub(before), time.Since(start))
-	return agg.TokenFor(q, a), cost, nil
+	var tok [1]agg.Token
+	cost, err := measured(ctx, func() error {
+		return te.AggTokenBurst([]*exec.Context{ctx}, []record.Range{q}, tok[:])
+	})
+	return tok[0], cost, err
 }
 
 // AggTokenBurst computes the aggregate tokens for a burst of ranges under
-// ONE read-lock acquisition; out must be at least len(qs) long. Tokens are
-// bit-identical to per-request AggTokenCtx calls.
+// ONE read-lock acquisition; out must be at least len(qs) long. Each is
+// the XB-Tree's own canonical-cover aggregate (O(log n) node accesses, no
+// tuple-list pages) wrapped with the tag binding it to the exact range.
 func (te *TrustedEntity) AggTokenBurst(ctxs []*exec.Context, qs []record.Range, out []agg.Token) error {
 	te.mu.RLock()
 	defer te.mu.RUnlock()
 	for i, q := range qs {
 		a, err := te.tree.AggregateCtx(ctxs[i], q.Lo, q.Hi)
 		if err != nil {
-			return fmt.Errorf("core: TE burst aggregate token: %w", err)
+			return fmt.Errorf("core: TE aggregate token: %w", err)
 		}
 		out[i] = agg.TokenFor(q, a)
 	}

@@ -12,12 +12,13 @@ import (
 // Burst serving is the ONE streaming serve path: the wire server hands a
 // lane's group of n ≥ 1 pipelined queries to the SP/TE as a single unit —
 // one lock acquisition, the index descents planned back to back into a
-// shared RID arena, the heap runs served under one pin/unpin epoch, and
+// shared RID arena, the heap runs served by one streaming fetch, and
 // (client-side) the whole burst's digests folded through one worker
-// dispatch. A lone request is a burst of one. Every query still runs
-// under its OWN request context, so per-query access counts are
-// bit-identical to the materializing QueryCtx reference — the burst
-// parity tests enforce results, tokens and counts alike.
+// dispatch. A lone request is a burst of one; so are the per-request
+// verbs (GenerateVTCtx, AggregateCtx, AggTokenCtx, VerifyEncoded). Every
+// query still runs under its OWN request context, so per-query access
+// counts are bit-identical to the materializing QueryCtx reference — the
+// burst parity tests enforce results, tokens and counts alike.
 
 // BurstScratch holds the reusable plan buffers for one serve lane. A lane
 // serves one burst at a time on one goroutine, so the scratch needs no
@@ -39,10 +40,11 @@ type BurstScratch struct {
 // record aliases a cached page that updates may rewrite once the read
 // lock is released). The whole burst holds the SP read lock once, plans
 // all descents into sc's shared arena, and serves every heap run through
-// one bufpool pin epoch. A tampering SP falls back to the materializing
-// per-query path so attack experiments behave identically on every entry
-// point. An error aborts the burst (callers that need per-query error
-// isolation re-serve as bursts of one; the wire server does).
+// one heapfile.ServeBurstCtx call. A tampering SP falls back to the
+// materializing per-query path so attack experiments behave identically
+// on every entry point. An error aborts the burst (callers that need
+// per-query error isolation re-serve as bursts of one; the wire server
+// does).
 func (sp *ServiceProvider) ServeBurstCtx(ctxs []*exec.Context, qs []record.Range, sc *BurstScratch, emit func(int, *record.Record) error) error {
 	sp.mu.RLock()
 	defer sp.mu.RUnlock()
@@ -83,20 +85,12 @@ func (sp *ServiceProvider) ServeBurstCtx(ctxs []*exec.Context, qs []record.Range
 
 // GenerateVTBurst computes the verification tokens for a burst of ranges
 // under ONE read-lock acquisition, each descent charged to its query's
-// own context. vts[i] receives query i's token; tokens are bit-identical
-// to per-request GenerateVTCtx calls (the XB-Tree descent is untouched).
-// vts must be at least len(qs) long.
+// own context. vts[i] receives query i's token and must be at least
+// len(qs) long.
 func (te *TrustedEntity) GenerateVTBurst(ctxs []*exec.Context, qs []record.Range, vts []digest.Digest) error {
 	te.mu.RLock()
 	defer te.mu.RUnlock()
-	for i, q := range qs {
-		vt, err := te.tree.GenerateVTCtx(ctxs[i], q.Lo, q.Hi)
-		if err != nil {
-			return fmt.Errorf("core: TE burst token generation: %w", err)
-		}
-		vts[i] = vt
-	}
-	return nil
+	return generateVTs(te.tree, ctxs, qs, vts)
 }
 
 // View runs f over an SP/TE pair pinned at one commit boundary: while f
@@ -141,15 +135,18 @@ func (v View) ServeVerified(q record.Range, emit func(*record.Record) error) (n 
 	return n, vts[0], seq, nil
 }
 
-// VerifyEncodedBurst checks a burst of wire-form results against their
-// tokens with a SINGLE digest-worker dispatch: the per-payload range and
-// order checks run inline (they are branch-and-compare, not crypto), and
-// then every payload in the burst is hashed and folded through one
-// digest.XORFoldWireBurst call instead of one worker fan-out per query.
-// Accept/reject decisions are identical to calling VerifyEncoded per
-// query; the first failing query aborts with its error. sums is scratch
-// for the per-query folds and is reused via the usual [:0] convention
-// (pass nil to allocate).
+// VerifyEncodedBurst is the one wire-form client check: it verifies a
+// burst of results still in canonical wire form (encs[i] is n
+// back-to-back record encodings) against their tokens without
+// materializing a single record. The range and order checks peek keys in
+// place and run inline (branch-and-compare, not crypto); then every
+// payload is hashed where it lies in its frame, all of them through ONE
+// digest.XORFoldWireBurst dispatch that splits the burst's records, not
+// its payloads, across the workers. Accept/reject decisions are
+// identical to Client.Verify per query; the first failing query aborts
+// with an error naming its index. sums is scratch for the per-query
+// folds and is reused via the usual [:0] convention (pass nil to
+// allocate).
 func (vp VerifyPool) VerifyEncodedBurst(qs []record.Range, encs [][]byte, vts []digest.Digest, sums []digest.Digest) ([]digest.Digest, error) {
 	for qi, enc := range encs {
 		q := qs[qi]

@@ -225,19 +225,16 @@ func (gc *GroupCommitter) run() {
 
 		gc.mu.Lock()
 		gc.inflight = false
-		gc.stats.Groups++
-		gc.stats.Ops += int64(len(group))
-		if gc.log != nil {
-			gc.stats.Syncs++
-		}
 		gc.cond.Broadcast()
 	}
 }
 
-// commitGroup makes one group durable and visible, then acks every
-// waiter. Order matters: the WAL fsync precedes visibility, so an acked
-// update is always recoverable and an unacked one never partially
-// escapes a crash (the replay drops uncommitted tails).
+// commitGroup makes one group durable and visible, counts it, then acks
+// every waiter. Order matters: the WAL fsync precedes visibility, so an
+// acked update is always recoverable and an unacked one never partially
+// escapes a crash (the replay drops uncommitted tails); the count
+// precedes the acks, so Stats read by an acked submitter includes its
+// group.
 func (gc *GroupCommitter) commitGroup(seq uint64, group []pendingOp) {
 	ops := make([]wal.Op, len(group))
 	for i := range group {
@@ -262,6 +259,13 @@ func (gc *GroupCommitter) commitGroup(seq uint64, group []pendingOp) {
 		gc.commitMu.Unlock()
 		exec.PutContext(ctx)
 	}
+	gc.mu.Lock()
+	gc.stats.Groups++
+	gc.stats.Ops += int64(len(group))
+	if gc.log != nil {
+		gc.stats.Syncs++
+	}
+	gc.mu.Unlock()
 	for i := range group {
 		if group[i].errc != nil {
 			group[i].errc <- err

@@ -123,6 +123,27 @@ func TestGroupCommitParitySerialVsGrouped(t *testing.T) {
 	}
 }
 
+// TestCommitStatsCountAckedOps checks that Stats counts a group before
+// its waiters are acked: read right after InsertBatch returns, Ops must
+// already include that batch. Counting after the ack let the leader lag
+// its own acks on a multicore run (CI races it at -cpu 1,2,4).
+func TestCommitStatsCountAckedOps(t *testing.T) {
+	sys, _ := newTestSystem(t, 200, workload.UNF)
+	gc := newCommitterFor(t, sys, 0, false)
+	lags := 0
+	for i := 0; i < 2000; i++ {
+		if _, err := gc.InsertBatch([]record.Key{record.Key(i * 4999 % record.KeyDomain)}); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+		if st := gc.Stats(); st.Ops != int64(i+1) || st.Groups != int64(i+1) {
+			lags++
+		}
+	}
+	if lags > 0 {
+		t.Fatalf("Stats lagged the acked inserts %d times in 2000", lags)
+	}
+}
+
 // TestGroupCommitterCoalescesConcurrentWriters deterministically forces
 // a pile-up — the commit lock is held (as a snapshot reader would) while
 // hundreds of writers enqueue — then releases it and checks the leader

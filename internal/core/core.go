@@ -197,29 +197,53 @@ func (sp *ServiceProvider) QueryCtx(ctx *exec.Context, q record.Range) ([]record
 	return sp.queryLocked(ctx, q)
 }
 
-// queryLocked is QueryCtx's body. The caller holds the read lock:
-// ServeBurstCtx routes a tampering SP's burst through it so the tamper
-// hook sees each full result slice.
+// queryLocked is QueryCtx's body plus the tamper hook. The caller holds
+// the read lock: ServeBurstCtx routes a tampering SP's burst through it
+// so the hook sees each full result slice.
 func (sp *ServiceProvider) queryLocked(ctx *exec.Context, q record.Range) ([]record.Record, QueryCost, error) {
+	recs, qc, err := query(ctx, sp.index, sp.heap, q)
+	if err == nil && sp.tamper != nil {
+		recs = sp.tamper(recs)
+	}
+	return recs, qc, err
+}
+
+// query is the materializing SP query over one index + heap pair, live
+// or frozen in a snapshot: the B+-tree range scan, then the clustered
+// heap fetch. It is the reference the streaming ServeBurstCtx is tested
+// against, and the one body that prices the two phases separately (the
+// Figure 6 split): each phase's accesses come from ctx's own counters,
+// and its CPU time is anchored at the phase's own start, so Fetch cannot
+// double-count the index phase's wall clock.
+func query(ctx *exec.Context, index *bptree.Tree, heap *heapfile.File, q record.Range) ([]record.Record, QueryCost, error) {
 	var qc QueryCost
 	before := ctx.Stats()
 	start := time.Now()
-	rids, err := sp.index.RangeCtx(ctx, q.Lo, q.Hi)
+	rids, err := index.RangeCtx(ctx, q.Lo, q.Hi)
 	if err != nil {
 		return nil, qc, fmt.Errorf("core: SP range scan: %w", err)
 	}
 	mid := ctx.Stats()
 	fetchStart := time.Now()
 	qc.Index = costmodel.Default.Measure(mid.Sub(before), fetchStart.Sub(start))
-	recs, err := sp.heap.GetManyCtx(ctx, rids)
+	recs, err := heap.GetManyCtx(ctx, rids)
 	if err != nil {
 		return nil, qc, fmt.Errorf("core: SP record fetch: %w", err)
 	}
 	qc.Fetch = costmodel.Default.Measure(ctx.Stats().Sub(mid), time.Since(fetchStart))
-	if sp.tamper != nil {
-		recs = sp.tamper(recs)
-	}
 	return recs, qc, nil
+}
+
+// measured runs one request's work and prices it: the accesses f charged
+// to ctx plus its wall time. The per-request verbs (GenerateVTCtx,
+// AggregateCtx, AggTokenCtx) are their burst verb at n = 1 under it.
+func measured(ctx *exec.Context, f func() error) (costmodel.Breakdown, error) {
+	before := ctx.Stats()
+	start := time.Now()
+	if err := f(); err != nil {
+		return costmodel.Breakdown{}, err
+	}
+	return costmodel.Default.Measure(ctx.Stats().Sub(before), time.Since(start)), nil
 }
 
 // ApplyInsert stores a new record from the owner with a fresh request
@@ -427,20 +451,28 @@ func (te *TrustedEntity) GenerateVT(q record.Range) (digest.Digest, costmodel.Br
 }
 
 // GenerateVTCtx computes the verification token for q — the XOR of the
-// digests of all records whose key falls in q — in O(log n) node accesses,
-// measured on the request's own counters so concurrent token generations
-// do not corrupt each other's costs.
+// digests of all records whose key falls in q — in O(log n) node accesses:
+// GenerateVTBurst at n = 1, measured on the request's own counters so
+// concurrent token generations do not corrupt each other's costs.
 func (te *TrustedEntity) GenerateVTCtx(ctx *exec.Context, q record.Range) (digest.Digest, costmodel.Breakdown, error) {
-	te.mu.RLock()
-	defer te.mu.RUnlock()
-	before := ctx.Stats()
-	start := time.Now()
-	vt, err := te.tree.GenerateVTCtx(ctx, q.Lo, q.Hi)
-	if err != nil {
-		return digest.Zero, costmodel.Breakdown{}, fmt.Errorf("core: TE token generation: %w", err)
+	var vt [1]digest.Digest
+	cost, err := measured(ctx, func() error {
+		return te.GenerateVTBurst([]*exec.Context{ctx}, []record.Range{q}, vt[:])
+	})
+	return vt[0], cost, err
+}
+
+// generateVTs is the one token body, over an XB-Tree live or frozen in a
+// snapshot: query i's token into vts[i], its descent charged to ctxs[i].
+func generateVTs(tree *xbtree.Tree, ctxs []*exec.Context, qs []record.Range, vts []digest.Digest) error {
+	for i, q := range qs {
+		vt, err := tree.GenerateVTCtx(ctxs[i], q.Lo, q.Hi)
+		if err != nil {
+			return fmt.Errorf("core: TE token generation: %w", err)
+		}
+		vts[i] = vt
 	}
-	cost := costmodel.Default.Measure(ctx.Stats().Sub(before), time.Since(start))
-	return vt, cost, nil
+	return nil
 }
 
 // ApplyInsert registers a new record from the owner with a fresh request
@@ -576,10 +608,10 @@ func (Client) Verify(q record.Range, result []record.Record, vt digest.Digest) (
 }
 
 // VerifyPool is the client-side parallel verifier: the Figure 7 check
-// (recompute every record digest, XOR-fold, compare with the VT) fanned
-// out across a bounded worker pool with per-worker SHA-1 scratch state,
-// merged through digest's XOR fold. Accept/reject decisions are identical
-// to Client.Verify for every input — XOR is order-independent — which
+// (recompute every record digest, XOR-fold, compare with the VT) over
+// results still in wire form, fanned out across a bounded worker pool
+// through digest's XOR fold. Accept/reject decisions are identical to
+// Client.Verify for every input — XOR is order-independent — which
 // TestVerifyPoolParity enforces across honest and tampered results.
 type VerifyPool struct {
 	workers int
@@ -595,60 +627,14 @@ func NewVerifyPool(workers int) VerifyPool {
 	return VerifyPool{workers: workers}
 }
 
-// Verify checks a materialized result against the TE token, hashing
-// records across the pool. Like Client.Verify it rejects out-of-range and
-// out-of-order records outright and measures pure client CPU.
-func (vp VerifyPool) Verify(q record.Range, result []record.Record, vt digest.Digest) (costmodel.Breakdown, error) {
-	start := time.Now()
-	for i := range result {
-		if !q.Contains(result[i].Key) {
-			return costmodel.Breakdown{CPU: time.Since(start)},
-				fmt.Errorf("%w: record id=%d key=%d outside %v", ErrVerificationFailed, result[i].ID, result[i].Key, q)
-		}
-		if i > 0 && result[i].Key < result[i-1].Key {
-			return costmodel.Breakdown{CPU: time.Since(start)},
-				fmt.Errorf("%w: result out of key order at record %d", ErrVerificationFailed, i)
-		}
-	}
-	sum := digest.XORFoldRecords(result, vp.workers)
-	cost := costmodel.Breakdown{CPU: time.Since(start)}
-	if sum != vt {
-		return cost, fmt.Errorf("%w: digest XOR mismatch for %v", ErrVerificationFailed, q)
-	}
-	return cost, nil
-}
-
-// VerifyEncoded checks a result still in canonical wire form — n
+// VerifyEncoded checks one result still in canonical wire form — n
 // back-to-back record encodings — without materializing a single record:
-// keys are peeked in place and every 500-byte slice is hashed where it
-// lies in the frame. This is the zero-copy end of the serve→wire→verify
-// chain; combined with the SHA-NI digest core it is what carries the
-// ≥2x single-core verification target.
+// VerifyEncodedBurst at n = 1, measuring pure client CPU. This is the
+// zero-copy end of the serve→wire→verify chain.
 func (vp VerifyPool) VerifyEncoded(q record.Range, enc []byte, vt digest.Digest) (costmodel.Breakdown, error) {
 	start := time.Now()
-	if len(enc)%record.Size != 0 {
-		return costmodel.Breakdown{CPU: time.Since(start)},
-			fmt.Errorf("%w: payload of %d bytes is not whole records", ErrVerificationFailed, len(enc))
-	}
-	prev := q.Lo
-	for off := 0; off < len(enc); off += record.Size {
-		k := record.WireKey(enc[off:])
-		if !q.Contains(k) {
-			return costmodel.Breakdown{CPU: time.Since(start)},
-				fmt.Errorf("%w: record id=%d key=%d outside %v", ErrVerificationFailed, record.WireID(enc[off:]), k, q)
-		}
-		if k < prev {
-			return costmodel.Breakdown{CPU: time.Since(start)},
-				fmt.Errorf("%w: result out of key order at record %d", ErrVerificationFailed, off/record.Size)
-		}
-		prev = k
-	}
-	sum := digest.XORFoldWire(enc, vp.workers)
-	cost := costmodel.Breakdown{CPU: time.Since(start)}
-	if sum != vt {
-		return cost, fmt.Errorf("%w: digest XOR mismatch for %v", ErrVerificationFailed, q)
-	}
-	return cost, nil
+	_, err := vp.VerifyEncodedBurst([]record.Range{q}, [][]byte{enc}, []digest.Digest{vt}, nil)
+	return costmodel.Breakdown{CPU: time.Since(start)}, err
 }
 
 // DataOwner holds the authoritative relation and pushes it (and updates) to

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"sae/internal/bptree"
 	"sae/internal/costmodel"
@@ -67,25 +66,11 @@ func (s *SPSnapshot) Query(q record.Range) ([]record.Record, QueryCost, error) {
 	return s.QueryCtx(exec.NewContext(), q)
 }
 
-// QueryCtx answers a range query against the frozen state, charging page
-// accesses to ctx. No lock is taken: the snapshot store is immutable.
+// QueryCtx answers a range query against the frozen state with the live
+// SP's query body, charging page accesses to ctx. No lock is taken: the
+// snapshot store is immutable.
 func (s *SPSnapshot) QueryCtx(ctx *exec.Context, q record.Range) ([]record.Record, QueryCost, error) {
-	var qc QueryCost
-	before := ctx.Stats()
-	start := time.Now()
-	rids, err := s.index.RangeCtx(ctx, q.Lo, q.Hi)
-	if err != nil {
-		return nil, qc, fmt.Errorf("core: snapshot range scan: %w", err)
-	}
-	mid := ctx.Stats()
-	fetchStart := time.Now()
-	qc.Index = costmodel.Default.Measure(mid.Sub(before), fetchStart.Sub(start))
-	recs, err := s.heap.GetManyCtx(ctx, rids)
-	if err != nil {
-		return nil, qc, fmt.Errorf("core: snapshot record fetch: %w", err)
-	}
-	qc.Fetch = costmodel.Default.Measure(ctx.Stats().Sub(mid), time.Since(fetchStart))
-	return recs, qc, nil
+	return query(ctx, s.index, s.heap, q)
 }
 
 // Stats exposes the snapshot's own page-access counters (the live SP's
@@ -132,17 +117,15 @@ func (s *TESnapshot) GenerateVT(q record.Range) (digest.Digest, costmodel.Breakd
 	return s.GenerateVTCtx(exec.NewContext(), q)
 }
 
-// GenerateVTCtx computes the token for q against the frozen tree,
-// charging page accesses to ctx. No lock is taken.
+// GenerateVTCtx computes the token for q against the frozen tree with
+// the live TE's token body, charging page accesses to ctx. No lock is
+// taken.
 func (s *TESnapshot) GenerateVTCtx(ctx *exec.Context, q record.Range) (digest.Digest, costmodel.Breakdown, error) {
-	before := ctx.Stats()
-	start := time.Now()
-	vt, err := s.tree.GenerateVTCtx(ctx, q.Lo, q.Hi)
-	if err != nil {
-		return digest.Zero, costmodel.Breakdown{}, fmt.Errorf("core: snapshot token generation: %w", err)
-	}
-	cost := costmodel.Default.Measure(ctx.Stats().Sub(before), time.Since(start))
-	return vt, cost, nil
+	var vt [1]digest.Digest
+	cost, err := measured(ctx, func() error {
+		return generateVTs(s.tree, []*exec.Context{ctx}, []record.Range{q}, vt[:])
+	})
+	return vt[0], cost, err
 }
 
 // Stats exposes the snapshot's own page-access counters.

@@ -10,10 +10,10 @@ import (
 )
 
 // TestSnapshotAccessCountParity checks that a snapshot query charges
-// exactly the node accesses of a live query at the same generation: the
-// snapshot reopens the same tree over frozen pages, and the live cache
-// runs charge-every-access, so the paper's access accounting is
-// identical on both paths.
+// exactly the node accesses of a live query at the same generation, per
+// phase: the snapshot reopens the same tree over frozen pages, and the
+// live cache runs charge-every-access, so the paper's access accounting
+// is identical on both paths.
 func TestSnapshotAccessCountParity(t *testing.T) {
 	sys, _ := newTestSystem(t, 4000, workload.UNF)
 	sps, err := sys.SP.BeginSnapshot()
@@ -29,13 +29,20 @@ func TestSnapshotAccessCountParity(t *testing.T) {
 
 	for _, q := range workload.Queries(15, workload.DefaultExtent, 99) {
 		liveCtx, snapCtx := exec.NewContext(), exec.NewContext()
-		liveRecs, _, err := sys.SP.QueryCtx(liveCtx, q)
+		liveRecs, liveCost, err := sys.SP.QueryCtx(liveCtx, q)
 		if err != nil {
 			t.Fatalf("live query: %v", err)
 		}
-		snapRecs, _, err := sps.QueryCtx(snapCtx, q)
+		snapRecs, snapCost, err := sps.QueryCtx(snapCtx, q)
 		if err != nil {
 			t.Fatalf("snapshot query: %v", err)
+		}
+		// The Figure 6 phase split, not just the total, is the same.
+		if l, s := liveCost.Index.Accesses, snapCost.Index.Accesses; l != s {
+			t.Fatalf("index-phase accesses differ for %v: live %d, snapshot %d", q, l, s)
+		}
+		if l, s := liveCost.Fetch.Accesses, snapCost.Fetch.Accesses; l != s {
+			t.Fatalf("fetch-phase accesses differ for %v: live %d, snapshot %d", q, l, s)
 		}
 		if len(liveRecs) != len(snapRecs) {
 			t.Fatalf("result sizes differ for %v: live %d, snapshot %d", q, len(liveRecs), len(snapRecs))

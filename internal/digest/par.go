@@ -3,7 +3,6 @@ package digest
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"sae/internal/record"
 )
@@ -82,116 +81,85 @@ func RecordDigests(dst []Digest, recs []record.Record, workers int) {
 	wg.Wait()
 }
 
-// XORFoldRecords returns the XOR of OfRecord over recs — the client's
-// recompute-and-fold step — fanned out across up to `workers` goroutines
-// with per-worker scratch and accumulator. The result is bit-identical
-// to a serial fold regardless of worker count.
-func XORFoldRecords(recs []record.Record, workers int) Digest {
-	w := clampWorkers(workers, len(recs))
-	if w == 1 {
-		var acc Accumulator
-		var scratch [2 * record.Size]byte
-		foldRecordsInto(&acc, recs, scratch[:0])
-		return acc.Sum()
-	}
-	parts := make([]Digest, w)
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		lo, hi := chunk(len(recs), w, k)
-		wg.Add(1)
-		go func(k, lo, hi int) {
-			defer wg.Done()
-			var acc Accumulator
-			var scratch [2 * record.Size]byte
-			foldRecordsInto(&acc, recs[lo:hi], scratch[:0])
-			parts[k] = acc.Sum()
-		}(k, lo, hi)
-	}
-	wg.Wait()
-	return XORAll(parts...)
-}
-
-// XORFoldWireBurst folds each wire payload in encs independently and
-// writes the per-payload fold into dst[i] — the burst analogue of calling
-// XORFoldWire once per query, but with a SINGLE worker dispatch for the
-// whole burst: instead of one goroutine fan-out (and join barrier) per
-// query, the burst spawns min(workers, len(encs)) goroutines once and
-// they pull whole payloads from a shared atomic cursor. Payload i with
-// len(encs[i])%record.Size != 0 panics exactly as XORFoldWire would; an
-// empty payload folds to the zero digest (the empty-result token). dst
-// must be at least len(encs) long. The outputs are bit-identical to the
-// per-query path for any worker count.
+// XORFoldWireBurst is the one wire-form fold — the client's
+// recompute-and-fold step over received payloads, hashed in place. It
+// folds the digests of the canonical record encodings packed
+// back-to-back in each encs[i] and writes payload i's fold to dst[i]
+// (at least len(encs) long); an empty payload folds to the zero digest,
+// the empty-result token. The burst's records, numbered across all
+// payloads in order, are split into one contiguous span per worker —
+// one dispatch for the whole burst, balanced by records, not payloads —
+// so a single 500-record payload fans out exactly like many small ones.
+// It panics if a payload is not whole records. The outputs are
+// bit-identical to a serial fold for any worker count.
 func XORFoldWireBurst(dst []Digest, encs [][]byte, workers int) {
 	total := 0
-	for _, enc := range encs {
+	for i, enc := range encs {
 		if len(enc)%record.Size != 0 {
 			panic("digest: XORFoldWireBurst requires whole record encodings")
 		}
 		total += len(enc) / record.Size
+		dst[i] = Zero
 	}
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers > len(encs) {
-		workers = len(encs)
-	}
-	if total < parThreshold || workers < 2 {
-		var acc Accumulator
-		for i, enc := range encs {
-			acc.Reset()
-			foldWireInto(&acc, enc)
-			dst[i] = acc.Sum()
-		}
+	w := clampWorkers(workers, total)
+	if w == 1 {
+		foldSpan(dst, encs, 0, total)
 		return
 	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var acc Accumulator
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(encs) {
-					return
-				}
-				acc.Reset()
-				foldWireInto(&acc, encs[i])
-				dst[i] = acc.Sum()
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// XORFoldWire folds the digests of n := len(enc)/record.Size canonical
-// record encodings packed back-to-back in enc — a received wire payload —
-// without materializing a single record: each worker hashes its chunk's
-// 500-byte slices in place. It panics if enc is not whole records.
-func XORFoldWire(enc []byte, workers int) Digest {
-	if len(enc)%record.Size != 0 {
-		panic("digest: XORFoldWire requires whole record encodings")
-	}
-	n := len(enc) / record.Size
-	w := clampWorkers(workers, n)
-	if w == 1 {
-		var acc Accumulator
-		foldWireInto(&acc, enc)
-		return acc.Sum()
-	}
-	parts := make([]Digest, w)
+	// A payload a span covers only in part comes back as a partial sum,
+	// merged here after the join; a worker has at most two (its span's
+	// first and last payloads). An unused slot XORs Zero into dst[0].
+	edges := make([][2]partial, w)
 	var wg sync.WaitGroup
 	for k := 0; k < w; k++ {
-		lo, hi := chunk(n, w, k)
+		lo, hi := chunk(total, w, k)
 		wg.Add(1)
 		go func(k, lo, hi int) {
 			defer wg.Done()
-			var acc Accumulator
-			foldWireInto(&acc, enc[lo*record.Size:hi*record.Size])
-			parts[k] = acc.Sum()
+			edges[k] = foldSpan(dst, encs, lo, hi)
 		}(k, lo, hi)
 	}
 	wg.Wait()
-	return XORAll(parts...)
+	for _, e := range edges {
+		for _, p := range e {
+			xorInto(&dst[p.i], p.d[:])
+		}
+	}
+}
+
+// partial is one worker's fold over part of payload i.
+type partial struct {
+	i int
+	d Digest
+}
+
+// foldSpan folds records [lo, hi) of the burst. A payload the span covers
+// whole is written to dst directly — no other span touches it — and the
+// at most two it covers in part are returned.
+func foldSpan(dst []Digest, encs [][]byte, lo, hi int) (edges [2]partial) {
+	ne, base := 0, 0
+	for i := 0; i < len(encs) && base < hi; i++ {
+		n := len(encs[i]) / record.Size
+		a, b := max(lo-base, 0), min(hi-base, n)
+		base += n
+		if a >= b {
+			continue
+		}
+		var acc Accumulator
+		foldWireInto(&acc, encs[i][a*record.Size:b*record.Size])
+		if a == 0 && b == n {
+			dst[i] = acc.Sum()
+		} else {
+			edges[ne] = partial{i, acc.Sum()}
+			ne++
+		}
+	}
+	return edges
+}
+
+// XORFoldWire folds one received payload: XORFoldWireBurst at n = 1.
+func XORFoldWire(enc []byte, workers int) Digest {
+	var d [1]Digest
+	XORFoldWireBurst(d[:], [][]byte{enc}, workers)
+	return d[0]
 }

@@ -2,6 +2,7 @@ package digest
 
 import (
 	"crypto/sha1"
+	"encoding/binary"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -58,22 +59,34 @@ func TestRecordDigestsParity(t *testing.T) {
 	}
 }
 
-// TestXORFoldParity checks the fold variants — records and wire form —
-// against a serial reference at every worker count.
+// serialFold is the reference the wire fold is tested against: one
+// Accumulator, one OfWire per 500-byte slice, no pairing, no workers.
+func serialFold(enc []byte) Digest {
+	var acc Accumulator
+	for off := 0; off < len(enc); off += record.Size {
+		acc.Add(OfWire(enc[off : off+record.Size]))
+	}
+	return acc.Sum()
+}
+
+// TestXORFoldParity checks the single-payload wire fold against the
+// serial reference — and the reference against OfRecord over the decoded
+// records — at every worker count.
 func TestXORFoldParity(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 127, 128, 129, 400, 1001} {
 		recs := parRecords(n, int64(70+n))
-		var ref Accumulator
+		var ofRecord Accumulator
 		enc := make([]byte, 0, n*record.Size)
 		for i := range recs {
-			ref.Add(OfRecord(&recs[i]))
+			ofRecord.Add(OfRecord(&recs[i]))
 			enc = recs[i].AppendBinary(enc)
 		}
+		ref := serialFold(enc)
+		if ref != ofRecord.Sum() {
+			t.Fatalf("n=%d: serial wire fold != OfRecord fold", n)
+		}
 		for _, workers := range []int{0, 1, 2, 3, 4} {
-			if got := XORFoldRecords(recs, workers); got != ref.Sum() {
-				t.Fatalf("n=%d workers=%d: XORFoldRecords mismatch", n, workers)
-			}
-			if got := XORFoldWire(enc, workers); got != ref.Sum() {
+			if got := XORFoldWire(enc, workers); got != ref {
 				t.Fatalf("n=%d workers=%d: XORFoldWire mismatch", n, workers)
 			}
 		}
@@ -105,9 +118,10 @@ func BenchmarkXORFoldWire(b *testing.B) {
 }
 
 // TestXORFoldWireBurstParity checks the burst fold — many payloads, one
-// worker dispatch — matches per-payload XORFoldWire at every worker
-// count, over payload mixes including empty payloads and sizes straddling
-// the parallel threshold.
+// worker dispatch split by records — matches the serial fold of each
+// payload at every worker count, over payload mixes including empty
+// payloads, sizes straddling the parallel threshold and spans that cut
+// payloads at both ends.
 func TestXORFoldWireBurstParity(t *testing.T) {
 	shapes := [][]int{
 		{},
@@ -116,6 +130,7 @@ func TestXORFoldWireBurstParity(t *testing.T) {
 		{0, 3, 0, 7},
 		{40, 90, 1, 0, 128},
 		{300, 2, 501, 64, 64, 17},
+		{1, 1, 1, 1, 1, 1, 1, 1, 200, 1, 1},
 	}
 	for si, shape := range shapes {
 		encs := make([][]byte, len(shape))
@@ -128,9 +143,9 @@ func TestXORFoldWireBurstParity(t *testing.T) {
 				enc = recs[j].AppendBinary(enc)
 			}
 			encs[i] = enc
-			want[i] = XORFoldWire(enc, 1)
+			want[i] = serialFold(enc)
 		}
-		for _, workers := range []int{0, 1, 2, 3, 4} {
+		for _, workers := range []int{0, 1, 2, 3, 4, 7} {
 			got := make([]Digest, len(shape))
 			XORFoldWireBurst(got, encs, workers)
 			for i := range shape {
@@ -149,6 +164,51 @@ func TestXORFoldWireBurstPanicsOnRagged(t *testing.T) {
 		}
 	}()
 	XORFoldWireBurst(make([]Digest, 2), [][]byte{nil, make([]byte, record.Size+2)}, 2)
+}
+
+// FuzzXORFoldWireBurst drives the burst fold over arbitrary burst shapes
+// — 0–64 payloads of 0–600 records, 1–16 workers — against the serial
+// fold of each payload. Every two shape bytes are one payload's record
+// count; its bytes are a window of one shared buffer, shifted per
+// payload so payloads differ. ragged = k > 0 makes payload k-1 one byte
+// longer than whole records, which must panic.
+func FuzzXORFoldWireBurst(f *testing.F) {
+	f.Add([]byte{}, uint8(0), uint8(0))
+	f.Add([]byte{0, 0, 5, 0, 0, 0, 44, 1}, uint8(3), uint8(0))
+	f.Add([]byte{88, 2, 1, 0, 1, 0, 200, 0, 1, 0}, uint8(15), uint8(0))
+	f.Add([]byte{3, 0, 0, 0}, uint8(1), uint8(2))
+	const maxRecords, maxPayloads = 600, 64
+	shared := make([]byte, (maxRecords+1)*record.Size)
+	rand.New(rand.NewSource(7)).Read(shared)
+	f.Fuzz(func(t *testing.T, shape []byte, workers, ragged uint8) {
+		encs := make([][]byte, min(len(shape)/2, maxPayloads))
+		want := make([]Digest, len(encs))
+		for i := range encs {
+			n := int(binary.LittleEndian.Uint16(shape[2*i:])) % (maxRecords + 1)
+			off := i * 41 % record.Size
+			encs[i] = shared[off : off+n*record.Size]
+			want[i] = serialFold(encs[i])
+		}
+		w := int(workers%16) + 1
+		got := make([]Digest, len(encs))
+		if k := int(ragged); k > 0 && k <= len(encs) {
+			encs[k-1] = shared[:len(encs[k-1])+1]
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("payload %d of %d bytes did not panic", k-1, len(encs[k-1]))
+				}
+			}()
+			XORFoldWireBurst(got, encs, w)
+			return
+		}
+		XORFoldWireBurst(got, encs, w)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%d payloads, %d workers: payload %d (%d records) folds to %s, serial %s",
+					len(encs), w, i, len(encs[i])/record.Size, got[i], want[i])
+			}
+		}
+	})
 }
 
 // TestDefaultWorkersTracksGOMAXPROCS pins the satellite change: the

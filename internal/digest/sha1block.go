@@ -51,27 +51,6 @@ func foldWireInto(acc *Accumulator, enc []byte) {
 	}
 }
 
-// foldRecordsInto XOR-folds OfRecord over recs into acc, serializing
-// through scratch (returned for reuse) and pairing when available.
-func foldRecordsInto(acc *Accumulator, recs []record.Record, scratch []byte) []byte {
-	i := 0
-	if hashPair != nil {
-		for ; i+1 < len(recs); i += 2 {
-			scratch = recs[i].AppendBinary(scratch[:0])
-			scratch = recs[i+1].AppendBinary(scratch)
-			da, db := hashPair(scratch[:record.Size], scratch[record.Size:2*record.Size])
-			acc.Add(da)
-			acc.Add(db)
-		}
-	}
-	var d Digest
-	for ; i < len(recs); i++ {
-		d, scratch = OfRecordInto(scratch, &recs[i])
-		acc.Add(d)
-	}
-	return scratch
-}
-
 // digestRecordsInto fills dst[i] with OfRecord(&recs[i]), serializing
 // through scratch (grown to 2*record.Size and returned for reuse) and
 // pairing through the two-lane core when available.

@@ -255,43 +255,64 @@ func (f *File) GetManyCtx(ctx *exec.Context, rids []RID) ([]record.Record, error
 }
 
 // ServeManyCtx streams the records for rids to emit without materializing
-// a result slice: records borrowed from cached decoded pages are passed
-// by pointer, with the page pinned in the buffer pool for exactly the
-// span of its run so concurrent readers' LRU pressure cannot evict it
-// mid-serve. The borrow rule is strict: emit must not retain the pointer
-// past its return — the encode into the wire frame happens inside the
-// callback, under the structure's read lock, which is what keeps writers
-// (who mutate decoded pages in place under the write lock) out of the
-// borrow window.
-//
-// Page access order, counts and the scan-hint behavior are identical to
-// GetManyCtx (enforced by TestServeManyParity), so the paper's
-// node-access figures are unchanged — only the per-record copy and the
-// result-slice allocation disappear. Once a run declares itself a scan,
-// pages past the admission cutoff are served straight from a pooled raw
-// page buffer — the same single page read the decoded path would issue,
-// but with the per-page decode allocation skipped too, so a full-table
-// serve stays allocation-free end to end.
+// a result slice: ServeBurstCtx with one run.
 func (f *File) ServeManyCtx(ctx *exec.Context, rids []RID, emit func(*record.Record) error) error {
-	if f.io.Cache() == nil {
-		return f.serveManyUncached(ctx, rids, emit)
+	return f.ServeBurstCtx([]*exec.Context{ctx}, [][]RID{rids}, func(_ int, r *record.Record) error { return emit(r) })
+}
+
+// ServeBurstCtx is the heap file's one streaming fetch. It serves a burst
+// of queries — runs[qi] is query qi's key-ordered RID list, ctxs[qi] its
+// request context — and hands emit(qi, r) each record as a pointer
+// borrowed from its page instead of materializing a result slice. The
+// borrow rule is strict: emit must not retain the pointer past its
+// return. The encode into the wire frame happens inside the callback,
+// under the structure's read lock, which keeps writers (who mutate
+// decoded pages in place under the write lock) out of the borrow window.
+//
+// Each run makes exactly GetManyCtx's page lookups, in its order, with
+// the same charges to its own context, the same scan-hint cutoff and the
+// same cache hits, misses and fills (TestServeBurstCtxParity), so the
+// paper's node-access figures do not depend on which fetch served them.
+// A cached page is pinned for exactly the span of its records' borrow
+// (concurrent readers' LRU pressure cannot evict it mid-encode) and
+// unpinned before the next page is looked up; an error from emit
+// mid-burst still returns bufpool.Cache.PinnedCount to zero.
+//
+// A page that is not borrowed from the cache is a raw read into one
+// pooled page buffer, shared by the whole burst, with only the requested
+// slots decoded: every page without a cache, and past a run's admission
+// cutoff every page that misses (the same single charged access the
+// decoded path's unfilled miss would issue, with the decode allocation
+// skipped). A full-table serve therefore stays allocation-free.
+func (f *File) ServeBurstCtx(ctxs []*exec.Context, runs [][]RID, emit func(int, *record.Record) error) error {
+	s := serveState{f: f, pinned: pagestore.InvalidPage}
+	defer s.release()
+	for qi, rids := range runs {
+		if err := s.serveRun(ctxs[qi], qi, rids, emit); err != nil {
+			return err
+		}
 	}
+	return nil
+}
+
+// serveState is what ServeBurstCtx's runs share: the cache pin on the
+// page being borrowed, the burst's one raw page buffer and the decode
+// target for raw slots.
+type serveState struct {
+	f      *File
+	pinned pagestore.PageID          // InvalidPage when no pin is held
+	raw    *[pagestore.PageSize]byte // pooled on the first raw read
+	rec    record.Record
+}
+
+// serveRun serves one query's run under its own context and scan
+// tracker; every run looks its first page up again, charged to its ctx.
+func (s *serveState) serveRun(ctx *exec.Context, qi int, rids []RID, emit func(int, *record.Record) error) error {
 	var (
 		cur     *page
 		curPage = pagestore.InvalidPage
-		pinned  bool
-		raw     *[pagestore.PageSize]byte // non-nil once the scan tail begins
-		onRaw   bool                      // current page lives in raw, not cur
-		rec     record.Record             // reused decode target for raw slots
+		onRaw   bool // the current page lives in s.raw, not cur
 	)
-	defer func() {
-		if pinned {
-			f.io.Cache().Unpin(curPage)
-		}
-		if raw != nil {
-			bufpool.PutPage(raw)
-		}
-	}()
 	scan := exec.TrackScan(ctx)
 	defer scan.End()
 	maxPage := pagestore.PageID(0)
@@ -301,214 +322,72 @@ func (f *File) ServeManyCtx(ctx *exec.Context, rids []RID, emit func(*record.Rec
 				maxPage = rid.Page + 1
 				scan.NotePage()
 			}
-			if pinned {
-				f.io.Cache().Unpin(curPage)
-				pinned = false
-			}
-			if ctx.Scanning() {
-				// Past the admission cutoff: a resident page is still a
-				// normal (charged, pinned) cache hit — identical to what
-				// GetManyCtx sees under either charge policy — and only a
-				// true miss reads raw, which charges the same single
-				// access as the decoded path's unfilled miss while
-				// skipping the decode allocation.
-				p, hit, err := bufpool.TryPinned[*page](f.io, ctx, rid.Page)
-				if err != nil {
-					return fmt.Errorf("heapfile: %w", err)
-				}
-				if hit {
-					cur, curPage, pinned, onRaw = p, rid.Page, true, false
-				} else {
-					if raw == nil {
-						raw = bufpool.GetPage()
-					}
-					if err := f.io.ReadRaw(ctx, rid.Page, raw[:]); err != nil {
-						return fmt.Errorf("heapfile: %w", err)
-					}
-					curPage, onRaw = rid.Page, true
-				}
-			} else {
-				p, pin, err := bufpool.ReadNodePinned(f.io, ctx, rid.Page, decodePage)
-				if err != nil {
-					return fmt.Errorf("heapfile: %w", err)
-				}
-				cur, curPage, pinned, onRaw = p, rid.Page, pin, false
-			}
-		}
-		if onRaw {
-			r, err := decodeSlot(raw[:], rid)
-			if err != nil {
-				return err
-			}
-			rec = r
-			if err := emit(&rec); err != nil {
-				return err
-			}
-			continue
-		}
-		r, err := cur.slotRef(rid)
-		if err != nil {
-			return err
-		}
-		if err := emit(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ServeBurstCtx serves a burst of queries — runs[qi] is query qi's
-// key-ordered RID list, ctxs[qi] its request context — through ONE
-// pin/unpin epoch: every page any query borrows stays pinned until the
-// whole burst has been emitted, and all pins are released together in a
-// single deferred epoch, so an error or a context cancellation from emit
-// mid-burst still returns bufpool.Cache.PinnedCount to zero.
-//
-// Each run is served with exactly the access pattern of ServeManyCtx —
-// same page lookups, same charges to its own ctx, same scan-hint cutoff —
-// so per-query access counts are bit-identical to serving the queries one
-// at a time (the burst parity tests enforce this). What the burst saves
-// is the pin churn on pages shared between adjacent queries and the
-// per-query pooled scan buffer: one raw page buffer serves every scan
-// tail in the burst.
-//
-// emit(qi, r) receives query index and a borrowed record pointer under
-// the same strict no-retain rule as ServeManyCtx.
-func (f *File) ServeBurstCtx(ctxs []*exec.Context, runs [][]RID, emit func(int, *record.Record) error) error {
-	if f.io.Cache() == nil {
-		buf := bufpool.GetPage()
-		defer bufpool.PutPage(buf)
-		var rec record.Record
-		for qi, rids := range runs {
-			ctx := ctxs[qi]
-			curPage := pagestore.InvalidPage
-			for _, rid := range rids {
-				if rid.Page != curPage {
-					if err := f.io.ReadRaw(ctx, rid.Page, buf[:]); err != nil {
-						return fmt.Errorf("heapfile: %w", err)
-					}
-					curPage = rid.Page
-				}
-				r, err := decodeSlot(buf[:], rid)
-				if err != nil {
-					return err
-				}
-				rec = r
-				if err := emit(qi, &rec); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	epoch := bufpool.NewPinEpoch(f.io.Cache())
-	defer epoch.Release()
-	var raw *[pagestore.PageSize]byte // shared scan-tail buffer for the burst
-	defer func() {
-		if raw != nil {
-			bufpool.PutPage(raw)
-		}
-	}()
-	for qi, rids := range runs {
-		ctx := ctxs[qi]
-		var (
-			cur     *page
-			curPage = pagestore.InvalidPage
-			onRaw   bool
-			rec     record.Record
-		)
-		scan := exec.TrackScan(ctx)
-		maxPage := pagestore.PageID(0)
-		serveRun := func() error {
-			for _, rid := range rids {
-				if rid.Page != curPage {
-					if rid.Page >= maxPage {
-						maxPage = rid.Page + 1
-						scan.NotePage()
-					}
-					if ctx.Scanning() {
-						p, hit, err := bufpool.TryPinned[*page](f.io, ctx, rid.Page)
-						if err != nil {
-							return fmt.Errorf("heapfile: %w", err)
-						}
-						if hit {
-							epoch.Note(rid.Page)
-							cur, curPage, onRaw = p, rid.Page, false
-						} else {
-							if raw == nil {
-								raw = bufpool.GetPage()
-							}
-							if err := f.io.ReadRaw(ctx, rid.Page, raw[:]); err != nil {
-								return fmt.Errorf("heapfile: %w", err)
-							}
-							curPage, onRaw = rid.Page, true
-						}
-					} else {
-						p, pin, err := bufpool.ReadNodePinned(f.io, ctx, rid.Page, decodePage)
-						if err != nil {
-							return fmt.Errorf("heapfile: %w", err)
-						}
-						if pin {
-							epoch.Note(rid.Page)
-						}
-						cur, curPage, onRaw = p, rid.Page, false
-					}
-				}
-				if onRaw {
-					r, err := decodeSlot(raw[:], rid)
-					if err != nil {
-						return err
-					}
-					rec = r
-					if err := emit(qi, &rec); err != nil {
-						return err
-					}
-					continue
-				}
-				r, err := cur.slotRef(rid)
-				if err != nil {
-					return err
-				}
-				if err := emit(qi, r); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		err := serveRun()
-		scan.End()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// serveManyUncached mirrors getManyUncached: one pooled page buffer per
-// run, only the requested slots decoded — into a single reused stack
-// record handed to emit, so the uncached serve is also allocation-free.
-func (f *File) serveManyUncached(ctx *exec.Context, rids []RID, emit func(*record.Record) error) error {
-	buf := bufpool.GetPage()
-	defer bufpool.PutPage(buf)
-	var rec record.Record
-	curPage := pagestore.InvalidPage
-	for _, rid := range rids {
-		if rid.Page != curPage {
-			if err := f.io.ReadRaw(ctx, rid.Page, buf[:]); err != nil {
+			var err error
+			if cur, onRaw, err = s.fetch(ctx, rid.Page); err != nil {
 				return fmt.Errorf("heapfile: %w", err)
 			}
 			curPage = rid.Page
 		}
-		r, err := decodeSlot(buf[:], rid)
-		if err != nil {
-			return err
+		r := &s.rec
+		if onRaw {
+			rec, err := decodeSlot(s.raw[:], rid)
+			if err != nil {
+				return err
+			}
+			s.rec = rec
+		} else {
+			var err error
+			if r, err = cur.slotRef(rid); err != nil {
+				return err
+			}
 		}
-		rec = r
-		if err := emit(&rec); err != nil {
+		if err := emit(qi, r); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// fetch drops the previous page's pin and looks id up. Below the
+// admission cutoff a cached file decodes (and admits) it pinned, exactly
+// like GetManyCtx's ReadNode; otherwise a resident page is still an
+// ordinary pinned, charged cache hit, and anything else is read raw into
+// s.raw (onRaw).
+func (s *serveState) fetch(ctx *exec.Context, id pagestore.PageID) (p *page, onRaw bool, err error) {
+	s.unpin()
+	io := s.f.io
+	if io.Cache() != nil && !ctx.Scanning() {
+		p, pin, err := bufpool.ReadNodePinned(io, ctx, id, decodePage)
+		if pin {
+			s.pinned = id
+		}
+		return p, false, err
+	}
+	p, hit, err := bufpool.TryPinned[*page](io, ctx, id)
+	if hit {
+		s.pinned = id
+	}
+	if hit || err != nil {
+		return p, false, err
+	}
+	if s.raw == nil {
+		s.raw = bufpool.GetPage()
+	}
+	return nil, true, io.ReadRaw(ctx, id, s.raw[:])
+}
+
+func (s *serveState) unpin() {
+	if s.pinned != pagestore.InvalidPage {
+		s.f.io.Cache().Unpin(s.pinned)
+		s.pinned = pagestore.InvalidPage
+	}
+}
+
+func (s *serveState) release() {
+	s.unpin()
+	if s.raw != nil {
+		bufpool.PutPage(s.raw)
+	}
 }
 
 // getManyUncached reads into one pooled buffer per page run and decodes

@@ -29,28 +29,27 @@ func (p *Provider) Aggregate(q record.Range) (*mbtree.VO, costmodel.Breakdown, e
 	return p.AggregateCtx(exec.NewContext(), q)
 }
 
-// AggregateCtx builds the aggregate VO for q from the MB-Tree's
-// annotations: a canonical-cover descent touching O(log n) nodes and no
-// heap pages. The returned VO is freshly allocated (not pooled).
+// AggregateCtx builds the aggregate VO for q: ServeAggBurstCtx at n = 1,
+// measured on ctx. The VO comes from the mbtree shell pool; the caller
+// may hand it back with mbtree.PutVO once done with it, or just drop it.
 func (p *Provider) AggregateCtx(ctx *exec.Context, q record.Range) (*mbtree.VO, costmodel.Breakdown, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	before := ctx.Stats()
 	start := time.Now()
-	vo, err := p.tree.AggVOCtx(ctx, q.Lo, q.Hi, p.sig)
+	vos, err := p.ServeAggBurstCtx([]*exec.Context{ctx}, []record.Range{q}, nil)
 	if err != nil {
-		return nil, costmodel.Breakdown{}, fmt.Errorf("tom: provider aggregate VO build: %w", err)
+		return nil, costmodel.Breakdown{}, err
 	}
-	cost := costmodel.Default.Measure(ctx.Stats().Sub(before), time.Since(start))
-	return vo, cost, nil
+	return vos[0], costmodel.Default.Measure(ctx.Stats().Sub(before), time.Since(start)), nil
 }
 
-// ServeAggBurstCtx builds a burst of aggregate VOs under one read-lock
-// acquisition, each canonical-cover descent charged to its own context.
-// The VOs come from the mbtree shell pool and are appended to vos (pass a
-// [:0] scratch slice); the caller must PutVO each once encoded. An error
-// hands every shell built by this call back to the pool and aborts the
-// burst — the wire server then re-serves it as bursts of one.
+// ServeAggBurstCtx builds a burst of aggregate VOs from the MB-Tree's
+// annotations under one read-lock acquisition: per query a
+// canonical-cover descent touching O(log n) nodes and no heap pages,
+// charged to its own context. The VOs come from the mbtree shell pool
+// and are appended to vos (pass a [:0] scratch slice); the caller must
+// PutVO each once encoded. An error hands every shell built by this call
+// back to the pool and aborts the burst — the wire server then re-serves
+// it as bursts of one.
 func (p *Provider) ServeAggBurstCtx(ctxs []*exec.Context, qs []record.Range, vos []*mbtree.VO) ([]*mbtree.VO, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -63,7 +62,7 @@ func (p *Provider) ServeAggBurstCtx(ctxs []*exec.Context, qs []record.Range, vos
 			for _, v := range vos[built:] {
 				mbtree.PutVO(v)
 			}
-			return vos[:built], fmt.Errorf("tom: provider burst aggregate VO build: %w", err)
+			return vos[:built], fmt.Errorf("tom: provider aggregate VO build: %w", err)
 		}
 		vos = append(vos, vo)
 	}

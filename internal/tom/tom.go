@@ -221,10 +221,10 @@ type BurstScratch struct {
 // ServeBurstCtx is the ONE streaming serve path of the TOM provider: a
 // burst of n ≥ 1 queries under one read-lock acquisition. Every query's
 // MB-Tree VO is built first (charged to its own context), then all heap
-// runs are served through one bufpool pin epoch via
-// heapfile.ServeBurstCtx. emit(qi, r) receives query qi's records, query
-// by query, each as a pointer borrowed from the pinned decoded heap page
-// — valid only for the duration of the call. The returned VOs align with
+// runs are served through one heapfile.ServeBurstCtx call. emit(qi, r)
+// receives query qi's records, query by query, each as a pointer
+// borrowed from the pinned decoded heap page — valid only for the
+// duration of the call. The returned VOs align with
 // qs and come from the mbtree shell pool — on success the CALLER returns
 // each with mbtree.PutVO once encoded (the slice itself is lane scratch,
 // valid until the next burst on sc); on error every shell built so far

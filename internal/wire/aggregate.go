@@ -97,50 +97,26 @@ func (c *TEClient) AggTokenMany(qs []record.Range) ([]agg.Token, error) {
 	return out, nil
 }
 
-// Aggregate runs the verified aggregation fast path over the network: the
-// SP folds its B+-tree annotations while the TE issues the range-bound
-// token, in parallel, and the scalar is returned only if it matches the
-// token bit for bit. Both requests and both responses are constant-size,
-// so the round trip costs O(log n) at the parties and O(1) bytes and
-// client work regardless of how many records the range covers.
+// Aggregate runs the verified aggregation fast path over the network:
+// AggregateBurst of one. The scalar is returned only if it matches the
+// TE's range-bound token bit for bit.
 func (v *VerifyingClient) Aggregate(q record.Range) (agg.Agg, error) {
-	type spOut struct {
-		a   agg.Agg
-		err error
+	as, err := v.AggregateBurst([]record.Range{q})
+	if err != nil {
+		return agg.Agg{}, err
 	}
-	type teOut struct {
-		tok agg.Token
-		err error
-	}
-	spCh := make(chan spOut, 1)
-	teCh := make(chan teOut, 1)
-	go func() {
-		a, err := v.SP.Aggregate(q)
-		spCh <- spOut{a, err}
-	}()
-	go func() {
-		tok, err := v.TE.AggToken(q)
-		teCh <- teOut{tok, err}
-	}()
-	sp := <-spCh
-	te := <-teCh
-	if sp.err != nil {
-		return agg.Agg{}, fmt.Errorf("wire: SP aggregate failed: %w", sp.err)
-	}
-	if te.err != nil {
-		return agg.Agg{}, fmt.Errorf("wire: TE aggregate token failed: %w", te.err)
-	}
-	if err := te.tok.Verify(q, sp.a); err != nil {
-		return agg.Agg{}, fmt.Errorf("%w: %v", core.ErrVerificationFailed, err)
-	}
-	return sp.a, nil
+	return as[0], nil
 }
 
 // AggregateBurst runs a group of verified aggregate queries as one burst:
-// each party receives the whole group in a single vectored write (served
-// as one grouped lane pass by a burst-mode server) and every scalar is
-// checked against its own token. Results align with qs; the first
-// verification failure rejects the burst.
+// the SP folds its B+-tree annotations while the TE issues the
+// range-bound tokens, in parallel, each party receiving the whole group
+// in a single vectored write (served as one grouped lane pass), and every
+// scalar is checked against its own token. Requests and responses are
+// constant-size, so a query costs O(log n) at the parties and O(1) bytes
+// and client work regardless of how many records the range covers.
+// Results align with qs; the first verification failure rejects the
+// burst.
 func (v *VerifyingClient) AggregateBurst(qs []record.Range) ([]agg.Agg, error) {
 	type spOut struct {
 		as  []agg.Agg
@@ -163,10 +139,10 @@ func (v *VerifyingClient) AggregateBurst(qs []record.Range) ([]agg.Agg, error) {
 	sp := <-spCh
 	te := <-teCh
 	if sp.err != nil {
-		return nil, fmt.Errorf("wire: SP aggregate burst failed: %w", sp.err)
+		return nil, fmt.Errorf("wire: SP aggregate failed: %w", sp.err)
 	}
 	if te.err != nil {
-		return nil, fmt.Errorf("wire: TE aggregate token burst failed: %w", te.err)
+		return nil, fmt.Errorf("wire: TE aggregate token failed: %w", te.err)
 	}
 	for i, q := range qs {
 		if err := te.toks[i].Verify(q, sp.as[i]); err != nil {

@@ -443,53 +443,14 @@ func (v *VerifyingClient) Close() error {
 	return err2
 }
 
-// Query runs the verified range query. It returns the records only if they
-// passed verification against the TE's token.
+// Query runs the verified range query: QueryBurst of one. It returns the
+// records only if they passed verification against the TE's token.
 func (v *VerifyingClient) Query(q record.Range) ([]record.Record, error) {
-	type spOut struct {
-		raw []byte
-		err error
-	}
-	type teOut struct {
-		vt  digest.Digest
-		err error
-	}
-	spCh := make(chan spOut, 1)
-	teCh := make(chan teOut, 1)
-	go func() {
-		raw, err := v.SP.QueryRaw(q)
-		spCh <- spOut{raw, err}
-	}()
-	go func() {
-		vt, err := v.TE.GenerateVT(q)
-		teCh <- teOut{vt, err}
-	}()
-	sp := <-spCh
-	te := <-teCh
-	defer Release(sp.raw) // the records returned below are decoded copies
-	if sp.err != nil {
-		return nil, fmt.Errorf("wire: SP query failed: %w", sp.err)
-	}
-	if te.err != nil {
-		return nil, fmt.Errorf("wire: TE token failed: %w", te.err)
-	}
-	enc, rest, _, err := RecordsView(sp.raw)
+	rs, err := v.QueryBurst([]record.Range{q})
 	if err != nil {
 		return nil, err
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in result", ErrProtocol, len(rest))
-	}
-	// Verify straight off the wire bytes; decode only a proven result.
-	vp := core.NewVerifyPool(v.VerifyWorkers)
-	if _, err := vp.VerifyEncoded(q, enc, te.vt); err != nil {
-		return nil, err
-	}
-	recs, _, err := DecodeRecords(sp.raw)
-	if err != nil {
-		return nil, err
-	}
-	return recs, nil
+	return rs[0], nil
 }
 
 // VerifyingTOMClient performs the full TOM protocol over the network. It
@@ -709,37 +670,44 @@ func (v *VerifyingClient) QueryBurst(qs []record.Range) ([][]record.Record, erro
 	}()
 	sp := <-spCh
 	te := <-teCh
+	if sp.err != nil {
+		return nil, fmt.Errorf("wire: SP query failed: %w", sp.err)
+	}
+	if te.err != nil {
+		return nil, fmt.Errorf("wire: TE token failed: %w", te.err)
+	}
+	return verifyRecords(core.NewVerifyPool(v.VerifyWorkers), qs, sp.raws, te.vts)
+}
+
+// verifyRecords checks EncodeRecords payloads against their ranges and
+// tokens straight off the wire bytes, in one VerifyEncodedBurst, and
+// decodes only a proven result. It releases the payloads: the records
+// returned are decoded copies.
+func verifyRecords(vp core.VerifyPool, qs []record.Range, raws [][]byte, vts []digest.Digest) ([][]record.Record, error) {
 	defer func() {
-		for _, raw := range sp.raws {
+		for _, raw := range raws {
 			Release(raw)
 		}
 	}()
-	if sp.err != nil {
-		return nil, fmt.Errorf("wire: SP burst query failed: %w", sp.err)
-	}
-	if te.err != nil {
-		return nil, fmt.Errorf("wire: TE burst token failed: %w", te.err)
-	}
-	encs := make([][]byte, len(qs))
-	for i, raw := range sp.raws {
+	encs := make([][]byte, len(raws))
+	for i, raw := range raws {
 		enc, rest, _, err := RecordsView(raw)
 		if err != nil {
-			return nil, fmt.Errorf("%w: burst entry %d: %v", ErrProtocol, i, err)
+			return nil, fmt.Errorf("%w: result %d: %v", ErrProtocol, i, err)
 		}
 		if len(rest) != 0 {
 			return nil, fmt.Errorf("%w: %d trailing bytes in result %d", ErrProtocol, len(rest), i)
 		}
 		encs[i] = enc
 	}
-	vp := core.NewVerifyPool(v.VerifyWorkers)
-	if _, err := vp.VerifyEncodedBurst(qs, encs, te.vts, nil); err != nil {
+	if _, err := vp.VerifyEncodedBurst(qs, encs, vts, nil); err != nil {
 		return nil, err
 	}
-	results := make([][]record.Record, len(qs))
-	for i, raw := range sp.raws {
+	results := make([][]record.Record, len(raws))
+	for i, raw := range raws {
 		recs, _, err := DecodeRecords(raw)
 		if err != nil {
-			return nil, fmt.Errorf("%w: burst entry %d: %v", ErrProtocol, i, err)
+			return nil, fmt.Errorf("%w: result %d: %v", ErrProtocol, i, err)
 		}
 		results[i] = recs
 	}

@@ -24,8 +24,8 @@ import (
 // burst and hands the burst's group-row requests to one of N serve LANES
 // (one per GOMAXPROCS slot); the lane pushes each row's requests through
 // the provider as a unit — one lock acquisition, grouped index descents,
-// one bufpool pin epoch — then writes every response in a single vectored
-// write. Connections are assigned to a lane for life (round-robin at
+// one streaming heap fetch — then writes every response in a single
+// vectored write. Connections are assigned to a lane for life (round-robin at
 // accept) and each lane runs on one goroutine with its own response
 // arena, request contexts and plan scratch, so the hot path's only
 // synchronization per burst is one channel handoff and the connection's

@@ -325,7 +325,7 @@ func (si *ShardInfo) checkSpan(q record.Range) error {
 
 // serveQuery pushes MsgQuery ranges through the SP as one unit
 // (core.ServiceProvider.ServeBurstCtx: one read-lock, grouped B+-tree
-// descents, a single heap pin epoch); each query's records stream
+// descents, one streaming heap fetch); each query's records stream
 // straight from their pinned pages into the lane's response arena — the
 // only per-record copy between the heap file and the socket.
 func serveQuery(s *Server, l *lane, ids []uint32, qs []record.Range) error {
@@ -383,10 +383,10 @@ func serveAggToken(s *Server, l *lane, ids []uint32, qs []record.Range) error {
 }
 
 // serveTOMQuery pushes MsgTOMQuery ranges through the TOM provider as one
-// unit: all VOs built and all heap runs served under one read-lock and
-// one pin epoch. Each response is its record section followed by its VO
-// (built in a pooled shell), appended to the arena after the serve so
-// record spans never move.
+// unit: all VOs built and all heap runs served under one read-lock by
+// one streaming fetch. Each response is its record section followed by
+// its VO (built in a pooled shell), appended to the arena after the
+// serve so record spans never move.
 func serveTOMQuery(s *Server, l *lane, ids []uint32, qs []record.Range) error {
 	var vos []*mbtree.VO
 	err := l.records(len(qs), func(emit func(int, *record.Record) error) (err error) {

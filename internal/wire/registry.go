@@ -32,7 +32,7 @@ const (
 //   - group rows carry one range as payload and never wait on anything
 //     but CPU. The connection's lane serves all frames of the row that
 //     arrived in one read wakeup as ONE provider pass — one lock, grouped
-//     descents, one pin epoch — for any n ≥ 1. An error rejects the whole
+//     descents, one heap fetch — for any n ≥ 1. An error rejects the whole
 //     group, which is then re-served as groups of one, so a singleton's
 //     error is exactly that request's error frame.
 //   - own rows run on their own goroutine because they may block (a write

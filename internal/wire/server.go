@@ -116,8 +116,8 @@ const maxInFlight = 32
 
 // maxBurst caps the lane requests one burst may carry; further buffered
 // frames form the next burst. 64 is past the point where per-burst
-// overheads are amortized away, and keeps a lane's arena and pin epoch
-// bounded.
+// overheads are amortized away, and keeps a lane's arena and request
+// contexts bounded.
 const maxBurst = 64
 
 // burstReadBuf is the connection read-buffer size frames are drained

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -114,13 +116,17 @@ func TestShardedVerifyingClient(t *testing.T) {
 			}
 		}
 	}
-	// Tamper one shard: the combined token must reject.
-	sys.SPs[1].SetTamper(core.DropTamper(0))
-	q := record.Range{Lo: sys.Plan.Span(1).Lo, Hi: sys.Plan.Span(1).Lo + 200_000}
-	if _, err := client.Query(q); err == nil {
-		t.Fatal("tampered shard passed wire verification")
+	// Shard 2's SP drops one record from a query spanning shards 1 and 2:
+	// each shard is checked against its own token, so the failure names
+	// shard 2's position in the scatter, query 1.
+	sys.SPs[2].SetTamper(core.DropTamper(0))
+	defer sys.SPs[2].SetTamper(nil)
+	seam := sys.Plan.Span(2).Lo
+	q := record.Range{Lo: seam - 100_000, Hi: seam + 200_000}
+	_, err = client.Query(q)
+	if !errors.Is(err, core.ErrVerificationFailed) || !strings.Contains(err.Error(), "(query 1)") {
+		t.Fatalf("shard 2 dropping a record: err = %v, want %v naming query 1", err, core.ErrVerificationFailed)
 	}
-	sys.SPs[1].SetTamper(nil)
 }
 
 // TestShardedQueryConcurrent: queries pipeline from many goroutines over

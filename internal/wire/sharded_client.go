@@ -12,20 +12,18 @@ import (
 
 // ShardedVerifyingClient performs the SAE protocol against a horizontally
 // sharded deployment: it holds pipelined connections to every shard's SP
-// and TE, scatters each range query to the overlapping shards, gathers the
-// sub-results in key order, XOR-combines the per-shard tokens and verifies
-// the merged result against the combined token. (For deployments that want
-// the scatter on the server side instead, see internal/router: a plain
-// VerifyingClient pointed at a router obtains bit-identical results.)
+// and TE, scatters each range query to the overlapping shards, verifies
+// every shard's sub-result against that shard's token and gathers them in
+// key order. (For deployments that want the scatter on the server side
+// instead, see internal/router: a plain VerifyingClient pointed at a
+// router obtains bit-identical results.)
 //
 // The partition plan is fetched from the trusted entities themselves at
 // dial time, not from any router: every TE must report the same plan and
 // its own position in it. Since the TEs are the protocol's trusted
 // parties, a malicious router or SP cannot shrink a shard's span to
 // suppress records at a partition seam — the client computes every
-// sub-range itself from the TE-attested plan, and the XOR fold makes the
-// combined token exactly the token a single TE over the whole dataset
-// would have issued.
+// sub-range itself from the TE-attested plan, and the sub-ranges tile q.
 type ShardedVerifyingClient struct {
 	Plan   shard.Plan
 	Shards []*VerifyingClient
@@ -123,17 +121,23 @@ func (c *ShardedVerifyingClient) BytesReceived() (sp, te int64) {
 	return sp, te
 }
 
-// Query scatters a verified range query. It returns the merged records
-// only if they passed verification against the XOR-combined token.
+// Query scatters a verified range query. Each overlapping shard's raw
+// answer is checked against that shard's own token and the sub-range the
+// client clamped itself — all shards in one VerifyEncodedBurst, query i
+// being the i-th overlapping shard — and the records are returned,
+// merged in key order, only if every shard passed.
 func (c *ShardedVerifyingClient) Query(q record.Range) ([]record.Record, error) {
 	subs := c.Plan.Scatter(q)
 	if len(subs) == 0 {
 		return nil, nil
 	}
-	parts := make([]shard.SAEPart, len(subs))
+	qs := make([]record.Range, len(subs))
+	raws := make([][]byte, len(subs))
+	vts := make([]digest.Digest, len(subs))
 	errs := make([]error, len(subs))
 	var wg sync.WaitGroup
 	for i := range subs {
+		qs[i] = subs[i].Sub
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -143,23 +147,19 @@ func (c *ShardedVerifyingClient) Query(q record.Range) ([]record.Record, error) 
 			// connections exactly like the single-shard client.
 			var inner sync.WaitGroup
 			inner.Add(1)
-			var vt digest.Digest
 			var vtErr error
 			go func() {
 				defer inner.Done()
-				vt, vtErr = vc.TE.GenerateVT(sub)
+				vts[i], vtErr = vc.TE.GenerateVT(sub)
 			}()
-			recs, spErr := vc.SP.Query(sub)
+			var spErr error
+			raws[i], spErr = vc.SP.QueryRaw(sub)
 			inner.Wait()
 			if spErr != nil {
 				errs[i] = fmt.Errorf("wire: shard %d SP: %w", idx, spErr)
-				return
-			}
-			if vtErr != nil {
+			} else if vtErr != nil {
 				errs[i] = fmt.Errorf("wire: shard %d TE: %w", idx, vtErr)
-				return
 			}
-			parts[i] = shard.SAEPart{Recs: recs, VT: vt}
 		}(i)
 	}
 	wg.Wait()
@@ -168,13 +168,13 @@ func (c *ShardedVerifyingClient) Query(q record.Range) ([]record.Record, error) 
 			return nil, err
 		}
 	}
-	merged, vt := shard.MergeSAE(parts)
-	// The merged result verifies through the parallel pool: record
-	// hashing dominates, and the XOR fold is order-independent, so the
-	// fan-out returns exactly what the serial Figure 7 check would.
-	vp := core.NewVerifyPool(0)
-	if _, err := vp.Verify(q, merged, vt); err != nil {
+	parts, err := verifyRecords(core.NewVerifyPool(0), qs, raws, vts)
+	if err != nil {
 		return nil, err
+	}
+	var merged []record.Record
+	for _, recs := range parts {
+		merged = append(merged, recs...)
 	}
 	return merged, nil
 }
