@@ -41,16 +41,6 @@ func OfRecord(r *record.Record) Digest {
 	return sum20(h)
 }
 
-// OfRecordInto hashes r like OfRecord but serializes through the
-// caller-provided scratch buffer instead of a fresh stack frame, returning
-// the (possibly grown) scratch for reuse. Batch digesting — the TE's load
-// path, the verifier's per-record recompute — holds one scratch per worker
-// and pays zero allocations per record.
-func OfRecordInto(scratch []byte, r *record.Record) (Digest, []byte) {
-	scratch = r.AppendBinary(scratch[:0])
-	return sum20(scratch), scratch
-}
-
 // OfWire hashes a canonical record encoding directly out of a wire frame
 // or page buffer — the zero-copy path: no record materialization, no
 // serialization, the borrowed bytes are hashed in place. It panics if b is

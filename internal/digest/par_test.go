@@ -3,6 +3,7 @@ package digest
 import (
 	"crypto/sha1"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -22,13 +23,13 @@ func parRecords(n int, seed int64) []record.Record {
 // TestHashPairMatchesStdlib drives the two-lane core (when active)
 // against crypto/sha1 over random record pairs.
 func TestHashPairMatchesStdlib(t *testing.T) {
-	if hashPair == nil {
+	if !Accelerated {
 		t.Skip("two-lane SHA core not active on this CPU")
 	}
 	recs := parRecords(64, 31)
 	for i := 0; i+1 < len(recs); i += 2 {
 		a, b := recs[i].Marshal(), recs[i+1].Marshal()
-		da, db := hashPair(a, b)
+		da, db := sumRecordPairNI(a, b)
 		if want := Digest(sha1.Sum(a)); da != want {
 			t.Fatalf("pair %d lane A mismatch: got %s want %s", i, da, want)
 		}
@@ -38,10 +39,12 @@ func TestHashPairMatchesStdlib(t *testing.T) {
 	}
 }
 
-// TestRecordDigestsParity checks every worker count and both parities of
-// batch length against serial OfRecord.
+// TestRecordDigestsParity checks every worker count against serial
+// OfRecord, over batch lengths of both parities, every 16-lane tail shape
+// (none, one, fifteen), both sides of the kernel crossover and of the
+// parallel threshold.
 func TestRecordDigestsParity(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3, 127, 128, 129, 500, 501} {
+	for _, n := range []int{0, 1, 2, 3, 15, 16, 17, 16 + x16Min - 1, 16 + x16Min, 31, 32, 33, 500, 501, parThreshold - 1, parThreshold, parThreshold + 1} {
 		recs := parRecords(n, int64(40+n))
 		want := make([]Digest, n)
 		for i := range recs {
@@ -60,7 +63,8 @@ func TestRecordDigestsParity(t *testing.T) {
 }
 
 // serialFold is the reference the wire fold is tested against: one
-// Accumulator, one OfWire per 500-byte slice, no pairing, no workers.
+// Accumulator, one single-stream OfWire per 500-byte slice — no 16-lane
+// kernel, no pairing, no workers.
 func serialFold(enc []byte) Digest {
 	var acc Accumulator
 	for off := 0; off < len(enc); off += record.Size {
@@ -73,7 +77,7 @@ func serialFold(enc []byte) Digest {
 // serial reference — and the reference against OfRecord over the decoded
 // records — at every worker count.
 func TestXORFoldParity(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 127, 128, 129, 400, 1001} {
+	for _, n := range []int{0, 1, 2, 15, 16, 17, 16 + x16Min - 1, 16 + x16Min, 31, 32, 33, 400, parThreshold - 1, parThreshold, parThreshold + 1, 2*parThreshold + 17} {
 		recs := parRecords(n, int64(70+n))
 		var ofRecord Accumulator
 		enc := make([]byte, 0, n*record.Size)
@@ -102,19 +106,27 @@ func TestXORFoldWirePanicsOnRagged(t *testing.T) {
 	XORFoldWire(make([]byte, record.Size+1), 1)
 }
 
+// BenchmarkXORFoldWire folds one payload on one worker: a range_short
+// answer (10 records, one part-filled 16-lane pass), one full pass, a
+// range_scan answer (500) and 1000 records.
 func BenchmarkXORFoldWire(b *testing.B) {
 	recs := parRecords(1000, 99)
 	enc := make([]byte, 0, len(recs)*record.Size)
 	for i := range recs {
 		enc = recs[i].AppendBinary(enc)
 	}
-	b.SetBytes(int64(len(enc)))
-	b.ReportAllocs()
-	var d Digest
-	for i := 0; i < b.N; i++ {
-		d = XORFoldWire(enc, 1)
+	for _, n := range []int{10, 16, 500, 1000} {
+		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
+			p := enc[:n*record.Size]
+			b.SetBytes(int64(len(p)))
+			b.ReportAllocs()
+			var d Digest
+			for i := 0; i < b.N; i++ {
+				d = XORFoldWire(p, 1)
+			}
+			sink = d
+		})
 	}
-	sink = d
 }
 
 // TestXORFoldWireBurstParity checks the burst fold — many payloads, one
@@ -129,7 +141,7 @@ func TestXORFoldWireBurstParity(t *testing.T) {
 		{5},
 		{0, 3, 0, 7},
 		{40, 90, 1, 0, 128},
-		{300, 2, 501, 64, 64, 17},
+		{300, 2, 801, 64, 64, 17},
 		{1, 1, 1, 1, 1, 1, 1, 1, 200, 1, 1},
 	}
 	for si, shape := range shapes {
@@ -177,6 +189,8 @@ func FuzzXORFoldWireBurst(f *testing.F) {
 	f.Add([]byte{0, 0, 5, 0, 0, 0, 44, 1}, uint8(3), uint8(0))
 	f.Add([]byte{88, 2, 1, 0, 1, 0, 200, 0, 1, 0}, uint8(15), uint8(0))
 	f.Add([]byte{3, 0, 0, 0}, uint8(1), uint8(2))
+	f.Add([]byte{16, 0}, uint8(0), uint8(0))
+	f.Add([]byte{17, 0, 16, 0, 33, 0}, uint8(1), uint8(0))
 	const maxRecords, maxPayloads = 600, 64
 	shared := make([]byte, (maxRecords+1)*record.Size)
 	rand.New(rand.NewSource(7)).Read(shared)

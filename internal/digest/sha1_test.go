@@ -101,17 +101,11 @@ func genericSum(b []byte) Digest {
 func sha1blockGenericForTest(h *[5]uint32, p []byte) { sha1blockGeneric(h, p) }
 
 func TestOfRecordVariantsAgree(t *testing.T) {
-	var scratch []byte
 	for i := 0; i < 64; i++ {
 		r := record.Synthesize(record.ID(i+1), record.Key(i*37))
 		want := refSum(r.Marshal())
 		if got := OfRecord(&r); got != want {
 			t.Fatalf("OfRecord mismatch for %v", &r)
-		}
-		var d Digest
-		d, scratch = OfRecordInto(scratch, &r)
-		if d != want {
-			t.Fatalf("OfRecordInto mismatch for %v", &r)
 		}
 		if got := OfWire(r.Marshal()); got != want {
 			t.Fatalf("OfWire mismatch for %v", &r)
@@ -166,35 +160,12 @@ func TestConcatWriterMatchesStdlib(t *testing.T) {
 	}
 }
 
-func TestOfRecordIntoGrowsOnce(t *testing.T) {
-	r := record.Synthesize(1, 2)
-	_, scratch := OfRecordInto(nil, &r)
-	if cap(scratch) < record.Size {
-		t.Fatalf("scratch capacity %d after first use", cap(scratch))
-	}
-	before := &scratch[0]
-	_, scratch2 := OfRecordInto(scratch, &r)
-	if &scratch2[0] != before {
-		t.Fatal("OfRecordInto reallocated a sufficient scratch")
-	}
-}
-
 func BenchmarkOfRecord(b *testing.B) {
 	r := record.Synthesize(1, 2)
 	b.SetBytes(record.Size)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sink = OfRecord(&r)
-	}
-}
-
-func BenchmarkOfRecordInto(b *testing.B) {
-	r := record.Synthesize(1, 2)
-	var scratch []byte
-	b.SetBytes(record.Size)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sink, scratch = OfRecordInto(scratch, &r)
 	}
 }
 

@@ -451,3 +451,12 @@ TEXT ·cpuidx(SB), NOSPLIT, $0-24
 	MOVL CX, ecx+16(FP)
 	MOVL DX, edx+20(FP)
 	RET
+
+// func xgetbv() (eax, edx uint32)
+// Reads XCR0, the register state the OS saves across context switches.
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET

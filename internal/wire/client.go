@@ -670,6 +670,7 @@ func (v *VerifyingClient) QueryBurst(qs []record.Range) ([][]record.Record, erro
 	}()
 	sp := <-spCh
 	te := <-teCh
+	defer releaseAll(sp.raws)
 	if sp.err != nil {
 		return nil, fmt.Errorf("wire: SP query failed: %w", sp.err)
 	}
@@ -679,19 +680,22 @@ func (v *VerifyingClient) QueryBurst(qs []record.Range) ([][]record.Record, erro
 	return verifyRecords(core.NewVerifyPool(v.VerifyWorkers), qs, sp.raws, te.vts)
 }
 
-// verifyRecords checks EncodeRecords payloads against their ranges and
-// tokens straight off the wire bytes, in one VerifyEncodedBurst, and
-// decodes only a proven result. It releases the payloads: the records
-// returned are decoded copies.
-func verifyRecords(vp core.VerifyPool, qs []record.Range, raws [][]byte, vts []digest.Digest) ([][]record.Record, error) {
-	defer func() {
-		for _, raw := range raws {
-			Release(raw)
-		}
-	}()
-	encs := make([][]byte, len(raws))
-	for i, raw := range raws {
-		enc, rest, _, err := RecordsView(raw)
+// releaseAll releases every payload in raws.
+func releaseAll(raws [][]byte) {
+	for _, raw := range raws {
+		Release(raw)
+	}
+}
+
+// verifyRecords is the client's one check-then-decode body: it checks
+// EncodeRecords sections against their ranges and tokens straight off the
+// wire bytes, in one VerifyEncodedBurst, and decodes only a proven
+// result. The records returned are decoded copies; the sections stay the
+// caller's, to Release once it is done with them.
+func verifyRecords(vp core.VerifyPool, qs []record.Range, secs [][]byte, vts []digest.Digest) ([][]record.Record, error) {
+	encs := make([][]byte, len(secs))
+	for i, sec := range secs {
+		enc, rest, _, err := RecordsView(sec)
 		if err != nil {
 			return nil, fmt.Errorf("%w: result %d: %v", ErrProtocol, i, err)
 		}
@@ -703,9 +707,9 @@ func verifyRecords(vp core.VerifyPool, qs []record.Range, raws [][]byte, vts []d
 	if _, err := vp.VerifyEncodedBurst(qs, encs, vts, nil); err != nil {
 		return nil, err
 	}
-	results := make([][]record.Record, len(raws))
-	for i, raw := range raws {
-		recs, _, err := DecodeRecords(raw)
+	results := make([][]record.Record, len(secs))
+	for i, sec := range secs {
+		recs, _, err := DecodeRecords(sec)
 		if err != nil {
 			return nil, fmt.Errorf("%w: result %d: %v", ErrProtocol, i, err)
 		}

@@ -337,16 +337,15 @@ func DecodeRecords(b []byte) ([]record.Record, []byte, error) {
 	if n > len(b)/record.Size {
 		return nil, nil, fmt.Errorf("%w: implausible record count %d for %d payload bytes", ErrProtocol, n, len(b))
 	}
-	recs := make([]record.Record, 0, n)
-	for i := 0; i < n; i++ {
-		r, err := record.Unmarshal(b)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: truncated record %d", ErrProtocol, i)
-		}
-		recs = append(recs, r)
-		b = b[record.Size:]
+	// Each record is decoded straight into its slot: one copy of its bytes.
+	recs := make([]record.Record, n)
+	for i := range recs {
+		enc := b[i*record.Size : (i+1)*record.Size]
+		recs[i].ID = record.WireID(enc)
+		recs[i].Key = record.WireKey(enc)
+		copy(recs[i].Payload[:], enc[record.Size-record.PayloadSize:])
 	}
-	return recs, b, nil
+	return recs, b[n*record.Size:], nil
 }
 
 // RecordsView validates the EncodeRecords framing of b without decoding:

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sae/internal/core"
+	"sae/internal/digest"
 	"sae/internal/record"
 	"sae/internal/replica"
 	"sae/internal/wal"
@@ -302,26 +303,15 @@ func (c *VerifiedClient) QueryCtx(ctx context.Context, q record.Range) ([]record
 	if err != nil {
 		return nil, 0, err
 	}
-	// Hash the encoded records in place (VerifyEncoded wants the packed
-	// records without their count prefix), then materialize.
-	if len(recsRaw) < 4 {
-		return nil, gen, fmt.Errorf("%w: truncated record section", ErrProtocol)
-	}
-	if _, err := c.vp.VerifyEncoded(q, recsRaw[4:], vt); err != nil {
-		return nil, gen, err
-	}
-	recs, rest, err := DecodeRecords(recsRaw)
+	recs, err := verifyRecords(c.vp, []record.Range{q}, [][]byte{recsRaw}, []digest.Digest{vt})
 	if err != nil {
 		return nil, gen, err
-	}
-	if len(rest) != 0 {
-		return nil, gen, fmt.Errorf("%w: %d trailing bytes in verified result", ErrProtocol, len(rest))
 	}
 	if !c.observe(epoch, gen) {
 		return nil, gen, fmt.Errorf("%w: answer from plan epoch %d after epoch %d was observed",
 			ErrStaleRead, epoch, c.Epoch())
 	}
-	return recs, gen, nil
+	return recs[0], gen, nil
 }
 
 // QueryAtLeast is Query plus a freshness floor: an answer stamped below

@@ -163,6 +163,7 @@ func (c *ShardedVerifyingClient) Query(q record.Range) ([]record.Record, error) 
 		}(i)
 	}
 	wg.Wait()
+	defer releaseAll(raws)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

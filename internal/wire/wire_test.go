@@ -68,6 +68,22 @@ func TestRecordsCodec(t *testing.T) {
 	}
 }
 
+// BenchmarkDecodeRecords decodes a range_scan-sized answer: 500 records.
+func BenchmarkDecodeRecords(b *testing.B) {
+	recs := make([]record.Record, 500)
+	for i := range recs {
+		recs[i] = record.Synthesize(record.ID(i+1), record.Key(i))
+	}
+	enc := EncodeRecords(recs)
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := DecodeRecords(enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestDeleteCodec(t *testing.T) {
 	id, key, err := DecodeDelete(EncodeDelete(42, 99))
 	if err != nil || id != 42 || key != 99 {
