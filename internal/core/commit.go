@@ -100,32 +100,42 @@ func NewGroupCommitter(owner *DataOwner, sp *ServiceProvider, te *TrustedEntity,
 	return gc
 }
 
-// Insert synthesizes a record with a fresh id, commits it through the
-// group pipeline and returns once it is durable and visible.
-func (gc *GroupCommitter) Insert(key record.Key) (record.Record, error) {
-	recs, err := gc.InsertBatch([]record.Key{key})
+// ApplyGroup is the one body that applies a commit group to an SAE
+// deployment: the SP's ApplyBatchCtx, then the TE's, then the owner's
+// fold. The group committer runs it under its commit lock before the
+// ack, crash recovery per replayed WAL group, a replica per tailed group
+// and the sharded system per shard; a single insert or delete is a group
+// of one. On error the owner is left unfolded and the parties may be
+// torn (the SP ahead of the TE).
+func ApplyGroup(ctx *exec.Context, owner *DataOwner, sp *ServiceProvider, te *TrustedEntity, ops []wal.Op) error {
+	if err := sp.ApplyBatchCtx(ctx, ops); err != nil {
+		return err
+	}
+	if err := te.ApplyBatchCtx(ctx, ops); err != nil {
+		return err
+	}
+	owner.fold(ops)
+	return nil
+}
+
+// only unwraps the result of an insert group of one.
+func only(recs []record.Record, err error) (record.Record, error) {
 	if err != nil {
 		return record.Record{}, err
 	}
 	return recs[0], nil
 }
 
+// Insert synthesizes a record with a fresh id, commits it through the
+// group pipeline and returns once it is durable and visible.
+func (gc *GroupCommitter) Insert(key record.Key) (record.Record, error) {
+	return only(gc.InsertBatch([]record.Key{key}))
+}
+
 // InsertBatch synthesizes one record per key and commits them as members
 // of (at most) one group.
 func (gc *GroupCommitter) InsertBatch(keys []record.Key) ([]record.Record, error) {
-	if len(keys) == 0 {
-		return nil, nil
-	}
-	recs := gc.owner.NewRecords(keys)
-	ops := make([]wal.Op, len(recs))
-	for i := range recs {
-		ops[i] = wal.InsertOp(recs[i])
-	}
-	if err := gc.submitWait(ops); err != nil {
-		gc.owner.Forget(idsOf(recs))
-		return nil, err
-	}
-	return recs, nil
+	return gc.owner.commitInserts(keys, gc.SubmitOps)
 }
 
 // Delete removes the record with the given id through the group
@@ -136,36 +146,18 @@ func (gc *GroupCommitter) Delete(id record.ID) error {
 
 // DeleteBatch removes the given ids as members of (at most) one group.
 func (gc *GroupCommitter) DeleteBatch(ids []record.ID) error {
-	if len(ids) == 0 {
-		return nil
-	}
-	keys, err := gc.owner.Drop(ids)
-	if err != nil {
-		return err
-	}
-	ops := make([]wal.Op, len(ids))
-	for i := range ids {
-		ops[i] = wal.DeleteOp(ids[i], keys[i])
-	}
-	return gc.submitWait(ops)
+	return gc.owner.commitDeletes(ids, gc.SubmitOps)
 }
 
-// SubmitOps enqueues pre-built ops (wire batch handlers use this after
-// the remote owner already synthesized the records) and waits for their
-// group to commit.
+// SubmitOps enqueues pre-built ops (a wire primary and a reshard target
+// use this for records a remote owner already synthesized) and waits for
+// their group to commit. The group's owner fold has run by the time it
+// returns.
 func (gc *GroupCommitter) SubmitOps(ops []wal.Op) error {
 	if len(ops) == 0 {
 		return nil
 	}
 	return gc.submitWait(ops)
-}
-
-func idsOf(recs []record.Record) []record.ID {
-	ids := make([]record.ID, len(recs))
-	for i := range recs {
-		ids[i] = recs[i].ID
-	}
-	return ids
 }
 
 // submitWait enqueues ops sharing one ack channel and blocks until their
@@ -229,7 +221,8 @@ func (gc *GroupCommitter) run() {
 	}
 }
 
-// commitGroup makes one group durable and visible, counts it, then acks
+// commitGroup makes one group durable and visible — in both parties and
+// in the owner's map, which a checkpoint dumps — counts it, then acks
 // every waiter. Order matters: the WAL fsync precedes visibility, so an
 // acked update is always recoverable and an unacked one never partially
 // escapes a crash (the replay drops uncommitted tails); the count
@@ -247,10 +240,7 @@ func (gc *GroupCommitter) commitGroup(seq uint64, group []pendingOp) {
 	if err == nil {
 		ctx := exec.GetContext()
 		gc.commitMu.Lock()
-		if err = gc.sp.ApplyBatchCtx(ctx, ops); err == nil {
-			err = gc.te.ApplyBatchCtx(ctx, ops)
-		}
-		if err == nil {
+		if err = ApplyGroup(ctx, gc.owner, gc.sp, gc.te, ops); err == nil {
 			gc.applied = seq
 			if gc.hook != nil {
 				gc.hook(seq, ops)

@@ -12,6 +12,14 @@ import (
 	"sae/internal/workload"
 )
 
+func idsOf(recs []record.Record) []record.ID {
+	ids := make([]record.ID, len(recs))
+	for i := range recs {
+		ids[i] = recs[i].ID
+	}
+	return ids
+}
+
 func newCommitterFor(t *testing.T, sys *System, maxGroup int, withWAL bool) *GroupCommitter {
 	t.Helper()
 	var log *wal.Log

@@ -246,56 +246,20 @@ func measured(ctx *exec.Context, f func() error) (costmodel.Breakdown, error) {
 	return costmodel.Default.Measure(ctx.Stats().Sub(before), time.Since(start)), nil
 }
 
-// ApplyInsert stores a new record from the owner with a fresh request
-// context; see ApplyInsertCtx.
+// ApplyInsert stores a new record from the owner: a group of one.
 func (sp *ServiceProvider) ApplyInsert(r record.Record) error {
-	return sp.ApplyInsertCtx(exec.NewContext(), r)
+	return sp.ApplyBatchCtx(exec.NewContext(), []wal.Op{wal.InsertOp(r)})
 }
 
-// ApplyInsertCtx stores a new record from the owner, charging its page
-// accesses to ctx.
-func (sp *ServiceProvider) ApplyInsertCtx(ctx *exec.Context, r record.Record) error {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	rid, err := sp.heap.AppendCtx(ctx, r)
-	if err != nil {
-		return fmt.Errorf("core: SP inserting record: %w", err)
-	}
-	if err := sp.index.InsertCtx(ctx, bptree.Entry{Key: r.Key, RID: rid}); err != nil {
-		return fmt.Errorf("core: SP indexing record: %w", err)
-	}
-	sp.byID[r.ID] = rid
-	return nil
-}
-
-// ApplyDelete removes a record by id and key with a fresh request context;
-// see ApplyDeleteCtx.
+// ApplyDelete removes a record by id and key: a group of one.
 func (sp *ServiceProvider) ApplyDelete(id record.ID, key record.Key) error {
-	return sp.ApplyDeleteCtx(exec.NewContext(), id, key)
+	return sp.ApplyBatchCtx(exec.NewContext(), []wal.Op{wal.DeleteOp(id, key)})
 }
 
-// ApplyDeleteCtx removes a record by id and key, charging its page
-// accesses to ctx.
-func (sp *ServiceProvider) ApplyDeleteCtx(ctx *exec.Context, id record.ID, key record.Key) error {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	rid, ok := sp.byID[id]
-	if !ok {
-		return fmt.Errorf("core: SP has no record with id %d", id)
-	}
-	if err := sp.index.DeleteCtx(ctx, bptree.Entry{Key: key, RID: rid}); err != nil {
-		return fmt.Errorf("core: SP unindexing record: %w", err)
-	}
-	if err := sp.heap.DeleteCtx(ctx, rid); err != nil {
-		return fmt.Errorf("core: SP deleting record: %w", err)
-	}
-	delete(sp.byID, id)
-	return nil
-}
-
-// ApplyBatchCtx applies a whole commit group under ONE lock acquisition:
-// every insert and delete in order, on a single request context. Results
-// are bit-identical to applying the ops one at a time — the group path
+// ApplyBatchCtx is the SP's one write body: it applies a whole commit
+// group under ONE lock acquisition — every insert and delete in order, on
+// a single request context — and a single update is a group of one. Each
+// op costs the same O(log n) accesses whatever the group's size; grouping
 // changes when the lock is taken and how often ancillary work (digesting,
 // signing, fsync) is dispatched, never what the structures contain.
 func (sp *ServiceProvider) ApplyBatchCtx(ctx *exec.Context, ops []wal.Op) error {
@@ -475,47 +439,23 @@ func generateVTs(tree *xbtree.Tree, ctxs []*exec.Context, qs []record.Range, vts
 	return nil
 }
 
-// ApplyInsert registers a new record from the owner with a fresh request
-// context; see ApplyInsertCtx.
+// ApplyInsert registers a new record from the owner: a group of one.
 func (te *TrustedEntity) ApplyInsert(r record.Record) error {
-	return te.ApplyInsertCtx(exec.NewContext(), r)
+	return te.ApplyBatchCtx(exec.NewContext(), []wal.Op{wal.InsertOp(r)})
 }
 
-// ApplyInsertCtx registers a new record from the owner, charging its page
-// accesses to ctx.
-func (te *TrustedEntity) ApplyInsertCtx(ctx *exec.Context, r record.Record) error {
-	te.mu.Lock()
-	defer te.mu.Unlock()
-	tup := xbtree.Tuple{ID: r.ID, Digest: digest.OfRecord(&r)}
-	if err := te.tree.InsertCtx(ctx, r.Key, tup); err != nil {
-		return fmt.Errorf("core: TE inserting tuple: %w", err)
-	}
-	return nil
-}
-
-// ApplyDelete removes a record's tuple by id and key with a fresh request
-// context; see ApplyDeleteCtx.
+// ApplyDelete removes a record's tuple by id and key: a group of one.
 func (te *TrustedEntity) ApplyDelete(id record.ID, key record.Key) error {
-	return te.ApplyDeleteCtx(exec.NewContext(), id, key)
+	return te.ApplyBatchCtx(exec.NewContext(), []wal.Op{wal.DeleteOp(id, key)})
 }
 
-// ApplyDeleteCtx removes a record's tuple by id and key, charging its page
-// accesses to ctx.
-func (te *TrustedEntity) ApplyDeleteCtx(ctx *exec.Context, id record.ID, key record.Key) error {
-	te.mu.Lock()
-	defer te.mu.Unlock()
-	if err := te.tree.DeleteCtx(ctx, key, id); err != nil {
-		return fmt.Errorf("core: TE deleting tuple: %w", err)
-	}
-	return nil
-}
-
-// ApplyBatchCtx applies a whole commit group under ONE lock acquisition
-// and ONE digest dispatch: the digests of every inserted record in the
-// group are computed in a single fan-out across the crypto worker pool
-// (exactly what the TE does at load time), then the tree ops run in
-// order. Tuples, tree shape and therefore every future VT are
-// bit-identical to the one-at-a-time path.
+// ApplyBatchCtx is the TE's one write body: it applies a whole commit
+// group under ONE lock acquisition and ONE digest dispatch — the digests
+// of every inserted record in the group are computed in a single fan-out
+// across the crypto worker pool (exactly what the TE does at load time),
+// then the tree ops run in order. A single update is a group of one.
+// Tuples, tree shape and therefore every future VT depend only on the ops
+// and their order, never on how they were grouped.
 func (te *TrustedEntity) ApplyBatchCtx(ctx *exec.Context, ops []wal.Op) error {
 	// Digest outside the lock: the records are the caller's, and hashing
 	// is the group's CPU bill — readers keep serving tokens while the
@@ -650,12 +590,16 @@ type DataOwner struct {
 func NewDataOwner(records []record.Record) *DataOwner {
 	do := &DataOwner{byID: make(map[record.ID]record.Record, len(records)), nextID: 1}
 	for i := range records {
-		do.byID[records[i].ID] = records[i]
-		if records[i].ID >= do.nextID {
-			do.nextID = records[i].ID + 1
-		}
+		do.register(records[i])
 	}
 	return do
+}
+
+// register records r in the owner's map and advances the fresh-id
+// watermark past it. The caller holds mu (or owns do outright).
+func (do *DataOwner) register(r record.Record) {
+	do.byID[r.ID] = r
+	do.nextID = max(do.nextID, r.ID+1)
 }
 
 // Outsource transmits the full dataset to both parties.
@@ -666,93 +610,73 @@ func (do *DataOwner) Outsource(sp *ServiceProvider, te *TrustedEntity, sorted []
 	return te.Load(sorted)
 }
 
-// Insert creates a record with a fresh id and propagates it.
-func (do *DataOwner) Insert(key record.Key, sp *ServiceProvider, te *TrustedEntity) (record.Record, error) {
-	do.mu.Lock()
-	r := record.Synthesize(do.nextID, key)
-	do.nextID++
-	do.byID[r.ID] = r
-	do.mu.Unlock()
-	if err := sp.ApplyInsert(r); err != nil {
-		return r, err
+// commitInserts synthesizes one fresh-id record per key, registers them
+// in the owner's map (which allocates the ids) and hands their insert ops
+// to commit as one group. If the commit fails the records are forgotten
+// again.
+func (do *DataOwner) commitInserts(keys []record.Key, commit func([]wal.Op) error) ([]record.Record, error) {
+	if len(keys) == 0 {
+		return nil, nil
 	}
-	return r, te.ApplyInsert(r)
-}
-
-// Delete removes a record by id and propagates the deletion.
-func (do *DataOwner) Delete(id record.ID, sp *ServiceProvider, te *TrustedEntity) error {
-	do.mu.Lock()
-	r, ok := do.byID[id]
-	if ok {
-		delete(do.byID, id)
-	}
-	do.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("core: owner has no record with id %d", id)
-	}
-	if err := sp.ApplyDelete(id, r.Key); err != nil {
-		return err
-	}
-	return te.ApplyDelete(id, r.Key)
-}
-
-// NewRecords synthesizes one fresh-id record per key and registers them
-// in the owner's map, without propagating anything: the group committer
-// and wire batch paths propagate the returned records as one group.
-func (do *DataOwner) NewRecords(keys []record.Key) []record.Record {
-	do.mu.Lock()
-	defer do.mu.Unlock()
 	recs := make([]record.Record, len(keys))
+	ops := make([]wal.Op, len(keys))
+	do.mu.Lock()
 	for i, k := range keys {
-		r := record.Synthesize(do.nextID, k)
-		do.nextID++
-		do.byID[r.ID] = r
-		recs[i] = r
+		recs[i] = record.Synthesize(do.nextID, k)
+		do.register(recs[i])
+		ops[i] = wal.InsertOp(recs[i])
 	}
-	return recs
+	do.mu.Unlock()
+	if err := commit(ops); err != nil {
+		do.mu.Lock()
+		for i := range recs {
+			delete(do.byID, recs[i].ID)
+		}
+		do.mu.Unlock()
+		return nil, err
+	}
+	return recs, nil
 }
 
-// Drop removes the given ids from the owner's map and returns the keys
-// they were indexed under, in id order; the caller propagates the
-// deletions as one group. Unknown ids fail the whole batch before any
-// removal, so the owner map and the parties never diverge.
-func (do *DataOwner) Drop(ids []record.ID) ([]record.Key, error) {
+// commitDeletes drops the given ids from the owner's map and hands their
+// delete ops (under the keys the records were indexed by) to commit as
+// one group. Unknown ids fail the whole call before any removal, so the
+// owner map and the parties never diverge.
+func (do *DataOwner) commitDeletes(ids []record.ID, commit func([]wal.Op) error) error {
+	if len(ids) == 0 {
+		return nil
+	}
+	ops := make([]wal.Op, len(ids))
 	do.mu.Lock()
-	defer do.mu.Unlock()
-	keys := make([]record.Key, len(ids))
 	for i, id := range ids {
 		r, ok := do.byID[id]
 		if !ok {
-			return nil, fmt.Errorf("core: owner has no record with id %d", id)
+			do.mu.Unlock()
+			return fmt.Errorf("core: owner has no record with id %d", id)
 		}
-		keys[i] = r.Key
+		ops[i] = wal.DeleteOp(id, r.Key)
 	}
 	for _, id := range ids {
 		delete(do.byID, id)
 	}
-	return keys, nil
+	do.mu.Unlock()
+	return commit(ops)
 }
 
-// Restore re-registers records in the owner's map (WAL replay during
-// recovery) and advances the fresh-id watermark past them.
-func (do *DataOwner) Restore(recs []record.Record) {
+// fold brings the owner's map up to an applied commit group: inserted
+// records are registered, deleted ids forgotten. It is idempotent, so a
+// group whose ops commitInserts or commitDeletes already registered or
+// dropped folds to the same map as one built by a remote owner.
+func (do *DataOwner) fold(ops []wal.Op) {
 	do.mu.Lock()
 	defer do.mu.Unlock()
-	for i := range recs {
-		do.byID[recs[i].ID] = recs[i]
-		if recs[i].ID >= do.nextID {
-			do.nextID = recs[i].ID + 1
+	for i := range ops {
+		switch ops[i].Kind {
+		case wal.OpInsert:
+			do.register(ops[i].Rec)
+		case wal.OpDelete:
+			delete(do.byID, ops[i].ID)
 		}
-	}
-}
-
-// Forget removes ids from the owner's map if present (WAL replay of
-// deletions during recovery).
-func (do *DataOwner) Forget(ids []record.ID) {
-	do.mu.Lock()
-	defer do.mu.Unlock()
-	for _, id := range ids {
-		delete(do.byID, id)
 	}
 }
 
@@ -765,15 +689,6 @@ func (do *DataOwner) Records() []record.Record {
 		out = append(out, r)
 	}
 	return out
-}
-
-// KeyOf returns the key of the owner's record with the given id (used by
-// the sharded system to route a deletion to the owning shard).
-func (do *DataOwner) KeyOf(id record.ID) (record.Key, bool) {
-	do.mu.Lock()
-	defer do.mu.Unlock()
-	r, ok := do.byID[id]
-	return r.Key, ok
 }
 
 // Count returns the owner's live record count.

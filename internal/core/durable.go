@@ -7,11 +7,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 
 	"sae/internal/digest"
 	"sae/internal/exec"
-	"sae/internal/pagestore"
 	"sae/internal/record"
 	"sae/internal/wal"
 )
@@ -25,7 +23,7 @@ import (
 // the ack, so after a crash — even kill -9 mid-group — reopening the
 // directory reconstructs exactly the acked state: the checkpoint is
 // bulk-loaded and the WAL's committed groups are re-applied through the
-// same ApplyBatch path that ran before the crash. Torn trailing groups
+// same ApplyGroup body that ran before the crash. Torn trailing groups
 // (writes that never acked) are discarded by the WAL replay, so no
 // unacked update becomes partially visible. VTs come out identical
 // because the XOR fold is order-independent and tree contents are
@@ -162,22 +160,16 @@ func OpenDurableSystem(dir string, initial []record.Record, maxGroup int) (*Dura
 		}
 	}
 
+	sys, err := Rebuild(recs)
+	if err != nil {
+		return nil, fmt.Errorf("core: rebuilding from checkpoint: %w", err)
+	}
 	log, groups, err := wal.Open(walPath(dir))
 	if err != nil {
 		return nil, fmt.Errorf("core: opening WAL: %w", err)
 	}
 
-	owner := NewDataOwner(recs)
-	sp := NewServiceProvider(pagestore.NewMem())
-	te := NewTrustedEntity(pagestore.NewMem())
-	sorted := append([]record.Record(nil), recs...)
-	slices.SortFunc(sorted, record.SortByKey)
-	if err := owner.Outsource(sp, te, sorted); err != nil {
-		log.Close()
-		return nil, fmt.Errorf("core: rebuilding from checkpoint: %w", err)
-	}
-
-	// Re-apply every committed group through the very batch path that ran
+	// Re-apply every committed group through the very group body that ran
 	// before the crash; anything the WAL did not mark committed was never
 	// acked and is discarded by the replay. Groups at or below the
 	// checkpoint's sequence are already folded into the dump — a crash
@@ -191,35 +183,21 @@ func OpenDurableSystem(dir string, initial []record.Record, maxGroup int) (*Dura
 			continue
 		}
 		replayed++
-		if err := sp.ApplyBatchCtx(ctx, g.Ops); err != nil {
+		if err := ApplyGroup(ctx, sys.Owner, sys.SP, sys.TE, g.Ops); err != nil {
 			log.Close()
-			return nil, fmt.Errorf("core: replaying group %d into SP: %w", g.Seq, err)
+			return nil, fmt.Errorf("core: replaying group %d: %w", g.Seq, err)
 		}
-		if err := te.ApplyBatchCtx(ctx, g.Ops); err != nil {
-			log.Close()
-			return nil, fmt.Errorf("core: replaying group %d into TE: %w", g.Seq, err)
-		}
-		for i := range g.Ops {
-			switch g.Ops[i].Kind {
-			case wal.OpInsert:
-				owner.Restore([]record.Record{g.Ops[i].Rec})
-			case wal.OpDelete:
-				owner.Forget([]record.ID{g.Ops[i].ID})
-			}
-		}
-		if g.Seq > maxSeq {
-			maxSeq = g.Seq
-		}
+		maxSeq = max(maxSeq, g.Seq)
 	}
 
 	ds := &DurableSystem{
 		Dir:      dir,
-		Owner:    owner,
-		SP:       sp,
-		TE:       te,
+		Owner:    sys.Owner,
+		SP:       sys.SP,
+		TE:       sys.TE,
 		replayed: replayed,
 	}
-	ds.committer = NewGroupCommitter(owner, sp, te, log, maxGroup)
+	ds.committer = NewGroupCommitter(sys.Owner, sys.SP, sys.TE, log, maxGroup)
 	ds.committer.mu.Lock()
 	ds.committer.seq = maxSeq
 	ds.committer.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sae/internal/record"
+	"sae/internal/wal"
 	"sae/internal/workload"
 )
 
@@ -126,6 +127,48 @@ func TestDurableCheckpointResetsWAL(t *testing.T) {
 	out, err := re.Query(record.Range{Lo: 0, Hi: record.KeyDomain})
 	if err != nil || out.VerifyErr != nil {
 		t.Fatalf("post-checkpoint verified query: %v / %v", err, out.VerifyErr)
+	}
+}
+
+// TestCheckpointKeepsSubmittedGroup commits a group the way a wire primary
+// and a reshard target do — SubmitOps of records the remote owner already
+// synthesized — and checkpoints right after the ack. The checkpoint dumps
+// the owner's records, so the group must be in the owner's map by the
+// time SubmitOps returns, or the WAL reset drops an acked group.
+func TestCheckpointKeepsSubmittedGroup(t *testing.T) {
+	dir := t.TempDir()
+	sys, err := OpenDurableSystem(dir, durableDataset(t, 500), 0)
+	if err != nil {
+		t.Fatalf("OpenDurableSystem: %v", err)
+	}
+	ops := []wal.Op{
+		wal.InsertOp(record.Synthesize(1_000_001, 777)),
+		wal.InsertOp(record.Synthesize(1_000_002, 778)),
+	}
+	if err := sys.Committer().SubmitOps(ops); err != nil {
+		t.Fatalf("SubmitOps: %v", err)
+	}
+	if err := sys.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	re, err := OpenDurableSystem(dir, nil, 0)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Close()
+	if got := re.Owner.Count(); got != 502 {
+		t.Fatalf("owner has %d records, want 502", got)
+	}
+	out, err := re.Query(record.Range{Lo: 0, Hi: record.KeyDomain})
+	if err != nil || out.VerifyErr != nil {
+		t.Fatalf("full-range verified query: %v / %v", err, out.VerifyErr)
+	}
+	if len(out.Result) != 502 {
+		t.Fatalf("full-range query returned %d records, want 502", len(out.Result))
 	}
 }
 

@@ -239,66 +239,41 @@ func (s *ShardedSystem) Query(q record.Range) (*ShardedQueryOutcome, error) {
 	return out, nil
 }
 
-// Insert routes an owner-side insertion to the shard owning the key.
+// Insert routes an owner-side insertion to the shard owning the key: an
+// InsertBatch of one.
 func (s *ShardedSystem) Insert(key record.Key) (record.Record, error) {
-	i := s.Plan.ShardFor(key)
-	return s.Owner.Insert(key, s.SPs[i], s.TEs[i])
+	return only(s.InsertBatch([]record.Key{key}))
 }
 
 // Delete routes an owner-side deletion to the shard owning the record's
-// key.
+// key: a DeleteBatch of one.
 func (s *ShardedSystem) Delete(id record.ID) error {
-	key, ok := s.Owner.KeyOf(id)
-	if !ok {
-		return fmt.Errorf("core: owner has no record with id %d", id)
-	}
-	i := s.Plan.ShardFor(key)
-	return s.Owner.Delete(id, s.SPs[i], s.TEs[i])
+	return s.DeleteBatch([]record.ID{id})
 }
 
 // InsertBatch synthesizes one fresh-id record per key and routes the
 // batch BY SHARD: all records owned by one shard are applied as one
 // group (one lock pass, one digest dispatch at its TE), and the per-
-// shard groups run concurrently. The serial per-key route issued one
-// full update round per record regardless of sharing a shard.
+// shard groups run concurrently.
 func (s *ShardedSystem) InsertBatch(keys []record.Key) ([]record.Record, error) {
-	if len(keys) == 0 {
-		return nil, nil
-	}
-	recs := s.Owner.NewRecords(keys)
-	groups := make(map[int][]wal.Op)
-	for i := range recs {
-		sh := s.Plan.ShardFor(recs[i].Key)
-		groups[sh] = append(groups[sh], wal.InsertOp(recs[i]))
-	}
-	if err := s.applyShardGroups(groups); err != nil {
-		s.Owner.Forget(idsOf(recs))
-		return nil, err
-	}
-	return recs, nil
+	return s.Owner.commitInserts(keys, s.applyShardGroups)
 }
 
 // DeleteBatch removes the given ids, routing one group per owning shard,
 // concurrently across shards. Unknown ids fail the whole batch before
 // anything is applied.
 func (s *ShardedSystem) DeleteBatch(ids []record.ID) error {
-	if len(ids) == 0 {
-		return nil
-	}
-	keys, err := s.Owner.Drop(ids)
-	if err != nil {
-		return err
-	}
-	groups := make(map[int][]wal.Op)
-	for i := range ids {
-		sh := s.Plan.ShardFor(keys[i])
-		groups[sh] = append(groups[sh], wal.DeleteOp(ids[i], keys[i]))
-	}
-	return s.applyShardGroups(groups)
+	return s.Owner.commitDeletes(ids, s.applyShardGroups)
 }
 
-// applyShardGroups applies one op group per shard, shards in parallel.
-func (s *ShardedSystem) applyShardGroups(groups map[int][]wal.Op) error {
+// applyShardGroups splits a group by owning shard and applies each
+// shard's ops through ApplyGroup, shards in parallel.
+func (s *ShardedSystem) applyShardGroups(all []wal.Op) error {
+	groups := make(map[int][]wal.Op)
+	for i := range all {
+		sh := s.Plan.ShardFor(all[i].SearchKey())
+		groups[sh] = append(groups[sh], all[i])
+	}
 	var (
 		wg       sync.WaitGroup
 		errMu    sync.Mutex
@@ -310,11 +285,7 @@ func (s *ShardedSystem) applyShardGroups(groups map[int][]wal.Op) error {
 			defer wg.Done()
 			ctx := exec.GetContext()
 			defer exec.PutContext(ctx)
-			err := s.SPs[sh].ApplyBatchCtx(ctx, ops)
-			if err == nil {
-				err = s.TEs[sh].ApplyBatchCtx(ctx, ops)
-			}
-			if err != nil {
+			if err := ApplyGroup(ctx, s.Owner, s.SPs[sh], s.TEs[sh], ops); err != nil {
 				errMu.Lock()
 				if firstErr == nil {
 					firstErr = fmt.Errorf("core: shard %d batch: %w", sh, err)

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"slices"
+
 	"sae/internal/agg"
 	"sae/internal/bufpool"
 	"sae/internal/costmodel"
 	"sae/internal/digest"
+	"sae/internal/exec"
 	"sae/internal/pagestore"
 	"sae/internal/record"
+	"sae/internal/wal"
 )
 
 // System wires the four SAE parties together over in-memory page stores —
@@ -141,12 +145,35 @@ func (s *System) Aggregate(q record.Range) (*AggOutcome, error) {
 }
 
 // Insert routes an owner-side insertion of a fresh record with the given
-// key through to both the SP and the TE.
+// key through to both the SP and the TE: a group of one.
 func (s *System) Insert(key record.Key) (record.Record, error) {
-	return s.Owner.Insert(key, s.SP, s.TE)
+	return only(s.Owner.commitInserts([]record.Key{key}, s.apply))
 }
 
-// Delete routes an owner-side deletion through to both parties.
+// Delete routes an owner-side deletion through to both parties: a group
+// of one.
 func (s *System) Delete(id record.ID) error {
-	return s.Owner.Delete(id, s.SP, s.TE)
+	return s.Owner.commitDeletes([]record.ID{id}, s.apply)
+}
+
+func (s *System) apply(ops []wal.Op) error {
+	return ApplyGroup(exec.NewContext(), s.Owner, s.SP, s.TE, ops)
+}
+
+// Rebuild assembles the three parties over fresh in-memory page stores
+// from a record set in any order — a checkpoint being reopened or a
+// snapshot a replica bootstraps from. Both parties keep their default
+// decoded-node caches.
+func Rebuild(recs []record.Record) (*System, error) {
+	sorted := slices.Clone(recs)
+	slices.SortFunc(sorted, record.SortByKey)
+	s := &System{
+		Owner: NewDataOwner(recs),
+		SP:    NewServiceProvider(pagestore.NewMem()),
+		TE:    NewTrustedEntity(pagestore.NewMem()),
+	}
+	if err := s.Owner.Outsource(s.SP, s.TE, sorted); err != nil {
+		return nil, err
+	}
+	return s, nil
 }

@@ -2,7 +2,7 @@
 // is bootstrapped from a sequence-stamped DurableSystem snapshot (the
 // checkpoint's own byte format) and kept current by tailing the
 // primary's WAL commit groups; it applies whole groups through the very
-// ApplyBatchCtx path the primary ran, so its pages, verification tokens
+// core.ApplyGroup body the primary ran, so its pages, verification tokens
 // and aggregate tokens stay bit-identical to the primary's at the same
 // generation stamp — parity-tested, not assumed.
 //

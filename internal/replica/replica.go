@@ -3,13 +3,11 @@ package replica
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"sae/internal/core"
 	"sae/internal/digest"
 	"sae/internal/exec"
-	"sae/internal/pagestore"
 	"sae/internal/record"
 	"sae/internal/wal"
 )
@@ -22,7 +20,7 @@ var ErrGap = errors.New("replica: group stream gap")
 // Replica is one read replica of a shard's SAE primary: a full SP+TE
 // pair rebuilt from a sequence-stamped snapshot and advanced by whole
 // commit groups. Construction and group application run the exact code
-// paths the primary's own crash recovery runs (bulkload + ApplyBatchCtx),
+// the primary's own crash recovery runs (core.Rebuild + core.ApplyGroup),
 // which is what makes replica answers bit-identical to the primary's at
 // the same generation stamp.
 //
@@ -30,37 +28,19 @@ var ErrGap = errors.New("replica: group stream gap")
 // serving: ServeVerified returns records, a token and a stamp that all
 // belong to one group boundary, never a mid-apply mixture.
 type Replica struct {
-	mu    sync.RWMutex
-	owner *core.DataOwner
-	sp    *core.ServiceProvider
-	te    *core.TrustedEntity
-	seq   uint64
+	mu  sync.RWMutex
+	sys *core.System
+	seq uint64
 }
 
 // NewFromSnapshot builds a replica from a snapshot's record set and the
 // generation stamp it was cut at.
 func NewFromSnapshot(recs []record.Record, seq uint64) (*Replica, error) {
-	r := &Replica{}
-	if err := r.load(recs, seq); err != nil {
-		return nil, err
+	sys, err := core.Rebuild(recs)
+	if err != nil {
+		return nil, fmt.Errorf("replica: rebuilding from snapshot: %w", err)
 	}
-	return r, nil
-}
-
-// load rebuilds the parties from scratch, mirroring the primary's own
-// checkpoint rebuild (OpenDurableSystem): owner over the record set,
-// bulkloaded SP and TE over fresh in-memory page stores.
-func (r *Replica) load(recs []record.Record, seq uint64) error {
-	owner := core.NewDataOwner(recs)
-	sp := core.NewServiceProvider(pagestore.NewMem())
-	te := core.NewTrustedEntity(pagestore.NewMem())
-	sorted := append([]record.Record(nil), recs...)
-	slices.SortFunc(sorted, record.SortByKey)
-	if err := owner.Outsource(sp, te, sorted); err != nil {
-		return fmt.Errorf("replica: rebuilding from snapshot: %w", err)
-	}
-	r.owner, r.sp, r.te, r.seq = owner, sp, te, seq
-	return nil
+	return &Replica{sys: sys, seq: seq}, nil
 }
 
 // Reset replaces the replica's whole state with a fresh snapshot — the
@@ -70,12 +50,12 @@ func (r *Replica) load(recs []record.Record, seq uint64) error {
 func (r *Replica) Reset(recs []record.Record, seq uint64) error {
 	// Build outside the lock (bulkload is the expensive part), swap under
 	// it.
-	nr := &Replica{}
-	if err := nr.load(recs, seq); err != nil {
+	nr, err := NewFromSnapshot(recs, seq)
+	if err != nil {
 		return err
 	}
 	r.mu.Lock()
-	r.owner, r.sp, r.te, r.seq = nr.owner, nr.sp, nr.te, nr.seq
+	r.sys, r.seq = nr.sys, nr.seq
 	r.mu.Unlock()
 	return nil
 }
@@ -99,19 +79,8 @@ func (r *Replica) ApplyGroups(groups []wal.Group) error {
 		if g.Seq != r.seq+1 {
 			return fmt.Errorf("%w: at %d, next group is %d", ErrGap, r.seq, g.Seq)
 		}
-		if err := r.sp.ApplyBatchCtx(ctx, g.Ops); err != nil {
-			return fmt.Errorf("replica: applying group %d to SP: %w", g.Seq, err)
-		}
-		if err := r.te.ApplyBatchCtx(ctx, g.Ops); err != nil {
-			return fmt.Errorf("replica: applying group %d to TE: %w", g.Seq, err)
-		}
-		for i := range g.Ops {
-			switch g.Ops[i].Kind {
-			case wal.OpInsert:
-				r.owner.Restore([]record.Record{g.Ops[i].Rec})
-			case wal.OpDelete:
-				r.owner.Forget([]record.ID{g.Ops[i].ID})
-			}
+		if err := core.ApplyGroup(ctx, r.sys.Owner, r.sys.SP, r.sys.TE, g.Ops); err != nil {
+			return fmt.Errorf("replica: applying group %d: %w", g.Seq, err)
 		}
 		r.seq = g.Seq
 	}
@@ -130,7 +99,7 @@ func (r *Replica) Seq() uint64 {
 func (r *Replica) Count() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.owner.Count()
+	return r.sys.Owner.Count()
 }
 
 // SP exposes the replica's service provider for plain (non-stamped) read
@@ -142,7 +111,7 @@ func (r *Replica) Count() int {
 func (r *Replica) SP() *core.ServiceProvider {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.sp
+	return r.sys.SP
 }
 
 // TE exposes the replica's trusted entity for plain token serving; see SP
@@ -150,7 +119,7 @@ func (r *Replica) SP() *core.ServiceProvider {
 func (r *Replica) TE() *core.TrustedEntity {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.te
+	return r.sys.TE
 }
 
 // View is the replica's read view: f runs under the replica lock, over
@@ -161,7 +130,7 @@ func (r *Replica) View() core.View {
 	return func(f func(uint64, *core.ServiceProvider, *core.TrustedEntity) error) error {
 		r.mu.RLock()
 		defer r.mu.RUnlock()
-		return f(r.seq, r.sp, r.te)
+		return f(r.seq, r.sys.SP, r.sys.TE)
 	}
 }
 

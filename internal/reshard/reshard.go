@@ -207,14 +207,6 @@ func validate(cfg *Config) (newCount int, err error) {
 	return newCount, nil
 }
 
-// opKey returns the search key an op routes by.
-func opKey(op *wal.Op) record.Key {
-	if op.Kind == wal.OpInsert {
-		return op.Rec.Key
-	}
-	return op.Key
-}
-
 // applyGroups filters a batch of source commit groups by span and feeds
 // each target its slice as ONE submission — one target commit (one
 // fsync) per pull batch, not per source group, so catch-up always
@@ -230,7 +222,7 @@ func (c *Coordinator) applyGroups(gs []wal.Group) error {
 		var ops []wal.Op
 		for _, g := range gs {
 			for i := range g.Ops {
-				if k := opKey(&g.Ops[i]); k >= t.span.Lo && k <= t.span.Hi {
+				if k := g.Ops[i].SearchKey(); k >= t.span.Lo && k <= t.span.Hi {
 					ops = append(ops, g.Ops[i])
 				}
 			}
@@ -244,14 +236,6 @@ func (c *Coordinator) applyGroups(gs []wal.Group) error {
 				errs <- fmt.Errorf("reshard: committing source groups %d..%d into target shard %d: %w",
 					gs[0].Seq, gs[len(gs)-1].Seq, t.newIdx, err)
 				return
-			}
-			for i := range ops {
-				switch ops[i].Kind {
-				case wal.OpInsert:
-					t.ds.Owner.Restore([]record.Record{ops[i].Rec})
-				case wal.OpDelete:
-					t.ds.Owner.Forget([]record.ID{ops[i].ID})
-				}
 			}
 			errs <- nil
 		}(t, ops)

@@ -359,8 +359,11 @@ func TestRouterRejectsUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Insert(record.Synthesize(999_999, 1234)); err == nil {
+	if err := c.InsertBatch([]record.Record{record.Synthesize(999_999, 1234)}); err == nil {
 		t.Fatal("router accepted an owner insert")
+	}
+	if err := c.DeleteBatch([]record.ID{1}, []record.Key{1}); err == nil {
+		t.Fatal("router accepted an owner delete")
 	}
 }
 

@@ -279,70 +279,25 @@ func (p *Provider) ServeBurstCtx(ctxs []*exec.Context, qs []record.Range, sc *Bu
 	return sc.vos, nil
 }
 
-// ApplyInsert stores a new record with a fresh request context; see
-// ApplyInsertCtx.
+// ApplyInsert stores a new record and gets the root re-signed: a group of
+// one.
 func (p *Provider) ApplyInsert(r record.Record, owner *Owner) error {
-	return p.ApplyInsertCtx(exec.NewContext(), r, owner)
+	return p.ApplyBatchCtx(exec.NewContext(), []wal.Op{wal.InsertOp(r)}, owner)
 }
 
-// ApplyInsertCtx stores a new record, updates the MB-Tree and gets the
-// root re-signed by the owner, charging page accesses to ctx.
-func (p *Provider) ApplyInsertCtx(ctx *exec.Context, r record.Record, owner *Owner) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	rid, err := p.heap.AppendCtx(ctx, r)
-	if err != nil {
-		return fmt.Errorf("tom: provider inserting record: %w", err)
-	}
-	e := mbtree.Entry{Key: r.Key, RID: rid, Digest: digest.OfRecord(&r)}
-	if err := p.tree.InsertCtx(ctx, e); err != nil {
-		return fmt.Errorf("tom: provider indexing record: %w", err)
-	}
-	p.byID[r.ID] = rid
-	sig, err := owner.Sign(p.boundRoot())
-	if err != nil {
-		return fmt.Errorf("tom: owner re-signing root: %w", err)
-	}
-	p.sig = sig
-	return nil
-}
-
-// ApplyDelete removes a record with a fresh request context; see
-// ApplyDeleteCtx.
+// ApplyDelete removes a record and gets the root re-signed: a group of
+// one.
 func (p *Provider) ApplyDelete(id record.ID, key record.Key, owner *Owner) error {
-	return p.ApplyDeleteCtx(exec.NewContext(), id, key, owner)
+	return p.ApplyBatchCtx(exec.NewContext(), []wal.Op{wal.DeleteOp(id, key)}, owner)
 }
 
-// ApplyDeleteCtx removes a record and gets the root re-signed, charging
-// page accesses to ctx.
-func (p *Provider) ApplyDeleteCtx(ctx *exec.Context, id record.ID, key record.Key, owner *Owner) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	rid, ok := p.byID[id]
-	if !ok {
-		return fmt.Errorf("tom: provider has no record with id %d", id)
-	}
-	if err := p.tree.DeleteCtx(ctx, mbtree.Entry{Key: key, RID: rid}); err != nil {
-		return fmt.Errorf("tom: provider unindexing record: %w", err)
-	}
-	if err := p.heap.DeleteCtx(ctx, rid); err != nil {
-		return fmt.Errorf("tom: provider deleting record: %w", err)
-	}
-	delete(p.byID, id)
-	sig, err := owner.Sign(p.boundRoot())
-	if err != nil {
-		return fmt.Errorf("tom: owner re-signing root: %w", err)
-	}
-	p.sig = sig
-	return nil
-}
-
-// ApplyBatchCtx applies a whole commit group under one lock with ONE
-// owner signature at the end — TOM's analogue of the SAE group commit.
-// The per-update RSA re-sign is TOM's dominant write cost; batching
-// amortizes it to sig/group, which is exactly the comparison the write
-// benchmark draws. Digests fan out across the crypto pool in one
-// dispatch, like the load path.
+// ApplyBatchCtx is the provider's one write body: it applies a whole
+// commit group under one lock with ONE owner signature at the end —
+// TOM's analogue of the SAE group commit — and a single update is a
+// group of one. The per-update RSA re-sign is TOM's dominant write cost;
+// batching amortizes it to sig/group, which is exactly the comparison
+// the write benchmark draws. Digests fan out across the crypto pool in
+// one dispatch, like the load path.
 func (p *Provider) ApplyBatchCtx(ctx *exec.Context, ops []wal.Op, owner *Owner) error {
 	var inserts []record.Record
 	for i := range ops {

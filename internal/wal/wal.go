@@ -59,6 +59,15 @@ func DeleteOp(id record.ID, key record.Key) Op {
 	return Op{Kind: OpDelete, ID: id, Key: key}
 }
 
+// SearchKey returns the key the op's record is indexed under — the key a
+// sharded deployment routes the op by.
+func (op *Op) SearchKey() record.Key {
+	if op.Kind == OpInsert {
+		return op.Rec.Key
+	}
+	return op.Key
+}
+
 // Group is one committed group as recovered by Open.
 type Group struct {
 	Seq uint64

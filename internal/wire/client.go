@@ -260,26 +260,17 @@ func (c *SPClient) QueryRawCtx(ctx context.Context, q record.Range) ([]byte, err
 	return c.ask(ctx, MsgQuery, EncodeRange(q), MsgResult)
 }
 
-// Insert pushes an owner insertion.
-func (c *SPClient) Insert(r record.Record) error {
-	return c.expectAck(Frame{Type: MsgInsert, Payload: r.Marshal()})
-}
-
-// Delete pushes an owner deletion.
-func (c *SPClient) Delete(id record.ID, key record.Key) error {
-	return c.expectAck(Frame{Type: MsgDelete, Payload: EncodeDelete(id, key)})
-}
-
-// InsertBatch pushes a whole insertion batch in one frame; the server
-// applies it as one commit group.
-func (c *SPClient) InsertBatch(recs []record.Record) error {
-	return c.expectAck(Frame{Type: MsgBatchInsert, Payload: EncodeRecords(recs)})
+// InsertBatch pushes a whole insertion batch in one frame to any party
+// with a write path (SP, TE, TOM provider, primary); the server applies
+// it as one commit group. A single insert is a batch of one.
+func (c *Conn) InsertBatch(recs []record.Record) error {
+	return c.expectAck(MsgBatchInsert, EncodeRecords(recs))
 }
 
 // DeleteBatch pushes a whole deletion batch in one frame; the server
-// applies it as one commit group.
-func (c *SPClient) DeleteBatch(ids []record.ID, keys []record.Key) error {
-	return c.expectAck(Frame{Type: MsgBatchDelete, Payload: EncodeDeletes(ids, keys)})
+// applies it as one commit group. A single delete is a batch of one.
+func (c *Conn) DeleteBatch(ids []record.ID, keys []record.Key) error {
+	return c.expectAck(MsgBatchDelete, EncodeDeletes(ids, keys))
 }
 
 // ShardMap asks the server which shard it is and under which partition
@@ -299,8 +290,8 @@ func (c *Conn) ShardMapCtx(ctx context.Context) (ShardInfo, error) {
 	return DecodeShardInfo(p)
 }
 
-func (c *Conn) expectAck(req Frame) error {
-	_, err := c.ask(context.Background(), req.Type, req.Payload, MsgAck)
+func (c *Conn) expectAck(typ MsgType, payload []byte) error {
+	_, err := c.ask(context.Background(), typ, payload, MsgAck)
 	return err
 }
 
@@ -335,27 +326,6 @@ func decodeVT(p []byte) (digest.Digest, error) {
 		return digest.Zero, fmt.Errorf("%w: malformed token response", ErrProtocol)
 	}
 	return digest.FromBytes(p), nil
-}
-
-// Insert pushes an owner insertion.
-func (c *TEClient) Insert(r record.Record) error {
-	return c.expectAck(Frame{Type: MsgInsert, Payload: r.Marshal()})
-}
-
-// Delete pushes an owner deletion.
-func (c *TEClient) Delete(id record.ID, key record.Key) error {
-	return c.expectAck(Frame{Type: MsgDelete, Payload: EncodeDelete(id, key)})
-}
-
-// InsertBatch pushes a whole insertion batch in one frame; the server
-// applies it as one commit group (one lock, one digest dispatch).
-func (c *TEClient) InsertBatch(recs []record.Record) error {
-	return c.expectAck(Frame{Type: MsgBatchInsert, Payload: EncodeRecords(recs)})
-}
-
-// DeleteBatch pushes a whole deletion batch in one frame.
-func (c *TEClient) DeleteBatch(ids []record.ID, keys []record.Key) error {
-	return c.expectAck(Frame{Type: MsgBatchDelete, Payload: EncodeDeletes(ids, keys)})
 }
 
 // TOMClient talks to a TOM provider.
@@ -716,17 +686,6 @@ func verifyRecords(vp core.VerifyPool, qs []record.Range, secs [][]byte, vts []d
 		results[i] = recs
 	}
 	return results, nil
-}
-
-// InsertBatch pushes a whole insertion batch in one frame; the provider
-// applies it as one group with a single owner re-sign.
-func (c *TOMClient) InsertBatch(recs []record.Record) error {
-	return c.expectAck(Frame{Type: MsgBatchInsert, Payload: EncodeRecords(recs)})
-}
-
-// DeleteBatch pushes a whole deletion batch in one frame.
-func (c *TOMClient) DeleteBatch(ids []record.ID, keys []record.Key) error {
-	return c.expectAck(Frame{Type: MsgBatchDelete, Payload: EncodeDeletes(ids, keys)})
 }
 
 // OwnerClient is a remote data owner: it keeps the authoritative id→key

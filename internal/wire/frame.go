@@ -45,10 +45,7 @@ const (
 	MsgVTRequest MsgType = 3
 	// TE -> client: a 20-byte token.
 	MsgVT MsgType = 4
-	// Owner -> SP/TE: one record.
-	MsgInsert MsgType = 5
-	// Owner -> SP/TE: id + key.
-	MsgDelete MsgType = 6
+	// 5-6 are retired and never reused (see the registry's reservation).
 	// Generic success.
 	MsgAck MsgType = 7
 	// Error with a message string.
@@ -465,25 +462,8 @@ func DecodeTOMSharded(b []byte) (shard.Plan, []TOMShardPart, error) {
 	return plan, parts, nil
 }
 
-// EncodeDelete serializes an owner deletion.
-func EncodeDelete(id record.ID, key record.Key) []byte {
-	var b [12]byte
-	binary.BigEndian.PutUint64(b[0:8], uint64(id))
-	binary.BigEndian.PutUint32(b[8:12], uint32(key))
-	return b[:]
-}
-
-// DecodeDelete parses an owner deletion.
-func DecodeDelete(b []byte) (record.ID, record.Key, error) {
-	if len(b) != 12 {
-		return 0, 0, fmt.Errorf("%w: delete payload of %d bytes", ErrProtocol, len(b))
-	}
-	return record.ID(binary.BigEndian.Uint64(b[0:8])),
-		record.Key(binary.BigEndian.Uint32(b[8:12])), nil
-}
-
 // EncodeDeletes serializes a deletion batch: count, then 12 bytes per
-// deletion (id + key) in EncodeDelete's layout.
+// deletion (8-byte id + 4-byte key, big-endian).
 func EncodeDeletes(ids []record.ID, keys []record.Key) []byte {
 	out := make([]byte, 4, 4+len(ids)*12)
 	binary.BigEndian.PutUint32(out[0:4], uint32(len(ids)))

@@ -87,7 +87,6 @@ func FuzzDecodeFrame(f *testing.F) {
 		_, _, _ = DecodeRecords(p)
 		_, _ = DecodeShardInfo(p)
 		_, _, _ = DecodeTOMSharded(p)
-		_, _, _ = DecodeDelete(p)
 		_, _, _ = DecodeDeletes(p)
 	})
 }

@@ -280,9 +280,9 @@ func (lc *lifecycle) waitThaw() error {
 }
 
 // commitOps is a primary's write path: wire-submitted writes go through
-// the group-commit pipeline — durable, generation-stamped, observed by
-// the replication hub — then fold into the owner's bookkeeping. It
-// blocks until the group's fsync, which is why write frames are own rows.
+// the group-commit pipeline — durable, generation-stamped, folded into
+// the owner's map, observed by the replication hub. It blocks until the
+// group's fsync, which is why write frames are own rows.
 func (lc *lifecycle) commitOps(ops []wal.Op) error {
 	if err := lc.waitThaw(); err != nil {
 		return err
@@ -290,18 +290,7 @@ func (lc *lifecycle) commitOps(ops []wal.Op) error {
 	if lc.retired.Load() {
 		return fmt.Errorf("%w: %s; write to the new topology", ErrProtocol, ShardRetired)
 	}
-	if err := lc.ds.Committer().SubmitOps(ops); err != nil {
-		return err
-	}
-	for i := range ops {
-		switch ops[i].Kind {
-		case wal.OpInsert:
-			lc.ds.Owner.Restore([]record.Record{ops[i].Rec})
-		case wal.OpDelete:
-			lc.ds.Owner.Forget([]record.ID{ops[i].ID})
-		}
-	}
-	return nil
+	return lc.ds.Committer().SubmitOps(ops)
 }
 
 // checkSpan refuses a range that escapes the server's own shard span. A
@@ -468,12 +457,6 @@ func serveWrite(s *Server, req Frame, _ *RespBuf) Frame {
 
 func decodeOps(req Frame) ([]wal.Op, error) {
 	switch req.Type {
-	case MsgInsert:
-		r, err := record.Unmarshal(req.Payload)
-		return []wal.Op{wal.InsertOp(r)}, err
-	case MsgDelete:
-		id, key, err := DecodeDelete(req.Payload)
-		return []wal.Op{wal.DeleteOp(id, key)}, err
 	case MsgBatchInsert:
 		recs, rest, err := DecodeRecords(req.Payload)
 		if err != nil {

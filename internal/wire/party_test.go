@@ -179,8 +179,6 @@ func TestRoleFrameMatrix(t *testing.T) {
 	golden := map[MsgType][5]bool{
 		MsgQuery:          {true, false, false, true, true},
 		MsgVTRequest:      {false, true, false, true, true},
-		MsgInsert:         {true, true, true, true, false},
-		MsgDelete:         {true, true, true, true, false},
 		MsgTOMQuery:       {false, false, true, false, false},
 		MsgShardMapReq:    {true, true, true, true, true},
 		MsgBatchInsert:    {true, true, true, true, false},

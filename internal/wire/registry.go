@@ -58,18 +58,19 @@ type frameSpec struct {
 // (see registry_test.go); a reused number does not compile. New frames
 // MUST be added here.
 //
-// Retired, never reused: 11-14 were the many-ranges-in-one-frame pairs
-// MsgBatchQuery/MsgBatchResult and MsgBatchVT/MsgBatchVTResult, which
-// pipelined per-query frames replaced. Their empty rows hold the numbers,
-// so a peer still sending one is refused with CannotHandle instead of
-// being answered as some newer frame.
+// Retired, never reused: 5-6 were the single-update frames MsgInsert and
+// MsgDelete, which a batch of one replaced; 11-14 were the
+// many-ranges-in-one-frame pairs MsgBatchQuery/MsgBatchResult and
+// MsgBatchVT/MsgBatchVTResult, which pipelined per-query frames replaced.
+// Their empty rows hold the numbers, so a peer still sending one is
+// refused with CannotHandle instead of being answered as some newer frame.
 var frameRegistry = [...]frameSpec{
 	MsgQuery:               {Name: "Query", need: capSP, group: serveQuery},
 	MsgResult:              {Name: "Result"},
 	MsgVTRequest:           {Name: "VTRequest", need: capTE, group: serveVT},
 	MsgVT:                  {Name: "VT"},
-	MsgInsert:              {Name: "Insert", need: capApply, own: serveWrite},
-	MsgDelete:              {Name: "Delete", need: capApply, own: serveWrite},
+	5:                      {}, // retired
+	6:                      {}, // retired
 	MsgAck:                 {Name: "Ack"},
 	MsgErr:                 {Name: "Err"},
 	MsgTOMQuery:            {Name: "TOMQuery", need: capTOM, group: serveTOMQuery},

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sae/internal/core"
+	"sae/internal/digest"
 	"sae/internal/record"
 	"sae/internal/replica"
 	"sae/internal/shard"
@@ -143,6 +144,89 @@ func TestPrimaryReplicaWire(t *testing.T) {
 	var se *ServerError
 	if !errors.As(err, &se) {
 		t.Fatalf("replica write: got %v, want a ServerError", err)
+	}
+}
+
+// TestOneBodyOneState: a primary applies wire batches through its one
+// commit-group body, a replica applies the groups it tails through the
+// same body, and a checkpoint-and-reopen rebuilds the primary from the
+// owner map that body folded. All three must agree on the owner's
+// record count, the generation stamp and the full-range verification
+// token.
+func TestOneBodyOneState(t *testing.T) {
+	sys, _, psrv := startPrimary(t, 1000)
+	rep, _, err := BootstrapReplica(psrv.Addr())
+	if err != nil {
+		t.Fatalf("bootstrap: %v", err)
+	}
+	feed := StartReplicaFeed(rep, psrv.Addr(), nil)
+	defer feed.Close()
+
+	wc, err := DialSP(psrv.Addr())
+	if err != nil {
+		t.Fatalf("dialing primary for writes: %v", err)
+	}
+	defer wc.Close()
+	var recs []record.Record
+	for i := 0; i < 30; i++ {
+		recs = append(recs, record.Synthesize(record.ID(1<<40+i), record.Key(i*300_000)))
+	}
+	old := sys.Owner.Records()[:2]
+	for _, err := range []error{
+		wc.InsertBatch(recs[:20]),
+		wc.InsertBatch(recs[20:29]),
+		wc.InsertBatch(recs[29:]), // a batch of one
+		wc.DeleteBatch([]record.ID{recs[0].ID, recs[1].ID, recs[2].ID}, []record.Key{recs[0].Key, recs[1].Key, recs[2].Key}),
+		wc.DeleteBatch([]record.ID{old[0].ID}, []record.Key{old[0].Key}),
+		wc.DeleteBatch([]record.ID{old[1].ID}, []record.Key{old[1].Key}),
+	} {
+		if err != nil {
+			t.Fatalf("wire write: %v", err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); rep.Seq() < sys.Seq(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica stuck at generation %d, primary at %d", rep.Seq(), sys.Seq())
+		}
+	}
+
+	type state struct {
+		count int
+		seq   uint64
+		vt    digest.Digest
+	}
+	full := record.Range{Lo: 0, Hi: record.KeyDomain}
+	stateOf := func(name string, count int, serve func(record.Range, func(*record.Record) error) (int, digest.Digest, uint64, error)) state {
+		t.Helper()
+		n, vt, seq, err := serve(full, func(*record.Record) error { return nil })
+		if err != nil {
+			t.Fatalf("%s full-range verified query: %v", name, err)
+		}
+		if n != count {
+			t.Fatalf("%s serves %d records but its owner holds %d", name, n, count)
+		}
+		return state{count, seq, vt}
+	}
+	primary := stateOf("primary", sys.Owner.Count(), sys.ServeVerified)
+	follower := stateOf("replica", rep.Count(), rep.ServeVerified)
+	if err := sys.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	re, err := core.OpenDurableSystem(sys.Dir, nil, 16)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Close()
+	reopened := stateOf("reopened primary", re.Owner.Count(), re.ServeVerified)
+
+	if want := 1000 + 30 - 3 - 2; primary.count != want {
+		t.Fatalf("primary owner holds %d records, want %d", primary.count, want)
+	}
+	if follower != primary || reopened != primary {
+		t.Fatalf("states differ: primary %+v, replica %+v, reopened %+v", primary, follower, reopened)
 	}
 }
 

@@ -128,23 +128,23 @@ func DecodeFreeze(b []byte) (time.Duration, error) {
 // PlanUpdate tells a primary to adopt a new shard attestation; the
 // server accepts only a strictly higher plan epoch.
 func (c *Conn) PlanUpdate(si ShardInfo) error {
-	return c.expectAck(Frame{Type: MsgPlanUpdate, Payload: EncodeShardInfo(si)})
+	return c.expectAck(MsgPlanUpdate, EncodeShardInfo(si))
 }
 
 // Freeze blocks the primary's write commits for at most ttl; the ack
 // means every in-flight commit group has drained into the WAL stream.
 func (c *Conn) Freeze(ttl time.Duration) error {
-	return c.expectAck(Frame{Type: MsgFreeze, Payload: EncodeFreeze(ttl)})
+	return c.expectAck(MsgFreeze, EncodeFreeze(ttl))
 }
 
 // Thaw releases a freeze.
 func (c *Conn) Thaw() error {
-	return c.expectAck(Frame{Type: MsgThaw})
+	return c.expectAck(MsgThaw, nil)
 }
 
 // Retire permanently fences a migrated-away shard off from clients.
 func (c *Conn) Retire() error {
-	return c.expectAck(Frame{Type: MsgRetire})
+	return c.expectAck(MsgRetire, nil)
 }
 
 // ReshardCutover orders a router to swap to the successor topology.
@@ -153,5 +153,5 @@ func (c *Conn) ReshardCutover(cut Cutover) error {
 	if err != nil {
 		return err
 	}
-	return c.expectAck(Frame{Type: MsgReshardCutover, Payload: p})
+	return c.expectAck(MsgReshardCutover, p)
 }

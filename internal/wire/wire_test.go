@@ -84,13 +84,6 @@ func BenchmarkDecodeRecords(b *testing.B) {
 	}
 }
 
-func TestDeleteCodec(t *testing.T) {
-	id, key, err := DecodeDelete(EncodeDelete(42, 99))
-	if err != nil || id != 42 || key != 99 {
-		t.Fatalf("delete codec: id=%d key=%d err=%v", id, key, err)
-	}
-}
-
 // launchSAE boots an SP and a TE over loopback with a shared dataset.
 func launchSAE(t *testing.T, n int) (*SPServer, *TEServer, *workload.Dataset) {
 	t.Helper()
@@ -174,13 +167,14 @@ func TestNetworkedUpdateFlow(t *testing.T) {
 	}
 	defer client.Close()
 
-	// The owner pushes an insert to both parties over the wire.
+	// The owner pushes an insert to both parties over the wire: a batch
+	// of one.
 	fresh := record.Synthesize(900_001, 4_242_424)
-	if err := client.SP.Insert(fresh); err != nil {
-		t.Fatalf("SP.Insert: %v", err)
+	if err := client.SP.InsertBatch([]record.Record{fresh}); err != nil {
+		t.Fatalf("SP.InsertBatch: %v", err)
 	}
-	if err := client.TE.Insert(fresh); err != nil {
-		t.Fatalf("TE.Insert: %v", err)
+	if err := client.TE.InsertBatch([]record.Record{fresh}); err != nil {
+		t.Fatalf("TE.InsertBatch: %v", err)
 	}
 	recs, err := client.Query(record.Range{Lo: 4_242_000, Hi: 4_243_000})
 	if err != nil {
@@ -196,11 +190,11 @@ func TestNetworkedUpdateFlow(t *testing.T) {
 		t.Fatal("inserted record not returned after networked update")
 	}
 	// And a delete.
-	if err := client.SP.Delete(fresh.ID, fresh.Key); err != nil {
-		t.Fatalf("SP.Delete: %v", err)
+	if err := client.SP.DeleteBatch([]record.ID{fresh.ID}, []record.Key{fresh.Key}); err != nil {
+		t.Fatalf("SP.DeleteBatch: %v", err)
 	}
-	if err := client.TE.Delete(fresh.ID, fresh.Key); err != nil {
-		t.Fatalf("TE.Delete: %v", err)
+	if err := client.TE.DeleteBatch([]record.ID{fresh.ID}, []record.Key{fresh.Key}); err != nil {
+		t.Fatalf("TE.DeleteBatch: %v", err)
 	}
 	recs, err = client.Query(record.Range{Lo: 4_242_000, Hi: 4_243_000})
 	if err != nil {
@@ -308,16 +302,25 @@ func TestNetworkedTOM(t *testing.T) {
 	}
 }
 
+// TestServerRejectsUnknownMessage: a frame a server does not serve — a
+// response type, or a retired number (5-6 were the single insert and
+// delete) — is refused by name, by a stand-alone SP and by a primary.
 func TestServerRejectsUnknownMessage(t *testing.T) {
 	spSrv, _, _ := launchSAE(t, 100)
-	c, err := Dial(spSrv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	_, err = c.roundTrip(Frame{Type: MsgVT})
-	if err == nil || !strings.Contains(err.Error(), "cannot handle") {
-		t.Fatalf("unknown message error = %v", err)
+	_, _, primary := startPrimary(t, 100)
+	one := record.Synthesize(1, 1) // the payload MsgInsert used to carry
+	for _, addr := range []string{spSrv.Addr(), primary.Addr()} {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for _, typ := range []MsgType{MsgVT, 5, 6} {
+			_, err = c.roundTrip(Frame{Type: typ, Payload: one.Marshal()})
+			if err == nil || !strings.Contains(err.Error(), "cannot handle") {
+				t.Fatalf("frame %d at %s: error = %v", typ, addr, err)
+			}
+		}
 	}
 }
 
