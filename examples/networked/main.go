@@ -66,12 +66,11 @@ func main() {
 		log.Fatal(err)
 	}
 	defer client.Close()
-	tomConn, err := wire.DialTOM(tomSrv.Addr())
+	tomClient, err := wire.DialVerifyingTOM(tomSrv.Addr(), owner.Verifier())
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer tomConn.Close()
-	tomClient := &wire.VerifyingTOMClient{Provider: tomConn, Verifier: owner.Verifier()}
+	defer tomClient.Close()
 
 	queries := workload.Queries(20, workload.DefaultExtent, 12)
 	totalRecords := 0
@@ -95,8 +94,8 @@ func main() {
 	fmt.Println("measured wire traffic per query (9-byte frame headers included):")
 	fmt.Printf("  SAE  SP->client: %6d B  (the records themselves)\n", client.SP.BytesReceived()/nq)
 	fmt.Printf("  SAE  TE->client: %6d B  (constant: one 20-byte token)\n", client.TE.BytesReceived()/nq)
-	fmt.Printf("  TOM  SP->client: %6d B  (records + VO)\n", tomConn.BytesReceived()/nq)
-	voOverhead := (tomConn.BytesReceived() - client.SP.BytesReceived()) / nq
+	fmt.Printf("  TOM  SP->client: %6d B  (records + VO)\n", tomClient.BytesReceived()/nq)
+	voOverhead := (tomClient.BytesReceived() - client.SP.BytesReceived()) / nq
 	teOverhead := client.TE.BytesReceived() / nq
 	fmt.Printf("\nauthentication overhead: TOM %d B/query vs SAE %d B/query (%.0fx)\n",
 		voOverhead, teOverhead, float64(voOverhead)/float64(teOverhead))

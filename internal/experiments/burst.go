@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -133,7 +134,7 @@ func measureServe(cfg *BurstConfig, addr string, qs []record.Range) (float64, fl
 					batch[j] = qs[(i+j)%len(qs)]
 				}
 				i += cfg.BurstSize
-				raws, err := cl.QueryRawMany(batch)
+				raws, err := cl.QueryRawMany(context.Background(), batch)
 				if err != nil {
 					firstErr.CompareAndSwap(nil, err)
 					return

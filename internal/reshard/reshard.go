@@ -44,6 +44,7 @@
 package reshard
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -122,7 +123,7 @@ type target struct {
 // source is one shard being migrated away.
 type source struct {
 	oldIdx int
-	repl   *wire.ReplicationClient
+	repl   *wire.Conn
 	ctrl   *wire.SPClient
 	seq    uint64 // watermark: last source commit group folded into targets
 }
@@ -256,7 +257,7 @@ func (c *Coordinator) pullPass() (int, error) {
 	streamed := 0
 	for _, s := range c.sources {
 		for {
-			gs, snapshotNeeded, err := s.repl.Pull(s.seq, 64)
+			gs, snapshotNeeded, err := s.repl.Pull(context.Background(), s.seq, 64)
 			if err != nil {
 				return streamed, fmt.Errorf("reshard: tailing shard %d: %w", s.oldIdx, err)
 			}
@@ -311,7 +312,7 @@ func Run(cfg Config) (*Coordinator, *Result, error) {
 	var snapRecs [][]record.Record
 	for i := 0; i < cfg.Replaced; i++ {
 		oldIdx := cfg.FirstShard + i
-		repl, err := wire.DialReplication(cfg.Primaries[oldIdx])
+		repl, err := wire.Dial(cfg.Primaries[oldIdx])
 		if err != nil {
 			return nil, nil, fmt.Errorf("reshard: dialing source shard %d: %w", oldIdx, err)
 		}
@@ -321,7 +322,7 @@ func Run(cfg Config) (*Coordinator, *Result, error) {
 			return nil, nil, fmt.Errorf("reshard: dialing source shard %d control: %w", oldIdx, err)
 		}
 		c.sources = append(c.sources, &source{oldIdx: oldIdx, repl: repl, ctrl: ctrl})
-		si, recs, seq, err := repl.Snapshot()
+		si, recs, seq, err := repl.Snapshot(context.Background())
 		if err != nil {
 			return nil, nil, fmt.Errorf("reshard: snapshotting source shard %d: %w", oldIdx, err)
 		}

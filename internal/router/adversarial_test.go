@@ -243,10 +243,10 @@ func TestRouterTOMShardSwapRejected(t *testing.T) {
 // tomClient dials a verifying TOM client through the router.
 func (d *deployment) tomClient(t *testing.T) *wire.VerifyingTOMClient {
 	t.Helper()
-	tc, err := wire.DialTOM(d.router.Addr())
+	tc, err := wire.DialVerifyingTOM(d.router.Addr(), d.tomOwner.Verifier())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tc.Close() })
-	return &wire.VerifyingTOMClient{Provider: tc, Verifier: d.tomOwner.Verifier()}
+	return tc
 }

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -16,11 +17,7 @@ import (
 func runMixedBurst(t *testing.T, d *deployment, qs []record.Range) ([][]record.Record, [][]byte) {
 	t.Helper()
 	vc := d.plainClient(t)
-	tc, err := wire.DialTOM(d.router.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { tc.Close() })
+	tc := d.tomClient(t)
 
 	var (
 		wg      sync.WaitGroup
@@ -36,7 +33,7 @@ func runMixedBurst(t *testing.T, d *deployment, qs []record.Range) ([][]record.R
 	}()
 	go func() {
 		defer wg.Done()
-		tomRaws, tomErr = tc.QueryRawMany(qs)
+		tomRaws, tomErr = tc.QueryRawMany(context.Background(), qs)
 	}()
 	wg.Wait()
 	if saeErr != nil {

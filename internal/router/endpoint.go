@@ -264,7 +264,7 @@ func (e *endpoint) probe(timeout time.Duration) {
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	gen, err := c.GenStampCtx(ctx)
+	gen, err := c.GenStamp(ctx)
 	timedOut := ctx.Err() != nil
 	cancel()
 	if err != nil {

@@ -1,6 +1,8 @@
 package router
 
 import (
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -277,5 +279,45 @@ func TestRouterBadUpstreamFraming(t *testing.T) {
 	defer vc.Close()
 	if _, err := vc.Query(spanningQuery(t, d)); err == nil {
 		t.Fatal("malformed upstream framing passed through the router")
+	}
+}
+
+// TestNewSilentUpstream: building a router against an upstream that
+// accepts connections but never answers — a SIGSTOPped process, whose
+// kernel still completes the handshake — fails within the dial timeout
+// instead of hanging on the attestation cross-check.
+func TestNewSilentUpstream(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer nc.Close()
+				io.Copy(io.Discard, nc)
+			}()
+		}
+	}()
+	done := make(chan error, 1)
+	go func() {
+		r, err := New(Config{SPs: []string{ln.Addr().String()}, TEs: []string{ln.Addr().String()}})
+		if err == nil {
+			r.Close()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("router.New accepted an upstream that never attested")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("router.New still blocked after 5s on an upstream that accepts but never answers")
 	}
 }

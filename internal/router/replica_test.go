@@ -332,7 +332,7 @@ func TestRouterStaleReplicaRejected(t *testing.T) {
 	defer vc.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		g, err := vc.GenStamp()
+		g, err := vc.GenStamp(t.Context())
 		if err != nil {
 			t.Fatal(err)
 		}

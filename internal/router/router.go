@@ -262,7 +262,9 @@ func (r *Router) buildTopology(spAddrs, teAddrs []string, replicas [][]string, t
 			return nil, fmt.Errorf("router: shard %d TE: %w", i, err)
 		}
 	}
-	plan, err := wire.VerifyShardAttestations(spConns, teConns)
+	ctx, cancel := context.WithTimeout(context.Background(), dialTimeout)
+	plan, err := wire.VerifyShardAttestations(ctx, spConns, teConns)
+	cancel()
 	if err != nil {
 		return nil, fmt.Errorf("router: upstream attestation: %w", err)
 	}

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"context"
 	"testing"
 
 	"sae/internal/core"
@@ -206,11 +207,11 @@ func TestRoutedQueryParity(t *testing.T) {
 
 		// Token parity: the router's TE endpoint must hand out exactly
 		// the XOR of the shard TEs' tokens — the oracle's combined VT.
-		vt, err := routerTE.GenerateVT(q)
+		vts, err := routerTE.GenerateVTMany(context.Background(), []record.Range{q})
 		if err != nil {
 			t.Fatalf("router VT %v: %v", q, err)
 		}
-		if vt != oracle.VT {
+		if vts[0] != oracle.VT {
 			t.Fatalf("%v: routed token differs from oracle's combined token", q)
 		}
 	}
@@ -276,12 +277,11 @@ func TestRoutedSingleShard(t *testing.T) {
 // the plain provider protocol bit-for-bit.
 func TestRoutedTOMParity(t *testing.T) {
 	d := newDeployment(t, 9_000, 3, true, Config{})
-	tc, err := wire.DialTOM(d.router.Addr())
+	client, err := wire.DialVerifyingTOM(d.router.Addr(), d.tomSys.Owner.Verifier())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tc.Close()
-	client := &wire.VerifyingTOMClient{Provider: tc, Verifier: d.tomSys.Owner.Verifier()}
+	defer client.Close()
 	for _, q := range testQueries(d, 5, 81) {
 		oracle, err := d.tomSys.Query(q)
 		if err != nil || oracle.VerifyErr != nil {
@@ -319,12 +319,7 @@ func TestRoutedTOMParity(t *testing.T) {
 // applies.
 func TestRoutedTOMSingleShardRelay(t *testing.T) {
 	d := newDeployment(t, 3_000, 1, true, Config{})
-	tc, err := wire.DialTOM(d.router.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tc.Close()
-	client := &wire.VerifyingTOMClient{Provider: tc, Verifier: d.tomOwner.Verifier()}
+	client := d.tomClient(t)
 	for _, q := range workload.Queries(4, workload.DefaultExtent, 82) {
 		if _, err := client.Query(q); err != nil {
 			t.Fatalf("routed single-shard TOM %v: %v", q, err)
@@ -394,10 +389,11 @@ func TestRoutedVTMatchesDigestFold(t *testing.T) {
 	}
 	defer routerTE.Close()
 	q := record.Range{Lo: 0, Hi: record.KeyDomain}
-	vt, err := routerTE.GenerateVT(q)
+	vts, err := routerTE.GenerateVTMany(context.Background(), []record.Range{q})
 	if err != nil {
 		t.Fatal(err)
 	}
+	vt := vts[0]
 	oracle, err := d.sys.Query(q)
 	if err != nil || oracle.VerifyErr != nil {
 		t.Fatalf("oracle: %v / %v", err, oracle.VerifyErr)

@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,12 +13,18 @@ import (
 )
 
 // TestRoundTripAbandonCleansPending: a context-cancelled round trip (the
-// hedged-request loser, a timed-out sub-request) removes its pending
-// entry, leaves the connection healthy, and its late response — arriving
-// after the abandonment — is discarded by the demux loop rather than
-// delivered to a later request: its payload goes back to the receive
-// pool, exactly once. Runs under -race in CI.
+// hedged-request loser, a timed-out sub-request), alone or as a group,
+// removes every pending entry, leaves the connection healthy, and its
+// late response — arriving after the abandonment — is discarded by the
+// demux loop rather than delivered to a later request: its payload goes
+// back to the receive pool, exactly once. Runs under -race in CI.
 func TestRoundTripAbandonCleansPending(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("group of %d", n), func(t *testing.T) { abandonGroup(t, n) })
+	}
+}
+
+func abandonGroup(t *testing.T, n int) {
 	const tag = 0x7003
 	base := releasedCount(tag)
 	release := make(chan struct{})
@@ -51,17 +58,21 @@ func TestRoundTripAbandonCleansPending(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	if _, err := c.QueryRawCtx(ctx, record.Range{Lo: 0, Hi: 100}); !errors.Is(err, context.DeadlineExceeded) {
+	qs := make([]record.Range, n)
+	for i := range qs {
+		qs[i] = record.Range{Lo: 0, Hi: 100}
+	}
+	if _, err := c.QueryRawMany(ctx, qs); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("abandoned round trip: got %v, want a deadline error", err)
 	}
 
-	// The abandoned request's pending entry is gone and the connection is
+	// The abandoned requests' pending entries are gone and the connection is
 	// unpoisoned.
 	c.mu.Lock()
-	n := len(c.pending)
+	left := len(c.pending)
 	c.mu.Unlock()
-	if n != 0 {
-		t.Fatalf("%d pending entries survive an abandoned round trip", n)
+	if left != 0 {
+		t.Fatalf("%d pending entries survive an abandoned round trip", left)
 	}
 	if err := c.Err(); err != nil {
 		t.Fatalf("abandonment poisoned the connection: %v", err)
@@ -73,17 +84,17 @@ func TestRoundTripAbandonCleansPending(t *testing.T) {
 	// ITS response (ids never collide), proving no double delivery.
 	unstall()
 	awaitReleased(t, tag, base+1)
-	raw, err := c.QueryRaw(record.Range{Lo: 0, Hi: 100})
+	raws, err := c.QueryRawMany(context.Background(), qs[:1])
 	if err != nil {
 		t.Fatalf("fresh request after an abandoned one: %v", err)
 	}
-	if len(raw) != 4 {
-		t.Fatalf("fresh response payload is %d bytes, want the 4-byte empty count", len(raw))
+	if len(raws[0]) != 4 {
+		t.Fatalf("fresh response payload is %d bytes, want the 4-byte empty count", len(raws[0]))
 	}
 	c.mu.Lock()
-	n = len(c.pending)
+	left = len(c.pending)
 	c.mu.Unlock()
-	if n != 0 {
-		t.Fatalf("%d pending entries after the fresh round trip", n)
+	if left != 0 {
+		t.Fatalf("%d pending entries after the fresh round trip", left)
 	}
 }

@@ -3,7 +3,6 @@ package wire
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"sae/internal/agg"
 	"sae/internal/core"
@@ -21,19 +20,22 @@ import (
 // is the protocol's response-bytes win over scan-and-fold, which ships
 // every covered record.
 
-// Aggregate fetches the COUNT/SUM/MIN/MAX scalar for a range. The answer
-// is untrusted until checked against a TE aggregate token.
-func (c *SPClient) Aggregate(q record.Range) (agg.Agg, error) {
-	return c.AggregateWithCtx(context.Background(), q)
+// AggregateMany fetches the COUNT/SUM/MIN/MAX scalars for a group of
+// ranges (a burst-mode server serves the group through one lane pass).
+// Scalars align with qs and are untrusted until checked against TE
+// aggregate tokens.
+func (c *SPClient) AggregateMany(ctx context.Context, qs []record.Range) ([]agg.Agg, error) {
+	raws, err := c.askMany(ctx, rangeFrames(MsgAggQuery, qs), MsgAggResult)
+	return decodeAll(raws, err, decodeAggResult)
 }
 
-// AggregateWithCtx is Aggregate bounded by a context.
+// AggregateWithCtx is AggregateMany of one.
 func (c *SPClient) AggregateWithCtx(ctx context.Context, q record.Range) (agg.Agg, error) {
-	p, err := c.ask(ctx, MsgAggQuery, EncodeRange(q), MsgAggResult)
+	as, err := c.AggregateMany(ctx, []record.Range{q})
 	if err != nil {
 		return agg.Agg{}, err
 	}
-	return decodeAggResult(p)
+	return as[0], nil
 }
 
 func decodeAggResult(p []byte) (agg.Agg, error) {
@@ -43,35 +45,20 @@ func decodeAggResult(p []byte) (agg.Agg, error) {
 	return agg.FromBytes(p), nil
 }
 
-// AggregateMany fetches the scalars for a group of ranges as one
-// pipelined burst (single vectored write; a burst-mode server serves the
-// group through one lane pass). Scalars align with qs.
-func (c *SPClient) AggregateMany(qs []record.Range) ([]agg.Agg, error) {
-	raws, err := c.askMany(MsgAggQuery, qs, MsgAggResult)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]agg.Agg, len(raws))
-	for i := range raws {
-		if out[i], err = decodeAggResult(raws[i]); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+// AggTokenMany fetches the aggregate verification tokens for a group of
+// ranges; tokens align with qs.
+func (c *TEClient) AggTokenMany(ctx context.Context, qs []record.Range) ([]agg.Token, error) {
+	raws, err := c.askMany(ctx, rangeFrames(MsgAggTokenReq, qs), MsgAggToken)
+	return decodeAll(raws, err, decodeAggToken)
 }
 
-// AggToken fetches the aggregate verification token for a range.
-func (c *TEClient) AggToken(q record.Range) (agg.Token, error) {
-	return c.AggTokenWithCtx(context.Background(), q)
-}
-
-// AggTokenWithCtx is AggToken bounded by a context.
+// AggTokenWithCtx is AggTokenMany of one.
 func (c *TEClient) AggTokenWithCtx(ctx context.Context, q record.Range) (agg.Token, error) {
-	p, err := c.ask(ctx, MsgAggTokenReq, EncodeRange(q), MsgAggToken)
+	toks, err := c.AggTokenMany(ctx, []record.Range{q})
 	if err != nil {
 		return agg.Token{}, err
 	}
-	return decodeAggToken(p)
+	return toks[0], nil
 }
 
 func decodeAggToken(p []byte) (agg.Token, error) {
@@ -79,22 +66,6 @@ func decodeAggToken(p []byte) (agg.Token, error) {
 		return agg.Token{}, fmt.Errorf("%w: malformed aggregate token response", ErrProtocol)
 	}
 	return agg.TokenFromBytes(p), nil
-}
-
-// AggTokenMany fetches the tokens for a group of ranges as one pipelined
-// burst; tokens align with qs.
-func (c *TEClient) AggTokenMany(qs []record.Range) ([]agg.Token, error) {
-	raws, err := c.askMany(MsgAggTokenReq, qs, MsgAggToken)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]agg.Token, len(raws))
-	for i := range raws {
-		if out[i], err = decodeAggToken(raws[i]); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // Aggregate runs the verified aggregation fast path over the network:
@@ -111,45 +82,23 @@ func (v *VerifyingClient) Aggregate(q record.Range) (agg.Agg, error) {
 // AggregateBurst runs a group of verified aggregate queries as one burst:
 // the SP folds its B+-tree annotations while the TE issues the
 // range-bound tokens, in parallel, each party receiving the whole group
-// in a single vectored write (served as one grouped lane pass), and every
-// scalar is checked against its own token. Requests and responses are
+// in a single write (served as one grouped lane pass), and every scalar
+// is checked against its own token. Requests and responses are
 // constant-size, so a query costs O(log n) at the parties and O(1) bytes
 // and client work regardless of how many records the range covers.
 // Results align with qs; the first verification failure rejects the
 // burst.
 func (v *VerifyingClient) AggregateBurst(qs []record.Range) ([]agg.Agg, error) {
-	type spOut struct {
-		as  []agg.Agg
-		err error
-	}
-	type teOut struct {
-		toks []agg.Token
-		err  error
-	}
-	spCh := make(chan spOut, 1)
-	teCh := make(chan teOut, 1)
-	go func() {
-		as, err := v.SP.AggregateMany(qs)
-		spCh <- spOut{as, err}
-	}()
-	go func() {
-		toks, err := v.TE.AggTokenMany(qs)
-		teCh <- teOut{toks, err}
-	}()
-	sp := <-spCh
-	te := <-teCh
-	if sp.err != nil {
-		return nil, fmt.Errorf("wire: SP aggregate failed: %w", sp.err)
-	}
-	if te.err != nil {
-		return nil, fmt.Errorf("wire: TE aggregate token failed: %w", te.err)
+	as, toks, err := fetch(v, qs, (*SPClient).AggregateMany, (*TEClient).AggTokenMany)
+	if err != nil {
+		return nil, err
 	}
 	for i, q := range qs {
-		if err := te.toks[i].Verify(q, sp.as[i]); err != nil {
+		if err := toks[i].Verify(q, as[i]); err != nil {
 			return nil, fmt.Errorf("%w: query %d %v: %v", core.ErrVerificationFailed, i, q, err)
 		}
 	}
-	return sp.as, nil
+	return as, nil
 }
 
 // Aggregate runs the verified TOM aggregation fast path. Under TOM the
@@ -161,7 +110,7 @@ func (v *VerifyingClient) AggregateBurst(qs []record.Range) ([]agg.Agg, error) {
 // system: the relayed plan is untrusted, but every shard's VO signature
 // binds the owner-signed plan.
 func (v *VerifyingTOMClient) Aggregate(q record.Range) (agg.Agg, error) {
-	resp, err := v.Provider.roundTrip(Frame{Type: MsgTOMAggQuery, Payload: EncodeRange(q)})
+	resp, err := v.RoundTripCtx(context.Background(), Frame{Type: MsgTOMAggQuery, Payload: EncodeRange(q)})
 	if err != nil {
 		return agg.Agg{}, err
 	}
@@ -172,20 +121,12 @@ func (v *VerifyingTOMClient) Aggregate(q record.Range) (agg.Agg, error) {
 		if err != nil {
 			return agg.Agg{}, err
 		}
-		return mbtreeVerifyAgg(vo, q, v)
+		return mbtree.VerifyAggVO(vo, q.Lo, q.Hi, v.Verifier)
 	case MsgTOMAggShardedResult:
 		return v.verifyShardedAgg(q, resp.Payload)
 	default:
 		return agg.Agg{}, fmt.Errorf("%w: unexpected response type %d", ErrProtocol, resp.Type)
 	}
-}
-
-func mbtreeVerifyAgg(vo *mbtree.VO, q record.Range, v *VerifyingTOMClient) (agg.Agg, error) {
-	a, err := mbtree.VerifyAggVO(vo, q.Lo, q.Hi, v.Verifier)
-	if err != nil {
-		return agg.Agg{}, err
-	}
-	return a, nil
 }
 
 // verifyShardedAgg checks a router's stitched TOM aggregate evidence:
@@ -214,55 +155,28 @@ func (v *VerifyingTOMClient) verifyShardedAgg(q record.Range, payload []byte) (a
 
 // Aggregate scatters a verified aggregate query across the shards: every
 // overlapping shard answers the clamp the client computed itself from the
-// TE-attested plan (scalar and token in parallel on the shard's two
-// connections), each scalar verifies against its own shard's range-bound
-// token, and the partials must seam-check back into q (shard.MergeAgg)
-// before merging — so a suppressed, duplicated or re-clamped partial
-// fails loudly, exactly as in the in-process sharded system.
+// TE-attested plan (AggregateBurst of one on the shard's own client:
+// scalar and token in parallel, the scalar verified against that shard's
+// range-bound token), and the partials must seam-check back into q
+// (shard.MergeAgg) before merging — so a suppressed, duplicated or
+// re-clamped partial fails loudly, exactly as in the in-process sharded
+// system.
 func (c *ShardedVerifyingClient) Aggregate(q record.Range) (agg.Agg, error) {
 	subs := c.Plan.Scatter(q)
 	if len(subs) == 0 {
 		return agg.Agg{}, nil
 	}
 	parts := make([]shard.AggPart, len(subs))
-	errs := make([]error, len(subs))
-	var wg sync.WaitGroup
-	for i := range subs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			idx, sub := subs[i].Shard, subs[i].Sub
-			vc := c.Shards[idx]
-			var inner sync.WaitGroup
-			inner.Add(1)
-			var tok agg.Token
-			var tokErr error
-			go func() {
-				defer inner.Done()
-				tok, tokErr = vc.TE.AggToken(sub)
-			}()
-			a, spErr := vc.SP.Aggregate(sub)
-			inner.Wait()
-			if spErr != nil {
-				errs[i] = fmt.Errorf("wire: shard %d SP aggregate: %w", idx, spErr)
-				return
-			}
-			if tokErr != nil {
-				errs[i] = fmt.Errorf("wire: shard %d TE aggregate token: %w", idx, tokErr)
-				return
-			}
-			if err := tok.Verify(sub, a); err != nil {
-				errs[i] = fmt.Errorf("%w: shard %d: %v", core.ErrVerificationFailed, idx, err)
-				return
-			}
-			parts[i] = shard.AggPart{Sub: sub, Agg: a}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err := c.scatter(subs, func(i int, vc *VerifyingClient) error {
+		as, err := vc.AggregateBurst([]record.Range{subs[i].Sub})
 		if err != nil {
-			return agg.Agg{}, err
+			return err
 		}
+		parts[i] = shard.AggPart{Sub: subs[i].Sub, Agg: as[0]}
+		return nil
+	})
+	if err != nil {
+		return agg.Agg{}, err
 	}
 	merged, err := shard.MergeAgg(q, parts)
 	if err != nil {

@@ -86,12 +86,11 @@ func TestAggregateWireTampered(t *testing.T) {
 // TCP: the replayed VO must produce the fold scalar.
 func TestTOMAggregateOverWire(t *testing.T) {
 	r := launchRoles(t, 3000)
-	tc, err := DialTOM(r.tom.Addr())
+	client, err := DialVerifyingTOM(r.tom.Addr(), r.owner.Verifier())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tc.Close()
-	client := &VerifyingTOMClient{Provider: tc, Verifier: r.owner.Verifier()}
+	defer client.Close()
 	for _, q := range burstParityQueries(12) {
 		a, err := client.Aggregate(q)
 		if err != nil {

@@ -24,45 +24,35 @@ func TestBatchCodecs(t *testing.T) {
 	}
 }
 
-// TestOwnerClientBatchUpdates pushes insert and delete batches through
-// the wire batch frames and checks verified queries see exactly the
-// committed state.
+// TestOwnerClientBatchUpdates pushes an owner's insert and delete
+// batches through the wire batch frames, one frame per batch to each
+// party, and checks verified queries see exactly the committed state.
 func TestOwnerClientBatchUpdates(t *testing.T) {
 	spSrv, teSrv, ds := launchSAE(t, 3000)
-	owner, err := DialOwner(spSrv.Addr(), teSrv.Addr(), ds.Records)
-	if err != nil {
-		t.Fatalf("DialOwner: %v", err)
-	}
-	defer owner.Close()
 	client, err := DialVerifying(spSrv.Addr(), teSrv.Addr())
 	if err != nil {
 		t.Fatalf("DialVerifying: %v", err)
 	}
 	defer client.Close()
+	parties := []*Conn{client.SP.Conn, client.TE.Conn}
 
-	keys := make([]record.Key, 120)
-	for i := range keys {
-		keys[i] = record.Key((i * 4093) % record.KeyDomain)
+	ins := make([]record.Record, 120)
+	for i := range ins {
+		ins[i] = record.Synthesize(record.ID(len(ds.Records)+1+i), record.Key((i*4093)%record.KeyDomain))
 	}
-	ins, err := owner.InsertBatch(keys)
-	if err != nil {
-		t.Fatalf("InsertBatch: %v", err)
-	}
-	if len(ins) != len(keys) {
-		t.Fatalf("InsertBatch returned %d records, want %d", len(ins), len(keys))
-	}
-	delIDs := make([]record.ID, 0, 40)
+	var delIDs []record.ID
+	var delKeys []record.Key
 	for i := 0; i < 40; i++ {
 		delIDs = append(delIDs, ins[i*2].ID)
+		delKeys = append(delKeys, ins[i*2].Key)
 	}
-	if err := owner.DeleteBatch(delIDs); err != nil {
-		t.Fatalf("DeleteBatch: %v", err)
-	}
-	if err := owner.DeleteBatch([]record.ID{987654321}); err == nil {
-		t.Fatal("DeleteBatch accepted an unknown id")
-	}
-	if got, want := owner.Count(), len(ds.Records)+len(keys)-len(delIDs); got != want {
-		t.Fatalf("owner count %d, want %d", got, want)
+	for _, c := range parties {
+		if err := c.InsertBatch(ins); err != nil {
+			t.Fatalf("InsertBatch: %v", err)
+		}
+		if err := c.DeleteBatch(delIDs, delKeys); err != nil {
+			t.Fatalf("DeleteBatch: %v", err)
+		}
 	}
 
 	// Verified queries over the updated state: results must verify

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 
@@ -170,9 +172,9 @@ func TestBurstMixedFrames(t *testing.T) {
 		}
 		reqs = append(reqs, Frame{Type: MsgQuery, Payload: EncodeRange(q)})
 	}
-	resps, err := c.roundTripMany(reqs)
-	if err != nil {
-		t.Fatalf("mixed roundTripMany: %v", err)
+	resps := slices.Clone(reqs)
+	if err := c.exchange(context.Background(), resps); err != nil {
+		t.Fatalf("mixed group: %v", err)
 	}
 	qi := 0
 	for i, r := range resps {

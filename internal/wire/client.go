@@ -28,13 +28,21 @@ type Conn struct {
 	// interleave bytes on the socket.
 	wmu sync.Mutex
 
-	mu      sync.Mutex // guards everything below
+	mu sync.Mutex // guards everything below
+	// pending maps an in-flight request id to its group's channel, which
+	// has room for one frame per id of the group: whoever deletes an id —
+	// the demux loop, fail, or an abandoning group — sends for it at most
+	// once, so no send ever blocks.
 	pending map[uint32]chan Frame
 	nextID  uint32
 	sent    int64
 	receivd int64
 	err     error // terminal receive-loop error; set once
 }
+
+// msgConnLost is never on the wire: fail sends it, tagged with the id, to
+// every group still waiting when the connection breaks.
+const msgConnLost MsgType = 0
 
 // Dial connects to any server of this protocol; there is no handshake,
 // so what the peer serves is learned by asking (ShardMap, or a frame it
@@ -56,13 +64,19 @@ func DialCtx(ctx context.Context, addr string) (*Conn, error) {
 }
 
 // readLoop receives response frames into pooled payloads and hands each
-// to the waiter registered under its request id, who owns the payload
+// to the group registered under its request id, which owns the payload
 // from then on; a frame nobody waits for any more (its request was
 // abandoned) goes straight back to the pool. On a receive error every
 // waiter is failed and the connection becomes unusable.
 func (c *Conn) readLoop() {
 	for {
 		resp, err := ReadFrame(c.c)
+		if err == nil && resp.Type == msgConnLost {
+			// A peer cannot send the in-band marker: taken as a real
+			// answer it would fail its group while the connection stays up.
+			Release(resp.Payload)
+			err = fmt.Errorf("%w: frame type 0", ErrProtocol)
+		}
 		if err != nil {
 			c.fail(err)
 			return
@@ -75,7 +89,7 @@ func (c *Conn) readLoop() {
 		}
 		c.mu.Unlock()
 		if ok {
-			ch <- resp // buffered; never blocks
+			ch <- resp // the id's reserved slot; never blocks
 		} else {
 			Release(resp.Payload)
 		}
@@ -90,81 +104,117 @@ func (c *Conn) fail(err error) {
 	}
 	for id, ch := range c.pending {
 		delete(c.pending, id)
-		close(ch)
+		ch <- Frame{Type: msgConnLost, ID: id}
 	}
 	c.mu.Unlock()
 }
 
-// roundTrip sends one frame and waits for its tagged response,
-// translating MsgErr. Concurrent calls pipeline on the connection.
-func (c *Conn) roundTrip(req Frame) (Frame, error) {
-	return c.RoundTripCtx(context.Background(), req)
-}
-
-// RoundTripCtx sends one frame and waits for its tagged response,
-// translating MsgErr into a *ServerError, bounded by a context: if ctx
-// expires before the tagged response arrives, the request is abandoned
-// (its pending entry removed, so a late response is discarded by the
-// demux loop) and ctx's error returned. The connection itself stays
-// healthy — a slow response poisons one request, not the pipeline. The
-// caller owns the response's payload and may Release it once done.
-func (c *Conn) RoundTripCtx(ctx context.Context, req Frame) (Frame, error) {
-	ch := make(chan Frame, 1)
+// exchange is the client's one round trip. It sends fs as one group —
+// every id assigned under one registration, every frame in one write
+// (writeFrames), so a burst-mode server drains the group in one read
+// wakeup and serves it as one unit — and replaces each frame with its
+// tagged response, waiting on ctx as well. The first MsgErr fails the
+// group as a *ServerError (naming the query's index in a group of more
+// than one); a group abandoned by ctx leaves the connection healthy.
+// However the group ends early, nothing is left behind: every id
+// still pending is deregistered, and every payload received for the group
+// — before the failure, or arriving during the cleanup — goes back to the
+// pool. On success the caller owns the responses' payloads.
+func (c *Conn) exchange(ctx context.Context, fs []Frame) error {
+	ch := make(chan Frame, len(fs))
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
-		return Frame{}, err
+		return err
 	}
-	c.nextID++
-	req.ID = c.nextID
-	c.pending[req.ID] = ch
+	first := c.nextID + 1
+	for i := range fs {
+		c.nextID++
+		fs[i].ID = c.nextID
+		c.pending[c.nextID] = ch
+	}
 	c.mu.Unlock()
 
 	c.wmu.Lock()
-	err := WriteFrame(c.c, req)
+	n, err := writeFrames(c.c, fs)
 	c.wmu.Unlock()
 	if err != nil {
 		// A failed write may have left a partial frame on the shared
 		// stream; nothing sent after it can be framed correctly, so the
-		// whole connection is broken, not just this request.
+		// whole connection is broken, not just this group. fail wakes the
+		// wait below.
 		c.fail(err)
-		return Frame{}, err
+	} else {
+		c.mu.Lock()
+		c.sent += int64(n)
+		c.mu.Unlock()
 	}
-	c.mu.Lock()
-	c.sent += int64(HeaderSize + len(req.Payload))
-	c.mu.Unlock()
+	clear(fs) // from here on fs[i] holds response i once it has arrived
 
-	var resp Frame
-	var ok bool
-	select {
-	case resp, ok = <-ch:
-	case <-ctx.Done():
-		c.mu.Lock()
-		_, waiting := c.pending[req.ID]
-		delete(c.pending, req.ID)
-		c.mu.Unlock()
-		if !waiting {
-			// The demux loop took the entry first: the reply (or the close
-			// of a failed connection) is already on its way into ch.
-			resp = <-ch
-			Release(resp.Payload)
+	for got := 0; got < len(fs); got++ {
+		select {
+		case resp := <-ch:
+			i := int(resp.ID - first)
+			switch resp.Type {
+			case msgConnLost:
+				if err = c.Err(); err == nil {
+					err = fmt.Errorf("wire: connection closed")
+				}
+			case MsgErr:
+				msg := string(resp.Payload)
+				if len(fs) > 1 {
+					msg = fmt.Sprintf("query %d: %s", i, msg)
+				}
+				Release(resp.Payload)
+				err = &ServerError{Msg: msg}
+			default:
+				fs[i] = resp
+				continue
+			}
+			got++
+		case <-ctx.Done():
+			err = fmt.Errorf("wire: request abandoned: %w", ctx.Err())
 		}
-		return Frame{}, fmt.Errorf("wire: request abandoned: %w", ctx.Err())
+		c.drop(fs, first, ch, len(fs)-got)
+		return err
 	}
-	if !ok {
-		c.mu.Lock()
-		err := c.err
-		c.mu.Unlock()
-		if err == nil {
-			err = fmt.Errorf("wire: connection closed")
+	return nil
+}
+
+// drop cleans up after a group that ended early with outstanding
+// responses still owed: it deregisters the ids still pending, takes the
+// frames already claimed for the others (delivered, or on their way), and
+// releases those and every response the group had received.
+func (c *Conn) drop(fs []Frame, first uint32, ch chan Frame, outstanding int) {
+	c.mu.Lock()
+	for i := range fs {
+		if _, ok := c.pending[first+uint32(i)]; ok {
+			delete(c.pending, first+uint32(i))
+			outstanding--
 		}
+	}
+	c.mu.Unlock()
+	for ; outstanding > 0; outstanding-- {
+		Release((<-ch).Payload)
+	}
+	for i := range fs {
+		Release(fs[i].Payload)
+	}
+}
+
+// RoundTripCtx sends one frame and waits for its tagged response: the
+// group round trip of one. MsgErr becomes a *ServerError; if ctx expires
+// first, the request is abandoned and ctx's error returned, and the
+// connection itself stays healthy — a slow response poisons one request,
+// not the pipeline. The caller owns the response's payload and may
+// Release it once done.
+func (c *Conn) RoundTripCtx(ctx context.Context, req Frame) (Frame, error) {
+	fs := [1]Frame{req}
+	if err := c.exchange(ctx, fs[:]); err != nil {
 		return Frame{}, err
 	}
-	if resp.Type == MsgErr {
-		return Frame{}, &ServerError{Msg: string(resp.Payload)}
-	}
-	return resp, nil
+	return fs[0], nil
 }
 
 // ServerError is an application-level failure the server reported in a
@@ -177,18 +227,42 @@ type ServerError struct{ Msg string }
 
 func (e *ServerError) Error() string { return "wire: server error: " + e.Msg }
 
-// ask is the shape of every typed call: one request frame out, and the
-// tagged response must be the frame type the request's row answers with.
-// It returns the response payload.
+// askMany is the shape of every typed call: a group of request frames
+// out, and every response must be the frame type the requests' row
+// answers with. Payloads align with reqs and are the caller's.
+func (c *Conn) askMany(ctx context.Context, reqs []Frame, want MsgType) ([][]byte, error) {
+	if err := c.exchange(ctx, reqs); err != nil {
+		return nil, err
+	}
+	raws := make([][]byte, len(reqs))
+	for i := range reqs {
+		raws[i] = reqs[i].Payload
+		if reqs[i].Type != want {
+			for j := range reqs {
+				Release(reqs[j].Payload)
+			}
+			return nil, fmt.Errorf("%w: unexpected response type %d", ErrProtocol, reqs[i].Type)
+		}
+	}
+	return raws, nil
+}
+
+// ask is askMany of one.
 func (c *Conn) ask(ctx context.Context, typ MsgType, payload []byte, want MsgType) ([]byte, error) {
-	resp, err := c.RoundTripCtx(ctx, Frame{Type: typ, Payload: payload})
+	raws, err := c.askMany(ctx, []Frame{{Type: typ, Payload: payload}}, want)
 	if err != nil {
 		return nil, err
 	}
-	if resp.Type != want {
-		return nil, fmt.Errorf("%w: unexpected response type %d", ErrProtocol, resp.Type)
+	return raws[0], nil
+}
+
+// rangeFrames builds one typ request frame per range.
+func rangeFrames(typ MsgType, qs []record.Range) []Frame {
+	reqs := make([]Frame, len(qs))
+	for i, q := range qs {
+		reqs[i] = Frame{Type: typ, Payload: EncodeRange(q)}
 	}
-	return resp.Payload, nil
+	return reqs
 }
 
 // Err reports the connection's terminal receive-loop error, nil while the
@@ -216,49 +290,6 @@ func (c *Conn) BytesReceived() int64 {
 
 // Close closes the connection; in-flight requests fail.
 func (c *Conn) Close() error { return c.c.Close() }
-
-// SPClient talks to an SAE service provider.
-type SPClient struct{ *Conn }
-
-// DialSP connects to an SP server.
-func DialSP(addr string) (*SPClient, error) {
-	c, err := Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &SPClient{Conn: c}, nil
-}
-
-// Query fetches the result records for a range.
-func (c *SPClient) Query(q record.Range) ([]record.Record, error) {
-	raw, err := c.QueryRaw(q)
-	if err != nil {
-		return nil, err
-	}
-	defer Release(raw) // DecodeRecords copies
-	recs, rest, err := DecodeRecords(raw)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in result", ErrProtocol, len(rest))
-	}
-	return recs, nil
-}
-
-// QueryRaw fetches the result for a range still in wire form — the
-// EncodeRecords payload (count + packed canonical records). The verifying
-// client hashes these bytes in place (digest.OfWire) before ever
-// materializing a record. The payload is the caller's: it may Release it
-// once done, or just drop it.
-func (c *SPClient) QueryRaw(q record.Range) ([]byte, error) {
-	return c.QueryRawCtx(context.Background(), q)
-}
-
-// QueryRawCtx is QueryRaw bounded by a context.
-func (c *SPClient) QueryRawCtx(ctx context.Context, q record.Range) ([]byte, error) {
-	return c.ask(ctx, MsgQuery, EncodeRange(q), MsgResult)
-}
 
 // InsertBatch pushes a whole insertion batch in one frame to any party
 // with a write path (SP, TE, TOM provider, primary); the server applies
@@ -295,6 +326,28 @@ func (c *Conn) expectAck(typ MsgType, payload []byte) error {
 	return err
 }
 
+// SPClient talks to an SAE service provider.
+type SPClient struct{ *Conn }
+
+// DialSP connects to an SP server.
+func DialSP(addr string) (*SPClient, error) {
+	c, err := Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &SPClient{Conn: c}, nil
+}
+
+// QueryRawMany fetches the results for a group of ranges, one request
+// frame per range (so the server groups them through its serve lanes),
+// still in wire form: payloads align with qs, each the EncodeRecords
+// payload (count + packed canonical records) the verifying client hashes
+// in place before ever materializing a record. The payloads are the
+// caller's, to Release once done or to drop.
+func (c *SPClient) QueryRawMany(ctx context.Context, qs []record.Range) ([][]byte, error) {
+	return c.askMany(ctx, rangeFrames(MsgQuery, qs), MsgResult)
+}
+
 // TEClient talks to a trusted entity.
 type TEClient struct{ *Conn }
 
@@ -307,18 +360,11 @@ func DialTE(addr string) (*TEClient, error) {
 	return &TEClient{Conn: c}, nil
 }
 
-// GenerateVT fetches the verification token for a range.
-func (c *TEClient) GenerateVT(q record.Range) (digest.Digest, error) {
-	return c.GenerateVTWithCtx(context.Background(), q)
-}
-
-// GenerateVTWithCtx is GenerateVT bounded by a context.
-func (c *TEClient) GenerateVTWithCtx(ctx context.Context, q record.Range) (digest.Digest, error) {
-	p, err := c.ask(ctx, MsgVTRequest, EncodeRange(q), MsgVT)
-	if err != nil {
-		return digest.Zero, err
-	}
-	return decodeVT(p)
+// GenerateVTMany fetches the verification tokens for a group of ranges;
+// tokens align with qs.
+func (c *TEClient) GenerateVTMany(ctx context.Context, qs []record.Range) ([]digest.Digest, error) {
+	raws, err := c.askMany(ctx, rangeFrames(MsgVTRequest, qs), MsgVT)
+	return decodeAll(raws, err, decodeVT)
 }
 
 func decodeVT(p []byte) (digest.Digest, error) {
@@ -328,49 +374,20 @@ func decodeVT(p []byte) (digest.Digest, error) {
 	return digest.FromBytes(p), nil
 }
 
-// TOMClient talks to a TOM provider.
-type TOMClient struct{ *Conn }
-
-// DialTOM connects to a TOM provider server.
-func DialTOM(addr string) (*TOMClient, error) {
-	c, err := Dial(addr)
+// decodeAll decodes a group's fixed-size answers (askMany's results) with
+// dec, which copies; the payloads go back to the pool either way.
+func decodeAll[T any](raws [][]byte, err error, dec func([]byte) (T, error)) ([]T, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TOMClient{Conn: c}, nil
-}
-
-// Query fetches result records plus their verification object from a
-// single (unsharded) TOM provider.
-func (c *TOMClient) Query(q record.Range) ([]record.Record, *mbtree.VO, error) {
-	resp, err := c.queryFrame(q)
-	if err != nil {
-		return nil, nil, err
+	defer releaseAll(raws)
+	out := make([]T, len(raws))
+	for i := range raws {
+		if out[i], err = dec(raws[i]); err != nil {
+			return nil, err
+		}
 	}
-	defer Release(resp.Payload) // decodeTOMResult copies
-	if resp.Type != MsgTOMResult {
-		return nil, nil, fmt.Errorf("%w: unexpected response type %d", ErrProtocol, resp.Type)
-	}
-	return decodeTOMResult(resp.Payload)
-}
-
-// queryFrame sends a TOM query and returns the raw response frame, which
-// may be a single-provider MsgTOMResult or a router's MsgTOMShardedResult.
-func (c *TOMClient) queryFrame(q record.Range) (Frame, error) {
-	return c.roundTrip(Frame{Type: MsgTOMQuery, Payload: EncodeRange(q)})
-}
-
-// decodeTOMResult splits a MsgTOMResult payload into records and VO.
-func decodeTOMResult(payload []byte) ([]record.Record, *mbtree.VO, error) {
-	recs, rest, err := DecodeRecords(payload)
-	if err != nil {
-		return nil, nil, err
-	}
-	vo, err := mbtree.UnmarshalVO(rest)
-	if err != nil {
-		return nil, nil, err
-	}
-	return recs, vo, nil
+	return out, nil
 }
 
 // VerifyingClient performs the full SAE protocol over the network: it
@@ -379,15 +396,16 @@ func decodeTOMResult(payload []byte) ([]record.Record, *mbtree.VO, error) {
 //
 // Verification takes the zero-copy fast path: the SP's payload is hashed
 // record-by-record where it sits in the received frame (no intermediate
-// record materialization, SHA-NI digests, fanned out across
-// VerifyWorkers goroutines) and only then decoded for the caller.
+// record materialization, SHA-NI digests, fanned out across the default
+// crypto pool) and only then decoded for the caller.
 type VerifyingClient struct {
 	SP *SPClient
 	TE *TEClient
-	// VerifyWorkers bounds the verification fan-out; 0 selects the
-	// default crypto pool size (digest.DefaultWorkers).
-	VerifyWorkers int
 }
+
+// clientVerify is every client's verification pool: the default crypto
+// pool size (digest.DefaultWorkers).
+var clientVerify = core.NewVerifyPool(0)
 
 // DialVerifying connects to both SAE parties.
 func DialVerifying(spAddr, teAddr string) (*VerifyingClient, error) {
@@ -413,6 +431,35 @@ func (v *VerifyingClient) Close() error {
 	return err2
 }
 
+// fetch is the client's one SP‖TE body: it sends a group to the SP and to
+// the TE at the same time — "the client sends the query to both the TE
+// and the SP simultaneously" — each leg as one group on its connection,
+// and returns both answers once both are in. sp and te are the legs'
+// group verbs: raw sections and tokens for a range query, scalars and
+// aggregate tokens for an aggregate. Whatever the SP leg returned is
+// returned even when the TE leg failed, so the caller can release it.
+func fetch[S, T any](v *VerifyingClient, qs []record.Range,
+	sp func(*SPClient, context.Context, []record.Range) (S, error),
+	te func(*TEClient, context.Context, []record.Range) (T, error)) (S, T, error) {
+	ctx := context.Background()
+	var t T
+	var teErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		t, teErr = te(v.TE, ctx, qs)
+	}()
+	s, spErr := sp(v.SP, ctx, qs)
+	<-done
+	if spErr != nil {
+		return s, t, fmt.Errorf("wire: SP leg: %w", spErr)
+	}
+	if teErr != nil {
+		return s, t, fmt.Errorf("wire: TE leg: %w", teErr)
+	}
+	return s, t, nil
+}
+
 // Query runs the verified range query: QueryBurst of one. It returns the
 // records only if they passed verification against the TE's token.
 func (v *VerifyingClient) Query(q record.Range) ([]record.Record, error) {
@@ -423,23 +470,90 @@ func (v *VerifyingClient) Query(q record.Range) ([]record.Record, error) {
 	return rs[0], nil
 }
 
-// VerifyingTOMClient performs the full TOM protocol over the network. It
-// accepts both answer forms: a single provider's records + VO, and a
-// router's stitched per-shard evidence (MsgTOMShardedResult), which it
-// verifies with the same stitched-VO logic as the in-process sharded
-// system — the relayed plan is untrusted, but every shard's VO signature
-// binds the owner-signed plan, so a router cannot forge the topology.
+// QueryBurst runs a group of verified range queries as one burst: the SP
+// and TE each receive the whole group in a single write (served as one
+// unit by a burst-mode server), and the results are verified with ONE
+// digest-worker dispatch over every payload in the group
+// (VerifyEncodedBurst) instead of one fan-out per query. Results align
+// with qs; any verification failure rejects the whole burst.
+func (v *VerifyingClient) QueryBurst(qs []record.Range) ([][]record.Record, error) {
+	raws, vts, err := fetch(v, qs, (*SPClient).QueryRawMany, (*TEClient).GenerateVTMany)
+	defer releaseAll(raws)
+	if err != nil {
+		return nil, err
+	}
+	return verifyRecords(qs, raws, vts)
+}
+
+// releaseAll releases every payload in raws.
+func releaseAll(raws [][]byte) {
+	for _, raw := range raws {
+		Release(raw)
+	}
+}
+
+// verifyRecords is the client's one check-then-decode body: it checks
+// EncodeRecords sections against their ranges and tokens straight off the
+// wire bytes, in one VerifyEncodedBurst, and decodes only a proven
+// result. The records returned are decoded copies; the sections stay the
+// caller's, to Release once it is done with them.
+func verifyRecords(qs []record.Range, secs [][]byte, vts []digest.Digest) ([][]record.Record, error) {
+	encs := make([][]byte, len(secs))
+	for i, sec := range secs {
+		enc, rest, _, err := RecordsView(sec)
+		if err != nil {
+			return nil, fmt.Errorf("%w: result %d: %v", ErrProtocol, i, err)
+		}
+		if len(rest) != 0 {
+			return nil, fmt.Errorf("%w: %d trailing bytes in result %d", ErrProtocol, len(rest), i)
+		}
+		encs[i] = enc
+	}
+	if _, err := clientVerify.VerifyEncodedBurst(qs, encs, vts, nil); err != nil {
+		return nil, err
+	}
+	results := make([][]record.Record, len(secs))
+	for i, sec := range secs {
+		recs, _, err := DecodeRecords(sec)
+		if err != nil {
+			return nil, fmt.Errorf("%w: result %d: %v", ErrProtocol, i, err)
+		}
+		results[i] = recs
+	}
+	return results, nil
+}
+
+// VerifyingTOMClient performs the full TOM protocol over the network
+// against a TOM provider or a router fronting several. It accepts both
+// answer forms: a single provider's records + VO, and a router's stitched
+// per-shard evidence (MsgTOMShardedResult), which it verifies with the
+// same stitched-VO logic as the in-process sharded system — the relayed
+// plan is untrusted, but every shard's VO signature binds the
+// owner-signed plan, so a router cannot forge the topology.
 type VerifyingTOMClient struct {
-	Provider *TOMClient
-	Verifier *sigs.Verifier
-	// VerifyWorkers bounds the VO re-hashing fan-out; 0 selects the
-	// default crypto pool size.
-	VerifyWorkers int
+	*Conn
+	Verifier *sigs.Verifier // the data owner's
+}
+
+// DialVerifyingTOM connects to a TOM provider (or a router), checking
+// answers against the owner's verifier.
+func DialVerifyingTOM(addr string, owner *sigs.Verifier) (*VerifyingTOMClient, error) {
+	c, err := Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &VerifyingTOMClient{Conn: c, Verifier: owner}, nil
+}
+
+// QueryRawMany fetches the records+VO payloads a single provider answers
+// a group of ranges with, unverified; payloads align with qs.
+func (v *VerifyingTOMClient) QueryRawMany(ctx context.Context, qs []record.Range) ([][]byte, error) {
+	return v.askMany(ctx, rangeFrames(MsgTOMQuery, qs), MsgTOMResult)
 }
 
 // Query runs the verified TOM range query.
 func (v *VerifyingTOMClient) Query(q record.Range) ([]record.Record, error) {
-	resp, err := v.Provider.queryFrame(q)
+	resp, err := v.RoundTripCtx(context.Background(), Frame{Type: MsgTOMQuery, Payload: EncodeRange(q)})
 	if err != nil {
 		return nil, err
 	}
@@ -450,7 +564,7 @@ func (v *VerifyingTOMClient) Query(q record.Range) ([]record.Record, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := mbtree.VerifyVOWorkers(vo, recs, q.Lo, q.Hi, v.Verifier, v.VerifyWorkers); err != nil {
+		if err := mbtree.VerifyVOWorkers(vo, recs, q.Lo, q.Hi, v.Verifier, 0); err != nil {
 			return nil, err
 		}
 		return recs, nil
@@ -459,6 +573,19 @@ func (v *VerifyingTOMClient) Query(q record.Range) ([]record.Record, error) {
 	default:
 		return nil, fmt.Errorf("%w: unexpected response type %d", ErrProtocol, resp.Type)
 	}
+}
+
+// decodeTOMResult splits a MsgTOMResult payload into records and VO.
+func decodeTOMResult(payload []byte) ([]record.Record, *mbtree.VO, error) {
+	recs, rest, err := DecodeRecords(payload)
+	if err != nil {
+		return nil, nil, err
+	}
+	vo, err := mbtree.UnmarshalVO(rest)
+	if err != nil {
+		return nil, nil, err
+	}
+	return recs, vo, nil
 }
 
 // verifySharded checks a router's stitched TOM evidence: decode the plan
@@ -486,321 +613,4 @@ func (v *VerifyingTOMClient) verifySharded(q record.Range, payload []byte) ([]re
 		return nil, err
 	}
 	return merged, nil
-}
-
-// roundTripMany pipelines a group of requests as one unit: every frame's
-// id is assigned under one registration, the whole group goes to the
-// socket in a single vectored write (one syscall instead of 2 per
-// frame), and the responses — demultiplexed by id as usual — are
-// collected in request order. This is the client half of burst serving:
-// a group sent this way lands in the server's read buffer together, so a
-// burst-mode server drains it in one read wakeup and serves it as one
-// unit. Responses align with reqs; the first MsgErr response aborts as a
-// *ServerError carrying its query index (later responses drain harmlessly
-// through the demux loop, so the connection stays usable).
-func (c *Conn) roundTripMany(reqs []Frame) ([]Frame, error) {
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	chs := make([]chan Frame, len(reqs))
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		return nil, err
-	}
-	for i := range reqs {
-		c.nextID++
-		reqs[i].ID = c.nextID
-		chs[i] = make(chan Frame, 1)
-		c.pending[reqs[i].ID] = chs[i]
-	}
-	c.mu.Unlock()
-
-	hdrs := make([]byte, len(reqs)*HeaderSize)
-	iov := make(net.Buffers, 0, 2*len(reqs))
-	total := 0
-	for i := range reqs {
-		h := hdrs[i*HeaderSize : (i+1)*HeaderSize]
-		putHeader(h, reqs[i].Type, reqs[i].ID, len(reqs[i].Payload))
-		iov = append(iov, h)
-		if len(reqs[i].Payload) > 0 {
-			iov = append(iov, reqs[i].Payload)
-		}
-		total += HeaderSize + len(reqs[i].Payload)
-	}
-	c.wmu.Lock()
-	_, err := iov.WriteTo(c.c)
-	c.wmu.Unlock()
-	if err != nil {
-		// A partial gather write breaks the framing for everything after
-		// it, exactly like a failed WriteFrame.
-		c.fail(err)
-		return nil, err
-	}
-	c.mu.Lock()
-	c.sent += int64(total)
-	c.mu.Unlock()
-
-	resps := make([]Frame, len(reqs))
-	for i, ch := range chs {
-		resp, ok := <-ch
-		if !ok {
-			c.mu.Lock()
-			err := c.err
-			c.mu.Unlock()
-			if err == nil {
-				err = fmt.Errorf("wire: connection closed")
-			}
-			return nil, err
-		}
-		if resp.Type == MsgErr {
-			return nil, &ServerError{Msg: fmt.Sprintf("query %d: %s", i, resp.Payload)}
-		}
-		resps[i] = resp
-	}
-	return resps, nil
-}
-
-// askMany is ask for a group of ranges pipelined as one burst: one typ
-// frame per range, every response of type want. Payloads align with qs.
-func (c *Conn) askMany(typ MsgType, qs []record.Range, want MsgType) ([][]byte, error) {
-	reqs := make([]Frame, len(qs))
-	for i, q := range qs {
-		reqs[i] = Frame{Type: typ, Payload: EncodeRange(q)}
-	}
-	resps, err := c.roundTripMany(reqs)
-	if err != nil {
-		return nil, err
-	}
-	raws := make([][]byte, len(resps))
-	for i := range resps {
-		if resps[i].Type != want {
-			return nil, fmt.Errorf("%w: unexpected response type %d", ErrProtocol, resps[i].Type)
-		}
-		raws[i] = resps[i].Payload
-	}
-	return raws, nil
-}
-
-// QueryRawMany fetches the results for a group of ranges as one
-// pipelined burst — one request frame per query (so the server groups
-// them through the multicore serve lanes), all sent in a single vectored
-// write. Payloads align with qs, each in EncodeRecords wire form.
-func (c *SPClient) QueryRawMany(qs []record.Range) ([][]byte, error) {
-	return c.askMany(MsgQuery, qs, MsgResult)
-}
-
-// GenerateVTMany fetches the tokens for a group of ranges as one
-// pipelined burst; tokens align with qs.
-func (c *TEClient) GenerateVTMany(qs []record.Range) ([]digest.Digest, error) {
-	raws, err := c.askMany(MsgVTRequest, qs, MsgVT)
-	if err != nil {
-		return nil, err
-	}
-	vts := make([]digest.Digest, len(raws))
-	for i := range raws {
-		if vts[i], err = decodeVT(raws[i]); err != nil {
-			return nil, err
-		}
-	}
-	return vts, nil
-}
-
-// QueryRawMany fetches the records+VO payloads for a group of ranges as
-// one pipelined burst; payloads align with qs.
-func (c *TOMClient) QueryRawMany(qs []record.Range) ([][]byte, error) {
-	return c.askMany(MsgTOMQuery, qs, MsgTOMResult)
-}
-
-// QueryBurst runs a group of verified range queries as one burst: the SP
-// and TE each receive the whole group in a single vectored write (served
-// as one unit by a burst-mode server), and the results are verified with
-// ONE digest-worker dispatch over every payload in the group
-// (VerifyEncodedBurst) instead of one fan-out per query. Results align
-// with qs; any verification failure rejects the whole burst.
-func (v *VerifyingClient) QueryBurst(qs []record.Range) ([][]record.Record, error) {
-	type spOut struct {
-		raws [][]byte
-		err  error
-	}
-	type teOut struct {
-		vts []digest.Digest
-		err error
-	}
-	spCh := make(chan spOut, 1)
-	teCh := make(chan teOut, 1)
-	go func() {
-		raws, err := v.SP.QueryRawMany(qs)
-		spCh <- spOut{raws, err}
-	}()
-	go func() {
-		vts, err := v.TE.GenerateVTMany(qs)
-		teCh <- teOut{vts, err}
-	}()
-	sp := <-spCh
-	te := <-teCh
-	defer releaseAll(sp.raws)
-	if sp.err != nil {
-		return nil, fmt.Errorf("wire: SP query failed: %w", sp.err)
-	}
-	if te.err != nil {
-		return nil, fmt.Errorf("wire: TE token failed: %w", te.err)
-	}
-	return verifyRecords(core.NewVerifyPool(v.VerifyWorkers), qs, sp.raws, te.vts)
-}
-
-// releaseAll releases every payload in raws.
-func releaseAll(raws [][]byte) {
-	for _, raw := range raws {
-		Release(raw)
-	}
-}
-
-// verifyRecords is the client's one check-then-decode body: it checks
-// EncodeRecords sections against their ranges and tokens straight off the
-// wire bytes, in one VerifyEncodedBurst, and decodes only a proven
-// result. The records returned are decoded copies; the sections stay the
-// caller's, to Release once it is done with them.
-func verifyRecords(vp core.VerifyPool, qs []record.Range, secs [][]byte, vts []digest.Digest) ([][]record.Record, error) {
-	encs := make([][]byte, len(secs))
-	for i, sec := range secs {
-		enc, rest, _, err := RecordsView(sec)
-		if err != nil {
-			return nil, fmt.Errorf("%w: result %d: %v", ErrProtocol, i, err)
-		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("%w: %d trailing bytes in result %d", ErrProtocol, len(rest), i)
-		}
-		encs[i] = enc
-	}
-	if _, err := vp.VerifyEncodedBurst(qs, encs, vts, nil); err != nil {
-		return nil, err
-	}
-	results := make([][]record.Record, len(secs))
-	for i, sec := range secs {
-		recs, _, err := DecodeRecords(sec)
-		if err != nil {
-			return nil, fmt.Errorf("%w: result %d: %v", ErrProtocol, i, err)
-		}
-		results[i] = recs
-	}
-	return results, nil
-}
-
-// OwnerClient is a remote data owner: it keeps the authoritative id→key
-// catalog on the client side (the owner maintains no authentication
-// structures — the point of SAE) and pushes update batches to the SP and
-// TE so each wire batch commits as ONE group at each party instead of a
-// round trip per record.
-type OwnerClient struct {
-	sp *SPClient
-	te *TEClient
-
-	mu     sync.Mutex
-	keys   map[record.ID]record.Key
-	nextID record.ID
-}
-
-// NewOwnerClient wraps connected SP/TE clients as a remote owner. seed
-// registers the already-outsourced dataset so deletions can be routed
-// and fresh ids never collide.
-func NewOwnerClient(sp *SPClient, te *TEClient, seed []record.Record) *OwnerClient {
-	oc := &OwnerClient{sp: sp, te: te, keys: make(map[record.ID]record.Key, len(seed)), nextID: 1}
-	for i := range seed {
-		oc.keys[seed[i].ID] = seed[i].Key
-		if seed[i].ID >= oc.nextID {
-			oc.nextID = seed[i].ID + 1
-		}
-	}
-	return oc
-}
-
-// DialOwner connects a remote owner to its SP and TE endpoints.
-func DialOwner(spAddr, teAddr string, seed []record.Record) (*OwnerClient, error) {
-	sp, err := DialSP(spAddr)
-	if err != nil {
-		return nil, err
-	}
-	te, err := DialTE(teAddr)
-	if err != nil {
-		sp.Close()
-		return nil, err
-	}
-	return NewOwnerClient(sp, te, seed), nil
-}
-
-// Count returns the owner's live record count.
-func (oc *OwnerClient) Count() int {
-	oc.mu.Lock()
-	defer oc.mu.Unlock()
-	return len(oc.keys)
-}
-
-// InsertBatch synthesizes one fresh-id record per key and pushes the
-// whole batch to the SP and the TE in one frame each.
-func (oc *OwnerClient) InsertBatch(keys []record.Key) ([]record.Record, error) {
-	if len(keys) == 0 {
-		return nil, nil
-	}
-	oc.mu.Lock()
-	recs := make([]record.Record, len(keys))
-	for i, k := range keys {
-		recs[i] = record.Synthesize(oc.nextID, k)
-		oc.nextID++
-	}
-	oc.mu.Unlock()
-	if err := oc.sp.InsertBatch(recs); err != nil {
-		return nil, fmt.Errorf("wire: owner pushing insert batch to SP: %w", err)
-	}
-	if err := oc.te.InsertBatch(recs); err != nil {
-		return nil, fmt.Errorf("wire: owner pushing insert batch to TE: %w", err)
-	}
-	oc.mu.Lock()
-	for i := range recs {
-		oc.keys[recs[i].ID] = recs[i].Key
-	}
-	oc.mu.Unlock()
-	return recs, nil
-}
-
-// DeleteBatch pushes a whole deletion batch to the SP and the TE in one
-// frame each. Unknown ids fail the call before anything is sent.
-func (oc *OwnerClient) DeleteBatch(ids []record.ID) error {
-	if len(ids) == 0 {
-		return nil
-	}
-	oc.mu.Lock()
-	keys := make([]record.Key, len(ids))
-	for i, id := range ids {
-		k, ok := oc.keys[id]
-		if !ok {
-			oc.mu.Unlock()
-			return fmt.Errorf("wire: owner has no record with id %d", id)
-		}
-		keys[i] = k
-	}
-	oc.mu.Unlock()
-	if err := oc.sp.DeleteBatch(ids, keys); err != nil {
-		return fmt.Errorf("wire: owner pushing delete batch to SP: %w", err)
-	}
-	if err := oc.te.DeleteBatch(ids, keys); err != nil {
-		return fmt.Errorf("wire: owner pushing delete batch to TE: %w", err)
-	}
-	oc.mu.Lock()
-	for _, id := range ids {
-		delete(oc.keys, id)
-	}
-	oc.mu.Unlock()
-	return nil
-}
-
-// Close closes both party connections.
-func (oc *OwnerClient) Close() error {
-	err1 := oc.sp.Close()
-	err2 := oc.te.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
 }

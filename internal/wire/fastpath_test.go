@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -76,7 +77,7 @@ func TestResponseBufferReuseAfterFlight(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < 30; i++ {
 					qi := (seed*13 + i) % len(queries)
-					got, err := client.Query(queries[qi])
+					got, err := spQuery(client, queries[qi])
 					if err != nil {
 						errs <- fmt.Errorf("query %d: %w", qi, err)
 						return
@@ -170,4 +171,15 @@ func TestVerifyingClientFastPath(t *testing.T) {
 	if _, err := client.Query(q); err != nil {
 		t.Fatalf("verification after clearing tamper: %v", err)
 	}
+}
+
+// spQuery fetches one range's records from an SP, unverified.
+func spQuery(c *SPClient, q record.Range) ([]record.Record, error) {
+	raws, err := c.QueryRawMany(context.Background(), []record.Range{q})
+	if err != nil {
+		return nil, err
+	}
+	defer Release(raws[0]) // DecodeRecords copies
+	recs, _, err := DecodeRecords(raws[0])
+	return recs, err
 }

@@ -11,7 +11,7 @@
 // flight at once: the server handles each request concurrently and tags
 // its response with the request's id, so responses may arrive out of
 // order and the client demultiplexes by id (see client.go). Many queries
-// are sent as many pipelined frames in one write (roundTripMany); the
+// are sent as many pipelined frames in one write (Conn.exchange); the
 // server groups whatever arrived together.
 package wire
 
@@ -245,26 +245,45 @@ func Release(p []byte) {
 	payloadPools[bits.TrailingZeros(uint(c))-minPooledShift].Put(&p)
 }
 
-// WriteFrame writes a frame to w in one write: a payload below minPooled
-// is copied behind its header, anything larger (or spliced) goes out as
-// one vectored write.
+// WriteFrame writes a frame to w in one write: writeFrames of one.
 func WriteFrame(w io.Writer, f Frame) error {
-	n := f.payloadLen()
+	fs := [1]Frame{f}
+	_, err := writeFrames(w, fs[:])
+	return err
+}
+
+// writeFrames writes a group of frames to w in one write and returns the
+// bytes written: payloads totalling less than minPooled are copied behind
+// their headers into one buffer, anything larger (or spliced) goes out as
+// one vectored write.
+func writeFrames(w io.Writer, fs []Frame) (int, error) {
+	n, spliced := 0, false
+	for i := range fs {
+		n += HeaderSize + fs[i].payloadLen()
+		spliced = spliced || len(fs[i].refs) > 0
+	}
 	var err error
-	if len(f.refs) == 0 && n < minPooled {
-		buf := make([]byte, HeaderSize, HeaderSize+n)
-		putHeader(buf, f.Type, f.ID, n)
-		_, err = w.Write(append(buf, f.Payload...))
+	if !spliced && n-len(fs)*HeaderSize < minPooled {
+		buf, at := make([]byte, n), 0
+		for i := range fs {
+			putHeader(buf[at:], fs[i].Type, fs[i].ID, len(fs[i].Payload))
+			at += HeaderSize + copy(buf[at+HeaderSize:], fs[i].Payload)
+		}
+		_, err = w.Write(buf)
 	} else {
-		hdr := make([]byte, HeaderSize)
-		putHeader(hdr, f.Type, f.ID, n)
-		iov := f.appendPayload(net.Buffers{hdr})
+		hdrs := make([]byte, len(fs)*HeaderSize)
+		iov := make(net.Buffers, 0, 2*len(fs))
+		for i := range fs {
+			h := hdrs[i*HeaderSize : (i+1)*HeaderSize]
+			putHeader(h, fs[i].Type, fs[i].ID, fs[i].payloadLen())
+			iov = fs[i].appendPayload(append(iov, h))
+		}
 		_, err = iov.WriteTo(w)
 	}
 	if err != nil {
-		return fmt.Errorf("wire: writing frame: %w", err)
+		return 0, fmt.Errorf("wire: writing frame: %w", err)
 	}
-	return nil
+	return n, nil
 }
 
 // ReadFrame reads one frame from r. Its payload comes from the receive

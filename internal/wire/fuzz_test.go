@@ -2,12 +2,16 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
+	"time"
 
+	"sae/internal/digest"
 	"sae/internal/mbtree"
 	"sae/internal/pagestore"
 	"sae/internal/record"
 	"sae/internal/tom"
+	"sae/internal/wal"
 	"sae/internal/workload"
 )
 
@@ -46,6 +50,27 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(frameBytes(f, Frame{Type: MsgAggQuery, ID: 4, Payload: EncodeRange(q)}))
 	f.Add(frameBytes(f, Frame{Type: MsgShardMapReq, ID: 5}))
 	f.Add(frameBytes(f, ErrFrame(ErrProtocol)))
+	// What clients decode from an untrusted router or primary: a verified
+	// answer (plan epoch, generation stamp, token, records) and a
+	// replication pull's commit groups, each exactly as a primary encodes
+	// them.
+	vt := digest.XORFoldWire(EncodeRecords(ds.Records)[4:], 1)
+	verified := binary.BigEndian.AppendUint64(nil, 2)
+	verified = binary.BigEndian.AppendUint64(verified, 7)
+	verified = append(append(verified, vt[:]...), EncodeRecords(ds.Records)...)
+	f.Add(frameBytes(f, Frame{Type: MsgVerifiedResult, ID: 6, Payload: verified}))
+	groups := binary.BigEndian.AppendUint32([]byte{0}, 2)
+	for seq, g := range [][]wal.Op{
+		{wal.InsertOp(ds.Records[0]), wal.InsertOp(ds.Records[1])},
+		{wal.DeleteOp(ds.Records[0].ID, ds.Records[0].Key)},
+	} {
+		if groups, err = wal.AppendGroupWire(groups, wal.Group{Seq: uint64(seq + 1), Ops: g}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(frameBytes(f, Frame{Type: MsgReplicaGroups, ID: 7, Payload: groups}))
+	f.Add(frameBytes(f, Frame{Type: MsgReplicaPull, ID: 8, Payload: EncodeReplicaPull(3, 64)}))
+	f.Add(frameBytes(f, Frame{Type: MsgFreeze, ID: 9, Payload: EncodeFreeze(time.Second)}))
 	// A truncated header and a length prefix past MaxPayload.
 	f.Add([]byte{byte(MsgQuery), 0, 0})
 	f.Add([]byte{byte(MsgQuery), 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF})
@@ -81,13 +106,20 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatal("frame round-trip changed the frame")
 		}
 		// The payload decoders sit directly behind the dispatch switch on
-		// every server; none may panic on attacker-controlled bytes.
+		// every server, and behind every client's receive path; none may
+		// panic on attacker-controlled bytes.
 		p := fr.Payload
 		_, _ = DecodeRange(p)
 		_, _, _ = DecodeRecords(p)
 		_, _ = DecodeShardInfo(p)
 		_, _, _ = DecodeTOMSharded(p)
 		_, _, _ = DecodeDeletes(p)
+		_, _, _, _, _ = DecodeVerifiedResult(p)
+		_, _, _ = DecodeReplicaGroups(p)
+		_, _, _, _ = DecodeReplicaSnap(p)
+		_, _, _ = DecodeReplicaPull(p)
+		_, _ = DecodeCutover(p)
+		_, _ = DecodeFreeze(p)
 	})
 }
 

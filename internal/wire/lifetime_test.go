@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -139,6 +140,129 @@ func TestTruncatedPayloadNeverDelivered(t *testing.T) {
 		t.Fatalf("round trip over a truncated reply = %+v, %v; want ErrProtocol", resp, err)
 	}
 	awaitReleased(t, tag, base+2)
+}
+
+// TestTypeZeroFrameIsProtocolError: type 0 is the client's in-band
+// connection-lost marker, never a real answer. A peer that sends it breaks
+// the connection with ErrProtocol instead of failing the one request while
+// the connection stays up, and the frame's payload goes back to the pool.
+func TestTypeZeroFrameIsProtocolError(t *testing.T) {
+	const tag = 0x7004
+	base := releasedCount(tag)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		if _, err := ReadFrame(nc); err != nil {
+			return
+		}
+		WriteFrame(nc, Frame{Type: msgConnLost, ID: 1, Payload: tagged(tag, 4096)})
+		ReadFrame(nc) // hold the connection open until the client closes it
+	}()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.RoundTripCtx(context.Background(), Frame{Type: MsgQuery, Payload: EncodeRange(record.Range{Lo: 0, Hi: 100})}); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("round trip answered with type 0: %v, want ErrProtocol", err)
+	}
+	if err := c.Err(); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("connection error after a type-0 frame = %v, want ErrProtocol", err)
+	}
+	awaitReleased(t, tag, base+1)
+}
+
+// TestGroupPayloadLifetime: a group round trip that ends early — query 3
+// of 8 answered with MsgErr, or the group abandoned by ctx mid-flight —
+// releases every payload the demux loop received for it exactly once,
+// whether it arrived before the failure, during the cleanup or after it,
+// and leaves no pending entry behind.
+func TestGroupPayloadLifetime(t *testing.T) {
+	t.Run("MsgErr at query 3", func(t *testing.T) {
+		groupLifetime(t, 0x7100, 3, groupLen, func(err error) bool {
+			var se *ServerError
+			return errors.As(err, &se) && strings.Contains(se.Msg, "query 3")
+		})
+	})
+	t.Run("abandoned mid-flight", func(t *testing.T) {
+		groupLifetime(t, 0x7200, -1, 4, func(err error) bool { return errors.Is(err, context.DeadlineExceeded) })
+	})
+}
+
+const groupLen = 8
+
+// groupLifetime sends a group of groupLen queries whose i-th answer is a
+// payload tagged tagBase+i, except that query errAt is refused and the
+// answers from stallFrom on are held back until the group has failed.
+func groupLifetime(t *testing.T, tagBase uint64, errAt, stallFrom int, failedAsWanted func(error) bool) {
+	base := make([]int, groupLen)
+	for i := range base {
+		base[i] = releasedCount(tagBase + uint64(i))
+	}
+	release := make(chan struct{})
+	srv, err := Serve("127.0.0.1:0", func(req Frame, _ *RespBuf) Frame {
+		q, err := DecodeRange(req.Payload)
+		if err != nil {
+			return ErrFrame(err)
+		}
+		i := int(q.Lo)
+		if i == errAt {
+			return ErrFrame(errors.New("refused"))
+		}
+		if i >= stallFrom {
+			<-release
+		}
+		return Frame{Type: MsgResult, Payload: tagged(tagBase+uint64(i), 4096)}
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	qs := make([]record.Range, groupLen)
+	for i := range qs {
+		qs[i] = record.Range{Lo: record.Key(i), Hi: record.Key(i)}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := c.exchange(ctx, rangeFrames(MsgQuery, qs)); !failedAsWanted(err) {
+		t.Fatalf("group ended with %v", err)
+	}
+	close(release)
+	for i := range qs {
+		if i != errAt {
+			awaitReleased(t, tagBase+uint64(i), base[i]+1)
+		}
+	}
+	// A later round trip on the same connection orders after every late
+	// frame of the group: nothing is released twice, nothing stays pending.
+	if _, err := c.RoundTripCtx(context.Background(), Frame{Type: MsgQuery, Payload: EncodeRange(qs[0])}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range qs {
+		if got := releasedCount(tagBase + uint64(i)); i != errAt && got != base[i]+1 {
+			t.Fatalf("payload %d released %d times, want once", i, got-base[i])
+		}
+	}
+	c.mu.Lock()
+	left := len(c.pending)
+	c.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d pending entries survive the group", left)
+	}
 }
 
 // TestFrameOneWrite: a frame costs its connection one Write when the

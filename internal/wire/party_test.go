@@ -160,14 +160,6 @@ func pipeline(t *testing.T, addr string, reqs []Frame, g int) []Frame {
 	return resps
 }
 
-func rangeFrames(typ MsgType, qs []record.Range) []Frame {
-	reqs := make([]Frame, len(qs))
-	for i, q := range qs {
-		reqs[i] = Frame{Type: typ, Payload: EncodeRange(q)}
-	}
-	return reqs
-}
-
 // TestRoleFrameMatrix starts each of the five roles and sends every
 // request frame in the registry, asserting served-vs-"cannot handle"
 // against the golden matrix below. A new frame cannot be silently
@@ -433,7 +425,7 @@ func TestStuckPeerDoesNotHoldTheLane(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < 20; i++ {
-			recs, err := live.Query(record.Range{Lo: 0, Hi: record.KeyDomain})
+			recs, err := spQuery(live, record.Range{Lo: 0, Hi: record.KeyDomain})
 			if err == nil && len(recs) != n {
 				err = fmt.Errorf("live connection got %d records, want %d", len(recs), n)
 			}

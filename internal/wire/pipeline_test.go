@@ -40,7 +40,7 @@ func TestPipelinedSharedConnection(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 8; rep++ {
 				q := queries[(w*3+rep)%len(queries)]
-				recs, err := client.Query(q)
+				recs, err := spQuery(client, q)
 				if err != nil {
 					errCh <- err
 					return

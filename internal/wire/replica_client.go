@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"time"
 
-	"sae/internal/core"
 	"sae/internal/digest"
 	"sae/internal/record"
 	"sae/internal/replica"
@@ -17,13 +16,7 @@ import (
 // GenStamp asks the server for its generation stamp: the sequence of the
 // last commit group folded into its state. Routers probe it to bound
 // replica staleness; paranoid clients compare it across reads.
-func (c *Conn) GenStamp() (uint64, error) {
-	return c.GenStampCtx(context.Background())
-}
-
-// GenStampCtx is GenStamp bounded by a context (the router's probe
-// guard).
-func (c *Conn) GenStampCtx(ctx context.Context) (uint64, error) {
+func (c *Conn) GenStamp(ctx context.Context) (uint64, error) {
 	p, err := c.ask(ctx, MsgGenStampReq, nil, MsgGenStamp)
 	if err != nil {
 		return 0, err
@@ -34,34 +27,21 @@ func (c *Conn) GenStampCtx(ctx context.Context) (uint64, error) {
 	return binary.BigEndian.Uint64(p), nil
 }
 
-// ReplicationClient talks a primary's replication endpoints: bootstrap
-// snapshots and commit-group tailing.
-type ReplicationClient struct{ *Conn }
-
-// DialReplication connects to a primary server's replication endpoints.
-func DialReplication(addr string) (*ReplicationClient, error) {
-	c, err := Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &ReplicationClient{Conn: c}, nil
-}
-
-// Snapshot fetches a sequence-stamped bootstrap snapshot plus the
-// primary's shard attestation.
-func (c *ReplicationClient) Snapshot() (ShardInfo, []record.Record, uint64, error) {
-	p, err := c.ask(context.Background(), MsgReplicaSnapReq, nil, MsgReplicaSnap)
+// Snapshot fetches a primary's sequence-stamped bootstrap snapshot plus
+// its shard attestation.
+func (c *Conn) Snapshot(ctx context.Context) (ShardInfo, []record.Record, uint64, error) {
+	p, err := c.ask(ctx, MsgReplicaSnapReq, nil, MsgReplicaSnap)
 	if err != nil {
 		return ShardInfo{}, nil, 0, err
 	}
 	return DecodeReplicaSnap(p)
 }
 
-// Pull fetches up to max commit groups after the tailer's sequence.
-// snapshotNeeded reports the sequence has fallen out of the primary's
-// retention window.
-func (c *ReplicationClient) Pull(after uint64, max int) ([]wal.Group, bool, error) {
-	p, err := c.ask(context.Background(), MsgReplicaPull, EncodeReplicaPull(after, max), MsgReplicaGroups)
+// Pull fetches up to max commit groups after the tailer's sequence from a
+// primary. snapshotNeeded reports the sequence has fallen out of the
+// primary's retention window.
+func (c *Conn) Pull(ctx context.Context, after uint64, max int) ([]wal.Group, bool, error) {
+	p, err := c.ask(ctx, MsgReplicaPull, EncodeReplicaPull(after, max), MsgReplicaGroups)
 	if err != nil {
 		return nil, false, err
 	}
@@ -73,12 +53,12 @@ func (c *ReplicationClient) Pull(after uint64, max int) ([]wal.Group, bool, erro
 // caller can serve it onward. The connection is not retained — start a
 // ReplicaFeed to keep the replica current.
 func BootstrapReplica(primaryAddr string) (*replica.Replica, ShardInfo, error) {
-	c, err := DialReplication(primaryAddr)
+	c, err := Dial(primaryAddr)
 	if err != nil {
 		return nil, ShardInfo{}, err
 	}
 	defer c.Close()
-	si, recs, seq, err := c.Snapshot()
+	si, recs, seq, err := c.Snapshot(context.Background())
 	if err != nil {
 		return nil, ShardInfo{}, fmt.Errorf("wire: bootstrapping replica from %s: %w", primaryAddr, err)
 	}
@@ -105,7 +85,10 @@ type ReplicaFeed struct {
 	rep  *replica.Replica
 	addr string
 	logf func(string, ...any)
-	stop chan struct{}
+	// ctx bounds every dial and round trip of the loop; stop cancels it,
+	// so Close returns even behind a primary that stopped answering.
+	ctx  context.Context
+	stop context.CancelFunc
 	done chan struct{}
 }
 
@@ -115,13 +98,8 @@ func StartReplicaFeed(rep *replica.Replica, primaryAddr string, logf func(string
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	f := &ReplicaFeed{
-		rep:  rep,
-		addr: primaryAddr,
-		logf: logf,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
+	f := &ReplicaFeed{rep: rep, addr: primaryAddr, logf: logf, done: make(chan struct{})}
+	f.ctx, f.stop = context.WithCancel(context.Background())
 	go f.run()
 	return f
 }
@@ -129,13 +107,13 @@ func StartReplicaFeed(rep *replica.Replica, primaryAddr string, logf func(string
 // Close stops the feed loop and waits for it to exit. The replica stays
 // valid and keeps serving its last generation.
 func (f *ReplicaFeed) Close() {
-	close(f.stop)
+	f.stop()
 	<-f.done
 }
 
 func (f *ReplicaFeed) sleep(d time.Duration) bool {
 	select {
-	case <-f.stop:
+	case <-f.ctx.Done():
 		return false
 	case <-time.After(d):
 		return true
@@ -145,13 +123,8 @@ func (f *ReplicaFeed) sleep(d time.Duration) bool {
 func (f *ReplicaFeed) run() {
 	defer close(f.done)
 	backoff := 10 * time.Millisecond
-	for {
-		select {
-		case <-f.stop:
-			return
-		default:
-		}
-		c, err := DialReplication(f.addr)
+	for f.ctx.Err() == nil {
+		c, err := DialCtx(f.ctx, f.addr)
 		if err != nil {
 			f.logf("replica feed: dialing %s: %v (retrying in %v)", f.addr, err, backoff)
 			if !f.sleep(backoff) {
@@ -170,20 +143,15 @@ func (f *ReplicaFeed) run() {
 
 // tail runs the pull loop over one connection until it breaks or the
 // feed stops.
-func (f *ReplicaFeed) tail(c *ReplicationClient) {
-	for {
-		select {
-		case <-f.stop:
-			return
-		default:
-		}
-		gs, snapshotNeeded, err := c.Pull(f.rep.Seq(), 64)
+func (f *ReplicaFeed) tail(c *Conn) {
+	for f.ctx.Err() == nil {
+		gs, snapshotNeeded, err := c.Pull(f.ctx, f.rep.Seq(), 64)
 		if err != nil {
 			f.logf("replica feed: pulling from %s: %v", f.addr, err)
 			return
 		}
 		if snapshotNeeded {
-			_, recs, seq, err := c.Snapshot()
+			_, recs, seq, err := c.Snapshot(f.ctx)
 			if err != nil {
 				f.logf("replica feed: re-snapshot from %s: %v", f.addr, err)
 				return
@@ -206,7 +174,7 @@ func (f *ReplicaFeed) tail(c *ReplicationClient) {
 			// replica torn mid-group, and only a snapshot reset makes it
 			// whole again — either way, force the re-bootstrap.
 			f.logf("replica feed: applying groups: %v (re-bootstrapping)", err)
-			_, recs, seq, serr := c.Snapshot()
+			_, recs, seq, serr := c.Snapshot(f.ctx)
 			if serr != nil {
 				f.logf("replica feed: re-snapshot from %s: %v", f.addr, serr)
 				return
@@ -235,7 +203,6 @@ var ErrStaleRead = errors.New("wire: verified answer is staler than required")
 // gen.
 type VerifiedClient struct {
 	*Conn
-	vp        core.VerifyPool
 	lastEpoch uint64 // guarded by Conn.mu
 	lastGen   uint64 // guarded by Conn.mu
 }
@@ -247,7 +214,7 @@ func DialVerified(addr string) (*VerifiedClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &VerifiedClient{Conn: c, vp: core.NewVerifyPool(0)}, nil
+	return &VerifiedClient{Conn: c}, nil
 }
 
 // Gen returns the newest generation stamp observed on this client
@@ -303,7 +270,7 @@ func (c *VerifiedClient) QueryCtx(ctx context.Context, q record.Range) ([]record
 	if err != nil {
 		return nil, 0, err
 	}
-	recs, err := verifyRecords(c.vp, []record.Range{q}, [][]byte{recsRaw}, []digest.Digest{vt})
+	recs, err := verifyRecords([]record.Range{q}, [][]byte{recsRaw}, []digest.Digest{vt})
 	if err != nil {
 		return nil, gen, err
 	}

@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -38,14 +40,14 @@ func startPrimary(t *testing.T, n int) (*core.DurableSystem, *replica.Hub, *Prim
 
 func waitForGen(t *testing.T, addr string, gen uint64) {
 	t.Helper()
-	c, err := DialReplication(addr)
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatalf("dialing %s: %v", addr, err)
 	}
 	defer c.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		got, err := c.GenStamp()
+		got, err := c.GenStamp(t.Context())
 		if err != nil {
 			t.Fatalf("gen stamp from %s: %v", addr, err)
 		}
@@ -267,5 +269,63 @@ func TestVerifiedClientFreshnessFloor(t *testing.T) {
 	// ...but a client holding the primary's stamp rejects it.
 	if _, _, err := rq.QueryAtLeast(q, sys.Seq()); !errors.Is(err, ErrStaleRead) {
 		t.Fatalf("QueryAtLeast on stale replica: got %v, want ErrStaleRead", err)
+	}
+}
+
+// silentPeer listens on loopback, accepts every connection and reads what
+// arrives without ever answering: a SIGSTOPped process seen from outside,
+// whose kernel still completes the handshake. heard fires once the first
+// request bytes have arrived.
+func silentPeer(t *testing.T) (addr string, heard <-chan struct{}) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	ch := make(chan struct{}, 1)
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer nc.Close()
+				if _, err := nc.Read(make([]byte, 1)); err == nil {
+					select {
+					case ch <- struct{}{}:
+					default:
+					}
+				}
+				io.Copy(io.Discard, nc)
+			}()
+		}
+	}()
+	return ln.Addr().String(), ch
+}
+
+// TestReplicaFeedCloseSilentPrimary: Close returns promptly while the
+// feed waits on a primary that accepted its connection but never answers.
+func TestReplicaFeedCloseSilentPrimary(t *testing.T) {
+	addr, heard := silentPeer(t)
+	rep, err := replica.NewFromSnapshot(nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := StartReplicaFeed(rep, addr, nil)
+	select {
+	case <-heard: // the feed's first pull is out and will never be answered
+	case <-time.After(5 * time.Second):
+		t.Fatal("the feed never sent its first pull")
+	}
+	closed := make(chan struct{})
+	go func() {
+		feed.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("ReplicaFeed.Close still blocked after 2s behind a silent primary")
 	}
 }

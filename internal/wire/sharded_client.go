@@ -1,10 +1,10 @@
 package wire
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
-	"sae/internal/core"
 	"sae/internal/digest"
 	"sae/internal/record"
 	"sae/internal/shard"
@@ -50,7 +50,7 @@ func DialShardedVerifying(spAddrs, teAddrs []string) (*ShardedVerifyingClient, e
 	for i, vc := range c.Shards {
 		sps[i], tes[i] = vc.SP.Conn, vc.TE.Conn
 	}
-	plan, err := VerifyShardAttestations(sps, tes)
+	plan, err := VerifyShardAttestations(context.Background(), sps, tes)
 	if err != nil {
 		c.Close()
 		return nil, err
@@ -65,11 +65,12 @@ func DialShardedVerifying(spAddrs, teAddrs []string) (*ShardedVerifyingClient, e
 // checked too — an SP mismatch is a deployment wiring error even though
 // SPs are untrusted. It returns the TE-attested plan. Shared by the
 // shard-aware client and the router tier, which performs the same
-// cross-check against its upstreams at startup.
-func VerifyShardAttestations(sps, tes []*Conn) (shard.Plan, error) {
+// cross-check against its upstreams at startup, bounded by ctx: an
+// upstream that accepts but never answers must not hang the caller.
+func VerifyShardAttestations(ctx context.Context, sps, tes []*Conn) (shard.Plan, error) {
 	var plan shard.Plan
 	for i, te := range tes {
-		si, err := te.ShardMap()
+		si, err := te.ShardMapCtx(ctx)
 		if err != nil {
 			return shard.Plan{}, fmt.Errorf("wire: shard %d TE map: %w", i, err)
 		}
@@ -87,7 +88,7 @@ func VerifyShardAttestations(sps, tes []*Conn) (shard.Plan, error) {
 		}
 		// Routing sanity only: the SP map is untrusted but a mismatch
 		// means the deployment is mis-wired.
-		if spsi, err := sps[i].ShardMap(); err != nil {
+		if spsi, err := sps[i].ShardMapCtx(ctx); err != nil {
 			return shard.Plan{}, fmt.Errorf("wire: shard %d SP map: %w", i, err)
 		} else if spsi.Index != i || !spsi.Plan.Equal(plan) {
 			return shard.Plan{}, fmt.Errorf("wire: SP dialed as shard %d reports shard %d of %v",
@@ -121,10 +122,34 @@ func (c *ShardedVerifyingClient) BytesReceived() (sp, te int64) {
 	return sp, te
 }
 
-// Query scatters a verified range query. Each overlapping shard's raw
-// answer is checked against that shard's own token and the sub-range the
-// client clamped itself — all shards in one VerifyEncodedBurst, query i
-// being the i-th overlapping shard — and the records are returned,
+// scatter runs f for every overlapping shard at once, f(i, vc) serving
+// subs[i] through that shard's own client, and returns the first error.
+func (c *ShardedVerifyingClient) scatter(subs []shard.SubQuery, f func(i int, vc *VerifyingClient) error) error {
+	errs := make([]error, len(subs))
+	var wg sync.WaitGroup
+	for i := range subs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := f(i, c.Shards[subs[i].Shard]); err != nil {
+				errs[i] = fmt.Errorf("wire: shard %d: %w", subs[i].Shard, err)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Query scatters a verified range query: every overlapping shard's raw
+// answer and token come from one fetch on that shard's client, for the
+// sub-range the client clamped itself; then every shard's section is
+// checked against its own shard's token in one verifyRecords call — query
+// i being the i-th overlapping shard — and the records are returned,
 // merged in key order, only if every shard passed.
 func (c *ShardedVerifyingClient) Query(q record.Range) ([]record.Record, error) {
 	subs := c.Plan.Scatter(q)
@@ -134,42 +159,25 @@ func (c *ShardedVerifyingClient) Query(q record.Range) ([]record.Record, error) 
 	qs := make([]record.Range, len(subs))
 	raws := make([][]byte, len(subs))
 	vts := make([]digest.Digest, len(subs))
-	errs := make([]error, len(subs))
-	var wg sync.WaitGroup
 	for i := range subs {
 		qs[i] = subs[i].Sub
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			idx, sub := subs[i].Shard, subs[i].Sub
-			vc := c.Shards[idx]
-			// SP and TE sub-requests pipeline on the shard's two
-			// connections exactly like the single-shard client.
-			var inner sync.WaitGroup
-			inner.Add(1)
-			var vtErr error
-			go func() {
-				defer inner.Done()
-				vts[i], vtErr = vc.TE.GenerateVT(sub)
-			}()
-			var spErr error
-			raws[i], spErr = vc.SP.QueryRaw(sub)
-			inner.Wait()
-			if spErr != nil {
-				errs[i] = fmt.Errorf("wire: shard %d SP: %w", idx, spErr)
-			} else if vtErr != nil {
-				errs[i] = fmt.Errorf("wire: shard %d TE: %w", idx, vtErr)
-			}
-		}(i)
 	}
-	wg.Wait()
-	defer releaseAll(raws)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	err := c.scatter(subs, func(i int, vc *VerifyingClient) error {
+		raw, vt, err := fetch(vc, qs[i:i+1], (*SPClient).QueryRawMany, (*TEClient).GenerateVTMany)
+		if raw != nil {
+			raws[i] = raw[0]
 		}
+		if err != nil {
+			return err
+		}
+		vts[i] = vt[0]
+		return nil
+	})
+	defer releaseAll(raws)
+	if err != nil {
+		return nil, err
 	}
-	parts, err := verifyRecords(core.NewVerifyPool(0), qs, raws, vts)
+	parts, err := verifyRecords(qs, raws, vts)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -149,8 +150,8 @@ func TestNetworkedTokenBytes(t *testing.T) {
 	defer te.Close()
 	const queries = 10
 	for _, q := range workload.Queries(queries, workload.DefaultExtent, 57) {
-		if _, err := te.GenerateVT(q); err != nil {
-			t.Fatalf("GenerateVT: %v", err)
+		if _, err := te.GenerateVTMany(context.Background(), []record.Range{q}); err != nil {
+			t.Fatalf("GenerateVTMany: %v", err)
 		}
 	}
 	perQuery := te.BytesReceived() / queries
@@ -276,12 +277,11 @@ func TestNetworkedTOM(t *testing.T) {
 	}
 	defer srv.Close()
 
-	tc, err := DialTOM(srv.Addr())
+	client, err := DialVerifyingTOM(srv.Addr(), owner.Verifier())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tc.Close()
-	client := &VerifyingTOMClient{Provider: tc, Verifier: owner.Verifier()}
+	defer client.Close()
 	q := workload.Queries(1, workload.DefaultExtent, 61)[0]
 	recs, err := client.Query(q)
 	if err != nil {
@@ -297,8 +297,8 @@ func TestNetworkedTOM(t *testing.T) {
 		t.Fatalf("got %d records, want %d", len(recs), want)
 	}
 	// VO bytes on the wire dwarf the SAE token.
-	if tc.BytesReceived() < 1000 {
-		t.Fatalf("TOM response suspiciously small: %d bytes", tc.BytesReceived())
+	if client.BytesReceived() < 1000 {
+		t.Fatalf("TOM response suspiciously small: %d bytes", client.BytesReceived())
 	}
 }
 
@@ -316,7 +316,7 @@ func TestServerRejectsUnknownMessage(t *testing.T) {
 		}
 		defer c.Close()
 		for _, typ := range []MsgType{MsgVT, 5, 6} {
-			_, err = c.roundTrip(Frame{Type: typ, Payload: one.Marshal()})
+			_, err = c.RoundTripCtx(context.Background(), Frame{Type: typ, Payload: one.Marshal()})
 			if err == nil || !strings.Contains(err.Error(), "cannot handle") {
 				t.Fatalf("frame %d at %s: error = %v", typ, addr, err)
 			}
@@ -347,9 +347,9 @@ func TestPipelinedRefusalIsServerError(t *testing.T) {
 		call func() error
 		conn *Conn
 	}{
-		{"QueryRawMany", func() error { _, err := sp.QueryRawMany(qs); return err }, sp.Conn},
-		{"AggregateMany", func() error { _, err := sp.AggregateMany(qs); return err }, sp.Conn},
-		{"GenerateVTMany", func() error { _, err := te.GenerateVTMany(qs); return err }, te.Conn},
+		{"QueryRawMany", func() error { _, err := sp.QueryRawMany(context.Background(), qs); return err }, sp.Conn},
+		{"AggregateMany", func() error { _, err := sp.AggregateMany(context.Background(), qs); return err }, sp.Conn},
+		{"GenerateVTMany", func() error { _, err := te.GenerateVTMany(context.Background(), qs); return err }, te.Conn},
 	}
 	for _, c := range calls {
 		err := c.call()
