@@ -1,33 +1,39 @@
-// Command saebench regenerates the paper's evaluation figures (5-8). It
-// sweeps dataset cardinalities and distributions, outsources each dataset
-// under both SAE and TOM, runs the paper's query workload and prints one
-// table per figure.
+// Command saebench regenerates the paper's evaluation figures (5-8) and
+// the measurements this implementation adds beyond them.
 //
-// Usage:
+// Every figure is one row of the figures table: its name, the flags it
+// reads and its body. Setting a flag the chosen figure does not read is a
+// usage error (exit 2), and so is an unknown figure; both are caught
+// before any work starts. `saebench -h` prints the table.
 //
-//	saebench                     # quick scale, all figures
-//	saebench -scale paper        # the paper's full 100K..1M grid (~GBs of RAM)
-//	saebench -figure 6           # a single figure
-//	saebench -n 50000,200000     # custom cardinalities
-//	saebench -csv                # machine-readable output
+//	saebench                           # quick scale, all paper figures
+//	saebench -scale paper              # the paper's full 100K..1M grid (~GBs of RAM)
+//	saebench -figure 6                 # a single figure
+//	saebench -figure 5 -n 50000,200000 # custom cardinalities
+//	saebench -figure all -csv          # machine-readable tables
 //
-// Beyond the paper's figures, -figure shard measures aggregate verified
-// throughput of the sharded deployment as the shard count grows (one
-// simulated disk per shard) and writes the machine-readable result to
-// -shardjson (BENCH_shard.json by default):
+// The paper figures (5, 6, 7, 8, rt for response time, updates, all)
+// print tables. The others print their result as JSON and write the same
+// JSON to -out, BENCH_<figure>.json by default:
 //
-//	saebench -figure shard                   # 1,2,4,8 shards
-//	saebench -figure shard -shards 1,4,16    # custom deployment sizes
+//	saebench -figure shard -shards 1,4,16          # sharded throughput scaling
+//	saebench -figure fastpath -out BENCH_fastpath.ci.json
 //
-// -figure router prices the router tier's extra hop: the same loopback
-// deployment queried by a client-side scatter versus a plain client
-// behind the router (BENCH_router.json).
+// shard measures aggregate verified throughput as the shard count grows
+// (one simulated disk per shard); fastpath the zero-copy serve and verify
+// chain; burst the pipelined serve loop; write the group-commit pipeline;
+// agg verified aggregation; replica the replica tier behind the router;
+// reshard an online shard split under live traffic.
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -35,130 +41,203 @@ import (
 	"sae/internal/experiments"
 )
 
+// opts holds every flag's value; a figure reads only the fields its row
+// names, besides -figure, -seed and -quiet.
+type opts struct {
+	figure, scale, out           string
+	ns, shards                   intList
+	queries                      int
+	seed                         int64
+	csv, quiet                   bool
+	fastIters, burstMs, aggIters int
+}
+
+// figure is one thing saebench measures. run returns either the result,
+// which saebench prints as JSON and writes to -out, or, for the paper
+// figures, nil and the function that prints their tables.
+type figure struct {
+	name  string
+	flags string
+	run   func(*opts) (result any, print func(), err error)
+}
+
+const paperFlags = "scale n queries csv"
+
+var figures = []figure{
+	{"5", paperFlags, sweep(experiments.BuildFig5)},
+	{"6", paperFlags, sweep(experiments.BuildFig6)},
+	{"7", paperFlags, sweep(experiments.BuildFig7)},
+	{"8", paperFlags, sweep(experiments.BuildFig8)},
+	{"rt", paperFlags, sweep(responseTime)},
+	{"updates", paperFlags, runUpdates},
+	{"all", paperFlags, sweep(experiments.BuildFig5, experiments.BuildFig6, experiments.BuildFig7, experiments.BuildFig8, responseTime)},
+	{"shard", "shards queries out", runShard},
+	{"fastpath", "fastiters out", runFastpath},
+	{"burst", "burstms out", runBurst},
+	{"write", "out", runWrite},
+	{"agg", "aggiters queries out", runAgg},
+	{"replica", "queries out", runReplica},
+	{"reshard", "queries out", runReshard},
+}
+
+// intList is a comma-separated list of positive integers.
+type intList []int
+
+func (l *intList) String() string {
+	s := make([]string, len(*l))
+	for i, n := range *l {
+		s[i] = strconv.Itoa(n)
+	}
+	return strings.Join(s, ",")
+}
+
+func (l *intList) Set(v string) error {
+	*l = nil
+	for _, part := range strings.Split(v, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || n <= 0 {
+			return fmt.Errorf("bad count %q", part)
+		}
+		*l = append(*l, n)
+	}
+	return nil
+}
+
+func newFlagSet(o *opts) *flag.FlagSet {
+	help := "the figure to run, and the flags it reads besides -seed and -quiet:"
+	for _, f := range figures {
+		help += fmt.Sprintf("\n  %-9s %s", f.name, f.flags)
+	}
+	o.shards = intList{1, 2, 4, 8}
+	fs := flag.NewFlagSet("saebench", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	fs.StringVar(&o.figure, "figure", "all", help)
+	fs.Int64Var(&o.seed, "seed", 1, "workload seed")
+	fs.BoolVar(&o.quiet, "quiet", false, "suppress progress output")
+	fs.StringVar(&o.scale, "scale", "quick", "sweep scale: quick or paper")
+	fs.Var(&o.ns, "n", "comma-separated `cardinalities` overriding the scale")
+	fs.IntVar(&o.queries, "queries", 0, "queries per grid point or measurement (0 = the figure's default)")
+	fs.BoolVar(&o.csv, "csv", false, "emit CSV instead of aligned tables")
+	fs.Var(&o.shards, "shards", "comma-separated shard `counts`")
+	fs.StringVar(&o.out, "out", "", "output path for the figure's JSON (default BENCH_<figure>.json)")
+	fs.IntVar(&o.fastIters, "fastiters", 0, "iterations per fast-path variant (0 = default)")
+	fs.IntVar(&o.burstMs, "burstms", 0, "measured milliseconds per burst point (0 = default)")
+	fs.IntVar(&o.aggIters, "aggiters", 0, "query-set repetitions per aggregation variant (0 = default)")
+	return fs
+}
+
+// parse reads the command line into the chosen figure and its options.
+// Any error it returns is a usage error.
+func parse(args []string) (*figure, *opts, error) {
+	o := new(opts)
+	fs := newFlagSet(o)
+	if err := fs.Parse(args); err != nil {
+		return nil, nil, err
+	}
+	if fs.NArg() > 0 {
+		return nil, nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	i := slices.IndexFunc(figures, func(f figure) bool { return f.name == o.figure })
+	if i < 0 {
+		return nil, nil, fmt.Errorf("unknown figure %q", o.figure)
+	}
+	f := &figures[i]
+	reads := map[string]bool{"figure": true, "seed": true, "quiet": true}
+	for _, name := range strings.Fields(f.flags) {
+		reads[name] = true
+	}
+	var unread []string
+	fs.Visit(func(fl *flag.Flag) {
+		if !reads[fl.Name] {
+			unread = append(unread, "-"+fl.Name)
+		}
+	})
+	if len(unread) > 0 {
+		return nil, nil, fmt.Errorf("-figure %s does not read %s", f.name, strings.Join(unread, " "))
+	}
+	if o.scale != "quick" && o.scale != "paper" {
+		return nil, nil, fmt.Errorf("unknown scale %q (want quick or paper)", o.scale)
+	}
+	if o.out == "" {
+		o.out = "BENCH_" + f.name + ".json"
+	}
+	return f, o, nil
+}
+
 func main() {
-	var (
-		figure     = flag.String("figure", "all", "figure to regenerate: 5, 6, 7, 8, rt (response time), updates, shard, fastpath, router, burst, write, agg, replica, reshard or all")
-		scale      = flag.String("scale", "quick", "sweep scale: quick or paper")
-		ns         = flag.String("n", "", "comma-separated cardinalities overriding the scale")
-		queries    = flag.Int("queries", 0, "queries per grid point (0 = scale default)")
-		seed       = flag.Int64("seed", 1, "workload seed")
-		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		quiet      = flag.Bool("quiet", false, "suppress progress output")
-		shards     = flag.String("shards", "1,2,4,8", "comma-separated shard counts (-figure shard)")
-		shardJSON  = flag.String("shardjson", "BENCH_shard.json", "output path for the shard-scaling JSON (-figure shard)")
-		fastJSON   = flag.String("fastjson", "BENCH_fastpath.json", "output path for the fast-path JSON (-figure fastpath)")
-		routerJSON = flag.String("routerjson", "BENCH_router.json", "output path for the router-overhead JSON (-figure router)")
-		fastIters  = flag.Int("fastiters", 0, "iterations per fast-path variant (0 = default)")
-		burstJSON  = flag.String("burstjson", "BENCH_burst.json", "output path for the burst-serving JSON (-figure burst)")
-		burstMs    = flag.Int("burstms", 0, "measured milliseconds per burst point (0 = default)")
-		writeJSON  = flag.String("writejson", "BENCH_write.json", "output path for the write-pipeline JSON (-figure write)")
-		writers    = flag.Int("writers", 0, "concurrent writers for the grouped measurement (0 = default)")
-		aggJSON    = flag.String("aggjson", "BENCH_agg.json", "output path for the aggregation fast-path JSON (-figure agg)")
-		aggIters   = flag.Int("aggiters", 0, "query-set repetitions per aggregation variant (0 = default)")
-		replJSON   = flag.String("replicajson", "BENCH_replica.json", "output path for the replica-tier JSON (-figure replica)")
-		reshJSON   = flag.String("reshardjson", "BENCH_reshard.json", "output path for the online-reshard JSON (-figure reshard)")
-	)
-	flag.Parse()
-
-	if *figure == "shard" {
-		runShardFigure(*shards, *shardJSON, *queries, *seed, *quiet)
-		return
-	}
-	if *figure == "fastpath" {
-		runFastpathFigure(*fastJSON, *fastIters, *seed, *quiet)
-		return
-	}
-	if *figure == "router" {
-		runRouterFigure(*routerJSON, *queries, *seed, *quiet)
-		return
-	}
-	if *figure == "burst" {
-		runBurstFigure(*burstJSON, *burstMs, *seed, *quiet)
-		return
-	}
-	if *figure == "write" {
-		runWriteFigure(*writeJSON, *writers, *seed, *quiet)
-		return
-	}
-	if *figure == "agg" {
-		runAggFigure(*aggJSON, *aggIters, *queries, *seed, *quiet)
-		return
-	}
-	if *figure == "replica" {
-		runReplicaFigure(*replJSON, *queries, *seed, *quiet)
-		return
-	}
-	if *figure == "reshard" {
-		runReshardFigure(*reshJSON, *queries, *seed, *quiet)
-		return
-	}
-
-	var cfg experiments.Config
-	switch *scale {
-	case "quick":
-		cfg = experiments.QuickScale()
-	case "paper":
-		cfg = experiments.PaperScale()
-	default:
-		fmt.Fprintf(os.Stderr, "saebench: unknown scale %q (want quick or paper)\n", *scale)
+	f, o, err := parse(os.Args[1:])
+	if err != nil {
+		if !errors.Is(err, flag.ErrHelp) {
+			fmt.Fprintf(os.Stderr, "saebench: %v\n\n", err)
+		}
+		fmt.Fprintln(os.Stderr, "usage: saebench [-figure NAME] [flags]")
+		fs := newFlagSet(new(opts))
+		fs.SetOutput(os.Stderr)
+		fs.PrintDefaults()
 		os.Exit(2)
 	}
-	if *ns != "" {
-		cfg.Cardinalities = nil
-		for _, part := range strings.Split(*ns, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n <= 0 {
-				fmt.Fprintf(os.Stderr, "saebench: bad cardinality %q\n", part)
-				os.Exit(2)
-			}
-			cfg.Cardinalities = append(cfg.Cardinalities, n)
+	res, print, err := f.run(o)
+	if err == nil {
+		if res == nil {
+			print()
+		} else {
+			err = printJSON(o, res)
 		}
 	}
-	if *queries > 0 {
-		cfg.NumQueries = *queries
-	}
-	cfg.Seed = *seed
-	if !*quiet {
-		cfg.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
-	}
-
-	cells, err := experiments.Sweep(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "saebench: %v\n", err)
 		os.Exit(1)
 	}
+}
 
-	var tables []*experiments.Table
-	switch *figure {
-	case "5":
-		tables = append(tables, experiments.BuildFig5(cells))
-	case "6":
-		tables = append(tables, experiments.BuildFig6(cells))
-	case "7":
-		tables = append(tables, experiments.BuildFig7(cells))
-	case "8":
-		tables = append(tables, experiments.BuildFig8(cells))
-	case "rt":
-		tables = append(tables, experiments.BuildResponseTime(cells, experiments.DefaultNetwork))
-	case "updates":
-		ucells, err := experiments.RunUpdates(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "saebench: %v\n", err)
-			os.Exit(1)
-		}
-		tables = append(tables, experiments.BuildUpdates(ucells))
-	case "all":
-		tables = experiments.BuildAll(cells)
-		tables = append(tables, experiments.BuildResponseTime(cells, experiments.DefaultNetwork))
-	default:
-		fmt.Fprintf(os.Stderr, "saebench: unknown figure %q\n", *figure)
-		os.Exit(2)
+// printJSON prints a figure's result as JSON and writes the same bytes to
+// -out.
+func printJSON(o *opts, res any) error {
+	var buf bytes.Buffer
+	if err := experiments.WriteJSON(&buf, res); err != nil {
+		return err
 	}
+	os.Stdout.Write(buf.Bytes())
+	if err := os.WriteFile(o.out, buf.Bytes(), 0o644); err != nil {
+		return err
+	}
+	if !o.quiet {
+		fmt.Fprintf(os.Stderr, "saebench: wrote %s\n", o.out)
+	}
+	return nil
+}
+
+// progress is where a figure reports its steps: stderr, or nowhere under
+// -quiet.
+func (o *opts) progress() func(string) {
+	if o.quiet {
+		return nil
+	}
+	return func(s string) { fmt.Fprintln(os.Stderr, s) }
+}
+
+// paper is the sweep configuration of the paper figures.
+func (o *opts) paper() experiments.Config {
+	cfg := experiments.QuickScale()
+	if o.scale == "paper" {
+		cfg = experiments.PaperScale()
+	}
+	if o.ns != nil {
+		cfg.Cardinalities = o.ns
+	}
+	if o.queries > 0 {
+		cfg.NumQueries = o.queries
+	}
+	cfg.Seed, cfg.Progress = o.seed, o.progress()
+	return cfg
+}
+
+func printTables(o *opts, tables ...*experiments.Table) {
 	for i, t := range tables {
 		if i > 0 {
 			fmt.Println()
 		}
-		if *csv {
+		if o.csv {
 			fmt.Printf("# %s\n%s", t.Title, t.CSV())
 		} else {
 			fmt.Print(t.Format())
@@ -166,333 +245,114 @@ func main() {
 	}
 }
 
-// runFastpathFigure measures the zero-copy serve/verify chain against the
-// seed pipeline and writes BENCH_fastpath.json alongside a table.
-func runFastpathFigure(jsonPath string, iters int, seed int64, quiet bool) {
-	cfg := experiments.DefaultFastpathConfig()
-	cfg.Seed = seed
-	if iters > 0 {
-		cfg.Iters = iters
+// sweep runs the paper's grid once and renders a table with each of builds.
+func sweep(builds ...func([]*experiments.Cell) *experiments.Table) func(*opts) (any, func(), error) {
+	return func(o *opts) (any, func(), error) {
+		cells, err := experiments.Sweep(o.paper())
+		if err != nil {
+			return nil, nil, err
+		}
+		tables := make([]*experiments.Table, len(builds))
+		for i, build := range builds {
+			tables[i] = build(cells)
+		}
+		return nil, func() { printTables(o, tables...) }, nil
 	}
-	if !quiet {
-		cfg.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
+}
+
+func responseTime(cells []*experiments.Cell) *experiments.Table {
+	return experiments.BuildResponseTime(cells, experiments.DefaultNetwork)
+}
+
+func runUpdates(o *opts) (any, func(), error) {
+	cells, err := experiments.RunUpdates(o.paper())
+	if err != nil {
+		return nil, nil, err
+	}
+	return nil, func() { printTables(o, experiments.BuildUpdates(cells)) }, nil
+}
+
+// runShard measures sharded throughput scaling under simulated per-shard
+// disks.
+func runShard(o *opts) (any, func(), error) {
+	cfg := experiments.DefaultShardConfig()
+	cfg.Seed, cfg.Progress, cfg.ShardCounts = o.seed, o.progress(), o.shards
+	if o.queries > 0 {
+		cfg.Queries = o.queries
+	}
+	res, err := experiments.RunShardScaling(cfg)
+	return res, nil, err
+}
+
+// runFastpath measures the zero-copy serve/verify chain against the seed
+// pipeline.
+func runFastpath(o *opts) (any, func(), error) {
+	cfg := experiments.DefaultFastpathConfig()
+	cfg.Seed, cfg.Progress = o.seed, o.progress()
+	if o.fastIters > 0 {
+		cfg.Iters = o.fastIters
 	}
 	res, err := experiments.RunFastpath(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "saebench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("Fast path (n=%d, %d-record results, SHA-NI=%v, GOMAXPROCS=%d)\n",
-		res.N, res.ResultRecords, res.SHANI, res.GOMAXPROCS)
-	fmt.Printf("  client verify: seed %6.0f ns/record  fast %6.0f ns/record  (%.2fx)\n",
-		res.VerifySeedNsPerRec, res.VerifyFastNsPerRec, res.VerifySpeedup)
-	for _, p := range res.VerifyWorkers {
-		fmt.Printf("    %d workers: %6.0f ns/record  (%.2fM records/s)\n", p.Workers, p.NsPerRec, p.RecordsSec/1e6)
-	}
-	fmt.Printf("  SP serve: seed %6.0f q/s (%.0f allocs, %.0f B/op)  fast %6.0f q/s (%.0f allocs, %.0f B/op)\n",
-		res.ServeSeedQPS, res.ServeSeedAllocsOp, res.ServeSeedBytesOp,
-		res.ServeFastQPS, res.ServeFastAllocsOp, res.ServeFastBytesOp)
-	fmt.Printf("  serve alloc reduction: %.0fx, serve speedup: %.2fx\n", res.AllocReduction, res.ServeSpeedup)
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "saebench: %v\n", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := experiments.WriteFastpathJSON(f, res); err != nil {
-		fmt.Fprintf(os.Stderr, "saebench: %v\n", err)
-		os.Exit(1)
-	}
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "saebench: wrote %s\n", jsonPath)
-	}
+	return res, nil, err
 }
 
-// runBurstFigure measures the serve loop under pipelined load — the
-// GOMAXPROCS lane sweep and the file-backed pread/mmap read paths — and
-// writes BENCH_burst.json alongside a summary.
-func runBurstFigure(jsonPath string, burstMs int, seed int64, quiet bool) {
+// runBurst measures the serve loop under pipelined load: the GOMAXPROCS
+// lane sweep and the file-backed pread/mmap read paths.
+func runBurst(o *opts) (any, func(), error) {
 	cfg := experiments.DefaultBurstConfig()
-	cfg.Seed = seed
-	if burstMs > 0 {
-		cfg.Duration = time.Duration(burstMs) * time.Millisecond
-	}
-	if !quiet {
-		cfg.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
+	cfg.Seed, cfg.Progress = o.seed, o.progress()
+	if o.burstMs > 0 {
+		cfg.Duration = time.Duration(o.burstMs) * time.Millisecond
 	}
 	res, err := experiments.RunBurst(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "saebench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("Burst serving (n=%d, %d-record queries, burst=%d, SHA-NI=%v, GOMAXPROCS=%d)\n",
-		res.N, res.ResultRecords, res.BurstSize, res.SHANI, res.GOMAXPROCS)
-	fmt.Printf("  pipelined serving:   %8.0f queries/s\n", res.BurstQPS)
-	fmt.Printf("  lane sweep:\n")
-	for _, p := range res.Lanes {
-		fmt.Printf("    %2d lanes: %8.0f queries/s  %6.0f ns/record  efficiency %.2f\n",
-			p.Lanes, p.QPS, p.NsPerRec, p.Efficiency)
-	}
-	fmt.Printf("  file-backed (pread): %8.0f queries/s\n", res.FilePreadQPS)
-	fmt.Printf("  file-backed (mmap):  %8.0f queries/s  (mmap active: %v)\n", res.FileMmapQPS, res.MmapActive)
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "saebench: %v\n", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := experiments.WriteBurstJSON(f, res); err != nil {
-		fmt.Fprintf(os.Stderr, "saebench: %v\n", err)
-		os.Exit(1)
-	}
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "saebench: wrote %s\n", jsonPath)
-	}
+	return res, nil, err
 }
 
-// runWriteFigure measures the group-commit write pipeline — serial
-// durable commits vs coalesced groups, the GOMAXPROCS sweep and the TOM
-// sign-amortization pair — and writes BENCH_write.json alongside a
-// summary.
-func runWriteFigure(jsonPath string, writers int, seed int64, quiet bool) {
+// runWrite measures the group-commit write pipeline: serial durable
+// commits vs coalesced groups, the GOMAXPROCS sweep and the TOM
+// sign-amortization pair.
+func runWrite(o *opts) (any, func(), error) {
 	cfg := experiments.DefaultWriteConfig()
-	cfg.Seed = seed
-	if writers > 0 {
-		cfg.Writers = writers
-	}
-	if !quiet {
-		cfg.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
-	}
+	cfg.Seed, cfg.Progress = o.seed, o.progress()
 	res, err := experiments.RunWrite(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "saebench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("Group-commit write pipeline (n=%d, %d writers, maxGroup=%d, SHA-NI=%v, GOMAXPROCS=%d)\n",
-		res.N, res.Writers, res.MaxGroup, res.SHANI, res.GOMAXPROCS)
-	fmt.Printf("  serial durable:  %8.0f updates/s  (%d fsyncs)\n", res.SerialUpdatesPerSec, res.SerialSyncs)
-	fmt.Printf("  group commit:    %8.0f updates/s  (%d fsyncs, avg group %.1f, win %.2fx)\n",
-		res.GroupUpdatesPerSec, res.GroupSyncs, res.AvgGroupSize, res.GroupCommitWin)
-	fmt.Printf("  procs sweep:\n")
-	for _, p := range res.Procs {
-		fmt.Printf("    %2d procs: %8.0f updates/s  avg group %.1f\n", p.Procs, p.UpdatesPerSec, p.AvgGroup)
-	}
-	fmt.Printf("  TOM re-sign: per-update %6.0f updates/s  per-group(%d) %6.0f updates/s  (%.2fx)\n",
-		res.TOMSerialUpdatesPerSec, res.TOMBatch, res.TOMBatchUpdatesPerSec, res.SignAmortWin)
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "saebench: %v\n", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := experiments.WriteWriteJSON(f, res); err != nil {
-		fmt.Fprintf(os.Stderr, "saebench: %v\n", err)
-		os.Exit(1)
-	}
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "saebench: wrote %s\n", jsonPath)
-	}
+	return res, nil, err
 }
 
-// runAggFigure measures the verified-aggregation fast path against
-// scan-and-fold under both protocols and writes BENCH_agg.json alongside
-// a summary.
-func runAggFigure(jsonPath string, iters, queries int, seed int64, quiet bool) {
+// runAgg measures the verified-aggregation fast path against
+// scan-and-fold under both protocols.
+func runAgg(o *opts) (any, func(), error) {
 	cfg := experiments.DefaultAggConfig()
-	cfg.Seed = seed
-	if iters > 0 {
-		cfg.Iters = iters
+	cfg.Seed, cfg.Progress = o.seed, o.progress()
+	if o.aggIters > 0 {
+		cfg.Iters = o.aggIters
 	}
-	if queries > 0 {
-		cfg.Queries = queries
-	}
-	if !quiet {
-		cfg.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
+	if o.queries > 0 {
+		cfg.Queries = o.queries
 	}
 	res, err := experiments.RunAgg(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "saebench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("Verified aggregation fast path (n=%d, %d queries, avg %.0f records/range, SHA-NI=%v, GOMAXPROCS=%d)\n",
-		res.N, res.Queries, res.AvgRecords, res.SHANI, res.GOMAXPROCS)
-	fmt.Printf("  SAE scan-and-fold: %8.0f q/s  %8.0f resp B/query\n", res.ScanQPS, res.ScanRespBytes)
-	fmt.Printf("  SAE aggregate:     %8.0f q/s  %8.0f resp B/query  (speedup %.1fx, bytes %.0fx)\n",
-		res.AggQPS, res.AggRespBytes, res.AggSpeedup, res.RespBytesRatio)
-	fmt.Printf("  TOM scan-and-fold: %8.0f q/s  %8.0f resp B/query\n", res.TOMScanQPS, res.TOMScanRespBytes)
-	fmt.Printf("  TOM aggregate VO:  %8.0f q/s  %8.0f resp B/query  (speedup %.1fx, bytes %.0fx)\n",
-		res.TOMAggQPS, res.TOMAggRespBytes, res.TOMAggSpeedup, res.TOMRespBytesRatio)
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "saebench: %v\n", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := experiments.WriteAggJSON(f, res); err != nil {
-		fmt.Fprintf(os.Stderr, "saebench: %v\n", err)
-		os.Exit(1)
-	}
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "saebench: wrote %s\n", jsonPath)
-	}
+	return res, nil, err
 }
 
-// runRouterFigure measures the router tier's hop overhead and writes
-// the machine-readable BENCH_router.json alongside a summary.
-func runRouterFigure(jsonPath string, queries int, seed int64, quiet bool) {
-	cfg := experiments.DefaultRouterConfig()
-	cfg.Seed = seed
-	if queries > 0 {
-		cfg.Queries = queries
-	}
-	if !quiet {
-		cfg.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
-	}
-	res, err := experiments.RunRouterOverhead(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "saebench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("Router-hop overhead (n=%d, %d shards, %d workers, GOMAXPROCS=%d)\n",
-		res.N, res.Shards, res.Workers, res.GOMAXPROCS)
-	fmt.Printf("  direct client-side scatter: %8.0f queries/s\n", res.DirectQPS)
-	fmt.Printf("  plain client via router:    %8.0f queries/s (%.0f%% of direct)\n",
-		res.RoutedQPS, 100*res.RoutedRelative)
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "saebench: %v\n", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := experiments.WriteRouterJSON(f, res); err != nil {
-		fmt.Fprintf(os.Stderr, "saebench: %v\n", err)
-		os.Exit(1)
-	}
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "saebench: wrote %s\n", jsonPath)
-	}
-}
-
-// runReplicaFigure measures the replica tier's routed throughput
-// against the primaries-only baseline and writes the machine-readable
-// BENCH_replica.json alongside a summary.
-func runReplicaFigure(jsonPath string, queries int, seed int64, quiet bool) {
+// runReplica measures the replica tier's routed throughput against the
+// primaries-only baseline.
+func runReplica(o *opts) (any, func(), error) {
 	cfg := experiments.DefaultReplicaConfig()
-	cfg.Seed = seed
-	if queries > 0 {
-		cfg.Queries = queries
-	}
-	if !quiet {
-		cfg.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
+	cfg.Seed, cfg.Progress = o.seed, o.progress()
+	if o.queries > 0 {
+		cfg.Queries = o.queries
 	}
 	res, err := experiments.RunReplica(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "saebench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("Replica tier (n=%d, %d shards x %d replicas, %d workers, GOMAXPROCS=%d)\n",
-		res.N, res.Shards, res.ReplicasPerShard, res.Workers, res.GOMAXPROCS)
-	fmt.Printf("  routed, primaries only:     %8.0f queries/s\n", res.BaselineQPS)
-	fmt.Printf("  routed, with replica sets:  %8.0f queries/s (%.0f%% of baseline, %d failovers)\n",
-		res.ReplicatedQPS, 100*res.ReplicatedRelative, res.Failovers)
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "saebench: %v\n", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := experiments.WriteReplicaJSON(f, res); err != nil {
-		fmt.Fprintf(os.Stderr, "saebench: %v\n", err)
-		os.Exit(1)
-	}
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "saebench: wrote %s\n", jsonPath)
-	}
+	return res, nil, err
 }
 
-// runReshardFigure splits a hot shard online behind the router under a
-// live verified workload and writes the machine-readable
-// BENCH_reshard.json alongside a summary.
-func runReshardFigure(jsonPath string, queries int, seed int64, quiet bool) {
+// runReshard splits a hot shard online behind the router under a live
+// verified workload.
+func runReshard(o *opts) (any, func(), error) {
 	cfg := experiments.DefaultReshardConfig()
-	cfg.Seed = seed
-	if queries > 0 {
-		cfg.Queries = queries
-	}
-	if !quiet {
-		cfg.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
+	cfg.Seed, cfg.Progress = o.seed, o.progress()
+	if o.queries > 0 {
+		cfg.Queries = o.queries
 	}
 	res, err := experiments.RunReshard(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "saebench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("Online reshard (n=%d, %d -> %d shards, %d workers, GOMAXPROCS=%d)\n",
-		res.N, res.Shards, res.PostShards, res.Workers, res.GOMAXPROCS)
-	fmt.Printf("  routed, pre-split:   %8.0f queries/s\n", res.BaselineQPS)
-	fmt.Printf("  routed, post-split:  %8.0f queries/s (%.0f%% of baseline)\n",
-		res.MigratedQPS, 100*res.MigratedRelative)
-	fmt.Printf("  cutover pause:       %8.2f ms (commit-group interval %.2f ms)\n",
-		res.CutoverPauseMs, res.CommitGroupIntervalMs)
-	fmt.Printf("  during the split:    %d verified reads, %d failures, %d groups streamed, %d records migrated\n",
-		res.ChurnReads, res.ReadFailures, res.GroupsStreamed, res.RecordsMigrated)
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "saebench: %v\n", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := experiments.WriteReshardJSON(f, res); err != nil {
-		fmt.Fprintf(os.Stderr, "saebench: %v\n", err)
-		os.Exit(1)
-	}
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "saebench: wrote %s\n", jsonPath)
-	}
-}
-
-// runShardFigure measures sharded throughput scaling and writes the
-// machine-readable BENCH_shard.json alongside a human-readable table.
-func runShardFigure(shardsCSV, jsonPath string, queries int, seed int64, quiet bool) {
-	cfg := experiments.DefaultShardConfig()
-	cfg.Seed = seed
-	if queries > 0 {
-		cfg.Queries = queries
-	}
-	if !quiet {
-		cfg.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
-	}
-	cfg.ShardCounts = nil
-	for _, part := range strings.Split(shardsCSV, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			fmt.Fprintf(os.Stderr, "saebench: bad shard count %q\n", part)
-			os.Exit(2)
-		}
-		cfg.ShardCounts = append(cfg.ShardCounts, n)
-	}
-	cells, err := experiments.RunShardScaling(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "saebench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("Sharded verified-query throughput (n=%d, %d workers, %v/access simulated disks)\n",
-		cfg.N, cfg.Workers, cfg.PerAccess)
-	fmt.Printf("%8s %12s %10s %16s\n", "shards", "queries/s", "speedup", "shards/query")
-	for _, c := range cells {
-		fmt.Printf("%8d %12.0f %9.2fx %16.2f\n", c.Shards, c.QueriesPerSec, c.Speedup, c.AvgShardsTouched)
-	}
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "saebench: %v\n", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := experiments.WriteShardJSON(f, cells); err != nil {
-		fmt.Fprintf(os.Stderr, "saebench: %v\n", err)
-		os.Exit(1)
-	}
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "saebench: wrote %s\n", jsonPath)
-	}
+	return res, nil, err
 }

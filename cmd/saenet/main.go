@@ -1,8 +1,14 @@
-// Command saenet runs one party of the outsourcing deployment as a TCP
-// server (sp, te or tom), a router tier over a sharded deployment, or a
-// verifying client session against running servers. It turns the library
-// into the distributed system the paper actually describes — including
-// horizontally sharded deployments, one process per shard.
+// Command saenet runs one party of the outsourcing deployment as a
+// process: a party server (sp, te, tom, or a durable primary and its read
+// replicas), the untrusted router tier in front of a sharded deployment,
+// a verifying client session, or one of the harness roles that drive the
+// failure experiments (chaos, reshard, crashwriter, crashverify).
+//
+// Every role is one row of the roles table: its name, the flags it reads
+// and its body. Setting a flag the chosen role does not read is a usage
+// error (exit 2), and so is leaving out one it cannot run without; both
+// are caught before any port is bound or dataset generated. `saenet -h`
+// prints the table.
 //
 //	saenet -role sp  -addr :7001 -n 100000         # SAE service provider
 //	saenet -role te  -addr :7002 -n 100000         # trusted entity
@@ -21,9 +27,10 @@
 //	saenet -role client -sp localhost:7101,localhost:7102 \
 //	       -te localhost:7201,localhost:7202 -queries 20
 //
-// Alternatively, run a router in front of the shards and point plain
-// (non-sharded) clients at its single address — the router scatters on
-// the server side, the client verifies exactly as against one system:
+// Alternatively, run a router in front of the shards and point the
+// client at its single address with -router instead of -sp/-te — the
+// router scatters on the server side, the client verifies exactly as
+// against one system:
 //
 //	saenet -role router -addr :7000 -sp localhost:7101,localhost:7102 \
 //	       -te localhost:7201,localhost:7202
@@ -48,23 +55,26 @@
 // answer verified — kill and restart replicas underneath it to exercise
 // failover (scripts/deploy_smoke.sh does exactly that).
 //
-// Servers generate the same deterministic dataset from -n/-dist/-seed, so
-// any sp/te group started with identical parameters is consistent; the
-// client (or router) cross-checks every shard's attested plan before
-// querying.
+// Every server role prints "serving on ADDR" once it is listening; with
+// -pprof, any role serves net/http/pprof and its expvar counters. Servers
+// generate the same deterministic dataset from -n/-dist/-seed, so any
+// group started with identical parameters is consistent; the client (or
+// router) cross-checks every shard's attested plan before querying.
 package main
 
 import (
-	"context"
+	"errors"
 	"expvar"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -84,197 +94,221 @@ import (
 	"sae/internal/workload"
 )
 
+// crashBatch is the crash writer's insert batch size.
+const crashBatch = 16
+
+// opts holds every flag's value; a role reads only the fields its row
+// names.
+type opts struct {
+	role, pprof, addr, dist, tamper, dir, primary       string
+	sp, te, tom, routerAddr, replicas                   string
+	n, shards, shardIndex, queries, workers, splitShard int
+	seed                                                int64
+	agg                                                 bool
+	upstreamTimeout, hedgeAfter, duration               time.Duration
+	maxLag, splitAt                                     uint64
+}
+
+// role is one way to run saenet: its name, the flags it reads besides
+// -role and -pprof (a trailing * marks one it cannot run without), an
+// optional check across them, and its body.
+type role struct {
+	name, flags string
+	check       func(*opts) error
+	run         func(*opts) error
+}
+
+var roles = []role{
+	{name: "sp", flags: "addr n dist seed shards shard-index tamper", run: runServer},
+	{name: "te", flags: "addr n dist seed shards shard-index", run: runServer},
+	{name: "tom", flags: "addr n dist seed", run: runServer},
+	{name: "primary", flags: "addr dir* n dist seed shards shard-index", run: runPrimary},
+	{name: "replica", flags: "addr primary*", run: runReplica},
+	{name: "router", flags: "addr sp* te* tom replicas upstream-timeout hedge-after max-lag", run: runRouter},
+	{name: "client", flags: "router sp te queries seed agg", check: checkClient, run: runClient},
+	{name: "chaos", flags: "router* sp* duration workers seed", run: runChaos},
+	{name: "reshard", flags: "sp* router dir* split-shard split-at", run: runReshard},
+	{name: "crashwriter", flags: "dir* n dist seed", run: runCrashWriter},
+	{name: "crashverify", flags: "dir* n dist seed", run: runCrashVerify},
+}
+
+func newFlagSet(o *opts) *flag.FlagSet {
+	help := "the role to run, and the flags it reads besides -pprof (* marks one it needs):"
+	for _, r := range roles {
+		help += fmt.Sprintf("\n  %-12s %s", r.name, r.flags)
+	}
+	fs := flag.NewFlagSet("saenet", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	fs.StringVar(&o.role, "role", "", help)
+	fs.StringVar(&o.pprof, "pprof", "", "serve net/http/pprof + expvar counters on this address (e.g. localhost:6060)")
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:0", "listen address")
+	fs.IntVar(&o.n, "n", 100_000, "dataset cardinality")
+	fs.StringVar(&o.dist, "dist", "UNF", "key distribution: UNF or SKW")
+	fs.Int64Var(&o.seed, "seed", 1, "dataset and workload seed (must match across all servers)")
+	fs.IntVar(&o.shards, "shards", 1, "total shards in the deployment")
+	fs.IntVar(&o.shardIndex, "shard-index", 0, "this server's shard index")
+	fs.StringVar(&o.tamper, "tamper", "", "turn malicious: 'drop' omits the first result record (attack experiments)")
+	fs.StringVar(&o.dir, "dir", "", "durable system directory (reshard: two target directories, comma-separated)")
+	fs.StringVar(&o.primary, "primary", "", "primary address to bootstrap from and tail")
+	fs.StringVar(&o.sp, "sp", "", "SP or primary address(es), comma-separated in shard order")
+	fs.StringVar(&o.te, "te", "", "TE or primary address(es), comma-separated in shard order")
+	fs.StringVar(&o.tom, "tom", "", "TOM provider address(es), comma-separated in shard order")
+	fs.StringVar(&o.routerAddr, "router", "", "router address(es); a client dials one as both SP and TE")
+	fs.StringVar(&o.replicas, "replicas", "", "per-shard replica lists, comma within a shard, semicolon between shards")
+	fs.DurationVar(&o.upstreamTimeout, "upstream-timeout", router.DefaultUpstreamTimeout, "per-shard sub-request bound")
+	fs.DurationVar(&o.hedgeAfter, "hedge-after", 0, "race a sibling endpoint after this delay; 0 disables hedging")
+	fs.Uint64Var(&o.maxLag, "max-lag", 0, "staleness bound in commit groups; 0 uses the router default")
+	fs.IntVar(&o.queries, "queries", 10, "queries to run")
+	fs.BoolVar(&o.agg, "agg", false, "also run a verified COUNT/SUM/MIN/MAX per range and cross-check it against the scanned records")
+	fs.DurationVar(&o.duration, "duration", 5*time.Second, "how long to run the churn workload")
+	fs.IntVar(&o.workers, "workers", 3, "concurrent verified readers")
+	fs.IntVar(&o.splitShard, "split-shard", -1, "shard index to split online; -1 splits the last shard")
+	fs.Uint64Var(&o.splitAt, "split-at", 0, "key to split at; 0 uses the midpoint of the populated range")
+	return fs
+}
+
+// parse reads the command line into the chosen role and its options. Any
+// error it returns is a usage error.
+func parse(args []string) (*role, *opts, error) {
+	o := new(opts)
+	fs := newFlagSet(o)
+	if err := fs.Parse(args); err != nil {
+		return nil, nil, err
+	}
+	if fs.NArg() > 0 {
+		return nil, nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	i := slices.IndexFunc(roles, func(r role) bool { return r.name == o.role })
+	if i < 0 {
+		return nil, nil, fmt.Errorf("unknown role %q", o.role)
+	}
+	r := &roles[i]
+	reads := map[string]bool{"role": true, "pprof": true}
+	for _, name := range strings.Fields(r.flags) {
+		name, need := strings.CutSuffix(name, "*")
+		reads[name] = true
+		if need && fs.Lookup(name).Value.String() == "" {
+			return nil, nil, fmt.Errorf("-role %s needs -%s", r.name, name)
+		}
+	}
+	var unread []string
+	fs.Visit(func(f *flag.Flag) {
+		if !reads[f.Name] {
+			unread = append(unread, "-"+f.Name)
+		}
+	})
+	if len(unread) > 0 {
+		return nil, nil, fmt.Errorf("-role %s does not read %s", r.name, strings.Join(unread, " "))
+	}
+	if o.shards < 1 || o.shardIndex < 0 || o.shardIndex >= o.shards {
+		return nil, nil, fmt.Errorf("-shard-index %d outside 0..%d", o.shardIndex, o.shards-1)
+	}
+	if o.tamper != "" && o.tamper != "drop" {
+		return nil, nil, fmt.Errorf("-tamper supports only 'drop'")
+	}
+	if r.check != nil {
+		if err := r.check(o); err != nil {
+			return nil, nil, err
+		}
+	}
+	return r, o, nil
+}
+
 func main() {
-	var (
-		role       = flag.String("role", "", "sp | te | tom | router | client")
-		addr       = flag.String("addr", "127.0.0.1:0", "listen address (server + router roles)")
-		n          = flag.Int("n", 100_000, "dataset cardinality (server roles)")
-		dist       = flag.String("dist", "UNF", "key distribution: UNF or SKW")
-		seed       = flag.Int64("seed", 1, "dataset seed (must match across all servers)")
-		shards     = flag.Int("shards", 1, "total shards in the deployment (server roles)")
-		shardIdx   = flag.Int("shard-index", 0, "this server's shard index (server roles)")
-		tamperMode = flag.String("tamper", "", "turn a malicious sp: 'drop' omits the first result record (attack experiments)")
-		spAddr     = flag.String("sp", "", "SP address(es), comma-separated in shard order (client + router roles)")
-		teAddr     = flag.String("te", "", "TE address(es), comma-separated in shard order (client + router roles)")
-		tomAddr    = flag.String("tom", "", "TOM provider address(es), comma-separated in shard order (router role, optional)")
-		routerAddr = flag.String("router", "", "router address; the client dials it as both SP and TE (client + chaos roles)")
-		upTimeout  = flag.Duration("upstream-timeout", router.DefaultUpstreamTimeout, "per-shard sub-request bound (router role)")
-		queries    = flag.Int("queries", 10, "queries to run (client role)")
-		aggMode    = flag.Bool("agg", false, "client role: also run a verified COUNT/SUM/MIN/MAX per range and cross-check it against the scanned records")
-		dir        = flag.String("dir", "", "durable system directory (primary + crashwriter + crashverify roles)")
-		batch      = flag.Int("batch", 16, "insert batch size (crashwriter role)")
-		primary    = flag.String("primary", "", "primary address to bootstrap from and tail (replica role)")
-		replicas   = flag.String("replicas", "", "per-shard replica lists, comma within a shard, semicolon between shards (router role)")
-		hedgeAfter = flag.Duration("hedge-after", 0, "race a sibling endpoint after this delay; 0 disables hedging (router role)")
-		maxLag     = flag.Uint64("max-lag", 0, "staleness bound in commit groups; 0 uses the router default (router role)")
-		duration   = flag.Duration("duration", 5*time.Second, "how long to run the churn workload (chaos role)")
-		workers    = flag.Int("workers", 3, "concurrent verified readers (chaos role)")
-		splitShard = flag.Int("split-shard", -1, "shard index to split online; -1 splits the last shard (reshard role)")
-		splitAt    = flag.Uint64("split-at", 0, "key to split at; 0 uses the midpoint of the populated range (reshard role)")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof + expvar counters on this address (e.g. localhost:6060)")
-	)
-	flag.Parse()
-
-	if *pprofAddr != "" {
-		startDebugServer(*pprofAddr)
-	}
-
-	switch *role {
-	case "sp", "te", "tom":
-		runServer(*role, *addr, *n, workload.Distribution(*dist), *seed, *shards, *shardIdx, *tamperMode)
-	case "primary":
-		runPrimary(*addr, *dir, *n, workload.Distribution(*dist), *seed, *shards, *shardIdx)
-	case "replica":
-		runReplica(*addr, *primary)
-	case "router":
-		runRouter(*addr, *spAddr, *teAddr, *tomAddr, *replicas, *upTimeout, *hedgeAfter, *maxLag)
-	case "client":
-		runClient(*spAddr, *teAddr, *routerAddr, *queries, *seed, *aggMode)
-	case "chaos":
-		runChaos(*routerAddr, *spAddr, *duration, *workers, *seed)
-	case "reshard":
-		runReshard(*spAddr, *routerAddr, *dir, *splitShard, *splitAt)
-	case "crashwriter":
-		runCrashWriter(*dir, *n, workload.Distribution(*dist), *seed, *batch)
-	case "crashverify":
-		runCrashVerify(*dir, *n, workload.Distribution(*dist), *seed)
-	default:
-		fmt.Fprintln(os.Stderr, "saenet: -role must be sp, te, tom, primary, replica, router, client, chaos, reshard, crashwriter or crashverify")
+	r, o, err := parse(os.Args[1:])
+	if err != nil {
+		if !errors.Is(err, flag.ErrHelp) {
+			fmt.Fprintf(os.Stderr, "saenet: %v\n\n", err)
+		}
+		fmt.Fprintln(os.Stderr, "usage: saenet -role ROLE [flags]")
+		fs := newFlagSet(new(opts))
+		fs.SetOutput(os.Stderr)
+		fs.PrintDefaults()
 		os.Exit(2)
+	}
+	if o.pprof != "" {
+		startDebugServer(o.pprof)
+	}
+	if err := r.run(o); err != nil {
+		fmt.Fprintf(os.Stderr, "saenet: %v\n", err)
+		os.Exit(1)
 	}
 }
 
-// runCrashWriter opens (or creates) a durable system in dir and streams
-// acked update groups into it until the process is killed. Every intent
-// and ack is fsynced to dir/acked.log first, so a later crashverify can
-// audit exactly what this process was told was durable.
-func runCrashWriter(dir string, n int, dist workload.Distribution, seed int64, batch int) {
-	if dir == "" {
-		fmt.Fprintln(os.Stderr, "saenet crashwriter: -dir is required")
-		os.Exit(2)
-	}
-	ds, err := workload.Generate(dist, n, seed)
+// partition generates the deterministic dataset every server derives from
+// -n, -dist and -seed, plans it into -shards parts, and returns the plan
+// and this process's part (-shard-index).
+func partition(o *opts) (shard.Plan, []record.Record, error) {
+	ds, err := workload.Generate(workload.Distribution(o.dist), o.n, o.seed)
 	if err != nil {
-		fail(err)
+		return shard.Plan{}, nil, err
 	}
-	sys, err := core.OpenDurableSystem(dir, ds.Records, 0)
-	if err != nil {
-		fail(err)
-	}
-	expvar.Publish("sae_group_commit", expvar.Func(func() any { return sys.Stats() }))
-	fmt.Fprintf(os.Stderr, "saenet crashwriter: writing groups into %s (kill -9 me)\n", dir)
-	if err := core.RunCrashWriter(sys, filepath.Join(dir, "acked.log"), batch, 0, seed); err != nil {
-		fail(err)
-	}
+	plan := shard.PlanFor(ds.Records, o.shards)
+	return plan, plan.Partition(ds.Records)[o.shardIndex], nil
 }
 
-// runCrashVerify reopens a (possibly killed mid-group) durable system
-// and audits it against the writer's ack log: every acked update must be
-// present, no unacked update partially visible, and the full range must
-// verify against the trusted entity's token.
-func runCrashVerify(dir string, n int, dist workload.Distribution, seed int64) {
-	if dir == "" {
-		fmt.Fprintln(os.Stderr, "saenet crashverify: -dir is required")
-		os.Exit(2)
-	}
-	ds, err := workload.Generate(dist, n, seed)
-	if err != nil {
-		fail(err)
-	}
-	sys, err := core.OpenDurableSystem(dir, nil, 0)
-	if err != nil {
-		fail(fmt.Errorf("reopening %s: %w", dir, err))
-	}
-	defer sys.Close()
-	acked, err := core.ReadAckLog(filepath.Join(dir, "acked.log"))
-	if err != nil {
-		fail(err)
-	}
-	if _, err := core.VerifyRecovered(sys, ds.Records, acked); err != nil {
-		fail(fmt.Errorf("crash audit: %w", err))
-	}
-	fmt.Printf("crashverify: recovered %s — %d WAL groups replayed, %d acked inserts live, full range verified\n",
-		dir, sys.ReplayedGroups(), len(acked.Inserted))
-}
-
-func runServer(role, addr string, n int, dist workload.Distribution, seed int64, shards, shardIdx int, tamperMode string) {
-	if shards < 1 || shardIdx < 0 || shardIdx >= shards {
-		fail(fmt.Errorf("shard index %d outside 0..%d", shardIdx, shards-1))
-	}
-	if tamperMode != "" && (tamperMode != "drop" || role != "sp") {
-		fail(fmt.Errorf("-tamper supports only 'drop' on the sp role"))
-	}
-	if role == "tom" && shards > 1 {
-		fail(fmt.Errorf("the tom role serves a single process; sharded TOM is in-process only (see internal/tom.ShardedSystem)"))
-	}
-	fmt.Fprintf(os.Stderr, "saenet %s: generating %d %s records (seed %d)...\n", role, n, dist, seed)
-	ds, err := workload.Generate(dist, n, seed)
-	if err != nil {
-		fail(err)
-	}
-	// Every server derives the same plan from the same deterministic
-	// dataset and loads only its own partition; per-shard caches are sized
-	// from the partition, not the full relation.
-	plan := shard.PlanFor(ds.Records, shards)
-	part := plan.Partition(ds.Records)[shardIdx]
-	info := wire.ShardInfo{Index: shardIdx, Plan: plan}
-	if shards > 1 {
-		fmt.Fprintf(os.Stderr, "saenet %s: shard %d/%d owns span %v (%d records)\n",
-			role, shardIdx, shards, plan.Span(shardIdx), len(part))
-	}
-	cachePages := bufpool.CapacityFor(len(part))
-	var (
-		srvAddr string
-		closer  interface{ Close() error }
-	)
-	switch role {
-	case "sp":
-		sp := core.NewServiceProvider(pagestore.NewMem())
-		sp.ConfigureCache(cachePages, bufpool.ChargeAllAccesses)
-		if err := sp.Load(part); err != nil {
-			fail(err)
-		}
-		if tamperMode == "drop" {
-			fmt.Fprintln(os.Stderr, "saenet sp: MALICIOUS — dropping the first record of every result")
-			sp.SetTamper(core.DropTamper(0))
-		}
-		srv, err := wire.ServeSP(addr, sp, wire.Logf("sp"), wire.WithShardInfo(info))
-		if err != nil {
-			fail(err)
-		}
-		srvAddr, closer = srv.Addr(), srv
-	case "te":
-		te := core.NewTrustedEntity(pagestore.NewMem())
-		te.ConfigureCache(cachePages, bufpool.ChargeAllAccesses)
-		if err := te.Load(part); err != nil {
-			fail(err)
-		}
-		srv, err := wire.ServeTE(addr, te, wire.Logf("te"), wire.WithShardInfo(info))
-		if err != nil {
-			fail(err)
-		}
-		srvAddr, closer = srv.Addr(), srv
-	case "tom":
-		owner, err := tom.NewOwner()
-		if err != nil {
-			fail(err)
-		}
-		provider := tom.NewProvider(pagestore.NewMem())
-		provider.ConfigureCache(cachePages, bufpool.ChargeAllAccesses)
-		if err := provider.Load(part, owner); err != nil {
-			fail(err)
-		}
-		srv, err := wire.ServeTOM(addr, provider, owner, wire.Logf("tom"))
-		if err != nil {
-			fail(err)
-		}
-		srvAddr, closer = srv.Addr(), srv
-	}
-	fmt.Fprintf(os.Stderr, "saenet %s: serving on %s (ctrl-c to stop)\n", role, srvAddr)
+// serveUntilInterrupt reports that role is serving on addr, waits for
+// ctrl-c, then runs the closers in order.
+func serveUntilInterrupt(role, addr string, closers ...func() error) error {
+	fmt.Fprintf(os.Stderr, "saenet %s: serving on %s (ctrl-c to stop)\n", role, addr)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	<-sig
-	closer.Close()
+	errs := make([]error, len(closers))
+	for i, c := range closers {
+		errs[i] = c()
+	}
+	return errors.Join(errs...)
+}
+
+// runServer serves one stand-alone party (sp, te or tom) over its part of
+// the dataset; per-shard caches are sized from the part, not the whole
+// relation.
+func runServer(o *opts) error {
+	fmt.Fprintf(os.Stderr, "saenet %s: generating %d %s records (seed %d)...\n", o.role, o.n, o.dist, o.seed)
+	plan, part, err := partition(o)
+	if err != nil {
+		return err
+	}
+	if o.shards > 1 {
+		fmt.Fprintf(os.Stderr, "saenet %s: shard %d/%d owns span %v (%d records)\n",
+			o.role, o.shardIndex, o.shards, plan.Span(o.shardIndex), len(part))
+	}
+	pages := bufpool.CapacityFor(len(part))
+	info := wire.WithShardInfo(wire.ShardInfo{Index: o.shardIndex, Plan: plan})
+	var srv interface {
+		Addr() string
+		Close() error
+	}
+	switch o.role {
+	case "sp":
+		sp := core.NewServiceProvider(pagestore.NewMem())
+		sp.ConfigureCache(pages, bufpool.ChargeAllAccesses)
+		if err := sp.Load(part); err != nil {
+			return err
+		}
+		if o.tamper == "drop" {
+			fmt.Fprintln(os.Stderr, "saenet sp: MALICIOUS — dropping the first record of every result")
+			sp.SetTamper(core.DropTamper(0))
+		}
+		srv, err = wire.ServeSP(o.addr, sp, wire.Logf("sp"), info)
+	case "te":
+		te := core.NewTrustedEntity(pagestore.NewMem())
+		te.ConfigureCache(pages, bufpool.ChargeAllAccesses)
+		if err := te.Load(part); err != nil {
+			return err
+		}
+		srv, err = wire.ServeTE(o.addr, te, wire.Logf("te"), info)
+	case "tom":
+		var sys *tom.System
+		if sys, err = tom.NewSystem(part); err == nil {
+			srv, err = wire.ServeTOM(o.addr, sys.Provider, sys.Owner, wire.Logf("tom"))
+		}
+	}
+	if err != nil {
+		return err
+	}
+	return serveUntilInterrupt(o.role, srv.Addr(), srv.Close)
 }
 
 // runPrimary serves one writable shard on one address: SP reads, TE
@@ -283,41 +317,28 @@ func runServer(role, addr string, n int, dist workload.Distribution, seed int64,
 // and tail from. The dataset is the usual deterministic partition, but
 // it lives in a durable system under -dir so writes survive and
 // replicas have a WAL stream to follow.
-func runPrimary(addr, dir string, n int, dist workload.Distribution, seed int64, shards, shardIdx int) {
-	if dir == "" {
-		fmt.Fprintln(os.Stderr, "saenet primary: -dir is required")
-		os.Exit(2)
-	}
-	if shards < 1 || shardIdx < 0 || shardIdx >= shards {
-		fail(fmt.Errorf("shard index %d outside 0..%d", shardIdx, shards-1))
-	}
-	fmt.Fprintf(os.Stderr, "saenet primary: generating %d %s records (seed %d)...\n", n, dist, seed)
-	ds, err := workload.Generate(dist, n, seed)
+func runPrimary(o *opts) error {
+	fmt.Fprintf(os.Stderr, "saenet primary: generating %d %s records (seed %d)...\n", o.n, o.dist, o.seed)
+	plan, part, err := partition(o)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	plan := shard.PlanFor(ds.Records, shards)
-	part := plan.Partition(ds.Records)[shardIdx]
-	sys, err := core.OpenDurableSystem(dir, part, 0)
+	sys, err := core.OpenDurableSystem(o.dir, part, 0)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	hub := replica.Attach(sys, 0)
 	expvar.Publish("sae_group_commit", expvar.Func(func() any { return sys.Stats() }))
 	expvar.Publish("sae_primary_seq", expvar.Func(func() any { return sys.Seq() }))
-	srv, err := wire.ServePrimary(addr, sys, hub, wire.Logf("primary"),
-		wire.WithShardInfo(wire.ShardInfo{Index: shardIdx, Plan: plan}))
+	srv, err := wire.ServePrimary(o.addr, sys, hub, wire.Logf("primary"),
+		wire.WithShardInfo(wire.ShardInfo{Index: o.shardIndex, Plan: plan}))
 	if err != nil {
-		fail(err)
+		sys.Close()
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "saenet primary: shard %d/%d owns span %v (%d records, seq %d)\n",
-		shardIdx, shards, plan.Span(shardIdx), len(part), sys.Seq())
-	fmt.Fprintf(os.Stderr, "saenet primary: serving on %s (ctrl-c to stop)\n", srv.Addr())
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	<-sig
-	srv.Close()
-	sys.Close()
+		o.shardIndex, o.shards, plan.Span(o.shardIndex), len(part), sys.Seq())
+	return serveUntilInterrupt("primary", srv.Addr(), srv.Close, sys.Close)
 }
 
 // runReplica bootstraps a read replica from its primary's sequence-
@@ -325,30 +346,21 @@ func runPrimary(addr, dir string, n int, dist workload.Distribution, seed int64,
 // primary's commit groups in the background. Answers are bit-identical
 // to the primary's at the same generation stamp; the client's XOR
 // verification needs no new trust in this process.
-func runReplica(addr, primaryAddr string) {
-	if primaryAddr == "" {
-		fmt.Fprintln(os.Stderr, "saenet replica: -primary is required")
-		os.Exit(2)
-	}
-	fmt.Fprintf(os.Stderr, "saenet replica: bootstrapping from %s...\n", primaryAddr)
-	rep, info, err := wire.BootstrapReplica(primaryAddr)
+func runReplica(o *opts) error {
+	fmt.Fprintf(os.Stderr, "saenet replica: bootstrapping from %s...\n", o.primary)
+	rep, info, err := wire.BootstrapReplica(o.primary)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	srv, err := wire.ServeReplica(addr, rep, wire.Logf("replica"), wire.WithShardInfo(info))
+	srv, err := wire.ServeReplica(o.addr, rep, wire.Logf("replica"), wire.WithShardInfo(info))
 	if err != nil {
-		fail(err)
+		return err
 	}
-	feed := wire.StartReplicaFeed(rep, primaryAddr, wire.Logf("replica"))
+	feed := wire.StartReplicaFeed(rep, o.primary, wire.Logf("replica"))
 	expvar.Publish("sae_replica_seq", expvar.Func(func() any { return rep.Seq() }))
 	fmt.Fprintf(os.Stderr, "saenet replica: shard %d of %s at seq %d, tailing %s\n",
-		info.Index, info.Plan, rep.Seq(), primaryAddr)
-	fmt.Fprintf(os.Stderr, "saenet replica: serving on %s (ctrl-c to stop)\n", srv.Addr())
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	<-sig
-	feed.Close()
-	srv.Close()
+		info.Index, info.Plan, rep.Seq(), o.primary)
+	return serveUntilInterrupt("replica", srv.Addr(), func() error { feed.Close(); return nil }, srv.Close)
 }
 
 func splitAddrs(s string) []string {
@@ -381,24 +393,20 @@ func splitReplicaLists(s string) [][]string {
 // scatter-gather against the shard servers on the server side. With
 // -replicas, each shard's read replicas join its endpoint set behind
 // health probing, failover and (with -hedge-after) hedged requests.
-func runRouter(addr, spAddr, teAddr, tomAddr, replicaLists string, upTimeout, hedgeAfter time.Duration, maxLag uint64) {
+func runRouter(o *opts) error {
 	cfg := router.Config{
-		SPs:             splitAddrs(spAddr),
-		TEs:             splitAddrs(teAddr),
-		TOMs:            splitAddrs(tomAddr),
-		Replicas:        splitReplicaLists(replicaLists),
-		UpstreamTimeout: upTimeout,
-		HedgeAfter:      hedgeAfter,
-		MaxLag:          maxLag,
+		SPs:             splitAddrs(o.sp),
+		TEs:             splitAddrs(o.te),
+		TOMs:            splitAddrs(o.tom),
+		Replicas:        splitReplicaLists(o.replicas),
+		UpstreamTimeout: o.upstreamTimeout,
+		HedgeAfter:      o.hedgeAfter,
+		MaxLag:          o.maxLag,
 		Logf:            wire.Logf("router"),
-	}
-	if len(cfg.SPs) == 0 || len(cfg.TEs) == 0 {
-		fmt.Fprintln(os.Stderr, "saenet router: -sp and -te are required")
-		os.Exit(2)
 	}
 	r, err := router.New(cfg)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	// Failover observability: scalar counters for alerting plus the full
 	// per-upstream health table, all on /debug/vars when -pprof is set.
@@ -407,118 +415,82 @@ func runRouter(addr, spAddr, teAddr, tomAddr, replicaLists string, upTimeout, he
 	expvar.Publish("sae_router_hedges_lost", expvar.Func(func() any { return r.Counters().HedgesLost }))
 	expvar.Publish("sae_router_counters", expvar.Func(func() any { return r.Counters() }))
 	expvar.Publish("sae_router_upstreams", expvar.Func(func() any { return r.Health() }))
-	if err := r.Serve(addr); err != nil {
-		fail(err)
+	if err := r.Serve(o.addr); err != nil {
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "saenet router: %d shards under %s\n", r.Shards(), r.Plan())
-	if nrep := len(cfg.Replicas); nrep > 0 {
-		total := 0
-		for _, l := range cfg.Replicas {
-			total += len(l)
-		}
-		fmt.Fprintf(os.Stderr, "saenet router: %d replicas across %d shards, hedge-after %v\n", total, nrep, hedgeAfter)
+	if o.replicas != "" {
+		fmt.Fprintf(os.Stderr, "saenet router: replicas %s, hedge-after %v\n", o.replicas, o.hedgeAfter)
 	}
-	fmt.Fprintf(os.Stderr, "saenet router: serving on %s (ctrl-c to stop)\n", r.Addr())
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	<-sig
-	r.Close()
+	return serveUntilInterrupt("router", r.Addr(), r.Close)
 }
 
-func runClient(spAddr, teAddr, routerAddr string, queries int, seed int64, aggMode bool) {
-	if routerAddr != "" {
-		if spAddr != "" || teAddr != "" {
-			fmt.Fprintln(os.Stderr, "saenet client: -router replaces -sp/-te")
-			os.Exit(2)
+// checkClient: the client dials either one router or every shard's SP
+// and TE, never both.
+func checkClient(o *opts) error {
+	if (o.routerAddr != "") == (o.sp != "" || o.te != "") {
+		return errors.New("-role client needs -router, or -sp and -te, but not both")
+	}
+	return nil
+}
+
+// runClient runs -queries verified range queries (with -agg, a verified
+// aggregate beside each, cross-checked against folding the scanned
+// records) straight to the shards' SP/TE pairs — a stand-alone pair is
+// "shard 0 of 1" — or through a router's one address, which the client
+// treats as one shard spanning the whole key space.
+func runClient(o *opts) error {
+	var c *wire.ShardedVerifyingClient
+	if o.routerAddr == "" {
+		var err error
+		if c, err = wire.DialShardedVerifying(splitAddrs(o.sp), splitAddrs(o.te)); err != nil {
+			return err
 		}
-		runPlainClient(routerAddr, queries, seed, aggMode)
-		return
+	} else {
+		vc, err := wire.DialVerifying(o.routerAddr, o.routerAddr)
+		if err != nil {
+			return err
+		}
+		c = &wire.ShardedVerifyingClient{Shards: []*wire.VerifyingClient{vc}}
 	}
-	spAddrs, teAddrs := splitAddrs(spAddr), splitAddrs(teAddr)
-	if len(spAddrs) == 0 || len(teAddrs) == 0 {
-		fmt.Fprintln(os.Stderr, "saenet client: -sp and -te are required")
-		os.Exit(2)
+	defer c.Close()
+	if c.Plan.Shards() > 1 {
+		fmt.Fprintf(os.Stderr, "saenet client: verified %s attested by all TEs\n", c.Plan)
 	}
-	if len(spAddrs) != len(teAddrs) {
-		fmt.Fprintln(os.Stderr, "saenet client: -sp and -te must list one address per shard")
-		os.Exit(2)
-	}
-	// The sharded client handles the single-shard case too (stand-alone
-	// servers attest "shard 0 of 1"), so one code path serves both.
-	client, err := wire.DialShardedVerifying(spAddrs, teAddrs)
-	if err != nil {
-		fail(err)
-	}
-	defer client.Close()
-	if client.Plan.Shards() > 1 {
-		fmt.Fprintf(os.Stderr, "saenet client: verified %s attested by all TEs\n", client.Plan)
-	}
-	qs := workload.Queries(queries, workload.DefaultExtent, seed+1000)
+	qs := workload.Queries(o.queries, workload.DefaultExtent, o.seed+1000)
 	start := time.Now()
 	total := 0
 	for _, q := range qs {
-		recs, err := client.Query(q)
+		recs, err := c.Query(q)
 		if err != nil {
-			fail(fmt.Errorf("query %v: %w", q, err))
+			return fmt.Errorf("query %v: %w", q, err)
 		}
 		total += len(recs)
-		if aggMode {
-			checkAggregate(q, recs, client.Aggregate)
-		} else {
+		if !o.agg {
 			fmt.Printf("%-24v %6d records  verified\n", q, len(recs))
+			continue
 		}
+		// The two independently authenticated answers must agree bit for
+		// bit.
+		a, err := c.Aggregate(q)
+		if err != nil {
+			return fmt.Errorf("aggregate %v: %w", q, err)
+		}
+		var fold agg.Agg
+		for i := range recs {
+			if q.Contains(recs[i].Key) {
+				fold = fold.Add(recs[i].Key)
+			}
+		}
+		if a != fold.Normalize() {
+			return fmt.Errorf("aggregate %v = %v, scan fold = %v", q, a, fold.Normalize())
+		}
+		fmt.Printf("%-24v %6d records  verified  %v (matches scan)\n", q, len(recs), a)
 	}
 	fmt.Printf("\n%d queries, %d records, %v elapsed\n", len(qs), total, time.Since(start).Round(time.Millisecond))
-	spBytes, teBytes := client.BytesReceived()
+	spBytes, teBytes := c.BytesReceived()
 	fmt.Printf("wire bytes: SP->client %d, TE->client %d (authentication only)\n", spBytes, teBytes)
-}
-
-// checkAggregate runs the verified aggregate for q and cross-checks it
-// against folding the records the verified scan returned — the two
-// independently authenticated answers must agree bit for bit.
-func checkAggregate(q record.Range, recs []record.Record, aggregate func(record.Range) (agg.Agg, error)) {
-	a, err := aggregate(q)
-	if err != nil {
-		fail(fmt.Errorf("aggregate %v: %w", q, err))
-	}
-	var fold agg.Agg
-	for i := range recs {
-		if q.Contains(recs[i].Key) {
-			fold = fold.Add(recs[i].Key)
-		}
-	}
-	if a != fold.Normalize() {
-		fail(fmt.Errorf("aggregate %v = %v, scan fold = %v", q, a, fold.Normalize()))
-	}
-	fmt.Printf("%-24v %6d records  verified  %v (matches scan)\n", q, len(recs), a)
-}
-
-// runPlainClient drives an unmodified single-system VerifyingClient
-// through a router's one address — the deployment mode the router tier
-// exists for.
-func runPlainClient(routerAddr string, queries int, seed int64, aggMode bool) {
-	client, err := wire.DialVerifying(routerAddr, routerAddr)
-	if err != nil {
-		fail(err)
-	}
-	defer client.Close()
-	qs := workload.Queries(queries, workload.DefaultExtent, seed+1000)
-	start := time.Now()
-	total := 0
-	for _, q := range qs {
-		recs, err := client.Query(q)
-		if err != nil {
-			fail(fmt.Errorf("query %v: %w", q, err))
-		}
-		total += len(recs)
-		if aggMode {
-			checkAggregate(q, recs, client.Aggregate)
-		} else {
-			fmt.Printf("%-24v %6d records  verified\n", q, len(recs))
-		}
-	}
-	fmt.Printf("\n%d queries, %d records, %v elapsed\n", len(qs), total, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("wire bytes: router->client %d\n", client.SP.BytesReceived()+client.TE.BytesReceived())
+	return nil
 }
 
 // runChaos is the client half of the chaos harness: a writer trickles
@@ -529,39 +501,19 @@ func runPlainClient(routerAddr string, queries int, seed int64, aggMode bool) {
 // if every read verified and every write was acked — kill and restart
 // replicas under the router while this runs and the line must still say
 // zero failures.
-func runChaos(routerAddr, spAddr string, duration time.Duration, workers int, seed int64) {
-	if routerAddr == "" || spAddr == "" {
-		fmt.Fprintln(os.Stderr, "saenet chaos: -router and -sp (the shard primaries, in shard order) are required")
-		os.Exit(2)
-	}
-	primAddrs := splitAddrs(spAddr)
-	prims := make([]*wire.SPClient, len(primAddrs))
-	for i, a := range primAddrs {
-		c, err := wire.DialSP(a)
-		if err != nil {
-			fail(fmt.Errorf("chaos: primary %s: %w", a, err))
-		}
-		defer c.Close()
-		prims[i] = c
-	}
-	ctx, cancelCtx := context.WithTimeout(context.Background(), 5*time.Second)
-	info, err := prims[0].ShardMapCtx(ctx)
-	cancelCtx()
+func runChaos(o *opts) error {
+	prims, err := wire.DialShardedVerifying(splitAddrs(o.sp), splitAddrs(o.sp))
 	if err != nil {
-		fail(fmt.Errorf("chaos: primary plan: %w", err))
+		return fmt.Errorf("chaos: primaries: %w", err)
 	}
-	plan := info.Plan
-	if plan.Shards() != len(prims) {
-		fail(fmt.Errorf("chaos: plan has %d shards, -sp lists %d primaries", plan.Shards(), len(prims)))
-	}
+	defer prims.Close()
+	plan := prims.Plan
 
 	stop := make(chan struct{})
 	var (
-		wg       sync.WaitGroup
-		reads    atomic.Uint64
-		written  atomic.Uint64
-		writeErr error
-		readErrs = make([]error, workers)
+		wg             sync.WaitGroup
+		reads, written atomic.Uint64
+		errs           = make([]error, 1+o.workers) // the writer's, then each reader's
 	)
 
 	// Writer: small batches every couple of milliseconds, IDs far above
@@ -586,7 +538,7 @@ func runChaos(routerAddr, spAddr string, duration time.Duration, workers int, se
 				perShard[s] = append(perShard[s], record.Synthesize(record.ID(1<<40+base+i), key))
 			}
 			for s, recs := range perShard {
-				if err := prims[s].InsertBatch(recs); err != nil {
+				if err := prims.Shards[s].SP.InsertBatch(recs); err != nil {
 					if strings.Contains(err.Error(), "retired") {
 						// An online reshard migrated this shard away
 						// mid-churn. The fence is the intended signal to
@@ -597,7 +549,7 @@ func runChaos(routerAddr, spAddr string, duration time.Duration, workers int, se
 							s, written.Load())
 						return
 					}
-					writeErr = fmt.Errorf("shard %d insert: %w", s, err)
+					errs[0] = fmt.Errorf("writer failed: shard %d insert: %w", s, err)
 					return
 				}
 				written.Add(uint64(len(recs)))
@@ -607,17 +559,17 @@ func runChaos(routerAddr, spAddr string, duration time.Duration, workers int, se
 	}()
 
 	// Verified readers through the router's single address.
-	for w := 0; w < workers; w++ {
+	for w := 0; w < o.workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			vc, err := wire.DialVerified(routerAddr)
+			vc, err := wire.DialVerified(o.routerAddr)
 			if err != nil {
-				readErrs[w] = err
+				errs[1+w] = fmt.Errorf("reader %d failed: %w", w, err)
 				return
 			}
 			defer vc.Close()
-			qs := workload.Queries(64, workload.DefaultExtent, seed+int64(1000*w))
+			qs := workload.Queries(64, workload.DefaultExtent, o.seed+int64(1000*w))
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -625,7 +577,7 @@ func runChaos(routerAddr, spAddr string, duration time.Duration, workers int, se
 				default:
 				}
 				if _, _, err := vc.Query(qs[i%len(qs)]); err != nil {
-					readErrs[w] = fmt.Errorf("query %d: %w", i, err)
+					errs[1+w] = fmt.Errorf("reader %d failed: query %d: %w", w, i, err)
 					return
 				}
 				reads.Add(1)
@@ -633,32 +585,26 @@ func runChaos(routerAddr, spAddr string, duration time.Duration, workers int, se
 		}(w)
 	}
 
-	time.Sleep(duration)
+	time.Sleep(o.duration)
 	close(stop)
 	wg.Wait()
 
-	failed := 0
-	if writeErr != nil {
-		failed++
-		fmt.Fprintf(os.Stderr, "saenet chaos: writer failed: %v\n", writeErr)
+	if reads.Load() == 0 {
+		errs = append(errs, errors.New("no verified reads completed"))
 	}
-	for w, err := range readErrs {
+	failed, verdict := 0, "PASS"
+	for _, err := range errs {
 		if err != nil {
-			failed++
-			fmt.Fprintf(os.Stderr, "saenet chaos: reader %d failed: %v\n", w, err)
+			failed, verdict = failed+1, "FAIL"
+			fmt.Fprintf(os.Stderr, "saenet chaos: %v\n", err)
 		}
 	}
+	fmt.Printf("chaos: %s — %d verified reads, %d records written, %d failures\n",
+		verdict, reads.Load(), written.Load(), failed)
 	if failed > 0 {
-		fmt.Printf("chaos: FAIL — %d verified reads, %d records written, %d failures\n",
-			reads.Load(), written.Load(), failed)
-		os.Exit(1)
+		return fmt.Errorf("chaos: %d failures", failed)
 	}
-	if reads.Load() == 0 {
-		fmt.Println("chaos: FAIL — no verified reads completed")
-		os.Exit(1)
-	}
-	fmt.Printf("chaos: PASS — %d verified reads, %d records written, 0 failures\n",
-		reads.Load(), written.Load())
+	return nil
 }
 
 // runReshard splits one shard of a live deployment online: it learns
@@ -667,34 +613,20 @@ func runChaos(routerAddr, spAddr string, duration time.Duration, workers int, se
 // freezes, drains, cuts the routers over and retires the source. The
 // process stays resident afterwards — it HOSTS the new shards — until
 // interrupted.
-func runReshard(spAddr, routerAddr, dirList string, splitShard int, splitAt uint64) {
-	if spAddr == "" || dirList == "" {
-		fmt.Fprintln(os.Stderr, "saenet reshard: -sp (the shard primaries, in shard order) and -dir (two target dirs, comma-separated) are required")
-		os.Exit(2)
-	}
-	prims := splitAddrs(spAddr)
-	dirs := splitAddrs(dirList)
-	if len(dirs) != 2 {
-		fail(fmt.Errorf("reshard: -dir must list exactly 2 target directories, got %d", len(dirs)))
-	}
-	ctrl, err := wire.DialSP(prims[0])
+func runReshard(o *opts) error {
+	prims := splitAddrs(o.sp)
+	ctrl, err := wire.DialShardedVerifying(prims, prims)
 	if err != nil {
-		fail(fmt.Errorf("reshard: primary %s: %w", prims[0], err))
+		return fmt.Errorf("reshard: primaries: %w", err)
 	}
-	info, err := ctrl.ShardMap()
 	ctrl.Close()
-	if err != nil {
-		fail(fmt.Errorf("reshard: primary plan: %w", err))
-	}
-	plan := info.Plan
-	if plan.Shards() != len(prims) {
-		fail(fmt.Errorf("reshard: plan has %d shards, -sp lists %d primaries", plan.Shards(), len(prims)))
-	}
+	plan := ctrl.Plan
+	splitShard := o.splitShard
 	if splitShard < 0 {
 		splitShard = plan.Shards() - 1
 	}
 	span := plan.Span(splitShard)
-	at := record.Key(splitAt)
+	at := record.Key(o.splitAt)
 	if at == 0 {
 		hi := span.Hi
 		if hi > record.KeyDomain {
@@ -704,7 +636,7 @@ func runReshard(spAddr, routerAddr, dirList string, splitShard int, splitAt uint
 	}
 	next, err := plan.SplitShard(splitShard, []record.Key{at})
 	if err != nil {
-		fail(fmt.Errorf("reshard: deriving successor plan: %w", err))
+		return fmt.Errorf("reshard: deriving successor plan: %w", err)
 	}
 	fmt.Fprintf(os.Stderr, "saenet reshard: splitting shard %d of %v at key %d...\n", splitShard, plan, at)
 	co, res, err := reshard.Run(reshard.Config{
@@ -713,30 +645,70 @@ func runReshard(spAddr, routerAddr, dirList string, splitShard int, splitAt uint
 		FirstShard: splitShard,
 		Replaced:   1,
 		Primaries:  prims,
-		TargetDirs: dirs,
-		Routers:    splitAddrs(routerAddr),
+		TargetDirs: splitAddrs(o.dir),
+		Routers:    splitAddrs(o.routerAddr),
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "saenet "+format+"\n", args...)
 		},
 	})
 	if err != nil {
-		fail(fmt.Errorf("reshard: %w", err))
+		return fmt.Errorf("reshard: %w", err)
 	}
+	targets := strings.Join(res.TargetAddrs, ",")
 	fmt.Printf("reshard: cutover complete — epoch %d, pause %v, %d groups streamed, %d records migrated, targets %s\n",
-		res.Plan.Epoch(), res.CutoverPause, res.GroupsStreamed, res.RecordsMigrated,
-		strings.Join(res.TargetAddrs, ","))
-	fmt.Fprintf(os.Stderr, "saenet reshard: hosting %d successor shards (ctrl-c to stop)\n", len(res.TargetAddrs))
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	<-sig
-	co.Close()
+		res.Plan.Epoch(), res.CutoverPause, res.GroupsStreamed, res.RecordsMigrated, targets)
+	return serveUntilInterrupt("reshard", targets, co.Close)
+}
+
+// runCrashWriter opens (or creates) a durable system in -dir and streams
+// acked update groups into it until the process is killed. Every intent
+// and ack is fsynced to dir/acked.log first, so a later crashverify can
+// audit exactly what this process was told was durable.
+func runCrashWriter(o *opts) error {
+	_, records, err := partition(o)
+	if err != nil {
+		return err
+	}
+	sys, err := core.OpenDurableSystem(o.dir, records, 0)
+	if err != nil {
+		return err
+	}
+	expvar.Publish("sae_group_commit", expvar.Func(func() any { return sys.Stats() }))
+	fmt.Fprintf(os.Stderr, "saenet crashwriter: writing groups into %s (kill -9 me)\n", o.dir)
+	return core.RunCrashWriter(sys, filepath.Join(o.dir, "acked.log"), crashBatch, 0, o.seed)
+}
+
+// runCrashVerify reopens a (possibly killed mid-group) durable system
+// and audits it against the writer's ack log: every acked update must be
+// present, no unacked update partially visible, and the full range must
+// verify against the trusted entity's token.
+func runCrashVerify(o *opts) error {
+	_, records, err := partition(o)
+	if err != nil {
+		return err
+	}
+	sys, err := core.OpenDurableSystem(o.dir, nil, 0)
+	if err != nil {
+		return fmt.Errorf("reopening %s: %w", o.dir, err)
+	}
+	defer sys.Close()
+	acked, err := core.ReadAckLog(filepath.Join(o.dir, "acked.log"))
+	if err != nil {
+		return err
+	}
+	if _, err := core.VerifyRecovered(sys, records, acked); err != nil {
+		return fmt.Errorf("crash audit: %w", err)
+	}
+	fmt.Printf("crashverify: recovered %s — %d WAL groups replayed, %d acked inserts live, full range verified\n",
+		o.dir, sys.ReplayedGroups(), len(acked.Inserted))
+	return nil
 }
 
 // startDebugServer exposes the process on addr for profiling and
 // observability: net/http/pprof at /debug/pprof and expvar at
 // /debug/vars, including the lane/burst serve counters every wire server
-// in the process feeds. Durable roles additionally publish their
-// group-commit counters (see runCrashWriter).
+// in the process feeds. Roles publish their own counters beside these
+// (group commit, replica sequence, router health).
 func startDebugServer(addr string) {
 	expvar.Publish("sae_serve_lanes", expvar.Func(func() any { return runtime.GOMAXPROCS(0) }))
 	expvar.Publish("sae_burst", expvar.Func(func() any { return wire.ReadBurstCounters() }))
@@ -746,9 +718,4 @@ func startDebugServer(addr string) {
 		}
 	}()
 	fmt.Fprintf(os.Stderr, "saenet: pprof on http://%s/debug/pprof, counters on http://%s/debug/vars\n", addr, addr)
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "saenet: %v\n", err)
-	os.Exit(1)
 }

@@ -32,7 +32,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sae/internal/genstamp"
 	"sae/internal/pagestore"
 )
 
@@ -122,9 +121,9 @@ type shard struct {
 	byID     map[pagestore.PageID]*list.Element
 	// gen stamps each page id with a counter bumped by every write and
 	// invalidation; a miss-fill racing a writer is dropped when its
-	// recorded generation is stale (see package genstamp for the protocol
-	// and why stamps are never deleted).
-	gen genstamp.Table[pagestore.PageID]
+	// recorded generation is stale (see genTable for the protocol and why
+	// stamps are never deleted).
+	gen genTable
 }
 
 type cnode struct {
@@ -151,7 +150,7 @@ func New(capacity int, policy ChargePolicy) *Cache {
 			capacity: perShard,
 			lru:      list.New(),
 			byID:     make(map[pagestore.PageID]*list.Element, perShard),
-			gen:      genstamp.New[pagestore.PageID](),
+			gen:      make(genTable),
 		}
 	}
 	return c
@@ -177,7 +176,7 @@ func (c *Cache) get(id pagestore.PageID) (v any, gen uint64, ok bool) {
 		c.hits.Add(1)
 		return v, 0, true
 	}
-	gen = s.gen.Current(id)
+	gen = s.gen.current(id)
 	s.mu.Unlock()
 	c.misses.Add(1)
 	return nil, gen, false
@@ -197,7 +196,7 @@ func (c *Cache) getPin(id pagestore.PageID) (v any, gen uint64, ok bool) {
 		c.hits.Add(1)
 		return v, 0, true
 	}
-	gen = s.gen.Current(id)
+	gen = s.gen.current(id)
 	s.mu.Unlock()
 	c.misses.Add(1)
 	return nil, gen, false
@@ -211,7 +210,7 @@ func (c *Cache) fillPinned(id pagestore.PageID, gen uint64, v any) bool {
 	s := c.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.gen.Stale(id, gen) {
+	if s.gen.stale(id, gen) {
 		return false
 	}
 	if el, ok := s.byID[id]; ok {
@@ -262,7 +261,7 @@ func (c *Cache) genOf(id pagestore.PageID) uint64 {
 	s := c.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.gen.Current(id)
+	return s.gen.current(id)
 }
 
 // fill installs a node decoded outside the lock, unless a write or
@@ -271,7 +270,7 @@ func (c *Cache) fill(id pagestore.PageID, gen uint64, v any) {
 	s := c.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.gen.Stale(id, gen) {
+	if s.gen.stale(id, gen) {
 		return
 	}
 	if el, ok := s.byID[id]; ok {
@@ -289,7 +288,7 @@ func (c *Cache) Update(id pagestore.PageID, v any) {
 	s := c.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.gen.Bump(id)
+	s.gen.bump(id)
 	if el, ok := s.byID[id]; ok {
 		el.Value.(*cnode).v = v
 		s.lru.MoveToFront(el)
@@ -304,7 +303,7 @@ func (c *Cache) Invalidate(id pagestore.PageID) {
 	s := c.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.gen.Bump(id)
+	s.gen.bump(id)
 	if el, ok := s.byID[id]; ok {
 		s.lru.Remove(el)
 		delete(s.byID, id)

@@ -136,6 +136,32 @@ func TestFreeInvalidates(t *testing.T) {
 	}
 }
 
+// TestAllocateDropsRecycledPage: an id the store hands out again must not
+// resurface its old decoded node, even when the free bypassed the cache.
+func TestAllocateDropsRecycledPage(t *testing.T) {
+	io, _, ids := newTestIO(t, 64, ChargeAllAccesses, 1)
+	if _, err := ReadNode(io, nil, ids[0], decodeVal); err != nil {
+		t.Fatal(err)
+	}
+	if err := io.Store().Free(ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	id, err := io.Allocate(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != ids[0] {
+		t.Skipf("store did not recycle page %d (got %d)", ids[0], id)
+	}
+	missesBefore := io.Cache().Stats().Misses
+	if _, err := ReadNode(io, nil, id, decodeVal); err != nil {
+		t.Fatal(err)
+	}
+	if io.Cache().Stats().Misses != missesBefore+1 {
+		t.Fatal("a recycled page was served its previous life's cached node")
+	}
+}
+
 func TestEviction(t *testing.T) {
 	// Capacity numShards means one node per shard: filling two pages per
 	// shard must evict.

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"runtime"
 	"time"
 
@@ -217,11 +215,4 @@ func foldRecords(recs []record.Record, q record.Range) agg.Agg {
 		}
 	}
 	return a.Normalize()
-}
-
-// WriteAggJSON emits the machine-readable result.
-func WriteAggJSON(w io.Writer, res *AggResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
 }

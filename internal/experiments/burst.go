@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -276,11 +274,4 @@ func RunBurst(cfg BurstConfig) (*BurstResult, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-// WriteBurstJSON emits the machine-readable result.
-func WriteBurstJSON(w io.Writer, res *BurstResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
 }

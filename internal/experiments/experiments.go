@@ -6,7 +6,9 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"runtime"
 	"time"
 
@@ -199,4 +201,12 @@ func runCell(cfg Config, dist workload.Distribution, n int) (*Cell, error) {
 	runtime.GC()
 
 	return cell, nil
+}
+
+// WriteJSON emits a figure's machine-readable result (the BENCH_*.json
+// payload) as indented JSON.
+func WriteJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }

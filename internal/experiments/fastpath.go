@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"crypto/sha1"
-	"encoding/json"
 	"fmt"
-	"io"
 	"runtime"
 	"time"
 
@@ -280,11 +278,4 @@ func RunFastpath(cfg FastpathConfig) (*FastpathResult, error) {
 		res.AllocReduction = res.ServeSeedAllocsOp / res.ServeFastAllocsOp
 	}
 	return res, nil
-}
-
-// WriteFastpathJSON emits the machine-readable result.
-func WriteFastpathJSON(w io.Writer, res *FastpathResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
 }

@@ -1,11 +1,11 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
+	"sync"
+	"time"
 
 	"sae/internal/core"
 	"sae/internal/digest"
@@ -27,8 +27,8 @@ import (
 
 // ReplicaConfig parameterizes the replica-tier measurement.
 type ReplicaConfig struct {
-	N       int
-	Shards  int
+	N      int
+	Shards int
 	// ReplicasPerShard read replicas are bootstrapped from each shard's
 	// primary and join its routed endpoint set.
 	ReplicasPerShard int
@@ -196,10 +196,44 @@ func RunReplica(cfg ReplicaConfig) (ReplicaResult, error) {
 	return res, nil
 }
 
-// WriteReplicaJSON emits the machine-readable BENCH_replica.json
-// payload.
-func WriteReplicaJSON(w io.Writer, res ReplicaResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
+// driveWire runs count verified queries (cycled from qs) from `workers`
+// concurrent goroutines over one shared (pipelining) client, after a
+// short warmup.
+func driveWire(qs []record.Range, count, workers int, query func(record.Range) ([]record.Record, error)) (time.Duration, error) {
+	if workers < 1 {
+		workers = 1
+	}
+	for i := 0; i < min(32, len(qs)); i++ { // warm caches and conns
+		if _, err := query(qs[i]); err != nil {
+			return 0, err
+		}
+	}
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		firstE error
+	)
+	next := make(chan int)
+	start := time.Now()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				if _, err := query(qs[i%len(qs)]); err != nil {
+					mu.Lock()
+					if firstE == nil {
+						firstE = err
+					}
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	for i := 0; i < count; i++ {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	return time.Since(start), firstE
 }

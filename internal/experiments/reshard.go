@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -338,12 +336,4 @@ func RunReshard(cfg ReshardConfig) (ReshardResult, error) {
 	}
 	res.MigratedRelative = res.MigratedQPS / res.BaselineQPS
 	return res, nil
-}
-
-// WriteReshardJSON emits the machine-readable BENCH_reshard.json
-// payload.
-func WriteReshardJSON(w io.Writer, res ReshardResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
 }

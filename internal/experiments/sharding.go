@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,6 +69,13 @@ type ShardCell struct {
 	Speedup float64 `json:"speedup"`
 	// AvgShardsTouched is the mean number of shards a query scattered to.
 	AvgShardsTouched float64 `json:"avg_shards_touched"`
+}
+
+// ShardResult is the machine-readable BENCH_shard.json payload.
+type ShardResult struct {
+	Benchmark string      `json:"benchmark"`
+	Unit      string      `json:"unit"`
+	Results   []ShardCell `json:"results"`
 }
 
 // SimDisks models one serial disk per shard as a virtual-time FIFO
@@ -167,7 +172,7 @@ func driveSharded(sys *core.ShardedSystem, disks *SimDisks, qs []record.Range, w
 // RunShardScaling builds one sharded deployment per shard count over the
 // same dataset and measures aggregate verified-query throughput under the
 // simulated per-shard disks.
-func RunShardScaling(cfg ShardConfig) ([]ShardCell, error) {
+func RunShardScaling(cfg ShardConfig) (*ShardResult, error) {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
@@ -179,7 +184,7 @@ func RunShardScaling(cfg ShardConfig) ([]ShardCell, error) {
 		cfg.Extent = workload.DefaultExtent
 	}
 	qs := workload.Queries(256, cfg.Extent, cfg.Seed+1)
-	cells := make([]ShardCell, 0, len(cfg.ShardCounts))
+	res := &ShardResult{Benchmark: "sharded_queries", Unit: "queries_per_sec"}
 	var base float64
 	for _, shards := range cfg.ShardCounts {
 		if cfg.Progress != nil {
@@ -210,9 +215,9 @@ func RunShardScaling(cfg ShardConfig) ([]ShardCell, error) {
 			base = qps
 		}
 		cell.Speedup = qps / base
-		cells = append(cells, cell)
+		res.Results = append(res.Results, cell)
 	}
-	return cells, nil
+	return res, nil
 }
 
 // DriveSharded runs `count` verified queries (cycled from qs) against a
@@ -227,15 +232,4 @@ func DriveSharded(sys *core.ShardedSystem, disks *SimDisks, qs []record.Range, c
 		repeated[i] = qs[i%len(qs)]
 	}
 	return driveSharded(sys, disks, repeated, workers, perAccess)
-}
-
-// WriteShardJSON emits the machine-readable BENCH_shard.json payload.
-func WriteShardJSON(w io.Writer, cells []ShardCell) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Benchmark string      `json:"benchmark"`
-		Unit      string      `json:"unit"`
-		Cells     []ShardCell `json:"results"`
-	}{Benchmark: "sharded_queries", Unit: "queries_per_sec", Cells: cells})
 }

@@ -23,10 +23,11 @@ func TestRunShardScalingSmoke(t *testing.T) {
 		Dist:        workload.UNF,
 		Seed:        3,
 	}
-	cells, err := RunShardScaling(cfg)
+	res, err := RunShardScaling(cfg)
 	if err != nil {
 		t.Fatalf("RunShardScaling: %v", err)
 	}
+	cells := res.Results
 	if len(cells) != 2 {
 		t.Fatalf("%d cells, want 2", len(cells))
 	}
@@ -43,8 +44,8 @@ func TestRunShardScalingSmoke(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteShardJSON(&buf, cells); err != nil {
-		t.Fatalf("WriteShardJSON: %v", err)
+	if err := WriteJSON(&buf, res); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
 	}
 	var decoded struct {
 		Benchmark string      `json:"benchmark"`

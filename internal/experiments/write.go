@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"sync"
@@ -316,11 +314,4 @@ func RunWrite(cfg WriteConfig) (*WriteResult, error) {
 	}
 	res.SignAmortWin = res.TOMBatchUpdatesPerSec / res.TOMSerialUpdatesPerSec
 	return res, nil
-}
-
-// WriteWriteJSON emits the machine-readable result.
-func WriteWriteJSON(w io.Writer, res *WriteResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
 }

@@ -2,9 +2,9 @@
 // in this repository is built on: fixed 4096-byte pages addressed by PageID.
 //
 // Two backing implementations are provided (in-memory and file-backed) plus
-// two wrappers: Counting, which tallies page accesses so experiments can
-// charge the paper's 10 ms per node access, and Cache, an LRU buffer pool
-// used by the ablation studies.
+// Counting, a wrapper that tallies page accesses so experiments can charge
+// the paper's 10 ms per node access. Caching lives a layer up, in package
+// bufpool.
 package pagestore
 
 import (

@@ -163,81 +163,6 @@ func TestStatsArithmetic(t *testing.T) {
 	}
 }
 
-func TestCacheServesHitsWithoutInnerReads(t *testing.T) {
-	counting := NewCounting(NewMem())
-	cache := NewCache(counting, 4)
-
-	id, _ := cache.Allocate()
-	buf := make([]byte, PageSize)
-	buf[0] = 7
-	if err := cache.Write(id, buf); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	before := counting.Stats().Reads
-	for i := 0; i < 5; i++ {
-		if err := cache.Read(id, buf); err != nil {
-			t.Fatalf("Read: %v", err)
-		}
-	}
-	if after := counting.Stats().Reads; after != before {
-		t.Fatalf("cache hit touched inner store: reads %d -> %d", before, after)
-	}
-	hits, misses := cache.HitsMisses()
-	if hits != 5 || misses != 0 {
-		t.Fatalf("hits=%d misses=%d, want 5/0", hits, misses)
-	}
-}
-
-func TestCacheEviction(t *testing.T) {
-	counting := NewCounting(NewMem())
-	cache := NewCache(counting, 2)
-
-	ids := make([]PageID, 3)
-	buf := make([]byte, PageSize)
-	for i := range ids {
-		id, _ := cache.Allocate()
-		ids[i] = id
-		buf[0] = byte(i + 1)
-		if err := cache.Write(id, buf); err != nil {
-			t.Fatalf("Write: %v", err)
-		}
-	}
-	// ids[0] must have been evicted (capacity 2, three inserts).
-	if err := cache.Read(ids[0], buf); err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if buf[0] != 1 {
-		t.Fatalf("evicted page content = %d, want 1", buf[0])
-	}
-	_, misses := cache.HitsMisses()
-	if misses == 0 {
-		t.Fatal("expected at least one miss after eviction")
-	}
-}
-
-func TestCacheFreeDropsCachedCopy(t *testing.T) {
-	cache := NewCache(NewMem(), 4)
-	id, _ := cache.Allocate()
-	buf := make([]byte, PageSize)
-	buf[0] = 9
-	_ = cache.Write(id, buf)
-	if err := cache.Free(id); err != nil {
-		t.Fatalf("Free: %v", err)
-	}
-	// Reallocate; must observe a zeroed page, not the stale cached copy.
-	id2, _ := cache.Allocate()
-	if id2 != id {
-		t.Skipf("store did not recycle id (got %d want %d)", id2, id)
-	}
-	got := make([]byte, PageSize)
-	if err := cache.Read(id2, got); err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if got[0] != 0 {
-		t.Fatal("cache served stale content for recycled page")
-	}
-}
-
 func TestBytes(t *testing.T) {
 	s := NewMem()
 	for i := 0; i < 3; i++ {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Unit tests for the bench-regression gate itself.
 
-The gate holds eight sets of floors and until now had no tests of its
+The gate holds seven sets of floors and until now had no tests of its
 own: a broken comparison (inverted inequality, misspelled key, a gate
 that silently passes on missing data) would wave regressions through.
 Each test builds fixture JSONs in a temp dir, runs one gate against

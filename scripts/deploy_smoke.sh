@@ -5,7 +5,8 @@
 # router tier in front via cmd/saenet, then drives a plain (non-sharded)
 # VerifyingClient through the router's single address and asserts:
 #
-#   1. honest deployment: every query verifies;
+#   1. honest deployment: every query verifies, through the router and
+#      dialled straight to the shards (client-side scatter);
 #   2. a tampering shard SP (-tamper drop) is caught by verification;
 #   3. killing one shard under the router fails queries loudly (the
 #      client errors; it never receives a truncated "verified" result);
@@ -79,6 +80,13 @@ OUT=$("$BIN" -role client -router "$ROUTER" -queries "$QUERIES" -seed "$SEED" 2>
 echo "$OUT" | grep -q "verified" || { echo "$OUT" >&2; die "no verified queries in client output"; }
 VERIFIED=$(echo "$OUT" | grep -c "verified")
 echo "deploy_smoke:   $VERIFIED queries verified through $ROUTER"
+# The same session dialled straight to the shards: the client scatters
+# itself, against the plan every TE attests.
+OUT=$("$BIN" -role client -sp "$SP0,$SP1" -te "$TE0,$TE1" -queries "$QUERIES" -seed "$SEED" 2>&1) \
+  || { echo "$OUT" >&2; die "direct client-side scatter session failed"; }
+DIRECT=$(echo "$OUT" | grep -c "records  verified")
+[ "$DIRECT" -eq "$QUERIES" ] || { echo "$OUT" >&2; die "direct session verified $DIRECT of $QUERIES queries"; }
+echo "deploy_smoke:   $DIRECT queries verified by client-side scatter over sp=[$SP0,$SP1] te=[$TE0,$TE1]"
 
 echo "deploy_smoke: [2/6] tampering shard SP must be detected..."
 SP1T=$(start_server sp1t -role sp -addr 127.0.0.1:0 -n "$N" -seed "$SEED" -shards 2 -shard-index 1 -tamper drop) || die "sp1t"
