@@ -296,8 +296,8 @@ func runFastpath(o *opts) (any, func(), error) {
 	return res, nil, err
 }
 
-// runBurst measures the serve loop under pipelined load: the GOMAXPROCS
-// lane sweep and the file-backed pread/mmap read paths.
+// runBurst measures the serve loop under pipelined load and sweeps
+// GOMAXPROCS, one lane per core.
 func runBurst(o *opts) (any, func(), error) {
 	cfg := experiments.DefaultBurstConfig()
 	cfg.Seed, cfg.Progress = o.seed, o.progress()

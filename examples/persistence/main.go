@@ -1,17 +1,19 @@
-// Persistence shows an SAE deployment surviving a restart: the SP and TE
-// run on file-backed page stores, snapshot their metadata, "crash", and
-// come back from disk without the data owner re-transmitting anything —
-// then keep answering verified queries and applying updates.
+// Persistence shows an SAE deployment surviving a restart the one way
+// this system has: a checkpoint (records.dat) plus the write-ahead log of
+// every commit group since (wal.log). Session 1 loads the data, commits
+// updates around a checkpoint and shuts down; session 2 reopens the
+// directory, replays the groups the log holds past the checkpoint, and
+// keeps answering verified queries and applying updates — without the
+// data owner re-sending anything.
 package main
 
 import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 
 	"sae/internal/core"
-	"sae/internal/pagestore"
+	"sae/internal/record"
 	"sae/internal/workload"
 )
 
@@ -21,10 +23,6 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	spPages := filepath.Join(dir, "sp.pages")
-	tePages := filepath.Join(dir, "te.pages")
-	spMeta := filepath.Join(dir, "sp.meta")
-	teMeta := filepath.Join(dir, "te.meta")
 
 	ds, err := workload.Generate(workload.UNF, 10_000, 21)
 	if err != nil {
@@ -32,110 +30,63 @@ func main() {
 	}
 	q := workload.Queries(1, workload.DefaultExtent, 22)[0]
 
-	// ---- Session 1: initial outsourcing onto disk.
-	fmt.Println("session 1: owner outsources 10,000 records onto file-backed stores")
+	// ---- Session 1: outsource, update around a checkpoint, shut down.
+	fmt.Println("session 1: owner outsources 10,000 records into a durable directory")
 	{
-		spStore, err := pagestore.CreateFile(spPages)
+		sys, err := core.OpenDurableSystem(dir, ds.Records, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
-		teStore, err := pagestore.CreateFile(tePages)
+		ins, err := sys.InsertBatch([]record.Key{q.Lo, q.Lo + 1, q.Hi})
 		if err != nil {
 			log.Fatal(err)
 		}
-		sp := core.NewServiceProvider(spStore)
-		te := core.NewTrustedEntity(teStore)
-		if err := sp.Load(ds.Records); err != nil {
+		if err := sys.DeleteBatch([]record.ID{ins[0].ID, ds.Records[0].ID}); err != nil {
 			log.Fatal(err)
 		}
-		if err := te.Load(ds.Records); err != nil {
+		if err := sys.Checkpoint(); err != nil {
 			log.Fatal(err)
 		}
-		saveTo := func(path string, save func(*os.File) error) {
-			f, err := os.Create(path)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := save(f); err != nil {
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
+		fmt.Println("          insert and delete batches committed, then checkpointed")
+		if _, err := sys.InsertBatch([]record.Key{q.Lo + 2, q.Hi - 1}); err != nil {
+			log.Fatal(err)
 		}
-		saveTo(spMeta, func(f *os.File) error { return sp.SaveSnapshot(f) })
-		saveTo(teMeta, func(f *os.File) error { return te.SaveSnapshot(f) })
-		spStore.Close()
-		teStore.Close()
-		fmt.Println("          snapshots written; both parties shut down")
+		if err := sys.Close(); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Println("          one more batch committed past the checkpoint; shut down")
 	}
 
-	// ---- Session 2: restart from disk.
-	fmt.Println("session 2: both parties restart from their page files + snapshots")
-	spStore, err := pagestore.ReopenFile(spPages)
+	// ---- Session 2: restart from the checkpoint plus the WAL.
+	sys, err := core.OpenDurableSystem(dir, nil, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer spStore.Close()
-	teStore, err := pagestore.ReopenFile(tePages)
-	if err != nil {
-		log.Fatal(err)
+	defer sys.Close()
+	if sys.ReplayedGroups() == 0 {
+		log.Fatal("restart replayed no WAL groups past the checkpoint")
 	}
-	defer teStore.Close()
+	fmt.Printf("session 2: reopened from the checkpoint, %d WAL group(s) replayed\n", sys.ReplayedGroups())
 
-	spMetaF, err := os.Open(spMeta)
+	out, err := sys.Query(q)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sp, err := core.RestoreServiceProvider(spStore, spMetaF)
-	spMetaF.Close()
-	if err != nil {
-		log.Fatal(err)
+	if out.VerifyErr != nil {
+		log.Fatalf("verification failed after restart: %v", out.VerifyErr)
 	}
-	teMetaF, err := os.Open(teMeta)
-	if err != nil {
-		log.Fatal(err)
-	}
-	te, err := core.RestoreTrustedEntity(teStore, teMetaF)
-	teMetaF.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
+	fmt.Printf("          query %v: %d records, verified\n", q, len(out.Result))
 
-	var client core.Client
-	recs, _, err := sp.Query(q)
+	// Updates keep working after the restart.
+	if _, err := sys.Insert(q.Lo + 3); err != nil {
+		log.Fatal(err)
+	}
+	out, err = sys.Query(q)
 	if err != nil {
 		log.Fatal(err)
 	}
-	vt, _, err := te.GenerateVT(q)
-	if err != nil {
-		log.Fatal(err)
+	if out.VerifyErr != nil {
+		log.Fatalf("verification failed after post-restart insert: %v", out.VerifyErr)
 	}
-	if _, err := client.Verify(q, recs, vt); err != nil {
-		log.Fatalf("verification failed after restart: %v", err)
-	}
-	fmt.Printf("          query %v: %d records, verified\n", q, len(recs))
-
-	// Updates keep working post-restore.
-	fresh := ds.Records[0]
-	fresh.ID = 999_999
-	fresh.Key = q.Lo + 2
-	if err := sp.ApplyInsert(fresh); err != nil {
-		log.Fatal(err)
-	}
-	if err := te.ApplyInsert(fresh); err != nil {
-		log.Fatal(err)
-	}
-	recs, _, err = sp.Query(q)
-	if err != nil {
-		log.Fatal(err)
-	}
-	vt, _, err = te.GenerateVT(q)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := client.Verify(q, recs, vt); err != nil {
-		log.Fatalf("verification failed after post-restart update: %v", err)
-	}
-	fmt.Printf("          post-restart insert applied: %d records, still verified\n", len(recs))
+	fmt.Printf("          post-restart insert committed: %d records, still verified\n", len(out.Result))
 }

@@ -222,7 +222,7 @@ func (gc *GroupCommitter) run() {
 }
 
 // commitGroup makes one group durable and visible — in both parties and
-// in the owner's map, which a checkpoint dumps — counts it, then acks
+// in the owner's map — counts it, then acks
 // every waiter. Order matters: the WAL fsync precedes visibility, so an
 // acked update is always recoverable and an unacked one never partially
 // escapes a crash (the replay drops uncommitted tails); the count
@@ -318,7 +318,7 @@ func (gc *GroupCommitter) Stats() CommitStats {
 }
 
 // Quiesce blocks until every update submitted before the call has
-// committed (checkpoint barriers).
+// committed (the reshard freeze barrier).
 func (gc *GroupCommitter) Quiesce() {
 	gc.mu.Lock()
 	for len(gc.queue) > 0 || gc.inflight {

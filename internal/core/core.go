@@ -93,11 +93,10 @@ type ServiceProvider struct {
 	aggTamper AggTamper
 }
 
-// NewServiceProvider returns an SP backed by the given page store (pass a
-// file-backed store for on-disk experiments). A decoded-node cache in
-// charge-every-access mode is attached by default, so wall-clock time
-// drops while the paper's node-access accounting stays exact; use
-// ConfigureCache to resize, change policy, or disable it.
+// NewServiceProvider returns an SP backed by the given page store. A
+// decoded-node cache in charge-every-access mode is attached by default,
+// so wall-clock time drops while the paper's node-access accounting stays
+// exact; use ConfigureCache to resize, change policy, or disable it.
 func NewServiceProvider(store pagestore.Store) *ServiceProvider {
 	ver := pagestore.NewVersioned(store)
 	return &ServiceProvider{
@@ -296,10 +295,6 @@ func (sp *ServiceProvider) ApplyBatchCtx(ctx *exec.Context, ops []wal.Op) error 
 	return nil
 }
 
-// SyncStore flushes the SP's page store to stable storage (a no-op over
-// in-memory stores) — the snapshot/commit durability barrier.
-func (sp *ServiceProvider) SyncStore() error { return sp.store.Sync() }
-
 // SetTamper installs (or clears, with nil) result tampering, turning the SP
 // malicious for attack experiments.
 func (sp *ServiceProvider) SetTamper(t Tamper) {
@@ -492,10 +487,6 @@ func (te *TrustedEntity) ApplyBatchCtx(ctx *exec.Context, ops []wal.Op) error {
 	}
 	return nil
 }
-
-// SyncStore flushes the TE's page store to stable storage (a no-op over
-// in-memory stores) — the snapshot/commit durability barrier.
-func (te *TrustedEntity) SyncStore() error { return te.store.Sync() }
 
 // Stats exposes the TE's page-access counters.
 func (te *TrustedEntity) Stats() pagestore.Stats { return te.store.Stats() }

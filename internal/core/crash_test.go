@@ -227,11 +227,11 @@ func TestCheckpointCrashWindow(t *testing.T) {
 
 	// Publish the checkpoint exactly as Checkpoint() would, then "die"
 	// before the WAL reset.
-	sys.committer.Quiesce()
-	sys.committer.mu.Lock()
-	seq := sys.committer.seq
-	sys.committer.mu.Unlock()
-	if err := writeCheckpoint(dir, sys.Owner.Records(), seq); err != nil {
+	recs, seq, err := sys.SnapshotRecords()
+	if err != nil {
+		t.Fatalf("checkpoint state: %v", err)
+	}
+	if err := writeCheckpoint(dir, recs, seq); err != nil {
 		t.Fatalf("checkpoint publish: %v", err)
 	}
 	if err := sys.Close(); err != nil {

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -16,7 +15,7 @@ import (
 
 // DurableSystem is a crash-safe SAE deployment rooted in one directory:
 //
-//	records.dat — the last checkpoint, a flat dump of the owner's records
+//	records.dat — the last checkpoint, a flat dump of the record set
 //	wal.log     — every commit group since that checkpoint
 //
 // Updates flow through a GroupCommitter whose WAL append+fsync precedes
@@ -60,14 +59,7 @@ func writeCheckpoint(dir string, recs []record.Record, seq uint64) error {
 		return fmt.Errorf("core: creating checkpoint: %w", err)
 	}
 	bw := bufio.NewWriterSize(f, 1<<20)
-	if _, err := bw.WriteString(checkpointMagic); err != nil {
-		f.Close()
-		return err
-	}
-	var hdr [16]byte
-	binary.BigEndian.PutUint64(hdr[:8], seq)
-	binary.BigEndian.PutUint64(hdr[8:], uint64(len(recs)))
-	if _, err := bw.Write(hdr[:]); err != nil {
+	if _, err := bw.Write(appendSnapshotHeader(nil, len(recs), seq)); err != nil {
 		f.Close()
 		return err
 	}
@@ -99,44 +91,19 @@ func writeCheckpoint(dir string, recs []record.Record, seq uint64) error {
 	return nil
 }
 
-// readCheckpoint loads the record dump at path plus the commit sequence
-// it covers; a missing file is an empty checkpoint at sequence zero.
+// readCheckpoint loads the record dump in dir plus the commit sequence
+// it covers; a missing file is an empty checkpoint at sequence zero. The
+// bytes are parsed by DecodeSnapshot, the same parser a replica runs on
+// a snapshot sent over the wire.
 func readCheckpoint(dir string) ([]record.Record, uint64, error) {
-	f, err := os.Open(checkpointPath(dir))
+	b, err := os.ReadFile(checkpointPath(dir))
 	if os.IsNotExist(err) {
 		return nil, 0, nil
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("core: opening checkpoint: %w", err)
+		return nil, 0, fmt.Errorf("core: reading checkpoint: %w", err)
 	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	magic := make([]byte, len(checkpointMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, 0, fmt.Errorf("core: reading checkpoint header: %w", err)
-	}
-	if string(magic) != checkpointMagic {
-		return nil, 0, fmt.Errorf("core: bad checkpoint magic %q", magic)
-	}
-	var hdr [16]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, 0, fmt.Errorf("core: reading checkpoint count: %w", err)
-	}
-	seq := binary.BigEndian.Uint64(hdr[:8])
-	n := binary.BigEndian.Uint64(hdr[8:])
-	recs := make([]record.Record, n)
-	var buf [record.Size]byte
-	for i := range recs {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, 0, fmt.Errorf("core: reading checkpoint record %d: %w", i, err)
-		}
-		r, err := record.Unmarshal(buf[:])
-		if err != nil {
-			return nil, 0, fmt.Errorf("core: decoding checkpoint record %d: %w", i, err)
-		}
-		recs[i] = r
-	}
-	return recs, seq, nil
+	return DecodeSnapshot(b)
 }
 
 // OpenDurableSystem opens (or initializes) a durable deployment in dir.
@@ -217,19 +184,24 @@ func fileExists(path string) bool {
 // to buf. A replica bootstrapping over the wire parses exactly the bytes
 // a DurableSystem checkpoint file holds.
 func EncodeSnapshot(buf []byte, recs []record.Record, seq uint64) []byte {
-	buf = append(buf, checkpointMagic...)
-	var hdr [16]byte
-	binary.BigEndian.PutUint64(hdr[:8], seq)
-	binary.BigEndian.PutUint64(hdr[8:], uint64(len(recs)))
-	buf = append(buf, hdr[:]...)
+	buf = appendSnapshotHeader(buf, len(recs), seq)
 	for i := range recs {
 		buf = recs[i].AppendBinary(buf)
 	}
 	return buf
 }
 
-// DecodeSnapshot parses an EncodeSnapshot payload back into the record
-// set and the generation stamp it was cut at.
+// appendSnapshotHeader appends the header a checkpoint file and a wire
+// snapshot share: magic, sequence, record count.
+func appendSnapshotHeader(buf []byte, n int, seq uint64) []byte {
+	buf = append(buf, checkpointMagic...)
+	buf = binary.BigEndian.AppendUint64(buf, seq)
+	return binary.BigEndian.AppendUint64(buf, uint64(n))
+}
+
+// DecodeSnapshot parses an EncodeSnapshot payload — or a checkpoint
+// file's bytes — back into the record set and the generation stamp it was
+// cut at, rejecting any count its length does not carry.
 func DecodeSnapshot(b []byte) ([]record.Record, uint64, error) {
 	if len(b) < len(checkpointMagic)+16 {
 		return nil, 0, fmt.Errorf("core: snapshot of %d bytes is truncated", len(b))
@@ -332,10 +304,9 @@ func (ds *DurableSystem) ServeVerified(q record.Range, emit func(*record.Record)
 
 // SnapshotRecords returns the full record set in key order together with
 // the generation stamp it belongs to, read under the commit lock so no
-// group can slip in between the scan and the stamp. This is the
-// wire-transfer twin of Checkpoint: EncodeSnapshot of the returned pair
-// is byte-compatible with the records.dat a checkpoint would have
-// written at the same boundary, and it is what bootstraps a replica.
+// group can slip in between the scan and the stamp. Checkpoint writes
+// this pair to records.dat, and EncodeSnapshot of it — the same bytes —
+// is what bootstraps a replica.
 func (ds *DurableSystem) SnapshotRecords() ([]record.Record, uint64, error) {
 	var recs []record.Record
 	var seq uint64
@@ -348,23 +319,30 @@ func (ds *DurableSystem) SnapshotRecords() ([]record.Record, uint64, error) {
 	return recs, seq, err
 }
 
-// Checkpoint quiesces the committer, dumps the owner's records as the
-// new checkpoint and truncates the WAL. Recovery cost drops to the dump
-// read; durability is never in doubt because the new checkpoint is
-// published (rename + dir sync) before the log resets.
+// Checkpoint publishes the applied state as the new checkpoint and
+// truncates the WAL. It holds the committer's queue lock from the moment
+// no group is queued or in flight until the log has reset, so no group
+// can be logged and acked between the dump and the reset: submitters wait
+// for the checkpoint instead. The dump is SnapshotRecords — what the SP
+// serves at the applied sequence, not the owner's map, which registers
+// inserts before they commit. The checkpoint is published (rename + dir
+// sync) before the log resets, so a crash in between loses nothing.
 func (ds *DurableSystem) Checkpoint() error {
-	ds.committer.Quiesce()
-	recs := ds.Owner.Records()
-	ds.committer.mu.Lock()
-	seq := ds.committer.seq
-	ds.committer.mu.Unlock()
+	gc := ds.committer
+	gc.mu.Lock()
+	defer gc.mu.Unlock()
+	for len(gc.queue) > 0 || gc.inflight {
+		gc.cond.Wait()
+	}
+	recs, seq, err := ds.SnapshotRecords()
+	if err != nil {
+		return fmt.Errorf("core: reading checkpoint state: %w", err)
+	}
 	if err := writeCheckpoint(ds.Dir, recs, seq); err != nil {
 		return err
 	}
-	if ds.committer.log != nil {
-		if err := ds.committer.log.Reset(); err != nil {
-			return fmt.Errorf("core: resetting WAL after checkpoint: %w", err)
-		}
+	if err := gc.log.Reset(); err != nil {
+		return fmt.Errorf("core: resetting WAL after checkpoint: %w", err)
 	}
 	return nil
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"sae/internal/record"
@@ -132,9 +135,9 @@ func TestDurableCheckpointResetsWAL(t *testing.T) {
 
 // TestCheckpointKeepsSubmittedGroup commits a group the way a wire primary
 // and a reshard target do — SubmitOps of records the remote owner already
-// synthesized — and checkpoints right after the ack. The checkpoint dumps
-// the owner's records, so the group must be in the owner's map by the
-// time SubmitOps returns, or the WAL reset drops an acked group.
+// synthesized — and checkpoints right after the ack. The group must be in
+// the checkpoint by the time SubmitOps returns, or the WAL reset drops an
+// acked group.
 func TestCheckpointKeepsSubmittedGroup(t *testing.T) {
 	dir := t.TempDir()
 	sys, err := OpenDurableSystem(dir, durableDataset(t, 500), 0)
@@ -170,6 +173,157 @@ func TestCheckpointKeepsSubmittedGroup(t *testing.T) {
 	if len(out.Result) != 502 {
 		t.Fatalf("full-range query returned %d records, want 502", len(out.Result))
 	}
+}
+
+// TestCheckpointUnderWrites checkpoints while four writers keep committing
+// inserts of one: every insert acked before the writers stop must be in
+// the reopened system, whichever side of a checkpoint its group landed on.
+// A group dequeued, logged and acked between the checkpoint's dump and its
+// WAL reset would be in neither file.
+func TestCheckpointUnderWrites(t *testing.T) {
+	const writers, checkpoints = 4, 5
+	dir := t.TempDir()
+	sys, err := OpenDurableSystem(dir, durableDataset(t, 500), 0)
+	if err != nil {
+		t.Fatalf("OpenDurableSystem: %v", err)
+	}
+	var (
+		mu    sync.Mutex
+		grew  = sync.NewCond(&mu) // broadcast on every ack and on a writer's error
+		acked []record.ID
+		werr  error
+		wg    sync.WaitGroup
+	)
+	stop := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				recs, err := sys.InsertBatch([]record.Key{record.Key((w*1_000_003 + i*7919) % record.KeyDomain)})
+				mu.Lock()
+				if err != nil {
+					werr = err
+				} else {
+					acked = append(acked, recs[0].ID)
+				}
+				grew.Broadcast()
+				mu.Unlock()
+				if err != nil {
+					return
+				}
+			}
+		}(w)
+	}
+	for i := 0; i < checkpoints; i++ {
+		// Let the writers ack another hundred inserts first, so every
+		// checkpoint lands in the middle of a stream of submissions.
+		mu.Lock()
+		for len(acked) < 100*(i+1) && werr == nil {
+			grew.Wait()
+		}
+		mu.Unlock()
+		if err := sys.Checkpoint(); err != nil {
+			t.Errorf("Checkpoint %d: %v", i, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if werr != nil {
+		t.Fatalf("writer: %v", werr)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	re, err := OpenDurableSystem(dir, nil, 0)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Close()
+	out, err := re.Query(record.Range{Lo: 0, Hi: record.KeyDomain})
+	if err != nil || out.VerifyErr != nil {
+		t.Fatalf("full-range verified query: %v / %v", err, out.VerifyErr)
+	}
+	present := make(map[record.ID]bool, len(out.Result))
+	for i := range out.Result {
+		present[out.Result[i].ID] = true
+	}
+	lost := 0
+	for _, id := range acked {
+		if !present[id] {
+			lost++
+		}
+	}
+	if lost > 0 {
+		t.Fatalf("%d of %d acked inserts lost across %d checkpoints", lost, len(acked), checkpoints)
+	}
+}
+
+// openCheckpoint opens a fresh directory whose records.dat holds b.
+func openCheckpoint(t *testing.T, b []byte) error {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "records.dat"), b, 0o644); err != nil {
+		t.Fatalf("writing checkpoint: %v", err)
+	}
+	re, err := OpenDurableSystem(dir, nil, 0)
+	if err == nil {
+		re.Close()
+	}
+	return err
+}
+
+// TestCorruptCheckpointCountRejected opens a checkpoint whose header
+// claims far more records than the file holds: the open must fail with
+// an error, not size an allocation from the header.
+func TestCorruptCheckpointCountRejected(t *testing.T) {
+	b := EncodeSnapshot(nil, durableDataset(t, 10), 0)
+	binary.BigEndian.PutUint64(b[len(checkpointMagic)+8:], 1<<40)
+	if openCheckpoint(t, b) == nil {
+		t.Fatal("opened a checkpoint whose count exceeds its length")
+	}
+}
+
+// TestRestoreRejectsGarbage opens checkpoints that are not one — bad
+// magic, a header cut short, a record cut short: each open fails.
+func TestRestoreRejectsGarbage(t *testing.T) {
+	good := EncodeSnapshot(nil, durableDataset(t, 3), 7)
+	for name, b := range map[string][]byte{
+		"bad magic":        append([]byte("junkjunk"), good[len(checkpointMagic):]...),
+		"truncated header": good[:len(checkpointMagic)+10],
+		"truncated record": good[:len(good)-1],
+	} {
+		if openCheckpoint(t, b) == nil {
+			t.Fatalf("%s: opened a corrupt checkpoint", name)
+		}
+	}
+}
+
+// FuzzDecodeSnapshot feeds arbitrary bytes to the checkpoint decoder: it
+// must never panic, and any input it accepts must re-encode byte for byte.
+func FuzzDecodeSnapshot(f *testing.F) {
+	for _, n := range []int{0, 1, 3} {
+		recs := make([]record.Record, n)
+		for i := range recs {
+			recs[i] = record.Synthesize(record.ID(i+1), record.Key(10*i))
+		}
+		f.Add(EncodeSnapshot(nil, recs, uint64(n)))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		recs, seq, err := DecodeSnapshot(b)
+		if err != nil {
+			return
+		}
+		if got := EncodeSnapshot(nil, recs, seq); !bytes.Equal(got, b) {
+			t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(b), len(got))
+		}
+	})
 }
 
 func TestDurableDeleteUnknownIDFailsCleanly(t *testing.T) {

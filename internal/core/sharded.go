@@ -31,33 +31,14 @@ type ShardedSystem struct {
 	Client Client
 }
 
-// ShardStores names the page stores backing one shard's two parties.
-type ShardStores struct {
-	SP, TE pagestore.Store
-}
-
 // NewShardedSystem outsources a dataset (sorted by key) across `shards`
 // key-range partitions over in-memory stores. Each shard's decoded-node
 // caches are sized from its partition's cardinality (bufpool.CapacityFor),
 // not the flat default.
 func NewShardedSystem(sorted []record.Record, shards int) (*ShardedSystem, error) {
 	plan := shard.PlanFor(sorted, shards)
-	stores := make([]ShardStores, plan.Shards())
-	for i := range stores {
-		stores[i] = ShardStores{SP: pagestore.NewMem(), TE: pagestore.NewMem()}
-	}
-	return NewShardedSystemStores(sorted, plan, stores)
-}
-
-// NewShardedSystemStores outsources a dataset across the given plan with
-// explicit per-shard page stores (pass file-backed stores for a
-// restartable deployment; see the snapshot round-trip tests).
-func NewShardedSystemStores(sorted []record.Record, plan shard.Plan, stores []ShardStores) (*ShardedSystem, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
-	}
-	if len(stores) != plan.Shards() {
-		return nil, fmt.Errorf("core: %d stores for %d shards", len(stores), plan.Shards())
 	}
 	s := &ShardedSystem{
 		Owner: NewDataOwner(sorted),
@@ -74,8 +55,8 @@ func NewShardedSystemStores(sorted []record.Record, plan shard.Plan, stores []Sh
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sp := NewServiceProvider(stores[i].SP)
-			te := NewTrustedEntity(stores[i].TE)
+			sp := NewServiceProvider(pagestore.NewMem())
+			te := NewTrustedEntity(pagestore.NewMem())
 			pages := bufpool.CapacityFor(len(parts[i]))
 			sp.ConfigureCache(pages, bufpool.ChargeAllAccesses)
 			te.ConfigureCache(pages, bufpool.ChargeAllAccesses)
@@ -97,25 +78,6 @@ func NewShardedSystemStores(sorted []record.Record, plan shard.Plan, stores []Sh
 		}
 	}
 	return s, nil
-}
-
-// AssembleShardedSystem wires already-loaded (e.g. snapshot-restored)
-// per-shard parties into a sharded system. The owner's relation is not
-// part of any snapshot; pass the records to rebuild it, or nil for a
-// query-only assembly.
-func AssembleShardedSystem(plan shard.Plan, sps []*ServiceProvider, tes []*TrustedEntity, records []record.Record) (*ShardedSystem, error) {
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	if len(sps) != plan.Shards() || len(tes) != plan.Shards() {
-		return nil, fmt.Errorf("core: %d SPs / %d TEs for %d shards", len(sps), len(tes), plan.Shards())
-	}
-	return &ShardedSystem{
-		Owner: NewDataOwner(records),
-		Plan:  plan,
-		SPs:   sps,
-		TEs:   tes,
-	}, nil
 }
 
 // ShardCost is one shard's contribution to a scattered query.

@@ -3,8 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -21,9 +19,8 @@ import (
 // Burst experiment: the serve loop's own numbers. One loopback SP serves
 // a small-query workload to pipelining clients — groups of BurstSize
 // frames per vectored write, drained per read wakeup, served on per-core
-// lanes, one vectored write back per burst — over an in-memory store and
-// over a file-backed store with the pread and mmap read paths. The sweep
-// re-creates the server at each GOMAXPROCS value so the lane count
+// lanes, one vectored write back per burst — over an in-memory store. The
+// sweep re-creates the server at each GOMAXPROCS value so the lane count
 // follows, yielding queries/s, ns/record and scaling efficiency per lane
 // count. Results land in BENCH_burst.json via saebench -figure burst.
 
@@ -81,12 +78,6 @@ type BurstResult struct {
 
 	// Lane sweep (GOMAXPROCS 1 → N; a single-core host records one point).
 	Lanes []BurstLanePoint `json:"lanes"`
-
-	// Real-I/O mode: burst serving over a file-backed store, pread vs
-	// mmap read path.
-	FilePreadQPS float64 `json:"filePreadQueriesPerSec"`
-	FileMmapQPS  float64 `json:"fileMmapQueriesPerSec"`
-	MmapActive   bool    `json:"mmapActive"`
 }
 
 // burstWorkload builds small ranges each holding ~ResultRecords records,
@@ -194,7 +185,7 @@ func RunBurst(cfg BurstConfig) (*BurstResult, error) {
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 	}
 
-	serve := func(sp *core.ServiceProvider, cfg *BurstConfig) (float64, float64, error) {
+	serve := func(cfg *BurstConfig) (float64, float64, error) {
 		srv, err := wire.ServeSP("127.0.0.1:0", sp, nil)
 		if err != nil {
 			return 0, 0, err
@@ -204,7 +195,7 @@ func RunBurst(cfg BurstConfig) (*BurstResult, error) {
 	}
 
 	progress("burst: measuring pipelined serving")
-	res.BurstQPS, _, err = serve(sp, &cfg)
+	res.BurstQPS, _, err = serve(&cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +215,7 @@ func RunBurst(cfg BurstConfig) (*BurstResult, error) {
 		prev := runtime.GOMAXPROCS(k)
 		laneCfg := cfg
 		laneCfg.Conns = 2 * k
-		qps, nsRec, err := serve(sp, &laneCfg)
+		qps, nsRec, err := serve(&laneCfg)
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			return nil, err
@@ -237,41 +228,6 @@ func RunBurst(cfg BurstConfig) (*BurstResult, error) {
 			eff = qps / (float64(k) * qps1)
 		}
 		res.Lanes = append(res.Lanes, BurstLanePoint{Lanes: k, QPS: qps, NsPerRec: nsRec, Efficiency: eff})
-	}
-
-	// Real-I/O mode: the same dataset on a file-backed store, burst
-	// serving over pread and over the mmap window.
-	dir, err := os.MkdirTemp("", "sae-burst-io")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	serveFile := func(mmap bool) (float64, error) {
-		store, err := pagestore.CreateFile(filepath.Join(dir, fmt.Sprintf("sp-mmap-%v.pages", mmap)))
-		if err != nil {
-			return 0, err
-		}
-		defer store.Close()
-		if mmap {
-			if err := store.EnableMmap(); err != nil {
-				return 0, err
-			}
-		}
-		fsp := core.NewServiceProvider(store)
-		if err := fsp.Load(ds.Records); err != nil {
-			return 0, err
-		}
-		res.MmapActive = res.MmapActive || store.MmapActive()
-		qps, _, err := serve(fsp, &cfg)
-		return qps, err
-	}
-	progress("burst: measuring file-backed serving (pread)")
-	if res.FilePreadQPS, err = serveFile(false); err != nil {
-		return nil, err
-	}
-	progress("burst: measuring file-backed serving (mmap)")
-	if res.FileMmapQPS, err = serveFile(true); err != nil {
-		return nil, err
 	}
 	return res, nil
 }

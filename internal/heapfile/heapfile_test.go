@@ -187,62 +187,6 @@ func TestBuildEmpty(t *testing.T) {
 	}
 }
 
-func TestWalkVisitsLiveRecordsInOrder(t *testing.T) {
-	recs := buildRecords(30)
-	f, rids, err := Build(pagestore.NewMem(), recs)
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	// Tombstone a few; Walk must skip exactly those.
-	deleted := map[int]bool{3: true, 8: true, 20: true}
-	for i := range deleted {
-		if err := f.Delete(rids[i]); err != nil {
-			t.Fatalf("Delete: %v", err)
-		}
-	}
-	var seen []record.Record
-	err = f.Walk(func(rid RID, r record.Record) error {
-		seen = append(seen, r)
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Walk: %v", err)
-	}
-	if len(seen) != 27 {
-		t.Fatalf("Walk visited %d records, want 27", len(seen))
-	}
-	j := 0
-	for i := range recs {
-		if deleted[i] {
-			continue
-		}
-		if !seen[j].Equal(&recs[i]) {
-			t.Fatalf("Walk order mismatch at %d", j)
-		}
-		j++
-	}
-}
-
-func TestWalkPropagatesCallbackError(t *testing.T) {
-	recs := buildRecords(5)
-	f, _, err := Build(pagestore.NewMem(), recs)
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	sentinel := errors.New("stop")
-	calls := 0
-	err = f.Walk(func(RID, record.Record) error {
-		calls++
-		return sentinel
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("Walk error = %v, want sentinel", err)
-	}
-	if calls != 1 {
-		t.Fatalf("Walk continued after error: %d calls", calls)
-	}
-}
-
 func TestMetaOpenRoundTrip(t *testing.T) {
 	recs := buildRecords(20)
 	store := pagestore.NewMem()

@@ -3,7 +3,6 @@ package heapfile
 import (
 	"sae/internal/bufpool"
 	"sae/internal/pagestore"
-	"sae/internal/record"
 )
 
 // Meta is the heap file's out-of-page state: its page list (in file order)
@@ -26,24 +25,4 @@ func Open(store pagestore.Store, m Meta) *File {
 		pages: append([]pagestore.PageID(nil), m.Pages...),
 		live:  m.Live,
 	}
-}
-
-// Walk visits every live record in file order. Restores use it to rebuild
-// in-memory catalogs (e.g. the SP's id → RID map).
-func (f *File) Walk(fn func(RID, record.Record) error) error {
-	for _, id := range f.pages {
-		p, err := f.readPage(nil, id)
-		if err != nil {
-			return err
-		}
-		for s := uint16(0); int(s) < len(p.recs); s++ {
-			if !p.live(s) {
-				continue
-			}
-			if err := fn(RID{Page: id, Slot: s}, p.recs[s]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

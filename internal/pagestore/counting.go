@@ -91,17 +91,6 @@ func (c *Counting) Free(id PageID) error {
 // NumPages implements Store.
 func (c *Counting) NumPages() int { return c.inner.NumPages() }
 
-// Sync flushes the wrapped store to stable storage when it supports
-// syncing (file-backed stores, or Versioned over one); in-memory stores
-// are a no-op. Commit and snapshot barriers call this so durability
-// claims hold for on-disk deployments.
-func (c *Counting) Sync() error {
-	if s, ok := c.inner.(interface{ Sync() error }); ok {
-		return s.Sync()
-	}
-	return nil
-}
-
 // Close implements Store.
 func (c *Counting) Close() error { return c.inner.Close() }
 

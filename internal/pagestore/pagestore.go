@@ -1,10 +1,12 @@
 // Package pagestore provides the disk-page abstraction every index and file
 // in this repository is built on: fixed 4096-byte pages addressed by PageID.
 //
-// Two backing implementations are provided (in-memory and file-backed) plus
-// Counting, a wrapper that tallies page accesses so experiments can charge
-// the paper's 10 ms per node access. Caching lives a layer up, in package
-// bufpool.
+// Mem is the backing store. Two wrappers stack on it: Versioned, page-level
+// MVCC for snapshot reads, and Counting, which tallies page accesses so
+// experiments can charge the paper's 10 ms per node access. Caching lives
+// a layer up, in package bufpool. No store here outlives its process: an
+// SAE party survives a restart through core.DurableSystem's checkpoint
+// plus WAL.
 package pagestore
 
 import (

@@ -2,21 +2,15 @@ package pagestore
 
 import (
 	"bytes"
-	"path/filepath"
 	"testing"
 )
 
-// storeFactories lets every conformance test run against both backends.
+// storeFactories lets every conformance test run against the backing
+// store and the MVCC wrapper the SAE parties stack on it.
 func storeFactories(t *testing.T) map[string]func(t *testing.T) Store {
 	return map[string]func(t *testing.T) Store{
-		"mem": func(t *testing.T) Store { return NewMem() },
-		"file": func(t *testing.T) Store {
-			s, err := OpenFile(filepath.Join(t.TempDir(), "pages.db"))
-			if err != nil {
-				t.Fatalf("OpenFile: %v", err)
-			}
-			return s
-		},
+		"mem":       func(t *testing.T) Store { return NewMem() },
+		"versioned": func(t *testing.T) Store { return NewVersioned(NewMem()) },
 	}
 }
 

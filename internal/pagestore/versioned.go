@@ -125,15 +125,6 @@ func (v *Versioned) NumPages() int { return v.inner.NumPages() }
 // Close implements Store.
 func (v *Versioned) Close() error { return v.inner.Close() }
 
-// Sync flushes the inner store when it supports syncing (file-backed
-// stores); in-memory stores are a no-op.
-func (v *Versioned) Sync() error {
-	if s, ok := v.inner.(interface{ Sync() error }); ok {
-		return s.Sync()
-	}
-	return nil
-}
-
 // Generation returns the generation new writes are stamped with.
 func (v *Versioned) Generation() uint64 {
 	v.mu.RLock()

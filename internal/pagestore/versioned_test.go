@@ -6,6 +6,15 @@ import (
 	"testing"
 )
 
+// fillPage returns a page whose bytes are a pattern keyed by seed.
+func fillPage(seed byte) []byte {
+	p := make([]byte, PageSize)
+	for i := range p {
+		p[i] = byte(int(seed) + i*13)
+	}
+	return p
+}
+
 func TestVersionedSnapshotIsolation(t *testing.T) {
 	v := NewVersioned(NewMem())
 	id, err := v.Allocate()
@@ -171,13 +180,5 @@ func TestVersionedConcurrentReadersWriter(t *testing.T) {
 		if err != nil {
 			t.Fatalf("concurrent snapshot reader: %v", err)
 		}
-	}
-}
-
-func TestCountingSyncPassthrough(t *testing.T) {
-	// Mem-backed: Sync is a no-op that must not error.
-	c := NewCounting(NewVersioned(NewMem()))
-	if err := c.Sync(); err != nil {
-		t.Fatalf("Sync over Mem: %v", err)
 	}
 }

@@ -176,9 +176,6 @@ class TestGateBurst(unittest.TestCase):
         return {"BENCH_burst.ci.json": {
             "burstQueriesPerSec": 90000.0,
             "lanes": lanes,
-            "filePreadQueriesPerSec": 100000.0,
-            "fileMmapQueriesPerSec": 95000.0,
-            "mmapActive": True,
         }}
 
     def test_two_lane_run_passes(self):
