@@ -74,6 +74,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"sync"
@@ -336,6 +337,13 @@ func runPrimary(o *opts) error {
 		sys.Close()
 		return err
 	}
+	// The bulk load's transient peak (the dataset, the sort copy, build
+	// garbage) is up to twice what the primary keeps live, and how high it
+	// reaches depends on where the load's GCs happen to fall. Return it to
+	// the OS now rather than leaving it resident while the background
+	// scavenger releases it slowly; off the startup path, since the
+	// primary is already serving.
+	go debug.FreeOSMemory()
 	fmt.Fprintf(os.Stderr, "saenet primary: shard %d/%d owns span %v (%d records, seq %d)\n",
 		o.shardIndex, o.shards, plan.Span(o.shardIndex), len(part), sys.Seq())
 	return serveUntilInterrupt("primary", srv.Addr(), srv.Close, sys.Close)

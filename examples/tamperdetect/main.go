@@ -5,7 +5,8 @@
 // token. It also demonstrates the theoretical escape hatch: the SP evades
 // detection only if it finds DS and IS with DS⊕ == IS⊕, which the XOR of a
 // duplicated pair trivially satisfies — and which set-semantics
-// deduplication closes off.
+// deduplication closes off. It exits non-zero if any of the attacks is
+// accepted.
 package main
 
 import (
@@ -58,19 +59,24 @@ func main() {
 				return out
 			}},
 	}
+	accepted := 0
 	for _, a := range attacks {
 		sys.SP.SetTamper(a.tamper)
 		out, err := sys.Query(q)
 		if err != nil {
 			log.Fatal(err)
 		}
-		verdict := "ACCEPTED"
-		if out.VerifyErr != nil {
-			verdict = "detected and rejected"
+		verdict := "detected and rejected"
+		if out.VerifyErr == nil {
+			verdict = "ACCEPTED"
+			accepted++
 		}
 		fmt.Printf("%-60s -> %s\n", a.name, verdict)
 	}
 	sys.SP.SetTamper(nil)
+	if accepted > 0 {
+		log.Fatalf("%d of %d attacks were accepted", accepted, len(attacks))
+	}
 
 	fmt.Println("\nThe XOR caveat (documented in the paper's technical report):")
 	fmt.Println("duplicating one record an even number of times cancels in the")

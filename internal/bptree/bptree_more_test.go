@@ -149,33 +149,3 @@ func TestBulkloadExactCapacityBoundaries(t *testing.T) {
 		}
 	}
 }
-
-func TestMetaRoundTrip(t *testing.T) {
-	entries := sortedEntries(make([]record.Key, 2000))
-	for i := range entries {
-		entries[i].Key = record.Key(i)
-	}
-	sort.Slice(entries, func(i, j int) bool { return Compare(entries[i], entries[j]) < 0 })
-	store := pagestore.NewMem()
-	tree, err := Bulkload(store, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reopened, err := Open(store, tree.Meta())
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	if err := reopened.Validate(); err != nil {
-		t.Fatalf("Validate after Open: %v", err)
-	}
-	got, err := reopened.Range(100, 200)
-	if err != nil || len(got) != 101 {
-		t.Fatalf("Range after Open = %d rids, err %v", len(got), err)
-	}
-	// Bad meta is rejected.
-	bad := tree.Meta()
-	bad.Height = 9
-	if _, err := Open(store, bad); err == nil {
-		t.Fatal("Open accepted an inconsistent height")
-	}
-}

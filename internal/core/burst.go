@@ -90,7 +90,14 @@ func (sp *ServiceProvider) ServeBurstCtx(ctxs []*exec.Context, qs []record.Range
 func (te *TrustedEntity) GenerateVTBurst(ctxs []*exec.Context, qs []record.Range, vts []digest.Digest) error {
 	te.mu.RLock()
 	defer te.mu.RUnlock()
-	return generateVTs(te.tree, ctxs, qs, vts)
+	for i, q := range qs {
+		vt, err := te.tree.GenerateVTCtx(ctxs[i], q.Lo, q.Hi)
+		if err != nil {
+			return fmt.Errorf("core: TE token generation: %w", err)
+		}
+		vts[i] = vt
+	}
+	return nil
 }
 
 // View runs f over an SP/TE pair pinned at one commit boundary: while f

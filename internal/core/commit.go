@@ -50,9 +50,9 @@ type GroupCommitter struct {
 	log   *wal.Log // may be nil: volatile mode (no durability, same grouping)
 
 	// commitMu is held exclusively across a whole group's application to
-	// both parties, and shared by Snapshot(), so every snapshot pair
-	// captures the SP and the TE at the same group boundary — never one
-	// party mid-group ahead of the other.
+	// both parties, and shared by ReadView, so every read view sees the
+	// SP and the TE at the same group boundary — never one party mid-group
+	// ahead of the other.
 	commitMu sync.RWMutex
 
 	// applied is the sequence of the last group whose application
@@ -261,24 +261,6 @@ func (gc *GroupCommitter) commitGroup(seq uint64, group []pendingOp) {
 			group[i].errc <- err
 		}
 	}
-}
-
-// Snapshot opens a consistent SP+TE snapshot pair at a group boundary:
-// tokens generated from the TE half verify results served from the SP
-// half, no matter how many groups commit after.
-func (gc *GroupCommitter) Snapshot() (*SPSnapshot, *TESnapshot, error) {
-	gc.commitMu.RLock()
-	defer gc.commitMu.RUnlock()
-	sps, err := gc.sp.BeginSnapshot()
-	if err != nil {
-		return nil, nil, err
-	}
-	tes, err := gc.te.BeginSnapshot()
-	if err != nil {
-		sps.Close()
-		return nil, nil, err
-	}
-	return sps, tes, nil
 }
 
 // SetCommitHook installs the commit observer. Install it before the

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sae/internal/digest"
+	"sae/internal/exec"
 	"sae/internal/record"
 	"sae/internal/wal"
 	"sae/internal/workload"
@@ -205,74 +206,105 @@ func TestGroupCommitterCoalescesConcurrentWriters(t *testing.T) {
 	}
 }
 
-// TestSnapshotPairFrozenUnderWrites opens a consistent SP+TE snapshot
-// pair, keeps committing groups, and checks the snapshot still serves
-// its generation bit-for-bit — results and tokens alike — while the
-// live system moves on.
-func TestSnapshotPairFrozenUnderWrites(t *testing.T) {
-	sys, _ := newTestSystem(t, 3000, workload.UNF)
-	gc := newCommitterFor(t, sys, 8, false)
-	qs := workload.Queries(10, workload.DefaultExtent, 555)
-
-	sps, tes, err := gc.Snapshot()
+// TestConcurrentWritersVerifiedViewReaders is the write-pipeline race
+// test on the read path every server runs: writers push batches through
+// the group committer while readers serve bursts of four queries through
+// the system's View. Every query's records must verify against the token
+// served in the same burst, and each reader's stamps must never
+// decrease. The writers spread their keys over the whole domain and the
+// queries are wide, so a burst that saw the SP and the TE at different
+// commit boundaries would fail verification. Run under -race in CI.
+func TestConcurrentWritersVerifiedViewReaders(t *testing.T) {
+	sys, err := OpenDurableSystem(t.TempDir(), durableDataset(t, 3000), 32)
 	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
+		t.Fatalf("OpenDurableSystem: %v", err)
 	}
-	defer sps.Close()
-	defer tes.Close()
+	defer sys.Close()
+	view := sys.View()
+	qs := workload.Queries(8, 0.05, 321)
 
-	type frozen struct {
-		recs []record.Record
-		vt   digest.Digest
-	}
-	var want []frozen
-	for _, q := range qs {
-		recs, _, err := sps.Query(q)
-		if err != nil {
-			t.Fatalf("snapshot query: %v", err)
-		}
-		vt, _, err := tes.GenerateVT(q)
-		if err != nil {
-			t.Fatalf("snapshot VT: %v", err)
-		}
-		if _, err := (Client{}).Verify(q, recs, vt); err != nil {
-			t.Fatalf("snapshot pair does not verify for %v: %v", q, err)
-		}
-		want = append(want, frozen{recs: recs, vt: vt})
-	}
-
-	// Churn: inserts and deletes land in the committed state.
-	keys := make([]record.Key, 400)
-	for i := range keys {
-		keys[i] = record.Key((i * 104729) % record.KeyDomain)
-	}
-	ins, err := gc.InsertBatch(keys)
-	if err != nil {
-		t.Fatalf("churn insert: %v", err)
-	}
-	if err := gc.DeleteBatch(idsOf(ins[:100])); err != nil {
-		t.Fatalf("churn delete: %v", err)
-	}
-
-	for i, q := range qs {
-		recs, _, err := sps.Query(q)
-		if err != nil {
-			t.Fatalf("snapshot re-query: %v", err)
-		}
-		vt, _, err := tes.GenerateVT(q)
-		if err != nil {
-			t.Fatalf("snapshot re-VT: %v", err)
-		}
-		if vt != want[i].vt {
-			t.Fatalf("snapshot VT changed under writes for %v", q)
-		}
-		if len(recs) != len(want[i].recs) {
-			t.Fatalf("snapshot result size changed under writes for %v", q)
-		}
-		for j := range recs {
-			if !recs[j].Equal(&want[i].recs[j]) {
-				t.Fatalf("snapshot record %d changed under writes for %v", j, q)
+	stop := make(chan struct{})
+	var readers, writers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			const n = 4
+			var (
+				ctxs  = make([]*exec.Context, n)
+				burst = make([]record.Range, n)
+				recs  = make([][]record.Record, n)
+				vts   [n]digest.Digest
+				sc    BurstScratch
+				last  uint64
+			)
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for j := range burst {
+					burst[j] = qs[(r+i+j)%len(qs)]
+					ctxs[j] = exec.NewContext()
+					recs[j] = recs[j][:0]
+				}
+				seq, err := view.ServeBurst(ctxs, burst, &sc, vts[:], func(qi int, rec *record.Record) error {
+					recs[qi] = append(recs[qi], *rec)
+					return nil
+				})
+				if err != nil {
+					t.Errorf("reader %d: %v", r, err)
+					return
+				}
+				for j := range burst {
+					if _, err := (Client{}).Verify(burst[j], recs[j], vts[j]); err != nil {
+						t.Errorf("reader %d, query %d of a burst at seq %d: %v", r, j, seq, err)
+						return
+					}
+				}
+				if seq < last {
+					t.Errorf("reader %d: stamp went backwards: %d after %d", r, seq, last)
+					return
+				}
+				last = seq
 			}
-		}
+		}(r)
+	}
+
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := 0; i < 60; i++ {
+				keys := make([]record.Key, 20)
+				for k := range keys {
+					keys[k] = record.Key((w*7919 + i*104_729 + k*500_009) % record.KeyDomain)
+				}
+				ins, err := sys.InsertBatch(keys)
+				if err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+				if i%3 == 0 {
+					if err := sys.DeleteBatch(idsOf(ins[:5])); err != nil {
+						t.Errorf("writer %d: %v", w, err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+
+	// Quiesced end state verifies and the TE tree is still sound.
+	if err := sys.TE.Validate(); err != nil {
+		t.Fatalf("TE validation after churn: %v", err)
+	}
+	out, err := sys.Query(record.Range{Lo: 0, Hi: record.KeyDomain})
+	if err != nil || out.VerifyErr != nil {
+		t.Fatalf("final verified query: %v / %v", err, out.VerifyErr)
 	}
 }

@@ -83,7 +83,6 @@ func ModifyTamper(i int) Tamper {
 // safe for concurrent queries interleaved with updates.
 type ServiceProvider struct {
 	mu        sync.RWMutex
-	ver       *pagestore.Versioned // page-level MVCC under the counting store
 	store     *pagestore.Counting
 	cache     *bufpool.Cache // decoded-node cache shared by heap + index; may be nil
 	heap      *heapfile.File
@@ -98,10 +97,8 @@ type ServiceProvider struct {
 // so wall-clock time drops while the paper's node-access accounting stays
 // exact; use ConfigureCache to resize, change policy, or disable it.
 func NewServiceProvider(store pagestore.Store) *ServiceProvider {
-	ver := pagestore.NewVersioned(store)
 	return &ServiceProvider{
-		ver:   ver,
-		store: pagestore.NewCounting(ver),
+		store: pagestore.NewCounting(store),
 		cache: bufpool.New(bufpool.DefaultCapacity, bufpool.ChargeAllAccesses),
 		byID:  make(map[record.ID]heapfile.RID),
 	}
@@ -196,40 +193,34 @@ func (sp *ServiceProvider) QueryCtx(ctx *exec.Context, q record.Range) ([]record
 	return sp.queryLocked(ctx, q)
 }
 
-// queryLocked is QueryCtx's body plus the tamper hook. The caller holds
+// queryLocked is the materializing SP query — the B+-tree range scan,
+// then the clustered heap fetch — plus the tamper hook. The caller holds
 // the read lock: ServeBurstCtx routes a tampering SP's burst through it
-// so the hook sees each full result slice.
+// so the hook sees each full result slice. It is the reference the
+// streaming ServeBurstCtx is tested against, and the one body that
+// prices the two phases separately (the Figure 6 split): each phase's
+// accesses come from ctx's own counters, and its CPU time is anchored at
+// the phase's own start, so Fetch cannot double-count the index phase's
+// wall clock.
 func (sp *ServiceProvider) queryLocked(ctx *exec.Context, q record.Range) ([]record.Record, QueryCost, error) {
-	recs, qc, err := query(ctx, sp.index, sp.heap, q)
-	if err == nil && sp.tamper != nil {
-		recs = sp.tamper(recs)
-	}
-	return recs, qc, err
-}
-
-// query is the materializing SP query over one index + heap pair, live
-// or frozen in a snapshot: the B+-tree range scan, then the clustered
-// heap fetch. It is the reference the streaming ServeBurstCtx is tested
-// against, and the one body that prices the two phases separately (the
-// Figure 6 split): each phase's accesses come from ctx's own counters,
-// and its CPU time is anchored at the phase's own start, so Fetch cannot
-// double-count the index phase's wall clock.
-func query(ctx *exec.Context, index *bptree.Tree, heap *heapfile.File, q record.Range) ([]record.Record, QueryCost, error) {
 	var qc QueryCost
 	before := ctx.Stats()
 	start := time.Now()
-	rids, err := index.RangeCtx(ctx, q.Lo, q.Hi)
+	rids, err := sp.index.RangeCtx(ctx, q.Lo, q.Hi)
 	if err != nil {
 		return nil, qc, fmt.Errorf("core: SP range scan: %w", err)
 	}
 	mid := ctx.Stats()
 	fetchStart := time.Now()
 	qc.Index = costmodel.Default.Measure(mid.Sub(before), fetchStart.Sub(start))
-	recs, err := heap.GetManyCtx(ctx, rids)
+	recs, err := sp.heap.GetManyCtx(ctx, rids)
 	if err != nil {
 		return nil, qc, fmt.Errorf("core: SP record fetch: %w", err)
 	}
 	qc.Fetch = costmodel.Default.Measure(ctx.Stats().Sub(mid), time.Since(fetchStart))
+	if sp.tamper != nil {
+		recs = sp.tamper(recs)
+	}
 	return recs, qc, nil
 }
 
@@ -331,7 +322,6 @@ func (sp *ServiceProvider) IndexHeight() int {
 // TrustedEntity maintains the XB-Tree and issues verification tokens.
 type TrustedEntity struct {
 	mu    sync.RWMutex
-	ver   *pagestore.Versioned // page-level MVCC under the counting store
 	store *pagestore.Counting
 	cache *bufpool.Cache // decoded XB-Tree node cache; may be nil
 	tree  *xbtree.Tree
@@ -341,10 +331,8 @@ type TrustedEntity struct {
 // SP, it starts with a charge-every-access decoded-node cache; see
 // ConfigureCache.
 func NewTrustedEntity(store pagestore.Store) *TrustedEntity {
-	ver := pagestore.NewVersioned(store)
 	return &TrustedEntity{
-		ver:   ver,
-		store: pagestore.NewCounting(ver),
+		store: pagestore.NewCounting(store),
 		cache: bufpool.New(bufpool.DefaultCapacity, bufpool.ChargeAllAccesses),
 	}
 }
@@ -419,19 +407,6 @@ func (te *TrustedEntity) GenerateVTCtx(ctx *exec.Context, q record.Range) (diges
 		return te.GenerateVTBurst([]*exec.Context{ctx}, []record.Range{q}, vt[:])
 	})
 	return vt[0], cost, err
-}
-
-// generateVTs is the one token body, over an XB-Tree live or frozen in a
-// snapshot: query i's token into vts[i], its descent charged to ctxs[i].
-func generateVTs(tree *xbtree.Tree, ctxs []*exec.Context, qs []record.Range, vts []digest.Digest) error {
-	for i, q := range qs {
-		vt, err := tree.GenerateVTCtx(ctxs[i], q.Lo, q.Hi)
-		if err != nil {
-			return fmt.Errorf("core: TE token generation: %w", err)
-		}
-		vts[i] = vt
-	}
-	return nil
 }
 
 // ApplyInsert registers a new record from the owner: a group of one.
@@ -591,6 +566,14 @@ func NewDataOwner(records []record.Record) *DataOwner {
 func (do *DataOwner) register(r record.Record) {
 	do.byID[r.ID] = r
 	do.nextID = max(do.nextID, r.ID+1)
+}
+
+// watermark returns the next fresh id the owner would issue. Every id
+// below it has been issued, even when its record was deleted since.
+func (do *DataOwner) watermark() record.ID {
+	do.mu.Lock()
+	defer do.mu.Unlock()
+	return do.nextID
 }
 
 // Outsource transmits the full dataset to both parties.

@@ -227,11 +227,11 @@ func TestCheckpointCrashWindow(t *testing.T) {
 
 	// Publish the checkpoint exactly as Checkpoint() would, then "die"
 	// before the WAL reset.
-	recs, seq, err := sys.SnapshotRecords()
+	snap, err := sys.SnapshotRecords()
 	if err != nil {
 		t.Fatalf("checkpoint state: %v", err)
 	}
-	if err := writeCheckpoint(dir, recs, seq); err != nil {
+	if err := writeCheckpoint(dir, snap); err != nil {
 		t.Fatalf("checkpoint publish: %v", err)
 	}
 	if err := sys.Close(); err != nil {

@@ -42,30 +42,42 @@ type DurableSystem struct {
 	replayed  int // committed WAL groups re-applied at open (tests, tooling)
 }
 
-const checkpointMagic = "SAECKP02"
+const checkpointMagic = "SAECKP03"
 
 func checkpointPath(dir string) string { return filepath.Join(dir, "records.dat") }
 func walPath(dir string) string        { return filepath.Join(dir, "wal.log") }
 
-// writeCheckpoint dumps records to path atomically: write to a temp
-// file, fsync, rename, fsync the directory. seq is the commit sequence
-// already folded into the dump; replay skips WAL groups at or below it,
-// which makes a crash between checkpoint publish and WAL reset safe
-// (the groups still in the log would otherwise double-apply).
-func writeCheckpoint(dir string, recs []record.Record, seq uint64) error {
+// Snapshot is a record dump cut at one commit boundary: the bytes of a
+// checkpoint file and of the snapshot that bootstraps a replica.
+type Snapshot struct {
+	Records []record.Record
+	// Seq is the commit sequence folded into the dump; replay skips WAL
+	// groups at or below it, which makes a crash between checkpoint
+	// publish and WAL reset safe (the groups still in the log would
+	// otherwise double-apply).
+	Seq uint64
+	// NextID is the owner's fresh-id watermark. It can sit above every
+	// record in the dump (the newest ones may have been deleted), and a
+	// rebuilt owner must not issue those ids again.
+	NextID record.ID
+}
+
+// writeCheckpoint dumps snap to the directory atomically: write to a
+// temp file, fsync, rename, fsync the directory.
+func writeCheckpoint(dir string, snap Snapshot) error {
 	tmp := checkpointPath(dir) + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("core: creating checkpoint: %w", err)
 	}
 	bw := bufio.NewWriterSize(f, 1<<20)
-	if _, err := bw.Write(appendSnapshotHeader(nil, len(recs), seq)); err != nil {
+	if _, err := bw.Write(appendSnapshotHeader(nil, snap)); err != nil {
 		f.Close()
 		return err
 	}
 	scratch := make([]byte, 0, record.Size)
-	for i := range recs {
-		if _, err := bw.Write(recs[i].AppendBinary(scratch)); err != nil {
+	for i := range snap.Records {
+		if _, err := bw.Write(snap.Records[i].AppendBinary(scratch)); err != nil {
 			f.Close()
 			return fmt.Errorf("core: writing checkpoint: %w", err)
 		}
@@ -91,17 +103,16 @@ func writeCheckpoint(dir string, recs []record.Record, seq uint64) error {
 	return nil
 }
 
-// readCheckpoint loads the record dump in dir plus the commit sequence
-// it covers; a missing file is an empty checkpoint at sequence zero. The
-// bytes are parsed by DecodeSnapshot, the same parser a replica runs on
-// a snapshot sent over the wire.
-func readCheckpoint(dir string) ([]record.Record, uint64, error) {
+// readCheckpoint loads the snapshot in dir; a missing file is an empty
+// snapshot at sequence zero. The bytes are parsed by DecodeSnapshot, the
+// same parser a replica runs on a snapshot sent over the wire.
+func readCheckpoint(dir string) (Snapshot, error) {
 	b, err := os.ReadFile(checkpointPath(dir))
 	if os.IsNotExist(err) {
-		return nil, 0, nil
+		return Snapshot{}, nil
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("core: reading checkpoint: %w", err)
+		return Snapshot{}, fmt.Errorf("core: reading checkpoint: %w", err)
 	}
 	return DecodeSnapshot(b)
 }
@@ -115,21 +126,23 @@ func OpenDurableSystem(dir string, initial []record.Record, maxGroup int) (*Dura
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: creating durable dir: %w", err)
 	}
-	recs, ckptSeq, err := readCheckpoint(dir)
+	ckpt, err := readCheckpoint(dir)
 	if err != nil {
 		return nil, err
 	}
-	fresh := recs == nil && !fileExists(walPath(dir))
+	fresh := ckpt.Records == nil && !fileExists(walPath(dir))
 	if fresh {
-		recs = append([]record.Record(nil), initial...)
-		if err := writeCheckpoint(dir, recs, 0); err != nil {
-			return nil, err
-		}
+		ckpt.Records = append([]record.Record(nil), initial...)
 	}
-
-	sys, err := Rebuild(recs)
+	sys, err := Rebuild(ckpt.Records, ckpt.NextID)
 	if err != nil {
 		return nil, fmt.Errorf("core: rebuilding from checkpoint: %w", err)
+	}
+	if fresh {
+		ckpt.NextID = sys.Owner.watermark()
+		if err := writeCheckpoint(dir, ckpt); err != nil {
+			return nil, err
+		}
 	}
 	log, groups, err := wal.Open(walPath(dir))
 	if err != nil {
@@ -143,10 +156,10 @@ func OpenDurableSystem(dir string, initial []record.Record, maxGroup int) (*Dura
 	// between checkpoint publish and WAL reset leaves them in the log, and
 	// re-applying them would double-insert.
 	ctx := exec.NewContext()
-	maxSeq := ckptSeq
+	maxSeq := ckpt.Seq
 	replayed := 0
 	for _, g := range groups {
-		if g.Seq <= ckptSeq {
+		if g.Seq <= ckpt.Seq {
 			continue
 		}
 		replayed++
@@ -179,53 +192,59 @@ func fileExists(path string) bool {
 	return err == nil
 }
 
-// EncodeSnapshot appends a sequence-stamped record dump in the
-// checkpoint's own byte format (magic, sequence, count, packed records)
-// to buf. A replica bootstrapping over the wire parses exactly the bytes
-// a DurableSystem checkpoint file holds.
-func EncodeSnapshot(buf []byte, recs []record.Record, seq uint64) []byte {
-	buf = appendSnapshotHeader(buf, len(recs), seq)
-	for i := range recs {
-		buf = recs[i].AppendBinary(buf)
+// EncodeSnapshot appends snap in the checkpoint's own byte format
+// (header, packed records) to buf. A replica bootstrapping over the wire
+// parses exactly the bytes a DurableSystem checkpoint file holds.
+func EncodeSnapshot(buf []byte, snap Snapshot) []byte {
+	buf = appendSnapshotHeader(buf, snap)
+	for i := range snap.Records {
+		buf = snap.Records[i].AppendBinary(buf)
 	}
 	return buf
 }
 
-// appendSnapshotHeader appends the header a checkpoint file and a wire
-// snapshot share: magic, sequence, record count.
-func appendSnapshotHeader(buf []byte, n int, seq uint64) []byte {
+// snapshotHeaderSize is the header a checkpoint file and a wire snapshot
+// share: magic, sequence, fresh-id watermark, record count.
+const snapshotHeaderSize = len(checkpointMagic) + 24
+
+func appendSnapshotHeader(buf []byte, snap Snapshot) []byte {
 	buf = append(buf, checkpointMagic...)
-	buf = binary.BigEndian.AppendUint64(buf, seq)
-	return binary.BigEndian.AppendUint64(buf, uint64(n))
+	buf = binary.BigEndian.AppendUint64(buf, snap.Seq)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(snap.NextID))
+	return binary.BigEndian.AppendUint64(buf, uint64(len(snap.Records)))
 }
 
 // DecodeSnapshot parses an EncodeSnapshot payload — or a checkpoint
-// file's bytes — back into the record set and the generation stamp it was
-// cut at, rejecting any count its length does not carry.
-func DecodeSnapshot(b []byte) ([]record.Record, uint64, error) {
-	if len(b) < len(checkpointMagic)+16 {
-		return nil, 0, fmt.Errorf("core: snapshot of %d bytes is truncated", len(b))
+// file's bytes — back into a Snapshot, rejecting any count its length
+// does not carry. A file written under an older magic is rejected by
+// name: its header has no watermark to rebuild the owner from.
+func DecodeSnapshot(b []byte) (Snapshot, error) {
+	if len(b) < snapshotHeaderSize {
+		return Snapshot{}, fmt.Errorf("core: snapshot of %d bytes is truncated", len(b))
 	}
-	if string(b[:len(checkpointMagic)]) != checkpointMagic {
-		return nil, 0, fmt.Errorf("core: bad snapshot magic %q", b[:len(checkpointMagic)])
+	if magic := string(b[:len(checkpointMagic)]); magic != checkpointMagic {
+		return Snapshot{}, fmt.Errorf("core: snapshot magic %q, want %q (older formats are not readable)", magic, checkpointMagic)
 	}
 	b = b[len(checkpointMagic):]
-	seq := binary.BigEndian.Uint64(b[:8])
-	n := binary.BigEndian.Uint64(b[8:16])
-	b = b[16:]
-	if n > uint64(len(b))/record.Size || uint64(len(b)) != n*record.Size {
-		return nil, 0, fmt.Errorf("core: snapshot claims %d records but carries %d bytes", n, len(b))
+	snap := Snapshot{
+		Seq:    binary.BigEndian.Uint64(b[0:8]),
+		NextID: record.ID(binary.BigEndian.Uint64(b[8:16])),
 	}
-	recs := make([]record.Record, n)
-	for i := range recs {
+	n := binary.BigEndian.Uint64(b[16:24])
+	b = b[24:]
+	if n > uint64(len(b))/record.Size || uint64(len(b)) != n*record.Size {
+		return Snapshot{}, fmt.Errorf("core: snapshot claims %d records but carries %d bytes", n, len(b))
+	}
+	snap.Records = make([]record.Record, n)
+	for i := range snap.Records {
 		r, err := record.Unmarshal(b[:record.Size])
 		if err != nil {
-			return nil, 0, fmt.Errorf("core: decoding snapshot record %d: %w", i, err)
+			return Snapshot{}, fmt.Errorf("core: decoding snapshot record %d: %w", i, err)
 		}
-		recs[i] = r
+		snap.Records[i] = r
 		b = b[record.Size:]
 	}
-	return recs, seq, nil
+	return snap, nil
 }
 
 // Committer exposes the system's group committer (benchmarks, wire
@@ -277,11 +296,6 @@ func (ds *DurableSystem) Query(q record.Range) (QueryOutcome, error) {
 	return out, nil
 }
 
-// Snapshot opens a consistent SP+TE snapshot pair at a group boundary.
-func (ds *DurableSystem) Snapshot() (*SPSnapshot, *TESnapshot, error) {
-	return ds.committer.Snapshot()
-}
-
 // Seq returns the system's generation stamp: the sequence of the last
 // commit group visible in both parties.
 func (ds *DurableSystem) Seq() uint64 { return ds.committer.AppliedSeq() }
@@ -304,19 +318,19 @@ func (ds *DurableSystem) ServeVerified(q record.Range, emit func(*record.Record)
 
 // SnapshotRecords returns the full record set in key order together with
 // the generation stamp it belongs to, read under the commit lock so no
-// group can slip in between the scan and the stamp. Checkpoint writes
-// this pair to records.dat, and EncodeSnapshot of it — the same bytes —
-// is what bootstraps a replica.
-func (ds *DurableSystem) SnapshotRecords() ([]record.Record, uint64, error) {
-	var recs []record.Record
-	var seq uint64
+// group can slip in between the scan and the stamp, and the owner's
+// fresh-id watermark. Checkpoint writes it to records.dat, and
+// EncodeSnapshot of it — the same bytes — is what bootstraps a replica.
+func (ds *DurableSystem) SnapshotRecords() (Snapshot, error) {
+	var snap Snapshot
 	err := ds.committer.ReadView(func(s uint64) error {
-		seq = s
+		snap.Seq = s
 		var qErr error
-		recs, _, qErr = ds.SP.QueryCtx(exec.NewContext(), record.Range{Lo: 0, Hi: record.KeyDomain})
+		snap.Records, _, qErr = ds.SP.QueryCtx(exec.NewContext(), record.Range{Lo: 0, Hi: record.KeyDomain})
 		return qErr
 	})
-	return recs, seq, err
+	snap.NextID = ds.Owner.watermark()
+	return snap, err
 }
 
 // Checkpoint publishes the applied state as the new checkpoint and
@@ -334,11 +348,11 @@ func (ds *DurableSystem) Checkpoint() error {
 	for len(gc.queue) > 0 || gc.inflight {
 		gc.cond.Wait()
 	}
-	recs, seq, err := ds.SnapshotRecords()
+	snap, err := ds.SnapshotRecords()
 	if err != nil {
 		return fmt.Errorf("core: reading checkpoint state: %w", err)
 	}
-	if err := writeCheckpoint(ds.Dir, recs, seq); err != nil {
+	if err := writeCheckpoint(ds.Dir, snap); err != nil {
 		return err
 	}
 	if err := gc.log.Reset(); err != nil {

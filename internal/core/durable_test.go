@@ -265,6 +265,44 @@ func TestCheckpointUnderWrites(t *testing.T) {
 	}
 }
 
+// TestFreshIDsNotReissuedAfterRestart inserts a record, deletes it,
+// checkpoints and reopens: the next insert must get an id above the
+// deleted one. An owner that rebuilt its fresh-id watermark from the live
+// records alone would issue the deleted record's id a second time.
+func TestFreshIDsNotReissuedAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	sys, err := OpenDurableSystem(dir, durableDataset(t, 200), 0)
+	if err != nil {
+		t.Fatalf("OpenDurableSystem: %v", err)
+	}
+	newest, err := sys.Insert(4242)
+	if err != nil {
+		t.Fatalf("Insert: %v", err)
+	}
+	if err := sys.Delete(newest.ID); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	if err := sys.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	re, err := OpenDurableSystem(dir, nil, 0)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Close()
+	r, err := re.Insert(4243)
+	if err != nil {
+		t.Fatalf("post-restart insert: %v", err)
+	}
+	if r.ID <= newest.ID {
+		t.Fatalf("reopened owner issued id %d; id %d was issued before the restart", r.ID, newest.ID)
+	}
+}
+
 // openCheckpoint opens a fresh directory whose records.dat holds b.
 func openCheckpoint(t *testing.T, b []byte) error {
 	t.Helper()
@@ -283,19 +321,21 @@ func openCheckpoint(t *testing.T, b []byte) error {
 // claims far more records than the file holds: the open must fail with
 // an error, not size an allocation from the header.
 func TestCorruptCheckpointCountRejected(t *testing.T) {
-	b := EncodeSnapshot(nil, durableDataset(t, 10), 0)
-	binary.BigEndian.PutUint64(b[len(checkpointMagic)+8:], 1<<40)
+	b := EncodeSnapshot(nil, Snapshot{Records: durableDataset(t, 10)})
+	binary.BigEndian.PutUint64(b[snapshotHeaderSize-8:], 1<<40)
 	if openCheckpoint(t, b) == nil {
 		t.Fatal("opened a checkpoint whose count exceeds its length")
 	}
 }
 
 // TestRestoreRejectsGarbage opens checkpoints that are not one — bad
-// magic, a header cut short, a record cut short: each open fails.
+// magic, the previous format's magic (its header has no fresh-id
+// watermark), a header cut short, a record cut short: each open fails.
 func TestRestoreRejectsGarbage(t *testing.T) {
-	good := EncodeSnapshot(nil, durableDataset(t, 3), 7)
+	good := EncodeSnapshot(nil, Snapshot{Records: durableDataset(t, 3), Seq: 7, NextID: 9})
 	for name, b := range map[string][]byte{
 		"bad magic":        append([]byte("junkjunk"), good[len(checkpointMagic):]...),
+		"older format":     append([]byte("SAECKP02"), good[len(checkpointMagic):]...),
 		"truncated header": good[:len(checkpointMagic)+10],
 		"truncated record": good[:len(good)-1],
 	} {
@@ -313,14 +353,16 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		for i := range recs {
 			recs[i] = record.Synthesize(record.ID(i+1), record.Key(10*i))
 		}
-		f.Add(EncodeSnapshot(nil, recs, uint64(n)))
+		// The watermark sits above every id in the dump, as after the
+		// newest records were deleted.
+		f.Add(EncodeSnapshot(nil, Snapshot{Records: recs, Seq: uint64(n), NextID: record.ID(n + 5)}))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		recs, seq, err := DecodeSnapshot(b)
+		snap, err := DecodeSnapshot(b)
 		if err != nil {
 			return
 		}
-		if got := EncodeSnapshot(nil, recs, seq); !bytes.Equal(got, b) {
+		if got := EncodeSnapshot(nil, snap); !bytes.Equal(got, b) {
 			t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(b), len(got))
 		}
 	})

@@ -162,13 +162,16 @@ func (s *System) apply(ops []wal.Op) error {
 
 // Rebuild assembles the three parties over fresh in-memory page stores
 // from a record set in any order — a checkpoint being reopened or a
-// snapshot a replica bootstraps from. Both parties keep their default
-// decoded-node caches.
-func Rebuild(recs []record.Record) (*System, error) {
+// snapshot a replica bootstraps from. The owner issues fresh ids from
+// nextID or past the largest id in recs, whichever is higher. Both
+// parties keep their default decoded-node caches.
+func Rebuild(recs []record.Record, nextID record.ID) (*System, error) {
 	sorted := slices.Clone(recs)
 	slices.SortFunc(sorted, record.SortByKey)
+	owner := NewDataOwner(recs)
+	owner.nextID = max(owner.nextID, nextID)
 	s := &System{
-		Owner: NewDataOwner(recs),
+		Owner: owner,
 		SP:    NewServiceProvider(pagestore.NewMem()),
 		TE:    NewTrustedEntity(pagestore.NewMem()),
 	}

@@ -184,7 +184,9 @@ func TestUpdateExperimentShape(t *testing.T) {
 		}
 	}
 	// TOM pays an RSA signature per update; its CPU must dominate SAE's.
-	if c.TOMWall <= c.SAEWall {
+	// A wall-clock comparison, so it is skipped under the race detector,
+	// whose instrumentation and full-suite load can reorder the two.
+	if !raceEnabled && c.TOMWall <= c.SAEWall {
 		t.Fatalf("TOM per-update CPU (%v) not above SAE (%v)", c.TOMWall, c.SAEWall)
 	}
 	table := BuildUpdates(cells)

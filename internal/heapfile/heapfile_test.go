@@ -186,31 +186,3 @@ func TestBuildEmpty(t *testing.T) {
 		t.Fatal("empty build must produce an empty file")
 	}
 }
-
-func TestMetaOpenRoundTrip(t *testing.T) {
-	recs := buildRecords(20)
-	store := pagestore.NewMem()
-	f, rids, err := Build(store, recs)
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	reopened := Open(store, f.Meta())
-	if reopened.NumRecords() != 20 || reopened.NumPages() != f.NumPages() {
-		t.Fatal("Meta/Open lost counts")
-	}
-	got, err := reopened.Get(rids[7])
-	if err != nil {
-		t.Fatalf("Get after Open: %v", err)
-	}
-	if !got.Equal(&recs[7]) {
-		t.Fatal("record mismatch after Open")
-	}
-	// Appends continue at the right tail.
-	rid, err := reopened.Append(record.Synthesize(777, 1))
-	if err != nil {
-		t.Fatalf("Append after Open: %v", err)
-	}
-	if _, err := reopened.Get(rid); err != nil {
-		t.Fatalf("Get appended: %v", err)
-	}
-}

@@ -1,8 +1,7 @@
 // Package pagestore provides the disk-page abstraction every index and file
 // in this repository is built on: fixed 4096-byte pages addressed by PageID.
 //
-// Mem is the backing store. Two wrappers stack on it: Versioned, page-level
-// MVCC for snapshot reads, and Counting, which tallies page accesses so
+// Mem is the backing store. Counting wraps it and tallies page accesses so
 // experiments can charge the paper's 10 ms per node access. Caching lives
 // a layer up, in package bufpool. No store here outlives its process: an
 // SAE party survives a restart through core.DurableSystem's checkpoint
@@ -144,6 +143,11 @@ func (m *Mem) Close() error {
 	m.free = nil
 	return nil
 }
+
+// NewVersioned returns inner unchanged. It is kept only because the
+// bench/ harness builds its stores through it; nothing in this module
+// calls it.
+func NewVersioned(inner Store) Store { return inner }
 
 // Bytes returns the total live storage in bytes (NumPages × PageSize).
 // Storage-cost experiments (Fig. 8) read this.

@@ -5,12 +5,11 @@ import (
 	"testing"
 )
 
-// storeFactories lets every conformance test run against the backing
-// store and the MVCC wrapper the SAE parties stack on it.
+// storeFactories names every Store implementation the conformance tests
+// run against.
 func storeFactories(t *testing.T) map[string]func(t *testing.T) Store {
 	return map[string]func(t *testing.T) Store{
-		"mem":       func(t *testing.T) Store { return NewMem() },
-		"versioned": func(t *testing.T) Store { return NewVersioned(NewMem()) },
+		"mem": func(t *testing.T) Store { return NewMem() },
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"sync"
 
 	"sae/internal/core"
-	"sae/internal/record"
 	"sae/internal/wal"
 )
 
@@ -111,6 +110,6 @@ func (h *Hub) Since(after uint64, max int) (gs []wal.Group, snapshotNeeded bool,
 // record set and the stamp belong to the same generation even under a
 // live write burst. This is exactly the content a DurableSystem
 // checkpoint would hold at that boundary.
-func (h *Hub) Snapshot() ([]record.Record, uint64, error) {
+func (h *Hub) Snapshot() (core.Snapshot, error) {
 	return h.ds.SnapshotRecords()
 }

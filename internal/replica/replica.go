@@ -33,24 +33,24 @@ type Replica struct {
 	seq uint64
 }
 
-// NewFromSnapshot builds a replica from a snapshot's record set and the
-// generation stamp it was cut at.
-func NewFromSnapshot(recs []record.Record, seq uint64) (*Replica, error) {
-	sys, err := core.Rebuild(recs)
+// NewFromSnapshot builds a replica from a snapshot: its record set, the
+// generation stamp it was cut at and the owner's fresh-id watermark.
+func NewFromSnapshot(snap core.Snapshot) (*Replica, error) {
+	sys, err := core.Rebuild(snap.Records, snap.NextID)
 	if err != nil {
 		return nil, fmt.Errorf("replica: rebuilding from snapshot: %w", err)
 	}
-	return &Replica{sys: sys, seq: seq}, nil
+	return &Replica{sys: sys, seq: snap.Seq}, nil
 }
 
 // Reset replaces the replica's whole state with a fresh snapshot — the
 // catch-up path when the hub's retention window has moved past us.
 // Serving continues on the old state until the swap, then atomically
 // jumps to the new generation.
-func (r *Replica) Reset(recs []record.Record, seq uint64) error {
+func (r *Replica) Reset(snap core.Snapshot) error {
 	// Build outside the lock (bulkload is the expensive part), swap under
 	// it.
-	nr, err := NewFromSnapshot(recs, seq)
+	nr, err := NewFromSnapshot(snap)
 	if err != nil {
 		return err
 	}

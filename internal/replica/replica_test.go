@@ -28,11 +28,11 @@ func newPrimary(t *testing.T, n int, maxGroup int) (*core.DurableSystem, *Hub) {
 
 func bootstrap(t *testing.T, h *Hub) *Replica {
 	t.Helper()
-	recs, seq, err := h.Snapshot()
+	snap, err := h.Snapshot()
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	r, err := NewFromSnapshot(recs, seq)
+	r, err := NewFromSnapshot(snap)
 	if err != nil {
 		t.Fatalf("bootstrapping replica: %v", err)
 	}
@@ -46,11 +46,11 @@ func catchUp(t *testing.T, h *Hub, r *Replica) {
 	for {
 		gs, snap, last := h.Since(r.Seq(), 8)
 		if snap {
-			recs, seq, err := h.Snapshot()
+			snap, err := h.Snapshot()
 			if err != nil {
 				t.Fatalf("re-snapshot: %v", err)
 			}
-			if err := r.Reset(recs, seq); err != nil {
+			if err := r.Reset(snap); err != nil {
 				t.Fatalf("reset: %v", err)
 			}
 			continue
@@ -244,12 +244,12 @@ func TestServeWhileApplying(t *testing.T) {
 			}
 			gs, snap, last := hub.Since(rep.Seq(), 4)
 			if snap {
-				recs, seq, err := hub.Snapshot()
+				snap, err := hub.Snapshot()
 				if err != nil {
 					t.Errorf("feed snapshot: %v", err)
 					return
 				}
-				if err := rep.Reset(recs, seq); err != nil {
+				if err := rep.Reset(snap); err != nil {
 					t.Errorf("feed reset: %v", err)
 					return
 				}

@@ -322,7 +322,7 @@ func Run(cfg Config) (*Coordinator, *Result, error) {
 			return nil, nil, fmt.Errorf("reshard: dialing source shard %d control: %w", oldIdx, err)
 		}
 		c.sources = append(c.sources, &source{oldIdx: oldIdx, repl: repl, ctrl: ctrl})
-		si, recs, seq, err := repl.Snapshot(context.Background())
+		si, snap, err := repl.Snapshot(context.Background())
 		if err != nil {
 			return nil, nil, fmt.Errorf("reshard: snapshotting source shard %d: %w", oldIdx, err)
 		}
@@ -330,9 +330,9 @@ func Run(cfg Config) (*Coordinator, *Result, error) {
 			return nil, nil, fmt.Errorf("reshard: source %s attests shard %d of %v, want shard %d of %v",
 				cfg.Primaries[oldIdx], si.Index, si.Plan, oldIdx, cfg.Current)
 		}
-		c.sources[i].seq = seq
-		snapRecs = append(snapRecs, recs)
-		logf("reshard: source shard %d snapshot: %d records at seq %d", oldIdx, len(recs), seq)
+		c.sources[i].seq = snap.Seq
+		snapRecs = append(snapRecs, snap.Records)
+		logf("reshard: source shard %d snapshot: %d records at seq %d", oldIdx, len(snap.Records), snap.Seq)
 	}
 	for j := 0; j < newCount; j++ {
 		newIdx := cfg.FirstShard + j

@@ -116,7 +116,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		_, _, _ = DecodeDeletes(p)
 		_, _, _, _, _ = DecodeVerifiedResult(p)
 		_, _, _ = DecodeReplicaGroups(p)
-		_, _, _, _ = DecodeReplicaSnap(p)
+		_, _, _ = DecodeReplicaSnap(p)
 		_, _, _ = DecodeReplicaPull(p)
 		_, _ = DecodeCutover(p)
 		_, _ = DecodeFreeze(p)

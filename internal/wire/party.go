@@ -506,14 +506,14 @@ func serveGenStamp(s *Server, _ Frame, rb *RespBuf) Frame {
 // serveReplicaSnap ships the whole shard — attestation plus a
 // sequence-stamped record dump cut at a commit boundary.
 func serveReplicaSnap(s *Server, _ Frame, rb *RespBuf) Frame {
-	recs, seq, err := s.party.hub.Snapshot()
+	snap, err := s.party.hub.Snapshot()
 	if err != nil {
 		return errFrame(err)
 	}
 	sib := EncodeShardInfo(s.attestation())
 	rb.AppendUint32(uint32(len(sib)))
 	rb.Append(sib)
-	rb.b = core.EncodeSnapshot(rb.b, recs, seq)
+	rb.b = core.EncodeSnapshot(rb.b, snap)
 	return Frame{Type: MsgReplicaSnap, Payload: rb.b}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"time"
 
+	"sae/internal/core"
 	"sae/internal/digest"
 	"sae/internal/record"
 	"sae/internal/replica"
@@ -29,10 +30,10 @@ func (c *Conn) GenStamp(ctx context.Context) (uint64, error) {
 
 // Snapshot fetches a primary's sequence-stamped bootstrap snapshot plus
 // its shard attestation.
-func (c *Conn) Snapshot(ctx context.Context) (ShardInfo, []record.Record, uint64, error) {
+func (c *Conn) Snapshot(ctx context.Context) (ShardInfo, core.Snapshot, error) {
 	p, err := c.ask(ctx, MsgReplicaSnapReq, nil, MsgReplicaSnap)
 	if err != nil {
-		return ShardInfo{}, nil, 0, err
+		return ShardInfo{}, core.Snapshot{}, err
 	}
 	return DecodeReplicaSnap(p)
 }
@@ -58,11 +59,11 @@ func BootstrapReplica(primaryAddr string) (*replica.Replica, ShardInfo, error) {
 		return nil, ShardInfo{}, err
 	}
 	defer c.Close()
-	si, recs, seq, err := c.Snapshot(context.Background())
+	si, snap, err := c.Snapshot(context.Background())
 	if err != nil {
 		return nil, ShardInfo{}, fmt.Errorf("wire: bootstrapping replica from %s: %w", primaryAddr, err)
 	}
-	rep, err := replica.NewFromSnapshot(recs, seq)
+	rep, err := replica.NewFromSnapshot(snap)
 	if err != nil {
 		return nil, ShardInfo{}, err
 	}
@@ -151,12 +152,12 @@ func (f *ReplicaFeed) tail(c *Conn) {
 			return
 		}
 		if snapshotNeeded {
-			_, recs, seq, err := c.Snapshot(f.ctx)
+			_, snap, err := c.Snapshot(f.ctx)
 			if err != nil {
 				f.logf("replica feed: re-snapshot from %s: %v", f.addr, err)
 				return
 			}
-			if err := f.rep.Reset(recs, seq); err != nil {
+			if err := f.rep.Reset(snap); err != nil {
 				f.logf("replica feed: resetting from snapshot: %v", err)
 				return
 			}
@@ -174,12 +175,12 @@ func (f *ReplicaFeed) tail(c *Conn) {
 			// replica torn mid-group, and only a snapshot reset makes it
 			// whole again — either way, force the re-bootstrap.
 			f.logf("replica feed: applying groups: %v (re-bootstrapping)", err)
-			_, recs, seq, serr := c.Snapshot(f.ctx)
+			_, snap, serr := c.Snapshot(f.ctx)
 			if serr != nil {
 				f.logf("replica feed: re-snapshot from %s: %v", f.addr, serr)
 				return
 			}
-			if rerr := f.rep.Reset(recs, seq); rerr != nil {
+			if rerr := f.rep.Reset(snap); rerr != nil {
 				f.logf("replica feed: resetting from snapshot: %v", rerr)
 				return
 			}

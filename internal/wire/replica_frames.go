@@ -6,7 +6,6 @@ import (
 
 	"sae/internal/core"
 	"sae/internal/digest"
-	"sae/internal/record"
 	"sae/internal/wal"
 )
 
@@ -65,24 +64,24 @@ func DecodeReplicaGroups(b []byte) ([]wal.Group, bool, error) {
 // attestation (index + partition plan, which the replica re-serves so
 // clients and routers see a consistent topology) followed by a
 // sequence-stamped record dump in the checkpoint's byte format.
-func DecodeReplicaSnap(b []byte) (ShardInfo, []record.Record, uint64, error) {
+func DecodeReplicaSnap(b []byte) (ShardInfo, core.Snapshot, error) {
 	if len(b) < 4 {
-		return ShardInfo{}, nil, 0, fmt.Errorf("%w: truncated replica snapshot", ErrProtocol)
+		return ShardInfo{}, core.Snapshot{}, fmt.Errorf("%w: truncated replica snapshot", ErrProtocol)
 	}
 	silen := int(binary.BigEndian.Uint32(b[0:4]))
 	b = b[4:]
 	if silen > len(b) {
-		return ShardInfo{}, nil, 0, fmt.Errorf("%w: shard attestation of %d bytes in %d payload bytes", ErrProtocol, silen, len(b))
+		return ShardInfo{}, core.Snapshot{}, fmt.Errorf("%w: shard attestation of %d bytes in %d payload bytes", ErrProtocol, silen, len(b))
 	}
 	si, err := DecodeShardInfo(b[:silen])
 	if err != nil {
-		return ShardInfo{}, nil, 0, err
+		return ShardInfo{}, core.Snapshot{}, err
 	}
-	recs, seq, err := core.DecodeSnapshot(b[silen:])
+	snap, err := core.DecodeSnapshot(b[silen:])
 	if err != nil {
-		return ShardInfo{}, nil, 0, fmt.Errorf("%w: %v", ErrProtocol, err)
+		return ShardInfo{}, core.Snapshot{}, fmt.Errorf("%w: %v", ErrProtocol, err)
 	}
-	return si, recs, seq, nil
+	return si, snap, nil
 }
 
 // DecodeVerifiedResult parses a MsgVerifiedResult payload into its plan

@@ -308,7 +308,7 @@ func silentPeer(t *testing.T) (addr string, heard <-chan struct{}) {
 // feed waits on a primary that accepted its connection but never answers.
 func TestReplicaFeedCloseSilentPrimary(t *testing.T) {
 	addr, heard := silentPeer(t)
-	rep, err := replica.NewFromSnapshot(nil, 0)
+	rep, err := replica.NewFromSnapshot(core.Snapshot{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,40 +89,3 @@ func k1(k record.Key) record.Key {
 	}
 	return k
 }
-
-// TestMetaRoundTrip reopens a tree from its metadata and revalidates.
-func TestMetaRoundTrip(t *testing.T) {
-	ref := populate(2000, 10_000, 125)
-	store := pagestore.NewMem()
-	tree, err := Bulkload(store, ref.bulkItems())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reopened, err := Open(store, tree.Meta())
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	if err := reopened.Validate(); err != nil {
-		t.Fatalf("Validate after Open: %v", err)
-	}
-	checkVTs(t, reopened, ref, 10_000, 40, 126)
-	// Post-reopen inserts must work (the list allocator resumes too).
-	for i := 0; i < 200; i++ {
-		tup := tupleFor(record.ID(2_000_000 + i))
-		k := record.Key(i * 50)
-		if err := reopened.Insert(k, tup); err != nil {
-			t.Fatalf("post-reopen insert: %v", err)
-		}
-		ref.insert(k, tup)
-	}
-	if err := reopened.Validate(); err != nil {
-		t.Fatalf("Validate after post-reopen inserts: %v", err)
-	}
-	checkVTs(t, reopened, ref, 10_000, 20, 127)
-
-	bad := tree.Meta()
-	bad.Height = 7
-	if _, err := Open(store, bad); err == nil {
-		t.Fatal("Open accepted an inconsistent height")
-	}
-}
