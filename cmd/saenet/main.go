@@ -320,14 +320,17 @@ func runServer(o *opts) error {
 // replicas have a WAL stream to follow.
 func runPrimary(o *opts) error {
 	fmt.Fprintf(os.Stderr, "saenet primary: generating %d %s records (seed %d)...\n", o.n, o.dist, o.seed)
+	start := time.Now()
 	plan, part, err := partition(o)
 	if err != nil {
 		return err
 	}
+	partitioned := time.Now()
 	sys, err := core.OpenDurableSystem(o.dir, part, 0)
 	if err != nil {
 		return err
 	}
+	opened := time.Now()
 	hub := replica.Attach(sys, 0)
 	expvar.Publish("sae_group_commit", expvar.Func(func() any { return sys.Stats() }))
 	expvar.Publish("sae_primary_seq", expvar.Func(func() any { return sys.Seq() }))
@@ -344,8 +347,9 @@ func runPrimary(o *opts) error {
 	// scavenger releases it slowly; off the startup path, since the
 	// primary is already serving.
 	go debug.FreeOSMemory()
-	fmt.Fprintf(os.Stderr, "saenet primary: shard %d/%d owns span %v (%d records, seq %d)\n",
-		o.shardIndex, o.shards, plan.Span(o.shardIndex), len(part), sys.Seq())
+	fmt.Fprintf(os.Stderr, "saenet primary: shard %d/%d owns span %v (%d records, seq %d; partition %d ms, open %d ms)\n",
+		o.shardIndex, o.shards, plan.Span(o.shardIndex), len(part), sys.Seq(),
+		partitioned.Sub(start).Milliseconds(), opened.Sub(partitioned).Milliseconds())
 	return serveUntilInterrupt("primary", srv.Addr(), srv.Close, sys.Close)
 }
 

@@ -373,13 +373,16 @@ func (te *TrustedEntity) Load(records []record.Record) error {
 	defer te.mu.Unlock()
 	digests := make([]digest.Digest, len(records))
 	digest.RecordDigests(digests, records, 0)
+	// One flat tuple array; each key's list is the run of it that shares
+	// the key, since the records arrive in key order.
+	tuples := make([]xbtree.Tuple, len(records))
 	var items []xbtree.KeyTuples
 	for i := range records {
-		tup := xbtree.Tuple{ID: records[i].ID, Digest: digests[i]}
+		tuples[i] = xbtree.Tuple{ID: records[i].ID, Digest: digests[i]}
 		if n := len(items); n > 0 && items[n-1].Key == records[i].Key {
-			items[n-1].Tuples = append(items[n-1].Tuples, tup)
+			items[n-1].Tuples = items[n-1].Tuples[:len(items[n-1].Tuples)+1]
 		} else {
-			items = append(items, xbtree.KeyTuples{Key: records[i].Key, Tuples: []xbtree.Tuple{tup}})
+			items = append(items, xbtree.KeyTuples{Key: records[i].Key, Tuples: tuples[i : i+1]})
 		}
 	}
 	tree, err := xbtree.Bulkload(te.store, items)
@@ -545,27 +548,33 @@ func (vp VerifyPool) VerifyEncoded(q record.Range, enc []byte, vt digest.Digest)
 
 // DataOwner holds the authoritative relation and pushes it (and updates) to
 // the SP and TE. It maintains no authentication structures — the point of
-// SAE.
+// SAE. Its map keeps each live id's key, which is all a delete needs; the
+// records themselves live at the parties.
 type DataOwner struct {
 	mu     sync.Mutex
-	byID   map[record.ID]record.Record
+	byID   map[record.ID]record.Key
 	nextID record.ID
 }
 
-// NewDataOwner wraps an initial dataset.
-func NewDataOwner(records []record.Record) *DataOwner {
-	do := &DataOwner{byID: make(map[record.ID]record.Record, len(records)), nextID: 1}
+// NewDataOwner wraps an initial dataset. An id that appears twice is an
+// error: the parties would hold both records while the owner counted one,
+// and deleting the id would leave the other served and verifying.
+func NewDataOwner(records []record.Record) (*DataOwner, error) {
+	do := &DataOwner{byID: make(map[record.ID]record.Key, len(records)), nextID: 1}
 	for i := range records {
-		do.register(records[i])
+		if _, dup := do.byID[records[i].ID]; dup {
+			return nil, fmt.Errorf("core: record id %d appears more than once in the dataset", records[i].ID)
+		}
+		do.register(records[i].ID, records[i].Key)
 	}
-	return do
+	return do, nil
 }
 
-// register records r in the owner's map and advances the fresh-id
-// watermark past it. The caller holds mu (or owns do outright).
-func (do *DataOwner) register(r record.Record) {
-	do.byID[r.ID] = r
-	do.nextID = max(do.nextID, r.ID+1)
+// register records id under key in the owner's map and advances the
+// fresh-id watermark past it. The caller holds mu (or owns do outright).
+func (do *DataOwner) register(id record.ID, key record.Key) {
+	do.byID[id] = key
+	do.nextID = max(do.nextID, id+1)
 }
 
 // watermark returns the next fresh id the owner would issue. Every id
@@ -597,7 +606,7 @@ func (do *DataOwner) commitInserts(keys []record.Key, commit func([]wal.Op) erro
 	do.mu.Lock()
 	for i, k := range keys {
 		recs[i] = record.Synthesize(do.nextID, k)
-		do.register(recs[i])
+		do.register(recs[i].ID, k)
 		ops[i] = wal.InsertOp(recs[i])
 	}
 	do.mu.Unlock()
@@ -623,12 +632,12 @@ func (do *DataOwner) commitDeletes(ids []record.ID, commit func([]wal.Op) error)
 	ops := make([]wal.Op, len(ids))
 	do.mu.Lock()
 	for i, id := range ids {
-		r, ok := do.byID[id]
+		key, ok := do.byID[id]
 		if !ok {
 			do.mu.Unlock()
 			return fmt.Errorf("core: owner has no record with id %d", id)
 		}
-		ops[i] = wal.DeleteOp(id, r.Key)
+		ops[i] = wal.DeleteOp(id, key)
 	}
 	for _, id := range ids {
 		delete(do.byID, id)
@@ -647,22 +656,11 @@ func (do *DataOwner) fold(ops []wal.Op) {
 	for i := range ops {
 		switch ops[i].Kind {
 		case wal.OpInsert:
-			do.register(ops[i].Rec)
+			do.register(ops[i].Rec.ID, ops[i].Rec.Key)
 		case wal.OpDelete:
 			delete(do.byID, ops[i].ID)
 		}
 	}
-}
-
-// Records returns the owner's live records, unsorted (checkpointing).
-func (do *DataOwner) Records() []record.Record {
-	do.mu.Lock()
-	defer do.mu.Unlock()
-	out := make([]record.Record, 0, len(do.byID))
-	for _, r := range do.byID {
-		out = append(out, r)
-	}
-	return out
 }
 
 // Count returns the owner's live record count.

@@ -132,7 +132,7 @@ func OpenDurableSystem(dir string, initial []record.Record, maxGroup int) (*Dura
 	}
 	fresh := ckpt.Records == nil && !fileExists(walPath(dir))
 	if fresh {
-		ckpt.Records = append([]record.Record(nil), initial...)
+		ckpt.Records = initial // Rebuild and writeCheckpoint only read it
 	}
 	sys, err := Rebuild(ckpt.Records, ckpt.NextID)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -342,6 +343,22 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 		if openCheckpoint(t, b) == nil {
 			t.Fatalf("%s: opened a corrupt checkpoint", name)
 		}
+	}
+}
+
+// TestRebuildRejectsRepeatedID rebuilds from a record set that carries one
+// id twice, directly and through a checkpoint file. Accepting it would
+// leave the owner counting one record where the parties hold two, and
+// after a delete of that id the other copy would still be served and
+// still verify.
+func TestRebuildRejectsRepeatedID(t *testing.T) {
+	recs := []record.Record{record.Synthesize(1, 10), record.Synthesize(2, 20), record.Synthesize(2, 30)}
+	if _, err := Rebuild(recs, 0); err == nil || !strings.Contains(err.Error(), "id 2 ") {
+		t.Fatalf("Rebuild with id 2 twice: got %v, want an error naming id 2", err)
+	}
+	err := openCheckpoint(t, EncodeSnapshot(nil, Snapshot{Records: recs, NextID: 3}))
+	if err == nil || !strings.Contains(err.Error(), "id 2 ") {
+		t.Fatalf("opening a checkpoint with id 2 twice: got %v, want an error naming id 2", err)
 	}
 }
 

@@ -40,8 +40,12 @@ func NewShardedSystem(sorted []record.Record, shards int) (*ShardedSystem, error
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
+	owner, err := NewDataOwner(sorted)
+	if err != nil {
+		return nil, err
+	}
 	s := &ShardedSystem{
-		Owner: NewDataOwner(sorted),
+		Owner: owner,
 		Plan:  plan,
 		SPs:   make([]*ServiceProvider, plan.Shards()),
 		TEs:   make([]*TrustedEntity, plan.Shards()),

@@ -36,8 +36,12 @@ func NewSystem(sorted []record.Record) (*System, error) {
 // configuration for both parties; pages <= 0 disables caching (the seed's
 // original uncached behavior, used by before/after benchmarks).
 func NewSystemCache(sorted []record.Record, pages int, policy bufpool.ChargePolicy) (*System, error) {
+	owner, err := NewDataOwner(sorted)
+	if err != nil {
+		return nil, err
+	}
 	s := &System{
-		Owner: NewDataOwner(sorted),
+		Owner: owner,
 		SP:    NewServiceProvider(pagestore.NewMem()),
 		TE:    NewTrustedEntity(pagestore.NewMem()),
 	}
@@ -162,14 +166,22 @@ func (s *System) apply(ops []wal.Op) error {
 
 // Rebuild assembles the three parties over fresh in-memory page stores
 // from a record set in any order — a checkpoint being reopened or a
-// snapshot a replica bootstraps from. The owner issues fresh ids from
-// nextID or past the largest id in recs, whichever is higher. Both
-// parties keep their default decoded-node caches.
+// snapshot a replica bootstraps from. Records already in (key, id) order
+// are loaded as they are; others are loaded from a sorted copy, and recs
+// is never modified. A repeated id is an error. The owner issues fresh
+// ids from nextID or past the largest id in recs, whichever is higher.
+// Both parties keep their default decoded-node caches.
 func Rebuild(recs []record.Record, nextID record.ID) (*System, error) {
-	sorted := slices.Clone(recs)
-	slices.SortFunc(sorted, record.SortByKey)
-	owner := NewDataOwner(recs)
+	owner, err := NewDataOwner(recs)
+	if err != nil {
+		return nil, err
+	}
 	owner.nextID = max(owner.nextID, nextID)
+	sorted := recs
+	if !inKeyIDOrder(recs) {
+		sorted = slices.Clone(recs)
+		slices.SortFunc(sorted, record.SortByKey)
+	}
 	s := &System{
 		Owner: owner,
 		SP:    NewServiceProvider(pagestore.NewMem()),
@@ -179,4 +191,16 @@ func Rebuild(recs []record.Record, nextID record.ID) (*System, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// inKeyIDOrder reports whether recs are sorted by (key, id), comparing
+// the two fields in place rather than copying records into a comparator.
+func inKeyIDOrder(recs []record.Record) bool {
+	for i := 1; i < len(recs); i++ {
+		a, b := &recs[i-1], &recs[i]
+		if a.Key > b.Key || (a.Key == b.Key && a.ID > b.ID) {
+			return false
+		}
+	}
+	return true
 }

@@ -18,7 +18,11 @@ import (
 // stand-in for a reshard target that has fully caught up.
 func epochSuccessor(t *testing.T, sys *core.DurableSystem, idx int, next shard.Plan) *wire.PrimaryServer {
 	t.Helper()
-	clone, err := core.OpenDurableSystem(t.TempDir(), sys.Owner.Records(), 16)
+	snap, err := sys.SnapshotRecords()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone, err := core.OpenDurableSystem(t.TempDir(), snap.Records, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

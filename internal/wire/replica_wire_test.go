@@ -173,7 +173,11 @@ func TestOneBodyOneState(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		recs = append(recs, record.Synthesize(record.ID(1<<40+i), record.Key(i*300_000)))
 	}
-	old := sys.Owner.Records()[:2]
+	snap, err := sys.SnapshotRecords()
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	old := snap.Records[:2]
 	for _, err := range []error{
 		wc.InsertBatch(recs[:20]),
 		wc.InsertBatch(recs[20:29]),

@@ -7,9 +7,11 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"sae/internal/record"
@@ -56,11 +58,27 @@ func Generate(dist Distribution, n int, seed int64) (*Dataset, error) {
 	default:
 		return nil, fmt.Errorf("workload: unknown distribution %q", dist)
 	}
-	records := make([]record.Record, n)
-	for i := range records {
-		records[i] = record.Synthesize(record.ID(i+1), keyFn())
+	// Sort 16-byte (key, id) pairs, not 500-byte records, then synthesize
+	// each record once, in sorted order. Ids are unique, so the order is
+	// total and the output does not depend on the sort algorithm.
+	type keyID struct {
+		key record.Key
+		id  record.ID
 	}
-	sort.Slice(records, func(i, j int) bool { return record.SortByKey(records[i], records[j]) < 0 })
+	pairs := make([]keyID, n)
+	for i := range pairs {
+		pairs[i] = keyID{key: keyFn(), id: record.ID(i + 1)}
+	}
+	slices.SortFunc(pairs, func(a, b keyID) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	records := make([]record.Record, n)
+	for i, p := range pairs {
+		records[i] = record.Synthesize(p.id, p.key)
+	}
 	return &Dataset{Dist: dist, Seed: seed, Records: records}, nil
 }
 

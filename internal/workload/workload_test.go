@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"sort"
 	"testing"
 
@@ -119,5 +121,42 @@ func TestRangeHelpers(t *testing.T) {
 	empty := record.Range{Lo: 5, Hi: 4}
 	if !empty.Empty() || empty.Width() != 0 {
 		t.Fatal("empty range misdetected")
+	}
+}
+
+// TestGenerateGolden pins the exact bytes Generate produces. Every server,
+// the router's plan check and the benchmark's oracle derive their data
+// from it independently, so a change to the key draw, the sort order or
+// the payload synthesis must show up here, not as a verification failure
+// between processes.
+func TestGenerateGolden(t *testing.T) {
+	cases := []struct {
+		dist Distribution
+		n    int
+		seed int64
+		want string // SHA-256 of the concatenated record encodings
+	}{
+		{UNF, 1_000, 1, "33e913de9981bb80cc024ff01d5129d2860088ace6a7d1d4525220441e9d4c90"},
+		{UNF, 1_000, 7, "ca0c5e3badc324c253e860f38274d70cab14e7337ed0d1f659c7ee7b8eef3eec"},
+		{UNF, 100_000, 1, "80000376d4ef14d8cd9bd16fa6e0891100d713d87a1edb64e1d0d709b1b2f5a1"},
+		{UNF, 100_000, 7, "1ab2737347a04c6cc777d545c1c81a2230101368a4a4a1a3c636b1ca289cb598"},
+		{SKW, 1_000, 1, "1926bbb24a15d439211338ef579af5663182e6a19f4ee5e6ea11989e7c8bfd77"},
+		{SKW, 1_000, 7, "ef6b1646c65f9d96ae16993defd4ed12dc10de621f7690379c60d17bec8f1191"},
+		{SKW, 100_000, 1, "e9fc5412ca6e6aa2e134b779e8c38157b60336c051126d946ad41034de822f67"},
+		{SKW, 100_000, 7, "9c7bfdec3daf5980f8c60ac135909280446153c9e61b95cba208511465b2506e"},
+	}
+	for _, c := range cases {
+		ds, err := Generate(c.dist, c.n, c.seed)
+		if err != nil {
+			t.Fatalf("Generate(%s, %d, %d): %v", c.dist, c.n, c.seed, err)
+		}
+		h := sha256.New()
+		buf := make([]byte, 0, record.Size)
+		for i := range ds.Records {
+			h.Write(ds.Records[i].AppendBinary(buf))
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("Generate(%s, %d, %d) hashes to %s, want %s", c.dist, c.n, c.seed, got, c.want)
+		}
 	}
 }

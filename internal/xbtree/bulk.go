@@ -43,17 +43,17 @@ func Bulkload(store pagestore.Store, items []KeyTuples) (*Tree, error) {
 		lxor  digest.Digest
 		count uint32
 	}
+	refs, err := t.lists.allocBulk(items)
+	if err != nil {
+		return nil, err
+	}
 	flat := make([]loaded, len(items))
 	for i, it := range items {
-		lref, err := t.lists.alloc(nil, it.Tuples)
-		if err != nil {
-			return nil, err
-		}
 		var acc digest.Accumulator
 		for _, tup := range it.Tuples {
 			acc.Add(tup.Digest)
 		}
-		flat[i] = loaded{sk: it.Key, lref: lref, lxor: acc.Sum(), count: uint32(len(it.Tuples))}
+		flat[i] = loaded{sk: it.Key, lref: refs[i], lxor: acc.Sum(), count: uint32(len(it.Tuples))}
 		t.tuples += len(it.Tuples)
 	}
 	t.keys = len(items)

@@ -151,6 +151,62 @@ func (s *lstore) alloc(ctx *exec.Context, ts []Tuple) (listRef, error) {
 	return ref, nil
 }
 
+// allocBulk stores the lists of a bulk load, in order, on a fresh lstore
+// (no fill page open). It leaves exactly the pages, slots, chains and
+// references that one alloc call per list would, but packs each shared
+// page in memory and writes it once, where alloc reads and rewrites the
+// fill page per list. No page is freed during a bulk load, so the fill
+// page is never compacted and a list fits iff its bytes and one
+// directory entry do.
+func (s *lstore) allocBulk(items []KeyTuples) ([]listRef, error) {
+	refs := make([]listRef, len(items))
+	var buf [pagestore.PageSize]byte
+	nslots, dataStart := 0, pagestore.PageSize
+	flush := func() error {
+		if s.fillPage == pagestore.InvalidPage {
+			return nil
+		}
+		binary.BigEndian.PutUint16(buf[0:2], uint16(nslots))
+		binary.BigEndian.PutUint16(buf[2:4], uint16(dataStart%pagestore.PageSize))
+		if err := s.writePage(nil, s.fillPage, buf[:]); err != nil {
+			return fmt.Errorf("xbtree: writing list page %d: %w", s.fillPage, err)
+		}
+		return nil
+	}
+	for i, it := range items {
+		ts := it.Tuples
+		if len(ts) > maxInlineTuples {
+			ref, err := s.allocChain(nil, ts)
+			if err != nil {
+				return nil, err
+			}
+			refs[i] = ref
+			continue
+		}
+		need := len(ts) * TupleSize
+		if s.fillPage == pagestore.InvalidPage || dataStart-(slotHeader+nslots*slotDirEnt) < need+slotDirEnt {
+			if err := flush(); err != nil {
+				return nil, err
+			}
+			id, err := s.store.Allocate()
+			if err != nil {
+				return nil, fmt.Errorf("xbtree: allocating list page: %w", err)
+			}
+			s.pages++
+			s.fillPage = id
+			buf = [pagestore.PageSize]byte{}
+			nslots, dataStart = 0, pagestore.PageSize
+		}
+		dataStart -= need
+		encodeTuples(buf[dataStart:dataStart+need], ts)
+		binary.BigEndian.PutUint16(buf[slotHeader+nslots*slotDirEnt:], uint16(dataStart))
+		binary.BigEndian.PutUint16(buf[slotHeader+nslots*slotDirEnt+2:], uint16(need))
+		refs[i] = listRef{page: s.fillPage, slot: uint16(nslots)}
+		nslots++
+	}
+	return refs, flush()
+}
+
 // tryPlace attempts to add a list to a specific shared page, compacting it
 // first if dead space would make it fit.
 func (s *lstore) tryPlace(ctx *exec.Context, page pagestore.PageID, ts []Tuple, need int) (listRef, bool, error) {

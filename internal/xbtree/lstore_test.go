@@ -1,6 +1,7 @@
 package xbtree
 
 import (
+	"math/rand"
 	"testing"
 
 	"sae/internal/pagestore"
@@ -277,5 +278,118 @@ func TestLStoreCapacityConstants(t *testing.T) {
 	}
 	if chainCapacity != 146 {
 		t.Fatalf("chainCapacity = %d, want 146", chainCapacity)
+	}
+}
+
+// TestBulkloadMatchesAllocLoop checks that the bulk load's packed list
+// pages are the pages one alloc call per list leaves: same page images,
+// references, page count and fill page, and stores that stay identical
+// under the same appends and removals afterwards.
+func TestBulkloadMatchesAllocLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var items []KeyTuples
+	nextID := record.ID(1)
+	addList := func(n int) {
+		ts := make([]Tuple, n)
+		for i := range ts {
+			ts[i] = tupleFor(nextID)
+			nextID++
+		}
+		items = append(items, KeyTuples{Key: record.Key(len(items)), Tuples: ts})
+	}
+	for i := 0; i < 400; i++ {
+		switch {
+		case i == 150:
+			addList(maxInlineTuples) // exactly fills a fresh page
+		case i%97 == 13:
+			addList(maxInlineTuples + 1 + rng.Intn(300)) // a chain
+		case i%3 == 0:
+			addList(2 + rng.Intn(19))
+		default:
+			addList(1)
+		}
+	}
+
+	loop, loopStore := newTestLStore()
+	loopRefs := make([]listRef, len(items))
+	for i, it := range items {
+		ref, err := loop.alloc(nil, it.Tuples)
+		if err != nil {
+			t.Fatalf("alloc %d: %v", i, err)
+		}
+		loopRefs[i] = ref
+	}
+	bulk, bulkStore := newTestLStore()
+	bulkRefs, err := bulk.allocBulk(items)
+	if err != nil {
+		t.Fatalf("allocBulk: %v", err)
+	}
+
+	same := func(stage string) {
+		t.Helper()
+		for i := range loopRefs {
+			if loopRefs[i] != bulkRefs[i] {
+				t.Fatalf("%s: list %d at %+v, alloc loop put it at %+v", stage, i, bulkRefs[i], loopRefs[i])
+			}
+		}
+		if bulk.pages != loop.pages || bulk.fillPage != loop.fillPage {
+			t.Fatalf("%s: %d pages, fill page %d; alloc loop has %d, %d", stage, bulk.pages, bulk.fillPage, loop.pages, loop.fillPage)
+		}
+		allocs := loopStore.Stats().Allocs
+		if b := bulkStore.Stats().Allocs; b != allocs {
+			t.Fatalf("%s: %d page allocations, alloc loop made %d", stage, b, allocs)
+		}
+		var a, b [pagestore.PageSize]byte
+		for id := pagestore.PageID(0); int64(id) < allocs; id++ {
+			errA, errB := loopStore.Read(id, a[:]), bulkStore.Read(id, b[:])
+			if (errA == nil) != (errB == nil) {
+				t.Fatalf("%s: page %d readable in one store only (%v, %v)", stage, id, errA, errB)
+			}
+			if a != b {
+				t.Fatalf("%s: page %d differs from the alloc loop's", stage, id)
+			}
+		}
+	}
+	same("after load")
+
+	lists := make([][]record.ID, len(items))
+	for i, it := range items {
+		for _, tup := range it.Tuples {
+			lists[i] = append(lists[i], tup.ID)
+		}
+	}
+	for op := 0; op < 1000; op++ {
+		i := rng.Intn(len(items))
+		if len(lists[i]) == 0 || rng.Intn(2) == 0 {
+			tup := tupleFor(nextID)
+			nextID++
+			var errA, errB error
+			loopRefs[i], errA = loop.appendTuple(nil, loopRefs[i], tup)
+			bulkRefs[i], errB = bulk.appendTuple(nil, bulkRefs[i], tup)
+			if errA != nil || errB != nil {
+				t.Fatalf("op %d: appendTuple: %v, %v", op, errA, errB)
+			}
+			lists[i] = append(lists[i], tup.ID)
+			continue
+		}
+		j := rng.Intn(len(lists[i]))
+		id := lists[i][j]
+		var errA, errB error
+		_, loopRefs[i], errA = loop.removeTuple(nil, loopRefs[i], id)
+		_, bulkRefs[i], errB = bulk.removeTuple(nil, bulkRefs[i], id)
+		if errA != nil || errB != nil {
+			t.Fatalf("op %d: removeTuple: %v, %v", op, errA, errB)
+		}
+		lists[i] = append(lists[i][:j], lists[i][j+1:]...)
+	}
+	same("after 1000 updates")
+	for i, ref := range bulkRefs {
+		got, err := bulk.read(nil, ref)
+		if err != nil {
+			t.Fatalf("read list %d: %v", i, err)
+		}
+		if len(got) != len(lists[i]) {
+			t.Fatalf("list %d has %d tuples, want %d", i, len(got), len(lists[i]))
+		}
 	}
 }
