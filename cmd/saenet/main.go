@@ -1,8 +1,10 @@
-// Command saenet runs one party of the outsourcing deployment as a
-// process: a party server (sp, te, tom, or a durable primary and its read
-// replicas), the untrusted router tier in front of a sharded deployment,
-// a verifying client session, or one of the harness roles that drive the
-// failure experiments (chaos, reshard, crashwriter, crashverify).
+// Command saenet runs one party of the SAE deployment as a process: a
+// party server (sp, te, or a durable primary and its read replicas), the
+// untrusted router tier in front of a sharded deployment, a verifying
+// client session, or one of the harness roles that drive the failure
+// experiments (chaos, reshard, crashwriter, crashverify). TOM, the
+// paper's baseline, is measured in-process by saebench and has no role
+// here.
 //
 // Every role is one row of the roles table: its name, the flags it reads
 // and its body. Setting a flag the chosen role does not read is a usage
@@ -12,7 +14,6 @@
 //
 //	saenet -role sp  -addr :7001 -n 100000         # SAE service provider
 //	saenet -role te  -addr :7002 -n 100000         # trusted entity
-//	saenet -role tom -addr :7003 -n 100000         # TOM provider (VO-based)
 //	saenet -role client -sp localhost:7001 -te localhost:7002 -queries 20
 //
 // A sharded deployment adds -shards/-shard-index to every server (each
@@ -90,7 +91,6 @@ import (
 	"sae/internal/reshard"
 	"sae/internal/router"
 	"sae/internal/shard"
-	"sae/internal/tom"
 	"sae/internal/wire"
 	"sae/internal/workload"
 )
@@ -102,7 +102,7 @@ const crashBatch = 16
 // names.
 type opts struct {
 	role, pprof, addr, dist, tamper, dir, primary       string
-	sp, te, tom, routerAddr, replicas                   string
+	sp, te, routerAddr, replicas                        string
 	n, shards, shardIndex, queries, workers, splitShard int
 	seed                                                int64
 	agg                                                 bool
@@ -122,10 +122,9 @@ type role struct {
 var roles = []role{
 	{name: "sp", flags: "addr n dist seed shards shard-index tamper", run: runServer},
 	{name: "te", flags: "addr n dist seed shards shard-index", run: runServer},
-	{name: "tom", flags: "addr n dist seed", run: runServer},
 	{name: "primary", flags: "addr dir* n dist seed shards shard-index", run: runPrimary},
 	{name: "replica", flags: "addr primary*", run: runReplica},
-	{name: "router", flags: "addr sp* te* tom replicas upstream-timeout hedge-after max-lag", run: runRouter},
+	{name: "router", flags: "addr sp* te* replicas upstream-timeout hedge-after max-lag", run: runRouter},
 	{name: "client", flags: "router sp te queries seed agg", check: checkClient, run: runClient},
 	{name: "chaos", flags: "router* sp* duration workers seed", run: runChaos},
 	{name: "reshard", flags: "sp* router dir* split-shard split-at", run: runReshard},
@@ -153,7 +152,6 @@ func newFlagSet(o *opts) *flag.FlagSet {
 	fs.StringVar(&o.primary, "primary", "", "primary address to bootstrap from and tail")
 	fs.StringVar(&o.sp, "sp", "", "SP or primary address(es), comma-separated in shard order")
 	fs.StringVar(&o.te, "te", "", "TE or primary address(es), comma-separated in shard order")
-	fs.StringVar(&o.tom, "tom", "", "TOM provider address(es), comma-separated in shard order")
 	fs.StringVar(&o.routerAddr, "router", "", "router address(es); a client dials one as both SP and TE")
 	fs.StringVar(&o.replicas, "replicas", "", "per-shard replica lists, comma within a shard, semicolon between shards")
 	fs.DurationVar(&o.upstreamTimeout, "upstream-timeout", router.DefaultUpstreamTimeout, "per-shard sub-request bound")
@@ -262,8 +260,8 @@ func serveUntilInterrupt(role, addr string, closers ...func() error) error {
 	return errors.Join(errs...)
 }
 
-// runServer serves one stand-alone party (sp, te or tom) over its part of
-// the dataset; per-shard caches are sized from the part, not the whole
+// runServer serves one stand-alone party (sp or te) over its part of the
+// dataset; per-shard caches are sized from the part, not the whole
 // relation.
 func runServer(o *opts) error {
 	fmt.Fprintf(os.Stderr, "saenet %s: generating %d %s records (seed %d)...\n", o.role, o.n, o.dist, o.seed)
@@ -300,11 +298,6 @@ func runServer(o *opts) error {
 			return err
 		}
 		srv, err = wire.ServeTE(o.addr, te, wire.Logf("te"), info)
-	case "tom":
-		var sys *tom.System
-		if sys, err = tom.NewSystem(part); err == nil {
-			srv, err = wire.ServeTOM(o.addr, sys.Provider, sys.Owner, wire.Logf("tom"))
-		}
 	}
 	if err != nil {
 		return err
@@ -409,7 +402,6 @@ func runRouter(o *opts) error {
 	cfg := router.Config{
 		SPs:             splitAddrs(o.sp),
 		TEs:             splitAddrs(o.te),
-		TOMs:            splitAddrs(o.tom),
 		Replicas:        splitReplicaLists(o.replicas),
 		UpstreamTimeout: o.upstreamTimeout,
 		HedgeAfter:      o.hedgeAfter,

@@ -38,7 +38,8 @@ func TestParse(t *testing.T) {
 		{"-role primary", false},
 		{"-role replica", false},
 		{"-role sp -shards 2 -shard-index 2", false},
-		{"-role tom -shards 2", false},
+		{"-role tom -addr 127.0.0.1:0 -n 20000", false},
+		{"-role router -sp a,b -te a,b -tom x", false},
 		{"-role crashwriter -dir d -batch 8", false},
 		{"-role sp stray", false},
 	} {

@@ -114,14 +114,7 @@ func (t *Tree) AggVO(lo, hi record.Key, sig []byte) (*VO, error) {
 // tokens — which is where the response-size win over a verified range
 // scan comes from.
 func (t *Tree) AggVOCtx(ctx *exec.Context, lo, hi record.Key, sig []byte) (*VO, error) {
-	return t.AggVOCtxInto(ctx, lo, hi, sig, &VO{})
-}
-
-// AggVOCtxInto is AggVOCtx building into a caller-provided (typically
-// pooled) VO shell.
-func (t *Tree) AggVOCtxInto(ctx *exec.Context, lo, hi record.Key, sig []byte, vo *VO) (*VO, error) {
-	vo.Tokens = vo.Tokens[:0]
-	vo.Sig = append(vo.Sig[:0], sig...)
+	vo := &VO{Sig: append([]byte(nil), sig...)}
 	if lo > hi {
 		return nil, fmt.Errorf("mbtree: inverted range [%d, %d]", lo, hi)
 	}
@@ -133,7 +126,7 @@ func (t *Tree) AggVOCtxInto(ctx *exec.Context, lo, hi record.Key, sig []byte, vo
 
 // aggVOAt emits the aggregate VO for the subtree at id. lb/ub are the
 // subtree's inherited key bounds (nil = unknown), mirroring the bound
-// threading VerifyAggVOBound performs, so the builder prunes exactly the
+// threading VerifyAggVO performs, so the builder prunes exactly the
 // children the client can re-classify.
 func (t *Tree) aggVOAt(ctx *exec.Context, id pagestore.PageID, level int, lo, hi record.Key, lb, ub *record.Key, vo *VO) error {
 	n, err := t.readNode(ctx, id)
@@ -178,21 +171,15 @@ func (t *Tree) aggVOAt(ctx *exec.Context, id pagestore.PageID, level int, lo, hi
 	return nil
 }
 
-// VerifyAggVO checks an aggregate VO and returns the proven aggregate of
-// keys in [lo, hi]; see VerifyAggVOBound.
+// VerifyAggVO replays an aggregate VO: it reconstructs the root digest
+// (checking it against the owner's signature) while re-classifying every
+// pruned child from the separator keys the digests prove, and returns the
+// proven aggregate of keys in [lo, hi]. The aggregate is sound — every
+// contribution is either a proven-in-range annotation or a shown leaf key
+// — and complete — a pruned child is accepted only with a proof that it
+// lies entirely inside or entirely outside the range, so no qualifying key
+// can be hidden.
 func VerifyAggVO(vo *VO, lo, hi record.Key, ver *sigs.Verifier) (agg.Agg, error) {
-	return VerifyAggVOBound(vo, lo, hi, ver, nil)
-}
-
-// VerifyAggVOBound replays an aggregate VO: it reconstructs the root
-// digest (checking it against the owner's signature, through bind when
-// non-nil — see VerifyVOBound) while re-classifying every pruned child
-// from the separator keys the digests prove. The returned aggregate is
-// sound — every contribution is either a proven-in-range annotation or a
-// shown leaf key — and complete — a pruned child is accepted only with a
-// proof that it lies entirely inside or entirely outside the range, so no
-// qualifying key can be hidden.
-func VerifyAggVOBound(vo *VO, lo, hi record.Key, ver *sigs.Verifier, bind func(digest.Digest) digest.Digest) (agg.Agg, error) {
 	if lo > hi {
 		return agg.Agg{}, fmt.Errorf("%w: inverted range [%d, %d]", ErrBadVO, lo, hi)
 	}
@@ -334,11 +321,7 @@ func VerifyAggVOBound(vo *VO, lo, hi record.Key, ver *sigs.Verifier, bind func(d
 		return agg.Agg{}, err
 	}
 	a = a.Merge(pa)
-	signedDig := rootDig
-	if bind != nil {
-		signedDig = bind(rootDig)
-	}
-	if err := ver.Verify(signedDig, vo.Sig); err != nil {
+	if err := ver.Verify(rootDig, vo.Sig); err != nil {
 		return agg.Agg{}, fmt.Errorf("%w: %v", ErrBadVO, err)
 	}
 	return a, nil

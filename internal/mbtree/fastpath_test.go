@@ -35,36 +35,6 @@ func TestVOAppendToMatchesMarshal(t *testing.T) {
 	}
 }
 
-// TestRangeVOCtxIntoReuse proves a pooled VO shell rebuilds every query
-// byte-identically to a fresh VO, across reuses of the same shell.
-func TestRangeVOCtxIntoReuse(t *testing.T) {
-	f := buildFixture(t, 1500, 20_000, 23)
-	rng := rand.New(rand.NewSource(24))
-	shell := GetVO()
-	defer PutVO(shell)
-	for trial := 0; trial < 20; trial++ {
-		lo := record.Key(rng.Intn(20_000))
-		hi := lo + record.Key(rng.Intn(3_000))
-		ridsWant, fresh, err := f.tree.RangeVO(lo, hi, f.heap, f.sig)
-		if err != nil {
-			t.Fatalf("RangeVO: %v", err)
-		}
-		ridsGot, reused, err := f.tree.RangeVOCtxInto(nil, lo, hi, f.heap, f.sig, shell)
-		if err != nil {
-			t.Fatalf("RangeVOCtxInto: %v", err)
-		}
-		if reused != shell {
-			t.Fatal("RangeVOCtxInto returned a different VO than the shell")
-		}
-		if len(ridsGot) != len(ridsWant) {
-			t.Fatalf("rid count %d, want %d", len(ridsGot), len(ridsWant))
-		}
-		if !bytes.Equal(reused.Marshal(), fresh.Marshal()) {
-			t.Fatalf("reused shell encoded differently at trial %d", trial)
-		}
-	}
-}
-
 // TestUnmarshalVOPresized proves the counting pre-pass sizes Tokens
 // exactly (no spare growth capacity) and round-trips unchanged.
 func TestUnmarshalVOPresized(t *testing.T) {
@@ -86,39 +56,6 @@ func TestUnmarshalVOPresized(t *testing.T) {
 	}
 	if !bytes.Equal(dec.Marshal(), enc) {
 		t.Fatal("decode/re-encode round trip changed bytes")
-	}
-}
-
-// TestVerifyVOWorkersParity drives the parallel verifier against the
-// serial one over honest and attacked inputs at several worker counts.
-func TestVerifyVOWorkersParity(t *testing.T) {
-	f := buildFixture(t, 2000, 20_000, 26)
-	ver := f.signer.Verifier()
-	rng := rand.New(rand.NewSource(27))
-	for trial := 0; trial < 12; trial++ {
-		lo := record.Key(rng.Intn(20_000))
-		hi := lo + record.Key(rng.Intn(4_000))
-		recs, vo := f.runQuery(t, lo, hi)
-		mutations := map[string][]record.Record{
-			"honest": recs,
-		}
-		if len(recs) > 2 {
-			drop := append(append([]record.Record{}, recs[:1]...), recs[2:]...)
-			mod := append([]record.Record{}, recs...)
-			mod[1].Payload[0] ^= 0x5A
-			mutations["drop"] = drop
-			mutations["modify"] = mod
-		}
-		for name, result := range mutations {
-			wantErr := VerifyVO(vo, result, lo, hi, ver)
-			for _, workers := range []int{0, 1, 2, 4} {
-				gotErr := VerifyVOWorkers(vo, result, lo, hi, ver, workers)
-				if (gotErr == nil) != (wantErr == nil) {
-					t.Fatalf("%s workers=%d: parallel ok=%v, serial ok=%v (got=%v want=%v)",
-						name, workers, gotErr == nil, wantErr == nil, gotErr, wantErr)
-				}
-			}
-		}
 	}
 }
 

@@ -22,7 +22,7 @@ type fixture struct {
 	sig     []byte
 }
 
-func buildFixture(t *testing.T, n, domain int, seed int64) *fixture {
+func buildFixture(t testing.TB, n, domain int, seed int64) *fixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	records := make([]record.Record, n)

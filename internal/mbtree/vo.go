@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"sae/internal/agg"
 	"sae/internal/digest"
@@ -111,9 +110,7 @@ func (vo *VO) Marshal() []byte {
 }
 
 // AppendTo serializes the VO onto the end of buf and returns the extended
-// slice — the scatter-append path the server write loop uses to encode a
-// VO straight into a pooled wire frame with no intermediate Marshal
-// allocation. Bytes are identical to Marshal (TestVOAppendToMatchesMarshal).
+// slice. Bytes are identical to Marshal (TestVOAppendToMatchesMarshal).
 func (vo *VO) AppendTo(buf []byte) []byte {
 	var u16 [2]byte
 	binary.BigEndian.PutUint16(u16[:], uint16(len(vo.Sig)))
@@ -417,24 +414,6 @@ func (t *Tree) findSucc(ctx *exec.Context, c nodeCache, hi record.Key) (Entry, b
 	return Entry{}, false, nil
 }
 
-// voPool recycles VO shells — the token slice and signature buffer — for
-// the serve path, where a VO lives exactly from RangeVOCtxInto until its
-// AppendTo into the response frame. Tokens embed full records, so a
-// recycled slice saves the largest allocation on the TOM serve path.
-var voPool = sync.Pool{New: func() any { return new(VO) }}
-
-// GetVO fetches a reusable VO shell from the pool.
-func GetVO() *VO { return voPool.Get().(*VO) }
-
-// PutVO returns a VO to the pool. The caller must be done with every
-// token and the signature: the backing arrays are handed to the next
-// GetVO.
-func PutVO(vo *VO) {
-	vo.Tokens = vo.Tokens[:0]
-	vo.Sig = vo.Sig[:0]
-	voPool.Put(vo)
-}
-
 // RangeVO executes a range query and builds its verification object with
 // no request context; see RangeVOCtx.
 func (t *Tree) RangeVO(lo, hi record.Key, heap *heapfile.File, sig []byte) ([]heapfile.RID, *VO, error) {
@@ -446,15 +425,7 @@ func (t *Tree) RangeVO(lo, hi record.Key, heap *heapfile.File, sig []byte) ([]he
 // fetch from the heap file), the VO with the two boundary records fetched
 // from heap, and the given owner signature embedded.
 func (t *Tree) RangeVOCtx(ctx *exec.Context, lo, hi record.Key, heap *heapfile.File, sig []byte) ([]heapfile.RID, *VO, error) {
-	return t.RangeVOCtxInto(ctx, lo, hi, heap, sig, &VO{})
-}
-
-// RangeVOCtxInto is RangeVOCtx building into a caller-provided (typically
-// pooled, see GetVO/PutVO) VO shell, reusing its token and signature
-// arrays. The token stream is byte-identical to a fresh build.
-func (t *Tree) RangeVOCtxInto(ctx *exec.Context, lo, hi record.Key, heap *heapfile.File, sig []byte, vo *VO) ([]heapfile.RID, *VO, error) {
-	vo.Tokens = vo.Tokens[:0]
-	vo.Sig = append(vo.Sig[:0], sig...)
+	vo := &VO{Sig: append([]byte(nil), sig...)}
 	if lo > hi {
 		return nil, nil, fmt.Errorf("mbtree: inverted range [%d, %d]", lo, hi)
 	}
@@ -587,56 +558,6 @@ func (b *voBuilder) build(id pagestore.PageID, level int, vo *VO) error {
 // the result with nothing pruned in between). A nil return means the result
 // is provably sound and complete.
 func VerifyVO(vo *VO, result []record.Record, lo, hi record.Key, ver *sigs.Verifier) error {
-	return VerifyVOBound(vo, result, lo, hi, ver, nil)
-}
-
-// VerifyVOBound is VerifyVO with a root binding: before the signature
-// check, the reconstructed root digest is passed through bind, which must
-// match the binding the owner signed under (see tom.Tree root re-signing
-// and the sharded TOM deployment, where the binding folds the shard's
-// identity and key span into the signed digest so one shard's signature
-// cannot vouch for another shard's tree). A nil bind is the identity.
-func VerifyVOBound(vo *VO, result []record.Record, lo, hi record.Key, ver *sigs.Verifier, bind func(digest.Digest) digest.Digest) error {
-	return VerifyVOBoundWorkers(vo, result, lo, hi, ver, bind, 1)
-}
-
-// VerifyVOWorkers is VerifyVO with the result-record re-hashing — the
-// dominant cost of a large VO check — fanned out across up to `workers`
-// goroutines (0 = the default crypto fan-out). The Merkle replay itself
-// stays sequential (each node digest feeds its parent), but the per-record
-// leaf digests it consumes are independent, so they are precomputed by the
-// worker pool. Accept/reject is identical to VerifyVO for every input.
-func VerifyVOWorkers(vo *VO, result []record.Record, lo, hi record.Key, ver *sigs.Verifier, workers int) error {
-	return VerifyVOBoundWorkers(vo, result, lo, hi, ver, nil, workers)
-}
-
-// resDigestPool recycles the precomputed result-digest arrays the
-// parallel verify path uses.
-var resDigestPool = sync.Pool{New: func() any { return new([]digest.Digest) }}
-
-// VerifyVOBoundWorkers is VerifyVOBound with parallel result re-hashing;
-// see VerifyVOWorkers.
-func VerifyVOBoundWorkers(vo *VO, result []record.Record, lo, hi record.Key, ver *sigs.Verifier, bind func(digest.Digest) digest.Digest, workers int) error {
-	var resDigests []digest.Digest
-	if workers != 1 && len(result) > 0 {
-		buf := resDigestPool.Get().(*[]digest.Digest)
-		if cap(*buf) < len(result) {
-			*buf = make([]digest.Digest, len(result))
-		}
-		resDigests = (*buf)[:len(result)]
-		digest.RecordDigests(resDigests, result, workers)
-		defer func() {
-			*buf = resDigests[:0]
-			resDigestPool.Put(buf)
-		}()
-	}
-	return verifyVOBound(vo, result, resDigests, lo, hi, ver, bind)
-}
-
-// verifyVOBound runs the full VO check. resDigests, when non-nil, carries
-// the precomputed digest of every result record (aligned with result);
-// nil recomputes inline.
-func verifyVOBound(vo *VO, result []record.Record, resDigests []digest.Digest, lo, hi record.Key, ver *sigs.Verifier, bind func(digest.Digest) digest.Digest) error {
 	// Result sanity: within range and sorted by key.
 	for i := range result {
 		if result[i].Key < lo || result[i].Key > hi {
@@ -686,11 +607,7 @@ func verifyVOBound(vo *VO, result []record.Record, resDigests []digest.Digest, l
 							return digest.Zero, fmt.Errorf("%w: VO references more result records than received", ErrBadVO)
 						}
 						writeKeyTo(w, result[resIdx].Key)
-						if resDigests != nil {
-							w.Add(resDigests[resIdx])
-						} else {
-							w.Add(digest.OfRecord(&result[resIdx]))
-						}
+						w.Add(digest.OfRecord(&result[resIdx]))
 						resIdx++
 					}
 					pos++
@@ -760,11 +677,7 @@ func verifyVOBound(vo *VO, result []record.Record, resDigests []digest.Digest, l
 	if resIdx != len(result) {
 		return fmt.Errorf("%w: VO consumed %d result records, received %d", ErrBadVO, resIdx, len(result))
 	}
-	signedDig := rootDig
-	if bind != nil {
-		signedDig = bind(rootDig)
-	}
-	if err := ver.Verify(signedDig, vo.Sig); err != nil {
+	if err := ver.Verify(rootDig, vo.Sig); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadVO, err)
 	}
 

@@ -8,7 +8,6 @@ import (
 	"sae/internal/core"
 	"sae/internal/record"
 	"sae/internal/shard"
-	"sae/internal/wire"
 	"sae/internal/workload"
 )
 
@@ -16,7 +15,7 @@ import (
 // through the router equals the in-process sharded oracle and the direct
 // client-side scatter, for every merge shape.
 func TestRoutedAggregateParity(t *testing.T) {
-	d := newDeployment(t, 12_000, 3, false, Config{})
+	d := newDeployment(t, 12_000, 3, Config{})
 	routed := d.plainClient(t)
 	direct := d.directClient(t)
 	for _, q := range testQueries(d, 8, 83) {
@@ -44,7 +43,7 @@ func TestRoutedAggregateParity(t *testing.T) {
 // TestRoutedAggregateSingleShard: a router over one shard relays the
 // aggregate protocol transparently.
 func TestRoutedAggregateSingleShard(t *testing.T) {
-	d := newDeployment(t, 4_000, 1, false, Config{})
+	d := newDeployment(t, 4_000, 1, Config{})
 	routed := d.plainClient(t)
 	for _, q := range workload.Queries(5, workload.DefaultExtent, 84) {
 		if _, err := routed.Aggregate(q); err != nil {
@@ -53,43 +52,11 @@ func TestRoutedAggregateSingleShard(t *testing.T) {
 	}
 }
 
-// TestRoutedTOMAggregateParity: TOM aggregates through the router — the
-// stitched per-shard aggregate VOs — verify and match the in-process
-// sharded TOM oracle; a 1-shard router relays the plain aggregate VO.
-func TestRoutedTOMAggregateParity(t *testing.T) {
-	d := newDeployment(t, 9_000, 3, true, Config{})
-	client := d.tomClient(t)
-	for _, q := range testQueries(d, 6, 85) {
-		oracle, err := d.tomSys.Aggregate(q)
-		if err != nil {
-			t.Fatalf("oracle %v: %v", q, err)
-		}
-		if oracle.VerifyErr != nil {
-			t.Fatalf("oracle rejected honest TOM aggregate for %v: %v", q, oracle.VerifyErr)
-		}
-		got, err := client.Aggregate(q)
-		if err != nil {
-			t.Fatalf("routed TOM aggregate %v: %v", q, err)
-		}
-		if got != oracle.Agg {
-			t.Fatalf("%v: routed TOM aggregate %v, oracle %v", q, got, oracle.Agg)
-		}
-	}
-
-	single := newDeployment(t, 3_000, 1, true, Config{})
-	sc := single.tomClient(t)
-	for _, q := range workload.Queries(4, workload.DefaultExtent, 86) {
-		if _, err := sc.Aggregate(q); err != nil {
-			t.Fatalf("routed single-shard TOM aggregate %v: %v", q, err)
-		}
-	}
-}
-
 // TestRouterForgedAggregateRejected: the router asserts a flat-out wrong
 // scalar on the untrusted result path. The client's comparison against
 // the TE-side aggregate token must reject it.
 func TestRouterForgedAggregateRejected(t *testing.T) {
-	d := newDeployment(t, 10_000, 3, false, Config{})
+	d := newDeployment(t, 10_000, 3, Config{})
 	q := spanningQuery(t, d)
 	client := d.plainClient(t)
 	if _, err := client.Aggregate(q); err != nil {
@@ -109,7 +76,7 @@ func TestRouterForgedAggregateRejected(t *testing.T) {
 // aggregate path — a shaved clamp or a dropped shard changes the merged
 // scalar, which the range-bound token no longer matches.
 func TestRouterAggregateSeamAttacksRejected(t *testing.T) {
-	d := newDeployment(t, 10_000, 3, false, Config{})
+	d := newDeployment(t, 10_000, 3, Config{})
 	q := spanningQuery(t, d)
 	client := d.plainClient(t)
 
@@ -140,7 +107,7 @@ func TestRouterAggregateSeamAttacksRejected(t *testing.T) {
 // inflating its partial stays detected when the partial arrives merged
 // through an honest router.
 func TestUpstreamAggTamperThroughRouterRejected(t *testing.T) {
-	d := newDeployment(t, 10_000, 3, false, Config{})
+	d := newDeployment(t, 10_000, 3, Config{})
 	q := spanningQuery(t, d)
 	client := d.plainClient(t)
 	d.sys.SPs[1].SetAggTamper(core.InflateAggTamper(2, 0))
@@ -150,44 +117,11 @@ func TestUpstreamAggTamperThroughRouterRejected(t *testing.T) {
 	}
 }
 
-// TestRouterTOMAggSuppressionRejected: dropping one shard's aggregate VO
-// from the stitched relay fails the stitched verification; swapping two
-// shards' evidence fails the shard-identity binding.
-func TestRouterTOMAggTamperRejected(t *testing.T) {
-	d := newDeployment(t, 9_000, 3, true, Config{})
-	q := spanningQuery(t, d)
-	client := d.tomClient(t)
-	if _, err := client.Aggregate(q); err != nil {
-		t.Fatalf("honest routed TOM aggregate: %v", err)
-	}
-
-	d.router.setTamper(&tamper{reshapeTOM: func(p shard.Plan, parts []wire.TOMShardPart) (shard.Plan, []wire.TOMShardPart) {
-		if len(parts) > 1 {
-			return p, parts[1:]
-		}
-		return p, parts
-	}})
-	if _, err := client.Aggregate(q); err == nil {
-		t.Fatal("TOM aggregate shard suppression accepted")
-	}
-
-	d.router.setTamper(&tamper{reshapeTOM: func(p shard.Plan, parts []wire.TOMShardPart) (shard.Plan, []wire.TOMShardPart) {
-		if len(parts) > 1 {
-			parts[0].Blob, parts[1].Blob = parts[1].Blob, parts[0].Blob
-		}
-		return p, parts
-	}})
-	if _, err := client.Aggregate(q); err == nil {
-		t.Fatal("TOM aggregate shard swap accepted")
-	}
-	d.router.setTamper(nil)
-}
-
 // TestRoutedAggregateEmptyRange: an empty range through the router yields
 // the zero scalar and still verifies (the merged token must cover the
 // empty fold).
 func TestRoutedAggregateEmptyRange(t *testing.T) {
-	d := newDeployment(t, 4_000, 3, false, Config{})
+	d := newDeployment(t, 4_000, 3, Config{})
 	client := d.plainClient(t)
 	a, err := client.Aggregate(record.Range{Lo: 9, Hi: 3})
 	if err != nil {

@@ -1,48 +1,46 @@
 package router
 
 import (
-	"context"
 	"sync"
 	"testing"
 
-	"sae/internal/mbtree"
+	"sae/internal/agg"
 	"sae/internal/record"
-	"sae/internal/wire"
 	"sae/internal/workload"
 )
 
-// runMixedBurst drives a router deployment (single-shard SAE + TOM tier)
-// with concurrent SAE and TOM bursts on pipelined connections and
-// returns the verified SAE results plus the raw TOM payloads.
-func runMixedBurst(t *testing.T, d *deployment, qs []record.Range) ([][]record.Record, [][]byte) {
+// runMixedBurst drives a router deployment with a range-query burst and
+// an aggregate burst at once, on two pipelined connections, and returns
+// both sets of verified answers.
+func runMixedBurst(t *testing.T, d *deployment, qs []record.Range) ([][]record.Record, []agg.Agg) {
 	t.Helper()
 	vc := d.plainClient(t)
-	tc := d.tomClient(t)
+	ac := d.plainClient(t)
 
 	var (
-		wg      sync.WaitGroup
-		saeRes  [][]record.Record
-		saeErr  error
-		tomRaws [][]byte
-		tomErr  error
+		wg     sync.WaitGroup
+		recs   [][]record.Record
+		recErr error
+		aggs   []agg.Agg
+		aggErr error
 	)
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		saeRes, saeErr = vc.QueryBurst(qs)
+		recs, recErr = vc.QueryBurst(qs)
 	}()
 	go func() {
 		defer wg.Done()
-		tomRaws, tomErr = tc.QueryRawMany(context.Background(), qs)
+		aggs, aggErr = ac.AggregateBurst(qs)
 	}()
 	wg.Wait()
-	if saeErr != nil {
-		t.Fatalf("SAE burst through router: %v", saeErr)
+	if recErr != nil {
+		t.Fatalf("query burst through router: %v", recErr)
 	}
-	if tomErr != nil {
-		t.Fatalf("TOM burst through router: %v", tomErr)
+	if aggErr != nil {
+		t.Fatalf("aggregate burst through router: %v", aggErr)
 	}
-	return saeRes, tomRaws
+	return recs, aggs
 }
 
 // groupSizes are the client pipelining depths the router burst tests run
@@ -72,37 +70,28 @@ func sameRecords(a, b []record.Record) bool {
 	return true
 }
 
-// TestRouterMixedBurstParity runs concurrent SAE and TOM bursts through
-// the router at every group size: the verified SAE results must equal
-// the in-process reference and every raw TOM payload must verify and
-// carry the same records — how the upstream party servers group the
-// frames is invisible to the router tier and its clients.
+// TestRouterMixedBurstParity runs concurrent query and aggregate bursts
+// through the router at every group size: the verified results must
+// equal the in-process reference — how the upstream party servers group
+// the frames is invisible to the router tier and its clients.
 func TestRouterMixedBurstParity(t *testing.T) {
 	qs := workload.Queries(10, workload.DefaultExtent, 88)
 	qs = append(qs, record.Range{Lo: record.KeyDomain + 1, Hi: record.KeyDomain + 5}) // empty
-	d := newDeployment(t, 4_000, 1, true, Config{})
+	d := newDeployment(t, 4_000, 1, Config{})
 	for _, g := range groupSizes {
 		for lo := 0; lo < len(qs); lo += g {
 			group := qs[lo:min(lo+g, len(qs))]
-			sae, tomRaws := runMixedBurst(t, d, group)
+			recs, aggs := runMixedBurst(t, d, group)
 			for i, q := range group {
-				want := wantRecords(t, d, q)
-				if !sameRecords(sae[i], want) {
-					t.Fatalf("groups of %d, query %v: SAE result differs from the in-process reference", g, q)
+				if !sameRecords(recs[i], wantRecords(t, d, q)) {
+					t.Fatalf("groups of %d, query %v: result differs from the in-process reference", g, q)
 				}
-				recs, rest, err := wire.DecodeRecords(tomRaws[i])
-				if err != nil {
-					t.Fatalf("groups of %d: decoding TOM payload for %v: %v", g, q, err)
+				want, err := d.sys.Aggregate(q)
+				if err != nil || want.VerifyErr != nil {
+					t.Fatalf("in-process reference aggregate %v: %v / %v", q, err, want.VerifyErr)
 				}
-				vo, err := mbtree.UnmarshalVO(rest)
-				if err != nil {
-					t.Fatalf("groups of %d: decoding TOM VO for %v: %v", g, q, err)
-				}
-				if err := mbtree.VerifyVO(vo, recs, q.Lo, q.Hi, d.tomOwner.Verifier()); err != nil {
-					t.Fatalf("groups of %d: TOM payload for %v failed verification: %v", g, q, err)
-				}
-				if !sameRecords(recs, want) {
-					t.Fatalf("groups of %d, query %v: TOM records differ from the in-process reference", g, q)
+				if aggs[i] != want.Agg {
+					t.Fatalf("groups of %d, query %v: aggregate %v, in-process reference %v", g, q, aggs[i], want.Agg)
 				}
 			}
 		}
@@ -114,7 +103,7 @@ func TestRouterMixedBurstParity(t *testing.T) {
 // shards must return the in-process reference's verified results.
 func TestRouterShardedBurst(t *testing.T) {
 	qs := workload.Queries(8, workload.DefaultExtent, 89)
-	d := newDeployment(t, 12_000, 3, false, Config{})
+	d := newDeployment(t, 12_000, 3, Config{})
 	vc := d.plainClient(t)
 	for _, g := range groupSizes {
 		for lo := 0; lo < len(qs); lo += g {

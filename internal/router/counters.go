@@ -49,7 +49,7 @@ func (r *Router) Counters() Counters {
 // UpstreamHealth describes one upstream address's current state.
 type UpstreamHealth struct {
 	Shard int
-	Roles []string // the role sets it serves: "SP", "TE", "verified", "TOM"
+	Roles []string // the role sets it serves: "SP", "TE", "verified"
 	Addr  string
 	Down  bool   // inside its reconnect-backoff window
 	Gen   uint64 // newest generation stamp observed (0 if unstamped)

@@ -22,11 +22,10 @@ const (
 	roleSP       role = iota // record and aggregate reads
 	roleTE                   // verification and aggregate tokens
 	roleVerified             // stamped (epoch, gen, VT, records) answers
-	roleTOM                  // TOM provider evidence
 	numRoles
 )
 
-var roleNames = [numRoles]string{"SP", "TE", "verified", "TOM"}
+var roleNames = [numRoles]string{"SP", "TE", "verified"}
 
 func (r role) String() string { return roleNames[r] }
 
@@ -282,7 +281,7 @@ func (e *endpoint) probe(timeout time.Duration) {
 }
 
 // endpointSet is one shard's upstreams for one role (SP reads, TE
-// tokens, verified queries, TOM): the primary plus any replicas, with
+// tokens, verified queries): the primary plus any replicas, with
 // pick/failover/hedging across them. The endpoints are shared with the
 // shard's other role sets.
 type endpointSet struct {

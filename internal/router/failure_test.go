@@ -20,7 +20,7 @@ import (
 // fails the client's request loudly. The client must see an error (or a
 // verification failure) — never a silently truncated verified result.
 func TestRouterUpstreamDropMidGather(t *testing.T) {
-	d := newDeployment(t, 8_000, 2, false, Config{UpstreamTimeout: 5 * time.Second})
+	d := newDeployment(t, 8_000, 2, Config{UpstreamTimeout: 5 * time.Second})
 	client := d.plainClient(t)
 	q := spanningQuery(t, d)
 	if _, err := client.Query(q); err != nil {
@@ -49,7 +49,7 @@ func TestRouterUpstreamDropMidGather(t *testing.T) {
 // the router's pipelined upstream connection survives for later
 // requests.
 func TestRouterSlowShardTimeout(t *testing.T) {
-	d := newDeployment(t, 6_000, 2, false, Config{})
+	d := newDeployment(t, 6_000, 2, Config{})
 	// A fake slow SP for shard 1: attests correctly so the router dials
 	// it, then stalls every query.
 	release := make(chan struct{})
@@ -208,7 +208,7 @@ func TestRouterHedgedCancellation(t *testing.T) {
 // shared pooled upstream connections — the race detector's view of the
 // whole request path (run under -race in CI).
 func TestRoutedConcurrentClients(t *testing.T) {
-	d := newDeployment(t, 10_000, 3, false, Config{})
+	d := newDeployment(t, 10_000, 3, Config{})
 	const workers = 8
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
@@ -246,7 +246,7 @@ func TestRoutedConcurrentClients(t *testing.T) {
 // record payloads must fail the request at the router, not smuggle
 // garbage into a merged frame.
 func TestRouterBadUpstreamFraming(t *testing.T) {
-	d := newDeployment(t, 4_000, 2, false, Config{})
+	d := newDeployment(t, 4_000, 2, Config{})
 	plan := d.sys.Plan
 	bad, err := wire.Serve("127.0.0.1:0", func(req wire.Frame, rb *wire.RespBuf) wire.Frame {
 		switch req.Type {

@@ -3,8 +3,8 @@
 // process with ONE client-facing address. It speaks the single-system
 // wire protocol to clients — every query frame has one row in the frame
 // table (table.go: MsgQuery, MsgVTRequest, MsgAggQuery, MsgAggTokenReq,
-// MsgTOMQuery, MsgTOMAggQuery, MsgVerifiedQuery, plus the locally
-// answered MsgShardMapReq, MsgGenStampReq and MsgReshardCutover) —
+// MsgVerifiedQuery, plus the locally answered MsgShardMapReq,
+// MsgGenStampReq and MsgReshardCutover) —
 // scatters every request to the overlapping shards over pooled
 // pipelined upstream connections (plain wire.Conn: the router relays
 // bytes and needs no typed client), gathers in shard order and streams
@@ -63,10 +63,8 @@
 // transport authentication in a hardened deployment, not by the
 // protocol.
 //
-// For TOM the router is untrusted without even that channel assumption:
-// each shard's VO carries an owner signature binding the shard's index,
-// count and span, so the client verifies the stitched evidence — and
-// the relayed plan itself — against the owner's key alone.
+// The router carries the SAE protocol only. TOM, the paper's baseline,
+// runs in-process (package tom) and has no frames on the wire.
 package router
 
 import (
@@ -95,9 +93,6 @@ type Config struct {
 	// endpoint sets; a replica that is down at startup is adopted later
 	// by the health prober.
 	Replicas [][]string
-	// TOMs optionally lists one TOM provider per shard; empty disables
-	// TOM routing.
-	TOMs []string
 	// Conns is the number of pooled pipelined connections the router
 	// keeps to every upstream (default 2). Requests round-robin across
 	// the pool; each connection additionally pipelines many requests.
@@ -148,8 +143,7 @@ type topology struct {
 	// sets[role][shard]. The verified sets hold each shard's replicas plus
 	// its primary when the primary serves both halves (SPs[i] == TEs[i] —
 	// only a process holding SP and TE together can stamp one atomic
-	// (epoch, gen, VT, records) quadruple). The TOM sets are empty unless
-	// TOM providers are configured.
+	// (epoch, gen, VT, records) quadruple).
 	sets [numRoles][]*endpointSet
 }
 
@@ -219,11 +213,9 @@ func (r *Router) join(t *topology, ro role, i int, addr string, stamped bool) *e
 // with the wrong dataset is rejected on redial. Replicas are dialed
 // best-effort (a dead replica is adopted later by the prober), but a
 // replica that answers with a mismatched attestation fails construction
-// — that is a wiring error, not an outage — and so does a TOM provider
-// (untrusted regardless) that does not sit at the index it is dialed as
-// under the plan the TEs attest. On error the half-built topology's
-// connections are closed before returning.
-func (r *Router) buildTopology(spAddrs, teAddrs []string, replicas [][]string, tomAddrs []string) (*topology, error) {
+// — that is a wiring error, not an outage. On error the half-built
+// topology's connections are closed before returning.
+func (r *Router) buildTopology(spAddrs, teAddrs []string, replicas [][]string) (*topology, error) {
 	cfg := &r.cfg
 	t := &topology{}
 	ok := false
@@ -235,9 +227,6 @@ func (r *Router) buildTopology(spAddrs, teAddrs []string, replicas [][]string, t
 	for i := range spAddrs {
 		t.fresh = append(t.fresh, &freshness{maxLag: cfg.MaxLag})
 		for ro := range t.sets {
-			if role(ro) == roleTOM && len(tomAddrs) == 0 {
-				continue
-			}
 			t.sets[ro] = append(t.sets[ro], &endpointSet{
 				role: role(ro), shard: i, conns: cfg.Conns, hedgeAfter: cfg.HedgeAfter, ctrs: &r.ctrs,
 			})
@@ -270,20 +259,17 @@ func (r *Router) buildTopology(spAddrs, teAddrs []string, replicas [][]string, t
 	}
 	t.plan = plan
 
-	// Replicas and TOM providers join under the now-known plan, pinned on
-	// every endpoint: from here on, every fresh dial (including prober
-	// re-adoption after a crash) re-verifies the upstream's shard index
-	// and plan before trusting it with traffic.
-	var reps, toms []*endpoint
+	// Replicas join under the now-known plan, pinned on every endpoint:
+	// from here on, every fresh dial (including prober re-adoption after a
+	// crash) re-verifies the upstream's shard index and plan before
+	// trusting it with traffic.
+	var reps []*endpoint
 	for i := range replicas {
 		for _, addr := range replicas[i] {
 			r.join(t, roleSP, i, addr, true)
 			r.join(t, roleTE, i, addr, true)
 			reps = append(reps, r.join(t, roleVerified, i, addr, true))
 		}
-	}
-	for i, addr := range tomAddrs {
-		toms = append(toms, r.join(t, roleTOM, i, addr, false))
 	}
 	for _, ep := range t.eps {
 		ep.attest = &t.plan
@@ -298,11 +284,6 @@ func (r *Router) buildTopology(spAddrs, teAddrs []string, replicas [][]string, t
 			cfg.Logf("router: shard %d replica %s not yet reachable: %v", ep.shard, ep.addr, err)
 		}
 	}
-	for _, ep := range toms {
-		if _, err := ep.acquire(cfg.Conns); err != nil {
-			return nil, fmt.Errorf("router: shard %d TOM: %w", ep.shard, err)
-		}
-	}
 	ok = true
 	return t, nil
 }
@@ -312,9 +293,6 @@ func (r *Router) buildTopology(spAddrs, teAddrs []string, replicas [][]string, t
 func New(cfg Config) (*Router, error) {
 	if len(cfg.SPs) == 0 || len(cfg.SPs) != len(cfg.TEs) {
 		return nil, fmt.Errorf("router: %d SP addresses for %d TE addresses", len(cfg.SPs), len(cfg.TEs))
-	}
-	if len(cfg.TOMs) != 0 && len(cfg.TOMs) != len(cfg.SPs) {
-		return nil, fmt.Errorf("router: %d TOM addresses for %d shards", len(cfg.TOMs), len(cfg.SPs))
 	}
 	if len(cfg.Replicas) != 0 && len(cfg.Replicas) != len(cfg.SPs) {
 		return nil, fmt.Errorf("router: replica lists for %d shards, have %d shards", len(cfg.Replicas), len(cfg.SPs))
@@ -335,7 +313,7 @@ func New(cfg Config) (*Router, error) {
 		cfg.Logf = func(string, ...any) {}
 	}
 	r := &Router{cfg: cfg}
-	t, err := r.buildTopology(cfg.SPs, cfg.TEs, cfg.Replicas, cfg.TOMs)
+	t, err := r.buildTopology(cfg.SPs, cfg.TEs, cfg.Replicas)
 	if err != nil {
 		return nil, err
 	}
@@ -380,7 +358,7 @@ func (r *Router) Cutover(cut wire.Cutover) error {
 		teAddrs[i] = s.TEs[0]
 		replicas[i] = s.SPs[1:]
 	}
-	next, err := r.buildTopology(spAddrs, teAddrs, replicas, nil)
+	next, err := r.buildTopology(spAddrs, teAddrs, replicas)
 	if err != nil {
 		return fmt.Errorf("router: cutover to epoch %d: %w", cut.Plan.Epoch(), err)
 	}

@@ -6,10 +6,7 @@ import (
 
 	"sae/internal/core"
 	"sae/internal/digest"
-	"sae/internal/pagestore"
 	"sae/internal/record"
-	"sae/internal/shard"
-	"sae/internal/tom"
 	"sae/internal/wire"
 	"sae/internal/workload"
 )
@@ -17,22 +14,17 @@ import (
 // deployment is a full in-process sharded deployment served over
 // loopback TCP with a router in front: the unit every test drives.
 type deployment struct {
-	sys *core.ShardedSystem
-	// tomSys is set for multi-shard TOM tiers; a 1-shard tier serves a
-	// plain (unbound) provider, as a real stand-alone deployment would.
-	tomSys   *tom.ShardedSystem
-	tomOwner *tom.Owner
-	spAddrs  []string
-	teAddrs  []string
-	spSrvs   []*wire.SPServer
-	teSrvs   []*wire.TEServer
-	router   *Router
+	sys     *core.ShardedSystem
+	spAddrs []string
+	teAddrs []string
+	spSrvs  []*wire.SPServer
+	teSrvs  []*wire.TEServer
+	router  *Router
 }
 
-// newDeployment builds an n-record, `shards`-shard SAE deployment (plus
-// a TOM tier when withTOM is set), serves every party on loopback and
-// starts a router over it.
-func newDeployment(t *testing.T, n, shards int, withTOM bool, cfg Config) *deployment {
+// newDeployment builds an n-record, `shards`-shard SAE deployment, serves
+// every party on loopback and starts a router over it.
+func newDeployment(t *testing.T, n, shards int, cfg Config) *deployment {
 	t.Helper()
 	ds, err := workload.Generate(workload.UNF, n, 77)
 	if err != nil {
@@ -61,30 +53,6 @@ func newDeployment(t *testing.T, n, shards int, withTOM bool, cfg Config) *deplo
 		d.teAddrs = append(d.teAddrs, teSrv.Addr())
 	}
 	cfg.SPs, cfg.TEs = d.spAddrs, d.teAddrs
-	if withTOM && shards == 1 {
-		owner, err := tom.NewOwner()
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := tom.NewProvider(pagestore.NewMem())
-		if err := p.Load(ds.Records, owner); err != nil {
-			t.Fatal(err)
-		}
-		d.tomOwner = owner
-		srv, err := wire.ServeTOM("127.0.0.1:0", p, owner, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		cfg.TOMs = append(cfg.TOMs, srv.Addr())
-	} else if withTOM {
-		var srvs []*wire.TOMServer
-		d.tomSys, srvs = serveTOMTier(t, ds.Records, sys.Plan)
-		d.tomOwner = d.tomSys.Owner
-		for _, srv := range srvs {
-			cfg.TOMs = append(cfg.TOMs, srv.Addr())
-		}
-	}
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatalf("router.New: %v", err)
@@ -95,30 +63,6 @@ func newDeployment(t *testing.T, n, shards int, withTOM bool, cfg Config) *deplo
 	}
 	d.router = r
 	return d
-}
-
-// serveTOMTier builds a sharded TOM system over recs and serves one bound
-// provider per shard on loopback; its plan must be the SAE tier's.
-func serveTOMTier(t *testing.T, recs []record.Record, plan shard.Plan) (*tom.ShardedSystem, []*wire.TOMServer) {
-	t.Helper()
-	tomSys, err := tom.NewShardedSystem(recs, plan.Shards())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tomSys.Plan.Equal(plan) {
-		t.Fatal("TOM plan differs from SAE plan over the same dataset")
-	}
-	srvs := make([]*wire.TOMServer, tomSys.Plan.Shards())
-	for i := range srvs {
-		srv, err := wire.ServeTOM("127.0.0.1:0", tomSys.Providers[i], tomSys.Owner, nil,
-			wire.WithShardInfo(wire.ShardInfo{Index: i, Plan: tomSys.Plan}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		srvs[i] = srv
-	}
-	return tomSys, srvs
 }
 
 // plainClient dials the router's one address as both SAE parties — the
@@ -163,7 +107,7 @@ func testQueries(d *deployment, n int, seed int64) []record.Range {
 // as the ground-truth oracle (whose outcome also carries the
 // sum-of-shards cost roll-up the deployment reports).
 func TestRoutedQueryParity(t *testing.T) {
-	d := newDeployment(t, 12_000, 3, false, Config{})
+	d := newDeployment(t, 12_000, 3, Config{})
 	routed := d.plainClient(t)
 	direct := d.directClient(t)
 	routerTE, err := wire.DialTE(d.router.Addr())
@@ -220,7 +164,7 @@ func TestRoutedQueryParity(t *testing.T) {
 // TestRoutedBurstParity: a pipelined burst through the router matches
 // the direct client-side scatter for every query in the burst.
 func TestRoutedBurstParity(t *testing.T) {
-	d := newDeployment(t, 12_000, 3, false, Config{})
+	d := newDeployment(t, 12_000, 3, Config{})
 	routed := d.plainClient(t)
 	direct := d.directClient(t)
 	qs := testQueries(d, 12, 79)
@@ -250,7 +194,7 @@ func TestRoutedBurstParity(t *testing.T) {
 // TestRoutedSingleShard: a router over a 1-shard deployment is a pure
 // relay — the plain client behaves exactly as against the shard itself.
 func TestRoutedSingleShard(t *testing.T) {
-	d := newDeployment(t, 4_000, 1, false, Config{})
+	d := newDeployment(t, 4_000, 1, Config{})
 	routed := d.plainClient(t)
 	directVC, err := wire.DialVerifying(d.spAddrs[0], d.teAddrs[0])
 	if err != nil {
@@ -272,65 +216,10 @@ func TestRoutedSingleShard(t *testing.T) {
 	}
 }
 
-// TestRoutedTOMParity: TOM queries through the router verify and match
-// the in-process sharded TOM oracle; a single-shard TOM relay matches
-// the plain provider protocol bit-for-bit.
-func TestRoutedTOMParity(t *testing.T) {
-	d := newDeployment(t, 9_000, 3, true, Config{})
-	client, err := wire.DialVerifyingTOM(d.router.Addr(), d.tomSys.Owner.Verifier())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	for _, q := range testQueries(d, 5, 81) {
-		oracle, err := d.tomSys.Query(q)
-		if err != nil || oracle.VerifyErr != nil {
-			t.Fatalf("oracle %v: %v / %v", q, err, oracle.VerifyErr)
-		}
-		got, err := client.Query(q)
-		if err != nil {
-			t.Fatalf("routed TOM %v: %v", q, err)
-		}
-		if len(got) != len(oracle.Result) {
-			t.Fatalf("%v: %d routed records, oracle %d", q, len(got), len(oracle.Result))
-		}
-		for i := range got {
-			if got[i] != oracle.Result[i] {
-				t.Fatalf("%v: record %d differs", q, i)
-			}
-		}
-	}
-	// A tampering provider must be caught through the router too.
-	d.tomSys.Providers[1].SetTamper(func(rs []record.Record) []record.Record {
-		if len(rs) == 0 {
-			return rs
-		}
-		return rs[1:]
-	})
-	defer d.tomSys.Providers[1].SetTamper(nil)
-	q := record.Range{Lo: d.tomSys.Plan.Span(1).Lo, Hi: d.tomSys.Plan.Span(1).Lo + 300_000}
-	if _, err := client.Query(q); err == nil {
-		t.Fatal("tampered TOM provider passed routed verification")
-	}
-}
-
-// TestRoutedTOMSingleShardRelay: with one shard the router relays the
-// provider's MsgTOMResult verbatim and the plain unbound verification
-// applies.
-func TestRoutedTOMSingleShardRelay(t *testing.T) {
-	d := newDeployment(t, 3_000, 1, true, Config{})
-	client := d.tomClient(t)
-	for _, q := range workload.Queries(4, workload.DefaultExtent, 82) {
-		if _, err := client.Query(q); err != nil {
-			t.Fatalf("routed single-shard TOM %v: %v", q, err)
-		}
-	}
-}
-
 // TestRouterShardMapRelay: the router relays the TE-attested plan for
 // observability.
 func TestRouterShardMapRelay(t *testing.T) {
-	d := newDeployment(t, 6_000, 3, false, Config{})
+	d := newDeployment(t, 6_000, 3, Config{})
 	c, err := wire.DialSP(d.router.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -348,7 +237,7 @@ func TestRouterShardMapRelay(t *testing.T) {
 // TestRouterRejectsUpdates: the router is a read tier; owner updates
 // must be refused, not half-applied to one side of a shard.
 func TestRouterRejectsUpdates(t *testing.T) {
-	d := newDeployment(t, 2_000, 2, false, Config{})
+	d := newDeployment(t, 2_000, 2, Config{})
 	c, err := wire.DialSP(d.router.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -365,7 +254,7 @@ func TestRouterRejectsUpdates(t *testing.T) {
 // TestRouterRejectsMiswiredUpstreams: swapped upstream shard order must
 // fail the attestation cross-check at startup.
 func TestRouterRejectsMiswiredUpstreams(t *testing.T) {
-	d := newDeployment(t, 4_000, 3, false, Config{})
+	d := newDeployment(t, 4_000, 3, Config{})
 	swappedSP := []string{d.spAddrs[1], d.spAddrs[0], d.spAddrs[2]}
 	swappedTE := []string{d.teAddrs[1], d.teAddrs[0], d.teAddrs[2]}
 	if r, err := New(Config{SPs: swappedSP, TEs: swappedTE}); err == nil {
@@ -382,7 +271,7 @@ func TestRouterRejectsMiswiredUpstreams(t *testing.T) {
 // whole domain — the routed token equals the XOR fold of every record
 // digest, i.e. the token a single TE over the full dataset would issue.
 func TestRoutedVTMatchesDigestFold(t *testing.T) {
-	d := newDeployment(t, 5_000, 4, false, Config{})
+	d := newDeployment(t, 5_000, 4, Config{})
 	routerTE, err := wire.DialTE(d.router.Addr())
 	if err != nil {
 		t.Fatal(err)

@@ -29,9 +29,8 @@ type row struct {
 	// the untrusted result path, where the adversarial hooks interpose.
 	subs      func(r *Router, t *topology, q record.Range) []shard.SubQuery
 	leg, want wire.MsgType
-	size      int          // the reply payload's fixed length; 0 = any
-	what      string       // names the leg in error frames
-	stitched  wire.MsgType // TOM rows: the envelope a sharded answer goes out in
+	size      int    // the reply payload's fixed length; 0 = any
+	what      string // names the leg in error frames
 	// accept, when set, judges each reply inside the failover loop: its
 	// error sends the leg to a sibling endpoint.
 	accept func(ep *endpoint, payload []byte) error
@@ -40,7 +39,6 @@ type row struct {
 
 // gather is one scattered request on its way to its merge.
 type gather struct {
-	row   *row
 	q     record.Range
 	subs  []shard.SubQuery
 	parts [][]byte // reply payloads, aligned with subs
@@ -55,8 +53,6 @@ var rows = [...]row{
 	wire.MsgVTRequest:     {role: roleTE, subs: attestedSubs, leg: wire.MsgVTRequest, want: wire.MsgVT, size: digest.Size, what: "TE", merge: mergeVT},
 	wire.MsgAggQuery:      {role: roleSP, subs: tamperedSubs, leg: wire.MsgAggQuery, want: wire.MsgAggResult, size: agg.Size, what: "SP aggregate", merge: mergeAgg},
 	wire.MsgAggTokenReq:   {role: roleTE, subs: attestedSubs, leg: wire.MsgAggTokenReq, want: wire.MsgAggToken, size: agg.TokenSize, what: "TE aggregate token", merge: mergeAggToken},
-	wire.MsgTOMQuery:      {role: roleTOM, subs: tomSubs, leg: wire.MsgTOMQuery, want: wire.MsgTOMResult, what: "TOM", stitched: wire.MsgTOMShardedResult, merge: mergeTOM},
-	wire.MsgTOMAggQuery:   {role: roleTOM, subs: tomSubs, leg: wire.MsgTOMAggQuery, want: wire.MsgTOMAggResult, what: "TOM aggregate", stitched: wire.MsgTOMAggShardedResult, merge: mergeTOM},
 	wire.MsgVerifiedQuery: {role: roleVerified, subs: tamperedSubs, leg: wire.MsgVerifiedQuery, want: wire.MsgVerifiedResult, what: "verified", accept: acceptVerified, merge: mergeVerified},
 
 	wire.MsgShardMapReq:    {local: localShardMap},
@@ -109,7 +105,7 @@ func (r *Router) answer(t *topology, ro *row, req wire.Frame, rb *wire.RespBuf) 
 	if err != nil {
 		return 0, err
 	}
-	g := gather{row: ro, q: q, subs: ro.subs(r, t, q)}
+	g := gather{q: q, subs: ro.subs(r, t, q)}
 	ctx, cancel := r.reqCtx()
 	defer cancel()
 	if g.parts, err = scatter(ctx, sets, g.subs, ro); err != nil {
@@ -192,16 +188,6 @@ func tamperedSubs(r *Router, t *topology, q record.Range) []shard.SubQuery {
 		subs = tm.reshapeSubs(subs)
 	}
 	return subs
-}
-
-// tomSubs is attestedSubs, except that a single-shard deployment's lone
-// provider is asked q itself: it is unbound (a stand-alone TOM server
-// signs no shard identity), so its answer can only be relayed verbatim.
-func tomSubs(_ *Router, t *topology, q record.Range) []shard.SubQuery {
-	if t.plan.Shards() == 1 {
-		return []shard.SubQuery{{Shard: 0, Sub: q}}
-	}
-	return t.plan.Scatter(q)
 }
 
 // recordsOf validates one shard's EncodeRecords payload for framing and
@@ -299,31 +285,6 @@ func mergeAggToken(_ *Router, _ *topology, g *gather, rb *wire.RespBuf) (wire.Ms
 	var buf [agg.TokenSize]byte
 	rb.Append(tok.AppendTo(buf[:0]))
 	return wire.MsgAggToken, nil
-}
-
-// mergeTOM serves both TOM rows. A single-shard deployment relays the
-// provider's answer verbatim (bit-identical to dialing it directly); a
-// sharded one stitches each overlapping provider's evidence blob (records
-// + VO, or the aggregate VO) into the sharded envelope the verifying
-// client checks against the owner-signed shard bindings.
-func mergeTOM(r *Router, t *topology, g *gather, rb *wire.RespBuf) (wire.MsgType, error) {
-	if t.plan.Shards() == 1 {
-		rb.AppendRef(g.parts[0])
-		return g.row.want, nil
-	}
-	parts := make([]wire.TOMShardPart, len(g.parts))
-	for i, blob := range g.parts {
-		parts[i] = wire.TOMShardPart{Shard: g.subs[i].Shard, Sub: g.subs[i].Sub, Blob: blob}
-	}
-	plan := t.plan
-	if tm := r.tamper.Load(); tm != nil && tm.reshapeTOM != nil {
-		plan, parts = tm.reshapeTOM(plan, parts)
-	}
-	wire.AppendTOMShardedHeader(rb, plan, len(parts))
-	for _, p := range parts {
-		wire.AppendTOMShardedPart(rb, p.Shard, p.Sub, p.Blob)
-	}
-	return g.row.stitched, nil
 }
 
 // acceptVerified records the generation stamp a verified leg carries and

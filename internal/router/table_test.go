@@ -13,7 +13,6 @@ import (
 
 	"sae/internal/record"
 	"sae/internal/wire"
-	"sae/internal/workload"
 )
 
 // ask sends one raw frame to a router and returns the reply frame, or the
@@ -36,24 +35,16 @@ func ask(t *testing.T, c *wire.Conn, typ wire.MsgType, payload []byte) (wire.Fra
 // TestRouterRowMatrix sends EVERY frame number to a router over a
 // 3-shard deployment that has an upstream for every role. A frame with a
 // row is answered with the row's reply type, everything else — owner
-// updates, replication, the lifecycle, responses, the retired 11-14,
-// unassigned numbers — with the one CannotHandle refusal, and the
-// connection outlives all of it. Then shard 1 dies, and every scatter row
+// updates, replication, the lifecycle, responses, the retired numbers
+// (the TOM query frames 9 and 24 among them, checked by name), unassigned
+// numbers — with the one CannotHandle refusal, and the connection
+// outlives all of it. Then shard 1 dies, and every scatter row
 // must answer with an error frame naming shard 1 and its leg, never a
 // truncated answer: the one scatter is the only place that loop lives.
 func TestRouterRowMatrix(t *testing.T) {
 	const n = 6_000
 	d := newReplicaDeployment(t, n, 3, 0, Config{ProbeInterval: -1})
-	ds, err := workload.Generate(workload.UNF, n, 42) // newReplicaDeployment's dataset
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, tomSrvs := serveTOMTier(t, ds.Records, d.plan)
-	cfg := Config{SPs: d.primAddrs, TEs: d.primAddrs, ProbeInterval: -1}
-	for _, srv := range tomSrvs {
-		cfg.TOMs = append(cfg.TOMs, srv.Addr())
-	}
-	r, err := New(cfg)
+	r, err := New(Config{SPs: d.primAddrs, TEs: d.primAddrs, ProbeInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,13 +64,16 @@ func TestRouterRowMatrix(t *testing.T) {
 		wire.MsgVTRequest:     wire.MsgVT,
 		wire.MsgAggQuery:      wire.MsgAggResult,
 		wire.MsgAggTokenReq:   wire.MsgAggToken,
-		wire.MsgTOMQuery:      wire.MsgTOMShardedResult,
-		wire.MsgTOMAggQuery:   wire.MsgTOMAggShardedResult,
 		wire.MsgVerifiedQuery: wire.MsgVerifiedResult,
 		wire.MsgShardMapReq:   wire.MsgShardMap,
 		wire.MsgGenStampReq:   wire.MsgGenStamp,
 	}
 	all := wire.EncodeRange(record.Range{Lo: 0, Hi: record.KeyDomain})
+	for _, typ := range []wire.MsgType{9, 24} {
+		if _, refusal := ask(t, c, typ, all); refusal != wire.CannotHandle("router", typ).Error() {
+			t.Errorf("retired TOM frame %d: got %q, want the CannotHandle refusal", typ, refusal)
+		}
+	}
 	for i := 1; i <= 255; i++ {
 		typ := wire.MsgType(i)
 		hasRow := i < len(rows) && (rows[i].local != nil || rows[i].merge != nil)
@@ -105,7 +99,6 @@ func TestRouterRowMatrix(t *testing.T) {
 	}
 
 	d.primSrvs[1].Close()
-	tomSrvs[1].Close()
 	for i := range rows {
 		ro := &rows[i]
 		if ro.merge == nil {

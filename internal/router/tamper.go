@@ -3,13 +3,12 @@ package router
 import (
 	"sae/internal/agg"
 	"sae/internal/shard"
-	"sae/internal/wire"
 )
 
 // tamper makes a router malicious for the adversarial tests. The hooks
 // interpose only on what a real rogue router controls — the untrusted
-// result path (SP-side scatter shapes, gathered record payloads, TOM
-// evidence and plan relay). The token path is deliberately out of reach,
+// result path (SP-side scatter shapes, gathered record payloads, merged
+// scalars, replayed verified answers). The token path is deliberately out of reach,
 // modeling the end-to-end-authenticated client↔TE aggregate the trust
 // argument rests on: a router that can also rewrite token bytes is the
 // paper's compromised-TE-channel case, which no VO-less scheme survives.
@@ -24,9 +23,6 @@ type tamper struct {
 	// reshapeParts rewrites the gathered raw record payloads before the
 	// merge (suppressing or swapping whole shards' sub-results).
 	reshapeParts func([][]byte) [][]byte
-	// reshapeTOM rewrites the stitched TOM evidence and/or the relayed
-	// plan before encoding.
-	reshapeTOM func(shard.Plan, []wire.TOMShardPart) (shard.Plan, []wire.TOMShardPart)
 	// forgeAgg rewrites the merged aggregate scalar before it is encoded
 	// (a rogue router asserting a flat-out wrong COUNT/SUM/MIN/MAX).
 	forgeAgg func(agg.Agg) agg.Agg

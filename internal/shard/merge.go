@@ -8,7 +8,7 @@ import (
 // This file holds the one shared implementation of scattering a range
 // query across a plan and gathering the per-shard answers back into a
 // single verified result. Every scatter-gather path in the tree — the
-// in-process sharded systems (core, tom), the shard-aware wire client,
+// in-process sharded system (core), the shard-aware wire client,
 // and the router tier — goes through these helpers, so the key-order
 // merge and the XOR combination are defined exactly once.
 

@@ -1,6 +1,6 @@
 // Package shard implements key-range partitioning for horizontally scaled
 // deployments: a sorted dataset is split into N contiguous key partitions,
-// one SP/TE (or TOM provider) pair runs per partition, and range queries
+// one SP/TE pair runs per partition, and range queries
 // scatter to the overlapping shards and gather back into one verified
 // answer.
 //
@@ -13,7 +13,7 @@
 // entities themselves (see wire.DialShardedVerifying).
 //
 // This package holds the partitioning math only — the Plan type — so that
-// core, tom and wire can all build on it without import cycles.
+// core and wire can both build on it without import cycles.
 package shard
 
 import (
@@ -239,8 +239,8 @@ func (p Plan) SameSpans(o Plan) bool {
 }
 
 // Marshal serializes the plan: shard count, the split keys, then the
-// epoch. Every carrier of a marshaled plan (shard attestations, TOM
-// sharded evidence, replica snapshots) transports the epoch with it.
+// epoch. Every carrier of a marshaled plan (shard attestations, replica
+// snapshots, reshard plan updates) transports the epoch with it.
 func (p Plan) Marshal() []byte {
 	out := make([]byte, 4, 4+4*len(p.splits)+8)
 	binary.BigEndian.PutUint32(out[0:4], uint32(p.Shards()))

@@ -99,76 +99,6 @@ func TestTOMAggregateAfterUpdates(t *testing.T) {
 	}
 }
 
-// TestTOMShardedAggregateParity: stitched per-shard aggregate VOs merge
-// to the single-provider answer.
-func TestTOMShardedAggregateParity(t *testing.T) {
-	ds, err := workload.Generate(workload.UNF, 3000, 100)
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	for _, shards := range []int{1, 3, 5} {
-		sys, err := NewShardedSystem(ds.Records, shards)
-		if err != nil {
-			t.Fatalf("NewShardedSystem(%d): %v", shards, err)
-		}
-		for _, q := range workload.Queries(12, workload.DefaultExtent, 123) {
-			out, err := sys.Aggregate(q)
-			if err != nil {
-				t.Fatalf("shards=%d Aggregate: %v", shards, err)
-			}
-			if out.VerifyErr != nil {
-				t.Fatalf("shards=%d honest evidence rejected: %v", shards, out.VerifyErr)
-			}
-			if want := tomRefAgg(ds.Records, q); out.Agg != want {
-				t.Fatalf("shards=%d aggregate %v, want %v", shards, out.Agg, want)
-			}
-		}
-	}
-}
-
-// TestTOMShardedAggregateSeamAttacks: a relay suppressing, reordering or
-// re-clamping per-shard aggregate evidence is rejected.
-func TestTOMShardedAggregateSeamAttacks(t *testing.T) {
-	ds, err := workload.Generate(workload.UNF, 2500, 100)
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	sys, err := NewShardedSystem(ds.Records, 4)
-	if err != nil {
-		t.Fatalf("NewShardedSystem: %v", err)
-	}
-	q := record.Range{Lo: 0, Hi: record.KeyDomain}
-	out, err := sys.Aggregate(q)
-	if err != nil || out.VerifyErr != nil {
-		t.Fatalf("honest run: err=%v verify=%v", err, out.VerifyErr)
-	}
-	honest := out.PerShard
-
-	check := func(name string, perShard []ShardAggVO) {
-		t.Helper()
-		if _, _, err := sys.Client.VerifyAggregate(q, perShard); err == nil {
-			t.Fatalf("%s: tampered evidence verified", name)
-		}
-	}
-	check("suppress-shard", append(append([]ShardAggVO{}, honest[:1]...), honest[2:]...))
-	check("empty", nil)
-
-	swapped := append([]ShardAggVO{}, honest...)
-	swapped[1], swapped[2] = swapped[2], swapped[1]
-	check("reorder", swapped)
-
-	// Substitute one shard's VO with another shard's (frontier/tree
-	// substitution): the bound signature pins each VO to its shard.
-	subst := append([]ShardAggVO{}, honest...)
-	subst[1].VO = honest[2].VO
-	check("vo-substitution", subst)
-
-	// Re-clamp a shard's claimed sub-range to shrink coverage.
-	reclamped := append([]ShardAggVO{}, honest...)
-	reclamped[1].Sub.Hi = reclamped[1].Sub.Lo
-	check("re-clamp", reclamped)
-}
-
 // TestTOMAggregateVOFrontierBytes: the aggregate VO is asymptotically
 // smaller than the range VO + result for wide ranges.
 func TestTOMAggregateVOFrontierBytes(t *testing.T) {

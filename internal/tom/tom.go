@@ -64,32 +64,15 @@ type Provider struct {
 	heap   *heapfile.File
 	tree   *mbtree.Tree
 	sig    []byte
-	byID   map[record.ID]heapfile.RID
+	byID   map[record.ID]liveRecord
 	tamper Tamper
-	// binding transforms the root digest before the owner signs it; a
-	// sharded deployment folds the shard's identity and span in (see
-	// ShardBinding), so one shard's signature cannot vouch for another
-	// shard's tree. Nil is the identity (the single-provider protocol).
-	binding func(digest.Digest) digest.Digest
 }
 
-// SetRootBinding installs the root binding applied before every owner
-// signature; call it before Load. Clients must verify with the same
-// binding (mbtree.VerifyVOBound).
-func (p *Provider) SetRootBinding(bind func(digest.Digest) digest.Digest) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.binding = bind
-}
-
-// boundRoot returns the digest the owner signs for the current tree root.
-// Caller holds p.mu.
-func (p *Provider) boundRoot() digest.Digest {
-	root := p.tree.RootDigest()
-	if p.binding != nil {
-		return p.binding(root)
-	}
-	return root
+// liveRecord is where a live id sits: its heap slot and the key the
+// MB-Tree indexes it under.
+type liveRecord struct {
+	rid heapfile.RID
+	key record.Key
 }
 
 // NewProvider returns a provider backed by the given page store, with the
@@ -98,7 +81,7 @@ func NewProvider(store pagestore.Store) *Provider {
 	return &Provider{
 		store: pagestore.NewCounting(store),
 		cache: bufpool.New(bufpool.DefaultCapacity, bufpool.ChargeAllAccesses),
-		byID:  make(map[record.ID]heapfile.RID),
+		byID:  make(map[record.ID]liveRecord),
 	}
 }
 
@@ -132,9 +115,18 @@ func (p *Provider) CacheStats() bufpool.Stats {
 
 // Load builds the heap file and the MB-Tree from the owner's dataset
 // (sorted by key) and obtains the owner's signature over the root digest.
+// A dataset carrying one id twice is refused: deleting that id would
+// leave the other copy served and verifying.
 func (p *Provider) Load(records []record.Record, owner *Owner) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	byID := make(map[record.ID]liveRecord, len(records))
+	for i := range records {
+		if _, dup := byID[records[i].ID]; dup {
+			return fmt.Errorf("tom: record id %d appears more than once in the dataset", records[i].ID)
+		}
+		byID[records[i].ID] = liveRecord{key: records[i].Key}
+	}
 	heap, rids, err := heapfile.Build(p.store, records)
 	if err != nil {
 		return fmt.Errorf("tom: provider loading heap: %w", err)
@@ -150,7 +142,7 @@ func (p *Provider) Load(records []record.Record, owner *Owner) error {
 			RID:    rids[i],
 			Digest: digests[i],
 		}
-		p.byID[records[i].ID] = rids[i]
+		byID[records[i].ID] = liveRecord{rid: rids[i], key: records[i].Key}
 	}
 	tree, err := mbtree.Bulkload(p.store, entries)
 	if err != nil {
@@ -160,7 +152,8 @@ func (p *Provider) Load(records []record.Record, owner *Owner) error {
 	tree.UseCache(p.cache)
 	p.heap = heap
 	p.tree = tree
-	sig, err := owner.Sign(p.boundRoot())
+	p.byID = byID
+	sig, err := owner.Sign(tree.RootDigest())
 	if err != nil {
 		return fmt.Errorf("tom: owner signing root: %w", err)
 	}
@@ -183,13 +176,6 @@ func (p *Provider) Query(q record.Range) ([]record.Record, *mbtree.VO, core.Quer
 func (p *Provider) QueryCtx(ctx *exec.Context, q record.Range) ([]record.Record, *mbtree.VO, core.QueryCost, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return p.queryLocked(ctx, q)
-}
-
-// queryLocked is QueryCtx's body. The caller holds the read lock:
-// ServeBurstCtx routes a tampering provider's burst through it so the
-// tamper hook sees each full result slice.
-func (p *Provider) queryLocked(ctx *exec.Context, q record.Range) ([]record.Record, *mbtree.VO, core.QueryCost, error) {
 	var qc core.QueryCost
 	before := ctx.Stats()
 	start := time.Now()
@@ -211,74 +197,6 @@ func (p *Provider) queryLocked(ctx *exec.Context, q record.Range) ([]record.Reco
 	return recs, vo, qc, nil
 }
 
-// BurstScratch holds the reusable per-lane buffers for TOM burst serving;
-// one burst at a time per scratch, no locking (see core.BurstScratch).
-type BurstScratch struct {
-	runs [][]heapfile.RID
-	vos  []*mbtree.VO
-}
-
-// ServeBurstCtx is the ONE streaming serve path of the TOM provider: a
-// burst of n ≥ 1 queries under one read-lock acquisition. Every query's
-// MB-Tree VO is built first (charged to its own context), then all heap
-// runs are served through one heapfile.ServeBurstCtx call. emit(qi, r)
-// receives query qi's records, query by query, each as a pointer
-// borrowed from the pinned decoded heap page — valid only for the
-// duration of the call. The returned VOs align with
-// qs and come from the mbtree shell pool — on success the CALLER returns
-// each with mbtree.PutVO once encoded (the slice itself is lane scratch,
-// valid until the next burst on sc); on error every shell built so far
-// is put back here and nil is returned. VO bytes, node accesses and
-// results are bit-identical to the materializing QueryCtx reference. A
-// tampering provider (SetTamper) falls back to that materializing path
-// so attack experiments behave identically on both entry points.
-func (p *Provider) ServeBurstCtx(ctxs []*exec.Context, qs []record.Range, sc *BurstScratch, emit func(int, *record.Record) error) ([]*mbtree.VO, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	sc.runs = sc.runs[:0]
-	sc.vos = sc.vos[:0]
-	ok := false
-	defer func() {
-		if !ok {
-			for _, vo := range sc.vos {
-				mbtree.PutVO(vo)
-			}
-			sc.vos = sc.vos[:0]
-		}
-	}()
-	if p.tamper != nil {
-		for qi := range qs {
-			recs, vo, _, err := p.queryLocked(ctxs[qi], qs[qi])
-			if err != nil {
-				return nil, err
-			}
-			sc.vos = append(sc.vos, vo)
-			for i := range recs {
-				if err := emit(qi, &recs[i]); err != nil {
-					return nil, err
-				}
-			}
-		}
-		ok = true
-		return sc.vos, nil
-	}
-	for qi, q := range qs {
-		shell := mbtree.GetVO()
-		rids, vo, err := p.tree.RangeVOCtxInto(ctxs[qi], q.Lo, q.Hi, p.heap, p.sig, shell)
-		if err != nil {
-			mbtree.PutVO(shell)
-			return nil, fmt.Errorf("tom: provider burst VO build: %w", err)
-		}
-		sc.vos = append(sc.vos, vo)
-		sc.runs = append(sc.runs, rids)
-	}
-	if err := p.heap.ServeBurstCtx(ctxs, sc.runs, emit); err != nil {
-		return nil, fmt.Errorf("tom: provider burst record serve: %w", err)
-	}
-	ok = true
-	return sc.vos, nil
-}
-
 // ApplyInsert stores a new record and gets the root re-signed: a group of
 // one.
 func (p *Provider) ApplyInsert(r record.Record, owner *Owner) error {
@@ -297,7 +215,8 @@ func (p *Provider) ApplyDelete(id record.ID, key record.Key, owner *Owner) error
 // group of one. The per-update RSA re-sign is TOM's dominant write cost;
 // batching amortizes it to sig/group, which is exactly the comparison
 // the write benchmark draws. Digests fan out across the crypto pool in
-// one dispatch, like the load path.
+// one dispatch, like the load path. The whole batch is checked before
+// its first mutation (see admit), so a refused batch changes nothing.
 func (p *Provider) ApplyBatchCtx(ctx *exec.Context, ops []wal.Op, owner *Owner) error {
 	var inserts []record.Record
 	for i := range ops {
@@ -312,6 +231,9 @@ func (p *Provider) ApplyBatchCtx(ctx *exec.Context, ops []wal.Op, owner *Owner) 
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if err := p.admit(ops); err != nil {
+		return err
+	}
 	di := 0
 	for i := range ops {
 		switch ops[i].Kind {
@@ -326,12 +248,9 @@ func (p *Provider) ApplyBatchCtx(ctx *exec.Context, ops []wal.Op, owner *Owner) 
 			if err := p.tree.InsertCtx(ctx, e); err != nil {
 				return fmt.Errorf("tom: provider indexing record: %w", err)
 			}
-			p.byID[r.ID] = rid
+			p.byID[r.ID] = liveRecord{rid: rid, key: r.Key}
 		case wal.OpDelete:
-			rid, ok := p.byID[ops[i].ID]
-			if !ok {
-				return fmt.Errorf("tom: provider has no record with id %d", ops[i].ID)
-			}
+			rid := p.byID[ops[i].ID].rid
 			if err := p.tree.DeleteCtx(ctx, mbtree.Entry{Key: ops[i].Key, RID: rid}); err != nil {
 				return fmt.Errorf("tom: provider unindexing record: %w", err)
 			}
@@ -339,15 +258,54 @@ func (p *Provider) ApplyBatchCtx(ctx *exec.Context, ops []wal.Op, owner *Owner) 
 				return fmt.Errorf("tom: provider deleting record: %w", err)
 			}
 			delete(p.byID, ops[i].ID)
-		default:
-			return fmt.Errorf("tom: provider cannot apply op kind %d", ops[i].Kind)
 		}
 	}
-	sig, err := owner.Sign(p.boundRoot())
+	sig, err := owner.Sign(p.tree.RootDigest())
 	if err != nil {
 		return fmt.Errorf("tom: owner re-signing root: %w", err)
 	}
 	p.sig = sig
+	return nil
+}
+
+// admit checks a batch against the live ids before it mutates anything:
+// every insert must carry an id not live at that point in the batch, and
+// every delete an id that is, under the key the MB-Tree indexes it by.
+// Caller holds p.mu.
+func (p *Provider) admit(ops []wal.Op) error {
+	// batch overrides byID for the ids the batch has touched so far.
+	type state struct {
+		key  record.Key
+		live bool
+	}
+	batch := make(map[record.ID]state, len(ops))
+	liveKey := func(id record.ID) (record.Key, bool) {
+		if s, ok := batch[id]; ok {
+			return s.key, s.live
+		}
+		r, ok := p.byID[id]
+		return r.key, ok
+	}
+	for i := range ops {
+		switch op := &ops[i]; op.Kind {
+		case wal.OpInsert:
+			if _, live := liveKey(op.Rec.ID); live {
+				return fmt.Errorf("tom: batch op %d inserts id %d, which is already live", i, op.Rec.ID)
+			}
+			batch[op.Rec.ID] = state{op.Rec.Key, true}
+		case wal.OpDelete:
+			key, live := liveKey(op.ID)
+			if !live {
+				return fmt.Errorf("tom: provider has no record with id %d", op.ID)
+			}
+			if key != op.Key {
+				return fmt.Errorf("tom: batch op %d deletes id %d under key %d; it is indexed under %d", i, op.ID, op.Key, key)
+			}
+			batch[op.ID] = state{}
+		default:
+			return fmt.Errorf("tom: provider cannot apply op kind %d", op.Kind)
+		}
+	}
 	return nil
 }
 

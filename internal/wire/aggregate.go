@@ -6,19 +6,16 @@ import (
 
 	"sae/internal/agg"
 	"sae/internal/core"
-	"sae/internal/mbtree"
 	"sae/internal/record"
 	"sae/internal/shard"
-	"sae/internal/tom"
 )
 
 // The aggregation fast path on the wire. The frames mirror the range
 // protocol's shape — the client sends the query to both parties
 // simultaneously — but the responses are constant-size: a 24-byte scalar
-// from the SP, a 44-byte range-bound token from the TE, and under TOM an
-// O(log n) aggregate VO instead of the result set. That constant response
-// is the protocol's response-bytes win over scan-and-fold, which ships
-// every covered record.
+// from the SP and a 44-byte range-bound token from the TE instead of the
+// result set. That constant response is the protocol's response-bytes win
+// over scan-and-fold, which ships every covered record.
 
 // AggregateMany fetches the COUNT/SUM/MIN/MAX scalars for a group of
 // ranges (a burst-mode server serves the group through one lane pass).
@@ -99,58 +96,6 @@ func (v *VerifyingClient) AggregateBurst(qs []record.Range) ([]agg.Agg, error) {
 		}
 	}
 	return as, nil
-}
-
-// Aggregate runs the verified TOM aggregation fast path. Under TOM the
-// aggregate VO IS the answer: replaying it against the owner's signature
-// produces the verified scalar, so there is no separate claimed value to
-// compare. Both answer forms are accepted — a single provider's VO and a
-// router's stitched per-shard evidence (MsgTOMAggShardedResult), the
-// latter verified with the same stitched logic as the in-process sharded
-// system: the relayed plan is untrusted, but every shard's VO signature
-// binds the owner-signed plan.
-func (v *VerifyingTOMClient) Aggregate(q record.Range) (agg.Agg, error) {
-	resp, err := v.RoundTripCtx(context.Background(), Frame{Type: MsgTOMAggQuery, Payload: EncodeRange(q)})
-	if err != nil {
-		return agg.Agg{}, err
-	}
-	defer Release(resp.Payload) // VOs are decoded copies
-	switch resp.Type {
-	case MsgTOMAggResult:
-		vo, err := mbtree.UnmarshalVO(resp.Payload)
-		if err != nil {
-			return agg.Agg{}, err
-		}
-		return mbtree.VerifyAggVO(vo, q.Lo, q.Hi, v.Verifier)
-	case MsgTOMAggShardedResult:
-		return v.verifyShardedAgg(q, resp.Payload)
-	default:
-		return agg.Agg{}, fmt.Errorf("%w: unexpected response type %d", ErrProtocol, resp.Type)
-	}
-}
-
-// verifyShardedAgg checks a router's stitched TOM aggregate evidence:
-// decode the plan and per-shard aggregate VOs, rebuild the tom.ShardAggVO
-// list and run the sharded verification (every VO replays to its shard's
-// bound signed root for the plan's own clamp, then the partials
-// seam-check and merge). A nil error proves the scalar for all of q with
-// no trust in the router.
-func (v *VerifyingTOMClient) verifyShardedAgg(q record.Range, payload []byte) (agg.Agg, error) {
-	plan, parts, err := DecodeTOMSharded(payload)
-	if err != nil {
-		return agg.Agg{}, err
-	}
-	perShard := make([]tom.ShardAggVO, len(parts))
-	for i, p := range parts {
-		vo, err := mbtree.UnmarshalVO(p.Blob)
-		if err != nil {
-			return agg.Agg{}, fmt.Errorf("%w: shard %d aggregate evidence: %v", ErrProtocol, p.Shard, err)
-		}
-		perShard[i] = tom.ShardAggVO{Shard: p.Shard, Sub: p.Sub, VO: vo}
-	}
-	sc := tom.ShardedClient{Verifier: v.Verifier, Plan: plan}
-	_, a, err := sc.VerifyAggregate(q, perShard)
-	return a, err
 }
 
 // Aggregate scatters a verified aggregate query across the shards: every

@@ -82,26 +82,6 @@ func TestAggregateWireTampered(t *testing.T) {
 	}
 }
 
-// TestTOMAggregateOverWire runs the TOM aggregation fast path through real
-// TCP: the replayed VO must produce the fold scalar.
-func TestTOMAggregateOverWire(t *testing.T) {
-	r := launchRoles(t, 3000)
-	client, err := DialVerifyingTOM(r.tom.Addr(), r.owner.Verifier())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	for _, q := range burstParityQueries(12) {
-		a, err := client.Aggregate(q)
-		if err != nil {
-			t.Fatalf("TOM Aggregate(%v): %v", q, err)
-		}
-		if want := foldAgg(r.ds.Records, q).Normalize(); a != want {
-			t.Fatalf("TOM Aggregate(%v) = %v, want %v", q, a, want)
-		}
-	}
-}
-
 // TestShardedAggregateOverWire scatters verified aggregate queries across
 // a real sharded TCP deployment, with the in-process sharded system as
 // the oracle.

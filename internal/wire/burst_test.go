@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
+	"maps"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"sae/internal/bufpool"
+	"sae/internal/core"
 	"sae/internal/exec"
-	"sae/internal/mbtree"
+	"sae/internal/pagestore"
 	"sae/internal/record"
 	"sae/internal/workload"
 )
@@ -31,13 +36,12 @@ func burstParityQueries(n int) []record.Range {
 // request, a pair, bursts past maxBurst that the server must split
 // without dropping or reordering responses — the response payload is
 // bit-identical to what the in-process reference parties' materializing
-// paths (QueryCtx, GenerateVTCtx, AggregateCtx, AggTokenCtx,
-// tom.QueryCtx, tom.AggregateCtx) produce for the same dataset,
-// including empty results.
+// paths (QueryCtx, GenerateVTCtx, AggregateCtx, AggTokenCtx) produce for
+// the same dataset, including empty results.
 func TestServeParity(t *testing.T) {
 	r := launchRoles(t, 4000)
 	qs := burstParityQueries(97) // 100 queries > maxBurst
-	sp, te, tomSrv, primary, rep := r.sp.Addr(), r.te.Addr(), r.tom.Addr(), r.primary.Addr(), r.replica.Addr()
+	sp, te, primary, rep := r.sp.Addr(), r.te.Addr(), r.primary.Addr(), r.replica.Addr()
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -68,20 +72,6 @@ func TestServeParity(t *testing.T) {
 			tok, _, err := r.refTE.AggTokenCtx(exec.NewContext(), q)
 			must(err)
 			return tok.AppendTo(nil)
-		}},
-		{MsgTOMQuery, MsgTOMResult, []string{tomSrv}, func(q record.Range) []byte {
-			recs, vo, _, err := r.refTOM.QueryCtx(exec.NewContext(), q)
-			must(err)
-			// The payload must also decode and verify like any other.
-			if err := mbtree.VerifyVO(vo, recs, q.Lo, q.Hi, r.owner.Verifier()); err != nil {
-				t.Fatalf("reference TOM result for %v failed verification: %v", q, err)
-			}
-			return vo.AppendTo(EncodeRecords(recs))
-		}},
-		{MsgTOMAggQuery, MsgTOMAggResult, []string{tomSrv}, func(q record.Range) []byte {
-			vo, _, err := r.refTOM.AggregateCtx(exec.NewContext(), q)
-			must(err)
-			return vo.AppendTo(nil)
 		}},
 		{MsgVerifiedQuery, MsgVerifiedResult, []string{primary, rep}, func(q record.Range) []byte {
 			recs, _, err := r.refSP.QueryCtx(exec.NewContext(), q)
@@ -230,19 +220,80 @@ func TestBurstMalformedFrame(t *testing.T) {
 	}
 }
 
+// poisonStore is a page store whose reads of one page fail once armed;
+// until then it records every page read.
+type poisonStore struct {
+	pagestore.Store
+	mu   sync.Mutex
+	read map[pagestore.PageID]bool
+	bad  pagestore.PageID
+	arm  bool
+}
+
+var errPoisoned = errors.New("poisoned page")
+
+func (s *poisonStore) Read(id pagestore.PageID, buf []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.arm && id == s.bad {
+		return errPoisoned
+	}
+	s.read[id] = true
+	return s.Store.Read(id, buf)
+}
+
 // TestBurstFallbackOnProviderError sends a burst whose provider pass
-// fails (the MB-Tree rejects an inverted range): the group falls back to
-// groups of one, so the bad query gets exactly its own error and the
-// others answers byte-identical to the same queries sent alone.
+// fails (one query needs a page the SP's store cannot read): the group
+// falls back to groups of one, so the bad query gets exactly its own
+// error and the others answers byte-identical to the same queries sent
+// alone.
 func TestBurstFallbackOnProviderError(t *testing.T) {
-	r := launchRoles(t, 2000)
+	ds, err := workload.Generate(workload.UNF, 2000, 97)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &poisonStore{Store: pagestore.NewMem(), read: make(map[pagestore.PageID]bool)}
+	sp := core.NewServiceProvider(store)
+	if err := sp.Load(ds.Records); err != nil {
+		t.Fatal(err)
+	}
+	sp.ConfigureCache(0, bufpool.ChargeAllAccesses) // every access reads the store
 	qs := workload.Queries(4, workload.DefaultExtent, 97)
 	const bad = 2
-	qs[bad] = record.Range{Lo: 5, Hi: 4}
-	reqs := rangeFrames(MsgTOMQuery, qs)
-	alone := pipeline(t, r.tom.Addr(), reqs, 1)
+	// Poison a page only the bad query reads.
+	pagesOf := func(q record.Range) map[pagestore.PageID]bool {
+		clear(store.read)
+		if _, _, err := sp.QueryCtx(exec.NewContext(), q); err != nil {
+			t.Fatal(err)
+		}
+		return maps.Clone(store.read)
+	}
+	others := map[pagestore.PageID]bool{}
+	for i, q := range qs {
+		if i != bad {
+			maps.Copy(others, pagesOf(q))
+		}
+	}
+	var own []pagestore.PageID
+	for id := range pagesOf(qs[bad]) {
+		if !others[id] {
+			own = append(own, id)
+		}
+	}
+	if len(own) == 0 {
+		t.Fatal("the bad query reads no page of its own")
+	}
+	store.bad, store.arm = slices.Min(own), true
+	srv, err := ServeSP("127.0.0.1:0", sp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	reqs := rangeFrames(MsgQuery, qs)
+	alone := pipeline(t, srv.Addr(), reqs, 1)
 	before := ReadBurstCounters().Fallbacks
-	burst := pipeline(t, r.tom.Addr(), reqs, len(reqs))
+	burst := pipeline(t, srv.Addr(), reqs, len(reqs))
 	if got := ReadBurstCounters().Fallbacks - before; got != 1 {
 		t.Errorf("Fallbacks rose by %d for one rejected group, want 1", got)
 	}
@@ -251,8 +302,11 @@ func TestBurstFallbackOnProviderError(t *testing.T) {
 			t.Fatalf("query %d: in the burst got %s (%d bytes), alone %s (%d bytes)", i,
 				FrameName(burst[i].Type), len(burst[i].Payload), FrameName(alone[i].Type), len(alone[i].Payload))
 		}
+		if i != bad && burst[i].Type != MsgResult {
+			t.Fatalf("query %d beside the bad one: got %s %.80q", i, FrameName(burst[i].Type), burst[i].Payload)
+		}
 	}
-	if burst[bad].Type != MsgErr || !strings.Contains(string(burst[bad].Payload), "inverted range") {
-		t.Fatalf("inverted query: got %s %q", FrameName(burst[bad].Type), burst[bad].Payload)
+	if burst[bad].Type != MsgErr || !strings.Contains(string(burst[bad].Payload), errPoisoned.Error()) {
+		t.Fatalf("bad query: got %s %q", FrameName(burst[bad].Type), burst[bad].Payload)
 	}
 }

@@ -8,10 +8,7 @@ import (
 
 	"sae/internal/core"
 	"sae/internal/digest"
-	"sae/internal/mbtree"
 	"sae/internal/record"
-	"sae/internal/sigs"
-	"sae/internal/tom"
 )
 
 // Conn is a persistent pipelined connection with byte accounting. Every
@@ -292,8 +289,8 @@ func (c *Conn) BytesReceived() int64 {
 func (c *Conn) Close() error { return c.c.Close() }
 
 // InsertBatch pushes a whole insertion batch in one frame to any party
-// with a write path (SP, TE, TOM provider, primary); the server applies
-// it as one commit group. A single insert is a batch of one.
+// with a write path (SP, TE, primary); the server applies it as one
+// commit group. A single insert is a batch of one.
 func (c *Conn) InsertBatch(recs []record.Record) error {
 	return c.expectAck(MsgBatchInsert, EncodeRecords(recs))
 }
@@ -521,96 +518,4 @@ func verifyRecords(qs []record.Range, secs [][]byte, vts []digest.Digest) ([][]r
 		results[i] = recs
 	}
 	return results, nil
-}
-
-// VerifyingTOMClient performs the full TOM protocol over the network
-// against a TOM provider or a router fronting several. It accepts both
-// answer forms: a single provider's records + VO, and a router's stitched
-// per-shard evidence (MsgTOMShardedResult), which it verifies with the
-// same stitched-VO logic as the in-process sharded system — the relayed
-// plan is untrusted, but every shard's VO signature binds the
-// owner-signed plan, so a router cannot forge the topology.
-type VerifyingTOMClient struct {
-	*Conn
-	Verifier *sigs.Verifier // the data owner's
-}
-
-// DialVerifyingTOM connects to a TOM provider (or a router), checking
-// answers against the owner's verifier.
-func DialVerifyingTOM(addr string, owner *sigs.Verifier) (*VerifyingTOMClient, error) {
-	c, err := Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &VerifyingTOMClient{Conn: c, Verifier: owner}, nil
-}
-
-// QueryRawMany fetches the records+VO payloads a single provider answers
-// a group of ranges with, unverified; payloads align with qs.
-func (v *VerifyingTOMClient) QueryRawMany(ctx context.Context, qs []record.Range) ([][]byte, error) {
-	return v.askMany(ctx, rangeFrames(MsgTOMQuery, qs), MsgTOMResult)
-}
-
-// Query runs the verified TOM range query.
-func (v *VerifyingTOMClient) Query(q record.Range) ([]record.Record, error) {
-	resp, err := v.RoundTripCtx(context.Background(), Frame{Type: MsgTOMQuery, Payload: EncodeRange(q)})
-	if err != nil {
-		return nil, err
-	}
-	defer Release(resp.Payload) // records and VOs are decoded copies
-	switch resp.Type {
-	case MsgTOMResult:
-		recs, vo, err := decodeTOMResult(resp.Payload)
-		if err != nil {
-			return nil, err
-		}
-		if err := mbtree.VerifyVOWorkers(vo, recs, q.Lo, q.Hi, v.Verifier, 0); err != nil {
-			return nil, err
-		}
-		return recs, nil
-	case MsgTOMShardedResult:
-		return v.verifySharded(q, resp.Payload)
-	default:
-		return nil, fmt.Errorf("%w: unexpected response type %d", ErrProtocol, resp.Type)
-	}
-}
-
-// decodeTOMResult splits a MsgTOMResult payload into records and VO.
-func decodeTOMResult(payload []byte) ([]record.Record, *mbtree.VO, error) {
-	recs, rest, err := DecodeRecords(payload)
-	if err != nil {
-		return nil, nil, err
-	}
-	vo, err := mbtree.UnmarshalVO(rest)
-	if err != nil {
-		return nil, nil, err
-	}
-	return recs, vo, nil
-}
-
-// verifySharded checks a router's stitched TOM evidence: decode the plan
-// and per-shard parts, rebuild the tom.ShardVO list and run the sharded
-// client verification (boundary continuity from the plan's own clamps,
-// shard-identity-bound signatures per VO). A nil error proves the merged
-// result sound and complete for all of q, with no trust in the router.
-func (v *VerifyingTOMClient) verifySharded(q record.Range, payload []byte) ([]record.Record, error) {
-	plan, parts, err := DecodeTOMSharded(payload)
-	if err != nil {
-		return nil, err
-	}
-	perShard := make([]tom.ShardVO, len(parts))
-	var merged []record.Record
-	for i, p := range parts {
-		recs, vo, err := decodeTOMResult(p.Blob)
-		if err != nil {
-			return nil, fmt.Errorf("%w: shard %d evidence: %v", ErrProtocol, p.Shard, err)
-		}
-		perShard[i] = tom.ShardVO{Shard: p.Shard, Sub: p.Sub, Result: recs, VO: vo}
-		merged = append(merged, recs...)
-	}
-	sc := tom.ShardedClient{Verifier: v.Verifier, Plan: plan}
-	if _, err := sc.Verify(q, perShard); err != nil {
-		return nil, err
-	}
-	return merged, nil
 }

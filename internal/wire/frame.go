@@ -1,9 +1,10 @@
-// Package wire puts the outsourcing protocols on the network: framing and
-// codecs for every message the parties exchange, TCP servers wrapping the
-// SAE service provider, trusted entity and TOM provider, and client stubs
-// that measure real bytes on the wire — the deployment the paper describes,
-// where "the client sends the query to both the TE and the SP
-// simultaneously".
+// Package wire puts the SAE protocol on the network: framing and codecs
+// for every message the parties exchange, TCP servers wrapping the
+// service provider, trusted entity, durable primary and read replica, and
+// client stubs that measure real bytes on the wire — the deployment the
+// paper describes, where "the client sends the query to both the TE and
+// the SP simultaneously". TOM, the paper's baseline, runs in-process only
+// (package tom).
 //
 // The protocol is deliberately simple: a 1-byte message type, a 4-byte
 // big-endian request id, a 4-byte big-endian payload length, then the
@@ -50,24 +51,16 @@ const (
 	MsgAck MsgType = 7
 	// Error with a message string.
 	MsgErr MsgType = 8
-	// Client -> TOM provider.
-	MsgTOMQuery MsgType = 9
-	// TOM provider -> client: records + serialized VO.
-	MsgTOMResult MsgType = 10
-	// 11-14 are retired and never reused (see the registry's reservation).
+	// 9-14 are retired and never reused (see the registry's reservation).
 	// Client -> any server: which shard are you, under which plan?
 	MsgShardMapReq MsgType = 15
 	// Server -> client: shard index + partition plan.
 	MsgShardMap MsgType = 16
-	// Router -> client: a TOM query answered by a sharded deployment —
-	// the partition plan plus one (records + VO) blob per overlapping
-	// shard. The plan is untrusted relay data: each shard's VO signature
-	// binds the owner-signed plan, so a forged relay fails verification.
-	MsgTOMShardedResult MsgType = 17
-	// Owner -> SP/TE/TOM: a batch of freshly-synthesized records to
+	// 17 is retired and never reused (see the registry's reservation).
+	// Owner -> SP/TE/primary: a batch of freshly-synthesized records to
 	// commit as one group (EncodeRecords payload).
 	MsgBatchInsert MsgType = 18
-	// Owner -> SP/TE/TOM: a batch of deletions to commit as one group.
+	// Owner -> SP/TE/primary: a batch of deletions to commit as one group.
 	MsgBatchDelete MsgType = 19
 	// Client -> SP (or router): authenticated COUNT/SUM/MIN/MAX over a
 	// range — the aggregation fast path's untrusted half.
@@ -79,16 +72,7 @@ const (
 	// TE -> client: the 44-byte range-bound aggregate token (agg.Token
 	// wire form) the scalar is checked against.
 	MsgAggToken MsgType = 23
-	// Client -> TOM provider (or router): aggregate query under TOM.
-	MsgTOMAggQuery MsgType = 24
-	// TOM provider -> client: the serialized aggregate VO; replaying it
-	// against the owner-signed root PRODUCES the verified scalar.
-	MsgTOMAggResult MsgType = 25
-	// Router -> client: a TOM aggregate query answered by a sharded
-	// deployment — the partition plan plus one aggregate-VO blob per
-	// overlapping shard, in the MsgTOMShardedResult envelope. The plan is
-	// untrusted relay data exactly as for range queries.
-	MsgTOMAggShardedResult MsgType = 26
+	// 24-26 are retired and never reused (see the registry's reservation).
 	// Client/router -> primary or replica: what is your generation stamp
 	// (the sequence of the last commit group folded into your state)?
 	MsgGenStampReq MsgType = 27
@@ -340,8 +324,7 @@ func EncodeRecords(recs []record.Record) []byte {
 	return out
 }
 
-// DecodeRecords parses a record list, returning any trailing bytes (used
-// by the TOM result codec, which appends the VO).
+// DecodeRecords parses a record list, returning any trailing bytes.
 func DecodeRecords(b []byte) ([]record.Record, []byte, error) {
 	if len(b) < 4 {
 		return nil, nil, fmt.Errorf("%w: truncated record count", ErrProtocol)
@@ -412,73 +395,6 @@ func DecodeShardInfo(b []byte) (ShardInfo, error) {
 		return ShardInfo{}, fmt.Errorf("%w: shard index %d outside %d-shard plan", ErrProtocol, idx, plan.Shards())
 	}
 	return ShardInfo{Index: idx, Plan: plan}, nil
-}
-
-// TOMShardPart is one shard's contribution to a routed TOM query: the
-// shard index, the clamped sub-range it answered, and its MsgTOMResult
-// payload (records + serialized VO) relayed verbatim.
-type TOMShardPart struct {
-	Shard int
-	Sub   record.Range
-	Blob  []byte
-}
-
-// AppendTOMShardedHeader and AppendTOMShardedPart stream a routed TOM
-// result — the partition plan, the part count, then each part as shard
-// index, sub-range and a length-prefixed relay blob, carried by reference
-// — into a pooled response buffer (the router's gather path builds the
-// frame with these two; DecodeTOMSharded parses it).
-func AppendTOMShardedHeader(rb *RespBuf, plan shard.Plan, parts int) {
-	rb.Append(plan.Marshal())
-	rb.AppendUint32(uint32(parts))
-}
-
-func AppendTOMShardedPart(rb *RespBuf, shardIdx int, sub record.Range, blob []byte) {
-	rb.AppendUint32(uint32(shardIdx))
-	rb.Append(EncodeRange(sub))
-	rb.AppendUint32(uint32(len(blob)))
-	rb.AppendRef(blob)
-}
-
-// DecodeTOMSharded parses a routed TOM result. Part blobs alias b.
-func DecodeTOMSharded(b []byte) (shard.Plan, []TOMShardPart, error) {
-	plan, rest, err := shard.UnmarshalPlan(b)
-	if err != nil {
-		return shard.Plan{}, nil, fmt.Errorf("%w: %v", ErrProtocol, err)
-	}
-	b = rest
-	if len(b) < 4 {
-		return shard.Plan{}, nil, fmt.Errorf("%w: truncated part count", ErrProtocol)
-	}
-	n := int(binary.BigEndian.Uint32(b[0:4]))
-	b = b[4:]
-	// Every part carries at least its 16-byte fixed header, bounding a
-	// hostile count before the count-sized allocation.
-	if n > len(b)/16 {
-		return shard.Plan{}, nil, fmt.Errorf("%w: implausible part count %d for %d payload bytes", ErrProtocol, n, len(b))
-	}
-	parts := make([]TOMShardPart, 0, n)
-	for i := 0; i < n; i++ {
-		if len(b) < 16 {
-			return shard.Plan{}, nil, fmt.Errorf("%w: truncated part %d header", ErrProtocol, i)
-		}
-		idx := int(binary.BigEndian.Uint32(b[0:4]))
-		sub, err := DecodeRange(b[4:12])
-		if err != nil {
-			return shard.Plan{}, nil, err
-		}
-		bl := int(binary.BigEndian.Uint32(b[12:16]))
-		b = b[16:]
-		if bl > len(b) {
-			return shard.Plan{}, nil, fmt.Errorf("%w: part %d blob of %d bytes exceeds payload", ErrProtocol, i, bl)
-		}
-		parts = append(parts, TOMShardPart{Shard: idx, Sub: sub, Blob: b[:bl]})
-		b = b[bl:]
-	}
-	if len(b) != 0 {
-		return shard.Plan{}, nil, fmt.Errorf("%w: %d trailing bytes after sharded TOM result", ErrProtocol, len(b))
-	}
-	return plan, parts, nil
 }
 
 // EncodeDeletes serializes a deletion batch: count, then 12 bytes per

@@ -41,12 +41,14 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(frameBytes(f, Frame{Type: MsgQuery, ID: 1, Payload: EncodeRange(q)}))
 	f.Add(frameBytes(f, Frame{Type: MsgResult, ID: 2, Payload: EncodeRecords(ds.Records)}))
 	// Many queries are two pipelined frames in one stream; the retired
-	// many-ranges frame (number 11: count, then the ranges) still parses as
-	// a frame and is refused at dispatch.
+	// many-ranges frame (number 11: count, then the ranges) and the retired
+	// TOM query (number 9: one range) still parse as frames and are refused
+	// at dispatch.
 	pair := workload.Queries(2, workload.DefaultExtent, 18)
 	f.Add(append(frameBytes(f, Frame{Type: MsgQuery, ID: 3, Payload: EncodeRange(pair[0])}),
 		frameBytes(f, Frame{Type: MsgQuery, ID: 4, Payload: EncodeRange(pair[1])})...))
 	f.Add(frameBytes(f, Frame{Type: 11, ID: 3, Payload: append([]byte{0, 0, 0, 1}, EncodeRange(q)...)}))
+	f.Add(frameBytes(f, Frame{Type: 9, ID: 3, Payload: EncodeRange(q)}))
 	f.Add(frameBytes(f, Frame{Type: MsgAggQuery, ID: 4, Payload: EncodeRange(q)}))
 	f.Add(frameBytes(f, Frame{Type: MsgShardMapReq, ID: 5}))
 	f.Add(frameBytes(f, ErrFrame(ErrProtocol)))
@@ -112,7 +114,6 @@ func FuzzDecodeFrame(f *testing.F) {
 		_, _ = DecodeRange(p)
 		_, _, _ = DecodeRecords(p)
 		_, _ = DecodeShardInfo(p)
-		_, _, _ = DecodeTOMSharded(p)
 		_, _, _ = DecodeDeletes(p)
 		_, _, _, _, _ = DecodeVerifiedResult(p)
 		_, _, _ = DecodeReplicaGroups(p)
@@ -124,10 +125,10 @@ func FuzzDecodeFrame(f *testing.F) {
 }
 
 // FuzzUnmarshalVO fuzzes the verification-object decoder with mutations
-// of real VOs — both range VOs and the new aggregate VOs — plus raw
-// garbage. UnmarshalVO parses bytes a malicious provider or router fully
-// controls, so it must never panic and anything it accepts must survive
-// a marshal round-trip.
+// of real VOs — both range VOs and aggregate VOs — plus raw garbage.
+// UnmarshalVO parses bytes a malicious provider or router fully controls,
+// so it must never panic and anything it accepts must survive a marshal
+// round-trip.
 func FuzzUnmarshalVO(f *testing.F) {
 	ds, err := workload.Generate(workload.UNF, 400, 19)
 	if err != nil {

@@ -14,9 +14,7 @@ import (
 	"sae/internal/core"
 	"sae/internal/digest"
 	"sae/internal/exec"
-	"sae/internal/mbtree"
 	"sae/internal/record"
-	"sae/internal/tom"
 )
 
 // Lanes serve the registry's group rows. A connection's read loop drains
@@ -346,11 +344,9 @@ type lane struct {
 	vts  []digest.Digest
 	aggs []agg.Agg
 	toks []agg.Token
-	vos  []*mbtree.VO
 
 	// provider-side scratch
-	spSc  core.BurstScratch
-	tomSc tom.BurstScratch
+	spSc core.BurstScratch
 }
 
 func (l *lane) run(s *Server, ls *laneSet) {

@@ -9,17 +9,15 @@ import (
 
 	"sae/internal/core"
 	"sae/internal/exec"
-	"sae/internal/mbtree"
 	"sae/internal/record"
 	"sae/internal/replica"
-	"sae/internal/tom"
 	"sae/internal/wal"
 )
 
 // party is what a server answers with: nothing but the set of
 // capabilities its role has. A nil field is a capability the role lacks,
-// and a frame that needs it is refused with CannotHandle. The five roles
-// are the five ways the constructors below fill it in.
+// and a frame that needs it is refused with CannotHandle. The four roles
+// are the four ways the constructors below fill it in.
 type party struct {
 	role string // names the role in CannotHandle errors
 
@@ -27,12 +25,10 @@ type party struct {
 	// when it re-bootstraps from a snapshot.
 	sp    func() *core.ServiceProvider // capSP
 	te    func() *core.TrustedEntity   // capTE
-	tom   *tom.Provider                // capTOM, with owner
-	owner *tom.Owner
-	apply func(ops []wal.Op) error // capApply: one commit group per call
-	view  core.View                // capView
-	hub   *replica.Hub             // capHub
-	lc    *lifecycle               // capLifecycle
+	apply func(ops []wal.Op) error     // capApply: one commit group per call
+	view  core.View                    // capView
+	hub   *replica.Hub                 // capHub
+	lc    *lifecycle                   // capLifecycle
 
 	custom Handler // replaces the registry wholesale (Serve)
 }
@@ -45,8 +41,6 @@ func (p *party) has(c capability) bool {
 		return p.sp != nil
 	case capTE:
 		return p.te != nil
-	case capTOM:
-		return p.tom != nil
 	case capApply:
 		return p.apply != nil
 	case capView:
@@ -111,22 +105,6 @@ func ServeTE(addr string, te *core.TrustedEntity, logf func(string, ...any), opt
 		apply: func(ops []wal.Op) error { return te.ApplyBatchCtx(exec.NewContext(), ops) },
 	}, logf, opts)
 	return &TEServer{s}, err
-}
-
-// TOMServer exposes a TOM provider over TCP: queries answered with records
-// plus a serialized VO.
-type TOMServer struct{ *Server }
-
-// ServeTOM starts a TOM provider server on addr.
-func ServeTOM(addr string, provider *tom.Provider, owner *tom.Owner, logf func(string, ...any), opts ...ServerOption) (*TOMServer, error) {
-	s, err := serve(addr, party{
-		role:  "TOM provider",
-		tom:   provider,
-		owner: owner,
-		// One group: one lock pass and ONE owner re-sign for the batch.
-		apply: func(ops []wal.Op) error { return provider.ApplyBatchCtx(exec.NewContext(), ops, owner) },
-	}, logf, opts)
-	return &TOMServer{s}, err
 }
 
 // PrimaryServer exposes a whole durable shard — SP reads, TE tokens,
@@ -367,46 +345,6 @@ func serveAggToken(s *Server, l *lane, ids []uint32, qs []record.Range) error {
 	}
 	for qi, id := range ids {
 		l.reply(MsgAggToken, id, l.toks[qi].AppendTo)
-	}
-	return nil
-}
-
-// serveTOMQuery pushes MsgTOMQuery ranges through the TOM provider as one
-// unit: all VOs built and all heap runs served under one read-lock by
-// one streaming fetch. Each response is its record section followed by
-// its VO (built in a pooled shell), appended to the arena after the
-// serve so record spans never move.
-func serveTOMQuery(s *Server, l *lane, ids []uint32, qs []record.Range) error {
-	var vos []*mbtree.VO
-	err := l.records(len(qs), func(emit func(int, *record.Record) error) (err error) {
-		vos, err = s.party.tom.ServeBurstCtx(l.exec.Contexts(len(qs)), qs, &l.tomSc, emit)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	for qi, id := range ids {
-		off := len(l.resp)
-		l.resp = vos[qi].AppendTo(l.resp)
-		mbtree.PutVO(vos[qi])
-		l.respond(MsgTOMResult, id, l.sec.piece(qi), respPiece{off: off, end: len(l.resp)})
-	}
-	return nil
-}
-
-// serveTOMAggQuery answers MsgTOMAggQuery ranges with one read-lock pass
-// over the MB-Tree. Under TOM the aggregate VO IS the answer: the
-// client's replay against the owner-signed root produces the verified
-// scalar.
-func serveTOMAggQuery(s *Server, l *lane, ids []uint32, qs []record.Range) error {
-	vos, err := s.party.tom.ServeAggBurstCtx(l.exec.Contexts(len(qs)), qs, l.vos[:0])
-	l.vos = vos[:0]
-	if err != nil {
-		return err
-	}
-	for qi, id := range ids {
-		l.reply(MsgTOMAggResult, id, vos[qi].AppendTo)
-		mbtree.PutVO(vos[qi])
 	}
 	return nil
 }

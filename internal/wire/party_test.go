@@ -17,7 +17,6 @@ import (
 	"sae/internal/record"
 	"sae/internal/replica"
 	"sae/internal/shard"
-	"sae/internal/tom"
 	"sae/internal/workload"
 )
 
@@ -28,15 +27,12 @@ type roles struct {
 	ds  *workload.Dataset
 	sys *core.DurableSystem
 
-	refSP  *core.ServiceProvider
-	refTE  *core.TrustedEntity
-	refTOM *tom.Provider
-	owner  *tom.Owner
+	refSP *core.ServiceProvider
+	refTE *core.TrustedEntity
 
 	servedSP *core.ServiceProvider // the party behind sp (tamper hooks)
 	sp       *SPServer
 	te       *TEServer
-	tom      *TOMServer
 	primary  *PrimaryServer
 	replica  *ReplicaServer
 }
@@ -44,8 +40,7 @@ type roles struct {
 // addrs lists the servers by role name, in the matrix's column order.
 func (r *roles) addrs() []struct{ role, addr string } {
 	return []struct{ role, addr string }{
-		{"SP", r.sp.Addr()}, {"TE", r.te.Addr()}, {"TOM provider", r.tom.Addr()},
-		{"primary", r.primary.Addr()}, {"replica", r.replica.Addr()},
+		{"SP", r.sp.Addr()}, {"TE", r.te.Addr()}, {"primary", r.primary.Addr()}, {"replica", r.replica.Addr()},
 	}
 }
 
@@ -70,17 +65,7 @@ func launchRoles(t *testing.T, n int) *roles {
 		}
 		return te
 	}
-	if r.owner, err = tom.NewOwner(); err != nil {
-		t.Fatal(err)
-	}
-	newTOM := func() *tom.Provider {
-		p := tom.NewProvider(pagestore.NewMem())
-		if err := p.Load(ds.Records, r.owner); err != nil {
-			t.Fatalf("tom Load: %v", err)
-		}
-		return p
-	}
-	r.refSP, r.refTE, r.refTOM = newSP(), newTE(), newTOM()
+	r.refSP, r.refTE = newSP(), newTE()
 	r.servedSP = newSP()
 
 	if r.sp, err = ServeSP("127.0.0.1:0", r.servedSP, nil); err != nil {
@@ -91,10 +76,6 @@ func launchRoles(t *testing.T, n int) *roles {
 		t.Fatalf("ServeTE: %v", err)
 	}
 	t.Cleanup(func() { r.te.Close() })
-	if r.tom, err = ServeTOM("127.0.0.1:0", newTOM(), r.owner, nil); err != nil {
-		t.Fatalf("ServeTOM: %v", err)
-	}
-	t.Cleanup(func() { r.tom.Close() })
 
 	if r.sys, err = core.OpenDurableSystem(t.TempDir(), ds.Records, 16); err != nil {
 		t.Fatalf("opening durable system: %v", err)
@@ -160,32 +141,44 @@ func pipeline(t *testing.T, addr string, reqs []Frame, g int) []Frame {
 	return resps
 }
 
-// TestRoleFrameMatrix starts each of the five roles and sends every
+// TestRoleFrameMatrix starts each of the four roles and sends every
 // request frame in the registry, asserting served-vs-"cannot handle"
 // against the golden matrix below. A new frame cannot be silently
 // unserved, or served by a role that must not have it (a replica is
-// read-only: it must refuse every update frame).
+// read-only: it must refuse every update frame). The retired numbers are
+// refused by every role like any frame it lacks; the retired TOM query
+// frames 9 and 24 are checked by name as well.
 func TestRoleFrameMatrix(t *testing.T) {
 	r := launchRoles(t, 600)
-	// Columns: SP, TE, TOM provider, primary, replica.
-	golden := map[MsgType][5]bool{
-		MsgQuery:          {true, false, false, true, true},
-		MsgVTRequest:      {false, true, false, true, true},
-		MsgTOMQuery:       {false, false, true, false, false},
-		MsgShardMapReq:    {true, true, true, true, true},
-		MsgBatchInsert:    {true, true, true, true, false},
-		MsgBatchDelete:    {true, true, true, true, false},
-		MsgAggQuery:       {true, false, false, true, true},
-		MsgAggTokenReq:    {false, true, false, true, true},
-		MsgTOMAggQuery:    {false, false, true, false, false},
-		MsgGenStampReq:    {false, false, false, true, true},
-		MsgReplicaSnapReq: {false, false, false, true, false},
-		MsgReplicaPull:    {false, false, false, true, false},
-		MsgVerifiedQuery:  {false, false, false, true, true},
-		MsgPlanUpdate:     {false, false, false, true, false},
-		MsgFreeze:         {false, false, false, true, false},
-		MsgThaw:           {false, false, false, true, false},
-		MsgRetire:         {false, false, false, true, false},
+	// Columns: SP, TE, primary, replica.
+	golden := map[MsgType][4]bool{
+		MsgQuery:          {true, false, true, true},
+		MsgVTRequest:      {false, true, true, true},
+		MsgShardMapReq:    {true, true, true, true},
+		MsgBatchInsert:    {true, true, true, false},
+		MsgBatchDelete:    {true, true, true, false},
+		MsgAggQuery:       {true, false, true, true},
+		MsgAggTokenReq:    {false, true, true, true},
+		MsgGenStampReq:    {false, false, true, true},
+		MsgReplicaSnapReq: {false, false, true, false},
+		MsgReplicaPull:    {false, false, true, false},
+		MsgVerifiedQuery:  {false, false, true, true},
+		MsgPlanUpdate:     {false, false, true, false},
+		MsgFreeze:         {false, false, true, false},
+		MsgThaw:           {false, false, true, false},
+		MsgRetire:         {false, false, true, false},
+	}
+	// The retired TOM query frames, with the range payload they carried:
+	// every role refuses them by number, before looking at the payload.
+	q := EncodeRange(record.Range{Lo: 0, Hi: record.KeyDomain})
+	for _, n := range []MsgType{9, 24} {
+		for _, srv := range r.addrs() {
+			resp := pipeline(t, srv.addr, []Frame{{Type: n, Payload: q}}, 1)[0]
+			want := CannotHandle(srv.role, n).Error()
+			if resp.Type != MsgErr || string(resp.Payload) != want {
+				t.Errorf("%s ← retired frame %d: got %s %.80q, want %q", srv.role, n, FrameName(resp.Type), resp.Payload, want)
+			}
+		}
 	}
 	// Frames are sent with an empty payload: a role that serves the frame
 	// answers with a decode error (or a real answer), a role that lacks it
@@ -202,7 +195,7 @@ func TestRoleFrameMatrix(t *testing.T) {
 			if listed {
 				t.Errorf("%s is a frame no party serves but the matrix lists it", spec.Name)
 			}
-			want = [5]bool{}
+			want = [4]bool{}
 		} else if !listed {
 			t.Errorf("request frame %s (%d) is missing from the golden matrix", spec.Name, n)
 			continue

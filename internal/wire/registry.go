@@ -7,10 +7,9 @@ import (
 	"sae/internal/record"
 )
 
-// capability names one thing a party can do. A role — SP, TE, TOM
-// provider, primary, replica — is nothing but the set of capabilities its
-// party value has (see party.has); the registry says which one each
-// request frame needs.
+// capability names one thing a party can do. A role — SP, TE, primary,
+// replica — is nothing but the set of capabilities its party value has
+// (see party.has); the registry says which one each request frame needs.
 type capability uint8
 
 const (
@@ -18,7 +17,6 @@ const (
 	capShardMap                    // the shard attestation every party server carries
 	capSP                          // SP structures: B+-tree + heap file
 	capTE                          // TE structures: XB-Tree
-	capTOM                         // TOM provider + owner
 	capApply                       // apply(ops): a write path
 	capView                        // a ReadView: SP + TE at one commit boundary
 	capHub                         // a replication hub
@@ -61,49 +59,53 @@ type frameSpec struct {
 // Retired, never reused: 5-6 were the single-update frames MsgInsert and
 // MsgDelete, which a batch of one replaced; 11-14 were the
 // many-ranges-in-one-frame pairs MsgBatchQuery/MsgBatchResult and
-// MsgBatchVT/MsgBatchVTResult, which pipelined per-query frames replaced.
+// MsgBatchVT/MsgBatchVTResult, which pipelined per-query frames replaced;
+// 9-10, 17 and 24-26 carried networked TOM — its range query and
+// aggregate query with their answers, and the router's stitched
+// per-shard answers to both — which nothing deployed: TOM is the paper's
+// in-process cost baseline (package tom), not a second wire protocol.
 // Their empty rows hold the numbers, so a peer still sending one is
 // refused with CannotHandle instead of being answered as some newer frame.
 var frameRegistry = [...]frameSpec{
-	MsgQuery:               {Name: "Query", need: capSP, group: serveQuery},
-	MsgResult:              {Name: "Result"},
-	MsgVTRequest:           {Name: "VTRequest", need: capTE, group: serveVT},
-	MsgVT:                  {Name: "VT"},
-	5:                      {}, // retired
-	6:                      {}, // retired
-	MsgAck:                 {Name: "Ack"},
-	MsgErr:                 {Name: "Err"},
-	MsgTOMQuery:            {Name: "TOMQuery", need: capTOM, group: serveTOMQuery},
-	MsgTOMResult:           {Name: "TOMResult"},
-	11:                     {}, // retired
-	12:                     {}, // retired
-	13:                     {}, // retired
-	14:                     {}, // retired
-	MsgShardMapReq:         {Name: "ShardMapReq", need: capShardMap, own: serveShardMap},
-	MsgShardMap:            {Name: "ShardMap"},
-	MsgTOMShardedResult:    {Name: "TOMShardedResult"},
-	MsgBatchInsert:         {Name: "BatchInsert", need: capApply, own: serveWrite},
-	MsgBatchDelete:         {Name: "BatchDelete", need: capApply, own: serveWrite},
-	MsgAggQuery:            {Name: "AggQuery", need: capSP, group: serveAggQuery},
-	MsgAggResult:           {Name: "AggResult"},
-	MsgAggTokenReq:         {Name: "AggTokenReq", need: capTE, group: serveAggToken},
-	MsgAggToken:            {Name: "AggToken"},
-	MsgTOMAggQuery:         {Name: "TOMAggQuery", need: capTOM, group: serveTOMAggQuery},
-	MsgTOMAggResult:        {Name: "TOMAggResult"},
-	MsgTOMAggShardedResult: {Name: "TOMAggShardedResult"},
-	MsgGenStampReq:         {Name: "GenStampReq", need: capView, own: serveGenStamp},
-	MsgGenStamp:            {Name: "GenStamp"},
-	MsgReplicaSnapReq:      {Name: "ReplicaSnapReq", need: capHub, own: serveReplicaSnap},
-	MsgReplicaSnap:         {Name: "ReplicaSnap"},
-	MsgReplicaPull:         {Name: "ReplicaPull", need: capHub, own: serveReplicaPull},
-	MsgReplicaGroups:       {Name: "ReplicaGroups"},
-	MsgVerifiedQuery:       {Name: "VerifiedQuery", need: capView, span: true, group: serveVerified},
-	MsgVerifiedResult:      {Name: "VerifiedResult"},
-	MsgPlanUpdate:          {Name: "PlanUpdate", need: capLifecycle, own: servePlanUpdate},
-	MsgFreeze:              {Name: "Freeze", need: capLifecycle, own: serveFreeze},
-	MsgThaw:                {Name: "Thaw", need: capLifecycle, own: serveThaw},
-	MsgRetire:              {Name: "Retire", need: capLifecycle, own: serveRetire},
-	MsgReshardCutover:      {Name: "ReshardCutover"}, // a router's custom Handler answers it
+	MsgQuery:          {Name: "Query", need: capSP, group: serveQuery},
+	MsgResult:         {Name: "Result"},
+	MsgVTRequest:      {Name: "VTRequest", need: capTE, group: serveVT},
+	MsgVT:             {Name: "VT"},
+	5:                 {}, // retired
+	6:                 {}, // retired
+	MsgAck:            {Name: "Ack"},
+	MsgErr:            {Name: "Err"},
+	9:                 {}, // retired
+	10:                {}, // retired
+	11:                {}, // retired
+	12:                {}, // retired
+	13:                {}, // retired
+	14:                {}, // retired
+	MsgShardMapReq:    {Name: "ShardMapReq", need: capShardMap, own: serveShardMap},
+	MsgShardMap:       {Name: "ShardMap"},
+	17:                {}, // retired
+	MsgBatchInsert:    {Name: "BatchInsert", need: capApply, own: serveWrite},
+	MsgBatchDelete:    {Name: "BatchDelete", need: capApply, own: serveWrite},
+	MsgAggQuery:       {Name: "AggQuery", need: capSP, group: serveAggQuery},
+	MsgAggResult:      {Name: "AggResult"},
+	MsgAggTokenReq:    {Name: "AggTokenReq", need: capTE, group: serveAggToken},
+	MsgAggToken:       {Name: "AggToken"},
+	24:                {}, // retired
+	25:                {}, // retired
+	26:                {}, // retired
+	MsgGenStampReq:    {Name: "GenStampReq", need: capView, own: serveGenStamp},
+	MsgGenStamp:       {Name: "GenStamp"},
+	MsgReplicaSnapReq: {Name: "ReplicaSnapReq", need: capHub, own: serveReplicaSnap},
+	MsgReplicaSnap:    {Name: "ReplicaSnap"},
+	MsgReplicaPull:    {Name: "ReplicaPull", need: capHub, own: serveReplicaPull},
+	MsgReplicaGroups:  {Name: "ReplicaGroups"},
+	MsgVerifiedQuery:  {Name: "VerifiedQuery", need: capView, span: true, group: serveVerified},
+	MsgVerifiedResult: {Name: "VerifiedResult"},
+	MsgPlanUpdate:     {Name: "PlanUpdate", need: capLifecycle, own: servePlanUpdate},
+	MsgFreeze:         {Name: "Freeze", need: capLifecycle, own: serveFreeze},
+	MsgThaw:           {Name: "Thaw", need: capLifecycle, own: serveThaw},
+	MsgRetire:         {Name: "Retire", need: capLifecycle, own: serveRetire},
+	MsgReshardCutover: {Name: "ReshardCutover"}, // a router's custom Handler answers it
 }
 
 // FrameName returns the registered name of a message type, for logs and

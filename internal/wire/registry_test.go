@@ -16,7 +16,8 @@ import (
 // response row not at all.
 func TestFrameRegistryDense(t *testing.T) {
 	byName := map[string]MsgType{}
-	retired := map[MsgType]bool{5: true, 6: true, 11: true, 12: true, 13: true, 14: true}
+	retired := map[MsgType]bool{5: true, 6: true, 9: true, 10: true, 11: true, 12: true, 13: true, 14: true,
+		17: true, 24: true, 25: true, 26: true}
 	max := MsgType(len(frameRegistry) - 1)
 	for n := MsgType(1); n <= max; n++ {
 		e := frameRegistry[n]

@@ -12,7 +12,6 @@ import (
 	"sae/internal/digest"
 	"sae/internal/pagestore"
 	"sae/internal/record"
-	"sae/internal/tom"
 	"sae/internal/workload"
 )
 
@@ -255,50 +254,6 @@ func TestNetworkedTamperDetection(t *testing.T) {
 	defer client.Close()
 	if _, err := client.Query(q); !errors.Is(err, core.ErrVerificationFailed) {
 		t.Fatalf("networked drop attack not detected: %v", err)
-	}
-}
-
-func TestNetworkedTOM(t *testing.T) {
-	ds, err := workload.Generate(workload.UNF, 3000, 60)
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	owner, err := tom.NewOwner()
-	if err != nil {
-		t.Fatal(err)
-	}
-	provider := tom.NewProvider(pagestore.NewMem())
-	if err := provider.Load(ds.Records, owner); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := ServeTOM("127.0.0.1:0", provider, owner, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	client, err := DialVerifyingTOM(srv.Addr(), owner.Verifier())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	q := workload.Queries(1, workload.DefaultExtent, 61)[0]
-	recs, err := client.Query(q)
-	if err != nil {
-		t.Fatalf("TOM networked query: %v", err)
-	}
-	want := 0
-	for i := range ds.Records {
-		if q.Contains(ds.Records[i].Key) {
-			want++
-		}
-	}
-	if len(recs) != want {
-		t.Fatalf("got %d records, want %d", len(recs), want)
-	}
-	// VO bytes on the wire dwarf the SAE token.
-	if client.BytesReceived() < 1000 {
-		t.Fatalf("TOM response suspiciously small: %d bytes", client.BytesReceived())
 	}
 }
 
