@@ -75,8 +75,9 @@ func BenchmarkTEIndexAblation(b *testing.B) {
 
 // BenchmarkBufferPoolAblation measures how the SAE SP's decoded-node
 // cache, run as a conventional buffer pool (hits are free), absorbs the
-// repeated upper-level node reads of a query stream. Headline experiments
-// charge every access instead, because the paper does.
+// repeated B+-tree node reads of a query stream. The heap file's pages
+// are never cached, so every configuration reads them all. Headline
+// experiments charge every access instead, because the paper does.
 func BenchmarkBufferPoolAblation(b *testing.B) {
 	ds, err := workload.Generate(workload.UNF, benchN, 1)
 	if err != nil {

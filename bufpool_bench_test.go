@@ -11,7 +11,9 @@
 //
 // The accesses/op metric makes the accounting contract visible: it must
 // be identical between "uncached" and "charge-all", and collapse under
-// "charge-misses".
+// "charge-misses" to the index nodes that miss plus, for the SP queries,
+// every heap page: the heap file is never cached, so its pages always
+// count as reads.
 package sae
 
 import (

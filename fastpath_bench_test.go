@@ -8,7 +8,7 @@
 // "seed" variants reproduce the exact pre-fastpath pipeline (decode the
 // wire payload into records, re-serialize each record to hash it, grow
 // fresh result/frame buffers per query); "fast" variants run the new
-// chain (pinned-page streaming into pooled frames, in-place SHA-NI
+// chain (heap-page byte runs copied into pooled frames, in-place SHA-NI
 // hashing of wire bytes). Worker-suffixed variants fan the crypto out —
 // on a single-core container they measure the pool's overhead, not a
 // speedup; see BENCH_fastpath.json for the recorded numbers.
@@ -147,7 +147,7 @@ func BenchmarkClientVerify(b *testing.B) {
 // record range: what it costs to turn a query into response-frame bytes.
 // The seed variant materializes the result slice and EncodeRecords it
 // into a fresh payload (the pre-fastpath server); the fast variant
-// streams borrowed records from pinned pages into one reused frame
+// copies the heap pages' borrowed record runs into one reused frame
 // buffer. Compare allocs/op — the acceptance target is a ≥5x reduction.
 func BenchmarkSPServe(b *testing.B) {
 	f := getFixture(b, workload.UNF)
@@ -177,8 +177,8 @@ func BenchmarkSPServe(b *testing.B) {
 		qs := []record.Range{q}
 		for i := 0; i < b.N; i++ {
 			frame = append(frame[:0], 0, 0, 0, 0)
-			err := f.sae.SP.ServeBurstCtx(lane.Contexts(1), qs, &sc, func(_ int, r *record.Record) error {
-				frame = r.AppendBinary(frame)
+			err := f.sae.SP.ServeBurstCtx(lane.Contexts(1), qs, &sc, func(_ int, enc []byte) error {
+				frame = append(frame, enc...)
 				return nil
 			})
 			if err != nil {

@@ -1,16 +1,18 @@
 // Package bufpool is the shared buffer-management layer between the page
-// stores and the four page-backed structures built on them (B+-tree,
-// MB-Tree, XB-Tree, heap file).
+// stores and the page-backed structures built on them.
 //
 // It provides two things:
 //
 //   - a process-wide sync.Pool of 4096-byte page buffers (GetPage/PutPage)
 //     that removes the per-access buffer churn from every read and write
 //     path, and
-//   - Cache, a sharded, generation-stamped LRU of *decoded* nodes keyed by
-//     PageID. A hit skips both the Store.Read copy and the node decode —
-//     the two costs that dominate wall-clock time on top of the paper's
-//     simulated 10 ms/node-access charge.
+//   - Cache, a sharded, generation-stamped LRU of *decoded* index nodes
+//     (B+-tree, MB-Tree, XB-Tree) keyed by PageID. A hit skips both the
+//     Store.Read copy and the node decode — the two costs that dominate
+//     wall-clock time on top of the paper's simulated 10 ms/node-access
+//     charge. The heap file is not cached: its pages already hold records
+//     in their wire encoding, and it serves them from the store's own
+//     page bytes (pagestore.Store.Borrow).
 //
 // Because the paper's experiments charge every node access, the cache
 // supports two charge policies. ChargeAllAccesses keeps the node-access
@@ -41,41 +43,35 @@ import (
 const numShards = 16
 
 // DefaultCapacity is the default total number of decoded nodes retained
-// across all shards. It is sized to hold the full page working set of a
-// 100K-record deployment (~12.8K heap pages plus index nodes, roughly
-// 70 MB decoded); an LRU whose capacity trails the working set thrashes —
-// every miss pays decode + insert + evict — so callers indexing much
-// larger datasets should size the cache to their hot set explicitly.
-const DefaultCapacity = 16384
+// across all shards. It holds the index working set of a party with up to
+// ~100K records: the densest index built here, the XB-Tree, has ~850
+// nodes at that size (the SP's B+-tree ~250, TOM's MB-Tree ~750). An LRU
+// whose capacity trails the working set thrashes — every miss pays
+// decode + insert + evict — so callers indexing larger datasets size the
+// cache with CapacityFor.
+const DefaultCapacity = 1024
 
-// CapacityFor returns a decoded-node cache capacity sized to the page
-// working set of a deployment holding `records` records, so callers can
-// size a party's cache from its dataset (or, under sharding, from its
+// CapacityFor returns a decoded-node cache capacity sized to the index
+// working set of a party holding `records` records, so callers can size
+// a party's cache from its dataset (or, under sharding, from its
 // partition's cardinality) instead of the flat DefaultCapacity.
 //
-// The working set is dominated by the clustered heap file (500-byte
-// records, 8 per 4096-byte page) plus the leaf level of the densest index
-// built here (the XB-Tree at ~120 entries per leaf; the B+-tree packs
-// ~3x more). Inner nodes are a rounding error at those fanouts. A 25%
-// headroom absorbs post-load insertions and the tuple-list pages the
-// XB-Tree keeps beside its nodes. The floor keeps tiny partitions from
-// degenerating to per-shard caches that cannot hold even one query's
-// working set.
+// The working set is the leaf level of the densest index built here (the
+// XB-Tree at ~120 entries per leaf; the MB-Tree packs 136 and the
+// B+-tree ~3x more) plus its inner nodes, a rounding error at that
+// fanout. A 25% headroom absorbs post-load insertions and splits. The
+// floor keeps tiny partitions from degenerating to per-shard caches that
+// cannot hold even one query's path.
 func CapacityFor(records int) int {
 	const (
-		recordsPerHeapPage = 8   // 500-byte records in 4096-byte pages (heapfile.RecordsPerPage)
-		minLeafFanout      = 120 // densest leaf layout (xbtree LeafCapacity; mbtree packs 136)
-		floor              = 1024
+		minLeafFanout = 120 // densest leaf layout (xbtree LeafCapacity; mbtree packs 136)
+		floor         = 1024
 	)
-	heap := (records + recordsPerHeapPage - 1) / recordsPerHeapPage
 	leaves := records/minLeafFanout + 1
 	inner := leaves/minLeafFanout + 1
-	c := heap + leaves + inner
+	c := leaves + inner
 	c += c / 4
-	if c < floor {
-		c = floor
-	}
-	return c
+	return max(c, floor)
 }
 
 // ChargePolicy controls how decoded-cache hits interact with the paper's
@@ -129,11 +125,6 @@ type shard struct {
 type cnode struct {
 	id pagestore.PageID
 	v  any
-	// pins counts borrowers currently slicing the decoded node (the
-	// zero-copy serve path); a pinned node is never evicted, so a borrowed
-	// record cannot have its backing page recycled out from under the
-	// borrow window. Guarded by the shard mutex.
-	pins int
 }
 
 // New returns a cache holding up to capacity decoded nodes under the
@@ -180,79 +171,6 @@ func (c *Cache) get(id pagestore.PageID) (v any, gen uint64, ok bool) {
 	s.mu.Unlock()
 	c.misses.Add(1)
 	return nil, gen, false
-}
-
-// getPin is get plus a pin taken under the same lock on a hit, so the
-// entry cannot be evicted between lookup and borrow.
-func (c *Cache) getPin(id pagestore.PageID) (v any, gen uint64, ok bool) {
-	s := c.shardFor(id)
-	s.mu.Lock()
-	if el, hit := s.byID[id]; hit {
-		s.lru.MoveToFront(el)
-		cn := el.Value.(*cnode)
-		cn.pins++
-		v = cn.v
-		s.mu.Unlock()
-		c.hits.Add(1)
-		return v, 0, true
-	}
-	gen = s.gen.current(id)
-	s.mu.Unlock()
-	c.misses.Add(1)
-	return nil, gen, false
-}
-
-// fillPinned is fill plus a pin on whatever entry ends up holding v. It
-// reports whether a pin was taken: a fill dropped for staleness leaves
-// nothing to pin (the caller keeps using its private decoded node, which
-// needs no protection).
-func (c *Cache) fillPinned(id pagestore.PageID, gen uint64, v any) bool {
-	s := c.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.gen.stale(id, gen) {
-		return false
-	}
-	if el, ok := s.byID[id]; ok {
-		cn := el.Value.(*cnode)
-		cn.v = v
-		cn.pins++
-		s.lru.MoveToFront(el)
-		return true
-	}
-	s.insert(c, id, v).pins++
-	return true
-}
-
-// Unpin releases one pin on id. Unpinning a page that was invalidated (or
-// evicted by an Invalidate) while borrowed is a no-op: the borrower's
-// decoded node stays alive through its own reference.
-func (c *Cache) Unpin(id pagestore.PageID) {
-	s := c.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.byID[id]; ok {
-		if cn := el.Value.(*cnode); cn.pins > 0 {
-			cn.pins--
-		}
-	}
-}
-
-// PinnedCount returns the number of currently pinned nodes (tests and
-// leak diagnostics: every serve must return it to zero).
-func (c *Cache) PinnedCount() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for el := s.lru.Front(); el != nil; el = el.Next() {
-			if el.Value.(*cnode).pins > 0 {
-				n++
-			}
-		}
-		s.mu.Unlock()
-	}
-	return n
 }
 
 // genOf returns the page's current generation (the cold fallback for a
@@ -311,29 +229,15 @@ func (c *Cache) Invalidate(id pagestore.PageID) {
 	}
 }
 
-// insert adds a fresh entry, evicting the least-recently-used unpinned
-// entries from the shard's LRU tail on overflow. If every resident entry
-// is pinned the shard temporarily overflows its capacity instead — a
-// borrow window is short (one serve call) and never spans more than a
-// handful of pages per request, so the overshoot is bounded by the number
-// of in-flight requests. Caller holds s.mu.
-func (s *shard) insert(c *Cache, id pagestore.PageID, v any) *cnode {
-	cn := &cnode{id: id, v: v}
-	s.byID[id] = s.lru.PushFront(cn)
-	for el := s.lru.Back(); el != nil && s.lru.Len() > s.capacity; {
-		prev := el.Prev()
-		// Never evict the entry being inserted: under all-pinned pressure
-		// it is the only unpinned one, and evicting it would orphan the
-		// pin fillPinned is about to take (a later Unpin could then
-		// release a different borrower's pin on a refilled entry).
-		if old := el.Value.(*cnode); old != cn && old.pins == 0 {
-			s.lru.Remove(el)
-			delete(s.byID, old.id)
-			c.evictions.Add(1)
-		}
-		el = prev
+// insert adds a fresh entry, evicting from the shard's LRU tail on
+// overflow. Caller holds s.mu.
+func (s *shard) insert(c *Cache, id pagestore.PageID, v any) {
+	s.byID[id] = s.lru.PushFront(&cnode{id: id, v: v})
+	for s.lru.Len() > s.capacity {
+		old := s.lru.Remove(s.lru.Back()).(*cnode)
+		delete(s.byID, old.id)
+		c.evictions.Add(1)
 	}
-	return cn
 }
 
 // Len returns the number of decoded nodes currently cached.

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"sae/internal/exec"
 	"sae/internal/pagestore"
 )
 
@@ -179,6 +180,35 @@ func TestEviction(t *testing.T) {
 	}
 }
 
+// TestScanSkipsFill: a miss inside a declared scan section is read and
+// charged but not admitted, so a long leaf-chain walk cannot flush the
+// hot set; the same miss outside a scan is admitted.
+func TestScanSkipsFill(t *testing.T) {
+	io, counting, ids := newTestIO(t, 64, ChargeAllAccesses, 4)
+	io.SetCache(New(64, ChargeAllAccesses)) // cold: the writes above filled the old one
+	ctx := exec.NewContext()
+	ctx.BeginScan()
+	before := counting.Stats().Reads
+	for _, id := range ids {
+		if _, err := ReadNode(io, ctx, id, decodeVal); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := counting.Stats().Reads - before; got != int64(len(ids)) || ctx.Stats().Reads != int64(len(ids)) {
+		t.Fatalf("scan reads charged %d (ctx %d), want %d", got, ctx.Stats().Reads, len(ids))
+	}
+	if n := io.Cache().Len(); n != 0 {
+		t.Fatalf("a scan admitted %d nodes, want 0", n)
+	}
+	ctx.EndScan()
+	if _, err := ReadNode(io, ctx, ids[0], decodeVal); err != nil {
+		t.Fatal(err)
+	}
+	if n := io.Cache().Len(); n != 1 {
+		t.Fatalf("a read after the scan admitted %d nodes, want 1", n)
+	}
+}
+
 func TestStatsInvariantHitsPlusMissesEqualsReads(t *testing.T) {
 	io, _, ids := newTestIO(t, 8, ChargeAllAccesses, 32)
 	const reads = 1000
@@ -327,24 +357,31 @@ func TestStatsString(t *testing.T) {
 	}
 }
 
-// TestCapacityForCoversPaperGrid: the derived capacity covers the page
+// TestCapacityForCoversPaperGrid: the derived capacity covers the index
 // working set at every cardinality of the paper's experiment grid — in
-// particular the 1M-record point, whose ~125K heap pages dwarf
-// DefaultCapacity (the thrash the ROADMAP flagged).
+// particular the 1M-record point, whose ~8.4K XB-Tree leaves dwarf
+// DefaultCapacity — while DefaultCapacity itself covers a 100K-record
+// party.
 func TestCapacityForCoversPaperGrid(t *testing.T) {
+	// Working set mirror of the storage constants: the XB-Tree, the
+	// densest index, packs 120 entries per leaf and 65 per inner node.
+	workingSet := func(n int) int {
+		leaves := (n + 119) / 120
+		return leaves + leaves/65 + 2
+	}
 	for _, n := range []int{100_000, 250_000, 500_000, 1_000_000} {
-		// Working set mirrors of the storage constants: 8 records per heap
-		// page, >=136 entries per index leaf.
-		heapPages := (n + 7) / 8
-		leafPages := n/136 + 1
+		ws := workingSet(n)
 		got := CapacityFor(n)
-		if got < heapPages+leafPages {
-			t.Fatalf("CapacityFor(%d) = %d, below the %d-page working set", n, got, heapPages+leafPages)
+		if got < ws {
+			t.Fatalf("CapacityFor(%d) = %d, below the %d-node working set", n, got, ws)
 		}
 		// Sanity: sized, not unbounded (within 2x of the working set).
-		if got > 2*(heapPages+leafPages)+DefaultCapacity {
+		if got > 2*ws+DefaultCapacity {
 			t.Fatalf("CapacityFor(%d) = %d, absurdly above the working set", n, got)
 		}
+	}
+	if ws := workingSet(100_000); DefaultCapacity < ws {
+		t.Fatalf("DefaultCapacity %d is below a 100K-record party's %d-node working set", DefaultCapacity, ws)
 	}
 	if CapacityFor(1_000_000) <= DefaultCapacity {
 		t.Fatal("CapacityFor(1M) does not exceed DefaultCapacity: the 1M grid would still thrash")

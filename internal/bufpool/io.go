@@ -6,8 +6,8 @@ import (
 )
 
 // IO couples a page store with an optional decoded-node cache. It is the
-// common read/write path shared by the B+-tree, MB-Tree, XB-Tree and heap
-// file: each structure supplies its own decode/encode functions and gets
+// common read/write path shared by the B+-tree, MB-Tree and XB-Tree: each
+// structure supplies its own decode/encode functions and gets
 // pooled page buffers, write-through caching and charge-policy accounting
 // for free.
 //
@@ -84,17 +84,6 @@ func (io *IO) Free(ctx *exec.Context, id pagestore.PageID) error {
 	return err
 }
 
-// ReadRaw reads a page directly from the store, bypassing the decoded
-// cache, and charges the request. Structures whose uncached fast path
-// decodes only part of a page (the heap file's single-slot reads) use it.
-func (io *IO) ReadRaw(ctx *exec.Context, id pagestore.PageID, buf []byte) error {
-	if err := io.store.Read(id, buf); err != nil {
-		return err
-	}
-	ctx.AccountRead()
-	return nil
-}
-
 // ReadNode returns the decoded node for page id, consulting the cache
 // first. On a miss the page is read into a pooled buffer, decoded, and
 // the decoded node installed (generation-checked, so a concurrent write
@@ -136,81 +125,6 @@ func ReadNode[N any](io *IO, ctx *exec.Context, id pagestore.PageID, decode func
 		c.fill(id, gen, n)
 	}
 	return n, nil
-}
-
-// ReadNodePinned is ReadNode with a pin taken on the cached entry, for
-// callers that borrow slices of the decoded node (the zero-copy serve
-// path) instead of copying out of it. It reports whether a pin was taken;
-// when pinned is true the caller must call io.Cache().Unpin(id) once the
-// borrow ends. pinned is false when the node never entered the cache (no
-// cache attached, a scan-section fill skip, or a fill dropped for
-// staleness) — the caller then holds the only reference and needs no pin.
-//
-// The borrow discipline is unchanged from ReadNode: borrowed slices are
-// only valid while the structure's read lock is held, because writers
-// mutate decoded nodes in place under the write lock. The pin additionally
-// guarantees the entry survives concurrent readers' LRU pressure, so a
-// long encode cannot have its working set evicted and re-decoded
-// mid-serve.
-func ReadNodePinned[N any](io *IO, ctx *exec.Context, id pagestore.PageID, decode func([]byte) N) (n N, pinned bool, err error) {
-	c := io.cache
-	if c == nil {
-		n, err = readNodeDirect(io, ctx, id, decode)
-		return n, false, err
-	}
-	v, gen, ok := c.getPin(id)
-	if ok {
-		if typed, isN := v.(N); isN {
-			if err := io.chargeHit(ctx, id); err != nil {
-				c.Unpin(id)
-				var zero N
-				return zero, false, err
-			}
-			return typed, true, nil
-		}
-		c.Unpin(id)
-		gen = c.genOf(id)
-	}
-	buf := GetPage()
-	defer PutPage(buf)
-	if err := io.store.Read(id, buf[:]); err != nil {
-		var zero N
-		return zero, false, err
-	}
-	ctx.AccountRead()
-	n = decode(buf[:])
-	if !ctx.Scanning() {
-		pinned = c.fillPinned(id, gen, n)
-	}
-	return n, pinned, nil
-}
-
-// TryPinned returns the cached decoded node for id, pinned, WITHOUT
-// touching the store on a miss. The long-scan serve tail uses it: a
-// resident page is served (and charged) exactly like any cache hit, and
-// only a true miss falls back to the caller's raw page read — so the
-// scan tail neither re-reads resident pages nor charges accesses a
-// cached GetMany would not have charged.
-func TryPinned[N any](io *IO, ctx *exec.Context, id pagestore.PageID) (n N, ok bool, err error) {
-	c := io.cache
-	if c == nil {
-		return n, false, nil
-	}
-	v, _, hit := c.getPin(id)
-	if !hit {
-		return n, false, nil
-	}
-	typed, isN := v.(N)
-	if !isN {
-		c.Unpin(id)
-		return n, false, nil
-	}
-	if err := io.chargeHit(ctx, id); err != nil {
-		c.Unpin(id)
-		var zero N
-		return zero, false, err
-	}
-	return typed, true, nil
 }
 
 func readNodeDirect[N any](io *IO, ctx *exec.Context, id pagestore.PageID, decode func([]byte) N) (N, error) {

@@ -32,30 +32,33 @@ type BurstScratch struct {
 	his   []record.Key
 }
 
-// ServeBurstCtx serves a burst of range queries through the zero-copy
-// path: qs[qi] runs under ctxs[qi], and emit(qi, r) receives query qi's
-// records in key order, query by query, each as a pointer borrowed from
-// the pinned decoded heap page. emit must not retain the pointer after
-// returning: the borrow is valid only for the duration of the call (the
-// record aliases a cached page that updates may rewrite once the read
-// lock is released). The whole burst holds the SP read lock once, plans
-// all descents into sc's shared arena, and serves every heap run through
-// one heapfile.ServeBurstCtx call. A tampering SP falls back to the
-// materializing per-query path so attack experiments behave identically
-// on every entry point. An error aborts the burst (callers that need
-// per-query error isolation re-serve as bursts of one; the wire server
-// does).
-func (sp *ServiceProvider) ServeBurstCtx(ctxs []*exec.Context, qs []record.Range, sc *BurstScratch, emit func(int, *record.Record) error) error {
+// ServeBurstCtx serves a burst of range queries straight from the heap
+// file's page bytes: qs[qi] runs under ctxs[qi], and emit(qi, enc)
+// receives query qi's records in key order, query by query, as runs of
+// back-to-back canonical encodings (len(enc) is a multiple of
+// record.Size; a clustered result is one run per heap page). enc is
+// borrowed from the page itself and valid only for the duration of the
+// call: updates rewrite pages in place once the read lock is released,
+// so emit copies what it keeps. The whole burst holds the SP read lock
+// once, plans all descents into sc's shared arena, and serves every heap
+// run through one heapfile.ServeBurstCtx call. A tampering SP falls back
+// to the materializing per-query path, encoding each record it returns,
+// so attack experiments behave identically on every entry point. An
+// error aborts the burst (callers that need per-query error isolation
+// re-serve as bursts of one; the wire server does).
+func (sp *ServiceProvider) ServeBurstCtx(ctxs []*exec.Context, qs []record.Range, sc *BurstScratch, emit func(qi int, enc []byte) error) error {
 	sp.mu.RLock()
 	defer sp.mu.RUnlock()
 	if sp.tamper != nil {
+		var enc []byte
 		for qi := range qs {
 			recs, _, err := sp.queryLocked(ctxs[qi], qs[qi])
 			if err != nil {
 				return err
 			}
 			for i := range recs {
-				if err := emit(qi, &recs[i]); err != nil {
+				enc = recs[i].AppendBinary(enc[:0])
+				if err := emit(qi, enc); err != nil {
 					return err
 				}
 			}
@@ -111,7 +114,7 @@ type View func(f func(seq uint64, sp *ServiceProvider, te *TrustedEntity) error)
 // vts and the returned generation stamp all describe the same group
 // sequence, even while a concurrent write burst is advancing the system.
 // Query qi's SP scan and TE descent are both charged to ctxs[qi].
-func (v View) ServeBurst(ctxs []*exec.Context, qs []record.Range, sc *BurstScratch, vts []digest.Digest, emit func(int, *record.Record) error) (seq uint64, err error) {
+func (v View) ServeBurst(ctxs []*exec.Context, qs []record.Range, sc *BurstScratch, vts []digest.Digest, emit func(qi int, enc []byte) error) (seq uint64, err error) {
 	err = v(func(s uint64, sp *ServiceProvider, te *TrustedEntity) error {
 		seq = s
 		if err := sp.ServeBurstCtx(ctxs, qs, sc, emit); err != nil {
@@ -125,16 +128,18 @@ func (v View) ServeBurst(ctxs []*exec.Context, qs []record.Range, sc *BurstScrat
 // ServeVerified is ServeBurst at n = 1 with a fresh request context: a
 // client (or router) that receives the (records, token, stamp) triple
 // can verify the records against the token with the ordinary XOR check
-// and knows exactly which generation it is looking at.
+// and knows exactly which generation it is looking at. Each record is
+// decoded into one scratch record, which emit must not retain.
 func (v View) ServeVerified(q record.Range, emit func(*record.Record) error) (n int, vt digest.Digest, seq uint64, err error) {
 	var (
 		vts [1]digest.Digest
 		sc  BurstScratch
+		r   record.Record
 	)
 	seq, err = v.ServeBurst([]*exec.Context{exec.NewContext()}, []record.Range{q}, &sc, vts[:],
-		func(_ int, r *record.Record) error {
-			n++
-			return emit(r)
+		func(_ int, enc []byte) error {
+			n += len(enc) / record.Size
+			return record.EachEncoded(enc, &r, emit)
 		})
 	if err != nil {
 		return 0, digest.Zero, 0, err

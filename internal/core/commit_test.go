@@ -2,6 +2,7 @@ package core
 
 import (
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -231,12 +232,13 @@ func TestConcurrentWritersVerifiedViewReaders(t *testing.T) {
 			defer readers.Done()
 			const n = 4
 			var (
-				ctxs  = make([]*exec.Context, n)
-				burst = make([]record.Range, n)
-				recs  = make([][]record.Record, n)
-				vts   [n]digest.Digest
-				sc    BurstScratch
-				last  uint64
+				ctxs    = make([]*exec.Context, n)
+				burst   = make([]record.Range, n)
+				recs    = make([][]record.Record, n)
+				vts     [n]digest.Digest
+				sc      BurstScratch
+				scratch record.Record
+				last    uint64
 			)
 			for i := 0; ; i++ {
 				select {
@@ -249,9 +251,11 @@ func TestConcurrentWritersVerifiedViewReaders(t *testing.T) {
 					ctxs[j] = exec.NewContext()
 					recs[j] = recs[j][:0]
 				}
-				seq, err := view.ServeBurst(ctxs, burst, &sc, vts[:], func(qi int, rec *record.Record) error {
-					recs[qi] = append(recs[qi], *rec)
-					return nil
+				seq, err := view.ServeBurst(ctxs, burst, &sc, vts[:], func(qi int, enc []byte) error {
+					return record.EachEncoded(enc, &scratch, func(r *record.Record) error {
+						recs[qi] = append(recs[qi], *r)
+						return nil
+					})
 				})
 				if err != nil {
 					t.Errorf("reader %d: %v", r, err)
@@ -306,5 +310,85 @@ func TestConcurrentWritersVerifiedViewReaders(t *testing.T) {
 	out, err := sys.Query(record.Range{Lo: 0, Hi: record.KeyDomain})
 	if err != nil || out.VerifyErr != nil {
 		t.Fatalf("final verified query: %v / %v", err, out.VerifyErr)
+	}
+}
+
+// TestViewReadersRaceTailPageWrites races verified bursts against appends
+// and deletes that rewrite the heap's tail page in place. Every insert
+// lands on the tail page and every delete here tombstones a slot there,
+// inside the range the readers query, so the readers' served bytes are
+// borrowed from exactly the page the writers rewrite: under -race, a
+// serve that read page bytes outside the commit lock would be reported,
+// and every burst's answer must verify against its token.
+func TestViewReadersRaceTailPageWrites(t *testing.T) {
+	sys, err := OpenDurableSystem(t.TempDir(), durableDataset(t, 2000), 16)
+	if err != nil {
+		t.Fatalf("OpenDurableSystem: %v", err)
+	}
+	defer sys.Close()
+	view := sys.View()
+	q := record.Range{Lo: 4_000_000, Hi: 4_100_000}
+	base, _, _, err := view.ServeVerified(q, func(*record.Record) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	seen := make([]int, 3)
+	for r := range seen {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			vp := NewVerifyPool(1)
+			lane := exec.NewLane(r)
+			qs := []record.Range{q, {Lo: q.Lo + 50_000, Hi: q.Hi}}
+			encs := make([][]byte, len(qs))
+			vts := make([]digest.Digest, len(qs))
+			var sc BurstScratch
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i := range encs {
+					encs[i] = encs[i][:0]
+				}
+				_, err := view.ServeBurst(lane.Contexts(len(qs)), qs, &sc, vts,
+					func(qi int, enc []byte) error {
+						encs[qi] = append(encs[qi], enc...)
+						return nil
+					})
+				if err != nil {
+					t.Errorf("reader %d: %v", r, err)
+					return
+				}
+				if _, err := vp.VerifyEncodedBurst(qs, encs, vts, nil); err != nil {
+					t.Errorf("reader %d: %v", r, err)
+					return
+				}
+				seen[r] = max(seen[r], len(encs[0])/record.Size)
+			}
+		}(r)
+	}
+
+	for i := 0; i < 40; i++ {
+		keys := make([]record.Key, 3)
+		for k := range keys {
+			keys[k] = q.Lo + record.Key((i*3+k)*997%100_000)
+		}
+		ins, err := sys.InsertBatch(keys)
+		if err != nil {
+			t.Fatalf("insert: %v", err)
+		}
+		if err := sys.DeleteBatch(idsOf(ins[1:2])); err != nil {
+			t.Fatalf("delete: %v", err)
+		}
+	}
+	close(stop)
+	readers.Wait()
+	if slices.Max(seen) <= base {
+		t.Fatalf("no reader saw an appended record (largest answer %d, base %d)", slices.Max(seen), base)
 	}
 }

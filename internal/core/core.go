@@ -84,7 +84,7 @@ func ModifyTamper(i int) Tamper {
 type ServiceProvider struct {
 	mu        sync.RWMutex
 	store     *pagestore.Counting
-	cache     *bufpool.Cache // decoded-node cache shared by heap + index; may be nil
+	cache     *bufpool.Cache // decoded B+-tree node cache; may be nil (the heap is uncached)
 	heap      *heapfile.File
 	index     *bptree.Tree
 	byID      map[record.ID]heapfile.RID // catalog for update routing
@@ -93,9 +93,11 @@ type ServiceProvider struct {
 }
 
 // NewServiceProvider returns an SP backed by the given page store. A
-// decoded-node cache in charge-every-access mode is attached by default,
-// so wall-clock time drops while the paper's node-access accounting stays
-// exact; use ConfigureCache to resize, change policy, or disable it.
+// decoded-node cache for the B+-tree in charge-every-access mode is
+// attached by default, so wall-clock time drops while the paper's
+// node-access accounting stays exact; use ConfigureCache to resize,
+// change policy, or disable it. The heap file serves records from their
+// page bytes and is never cached.
 func NewServiceProvider(store pagestore.Store) *ServiceProvider {
 	return &ServiceProvider{
 		store: pagestore.NewCounting(store),
@@ -105,8 +107,8 @@ func NewServiceProvider(store pagestore.Store) *ServiceProvider {
 }
 
 // ConfigureCache replaces the SP's decoded-node cache; pages <= 0 disables
-// caching entirely. Existing structures are re-attached, so it may be
-// called before or after Load.
+// caching entirely. An existing index is re-attached, so it may be called
+// before or after Load.
 func (sp *ServiceProvider) ConfigureCache(pages int, policy bufpool.ChargePolicy) {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
@@ -114,9 +116,6 @@ func (sp *ServiceProvider) ConfigureCache(pages int, policy bufpool.ChargePolicy
 		sp.cache = nil
 	} else {
 		sp.cache = bufpool.New(pages, policy)
-	}
-	if sp.heap != nil {
-		sp.heap.UseCache(sp.cache)
 	}
 	if sp.index != nil {
 		sp.index.UseCache(sp.cache)
@@ -151,7 +150,6 @@ func (sp *ServiceProvider) Load(records []record.Record) error {
 	if err != nil {
 		return fmt.Errorf("core: SP loading index: %w", err)
 	}
-	heap.UseCache(sp.cache)
 	index.UseCache(sp.cache)
 	sp.heap = heap
 	sp.index = index

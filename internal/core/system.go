@@ -24,7 +24,7 @@ type System struct {
 
 // NewSystem outsources a dataset (must be sorted by key, as produced by
 // workload.Generate) and returns the assembled system. Both parties run a
-// decoded-node cache sized to the dataset's page working set
+// decoded-node cache sized to the dataset's index working set
 // (bufpool.CapacityFor) in charge-every-access mode, so node-access counts
 // match an uncached run exactly while the cache never trails the working
 // set.

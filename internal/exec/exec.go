@@ -30,12 +30,13 @@ import (
 	"sae/internal/pagestore"
 )
 
-// ScanThreshold is the number of distinct pages a single traversal (a heap
-// GetMany run, a B+-tree leaf-chain walk) may touch before it declares
-// itself a scan via BeginScan: from then on the pages it faults in bypass
-// LRU admission in the decoded-node cache. The first ScanThreshold pages
-// are still admitted — short queries ARE the hot set — so only the long
-// tail of a big scan is kept out.
+// ScanThreshold is the number of distinct pages a single traversal (a
+// B+-tree or MB-Tree leaf-chain walk) may touch before it declares itself
+// a scan via BeginScan: from then on the nodes it faults in bypass LRU
+// admission in the decoded-node cache. The first ScanThreshold pages are
+// still admitted — short queries ARE the hot set — so only the long tail
+// of a big scan is kept out. Heap pages never enter the cache, so a heap
+// fetch needs no scan hint.
 const ScanThreshold = 64
 
 // Context is the per-request execution state. Create one per query or
@@ -170,8 +171,8 @@ func (l *Lane) Contexts(n int) []*Context {
 // caller notes each distinct page as it advances, and once the traversal
 // has crossed ScanThreshold pages the tracker opens a scan section on the
 // context — exactly once. End (usually deferred) closes it. Keeping the
-// trigger here means every traversal (heap GetMany runs, B+-tree and
-// MB-Tree leaf chains) shares one cutoff policy.
+// trigger here means every traversal (B+-tree and MB-Tree leaf chains)
+// shares one cutoff policy.
 type ScanTracker struct {
 	ctx   *Context
 	seen  int

@@ -194,3 +194,15 @@ func TestUpdateExperimentShape(t *testing.T) {
 		t.Fatal("unexpected update table shape")
 	}
 }
+
+// TestAllocReduction: a fast serve that allocated nothing reports the
+// lower bound seed × iters, never 0 (which the bench gate's >= 5x floor
+// would reject at the best possible outcome).
+func TestAllocReduction(t *testing.T) {
+	if got := allocReduction(138, 0, 50); got != 138*50 {
+		t.Fatalf("allocReduction with zero fast allocs = %v, want %v", got, 138*50)
+	}
+	if got := allocReduction(138, 2, 50); got != 69 {
+		t.Fatalf("allocReduction(138, 2) = %v, want 69", got)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"sae/internal/exec"
 	"sae/internal/pagestore"
 	"sae/internal/record"
 )
@@ -67,6 +68,51 @@ func TestGetManyClusteredAccessCount(t *testing.T) {
 		if !r.Equal(&recs[8+i]) {
 			t.Fatalf("record %d mismatch", i)
 		}
+	}
+}
+
+// TestUpdateAccessCounts: an append to the tail page and a delete each
+// cost one read and one write of the raw page; an append that opens a
+// page costs one allocation and one write.
+func TestUpdateAccessCounts(t *testing.T) {
+	counting := pagestore.NewCounting(pagestore.NewMem())
+	f, rids, err := Build(counting, buildRecords(10))
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		op   func(*exec.Context) error
+		want pagestore.Stats
+	}{
+		{"append to tail", func(ctx *exec.Context) error {
+			_, err := f.AppendCtx(ctx, record.Synthesize(50, 5))
+			return err
+		}, pagestore.Stats{Reads: 1, Writes: 1}},
+		{"delete", func(ctx *exec.Context) error { return f.DeleteCtx(ctx, rids[3]) },
+			pagestore.Stats{Reads: 1, Writes: 1}},
+	} {
+		counting.Reset()
+		ctx := exec.NewContext()
+		if err := c.op(ctx); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := ctx.Stats(); got != c.want || counting.Stats() != c.want {
+			t.Fatalf("%s: ctx %+v, store %+v, want %+v", c.name, got, counting.Stats(), c.want)
+		}
+	}
+	for i := 0; i < 5; i++ { // fill the tail page: 11 + 5 = 16 records
+		if _, err := f.Append(record.Synthesize(record.ID(60+i), 6)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counting.Reset()
+	ctx := exec.NewContext()
+	if _, err := f.AppendCtx(ctx, record.Synthesize(70, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if want := (pagestore.Stats{Reads: 1, Writes: 1, Allocs: 1}); ctx.Stats() != want {
+		t.Fatalf("append opening a page: ctx %+v, want %+v", ctx.Stats(), want)
 	}
 }
 

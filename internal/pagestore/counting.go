@@ -70,6 +70,12 @@ func (c *Counting) Read(id PageID, buf []byte) error {
 	return c.inner.Read(id, buf)
 }
 
+// Borrow implements Store; a borrow is charged as one read.
+func (c *Counting) Borrow(id PageID) ([]byte, error) {
+	c.reads.Add(1)
+	return c.inner.Borrow(id)
+}
+
 // AccountRead implements ReadAccountant: it charges a read that was
 // served from a decoded-node cache without touching the inner store.
 func (c *Counting) AccountRead(PageID) {

@@ -30,6 +30,11 @@ type Store interface {
 	Allocate() (PageID, error)
 	// Read fills buf with the content of page id.
 	Read(id PageID, buf []byte) error
+	// Borrow lends the page's own bytes instead of copying them out. The
+	// slice stays valid, and unchanged, only while no Write to id can
+	// run: the caller's structure lock must keep writers out for as long
+	// as it reads the borrowed bytes, and it must never write to them.
+	Borrow(id PageID) ([]byte, error)
 	// Write persists buf as the content of page id.
 	Write(id PageID, buf []byte) error
 	// Free releases a page. Freed ids may be recycled by Allocate.
@@ -93,6 +98,20 @@ func (m *Mem) Read(id PageID, buf []byte) error {
 	}
 	copy(buf, m.pages[id])
 	return nil
+}
+
+// Borrow implements Store: it returns the page's backing slice, which a
+// later Write overwrites in place.
+func (m *Mem) Borrow(id PageID) ([]byte, error) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if m.closed {
+		return nil, ErrStoreClosed
+	}
+	if int(id) >= len(m.pages) || m.pages[id] == nil {
+		return nil, fmt.Errorf("%w: borrow %d", ErrBadPageID, id)
+	}
+	return m.pages[id], nil
 }
 
 // Write implements Store.

@@ -44,6 +44,21 @@ func TestStoreConformance(t *testing.T) {
 			if !bytes.Equal(got, buf) {
 				t.Fatal("read back different bytes than written")
 			}
+			lent, err := s.Borrow(id)
+			if err != nil {
+				t.Fatalf("Borrow: %v", err)
+			}
+			if !bytes.Equal(lent, buf) {
+				t.Fatal("borrowed different bytes than written")
+			}
+			// A store lends the page itself: the next write shows through.
+			buf[0] ^= 0xFF
+			if err := s.Write(id, buf); err != nil {
+				t.Fatalf("second Write: %v", err)
+			}
+			if lent[0] != buf[0] {
+				t.Fatal("a borrowed page does not see a later write")
+			}
 			if n := s.NumPages(); n != 1 {
 				t.Fatalf("NumPages = %d, want 1", n)
 			}
@@ -106,6 +121,9 @@ func TestStoreErrors(t *testing.T) {
 			if err := s.Write(12345, full); err == nil {
 				t.Fatal("Write of unallocated page succeeded")
 			}
+			if _, err := s.Borrow(12345); err == nil {
+				t.Fatal("Borrow of unallocated page succeeded")
+			}
 		})
 	}
 }
@@ -123,6 +141,9 @@ func TestMemClosedStore(t *testing.T) {
 	if _, err := s.Allocate(); err != ErrStoreClosed {
 		t.Fatalf("Allocate after close error = %v, want ErrStoreClosed", err)
 	}
+	if _, err := s.Borrow(id); err != ErrStoreClosed {
+		t.Fatalf("Borrow after close error = %v, want ErrStoreClosed", err)
+	}
 }
 
 func TestCountingStats(t *testing.T) {
@@ -131,7 +152,7 @@ func TestCountingStats(t *testing.T) {
 	buf := make([]byte, PageSize)
 	_ = c.Write(id, buf)
 	_ = c.Read(id, buf)
-	_ = c.Read(id, buf)
+	_, _ = c.Borrow(id) // a borrow is charged as a read
 	st := c.Stats()
 	if st.Reads != 2 || st.Writes != 1 || st.Allocs != 1 {
 		t.Fatalf("Stats = %+v, want reads=2 writes=1 allocs=1", st)

@@ -71,6 +71,19 @@ func Unmarshal(b []byte) (Record, error) {
 	return r, nil
 }
 
+// EachEncoded decodes every record of enc, a run of back-to-back canonical
+// encodings, into the one scratch record r and calls emit with it; emit
+// must not retain r. A trailing partial record is ignored.
+func EachEncoded(enc []byte, r *Record, emit func(*Record) error) error {
+	for ; len(enc) >= Size; enc = enc[Size:] {
+		*r, _ = Unmarshal(enc)
+		if err := emit(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // WireID reads the identifier out of a canonical record encoding without
 // decoding the record — the zero-copy path peeks at borrowed wire bytes
 // in place. b must hold at least Size bytes of one encoded record.

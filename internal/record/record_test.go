@@ -2,6 +2,7 @@ package record
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -28,6 +29,40 @@ func TestMarshalRoundTrip(t *testing.T) {
 func TestUnmarshalShortBuffer(t *testing.T) {
 	if _, err := Unmarshal(make([]byte, Size-1)); err != ErrShortBuffer {
 		t.Fatalf("Unmarshal(short) error = %v, want ErrShortBuffer", err)
+	}
+}
+
+func TestEachEncoded(t *testing.T) {
+	recs := []Record{Synthesize(1, 10), Synthesize(2, 20), Synthesize(3, 30)}
+	var enc []byte
+	for i := range recs {
+		enc = recs[i].AppendBinary(enc)
+	}
+	var (
+		scratch Record
+		got     []Record
+	)
+	if err := EachEncoded(append(enc, 0xAB), &scratch, func(r *Record) error {
+		if r != &scratch {
+			t.Fatal("emit was not handed the scratch record")
+		}
+		got = append(got, *r)
+		return nil
+	}); err != nil {
+		t.Fatalf("EachEncoded: %v", err)
+	}
+	if len(got) != len(recs) {
+		t.Fatalf("decoded %d records, want %d (a partial tail is skipped)", len(got), len(recs))
+	}
+	for i := range recs {
+		if !got[i].Equal(&recs[i]) {
+			t.Fatalf("record %d decoded wrong", i)
+		}
+	}
+	stop := errors.New("stop")
+	n := 0
+	if err := EachEncoded(enc, &scratch, func(*Record) error { n++; return stop }); err != stop || n != 1 {
+		t.Fatalf("EachEncoded = %v after %d emits, want the emit error after 1", err, n)
 	}
 }
 

@@ -60,7 +60,7 @@ type Tamper func([]record.Record) []record.Record
 type Provider struct {
 	mu     sync.RWMutex
 	store  *pagestore.Counting
-	cache  *bufpool.Cache // decoded-node cache shared by heap + MB-Tree
+	cache  *bufpool.Cache // decoded MB-Tree node cache (the heap is uncached)
 	heap   *heapfile.File
 	tree   *mbtree.Tree
 	sig    []byte
@@ -76,7 +76,8 @@ type liveRecord struct {
 }
 
 // NewProvider returns a provider backed by the given page store, with the
-// default charge-every-access decoded-node cache (see ConfigureCache).
+// default charge-every-access decoded-node cache for its MB-Tree (see
+// ConfigureCache); the heap file is never cached.
 func NewProvider(store pagestore.Store) *Provider {
 	return &Provider{
 		store: pagestore.NewCounting(store),
@@ -94,9 +95,6 @@ func (p *Provider) ConfigureCache(pages int, policy bufpool.ChargePolicy) {
 		p.cache = nil
 	} else {
 		p.cache = bufpool.New(pages, policy)
-	}
-	if p.heap != nil {
-		p.heap.UseCache(p.cache)
 	}
 	if p.tree != nil {
 		p.tree.UseCache(p.cache)
@@ -148,7 +146,6 @@ func (p *Provider) Load(records []record.Record, owner *Owner) error {
 	if err != nil {
 		return fmt.Errorf("tom: provider loading MB-Tree: %w", err)
 	}
-	heap.UseCache(p.cache)
 	tree.UseCache(p.cache)
 	p.heap = heap
 	p.tree = tree

@@ -220,8 +220,8 @@ func TestBurstMalformedFrame(t *testing.T) {
 	}
 }
 
-// poisonStore is a page store whose reads of one page fail once armed;
-// until then it records every page read.
+// poisonStore is a page store whose reads and borrows of one page fail
+// once armed; until then it records every page read.
 type poisonStore struct {
 	pagestore.Store
 	mu   sync.Mutex
@@ -240,6 +240,16 @@ func (s *poisonStore) Read(id pagestore.PageID, buf []byte) error {
 	}
 	s.read[id] = true
 	return s.Store.Read(id, buf)
+}
+
+func (s *poisonStore) Borrow(id pagestore.PageID) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.arm && id == s.bad {
+		return nil, errPoisoned
+	}
+	s.read[id] = true
+	return s.Store.Borrow(id)
 }
 
 // TestBurstFallbackOnProviderError sends a burst whose provider pass

@@ -287,11 +287,12 @@ func (sc *sections) openTo(buf []byte, qi int) []byte {
 	return buf
 }
 
-// emit appends one record of query qi.
-func (sc *sections) emit(buf []byte, qi int, r *record.Record) []byte {
+// emit appends a run of query qi's records, enc being their canonical
+// encodings back to back.
+func (sc *sections) emit(buf []byte, qi int, enc []byte) []byte {
 	buf = sc.openTo(buf, qi)
-	sc.counts[qi]++
-	return r.AppendBinary(buf)
+	sc.counts[qi] += len(enc) / record.Size
+	return append(buf, enc...)
 }
 
 // end opens every remaining (empty) section and patches the counts.
@@ -431,13 +432,15 @@ func (l *lane) reply(typ MsgType, id uint32, appendTo func([]byte) []byte) {
 	l.respond(typ, id, respPiece{off: off, end: len(l.resp)})
 }
 
-// records runs a streaming serve of n queries, laying each query's
-// records into its section of the arena; l.sec.piece(qi) is query qi's
-// span afterwards.
-func (l *lane) records(n int, serve func(emit func(int, *record.Record) error) error) error {
+// records runs a streaming serve of n queries, copying each query's
+// record runs into its section of the arena; l.sec.piece(qi) is query
+// qi's span afterwards. The copy happens inside the serve's callback,
+// while the runs are still borrowed from their heap pages under the
+// serve's lock.
+func (l *lane) records(n int, serve func(emit func(int, []byte) error) error) error {
 	l.sec.begin(n)
-	err := serve(func(qi int, r *record.Record) error {
-		l.resp = l.sec.emit(l.resp, qi, r)
+	err := serve(func(qi int, enc []byte) error {
+		l.resp = l.sec.emit(l.resp, qi, enc)
 		return nil
 	})
 	if err != nil {

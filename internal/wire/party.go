@@ -292,11 +292,12 @@ func (si *ShardInfo) checkSpan(q record.Range) error {
 
 // serveQuery pushes MsgQuery ranges through the SP as one unit
 // (core.ServiceProvider.ServeBurstCtx: one read-lock, grouped B+-tree
-// descents, one streaming heap fetch); each query's records stream
-// straight from their pinned pages into the lane's response arena — the
-// only per-record copy between the heap file and the socket.
+// descents, one streaming heap fetch); each query's records are copied
+// straight from their heap pages' bytes into the lane's response arena,
+// one copy per page run — the only copy between the heap file and the
+// socket.
 func serveQuery(s *Server, l *lane, ids []uint32, qs []record.Range) error {
-	err := l.records(len(qs), func(emit func(int, *record.Record) error) error {
+	err := l.records(len(qs), func(emit func(int, []byte) error) error {
 		return s.party.sp().ServeBurstCtx(l.exec.Contexts(len(qs)), qs, &l.spSc, emit)
 	})
 	if err != nil {
@@ -357,7 +358,7 @@ func serveAggToken(s *Server, l *lane, ids []uint32, qs []record.Range) error {
 func serveVerified(s *Server, l *lane, ids []uint32, qs []record.Range) error {
 	l.vts = grow(l.vts, len(qs))
 	var seq uint64
-	err := l.records(len(qs), func(emit func(int, *record.Record) error) (err error) {
+	err := l.records(len(qs), func(emit func(int, []byte) error) (err error) {
 		seq, err = s.party.view.ServeBurst(l.exec.Contexts(len(qs)), qs, &l.spSc, l.vts, emit)
 		return err
 	})

@@ -168,6 +168,45 @@ class TestGateShard(unittest.TestCase):
         self.assertIn("speedup", failures[0])
 
 
+class TestGateFastpath(unittest.TestCase):
+    """serveAllocReduction is seed/fast allocs per op; a fast serve that
+    allocates nothing reports the lower bound seed x iters, not 0."""
+
+    BASE = {
+        "shaNI": True,
+        "verifySpeedup": 3.1,
+        "serveSpeedup": 5.7,
+        "serveSeedAllocsPerOp": 138.0,
+        "serveFastAllocsPerOp": 1.06,
+        "serveAllocReduction": 130.6,
+    }
+
+    def run_fastpath(self, **overrides):
+        ci = dict(self.BASE, **overrides)
+        return run_gate(bench_gate.gate_fastpath, {
+            "BENCH_fastpath.json": self.BASE,
+            "BENCH_fastpath.ci.json": ci,
+        })
+
+    def test_healthy_run_passes(self):
+        failures, _ = self.run_fastpath()
+        self.assertEqual(failures, [])
+
+    def test_zero_fast_allocs_lower_bound_passes(self):
+        # saebench -figure fastpath -fastiters 50: 0 fast allocations in
+        # 50 serves report 138 x 50.
+        failures, _ = self.run_fastpath(
+            serveFastAllocsPerOp=0.0, serveAllocReduction=138.0 * 50,
+            serveSpeedup=8.5)
+        self.assertEqual(failures, [])
+
+    def test_reduction_reported_as_zero_fails(self):
+        failures, _ = self.run_fastpath(
+            serveFastAllocsPerOp=0.0, serveAllocReduction=0.0)
+        self.assertEqual(len(failures), 2)
+        self.assertTrue(all("alloc reduction" in f for f in failures))
+
+
 class TestGateBurst(unittest.TestCase):
     """The multicore-efficiency floor arms only with >= 2 lane points."""
 
