@@ -83,7 +83,6 @@ import (
 	"time"
 
 	"sae/internal/agg"
-	"sae/internal/bufpool"
 	"sae/internal/core"
 	"sae/internal/pagestore"
 	"sae/internal/record"
@@ -261,8 +260,7 @@ func serveUntilInterrupt(role, addr string, closers ...func() error) error {
 }
 
 // runServer serves one stand-alone party (sp or te) over its part of the
-// dataset; per-shard caches are sized from the part, not the whole
-// relation.
+// dataset; the party's decoded-node cache holds that part's whole index.
 func runServer(o *opts) error {
 	fmt.Fprintf(os.Stderr, "saenet %s: generating %d %s records (seed %d)...\n", o.role, o.n, o.dist, o.seed)
 	plan, part, err := partition(o)
@@ -273,7 +271,6 @@ func runServer(o *opts) error {
 		fmt.Fprintf(os.Stderr, "saenet %s: shard %d/%d owns span %v (%d records)\n",
 			o.role, o.shardIndex, o.shards, plan.Span(o.shardIndex), len(part))
 	}
-	pages := bufpool.CapacityFor(len(part))
 	info := wire.WithShardInfo(wire.ShardInfo{Index: o.shardIndex, Plan: plan})
 	var srv interface {
 		Addr() string
@@ -282,7 +279,6 @@ func runServer(o *opts) error {
 	switch o.role {
 	case "sp":
 		sp := core.NewServiceProvider(pagestore.NewMem())
-		sp.ConfigureCache(pages, bufpool.ChargeAllAccesses)
 		if err := sp.Load(part); err != nil {
 			return err
 		}
@@ -293,7 +289,6 @@ func runServer(o *opts) error {
 		srv, err = wire.ServeSP(o.addr, sp, wire.Logf("sp"), info)
 	case "te":
 		te := core.NewTrustedEntity(pagestore.NewMem())
-		te.ConfigureCache(pages, bufpool.ChargeAllAccesses)
 		if err := te.Load(part); err != nil {
 			return err
 		}

@@ -343,9 +343,7 @@ func (t *Tree) Range(lo, hi record.Key) ([]heapfile.RID, error) {
 }
 
 // RangeCtx returns the RIDs of all entries with lo <= key <= hi, in key
-// order, charging every node access to ctx. A leaf-chain walk that crosses
-// more than exec.ScanThreshold leaves declares itself a scan so its fills
-// bypass LRU admission.
+// order, charging every node access to ctx.
 func (t *Tree) RangeCtx(ctx *exec.Context, lo, hi record.Key) ([]heapfile.RID, error) {
 	return t.RangeAppendCtx(ctx, lo, hi, nil)
 }
@@ -353,8 +351,8 @@ func (t *Tree) RangeCtx(ctx *exec.Context, lo, hi record.Key) ([]heapfile.RID, e
 // RangeAppendCtx is RangeCtx appending into a caller-provided buffer
 // (out[:0]-style reuse), so a serve loop recycling one RID buffer across
 // queries performs the leaf scan without growing a fresh slice every
-// time. Traversal, node accesses and scan hinting are identical to
-// RangeCtx — it IS RangeCtx.
+// time. Traversal and node accesses are identical to RangeCtx — it IS
+// RangeCtx.
 func (t *Tree) RangeAppendCtx(ctx *exec.Context, lo, hi record.Key, out []heapfile.RID) ([]heapfile.RID, error) {
 	if lo > hi {
 		return out, nil
@@ -367,10 +365,7 @@ func (t *Tree) RangeAppendCtx(ctx *exec.Context, lo, hi record.Key, out []heapfi
 		}
 		id = n.children[lowerBoundKey(n.entries, lo)]
 	}
-	scan := exec.TrackScan(ctx)
-	defer scan.End()
 	for id != pagestore.InvalidPage {
-		scan.NotePage()
 		n, err := t.readNode(ctx, id)
 		if err != nil {
 			return out, err
@@ -394,12 +389,12 @@ func (t *Tree) RangeAppendCtx(ctx *exec.Context, lo, hi record.Key, out []heapfi
 // because the arena reallocates as it grows; callers materialize the
 // per-query views only after the whole burst is planned.
 //
-// Each descent is exactly RangeAppendCtx (same node accesses, same scan
-// hinting, charged to that query's own context), so per-query access
-// counts match per-request planning bit for bit; the burst's win is the
-// shared arena (one growing buffer instead of per-query slices) and the
-// back-to-back descents hitting a warm decoded-node cache. arena and
-// offs are reused via the usual out[:0] convention.
+// Each descent is exactly RangeAppendCtx (same node accesses, charged to
+// that query's own context), so per-query access counts match
+// per-request planning bit for bit; the burst's win is the shared arena
+// (one growing buffer instead of per-query slices) and the back-to-back
+// descents hitting a warm decoded-node cache. arena and offs are reused
+// via the usual out[:0] convention.
 func (t *Tree) RangeBurstCtx(ctxs []*exec.Context, los, his []record.Key, arena []heapfile.RID, offs []int) ([]heapfile.RID, []int, error) {
 	offs = append(offs[:0], len(arena))
 	for qi := range los {

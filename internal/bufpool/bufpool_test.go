@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"sae/internal/exec"
 	"sae/internal/pagestore"
 )
 
@@ -26,10 +25,10 @@ func encodeVal(buf []byte, v *val) {
 	binary.BigEndian.PutUint64(buf[:8], v.n)
 }
 
-func newTestIO(t *testing.T, capacity int, policy ChargePolicy, pages int) (*IO, *pagestore.Counting, []pagestore.PageID) {
+func newTestIO(t *testing.T, pages int) (*IO, *pagestore.Counting, []pagestore.PageID) {
 	t.Helper()
 	counting := pagestore.NewCounting(pagestore.NewMem())
-	io := NewIO(counting, New(capacity, policy))
+	io := NewIO(counting, new(Cache))
 	ids := make([]pagestore.PageID, pages)
 	for i := range ids {
 		id, err := io.Allocate(nil)
@@ -45,7 +44,7 @@ func newTestIO(t *testing.T, capacity int, policy ChargePolicy, pages int) (*IO,
 }
 
 func TestReadWriteThroughCache(t *testing.T) {
-	io, counting, ids := newTestIO(t, 64, ChargeAllAccesses, 8)
+	io, counting, ids := newTestIO(t, 8)
 	for i, id := range ids {
 		v, err := ReadNode(io, nil, id, decodeVal)
 		if err != nil {
@@ -67,30 +66,31 @@ func TestReadWriteThroughCache(t *testing.T) {
 		t.Fatalf("expected %d hits, got %d", len(ids), got)
 	}
 	if got := counting.Stats().Reads - readsBefore; got != int64(len(ids)) {
-		t.Fatalf("charge-all hits must charge reads: charged %d, want %d", got, len(ids))
+		t.Fatalf("hits must charge reads: charged %d, want %d", got, len(ids))
 	}
 }
 
-func TestChargeMissesOnlyLeavesHitsFree(t *testing.T) {
-	io, counting, ids := newTestIO(t, 64, ChargeMissesOnly, 4)
+// TestCacheKeepsEveryNode: the cache has no capacity, so every node
+// written through it stays cached and a sweep over all of them never
+// misses.
+func TestCacheKeepsEveryNode(t *testing.T) {
+	const pages = 4096
+	io, _, ids := newTestIO(t, pages)
+	if got := io.Cache().Len(); got != pages {
+		t.Fatalf("cache holds %d nodes after %d writes", got, pages)
+	}
 	for _, id := range ids {
 		if _, err := ReadNode(io, nil, id, decodeVal); err != nil {
 			t.Fatal(err)
 		}
 	}
-	readsBefore := counting.Stats().Reads
-	for i := 0; i < 100; i++ {
-		if _, err := ReadNode(io, nil, ids[i%len(ids)], decodeVal); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := counting.Stats().Reads - readsBefore; got != 0 {
-		t.Fatalf("charge-misses hits must be free, charged %d reads", got)
+	if s := io.Cache().Stats(); s.Misses != 0 || s.Hits != pages {
+		t.Fatalf("sweep over %d written pages: %+v, want all hits", pages, s)
 	}
 }
 
 func TestInvalidationAfterWrite(t *testing.T) {
-	io, _, ids := newTestIO(t, 64, ChargeAllAccesses, 1)
+	io, _, ids := newTestIO(t, 1)
 	id := ids[0]
 	if _, err := ReadNode(io, nil, id, decodeVal); err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestInvalidationAfterWrite(t *testing.T) {
 }
 
 func TestFreeInvalidates(t *testing.T) {
-	io, _, ids := newTestIO(t, 64, ChargeAllAccesses, 2)
+	io, _, ids := newTestIO(t, 2)
 	if _, err := ReadNode(io, nil, ids[0], decodeVal); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestFreeInvalidates(t *testing.T) {
 // TestAllocateDropsRecycledPage: an id the store hands out again must not
 // resurface its old decoded node, even when the free bypassed the cache.
 func TestAllocateDropsRecycledPage(t *testing.T) {
-	io, _, ids := newTestIO(t, 64, ChargeAllAccesses, 1)
+	io, _, ids := newTestIO(t, 1)
 	if _, err := ReadNode(io, nil, ids[0], decodeVal); err != nil {
 		t.Fatal(err)
 	}
@@ -163,54 +163,9 @@ func TestAllocateDropsRecycledPage(t *testing.T) {
 	}
 }
 
-func TestEviction(t *testing.T) {
-	// Capacity numShards means one node per shard: filling two pages per
-	// shard must evict.
-	io, _, ids := newTestIO(t, numShards, ChargeAllAccesses, 4*numShards)
-	for _, id := range ids {
-		if _, err := ReadNode(io, nil, id, decodeVal); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := io.Cache().Len(); got > numShards {
-		t.Fatalf("cache holds %d nodes, capacity is %d", got, numShards)
-	}
-	if io.Cache().Stats().Evictions == 0 {
-		t.Fatal("expected evictions")
-	}
-}
-
-// TestScanSkipsFill: a miss inside a declared scan section is read and
-// charged but not admitted, so a long leaf-chain walk cannot flush the
-// hot set; the same miss outside a scan is admitted.
-func TestScanSkipsFill(t *testing.T) {
-	io, counting, ids := newTestIO(t, 64, ChargeAllAccesses, 4)
-	io.SetCache(New(64, ChargeAllAccesses)) // cold: the writes above filled the old one
-	ctx := exec.NewContext()
-	ctx.BeginScan()
-	before := counting.Stats().Reads
-	for _, id := range ids {
-		if _, err := ReadNode(io, ctx, id, decodeVal); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := counting.Stats().Reads - before; got != int64(len(ids)) || ctx.Stats().Reads != int64(len(ids)) {
-		t.Fatalf("scan reads charged %d (ctx %d), want %d", got, ctx.Stats().Reads, len(ids))
-	}
-	if n := io.Cache().Len(); n != 0 {
-		t.Fatalf("a scan admitted %d nodes, want 0", n)
-	}
-	ctx.EndScan()
-	if _, err := ReadNode(io, ctx, ids[0], decodeVal); err != nil {
-		t.Fatal(err)
-	}
-	if n := io.Cache().Len(); n != 1 {
-		t.Fatalf("a read after the scan admitted %d nodes, want 1", n)
-	}
-}
-
 func TestStatsInvariantHitsPlusMissesEqualsReads(t *testing.T) {
-	io, _, ids := newTestIO(t, 8, ChargeAllAccesses, 32)
+	io, _, ids := newTestIO(t, 32)
+	io.SetCache(new(Cache)) // cold, so the reads below both miss and hit
 	const reads = 1000
 	for i := 0; i < reads; i++ {
 		if _, err := ReadNode(io, nil, ids[(i*7)%len(ids)], decodeVal); err != nil {
@@ -218,8 +173,8 @@ func TestStatsInvariantHitsPlusMissesEqualsReads(t *testing.T) {
 		}
 	}
 	s := io.Cache().Stats()
-	if s.Hits+s.Misses != reads {
-		t.Fatalf("hits(%d) + misses(%d) != reads(%d)", s.Hits, s.Misses, reads)
+	if s.Hits+s.Misses != reads || s.Misses != int64(len(ids)) {
+		t.Fatalf("hits(%d) + misses(%d) != reads(%d), or misses != %d pages", s.Hits, s.Misses, reads, len(ids))
 	}
 }
 
@@ -236,7 +191,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		rounds  = 500
 	)
 	counting := pagestore.NewCounting(pagestore.NewMem())
-	io := NewIO(counting, New(32, ChargeAllAccesses))
+	io := NewIO(counting, new(Cache))
 	ids := make([]pagestore.PageID, pages)
 	final := make([]atomic.Uint64, pages)
 	for i := range ids {
@@ -309,7 +264,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 // stamps exist for: a miss decodes old bytes, a write lands in between,
 // and the stale fill must be discarded.
 func TestGenerationDropsStaleFill(t *testing.T) {
-	c := New(16, ChargeAllAccesses)
+	c := new(Cache)
 	id := pagestore.PageID(7)
 	_, gen, ok := c.get(id)
 	if ok {
@@ -337,57 +292,10 @@ func TestPagePoolRoundTrip(t *testing.T) {
 	_ = q
 }
 
-func TestCacheCapacityRounding(t *testing.T) {
-	for _, capacity := range []int{0, 1, numShards - 1, numShards + 1} {
-		c := New(capacity, ChargeAllAccesses)
-		for i := 0; i < numShards; i++ {
-			c.Update(pagestore.PageID(i), &val{n: uint64(i)})
-		}
-		if c.Len() == 0 {
-			t.Fatalf("capacity %d: cache retained nothing", capacity)
-		}
-	}
-}
-
 func TestStatsString(t *testing.T) {
 	// Keep Stats printable for benchmark reporting.
-	s := Stats{Hits: 1, Misses: 2, Evictions: 3, Invalidations: 4}
+	s := Stats{Hits: 1, Misses: 2, Invalidations: 3}
 	if got := fmt.Sprintf("%+v", s); got == "" {
 		t.Fatal("unprintable stats")
-	}
-}
-
-// TestCapacityForCoversPaperGrid: the derived capacity covers the index
-// working set at every cardinality of the paper's experiment grid — in
-// particular the 1M-record point, whose ~8.4K XB-Tree leaves dwarf
-// DefaultCapacity — while DefaultCapacity itself covers a 100K-record
-// party.
-func TestCapacityForCoversPaperGrid(t *testing.T) {
-	// Working set mirror of the storage constants: the XB-Tree, the
-	// densest index, packs 120 entries per leaf and 65 per inner node.
-	workingSet := func(n int) int {
-		leaves := (n + 119) / 120
-		return leaves + leaves/65 + 2
-	}
-	for _, n := range []int{100_000, 250_000, 500_000, 1_000_000} {
-		ws := workingSet(n)
-		got := CapacityFor(n)
-		if got < ws {
-			t.Fatalf("CapacityFor(%d) = %d, below the %d-node working set", n, got, ws)
-		}
-		// Sanity: sized, not unbounded (within 2x of the working set).
-		if got > 2*ws+DefaultCapacity {
-			t.Fatalf("CapacityFor(%d) = %d, absurdly above the working set", n, got)
-		}
-	}
-	if ws := workingSet(100_000); DefaultCapacity < ws {
-		t.Fatalf("DefaultCapacity %d is below a 100K-record party's %d-node working set", DefaultCapacity, ws)
-	}
-	if CapacityFor(1_000_000) <= DefaultCapacity {
-		t.Fatal("CapacityFor(1M) does not exceed DefaultCapacity: the 1M grid would still thrash")
-	}
-	// Tiny partitions keep a usable floor.
-	if got := CapacityFor(10); got < 1024 {
-		t.Fatalf("CapacityFor(10) = %d, below the floor", got)
 	}
 }

@@ -8,8 +8,7 @@ import (
 // IO couples a page store with an optional decoded-node cache. It is the
 // common read/write path shared by the B+-tree, MB-Tree and XB-Tree: each
 // structure supplies its own decode/encode functions and gets
-// pooled page buffers, write-through caching and charge-policy accounting
-// for free.
+// pooled page buffers, write-through caching and hit accounting for free.
 //
 // Every access method takes the request's *exec.Context (nil for load-time
 // work) and charges it in lockstep with the global accounting: whenever the
@@ -19,16 +18,16 @@ import (
 type IO struct {
 	store pagestore.Store
 	cache *Cache
-	// acct charges a hit without performing the read; non-nil only under
-	// ChargeAllAccesses when the store supports direct accounting.
+	// acct charges a hit without performing the read; nil when the store
+	// does not support direct accounting.
 	acct pagestore.ReadAccountant
 }
 
-// NewIO wraps store; cache may be nil for uncached access.
+// NewIO wraps store; cache may be nil for uncached access, the reference
+// the cached path's accounting is tested against.
 func NewIO(store pagestore.Store, cache *Cache) *IO {
-	io := &IO{store: store}
-	io.SetCache(cache)
-	return io
+	acct, _ := store.(pagestore.ReadAccountant)
+	return &IO{store: store, cache: cache, acct: acct}
 }
 
 // Store returns the underlying page store.
@@ -38,15 +37,7 @@ func (io *IO) Store() pagestore.Store { return io.store }
 func (io *IO) Cache() *Cache { return io.cache }
 
 // SetCache attaches (or, with nil, detaches) a decoded-node cache.
-func (io *IO) SetCache(c *Cache) {
-	io.cache = c
-	io.acct = nil
-	if c != nil && c.policy == ChargeAllAccesses {
-		if a, ok := io.store.(pagestore.ReadAccountant); ok {
-			io.acct = a
-		}
-	}
-}
+func (io *IO) SetCache(c *Cache) { io.cache = c }
 
 // Allocate reserves a fresh page. The id is dropped from the cache in
 // case the store recycled a previously freed (and cached) page.
@@ -87,9 +78,7 @@ func (io *IO) Free(ctx *exec.Context, id pagestore.PageID) error {
 // ReadNode returns the decoded node for page id, consulting the cache
 // first. On a miss the page is read into a pooled buffer, decoded, and
 // the decoded node installed (generation-checked, so a concurrent write
-// cannot leave a stale node behind) — unless the request is inside a
-// declared scan section, in which case the fill is skipped so a long
-// scan cannot evict the cache's hot set (scan-resistant admission).
+// cannot leave a stale node behind).
 //
 // Callers that mutate the returned node must hold their structure's
 // write lock and follow up with WriteNode, which refreshes the cache;
@@ -121,9 +110,7 @@ func ReadNode[N any](io *IO, ctx *exec.Context, id pagestore.PageID, decode func
 	}
 	ctx.AccountRead()
 	n := decode(buf[:])
-	if !ctx.Scanning() {
-		c.fill(id, gen, n)
-	}
+	c.fill(id, gen, n)
 	return n, nil
 }
 
@@ -138,19 +125,15 @@ func readNodeDirect[N any](io *IO, ctx *exec.Context, id pagestore.PageID, decod
 	return decode(buf[:]), nil
 }
 
-// chargeHit applies the cache's charge policy to a hit: account the read
-// directly when the store supports it, otherwise — under
-// ChargeAllAccesses — perform the raw page read so every wrapper in the
-// store stack (Counting, Cache) observes exactly the accesses an
-// uncached run would issue. The request context is charged whenever the
-// store stack is.
+// chargeHit charges a hit as the read it replaced: account the read
+// directly when the store supports it, otherwise perform the raw page
+// read so every wrapper in the store stack observes exactly the accesses
+// an uncached run would issue. The request context is charged whenever
+// the store stack is.
 func (io *IO) chargeHit(ctx *exec.Context, id pagestore.PageID) error {
 	if io.acct != nil {
 		io.acct.AccountRead(id)
 		ctx.AccountRead()
-		return nil
-	}
-	if io.cache.policy != ChargeAllAccesses {
 		return nil
 	}
 	buf := GetPage()

@@ -47,11 +47,11 @@ func TestServeBurstParity(t *testing.T) {
 	for _, cached := range []bool{true, false} {
 		newSP := func() *ServiceProvider {
 			sp := NewServiceProvider(pagestore.NewMem())
-			if !cached {
-				sp.ConfigureCache(0, 0)
-			}
 			if err := sp.Load(ds.Records); err != nil {
 				t.Fatal(err)
+			}
+			if !cached {
+				sp.index.UseCache(nil)
 			}
 			return sp
 		}

@@ -84,7 +84,7 @@ func ModifyTamper(i int) Tamper {
 type ServiceProvider struct {
 	mu        sync.RWMutex
 	store     *pagestore.Counting
-	cache     *bufpool.Cache // decoded B+-tree node cache; may be nil (the heap is uncached)
+	cache     bufpool.Cache // decoded B+-tree nodes (the heap is uncached)
 	heap      *heapfile.File
 	index     *bptree.Tree
 	byID      map[record.ID]heapfile.RID // catalog for update routing
@@ -92,45 +92,20 @@ type ServiceProvider struct {
 	aggTamper AggTamper
 }
 
-// NewServiceProvider returns an SP backed by the given page store. A
-// decoded-node cache for the B+-tree in charge-every-access mode is
-// attached by default, so wall-clock time drops while the paper's
-// node-access accounting stays exact; use ConfigureCache to resize,
-// change policy, or disable it. The heap file serves records from their
-// page bytes and is never cached.
+// NewServiceProvider returns an SP backed by the given page store. Its
+// decoded-node cache keeps the B+-tree's nodes and charges every hit, so
+// wall-clock time drops while the paper's node-access accounting stays
+// exact. The heap file serves records from their page bytes and is never
+// cached.
 func NewServiceProvider(store pagestore.Store) *ServiceProvider {
 	return &ServiceProvider{
 		store: pagestore.NewCounting(store),
-		cache: bufpool.New(bufpool.DefaultCapacity, bufpool.ChargeAllAccesses),
 		byID:  make(map[record.ID]heapfile.RID),
 	}
 }
 
-// ConfigureCache replaces the SP's decoded-node cache; pages <= 0 disables
-// caching entirely. An existing index is re-attached, so it may be called
-// before or after Load.
-func (sp *ServiceProvider) ConfigureCache(pages int, policy bufpool.ChargePolicy) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if pages <= 0 {
-		sp.cache = nil
-	} else {
-		sp.cache = bufpool.New(pages, policy)
-	}
-	if sp.index != nil {
-		sp.index.UseCache(sp.cache)
-	}
-}
-
-// CacheStats returns the decoded-node cache counters (zero when disabled).
-func (sp *ServiceProvider) CacheStats() bufpool.Stats {
-	sp.mu.RLock()
-	defer sp.mu.RUnlock()
-	if sp.cache == nil {
-		return bufpool.Stats{}
-	}
-	return sp.cache.Stats()
-}
+// CacheStats returns the decoded-node cache counters.
+func (sp *ServiceProvider) CacheStats() bufpool.Stats { return sp.cache.Stats() }
 
 // Load receives the owner's initial dataset (sorted by key) and builds the
 // clustered heap file plus the B+-tree.
@@ -150,7 +125,7 @@ func (sp *ServiceProvider) Load(records []record.Record) error {
 	if err != nil {
 		return fmt.Errorf("core: SP loading index: %w", err)
 	}
-	index.UseCache(sp.cache)
+	index.UseCache(&sp.cache)
 	sp.heap = heap
 	sp.index = index
 	return nil
@@ -234,16 +209,6 @@ func measured(ctx *exec.Context, f func() error) (costmodel.Breakdown, error) {
 	return costmodel.Default.Measure(ctx.Stats().Sub(before), time.Since(start)), nil
 }
 
-// ApplyInsert stores a new record from the owner: a group of one.
-func (sp *ServiceProvider) ApplyInsert(r record.Record) error {
-	return sp.ApplyBatchCtx(exec.NewContext(), []wal.Op{wal.InsertOp(r)})
-}
-
-// ApplyDelete removes a record by id and key: a group of one.
-func (sp *ServiceProvider) ApplyDelete(id record.ID, key record.Key) error {
-	return sp.ApplyBatchCtx(exec.NewContext(), []wal.Op{wal.DeleteOp(id, key)})
-}
-
 // ApplyBatchCtx is the SP's one write body: it applies a whole commit
 // group under ONE lock acquisition — every insert and delete in order, on
 // a single request context — and a single update is a group of one. Each
@@ -321,44 +286,19 @@ func (sp *ServiceProvider) IndexHeight() int {
 type TrustedEntity struct {
 	mu    sync.RWMutex
 	store *pagestore.Counting
-	cache *bufpool.Cache // decoded XB-Tree node cache; may be nil
+	cache bufpool.Cache // decoded XB-Tree nodes
 	tree  *xbtree.Tree
 }
 
 // NewTrustedEntity returns a TE backed by the given page store. Like the
-// SP, it starts with a charge-every-access decoded-node cache; see
-// ConfigureCache.
+// SP, it keeps its index's nodes in a decoded-node cache that charges
+// every hit.
 func NewTrustedEntity(store pagestore.Store) *TrustedEntity {
-	return &TrustedEntity{
-		store: pagestore.NewCounting(store),
-		cache: bufpool.New(bufpool.DefaultCapacity, bufpool.ChargeAllAccesses),
-	}
+	return &TrustedEntity{store: pagestore.NewCounting(store)}
 }
 
-// ConfigureCache replaces the TE's decoded-node cache; pages <= 0 disables
-// caching.
-func (te *TrustedEntity) ConfigureCache(pages int, policy bufpool.ChargePolicy) {
-	te.mu.Lock()
-	defer te.mu.Unlock()
-	if pages <= 0 {
-		te.cache = nil
-	} else {
-		te.cache = bufpool.New(pages, policy)
-	}
-	if te.tree != nil {
-		te.tree.UseCache(te.cache)
-	}
-}
-
-// CacheStats returns the decoded-node cache counters (zero when disabled).
-func (te *TrustedEntity) CacheStats() bufpool.Stats {
-	te.mu.RLock()
-	defer te.mu.RUnlock()
-	if te.cache == nil {
-		return bufpool.Stats{}
-	}
-	return te.cache.Stats()
-}
+// CacheStats returns the decoded-node cache counters.
+func (te *TrustedEntity) CacheStats() bufpool.Stats { return te.cache.Stats() }
 
 // Load receives the owner's initial dataset (sorted by key), projects each
 // record to its (id, digest) tuple, and bulk-loads the XB-Tree. The TE
@@ -387,7 +327,7 @@ func (te *TrustedEntity) Load(records []record.Record) error {
 	if err != nil {
 		return fmt.Errorf("core: TE loading XB-Tree: %w", err)
 	}
-	tree.UseCache(te.cache)
+	tree.UseCache(&te.cache)
 	te.tree = tree
 	return nil
 }
@@ -408,16 +348,6 @@ func (te *TrustedEntity) GenerateVTCtx(ctx *exec.Context, q record.Range) (diges
 		return te.GenerateVTBurst([]*exec.Context{ctx}, []record.Range{q}, vt[:])
 	})
 	return vt[0], cost, err
-}
-
-// ApplyInsert registers a new record from the owner: a group of one.
-func (te *TrustedEntity) ApplyInsert(r record.Record) error {
-	return te.ApplyBatchCtx(exec.NewContext(), []wal.Op{wal.InsertOp(r)})
-}
-
-// ApplyDelete removes a record's tuple by id and key: a group of one.
-func (te *TrustedEntity) ApplyDelete(id record.ID, key record.Key) error {
-	return te.ApplyBatchCtx(exec.NewContext(), []wal.Op{wal.DeleteOp(id, key)})
 }
 
 // ApplyBatchCtx is the TE's one write body: it applies a whole commit

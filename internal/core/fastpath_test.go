@@ -23,11 +23,11 @@ func fastpathRecords(n int) []record.Record {
 func fastpathSP(t *testing.T, recs []record.Record, cached bool) *ServiceProvider {
 	t.Helper()
 	sp := NewServiceProvider(pagestore.NewMem())
-	if !cached {
-		sp.ConfigureCache(0, 0)
-	}
 	if err := sp.Load(recs); err != nil {
 		t.Fatalf("SP load: %v", err)
+	}
+	if !cached {
+		sp.index.UseCache(nil)
 	}
 	return sp
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"sae/internal/bufpool"
 	"sae/internal/costmodel"
 	"sae/internal/digest"
 	"sae/internal/exec"
@@ -32,9 +31,8 @@ type ShardedSystem struct {
 }
 
 // NewShardedSystem outsources a dataset (sorted by key) across `shards`
-// key-range partitions over in-memory stores. Each shard's decoded-node
-// caches are sized from its partition's cardinality (bufpool.CapacityFor),
-// not the flat default.
+// key-range partitions over in-memory stores. Each party keeps its own
+// decoded-node cache, which holds its shard's whole index.
 func NewShardedSystem(sorted []record.Record, shards int) (*ShardedSystem, error) {
 	plan := shard.PlanFor(sorted, shards)
 	if err := plan.Validate(); err != nil {
@@ -61,9 +59,6 @@ func NewShardedSystem(sorted []record.Record, shards int) (*ShardedSystem, error
 			defer wg.Done()
 			sp := NewServiceProvider(pagestore.NewMem())
 			te := NewTrustedEntity(pagestore.NewMem())
-			pages := bufpool.CapacityFor(len(parts[i]))
-			sp.ConfigureCache(pages, bufpool.ChargeAllAccesses)
-			te.ConfigureCache(pages, bufpool.ChargeAllAccesses)
 			if err := sp.Load(parts[i]); err != nil {
 				errs[i] = fmt.Errorf("core: shard %d SP: %w", i, err)
 				return

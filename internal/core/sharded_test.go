@@ -261,8 +261,9 @@ func TestShardedEmptyRange(t *testing.T) {
 	}
 }
 
-// TestShardedCacheSizedFromPartition: per-shard caches are sized from the
-// partition cardinality, not the flat default.
+// TestShardedCacheSizedFromPartition: each shard's parties keep their own
+// decoded-node caches, which hold the partition's whole index, so a
+// repeated full-span query is served without a miss.
 func TestShardedCacheSizedFromPartition(t *testing.T) {
 	ds, err := workload.Generate(workload.UNF, 8_000, 9)
 	if err != nil {
@@ -272,18 +273,27 @@ func TestShardedCacheSizedFromPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts := sharded.Plan.Partition(ds.Records)
 	for i, sp := range sharded.SPs {
-		// Warm the cache past any per-partition capacity to observe the
-		// bound indirectly: a full-span query touches every heap page.
-		span := sharded.Plan.Span(i)
-		if _, _, err := sp.Query(span); err != nil {
-			t.Fatal(err)
+		te, span := sharded.TEs[i], sharded.Plan.Span(i)
+		query := func() {
+			if _, _, err := sp.Query(span); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := te.GenerateVT(span); err != nil {
+				t.Fatal(err)
+			}
 		}
-		// CapacityFor(len(part)) pages is far below DefaultCapacity for a
-		// 2K-record partition; the cache must hold at most that many nodes.
-		if got, limit := sp.CacheStats(), len(parts[i]); got.Hits+got.Misses == 0 {
-			t.Fatalf("shard %d cache unused (limit hint %d)", i, limit)
+		query() // warm
+		spWarm, teWarm := sp.CacheStats(), te.CacheStats()
+		if spWarm.Hits+spWarm.Misses == 0 || teWarm.Hits+teWarm.Misses == 0 {
+			t.Fatalf("shard %d: a cache is unused (SP %+v, TE %+v)", i, spWarm, teWarm)
+		}
+		query()
+		if d := sp.CacheStats().Misses - spWarm.Misses; d != 0 {
+			t.Fatalf("shard %d: warmed SP missed %d times", i, d)
+		}
+		if d := te.CacheStats().Misses - teWarm.Misses; d != 0 {
+			t.Fatalf("shard %d: warmed TE missed %d times", i, d)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"sae/internal/agg"
-	"sae/internal/bufpool"
 	"sae/internal/costmodel"
 	"sae/internal/digest"
 	"sae/internal/exec"
@@ -23,19 +22,10 @@ type System struct {
 }
 
 // NewSystem outsources a dataset (must be sorted by key, as produced by
-// workload.Generate) and returns the assembled system. Both parties run a
-// decoded-node cache sized to the dataset's index working set
-// (bufpool.CapacityFor) in charge-every-access mode, so node-access counts
-// match an uncached run exactly while the cache never trails the working
-// set.
+// workload.Generate) and returns the assembled system. Each party keeps
+// its own decoded-node cache, which holds its whole index and charges
+// every hit, so node-access counts match an uncached run exactly.
 func NewSystem(sorted []record.Record) (*System, error) {
-	return NewSystemCache(sorted, bufpool.CapacityFor(len(sorted)), bufpool.ChargeAllAccesses)
-}
-
-// NewSystemCache is NewSystem with an explicit decoded-node cache
-// configuration for both parties; pages <= 0 disables caching (the seed's
-// original uncached behavior, used by before/after benchmarks).
-func NewSystemCache(sorted []record.Record, pages int, policy bufpool.ChargePolicy) (*System, error) {
 	owner, err := NewDataOwner(sorted)
 	if err != nil {
 		return nil, err
@@ -45,8 +35,6 @@ func NewSystemCache(sorted []record.Record, pages int, policy bufpool.ChargePoli
 		SP:    NewServiceProvider(pagestore.NewMem()),
 		TE:    NewTrustedEntity(pagestore.NewMem()),
 	}
-	s.SP.ConfigureCache(pages, policy)
-	s.TE.ConfigureCache(pages, policy)
 	if err := s.Owner.Outsource(s.SP, s.TE, sorted); err != nil {
 		return nil, err
 	}
@@ -170,7 +158,7 @@ func (s *System) apply(ops []wal.Op) error {
 // are loaded as they are; others are loaded from a sorted copy, and recs
 // is never modified. A repeated id is an error. The owner issues fresh
 // ids from nextID or past the largest id in recs, whichever is higher.
-// Both parties keep their default decoded-node caches.
+// Each party keeps its own decoded-node cache, as under NewSystem.
 func Rebuild(recs []record.Record, nextID record.ID) (*System, error) {
 	owner, err := NewDataOwner(recs)
 	if err != nil {

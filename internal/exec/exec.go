@@ -17,11 +17,6 @@
 // ints with no locking. All methods are nil-safe — a nil *Context is "no
 // request-scoped accounting" and costs one predicted branch — so load-time
 // paths (bulkloads, restores) simply pass nil.
-//
-// Besides accounting, the context carries a scan hint: a long range scan
-// marks itself (BeginScan/EndScan) and the decoded-node cache skips LRU
-// admission for the pages the scan faults in, so one big scan cannot evict
-// the hot set (scan-resistant admission, as in production buffer pools).
 package exec
 
 import (
@@ -30,21 +25,10 @@ import (
 	"sae/internal/pagestore"
 )
 
-// ScanThreshold is the number of distinct pages a single traversal (a
-// B+-tree or MB-Tree leaf-chain walk) may touch before it declares itself
-// a scan via BeginScan: from then on the nodes it faults in bypass LRU
-// admission in the decoded-node cache. The first ScanThreshold pages are
-// still admitted — short queries ARE the hot set — so only the long tail
-// of a big scan is kept out. Heap pages never enter the cache, so a heap
-// fetch needs no scan hint.
-const ScanThreshold = 64
-
 // Context is the per-request execution state. Create one per query or
 // update with NewContext; zero value is also ready.
 type Context struct {
 	stats pagestore.Stats
-	// scan is a nesting depth: >0 while inside a declared scan section.
-	scan int
 }
 
 // NewContext returns a fresh request context.
@@ -116,27 +100,6 @@ func (c *Context) Stats() pagestore.Stats {
 	return c.stats
 }
 
-// BeginScan marks the start of a long sequential scan. Sections nest; the
-// hint stays up until every section has ended.
-func (c *Context) BeginScan() {
-	if c != nil {
-		c.scan++
-	}
-}
-
-// EndScan closes the innermost scan section.
-func (c *Context) EndScan() {
-	if c != nil && c.scan > 0 {
-		c.scan--
-	}
-}
-
-// Scanning reports whether the request is inside a scan section; the
-// decoded-node cache bypasses LRU admission while it is.
-func (c *Context) Scanning() bool {
-	return c != nil && c.scan > 0
-}
-
 // Lane is the per-serve-lane execution scratch. A burst-mode server runs N
 // independent lanes (one per GOMAXPROCS slot); each lane serves its bursts
 // on a single goroutine, so everything hanging off a Lane is accessed
@@ -165,40 +128,4 @@ func (l *Lane) Contexts(n int) []*Context {
 		c.Reset()
 	}
 	return out
-}
-
-// ScanTracker applies the admission-cutoff policy for one traversal: the
-// caller notes each distinct page as it advances, and once the traversal
-// has crossed ScanThreshold pages the tracker opens a scan section on the
-// context — exactly once. End (usually deferred) closes it. Keeping the
-// trigger here means every traversal (B+-tree and MB-Tree leaf chains)
-// shares one cutoff policy.
-type ScanTracker struct {
-	ctx   *Context
-	seen  int
-	began bool
-}
-
-// TrackScan returns a tracker for one traversal under ctx. Always pair
-// with a deferred End.
-func TrackScan(ctx *Context) ScanTracker {
-	return ScanTracker{ctx: ctx}
-}
-
-// NotePage records that the traversal advanced to another distinct page,
-// opening the scan section when the threshold is crossed.
-func (s *ScanTracker) NotePage() {
-	s.seen++
-	if s.seen == ScanThreshold+1 {
-		s.began = true
-		s.ctx.BeginScan()
-	}
-}
-
-// End closes the scan section if this tracker opened one.
-func (s *ScanTracker) End() {
-	if s.began {
-		s.began = false
-		s.ctx.EndScan()
-	}
 }

@@ -12,11 +12,6 @@ func TestNilContextIsSafe(t *testing.T) {
 	c.AccountWrite()
 	c.AccountAlloc()
 	c.AccountFree()
-	c.BeginScan()
-	c.EndScan()
-	if c.Scanning() {
-		t.Fatal("nil context reports scanning")
-	}
 	if c.Stats() != (pagestore.Stats{}) {
 		t.Fatal("nil context reports non-zero stats")
 	}
@@ -45,26 +40,5 @@ func TestAccounting(t *testing.T) {
 	c.AccountRead()
 	if d := c.Stats().Sub(mid); d.Reads != 1 || d.Writes != 0 {
 		t.Fatalf("phase delta = %+v, want one read", d)
-	}
-}
-
-func TestScanNesting(t *testing.T) {
-	c := NewContext()
-	if c.Scanning() {
-		t.Fatal("fresh context scanning")
-	}
-	c.BeginScan()
-	c.BeginScan()
-	c.EndScan()
-	if !c.Scanning() {
-		t.Fatal("nested scan ended early")
-	}
-	c.EndScan()
-	if c.Scanning() {
-		t.Fatal("scan did not end")
-	}
-	c.EndScan() // underflow is a no-op
-	if c.Scanning() {
-		t.Fatal("underflowed EndScan re-opened the scan")
 	}
 }

@@ -87,9 +87,9 @@ func parityRuns(t *testing.T) (*File, *pagestore.Counting, [][]RID) {
 // TestServeBurstCtxParity pins the one streaming fetch to its reference,
 // GetManyCtx run by run: identical record bytes, identical per-run access
 // counts, and identical totals at the store, at group sizes 1, 2 and 64.
-// Heap pages never enter a decoded-node cache, so a cache attached under
-// either charge policy (UseCache is a no-op) changes none of it: every
-// borrowed page is charged as one read.
+// Heap pages never enter a decoded-node cache, so an attached cache
+// (UseCache is a no-op) changes none of it: every borrowed page is
+// charged as one read.
 func TestServeBurstCtxParity(t *testing.T) {
 	f, store, runs := parityRuns(t)
 	wantRecs := make([][]byte, len(runs))
@@ -114,8 +114,7 @@ func TestServeBurstCtxParity(t *testing.T) {
 		cache *bufpool.Cache
 	}{
 		{"uncached", nil},
-		{"charge-all", bufpool.New(48, bufpool.ChargeAllAccesses)},
-		{"charge-misses", bufpool.New(48, bufpool.ChargeMissesOnly)},
+		{"charge-all", new(bufpool.Cache)},
 	}
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {

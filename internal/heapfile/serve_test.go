@@ -12,8 +12,8 @@ import (
 
 // TestServeManyParity proves the record-pointer shim emits exactly the
 // records GetManyCtx returns, in order, with identical page-access
-// accounting, and that attaching a cache under either charge policy
-// (UseCache is a no-op) changes neither.
+// accounting, and that attaching a cache (UseCache is a no-op) changes
+// neither.
 func TestServeManyParity(t *testing.T) {
 	recs := buildRecords(1000)
 	counting := pagestore.NewCounting(pagestore.NewMem())
@@ -34,8 +34,7 @@ func TestServeManyParity(t *testing.T) {
 		cache *bufpool.Cache
 	}{
 		{"uncached", nil},
-		{"charge-all", bufpool.New(64, bufpool.ChargeAllAccesses)},
-		{"charge-misses", bufpool.New(64, bufpool.ChargeMissesOnly)},
+		{"charge-all", new(bufpool.Cache)},
 	}
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {

@@ -418,10 +418,7 @@ func (t *Tree) RangeCtx(ctx *exec.Context, lo, hi record.Key) ([]heapfile.RID, e
 		id = n.children[lowerBoundKey(n.entries, lo)]
 	}
 	var out []heapfile.RID
-	scan := exec.TrackScan(ctx)
-	defer scan.End()
 	for id != pagestore.InvalidPage {
-		scan.NotePage()
 		n, err := t.readNode(ctx, id)
 		if err != nil {
 			return nil, err

@@ -35,9 +35,9 @@ func (s Stats) Add(o Stats) Stats {
 }
 
 // ReadAccountant is implemented by stores that can charge a read without
-// performing it. The decoded-node cache (internal/bufpool) uses it under
-// its charge-every-access policy to keep the paper's node-access
-// accounting exact on cache hits while skipping the page copy.
+// performing it. The decoded-node cache (internal/bufpool) charges every
+// hit through it, keeping the paper's node-access accounting exact while
+// skipping the page copy.
 type ReadAccountant interface {
 	AccountRead(id PageID)
 }

@@ -75,14 +75,6 @@ func (h *Hub) onCommit(seq uint64, ops []wal.Op) {
 	h.last = seq
 }
 
-// Last returns the newest retained sequence (the primary's generation
-// stamp as the hub has observed it).
-func (h *Hub) Last() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.last
-}
-
 // Since returns up to max retained groups with sequences above after,
 // plus the hub's newest sequence. snapshotNeeded reports that the
 // retention window no longer reaches back to after — the tailer must

@@ -136,10 +136,6 @@ type Coordinator struct {
 	sources []*source
 }
 
-// TargetAddr returns the serving address of target i (successor-run
-// order).
-func (c *Coordinator) TargetAddr(i int) string { return c.targets[i].srv.Addr() }
-
 // Close stops the target servers and their durable systems, and drops
 // the source connections.
 func (c *Coordinator) Close() error {

@@ -60,7 +60,7 @@ type Tamper func([]record.Record) []record.Record
 type Provider struct {
 	mu     sync.RWMutex
 	store  *pagestore.Counting
-	cache  *bufpool.Cache // decoded MB-Tree node cache (the heap is uncached)
+	cache  bufpool.Cache // decoded MB-Tree nodes (the heap is uncached)
 	heap   *heapfile.File
 	tree   *mbtree.Tree
 	sig    []byte
@@ -75,41 +75,18 @@ type liveRecord struct {
 	key record.Key
 }
 
-// NewProvider returns a provider backed by the given page store, with the
-// default charge-every-access decoded-node cache for its MB-Tree (see
-// ConfigureCache); the heap file is never cached.
+// NewProvider returns a provider backed by the given page store. Its
+// decoded-node cache keeps the MB-Tree's nodes and charges every hit; the
+// heap file is never cached.
 func NewProvider(store pagestore.Store) *Provider {
 	return &Provider{
 		store: pagestore.NewCounting(store),
-		cache: bufpool.New(bufpool.DefaultCapacity, bufpool.ChargeAllAccesses),
 		byID:  make(map[record.ID]liveRecord),
 	}
 }
 
-// ConfigureCache replaces the provider's decoded-node cache; pages <= 0
-// disables caching.
-func (p *Provider) ConfigureCache(pages int, policy bufpool.ChargePolicy) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if pages <= 0 {
-		p.cache = nil
-	} else {
-		p.cache = bufpool.New(pages, policy)
-	}
-	if p.tree != nil {
-		p.tree.UseCache(p.cache)
-	}
-}
-
-// CacheStats returns the decoded-node cache counters (zero when disabled).
-func (p *Provider) CacheStats() bufpool.Stats {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.cache == nil {
-		return bufpool.Stats{}
-	}
-	return p.cache.Stats()
-}
+// CacheStats returns the decoded-node cache counters.
+func (p *Provider) CacheStats() bufpool.Stats { return p.cache.Stats() }
 
 // Load builds the heap file and the MB-Tree from the owner's dataset
 // (sorted by key) and obtains the owner's signature over the root digest.
@@ -146,7 +123,7 @@ func (p *Provider) Load(records []record.Record, owner *Owner) error {
 	if err != nil {
 		return fmt.Errorf("tom: provider loading MB-Tree: %w", err)
 	}
-	tree.UseCache(p.cache)
+	tree.UseCache(&p.cache)
 	p.heap = heap
 	p.tree = tree
 	p.byID = byID
@@ -352,22 +329,15 @@ type System struct {
 	Client   Client
 }
 
-// NewSystem outsources a dataset (sorted by key) under TOM, with a
-// charge-every-access decoded-node cache sized to the dataset's working
-// set (bufpool.CapacityFor) at the provider.
+// NewSystem outsources a dataset (sorted by key) under TOM. The
+// provider's decoded-node cache holds its whole MB-Tree and charges every
+// hit.
 func NewSystem(sorted []record.Record) (*System, error) {
-	return NewSystemCache(sorted, bufpool.CapacityFor(len(sorted)), bufpool.ChargeAllAccesses)
-}
-
-// NewSystemCache is NewSystem with an explicit provider cache
-// configuration; pages <= 0 disables caching.
-func NewSystemCache(sorted []record.Record, pages int, policy bufpool.ChargePolicy) (*System, error) {
 	owner, err := NewOwner()
 	if err != nil {
 		return nil, err
 	}
 	p := NewProvider(pagestore.NewMem())
-	p.ConfigureCache(pages, policy)
 	if err := p.Load(sorted, owner); err != nil {
 		return nil, err
 	}

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"sae/internal/bufpool"
 	"sae/internal/core"
 	"sae/internal/exec"
 	"sae/internal/pagestore"
@@ -267,16 +266,21 @@ func TestBurstFallbackOnProviderError(t *testing.T) {
 	if err := sp.Load(ds.Records); err != nil {
 		t.Fatal(err)
 	}
-	sp.ConfigureCache(0, bufpool.ChargeAllAccesses) // every access reads the store
 	qs := workload.Queries(4, workload.DefaultExtent, 97)
 	const bad = 2
-	// Poison a page only the bad query reads.
+	// Poison a page only the bad query reads. Every query runs once first,
+	// so the decoded-node cache holds the index nodes they touch and the
+	// pages recorded afterwards are the ones a query reads from the store
+	// on every run.
 	pagesOf := func(q record.Range) map[pagestore.PageID]bool {
 		clear(store.read)
 		if _, _, err := sp.QueryCtx(exec.NewContext(), q); err != nil {
 			t.Fatal(err)
 		}
 		return maps.Clone(store.read)
+	}
+	for _, q := range qs {
+		pagesOf(q)
 	}
 	others := map[pagestore.PageID]bool{}
 	for i, q := range qs {

@@ -102,12 +102,6 @@ func (rb *RespBuf) AppendUint64(v uint64) {
 	rb.b = binary.BigEndian.AppendUint64(rb.b, v)
 }
 
-// PatchUint32 backfills a big-endian uint32 at a previously appended
-// offset (count slots reserved before streaming).
-func (rb *RespBuf) PatchUint32(at int, v uint32) {
-	binary.BigEndian.PutUint32(rb.b[at:at+4], v)
-}
-
 // maxInFlight bounds the own-goroutine requests one connection may have
 // executing at once; further frames queue in the kernel's socket buffer.
 // The providers serve under their own locks, so the bound only caps

@@ -56,7 +56,6 @@ func Bulkload(store pagestore.Store, items []KeyTuples) (*Tree, error) {
 		flat[i] = loaded{sk: it.Key, lref: refs[i], lxor: acc.Sum(), count: uint32(len(it.Tuples))}
 		t.tuples += len(it.Tuples)
 	}
-	t.keys = len(items)
 
 	// Build the leaf level: runs of LeafCapacity entries separated by one
 	// pulled-up item each.

@@ -73,7 +73,6 @@ type Tree struct {
 	height int // 1 = root is a leaf
 	nodes  int
 	tuples int
-	keys   int // distinct (possibly tombstoned) keys
 }
 
 // UseCache attaches a decoded-node cache to the tree's read/write path
@@ -379,7 +378,6 @@ func (t *Tree) insertRec(ctx *exec.Context, id pagestore.PageID, key record.Key,
 		if err != nil {
 			return nil, pagestore.InvalidPage, digest.Zero, agg.Agg{}, err
 		}
-		t.keys++
 		e := entry{sk: key, lref: lref, x: tup.Digest, child: pagestore.InvalidPage, listCount: 1}
 		n.entries = append(n.entries, entry{})
 		copy(n.entries[pos+1:], n.entries[pos:])
@@ -705,15 +703,8 @@ func (t *Tree) Height() int { return t.height }
 // NodeCount returns the number of tree nodes (excluding list pages).
 func (t *Tree) NodeCount() int { return t.nodes }
 
-// ListPages returns the number of tuple-list pages.
-func (t *Tree) ListPages() int { return t.lists.pages }
-
 // Tuples returns the number of live tuples.
 func (t *Tree) Tuples() int { return t.tuples }
-
-// Keys returns the number of distinct keys ever inserted (tombstones
-// included).
-func (t *Tree) Keys() int { return t.keys }
 
 // Bytes returns the TE's total storage: tree nodes plus list pages.
 func (t *Tree) Bytes() int64 {
