@@ -23,14 +23,29 @@ import (
 // BurstScratch holds the reusable plan buffers for one serve lane. A lane
 // serves one burst at a time on one goroutine, so the scratch needs no
 // locking; steady-state bursts reuse the arena and offset slices and
-// allocate nothing.
+// allocate nothing. View.ServeBurst also parks its arguments here for the
+// length of the call and runs the scratch's own serve func, built on the
+// first burst, so a verified burst builds no closure either.
 type BurstScratch struct {
 	arena []heapfile.RID
 	offs  []int
 	runs  [][]heapfile.RID
 	los   []record.Key
 	his   []record.Key
+
+	// View.ServeBurst's arguments and result, valid during the call.
+	ctxs  []*exec.Context
+	qs    []record.Range
+	vts   []digest.Digest
+	emit  func(qi int, enc []byte) error
+	seq   uint64
+	serve func(seq uint64, sp *ServiceProvider, te *TrustedEntity) error
 }
+
+// Planned is the number of records the burst being served has planned.
+// An emit may read it: the whole burst is planned before its first run
+// is emitted.
+func (sc *BurstScratch) Planned() int { return len(sc.arena) }
 
 // ServeBurstCtx serves a burst of range queries straight from the heap
 // file's page bytes: qs[qi] runs under ctxs[qi], and emit(qi, enc)
@@ -50,6 +65,7 @@ func (sp *ServiceProvider) ServeBurstCtx(ctxs []*exec.Context, qs []record.Range
 	sp.mu.RLock()
 	defer sp.mu.RUnlock()
 	if sp.tamper != nil {
+		sc.arena = sc.arena[:0]
 		var enc []byte
 		for qi := range qs {
 			recs, _, err := sp.queryLocked(ctxs[qi], qs[qi])
@@ -106,23 +122,36 @@ func (te *TrustedEntity) GenerateVTBurst(ctxs []*exec.Context, qs []record.Range
 // View runs f over an SP/TE pair pinned at one commit boundary: while f
 // runs no commit group can apply, so everything f reads belongs to the
 // single generation stamp it is handed. A DurableSystem's view holds the
-// commit lock shared; a replica's holds its apply lock.
+// commit lock shared; a replica's holds its apply lock. Either calls f
+// directly under its lock and builds nothing per call, so a view costs
+// a read verb no allocation.
 type View func(f func(seq uint64, sp *ServiceProvider, te *TrustedEntity) error) error
 
 // ServeBurst answers a group of n ≥ 1 range queries atomically at a
 // single commit boundary: the emitted records, the tokens written to
 // vts and the returned generation stamp all describe the same group
 // sequence, even while a concurrent write burst is advancing the system.
-// Query qi's SP scan and TE descent are both charged to ctxs[qi].
+// Query qi's SP scan and TE descent are both charged to ctxs[qi]. The
+// arguments ride in sc, whose serve func is built once per scratch, so
+// a steady-state burst allocates nothing here.
 func (v View) ServeBurst(ctxs []*exec.Context, qs []record.Range, sc *BurstScratch, vts []digest.Digest, emit func(qi int, enc []byte) error) (seq uint64, err error) {
-	err = v(func(s uint64, sp *ServiceProvider, te *TrustedEntity) error {
-		seq = s
-		if err := sp.ServeBurstCtx(ctxs, qs, sc, emit); err != nil {
-			return err
-		}
-		return te.GenerateVTBurst(ctxs, qs, vts)
-	})
+	if sc.serve == nil {
+		sc.serve = sc.serveView
+	}
+	sc.ctxs, sc.qs, sc.vts, sc.emit = ctxs, qs, vts, emit
+	err = v(sc.serve)
+	seq = sc.seq
+	sc.ctxs, sc.qs, sc.vts, sc.emit = nil, nil, nil, nil
 	return seq, err
+}
+
+// serveView is the body View.ServeBurst runs under the view's lock.
+func (sc *BurstScratch) serveView(seq uint64, sp *ServiceProvider, te *TrustedEntity) error {
+	sc.seq = seq
+	if err := sp.ServeBurstCtx(sc.ctxs, sc.qs, sc, sc.emit); err != nil {
+		return err
+	}
+	return te.GenerateVTBurst(sc.ctxs, sc.qs, sc.vts)
 }
 
 // ServeVerified is ServeBurst at n = 1 with a fresh request context: a

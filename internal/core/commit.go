@@ -50,14 +50,14 @@ type GroupCommitter struct {
 	log   *wal.Log // may be nil: volatile mode (no durability, same grouping)
 
 	// commitMu is held exclusively across a whole group's application to
-	// both parties, and shared by ReadView, so every read view sees the
-	// SP and the TE at the same group boundary — never one party mid-group
-	// ahead of the other.
+	// both parties, and shared by DurableSystem.View, so every read view
+	// sees the SP and the TE at the same group boundary — never one party
+	// mid-group ahead of the other.
 	commitMu sync.RWMutex
 
 	// applied is the sequence of the last group whose application
 	// completed — the system's generation stamp. Guarded by commitMu (it
-	// advances only under the exclusive lock), so a ReadView observes a
+	// advances only under the exclusive lock), so a read view observes a
 	// stamp consistent with the state it reads.
 	applied uint64
 	hook    CommitHook // fired under commitMu after each applied group
@@ -279,17 +279,6 @@ func (gc *GroupCommitter) AppliedSeq() uint64 {
 	gc.commitMu.RLock()
 	defer gc.commitMu.RUnlock()
 	return gc.applied
-}
-
-// ReadView runs f with the commit lock held shared: no group can apply
-// while f runs, so everything f reads from the SP and the TE belongs to
-// the single generation stamp it is handed. This is what lets one
-// response carry records, a verification token and a generation stamp
-// that are mutually consistent even under a concurrent write burst.
-func (gc *GroupCommitter) ReadView(f func(seq uint64) error) error {
-	gc.commitMu.RLock()
-	defer gc.commitMu.RUnlock()
-	return f(gc.applied)
 }
 
 // Stats returns the committer's counters.

@@ -392,3 +392,101 @@ func TestViewReadersRaceTailPageWrites(t *testing.T) {
 		t.Fatalf("no reader saw an appended record (largest answer %d, base %d)", slices.Max(seen), base)
 	}
 }
+
+// TestViewReadersRaceListPageWrites races verified bursts against inserts
+// and deletes that rewrite the XB-Tree's list pages. The readers' ranges
+// end on an internal entry's key, so every token descent folds that
+// entry's list from its borrowed page; the writers add and remove tuples
+// under the same key, rewriting that list's slot, growing it into a chain
+// of pages and shrinking it back. Under -race, a fold that read a list
+// page outside the TE's lock would be reported, and every burst's answer
+// must verify against its token.
+func TestViewReadersRaceListPageWrites(t *testing.T) {
+	recs := durableDataset(t, 2000)
+	sys, err := OpenDurableSystem(t.TempDir(), recs, 16)
+	if err != nil {
+		t.Fatalf("OpenDurableSystem: %v", err)
+	}
+	defer sys.Close()
+	keys := make([]record.Key, len(recs))
+	for i := range recs {
+		keys[i] = recs[i].Key
+	}
+	slices.Sort(keys)
+	k := internalKey(t, sys.TE, keys[len(keys)/2:])
+	qs := []record.Range{{Lo: keys[100], Hi: k}, {Lo: k - 50_000, Hi: k}}
+	if _, n := listReads(t, sys.TE, exec.NewLane(0), qs[0]); n < 1 {
+		t.Fatalf("the readers' range reads %d list pages, want >= 1", n)
+	}
+
+	view := sys.View()
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	bursts := make([]int, 3)
+	for r := range bursts {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			vp := NewVerifyPool(1)
+			lane := exec.NewLane(r)
+			encs := make([][]byte, len(qs))
+			vts := make([]digest.Digest, len(qs))
+			var sc BurstScratch
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i := range encs {
+					encs[i] = encs[i][:0]
+				}
+				_, err := view.ServeBurst(lane.Contexts(len(qs)), qs, &sc, vts,
+					func(qi int, enc []byte) error {
+						encs[qi] = append(encs[qi], enc...)
+						return nil
+					})
+				if err != nil {
+					t.Errorf("reader %d: %v", r, err)
+					return
+				}
+				if _, err := vp.VerifyEncodedBurst(qs, encs, vts, nil); err != nil {
+					t.Errorf("reader %d: %v", r, err)
+					return
+				}
+				bursts[r]++
+			}
+		}(r)
+	}
+
+	// Net three tuples a round under k: the list passes a slot's 146
+	// tuples and becomes a chain, then the deletes shrink it back.
+	var under []record.Record
+	for i := 0; i < 60; i++ {
+		ins, err := sys.InsertBatch([]record.Key{k, k, k, k, k - 1})
+		if err != nil {
+			t.Fatalf("insert: %v", err)
+		}
+		under = append(under, ins[:4]...)
+		if err := sys.DeleteBatch(idsOf(ins[3:5])); err != nil {
+			t.Fatalf("delete: %v", err)
+		}
+		under = under[:len(under)-1]
+	}
+	for len(under) > 100 {
+		if err := sys.DeleteBatch(idsOf(under[len(under)-8:])); err != nil {
+			t.Fatalf("delete: %v", err)
+		}
+		under = under[:len(under)-8]
+	}
+	close(stop)
+	readers.Wait()
+	for r, n := range bursts {
+		if n == 0 {
+			t.Fatalf("reader %d served no burst", r)
+		}
+	}
+	if err := sys.TE.Validate(); err != nil {
+		t.Fatalf("TE validation after list churn: %v", err)
+	}
+}

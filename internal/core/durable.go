@@ -302,11 +302,16 @@ func (ds *DurableSystem) Seq() uint64 { return ds.committer.AppliedSeq() }
 
 // View is the system's read view: f runs with the commit lock held
 // shared, over the live SP and TE at the generation stamp it is handed.
-// This is the primary's half of the replica-set contract (a replica
-// offers the same view over its own pair).
+// No group can apply while f runs, so one response can carry records, a
+// verification token and a stamp that agree even under a concurrent
+// write burst. This is the primary's half of the replica-set contract (a
+// replica offers the same view over its own pair).
 func (ds *DurableSystem) View() View {
+	gc := ds.committer
 	return func(f func(uint64, *ServiceProvider, *TrustedEntity) error) error {
-		return ds.committer.ReadView(func(seq uint64) error { return f(seq, ds.SP, ds.TE) })
+		gc.commitMu.RLock()
+		defer gc.commitMu.RUnlock()
+		return f(gc.applied, ds.SP, ds.TE)
 	}
 }
 
@@ -323,10 +328,10 @@ func (ds *DurableSystem) ServeVerified(q record.Range, emit func(*record.Record)
 // EncodeSnapshot of it — the same bytes — is what bootstraps a replica.
 func (ds *DurableSystem) SnapshotRecords() (Snapshot, error) {
 	var snap Snapshot
-	err := ds.committer.ReadView(func(s uint64) error {
+	err := ds.View()(func(s uint64, sp *ServiceProvider, _ *TrustedEntity) error {
 		snap.Seq = s
 		var qErr error
-		snap.Records, _, qErr = ds.SP.QueryCtx(exec.NewContext(), record.Range{Lo: 0, Hi: record.KeyDomain})
+		snap.Records, _, qErr = sp.QueryCtx(exec.NewContext(), record.Range{Lo: 0, Hi: record.KeyDomain})
 		return qErr
 	})
 	snap.NextID = ds.Owner.watermark()

@@ -9,6 +9,7 @@ import (
 	"sae/internal/heapfile"
 	"sae/internal/pagestore"
 	"sae/internal/record"
+	"sae/internal/wal"
 )
 
 func fastpathRecords(n int) []record.Record {
@@ -131,24 +132,101 @@ func TestServeBurstAllocs(t *testing.T) {
 	}
 }
 
-// TestGenerateVTAllocs bounds TE token generation on a warm cache.
+// listReads returns the VT for q and the list pages its descent read: a
+// token descent and an aggregate descent walk the same nodes, and only
+// the token reads list pages.
+func listReads(t *testing.T, te *TrustedEntity, lane *exec.Lane, q record.Range) (digest.Digest, int64) {
+	t.Helper()
+	var vt [1]digest.Digest
+	ctxs := lane.Contexts(1)
+	if err := te.GenerateVTBurst(ctxs, []record.Range{q}, vt[:]); err != nil {
+		t.Fatalf("GenerateVT: %v", err)
+	}
+	vtReads := ctxs[0].Stats().Reads
+	ctxs = lane.Contexts(1)
+	if _, err := te.tree.AggregateCtx(ctxs[0], q.Lo, q.Hi); err != nil {
+		t.Fatalf("Aggregate: %v", err)
+	}
+	return vt[0], vtReads - ctxs[0].Stats().Reads
+}
+
+// internalKey returns the first of keys that an internal entry of te's
+// XB-Tree carries: a point range on it reads exactly that entry's list.
+// A range ending on it reads the list too, where the upper boundary cuts
+// the entry off from its subtree.
+func internalKey(t *testing.T, te *TrustedEntity, keys []record.Key) record.Key {
+	t.Helper()
+	lane := exec.NewLane(0)
+	for _, k := range keys {
+		if _, n := listReads(t, te, lane, record.Range{Lo: k, Hi: k}); n == 1 {
+			return k
+		}
+	}
+	t.Fatal("no internal entry found")
+	return 0
+}
+
+// bruteVT is the XOR of the digests of every record of recs in q.
+func bruteVT(recs []record.Record, q record.Range) digest.Digest {
+	var acc digest.Accumulator
+	for i := range recs {
+		if q.Contains(recs[i].Key) {
+			acc.Add(digest.OfRecord(&recs[i]))
+		}
+	}
+	return acc.Sum()
+}
+
+// TestGenerateVTAllocs: TE token generation on a warm cache allocates
+// nothing, including where a range boundary cuts an internal entry and
+// the descent folds that entry's list page — a shared slot, and a chain
+// of pages for a key with more tuples than a slot holds.
 func TestGenerateVTAllocs(t *testing.T) {
 	recs := fastpathRecords(2000)
 	te := NewTrustedEntity(pagestore.NewMem())
 	if err := te.Load(recs); err != nil {
 		t.Fatalf("TE load: %v", err)
 	}
-	q := record.Range{Lo: recs[100].Key, Hi: recs[1100].Key}
-	gen := func() {
-		if _, _, err := te.GenerateVTCtx(exec.NewContext(), q); err != nil {
-			t.Fatalf("GenerateVT: %v", err)
+	keys := make([]record.Key, 0, 1000)
+	for i := 1000; i < len(recs); i++ {
+		keys = append(keys, recs[i].Key)
+	}
+	k := internalKey(t, te, keys)
+	lane := exec.NewLane(0)
+	noAllocs := func(name string, q record.Range, minLists int64) {
+		t.Helper()
+		vt, n := listReads(t, te, lane, q)
+		if n < minLists {
+			t.Fatalf("%s: the descent read %d list pages, want >= %d", name, n, minLists)
+		}
+		if want := bruteVT(recs, q); vt != want {
+			t.Fatalf("%s: VT %v, brute force %v", name, vt, want)
+		}
+		qs := []record.Range{q}
+		var vts [1]digest.Digest
+		gen := func() {
+			if err := te.GenerateVTBurst(lane.Contexts(1), qs, vts[:]); err != nil {
+				t.Fatalf("%s: GenerateVT: %v", name, err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(50, gen); allocs != 0 {
+			t.Fatalf("%s: TE VT generation allocates %.1f objects/op, want 0", name, allocs)
 		}
 	}
-	gen()
-	allocs := testing.AllocsPerRun(50, gen)
-	if allocs > 8 {
-		t.Fatalf("TE VT generation allocates %.1f objects/op, want <= 8", allocs)
+	q := record.Range{Lo: recs[100].Key, Hi: k}
+	noAllocs("slot", q, 1)
+
+	// 300 more tuples under k move its list to a chain of three pages.
+	var ops []wal.Op
+	for i := 0; i < 300; i++ {
+		r := record.Synthesize(record.ID(10_000+i), k)
+		recs = append(recs, r)
+		ops = append(ops, wal.InsertOp(r))
 	}
+	if err := te.ApplyBatchCtx(exec.NewContext(), ops); err != nil {
+		t.Fatalf("TE insert: %v", err)
+	}
+	noAllocs("chain", q, 3)
 }
 
 // TestVerifyEncodedAllocs bounds the client's zero-copy verification: the

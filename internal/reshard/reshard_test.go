@@ -76,7 +76,7 @@ func countIn(t *testing.T, addr string, span record.Range) int {
 // TestRunValidation: malformed configs are rejected before any network
 // traffic.
 func TestRunValidation(t *testing.T) {
-	base := shard.PlanFor([]record.Record{record.Synthesize(1, 10), record.Synthesize(2, record.KeyDomain - 10)}, 2)
+	base := shard.PlanFor([]record.Record{record.Synthesize(1, 10), record.Synthesize(2, record.KeyDomain-10)}, 2)
 	split, err := base.SplitShard(0, []record.Key{base.Span(0).Hi / 2})
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +280,7 @@ func TestLiveMerge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = wc.InsertBatch([]record.Record{record.Synthesize(1 << 42, c.plan.Span(i).Lo)})
+		err = wc.InsertBatch([]record.Record{record.Synthesize(1<<42, c.plan.Span(i).Lo)})
 		wc.Close()
 		if err == nil || !strings.Contains(err.Error(), "retired") {
 			t.Fatalf("retired source %d still accepts writes: %v", i, err)

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,6 +29,11 @@ import (
 // arena, request contexts and plan scratch, so the hot path's only
 // synchronization per burst is one channel handoff and the connection's
 // write lock. A burst of one is the per-request path: there is no other.
+
+// sectionHeadroom is what a record section's response adds to its
+// records in the arena: a 4-byte count and, for a verified answer, the
+// epoch, generation and token.
+const sectionHeadroom = 4 + 8 + 8 + digest.Size
 
 // laneArenaRetain caps the capacity a lane's response arena may keep
 // between bursts, so one huge burst does not pin its high-water mark
@@ -115,6 +121,7 @@ func newLaneSet(s *Server) *laneSet {
 			jobs: make(chan burstJob, 8),
 			exec: exec.NewLane(i),
 		}
+		l.emit = l.emitRecords
 		ls.lanes[i] = l
 		ls.wg.Add(1)
 		go l.run(s, ls)
@@ -347,7 +354,9 @@ type lane struct {
 	toks []agg.Token
 
 	// provider-side scratch
-	spSc core.BurstScratch
+	spSc     core.BurstScratch
+	emit     func(qi int, enc []byte) error // l.emitRecords
+	reserved bool                           // the burst's arena is reserved
 }
 
 func (l *lane) run(s *Server, ls *laneSet) {
@@ -432,20 +441,31 @@ func (l *lane) reply(typ MsgType, id uint32, appendTo func([]byte) []byte) {
 	l.respond(typ, id, respPiece{off: off, end: len(l.resp)})
 }
 
-// records runs a streaming serve of n queries, copying each query's
-// record runs into its section of the arena; l.sec.piece(qi) is query
-// qi's span afterwards. The copy happens inside the serve's callback,
-// while the runs are still borrowed from their heap pages under the
-// serve's lock.
-func (l *lane) records(n int, serve func(emit func(int, []byte) error) error) error {
+// records runs a streaming serve of n queries, which must hand the
+// provider l.emit: each query's record runs are copied into its section
+// of the arena, and l.sec.piece(qi) is query qi's span afterwards. The
+// copy happens inside the provider's callback, while the runs are still
+// borrowed from their heap pages under the serve's lock.
+func (l *lane) records(n int, serve func() error) error {
 	l.sec.begin(n)
-	err := serve(func(qi int, enc []byte) error {
-		l.resp = l.sec.emit(l.resp, qi, enc)
-		return nil
-	})
-	if err != nil {
+	l.reserved = false
+	if err := serve(); err != nil {
 		return err
 	}
 	l.resp = l.sec.end(l.resp)
+	return nil
+}
+
+// emitRecords is l.emit, built once per lane. By the first run of a
+// burst the provider has planned every record of it, so that run
+// reserves the arena for all of them, their count slots and a verified
+// header each: a wide answer grows the arena once instead of in
+// append's steps.
+func (l *lane) emitRecords(qi int, enc []byte) error {
+	if !l.reserved {
+		l.reserved = true
+		l.resp = slices.Grow(l.resp, l.spSc.Planned()*record.Size+len(l.sec.counts)*sectionHeadroom)
+	}
+	l.resp = l.sec.emit(l.resp, qi, enc)
 	return nil
 }

@@ -297,8 +297,8 @@ func (si *ShardInfo) checkSpan(q record.Range) error {
 // one copy per page run — the only copy between the heap file and the
 // socket.
 func serveQuery(s *Server, l *lane, ids []uint32, qs []record.Range) error {
-	err := l.records(len(qs), func(emit func(int, []byte) error) error {
-		return s.party.sp().ServeBurstCtx(l.exec.Contexts(len(qs)), qs, &l.spSc, emit)
+	err := l.records(len(qs), func() error {
+		return s.party.sp().ServeBurstCtx(l.exec.Contexts(len(qs)), qs, &l.spSc, l.emit)
 	})
 	if err != nil {
 		return err
@@ -358,8 +358,8 @@ func serveAggToken(s *Server, l *lane, ids []uint32, qs []record.Range) error {
 func serveVerified(s *Server, l *lane, ids []uint32, qs []record.Range) error {
 	l.vts = grow(l.vts, len(qs))
 	var seq uint64
-	err := l.records(len(qs), func(emit func(int, []byte) error) (err error) {
-		seq, err = s.party.view.ServeBurst(l.exec.Contexts(len(qs)), qs, &l.spSc, l.vts, emit)
+	err := l.records(len(qs), func() (err error) {
+		seq, err = s.party.view.ServeBurst(l.exec.Contexts(len(qs)), qs, &l.spSc, l.vts, l.emit)
 		return err
 	})
 	if err != nil {

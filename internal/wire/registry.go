@@ -18,7 +18,7 @@ const (
 	capSP                          // SP structures: B+-tree + heap file
 	capTE                          // TE structures: XB-Tree
 	capApply                       // apply(ops): a write path
-	capView                        // a ReadView: SP + TE at one commit boundary
+	capView                        // a core.View: SP + TE at one commit boundary
 	capHub                         // a replication hub
 	capLifecycle                   // the reshard lifecycle gate
 )

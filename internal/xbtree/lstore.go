@@ -70,6 +70,12 @@ type lstore struct {
 	// lists is reclaimed by in-page compaction on demand.
 	fillPage pagestore.PageID
 	pages    int
+	// page and tuples are the writers' scratch: the page image a write
+	// edits before storing it, and the decoded list it rewrites. Every
+	// list write runs under the TE's exclusive lock, so one of each
+	// serves them all.
+	page   [pagestore.PageSize]byte
+	tuples []Tuple
 }
 
 func newLStore(store pagestore.Store) *lstore {
@@ -79,14 +85,26 @@ func newLStore(store pagestore.Store) *lstore {
 // List pages are not served by the decoded-node cache (lists are read at
 // most once per query boundary), so the lstore talks to the raw store and
 // charges the request context at exactly the store-access points, keeping
-// the per-request counters in lockstep with the global ones.
+// the per-request counters in lockstep with the global ones. Reads borrow
+// the page's bytes (pagestore.Store.Borrow, charged as one read) and fold
+// or decode them where they lie: token generation holds the TE's shared
+// lock and every list write its exclusive one, so no write can change a
+// page while it is borrowed. Writers copy the page into the lstore's
+// scratch page, edit it there and write it back.
 
-func (s *lstore) readPage(ctx *exec.Context, id pagestore.PageID, buf []byte) error {
-	if err := s.store.Read(id, buf); err != nil {
-		return err
+// readPage copies page id into the writers' scratch page and returns it.
+func (s *lstore) readPage(ctx *exec.Context, id pagestore.PageID) ([]byte, error) {
+	if err := s.store.Read(id, s.page[:]); err != nil {
+		return nil, err
 	}
 	ctx.AccountRead()
-	return nil
+	return s.page[:], nil
+}
+
+// freshPage returns the writers' scratch page zeroed.
+func (s *lstore) freshPage() []byte {
+	clear(s.page[:])
+	return s.page[:]
 }
 
 func (s *lstore) writePage(ctx *exec.Context, id pagestore.PageID, buf []byte) error {
@@ -97,24 +115,47 @@ func (s *lstore) writePage(ctx *exec.Context, id pagestore.PageID, buf []byte) e
 	return nil
 }
 
+// borrowRun borrows page id of the list ref and returns the tuple bytes
+// it holds and the list's next page (InvalidPage after the last). The
+// bytes are valid only while the caller holds the TE lock.
+func (s *lstore) borrowRun(ctx *exec.Context, ref listRef, id pagestore.PageID) (run []byte, next pagestore.PageID, err error) {
+	page, err := s.store.Borrow(id)
+	if err != nil {
+		return nil, pagestore.InvalidPage, fmt.Errorf("xbtree: reading list page %d: %w", id, err)
+	}
+	ctx.AccountRead()
+	if ref.slot == chainSlot {
+		n := int(binary.BigEndian.Uint16(page[4:6]))
+		return page[chainHeader : chainHeader+n*TupleSize], pagestore.PageID(binary.BigEndian.Uint32(page[0:4])), nil
+	}
+	off := int(binary.BigEndian.Uint16(page[slotHeader+int(ref.slot)*slotDirEnt:]))
+	ln := int(binary.BigEndian.Uint16(page[slotHeader+int(ref.slot)*slotDirEnt+2:]))
+	if off == 0 {
+		return nil, pagestore.InvalidPage, fmt.Errorf("xbtree: dead list slot %d on page %d", ref.slot, ref.page)
+	}
+	return page[off : off+ln], pagestore.InvalidPage, nil
+}
+
+func putTuple(buf []byte, t Tuple) {
+	binary.BigEndian.PutUint64(buf[0:8], uint64(t.ID))
+	copy(buf[8:TupleSize], t.Digest[:])
+}
+
 func encodeTuples(buf []byte, ts []Tuple) {
-	off := 0
-	for _, t := range ts {
-		binary.BigEndian.PutUint64(buf[off:off+8], uint64(t.ID))
-		copy(buf[off+8:off+TupleSize], t.Digest[:])
-		off += TupleSize
+	for i, t := range ts {
+		putTuple(buf[i*TupleSize:], t)
 	}
 }
 
-func decodeTuples(buf []byte, n int) []Tuple {
-	ts := make([]Tuple, n)
-	off := 0
-	for i := 0; i < n; i++ {
-		ts[i].ID = record.ID(binary.BigEndian.Uint64(buf[off : off+8]))
-		ts[i].Digest = digest.FromBytes(buf[off+8 : off+TupleSize])
-		off += TupleSize
+// appendTuples appends the tuples encoded back to back in run to dst.
+func appendTuples(dst []Tuple, run []byte) []Tuple {
+	for off := 0; off < len(run); off += TupleSize {
+		dst = append(dst, Tuple{
+			ID:     record.ID(binary.BigEndian.Uint64(run[off : off+8])),
+			Digest: digest.FromBytes(run[off+8 : off+TupleSize]),
+		})
 	}
-	return ts
+	return dst
 }
 
 // alloc stores a fresh list and returns its reference.
@@ -134,10 +175,9 @@ func (s *lstore) alloc(ctx *exec.Context, ts []Tuple) (listRef, error) {
 	}
 	ctx.AccountAlloc()
 	s.pages++
-	var buf [pagestore.PageSize]byte
-	binary.BigEndian.PutUint16(buf[0:2], 0)
+	buf := s.freshPage()
 	binary.BigEndian.PutUint16(buf[2:4], pagestore.PageSize)
-	if err := s.writePage(ctx, id, buf[:]); err != nil {
+	if err := s.writePage(ctx, id, buf); err != nil {
 		return invalidRef, fmt.Errorf("xbtree: initializing list page: %w", err)
 	}
 	s.fillPage = id
@@ -210,8 +250,8 @@ func (s *lstore) allocBulk(items []KeyTuples) ([]listRef, error) {
 // tryPlace attempts to add a list to a specific shared page, compacting it
 // first if dead space would make it fit.
 func (s *lstore) tryPlace(ctx *exec.Context, page pagestore.PageID, ts []Tuple, need int) (listRef, bool, error) {
-	var buf [pagestore.PageSize]byte
-	if err := s.readPage(ctx, page, buf[:]); err != nil {
+	buf, err := s.readPage(ctx, page)
+	if err != nil {
 		return invalidRef, false, fmt.Errorf("xbtree: reading list page %d: %w", page, err)
 	}
 	nslots := int(binary.BigEndian.Uint16(buf[0:2]))
@@ -235,7 +275,7 @@ func (s *lstore) tryPlace(ctx *exec.Context, page pagestore.PageID, ts []Tuple, 
 	}
 	free := dataStart - dirEnd
 	if free < need+growDir {
-		if !compactPage(buf[:]) {
+		if !compactPage(buf) {
 			return invalidRef, false, nil
 		}
 		dataStart = int(binary.BigEndian.Uint16(buf[2:4]))
@@ -257,7 +297,7 @@ func (s *lstore) tryPlace(ctx *exec.Context, page pagestore.PageID, ts []Tuple, 
 	binary.BigEndian.PutUint16(buf[2:4], uint16(dataStart%pagestore.PageSize))
 	binary.BigEndian.PutUint16(buf[slotHeader+slot*slotDirEnt:], uint16(dataStart))
 	binary.BigEndian.PutUint16(buf[slotHeader+slot*slotDirEnt+2:], uint16(need))
-	if err := s.writePage(ctx, page, buf[:]); err != nil {
+	if err := s.writePage(ctx, page, buf); err != nil {
 		return invalidRef, false, fmt.Errorf("xbtree: writing list page %d: %w", page, err)
 	}
 	return listRef{page: page, slot: uint16(slot)}, true, nil
@@ -268,16 +308,13 @@ func (s *lstore) tryPlace(ctx *exec.Context, page pagestore.PageID, ts []Tuple, 
 // reclaimed.
 func compactPage(buf []byte) bool {
 	nslots := int(binary.BigEndian.Uint16(buf[0:2]))
-	type liveSlot struct {
-		idx, off, ln int
+	slotAt := func(i int) (off, ln int) {
+		return int(binary.BigEndian.Uint16(buf[slotHeader+i*slotDirEnt:])),
+			int(binary.BigEndian.Uint16(buf[slotHeader+i*slotDirEnt+2:]))
 	}
-	var live []liveSlot
 	used := 0
 	for i := 0; i < nslots; i++ {
-		off := int(binary.BigEndian.Uint16(buf[slotHeader+i*slotDirEnt:]))
-		ln := int(binary.BigEndian.Uint16(buf[slotHeader+i*slotDirEnt+2:]))
-		if off != 0 {
-			live = append(live, liveSlot{idx: i, off: off, ln: ln})
+		if off, ln := slotAt(i); off != 0 {
 			used += ln
 		}
 	}
@@ -290,42 +327,52 @@ func compactPage(buf []byte) bool {
 	}
 	var scratch [pagestore.PageSize]byte
 	writeAt := pagestore.PageSize
-	for _, ls := range live {
-		writeAt -= ls.ln
-		copy(scratch[writeAt:], buf[ls.off:ls.off+ls.ln])
-		binary.BigEndian.PutUint16(buf[slotHeader+ls.idx*slotDirEnt:], uint16(writeAt))
+	for i := 0; i < nslots; i++ {
+		off, ln := slotAt(i)
+		if off == 0 {
+			continue
+		}
+		writeAt -= ln
+		copy(scratch[writeAt:], buf[off:off+ln])
+		binary.BigEndian.PutUint16(buf[slotHeader+i*slotDirEnt:], uint16(writeAt))
 	}
 	copy(buf[writeAt:], scratch[writeAt:])
 	binary.BigEndian.PutUint16(buf[2:4], uint16(writeAt%pagestore.PageSize))
 	return true
 }
 
-// read returns the tuples of a list.
-func (s *lstore) read(ctx *exec.Context, ref listRef) ([]Tuple, error) {
-	if ref.slot == chainSlot {
-		return s.readChain(ctx, ref.page)
+// decode appends the tuples of a list to dst, page by borrowed page.
+func (s *lstore) decode(ctx *exec.Context, ref listRef, dst []Tuple) ([]Tuple, error) {
+	for id := ref.page; id != pagestore.InvalidPage; {
+		run, next, err := s.borrowRun(ctx, ref, id)
+		if err != nil {
+			return dst, err
+		}
+		dst = appendTuples(dst, run)
+		id = next
 	}
-	var buf [pagestore.PageSize]byte
-	if err := s.readPage(ctx, ref.page, buf[:]); err != nil {
-		return nil, fmt.Errorf("xbtree: reading list page %d: %w", ref.page, err)
-	}
-	off := int(binary.BigEndian.Uint16(buf[slotHeader+int(ref.slot)*slotDirEnt:]))
-	ln := int(binary.BigEndian.Uint16(buf[slotHeader+int(ref.slot)*slotDirEnt+2:]))
-	if off == 0 {
-		return nil, fmt.Errorf("xbtree: dead list slot %d on page %d", ref.slot, ref.page)
-	}
-	return decodeTuples(buf[off:off+ln], ln/TupleSize), nil
+	return dst, nil
 }
 
-// xorOf returns the XOR of the digests in a list (e.L⊕ in the paper).
+// read returns the tuples of a list in a slice of their own, which the
+// caller may keep.
+func (s *lstore) read(ctx *exec.Context, ref listRef) ([]Tuple, error) {
+	return s.decode(ctx, ref, nil)
+}
+
+// xorOf returns the XOR of the digests in a list (e.L⊕ in the paper),
+// folded from the borrowed page bytes with no copy and no decode.
 func (s *lstore) xorOf(ctx *exec.Context, ref listRef) (digest.Digest, error) {
-	ts, err := s.read(ctx, ref)
-	if err != nil {
-		return digest.Zero, err
-	}
 	var acc digest.Accumulator
-	for _, t := range ts {
-		acc.Add(t.Digest)
+	for id := ref.page; id != pagestore.InvalidPage; {
+		run, next, err := s.borrowRun(ctx, ref, id)
+		if err != nil {
+			return digest.Zero, err
+		}
+		for off := 0; off < len(run); off += TupleSize {
+			acc.AddBytes(run[off+8 : off+TupleSize])
+		}
+		id = next
 	}
 	return acc.Sum(), nil
 }
@@ -336,11 +383,13 @@ func (s *lstore) appendTuple(ctx *exec.Context, ref listRef, t Tuple) (listRef, 
 	if ref.slot == chainSlot {
 		return s.appendChain(ctx, ref, t)
 	}
-	ts, err := s.read(ctx, ref)
+	ts, err := s.decode(ctx, ref, s.tuples[:0])
+	s.tuples = ts
 	if err != nil {
 		return invalidRef, err
 	}
 	ts = append(ts, t)
+	s.tuples = ts
 	if len(ts) > maxInlineTuples {
 		if err := s.freeSlot(ctx, ref); err != nil {
 			return invalidRef, err
@@ -363,7 +412,8 @@ func (s *lstore) appendTuple(ctx *exec.Context, ref listRef, t Tuple) (listRef, 
 // the (possibly relocated) reference. Lists may become empty; an empty list
 // remains allocated so its tree entry stays valid (tombstone semantics).
 func (s *lstore) removeTuple(ctx *exec.Context, ref listRef, id record.ID) (digest.Digest, listRef, error) {
-	ts, err := s.read(ctx, ref)
+	ts, err := s.decode(ctx, ref, s.tuples[:0])
+	s.tuples = ts
 	if err != nil {
 		return digest.Zero, invalidRef, err
 	}
@@ -395,14 +445,14 @@ func (s *lstore) removeTuple(ctx *exec.Context, ref listRef, id record.ID) (dige
 		return d, newRef, err
 	}
 	// Shrink in place: shorten the slot, leaving dead bytes for compaction.
-	var buf [pagestore.PageSize]byte
-	if err := s.readPage(ctx, ref.page, buf[:]); err != nil {
+	buf, err := s.readPage(ctx, ref.page)
+	if err != nil {
 		return digest.Zero, invalidRef, fmt.Errorf("xbtree: reading list page %d: %w", ref.page, err)
 	}
 	off := int(binary.BigEndian.Uint16(buf[slotHeader+int(ref.slot)*slotDirEnt:]))
 	encodeTuples(buf[off:off+len(ts)*TupleSize], ts)
 	binary.BigEndian.PutUint16(buf[slotHeader+int(ref.slot)*slotDirEnt+2:], uint16(len(ts)*TupleSize))
-	if err := s.writePage(ctx, ref.page, buf[:]); err != nil {
+	if err := s.writePage(ctx, ref.page, buf); err != nil {
 		return digest.Zero, invalidRef, fmt.Errorf("xbtree: writing list page %d: %w", ref.page, err)
 	}
 	return d, ref, nil
@@ -410,13 +460,13 @@ func (s *lstore) removeTuple(ctx *exec.Context, ref listRef, id record.ID) (dige
 
 // freeSlot marks a shared slot dead. The bytes are reclaimed by compaction.
 func (s *lstore) freeSlot(ctx *exec.Context, ref listRef) error {
-	var buf [pagestore.PageSize]byte
-	if err := s.readPage(ctx, ref.page, buf[:]); err != nil {
+	buf, err := s.readPage(ctx, ref.page)
+	if err != nil {
 		return fmt.Errorf("xbtree: reading list page %d: %w", ref.page, err)
 	}
 	binary.BigEndian.PutUint16(buf[slotHeader+int(ref.slot)*slotDirEnt:], 0)
 	binary.BigEndian.PutUint16(buf[slotHeader+int(ref.slot)*slotDirEnt+2:], 0)
-	if err := s.writePage(ctx, ref.page, buf[:]); err != nil {
+	if err := s.writePage(ctx, ref.page, buf); err != nil {
 		return fmt.Errorf("xbtree: writing list page %d: %w", ref.page, err)
 	}
 	return nil
@@ -437,11 +487,11 @@ func (s *lstore) allocChain(ctx *exec.Context, ts []Tuple) (listRef, error) {
 		}
 		ctx.AccountAlloc()
 		s.pages++
-		var buf [pagestore.PageSize]byte
+		buf := s.freshPage()
 		binary.BigEndian.PutUint32(buf[0:4], uint32(next))
 		binary.BigEndian.PutUint16(buf[4:6], uint16(end-start))
 		encodeTuples(buf[chainHeader:], ts[start:end])
-		if err := s.writePage(ctx, id, buf[:]); err != nil {
+		if err := s.writePage(ctx, id, buf); err != nil {
 			return invalidRef, fmt.Errorf("xbtree: writing chain page %d: %w", id, err)
 		}
 		next = id
@@ -453,33 +503,18 @@ func (s *lstore) allocChain(ctx *exec.Context, ts []Tuple) (listRef, error) {
 	return listRef{page: next, slot: chainSlot}, nil
 }
 
-func (s *lstore) readChain(ctx *exec.Context, head pagestore.PageID) ([]Tuple, error) {
-	var out []Tuple
-	var buf [pagestore.PageSize]byte
-	for id := head; id != pagestore.InvalidPage; {
-		if err := s.readPage(ctx, id, buf[:]); err != nil {
-			return nil, fmt.Errorf("xbtree: reading chain page %d: %w", id, err)
-		}
-		n := int(binary.BigEndian.Uint16(buf[4:6]))
-		out = append(out, decodeTuples(buf[chainHeader:], n)...)
-		id = pagestore.PageID(binary.BigEndian.Uint32(buf[0:4]))
-	}
-	return out, nil
-}
-
 // appendChain adds a tuple to a chained list, to the head page if it has
 // room, otherwise via a new head.
 func (s *lstore) appendChain(ctx *exec.Context, ref listRef, t Tuple) (listRef, error) {
-	var buf [pagestore.PageSize]byte
-	if err := s.readPage(ctx, ref.page, buf[:]); err != nil {
+	buf, err := s.readPage(ctx, ref.page)
+	if err != nil {
 		return invalidRef, fmt.Errorf("xbtree: reading chain page %d: %w", ref.page, err)
 	}
 	n := int(binary.BigEndian.Uint16(buf[4:6]))
 	if n < chainCapacity {
-		off := chainHeader + n*TupleSize
-		encodeTuples(buf[off:off+TupleSize], []Tuple{t})
+		putTuple(buf[chainHeader+n*TupleSize:], t)
 		binary.BigEndian.PutUint16(buf[4:6], uint16(n+1))
-		if err := s.writePage(ctx, ref.page, buf[:]); err != nil {
+		if err := s.writePage(ctx, ref.page, buf); err != nil {
 			return invalidRef, fmt.Errorf("xbtree: writing chain page %d: %w", ref.page, err)
 		}
 		return ref, nil
@@ -490,23 +525,24 @@ func (s *lstore) appendChain(ctx *exec.Context, ref listRef, t Tuple) (listRef, 
 	}
 	ctx.AccountAlloc()
 	s.pages++
-	var head [pagestore.PageSize]byte
+	head := s.freshPage()
 	binary.BigEndian.PutUint32(head[0:4], uint32(ref.page))
 	binary.BigEndian.PutUint16(head[4:6], 1)
-	encodeTuples(head[chainHeader:chainHeader+TupleSize], []Tuple{t})
-	if err := s.writePage(ctx, id, head[:]); err != nil {
+	putTuple(head[chainHeader:], t)
+	if err := s.writePage(ctx, id, head); err != nil {
 		return invalidRef, fmt.Errorf("xbtree: writing chain page %d: %w", id, err)
 	}
 	return listRef{page: id, slot: chainSlot}, nil
 }
 
+// freeChain frees every page of a chain, reading each one's link from a
+// borrow before the page goes.
 func (s *lstore) freeChain(ctx *exec.Context, head pagestore.PageID) error {
-	var buf [pagestore.PageSize]byte
 	for id := head; id != pagestore.InvalidPage; {
-		if err := s.readPage(ctx, id, buf[:]); err != nil {
-			return fmt.Errorf("xbtree: reading chain page %d: %w", id, err)
+		_, next, err := s.borrowRun(ctx, listRef{page: head, slot: chainSlot}, id)
+		if err != nil {
+			return err
 		}
-		next := pagestore.PageID(binary.BigEndian.Uint32(buf[0:4]))
 		if err := s.store.Free(id); err != nil {
 			return fmt.Errorf("xbtree: freeing chain page %d: %w", id, err)
 		}
