@@ -47,7 +47,7 @@ func BenchmarkTEIndexAblation(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			q := queries[i%len(queries)]
-			if _, err := tree.GenerateVT(q.Lo, q.Hi); err != nil {
+			if _, err := tree.GenerateVTCtx(nil, q.Lo, q.Hi); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -167,7 +167,7 @@ func BenchmarkPrimitives(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			tup := xbtree.Tuple{ID: record.ID(i + 1), Digest: digest.OfBytes([]byte{byte(i), byte(i >> 8)})}
-			if err := tree.Insert(record.Key(i*7%record.KeyDomain), tup); err != nil {
+			if err := tree.InsertCtx(nil, record.Key(i*7%record.KeyDomain), tup); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -39,7 +39,7 @@ func TestAggregateParityBulkload(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		lo := record.Key(rng.Intn(50_000))
 		hi := lo + record.Key(rng.Intn(10_000))
-		got, err := tree.Aggregate(lo, hi)
+		got, err := tree.AggregateCtx(nil, lo, hi)
 		if err != nil {
 			t.Fatalf("Aggregate(%d,%d): %v", lo, hi, err)
 		}
@@ -48,14 +48,14 @@ func TestAggregateParityBulkload(t *testing.T) {
 		}
 	}
 	// Whole domain and inverted/empty ranges.
-	got, err := tree.Aggregate(0, record.KeyDomain)
+	got, err := tree.AggregateCtx(nil, 0, record.KeyDomain)
 	if err != nil {
 		t.Fatalf("Aggregate full: %v", err)
 	}
 	if want := refAgg(entries, 0, record.KeyDomain); got.Normalize() != want.Normalize() {
 		t.Fatalf("full-domain aggregate = %v, want %v", got, want)
 	}
-	if got, _ := tree.Aggregate(10, 5); !got.Empty() {
+	if got, _ := tree.AggregateCtx(nil, 10, 5); !got.Empty() {
 		t.Fatalf("inverted range aggregate = %v, want empty", got)
 	}
 }
@@ -72,13 +72,13 @@ func TestAggregateMaintenanceRandomized(t *testing.T) {
 		if len(live) == 0 || rng.Intn(3) != 0 {
 			e := Entry{Key: record.Key(rng.Intn(2_000)), RID: ridFor(next)}
 			next++
-			if err := tree.Insert(e); err != nil {
+			if err := tree.InsertCtx(nil, e, struct{}{}); err != nil {
 				t.Fatalf("Insert: %v", err)
 			}
 			live[e] = true
 		} else {
 			for e := range live {
-				if err := tree.Delete(e); err != nil {
+				if err := tree.DeleteCtx(nil, e); err != nil {
 					t.Fatalf("Delete: %v", err)
 				}
 				delete(live, e)
@@ -97,7 +97,7 @@ func TestAggregateMaintenanceRandomized(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		lo := record.Key(rng.Intn(2_000))
 		hi := lo + record.Key(rng.Intn(500))
-		got, err := tree.Aggregate(lo, hi)
+		got, err := tree.AggregateCtx(nil, lo, hi)
 		if err != nil {
 			t.Fatalf("Aggregate(%d,%d): %v", lo, hi, err)
 		}
@@ -128,7 +128,7 @@ func TestAggregateTouchesLogNodes(t *testing.T) {
 		t.Fatalf("aggregate read %d nodes, want <= %d (2*height)", reads, 2*tree.Height())
 	}
 	scanCtx := exec.NewContext()
-	if _, err := tree.RangeCtx(scanCtx, 40_000, 41_000); err != nil {
+	if _, err := tree.RangeAppendCtx(scanCtx, 40_000, 41_000, nil); err != nil {
 		t.Fatalf("RangeCtx: %v", err)
 	}
 	if ctx.Stats().Reads >= scanCtx.Stats().Reads {

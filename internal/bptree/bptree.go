@@ -1,18 +1,28 @@
-// Package bptree implements the conventional disk-based B+-tree the service
-// provider uses in SAE to execute range queries. It maps search keys to
-// record identifiers (RIDs) in the heap file.
+// Package bptree implements the disk-based B+-tree both service providers
+// index the heap file with. It maps search keys to record identifiers
+// (RIDs) in the heap file.
+//
+// There is one tree, Annotated[D], with two instances. Tree (D = struct{})
+// is the conventional B+-tree the SP uses in SAE: leaf entries are a key
+// and a RID, nothing more. Package mbtree instantiates the same tree with
+// D = digest.Digest to get the MB-Tree TOM's SP uses: every leaf entry also
+// carries its record's digest, and every child pointer the digest of the
+// child page. The per-entry value is what sets the fanout, which is the
+// gap the paper's Figure 6 measures.
 //
 // Entries are composite (key, RID) pairs and internal separators store the
 // full composite, so duplicate search keys are handled exactly (the same
-// heap-pointer tiebreak production systems use). Node layouts are
-// byte-accurate over 4096-byte pages, which is what gives the B+-tree its
-// fanout advantage over the MB-Tree in the paper's Figure 6.
+// heap-pointer tiebreak production systems use). Every child pointer also
+// carries the (count, sum, min, max) aggregate of its subtree, which lets
+// AggregateCtx answer COUNT/SUM/MIN/MAX from O(log n) nodes. Node layouts
+// are byte-accurate over 4096-byte pages.
 package bptree
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"sae/internal/agg"
 	"sae/internal/bufpool"
@@ -49,170 +59,238 @@ func Compare(a, b Entry) int {
 	return 0
 }
 
-// Page layout constants. A leaf page is
+// Page layout. With S the encoded size of one value D, a leaf page is
 //
-//	[0] flags (1 = leaf) | [1:3] count | [3:7] next-leaf id | entries...
+//	[0] flags (1 = leaf) | [1:3] count | [3:7] next-leaf id |
+//	{key 4, rid page 4, rid slot 2, value S}...
 //
-// with 10-byte entries (key 4, rid page 4, rid slot 2). An internal page is
+// and an internal page is
 //
-//	[0] flags (0) | [1:3] count | [3:7] child0 | [7:31] agg0 |
-//	{separator 10, child 4, agg 24}...
+//	[0] flags (0) | [1:3] count | [3:7] child0 | value0 S | agg0 24 |
+//	{separator 10, child 4, value S, agg 24}...
 //
-// Internal entries carry the (count, sum, min, max) aggregate annotation of
-// the child subtree they point to, maintained incrementally on every
-// insert/delete/split and during bulk load. The annotations are what let
-// AggregateCtx answer COUNT/SUM/MIN/MAX over any key range from O(log n)
-// nodes instead of an O(result) leaf scan.
+// The plain tree (S = 0) has 10-byte leaf entries and 38-byte internal
+// entries; the MB-Tree (S = 20) has 30 and 58. A child's agg is the
+// (count, sum, min, max) aggregate of its subtree, maintained on every
+// insert, delete and split and during bulk load.
 const (
-	headerSize      = 7
-	leafEntry       = 10
-	innerHeaderSize = headerSize + agg.Size // 31
-	innerEntry      = 14 + agg.Size         // 38
-	// LeafCapacity is the maximum number of entries per leaf page.
-	LeafCapacity = (pagestore.PageSize - headerSize) / leafEntry // 408
-	// InnerCapacity is the maximum number of separators per internal page
-	// (children = separators + 1).
-	InnerCapacity = (pagestore.PageSize - innerHeaderSize) / innerEntry // 106
+	headerSize = 7
+	entrySize  = 10 // key + rid
+	childSize  = 4  // child page id
 )
 
-// ErrNotFound is returned by Delete when the exact (key, rid) entry is not
-// in the tree.
-var ErrNotFound = errors.New("bptree: entry not found")
-
-// Tree is a disk-based B+-tree.
-type Tree struct {
-	io     *bufpool.IO
-	root   pagestore.PageID
-	height int // 1 = root is a leaf
-	count  int // live entries
-	nodes  int // allocated nodes
+// Capacities returns the fanout of a tree whose values encode in size
+// bytes: the entries per leaf page, and the separators per internal page
+// (children = separators + 1).
+func Capacities(size int) (leaf, inner int) {
+	leaf = (pagestore.PageSize - headerSize) / (entrySize + size)
+	inner = (pagestore.PageSize - headerSize - size - agg.Size) / (entrySize + childSize + size + agg.Size)
+	return leaf, inner
 }
 
-// node is the decoded in-memory form of one page.
-type node struct {
-	leaf     bool
-	next     pagestore.PageID // leaf-level sibling chain
-	entries  []Entry          // leaf: data entries; internal: separators
-	children []pagestore.PageID
-	// aggs (internal nodes only) is aligned with children: aggs[i]
-	// summarizes the keys in children[i]'s subtree.
-	aggs []agg.Agg
+// ErrNotFound is returned by DeleteCtx when the exact (key, rid) entry is
+// not in the tree.
+var ErrNotFound = errors.New("entry not found")
+
+// Kind is what one instance of the tree keeps beside its entries: a value
+// of type D for every leaf entry and for every child of an internal node,
+// the value's page encoding, and the summary a parent stores as the value
+// of a child node.
+type Kind[D comparable] struct {
+	Name    string                // prefixes the tree's errors
+	Size    int                   // encoded bytes of one value; 0 stores none
+	Put     func(buf []byte, v D) // len(buf) == Size
+	Get     func(buf []byte) D    // len(buf) == Size
+	Summary func(n *Node[D]) D
+}
+
+// Node is the decoded form of one page. A node read through ReadNode may
+// be shared with the decoded-node cache and other readers: callers outside
+// the tree must not modify it.
+type Node[D comparable] struct {
+	Leaf     bool
+	Next     pagestore.PageID   // leaf-level sibling chain
+	Entries  []Entry            // leaf: data entries; internal: separators
+	Children []pagestore.PageID // internal only
+	// Vals is aligned with Entries in a leaf (the entry's value) and with
+	// Children in an internal node (the child's summary).
+	Vals []D
+	// Aggs (internal nodes only) is aligned with Children: Aggs[i]
+	// summarizes the keys in Children[i]'s subtree.
+	Aggs []agg.Agg
 }
 
 // aggAll returns the aggregate of every key in the node's subtree: a leaf
 // folds its own entries, an internal node folds the stored child
 // annotations (pure arithmetic, no I/O).
-func (n *node) aggAll() agg.Agg {
+func (n *Node[D]) aggAll() agg.Agg {
 	var a agg.Agg
-	if n.leaf {
-		for i := range n.entries {
-			a = a.Add(n.entries[i].Key)
+	if n.Leaf {
+		for i := range n.Entries {
+			a = a.Add(n.Entries[i].Key)
 		}
 		return a
 	}
-	for i := range n.aggs {
-		a = a.Merge(n.aggs[i])
+	for i := range n.Aggs {
+		a = a.Merge(n.Aggs[i])
 	}
 	return a
 }
 
-// UseCache attaches a decoded-node cache to the tree's read/write path
-// (nil detaches). Typically called right after New/Bulkload/Open so the
-// build itself runs uncached.
-func (t *Tree) UseCache(c *bufpool.Cache) { t.io.SetCache(c) }
+// child is what a parent stores for one child node.
+type child[D comparable] struct {
+	id  pagestore.PageID
+	val D
+	agg agg.Agg
+}
 
-// New creates an empty tree whose root is an empty leaf.
-func New(store pagestore.Store) (*Tree, error) {
-	t := &Tree{io: bufpool.NewIO(store, nil), height: 1}
-	root, err := t.allocNode(nil, &node{leaf: true, next: pagestore.InvalidPage})
+func (n *Node[D]) setChild(i int, c child[D]) {
+	n.Vals[i] = c.val
+	n.Aggs[i] = c.agg
+}
+
+// Annotated is a disk-based B+-tree whose entries and child pointers carry
+// a value of type D (see Kind).
+type Annotated[D comparable] struct {
+	io      *bufpool.IO
+	kind    *Kind[D]
+	decode  func([]byte) *Node[D]
+	encode  func([]byte, *Node[D])
+	leafCap int
+	inCap   int
+	root    pagestore.PageID
+	rootVal D   // the root node's summary
+	height  int // 1 = root is a leaf
+	count   int // live entries
+	nodes   int // allocated nodes
+}
+
+func newAnnotated[D comparable](store pagestore.Store, k *Kind[D]) *Annotated[D] {
+	t := &Annotated[D]{io: bufpool.NewIO(store, nil), kind: k, decode: k.decodeNode, encode: k.encodeNode}
+	t.leafCap, t.inCap = Capacities(k.Size)
+	return t
+}
+
+// NewAnnotated creates an empty tree of kind k whose root is an empty leaf.
+func NewAnnotated[D comparable](store pagestore.Store, k *Kind[D]) (*Annotated[D], error) {
+	t := newAnnotated(store, k)
+	t.height = 1
+	n := &Node[D]{Leaf: true, Next: pagestore.InvalidPage}
+	root, err := t.allocNode(nil, n)
 	if err != nil {
 		return nil, err
 	}
-	t.root = root
+	t.root, t.rootVal = root, k.Summary(n)
 	return t, nil
 }
 
-// Bulkload builds a tree from entries, which must be sorted by Compare. All
+// BulkloadAnnotated builds a tree of kind k from entries, which must be
+// strictly ascending by Compare, with vals[i] the value of entries[i]. All
 // leaves except possibly the last are packed full, mirroring how the data
-// owner's initial transfer is indexed.
-func Bulkload(store pagestore.Store, entries []Entry) (*Tree, error) {
+// owner's initial transfer is indexed, and every summary is computed
+// bottom-up.
+func BulkloadAnnotated[D comparable](store pagestore.Store, k *Kind[D], entries []Entry, vals []D) (*Annotated[D], error) {
+	if len(vals) != len(entries) {
+		return nil, fmt.Errorf("%s: bulkload has %d values for %d entries", k.Name, len(vals), len(entries))
+	}
 	for i := 1; i < len(entries); i++ {
-		if Compare(entries[i-1], entries[i]) > 0 {
-			return nil, fmt.Errorf("bptree: bulkload input not sorted at %d", i)
+		if Compare(entries[i-1], entries[i]) >= 0 {
+			return nil, fmt.Errorf("%s: bulkload input not strictly ascending at %d", k.Name, i)
 		}
 	}
-	t := &Tree{io: bufpool.NewIO(store, nil)}
 	if len(entries) == 0 {
-		return New(store)
+		return NewAnnotated(store, k)
 	}
+	t := newAnnotated(store, k)
 
 	// Build the leaf level.
 	type built struct {
-		id  pagestore.PageID
+		child[D]
 		min Entry
-		agg agg.Agg
 	}
 	var level []built
-	var prevID pagestore.PageID = pagestore.InvalidPage
-	var prev *node
-	for start := 0; start < len(entries); start += LeafCapacity {
-		end := start + LeafCapacity
-		if end > len(entries) {
-			end = len(entries)
-		}
-		n := &node{leaf: true, next: pagestore.InvalidPage}
-		n.entries = append(n.entries, entries[start:end]...)
+	var prev *Node[D]
+	for start := 0; start < len(entries); start += t.leafCap {
+		end := min(start+t.leafCap, len(entries))
+		n := &Node[D]{Leaf: true, Next: pagestore.InvalidPage}
+		n.Entries = append(n.Entries, entries[start:end]...)
+		n.Vals = append(n.Vals, vals[start:end]...)
 		id, err := t.allocNode(nil, n)
 		if err != nil {
 			return nil, err
 		}
 		if prev != nil {
-			prev.next = id
-			if err := t.writeNode(nil, prevID, prev); err != nil {
+			prev.Next = id
+			if err := t.writeNode(nil, level[len(level)-1].id, prev); err != nil {
 				return nil, err
 			}
 		}
-		prevID, prev = id, n
-		level = append(level, built{id: id, min: entries[start], agg: n.aggAll()})
+		prev = n
+		level = append(level, built{t.summarize(id, n), entries[start]})
 	}
 
 	// Build internal levels until a single root remains.
 	t.height = 1
 	for len(level) > 1 {
 		var next []built
-		for start := 0; start < len(level); start += InnerCapacity + 1 {
-			end := start + InnerCapacity + 1
-			if end > len(level) {
-				end = len(level)
-			}
-			group := level[start:end]
-			n := &node{leaf: false}
-			n.children = append(n.children, group[0].id)
-			n.aggs = append(n.aggs, group[0].agg)
-			for _, b := range group[1:] {
-				n.entries = append(n.entries, b.min)
-				n.children = append(n.children, b.id)
-				n.aggs = append(n.aggs, b.agg)
+		for start := 0; start < len(level); start += t.inCap + 1 {
+			group := level[start:min(start+t.inCap+1, len(level))]
+			n := &Node[D]{}
+			for i, b := range group {
+				if i > 0 {
+					n.Entries = append(n.Entries, b.min)
+				}
+				n.Children = append(n.Children, b.id)
+				n.Vals = append(n.Vals, b.val)
+				n.Aggs = append(n.Aggs, b.agg)
 			}
 			id, err := t.allocNode(nil, n)
 			if err != nil {
 				return nil, err
 			}
-			next = append(next, built{id: id, min: group[0].min, agg: n.aggAll()})
+			next = append(next, built{t.summarize(id, n), group[0].min})
 		}
 		level = next
 		t.height++
 	}
-	t.root = level[0].id
+	t.root, t.rootVal = level[0].id, level[0].val
 	t.count = len(entries)
 	return t, nil
 }
 
+// UseCache attaches a decoded-node cache to the tree's read/write path
+// (nil detaches). Typically called right after New/Bulkload so the build
+// itself runs uncached.
+func (t *Annotated[D]) UseCache(c *bufpool.Cache) { t.io.SetCache(c) }
+
+// Root returns the root page's id.
+func (t *Annotated[D]) Root() pagestore.PageID { return t.root }
+
+// Summary returns the root node's summary (for the MB-Tree, the digest
+// the data owner signs).
+func (t *Annotated[D]) Summary() D { return t.rootVal }
+
+// Count returns the number of live entries.
+func (t *Annotated[D]) Count() int { return t.count }
+
+// Height returns the number of levels (1 = the root is a leaf).
+func (t *Annotated[D]) Height() int { return t.height }
+
+// NodeCount returns the number of allocated tree nodes.
+func (t *Annotated[D]) NodeCount() int { return t.nodes }
+
+// Bytes returns the tree's storage footprint.
+func (t *Annotated[D]) Bytes() int64 { return int64(t.nodes) * pagestore.PageSize }
+
+func (t *Annotated[D]) summarize(id pagestore.PageID, n *Node[D]) child[D] {
+	return child[D]{id: id, val: t.kind.Summary(n), agg: n.aggAll()}
+}
+
 // allocNode allocates a page for n and writes it.
-func (t *Tree) allocNode(ctx *exec.Context, n *node) (pagestore.PageID, error) {
+func (t *Annotated[D]) allocNode(ctx *exec.Context, n *Node[D]) (pagestore.PageID, error) {
 	id, err := t.io.Allocate(ctx)
 	if err != nil {
-		return 0, fmt.Errorf("bptree: allocating node: %w", err)
+		return 0, fmt.Errorf("%s: allocating node: %w", t.kind.Name, err)
 	}
 	t.nodes++
 	if err := t.writeNode(ctx, id, n); err != nil {
@@ -221,75 +299,93 @@ func (t *Tree) allocNode(ctx *exec.Context, n *node) (pagestore.PageID, error) {
 	return id, nil
 }
 
-func (t *Tree) writeNode(ctx *exec.Context, id pagestore.PageID, n *node) error {
-	if err := bufpool.WriteNode(t.io, ctx, id, n, encodeNode); err != nil {
-		return fmt.Errorf("bptree: writing node %d: %w", id, err)
+func (t *Annotated[D]) writeNode(ctx *exec.Context, id pagestore.PageID, n *Node[D]) error {
+	if err := bufpool.WriteNode(t.io, ctx, id, n, t.encode); err != nil {
+		return fmt.Errorf("%s: writing node %d: %w", t.kind.Name, id, err)
 	}
 	return nil
 }
 
-func (t *Tree) readNode(ctx *exec.Context, id pagestore.PageID) (*node, error) {
-	n, err := bufpool.ReadNode(t.io, ctx, id, decodeNode)
+// ReadNode returns the decoded page id, charging the access to ctx. It is
+// how code built on the tree (the MB-Tree's VO builders) walks it.
+func (t *Annotated[D]) ReadNode(ctx *exec.Context, id pagestore.PageID) (*Node[D], error) {
+	n, err := bufpool.ReadNode(t.io, ctx, id, t.decode)
 	if err != nil {
-		return nil, fmt.Errorf("bptree: reading node %d: %w", id, err)
+		return nil, fmt.Errorf("%s: reading node %d: %w", t.kind.Name, id, err)
 	}
 	return n, nil
 }
 
-func encodeNode(buf []byte, n *node) {
-	for i := range buf {
-		buf[i] = 0
-	}
-	if n.leaf {
+func (k *Kind[D]) encodeNode(buf []byte, n *Node[D]) {
+	clear(buf)
+	binary.BigEndian.PutUint16(buf[1:3], uint16(len(n.Entries)))
+	if n.Leaf {
 		buf[0] = 1
-		binary.BigEndian.PutUint16(buf[1:3], uint16(len(n.entries)))
-		binary.BigEndian.PutUint32(buf[3:7], uint32(n.next))
+		binary.BigEndian.PutUint32(buf[3:7], uint32(n.Next))
 		off := headerSize
-		for _, e := range n.entries {
-			putEntry(buf[off:off+leafEntry], e)
-			off += leafEntry
+		for i, e := range n.Entries {
+			putEntry(buf[off:], e)
+			if k.Size > 0 {
+				k.Put(buf[off+entrySize:off+entrySize+k.Size], n.Vals[i])
+			}
+			off += entrySize + k.Size
 		}
 		return
 	}
-	buf[0] = 0
-	binary.BigEndian.PutUint16(buf[1:3], uint16(len(n.entries)))
-	binary.BigEndian.PutUint32(buf[3:7], uint32(n.children[0]))
-	n.aggs[0].PutBytes(buf[headerSize:innerHeaderSize])
-	off := innerHeaderSize
-	for i, e := range n.entries {
-		putEntry(buf[off:off+leafEntry], e)
-		binary.BigEndian.PutUint32(buf[off+leafEntry:off+leafEntry+4], uint32(n.children[i+1]))
-		n.aggs[i+1].PutBytes(buf[off+leafEntry+4 : off+innerEntry])
-		off += innerEntry
+	off := k.putChild(buf[3:], n, 0) + 3
+	for i, e := range n.Entries {
+		putEntry(buf[off:], e)
+		off += entrySize + k.putChild(buf[off+entrySize:], n, i+1)
 	}
 }
 
-func decodeNode(buf []byte) *node {
-	n := &node{leaf: buf[0] == 1}
+// putChild writes child i as child id | value | agg and returns the bytes
+// written.
+func (k *Kind[D]) putChild(buf []byte, n *Node[D], i int) int {
+	binary.BigEndian.PutUint32(buf, uint32(n.Children[i]))
+	if k.Size > 0 {
+		k.Put(buf[childSize:childSize+k.Size], n.Vals[i])
+	}
+	n.Aggs[i].PutBytes(buf[childSize+k.Size:])
+	return childSize + k.Size + agg.Size
+}
+
+func (k *Kind[D]) decodeNode(buf []byte) *Node[D] {
+	n := &Node[D]{Leaf: buf[0] == 1}
 	count := int(binary.BigEndian.Uint16(buf[1:3]))
-	if n.leaf {
-		n.next = pagestore.PageID(binary.BigEndian.Uint32(buf[3:7]))
-		n.entries = make([]Entry, count)
+	n.Entries = make([]Entry, count)
+	if n.Leaf {
+		n.Next = pagestore.PageID(binary.BigEndian.Uint32(buf[3:7]))
+		n.Vals = make([]D, count)
 		off := headerSize
-		for i := 0; i < count; i++ {
-			n.entries[i] = getEntry(buf[off : off+leafEntry])
-			off += leafEntry
+		for i := range n.Entries {
+			n.Entries[i] = getEntry(buf[off:])
+			if k.Size > 0 {
+				n.Vals[i] = k.Get(buf[off+entrySize : off+entrySize+k.Size])
+			}
+			off += entrySize + k.Size
 		}
 		return n
 	}
-	n.entries = make([]Entry, count)
-	n.children = make([]pagestore.PageID, 0, count+1)
-	n.aggs = make([]agg.Agg, 0, count+1)
-	n.children = append(n.children, pagestore.PageID(binary.BigEndian.Uint32(buf[3:7])))
-	n.aggs = append(n.aggs, agg.FromBytes(buf[headerSize:innerHeaderSize]))
-	off := innerHeaderSize
-	for i := 0; i < count; i++ {
-		n.entries[i] = getEntry(buf[off : off+leafEntry])
-		n.children = append(n.children, pagestore.PageID(binary.BigEndian.Uint32(buf[off+leafEntry:off+leafEntry+4])))
-		n.aggs = append(n.aggs, agg.FromBytes(buf[off+leafEntry+4:off+innerEntry]))
-		off += innerEntry
+	n.Children = make([]pagestore.PageID, count+1)
+	n.Vals = make([]D, count+1)
+	n.Aggs = make([]agg.Agg, count+1)
+	off := k.getChild(buf[3:], n, 0) + 3
+	for i := range n.Entries {
+		n.Entries[i] = getEntry(buf[off:])
+		off += entrySize + k.getChild(buf[off+entrySize:], n, i+1)
 	}
 	return n
+}
+
+// getChild reads child i as putChild wrote it and returns the bytes read.
+func (k *Kind[D]) getChild(buf []byte, n *Node[D], i int) int {
+	n.Children[i] = pagestore.PageID(binary.BigEndian.Uint32(buf))
+	if k.Size > 0 {
+		n.Vals[i] = k.Get(buf[childSize : childSize+k.Size])
+	}
+	n.Aggs[i] = agg.FromBytes(buf[childSize+k.Size:])
+	return childSize + k.Size + agg.Size
 }
 
 func putEntry(buf []byte, e Entry) {
@@ -336,48 +432,35 @@ func lowerBoundKey(s []Entry, k record.Key) int {
 	return lo
 }
 
-// Range returns the RIDs of all entries with lo <= key <= hi with no
-// request context; see RangeCtx.
-func (t *Tree) Range(lo, hi record.Key) ([]heapfile.RID, error) {
-	return t.RangeCtx(nil, lo, hi)
-}
-
-// RangeCtx returns the RIDs of all entries with lo <= key <= hi, in key
-// order, charging every node access to ctx.
-func (t *Tree) RangeCtx(ctx *exec.Context, lo, hi record.Key) ([]heapfile.RID, error) {
-	return t.RangeAppendCtx(ctx, lo, hi, nil)
-}
-
-// RangeAppendCtx is RangeCtx appending into a caller-provided buffer
-// (out[:0]-style reuse), so a serve loop recycling one RID buffer across
-// queries performs the leaf scan without growing a fresh slice every
-// time. Traversal and node accesses are identical to RangeCtx — it IS
-// RangeCtx.
-func (t *Tree) RangeAppendCtx(ctx *exec.Context, lo, hi record.Key, out []heapfile.RID) ([]heapfile.RID, error) {
+// RangeAppendCtx appends the RIDs of all entries with lo <= key <= hi to
+// out, in key order, charging every node access to ctx. Passing a reused
+// buffer (out[:0]) lets a serve loop scan without growing a fresh slice
+// every time.
+func (t *Annotated[D]) RangeAppendCtx(ctx *exec.Context, lo, hi record.Key, out []heapfile.RID) ([]heapfile.RID, error) {
 	if lo > hi {
 		return out, nil
 	}
 	id := t.root
 	for level := t.height; level > 1; level-- {
-		n, err := t.readNode(ctx, id)
+		n, err := t.ReadNode(ctx, id)
 		if err != nil {
 			return out, err
 		}
-		id = n.children[lowerBoundKey(n.entries, lo)]
+		id = n.Children[lowerBoundKey(n.Entries, lo)]
 	}
 	for id != pagestore.InvalidPage {
-		n, err := t.readNode(ctx, id)
+		n, err := t.ReadNode(ctx, id)
 		if err != nil {
 			return out, err
 		}
-		i := lowerBoundKey(n.entries, lo)
-		for ; i < len(n.entries); i++ {
-			if n.entries[i].Key > hi {
+		i := lowerBoundKey(n.Entries, lo)
+		for ; i < len(n.Entries); i++ {
+			if n.Entries[i].Key > hi {
 				return out, nil
 			}
-			out = append(out, n.entries[i].RID)
+			out = append(out, n.Entries[i].RID)
 		}
-		id = n.next
+		id = n.Next
 	}
 	return out, nil
 }
@@ -395,7 +478,7 @@ func (t *Tree) RangeAppendCtx(ctx *exec.Context, lo, hi record.Key, out []heapfi
 // (one growing buffer instead of per-query slices) and the back-to-back
 // descents hitting a warm decoded-node cache. arena and offs are reused
 // via the usual out[:0] convention.
-func (t *Tree) RangeBurstCtx(ctxs []*exec.Context, los, his []record.Key, arena []heapfile.RID, offs []int) ([]heapfile.RID, []int, error) {
+func (t *Annotated[D]) RangeBurstCtx(ctxs []*exec.Context, los, his []record.Key, arena []heapfile.RID, offs []int) ([]heapfile.RID, []int, error) {
 	offs = append(offs[:0], len(arena))
 	for qi := range los {
 		var err error
@@ -408,24 +491,31 @@ func (t *Tree) RangeBurstCtx(ctxs []*exec.Context, los, his []record.Key, arena 
 	return arena, offs, nil
 }
 
-// Insert adds an entry with no request context; see InsertCtx.
-func (t *Tree) Insert(e Entry) error { return t.InsertCtx(nil, e) }
+// grown is what a node reports to its parent after an insert: its own new
+// summary and, when it split, the separator and the new right sibling.
+type grown[D comparable] struct {
+	self  child[D]
+	split bool
+	sep   Entry
+	right child[D]
+}
 
-// InsertCtx adds an entry in O(height) node accesses, splitting on
-// overflow. Every node on the path is rewritten so its parent's aggregate
-// annotation stays exact.
-func (t *Tree) InsertCtx(ctx *exec.Context, e Entry) error {
-	sep, right, selfAgg, rightAgg, err := t.insertAt(ctx, t.root, t.height, e)
+// InsertCtx adds entry e with value v in O(height) node accesses,
+// splitting on overflow. Every node on the path is rewritten so its
+// parent's summary and aggregate annotation stay exact.
+func (t *Annotated[D]) InsertCtx(ctx *exec.Context, e Entry, v D) error {
+	g, err := t.insertAt(ctx, t.root, t.height, e, v)
 	if err != nil {
 		return err
 	}
-	if right != pagestore.InvalidPage {
+	top := g.self
+	if g.split {
 		// Root split: grow the tree by one level.
-		n := &node{
-			leaf:     false,
-			entries:  []Entry{sep},
-			children: []pagestore.PageID{t.root, right},
-			aggs:     []agg.Agg{selfAgg, rightAgg},
+		n := &Node[D]{
+			Entries:  []Entry{g.sep},
+			Children: []pagestore.PageID{t.root, g.right.id},
+			Vals:     []D{g.self.val, g.right.val},
+			Aggs:     []agg.Agg{g.self.agg, g.right.agg},
 		}
 		id, err := t.allocNode(ctx, n)
 		if err != nil {
@@ -433,139 +523,135 @@ func (t *Tree) InsertCtx(ctx *exec.Context, e Entry) error {
 		}
 		t.root = id
 		t.height++
+		top = t.summarize(id, n)
 	}
+	t.rootVal = top.val
 	t.count++
 	return nil
 }
 
 // insertAt inserts e into the subtree rooted at id (at the given level,
-// 1 = leaf). If the node split, it returns the separator to push up and the
-// new right sibling's id; otherwise right is InvalidPage. selfAgg (and, on
-// a split, rightAgg) report the subtree aggregates after the insert, so
-// the parent can refresh its annotations without extra reads.
-func (t *Tree) insertAt(ctx *exec.Context, id pagestore.PageID, level int, e Entry) (sep Entry, right pagestore.PageID, selfAgg, rightAgg agg.Agg, err error) {
-	n, err := t.readNode(ctx, id)
+// 1 = leaf) and reports the subtree's new summaries, so the parent
+// refreshes its annotations without extra reads.
+func (t *Annotated[D]) insertAt(ctx *exec.Context, id pagestore.PageID, level int, e Entry, v D) (grown[D], error) {
+	n, err := t.ReadNode(ctx, id)
 	if err != nil {
-		return Entry{}, pagestore.InvalidPage, agg.Agg{}, agg.Agg{}, err
+		return grown[D]{}, err
 	}
 	if level == 1 {
-		pos := upperBound(n.entries, e)
-		n.entries = append(n.entries, Entry{})
-		copy(n.entries[pos+1:], n.entries[pos:])
-		n.entries[pos] = e
-		if len(n.entries) <= LeafCapacity {
-			return Entry{}, pagestore.InvalidPage, n.aggAll(), agg.Agg{}, t.writeNode(ctx, id, n)
+		pos := upperBound(n.Entries, e)
+		n.Entries = slices.Insert(n.Entries, pos, e)
+		n.Vals = slices.Insert(n.Vals, pos, v)
+		if len(n.Entries) > t.leafCap {
+			return t.split(ctx, id, n)
 		}
-		return t.splitLeaf(ctx, id, n)
+		return t.rewrite(ctx, id, n)
 	}
-	ci := upperBound(n.entries, e)
-	childSep, childRight, childAgg, childRightAgg, err := t.insertAt(ctx, n.children[ci], level-1, e)
+	ci := upperBound(n.Entries, e)
+	g, err := t.insertAt(ctx, n.Children[ci], level-1, e, v)
 	if err != nil {
-		return Entry{}, pagestore.InvalidPage, agg.Agg{}, agg.Agg{}, err
+		return grown[D]{}, err
 	}
-	n.aggs[ci] = childAgg
-	if childRight != pagestore.InvalidPage {
-		n.entries = append(n.entries, Entry{})
-		copy(n.entries[ci+1:], n.entries[ci:])
-		n.entries[ci] = childSep
-		n.children = append(n.children, pagestore.InvalidPage)
-		copy(n.children[ci+2:], n.children[ci+1:])
-		n.children[ci+1] = childRight
-		n.aggs = append(n.aggs, agg.Agg{})
-		copy(n.aggs[ci+2:], n.aggs[ci+1:])
-		n.aggs[ci+1] = childRightAgg
-		if len(n.entries) > InnerCapacity {
-			return t.splitInner(ctx, id, n)
+	n.setChild(ci, g.self)
+	if g.split {
+		n.Entries = slices.Insert(n.Entries, ci, g.sep)
+		n.Children = slices.Insert(n.Children, ci+1, g.right.id)
+		n.Vals = slices.Insert(n.Vals, ci+1, g.right.val)
+		n.Aggs = slices.Insert(n.Aggs, ci+1, g.right.agg)
+		if len(n.Entries) > t.inCap {
+			return t.split(ctx, id, n)
 		}
 	}
-	return Entry{}, pagestore.InvalidPage, n.aggAll(), agg.Agg{}, t.writeNode(ctx, id, n)
+	return t.rewrite(ctx, id, n)
 }
 
-func (t *Tree) splitLeaf(ctx *exec.Context, id pagestore.PageID, n *node) (Entry, pagestore.PageID, agg.Agg, agg.Agg, error) {
-	mid := len(n.entries) / 2
-	rightNode := &node{leaf: true, next: n.next}
-	rightNode.entries = append(rightNode.entries, n.entries[mid:]...)
-	rightID, err := t.allocNode(ctx, rightNode)
+// rewrite writes n back to its page and reports its new summary.
+func (t *Annotated[D]) rewrite(ctx *exec.Context, id pagestore.PageID, n *Node[D]) (grown[D], error) {
+	if err := t.writeNode(ctx, id, n); err != nil {
+		return grown[D]{}, err
+	}
+	return grown[D]{self: t.summarize(id, n)}, nil
+}
+
+// split moves the upper half of an overflowing node to a new right
+// sibling. A leaf's separator is the right sibling's first entry; an
+// internal node's is its middle separator, which moves up.
+func (t *Annotated[D]) split(ctx *exec.Context, id pagestore.PageID, n *Node[D]) (grown[D], error) {
+	mid := len(n.Entries) / 2
+	sep := n.Entries[mid]
+	right := &Node[D]{Leaf: n.Leaf}
+	if n.Leaf {
+		right.Next = n.Next
+		right.Entries = append(right.Entries, n.Entries[mid:]...)
+		right.Vals = append(right.Vals, n.Vals[mid:]...)
+	} else {
+		right.Entries = append(right.Entries, n.Entries[mid+1:]...)
+		right.Children = append(right.Children, n.Children[mid+1:]...)
+		right.Vals = append(right.Vals, n.Vals[mid+1:]...)
+		right.Aggs = append(right.Aggs, n.Aggs[mid+1:]...)
+	}
+	rightID, err := t.allocNode(ctx, right)
 	if err != nil {
 		// n was mutated in memory but never persisted; drop the cached copy.
 		t.io.Discard(id)
-		return Entry{}, pagestore.InvalidPage, agg.Agg{}, agg.Agg{}, err
+		return grown[D]{}, err
 	}
-	n.entries = n.entries[:mid]
-	n.next = rightID
+	n.Entries = n.Entries[:mid]
+	if n.Leaf {
+		n.Vals = n.Vals[:mid]
+		n.Next = rightID
+	} else {
+		n.Children = n.Children[:mid+1]
+		n.Vals = n.Vals[:mid+1]
+		n.Aggs = n.Aggs[:mid+1]
+	}
 	if err := t.writeNode(ctx, id, n); err != nil {
-		return Entry{}, pagestore.InvalidPage, agg.Agg{}, agg.Agg{}, err
+		return grown[D]{}, err
 	}
-	return rightNode.entries[0], rightID, n.aggAll(), rightNode.aggAll(), nil
+	return grown[D]{self: t.summarize(id, n), split: true, sep: sep, right: t.summarize(rightID, right)}, nil
 }
-
-func (t *Tree) splitInner(ctx *exec.Context, id pagestore.PageID, n *node) (Entry, pagestore.PageID, agg.Agg, agg.Agg, error) {
-	mid := len(n.entries) / 2
-	sep := n.entries[mid]
-	rightNode := &node{leaf: false}
-	rightNode.entries = append(rightNode.entries, n.entries[mid+1:]...)
-	rightNode.children = append(rightNode.children, n.children[mid+1:]...)
-	rightNode.aggs = append(rightNode.aggs, n.aggs[mid+1:]...)
-	rightID, err := t.allocNode(ctx, rightNode)
-	if err != nil {
-		t.io.Discard(id)
-		return Entry{}, pagestore.InvalidPage, agg.Agg{}, agg.Agg{}, err
-	}
-	n.entries = n.entries[:mid]
-	n.children = n.children[:mid+1]
-	n.aggs = n.aggs[:mid+1]
-	if err := t.writeNode(ctx, id, n); err != nil {
-		return Entry{}, pagestore.InvalidPage, agg.Agg{}, agg.Agg{}, err
-	}
-	return sep, rightID, n.aggAll(), rightNode.aggAll(), nil
-}
-
-// Delete removes the exact (key, rid) entry with no request context; see
-// DeleteCtx.
-func (t *Tree) Delete(e Entry) error { return t.DeleteCtx(nil, e) }
 
 // DeleteCtx removes the exact (key, rid) entry. Underfull nodes are left in
 // place (the lazy-deletion policy common in production B+-trees); an empty
 // leaf stays in the sibling chain and is skipped by scans. The descent is
-// recursive so that every ancestor's aggregate annotation is refreshed on
-// the way back up.
-func (t *Tree) DeleteCtx(ctx *exec.Context, e Entry) error {
-	if _, err := t.deleteAt(ctx, t.root, t.height, e); err != nil {
+// recursive so that every ancestor's summary and aggregate annotation is
+// refreshed on the way back up.
+func (t *Annotated[D]) DeleteCtx(ctx *exec.Context, e Entry) error {
+	c, err := t.deleteAt(ctx, t.root, t.height, e)
+	if err != nil {
 		return err
 	}
+	t.rootVal = c.val
 	t.count--
 	return nil
 }
 
-// deleteAt removes e from the subtree rooted at id, returning the subtree's
-// aggregate after the removal so the parent can refresh its annotation.
-func (t *Tree) deleteAt(ctx *exec.Context, id pagestore.PageID, level int, e Entry) (agg.Agg, error) {
-	n, err := t.readNode(ctx, id)
+// deleteAt removes e from the subtree rooted at id and reports the
+// subtree's new summary. Nothing is written when e is absent.
+func (t *Annotated[D]) deleteAt(ctx *exec.Context, id pagestore.PageID, level int, e Entry) (child[D], error) {
+	n, err := t.ReadNode(ctx, id)
 	if err != nil {
-		return agg.Agg{}, err
+		return child[D]{}, err
 	}
 	if level == 1 {
-		for i, cur := range n.entries {
-			if Compare(cur, e) == 0 {
-				n.entries = append(n.entries[:i], n.entries[i+1:]...)
-				return n.aggAll(), t.writeNode(ctx, id, n)
-			}
+		i, ok := slices.BinarySearchFunc(n.Entries, e, Compare)
+		if !ok {
+			return child[D]{}, fmt.Errorf("%s: %w: key=%d rid=%v", t.kind.Name, ErrNotFound, e.Key, e.RID)
 		}
-		return agg.Agg{}, fmt.Errorf("%w: key=%d rid=%v", ErrNotFound, e.Key, e.RID)
+		n.Entries = slices.Delete(n.Entries, i, i+1)
+		n.Vals = slices.Delete(n.Vals, i, i+1)
+	} else {
+		ci := upperBound(n.Entries, e)
+		c, err := t.deleteAt(ctx, n.Children[ci], level-1, e)
+		if err != nil {
+			return child[D]{}, err
+		}
+		n.setChild(ci, c)
 	}
-	ci := upperBound(n.entries, e)
-	childAgg, err := t.deleteAt(ctx, n.children[ci], level-1, e)
-	if err != nil {
-		return agg.Agg{}, err
+	if err := t.writeNode(ctx, id, n); err != nil {
+		return child[D]{}, err
 	}
-	n.aggs[ci] = childAgg
-	return n.aggAll(), t.writeNode(ctx, id, n)
-}
-
-// Aggregate answers COUNT/SUM/MIN/MAX over lo <= key <= hi with no request
-// context; see AggregateCtx.
-func (t *Tree) Aggregate(lo, hi record.Key) (agg.Agg, error) {
-	return t.AggregateCtx(nil, lo, hi)
+	return t.summarize(id, n), nil
 }
 
 // AggregateCtx answers COUNT/SUM/MIN/MAX over lo <= key <= hi by the
@@ -575,7 +661,7 @@ func (t *Tree) Aggregate(lo, hi record.Key) (agg.Agg, error) {
 // so their stored annotations are folded in without descending. Only the
 // two edge paths recurse and only their partial leaves are scanned, so the
 // whole query touches O(log n) nodes.
-func (t *Tree) AggregateCtx(ctx *exec.Context, lo, hi record.Key) (agg.Agg, error) {
+func (t *Annotated[D]) AggregateCtx(ctx *exec.Context, lo, hi record.Key) (agg.Agg, error) {
 	if lo > hi {
 		return agg.Agg{}, nil
 	}
@@ -586,15 +672,15 @@ func (t *Tree) AggregateCtx(ctx *exec.Context, lo, hi record.Key) (agg.Agg, erro
 // bounds inherited from ancestor separators (nil = unknown): they let a
 // node's outermost children — which have only one local separator — still
 // be proven fully covered, keeping the cover to at most two frontier paths.
-func (t *Tree) aggregateAt(ctx *exec.Context, id pagestore.PageID, level int, lo, hi record.Key, lb, ub *record.Key) (agg.Agg, error) {
-	n, err := t.readNode(ctx, id)
+func (t *Annotated[D]) aggregateAt(ctx *exec.Context, id pagestore.PageID, level int, lo, hi record.Key, lb, ub *record.Key) (agg.Agg, error) {
+	n, err := t.ReadNode(ctx, id)
 	if err != nil {
 		return agg.Agg{}, err
 	}
 	if level == 1 {
 		var a agg.Agg
-		for i := lowerBoundKey(n.entries, lo); i < len(n.entries) && n.entries[i].Key <= hi; i++ {
-			a = a.Add(n.entries[i].Key)
+		for i := lowerBoundKey(n.Entries, lo); i < len(n.Entries) && n.Entries[i].Key <= hi; i++ {
+			a = a.Add(n.Entries[i].Key)
 		}
 		return a, nil
 	}
@@ -602,9 +688,9 @@ func (t *Tree) aggregateAt(ctx *exec.Context, id pagestore.PageID, level int, lo
 	// composite, so a child may share its boundary key with a neighbor —
 	// the closed interval is the sound reading). lsel is the first child
 	// that can hold keys >= lo, rsel the last that can hold keys <= hi.
-	lsel := lowerBoundKey(n.entries, lo)
-	rsel := len(n.children) - 1
-	for rsel > 0 && n.entries[rsel-1].Key > hi {
+	lsel := lowerBoundKey(n.Entries, lo)
+	rsel := len(n.Children) - 1
+	for rsel > 0 && n.Entries[rsel-1].Key > hi {
 		rsel--
 	}
 	if lsel > rsel {
@@ -617,23 +703,23 @@ func (t *Tree) aggregateAt(ctx *exec.Context, id pagestore.PageID, level int, lo
 		// Fully covered iff the child's key span [sep[i-1], sep[i]] sits
 		// inside [lo, hi]; then its stored annotation is exact.
 		if i > lsel && i < rsel {
-			a = a.Merge(n.aggs[i])
+			a = a.Merge(n.Aggs[i])
 			continue
 		}
 		// An outermost child has no separator on one side in this node;
 		// its bound on that side is the one inherited from an ancestor.
 		clb, cub := lb, ub
 		if i > 0 {
-			clb = &n.entries[i-1].Key
+			clb = &n.Entries[i-1].Key
 		}
-		if i < len(n.entries) {
-			cub = &n.entries[i].Key
+		if i < len(n.Entries) {
+			cub = &n.Entries[i].Key
 		}
 		if clb != nil && *clb >= lo && cub != nil && *cub <= hi {
-			a = a.Merge(n.aggs[i])
+			a = a.Merge(n.Aggs[i])
 			continue
 		}
-		sub, err := t.aggregateAt(ctx, n.children[i], level-1, lo, hi, clb, cub)
+		sub, err := t.aggregateAt(ctx, n.Children[i], level-1, lo, hi, clb, cub)
 		if err != nil {
 			return agg.Agg{}, err
 		}
@@ -642,91 +728,111 @@ func (t *Tree) aggregateAt(ctx *exec.Context, id pagestore.PageID, level int, lo
 	return a, nil
 }
 
-// Count returns the number of live entries.
-func (t *Tree) Count() int { return t.count }
-
-// Height returns the number of levels (1 = the root is a leaf).
-func (t *Tree) Height() int { return t.height }
-
-// NodeCount returns the number of allocated tree nodes.
-func (t *Tree) NodeCount() int { return t.nodes }
-
-// Bytes returns the tree's storage footprint.
-func (t *Tree) Bytes() int64 { return int64(t.nodes) * pagestore.PageSize }
-
 // Validate walks the whole tree checking structural invariants: entry
-// ordering, separator bounds, leaf chain order, entry count and the
-// per-subtree aggregate annotations. Tests call it after randomized
-// workloads.
-func (t *Tree) Validate() error {
+// ordering, separator bounds, leaf chain order, entry count, and every
+// child's stored summary and aggregate annotation against the subtree.
+// Tests call it after randomized workloads.
+func (t *Annotated[D]) Validate() error {
+	name := t.kind.Name
 	seen := 0
 	var last *Entry
-	var walk func(id pagestore.PageID, level int, lo, hi *Entry) (agg.Agg, error)
-	walk = func(id pagestore.PageID, level int, lo, hi *Entry) (agg.Agg, error) {
-		n, err := t.readNode(nil, id)
+	var walk func(id pagestore.PageID, level int, lo, hi *Entry) (child[D], error)
+	walk = func(id pagestore.PageID, level int, lo, hi *Entry) (child[D], error) {
+		n, err := t.ReadNode(nil, id)
 		if err != nil {
-			return agg.Agg{}, err
+			return child[D]{}, err
 		}
-		if (level == 1) != n.leaf {
-			return agg.Agg{}, fmt.Errorf("bptree: node %d leaf flag inconsistent with level %d", id, level)
+		if (level == 1) != n.Leaf {
+			return child[D]{}, fmt.Errorf("%s: node %d leaf flag inconsistent with level %d", name, id, level)
 		}
-		for i := 1; i < len(n.entries); i++ {
-			if Compare(n.entries[i-1], n.entries[i]) >= 0 {
-				return agg.Agg{}, fmt.Errorf("bptree: node %d entries out of order at %d", id, i)
+		for i := 1; i < len(n.Entries); i++ {
+			if Compare(n.Entries[i-1], n.Entries[i]) >= 0 {
+				return child[D]{}, fmt.Errorf("%s: node %d entries out of order at %d", name, id, i)
 			}
 		}
-		for _, e := range n.entries {
+		for _, e := range n.Entries {
 			if lo != nil && Compare(e, *lo) < 0 {
-				return agg.Agg{}, fmt.Errorf("bptree: node %d entry below lower bound", id)
+				return child[D]{}, fmt.Errorf("%s: node %d entry below lower bound", name, id)
 			}
 			if hi != nil && Compare(e, *hi) >= 0 {
-				return agg.Agg{}, fmt.Errorf("bptree: node %d entry above upper bound", id)
+				return child[D]{}, fmt.Errorf("%s: node %d entry above upper bound", name, id)
 			}
 		}
-		if n.leaf {
-			for i := range n.entries {
-				if last != nil && Compare(*last, n.entries[i]) >= 0 {
-					return agg.Agg{}, fmt.Errorf("bptree: leaf chain out of order at node %d", id)
+		if n.Leaf {
+			if len(n.Vals) != len(n.Entries) {
+				return child[D]{}, fmt.Errorf("%s: leaf %d has %d values for %d entries", name, id, len(n.Vals), len(n.Entries))
+			}
+			for i := range n.Entries {
+				if last != nil && Compare(*last, n.Entries[i]) >= 0 {
+					return child[D]{}, fmt.Errorf("%s: leaf chain out of order at node %d", name, id)
 				}
-				e := n.entries[i]
-				last = &e
+				last = &n.Entries[i]
 				seen++
 			}
-			return n.aggAll(), nil
+			return t.summarize(id, n), nil
 		}
-		if len(n.children) != len(n.entries)+1 {
-			return agg.Agg{}, fmt.Errorf("bptree: node %d has %d children for %d separators", id, len(n.children), len(n.entries))
+		if len(n.Children) != len(n.Entries)+1 {
+			return child[D]{}, fmt.Errorf("%s: node %d has %d children for %d separators", name, id, len(n.Children), len(n.Entries))
 		}
-		if len(n.aggs) != len(n.children) {
-			return agg.Agg{}, fmt.Errorf("bptree: node %d has %d aggregate annotations for %d children", id, len(n.aggs), len(n.children))
+		if len(n.Vals) != len(n.Children) || len(n.Aggs) != len(n.Children) {
+			return child[D]{}, fmt.Errorf("%s: node %d has %d values and %d aggregate annotations for %d children", name, id, len(n.Vals), len(n.Aggs), len(n.Children))
 		}
-		for i, c := range n.children {
-			var clo, chi *Entry
-			if i == 0 {
-				clo = lo
-			} else {
-				clo = &n.entries[i-1]
+		for i, c := range n.Children {
+			clo, chi := lo, hi
+			if i > 0 {
+				clo = &n.Entries[i-1]
 			}
-			if i == len(n.entries) {
-				chi = hi
-			} else {
-				chi = &n.entries[i]
+			if i < len(n.Entries) {
+				chi = &n.Entries[i]
 			}
 			sub, err := walk(c, level-1, clo, chi)
 			if err != nil {
-				return agg.Agg{}, err
+				return child[D]{}, err
 			}
-			if sub.Normalize() != n.aggs[i].Normalize() {
-				return agg.Agg{}, fmt.Errorf("bptree: node %d child %d annotation %v, subtree is %v", id, i, n.aggs[i], sub)
+			if sub.val != n.Vals[i] {
+				return child[D]{}, fmt.Errorf("%s: node %d child %d summary mismatch", name, id, i)
+			}
+			if sub.agg.Normalize() != n.Aggs[i].Normalize() {
+				return child[D]{}, fmt.Errorf("%s: node %d child %d annotation %v, subtree is %v", name, id, i, n.Aggs[i], sub.agg)
 			}
 		}
-		return n.aggAll(), nil
+		return t.summarize(id, n), nil
 	}
-	if _, err := walk(t.root, t.height, nil, nil); err != nil {
+	root, err := walk(t.root, t.height, nil, nil)
+	if err != nil {
 		return err
 	}
+	if root.val != t.rootVal {
+		return fmt.Errorf("%s: cached root summary stale", name)
+	}
 	if seen != t.count {
-		return fmt.Errorf("bptree: walked %d entries, tree says %d", seen, t.count)
+		return fmt.Errorf("%s: walked %d entries, tree says %d", name, seen, t.count)
 	}
 	return nil
+}
+
+// Tree is the B+-tree the SP indexes the heap file with under SAE: keys
+// and RIDs only, so a leaf entry takes 10 bytes.
+type Tree = Annotated[struct{}]
+
+// Tree's fanouts, as Capacities(0) computes them.
+const (
+	// LeafCapacity is the maximum number of entries per leaf page.
+	LeafCapacity = (pagestore.PageSize - headerSize) / entrySize // 408
+	// InnerCapacity is the maximum number of separators per internal page.
+	InnerCapacity = (pagestore.PageSize - headerSize - agg.Size) / (entrySize + childSize + agg.Size) // 106
+)
+
+var plain = &Kind[struct{}]{
+	Name:    "bptree",
+	Summary: func(*Node[struct{}]) struct{} { return struct{}{} },
+}
+
+// New creates an empty Tree whose root is an empty leaf.
+func New(store pagestore.Store) (*Tree, error) { return NewAnnotated(store, plain) }
+
+// Bulkload builds a Tree from entries, which must be strictly ascending
+// by Compare.
+func Bulkload(store pagestore.Store, entries []Entry) (*Tree, error) {
+	return BulkloadAnnotated(store, plain, entries, make([]struct{}, len(entries)))
 }

@@ -17,14 +17,14 @@ func TestSequentialInserts(t *testing.T) {
 	}
 	n := 3 * LeafCapacity
 	for i := 0; i < n; i++ {
-		if err := tree.Insert(Entry{Key: record.Key(i), RID: ridFor(i)}); err != nil {
+		if err := tree.InsertCtx(nil, Entry{Key: record.Key(i), RID: ridFor(i)}, struct{}{}); err != nil {
 			t.Fatalf("Insert %d: %v", i, err)
 		}
 	}
 	if err := tree.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	got, err := tree.Range(0, record.Key(n))
+	got, err := tree.RangeAppendCtx(nil, 0, record.Key(n), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,14 +45,14 @@ func TestReverseInserts(t *testing.T) {
 	}
 	n := 3 * LeafCapacity
 	for i := n - 1; i >= 0; i-- {
-		if err := tree.Insert(Entry{Key: record.Key(i), RID: ridFor(i)}); err != nil {
+		if err := tree.InsertCtx(nil, Entry{Key: record.Key(i), RID: ridFor(i)}, struct{}{}); err != nil {
 			t.Fatalf("Insert %d: %v", i, err)
 		}
 	}
 	if err := tree.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	got, err := tree.Range(0, record.Key(n))
+	got, err := tree.RangeAppendCtx(nil, 0, record.Key(n), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,27 +72,27 @@ func TestDeleteEverythingThenReinsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if err := tree.Delete(e); err != nil {
+		if err := tree.DeleteCtx(nil, e); err != nil {
 			t.Fatalf("Delete: %v", err)
 		}
 	}
 	if tree.Count() != 0 {
 		t.Fatalf("Count after full delete = %d", tree.Count())
 	}
-	got, err := tree.Range(0, record.KeyDomain)
+	got, err := tree.RangeAppendCtx(nil, 0, record.KeyDomain, nil)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("Range after full delete = %d rids, err %v", len(got), err)
 	}
 	// The emptied (lazy-deleted) tree must still accept inserts.
 	for i := 0; i < 500; i++ {
-		if err := tree.Insert(Entry{Key: record.Key(i), RID: ridFor(10_000 + i)}); err != nil {
+		if err := tree.InsertCtx(nil, Entry{Key: record.Key(i), RID: ridFor(10_000 + i)}, struct{}{}); err != nil {
 			t.Fatalf("reinsert: %v", err)
 		}
 	}
 	if err := tree.Validate(); err != nil {
 		t.Fatalf("Validate after reinsert: %v", err)
 	}
-	got, err = tree.Range(0, record.KeyDomain)
+	got, err = tree.RangeAppendCtx(nil, 0, record.KeyDomain, nil)
 	if err != nil || len(got) != 500 {
 		t.Fatalf("Range after reinsert = %d rids, err %v", len(got), err)
 	}
@@ -113,7 +113,7 @@ func TestRangeQuickProperty(t *testing.T) {
 	}
 	prop := func(a, b uint16) bool {
 		lo, hi := record.Key(a), record.Key(a)+record.Key(b)
-		got, err := tree.Range(lo, hi)
+		got, err := tree.RangeAppendCtx(nil, lo, hi, nil)
 		if err != nil {
 			return false
 		}
@@ -143,7 +143,7 @@ func TestBulkloadExactCapacityBoundaries(t *testing.T) {
 		if err := tree.Validate(); err != nil {
 			t.Fatalf("n=%d: Validate: %v", n, err)
 		}
-		got, err := tree.Range(0, record.Key(n))
+		got, err := tree.RangeAppendCtx(nil, 0, record.Key(n), nil)
 		if err != nil || len(got) != n {
 			t.Fatalf("n=%d: Range = %d rids, err %v", n, len(got), err)
 		}

@@ -68,7 +68,7 @@ func TestBulkloadAndRange(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		lo := record.Key(rng.Intn(100_000))
 		hi := lo + record.Key(rng.Intn(5_000))
-		got, err := tree.Range(lo, hi)
+		got, err := tree.RangeAppendCtx(nil, lo, hi, nil)
 		if err != nil {
 			t.Fatalf("Range(%d,%d): %v", lo, hi, err)
 		}
@@ -85,12 +85,31 @@ func TestBulkloadRejectsUnsorted(t *testing.T) {
 	}
 }
 
+// TestBulkloadRejectsDuplicateEntry: a repeated (key, RID) entry would
+// build a tree its own Validate rejects, and from which DeleteCtx removes
+// only one copy, so the loader requires strictly ascending input.
+func TestBulkloadRejectsDuplicateEntry(t *testing.T) {
+	e := Entry{Key: 7, RID: ridFor(3)}
+	for _, entries := range [][]Entry{
+		{e, e},
+		{{Key: 1, RID: ridFor(0)}, e, e, {Key: 9, RID: ridFor(4)}},
+	} {
+		if _, err := Bulkload(pagestore.NewMem(), entries); err == nil {
+			t.Fatalf("Bulkload accepted a repeated entry in %v", entries)
+		}
+	}
+	// Equal keys with distinct RIDs are distinct entries.
+	if _, err := Bulkload(pagestore.NewMem(), []Entry{e, {Key: 7, RID: ridFor(4)}}); err != nil {
+		t.Fatalf("Bulkload rejected duplicate keys with distinct RIDs: %v", err)
+	}
+}
+
 func TestBulkloadEmpty(t *testing.T) {
 	tree, err := Bulkload(pagestore.NewMem(), nil)
 	if err != nil {
 		t.Fatalf("Bulkload(nil): %v", err)
 	}
-	got, err := tree.Range(0, record.KeyDomain)
+	got, err := tree.RangeAppendCtx(nil, 0, record.KeyDomain, nil)
 	if err != nil {
 		t.Fatalf("Range: %v", err)
 	}
@@ -112,7 +131,7 @@ func TestInsertIncremental(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		e := Entry{Key: record.Key(rng.Intn(10_000)), RID: ridFor(i)}
 		entries = append(entries, e)
-		if err := tree.Insert(e); err != nil {
+		if err := tree.InsertCtx(nil, e, struct{}{}); err != nil {
 			t.Fatalf("Insert %d: %v", i, err)
 		}
 	}
@@ -123,7 +142,7 @@ func TestInsertIncremental(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		lo := record.Key(rng.Intn(10_000))
 		hi := lo + record.Key(rng.Intn(1_000))
-		got, err := tree.Range(lo, hi)
+		got, err := tree.RangeAppendCtx(nil, lo, hi, nil)
 		if err != nil {
 			t.Fatalf("Range: %v", err)
 		}
@@ -144,20 +163,20 @@ func TestInsertDuplicateKeys(t *testing.T) {
 	// Enough duplicates of one key to force splits within the run.
 	const dups = 2 * LeafCapacity
 	for i := 0; i < dups; i++ {
-		if err := tree.Insert(Entry{Key: 42, RID: ridFor(i)}); err != nil {
+		if err := tree.InsertCtx(nil, Entry{Key: 42, RID: ridFor(i)}, struct{}{}); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 	}
-	if err := tree.Insert(Entry{Key: 41, RID: ridFor(dups)}); err != nil {
+	if err := tree.InsertCtx(nil, Entry{Key: 41, RID: ridFor(dups)}, struct{}{}); err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
-	if err := tree.Insert(Entry{Key: 43, RID: ridFor(dups + 1)}); err != nil {
+	if err := tree.InsertCtx(nil, Entry{Key: 43, RID: ridFor(dups + 1)}, struct{}{}); err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
 	if err := tree.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	got, err := tree.Range(42, 42)
+	got, err := tree.RangeAppendCtx(nil, 42, 42, nil)
 	if err != nil {
 		t.Fatalf("Range: %v", err)
 	}
@@ -181,7 +200,7 @@ func TestDelete(t *testing.T) {
 	var remaining []Entry
 	for i, e := range entries {
 		if i%3 == 0 {
-			if err := tree.Delete(e); err != nil {
+			if err := tree.DeleteCtx(nil, e); err != nil {
 				t.Fatalf("Delete(%v): %v", e, err)
 			}
 		} else {
@@ -191,7 +210,7 @@ func TestDelete(t *testing.T) {
 	if err := tree.Validate(); err != nil {
 		t.Fatalf("Validate after deletes: %v", err)
 	}
-	got, err := tree.Range(0, record.KeyDomain)
+	got, err := tree.RangeAppendCtx(nil, 0, record.KeyDomain, nil)
 	if err != nil {
 		t.Fatalf("Range: %v", err)
 	}
@@ -205,12 +224,12 @@ func TestDeleteNotFound(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Bulkload: %v", err)
 	}
-	err = tree.Delete(Entry{Key: 99, RID: ridFor(0)})
+	err = tree.DeleteCtx(nil, Entry{Key: 99, RID: ridFor(0)})
 	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Delete(absent) error = %v, want ErrNotFound", err)
 	}
 	// Same key, different RID must also miss.
-	err = tree.Delete(Entry{Key: 2, RID: ridFor(77)})
+	err = tree.DeleteCtx(nil, Entry{Key: 2, RID: ridFor(77)})
 	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Delete(wrong rid) error = %v, want ErrNotFound", err)
 	}
@@ -221,15 +240,15 @@ func TestRangeEmptyAndInverted(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Bulkload: %v", err)
 	}
-	got, err := tree.Range(21, 29)
+	got, err := tree.RangeAppendCtx(nil, 21, 29, nil)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("Range gap = %d rids, err %v; want 0, nil", len(got), err)
 	}
-	got, err = tree.Range(30, 10)
+	got, err = tree.RangeAppendCtx(nil, 30, 10, nil)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("inverted Range = %d rids, err %v; want 0, nil", len(got), err)
 	}
-	got, err = tree.Range(10, 10)
+	got, err = tree.RangeAppendCtx(nil, 10, 10, nil)
 	if err != nil || len(got) != 1 {
 		t.Fatalf("point Range = %d rids, err %v; want 1, nil", len(got), err)
 	}
@@ -248,14 +267,14 @@ func TestMixedInsertDeleteRandomized(t *testing.T) {
 			if live[e] {
 				continue
 			}
-			if err := tree.Insert(e); err != nil {
+			if err := tree.InsertCtx(nil, e, struct{}{}); err != nil {
 				t.Fatalf("Insert: %v", err)
 			}
 			live[e] = true
 		} else {
 			// Delete an arbitrary live entry.
 			for e := range live {
-				if err := tree.Delete(e); err != nil {
+				if err := tree.DeleteCtx(nil, e); err != nil {
 					t.Fatalf("Delete: %v", err)
 				}
 				delete(live, e)
@@ -271,7 +290,7 @@ func TestMixedInsertDeleteRandomized(t *testing.T) {
 		entries = append(entries, e)
 	}
 	sort.Slice(entries, func(i, j int) bool { return Compare(entries[i], entries[j]) < 0 })
-	got, err := tree.Range(0, record.KeyDomain)
+	got, err := tree.RangeAppendCtx(nil, 0, record.KeyDomain, nil)
 	if err != nil {
 		t.Fatalf("Range: %v", err)
 	}

@@ -179,7 +179,7 @@ func (sp *ServiceProvider) queryLocked(ctx *exec.Context, q record.Range) ([]rec
 	var qc QueryCost
 	before := ctx.Stats()
 	start := time.Now()
-	rids, err := sp.index.RangeCtx(ctx, q.Lo, q.Hi)
+	rids, err := sp.index.RangeAppendCtx(ctx, q.Lo, q.Hi, nil)
 	if err != nil {
 		return nil, qc, fmt.Errorf("core: SP range scan: %w", err)
 	}
@@ -226,7 +226,7 @@ func (sp *ServiceProvider) ApplyBatchCtx(ctx *exec.Context, ops []wal.Op) error 
 			if err != nil {
 				return fmt.Errorf("core: SP inserting record: %w", err)
 			}
-			if err := sp.index.InsertCtx(ctx, bptree.Entry{Key: r.Key, RID: rid}); err != nil {
+			if err := sp.index.InsertCtx(ctx, bptree.Entry{Key: r.Key, RID: rid}, struct{}{}); err != nil {
 				return fmt.Errorf("core: SP indexing record: %w", err)
 			}
 			sp.byID[r.ID] = rid

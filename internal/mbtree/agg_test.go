@@ -31,7 +31,7 @@ func TestAggregateParityBulkload(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		lo := record.Key(rng.Intn(50_000))
 		hi := lo + record.Key(rng.Intn(12_000))
-		got, err := f.tree.Aggregate(lo, hi)
+		got, err := f.tree.AggregateCtx(nil, lo, hi)
 		if err != nil {
 			t.Fatalf("Aggregate(%d,%d): %v", lo, hi, err)
 		}
@@ -39,14 +39,14 @@ func TestAggregateParityBulkload(t *testing.T) {
 			t.Fatalf("Aggregate(%d,%d) = %v, want %v", lo, hi, got, want)
 		}
 	}
-	got, err := f.tree.Aggregate(0, record.KeyDomain)
+	got, err := f.tree.AggregateCtx(nil, 0, record.KeyDomain)
 	if err != nil {
 		t.Fatalf("Aggregate full: %v", err)
 	}
 	if want := refAgg(f, 0, record.KeyDomain); got.Normalize() != want.Normalize() {
 		t.Fatalf("full aggregate = %v, want %v", got, want)
 	}
-	if got, _ := f.tree.Aggregate(9, 3); !got.Empty() {
+	if got, _ := f.tree.AggregateCtx(nil, 9, 3); !got.Empty() {
 		t.Fatalf("inverted range aggregate = %v, want empty", got)
 	}
 }
@@ -67,7 +67,7 @@ func TestAggregateMaintenanceRandomized(t *testing.T) {
 			if err != nil {
 				t.Fatalf("heap.Append: %v", err)
 			}
-			if err := f.tree.Insert(Entry{Key: rec.Key, RID: rid, Digest: digest.OfRecord(&rec)}); err != nil {
+			if err := f.tree.InsertCtx(nil, Entry{Key: rec.Key, RID: rid, Digest: digest.OfRecord(&rec)}); err != nil {
 				t.Fatalf("Insert: %v", err)
 			}
 			f.records = append(f.records, rec)
@@ -76,7 +76,7 @@ func TestAggregateMaintenanceRandomized(t *testing.T) {
 		} else {
 			j := rng.Intn(len(live))
 			i := live[j]
-			if err := f.tree.Delete(Entry{Key: f.records[i].Key, RID: f.rids[i]}); err != nil {
+			if err := f.tree.DeleteCtx(nil, Entry{Key: f.records[i].Key, RID: f.rids[i]}); err != nil {
 				t.Fatalf("Delete: %v", err)
 			}
 			f.records[i].Key = record.KeyDomain + 1 // exclude from refAgg
@@ -89,7 +89,7 @@ func TestAggregateMaintenanceRandomized(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		lo := record.Key(rng.Intn(10_000))
 		hi := lo + record.Key(rng.Intn(2_500))
-		got, err := f.tree.Aggregate(lo, hi)
+		got, err := f.tree.AggregateCtx(nil, lo, hi)
 		if err != nil {
 			t.Fatalf("Aggregate(%d,%d): %v", lo, hi, err)
 		}
@@ -114,7 +114,7 @@ func TestAggregateTouchesLogNodes(t *testing.T) {
 		t.Fatalf("aggregate = %v, want %v", got, want)
 	}
 	scanCtx := exec.NewContext()
-	if _, err := f.tree.RangeCtx(scanCtx, lo, hi); err != nil {
+	if _, err := f.tree.RangeAppendCtx(scanCtx, lo, hi, nil); err != nil {
 		t.Fatalf("RangeCtx: %v", err)
 	}
 	aggReads := aggCtx.Stats().Reads
@@ -134,7 +134,7 @@ func TestAggVOHonestVerifies(t *testing.T) {
 	for trial := 0; trial < 80; trial++ {
 		lo := record.Key(rng.Intn(40_000))
 		hi := lo + record.Key(rng.Intn(10_000))
-		vo, err := f.tree.AggVO(lo, hi, f.sig)
+		vo, err := f.tree.AggVOCtx(nil, lo, hi, f.sig)
 		if err != nil {
 			t.Fatalf("AggVO(%d,%d): %v", lo, hi, err)
 		}
@@ -165,7 +165,7 @@ func TestAggVOHonestVerifies(t *testing.T) {
 func TestAggVOSmallerThanRangeVO(t *testing.T) {
 	f := buildFixture(t, 20_000, 200_000, 48)
 	lo, hi := record.Key(50_000), record.Key(150_000)
-	aggVO, err := f.tree.AggVO(lo, hi, f.sig)
+	aggVO, err := f.tree.AggVOCtx(nil, lo, hi, f.sig)
 	if err != nil {
 		t.Fatalf("AggVO: %v", err)
 	}
@@ -184,7 +184,7 @@ func TestAggVOTamperedAnnotationRejected(t *testing.T) {
 	f := buildFixture(t, 4000, 40_000, 49)
 	ver := f.signer.Verifier()
 	lo, hi := record.Key(10_000), record.Key(30_000)
-	vo, err := f.tree.AggVO(lo, hi, f.sig)
+	vo, err := f.tree.AggVOCtx(nil, lo, hi, f.sig)
 	if err != nil {
 		t.Fatalf("AggVO: %v", err)
 	}
@@ -212,7 +212,7 @@ func TestAggVOFrontierSubstitutionRejected(t *testing.T) {
 	f := buildFixture(t, 4000, 40_000, 50)
 	ver := f.signer.Verifier()
 	lo, hi := record.Key(10_000), record.Key(30_000)
-	vo, err := f.tree.AggVO(lo, hi, f.sig)
+	vo, err := f.tree.AggVOCtx(nil, lo, hi, f.sig)
 	if err != nil {
 		t.Fatalf("AggVO: %v", err)
 	}
@@ -241,7 +241,7 @@ func TestAggVOPrunedStraddlerRejected(t *testing.T) {
 	f := buildFixture(t, 4000, 40_000, 51)
 	ver := f.signer.Verifier()
 	lo, hi := record.Key(10_000), record.Key(30_000)
-	vo, err := f.tree.AggVO(lo, hi, f.sig)
+	vo, err := f.tree.AggVOCtx(nil, lo, hi, f.sig)
 	if err != nil {
 		t.Fatalf("AggVO: %v", err)
 	}
@@ -280,7 +280,7 @@ func TestAggVOPrunedStraddlerRejected(t *testing.T) {
 func TestAggVOWrongRangeRejected(t *testing.T) {
 	f := buildFixture(t, 4000, 40_000, 52)
 	ver := f.signer.Verifier()
-	vo, err := f.tree.AggVO(10_000, 30_000, f.sig)
+	vo, err := f.tree.AggVOCtx(nil, 10_000, 30_000, f.sig)
 	if err != nil {
 		t.Fatalf("AggVO: %v", err)
 	}
@@ -299,7 +299,7 @@ func TestAggVOCorruptionAlwaysRejected(t *testing.T) {
 	f := buildFixture(t, 1000, 10_000, 53)
 	ver := f.signer.Verifier()
 	lo, hi := record.Key(2_000), record.Key(8_000)
-	vo, err := f.tree.AggVO(lo, hi, f.sig)
+	vo, err := f.tree.AggVOCtx(nil, lo, hi, f.sig)
 	if err != nil {
 		t.Fatalf("AggVO: %v", err)
 	}

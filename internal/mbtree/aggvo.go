@@ -30,84 +30,6 @@ import (
 // client from authenticated material only; the server never sends a bare
 // scalar the client has to trust.
 
-// Aggregate computes the (COUNT, SUM, MIN, MAX) aggregate of keys in
-// [lo, hi] with no request context; see AggregateCtx.
-func (t *Tree) Aggregate(lo, hi record.Key) (agg.Agg, error) {
-	return t.AggregateCtx(nil, lo, hi)
-}
-
-// AggregateCtx computes the aggregate of keys in [lo, hi] from the stored
-// annotations, reading O(log n) pages: interior children of the canonical
-// cover are answered from their annotations and only the two frontier
-// paths are descended.
-func (t *Tree) AggregateCtx(ctx *exec.Context, lo, hi record.Key) (agg.Agg, error) {
-	if lo > hi {
-		return agg.Agg{}, nil
-	}
-	return t.aggregateAt(ctx, t.root, t.height, lo, hi, nil, nil)
-}
-
-// aggregateAt descends the canonical cover of [lo, hi]. lb/ub are the
-// subtree's key bounds inherited from ancestor separators (nil = unknown):
-// they let a node's outermost children — which have only one local
-// separator — still be proven fully covered, keeping the cover to at most
-// two frontier paths.
-func (t *Tree) aggregateAt(ctx *exec.Context, id pagestore.PageID, level int, lo, hi record.Key, lb, ub *record.Key) (agg.Agg, error) {
-	n, err := t.readNode(ctx, id)
-	if err != nil {
-		return agg.Agg{}, err
-	}
-	var a agg.Agg
-	if n.leaf {
-		for i := lowerBoundKey(n.entries, lo); i < len(n.entries) && n.entries[i].Key <= hi; i++ {
-			a = a.Add(n.entries[i].Key)
-		}
-		return a, nil
-	}
-	// Child i holds keys k with entries[i-1].Key <= k <= entries[i].Key
-	// (separators are composite (key, RID), so equal keys can sit on
-	// either side). lsel..rsel are the children that can intersect the
-	// range.
-	lsel := lowerBoundKey(n.entries, lo)
-	rsel := len(n.children) - 1
-	for rsel > 0 && n.entries[rsel-1].Key > hi {
-		rsel--
-	}
-	if lsel > rsel {
-		return agg.Agg{}, nil
-	}
-	for i := lsel; i <= rsel; i++ {
-		if i > lsel && i < rsel {
-			// Interior of the cover: bounded by seps within [lo, hi].
-			a = a.Merge(n.aggs[i])
-			continue
-		}
-		clb, cub := lb, ub
-		if i > 0 {
-			clb = &n.entries[i-1].Key
-		}
-		if i < len(n.entries) {
-			cub = &n.entries[i].Key
-		}
-		if clb != nil && *clb >= lo && cub != nil && *cub <= hi {
-			a = a.Merge(n.aggs[i])
-			continue
-		}
-		sub, err := t.aggregateAt(ctx, n.children[i], level-1, lo, hi, clb, cub)
-		if err != nil {
-			return agg.Agg{}, err
-		}
-		a = a.Merge(sub)
-	}
-	return a, nil
-}
-
-// AggVO builds the verification object for an aggregate query with no
-// request context; see AggVOCtx.
-func (t *Tree) AggVO(lo, hi record.Key, sig []byte) (*VO, error) {
-	return t.AggVOCtx(nil, lo, hi, sig)
-}
-
 // AggVOCtx builds the verification object proving the aggregate over
 // [lo, hi]; the client recomputes the aggregate from the VO itself via
 // VerifyAggVO. The VO covers the canonical frontier only — O(log n)
@@ -118,7 +40,7 @@ func (t *Tree) AggVOCtx(ctx *exec.Context, lo, hi record.Key, sig []byte) (*VO, 
 	if lo > hi {
 		return nil, fmt.Errorf("mbtree: inverted range [%d, %d]", lo, hi)
 	}
-	if err := t.aggVOAt(ctx, t.root, t.height, lo, hi, nil, nil, vo); err != nil {
+	if err := t.aggVOAt(ctx, t.Root(), t.Height(), lo, hi, nil, nil, vo); err != nil {
 		return nil, err
 	}
 	return vo, nil
@@ -129,40 +51,40 @@ func (t *Tree) AggVOCtx(ctx *exec.Context, lo, hi record.Key, sig []byte) (*VO, 
 // threading VerifyAggVO performs, so the builder prunes exactly the
 // children the client can re-classify.
 func (t *Tree) aggVOAt(ctx *exec.Context, id pagestore.PageID, level int, lo, hi record.Key, lb, ub *record.Key, vo *VO) error {
-	n, err := t.readNode(ctx, id)
+	n, err := t.ReadNode(ctx, id)
 	if err != nil {
 		return err
 	}
-	if n.leaf {
+	if n.Leaf {
 		// Frontier leaf: list every entry; the client filters by key.
 		vo.Tokens = append(vo.Tokens, Token{Kind: TokLeafBegin})
-		for i := range n.entries {
-			vo.Tokens = append(vo.Tokens, Token{Kind: TokKeyDig, Key: n.entries[i].Key, Digest: n.entries[i].Digest})
+		for i := range n.Entries {
+			vo.Tokens = append(vo.Tokens, Token{Kind: TokKeyDig, Key: n.Entries[i].Key, Digest: n.Vals[i]})
 		}
 		vo.Tokens = append(vo.Tokens, Token{Kind: TokNodeEnd})
 		return nil
 	}
 	vo.Tokens = append(vo.Tokens, Token{Kind: TokInnerBegin})
-	for i, c := range n.children {
+	for i, c := range n.Children {
 		if i > 0 {
-			vo.Tokens = append(vo.Tokens, Token{Kind: TokSep, Key: n.entries[i-1].Key})
+			vo.Tokens = append(vo.Tokens, Token{Kind: TokSep, Key: n.Entries[i-1].Key})
 		}
 		// Prune a child only when the client will be able to re-derive the
 		// classification from proven separators.
 		clb, cub := lb, ub
 		if i > 0 {
-			clb = &n.entries[i-1].Key
+			clb = &n.Entries[i-1].Key
 		}
-		if i < len(n.entries) {
-			cub = &n.entries[i].Key
+		if i < len(n.Entries) {
+			cub = &n.Entries[i].Key
 		}
 		fullIn := clb != nil && *clb >= lo && cub != nil && *cub <= hi
 		fullOut := (cub != nil && *cub < lo) || (clb != nil && *clb > hi)
 		if fullIn || fullOut {
-			vo.Tokens = append(vo.Tokens, Token{Kind: TokChild, Digest: n.digests[i], Agg: n.aggs[i]})
+			vo.Tokens = append(vo.Tokens, Token{Kind: TokChild, Digest: n.Vals[i], Agg: n.Aggs[i]})
 			continue
 		}
-		vo.Tokens = append(vo.Tokens, Token{Kind: TokExpand, Agg: n.aggs[i]})
+		vo.Tokens = append(vo.Tokens, Token{Kind: TokExpand, Agg: n.Aggs[i]})
 		if err := t.aggVOAt(ctx, c, level-1, lo, hi, clb, cub, vo); err != nil {
 			return err
 		}

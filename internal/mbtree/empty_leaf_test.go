@@ -18,7 +18,7 @@ func TestVOAcrossEmptiedLeaves(t *testing.T) {
 	var remaining []record.Record
 	for i, r := range f.records {
 		if i >= LeafCapacity && i < 2*LeafCapacity {
-			if err := f.tree.Delete(Entry{Key: r.Key, RID: f.rids[i]}); err != nil {
+			if err := f.tree.DeleteCtx(nil, Entry{Key: r.Key, RID: f.rids[i]}); err != nil {
 				t.Fatalf("Delete: %v", err)
 			}
 		} else {

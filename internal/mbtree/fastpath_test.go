@@ -16,7 +16,7 @@ func TestVOAppendToMatchesMarshal(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		lo := record.Key(rng.Intn(20_000))
 		hi := lo + record.Key(rng.Intn(3_000))
-		_, vo, err := f.tree.RangeVO(lo, hi, f.heap, f.sig)
+		_, vo, err := f.tree.RangeVOCtx(nil, lo, hi, f.heap, f.sig)
 		if err != nil {
 			t.Fatalf("RangeVO: %v", err)
 		}
@@ -39,7 +39,7 @@ func TestVOAppendToMatchesMarshal(t *testing.T) {
 // exactly (no spare growth capacity) and round-trips unchanged.
 func TestUnmarshalVOPresized(t *testing.T) {
 	f := buildFixture(t, 2000, 20_000, 25)
-	_, vo, err := f.tree.RangeVO(2_000, 9_000, f.heap, f.sig)
+	_, vo, err := f.tree.RangeVOCtx(nil, 2_000, 9_000, f.heap, f.sig)
 	if err != nil {
 		t.Fatalf("RangeVO: %v", err)
 	}

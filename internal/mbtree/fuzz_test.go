@@ -35,12 +35,12 @@ func FuzzUnmarshalVO(f *testing.F) {
 	f.Add(inner)
 	fx := buildFixture(f, 400, 20_000, 19)
 	for _, q := range []record.Range{{Lo: 1_000, Hi: 1_100}, {Lo: 7_000, Hi: 9_000}, {Lo: 0, Hi: 20_000}} {
-		_, vo, err := fx.tree.RangeVO(q.Lo, q.Hi, fx.heap, fx.sig)
+		_, vo, err := fx.tree.RangeVOCtx(nil, q.Lo, q.Hi, fx.heap, fx.sig)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(vo.Marshal())
-		avo, err := fx.tree.AggVO(q.Lo, q.Hi, fx.sig)
+		avo, err := fx.tree.AggVOCtx(nil, q.Lo, q.Hi, fx.sig)
 		if err != nil {
 			f.Fatal(err)
 		}

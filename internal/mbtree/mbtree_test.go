@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"sae/internal/bptree"
 	"sae/internal/digest"
 	"sae/internal/heapfile"
 	"sae/internal/pagestore"
@@ -40,7 +41,7 @@ func buildFixture(t testing.TB, n, domain int, seed int64) *fixture {
 	for i := range records {
 		entries[i] = Entry{Key: records[i].Key, RID: rids[i], Digest: digest.OfRecord(&records[i])}
 	}
-	sort.Slice(entries, func(i, j int) bool { return Compare(entries[i], entries[j]) < 0 })
+	sort.Slice(entries, func(i, j int) bool { return bptree.Compare(entries[i].keyRID(), entries[j].keyRID()) < 0 })
 	tree, err := Bulkload(store, entries)
 	if err != nil {
 		t.Fatalf("Bulkload: %v", err)
@@ -70,7 +71,7 @@ func (f *fixture) queryRef(lo, hi record.Key) []record.Record {
 // runQuery executes RangeVO and fetches the result records like the SP does.
 func (f *fixture) runQuery(t *testing.T, lo, hi record.Key) ([]record.Record, *VO) {
 	t.Helper()
-	rids, vo, err := f.tree.RangeVO(lo, hi, f.heap, f.sig)
+	rids, vo, err := f.tree.RangeVOCtx(nil, lo, hi, f.heap, f.sig)
 	if err != nil {
 		t.Fatalf("RangeVO(%d,%d): %v", lo, hi, err)
 	}
@@ -97,7 +98,7 @@ func TestRangeMatchesReference(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		lo := record.Key(rng.Intn(20_000))
 		hi := lo + record.Key(rng.Intn(2_000))
-		rids, err := f.tree.Range(lo, hi)
+		rids, err := f.tree.RangeAppendCtx(nil, lo, hi, nil)
 		if err != nil {
 			t.Fatalf("Range: %v", err)
 		}
@@ -312,7 +313,7 @@ func TestInsertMaintainsDigests(t *testing.T) {
 			t.Fatalf("heap.Append: %v", err)
 		}
 		e := Entry{Key: rec.Key, RID: rid, Digest: digest.OfRecord(&rec)}
-		if err := f.tree.Insert(e); err != nil {
+		if err := f.tree.InsertCtx(nil, e); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 		f.records = append(f.records, rec)
@@ -343,10 +344,10 @@ func TestDeleteMaintainsDigests(t *testing.T) {
 	for i := range f.records {
 		if i%4 == 0 {
 			e := Entry{Key: f.records[i].Key, RID: f.rids[i]}
-			if err := f.tree.Delete(e); err != nil {
+			if err := f.tree.DeleteCtx(nil, e); err != nil {
 				t.Fatalf("Delete: %v", err)
 			}
-			if err := f.heap.Delete(f.rids[i]); err != nil {
+			if err := f.heap.DeleteCtx(nil, f.rids[i]); err != nil {
 				t.Fatalf("heap.Delete: %v", err)
 			}
 		} else {
@@ -373,7 +374,7 @@ func TestDeleteMaintainsDigests(t *testing.T) {
 
 func TestDeleteNotFound(t *testing.T) {
 	f := buildFixture(t, 100, 1000, 17)
-	err := f.tree.Delete(Entry{Key: 99999, RID: heapfile.RID{Page: 1, Slot: 1}})
+	err := f.tree.DeleteCtx(nil, Entry{Key: 99999, RID: heapfile.RID{Page: 1, Slot: 1}})
 	if err == nil {
 		t.Fatal("Delete of absent entry succeeded")
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"sae/internal/agg"
+	"sae/internal/bptree"
 	"sae/internal/digest"
 	"sae/internal/exec"
 	"sae/internal/heapfile"
@@ -31,7 +32,7 @@ import (
 //   - Result tokens are placeholders for runs of result records, which the
 //     client already holds and hashes itself.
 //   - LeafBegin/InnerBegin/NodeEnd tokens delimit a tree page, whose digest
-//     is the hash of the byte stream node.digest() defines.
+//     is the hash of the byte stream nodeDigest defines.
 //
 // The client replays the stream, reconstructs the root digest and checks it
 // against the owner's signature; the token grammar additionally proves that
@@ -240,25 +241,9 @@ func UnmarshalVO(b []byte) (*VO, error) {
 	return vo, nil
 }
 
-// writeKeyTo appends a key to a digest replay stream exactly as
-// node.digest() encodes it.
-func writeKeyTo(w *digest.ConcatWriter, k record.Key) {
-	var kb [4]byte
-	binary.BigEndian.PutUint32(kb[:], uint32(k))
-	w.Write(kb[:])
-}
-
-// writeAggTo appends an aggregate annotation to a digest replay stream
-// exactly as node.digest() encodes it.
-func writeAggTo(w *digest.ConcatWriter, a agg.Agg) {
-	var ab [agg.Size]byte
-	a.PutBytes(ab[:])
-	w.Write(ab[:])
-}
-
 // nodeCache holds the nodes one query has already read. A query's working
 // set is O(height + result leaves), and any production DBMS buffer pool
-// would serve repeated reads of those pages without new I/O, so RangeVO
+// would serve repeated reads of those pages without new I/O, so RangeVOCtx
 // charges each page once: findPred, findSucc and the VO recursion share one
 // cache.
 type nodeCache map[pagestore.PageID]*node
@@ -269,7 +254,7 @@ func (t *Tree) readNodeVia(ctx *exec.Context, c nodeCache, id pagestore.PageID) 
 			return n, nil
 		}
 	}
-	n, err := t.readNode(ctx, id)
+	n, err := t.ReadNode(ctx, id)
 	if err != nil {
 		return nil, err
 	}
@@ -281,84 +266,84 @@ func (t *Tree) readNodeVia(ctx *exec.Context, c nodeCache, id pagestore.PageID) 
 
 // maxEntry returns the largest entry in the subtree rooted at id, scanning
 // children right to left so that leaves emptied by lazy deletion are skipped.
-func (t *Tree) maxEntry(ctx *exec.Context, c nodeCache, id pagestore.PageID, level int) (Entry, bool, error) {
+func (t *Tree) maxEntry(ctx *exec.Context, c nodeCache, id pagestore.PageID, level int) (bptree.Entry, bool, error) {
 	n, err := t.readNodeVia(ctx, c, id)
 	if err != nil {
-		return Entry{}, false, err
+		return bptree.Entry{}, false, err
 	}
-	if n.leaf {
-		if len(n.entries) == 0 {
-			return Entry{}, false, nil
+	if n.Leaf {
+		if len(n.Entries) == 0 {
+			return bptree.Entry{}, false, nil
 		}
-		return n.entries[len(n.entries)-1], true, nil
+		return n.Entries[len(n.Entries)-1], true, nil
 	}
-	for i := len(n.children) - 1; i >= 0; i-- {
-		e, ok, err := t.maxEntry(ctx, c, n.children[i], level-1)
+	for i := len(n.Children) - 1; i >= 0; i-- {
+		e, ok, err := t.maxEntry(ctx, c, n.Children[i], level-1)
 		if err != nil || ok {
 			return e, ok, err
 		}
 	}
-	return Entry{}, false, nil
+	return bptree.Entry{}, false, nil
 }
 
 // minEntry mirrors maxEntry for the smallest entry.
-func (t *Tree) minEntry(ctx *exec.Context, c nodeCache, id pagestore.PageID, level int) (Entry, bool, error) {
+func (t *Tree) minEntry(ctx *exec.Context, c nodeCache, id pagestore.PageID, level int) (bptree.Entry, bool, error) {
 	n, err := t.readNodeVia(ctx, c, id)
 	if err != nil {
-		return Entry{}, false, err
+		return bptree.Entry{}, false, err
 	}
-	if n.leaf {
-		if len(n.entries) == 0 {
-			return Entry{}, false, nil
+	if n.Leaf {
+		if len(n.Entries) == 0 {
+			return bptree.Entry{}, false, nil
 		}
-		return n.entries[0], true, nil
+		return n.Entries[0], true, nil
 	}
-	for i := 0; i < len(n.children); i++ {
-		e, ok, err := t.minEntry(ctx, c, n.children[i], level-1)
+	for i := 0; i < len(n.Children); i++ {
+		e, ok, err := t.minEntry(ctx, c, n.Children[i], level-1)
 		if err != nil || ok {
 			return e, ok, err
 		}
 	}
-	return Entry{}, false, nil
+	return bptree.Entry{}, false, nil
 }
 
 // findPred locates the rightmost entry with key < lo, if any.
-func (t *Tree) findPred(ctx *exec.Context, c nodeCache, lo record.Key) (Entry, bool, error) {
-	target := Entry{Key: lo} // RID zero: any entry with key < lo is < target
-	id := t.root
+func (t *Tree) findPred(ctx *exec.Context, c nodeCache, lo record.Key) (bptree.Entry, bool, error) {
+	target := bptree.Entry{Key: lo} // RID zero: any entry with key < lo is < target
+	id := t.Root()
 	// Subtrees guaranteed to hold entries below the target, nearest last.
 	var leftSubtrees []struct {
 		id    pagestore.PageID
 		level int
 	}
-	for level := t.height; level > 1; level-- {
+	for level := t.Height(); level > 1; level-- {
 		n, err := t.readNodeVia(ctx, c, id)
 		if err != nil {
-			return Entry{}, false, err
+			return bptree.Entry{}, false, err
 		}
 		// Descend into the first child whose separator is >= target.
 		idx := 0
-		for idx < len(n.entries) && Compare(n.entries[idx], target) < 0 {
+		for idx < len(n.Entries) && bptree.Compare(n.Entries[idx], target) < 0 {
 			idx++
 		}
 		if idx > 0 {
 			leftSubtrees = append(leftSubtrees, struct {
 				id    pagestore.PageID
 				level int
-			}{n.children[idx-1], level - 1})
+			}{n.Children[idx-1], level - 1})
 		}
-		id = n.children[idx]
+		id = n.Children[idx]
 	}
 	n, err := t.readNodeVia(ctx, c, id)
 	if err != nil {
-		return Entry{}, false, err
+		return bptree.Entry{}, false, err
 	}
 	pos := 0
-	for pos < len(n.entries) && Compare(n.entries[pos], target) < 0 {
+	for pos < len(n.Entries) && bptree.Compare(n.Entries[pos], target) < 0 {
 		pos++
 	}
 	if pos > 0 {
-		return n.entries[pos-1], true, nil
+		return n.Entries[pos-1], true, nil
 	}
 	// Fall back to the nearest left subtree with any live entry.
 	for i := len(leftSubtrees) - 1; i >= 0; i-- {
@@ -367,42 +352,42 @@ func (t *Tree) findPred(ctx *exec.Context, c nodeCache, lo record.Key) (Entry, b
 			return e, ok, err
 		}
 	}
-	return Entry{}, false, nil
+	return bptree.Entry{}, false, nil
 }
 
 // findSucc locates the leftmost entry with key > hi, if any.
-func (t *Tree) findSucc(ctx *exec.Context, c nodeCache, hi record.Key) (Entry, bool, error) {
+func (t *Tree) findSucc(ctx *exec.Context, c nodeCache, hi record.Key) (bptree.Entry, bool, error) {
 	// Entries with key == hi compare <= this target; key > hi compares >.
-	target := Entry{Key: hi, RID: heapfile.RID{Page: pagestore.InvalidPage, Slot: 0xFFFF}}
-	id := t.root
+	target := bptree.Entry{Key: hi, RID: heapfile.RID{Page: pagestore.InvalidPage, Slot: 0xFFFF}}
+	id := t.Root()
 	var rightSubtrees []struct {
 		id    pagestore.PageID
 		level int
 	}
-	for level := t.height; level > 1; level-- {
+	for level := t.Height(); level > 1; level-- {
 		n, err := t.readNodeVia(ctx, c, id)
 		if err != nil {
-			return Entry{}, false, err
+			return bptree.Entry{}, false, err
 		}
 		idx := 0
-		for idx < len(n.entries) && Compare(n.entries[idx], target) <= 0 {
+		for idx < len(n.Entries) && bptree.Compare(n.Entries[idx], target) <= 0 {
 			idx++
 		}
-		if idx < len(n.entries) {
+		if idx < len(n.Entries) {
 			rightSubtrees = append(rightSubtrees, struct {
 				id    pagestore.PageID
 				level int
-			}{n.children[idx+1], level - 1})
+			}{n.Children[idx+1], level - 1})
 		}
-		id = n.children[idx]
+		id = n.Children[idx]
 	}
 	n, err := t.readNodeVia(ctx, c, id)
 	if err != nil {
-		return Entry{}, false, err
+		return bptree.Entry{}, false, err
 	}
-	for pos := 0; pos < len(n.entries); pos++ {
-		if Compare(n.entries[pos], target) > 0 {
-			return n.entries[pos], true, nil
+	for pos := 0; pos < len(n.Entries); pos++ {
+		if bptree.Compare(n.Entries[pos], target) > 0 {
+			return n.Entries[pos], true, nil
 		}
 	}
 	for i := len(rightSubtrees) - 1; i >= 0; i-- {
@@ -411,13 +396,7 @@ func (t *Tree) findSucc(ctx *exec.Context, c nodeCache, hi record.Key) (Entry, b
 			return e, ok, err
 		}
 	}
-	return Entry{}, false, nil
-}
-
-// RangeVO executes a range query and builds its verification object with
-// no request context; see RangeVOCtx.
-func (t *Tree) RangeVO(lo, hi record.Key, heap *heapfile.File, sig []byte) ([]heapfile.RID, *VO, error) {
-	return t.RangeVOCtx(nil, lo, hi, heap, sig)
+	return bptree.Entry{}, false, nil
 }
 
 // RangeVOCtx executes a range query and builds its verification object,
@@ -444,7 +423,7 @@ func (t *Tree) RangeVOCtx(ctx *exec.Context, lo, hi record.Key, heap *heapfile.F
 		pred: pred, hasPred: hasPred,
 		succ: succ, hasSucc: hasSucc,
 	}
-	if err := b.build(t.root, t.height, vo); err != nil {
+	if err := b.build(t.Root(), t.Height(), vo); err != nil {
 		return nil, nil, err
 	}
 	return b.rids, vo, nil
@@ -456,9 +435,9 @@ type voBuilder struct {
 	cache   nodeCache
 	ctx     *exec.Context
 	lo, hi  record.Key
-	pred    Entry
+	pred    bptree.Entry
 	hasPred bool
-	succ    Entry
+	succ    bptree.Entry
 	hasSucc bool
 	rids    []heapfile.RID
 	run     int // pending result-run length
@@ -474,11 +453,11 @@ func (b *voBuilder) flushRun(vo *VO) {
 // interestContains reports whether the closed composite interval
 // [pred, succ] (with missing bounds treated as infinities) intersects the
 // child range [childLo, childHi), where nil bounds are infinities.
-func (b *voBuilder) overlaps(childLo, childHi *Entry) bool {
-	if b.hasPred && childHi != nil && Compare(b.pred, *childHi) >= 0 {
+func (b *voBuilder) overlaps(childLo, childHi *bptree.Entry) bool {
+	if b.hasPred && childHi != nil && bptree.Compare(b.pred, *childHi) >= 0 {
 		return false // child entirely below the interval
 	}
-	if b.hasSucc && childLo != nil && Compare(*childLo, b.succ) > 0 {
+	if b.hasSucc && childLo != nil && bptree.Compare(*childLo, b.succ) > 0 {
 		return false // child entirely above the interval
 	}
 	if !b.hasPred {
@@ -501,12 +480,12 @@ func (b *voBuilder) build(id pagestore.PageID, level int, vo *VO) error {
 	if err != nil {
 		return err
 	}
-	if n.leaf {
+	if n.Leaf {
 		vo.Tokens = append(vo.Tokens, Token{Kind: TokLeafBegin})
-		for i := range n.entries {
-			e := &n.entries[i]
-			isBoundary := (b.hasPred && Compare(*e, b.pred) == 0) ||
-				(b.hasSucc && Compare(*e, b.succ) == 0)
+		for i := range n.Entries {
+			e := &n.Entries[i]
+			isBoundary := (b.hasPred && bptree.Compare(*e, b.pred) == 0) ||
+				(b.hasSucc && bptree.Compare(*e, b.succ) == 0)
 			switch {
 			case isBoundary:
 				b.flushRun(vo)
@@ -520,7 +499,7 @@ func (b *voBuilder) build(id pagestore.PageID, level int, vo *VO) error {
 				b.rids = append(b.rids, e.RID)
 			default:
 				b.flushRun(vo)
-				vo.Tokens = append(vo.Tokens, Token{Kind: TokKeyDig, Key: e.Key, Digest: e.Digest})
+				vo.Tokens = append(vo.Tokens, Token{Kind: TokKeyDig, Key: e.Key, Digest: n.Vals[i]})
 			}
 		}
 		b.flushRun(vo)
@@ -528,24 +507,24 @@ func (b *voBuilder) build(id pagestore.PageID, level int, vo *VO) error {
 		return nil
 	}
 	vo.Tokens = append(vo.Tokens, Token{Kind: TokInnerBegin})
-	for i, c := range n.children {
+	for i, c := range n.Children {
 		if i > 0 {
-			vo.Tokens = append(vo.Tokens, Token{Kind: TokSep, Key: n.entries[i-1].Key})
+			vo.Tokens = append(vo.Tokens, Token{Kind: TokSep, Key: n.Entries[i-1].Key})
 		}
-		var childLo, childHi *Entry
+		var childLo, childHi *bptree.Entry
 		if i > 0 {
-			childLo = &n.entries[i-1]
+			childLo = &n.Entries[i-1]
 		}
-		if i < len(n.entries) {
-			childHi = &n.entries[i]
+		if i < len(n.Entries) {
+			childHi = &n.Entries[i]
 		}
 		if b.overlaps(childLo, childHi) {
-			vo.Tokens = append(vo.Tokens, Token{Kind: TokExpand, Agg: n.aggs[i]})
+			vo.Tokens = append(vo.Tokens, Token{Kind: TokExpand, Agg: n.Aggs[i]})
 			if err := b.build(c, level-1, vo); err != nil {
 				return err
 			}
 		} else {
-			vo.Tokens = append(vo.Tokens, Token{Kind: TokChild, Digest: n.digests[i], Agg: n.aggs[i]})
+			vo.Tokens = append(vo.Tokens, Token{Kind: TokChild, Digest: n.Vals[i], Agg: n.Aggs[i]})
 		}
 	}
 	vo.Tokens = append(vo.Tokens, Token{Kind: TokNodeEnd})
@@ -569,7 +548,7 @@ func VerifyVO(vo *VO, result []record.Record, lo, hi record.Key, ver *sigs.Verif
 	}
 
 	// Reconstruct the root digest with a recursive descent over the token
-	// stream, replaying the exact byte stream node.digest() hashes.
+	// stream, replaying the exact byte stream nodeDigest hashes.
 	pos := 0
 	resIdx := 0
 	var parseNode func() (digest.Digest, error)

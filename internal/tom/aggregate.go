@@ -14,7 +14,7 @@ import (
 // TOM's aggregation fast path. Under TOM the provider cannot just assert
 // a scalar — there is no trusted party to token it — so the answer IS the
 // evidence: an aggregate VO over the MB-Tree's annotated internal nodes
-// (mbtree.AggVO). The client replays the VO against the owner-signed
+// (mbtree.AggVOCtx). The client replays the VO against the owner-signed
 // root; the aggregate falls out of the replay, so a correct signature
 // check *produces* the verified scalar rather than confirming a claimed
 // one. The VO covers the canonical frontier (O(log n) tokens), not the

@@ -26,7 +26,7 @@ func checkAggs(t *testing.T, tree *Tree, ref *reference, domain int, trials int,
 	for trial := 0; trial < trials; trial++ {
 		lo := record.Key(rng.Intn(domain))
 		hi := lo + record.Key(rng.Intn(domain/4+1))
-		got, err := tree.Aggregate(lo, hi)
+		got, err := tree.AggregateCtx(nil, lo, hi)
 		if err != nil {
 			t.Fatalf("Aggregate(%d,%d): %v", lo, hi, err)
 		}
@@ -47,14 +47,14 @@ func TestAggregateParityBulkload(t *testing.T) {
 	}
 	checkAggs(t, tree, ref, 10_000, 200, 32)
 	// Full domain, point range, empty range.
-	got, err := tree.Aggregate(0, record.KeyDomain)
+	got, err := tree.AggregateCtx(nil, 0, record.KeyDomain)
 	if err != nil {
 		t.Fatalf("Aggregate full: %v", err)
 	}
 	if want := refAgg(ref, 0, record.KeyDomain); got.Normalize() != want.Normalize() {
 		t.Fatalf("full aggregate = %v, want %v", got, want)
 	}
-	if got, _ := tree.Aggregate(9, 3); !got.Empty() {
+	if got, _ := tree.AggregateCtx(nil, 9, 3); !got.Empty() {
 		t.Fatalf("inverted range aggregate = %v, want empty", got)
 	}
 }
@@ -77,7 +77,7 @@ func TestAggregateMaintenanceRandomized(t *testing.T) {
 			k := record.Key(rng.Intn(1500))
 			tup := tupleFor(nextID)
 			nextID++
-			if err := tree.Insert(k, tup); err != nil {
+			if err := tree.InsertCtx(nil, k, tup); err != nil {
 				t.Fatalf("Insert: %v", err)
 			}
 			ref.insert(k, tup)
@@ -85,7 +85,7 @@ func TestAggregateMaintenanceRandomized(t *testing.T) {
 		} else {
 			i := rng.Intn(len(tuples))
 			v := tuples[i]
-			if err := tree.Delete(v.k, v.id); err != nil {
+			if err := tree.DeleteCtx(nil, v.k, v.id); err != nil {
 				t.Fatalf("Delete: %v", err)
 			}
 			ref.remove(v.k, v.id)

@@ -197,80 +197,52 @@ func (t *Tree) Validate() error {
 		}
 		var acc digest.Accumulator
 		var agr agg.Agg
-		if n.leaf {
-			for i := range n.entries {
-				e := &n.entries[i]
+		if !n.leaf {
+			// e0 covers keys below the first entry.
+			e0Hi := hi
+			if len(n.entries) > 0 {
+				e0Hi = &n.entries[0].sk
+			}
+			sub, err := walk(n.e0C, level-1, lo, e0Hi)
+			if err != nil {
+				return subSummary{}, err
+			}
+			if n.e0X != sub.x {
+				return subSummary{}, fmt.Errorf("xbtree: node %d e0.X mismatch", id)
+			}
+			if n.e0Agg.Normalize() != sub.a.Normalize() {
+				return subSummary{}, fmt.Errorf("xbtree: node %d e0 annotation %v, subtree is %v", id, n.e0Agg, sub.a)
+			}
+			acc.Add(n.e0X)
+			agr = sub.a
+		}
+		for i := range n.entries {
+			e := &n.entries[i]
+			lx, err := t.checkList(id, e)
+			if err != nil {
+				return subSummary{}, err
+			}
+			tuples += int(e.listCount)
+			// A leaf entry has no subtree: its X is its list's XOR alone.
+			var sub subSummary
+			if n.leaf {
 				if e.child != pagestore.InvalidPage {
 					return subSummary{}, fmt.Errorf("xbtree: leaf %d entry %d has a child", id, i)
 				}
-				ts, err := t.lists.read(nil, e.lref)
-				if err != nil {
+			} else {
+				nextHi := hi
+				if i+1 < len(n.entries) {
+					nextHi = &n.entries[i+1].sk
+				}
+				if sub, err = walk(e.child, level-1, &e.sk, nextHi); err != nil {
 					return subSummary{}, err
 				}
-				tuples += len(ts)
-				var lx digest.Accumulator
-				for _, tup := range ts {
-					lx.Add(tup.Digest)
+				if e.childAgg.Normalize() != sub.a.Normalize() {
+					return subSummary{}, fmt.Errorf("xbtree: node %d entry sk=%d annotation %v, subtree is %v", id, e.sk, e.childAgg, sub.a)
 				}
-				if e.x != lx.Sum() {
-					return subSummary{}, fmt.Errorf("xbtree: leaf %d entry sk=%d X != L⊕", id, e.sk)
-				}
-				if int(e.listCount) != len(ts) {
-					return subSummary{}, fmt.Errorf("xbtree: leaf %d entry sk=%d listCount=%d, list has %d", id, e.sk, e.listCount, len(ts))
-				}
-				acc.Add(e.x)
-				agr = agr.Merge(e.ownAgg())
 			}
-			return subSummary{x: acc.Sum(), a: agr}, nil
-		}
-		// e0 covers keys below the first entry.
-		var e0Hi *record.Key
-		if len(n.entries) > 0 {
-			e0Hi = &n.entries[0].sk
-		} else {
-			e0Hi = hi
-		}
-		sub, err := walk(n.e0C, level-1, lo, e0Hi)
-		if err != nil {
-			return subSummary{}, err
-		}
-		if n.e0X != sub.x {
-			return subSummary{}, fmt.Errorf("xbtree: node %d e0.X mismatch", id)
-		}
-		if n.e0Agg.Normalize() != sub.a.Normalize() {
-			return subSummary{}, fmt.Errorf("xbtree: node %d e0 annotation %v, subtree is %v", id, n.e0Agg, sub.a)
-		}
-		acc.Add(n.e0X)
-		agr = agr.Merge(sub.a)
-		for i := range n.entries {
-			e := &n.entries[i]
-			ts, err := t.lists.read(nil, e.lref)
-			if err != nil {
-				return subSummary{}, err
-			}
-			tuples += len(ts)
-			var lx digest.Accumulator
-			for _, tup := range ts {
-				lx.Add(tup.Digest)
-			}
-			if int(e.listCount) != len(ts) {
-				return subSummary{}, fmt.Errorf("xbtree: node %d entry sk=%d listCount=%d, list has %d", id, e.sk, e.listCount, len(ts))
-			}
-			var nextHi *record.Key
-			if i+1 < len(n.entries) {
-				nextHi = &n.entries[i+1].sk
-			} else {
-				nextHi = hi
-			}
-			sub, err := walk(e.child, level-1, &e.sk, nextHi)
-			if err != nil {
-				return subSummary{}, err
-			}
-			if want := lx.Sum().XOR(sub.x); e.x != want {
+			if e.x != lx.XOR(sub.x) {
 				return subSummary{}, fmt.Errorf("xbtree: node %d entry sk=%d X invariant violated", id, e.sk)
-			}
-			if e.childAgg.Normalize() != sub.a.Normalize() {
-				return subSummary{}, fmt.Errorf("xbtree: node %d entry sk=%d annotation %v, subtree is %v", id, e.sk, e.childAgg, sub.a)
 			}
 			acc.Add(e.x)
 			agr = agr.Merge(e.ownAgg()).Merge(sub.a)
@@ -284,4 +256,21 @@ func (t *Tree) Validate() error {
 		return fmt.Errorf("xbtree: walked %d tuples, tree says %d", tuples, t.tuples)
 	}
 	return nil
+}
+
+// checkList reads e's tuple list, checks e.listCount against it, and
+// returns the list's XOR (L⊕).
+func (t *Tree) checkList(id pagestore.PageID, e *entry) (digest.Digest, error) {
+	ts, err := t.lists.read(nil, e.lref)
+	if err != nil {
+		return digest.Zero, err
+	}
+	if int(e.listCount) != len(ts) {
+		return digest.Zero, fmt.Errorf("xbtree: node %d entry sk=%d listCount=%d, list has %d", id, e.sk, e.listCount, len(ts))
+	}
+	var lx digest.Accumulator
+	for _, tup := range ts {
+		lx.Add(tup.Digest)
+	}
+	return lx.Sum(), nil
 }

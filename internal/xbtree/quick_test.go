@@ -23,7 +23,7 @@ func TestGenerateVTQuickProperty(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		k := record.Key(rng.Intn(domain))
 		tup := tupleFor(record.ID(i + 1))
-		if err := tree.Insert(k, tup); err != nil {
+		if err := tree.InsertCtx(nil, k, tup); err != nil {
 			t.Fatal(err)
 		}
 		ref.insert(k, tup)
@@ -31,7 +31,7 @@ func TestGenerateVTQuickProperty(t *testing.T) {
 	prop := func(a uint16, w uint16) bool {
 		lo := record.Key(a) % domain
 		hi := lo + record.Key(w)
-		got, err := tree.GenerateVT(lo, hi)
+		got, err := tree.GenerateVTCtx(nil, lo, hi)
 		if err != nil {
 			return false
 		}
@@ -56,19 +56,19 @@ func TestInsertDeleteQuickProperty(t *testing.T) {
 		k := record.Key(a) % 5000
 		lo := k - record.Key(w)%k1(k)
 		hi := k + record.Key(w)
-		before, err := tree.GenerateVT(lo, hi)
+		before, err := tree.GenerateVTCtx(nil, lo, hi)
 		if err != nil {
 			return false
 		}
 		tup := tupleFor(nextID)
 		nextID++
-		if err := tree.Insert(k, tup); err != nil {
+		if err := tree.InsertCtx(nil, k, tup); err != nil {
 			return false
 		}
-		if err := tree.Delete(k, tup.ID); err != nil {
+		if err := tree.DeleteCtx(nil, k, tup.ID); err != nil {
 			return false
 		}
-		after, err := tree.GenerateVT(lo, hi)
+		after, err := tree.GenerateVTCtx(nil, lo, hi)
 		if err != nil {
 			return false
 		}

@@ -271,18 +271,13 @@ func searchEntries(entries []entry, k record.Key) (int, bool) {
 	return lo, false
 }
 
-// Insert adds a tuple with the given search key. If the key already exists
-// anywhere in the tree, the tuple joins its list; otherwise a new entry is
-// created at the leaf level, splitting nodes B-tree-style on overflow.
-// Either way every X value on the tuple's root-to-entry path absorbs the
-// tuple's digest, which costs O(height) node accesses.
-func (t *Tree) Insert(key record.Key, tup Tuple) error {
-	return t.InsertCtx(nil, key, tup)
-}
-
-// InsertCtx is Insert charging node accesses to the request context.
+// InsertCtx adds a tuple with the given search key. If the key already
+// exists anywhere in the tree, the tuple joins its list; otherwise a new
+// entry is created at the leaf level, splitting nodes B-tree-style on
+// overflow. Either way every X value on the tuple's root-to-entry path
+// absorbs the tuple's digest, which costs O(height) node accesses.
 func (t *Tree) InsertCtx(ctx *exec.Context, key record.Key, tup Tuple) error {
-	promoted, rightID, _, _, err := t.insertRec(ctx, t.root, key, tup)
+	promoted, _, _, _, err := t.insertRec(ctx, t.root, key, tup)
 	if err != nil {
 		return err
 	}
@@ -304,7 +299,6 @@ func (t *Tree) InsertCtx(ctx *exec.Context, key record.Key, tup Tuple) error {
 		}
 		t.root = id
 		t.height++
-		_ = rightID
 	}
 	t.tuples++
 	return nil
@@ -455,15 +449,10 @@ func (t *Tree) splitInner(ctx *exec.Context, id pagestore.PageID, n *xnode, aggB
 	return &promoted, rightID, n.agg().XOR(aggBefore), n.aggAll(), nil
 }
 
-// Delete removes the tuple with the given key and id. The entry's list
-// shrinks and the digest is XORed out of the path; entries with empty lists
-// remain as tombstones (their X contribution is zero), so the tree never
-// restructures on delete.
-func (t *Tree) Delete(key record.Key, id record.ID) error {
-	return t.DeleteCtx(nil, key, id)
-}
-
-// DeleteCtx is Delete charging node accesses to the request context.
+// DeleteCtx removes the tuple with the given key and id. The entry's list
+// shrinks and the digest is XORed out of the path; entries with empty
+// lists remain as tombstones (their X contribution is zero), so the tree
+// never restructures on delete.
 func (t *Tree) DeleteCtx(ctx *exec.Context, key record.Key, id record.ID) error {
 	_, _, found, err := t.deleteRec(ctx, t.root, key, id)
 	if err != nil {
@@ -527,169 +516,100 @@ func (t *Tree) deleteRec(ctx *exec.Context, nodeID pagestore.PageID, key record.
 	return d, n.aggAll(), true, nil
 }
 
-// GenerateVT computes the verification token for the range [lo, hi]: the
-// XOR of the digests of every tuple whose search key falls in the range.
-// This is the algorithm of the paper's Figure 4, with the fictitious
-// boundary keys e0.sk = -∞ and ef.sk = +∞. Leaf entries use their stored X
-// instead of re-reading their list (a leaf entry's X equals its L⊕); only
-// partially covered internal entries read a list page, which happens at
-// most once per boundary.
-func (t *Tree) GenerateVT(lo, hi record.Key) (digest.Digest, error) {
-	return t.GenerateVTCtx(nil, lo, hi)
-}
-
-// GenerateVTCtx is GenerateVT charging node accesses to the request
-// context.
+// GenerateVTCtx computes the verification token for the range [lo, hi]:
+// the XOR of the digests of every tuple whose search key falls in the
+// range. This is the algorithm of the paper's Figure 4 (see cover). Leaf
+// entries use their stored X instead of re-reading their list (a leaf
+// entry's X equals its L⊕); only partially covered internal entries read a
+// list page, which happens at most once per boundary.
 func (t *Tree) GenerateVTCtx(ctx *exec.Context, lo, hi record.Key) (digest.Digest, error) {
 	if lo > hi {
 		return digest.Zero, nil
 	}
 	var acc digest.Accumulator
-	if err := t.generateVT(ctx, t.root, lo, hi, &acc); err != nil {
+	err := t.cover(ctx, t.root, lo, hi,
+		func(e *entry) { acc.Add(e.x) },
+		func(e *entry, leaf bool) error {
+			if leaf {
+				acc.Add(e.x) // leaf X == L⊕
+				return nil
+			}
+			lx, err := t.lists.xorOf(ctx, e.lref)
+			if err != nil {
+				return err
+			}
+			acc.Add(lx)
+			return nil
+		})
+	if err != nil {
 		return digest.Zero, err
 	}
 	return acc.Sum(), nil
-}
-
-func (t *Tree) generateVT(ctx *exec.Context, id pagestore.PageID, lo, hi record.Key, acc *digest.Accumulator) error {
-	n, err := t.readNode(ctx, id)
-	if err != nil {
-		return err
-	}
-	// Walk the virtual entry sequence e0, e1, ..., e_{f-1} with sk bounds
-	// (-∞ for e0, +∞ past the end). For leaves e0 is a no-op (X = 0,
-	// c = nil) and is skipped.
-	f := len(n.entries)
-	for i := -1; i < f; i++ {
-		var (
-			sk      record.Key
-			skValid bool // false ⇒ sk is -∞
-			x       digest.Digest
-			child   pagestore.PageID
-			lref    listRef
-		)
-		if i == -1 {
-			if n.leaf {
-				continue
-			}
-			skValid = false
-			x = n.e0X
-			child = n.e0C
-		} else {
-			e := &n.entries[i]
-			sk, skValid = e.sk, true
-			x = e.x
-			child = e.child
-			lref = e.lref
-		}
-		nextSk, nextValid := record.Key(0), false // false ⇒ +∞
-		if i+1 < f {
-			nextSk, nextValid = n.entries[i+1].sk, true
-		}
-
-		loLEsk := skValid && lo <= sk // q.ql ≤ ei.sk (always false for -∞... except lo can't be -∞)
-		hiGEnext := nextValid && hi >= nextSk
-		switch {
-		case loLEsk && hiGEnext:
-			// The entry's list and its whole subtree are inside q.
-			acc.Add(x)
-		case loLEsk && hi >= sk:
-			// Only the entry's own tuples qualify.
-			if n.leaf {
-				acc.Add(x) // leaf X == L⊕
-			} else {
-				lx, err := t.lists.xorOf(ctx, lref)
-				if err != nil {
-					return err
-				}
-				acc.Add(lx)
-			}
-		}
-		// Recurse where a query boundary falls strictly inside
-		// (ei.sk, ei+1.sk).
-		loInGap := (!skValid || lo > sk) && (!nextValid || lo < nextSk)
-		hiInGap := (!skValid || hi > sk) && (!nextValid || hi < nextSk)
-		if (loInGap || hiInGap) && child != pagestore.InvalidPage {
-			if err := t.generateVT(ctx, child, lo, hi, acc); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Aggregate answers COUNT/SUM/MIN/MAX over [lo, hi] with no request
-// context; see AggregateCtx.
-func (t *Tree) Aggregate(lo, hi record.Key) (agg.Agg, error) {
-	return t.AggregateCtx(nil, lo, hi)
 }
 
 // AggregateCtx computes the trusted aggregate for the range [lo, hi] by the
 // same boundary recursion as GenerateVTCtx, substituting the (COUNT, SUM,
 // MIN, MAX) annotations for the XOR values: a fully covered entry folds in
 // its own list aggregate plus its child annotation, a partially covered
-// entry folds only its list aggregate, and the walk recurses where a query
-// boundary falls inside a key gap. O(log n) node accesses and — unlike VT
-// generation — zero list-page reads, because OfKey(sk, listCount) replaces
-// the list XOR.
+// entry folds only its list aggregate. O(log n) node accesses and — unlike
+// VT generation — zero list-page reads, because OfKey(sk, listCount)
+// replaces the list XOR.
 func (t *Tree) AggregateCtx(ctx *exec.Context, lo, hi record.Key) (agg.Agg, error) {
 	if lo > hi {
 		return agg.Agg{}, nil
 	}
 	var a agg.Agg
-	if err := t.aggregateRec(ctx, t.root, lo, hi, &a); err != nil {
+	err := t.cover(ctx, t.root, lo, hi,
+		func(e *entry) { a = a.Merge(e.ownAgg()).Merge(e.childAgg) },
+		func(e *entry, _ bool) error { a = a.Merge(e.ownAgg()); return nil })
+	if err != nil {
 		return agg.Agg{}, err
 	}
 	return a, nil
 }
 
-func (t *Tree) aggregateRec(ctx *exec.Context, id pagestore.PageID, lo, hi record.Key, a *agg.Agg) error {
+// cover is the boundary recursion of the paper's Figure 4 over the
+// subtree at id. It walks the virtual entry sequence e0, e1, ..., e_{f-1}
+// with the fictitious bounds e0.sk = -∞ and ef.sk = +∞. An entry whose
+// list and whole subtree lie inside [lo, hi] goes to whole; an entry of
+// which only its own list qualifies goes to own; and the walk recurses
+// where a query boundary falls strictly inside (ei.sk, ei+1.sk). e0 has no
+// list, so it is only ever recursed into; a leaf has no e0.
+func (t *Tree) cover(ctx *exec.Context, id pagestore.PageID, lo, hi record.Key, whole func(e *entry), own func(e *entry, leaf bool) error) error {
 	n, err := t.readNode(ctx, id)
 	if err != nil {
 		return err
 	}
 	f := len(n.entries)
-	for i := -1; i < f; i++ {
-		var (
-			sk      record.Key
-			skValid bool // false ⇒ sk is -∞
-			own     agg.Agg
-			sub     agg.Agg
-			child   pagestore.PageID
-		)
-		if i == -1 {
-			if n.leaf {
-				continue
-			}
-			skValid = false
-			sub = n.e0Agg
-			child = n.e0C
-		} else {
+	first := 0
+	if !n.leaf {
+		first = -1
+	}
+	for i := first; i < f; i++ {
+		sk, skValid := record.Key(0), i >= 0 // false ⇒ sk is -∞
+		child := n.e0C
+		if skValid {
 			e := &n.entries[i]
-			sk, skValid = e.sk, true
-			own = e.ownAgg()
-			sub = e.childAgg
-			child = e.child
+			sk, child = e.sk, e.child
+			if lo <= sk {
+				switch {
+				case i+1 < f && hi >= n.entries[i+1].sk:
+					whole(e)
+				case hi >= sk:
+					if err := own(e, n.leaf); err != nil {
+						return err
+					}
+				}
+			}
 		}
-		nextSk, nextValid := record.Key(0), false // false ⇒ +∞
-		if i+1 < f {
-			nextSk, nextValid = n.entries[i+1].sk, true
-		}
-
-		loLEsk := skValid && lo <= sk
-		hiGEnext := nextValid && hi >= nextSk
-		switch {
-		case loLEsk && hiGEnext:
-			// The entry's list and its whole subtree are inside q.
-			*a = a.Merge(own).Merge(sub)
-		case loLEsk && hi >= sk:
-			// Only the entry's own tuples qualify.
-			*a = a.Merge(own)
+		nextSk, nextValid := record.Key(0), i+1 < f // false ⇒ +∞
+		if nextValid {
+			nextSk = n.entries[i+1].sk
 		}
 		loInGap := (!skValid || lo > sk) && (!nextValid || lo < nextSk)
 		hiInGap := (!skValid || hi > sk) && (!nextValid || hi < nextSk)
 		if (loInGap || hiInGap) && child != pagestore.InvalidPage {
-			if err := t.aggregateRec(ctx, child, lo, hi, a); err != nil {
+			if err := t.cover(ctx, child, lo, hi, whole, own); err != nil {
 				return err
 			}
 		}

@@ -95,7 +95,7 @@ func checkVTs(t *testing.T, tree *Tree, ref *reference, domain int, trials int, 
 	for i := 0; i < trials; i++ {
 		lo := record.Key(rng.Intn(domain))
 		hi := lo + record.Key(rng.Intn(domain/4+1))
-		got, err := tree.GenerateVT(lo, hi)
+		got, err := tree.GenerateVTCtx(nil, lo, hi)
 		if err != nil {
 			t.Fatalf("GenerateVT(%d,%d): %v", lo, hi, err)
 		}
@@ -145,7 +145,7 @@ func TestBulkloadMultiLevel(t *testing.T) {
 		t.Fatalf("Validate: %v", err)
 	}
 	// Spot-check VTs against arithmetic over the regular key pattern.
-	got, err := tree.GenerateVT(record.Key(30), record.Key(60))
+	got, err := tree.GenerateVTCtx(nil, record.Key(30), record.Key(60))
 	if err != nil {
 		t.Fatalf("GenerateVT: %v", err)
 	}
@@ -192,7 +192,7 @@ func TestInsertIncremental(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		k := record.Key(rng.Intn(domain))
 		tup := tupleFor(record.ID(i + 1))
-		if err := tree.Insert(k, tup); err != nil {
+		if err := tree.InsertCtx(nil, k, tup); err != nil {
 			t.Fatalf("Insert %d: %v", i, err)
 		}
 		ref.insert(k, tup)
@@ -218,7 +218,7 @@ func TestInsertForcesInternalSplits(t *testing.T) {
 	for i := 0; i < n; i++ {
 		k := record.Key(i)
 		tup := tupleFor(record.ID(i + 1))
-		if err := tree.Insert(k, tup); err != nil {
+		if err := tree.InsertCtx(nil, k, tup); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 		ref.insert(k, tup)
@@ -242,7 +242,7 @@ func TestInsertIntoBulkloaded(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		k := record.Key(rng.Intn(5000))
 		tup := tupleFor(record.ID(100_000 + i))
-		if err := tree.Insert(k, tup); err != nil {
+		if err := tree.InsertCtx(nil, k, tup); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 		ref.insert(k, tup)
@@ -276,7 +276,7 @@ func TestDelete(t *testing.T) {
 	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })
 	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 	for _, victim := range all[:len(all)/2] {
-		if err := tree.Delete(victim.k, victim.id); err != nil {
+		if err := tree.DeleteCtx(nil, victim.k, victim.id); err != nil {
 			t.Fatalf("Delete(%d,%d): %v", victim.k, victim.id, err)
 		}
 		if !ref.remove(victim.k, victim.id) {
@@ -298,7 +298,7 @@ func TestDeleteNotFound(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Bulkload: %v", err)
 	}
-	if err := tree.Delete(9999, 1); !errors.Is(err, ErrNotFound) {
+	if err := tree.DeleteCtx(nil, 9999, 1); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Delete(absent key) error = %v, want ErrNotFound", err)
 	}
 	// Existing key, absent id.
@@ -307,7 +307,7 @@ func TestDeleteNotFound(t *testing.T) {
 		k = key
 		break
 	}
-	if err := tree.Delete(k, 123456); !errors.Is(err, ErrNotFound) {
+	if err := tree.DeleteCtx(nil, k, 123456); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Delete(absent id) error = %v, want ErrNotFound", err)
 	}
 }
@@ -318,10 +318,10 @@ func TestTombstoneAndReinsert(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	tup := tupleFor(1)
-	if err := tree.Insert(77, tup); err != nil {
+	if err := tree.InsertCtx(nil, 77, tup); err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
-	if err := tree.Delete(77, 1); err != nil {
+	if err := tree.DeleteCtx(nil, 77, 1); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	// Tombstone: key remains with an empty list and zero X contribution.
@@ -332,7 +332,7 @@ func TestTombstoneAndReinsert(t *testing.T) {
 	if len(ts) != 0 {
 		t.Fatalf("tombstoned list has %d tuples, want 0", len(ts))
 	}
-	vt, err := tree.GenerateVT(0, 100)
+	vt, err := tree.GenerateVTCtx(nil, 0, 100)
 	if err != nil {
 		t.Fatalf("GenerateVT: %v", err)
 	}
@@ -341,10 +341,10 @@ func TestTombstoneAndReinsert(t *testing.T) {
 	}
 	// Reinsert resurrects the entry.
 	tup2 := tupleFor(2)
-	if err := tree.Insert(77, tup2); err != nil {
+	if err := tree.InsertCtx(nil, 77, tup2); err != nil {
 		t.Fatalf("reinsert: %v", err)
 	}
-	vt, err = tree.GenerateVT(77, 77)
+	vt, err = tree.GenerateVTCtx(nil, 77, 77)
 	if err != nil {
 		t.Fatalf("GenerateVT: %v", err)
 	}
@@ -367,7 +367,7 @@ func TestHeavyDuplicatesChainLists(t *testing.T) {
 	n := 3*chainCapacity + 5
 	for i := 0; i < n; i++ {
 		tup := tupleFor(record.ID(i + 1))
-		if err := tree.Insert(500, tup); err != nil {
+		if err := tree.InsertCtx(nil, 500, tup); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 		ref.insert(500, tup)
@@ -376,7 +376,7 @@ func TestHeavyDuplicatesChainLists(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		tup := tupleFor(record.ID(10_000 + i))
 		k := record.Key(i * 37)
-		if err := tree.Insert(k, tup); err != nil {
+		if err := tree.InsertCtx(nil, k, tup); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 		ref.insert(k, tup)
@@ -395,7 +395,7 @@ func TestHeavyDuplicatesChainLists(t *testing.T) {
 
 	// Shrink the chain back below the inline threshold.
 	for i := 0; i < n-5; i++ {
-		if err := tree.Delete(500, record.ID(i+1)); err != nil {
+		if err := tree.DeleteCtx(nil, 500, record.ID(i+1)); err != nil {
 			t.Fatalf("Delete: %v", err)
 		}
 		ref.remove(500, record.ID(i+1))
@@ -423,7 +423,7 @@ func TestBulkloadHeavyDuplicates(t *testing.T) {
 	if err := tree.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	vt, err := tree.GenerateVT(20, 20)
+	vt, err := tree.GenerateVTCtx(nil, 20, 20)
 	if err != nil {
 		t.Fatalf("GenerateVT: %v", err)
 	}
@@ -443,12 +443,12 @@ func TestGenerateVTEdgeCases(t *testing.T) {
 		t.Fatalf("Bulkload: %v", err)
 	}
 	// Inverted range.
-	vt, err := tree.GenerateVT(500, 100)
+	vt, err := tree.GenerateVTCtx(nil, 500, 100)
 	if err != nil || !vt.IsZero() {
 		t.Fatalf("inverted range: vt=%s err=%v, want zero", vt, err)
 	}
 	// Whole domain.
-	vt, err = tree.GenerateVT(0, record.KeyDomain)
+	vt, err = tree.GenerateVTCtx(nil, 0, record.KeyDomain)
 	if err != nil {
 		t.Fatalf("GenerateVT: %v", err)
 	}
@@ -456,7 +456,7 @@ func TestGenerateVTEdgeCases(t *testing.T) {
 		t.Fatal("whole-domain VT mismatch")
 	}
 	// Empty gap between keys.
-	vt, err = tree.GenerateVT(0, 0)
+	vt, err = tree.GenerateVTCtx(nil, 0, 0)
 	if err != nil {
 		t.Fatalf("GenerateVT: %v", err)
 	}
@@ -466,7 +466,7 @@ func TestGenerateVTEdgeCases(t *testing.T) {
 	// Point queries on every key present.
 	n := 0
 	for k := range ref.byKey {
-		vt, err := tree.GenerateVT(k, k)
+		vt, err := tree.GenerateVTCtx(nil, k, k)
 		if err != nil {
 			t.Fatalf("GenerateVT(%d,%d): %v", k, k, err)
 		}
@@ -491,7 +491,7 @@ func TestGenerateVTAccessCountLogarithmic(t *testing.T) {
 		lo := record.Key(rng.Intn(100_000))
 		hi := lo + record.Key(rng.Intn(30_000))
 		before := counting.Stats()
-		if _, err := tree.GenerateVT(lo, hi); err != nil {
+		if _, err := tree.GenerateVTCtx(nil, lo, hi); err != nil {
 			t.Fatalf("GenerateVT: %v", err)
 		}
 		accesses := counting.Stats().Sub(before).Accesses()
@@ -558,7 +558,7 @@ func TestMixedWorkloadRandomized(t *testing.T) {
 		if len(live) == 0 || rng.Intn(4) != 0 {
 			k := record.Key(rng.Intn(domain))
 			tup := tupleFor(nextID)
-			if err := tree.Insert(k, tup); err != nil {
+			if err := tree.InsertCtx(nil, k, tup); err != nil {
 				t.Fatalf("Insert: %v", err)
 			}
 			ref.insert(k, tup)
@@ -569,7 +569,7 @@ func TestMixedWorkloadRandomized(t *testing.T) {
 			v := live[i]
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
-			if err := tree.Delete(v.k, v.id); err != nil {
+			if err := tree.DeleteCtx(nil, v.k, v.id); err != nil {
 				t.Fatalf("Delete: %v", err)
 			}
 			ref.remove(v.k, v.id)
