@@ -30,7 +30,8 @@ type CommitStats struct {
 // sequence order, at the very boundary the group became the system's
 // state. The replication hub rides this to retain recent groups for
 // replica tailing. Hooks must be fast and must not call back into the
-// committer.
+// committer. ops is the leader's group buffer, which the next group
+// overwrites: a hook that keeps the ops must copy them.
 type CommitHook func(seq uint64, ops []wal.Op)
 
 // GroupCommitter coalesces concurrent Insert/Delete submissions into
@@ -63,9 +64,10 @@ type GroupCommitter struct {
 	hook    CommitHook // fired under commitMu after each applied group
 
 	mu       sync.Mutex
-	cond     *sync.Cond // signaled on enqueue, group completion, and close
-	queue    []pendingOp
-	inflight bool // leader is committing a drained group
+	cond     *sync.Cond   // signaled on enqueue, group completion, and close
+	queue    []submission // waiting submissions, in arrival order
+	pending  int          // ops submitted and not yet acked
+	inflight bool         // leader is committing a drained group
 	stopped  bool
 	done     chan struct{}
 
@@ -73,12 +75,29 @@ type GroupCommitter struct {
 	stats CommitStats
 
 	maxGroup int
+
+	// The leader's own scratch, reused group after group: the
+	// submissions it drained and their ops flattened into one group.
+	taken []submission
+	group []wal.Op
 }
 
-type pendingOp struct {
-	op   wal.Op
+// submission is one SubmitOps call waiting in the queue: its ops by
+// reference — the submitter blocks until the ack, so they stay put — and
+// the channel its group's outcome is sent on.
+type submission struct {
+	ops  []wal.Op
 	errc chan error
 }
+
+// errcPool recycles the ack channels. Each carries exactly one send,
+// which its submitter receives before putting it back.
+var errcPool = sync.Pool{New: func() any { return make(chan error, 1) }}
+
+// groupRetain caps the group buffer the leader keeps between groups, in
+// ops: a rare oversize submission (a reshard's catch-up batch) should not
+// pin its buffer.
+const groupRetain = 4 * DefaultMaxGroup
 
 // NewGroupCommitter starts a committer over the three SAE parties.
 // log may be nil for volatile operation (grouping without durability);
@@ -152,6 +171,8 @@ func (gc *GroupCommitter) DeleteBatch(ids []record.ID) error {
 // SubmitOps enqueues pre-built ops (a wire primary and a reshard target
 // use this for records a remote owner already synthesized) and waits for
 // their group to commit. The group's owner fold has run by the time it
+// returns. The committer reads ops until then and keeps nothing of it:
+// the caller may overwrite or reuse the slice as soon as SubmitOps
 // returns.
 func (gc *GroupCommitter) SubmitOps(ops []wal.Op) error {
 	if len(ops) == 0 {
@@ -160,26 +181,24 @@ func (gc *GroupCommitter) SubmitOps(ops []wal.Op) error {
 	return gc.submitWait(ops)
 }
 
-// submitWait enqueues ops sharing one ack channel and blocks until their
-// group commits. All ops of one call land in the same group (the leader
-// never splits a submission).
+// submitWait enqueues ops as one submission and blocks until its group
+// commits. All ops of one call land in the same group (the leader never
+// splits a submission).
 func (gc *GroupCommitter) submitWait(ops []wal.Op) error {
-	errc := make(chan error, 1)
+	errc := errcPool.Get().(chan error)
 	gc.mu.Lock()
 	if gc.stopped {
 		gc.mu.Unlock()
+		errcPool.Put(errc)
 		return fmt.Errorf("core: group committer is closed")
 	}
-	for i := range ops {
-		ec := (chan error)(nil)
-		if i == len(ops)-1 {
-			ec = errc // ack once per submission, on its last op
-		}
-		gc.queue = append(gc.queue, pendingOp{op: ops[i], errc: ec})
-	}
+	gc.queue = append(gc.queue, submission{ops: ops, errc: errc})
+	gc.pending += len(ops)
 	gc.cond.Broadcast()
 	gc.mu.Unlock()
-	return <-errc
+	err := <-errc
+	errcPool.Put(errc)
+	return err
 }
 
 // run is the group leader: it drains the queue into groups of at most
@@ -195,25 +214,25 @@ func (gc *GroupCommitter) run() {
 			gc.mu.Unlock()
 			return
 		}
-		n := len(gc.queue)
-		if n > gc.maxGroup {
-			// Never split one submission's ops across groups: they share
-			// an ack and must commit atomically. Extend to the end of the
-			// submission that straddles the cap (a submission is at most
-			// one caller's batch, so the overshoot is bounded).
-			n = gc.maxGroup
-			for n < len(gc.queue) && gc.queue[n-1].errc == nil {
-				n++
-			}
+		// Take whole submissions until the group holds maxGroup ops. A
+		// submission's ops share an ack and must commit atomically, so
+		// the one that straddles the cap goes whole (it is one caller's
+		// batch, so the overshoot is bounded).
+		n, ops := 0, 0
+		for n < len(gc.queue) && ops < gc.maxGroup {
+			ops += len(gc.queue[n].ops)
+			n++
 		}
-		group := gc.queue[:n:n]
-		gc.queue = gc.queue[n:]
+		gc.taken = append(gc.taken[:0], gc.queue[:n]...)
+		rest := copy(gc.queue, gc.queue[n:])
+		clear(gc.queue[rest:]) // the queue must not pin acked submissions
+		gc.queue = gc.queue[:rest]
 		gc.inflight = true
 		gc.seq++
 		seq := gc.seq
 		gc.mu.Unlock()
 
-		gc.commitGroup(seq, group)
+		gc.commitGroup(seq, gc.taken)
 
 		gc.mu.Lock()
 		gc.inflight = false
@@ -227,11 +246,15 @@ func (gc *GroupCommitter) run() {
 // acked update is always recoverable and an unacked one never partially
 // escapes a crash (the replay drops uncommitted tails); the count
 // precedes the acks, so Stats read by an acked submitter includes its
-// group.
-func (gc *GroupCommitter) commitGroup(seq uint64, group []pendingOp) {
-	ops := make([]wal.Op, len(group))
-	for i := range group {
-		ops[i] = group[i].op
+// group. The submissions' ops are flattened into the leader's group
+// buffer, which the WAL, both parties and the hook only read.
+func (gc *GroupCommitter) commitGroup(seq uint64, subs []submission) {
+	ops := gc.group[:0]
+	for i := range subs {
+		ops = append(ops, subs[i].ops...)
+	}
+	if cap(ops) <= groupRetain {
+		gc.group = ops
 	}
 	var err error
 	if gc.log != nil {
@@ -251,16 +274,16 @@ func (gc *GroupCommitter) commitGroup(seq uint64, group []pendingOp) {
 	}
 	gc.mu.Lock()
 	gc.stats.Groups++
-	gc.stats.Ops += int64(len(group))
+	gc.stats.Ops += int64(len(ops))
+	gc.pending -= len(ops)
 	if gc.log != nil {
 		gc.stats.Syncs++
 	}
 	gc.mu.Unlock()
-	for i := range group {
-		if group[i].errc != nil {
-			group[i].errc <- err
-		}
+	for i := range subs {
+		subs[i].errc <- err
 	}
+	clear(subs) // the acked submitters own their ops again
 }
 
 // SetCommitHook installs the commit observer. Install it before the
@@ -286,6 +309,14 @@ func (gc *GroupCommitter) Stats() CommitStats {
 	gc.mu.Lock()
 	defer gc.mu.Unlock()
 	return gc.stats
+}
+
+// Pending returns how many submitted ops are not yet acked: those queued
+// for the leader and those of the group it is committing.
+func (gc *GroupCommitter) Pending() int {
+	gc.mu.Lock()
+	defer gc.mu.Unlock()
+	return gc.pending
 }
 
 // Quiesce blocks until every update submitted before the call has

@@ -351,27 +351,24 @@ func (te *TrustedEntity) GenerateVTCtx(ctx *exec.Context, q record.Range) (diges
 }
 
 // ApplyBatchCtx is the TE's one write body: it applies a whole commit
-// group under ONE lock acquisition and ONE digest dispatch — the digests
-// of every inserted record in the group are computed in a single fan-out
-// across the crypto worker pool (exactly what the TE does at load time),
-// then the tree ops run in order. A single update is a group of one.
-// Tuples, tree shape and therefore every future VT depend only on the ops
-// and their order, never on how they were grouped.
+// group under ONE lock acquisition and ONE digest pass — the digests of
+// every inserted record in the group are computed first, 16 records per
+// kernel pass (insertDigests), then the tree ops run in order. A single
+// update is a group of one. Tuples, tree shape and therefore every
+// future VT depend only on the ops and their order, never on how they
+// were grouped.
 func (te *TrustedEntity) ApplyBatchCtx(ctx *exec.Context, ops []wal.Op) error {
 	// Digest outside the lock: the records are the caller's, and hashing
-	// is the group's CPU bill — readers keep serving tokens while the
-	// crypto pool grinds.
-	var inserts []record.Record
-	for i := range ops {
-		if ops[i].Kind == wal.OpInsert {
-			inserts = append(inserts, ops[i].Rec)
+	// is the group's CPU bill — readers keep serving tokens while it
+	// runs. The digests go to pooled scratch.
+	sc := digestScratch.Get().(*[]digest.Digest)
+	digests := insertDigests((*sc)[:0], ops)
+	defer func() {
+		if cap(digests) <= digestRetain {
+			*sc = digests
+			digestScratch.Put(sc)
 		}
-	}
-	var digests []digest.Digest
-	if len(inserts) > 0 {
-		digests = make([]digest.Digest, len(inserts))
-		digest.RecordDigests(digests, inserts, 0)
-	}
+	}()
 	te.mu.Lock()
 	defer te.mu.Unlock()
 	di := 0
@@ -392,6 +389,30 @@ func (te *TrustedEntity) ApplyBatchCtx(ctx *exec.Context, ops []wal.Op) error {
 		}
 	}
 	return nil
+}
+
+// digestScratch recycles the TE's per-group digest slices.
+var digestScratch = sync.Pool{New: func() any { return new([]digest.Digest) }}
+
+// digestRetain caps, in digests, the scratch a group may return to
+// digestScratch.
+const digestRetain = 4096
+
+// insertDigests appends to dst the digest of every record ops inserts,
+// in op order. It encodes 16 records at a time into one stack buffer and
+// hashes them there: nothing is copied to the heap.
+func insertDigests(dst []digest.Digest, ops []wal.Op) []digest.Digest {
+	var buf [16 * record.Size]byte
+	enc := buf[:0]
+	for i := range ops {
+		if ops[i].Kind != wal.OpInsert {
+			continue
+		}
+		if enc = ops[i].Rec.AppendBinary(enc); len(enc) == len(buf) {
+			dst, enc = digest.AppendWire(dst, enc), buf[:0]
+		}
+	}
+	return digest.AppendWire(dst, enc)
 }
 
 // Stats exposes the TE's page-access counters.

@@ -3,6 +3,7 @@ package digest
 import (
 	"crypto/sha1"
 	"encoding/binary"
+	"slices"
 
 	"sae/internal/record"
 )
@@ -82,6 +83,19 @@ func digestRecordsInto(dst []Digest, recs []record.Record) {
 		sumRecords(dst[:k], enc)
 		dst, recs = dst[k:], recs[k:]
 	}
+}
+
+// AppendWire appends to dst the digest of each canonical record encoding
+// packed back to back in enc (OfWire of each), hashing 16 records a pass
+// where they lie. Callers pass whole records.
+func AppendWire(dst []Digest, enc []byte) []Digest {
+	for len(enc) >= record.Size {
+		k, n := min(len(enc)/record.Size, 16), len(dst)
+		dst = slices.Grow(dst, k)[:n+k]
+		sumRecords(dst[n:], enc)
+		enc = enc[k*record.Size:]
+	}
+	return dst
 }
 
 // sha1blockGeneric is the textbook SHA-1 compression, processing

@@ -30,12 +30,20 @@ const DefaultRetain = 256
 // replication protocol: replicas pull groups after their own sequence,
 // and when they have fallen behind the retention window the hub tells
 // them to re-bootstrap from a fresh snapshot instead.
+//
+// The hub keeps its own copy of each group, in the wal wire form a pull
+// ships, back to back in one byte log whose evicted front is reused: a
+// group is appended at the end, and when the end reaches the log's
+// capacity the retained groups move down over the evicted ones.
 type Hub struct {
 	ds *core.DurableSystem
 
 	mu     sync.Mutex
-	groups []wal.Group // retained groups, contiguous ascending sequences
-	last   uint64      // sequence of the newest applied group
+	log    []byte  // retained groups in wal wire form, oldest first
+	base   int64   // position of log[0] in the stream of every group appended
+	starts []int64 // starts[seq%retain]: stream position of group seq
+	first  uint64  // sequence of the oldest retained group; > last when none
+	last   uint64  // sequence of the newest applied group
 	retain int
 }
 
@@ -45,57 +53,108 @@ func Attach(ds *core.DurableSystem, retain int) *Hub {
 	if retain <= 0 {
 		retain = DefaultRetain
 	}
-	h := &Hub{ds: ds, retain: retain, last: ds.Seq()}
+	last := ds.Seq()
+	h := &Hub{ds: ds, starts: make([]int64, retain), first: last + 1, last: last, retain: retain}
 	ds.Committer().SetCommitHook(h.onCommit)
 	return h
 }
 
 // onCommit runs under the commit lock, once per applied group, in
-// sequence order. The committer builds a fresh ops slice per group, so
-// retaining it without a copy is safe.
+// sequence order. ops is the committer's group buffer, which the next
+// group overwrites, so the hub encodes the group into its own log
+// before returning.
 func (h *Hub) onCommit(seq uint64, ops []wal.Op) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if seq != h.last+1 {
-		// A sequence was skipped (an apply failed mid-stream). The ring
+		// A sequence was skipped (an apply failed mid-stream). The log
 		// must stay contiguous or Since would hand out streams with holes;
 		// drop it and force every tailer through a snapshot.
-		h.groups = h.groups[:0]
-	}
-	h.groups = append(h.groups, wal.Group{Seq: seq, Ops: ops})
-	if len(h.groups) > h.retain {
-		// Copy down instead of reslicing so evicted groups are actually
-		// released rather than pinned by the backing array.
-		n := copy(h.groups, h.groups[len(h.groups)-h.retain:])
-		for i := n; i < len(h.groups); i++ {
-			h.groups[i] = wal.Group{}
-		}
-		h.groups = h.groups[:n]
+		h.first = seq
 	}
 	h.last = seq
+	if seq-h.first >= uint64(h.retain) {
+		h.first = seq - uint64(h.retain) + 1
+	}
+	h.reserve(wal.GroupWireSize(ops))
+	at := len(h.log)
+	var err error
+	if h.log, err = wal.AppendGroupWire(h.log, wal.Group{Seq: seq, Ops: ops}); err != nil {
+		// An op the parties applied but the wire form cannot carry: no
+		// tailer can follow past it without a snapshot.
+		h.log = h.log[:at]
+		h.first = seq + 1
+		return
+	}
+	h.starts[seq%uint64(h.retain)] = h.base + int64(at)
 }
 
-// Since returns up to max retained groups with sequences above after,
-// plus the hub's newest sequence. snapshotNeeded reports that the
-// retention window no longer reaches back to after — the tailer must
-// re-bootstrap from Snapshot before pulling again. max <= 0 means all.
-func (h *Hub) Since(after uint64, max int) (gs []wal.Group, snapshotNeeded bool, last uint64) {
+// reserve makes room for n more bytes at the end of the log for group
+// h.last. It drops the bytes of groups no longer retained from the front
+// first, and grows the log only when the retained groups and n do not
+// fit: so the log holds at most twice what it retains, and makes no
+// garbage once it has grown to that.
+func (h *Hub) reserve(n int) {
+	if len(h.log)+n <= cap(h.log) {
+		return
+	}
+	dead := len(h.log) // the new group is the only one retained
+	if h.first < h.last {
+		dead = int(h.starts[h.first%uint64(h.retain)] - h.base)
+	}
+	live := h.log[dead:]
+	if len(live)+n > cap(h.log) {
+		grown := make([]byte, len(live), 2*(len(live)+n))
+		copy(grown, live)
+		h.log = grown
+	} else {
+		h.log = h.log[:copy(h.log, live)]
+	}
+	h.base += int64(dead)
+}
+
+// AppendSince appends to buf, in wal wire form, up to max retained groups
+// with sequences above after (max <= 0 means all), and returns the
+// extended buffer, how many groups it holds and the hub's newest
+// sequence. snapshotNeeded reports that the retention window no longer
+// reaches back to after — the tailer must re-bootstrap from Snapshot
+// before pulling again. The groups are copied out of the log under the
+// hub's lock, so buf is the caller's alone.
+func (h *Hub) AppendSince(buf []byte, after uint64, max int) (out []byte, n int, snapshotNeeded bool, last uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if after >= h.last {
-		return nil, false, h.last
+		return buf, 0, false, h.last
 	}
-	if len(h.groups) == 0 || h.groups[0].Seq > after+1 {
-		return nil, true, h.last
+	if after+1 < h.first {
+		return buf, 0, true, h.last
 	}
-	// Sequences are contiguous, so the first wanted group sits at a
-	// computable offset.
-	idx := int(after + 1 - h.groups[0].Seq)
-	end := len(h.groups)
-	if max > 0 && idx+max < end {
-		end = idx + max
+	upto := h.last
+	if max > 0 && after+uint64(max) < upto {
+		upto = after + uint64(max)
 	}
-	return append([]wal.Group(nil), h.groups[idx:end]...), false, h.last
+	from, to := h.starts[(after+1)%uint64(h.retain)]-h.base, int64(len(h.log))
+	if upto < h.last {
+		to = h.starts[(upto+1)%uint64(h.retain)] - h.base
+	}
+	return append(buf, h.log[from:to]...), int(upto - after), false, h.last
+}
+
+// Since returns up to max retained groups with sequences above after,
+// decoded into memory of their own, plus the hub's newest sequence;
+// snapshotNeeded and max are as for AppendSince.
+func (h *Hub) Since(after uint64, max int) (gs []wal.Group, snapshotNeeded bool, last uint64) {
+	b, n, snapshotNeeded, last := h.AppendSince(nil, after, max)
+	if n > 0 {
+		gs = make([]wal.Group, n)
+	}
+	for i := range gs {
+		var err error
+		if gs[i], b, err = wal.DecodeGroupWire(b); err != nil {
+			panic("replica: hub holds an undecodable group: " + err.Error())
+		}
+	}
+	return gs, snapshotNeeded, last
 }
 
 // Snapshot cuts a sequence-stamped record dump at a commit boundary: the

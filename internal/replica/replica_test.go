@@ -3,12 +3,14 @@ package replica
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"sae/internal/core"
 	"sae/internal/record"
+	"sae/internal/wal"
 	"sae/internal/workload"
 )
 
@@ -298,4 +300,191 @@ func TestServeWhileApplying(t *testing.T) {
 
 	catchUp(t, hub, rep)
 	assertParity(t, sys, rep)
+}
+
+// reuseOps is submission b of writer w in TestSubmitSliceReuse, in a
+// slice of its own: a delete of the first record the writer's previous
+// submission inserted (from the second on), then batch-1 inserts. Record
+// ids encode (w, b, i).
+func reuseOps(w, b, batch int) []wal.Op {
+	id := func(b, i int) record.ID { return record.ID(1<<40 | w<<20 | b<<8 | i) }
+	key := func(id record.ID) record.Key { return record.Key(uint64(id) * 7919 % record.KeyDomain) }
+	var ops []wal.Op
+	if b > 0 {
+		ops = append(ops, wal.DeleteOp(id(b-1, 0), key(id(b-1, 0))))
+	}
+	for i := 0; i < batch-1; i++ {
+		ops = append(ops, wal.InsertOp(record.Synthesize(id(b, i), key(id(b, i)))))
+	}
+	return ops
+}
+
+// reuseOf names the submission op belongs to, when it is a submission's
+// first op.
+func reuseOf(op wal.Op) (w, b int) {
+	if op.Kind == wal.OpDelete {
+		return int(op.ID>>20) & 0xFFFFF, int(op.ID>>8)&0xFFF + 1
+	}
+	return int(op.Rec.ID>>20) & 0xFFFFF, int(op.Rec.ID>>8) & 0xFFF
+}
+
+// TestSubmitSliceReuse: SubmitOps keeps nothing of the caller's slice.
+// Four writers each submit every batch from one slice and overwrite it
+// with junk as soon as SubmitOps returns, while a replica tails the hub.
+// The hub's groups must hold exactly the batches a run with a fresh
+// slice per batch submits, each whole within one group; and the primary,
+// the tailing replica, the primary reopened from its WAL and a replica
+// that applies those fresh batches in the hub's grouping must all agree,
+// record for record and token for token.
+func TestSubmitSliceReuse(t *testing.T) {
+	const writers, batches, batch = 4, 30, 6
+	ds, err := workload.Generate(workload.UNF, 2000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	// A cap of a few batches makes groups coalesce and straddle it.
+	sys, err := core.OpenDurableSystem(dir, ds.Records, 2*batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := Attach(sys, writers*batches)
+	tail, ref := bootstrap(t, hub), bootstrap(t, hub)
+
+	done := make(chan struct{})
+	tailed := make(chan error, 1)
+	go func() {
+		for {
+			gs, snap, _ := hub.Since(tail.Seq(), 4)
+			if snap {
+				tailed <- errors.New("the hub's window moved past the tailer")
+				return
+			}
+			if err := tail.ApplyGroups(gs); err != nil {
+				tailed <- err
+				return
+			}
+			select {
+			case <-done:
+				tailed <- nil
+				return
+			default:
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ops := make([]wal.Op, 0, batch)
+			junk := wal.InsertOp(record.Synthesize(1<<62, 0))
+			for b := 0; b < batches; b++ {
+				ops = append(ops[:0], reuseOps(w, b, batch)...)
+				if err := sys.Committer().SubmitOps(ops); err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range ops {
+					ops[i] = junk
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(done)
+	if err := <-tailed; err != nil {
+		t.Fatalf("tailing the hub: %v", err)
+	}
+	if t.Failed() {
+		return
+	}
+
+	gs, snap, last := hub.Since(0, 0)
+	if snap || last != sys.Seq() || len(gs) == 0 || gs[len(gs)-1].Seq != last {
+		t.Fatalf("hub holds %d groups up to %d (snapshot needed %v), primary at %d", len(gs), last, snap, sys.Seq())
+	}
+	seen := make(map[[2]int]bool)
+	fresh := make([]wal.Group, len(gs))
+	for gi, g := range gs {
+		fresh[gi].Seq = g.Seq
+		for ops := g.Ops; len(ops) > 0; {
+			w, b := reuseOf(ops[0])
+			want := reuseOps(w, b, batch)
+			if w >= writers || b >= batches || seen[[2]int{w, b}] || len(ops) < len(want) {
+				t.Fatalf("group %d: op %v starts no whole unseen submission", g.Seq, ops[0].Kind)
+			}
+			for i := range want {
+				if ops[i] != want[i] {
+					t.Fatalf("group %d: op %d of writer %d's batch %d differs from what was submitted", g.Seq, i, w, b)
+				}
+			}
+			seen[[2]int{w, b}] = true
+			fresh[gi].Ops = append(fresh[gi].Ops, want...)
+			ops = ops[len(want):]
+		}
+	}
+	if len(seen) != writers*batches {
+		t.Fatalf("the hub holds %d submissions, want %d", len(seen), writers*batches)
+	}
+
+	catchUp(t, hub, tail)
+	if err := ref.ApplyGroups(fresh); err != nil {
+		t.Fatal(err)
+	}
+	assertParity(t, sys, tail)
+	assertParity(t, sys, ref)
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := core.OpenDurableSystem(dir, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	assertParity(t, reopened, ref)
+}
+
+// TestHubLogReuse commits groups of varying sizes through a hub that
+// retains 5: every pull must return exactly the retained groups, a
+// tailer that fell behind the window must be sent to a snapshot, and the
+// hub's log must reuse its evicted front rather than grow with the
+// stream — at most twice what it retains plus one group.
+func TestHubLogReuse(t *testing.T) {
+	const retain = 5
+	sys, _ := newPrimary(t, 500, 0)
+	hub := Attach(sys, retain)
+	var sent []wal.Group
+	maxLog := 0
+	for b := 0; b < 60; b++ {
+		ops := reuseOps(0, b, 2+b*7%11)
+		if err := sys.Committer().SubmitOps(ops); err != nil {
+			t.Fatal(err)
+		}
+		sent = append(sent, wal.Group{Seq: sys.Seq(), Ops: ops})
+		kept := sent[max(0, len(sent)-retain):]
+		retained := 0
+		for _, g := range kept {
+			retained += wal.GroupWireSize(g.Ops)
+		}
+		maxLog = max(maxLog, 2*(retained+wal.GroupWireSize(ops)))
+		if c := cap(hub.log); c > maxLog {
+			t.Fatalf("after group %d the hub's log holds %d bytes of capacity for %d retained", sys.Seq(), c, retained)
+		}
+		gs, snap, last := hub.Since(kept[0].Seq-1, 0)
+		if snap || last != sys.Seq() || len(gs) != len(kept) {
+			t.Fatalf("after group %d: %d groups, snapshot needed %v, last %d", sys.Seq(), len(gs), snap, last)
+		}
+		for i := range kept {
+			if gs[i].Seq != kept[i].Seq || !slices.Equal(gs[i].Ops, kept[i].Ops) {
+				t.Fatalf("after group %d: pulled group %d differs from the committed one", sys.Seq(), kept[i].Seq)
+			}
+		}
+		if gs, _, _ := hub.Since(kept[0].Seq, 2); len(gs) != min(2, len(kept)-1) {
+			t.Fatalf("a pull of at most 2 returned %d groups", len(gs))
+		}
+		if _, snap, _ := hub.Since(kept[0].Seq-2, 0); snap != (len(sent) > retain) {
+			t.Fatalf("after group %d a tailer one group behind the window: snapshot needed %v", sys.Seq(), snap)
+		}
+	}
 }

@@ -62,6 +62,19 @@ func DecodeOp(b []byte) (Op, []byte, error) {
 	}
 }
 
+// GroupWireSize is the length of ops' group in wire form.
+func GroupWireSize(ops []Op) int {
+	n := 12
+	for i := range ops {
+		if ops[i].Kind == OpInsert {
+			n += 1 + record.Size
+		} else {
+			n += 1 + deletePayloadSize
+		}
+	}
+	return n
+}
+
 // AppendGroupWire appends one whole commit group in wire form to buf.
 func AppendGroupWire(buf []byte, g Group) ([]byte, error) {
 	var hdr [12]byte

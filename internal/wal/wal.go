@@ -90,9 +90,15 @@ type Log struct {
 	f      *os.File
 	size   int64
 	closed bool
-	syncs  int64 // fsyncs issued (the quantity group commit amortizes)
-	groups int64 // groups appended since open
+	syncs  int64  // fsyncs issued (the quantity group commit amortizes)
+	groups int64  // groups appended since open
+	buf    []byte // the encode buffer AppendGroup reuses, under mu
 }
+
+// bufRetain caps the encode buffer a Log keeps between groups: a group
+// of DefaultMaxGroup inserts (core) is about 64 KiB, and a rare larger
+// one (a replayed or resharded batch) should not pin its buffer.
+const bufRetain = 256 << 10
 
 // Create creates (truncating) a fresh log at path.
 func Create(path string) (*Log, error) {
@@ -189,47 +195,68 @@ func replay(f *os.File) (groups []Group, good int64, err error) {
 // maxPayload bounds a single frame payload; an op is at most one record.
 const maxPayload = record.Size
 
+// frameCRC is the CRC-32 (IEEE) of a frame's kind byte and payload. It
+// continues from the kind byte's CRC (kindCRC) over the payload where it
+// lies, so it allocates nothing.
 func frameCRC(kind OpKind, payload []byte) uint32 {
-	c := crc32.NewIEEE()
-	c.Write([]byte{byte(kind)})
-	c.Write(payload)
-	return c.Sum32()
+	return crc32.Update(kindCRC[kind], crc32.IEEETable, payload)
 }
 
-func appendFrame(buf []byte, kind OpKind, payload []byte) []byte {
-	buf = append(buf, byte(kind))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	return binary.BigEndian.AppendUint32(buf, frameCRC(kind, payload))
+// kindCRC[k] is the CRC-32 (IEEE) of the one byte k.
+var kindCRC = func() (t [256]uint32) {
+	for k := range t {
+		t[k] = crc32.ChecksumIEEE([]byte{byte(k)})
+	}
+	return t
+}()
+
+// frameEnd completes the frame that starts at buf[at]: its kind byte, a
+// length placeholder and its payload are already appended. It fills in
+// the length and appends the CRC over the kind and the payload.
+func frameEnd(buf []byte, at int) []byte {
+	payload := buf[at+frameHeaderSize:]
+	binary.BigEndian.PutUint32(buf[at+1:at+frameHeaderSize], uint32(len(payload)))
+	return binary.BigEndian.AppendUint32(buf, frameCRC(OpKind(buf[at]), payload))
+}
+
+// frameStart appends a frame's kind byte and a length placeholder.
+func frameStart(buf []byte, kind OpKind) []byte {
+	return append(buf, byte(kind), 0, 0, 0, 0)
 }
 
 // AppendGroup appends a whole commit group — every op frame, then the
 // commit marker — as one write, and fsyncs once. When it returns nil, the
-// group is durable: a crash at any later point replays it in full.
+// group is durable: a crash at any later point replays it in full. The
+// frames are encoded straight into the log's own buffer, which the next
+// group reuses; ops is only read, and not retained.
 func (l *Log) AppendGroup(seq uint64, ops []Op) error {
-	buf := make([]byte, 0, len(ops)*(frameHeaderSize+record.Size+4)+frameHeaderSize+commitPayloadSize+4)
-	var scratch [record.Size]byte
-	for i := range ops {
-		switch ops[i].Kind {
-		case OpInsert:
-			buf = appendFrame(buf, OpInsert, ops[i].Rec.AppendBinary(scratch[:0]))
-		case OpDelete:
-			binary.BigEndian.PutUint64(scratch[0:8], uint64(ops[i].ID))
-			binary.BigEndian.PutUint32(scratch[8:12], uint32(ops[i].Key))
-			buf = appendFrame(buf, OpDelete, scratch[:12])
-		default:
-			return fmt.Errorf("wal: unknown op kind %d", ops[i].Kind)
-		}
-	}
-	binary.BigEndian.PutUint64(scratch[0:8], seq)
-	binary.BigEndian.PutUint32(scratch[8:12], uint32(len(ops)))
-	buf = appendFrame(buf, kindCommit, scratch[:commitPayloadSize])
-
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
+	buf := l.buf[:0]
+	for i := range ops {
+		at := len(buf)
+		switch ops[i].Kind {
+		case OpInsert:
+			buf = ops[i].Rec.AppendBinary(frameStart(buf, OpInsert))
+		case OpDelete:
+			buf = binary.BigEndian.AppendUint64(frameStart(buf, OpDelete), uint64(ops[i].ID))
+			buf = binary.BigEndian.AppendUint32(buf, uint32(ops[i].Key))
+		default:
+			return fmt.Errorf("wal: unknown op kind %d", ops[i].Kind)
+		}
+		buf = frameEnd(buf, at)
+	}
+	at := len(buf)
+	buf = binary.BigEndian.AppendUint64(frameStart(buf, kindCommit), seq)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ops)))
+	buf = frameEnd(buf, at)
+	if cap(buf) <= bufRetain {
+		l.buf = buf
+	}
+
 	if _, err := l.f.WriteAt(buf, l.size); err != nil {
 		return fmt.Errorf("wal: appending group %d: %w", seq, err)
 	}

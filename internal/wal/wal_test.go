@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -206,4 +207,89 @@ func TestEmptyAndMissingLog(t *testing.T) {
 		t.Fatalf("missing log replayed %d groups, size %d", len(groups), l.Size())
 	}
 	l.Close()
+}
+
+// goldenGroups are the groups testdata/parent.wal holds: inserts and
+// deletes interleaved, a lone delete, a lone insert.
+func goldenGroups() []Group {
+	return []Group{
+		{Seq: 7, Ops: sampleOps(6, 100)},
+		{Seq: 8, Ops: []Op{DeleteOp(0xDEADBEEF01, record.KeyDomain-1)}},
+		{Seq: 9, Ops: []Op{InsertOp(record.Synthesize(1<<40, 0))}},
+	}
+}
+
+// TestGoldenLog pins the on-disk format: testdata/parent.wal was written
+// by AppendGroup before it encoded into a reused buffer and computed the
+// CRC without a hasher. The log replays to its groups, and appending the
+// same groups today writes the same bytes — frames, CRCs and commit
+// markers.
+func TestGoldenLog(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "parent.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	old := filepath.Join(dir, "parent.wal")
+	if err := os.WriteFile(old, golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, groups, err := Open(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	want := goldenGroups()
+	if len(groups) != len(want) {
+		t.Fatalf("replayed %d groups, want %d", len(groups), len(want))
+	}
+	for i := range want {
+		if groups[i].Seq != want[i].Seq {
+			t.Fatalf("group %d seq %d, want %d", i, groups[i].Seq, want[i].Seq)
+		}
+		opsEqual(t, groups[i].Ops, want[i].Ops)
+	}
+
+	path := filepath.Join(dir, "new.wal")
+	if l, err = Create(path); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range want {
+		if err := l.AppendGroup(g.Seq, g.Ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, golden) {
+		for i := range got {
+			if i >= len(golden) || got[i] != golden[i] {
+				t.Fatalf("log differs from the golden one at byte %d of %d (golden %d bytes)", i, len(got), len(golden))
+			}
+		}
+		t.Fatalf("log is a %d-byte prefix of the %d-byte golden one", len(got), len(golden))
+	}
+}
+
+// TestAppendGroupAllocs: a group is encoded into the log's own buffer,
+// and its CRCs are computed without a hasher.
+func TestAppendGroupAllocs(t *testing.T) {
+	l, err := Create(filepath.Join(t.TempDir(), "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	ops := sampleOps(32, 1)
+	seq := uint64(0)
+	if n := testing.AllocsPerRun(20, func() {
+		seq++
+		if err := l.AppendGroup(seq, ops); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("AppendGroup allocates %.1f objects per group, want 0", n)
+	}
 }

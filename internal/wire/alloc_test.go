@@ -198,3 +198,141 @@ func TestWideAnswerAllocs(t *testing.T) {
 		}
 	}
 }
+
+// writeBatch is the owner's batch size on the write path under test, as
+// bench/'s write_mixed sends it.
+const writeBatch = 16
+
+// writePairs returns the write frames of pairs [from, to): pair p inserts
+// writeBatch fresh records, then deletes them, so a primary's live data
+// keeps its size.
+func writePairs(from, to int) []Frame {
+	frames := make([]Frame, 0, 2*(to-from))
+	recs := make([]record.Record, writeBatch)
+	ids := make([]record.ID, writeBatch)
+	keys := make([]record.Key, writeBatch)
+	for p := from; p < to; p++ {
+		for j := range recs {
+			ids[j] = record.ID(1<<40 + p*writeBatch + j)
+			keys[j] = record.Key((p*writeBatch + j) * 7919 % record.KeyDomain)
+			recs[j] = record.Synthesize(ids[j], keys[j])
+		}
+		frames = append(frames,
+			Frame{Type: MsgBatchInsert, Payload: EncodeRecords(recs)},
+			Frame{Type: MsgBatchDelete, Payload: EncodeDeletes(ids, keys)})
+	}
+	return frames
+}
+
+// writeClient serves one durable shard of n records as a primary with a
+// hub attached, committing through the default group cap, and returns a
+// func that sends frames to it over one raw connection, one round trip
+// each, and expects every one acked.
+func writeClient(tb testing.TB, n int) func([]Frame) {
+	tb.Helper()
+	ds, err := workload.Generate(workload.UNF, n, 11)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sys, err := core.OpenDurableSystem(tb.TempDir(), ds.Records, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { sys.Close() })
+	srv, err := ServePrimary("127.0.0.1:0", sys, replica.Attach(sys, 0), nil,
+		WithShardInfo(ShardInfo{Index: 0, Plan: shard.PlanFor(ds.Records, 1)}))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { srv.Close() })
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { c.Close() })
+	return func(fs []Frame) {
+		for i := range fs {
+			resp, err := c.RoundTripCtx(context.Background(), fs[i])
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if resp.Type != MsgAck {
+				tb.Fatalf("%s answered with %s %.80q", FrameName(fs[i].Type), FrameName(resp.Type), resp.Payload)
+			}
+		}
+	}
+}
+
+// writeGarbagePerOp sends frames on one P and returns the garbage made
+// per op: what the process allocated less what it still holds, both read
+// after the collections of settle, so the heap pages and tree nodes the
+// writes leave live are not counted. The first warm frames fill the
+// pools, the caches and the hub's log.
+func writeGarbagePerOp(send func([]Frame), frames []Frame, warm int) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	send(frames[:warm])
+	var before, after runtime.MemStats
+	settle(&before)
+	send(frames[warm:])
+	settle(&after)
+	runtime.KeepAlive(frames) // the frames sent are not the server's garbage
+	garbage := int64(after.TotalAlloc-before.TotalAlloc) - (int64(after.HeapAlloc) - int64(before.HeapAlloc))
+	return float64(garbage) / float64(len(frames[warm:])*writeBatch)
+}
+
+// settle reads the memory statistics after two collections: the second
+// frees what the first only moved to the pools' victim caches, so the
+// live heap it reads holds nothing the run before it has let go of.
+func settle(ms *runtime.MemStats) {
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(ms)
+}
+
+// writeBudgetPerOp is the garbage a durable write may make per op. About
+// 50 B remain: the raw client's round trip and the server's goroutine
+// per frame, spread over a batch, and a delete frame's payload, which is
+// below the receive pool's smallest class. Before writes were decoded
+// into pooled ops and the committer, WAL, TE and hub reused their
+// buffers, an op made about 3.9 KB.
+const writeBudgetPerOp = 128
+
+// checkWriteAllocs holds a primary's durable inserts and deletes, in
+// batches of writeBatch, to the budget. It returns the send func and the
+// first pair it has not sent. The warm-up outlasts the hub's window
+// (replica.DefaultRetain groups), after which its log stops growing.
+func checkWriteAllocs(tb testing.TB) (send func([]Frame), next int) {
+	const warmPairs, pairs = 300, 200
+	send = writeClient(tb, 20_000)
+	got := writeGarbagePerOp(send, writePairs(0, warmPairs+pairs), 2*warmPairs)
+	if testing.Verbose() {
+		tb.Logf("%.0f B of garbage per op over %d batches of %d", got, 2*pairs, writeBatch)
+	}
+	if got > writeBudgetPerOp {
+		tb.Errorf("a durable write makes %.0f B of garbage per op, budget %d", got, writeBudgetPerOp)
+	}
+	return send, warmPairs + pairs
+}
+
+// TestPrimaryWriteAllocs: a primary's write path makes no garbage in
+// steady state. Its RSS follows the collector's heap goal, so garbage a
+// write makes is memory the process holds.
+func TestPrimaryWriteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a quarter of its puts")
+	}
+	checkWriteAllocs(t)
+}
+
+// BenchmarkPrimaryWriteAllocs is the budget as CI's bench job runs it: it
+// fails over budget, and -benchmem shows one insert batch and one delete
+// batch per iteration.
+func BenchmarkPrimaryWriteAllocs(b *testing.B) {
+	send, next := checkWriteAllocs(b)
+	frames := writePairs(next, next+b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send(frames[2*i : 2*i+2])
+	}
+}

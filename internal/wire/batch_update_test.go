@@ -4,23 +4,37 @@ import (
 	"testing"
 
 	"sae/internal/record"
+	"sae/internal/wal"
 	"sae/internal/workload"
 )
 
 func TestBatchCodecs(t *testing.T) {
 	ids := []record.ID{1, 77, 900000}
 	keys := []record.Key{10, 20, 30}
-	gotIDs, gotKeys, err := DecodeDeletes(EncodeDeletes(ids, keys))
+	got, err := DecodeDeletes(EncodeDeletes(ids, keys), nil)
 	if err != nil {
 		t.Fatalf("delete batch codec: %v", err)
 	}
 	for i := range ids {
-		if gotIDs[i] != ids[i] || gotKeys[i] != keys[i] {
-			t.Fatalf("delete %d round trip: got (%d,%d), want (%d,%d)", i, gotIDs[i], gotKeys[i], ids[i], keys[i])
+		if got[i] != wal.DeleteOp(ids[i], keys[i]) {
+			t.Fatalf("delete %d round trip: got (%d,%d), want (%d,%d)", i, got[i].ID, got[i].Key, ids[i], keys[i])
 		}
 	}
-	if _, _, err := DecodeDeletes([]byte{0, 0, 0, 9, 1, 2}); err == nil {
+	if _, err := DecodeDeletes([]byte{0, 0, 0, 9, 1, 2}, nil); err == nil {
 		t.Fatal("DecodeDeletes accepted an implausible count")
+	}
+	recs := []record.Record{record.Synthesize(5, 50), record.Synthesize(6, 60)}
+	ins, err := DecodeInserts(EncodeRecords(recs), got[:0])
+	if err != nil {
+		t.Fatalf("insert batch codec: %v", err)
+	}
+	for i := range recs {
+		if ins[i] != wal.InsertOp(recs[i]) {
+			t.Fatalf("insert %d round trip: got %v, want %v", i, &ins[i].Rec, &recs[i])
+		}
+	}
+	if _, err := DecodeInserts(append(EncodeRecords(recs), 0), nil); err == nil {
+		t.Fatal("DecodeInserts accepted a trailing byte")
 	}
 }
 

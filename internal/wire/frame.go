@@ -23,10 +23,12 @@ import (
 	"io"
 	"math/bits"
 	"net"
+	"slices"
 	"sync"
 
 	"sae/internal/record"
 	"sae/internal/shard"
+	"sae/internal/wal"
 )
 
 // HeaderSize is the fixed frame header: type (1) + request id (4) +
@@ -411,22 +413,39 @@ func EncodeDeletes(ids []record.ID, keys []record.Key) []byte {
 	return out
 }
 
-// DecodeDeletes parses a deletion batch.
-func DecodeDeletes(b []byte) ([]record.ID, []record.Key, error) {
+// DecodeDeletes appends to ops one delete per entry of a deletion batch
+// (EncodeDeletes) and returns the extended slice.
+func DecodeDeletes(b []byte, ops []wal.Op) ([]wal.Op, error) {
 	if len(b) < 4 {
-		return nil, nil, fmt.Errorf("%w: truncated delete count", ErrProtocol)
+		return ops, fmt.Errorf("%w: truncated delete count", ErrProtocol)
 	}
 	n := int(binary.BigEndian.Uint32(b[0:4]))
 	b = b[4:]
 	if n > len(b)/12 {
-		return nil, nil, fmt.Errorf("%w: implausible delete count %d for %d payload bytes", ErrProtocol, n, len(b))
+		return ops, fmt.Errorf("%w: implausible delete count %d for %d payload bytes", ErrProtocol, n, len(b))
 	}
-	ids := make([]record.ID, n)
-	keys := make([]record.Key, n)
-	for i := 0; i < n; i++ {
-		ids[i] = record.ID(binary.BigEndian.Uint64(b[0:8]))
-		keys[i] = record.Key(binary.BigEndian.Uint32(b[8:12]))
-		b = b[12:]
+	ops = slices.Grow(ops, n)
+	for ; n > 0; n, b = n-1, b[12:] {
+		ops = append(ops, wal.DeleteOp(record.ID(binary.BigEndian.Uint64(b[0:8])), record.Key(binary.BigEndian.Uint32(b[8:12]))))
 	}
-	return ids, keys, nil
+	return ops, nil
+}
+
+// DecodeInserts appends to ops one insert per record of an insert batch
+// (EncodeRecords, with nothing after the records) and returns the
+// extended slice.
+func DecodeInserts(b []byte, ops []wal.Op) ([]wal.Op, error) {
+	enc, rest, n, err := RecordsView(b)
+	if err != nil {
+		return ops, err
+	}
+	if len(rest) != 0 {
+		return ops, fmt.Errorf("%w: %d trailing bytes after insert batch", ErrProtocol, len(rest))
+	}
+	ops = slices.Grow(ops, n)
+	for ; len(enc) > 0; enc = enc[record.Size:] {
+		r, _ := record.Unmarshal(enc)
+		ops = append(ops, wal.InsertOp(r))
+	}
+	return ops, nil
 }

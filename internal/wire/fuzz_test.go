@@ -114,7 +114,8 @@ func FuzzDecodeFrame(f *testing.F) {
 		_, _ = DecodeRange(p)
 		_, _, _ = DecodeRecords(p)
 		_, _ = DecodeShardInfo(p)
-		_, _, _ = DecodeDeletes(p)
+		_, _ = DecodeDeletes(p, nil)
+		_, _ = DecodeInserts(p, nil)
 		_, _, _, _, _ = DecodeVerifiedResult(p)
 		_, _, _ = DecodeReplicaGroups(p)
 		_, _, _ = DecodeReplicaSnap(p)

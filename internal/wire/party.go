@@ -382,11 +382,21 @@ func serveVerified(s *Server, l *lane, ids []uint32, qs []record.Range) error {
 // --- own rows: one frame, its own goroutine ---
 
 // serveWrite decodes an update frame into one commit group's ops and
-// hands it to the party's write path.
+// hands it to the party's write path. The frame's payload is the
+// server's (dispatch took it from the receive pool) and goes back once
+// decoded; the ops come from opsPool and go back once the write path
+// returns, which for a primary is after the group's ack — the committer
+// keeps nothing of them.
 func serveWrite(s *Server, req Frame, _ *RespBuf) Frame {
-	ops, err := decodeOps(req)
+	buf := opsPool.Get().(*[]wal.Op)
+	ops, err := decodeOps(req, (*buf)[:0])
+	Release(req.Payload)
 	if err == nil {
 		err = s.party.apply(ops)
+	}
+	if cap(ops) <= opsRetain {
+		*buf = ops
+		opsPool.Put(buf)
 	}
 	if err != nil {
 		return errFrame(err)
@@ -394,29 +404,20 @@ func serveWrite(s *Server, req Frame, _ *RespBuf) Frame {
 	return Frame{Type: MsgAck}
 }
 
-func decodeOps(req Frame) ([]wal.Op, error) {
-	switch req.Type {
-	case MsgBatchInsert:
-		recs, rest, err := DecodeRecords(req.Payload)
-		if err != nil {
-			return nil, err
-		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("%w: %d trailing bytes after insert batch", ErrProtocol, len(rest))
-		}
-		ops := make([]wal.Op, len(recs))
-		for i := range recs {
-			ops[i] = wal.InsertOp(recs[i])
-		}
-		return ops, nil
-	default: // MsgBatchDelete
-		ids, keys, err := DecodeDeletes(req.Payload)
-		ops := make([]wal.Op, len(ids))
-		for i := range ids {
-			ops[i] = wal.DeleteOp(ids[i], keys[i])
-		}
-		return ops, err
+// opsPool recycles the op slices write frames are decoded into.
+var opsPool = sync.Pool{New: func() any { return new([]wal.Op) }}
+
+// opsRetain caps, in ops, the slice a decoded write frame may return to
+// opsPool; an owner's batch is typically 16.
+const opsRetain = 1024
+
+// decodeOps decodes an update frame's payload into ops, appending to
+// ops.
+func decodeOps(req Frame, ops []wal.Op) ([]wal.Op, error) {
+	if req.Type == MsgBatchInsert {
+		return DecodeInserts(req.Payload, ops)
 	}
+	return DecodeDeletes(req.Payload, ops) // MsgBatchDelete
 }
 
 // attestation is the server's shard index and plan; unset means "shard 0
@@ -456,23 +457,21 @@ func serveReplicaSnap(s *Server, _ Frame, rb *RespBuf) Frame {
 	return Frame{Type: MsgReplicaSnap, Payload: rb.b}
 }
 
+// serveReplicaPull copies the retained groups' wire form out of the hub
+// straight behind the flags byte and the group count.
 func serveReplicaPull(s *Server, req Frame, rb *RespBuf) Frame {
 	after, max, err := DecodeReplicaPull(req.Payload)
 	if err != nil {
 		return errFrame(err)
 	}
-	gs, snapshotNeeded, _ := s.party.hub.Since(after, max)
-	flags := byte(0)
+	rb.b = append(rb.b, 0, 0, 0, 0, 0)
+	var n int
+	var snapshotNeeded bool
+	rb.b, n, snapshotNeeded, _ = s.party.hub.AppendSince(rb.b, after, max)
 	if snapshotNeeded {
-		flags |= replicaFlagSnapshotNeeded
+		rb.b[0] |= replicaFlagSnapshotNeeded
 	}
-	rb.b = append(rb.b, flags)
-	rb.AppendUint32(uint32(len(gs)))
-	for i := range gs {
-		if rb.b, err = wal.AppendGroupWire(rb.b, gs[i]); err != nil {
-			return errFrame(err)
-		}
-	}
+	binary.BigEndian.PutUint32(rb.b[1:5], uint32(n))
 	return Frame{Type: MsgReplicaGroups, Payload: rb.b}
 }
 

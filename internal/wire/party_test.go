@@ -479,29 +479,50 @@ func TestPrimaryGroupsVerifiedFrames(t *testing.T) {
 // stayed OFF the lanes. 8 pipelined MsgBatchInsert frames on one
 // connection must be in the committer at once so group commit can
 // coalesce them; served one at a time on a lane each would wait for its
-// own fsync and commit as 8 groups.
+// own fsync and commit as 8 groups. A read view holds the commit lock
+// until all 8 are in the committer, so whether they coalesce does not
+// depend on the scheduler: the first group to arrive waits at the lock,
+// and every other batch joins the group after it.
 func TestPrimaryPipelinedWritesCoalesce(t *testing.T) {
 	sys, _, srv := startPrimary(t, 800)
-	reqs := make([]Frame, 8)
+	const batches, batch = 8, 2 // 8 × 2 fits startPrimary's 16-op group cap
+	reqs := make([]Frame, batches)
 	for i := range reqs {
-		recs := make([]record.Record, 2) // 8 × 2 fits startPrimary's 16-op group cap
+		recs := make([]record.Record, batch)
 		for j := range recs {
 			recs[j] = record.Synthesize(record.ID(1<<40+i*len(recs)+j), record.Key((i*len(recs)+j)*9973%record.KeyDomain))
 		}
 		reqs[i] = Frame{Type: MsgBatchInsert, Payload: EncodeRecords(recs)}
 	}
 	before := sys.Stats()
+	held, released := make(chan struct{}), make(chan error, 1)
+	go func() {
+		released <- sys.View()(func(uint64, *core.ServiceProvider, *core.TrustedEntity) error {
+			close(held)
+			for deadline := time.Now().Add(10 * time.Second); sys.Committer().Pending() < batches*batch; {
+				if time.Now().After(deadline) {
+					return fmt.Errorf("only %d of %d ops reached the committer", sys.Committer().Pending(), batches*batch)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			return nil
+		})
+	}()
+	<-held
 	for i, resp := range pipeline(t, srv.Addr(), reqs, len(reqs)) {
 		if resp.Type != MsgAck {
 			t.Fatalf("batch %d: got %s %.80q", i, FrameName(resp.Type), resp.Payload)
 		}
 	}
-	after := sys.Stats()
-	if got := after.Ops - before.Ops; got != 8*2 {
-		t.Fatalf("committed %d ops, want %d", got, 8*2)
+	if err := <-released; err != nil {
+		t.Fatal(err)
 	}
-	if got := after.Groups - before.Groups; got >= 8 {
-		t.Fatalf("8 pipelined batches committed in %d groups; they did not coalesce", got)
+	after := sys.Stats()
+	if got := after.Ops - before.Ops; got != batches*batch {
+		t.Fatalf("committed %d ops, want %d", got, batches*batch)
+	}
+	if got := after.Groups - before.Groups; got > 2 {
+		t.Fatalf("%d pipelined batches committed in %d groups; they did not coalesce", batches, got)
 	}
 }
 

@@ -382,8 +382,10 @@ func frameBuffered(br *bufio.Reader) bool {
 // the range decode and shard-span check. A frame that fails a check gets
 // its own error frame (queued on the burst so the lane stays the writer);
 // a group row's range joins the burst; an own row starts its goroutine,
-// bounded by the connection's semaphore, with a payload of its own that
-// nothing recycles. The returned error is a dead or misframed connection.
+// bounded by the connection's semaphore, with a payload from the receive
+// pool that the row owns (serveWrite releases a write's once decoded;
+// the others leave theirs to the collector). The returned error is a
+// dead or misframed connection.
 func (s *Server) dispatch(c *srvConn, br *bufio.Reader, cb *connBurst) (own bool, err error) {
 	var hdr [HeaderSize]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -402,12 +404,18 @@ func (s *Server) dispatch(c *srvConn, br *bufio.Reader, cb *connBurst) (own bool
 		return false, nil
 	}
 	payload := c.rng[:]
-	if spec.group == nil || n != len(c.rng) {
-		// An own row keeps its payload; a malformed range's is read only
-		// for DecodeRange to name its length.
+	switch {
+	case spec.group == nil:
+		payload = getPayload(n)
+	case n != len(c.rng):
+		// A malformed range's payload is read only for DecodeRange to
+		// name its length.
 		payload = make([]byte, n)
 	}
 	if _, err := io.ReadFull(br, payload); err != nil {
+		if spec.group == nil {
+			Release(payload)
+		}
 		return false, fmt.Errorf("%w: truncated payload: %v", ErrProtocol, err)
 	}
 	if spec.group != nil {
