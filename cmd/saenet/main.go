@@ -17,9 +17,9 @@
 //	saenet -role client -sp localhost:7001 -te localhost:7002 -queries 20
 //
 // A sharded deployment adds -shards/-shard-index to every server (each
-// process generates the same deterministic dataset, partitions it under
-// the same plan, and loads only its own partition) and gives the client
-// one comma-separated address list per party, in shard order:
+// process draws the same deterministic keys, derives the same plan from
+// them, and synthesizes and loads only its own partition) and gives the
+// client one comma-separated address list per party, in shard order:
 //
 //	saenet -role sp -shards 2 -shard-index 0 -addr :7101 -n 100000
 //	saenet -role sp -shards 2 -shard-index 1 -addr :7102 -n 100000
@@ -58,9 +58,10 @@
 //
 // Every server role prints "serving on ADDR" once it is listening; with
 // -pprof, any role serves net/http/pprof and its expvar counters. Servers
-// generate the same deterministic dataset from -n/-dist/-seed, so any
-// group started with identical parameters is consistent; the client (or
-// router) cross-checks every shard's attested plan before querying.
+// derive their partitions of one deterministic dataset from
+// -n/-dist/-seed, so any group started with identical parameters is
+// consistent; the client (or router) cross-checks every shard's attested
+// plan before querying.
 package main
 
 import (
@@ -77,6 +78,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -198,6 +200,9 @@ func parse(args []string) (*role, *opts, error) {
 	if len(unread) > 0 {
 		return nil, nil, fmt.Errorf("-role %s does not read %s", r.name, strings.Join(unread, " "))
 	}
+	if o.n < 0 || uint64(o.n) > workload.MaxN {
+		return nil, nil, fmt.Errorf("-n %d outside 0..%d", o.n, uint64(workload.MaxN))
+	}
 	if o.shards < 1 || o.shardIndex < 0 || o.shardIndex >= o.shards {
 		return nil, nil, fmt.Errorf("-shard-index %d outside 0..%d", o.shardIndex, o.shards-1)
 	}
@@ -233,16 +238,29 @@ func main() {
 	}
 }
 
-// partition generates the deterministic dataset every server derives from
-// -n, -dist and -seed, plans it into -shards parts, and returns the plan
-// and this process's part (-shard-index).
+// partition draws the keys of all -n records of the deterministic
+// dataset every server derives from -n, -dist and -seed, plans them into
+// -shards parts, and synthesizes the records of this process's part
+// (-shard-index) only. The plan and the part are those of shard.PlanFor
+// and Plan.Partition over the whole workload.Generate dataset.
 func partition(o *opts) (shard.Plan, []record.Record, error) {
-	ds, err := workload.Generate(workload.Distribution(o.dist), o.n, o.seed)
+	pairs, err := workload.Keys(workload.Distribution(o.dist), o.n, o.seed)
 	if err != nil {
 		return shard.Plan{}, nil, err
 	}
-	plan := shard.PlanFor(ds.Records, o.shards)
-	return plan, plan.Partition(ds.Records)[o.shardIndex], nil
+	key := func(i int) record.Key {
+		k, _ := workload.Unpack(pairs[i])
+		return k
+	}
+	plan := shard.PlanForKeys(len(pairs), key, o.shards)
+	if o.shardIndex >= plan.Shards() {
+		return shard.Plan{}, nil, fmt.Errorf("-shard-index %d outside the plan's %d shards: %d records have too few distinct keys for %d",
+			o.shardIndex, plan.Shards(), o.n, o.shards)
+	}
+	span := plan.Span(o.shardIndex)
+	lo := sort.Search(len(pairs), func(i int) bool { return key(i) >= span.Lo })
+	hi := lo + sort.Search(len(pairs)-lo, func(i int) bool { return key(lo+i) > span.Hi })
+	return plan, workload.Synthesize(pairs[lo:hi]), nil
 }
 
 // serveUntilInterrupt reports that role is serving on addr, waits for
@@ -262,7 +280,7 @@ func serveUntilInterrupt(role, addr string, closers ...func() error) error {
 // runServer serves one stand-alone party (sp or te) over its part of the
 // dataset; the party's decoded-node cache holds that part's whole index.
 func runServer(o *opts) error {
-	fmt.Fprintf(os.Stderr, "saenet %s: generating %d %s records (seed %d)...\n", o.role, o.n, o.dist, o.seed)
+	fmt.Fprintf(os.Stderr, "saenet %s: drawing %d %s keys (seed %d)...\n", o.role, o.n, o.dist, o.seed)
 	plan, part, err := partition(o)
 	if err != nil {
 		return err
@@ -307,7 +325,7 @@ func runServer(o *opts) error {
 // it lives in a durable system under -dir so writes survive and
 // replicas have a WAL stream to follow.
 func runPrimary(o *opts) error {
-	fmt.Fprintf(os.Stderr, "saenet primary: generating %d %s records (seed %d)...\n", o.n, o.dist, o.seed)
+	fmt.Fprintf(os.Stderr, "saenet primary: drawing %d %s keys (seed %d)...\n", o.n, o.dist, o.seed)
 	start := time.Now()
 	plan, part, err := partition(o)
 	if err != nil {
@@ -328,15 +346,15 @@ func runPrimary(o *opts) error {
 		sys.Close()
 		return err
 	}
-	// The bulk load's transient peak (the dataset, the sort copy, build
+	// The bulk load's transient peak (the partition, the sort copy, build
 	// garbage) is up to twice what the primary keeps live, and how high it
 	// reaches depends on where the load's GCs happen to fall. Return it to
 	// the OS now rather than leaving it resident while the background
 	// scavenger releases it slowly; off the startup path, since the
 	// primary is already serving.
 	go debug.FreeOSMemory()
-	fmt.Fprintf(os.Stderr, "saenet primary: shard %d/%d owns span %v (%d records, seq %d; partition %d ms, open %d ms)\n",
-		o.shardIndex, o.shards, plan.Span(o.shardIndex), len(part), sys.Seq(),
+	fmt.Fprintf(os.Stderr, "saenet primary: shard %d/%d owns span %v (synthesized %d of %d records, seq %d; partition %d ms, open %d ms)\n",
+		o.shardIndex, o.shards, plan.Span(o.shardIndex), len(part), o.n, sys.Seq(),
 		partitioned.Sub(start).Milliseconds(), opened.Sub(partitioned).Milliseconds())
 	return serveUntilInterrupt("primary", srv.Addr(), srv.Close, sys.Close)
 }

@@ -1,8 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+
+	"sae/internal/record"
+	"sae/internal/shard"
+	"sae/internal/workload"
 )
 
 // TestParse: parsing alone (no port bound, no dataset generated) accepts
@@ -42,6 +48,9 @@ func TestParse(t *testing.T) {
 		{"-role router -sp a,b -te a,b -tom x", false},
 		{"-role crashwriter -dir d -batch 8", false},
 		{"-role sp stray", false},
+		{"-role primary -dir d -n -5", false},
+		{"-role sp -n 4294967296", false},
+		{"-role crashwriter -dir d -n 0", true},
 	} {
 		_, _, err := parse(strings.Fields(tc.args))
 		if (err == nil) != tc.ok {
@@ -58,6 +67,82 @@ func TestRolesNameDefinedFlags(t *testing.T) {
 			if fs.Lookup(strings.TrimSuffix(name, "*")) == nil {
 				t.Errorf("role %s reads undefined flag -%s", r.name, name)
 			}
+		}
+	}
+}
+
+// TestPartitionMatchesWholeDataset: the plan a server derives from keys alone
+// is the plan of the whole dataset, and the records it synthesizes are
+// byte for byte that plan's partition of the whole dataset, at every
+// index of every plan, degraded plans included.
+func TestPartitionMatchesWholeDataset(t *testing.T) {
+	type layout struct{ n, shards int }
+	var layouts []layout
+	for _, n := range []int{0, 1, 50, 1_000, 20_000} {
+		for shards := 1; shards <= 4; shards++ {
+			layouts = append(layouts, layout{n, shards})
+		}
+	}
+	layouts = append(layouts, layout{50, 64})
+	for _, dist := range []workload.Distribution{workload.UNF, workload.SKW} {
+		for _, l := range layouts {
+			ds, err := workload.Generate(dist, l.n, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := shard.PlanFor(ds.Records, l.shards)
+			parts := want.Partition(ds.Records)
+			for i := range parts {
+				name := fmt.Sprintf("%s n=%d shard %d/%d", dist, l.n, i, l.shards)
+				plan, part, err := partition(&opts{dist: string(dist), n: l.n, seed: 1, shards: l.shards, shardIndex: i})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !plan.Equal(want) {
+					t.Fatalf("%s: plan %v, want %v", name, plan, want)
+				}
+				if !bytes.Equal(encode(part), encode(parts[i])) {
+					t.Fatalf("%s: %d records differ from the partition's %d", name, len(part), len(parts[i]))
+				}
+			}
+		}
+	}
+}
+
+func encode(recs []record.Record) []byte {
+	var b []byte
+	for i := range recs {
+		b = recs[i].AppendBinary(b)
+	}
+	return b
+}
+
+// TestPartitionPastDegradedPlan: a shard index the flags allow but a
+// degraded plan does not have is an error naming the plan's real shard
+// count.
+func TestPartitionPastDegradedPlan(t *testing.T) {
+	ds, err := workload.Generate(workload.UNF, 50, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := shard.PlanFor(ds.Records, 64).Shards()
+	if shards >= 64 {
+		t.Fatalf("50 records planned into %d of 64 shards; the plan does not degrade", shards)
+	}
+	_, _, err = partition(&opts{dist: "UNF", n: 50, seed: 1, shards: 64, shardIndex: 63})
+	if want := fmt.Sprintf("plan's %d shards", shards); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("partition(n=50, 64 shards, index 63) = %v, want an error naming %q", err, want)
+	}
+}
+
+// BenchmarkPartition times a primary's partition phase at the
+// deployment the end-to-end benchmark launches: shard 0 of the UNF
+// relation of 100 000 records split in two.
+func BenchmarkPartition(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := partition(&opts{dist: "UNF", n: 100_000, seed: 1, shards: 2}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -76,19 +76,26 @@ func (p Plan) Validate() error {
 
 // PlanFor partitions a dataset (sorted by key, as produced by
 // workload.Generate) into up to `shards` contiguous partitions of roughly
-// equal cardinality. Records with equal keys always land in the same shard
-// (a split never falls inside a key's run), so a partition boundary is
-// always a clean key boundary. If the dataset has too few distinct keys the
-// plan degrades to fewer shards; an empty dataset is split evenly across
-// the key domain.
+// equal cardinality. It is PlanForKeys over the records' keys.
 func PlanFor(sorted []record.Record, shards int) Plan {
+	return PlanForKeys(len(sorted), func(i int) record.Key { return sorted[i].Key }, shards)
+}
+
+// PlanForKeys partitions n records whose keys, in sorted order, key(i)
+// returns into up to `shards` contiguous partitions of roughly equal
+// cardinality; it reads only O(shards) keys plus the runs of equal keys
+// at the splits. Records with equal keys always land in the same shard
+// (a split never falls inside a key's run), so a partition boundary is
+// always a clean key boundary. If the keys have too few distinct values
+// the plan degrades to fewer shards; with n = 0 the key domain is split
+// evenly.
+func PlanForKeys(n int, key func(i int) record.Key, shards int) Plan {
 	if shards < 1 {
 		shards = 1
 	}
 	if shards == 1 {
 		return Plan{}
 	}
-	n := len(sorted)
 	if n == 0 {
 		splits := make([]record.Key, 0, shards-1)
 		for i := 1; i < shards; i++ {
@@ -105,13 +112,13 @@ func PlanFor(sorted []record.Record, shards int) Plan {
 		// Advance past a run of equal keys so the whole run stays in the
 		// shard to the left; the split key is the first key of the next
 		// shard.
-		for idx < n && idx > 0 && sorted[idx].Key == sorted[idx-1].Key {
+		for idx < n && idx > 0 && key(idx) == key(idx-1) {
 			idx++
 		}
 		if idx >= n {
 			break
 		}
-		s := sorted[idx].Key
+		s := key(idx)
 		if s == 0 || (len(splits) > 0 && s <= splits[len(splits)-1]) {
 			continue
 		}

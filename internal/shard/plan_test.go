@@ -174,3 +174,31 @@ func TestPlanForEmptyDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPlanForKeysMatchesRecords: planning from the packed pairs
+// workload.Keys draws gives the plan PlanFor derives from the records
+// workload.Generate synthesizes, degraded plans included.
+func TestPlanForKeysMatchesRecords(t *testing.T) {
+	for _, dist := range []workload.Distribution{workload.UNF, workload.SKW} {
+		for _, n := range []int{0, 1, 50, 5000} {
+			ds, err := workload.Generate(dist, n, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pairs, err := workload.Keys(dist, n, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := func(i int) record.Key {
+				k, _ := workload.Unpack(pairs[i])
+				return k
+			}
+			for _, shards := range []int{1, 2, 3, 7, 64} {
+				want := PlanFor(ds.Records, shards)
+				if got := PlanForKeys(len(pairs), key, shards); !got.Equal(want) {
+					t.Fatalf("%s n=%d shards=%d: keys form %v, records form %v", dist, n, shards, got, want)
+				}
+			}
+		}
+	}
+}

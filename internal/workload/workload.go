@@ -7,7 +7,6 @@
 package workload
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -42,11 +41,30 @@ type Dataset struct {
 	Records []record.Record // sorted by (key, id)
 }
 
+// MaxN is the largest cardinality Keys and Generate accept: ids are 1..n
+// and a packed pair keeps its id in 32 bits.
+const MaxN = math.MaxUint32
+
 // Generate produces n records with keys drawn from dist, deterministically
 // from seed. Records are returned sorted by key, ready for clustered bulk
 // loading; ids are 1..n (assigned before sorting, so id order is insertion
-// order, not key order).
+// order, not key order). It is Synthesize over Keys.
 func Generate(dist Distribution, n int, seed int64) (*Dataset, error) {
+	pairs, err := Keys(dist, n, seed)
+	if err != nil {
+		return nil, err
+	}
+	return &Dataset{Dist: dist, Seed: seed, Records: Synthesize(pairs)}, nil
+}
+
+// Keys draws the (key, id) pairs of Generate's n records without their
+// payloads, sorted by (key, id) and each packed as uint64(key)<<32 | id
+// (see Unpack). A process that serves one shard plans from these and
+// synthesizes only its own span.
+func Keys(dist Distribution, n int, seed int64) ([]uint64, error) {
+	if n < 0 || uint64(n) > MaxN {
+		return nil, fmt.Errorf("workload: cardinality %d outside 0..%d", n, uint64(MaxN))
+	}
 	rng := rand.New(rand.NewSource(seed))
 	var keyFn func() record.Key
 	switch dist {
@@ -58,28 +76,29 @@ func Generate(dist Distribution, n int, seed int64) (*Dataset, error) {
 	default:
 		return nil, fmt.Errorf("workload: unknown distribution %q", dist)
 	}
-	// Sort 16-byte (key, id) pairs, not 500-byte records, then synthesize
-	// each record once, in sorted order. Ids are unique, so the order is
-	// total and the output does not depend on the sort algorithm.
-	type keyID struct {
-		key record.Key
-		id  record.ID
-	}
-	pairs := make([]keyID, n)
+	// Packing puts the key in the high half, so integer order is (key, id)
+	// order; ids are unique, so the order is total.
+	pairs := make([]uint64, n)
 	for i := range pairs {
-		pairs[i] = keyID{key: keyFn(), id: record.ID(i + 1)}
+		pairs[i] = uint64(keyFn())<<32 | uint64(i+1)
 	}
-	slices.SortFunc(pairs, func(a, b keyID) int {
-		if c := cmp.Compare(a.key, b.key); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.id, b.id)
-	})
-	records := make([]record.Record, n)
+	slices.Sort(pairs)
+	return pairs, nil
+}
+
+// Unpack splits a pair packed by Keys.
+func Unpack(pair uint64) (record.Key, record.ID) {
+	return record.Key(pair >> 32), record.ID(uint32(pair))
+}
+
+// Synthesize returns the records of packed pairs, in their order.
+func Synthesize(pairs []uint64) []record.Record {
+	records := make([]record.Record, len(pairs))
 	for i, p := range pairs {
-		records[i] = record.Synthesize(p.id, p.key)
+		key, id := Unpack(p)
+		records[i] = record.Synthesize(id, key)
 	}
-	return &Dataset{Dist: dist, Seed: seed, Records: records}, nil
+	return records
 }
 
 // SkewConcentration is the paper's observable characterization of SKW:

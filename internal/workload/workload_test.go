@@ -160,3 +160,16 @@ func TestGenerateGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestCardinalityOutOfRange: a negative n, or one whose ids do not fit a
+// packed pair's 32 bits, is an error, not a panic or a giant allocation.
+func TestCardinalityOutOfRange(t *testing.T) {
+	for _, n := range []int{-5, -1, MaxN + 1} {
+		if _, err := Keys(UNF, n, 1); err == nil {
+			t.Errorf("Keys accepted n = %d", n)
+		}
+		if _, err := Generate(UNF, n, 1); err == nil {
+			t.Errorf("Generate accepted n = %d", n)
+		}
+	}
+}

@@ -74,7 +74,7 @@ func Bulkload(store pagestore.Store, items []KeyTuples) (*Tree, error) {
 		if len(flat)-i-chunk == 1 {
 			chunk-- // never strand a separator without a right sibling
 		}
-		n := &xnode{leaf: true}
+		n := &xnode{leaf: true, entries: newEntries(true, 0)}
 		for _, it := range flat[i : i+chunk] {
 			n.entries = append(n.entries, entry{sk: it.sk, lref: it.lref, x: it.lxor, child: pagestore.InvalidPage, listCount: it.count})
 		}
@@ -105,7 +105,7 @@ func Bulkload(store pagestore.Store, items []KeyTuples) (*Tree, error) {
 			if rem-(g+1) == 1 {
 				g-- // leave the trailing node a sibling and separator
 			}
-			n := &xnode{leaf: false, e0C: nodes[j].id, e0X: nodes[j].agg, e0Agg: nodes[j].aggA}
+			n := &xnode{leaf: false, e0C: nodes[j].id, e0X: nodes[j].agg, e0Agg: nodes[j].aggA, entries: newEntries(false, 0)}
 			for k := 0; k < g; k++ {
 				s := seps[j+k]
 				child := nodes[j+k+1]

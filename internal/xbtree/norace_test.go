@@ -1,0 +1,5 @@
+//go:build !race
+
+package xbtree
+
+const raceEnabled = false

@@ -92,6 +92,16 @@ type entry struct {
 // ownAgg is the aggregate contribution of the entry's own tuple list.
 func (e *entry) ownAgg() agg.Agg { return agg.OfKey(e.sk, uint64(e.listCount)) }
 
+// newEntries returns a node's entry slice of length n with room for
+// one entry past the node's capacity: an insert appends before it splits,
+// so a node's array is never regrown.
+func newEntries(leaf bool, n int) []entry {
+	if leaf {
+		return make([]entry, n, LeafCapacity+1)
+	}
+	return make([]entry, n, InnerCapacity+1)
+}
+
 // xnode is the decoded form of one tree page.
 type xnode struct {
 	leaf    bool
@@ -222,7 +232,7 @@ func encodeXNode(buf []byte, n *xnode) {
 func decodeXNode(buf []byte) *xnode {
 	n := &xnode{leaf: buf[0] == 1}
 	count := int(binary.BigEndian.Uint16(buf[1:3]))
-	n.entries = make([]entry, count)
+	n.entries = newEntries(n.leaf, count)
 	if n.leaf {
 		off := leafHeader
 		for i := 0; i < count; i++ {
@@ -291,7 +301,7 @@ func (t *Tree) InsertCtx(ctx *exec.Context, key record.Key, tup Tuple) error {
 			e0C:     t.root,
 			e0X:     oldRoot.agg(),
 			e0Agg:   oldRoot.aggAll(),
-			entries: []entry{*promoted},
+			entries: append(newEntries(false, 0), *promoted),
 		}
 		id, err := t.allocNode(ctx, newRoot)
 		if err != nil {
@@ -394,8 +404,7 @@ func (t *Tree) splitLeaf(ctx *exec.Context, id pagestore.PageID, n *xnode, aggBe
 	mid := len(n.entries) / 2
 	promoted := n.entries[mid]
 
-	right := &xnode{leaf: true}
-	right.entries = append(right.entries, n.entries[mid+1:]...)
+	right := &xnode{leaf: true, entries: append(newEntries(true, 0), n.entries[mid+1:]...)}
 	rightID, err := t.allocNode(ctx, right)
 	if err != nil {
 		// n was mutated in memory but never persisted; drop the cached copy.
@@ -427,12 +436,12 @@ func (t *Tree) splitInner(ctx *exec.Context, id pagestore.PageID, n *xnode, aggB
 		return nil, pagestore.InvalidPage, digest.Zero, agg.Agg{}, err
 	}
 	right := &xnode{
-		leaf:  false,
-		e0C:   promoted.child,
-		e0X:   promoted.x.XOR(lxor), // agg of the subtree under the promoted entry
-		e0Agg: promoted.childAgg,
+		leaf:    false,
+		e0C:     promoted.child,
+		e0X:     promoted.x.XOR(lxor), // agg of the subtree under the promoted entry
+		e0Agg:   promoted.childAgg,
+		entries: append(newEntries(false, 0), n.entries[mid+1:]...),
 	}
-	right.entries = append(right.entries, n.entries[mid+1:]...)
 	rightID, err := t.allocNode(ctx, right)
 	if err != nil {
 		t.io.Discard(id)

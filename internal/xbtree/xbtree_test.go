@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"sae/internal/bufpool"
 	"sae/internal/digest"
 	"sae/internal/pagestore"
 	"sae/internal/record"
@@ -584,4 +585,67 @@ func TestMixedWorkloadRandomized(t *testing.T) {
 		t.Fatalf("final Validate: %v", err)
 	}
 	checkVTs(t, tree, ref, domain, 80, 92)
+}
+
+// TestInsertIntoCachedLeafAllocs: a new key inserted into a leaf the
+// node cache holds as decoded from its page allocates nothing for the
+// leaf's entry array, the first insert after the decode included.
+func TestInsertIntoCachedLeafAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a quarter of its puts")
+	}
+	tree, err := New(pagestore.NewMem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 10_000; i++ {
+		k := record.Key(2 * rng.Intn(1_000_000)) // even keys; odd ones stay free
+		if err := tree.InsertCtx(nil, k, tupleFor(record.ID(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Decode every node into a fresh cache, and pick one free key inside
+	// each leaf with room to take it without a split.
+	tree.UseCache(new(bufpool.Cache))
+	var targets []record.Key
+	var walk func(id pagestore.PageID)
+	walk = func(id pagestore.PageID) {
+		n, err := tree.readNode(nil, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.leaf {
+			if len(n.entries) < LeafCapacity {
+				targets = append(targets, n.entries[0].sk+1)
+			}
+			return
+		}
+		walk(n.e0C)
+		for i := range n.entries {
+			walk(n.entries[i].child)
+		}
+	}
+	walk(tree.root)
+	const runs = 40
+	if len(targets) < runs+1 {
+		t.Fatalf("only %d leaves with room", len(targets))
+	}
+	tuples := make([]Tuple, len(targets))
+	for i := range tuples {
+		tuples[i] = tupleFor(record.ID(100_000 + i))
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := tree.InsertCtx(nil, targets[next], tuples[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("insert into a cached leaf: %v allocs, want 0", allocs)
+	}
+	if err := tree.Validate(); err != nil {
+		t.Fatal(err)
+	}
 }
