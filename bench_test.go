@@ -106,7 +106,7 @@ func BenchmarkFig6QueryProcessing(b *testing.B) {
 	for _, dist := range []workload.Distribution{workload.UNF, workload.SKW} {
 		f := getFixture(b, dist)
 		b.Run(fmt.Sprintf("%s/SAE-SP", dist), func(b *testing.B) {
-			var accesses, idx int64
+			var accesses, idx float64
 			for i := 0; i < b.N; i++ {
 				_, qc, err := f.sae.SP.Query(f.queries[i%len(f.queries)])
 				if err != nil {
@@ -120,7 +120,7 @@ func BenchmarkFig6QueryProcessing(b *testing.B) {
 			b.ReportMetric(float64(accesses)/float64(b.N)*10, "simms/op")
 		})
 		b.Run(fmt.Sprintf("%s/TOM-SP", dist), func(b *testing.B) {
-			var accesses, idx int64
+			var accesses, idx float64
 			for i := 0; i < b.N; i++ {
 				_, _, qc, err := f.tom.Provider.Query(f.queries[i%len(f.queries)])
 				if err != nil {
@@ -134,7 +134,7 @@ func BenchmarkFig6QueryProcessing(b *testing.B) {
 			b.ReportMetric(float64(accesses)/float64(b.N)*10, "simms/op")
 		})
 		b.Run(fmt.Sprintf("%s/SAE-TE", dist), func(b *testing.B) {
-			var accesses int64
+			var accesses float64
 			for i := 0; i < b.N; i++ {
 				_, cost, err := f.sae.TE.GenerateVT(f.queries[i%len(f.queries)])
 				if err != nil {

@@ -37,6 +37,6 @@ func main() {
 	}
 	fmt.Printf("query %v returned %d records — verified with a %d-byte token\n",
 		q, len(out.Result), core.VTSize)
-	fmt.Printf("SP did %d node accesses; TE did %d; the client hashed %d records\n",
+	fmt.Printf("SP did %g node accesses; TE did %g; the client hashed %d records\n",
 		out.SPCost.Total().Accesses, out.TECost.Accesses, len(out.Result))
 }

@@ -121,7 +121,8 @@ func TestFigureShapesEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := workload.Queries(20, workload.DefaultExtent, 504)
-	var voBytes, saeIdx, tomIdx, teAcc int64
+	var voBytes int64
+	var saeIdx, tomIdx, teAcc float64
 	for _, q := range queries {
 		saeOut, err := saeSys.Query(q)
 		if err != nil {
@@ -143,10 +144,10 @@ func TestFigureShapesEndToEnd(t *testing.T) {
 	}
 	// Figure 6: SAE index work strictly below TOM's; TE tiny.
 	if saeIdx >= tomIdx {
-		t.Fatalf("SAE index accesses (%d) not below TOM (%d)", saeIdx, tomIdx)
+		t.Fatalf("SAE index accesses (%g) not below TOM (%g)", saeIdx, tomIdx)
 	}
 	if teAcc >= tomIdx {
-		t.Fatalf("TE accesses (%d) not below TOM SP (%d)", teAcc, tomIdx)
+		t.Fatalf("TE accesses (%g) not below TOM SP (%g)", teAcc, tomIdx)
 	}
 	// Figure 8: TE storage a small fraction of the SP's.
 	if saeSys.TE.StorageBytes()*4 > saeSys.SP.StorageBytes() {

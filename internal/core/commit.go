@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 
 	"sae/internal/exec"
+	"sae/internal/heapfile"
 	"sae/internal/record"
 	"sae/internal/wal"
 )
@@ -39,6 +41,9 @@ type CommitHook func(seq uint64, ops []wal.Op)
 // applied to the SP under ONE structure-lock acquisition and to the TE
 // under ONE lock + ONE digest dispatch, and then every waiter is acked
 // at once. A submission returns when its group is durable and visible.
+// Before the append, the leader admits each submission against the SP's
+// catalog and the submissions already admitted into the group; a refused
+// one is acked with its own error and is never logged or applied.
 //
 // One background leader drains the queue; submitters only enqueue and
 // wait, so the group size adapts to the offered load: an idle committer
@@ -71,23 +76,27 @@ type GroupCommitter struct {
 	stopped  bool
 	done     chan struct{}
 
-	seq   uint64 // WAL group sequence; guarded by mu
 	stats CommitStats
 
 	maxGroup int
 
-	// The leader's own scratch, reused group after group: the
-	// submissions it drained and their ops flattened into one group.
-	taken []submission
-	group []wal.Op
+	// The leader's own state, reused group after group: the sequence of
+	// the last group it logged (set by OpenDurableSystem before the first
+	// submission), the submissions it drained, their admitted ops
+	// flattened into one group, and the admission overlay.
+	seq     uint64
+	taken   []submission
+	group   []wal.Op
+	overlay heapfile.Overlay
 }
 
 // submission is one SubmitOps call waiting in the queue: its ops by
-// reference — the submitter blocks until the ack, so they stay put — and
-// the channel its group's outcome is sent on.
+// reference — the submitter blocks until the ack, so they stay put — the
+// channel its outcome is sent on, and the leader's refusal, if any.
 type submission struct {
-	ops  []wal.Op
-	errc chan error
+	ops     []wal.Op
+	errc    chan error
+	refused error
 }
 
 // errcPool recycles the ack channels. Each carries exactly one send,
@@ -113,6 +122,7 @@ func NewGroupCommitter(owner *DataOwner, sp *ServiceProvider, te *TrustedEntity,
 		log:      log,
 		done:     make(chan struct{}),
 		maxGroup: maxGroup,
+		overlay:  make(heapfile.Overlay),
 	}
 	gc.cond = sync.NewCond(&gc.mu)
 	go gc.run()
@@ -124,8 +134,10 @@ func NewGroupCommitter(owner *DataOwner, sp *ServiceProvider, te *TrustedEntity,
 // fold. The group committer runs it under its commit lock before the
 // ack, crash recovery per replayed WAL group, a replica per tailed group
 // and the sharded system per shard; a single insert or delete is a group
-// of one. On error the owner is left unfolded and the parties may be
-// torn (the SP ahead of the TE).
+// of one. ops must be a group the SP's catalog admitted: the committer,
+// System and ShardedSystem admit before they apply, and the WAL and the
+// replication feed carry only admitted groups. On error the owner is
+// left unfolded and the parties may be torn (the SP ahead of the TE).
 func ApplyGroup(ctx *exec.Context, owner *DataOwner, sp *ServiceProvider, te *TrustedEntity, ops []wal.Op) error {
 	if err := sp.ApplyBatchCtx(ctx, ops); err != nil {
 		return err
@@ -165,15 +177,18 @@ func (gc *GroupCommitter) Delete(id record.ID) error {
 
 // DeleteBatch removes the given ids as members of (at most) one group.
 func (gc *GroupCommitter) DeleteBatch(ids []record.ID) error {
-	return gc.owner.commitDeletes(ids, gc.SubmitOps)
+	return commitDeletes(ids, gc.sp.keyOf, gc.SubmitOps)
 }
 
 // SubmitOps enqueues pre-built ops (a wire primary and a reshard target
 // use this for records a remote owner already synthesized) and waits for
-// their group to commit. The group's owner fold has run by the time it
-// returns. The committer reads ops until then and keeps nothing of it:
-// the caller may overwrite or reuse the slice as soon as SubmitOps
-// returns.
+// their group to commit. The ops commit together or not at all: the
+// leader admits them against the SP's catalog before the WAL append, and
+// a batch that inserts a live id, or deletes an id that is not live or
+// under another key, gets its own error while its group-mates commit.
+// The group's owner fold has run by the time it returns. The committer
+// reads ops until then and keeps nothing of it: the caller may overwrite
+// or reuse the slice as soon as SubmitOps returns.
 func (gc *GroupCommitter) SubmitOps(ops []wal.Op) error {
 	if len(ops) == 0 {
 		return nil
@@ -228,11 +243,9 @@ func (gc *GroupCommitter) run() {
 		clear(gc.queue[rest:]) // the queue must not pin acked submissions
 		gc.queue = gc.queue[:rest]
 		gc.inflight = true
-		gc.seq++
-		seq := gc.seq
 		gc.mu.Unlock()
 
-		gc.commitGroup(seq, gc.taken)
+		gc.commitGroup(gc.taken)
 
 		gc.mu.Lock()
 		gc.inflight = false
@@ -240,50 +253,81 @@ func (gc *GroupCommitter) run() {
 	}
 }
 
-// commitGroup makes one group durable and visible — in both parties and
-// in the owner's map — counts it, then acks
-// every waiter. Order matters: the WAL fsync precedes visibility, so an
-// acked update is always recoverable and an unacked one never partially
-// escapes a crash (the replay drops uncommitted tails); the count
-// precedes the acks, so Stats read by an acked submitter includes its
-// group. The submissions' ops are flattened into the leader's group
-// buffer, which the WAL, both parties and the hook only read.
-func (gc *GroupCommitter) commitGroup(seq uint64, subs []submission) {
-	ops := gc.group[:0]
+// commitGroup admits the drained submissions, makes the admitted ones
+// durable and visible as one group — in both parties and in the owner's
+// watermark — counts it, then acks every waiter. Order matters: the WAL
+// fsync precedes visibility, so an acked update is always recoverable and
+// an unacked one never partially escapes a crash (the replay drops
+// uncommitted tails); the count precedes the acks, so Stats read by an
+// acked submitter includes its group. The admitted ops are flattened into
+// the leader's group buffer, which the WAL, both parties and the hook
+// only read. A group whose every submission was refused takes no
+// sequence number, so the log and the replication feed stay gapless.
+func (gc *GroupCommitter) commitGroup(subs []submission) {
+	gc.admit(subs)
+	ops, taken := gc.group[:0], 0
 	for i := range subs {
-		ops = append(ops, subs[i].ops...)
+		taken += len(subs[i].ops)
+		if subs[i].refused == nil {
+			ops = append(ops, subs[i].ops...)
+		}
 	}
 	if cap(ops) <= groupRetain {
 		gc.group = ops
 	}
 	var err error
-	if gc.log != nil {
-		err = gc.log.AppendGroup(seq, ops)
-	}
-	if err == nil {
-		ctx := exec.GetContext()
-		gc.commitMu.Lock()
-		if err = ApplyGroup(ctx, gc.owner, gc.sp, gc.te, ops); err == nil {
-			gc.applied = seq
-			if gc.hook != nil {
-				gc.hook(seq, ops)
-			}
+	if len(ops) > 0 {
+		gc.seq++
+		if gc.log != nil {
+			err = gc.log.AppendGroup(gc.seq, ops)
 		}
-		gc.commitMu.Unlock()
-		exec.PutContext(ctx)
+		if err == nil {
+			ctx := exec.GetContext()
+			gc.commitMu.Lock()
+			if err = ApplyGroup(ctx, gc.owner, gc.sp, gc.te, ops); err == nil {
+				gc.applied = gc.seq
+				if gc.hook != nil {
+					gc.hook(gc.seq, ops)
+				}
+			}
+			gc.commitMu.Unlock()
+			exec.PutContext(ctx)
+		}
 	}
 	gc.mu.Lock()
-	gc.stats.Groups++
-	gc.stats.Ops += int64(len(ops))
-	gc.pending -= len(ops)
-	if gc.log != nil {
-		gc.stats.Syncs++
+	if len(ops) > 0 {
+		gc.stats.Groups++
+		if gc.log != nil {
+			gc.stats.Syncs++
+		}
 	}
+	gc.stats.Ops += int64(len(ops))
+	gc.pending -= taken
 	gc.mu.Unlock()
 	for i := range subs {
-		subs[i].errc <- err
+		subs[i].errc <- cmp.Or(subs[i].refused, err)
 	}
 	clear(subs) // the acked submitters own their ops again
+}
+
+// admit checks each drained submission, in order, against the SP's
+// catalog as changed by the submissions admitted before it, and marks a
+// refused one with its error. The overlay is the leader's, cleared for
+// each group; a refused submission may have left effects in it, so it is
+// rebuilt from the admitted ones.
+func (gc *GroupCommitter) admit(subs []submission) {
+	clear(gc.overlay)
+	for i := range subs {
+		if subs[i].refused = gc.sp.admit(gc.overlay, subs[i].ops); subs[i].refused == nil {
+			continue
+		}
+		clear(gc.overlay)
+		for j := range subs[:i] {
+			if subs[j].refused == nil {
+				gc.sp.admit(gc.overlay, subs[j].ops)
+			}
+		}
+	}
 }
 
 // SetCommitHook installs the commit observer. Install it before the

@@ -93,8 +93,8 @@ func TestGroupCommitParitySerialVsGrouped(t *testing.T) {
 		t.Fatalf("grouped delete: %v", err)
 	}
 
-	if sc, gcount := serial.Owner.Count(), grouped.Owner.Count(); sc != gcount {
-		t.Fatalf("owner counts diverged: serial %d, grouped %d", sc, gcount)
+	if sc, gcount := serial.SP.Count(), grouped.SP.Count(); sc != gcount {
+		t.Fatalf("record counts diverged: serial %d, grouped %d", sc, gcount)
 	}
 	st := gc.Stats()
 	if st.Ops != int64(len(insertKeys)+len(delIDs)) {
@@ -198,8 +198,8 @@ func TestGroupCommitterCoalescesConcurrentWriters(t *testing.T) {
 	if st.Groups > 1+(writers+DefaultMaxGroup-1)/DefaultMaxGroup {
 		t.Fatalf("backlog drained in %d groups, want close to %d", st.Groups, writers/DefaultMaxGroup)
 	}
-	if got := sys.Owner.Count(); got != 1000+writers {
-		t.Fatalf("owner count %d, want %d", got, 1000+writers)
+	if got := sys.SP.Count(); got != 1000+writers {
+		t.Fatalf("record count %d, want %d", got, 1000+writers)
 	}
 	out, err := sys.Query(record.Range{Lo: 0, Hi: record.KeyDomain})
 	if err != nil || out.VerifyErr != nil {
@@ -488,5 +488,30 @@ func TestViewReadersRaceListPageWrites(t *testing.T) {
 	}
 	if err := sys.TE.Validate(); err != nil {
 		t.Fatalf("TE validation after list churn: %v", err)
+	}
+}
+
+// TestAdmitDropsRefusedEffects: a submission refused after some of its
+// ops were checked must leave nothing in the overlay its group-mates are
+// admitted against. Here the refused one inserts id 5000 before its bad
+// delete, and a later submission inserting 5000 must still be admitted.
+func TestAdmitDropsRefusedEffects(t *testing.T) {
+	sys, err := NewSystem(durableDataset(t, 100))
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	gc := newCommitterFor(t, sys, 0, false)
+	subs := []submission{
+		{ops: []wal.Op{wal.InsertOp(record.Synthesize(4000, 5))}},
+		{ops: []wal.Op{wal.InsertOp(record.Synthesize(5000, 10)), wal.DeleteOp(987654321, 1)}},
+		{ops: []wal.Op{wal.InsertOp(record.Synthesize(5000, 20))}},
+		{ops: []wal.Op{wal.DeleteOp(4000, 5)}},
+		{ops: []wal.Op{wal.DeleteOp(4000, 5)}},
+	}
+	gc.admit(subs) // the leader is idle: its overlay is free to use here
+	for i, want := range []bool{false, true, false, false, true} {
+		if got := subs[i].refused != nil; got != want {
+			t.Errorf("submission %d: refused %v (%v), want refused %v", i, got, subs[i].refused, want)
+		}
 	}
 }

@@ -87,7 +87,7 @@ type ServiceProvider struct {
 	cache     bufpool.Cache // decoded B+-tree nodes (the heap is uncached)
 	heap      *heapfile.File
 	index     *bptree.Tree
-	byID      map[record.ID]heapfile.RID // catalog for update routing
+	catalog   heapfile.Catalog // which ids are live, where, under which key
 	tamper    Tamper
 	aggTamper AggTamper
 }
@@ -98,17 +98,15 @@ type ServiceProvider struct {
 // exact. The heap file serves records from their page bytes and is never
 // cached.
 func NewServiceProvider(store pagestore.Store) *ServiceProvider {
-	return &ServiceProvider{
-		store: pagestore.NewCounting(store),
-		byID:  make(map[record.ID]heapfile.RID),
-	}
+	return &ServiceProvider{store: pagestore.NewCounting(store)}
 }
 
 // CacheStats returns the decoded-node cache counters.
 func (sp *ServiceProvider) CacheStats() bufpool.Stats { return sp.cache.Stats() }
 
 // Load receives the owner's initial dataset (sorted by key) and builds the
-// clustered heap file plus the B+-tree.
+// clustered heap file, the B+-tree and the id catalog. A dataset carrying
+// one id twice is refused.
 func (sp *ServiceProvider) Load(records []record.Record) error {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
@@ -116,10 +114,13 @@ func (sp *ServiceProvider) Load(records []record.Record) error {
 	if err != nil {
 		return fmt.Errorf("core: SP loading heap: %w", err)
 	}
+	catalog, err := heapfile.NewCatalog(records, rids)
+	if err != nil {
+		return fmt.Errorf("core: SP loading catalog: %w", err)
+	}
 	entries := make([]bptree.Entry, len(records))
 	for i := range records {
 		entries[i] = bptree.Entry{Key: records[i].Key, RID: rids[i]}
-		sp.byID[records[i].ID] = rids[i]
 	}
 	index, err := bptree.Bulkload(sp.store, entries)
 	if err != nil {
@@ -128,7 +129,32 @@ func (sp *ServiceProvider) Load(records []record.Record) error {
 	index.UseCache(&sp.cache)
 	sp.heap = heap
 	sp.index = index
+	sp.catalog = catalog
 	return nil
+}
+
+// admit checks ops against the SP's catalog as changed by overlay, the
+// ops already admitted into the same group, and records their effects in
+// overlay (heapfile.Catalog.Admit).
+func (sp *ServiceProvider) admit(overlay heapfile.Overlay, ops []wal.Op) error {
+	sp.mu.RLock()
+	defer sp.mu.RUnlock()
+	return sp.catalog.Admit(overlay, ops)
+}
+
+// keyOf returns the key a live id is indexed under.
+func (sp *ServiceProvider) keyOf(id record.ID) (record.Key, bool) {
+	sp.mu.RLock()
+	defer sp.mu.RUnlock()
+	l, ok := sp.catalog.Get(id)
+	return l.Key, ok
+}
+
+// Count returns the SP's live record count.
+func (sp *ServiceProvider) Count() int {
+	sp.mu.RLock()
+	defer sp.mu.RUnlock()
+	return sp.catalog.Len()
 }
 
 // QueryCost splits a provider's query execution cost into its two phases:
@@ -214,7 +240,9 @@ func measured(ctx *exec.Context, f func() error) (costmodel.Breakdown, error) {
 // a single request context — and a single update is a group of one. Each
 // op costs the same O(log n) accesses whatever the group's size; grouping
 // changes when the lock is taken and how often ancillary work (digesting,
-// signing, fsync) is dispatched, never what the structures contain.
+// signing, fsync) is dispatched, never what the structures contain. Its
+// callers apply only groups the catalog admitted (see ApplyGroup); its
+// error returns are a safety net, not the check.
 func (sp *ServiceProvider) ApplyBatchCtx(ctx *exec.Context, ops []wal.Op) error {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
@@ -229,19 +257,19 @@ func (sp *ServiceProvider) ApplyBatchCtx(ctx *exec.Context, ops []wal.Op) error 
 			if err := sp.index.InsertCtx(ctx, bptree.Entry{Key: r.Key, RID: rid}, struct{}{}); err != nil {
 				return fmt.Errorf("core: SP indexing record: %w", err)
 			}
-			sp.byID[r.ID] = rid
+			sp.catalog.Put(r.ID, heapfile.Live{RID: rid, Key: r.Key})
 		case wal.OpDelete:
-			rid, ok := sp.byID[ops[i].ID]
+			l, ok := sp.catalog.Get(ops[i].ID)
 			if !ok {
 				return fmt.Errorf("core: SP has no record with id %d", ops[i].ID)
 			}
-			if err := sp.index.DeleteCtx(ctx, bptree.Entry{Key: ops[i].Key, RID: rid}); err != nil {
+			if err := sp.index.DeleteCtx(ctx, bptree.Entry{Key: ops[i].Key, RID: l.RID}); err != nil {
 				return fmt.Errorf("core: SP unindexing record: %w", err)
 			}
-			if err := sp.heap.DeleteCtx(ctx, rid); err != nil {
+			if err := sp.heap.DeleteCtx(ctx, l.RID); err != nil {
 				return fmt.Errorf("core: SP deleting record: %w", err)
 			}
-			delete(sp.byID, ops[i].ID)
+			sp.catalog.Remove(ops[i].ID)
 		default:
 			return fmt.Errorf("core: SP cannot apply op kind %d", ops[i].Kind)
 		}
@@ -497,33 +525,21 @@ func (vp VerifyPool) VerifyEncoded(q record.Range, enc []byte, vt digest.Digest)
 
 // DataOwner holds the authoritative relation and pushes it (and updates) to
 // the SP and TE. It maintains no authentication structures — the point of
-// SAE. Its map keeps each live id's key, which is all a delete needs; the
-// records themselves live at the parties.
+// SAE — and no catalog of its own: which ids are live, and under which
+// key, is the SP's to know. The owner keeps only its fresh-id watermark.
 type DataOwner struct {
 	mu     sync.Mutex
-	byID   map[record.ID]record.Key
 	nextID record.ID
 }
 
-// NewDataOwner wraps an initial dataset. An id that appears twice is an
-// error: the parties would hold both records while the owner counted one,
-// and deleting the id would leave the other served and verifying.
-func NewDataOwner(records []record.Record) (*DataOwner, error) {
-	do := &DataOwner{byID: make(map[record.ID]record.Key, len(records)), nextID: 1}
+// NewDataOwner wraps an initial dataset: the owner issues fresh ids past
+// the largest id in records.
+func NewDataOwner(records []record.Record) *DataOwner {
+	do := &DataOwner{nextID: 1}
 	for i := range records {
-		if _, dup := do.byID[records[i].ID]; dup {
-			return nil, fmt.Errorf("core: record id %d appears more than once in the dataset", records[i].ID)
-		}
-		do.register(records[i].ID, records[i].Key)
+		do.nextID = max(do.nextID, records[i].ID+1)
 	}
-	return do, nil
-}
-
-// register records id under key in the owner's map and advances the
-// fresh-id watermark past it. The caller holds mu (or owns do outright).
-func (do *DataOwner) register(id record.ID, key record.Key) {
-	do.byID[id] = key
-	do.nextID = max(do.nextID, id+1)
+	return do
 }
 
 // watermark returns the next fresh id the owner would issue. Every id
@@ -534,18 +550,9 @@ func (do *DataOwner) watermark() record.ID {
 	return do.nextID
 }
 
-// Outsource transmits the full dataset to both parties.
-func (do *DataOwner) Outsource(sp *ServiceProvider, te *TrustedEntity, sorted []record.Record) error {
-	if err := sp.Load(sorted); err != nil {
-		return err
-	}
-	return te.Load(sorted)
-}
-
-// commitInserts synthesizes one fresh-id record per key, registers them
-// in the owner's map (which allocates the ids) and hands their insert ops
-// to commit as one group. If the commit fails the records are forgotten
-// again.
+// commitInserts synthesizes one fresh-id record per key and hands their
+// insert ops to commit as one group. The ids are issued whether or not
+// the commit succeeds, so none is ever issued twice.
 func (do *DataOwner) commitInserts(keys []record.Key, commit func([]wal.Op) error) ([]record.Record, error) {
 	if len(keys) == 0 {
 		return nil, nil
@@ -555,66 +562,44 @@ func (do *DataOwner) commitInserts(keys []record.Key, commit func([]wal.Op) erro
 	do.mu.Lock()
 	for i, k := range keys {
 		recs[i] = record.Synthesize(do.nextID, k)
-		do.register(recs[i].ID, k)
+		do.nextID++
 		ops[i] = wal.InsertOp(recs[i])
 	}
 	do.mu.Unlock()
 	if err := commit(ops); err != nil {
-		do.mu.Lock()
-		for i := range recs {
-			delete(do.byID, recs[i].ID)
-		}
-		do.mu.Unlock()
 		return nil, err
 	}
 	return recs, nil
 }
 
-// commitDeletes drops the given ids from the owner's map and hands their
-// delete ops (under the keys the records were indexed by) to commit as
-// one group. Unknown ids fail the whole call before any removal, so the
-// owner map and the parties never diverge.
-func (do *DataOwner) commitDeletes(ids []record.ID, commit func([]wal.Op) error) error {
+// commitDeletes hands the delete ops of ids, each under the key keyOf
+// reports its record indexed by, to commit as one group. An id keyOf does
+// not know fails the whole call before commit; what commit admits is
+// checked again there.
+func commitDeletes(ids []record.ID, keyOf func(record.ID) (record.Key, bool), commit func([]wal.Op) error) error {
 	if len(ids) == 0 {
 		return nil
 	}
 	ops := make([]wal.Op, len(ids))
-	do.mu.Lock()
 	for i, id := range ids {
-		key, ok := do.byID[id]
+		key, ok := keyOf(id)
 		if !ok {
-			do.mu.Unlock()
-			return fmt.Errorf("core: owner has no record with id %d", id)
+			return fmt.Errorf("core: no record with id %d", id)
 		}
 		ops[i] = wal.DeleteOp(id, key)
 	}
-	for _, id := range ids {
-		delete(do.byID, id)
-	}
-	do.mu.Unlock()
 	return commit(ops)
 }
 
-// fold brings the owner's map up to an applied commit group: inserted
-// records are registered, deleted ids forgotten. It is idempotent, so a
-// group whose ops commitInserts or commitDeletes already registered or
-// dropped folds to the same map as one built by a remote owner.
+// fold brings the owner's watermark past the ids an applied commit group
+// inserted, so a group a remote owner built cannot have its ids issued
+// again.
 func (do *DataOwner) fold(ops []wal.Op) {
 	do.mu.Lock()
 	defer do.mu.Unlock()
 	for i := range ops {
-		switch ops[i].Kind {
-		case wal.OpInsert:
-			do.register(ops[i].Rec.ID, ops[i].Rec.Key)
-		case wal.OpDelete:
-			delete(do.byID, ops[i].ID)
+		if ops[i].Kind == wal.OpInsert {
+			do.nextID = max(do.nextID, ops[i].Rec.ID+1)
 		}
 	}
-}
-
-// Count returns the owner's live record count.
-func (do *DataOwner) Count() int {
-	do.mu.Lock()
-	defer do.mu.Unlock()
-	return len(do.byID)
 }

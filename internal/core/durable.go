@@ -177,13 +177,10 @@ func OpenDurableSystem(dir string, initial []record.Record, maxGroup int) (*Dura
 		TE:       sys.TE,
 		replayed: replayed,
 	}
+	// Nothing can submit before ds is returned, so the leader and every
+	// read view see these two stamps set.
 	ds.committer = NewGroupCommitter(sys.Owner, sys.SP, sys.TE, log, maxGroup)
-	ds.committer.mu.Lock()
-	ds.committer.seq = maxSeq
-	ds.committer.mu.Unlock()
-	ds.committer.commitMu.Lock()
-	ds.committer.applied = maxSeq
-	ds.committer.commitMu.Unlock()
+	ds.committer.seq, ds.committer.applied = maxSeq, maxSeq
 	return ds, nil
 }
 
@@ -275,25 +272,14 @@ func (ds *DurableSystem) DeleteBatch(ids []record.ID) error {
 	return ds.committer.DeleteBatch(ids)
 }
 
-// Query runs a verified range query against the live state.
+// Query runs a verified range query against the live state: System.Query
+// over the system's own parties.
 func (ds *DurableSystem) Query(q record.Range) (QueryOutcome, error) {
-	var out QueryOutcome
-	recs, qc, err := ds.SP.Query(q)
+	out, err := (&System{SP: ds.SP, TE: ds.TE}).Query(q)
 	if err != nil {
-		return out, err
+		return QueryOutcome{}, err
 	}
-	vt, teCost, err := ds.TE.GenerateVT(q)
-	if err != nil {
-		return out, err
-	}
-	verifyCost, verifyErr := ds.Client.Verify(q, recs, vt)
-	out.Result = recs
-	out.VT = vt
-	out.SPCost = qc
-	out.TECost = teCost
-	out.ClientCost = verifyCost
-	out.VerifyErr = verifyErr
-	return out, nil
+	return *out, nil
 }
 
 // Seq returns the system's generation stamp: the sequence of the last
@@ -343,9 +329,8 @@ func (ds *DurableSystem) SnapshotRecords() (Snapshot, error) {
 // no group is queued or in flight until the log has reset, so no group
 // can be logged and acked between the dump and the reset: submitters wait
 // for the checkpoint instead. The dump is SnapshotRecords — what the SP
-// serves at the applied sequence, not the owner's map, which registers
-// inserts before they commit. The checkpoint is published (rename + dir
-// sync) before the log resets, so a crash in between loses nothing.
+// serves at the applied sequence. The checkpoint is published (rename +
+// dir sync) before the log resets, so a crash in between loses nothing.
 func (ds *DurableSystem) Checkpoint() error {
 	gc := ds.committer
 	gc.mu.Lock()

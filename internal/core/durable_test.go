@@ -51,7 +51,7 @@ func TestDurableSystemRecoversAckedState(t *testing.T) {
 	if err != nil || before.VerifyErr != nil {
 		t.Fatalf("pre-close query: %v / %v", err, before.VerifyErr)
 	}
-	wantCount := sys.Owner.Count()
+	wantCount := sys.SP.Count()
 	if err := sys.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -64,8 +64,8 @@ func TestDurableSystemRecoversAckedState(t *testing.T) {
 	if re.ReplayedGroups() == 0 {
 		t.Fatalf("reopen replayed no WAL groups; durability untested")
 	}
-	if got := re.Owner.Count(); got != wantCount {
-		t.Fatalf("recovered owner count %d, want %d", got, wantCount)
+	if got := re.SP.Count(); got != wantCount {
+		t.Fatalf("recovered record count %d, want %d", got, wantCount)
 	}
 	after, err := re.Query(full)
 	if err != nil || after.VerifyErr != nil {
@@ -114,7 +114,7 @@ func TestDurableCheckpointResetsWAL(t *testing.T) {
 	if fi.Size() != 0 {
 		t.Fatalf("WAL holds %d bytes after checkpoint, want 0", fi.Size())
 	}
-	wantCount := sys.Owner.Count()
+	wantCount := sys.SP.Count()
 	sys.Close()
 
 	re, err := OpenDurableSystem(dir, nil, 0)
@@ -125,7 +125,7 @@ func TestDurableCheckpointResetsWAL(t *testing.T) {
 	if re.ReplayedGroups() != 0 {
 		t.Fatalf("replayed %d groups after checkpoint, want 0", re.ReplayedGroups())
 	}
-	if got := re.Owner.Count(); got != wantCount {
+	if got := re.SP.Count(); got != wantCount {
 		t.Fatalf("post-checkpoint count %d, want %d", got, wantCount)
 	}
 	out, err := re.Query(record.Range{Lo: 0, Hi: record.KeyDomain})
@@ -164,7 +164,7 @@ func TestCheckpointKeepsSubmittedGroup(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer re.Close()
-	if got := re.Owner.Count(); got != 502 {
+	if got := re.SP.Count(); got != 502 {
 		t.Fatalf("owner has %d records, want 502", got)
 	}
 	out, err := re.Query(record.Range{Lo: 0, Hi: record.KeyDomain})
@@ -348,8 +348,8 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 
 // TestRebuildRejectsRepeatedID rebuilds from a record set that carries one
 // id twice, directly and through a checkpoint file. Accepting it would
-// leave the owner counting one record where the parties hold two, and
-// after a delete of that id the other copy would still be served and
+// leave the SP's catalog holding one record where its heap holds two,
+// and after a delete of that id the other copy would still be served and
 // still verify.
 func TestRebuildRejectsRepeatedID(t *testing.T) {
 	recs := []record.Record{record.Synthesize(1, 10), record.Synthesize(2, 20), record.Synthesize(2, 30)}

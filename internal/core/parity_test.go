@@ -21,11 +21,11 @@ type perQueryCost struct {
 
 func costOf(spc QueryCost, tec costmodel.Breakdown, n int) perQueryCost {
 	return perQueryCost{
-		spIndexAcc: spc.Index.Accesses,
+		spIndexAcc: int64(spc.Index.Accesses),
 		spIndexIO:  int64(spc.Index.IO),
-		spFetchAcc: spc.Fetch.Accesses,
+		spFetchAcc: int64(spc.Fetch.Accesses),
 		spFetchIO:  int64(spc.Fetch.IO),
-		teAcc:      tec.Accesses,
+		teAcc:      int64(tec.Accesses),
 		teIO:       int64(tec.IO),
 		resultLen:  n,
 	}
@@ -143,16 +143,16 @@ func TestConcurrentCostParityUnderUpdates(t *testing.T) {
 				// Appended updates can add up to one partially-filled page
 				// per leaf boundary; allow fetch slack of the tail pages
 				// the updater appends (they are not clustered).
-				if spc.Fetch.Accesses < wantFetch || spc.Fetch.Accesses > wantFetch+n {
-					errCh <- errImplausible{"fetch", spc.Fetch.Accesses, wantFetch}
+				if fetch := int64(spc.Fetch.Accesses); fetch < wantFetch || fetch > wantFetch+n {
+					errCh <- errImplausible{"fetch", fetch, wantFetch}
 					return
 				}
 				// Index phase: root-to-leaf walk plus the leaf chain the
 				// result spans (408 entries per leaf), with slack for
 				// splits racing the walk.
 				maxLeaves := n/64 + 4
-				if spc.Index.Accesses < height || spc.Index.Accesses > height+maxLeaves {
-					errCh <- errImplausible{"index", spc.Index.Accesses, height}
+				if idx := int64(spc.Index.Accesses); idx < height || idx > height+maxLeaves {
+					errCh <- errImplausible{"index", idx, height}
 					return
 				}
 			}

@@ -7,6 +7,7 @@ import (
 	"sae/internal/costmodel"
 	"sae/internal/digest"
 	"sae/internal/exec"
+	"sae/internal/heapfile"
 	"sae/internal/pagestore"
 	"sae/internal/record"
 	"sae/internal/shard"
@@ -38,12 +39,13 @@ func NewShardedSystem(sorted []record.Record, shards int) (*ShardedSystem, error
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	owner, err := NewDataOwner(sorted)
-	if err != nil {
+	// Each shard's catalog sees only its own part, so an id repeated
+	// across shards is caught over the whole dataset here.
+	if _, err := heapfile.NewCatalog(sorted, make([]heapfile.RID, len(sorted))); err != nil {
 		return nil, err
 	}
 	s := &ShardedSystem{
-		Owner: owner,
+		Owner: NewDataOwner(sorted),
 		Plan:  plan,
 		SPs:   make([]*ServiceProvider, plan.Shards()),
 		TEs:   make([]*TrustedEntity, plan.Shards()),
@@ -224,16 +226,32 @@ func (s *ShardedSystem) InsertBatch(keys []record.Key) ([]record.Record, error) 
 // concurrently across shards. Unknown ids fail the whole batch before
 // anything is applied.
 func (s *ShardedSystem) DeleteBatch(ids []record.ID) error {
-	return s.Owner.commitDeletes(ids, s.applyShardGroups)
+	return commitDeletes(ids, s.keyOf, s.applyShardGroups)
 }
 
-// applyShardGroups splits a group by owning shard and applies each
-// shard's ops through ApplyGroup, shards in parallel.
+// keyOf asks each shard's SP for the key a live id is indexed under.
+func (s *ShardedSystem) keyOf(id record.ID) (record.Key, bool) {
+	for _, sp := range s.SPs {
+		if key, ok := sp.keyOf(id); ok {
+			return key, true
+		}
+	}
+	return 0, false
+}
+
+// applyShardGroups splits a group by owning shard, admits every shard's
+// ops against that shard's catalog and only then applies each through
+// ApplyGroup, shards in parallel: a refused batch touches no shard.
 func (s *ShardedSystem) applyShardGroups(all []wal.Op) error {
 	groups := make(map[int][]wal.Op)
 	for i := range all {
 		sh := s.Plan.ShardFor(all[i].SearchKey())
 		groups[sh] = append(groups[sh], all[i])
+	}
+	for sh, ops := range groups {
+		if err := s.SPs[sh].admit(make(heapfile.Overlay, len(ops)), ops); err != nil {
+			return fmt.Errorf("core: shard %d batch: %w", sh, err)
+		}
 	}
 	var (
 		wg       sync.WaitGroup

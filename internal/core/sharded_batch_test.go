@@ -119,12 +119,18 @@ func TestShardedBatchTouchesOnlyOwningShards(t *testing.T) {
 	}
 
 	// A batch with any unknown id must fail atomically: nothing dropped.
-	count := sharded.Owner.Count()
+	count := func() (n int) {
+		for _, sp := range sharded.SPs {
+			n += sp.Count()
+		}
+		return n
+	}
+	live := count()
 	if err := sharded.DeleteBatch([]record.ID{recs[0].ID, 987654321}); err == nil {
 		t.Fatal("DeleteBatch accepted an unknown id")
 	}
-	if got := sharded.Owner.Count(); got != count {
-		t.Fatalf("failed DeleteBatch changed owner count: %d -> %d", count, got)
+	if got := count(); got != live {
+		t.Fatalf("failed DeleteBatch changed the record count: %d -> %d", live, got)
 	}
 	out, err := sharded.Query(record.Range{Lo: 0, Hi: record.KeyDomain})
 	if err != nil || out.VerifyErr != nil {

@@ -121,7 +121,7 @@ func TestShardedCostRollup(t *testing.T) {
 		t.Fatalf("query %v touched %d shards, want 4", q, len(out.PerShard))
 	}
 	next := q.Lo
-	var sumAccesses int64
+	var sumAccesses float64
 	var maxTotal int64
 	for _, pc := range out.PerShard {
 		if pc.Sub.Lo != next {
@@ -147,7 +147,7 @@ func TestShardedCostRollup(t *testing.T) {
 		t.Fatalf("sub-ranges end at %d, want %d", next-1, q.Hi)
 	}
 	if got := out.QueryCost().Total().Accesses; got != sumAccesses {
-		t.Fatalf("QueryCost sums %d accesses, per-shard sum is %d", got, sumAccesses)
+		t.Fatalf("QueryCost sums %g accesses, per-shard sum is %g", got, sumAccesses)
 	}
 	rt := out.ResponseTime().Total().Nanoseconds()
 	if rt < maxTotal {

@@ -7,6 +7,7 @@ import (
 	"sae/internal/costmodel"
 	"sae/internal/digest"
 	"sae/internal/exec"
+	"sae/internal/heapfile"
 	"sae/internal/pagestore"
 	"sae/internal/record"
 	"sae/internal/wal"
@@ -21,25 +22,12 @@ type System struct {
 	Client Client
 }
 
-// NewSystem outsources a dataset (must be sorted by key, as produced by
-// workload.Generate) and returns the assembled system. Each party keeps
-// its own decoded-node cache, which holds its whole index and charges
-// every hit, so node-access counts match an uncached run exactly.
-func NewSystem(sorted []record.Record) (*System, error) {
-	owner, err := NewDataOwner(sorted)
-	if err != nil {
-		return nil, err
-	}
-	s := &System{
-		Owner: owner,
-		SP:    NewServiceProvider(pagestore.NewMem()),
-		TE:    NewTrustedEntity(pagestore.NewMem()),
-	}
-	if err := s.Owner.Outsource(s.SP, s.TE, sorted); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
+// NewSystem outsources a dataset (sorted by key, as produced by
+// workload.Generate) and returns the assembled system: a Rebuild with no
+// watermark of its own. Each party keeps its own decoded-node cache,
+// which holds its whole index and charges every hit, so node-access
+// counts match an uncached run exactly.
+func NewSystem(sorted []record.Record) (*System, error) { return Rebuild(sorted, 0) }
 
 // QueryOutcome captures one verified query round-trip and its per-party
 // costs.
@@ -145,10 +133,15 @@ func (s *System) Insert(key record.Key) (record.Record, error) {
 // Delete routes an owner-side deletion through to both parties: a group
 // of one.
 func (s *System) Delete(id record.ID) error {
-	return s.Owner.commitDeletes([]record.ID{id}, s.apply)
+	return commitDeletes([]record.ID{id}, s.SP.keyOf, s.apply)
 }
 
+// apply admits ops against the SP's catalog, then applies them as one
+// group.
 func (s *System) apply(ops []wal.Op) error {
+	if err := s.SP.admit(make(heapfile.Overlay, len(ops)), ops); err != nil {
+		return err
+	}
 	return ApplyGroup(exec.NewContext(), s.Owner, s.SP, s.TE, ops)
 }
 
@@ -160,22 +153,21 @@ func (s *System) apply(ops []wal.Op) error {
 // ids from nextID or past the largest id in recs, whichever is higher.
 // Each party keeps its own decoded-node cache, as under NewSystem.
 func Rebuild(recs []record.Record, nextID record.ID) (*System, error) {
-	owner, err := NewDataOwner(recs)
-	if err != nil {
-		return nil, err
+	s := &System{
+		Owner: NewDataOwner(recs),
+		SP:    NewServiceProvider(pagestore.NewMem()),
+		TE:    NewTrustedEntity(pagestore.NewMem()),
 	}
-	owner.nextID = max(owner.nextID, nextID)
+	s.Owner.nextID = max(s.Owner.nextID, nextID)
 	sorted := recs
 	if !inKeyIDOrder(recs) {
 		sorted = slices.Clone(recs)
 		slices.SortFunc(sorted, record.SortByKey)
 	}
-	s := &System{
-		Owner: owner,
-		SP:    NewServiceProvider(pagestore.NewMem()),
-		TE:    NewTrustedEntity(pagestore.NewMem()),
+	if err := s.SP.Load(sorted); err != nil {
+		return nil, err
 	}
-	if err := s.Owner.Outsource(s.SP, s.TE, sorted); err != nil {
+	if err := s.TE.Load(sorted); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -29,7 +29,7 @@ func (m Model) IOCost(accesses int64) time.Duration {
 
 // Breakdown is the cost of one measured operation.
 type Breakdown struct {
-	Accesses int64         // node accesses charged
+	Accesses float64       // node accesses charged (an exact mean after Div)
 	IO       time.Duration // Accesses × PerAccess
 	CPU      time.Duration // measured wall time of the computation itself
 }
@@ -37,7 +37,7 @@ type Breakdown struct {
 // Measure prices a stats delta plus measured CPU time.
 func (m Model) Measure(delta pagestore.Stats, cpu time.Duration) Breakdown {
 	return Breakdown{
-		Accesses: delta.Accesses(),
+		Accesses: float64(delta.Accesses()),
 		IO:       m.IOCost(delta.Accesses()),
 		CPU:      cpu,
 	}
@@ -55,13 +55,14 @@ func (b Breakdown) Add(o Breakdown) Breakdown {
 	}
 }
 
-// Div averages the breakdown over n operations.
+// Div averages the breakdown over n operations. Accesses keeps the exact
+// mean (2.2, not 2); IO and CPU are rounded down to the nanosecond.
 func (b Breakdown) Div(n int) Breakdown {
 	if n == 0 {
 		return Breakdown{}
 	}
 	return Breakdown{
-		Accesses: b.Accesses / int64(n),
+		Accesses: b.Accesses / float64(n),
 		IO:       b.IO / time.Duration(n),
 		CPU:      b.CPU / time.Duration(n),
 	}
@@ -74,6 +75,6 @@ func Millis(d time.Duration) float64 {
 
 // String summarizes the breakdown.
 func (b Breakdown) String() string {
-	return fmt.Sprintf("%.1fms (io %.1fms over %d accesses, cpu %.2fms)",
+	return fmt.Sprintf("%.1fms (io %.1fms over %g accesses, cpu %.2fms)",
 		Millis(b.Total()), Millis(b.IO), b.Accesses, Millis(b.CPU))
 }

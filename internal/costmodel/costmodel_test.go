@@ -20,7 +20,7 @@ func TestMeasure(t *testing.T) {
 	delta := pagestore.Stats{Reads: 3, Writes: 2}
 	b := Default.Measure(delta, 5*time.Millisecond)
 	if b.Accesses != 5 {
-		t.Fatalf("Accesses = %d, want 5", b.Accesses)
+		t.Fatalf("Accesses = %g, want 5", b.Accesses)
 	}
 	if b.IO != 50*time.Millisecond {
 		t.Fatalf("IO = %v, want 50ms", b.IO)
@@ -34,11 +34,16 @@ func TestAddDiv(t *testing.T) {
 	a := Breakdown{Accesses: 10, IO: 100 * time.Millisecond, CPU: 10 * time.Millisecond}
 	sum := a.Add(a).Add(a).Add(a)
 	if sum.Accesses != 40 {
-		t.Fatalf("sum accesses = %d", sum.Accesses)
+		t.Fatalf("sum accesses = %g", sum.Accesses)
 	}
 	avg := sum.Div(4)
 	if avg != a {
 		t.Fatalf("avg = %+v, want %+v", avg, a)
+	}
+	// The mean keeps its fraction: 44 accesses over 20 queries are 2.2
+	// per query, not 2.
+	if got := (Breakdown{Accesses: 44, IO: 440 * time.Millisecond}).Div(20); got.Accesses != 2.2 || got.IO != 22*time.Millisecond {
+		t.Fatalf("Div(20) of 44 accesses = %+v, want 2.2 accesses, 22ms", got)
 	}
 	if (Breakdown{}).Div(0) != (Breakdown{}) {
 		t.Fatal("Div(0) must return zero breakdown")

@@ -20,11 +20,10 @@ type paperColumns struct {
 	updSAESP, updSAETE, updTOMSP                          float64
 }
 
-// charge is a phase's node accesses per query. Accesses is the average
-// truncated to an integer; io, the average simulated I/O time at 10 ms per
-// access, keeps the exact total.
+// charge is a phase's node accesses per query: accesses is the exact
+// mean, and io the mean simulated I/O time at 10 ms per access.
 type charge struct {
-	accesses int64
+	accesses float64
 	io       time.Duration
 }
 
@@ -53,13 +52,13 @@ func TestPaperFigureColumns(t *testing.T) {
 	const us = time.Microsecond
 	want := []paperColumns{
 		{dist: workload.UNF, avgResultSize: 100.14, avgVOBytes: 8182.64,
-			saeSPIndex: charge{2, 22_000 * us}, saeSPFetch: charge{13, 133_600 * us}, saeTE: charge{4, 46_400 * us},
-			tomSPIndex: charge{5, 58_200 * us}, tomSPFetch: charge{13, 133_600 * us},
+			saeSPIndex: charge{2.2, 22_000 * us}, saeSPFetch: charge{13.36, 133_600 * us}, saeTE: charge{4.64, 46_400 * us},
+			tomSPIndex: charge{5.82, 58_200 * us}, tomSPFetch: charge{13.36, 133_600 * us},
 			saeSPBytes: 10448896, tomSPBytes: 10862592, teBytes: 1343488,
 			updSAESP: 6.005, updSAETE: 8.29, updTOMSP: 8.02},
 		{dist: workload.SKW, avgResultSize: 182.7, avgVOBytes: 7240.86,
-			saeSPIndex: charge{2, 24_400 * us}, saeSPFetch: charge{23, 236_800 * us}, saeTE: charge{3, 36_800 * us},
-			tomSPIndex: charge{6, 62_800 * us}, tomSPFetch: charge{23, 236_800 * us},
+			saeSPIndex: charge{2.44, 24_400 * us}, saeSPFetch: charge{23.68, 236_800 * us}, saeTE: charge{3.68, 36_800 * us},
+			tomSPIndex: charge{6.28, 62_800 * us}, tomSPFetch: charge{23.68, 236_800 * us},
 			saeSPBytes: 10448896, tomSPBytes: 10862592, teBytes: 1323008,
 			updSAESP: 6.115, updSAETE: 8.66, updTOMSP: 8.285},
 	}

@@ -99,7 +99,7 @@ func (r *Replica) Seq() uint64 {
 func (r *Replica) Count() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.sys.Owner.Count()
+	return r.sys.SP.Count()
 }
 
 // SP exposes the replica's service provider for plain (non-stamped) read

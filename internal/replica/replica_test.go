@@ -122,7 +122,7 @@ func assertParity(t *testing.T, sys *core.DurableSystem, r *Replica) {
 			t.Fatalf("aggregate token mismatch over %v", q)
 		}
 	}
-	if got, want := r.Count(), sys.Owner.Count(); got != want {
+	if got, want := r.Count(), sys.SP.Count(); got != want {
 		t.Fatalf("record count: replica %d, primary %d", got, want)
 	}
 }

@@ -226,7 +226,7 @@ func TestSplitUnderRouterChurn(t *testing.T) {
 	if vc.Epoch() != next.Epoch() {
 		t.Fatalf("post-cutover answer stamped epoch %d, want %d", vc.Epoch(), next.Epoch())
 	}
-	want := c.syss[0].Owner.Count() + countOwned(t, res, next)
+	want := c.syss[0].SP.Count() + countOwned(t, res, next)
 	if len(recs) != want {
 		t.Fatalf("spanning query returned %d records, primaries own %d", len(recs), want)
 	}

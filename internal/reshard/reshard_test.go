@@ -183,7 +183,7 @@ func TestLiveSplit(t *testing.T) {
 		acked, res.GroupsStreamed, res.RecordsMigrated, res.CutoverPause)
 
 	// Byte-completeness: the targets hold exactly what the source owned.
-	want := c.syss[1].Owner.Count()
+	want := c.syss[1].SP.Count()
 	got := countIn(t, res.TargetAddrs[0], next.Span(1)) + countIn(t, res.TargetAddrs[1], next.Span(2))
 	if got != want {
 		t.Fatalf("targets hold %d records, source owned %d", got, want)
@@ -252,7 +252,7 @@ func TestLiveMerge(t *testing.T) {
 	}
 	defer co.Close()
 
-	want := c.syss[0].Owner.Count() + c.syss[1].Owner.Count()
+	want := c.syss[0].SP.Count() + c.syss[1].SP.Count()
 	if got := countIn(t, res.TargetAddrs[0], next.Span(0)); got != want {
 		t.Fatalf("merged target holds %d records, sources owned %d", got, want)
 	}

@@ -123,12 +123,12 @@ func TestRoutedQueryParity(t *testing.T) {
 		}
 		// The oracle's roll-up is the sum over the overlapping shards —
 		// the aggregate work the routed deployment spent on this query.
-		var shardAccesses int64
+		var shardAccesses float64
 		for _, pc := range oracle.PerShard {
 			shardAccesses += pc.SPCost.Total().Accesses
 		}
 		if got := oracle.QueryCost().Total().Accesses; got != shardAccesses {
-			t.Fatalf("%v: cost roll-up %d != sum of shards %d", q, got, shardAccesses)
+			t.Fatalf("%v: cost roll-up %g != sum of shards %g", q, got, shardAccesses)
 		}
 
 		gotRouted, err := routed.Query(q)

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"sae/internal/core"
+	"sae/internal/digest"
 	"sae/internal/exec"
 	"sae/internal/record"
 	"sae/internal/wal"
@@ -98,18 +100,66 @@ func wholeDomain(t *testing.T, sys *System) []record.Record {
 	return out.Result
 }
 
+// twins is one dataset under TOM and under SAE. Every batch goes to
+// TOM's provider and to SAE's group committer, which admit through the
+// same catalog rule and so must accept or refuse it alike.
+type twins struct {
+	tom *System
+	sae *core.DurableSystem
+}
+
+func newTwins(t *testing.T, n int) (*twins, *workload.Dataset) {
+	t.Helper()
+	sys, ds := newTestSystem(t, n, workload.UNF)
+	sae, err := core.OpenDurableSystem(t.TempDir(), ds.Records, 0)
+	if err != nil {
+		t.Fatalf("OpenDurableSystem: %v", err)
+	}
+	t.Cleanup(func() { sae.Close() })
+	return &twins{tom: sys, sae: sae}, ds
+}
+
+// apply feeds ops to both providers and returns TOM's error. It fails the
+// test if SAE decides otherwise, or if a refused batch moved either
+// provider's whole-domain token: SAE's VT, TOM's root digest.
+func (tw *twins) apply(t *testing.T, name string, ops []wal.Op) error {
+	t.Helper()
+	vt, root := tw.saeToken(t), tw.tom.Provider.tree.RootDigest()
+	tomErr := tw.tom.Provider.ApplyBatchCtx(exec.NewContext(), ops, tw.tom.Owner)
+	saeErr := tw.sae.Committer().SubmitOps(ops)
+	if (tomErr == nil) != (saeErr == nil) {
+		t.Fatalf("%s: TOM returned %v, SAE %v", name, tomErr, saeErr)
+	}
+	if tomErr != nil && (tw.saeToken(t) != vt || tw.tom.Provider.tree.RootDigest() != root) {
+		t.Fatalf("%s: the refused batch moved a whole-domain token", name)
+	}
+	return tomErr
+}
+
+// saeToken returns SAE's verified whole-domain token.
+func (tw *twins) saeToken(t *testing.T) digest.Digest {
+	t.Helper()
+	out, err := tw.sae.Query(record.Range{Lo: 0, Hi: record.KeyDomain})
+	if err != nil || out.VerifyErr != nil {
+		t.Fatalf("SAE whole-domain query: %v / %v", err, out.VerifyErr)
+	}
+	return out.VT
+}
+
 // TestApplyBatchFailureLeavesProviderServing: a batch refused for one bad
 // op applies none of its ops, so the tree still matches the owner's last
-// root signature and every later query verifies.
+// root signature and every later query verifies. SAE refuses the same
+// batches.
 func TestApplyBatchFailureLeavesProviderServing(t *testing.T) {
-	sys, ds := newTestSystem(t, 200, workload.UNF)
+	tw, ds := newTwins(t, 200)
+	sys := tw.tom
 	fresh := record.Synthesize(5000, 123_456)
 	bad := [][]wal.Op{
 		{wal.InsertOp(fresh), wal.DeleteOp(987654321, 1)},                          // unknown id
 		{wal.InsertOp(fresh), wal.DeleteOp(ds.Records[3].ID, ds.Records[3].Key+1)}, // wrong key
 	}
 	for i, ops := range bad {
-		if err := sys.Provider.ApplyBatchCtx(exec.NewContext(), ops, sys.Owner); err == nil {
+		if err := tw.apply(t, fmt.Sprintf("batch %d", i), ops); err == nil {
 			t.Fatalf("batch %d: a batch with a bad delete succeeded", i)
 		}
 		if got := wholeDomain(t, sys); len(got) != len(ds.Records) {
@@ -117,7 +167,7 @@ func TestApplyBatchFailureLeavesProviderServing(t *testing.T) {
 		}
 	}
 	// The provider still takes good batches.
-	if err := sys.Provider.ApplyBatchCtx(exec.NewContext(), []wal.Op{wal.InsertOp(fresh)}, sys.Owner); err != nil {
+	if err := tw.apply(t, "good batch", []wal.Op{wal.InsertOp(fresh)}); err != nil {
 		t.Fatalf("good batch after the refused ones: %v", err)
 	}
 	if got := wholeDomain(t, sys); len(got) != len(ds.Records)+1 {
@@ -128,9 +178,10 @@ func TestApplyBatchFailureLeavesProviderServing(t *testing.T) {
 // TestApplyBatchRejectsRepeatedID: a batch may insert only ids that are
 // not live and delete only ids that are, at that point in the batch. An
 // id inserted twice would leave one copy served and verifying after its
-// delete.
+// delete. SAE decides every batch alike.
 func TestApplyBatchRejectsRepeatedID(t *testing.T) {
-	sys, ds := newTestSystem(t, 200, workload.UNF)
+	tw, ds := newTwins(t, 200)
+	sys := tw.tom
 	live := ds.Records[7]
 	for name, ops := range map[string][]wal.Op{
 		"insert twice":       {wal.InsertOp(record.Synthesize(5000, 10)), wal.InsertOp(record.Synthesize(5000, 20))},
@@ -138,7 +189,7 @@ func TestApplyBatchRejectsRepeatedID(t *testing.T) {
 		"delete twice":       {wal.DeleteOp(live.ID, live.Key), wal.DeleteOp(live.ID, live.Key)},
 		"delete before born": {wal.DeleteOp(5001, 40), wal.InsertOp(record.Synthesize(5001, 40))},
 	} {
-		if err := sys.Provider.ApplyBatchCtx(exec.NewContext(), ops, sys.Owner); err == nil {
+		if err := tw.apply(t, name, ops); err == nil {
 			t.Fatalf("%s: batch accepted", name)
 		}
 		if got := wholeDomain(t, sys); len(got) != len(ds.Records) {
@@ -151,13 +202,17 @@ func TestApplyBatchRejectsRepeatedID(t *testing.T) {
 		wal.InsertOp(record.Synthesize(5000, 10)), wal.DeleteOp(5000, 10),
 		wal.DeleteOp(live.ID, live.Key), wal.InsertOp(record.Synthesize(live.ID, 50)),
 	}
-	if err := sys.Provider.ApplyBatchCtx(exec.NewContext(), ops, sys.Owner); err != nil {
+	if err := tw.apply(t, "ids live at their point", ops); err != nil {
 		t.Fatalf("batch with ids live at their point: %v", err)
 	}
-	if err := sys.Delete(live.ID, 50); err != nil {
+	if err := tw.apply(t, "delete the re-inserted id", []wal.Op{wal.DeleteOp(live.ID, 50)}); err != nil {
 		t.Fatalf("deleting the re-inserted id: %v", err)
 	}
-	for _, r := range wholeDomain(t, sys) {
+	sae, err := tw.sae.Query(record.Range{Lo: 0, Hi: record.KeyDomain})
+	if err != nil || sae.VerifyErr != nil {
+		t.Fatalf("SAE whole-domain query: %v / %v", err, sae.VerifyErr)
+	}
+	for _, r := range append(wholeDomain(t, sys), sae.Result...) {
 		if r.ID == 5000 || r.ID == live.ID {
 			t.Fatalf("id %d still served after its delete", r.ID)
 		}

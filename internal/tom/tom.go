@@ -58,31 +58,21 @@ type Tamper func([]record.Record) []record.Record
 // Provider is the TOM service provider: heap file + MB-Tree + the owner's
 // root signature.
 type Provider struct {
-	mu     sync.RWMutex
-	store  *pagestore.Counting
-	cache  bufpool.Cache // decoded MB-Tree nodes (the heap is uncached)
-	heap   *heapfile.File
-	tree   *mbtree.Tree
-	sig    []byte
-	byID   map[record.ID]liveRecord
-	tamper Tamper
-}
-
-// liveRecord is where a live id sits: its heap slot and the key the
-// MB-Tree indexes it under.
-type liveRecord struct {
-	rid heapfile.RID
-	key record.Key
+	mu      sync.RWMutex
+	store   *pagestore.Counting
+	cache   bufpool.Cache // decoded MB-Tree nodes (the heap is uncached)
+	heap    *heapfile.File
+	tree    *mbtree.Tree
+	sig     []byte
+	catalog heapfile.Catalog // which ids are live, where, under which key
+	tamper  Tamper
 }
 
 // NewProvider returns a provider backed by the given page store. Its
 // decoded-node cache keeps the MB-Tree's nodes and charges every hit; the
 // heap file is never cached.
 func NewProvider(store pagestore.Store) *Provider {
-	return &Provider{
-		store: pagestore.NewCounting(store),
-		byID:  make(map[record.ID]liveRecord),
-	}
+	return &Provider{store: pagestore.NewCounting(store)}
 }
 
 // CacheStats returns the decoded-node cache counters.
@@ -95,16 +85,13 @@ func (p *Provider) CacheStats() bufpool.Stats { return p.cache.Stats() }
 func (p *Provider) Load(records []record.Record, owner *Owner) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	byID := make(map[record.ID]liveRecord, len(records))
-	for i := range records {
-		if _, dup := byID[records[i].ID]; dup {
-			return fmt.Errorf("tom: record id %d appears more than once in the dataset", records[i].ID)
-		}
-		byID[records[i].ID] = liveRecord{key: records[i].Key}
-	}
 	heap, rids, err := heapfile.Build(p.store, records)
 	if err != nil {
 		return fmt.Errorf("tom: provider loading heap: %w", err)
+	}
+	catalog, err := heapfile.NewCatalog(records, rids)
+	if err != nil {
+		return fmt.Errorf("tom: provider loading catalog: %w", err)
 	}
 	// Digesting the dataset is the load's SHA-1 bill; fan it out across
 	// the crypto worker pool before the single-threaded tree build.
@@ -117,7 +104,6 @@ func (p *Provider) Load(records []record.Record, owner *Owner) error {
 			RID:    rids[i],
 			Digest: digests[i],
 		}
-		byID[records[i].ID] = liveRecord{rid: rids[i], key: records[i].Key}
 	}
 	tree, err := mbtree.Bulkload(p.store, entries)
 	if err != nil {
@@ -126,7 +112,7 @@ func (p *Provider) Load(records []record.Record, owner *Owner) error {
 	tree.UseCache(&p.cache)
 	p.heap = heap
 	p.tree = tree
-	p.byID = byID
+	p.catalog = catalog
 	sig, err := owner.Sign(tree.RootDigest())
 	if err != nil {
 		return fmt.Errorf("tom: owner signing root: %w", err)
@@ -189,8 +175,9 @@ func (p *Provider) ApplyDelete(id record.ID, key record.Key, owner *Owner) error
 // group of one. The per-update RSA re-sign is TOM's dominant write cost;
 // batching amortizes it to sig/group, which is exactly the comparison
 // the write benchmark draws. Digests fan out across the crypto pool in
-// one dispatch, like the load path. The whole batch is checked before
-// its first mutation (see admit), so a refused batch changes nothing.
+// one dispatch, like the load path. The whole batch is admitted against
+// the catalog before its first mutation (heapfile.Catalog.Admit, the rule
+// SAE's committer applies too), so a refused batch changes nothing.
 func (p *Provider) ApplyBatchCtx(ctx *exec.Context, ops []wal.Op, owner *Owner) error {
 	var inserts []record.Record
 	for i := range ops {
@@ -205,7 +192,7 @@ func (p *Provider) ApplyBatchCtx(ctx *exec.Context, ops []wal.Op, owner *Owner) 
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.admit(ops); err != nil {
+	if err := p.catalog.Admit(make(heapfile.Overlay, len(ops)), ops); err != nil {
 		return err
 	}
 	di := 0
@@ -222,16 +209,16 @@ func (p *Provider) ApplyBatchCtx(ctx *exec.Context, ops []wal.Op, owner *Owner) 
 			if err := p.tree.InsertCtx(ctx, e); err != nil {
 				return fmt.Errorf("tom: provider indexing record: %w", err)
 			}
-			p.byID[r.ID] = liveRecord{rid: rid, key: r.Key}
+			p.catalog.Put(r.ID, heapfile.Live{RID: rid, Key: r.Key})
 		case wal.OpDelete:
-			rid := p.byID[ops[i].ID].rid
-			if err := p.tree.DeleteCtx(ctx, mbtree.Entry{Key: ops[i].Key, RID: rid}); err != nil {
+			l, _ := p.catalog.Get(ops[i].ID)
+			if err := p.tree.DeleteCtx(ctx, mbtree.Entry{Key: ops[i].Key, RID: l.RID}); err != nil {
 				return fmt.Errorf("tom: provider unindexing record: %w", err)
 			}
-			if err := p.heap.DeleteCtx(ctx, rid); err != nil {
+			if err := p.heap.DeleteCtx(ctx, l.RID); err != nil {
 				return fmt.Errorf("tom: provider deleting record: %w", err)
 			}
-			delete(p.byID, ops[i].ID)
+			p.catalog.Remove(ops[i].ID)
 		}
 	}
 	sig, err := owner.Sign(p.tree.RootDigest())
@@ -239,47 +226,6 @@ func (p *Provider) ApplyBatchCtx(ctx *exec.Context, ops []wal.Op, owner *Owner) 
 		return fmt.Errorf("tom: owner re-signing root: %w", err)
 	}
 	p.sig = sig
-	return nil
-}
-
-// admit checks a batch against the live ids before it mutates anything:
-// every insert must carry an id not live at that point in the batch, and
-// every delete an id that is, under the key the MB-Tree indexes it by.
-// Caller holds p.mu.
-func (p *Provider) admit(ops []wal.Op) error {
-	// batch overrides byID for the ids the batch has touched so far.
-	type state struct {
-		key  record.Key
-		live bool
-	}
-	batch := make(map[record.ID]state, len(ops))
-	liveKey := func(id record.ID) (record.Key, bool) {
-		if s, ok := batch[id]; ok {
-			return s.key, s.live
-		}
-		r, ok := p.byID[id]
-		return r.key, ok
-	}
-	for i := range ops {
-		switch op := &ops[i]; op.Kind {
-		case wal.OpInsert:
-			if _, live := liveKey(op.Rec.ID); live {
-				return fmt.Errorf("tom: batch op %d inserts id %d, which is already live", i, op.Rec.ID)
-			}
-			batch[op.Rec.ID] = state{op.Rec.Key, true}
-		case wal.OpDelete:
-			key, live := liveKey(op.ID)
-			if !live {
-				return fmt.Errorf("tom: provider has no record with id %d", op.ID)
-			}
-			if key != op.Key {
-				return fmt.Errorf("tom: batch op %d deletes id %d under key %d; it is indexed under %d", i, op.ID, op.Key, key)
-			}
-			batch[op.ID] = state{}
-		default:
-			return fmt.Errorf("tom: provider cannot apply op kind %d", op.Kind)
-		}
-	}
 	return nil
 }
 

@@ -258,9 +258,9 @@ func (lc *lifecycle) waitThaw() error {
 }
 
 // commitOps is a primary's write path: wire-submitted writes go through
-// the group-commit pipeline — durable, generation-stamped, folded into
-// the owner's map, observed by the replication hub. It blocks until the
-// group's fsync, which is why write frames are own rows.
+// the group-commit pipeline — admitted against the SP's catalog, durable,
+// generation-stamped, observed by the replication hub. It blocks until
+// the group's fsync, which is why write frames are own rows.
 func (lc *lifecycle) commitOps(ops []wal.Op) error {
 	if err := lc.waitThaw(); err != nil {
 		return err

@@ -151,10 +151,9 @@ func TestPrimaryReplicaWire(t *testing.T) {
 
 // TestOneBodyOneState: a primary applies wire batches through its one
 // commit-group body, a replica applies the groups it tails through the
-// same body, and a checkpoint-and-reopen rebuilds the primary from the
-// owner map that body folded. All three must agree on the owner's
-// record count, the generation stamp and the full-range verification
-// token.
+// same body, and a checkpoint-and-reopen rebuilds the primary from what
+// that body applied. All three must agree on the SP's record count, the
+// generation stamp and the full-range verification token.
 func TestOneBodyOneState(t *testing.T) {
 	sys, _, psrv := startPrimary(t, 1000)
 	rep, _, err := BootstrapReplica(psrv.Addr())
@@ -209,11 +208,11 @@ func TestOneBodyOneState(t *testing.T) {
 			t.Fatalf("%s full-range verified query: %v", name, err)
 		}
 		if n != count {
-			t.Fatalf("%s serves %d records but its owner holds %d", name, n, count)
+			t.Fatalf("%s serves %d records but its catalog holds %d", name, n, count)
 		}
 		return state{count, seq, vt}
 	}
-	primary := stateOf("primary", sys.Owner.Count(), sys.ServeVerified)
+	primary := stateOf("primary", sys.SP.Count(), sys.ServeVerified)
 	follower := stateOf("replica", rep.Count(), rep.ServeVerified)
 	if err := sys.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
@@ -226,10 +225,10 @@ func TestOneBodyOneState(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer re.Close()
-	reopened := stateOf("reopened primary", re.Owner.Count(), re.ServeVerified)
+	reopened := stateOf("reopened primary", re.SP.Count(), re.ServeVerified)
 
 	if want := 1000 + 30 - 3 - 2; primary.count != want {
-		t.Fatalf("primary owner holds %d records, want %d", primary.count, want)
+		t.Fatalf("primary catalog holds %d records, want %d", primary.count, want)
 	}
 	if follower != primary || reopened != primary {
 		t.Fatalf("states differ: primary %+v, replica %+v, reopened %+v", primary, follower, reopened)
