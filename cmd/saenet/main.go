@@ -240,10 +240,12 @@ func main() {
 
 // partition draws the keys of all -n records of the deterministic
 // dataset every server derives from -n, -dist and -seed, plans them into
-// -shards parts, and synthesizes the records of this process's part
-// (-shard-index) only. The plan and the part are those of shard.PlanFor
-// and Plan.Partition over the whole workload.Generate dataset.
-func partition(o *opts) (shard.Plan, []record.Record, error) {
+// -shards parts, and returns the packed (key, id) pairs of this
+// process's part (-shard-index) only; workload.Reader synthesizes their
+// records in place as a load reads them. The plan and the part are
+// those of shard.PlanFor and Plan.Partition over the whole
+// workload.Generate dataset.
+func partition(o *opts) (shard.Plan, []uint64, error) {
 	pairs, err := workload.Keys(workload.Distribution(o.dist), o.n, o.seed)
 	if err != nil {
 		return shard.Plan{}, nil, err
@@ -260,7 +262,7 @@ func partition(o *opts) (shard.Plan, []record.Record, error) {
 	span := plan.Span(o.shardIndex)
 	lo := sort.Search(len(pairs), func(i int) bool { return key(i) >= span.Lo })
 	hi := lo + sort.Search(len(pairs)-lo, func(i int) bool { return key(lo+i) > span.Hi })
-	return plan, workload.Synthesize(pairs[lo:hi]), nil
+	return plan, pairs[lo:hi], nil
 }
 
 // serveUntilInterrupt reports that role is serving on addr, waits for
@@ -297,7 +299,7 @@ func runServer(o *opts) error {
 	switch o.role {
 	case "sp":
 		sp := core.NewServiceProvider(pagestore.NewMem())
-		if err := sp.Load(part); err != nil {
+		if err := sp.LoadFrom(len(part), workload.Reader(part)); err != nil {
 			return err
 		}
 		if o.tamper == "drop" {
@@ -307,7 +309,7 @@ func runServer(o *opts) error {
 		srv, err = wire.ServeSP(o.addr, sp, wire.Logf("sp"), info)
 	case "te":
 		te := core.NewTrustedEntity(pagestore.NewMem())
-		if err := te.Load(part); err != nil {
+		if err := te.LoadFrom(len(part), workload.Reader(part)); err != nil {
 			return err
 		}
 		srv, err = wire.ServeTE(o.addr, te, wire.Logf("te"), info)
@@ -332,7 +334,7 @@ func runPrimary(o *opts) error {
 		return err
 	}
 	partitioned := time.Now()
-	sys, err := core.OpenDurableSystem(o.dir, part, 0)
+	sys, err := core.OpenDurableFrom(o.dir, len(part), workload.Reader(part), 0)
 	if err != nil {
 		return err
 	}
@@ -346,8 +348,8 @@ func runPrimary(o *opts) error {
 		sys.Close()
 		return err
 	}
-	// The bulk load's transient peak (the partition, the sort copy, build
-	// garbage) is up to twice what the primary keeps live, and how high it
+	// The bulk load's transient peak (the drawn keys, the load's index
+	// entries and digest tuples) is well above what the primary keeps live, and how high it
 	// reaches depends on where the load's GCs happen to fall. Return it to
 	// the OS now rather than leaving it resident while the background
 	// scavenger releases it slowly; off the startup path, since the
@@ -682,11 +684,11 @@ func runReshard(o *opts) error {
 // and ack is fsynced to dir/acked.log first, so a later crashverify can
 // audit exactly what this process was told was durable.
 func runCrashWriter(o *opts) error {
-	_, records, err := partition(o)
+	_, part, err := partition(o)
 	if err != nil {
 		return err
 	}
-	sys, err := core.OpenDurableSystem(o.dir, records, 0)
+	sys, err := core.OpenDurableFrom(o.dir, len(part), workload.Reader(part), 0)
 	if err != nil {
 		return err
 	}
@@ -700,7 +702,7 @@ func runCrashWriter(o *opts) error {
 // present, no unacked update partially visible, and the full range must
 // verify against the trusted entity's token.
 func runCrashVerify(o *opts) error {
-	_, records, err := partition(o)
+	_, part, err := partition(o)
 	if err != nil {
 		return err
 	}
@@ -713,7 +715,7 @@ func runCrashVerify(o *opts) error {
 	if err != nil {
 		return err
 	}
-	if _, err := core.VerifyRecovered(sys, records, acked); err != nil {
+	if _, err := core.VerifyRecovered(sys, workload.Synthesize(part), acked); err != nil {
 		return fmt.Errorf("crash audit: %w", err)
 	}
 	fmt.Printf("crashverify: recovered %s — %d WAL groups replayed, %d acked inserts live, full range verified\n",

@@ -18,6 +18,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -104,33 +105,46 @@ func NewServiceProvider(store pagestore.Store) *ServiceProvider {
 // CacheStats returns the decoded-node cache counters.
 func (sp *ServiceProvider) CacheStats() bufpool.Stats { return sp.cache.Stats() }
 
-// Load receives the owner's initial dataset (sorted by key) and builds the
-// clustered heap file, the B+-tree and the id catalog. A dataset carrying
-// one id twice is refused.
+// Load receives the owner's initial dataset (sorted by key): LoadFrom
+// over the records' encodings, each encoded once.
 func (sp *ServiceProvider) Load(records []record.Record) error {
+	return sp.LoadFrom(len(records), record.ReaderOf(records))
+}
+
+// LoadFrom receives the owner's initial dataset as the canonical
+// encodings of n records in key order, streamed by src. Each record's
+// bytes are read once, into its heap slot; the id catalog and the
+// B+-tree entries are read from the 12-byte header of the filled slot. A
+// dataset carrying one id twice, or out of key order, is refused.
+func (sp *ServiceProvider) LoadFrom(n int, src io.Reader) error {
+	_, err := sp.load(n, src)
+	return err
+}
+
+// load is LoadFrom, also returning the largest id loaded.
+func (sp *ServiceProvider) load(n int, src io.Reader) (maxID record.ID, err error) {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	heap, rids, err := heapfile.Build(sp.store, records)
+	catalog := heapfile.NewCatalog(n)
+	entries := make([]bptree.Entry, 0, n)
+	heap, err := heapfile.BuildFrom(sp.store, n, src, func(rid heapfile.RID, enc []byte) error {
+		id, key := record.WireID(enc), record.WireKey(enc)
+		maxID = max(maxID, id)
+		entries = append(entries, bptree.Entry{Key: key, RID: rid})
+		return catalog.Add(id, heapfile.Live{RID: rid, Key: key})
+	})
 	if err != nil {
-		return fmt.Errorf("core: SP loading heap: %w", err)
-	}
-	catalog, err := heapfile.NewCatalog(records, rids)
-	if err != nil {
-		return fmt.Errorf("core: SP loading catalog: %w", err)
-	}
-	entries := make([]bptree.Entry, len(records))
-	for i := range records {
-		entries[i] = bptree.Entry{Key: records[i].Key, RID: rids[i]}
+		return 0, fmt.Errorf("core: SP loading heap: %w", err)
 	}
 	index, err := bptree.Bulkload(sp.store, entries)
 	if err != nil {
-		return fmt.Errorf("core: SP loading index: %w", err)
+		return 0, fmt.Errorf("core: SP loading index: %w", err)
 	}
 	index.UseCache(&sp.cache)
 	sp.heap = heap
 	sp.index = index
 	sp.catalog = catalog
-	return nil
+	return maxID, nil
 }
 
 // admit checks ops against the SP's catalog as changed by overlay, the
@@ -250,7 +264,8 @@ func (sp *ServiceProvider) ApplyBatchCtx(ctx *exec.Context, ops []wal.Op) error 
 		switch ops[i].Kind {
 		case wal.OpInsert:
 			r := &ops[i].Rec
-			rid, err := sp.heap.AppendCtx(ctx, *r)
+			var enc [record.Size]byte
+			rid, err := sp.heap.AppendCtx(ctx, r.AppendBinary(enc[:0]))
 			if err != nil {
 				return fmt.Errorf("core: SP inserting record: %w", err)
 			}
@@ -328,30 +343,102 @@ func NewTrustedEntity(store pagestore.Store) *TrustedEntity {
 // CacheStats returns the decoded-node cache counters.
 func (te *TrustedEntity) CacheStats() bufpool.Stats { return te.cache.Stats() }
 
-// Load receives the owner's initial dataset (sorted by key), projects each
-// record to its (id, digest) tuple, and bulk-loads the XB-Tree. The TE
-// discards everything else about the records. Digesting the dataset is
-// the load's SHA-1 bill — one 500-byte hash per record — so it fans out
-// across the crypto worker pool (digest.RecordDigests) before the
-// single-threaded tree build.
+// Load receives the owner's initial dataset (sorted by key): LoadFrom
+// over the records' encodings, each encoded once.
 func (te *TrustedEntity) Load(records []record.Record) error {
-	te.mu.Lock()
-	defer te.mu.Unlock()
-	digests := make([]digest.Digest, len(records))
-	digest.RecordDigests(digests, records, 0)
-	// One flat tuple array; each key's list is the run of it that shares
-	// the key, since the records arrive in key order.
-	tuples := make([]xbtree.Tuple, len(records))
-	var items []xbtree.KeyTuples
-	for i := range records {
-		tuples[i] = xbtree.Tuple{ID: records[i].ID, Digest: digests[i]}
-		if n := len(items); n > 0 && items[n-1].Key == records[i].Key {
-			items[n-1].Tuples = items[n-1].Tuples[:len(items[n-1].Tuples)+1]
-		} else {
-			items = append(items, xbtree.KeyTuples{Key: records[i].Key, Tuples: tuples[i : i+1]})
+	return te.LoadFrom(len(records), record.ReaderOf(records))
+}
+
+// LoadFrom receives the owner's initial dataset as the canonical
+// encodings of n records in key order, streamed by src, projects each
+// record to its (id, digest) tuple and bulk-loads the XB-Tree. The TE
+// discards everything else about the records.
+func (te *TrustedEntity) LoadFrom(n int, src io.Reader) error {
+	l := newTupleLoad(n)
+	for l.n < n {
+		k := min(n-l.n, tupleLoadBatch)
+		if _, err := io.ReadFull(src, l.buf[:k*record.Size]); err != nil {
+			return fmt.Errorf("core: TE reading records %d..%d of %d: %w", l.n, l.n+k, n, err)
+		}
+		l.fill = k * record.Size
+		if err := l.digest(); err != nil {
+			return err
 		}
 	}
-	tree, err := xbtree.Bulkload(te.store, items)
+	return te.loadTuples(l)
+}
+
+// tupleLoadBatch is how many records a tupleLoad digests per pass: one
+// pass of the 16-lane kernel, two heap pages.
+const tupleLoadBatch = 16
+
+// tupleLoad collects a TE's bulk-load input from a stream of canonical
+// record encodings in key order: each record's (id, digest) tuple, in
+// runs that share a key. It is an io.Writer so that a load can tee the
+// bytes the SP reads into its heap pages: they collect in buf and are
+// digested 16 records per pass where they lie.
+type tupleLoad struct {
+	buf    [tupleLoadBatch * record.Size]byte
+	fill   int
+	n      int            // tuples filled
+	tuples []xbtree.Tuple // one per record the load expects
+	items  []xbtree.KeyTuples
+}
+
+func newTupleLoad(n int) *tupleLoad {
+	return &tupleLoad{tuples: make([]xbtree.Tuple, n), items: make([]xbtree.KeyTuples, 0, n)}
+}
+
+// Write collects p, digesting each full buffer.
+func (l *tupleLoad) Write(p []byte) (int, error) {
+	for i := 0; i < len(p); {
+		c := copy(l.buf[l.fill:], p[i:])
+		l.fill += c
+		i += c
+		if l.fill == len(l.buf) {
+			if err := l.digest(); err != nil {
+				return i, err
+			}
+		}
+	}
+	return len(p), nil
+}
+
+// digest turns the whole records in buf into tuples and keeps a trailing
+// partial record for the next Write.
+func (l *tupleLoad) digest() error {
+	enc := l.buf[:l.fill-l.fill%record.Size]
+	k := len(enc) / record.Size
+	if l.n+k > len(l.tuples) {
+		return fmt.Errorf("core: TE load given more than %d records", len(l.tuples))
+	}
+	var ds [tupleLoadBatch]digest.Digest
+	digest.AppendWire(ds[:0], enc)
+	for j := range k {
+		rec := enc[j*record.Size:]
+		l.tuples[l.n] = xbtree.Tuple{ID: record.WireID(rec), Digest: ds[j]}
+		if m := len(l.items); m > 0 && l.items[m-1].Key == record.WireKey(rec) {
+			l.items[m-1].Tuples = l.items[m-1].Tuples[:len(l.items[m-1].Tuples)+1]
+		} else {
+			l.items = append(l.items, xbtree.KeyTuples{Key: record.WireKey(rec), Tuples: l.tuples[l.n : l.n+1]})
+		}
+		l.n++
+	}
+	l.fill = copy(l.buf[:], l.buf[len(enc):l.fill])
+	return nil
+}
+
+// loadTuples bulk-loads the XB-Tree from a finished tupleLoad.
+func (te *TrustedEntity) loadTuples(l *tupleLoad) error {
+	if err := l.digest(); err != nil {
+		return err
+	}
+	if l.fill != 0 || l.n != len(l.tuples) {
+		return fmt.Errorf("core: TE load got %d of %d records (and %d bytes more)", l.n, len(l.tuples), l.fill)
+	}
+	te.mu.Lock()
+	defer te.mu.Unlock()
+	tree, err := xbtree.Bulkload(te.store, l.items)
 	if err != nil {
 		return fmt.Errorf("core: TE loading XB-Tree: %w", err)
 	}

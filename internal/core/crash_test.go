@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"os"
 	osexec "os/exec"
 	"path/filepath"
@@ -227,11 +228,7 @@ func TestCheckpointCrashWindow(t *testing.T) {
 
 	// Publish the checkpoint exactly as Checkpoint() would, then "die"
 	// before the WAL reset.
-	snap, err := sys.SnapshotRecords()
-	if err != nil {
-		t.Fatalf("checkpoint state: %v", err)
-	}
-	if err := writeCheckpoint(dir, snap); err != nil {
+	if err := writeCheckpoint(dir, func(w io.Writer) ([]byte, error) { return nil, sys.WriteSnapshot(w) }); err != nil {
 		t.Fatalf("checkpoint publish: %v", err)
 	}
 	if err := sys.Close(); err != nil {

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -62,35 +64,25 @@ type Snapshot struct {
 	NextID record.ID
 }
 
-// writeCheckpoint dumps snap to the directory atomically: write to a
-// temp file, fsync, rename, fsync the directory.
-func writeCheckpoint(dir string, snap Snapshot) error {
+// writeCheckpoint publishes a checkpoint atomically: fill writes the
+// file's bytes to a temp file, which is fsynced, renamed over
+// records.dat, and the directory fsynced. A non-nil header fill returns
+// is written over the file's first bytes before the fsync, for a fill
+// that learns the header only once the records are written. On failure
+// the temp file is removed.
+func writeCheckpoint(dir string, fill func(w io.Writer) (header []byte, err error)) error {
 	tmp := checkpointPath(dir) + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("core: creating checkpoint: %w", err)
 	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	if _, err := bw.Write(appendSnapshotHeader(nil, snap)); err != nil {
+	if err := fillCheckpoint(f, fill); err != nil {
 		f.Close()
+		os.Remove(tmp)
 		return err
 	}
-	scratch := make([]byte, 0, record.Size)
-	for i := range snap.Records {
-		if _, err := bw.Write(snap.Records[i].AppendBinary(scratch)); err != nil {
-			f.Close()
-			return fmt.Errorf("core: writing checkpoint: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("core: flushing checkpoint: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("core: syncing checkpoint: %w", err)
-	}
 	if err := f.Close(); err != nil {
+		os.Remove(tmp)
 		return err
 	}
 	if err := os.Rename(tmp, checkpointPath(dir)); err != nil {
@@ -103,46 +95,104 @@ func writeCheckpoint(dir string, snap Snapshot) error {
 	return nil
 }
 
-// readCheckpoint loads the snapshot in dir; a missing file is an empty
-// snapshot at sequence zero. The bytes are parsed by DecodeSnapshot, the
-// same parser a replica runs on a snapshot sent over the wire.
-func readCheckpoint(dir string) (Snapshot, error) {
-	b, err := os.ReadFile(checkpointPath(dir))
-	if os.IsNotExist(err) {
-		return Snapshot{}, nil
-	}
+// fillCheckpoint writes fill's bytes, and its header if it returns one,
+// to f and syncs f.
+func fillCheckpoint(f *os.File, fill func(w io.Writer) ([]byte, error)) error {
+	bw := bufio.NewWriterSize(f, 1<<20)
+	header, err := fill(bw)
 	if err != nil {
-		return Snapshot{}, fmt.Errorf("core: reading checkpoint: %w", err)
+		return err
 	}
-	return DecodeSnapshot(b)
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("core: writing checkpoint: %w", err)
+	}
+	if _, err := f.WriteAt(header, 0); err != nil {
+		return fmt.Errorf("core: writing checkpoint header: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("core: syncing checkpoint: %w", err)
+	}
+	return nil
 }
 
-// OpenDurableSystem opens (or initializes) a durable deployment in dir.
-// When the directory is fresh, initial seeds the dataset and becomes the
-// first checkpoint; on reopen, initial is ignored and the state is
-// rebuilt from the checkpoint plus the WAL's committed groups.
-// maxGroup <= 0 selects DefaultMaxGroup.
+// freshCheckpoint loads a fresh directory's dataset, the canonical
+// encodings of n records in key order streamed by src, and writes the
+// same bytes, as they are read into the SP's heap slots, as the first
+// checkpoint. The header's watermark is known only after the load, so
+// it is written last.
+func freshCheckpoint(dir string, n int, src io.Reader) (*System, error) {
+	var sys *System
+	err := writeCheckpoint(dir, func(w io.Writer) ([]byte, error) {
+		if _, err := w.Write(make([]byte, snapshotHeaderSize)); err != nil {
+			return nil, fmt.Errorf("core: writing checkpoint: %w", err)
+		}
+		var err error
+		if sys, err = rebuildFrom(n, io.TeeReader(src, w), 0); err != nil {
+			return nil, err
+		}
+		return appendSnapshotHeader(nil, 0, sys.Owner.watermark(), n), nil
+	})
+	return sys, err
+}
+
+// readCheckpoint rebuilds the parties from the checkpoint file f,
+// streaming its records through a buffered reader straight into the SP's
+// heap slots, and returns them with the checkpoint's sequence.
+func readCheckpoint(f *os.File) (*System, uint64, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return nil, 0, fmt.Errorf("core: reading checkpoint: %w", err)
+	}
+	br := bufio.NewReaderSize(f, 1<<16)
+	var hdr [snapshotHeaderSize]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return nil, 0, fmt.Errorf("core: snapshot of %d bytes is truncated", st.Size())
+	}
+	seq, nextID, n, err := parseSnapshotHeader(hdr[:], st.Size()-int64(snapshotHeaderSize))
+	if err != nil {
+		return nil, 0, err
+	}
+	sys, err := rebuildFrom(n, br, nextID)
+	if err != nil {
+		return nil, 0, fmt.Errorf("core: rebuilding from checkpoint: %w", err)
+	}
+	return sys, seq, nil
+}
+
+// OpenDurableSystem opens (or initializes) a durable deployment in dir,
+// seeding a fresh directory with initial (in any order):
+// OpenDurableFrom over the records' encodings, each encoded once.
 func OpenDurableSystem(dir string, initial []record.Record, maxGroup int) (*DurableSystem, error) {
+	initial = sortedByKeyID(initial)
+	return OpenDurableFrom(dir, len(initial), record.ReaderOf(initial), maxGroup)
+}
+
+// OpenDurableFrom opens (or initializes) a durable deployment in dir.
+// When the directory is fresh, the canonical encodings of n records in
+// key order, streamed by src, seed the dataset and become the first
+// checkpoint; on reopen, n and src are ignored and the state is rebuilt
+// from the checkpoint plus the WAL's committed groups. maxGroup <= 0
+// selects DefaultMaxGroup.
+func OpenDurableFrom(dir string, n int, src io.Reader, maxGroup int) (*DurableSystem, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: creating durable dir: %w", err)
 	}
-	ckpt, err := readCheckpoint(dir)
+	var sys *System
+	var ckptSeq uint64
+	f, err := os.Open(checkpointPath(dir))
+	switch {
+	case err == nil:
+		sys, ckptSeq, err = readCheckpoint(f)
+		f.Close()
+	case !os.IsNotExist(err):
+		err = fmt.Errorf("core: reading checkpoint: %w", err)
+	case fileExists(walPath(dir)):
+		sys, err = rebuildFrom(0, src, 0) // reads nothing
+	default:
+		sys, err = freshCheckpoint(dir, n, src)
+	}
 	if err != nil {
 		return nil, err
-	}
-	fresh := ckpt.Records == nil && !fileExists(walPath(dir))
-	if fresh {
-		ckpt.Records = initial // Rebuild and writeCheckpoint only read it
-	}
-	sys, err := Rebuild(ckpt.Records, ckpt.NextID)
-	if err != nil {
-		return nil, fmt.Errorf("core: rebuilding from checkpoint: %w", err)
-	}
-	if fresh {
-		ckpt.NextID = sys.Owner.watermark()
-		if err := writeCheckpoint(dir, ckpt); err != nil {
-			return nil, err
-		}
 	}
 	log, groups, err := wal.Open(walPath(dir))
 	if err != nil {
@@ -156,10 +206,10 @@ func OpenDurableSystem(dir string, initial []record.Record, maxGroup int) (*Dura
 	// between checkpoint publish and WAL reset leaves them in the log, and
 	// re-applying them would double-insert.
 	ctx := exec.NewContext()
-	maxSeq := ckpt.Seq
+	maxSeq := ckptSeq
 	replayed := 0
 	for _, g := range groups {
-		if g.Seq <= ckpt.Seq {
+		if g.Seq <= ckptSeq {
 			continue
 		}
 		replayed++
@@ -189,57 +239,47 @@ func fileExists(path string) bool {
 	return err == nil
 }
 
-// EncodeSnapshot appends snap in the checkpoint's own byte format
-// (header, packed records) to buf. A replica bootstrapping over the wire
-// parses exactly the bytes a DurableSystem checkpoint file holds.
-func EncodeSnapshot(buf []byte, snap Snapshot) []byte {
-	buf = appendSnapshotHeader(buf, snap)
-	for i := range snap.Records {
-		buf = snap.Records[i].AppendBinary(buf)
-	}
-	return buf
-}
-
 // snapshotHeaderSize is the header a checkpoint file and a wire snapshot
 // share: magic, sequence, fresh-id watermark, record count.
 const snapshotHeaderSize = len(checkpointMagic) + 24
 
-func appendSnapshotHeader(buf []byte, snap Snapshot) []byte {
+func appendSnapshotHeader(buf []byte, seq uint64, nextID record.ID, n int) []byte {
 	buf = append(buf, checkpointMagic...)
-	buf = binary.BigEndian.AppendUint64(buf, snap.Seq)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(snap.NextID))
-	return binary.BigEndian.AppendUint64(buf, uint64(len(snap.Records)))
+	buf = binary.BigEndian.AppendUint64(buf, seq)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(nextID))
+	return binary.BigEndian.AppendUint64(buf, uint64(n))
 }
 
-// DecodeSnapshot parses an EncodeSnapshot payload — or a checkpoint
-// file's bytes — back into a Snapshot, rejecting any count its length
-// does not carry. A file written under an older magic is rejected by
-// name: its header has no watermark to rebuild the owner from.
-func DecodeSnapshot(b []byte) (Snapshot, error) {
+// parseSnapshotHeader parses a snapshot header followed by size bytes,
+// rejecting any count those bytes do not carry. A header written under
+// an older magic is rejected by name: it has no watermark to rebuild the
+// owner from.
+func parseSnapshotHeader(b []byte, size int64) (seq uint64, nextID record.ID, n int, err error) {
 	if len(b) < snapshotHeaderSize {
-		return Snapshot{}, fmt.Errorf("core: snapshot of %d bytes is truncated", len(b))
+		return 0, 0, 0, fmt.Errorf("core: snapshot of %d bytes is truncated", len(b))
 	}
 	if magic := string(b[:len(checkpointMagic)]); magic != checkpointMagic {
-		return Snapshot{}, fmt.Errorf("core: snapshot magic %q, want %q (older formats are not readable)", magic, checkpointMagic)
+		return 0, 0, 0, fmt.Errorf("core: snapshot magic %q, want %q (older formats are not readable)", magic, checkpointMagic)
 	}
 	b = b[len(checkpointMagic):]
-	snap := Snapshot{
-		Seq:    binary.BigEndian.Uint64(b[0:8]),
-		NextID: record.ID(binary.BigEndian.Uint64(b[8:16])),
+	count := binary.BigEndian.Uint64(b[16:24])
+	if count > uint64(size)/record.Size || uint64(size) != count*record.Size {
+		return 0, 0, 0, fmt.Errorf("core: snapshot claims %d records but carries %d bytes", count, size)
 	}
-	n := binary.BigEndian.Uint64(b[16:24])
-	b = b[24:]
-	if n > uint64(len(b))/record.Size || uint64(len(b)) != n*record.Size {
-		return Snapshot{}, fmt.Errorf("core: snapshot claims %d records but carries %d bytes", n, len(b))
+	return binary.BigEndian.Uint64(b[0:8]), record.ID(binary.BigEndian.Uint64(b[8:16])), int(count), nil
+}
+
+// DecodeSnapshot parses a snapshot — WriteSnapshot's bytes, or a
+// checkpoint file's — back into a Snapshot.
+func DecodeSnapshot(b []byte) (Snapshot, error) {
+	seq, nextID, n, err := parseSnapshotHeader(b, int64(len(b))-int64(snapshotHeaderSize))
+	if err != nil {
+		return Snapshot{}, err
 	}
-	snap.Records = make([]record.Record, n)
+	snap := Snapshot{Seq: seq, NextID: nextID, Records: make([]record.Record, n)}
+	b = b[snapshotHeaderSize:]
 	for i := range snap.Records {
-		r, err := record.Unmarshal(b[:record.Size])
-		if err != nil {
-			return Snapshot{}, fmt.Errorf("core: decoding snapshot record %d: %w", i, err)
-		}
-		snap.Records[i] = r
-		b = b[record.Size:]
+		snap.Records[i], _ = record.Unmarshal(b[i*record.Size:])
 	}
 	return snap, nil
 }
@@ -307,28 +347,48 @@ func (ds *DurableSystem) ServeVerified(q record.Range, emit func(*record.Record)
 	return ds.View().ServeVerified(q, emit)
 }
 
-// SnapshotRecords returns the full record set in key order together with
-// the generation stamp it belongs to, read under the commit lock so no
-// group can slip in between the scan and the stamp, and the owner's
-// fresh-id watermark. Checkpoint writes it to records.dat, and
-// EncodeSnapshot of it — the same bytes — is what bootstraps a replica.
-func (ds *DurableSystem) SnapshotRecords() (Snapshot, error) {
-	var snap Snapshot
-	err := ds.View()(func(s uint64, sp *ServiceProvider, _ *TrustedEntity) error {
-		snap.Seq = s
-		var qErr error
-		snap.Records, _, qErr = sp.QueryCtx(exec.NewContext(), record.Range{Lo: 0, Hi: record.KeyDomain})
-		return qErr
+// WriteSnapshot writes the applied state to w in the checkpoint's byte
+// format: the header (sequence, the owner's fresh-id watermark, record
+// count), then every live record's encoding in key order. The SP serves
+// the whole domain from its page bytes through one View, so the records,
+// the stamp and the watermark belong to one commit boundary. Checkpoint
+// writes these bytes to records.dat, and a replica bootstraps from them.
+func (ds *DurableSystem) WriteSnapshot(w io.Writer) error {
+	return ds.View()(func(seq uint64, sp *ServiceProvider, _ *TrustedEntity) error {
+		n := sp.Count()
+		if _, err := w.Write(appendSnapshotHeader(nil, seq, ds.Owner.watermark(), n)); err != nil {
+			return fmt.Errorf("core: writing snapshot: %w", err)
+		}
+		served := 0
+		err := sp.ServeBurstCtx([]*exec.Context{exec.NewContext()}, []record.Range{{Lo: 0, Hi: record.KeyDomain}}, new(BurstScratch),
+			func(_ int, enc []byte) error {
+				served += len(enc) / record.Size
+				_, err := w.Write(enc)
+				return err
+			})
+		if err == nil && served != n {
+			err = fmt.Errorf("core: snapshot served %d records; the catalog holds %d", served, n)
+		}
+		return err
 	})
-	snap.NextID = ds.Owner.watermark()
-	return snap, err
+}
+
+// SnapshotRecords decodes WriteSnapshot's bytes: the full record set in
+// key order with the generation stamp it belongs to and the owner's
+// fresh-id watermark.
+func (ds *DurableSystem) SnapshotRecords() (Snapshot, error) {
+	var b bytes.Buffer
+	if err := ds.WriteSnapshot(&b); err != nil {
+		return Snapshot{}, err
+	}
+	return DecodeSnapshot(b.Bytes())
 }
 
 // Checkpoint publishes the applied state as the new checkpoint and
 // truncates the WAL. It holds the committer's queue lock from the moment
 // no group is queued or in flight until the log has reset, so no group
 // can be logged and acked between the dump and the reset: submitters wait
-// for the checkpoint instead. The dump is SnapshotRecords — what the SP
+// for the checkpoint instead. The dump is WriteSnapshot — what the SP
 // serves at the applied sequence. The checkpoint is published (rename +
 // dir sync) before the log resets, so a crash in between loses nothing.
 func (ds *DurableSystem) Checkpoint() error {
@@ -338,11 +398,7 @@ func (ds *DurableSystem) Checkpoint() error {
 	for len(gc.queue) > 0 || gc.inflight {
 		gc.cond.Wait()
 	}
-	snap, err := ds.SnapshotRecords()
-	if err != nil {
-		return fmt.Errorf("core: reading checkpoint state: %w", err)
-	}
-	if err := writeCheckpoint(ds.Dir, snap); err != nil {
+	if err := writeCheckpoint(ds.Dir, func(w io.Writer) ([]byte, error) { return nil, ds.WriteSnapshot(w) }); err != nil {
 		return err
 	}
 	if err := gc.log.Reset(); err != nil {

@@ -14,6 +14,15 @@ import (
 	"sae/internal/workload"
 )
 
+// EncodeSnapshot appends snap in the checkpoint's byte format to buf.
+func EncodeSnapshot(buf []byte, snap Snapshot) []byte {
+	buf = appendSnapshotHeader(buf, snap.Seq, snap.NextID, len(snap.Records))
+	for i := range snap.Records {
+		buf = snap.Records[i].AppendBinary(buf)
+	}
+	return buf
+}
+
 func durableDataset(t *testing.T, n int) []record.Record {
 	t.Helper()
 	ds, err := workload.Generate(workload.UNF, n, 42)

@@ -41,7 +41,7 @@ func NewShardedSystem(sorted []record.Record, shards int) (*ShardedSystem, error
 	}
 	// Each shard's catalog sees only its own part, so an id repeated
 	// across shards is caught over the whole dataset here.
-	if _, err := heapfile.NewCatalog(sorted, make([]heapfile.RID, len(sorted))); err != nil {
+	if _, err := heapfile.CatalogOf(sorted, make([]heapfile.RID, len(sorted))); err != nil {
 		return nil, err
 	}
 	s := &ShardedSystem{

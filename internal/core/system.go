@@ -1,6 +1,7 @@
 package core
 
 import (
+	"io"
 	"slices"
 
 	"sae/internal/agg"
@@ -146,31 +147,48 @@ func (s *System) apply(ops []wal.Op) error {
 }
 
 // Rebuild assembles the three parties over fresh in-memory page stores
-// from a record set in any order — a checkpoint being reopened or a
-// snapshot a replica bootstraps from. Records already in (key, id) order
-// are loaded as they are; others are loaded from a sorted copy, and recs
-// is never modified. A repeated id is an error. The owner issues fresh
-// ids from nextID or past the largest id in recs, whichever is higher.
-// Each party keeps its own decoded-node cache, as under NewSystem.
+// from a record set in any order — a snapshot a replica bootstraps from.
+// Records already in (key, id) order are loaded as they are; others are
+// loaded from a sorted copy, and recs is never modified. It is
+// rebuildFrom over the records' encodings, each encoded once.
 func Rebuild(recs []record.Record, nextID record.ID) (*System, error) {
+	sorted := sortedByKeyID(recs)
+	return rebuildFrom(len(sorted), record.ReaderOf(sorted), nextID)
+}
+
+// rebuildFrom assembles the three parties over fresh in-memory page
+// stores from the canonical encodings of n records in key order,
+// streamed by src: the SP reads each record into its heap slot, the TE
+// digests the same bytes as they land there, and the owner issues fresh
+// ids from nextID or past the largest id loaded, whichever is higher. A
+// repeated id is an error. Each party keeps its own decoded-node cache,
+// as under NewSystem.
+func rebuildFrom(n int, src io.Reader, nextID record.ID) (*System, error) {
 	s := &System{
-		Owner: NewDataOwner(recs),
-		SP:    NewServiceProvider(pagestore.NewMem()),
-		TE:    NewTrustedEntity(pagestore.NewMem()),
+		SP: NewServiceProvider(pagestore.NewMem()),
+		TE: NewTrustedEntity(pagestore.NewMem()),
 	}
-	s.Owner.nextID = max(s.Owner.nextID, nextID)
-	sorted := recs
-	if !inKeyIDOrder(recs) {
-		sorted = slices.Clone(recs)
-		slices.SortFunc(sorted, record.SortByKey)
-	}
-	if err := s.SP.Load(sorted); err != nil {
+	tuples := newTupleLoad(n)
+	maxID, err := s.SP.load(n, io.TeeReader(src, tuples))
+	if err != nil {
 		return nil, err
 	}
-	if err := s.TE.Load(sorted); err != nil {
+	if err := s.TE.loadTuples(tuples); err != nil {
 		return nil, err
 	}
+	s.Owner = &DataOwner{nextID: max(maxID+1, nextID)}
 	return s, nil
+}
+
+// sortedByKeyID returns recs if they are in (key, id) order, else a
+// sorted copy.
+func sortedByKeyID(recs []record.Record) []record.Record {
+	if inKeyIDOrder(recs) {
+		return recs
+	}
+	sorted := slices.Clone(recs)
+	slices.SortFunc(sorted, record.SortByKey)
+	return sorted
 }
 
 // inKeyIDOrder reports whether recs are sorted by (key, id), comparing

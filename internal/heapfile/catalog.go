@@ -25,20 +25,32 @@ type Live struct {
 	Key record.Key
 }
 
-// NewCatalog catalogs a loaded dataset whose records[i] sits at rids[i].
-// An id that appears twice is an error: the provider would hold both
-// records, and deleting the id would leave the other served and
-// verifying.
-func NewCatalog(records []record.Record, rids []RID) (Catalog, error) {
-	c := Catalog{live: make(map[record.ID]Live, len(records))}
+// NewCatalog returns an empty catalog with room for n ids; a load Adds
+// each record as it lands.
+func NewCatalog(n int) Catalog {
+	return Catalog{live: make(map[record.ID]Live, n)}
+}
+
+// CatalogOf catalogs a loaded dataset whose records[i] sits at rids[i].
+func CatalogOf(records []record.Record, rids []RID) (Catalog, error) {
+	c := NewCatalog(len(records))
 	for i := range records {
-		id := records[i].ID
-		if _, dup := c.live[id]; dup {
-			return Catalog{}, fmt.Errorf("heapfile: record id %d appears more than once in the dataset", id)
+		if err := c.Add(records[i].ID, Live{RID: rids[i], Key: records[i].Key}); err != nil {
+			return Catalog{}, err
 		}
-		c.live[id] = Live{RID: rids[i], Key: records[i].Key}
 	}
 	return c, nil
+}
+
+// Add catalogs a loaded record: id sits at l. An id added twice is an
+// error: the provider would hold both records, and deleting the id would
+// leave the other served and verifying.
+func (c *Catalog) Add(id record.ID, l Live) error {
+	if _, dup := c.live[id]; dup {
+		return fmt.Errorf("heapfile: record id %d appears more than once in the dataset", id)
+	}
+	c.live[id] = l
+	return nil
 }
 
 // Get returns where id sits, if it is live.

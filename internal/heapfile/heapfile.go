@@ -17,6 +17,7 @@ package heapfile
 import (
 	"errors"
 	"fmt"
+	"io"
 
 	"sae/internal/bufpool"
 	"sae/internal/exec"
@@ -67,37 +68,62 @@ func (f *File) UseCache(*bufpool.Cache) {}
 
 // Build creates a clustered file holding records in the given order (callers
 // sort by key first) and returns the RID of each record, aligned with the
-// input slice. It is the data owner's initial bulk transfer to the SP.
+// input slice: BuildFrom over the records' encodings.
 func Build(store pagestore.Store, records []record.Record) (*File, []RID, error) {
-	f := New(store)
 	rids := make([]RID, 0, len(records))
-	buf := bufpool.GetPage()
-	defer bufpool.PutPage(buf)
-	for start := 0; start < len(records); start += RecordsPerPage {
-		end := min(start+RecordsPerPage, len(records))
-		id, err := f.allocate(nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		clear(buf[:])
-		for s := range records[start:end] {
-			putSlot(buf[:], s, &records[start+s])
-			rids = append(rids, RID{Page: id, Slot: uint16(s)})
-		}
-		if err := f.write(nil, id, buf[:]); err != nil {
-			return nil, nil, err
-		}
-		f.pages = append(f.pages, id)
+	f, err := BuildFrom(store, len(records), record.ReaderOf(records), func(rid RID, _ []byte) error {
+		rids = append(rids, rid)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	f.live = len(records)
 	return f, rids, nil
 }
 
-// putSlot writes r into slot s of a raw page and marks it live. Slots
-// fill in order, so s+1 becomes the page's slot count.
-func putSlot(page []byte, s int, r *record.Record) {
+// BuildFrom creates a clustered file holding the n records whose
+// canonical encodings src streams back to back, in that order — the data
+// owner's initial bulk transfer to the SP. Each page is filled in place:
+// its slots are read straight from src, each record is handed to each
+// (with its RID and its bytes on the page) once the page is full, and the
+// page is allocated and written through the store once. An error from
+// each, or fewer than n records in src, fails the build.
+func BuildFrom(store pagestore.Store, n int, src io.Reader, each func(rid RID, enc []byte) error) (*File, error) {
+	f := New(store)
+	buf := bufpool.GetPage()
+	defer bufpool.PutPage(buf)
+	for start := 0; start < n; start += RecordsPerPage {
+		k := min(RecordsPerPage, n-start)
+		id, err := f.allocate(nil)
+		if err != nil {
+			return nil, err
+		}
+		clear(buf[:])
+		if _, err := io.ReadFull(src, buf[headerSize:slotOffset(k)]); err != nil {
+			return nil, fmt.Errorf("heapfile: reading records %d..%d of %d: %w", start, start+k, n, err)
+		}
+		buf[0], buf[2] = byte(k), byte(1<<k-1)
+		for s := 0; s < k; s++ {
+			off := slotOffset(s)
+			if err := each(RID{Page: id, Slot: uint16(s)}, buf[off:off+record.Size]); err != nil {
+				return nil, err
+			}
+		}
+		if err := f.write(nil, id, buf[:]); err != nil {
+			return nil, err
+		}
+		f.pages = append(f.pages, id)
+	}
+	f.live = n
+	return f, nil
+}
+
+// putSlot copies enc, one record's canonical encoding, into slot s of a
+// raw page and marks it live. Slots fill in order, so s+1 becomes the
+// page's slot count.
+func putSlot(page []byte, s int, enc []byte) {
 	off := slotOffset(s)
-	r.AppendBinary(page[off : off : off+record.Size])
+	copy(page[off:off+record.Size], enc[:record.Size])
 	page[0] = byte(s + 1)
 	page[2] |= 1 << uint(s)
 }
@@ -264,12 +290,12 @@ func (f *File) ServeBurstCtx(ctxs []*exec.Context, runs [][]RID, emit func(qi in
 }
 
 // Append adds a record with no request context; see AppendCtx.
-func (f *File) Append(r record.Record) (RID, error) { return f.AppendCtx(nil, r) }
+func (f *File) Append(r record.Record) (RID, error) { return f.AppendCtx(nil, r.Marshal()) }
 
-// AppendCtx adds a record at the file's tail, extending the last page (one
-// read, one write) or allocating a new one, and returns its RID. Used for
-// post-build updates.
-func (f *File) AppendCtx(ctx *exec.Context, r record.Record) (RID, error) {
+// AppendCtx adds a record, given as its canonical encoding enc, at the
+// file's tail, extending the last page (one read, one write) or
+// allocating a new one, and returns its RID. Used for post-build updates.
+func (f *File) AppendCtx(ctx *exec.Context, enc []byte) (RID, error) {
 	buf := bufpool.GetPage()
 	defer bufpool.PutPage(buf)
 	if n := len(f.pages); n > 0 {
@@ -278,7 +304,7 @@ func (f *File) AppendCtx(ctx *exec.Context, r record.Record) (RID, error) {
 			return InvalidRID, err
 		}
 		if cnt := int(buf[0]); cnt < RecordsPerPage {
-			putSlot(buf[:], cnt, &r)
+			putSlot(buf[:], cnt, enc)
 			if err := f.write(ctx, last, buf[:]); err != nil {
 				return InvalidRID, err
 			}
@@ -291,7 +317,7 @@ func (f *File) AppendCtx(ctx *exec.Context, r record.Record) (RID, error) {
 		return InvalidRID, err
 	}
 	clear(buf[:])
-	putSlot(buf[:], 0, &r)
+	putSlot(buf[:], 0, enc)
 	if err := f.write(ctx, id, buf[:]); err != nil {
 		return InvalidRID, err
 	}

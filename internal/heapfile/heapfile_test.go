@@ -86,7 +86,7 @@ func TestUpdateAccessCounts(t *testing.T) {
 		want pagestore.Stats
 	}{
 		{"append to tail", func(ctx *exec.Context) error {
-			_, err := f.AppendCtx(ctx, record.Synthesize(50, 5))
+			_, err := f.AppendCtx(ctx, encoded(50, 5))
 			return err
 		}, pagestore.Stats{Reads: 1, Writes: 1}},
 		{"delete", func(ctx *exec.Context) error { return f.DeleteCtx(ctx, rids[3]) },
@@ -108,7 +108,7 @@ func TestUpdateAccessCounts(t *testing.T) {
 	}
 	counting.Reset()
 	ctx := exec.NewContext()
-	if _, err := f.AppendCtx(ctx, record.Synthesize(70, 7)); err != nil {
+	if _, err := f.AppendCtx(ctx, encoded(70, 7)); err != nil {
 		t.Fatal(err)
 	}
 	if want := (pagestore.Stats{Reads: 1, Writes: 1, Allocs: 1}); ctx.Stats() != want {
@@ -231,4 +231,11 @@ func TestBuildEmpty(t *testing.T) {
 	if len(rids) != 0 || f.NumRecords() != 0 || f.NumPages() != 0 {
 		t.Fatal("empty build must produce an empty file")
 	}
+}
+
+// encoded returns the canonical encoding of record.Synthesize(id, key).
+func encoded(id record.ID, key record.Key) []byte {
+	b := make([]byte, record.Size)
+	record.SynthesizeInto(b, id, key)
+	return b
 }

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 )
 
 // Size is the total encoded size of a record in bytes, as fixed by the
@@ -102,18 +103,71 @@ func WireKey(b []byte) Key {
 // seed without storing 500 bytes per record in the generator itself.
 func Synthesize(id ID, key Key) Record {
 	r := Record{ID: id, Key: key}
-	// Cheap xorshift64* stream keyed by the id; this is filler data, not
-	// cryptographic material (digests over it come from crypto/sha1).
+	synthesizePayload(r.Payload[:], id)
+	return r
+}
+
+// SynthesizeInto writes the canonical encoding of Synthesize(id, key)
+// into dst[:Size] without building the record.
+func SynthesizeInto(dst []byte, id ID, key Key) {
+	binary.BigEndian.PutUint64(dst[0:8], uint64(id))
+	binary.BigEndian.PutUint32(dst[8:12], uint32(key))
+	synthesizePayload(dst[12:Size], id)
+}
+
+// synthesizePayload fills p, PayloadSize bytes, from a cheap xorshift64*
+// stream keyed by id; this is filler data, not cryptographic material
+// (digests over it come from crypto/sha1).
+func synthesizePayload(p []byte, id ID) {
 	x := uint64(id)*0x9E3779B97F4A7C15 + 1
 	for i := 0; i < PayloadSize; i += 8 {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
-		var w [8]byte
-		binary.LittleEndian.PutUint64(w[:], x*0x2545F4914F6CDD1D)
-		copy(r.Payload[i:], w[:])
+		binary.LittleEndian.PutUint64(p[i:i+8], x*0x2545F4914F6CDD1D)
 	}
-	return r
+}
+
+// Reader streams the canonical encodings of n records back to back, each
+// written in place by fill(i, dst) into the Size bytes dst of record i.
+// A Read of whole records fills the caller's buffer directly; a record a
+// Read would split goes through one scratch encoding.
+type Reader struct {
+	n, i int
+	fill func(i int, dst []byte)
+	part [Size]byte
+	rest []byte // the unread tail of part
+}
+
+// NewReader returns a Reader over n records.
+func NewReader(n int, fill func(i int, dst []byte)) *Reader {
+	return &Reader{n: n, fill: fill}
+}
+
+// ReaderOf streams the encodings of recs, each encoded once.
+func ReaderOf(recs []Record) *Reader {
+	return NewReader(len(recs), func(i int, dst []byte) { recs[i].AppendBinary(dst[:0]) })
+}
+
+// Read implements io.Reader.
+func (r *Reader) Read(p []byte) (int, error) {
+	n := copy(p, r.rest)
+	r.rest = r.rest[n:]
+	for ; len(p)-n >= Size && r.i < r.n; r.i++ {
+		r.fill(r.i, p[n:n+Size])
+		n += Size
+	}
+	if n < len(p) && r.i < r.n {
+		r.fill(r.i, r.part[:])
+		r.i++
+		c := copy(p[n:], r.part[:])
+		r.rest = r.part[c:]
+		n += c
+	}
+	if n == 0 && len(p) > 0 {
+		return 0, io.EOF
+	}
+	return n, nil
 }
 
 // String summarizes the record for logs and debugging tools.

@@ -15,6 +15,7 @@
 package replica
 
 import (
+	"io"
 	"sync"
 
 	"sae/internal/core"
@@ -157,10 +158,14 @@ func (h *Hub) Since(after uint64, max int) (gs []wal.Group, snapshotNeeded bool,
 	return gs, snapshotNeeded, last
 }
 
-// Snapshot cuts a sequence-stamped record dump at a commit boundary: the
-// record set and the stamp belong to the same generation even under a
-// live write burst. This is exactly the content a DurableSystem
-// checkpoint would hold at that boundary.
+// WriteSnapshot writes a sequence-stamped record dump cut at a commit
+// boundary to w: the record set and the stamp belong to the same
+// generation even under a live write burst. These are exactly the bytes
+// a DurableSystem checkpoint would hold at that boundary
+// (core.DurableSystem.WriteSnapshot).
+func (h *Hub) WriteSnapshot(w io.Writer) error { return h.ds.WriteSnapshot(w) }
+
+// Snapshot decodes WriteSnapshot's dump.
 func (h *Hub) Snapshot() (core.Snapshot, error) {
 	return h.ds.SnapshotRecords()
 }

@@ -89,7 +89,7 @@ func (p *Provider) Load(records []record.Record, owner *Owner) error {
 	if err != nil {
 		return fmt.Errorf("tom: provider loading heap: %w", err)
 	}
-	catalog, err := heapfile.NewCatalog(records, rids)
+	catalog, err := heapfile.CatalogOf(records, rids)
 	if err != nil {
 		return fmt.Errorf("tom: provider loading catalog: %w", err)
 	}
@@ -200,7 +200,8 @@ func (p *Provider) ApplyBatchCtx(ctx *exec.Context, ops []wal.Op, owner *Owner) 
 		switch ops[i].Kind {
 		case wal.OpInsert:
 			r := &ops[i].Rec
-			rid, err := p.heap.AppendCtx(ctx, *r)
+			var enc [record.Size]byte
+			rid, err := p.heap.AppendCtx(ctx, r.AppendBinary(enc[:0]))
 			if err != nil {
 				return fmt.Errorf("tom: provider inserting record: %w", err)
 			}

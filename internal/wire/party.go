@@ -444,16 +444,15 @@ func serveGenStamp(s *Server, _ Frame, rb *RespBuf) Frame {
 }
 
 // serveReplicaSnap ships the whole shard — attestation plus a
-// sequence-stamped record dump cut at a commit boundary.
+// sequence-stamped record dump cut at a commit boundary, the
+// checkpoint's bytes served from the primary's heap pages.
 func serveReplicaSnap(s *Server, _ Frame, rb *RespBuf) Frame {
-	snap, err := s.party.hub.Snapshot()
-	if err != nil {
-		return errFrame(err)
-	}
 	sib := EncodeShardInfo(s.attestation())
 	rb.AppendUint32(uint32(len(sib)))
 	rb.Append(sib)
-	rb.b = core.EncodeSnapshot(rb.b, snap)
+	if err := s.party.hub.WriteSnapshot(rb); err != nil {
+		return errFrame(err)
+	}
 	return Frame{Type: MsgReplicaSnap, Payload: rb.b}
 }
 

@@ -77,6 +77,12 @@ func (rb *RespBuf) Frame(typ MsgType) Frame {
 // Append appends raw bytes to the payload.
 func (rb *RespBuf) Append(p []byte) { rb.b = append(rb.b, p...) }
 
+// Write appends p to the payload: RespBuf is an io.Writer.
+func (rb *RespBuf) Write(p []byte) (int, error) {
+	rb.Append(p)
+	return len(p), nil
+}
+
 // AppendRef appends p to the payload by reference: the bytes are not
 // copied, the response's vectored write reads them where they are. p must
 // stay untouched until the response is on the socket — which Hold

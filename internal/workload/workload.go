@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 
 	"sae/internal/record"
@@ -82,8 +81,31 @@ func Keys(dist Distribution, n int, seed int64) ([]uint64, error) {
 	for i := range pairs {
 		pairs[i] = uint64(keyFn())<<32 | uint64(i+1)
 	}
-	slices.Sort(pairs)
-	return pairs, nil
+	return sortByKey(pairs), nil
+}
+
+// sortByKey sorts pairs drawn in increasing id order into (key, id) order:
+// a stable LSD radix sort over the three bytes of a key below 2^24, one
+// counting pass per byte. Stability keeps equal keys in id order.
+func sortByKey(pairs []uint64) []uint64 {
+	tmp := make([]uint64, len(pairs))
+	for shift := 32; shift < 56; shift += 8 {
+		var at [256]int
+		for _, p := range pairs {
+			at[byte(p>>shift)]++
+		}
+		sum := 0
+		for b, c := range at {
+			at[b], sum = sum, sum+c
+		}
+		for _, p := range pairs {
+			d := byte(p >> shift)
+			tmp[at[d]] = p
+			at[d]++
+		}
+		pairs, tmp = tmp, pairs
+	}
+	return pairs
 }
 
 // Unpack splits a pair packed by Keys.
@@ -99,6 +121,16 @@ func Synthesize(pairs []uint64) []record.Record {
 		records[i] = record.Synthesize(id, key)
 	}
 	return records
+}
+
+// Reader streams the canonical encodings of the records of packed pairs,
+// in their order, synthesizing each in place: what Synthesize would
+// encode, with no record built.
+func Reader(pairs []uint64) *record.Reader {
+	return record.NewReader(len(pairs), func(i int, dst []byte) {
+		key, id := Unpack(pairs[i])
+		record.SynthesizeInto(dst, id, key)
+	})
 }
 
 // SkewConcentration is the paper's observable characterization of SKW:
