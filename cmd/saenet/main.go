@@ -378,6 +378,7 @@ func runReplica(o *opts) error {
 	}
 	feed := wire.StartReplicaFeed(rep, o.primary, wire.Logf("replica"))
 	expvar.Publish("sae_replica_seq", expvar.Func(func() any { return rep.Seq() }))
+	expvar.Publish("sae_replica_resets", expvar.Func(func() any { return feed.Resets() }))
 	fmt.Fprintf(os.Stderr, "saenet replica: shard %d of %s at seq %d, tailing %s\n",
 		info.Index, info.Plan, rep.Seq(), o.primary)
 	return serveUntilInterrupt("replica", srv.Addr(), func() error { feed.Close(); return nil }, srv.Close)

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -30,9 +32,10 @@ func goldenPairs(t *testing.T) []uint64 {
 
 // TestGoldenCheckpoint pins the checkpoint's bytes (SAECKP03):
 // testdata/parent.ckpt was written by writeCheckpoint when it encoded
-// every record of a []record.Record. A fresh open and a Checkpoint after
-// a reopen write exactly those bytes, and opening the file gives back
-// the same records, tokens and fresh-id watermark.
+// every record of a []record.Record. A fresh open from packed pairs, a
+// fresh open of the records, and a Checkpoint after a reopen write
+// exactly those bytes, and opening the file gives back the same records,
+// tokens and fresh-id watermark.
 func TestGoldenCheckpoint(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "parent.ckpt"))
 	if err != nil {
@@ -55,6 +58,13 @@ func TestGoldenCheckpoint(t *testing.T) {
 			t.Fatalf("%s: checkpoint is a %d-byte prefix of the %d-byte golden one", name, len(got), len(golden))
 		}
 	}
+
+	fresh, err := OpenDurableFrom(t.TempDir(), len(pairs), workload.Reader(pairs), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	checkpointOf("fresh open of pairs", fresh)
 
 	shim, err := OpenDurableSystem(t.TempDir(), recs, 0)
 	if err != nil {
@@ -107,6 +117,120 @@ func TestGoldenCheckpoint(t *testing.T) {
 			if !got.Result[i].Equal(&ref.Result[i]) {
 				t.Fatalf("%v: record %d is %v, want %v", q, i, &got.Result[i], &ref.Result[i])
 			}
+		}
+	}
+}
+
+// TestOpenFreshAllocBudget holds a primary's fresh open of its 50 000
+// records to at most 1.75 bytes allocated per byte of live heap the open
+// leaves behind: each record is written once, into its heap slot, and
+// the index, catalog and checkpoint are read from there. Building a
+// []record.Record first (and encoding it again for the heap, the TE and
+// the checkpoint) allocated 2.4 bytes per live byte.
+func TestOpenFreshAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations are not the open's")
+	}
+	pairs := shard0Pairs(t)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sys, err := OpenDurableFrom(t.TempDir(), len(pairs), workload.Reader(pairs), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	live := after.HeapAlloc - before.HeapAlloc
+	t.Logf("open of %d records: %.1f MB allocated, %.1f MB live (%.2fx)", len(pairs), float64(allocated)/1e6, float64(live)/1e6, float64(allocated)/float64(live))
+	if float64(allocated) > 1.75*float64(live) {
+		t.Fatalf("open allocated %d bytes for %d live: over 1.75x", allocated, live)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLoadPathParity loads one dataset four ways — a fresh open streaming
+// packed pairs, a fresh open of the []record.Record, a reopen of the
+// first, and a replica's rebuild from the first's snapshot bytes (what
+// replica.NewFromSnapshot runs) — for both distributions at sizes with
+// no record, one record and a part-filled last page. Every range must
+// return the same records and token from each, and each must count the
+// same records and issue fresh ids from the same watermark.
+func TestLoadPathParity(t *testing.T) {
+	for _, dist := range []workload.Distribution{workload.UNF, workload.SKW} {
+		for _, n := range []int{0, 1, 1003} {
+			pairs, err := workload.Keys(dist, n, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s n=%d", dist, n)
+			fresh, err := OpenDurableFrom(t.TempDir(), n, workload.Reader(pairs), 0)
+			if err != nil {
+				t.Fatalf("%s: fresh open of pairs: %v", name, err)
+			}
+			var snap bytes.Buffer
+			if err := fresh.WriteSnapshot(&snap); err != nil {
+				t.Fatalf("%s: snapshot: %v", name, err)
+			}
+			if err := fresh.Close(); err != nil {
+				t.Fatal(err)
+			}
+			reopened, err := OpenDurableSystem(fresh.Dir, nil, 0)
+			if err != nil {
+				t.Fatalf("%s: reopen: %v", name, err)
+			}
+			shim, err := OpenDurableSystem(t.TempDir(), workload.Synthesize(pairs), 0)
+			if err != nil {
+				t.Fatalf("%s: fresh open of records: %v", name, err)
+			}
+			decoded, err := DecodeSnapshot(snap.Bytes())
+			if err != nil {
+				t.Fatalf("%s: decoding the snapshot: %v", name, err)
+			}
+			rep, err := Rebuild(decoded.Records, decoded.NextID)
+			if err != nil {
+				t.Fatalf("%s: replica rebuild: %v", name, err)
+			}
+			paths := map[string]*System{
+				"fresh open of pairs": {Owner: fresh.Owner, SP: fresh.SP, TE: fresh.TE},
+				"reopen":              {Owner: reopened.Owner, SP: reopened.SP, TE: reopened.TE},
+				"replica":             rep,
+			}
+			want := &System{Owner: shim.Owner, SP: shim.SP, TE: shim.TE}
+			for path, sys := range paths {
+				if got, w := sys.SP.Count(), want.SP.Count(); got != w || got != n {
+					t.Fatalf("%s, %s: catalog of %d ids, the records' open %d, want %d", name, path, got, w, n)
+				}
+				if got, w := sys.Owner.watermark(), want.Owner.watermark(); got != w || got != record.ID(n+1) {
+					t.Fatalf("%s, %s: watermark %d, the records' open %d, want %d", name, path, got, w, n+1)
+				}
+				for lo := record.Key(0); lo < record.KeyDomain; lo += record.KeyDomain / 16 {
+					q := record.Range{Lo: lo, Hi: lo + record.KeyDomain/8}
+					got, err := sys.Query(q)
+					if err != nil || got.VerifyErr != nil {
+						t.Fatalf("%s, %s, %v: %v / %v", name, path, q, err, got.VerifyErr)
+					}
+					ref, err := want.Query(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.VT != ref.VT || len(got.Result) != len(ref.Result) {
+						t.Fatalf("%s, %s, %v: %d records, VT %v; want %d, %v", name, path, q, len(got.Result), got.VT, len(ref.Result), ref.VT)
+					}
+					for i := range got.Result {
+						if !got.Result[i].Equal(&ref.Result[i]) {
+							t.Fatalf("%s, %s, %v: record %d is %v, want %v", name, path, q, i, &got.Result[i], &ref.Result[i])
+						}
+					}
+				}
+			}
+			reopened.Close()
+			shim.Close()
 		}
 	}
 }

@@ -352,93 +352,28 @@ func (te *TrustedEntity) Load(records []record.Record) error {
 // LoadFrom receives the owner's initial dataset as the canonical
 // encodings of n records in key order, streamed by src, projects each
 // record to its (id, digest) tuple and bulk-loads the XB-Tree. The TE
-// discards everything else about the records.
+// discards everything else about the records. Digesting is the load's
+// SHA-1 bill: digest.ReadWire hashes 16 records per pass of the 16-lane
+// kernel, where they lie in one stack buffer.
 func (te *TrustedEntity) LoadFrom(n int, src io.Reader) error {
-	l := newTupleLoad(n)
-	for l.n < n {
-		k := min(n-l.n, tupleLoadBatch)
-		if _, err := io.ReadFull(src, l.buf[:k*record.Size]); err != nil {
-			return fmt.Errorf("core: TE reading records %d..%d of %d: %w", l.n, l.n+k, n, err)
-		}
-		l.fill = k * record.Size
-		if err := l.digest(); err != nil {
-			return err
-		}
-	}
-	return te.loadTuples(l)
-}
-
-// tupleLoadBatch is how many records a tupleLoad digests per pass: one
-// pass of the 16-lane kernel, two heap pages.
-const tupleLoadBatch = 16
-
-// tupleLoad collects a TE's bulk-load input from a stream of canonical
-// record encodings in key order: each record's (id, digest) tuple, in
-// runs that share a key. It is an io.Writer so that a load can tee the
-// bytes the SP reads into its heap pages: they collect in buf and are
-// digested 16 records per pass where they lie.
-type tupleLoad struct {
-	buf    [tupleLoadBatch * record.Size]byte
-	fill   int
-	n      int            // tuples filled
-	tuples []xbtree.Tuple // one per record the load expects
-	items  []xbtree.KeyTuples
-}
-
-func newTupleLoad(n int) *tupleLoad {
-	return &tupleLoad{tuples: make([]xbtree.Tuple, n), items: make([]xbtree.KeyTuples, 0, n)}
-}
-
-// Write collects p, digesting each full buffer.
-func (l *tupleLoad) Write(p []byte) (int, error) {
-	for i := 0; i < len(p); {
-		c := copy(l.buf[l.fill:], p[i:])
-		l.fill += c
-		i += c
-		if l.fill == len(l.buf) {
-			if err := l.digest(); err != nil {
-				return i, err
-			}
-		}
-	}
-	return len(p), nil
-}
-
-// digest turns the whole records in buf into tuples and keeps a trailing
-// partial record for the next Write.
-func (l *tupleLoad) digest() error {
-	enc := l.buf[:l.fill-l.fill%record.Size]
-	k := len(enc) / record.Size
-	if l.n+k > len(l.tuples) {
-		return fmt.Errorf("core: TE load given more than %d records", len(l.tuples))
-	}
-	var ds [tupleLoadBatch]digest.Digest
-	digest.AppendWire(ds[:0], enc)
-	for j := range k {
-		rec := enc[j*record.Size:]
-		l.tuples[l.n] = xbtree.Tuple{ID: record.WireID(rec), Digest: ds[j]}
-		if m := len(l.items); m > 0 && l.items[m-1].Key == record.WireKey(rec) {
-			l.items[m-1].Tuples = l.items[m-1].Tuples[:len(l.items[m-1].Tuples)+1]
+	// One flat tuple array; each key's list is the run of it that shares
+	// the key, since the records arrive in key order.
+	tuples := make([]xbtree.Tuple, 0, n)
+	items := make([]xbtree.KeyTuples, 0, n)
+	err := digest.ReadWire(src, n, func(rec []byte, d digest.Digest) {
+		tuples = append(tuples, xbtree.Tuple{ID: record.WireID(rec), Digest: d})
+		if m := len(items); m > 0 && items[m-1].Key == record.WireKey(rec) {
+			items[m-1].Tuples = tuples[len(tuples)-len(items[m-1].Tuples)-1:]
 		} else {
-			l.items = append(l.items, xbtree.KeyTuples{Key: record.WireKey(rec), Tuples: l.tuples[l.n : l.n+1]})
+			items = append(items, xbtree.KeyTuples{Key: record.WireKey(rec), Tuples: tuples[len(tuples)-1:]})
 		}
-		l.n++
-	}
-	l.fill = copy(l.buf[:], l.buf[len(enc):l.fill])
-	return nil
-}
-
-// loadTuples bulk-loads the XB-Tree from a finished tupleLoad.
-func (te *TrustedEntity) loadTuples(l *tupleLoad) error {
-	if err := l.digest(); err != nil {
-		return err
-	}
-	if l.fill != 0 || l.n != len(l.tuples) {
-		return fmt.Errorf("core: TE load got %d of %d records (and %d bytes more)", l.n, len(l.tuples), l.fill)
+	})
+	if err != nil {
+		return fmt.Errorf("core: TE loading: %w", err)
 	}
 	te.mu.Lock()
 	defer te.mu.Unlock()
-	tree, err := xbtree.Bulkload(te.store, l.items)
+	tree, err := xbtree.Bulkload(te.store, items)
 	if err != nil {
 		return fmt.Errorf("core: TE loading XB-Tree: %w", err)
 	}
@@ -617,16 +552,6 @@ func (vp VerifyPool) VerifyEncoded(q record.Range, enc []byte, vt digest.Digest)
 type DataOwner struct {
 	mu     sync.Mutex
 	nextID record.ID
-}
-
-// NewDataOwner wraps an initial dataset: the owner issues fresh ids past
-// the largest id in records.
-func NewDataOwner(records []record.Record) *DataOwner {
-	do := &DataOwner{nextID: 1}
-	for i := range records {
-		do.nextID = max(do.nextID, records[i].ID+1)
-	}
-	return do
 }
 
 // watermark returns the next fresh id the owner would issue. Every id

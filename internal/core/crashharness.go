@@ -53,13 +53,7 @@ func (l *AckLog) line(s string) error {
 
 // IntendInserts durably records that a batch with these keys is about to
 // be submitted. Call before InsertBatch.
-func (l *AckLog) IntendInserts(keys []record.Key) error {
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = strconv.Itoa(int(k))
-	}
-	return l.line("P " + strings.Join(parts, ","))
-}
+func (l *AckLog) IntendInserts(keys []record.Key) error { return l.line("P " + joinInts(keys)) }
 
 // AckInserts durably records a batch the committer acked.
 func (l *AckLog) AckInserts(recs []record.Record) error {
@@ -71,22 +65,10 @@ func (l *AckLog) AckInserts(recs []record.Record) error {
 }
 
 // IntendDeletes durably records a delete batch about to be submitted.
-func (l *AckLog) IntendDeletes(ids []record.ID) error {
-	parts := make([]string, len(ids))
-	for i, id := range ids {
-		parts[i] = strconv.FormatInt(int64(id), 10)
-	}
-	return l.line("Q " + strings.Join(parts, ","))
-}
+func (l *AckLog) IntendDeletes(ids []record.ID) error { return l.line("Q " + joinInts(ids)) }
 
 // AckDeletes durably records an acked delete batch.
-func (l *AckLog) AckDeletes(ids []record.ID) error {
-	parts := make([]string, len(ids))
-	for i, id := range ids {
-		parts[i] = strconv.FormatInt(int64(id), 10)
-	}
-	return l.line("D " + strings.Join(parts, ","))
-}
+func (l *AckLog) AckDeletes(ids []record.ID) error { return l.line("D " + joinInts(ids)) }
 
 // Close closes the log file.
 func (l *AckLog) Close() error { return l.f.Close() }
@@ -135,7 +117,7 @@ func ReadAckLog(path string) (*AckedState, error) {
 		}
 		switch kind {
 		case "P":
-			keys, err := parseKeys(rest)
+			keys, err := parseInts[record.Key](rest)
 			if err != nil {
 				return nil, fmt.Errorf("core: ack log line %d: %w", ln+1, err)
 			}
@@ -155,13 +137,13 @@ func ReadAckLog(path string) (*AckedState, error) {
 			}
 			st.PendingInsertKeys = nil
 		case "Q":
-			ids, err := parseIDs(rest)
+			ids, err := parseInts[record.ID](rest)
 			if err != nil {
 				return nil, fmt.Errorf("core: ack log line %d: %w", ln+1, err)
 			}
 			st.PendingDeleteIDs = ids
 		case "D":
-			ids, err := parseIDs(rest)
+			ids, err := parseInts[record.ID](rest)
 			if err != nil {
 				return nil, fmt.Errorf("core: ack log line %d: %w", ln+1, err)
 			}
@@ -180,30 +162,27 @@ func ReadAckLog(path string) (*AckedState, error) {
 	return st, nil
 }
 
-func parseKeys(s string) ([]record.Key, error) {
-	parts := strings.Split(s, ",")
-	keys := make([]record.Key, len(parts))
-	for i, p := range parts {
-		k, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, fmt.Errorf("bad key %q", p)
-		}
-		keys[i] = record.Key(k)
+// joinInts writes keys or ids as an ack log line's comma-separated list.
+func joinInts[T record.Key | record.ID](vs []T) string {
+	parts := make([]string, len(vs))
+	for i, v := range vs {
+		parts[i] = strconv.FormatUint(uint64(v), 10)
 	}
-	return keys, nil
+	return strings.Join(parts, ",")
 }
 
-func parseIDs(s string) ([]record.ID, error) {
+// parseInts reads a list joinInts wrote.
+func parseInts[T record.Key | record.ID](s string) ([]T, error) {
 	parts := strings.Split(s, ",")
-	ids := make([]record.ID, len(parts))
+	vs := make([]T, len(parts))
 	for i, p := range parts {
-		id, err := strconv.ParseInt(p, 10, 64)
+		v, err := strconv.ParseUint(p, 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad id %q", p)
+			return nil, fmt.Errorf("bad number %q", p)
 		}
-		ids[i] = record.ID(id)
+		vs[i] = T(v)
 	}
-	return ids, nil
+	return vs, nil
 }
 
 // Reconciliation reports how the one in-flight submission resolved, so

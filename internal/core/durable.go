@@ -2,7 +2,6 @@ package core
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -66,24 +65,33 @@ type Snapshot struct {
 
 // writeCheckpoint publishes a checkpoint atomically: fill writes the
 // file's bytes to a temp file, which is fsynced, renamed over
-// records.dat, and the directory fsynced. A non-nil header fill returns
-// is written over the file's first bytes before the fsync, for a fill
-// that learns the header only once the records are written. On failure
-// the temp file is removed.
+// records.dat, and the directory fsynced. A header fill returns is
+// written over the file's first bytes before the fsync, for a fill that
+// learns the header only once the records are written. On failure the
+// temp file is removed.
 func writeCheckpoint(dir string, fill func(w io.Writer) (header []byte, err error)) error {
 	tmp := checkpointPath(dir) + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("core: creating checkpoint: %w", err)
 	}
-	if err := fillCheckpoint(f, fill); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	bw := bufio.NewWriterSize(f, 1<<20)
+	header, err := fill(bw)
+	if err == nil {
+		err = bw.Flush()
 	}
-	if err := f.Close(); err != nil {
+	if err == nil {
+		_, err = f.WriteAt(header, 0)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(tmp)
-		return err
+		return fmt.Errorf("core: writing checkpoint: %w", err)
 	}
 	if err := os.Rename(tmp, checkpointPath(dir)); err != nil {
 		return fmt.Errorf("core: publishing checkpoint: %w", err)
@@ -91,26 +99,6 @@ func writeCheckpoint(dir string, fill func(w io.Writer) (header []byte, err erro
 	if d, err := os.Open(dir); err == nil {
 		d.Sync()
 		d.Close()
-	}
-	return nil
-}
-
-// fillCheckpoint writes fill's bytes, and its header if it returns one,
-// to f and syncs f.
-func fillCheckpoint(f *os.File, fill func(w io.Writer) ([]byte, error)) error {
-	bw := bufio.NewWriterSize(f, 1<<20)
-	header, err := fill(bw)
-	if err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("core: writing checkpoint: %w", err)
-	}
-	if _, err := f.WriteAt(header, 0); err != nil {
-		return fmt.Errorf("core: writing checkpoint header: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("core: syncing checkpoint: %w", err)
 	}
 	return nil
 }
@@ -123,11 +111,11 @@ func fillCheckpoint(f *os.File, fill func(w io.Writer) ([]byte, error)) error {
 func freshCheckpoint(dir string, n int, src io.Reader) (*System, error) {
 	var sys *System
 	err := writeCheckpoint(dir, func(w io.Writer) ([]byte, error) {
-		if _, err := w.Write(make([]byte, snapshotHeaderSize)); err != nil {
-			return nil, fmt.Errorf("core: writing checkpoint: %w", err)
+		_, err := w.Write(make([]byte, snapshotHeaderSize))
+		if err == nil {
+			sys, err = rebuildFrom(n, io.TeeReader(src, w), 0)
 		}
-		var err error
-		if sys, err = rebuildFrom(n, io.TeeReader(src, w), 0); err != nil {
+		if err != nil {
 			return nil, err
 		}
 		return appendSnapshotHeader(nil, 0, sys.Owner.watermark(), n), nil
@@ -180,13 +168,14 @@ func OpenDurableFrom(dir string, n int, src io.Reader, maxGroup int) (*DurableSy
 	var sys *System
 	var ckptSeq uint64
 	f, err := os.Open(checkpointPath(dir))
+	_, walErr := os.Stat(walPath(dir))
 	switch {
 	case err == nil:
 		sys, ckptSeq, err = readCheckpoint(f)
 		f.Close()
 	case !os.IsNotExist(err):
 		err = fmt.Errorf("core: reading checkpoint: %w", err)
-	case fileExists(walPath(dir)):
+	case walErr == nil:
 		sys, err = rebuildFrom(0, src, 0) // reads nothing
 	default:
 		sys, err = freshCheckpoint(dir, n, src)
@@ -234,11 +223,6 @@ func OpenDurableFrom(dir string, n int, src io.Reader, maxGroup int) (*DurableSy
 	return ds, nil
 }
 
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
-}
-
 // snapshotHeaderSize is the header a checkpoint file and a wire snapshot
 // share: magic, sequence, fresh-id watermark, record count.
 const snapshotHeaderSize = len(checkpointMagic) + 24
@@ -261,12 +245,11 @@ func parseSnapshotHeader(b []byte, size int64) (seq uint64, nextID record.ID, n 
 	if magic := string(b[:len(checkpointMagic)]); magic != checkpointMagic {
 		return 0, 0, 0, fmt.Errorf("core: snapshot magic %q, want %q (older formats are not readable)", magic, checkpointMagic)
 	}
-	b = b[len(checkpointMagic):]
-	count := binary.BigEndian.Uint64(b[16:24])
+	count := binary.BigEndian.Uint64(b[24:32]) // after the magic, the sequence and the watermark
 	if count > uint64(size)/record.Size || uint64(size) != count*record.Size {
 		return 0, 0, 0, fmt.Errorf("core: snapshot claims %d records but carries %d bytes", count, size)
 	}
-	return binary.BigEndian.Uint64(b[0:8]), record.ID(binary.BigEndian.Uint64(b[8:16])), int(count), nil
+	return binary.BigEndian.Uint64(b[8:16]), record.ID(binary.BigEndian.Uint64(b[16:24])), int(count), nil
 }
 
 // DecodeSnapshot parses a snapshot — WriteSnapshot's bytes, or a
@@ -371,17 +354,6 @@ func (ds *DurableSystem) WriteSnapshot(w io.Writer) error {
 		}
 		return err
 	})
-}
-
-// SnapshotRecords decodes WriteSnapshot's bytes: the full record set in
-// key order with the generation stamp it belongs to and the owner's
-// fresh-id watermark.
-func (ds *DurableSystem) SnapshotRecords() (Snapshot, error) {
-	var b bytes.Buffer
-	if err := ds.WriteSnapshot(&b); err != nil {
-		return Snapshot{}, err
-	}
-	return DecodeSnapshot(b.Bytes())
 }
 
 // Checkpoint publishes the applied state as the new checkpoint and

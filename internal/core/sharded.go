@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -8,7 +9,6 @@ import (
 	"sae/internal/digest"
 	"sae/internal/exec"
 	"sae/internal/heapfile"
-	"sae/internal/pagestore"
 	"sae/internal/record"
 	"sae/internal/shard"
 	"sae/internal/wal"
@@ -45,38 +45,31 @@ func NewShardedSystem(sorted []record.Record, shards int) (*ShardedSystem, error
 		return nil, err
 	}
 	s := &ShardedSystem{
-		Owner: NewDataOwner(sorted),
+		Owner: &DataOwner{nextID: 1},
 		Plan:  plan,
 		SPs:   make([]*ServiceProvider, plan.Shards()),
 		TEs:   make([]*TrustedEntity, plan.Shards()),
 	}
-	parts := plan.Partition(sorted)
 	// Shards load concurrently: partitions are disjoint and each pair
 	// touches only its own stores.
-	errs := make([]error, plan.Shards())
+	parts := plan.Partition(sorted)
+	systems := make([]*System, len(parts))
+	errs := make([]error, len(parts))
 	var wg sync.WaitGroup
 	for i := range parts {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sp := NewServiceProvider(pagestore.NewMem())
-			te := NewTrustedEntity(pagestore.NewMem())
-			if err := sp.Load(parts[i]); err != nil {
-				errs[i] = fmt.Errorf("core: shard %d SP: %w", i, err)
-				return
-			}
-			if err := te.Load(parts[i]); err != nil {
-				errs[i] = fmt.Errorf("core: shard %d TE: %w", i, err)
-				return
-			}
-			s.SPs[i], s.TEs[i] = sp, te
+			systems[i], errs[i] = Rebuild(parts[i], 0)
 		}(i)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := errors.Join(errs...); err != nil {
+		return nil, fmt.Errorf("core: loading shards: %w", err)
+	}
+	for i, sys := range systems {
+		s.SPs[i], s.TEs[i] = sys.SP, sys.TE
+		s.Owner.nextID = max(s.Owner.nextID, sys.Owner.nextID)
 	}
 	return s, nil
 }

@@ -159,21 +159,20 @@ func Rebuild(recs []record.Record, nextID record.ID) (*System, error) {
 // rebuildFrom assembles the three parties over fresh in-memory page
 // stores from the canonical encodings of n records in key order,
 // streamed by src: the SP reads each record into its heap slot, the TE
-// digests the same bytes as they land there, and the owner issues fresh
-// ids from nextID or past the largest id loaded, whichever is higher. A
-// repeated id is an error. Each party keeps its own decoded-node cache,
-// as under NewSystem.
+// digests the records from the finished pages, and the owner issues
+// fresh ids from nextID or past the largest id loaded, whichever is
+// higher. A repeated id is an error. Each party keeps its own
+// decoded-node cache, as under NewSystem.
 func rebuildFrom(n int, src io.Reader, nextID record.ID) (*System, error) {
 	s := &System{
 		SP: NewServiceProvider(pagestore.NewMem()),
 		TE: NewTrustedEntity(pagestore.NewMem()),
 	}
-	tuples := newTupleLoad(n)
-	maxID, err := s.SP.load(n, io.TeeReader(src, tuples))
+	maxID, err := s.SP.load(n, src)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.TE.loadTuples(tuples); err != nil {
+	if err := s.TE.LoadFrom(n, s.SP.heap.Records()); err != nil {
 		return nil, err
 	}
 	s.Owner = &DataOwner{nextID: max(maxID+1, nextID)}
@@ -181,24 +180,15 @@ func rebuildFrom(n int, src io.Reader, nextID record.ID) (*System, error) {
 }
 
 // sortedByKeyID returns recs if they are in (key, id) order, else a
-// sorted copy.
+// sorted copy; recs is never modified. The order check compares the two
+// fields in place rather than copying records into a comparator.
 func sortedByKeyID(recs []record.Record) []record.Record {
-	if inKeyIDOrder(recs) {
-		return recs
-	}
-	sorted := slices.Clone(recs)
-	slices.SortFunc(sorted, record.SortByKey)
-	return sorted
-}
-
-// inKeyIDOrder reports whether recs are sorted by (key, id), comparing
-// the two fields in place rather than copying records into a comparator.
-func inKeyIDOrder(recs []record.Record) bool {
 	for i := 1; i < len(recs); i++ {
-		a, b := &recs[i-1], &recs[i]
-		if a.Key > b.Key || (a.Key == b.Key && a.ID > b.ID) {
-			return false
+		if a, b := &recs[i-1], &recs[i]; a.Key > b.Key || (a.Key == b.Key && a.ID > b.ID) {
+			sorted := slices.Clone(recs)
+			slices.SortFunc(sorted, record.SortByKey)
+			return sorted
 		}
 	}
-	return true
+	return recs
 }

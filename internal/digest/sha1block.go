@@ -3,6 +3,8 @@ package digest
 import (
 	"crypto/sha1"
 	"encoding/binary"
+	"fmt"
+	"io"
 	"slices"
 
 	"sae/internal/record"
@@ -96,6 +98,27 @@ func AppendWire(dst []Digest, enc []byte) []Digest {
 		enc = enc[k*record.Size:]
 	}
 	return dst
+}
+
+// ReadWire reads the canonical encodings of n records from src, 16 at a
+// time into one stack buffer, hashes each 16 in one pass where they lie,
+// and hands each record's encoding and digest (OfWire of it) to each, in
+// order. The encoding is valid only during the call.
+func ReadWire(src io.Reader, n int, each func(enc []byte, d Digest)) error {
+	var buf [16 * record.Size]byte
+	var ds [16]Digest
+	for i := 0; i < n; i += 16 {
+		k := min(n-i, 16)
+		enc := buf[:k*record.Size]
+		if _, err := io.ReadFull(src, enc); err != nil {
+			return fmt.Errorf("digest: reading records %d..%d of %d: %w", i, i+k, n, err)
+		}
+		sumRecords(ds[:k], enc)
+		for j := range k {
+			each(enc[j*record.Size:(j+1)*record.Size], ds[j])
+		}
+	}
+	return nil
 }
 
 // sha1blockGeneric is the textbook SHA-1 compression, processing

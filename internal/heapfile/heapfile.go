@@ -118,6 +118,34 @@ func BuildFrom(store pagestore.Store, n int, src io.Reader, each func(rid RID, e
 	return f, nil
 }
 
+// Records streams the canonical encodings of the file's live records in
+// page order — key order for a file BuildFrom filled — borrowing each
+// page as the stream reaches it. The file must not change while the
+// stream is read.
+func (f *File) Records() *record.Reader {
+	var page []byte
+	pi, s := -1, uint16(RecordsPerPage)
+	return record.NewReader(f.live, func(_ int, dst []byte) error {
+		for ; ; s++ {
+			if s == RecordsPerPage {
+				pi, s = pi+1, 0
+				if pi == len(f.pages) {
+					return ErrBadRID
+				}
+				var err error
+				if page, err = f.borrow(nil, f.pages[pi]); err != nil {
+					return err
+				}
+			}
+			if live(page, s) {
+				copy(dst, page[slotOffset(int(s)):slotOffset(int(s)+1)])
+				s++
+				return nil
+			}
+		}
+	})
+}
+
 // putSlot copies enc, one record's canonical encoding, into slot s of a
 // raw page and marks it live. Slots fill in order, so s+1 becomes the
 // page's slot count.

@@ -129,24 +129,28 @@ func synthesizePayload(p []byte, id ID) {
 }
 
 // Reader streams the canonical encodings of n records back to back, each
-// written in place by fill(i, dst) into the Size bytes dst of record i.
-// A Read of whole records fills the caller's buffer directly; a record a
-// Read would split goes through one scratch encoding.
+// written in place by fill(i, dst) into the Size bytes dst of record i;
+// an error from fill ends the stream with it. A Read of whole records
+// fills the caller's buffer directly; a record a Read would split goes
+// through one scratch encoding.
 type Reader struct {
 	n, i int
-	fill func(i int, dst []byte)
+	fill func(i int, dst []byte) error
 	part [Size]byte
 	rest []byte // the unread tail of part
 }
 
 // NewReader returns a Reader over n records.
-func NewReader(n int, fill func(i int, dst []byte)) *Reader {
+func NewReader(n int, fill func(i int, dst []byte) error) *Reader {
 	return &Reader{n: n, fill: fill}
 }
 
 // ReaderOf streams the encodings of recs, each encoded once.
 func ReaderOf(recs []Record) *Reader {
-	return NewReader(len(recs), func(i int, dst []byte) { recs[i].AppendBinary(dst[:0]) })
+	return NewReader(len(recs), func(i int, dst []byte) error {
+		recs[i].AppendBinary(dst[:0])
+		return nil
+	})
 }
 
 // Read implements io.Reader.
@@ -154,11 +158,15 @@ func (r *Reader) Read(p []byte) (int, error) {
 	n := copy(p, r.rest)
 	r.rest = r.rest[n:]
 	for ; len(p)-n >= Size && r.i < r.n; r.i++ {
-		r.fill(r.i, p[n:n+Size])
+		if err := r.fill(r.i, p[n:n+Size]); err != nil {
+			return n, err
+		}
 		n += Size
 	}
 	if n < len(p) && r.i < r.n {
-		r.fill(r.i, r.part[:])
+		if err := r.fill(r.i, r.part[:]); err != nil {
+			return n, err
+		}
 		r.i++
 		c := copy(p[n:], r.part[:])
 		r.rest = r.part[c:]

@@ -15,6 +15,7 @@
 package replica
 
 import (
+	"bytes"
 	"io"
 	"sync"
 
@@ -167,5 +168,9 @@ func (h *Hub) WriteSnapshot(w io.Writer) error { return h.ds.WriteSnapshot(w) }
 
 // Snapshot decodes WriteSnapshot's dump.
 func (h *Hub) Snapshot() (core.Snapshot, error) {
-	return h.ds.SnapshotRecords()
+	var b bytes.Buffer
+	if err := h.WriteSnapshot(&b); err != nil {
+		return core.Snapshot{}, err
+	}
+	return core.DecodeSnapshot(b.Bytes())
 }

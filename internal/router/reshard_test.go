@@ -1,6 +1,7 @@
 package router
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"sync"
@@ -18,7 +19,11 @@ import (
 // stand-in for a reshard target that has fully caught up.
 func epochSuccessor(t *testing.T, sys *core.DurableSystem, idx int, next shard.Plan) *wire.PrimaryServer {
 	t.Helper()
-	snap, err := sys.SnapshotRecords()
+	var b bytes.Buffer
+	if err := sys.WriteSnapshot(&b); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := core.DecodeSnapshot(b.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

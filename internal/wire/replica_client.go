@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"sae/internal/core"
@@ -88,9 +89,10 @@ type ReplicaFeed struct {
 	logf func(string, ...any)
 	// ctx bounds every dial and round trip of the loop; stop cancels it,
 	// so Close returns even behind a primary that stopped answering.
-	ctx  context.Context
-	stop context.CancelFunc
-	done chan struct{}
+	ctx    context.Context
+	stop   context.CancelFunc
+	done   chan struct{}
+	resets atomic.Int64
 }
 
 // StartReplicaFeed spins up the feed loop for rep against the primary at
@@ -104,6 +106,11 @@ func StartReplicaFeed(rep *replica.Replica, primaryAddr string, logf func(string
 	go f.run()
 	return f
 }
+
+// Resets returns how many times the feed has re-bootstrapped the
+// replica from a snapshot: behind the primary's retention window, or
+// after a group failed to apply.
+func (f *ReplicaFeed) Resets() int64 { return f.resets.Load() }
 
 // Close stops the feed loop and waits for it to exit. The replica stays
 // valid and keeps serving its last generation.
@@ -152,13 +159,8 @@ func (f *ReplicaFeed) tail(c *Conn) {
 			return
 		}
 		if snapshotNeeded {
-			_, snap, err := c.Snapshot(f.ctx)
-			if err != nil {
-				f.logf("replica feed: re-snapshot from %s: %v", f.addr, err)
-				return
-			}
-			if err := f.rep.Reset(snap); err != nil {
-				f.logf("replica feed: resetting from snapshot: %v", err)
+			f.logf("replica feed: at %d, behind %s's retention window (re-bootstrapping)", f.rep.Seq(), f.addr)
+			if !f.reset(c) {
 				return
 			}
 			continue
@@ -175,17 +177,27 @@ func (f *ReplicaFeed) tail(c *Conn) {
 			// replica torn mid-group, and only a snapshot reset makes it
 			// whole again — either way, force the re-bootstrap.
 			f.logf("replica feed: applying groups: %v (re-bootstrapping)", err)
-			_, snap, serr := c.Snapshot(f.ctx)
-			if serr != nil {
-				f.logf("replica feed: re-snapshot from %s: %v", f.addr, serr)
-				return
-			}
-			if rerr := f.rep.Reset(snap); rerr != nil {
-				f.logf("replica feed: resetting from snapshot: %v", rerr)
+			if !f.reset(c) {
 				return
 			}
 		}
 	}
+}
+
+// reset re-bootstraps the replica from a snapshot pulled over c and
+// counts it; false means the connection should be dropped.
+func (f *ReplicaFeed) reset(c *Conn) bool {
+	_, snap, err := c.Snapshot(f.ctx)
+	if err != nil {
+		f.logf("replica feed: re-snapshot from %s: %v", f.addr, err)
+		return false
+	}
+	if err := f.rep.Reset(snap); err != nil {
+		f.logf("replica feed: resetting from snapshot: %v", err)
+		return false
+	}
+	f.resets.Add(1)
+	return true
 }
 
 // ErrStaleRead reports a verified answer whose generation stamp fell

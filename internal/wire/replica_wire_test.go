@@ -172,10 +172,7 @@ func TestOneBodyOneState(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		recs = append(recs, record.Synthesize(record.ID(1<<40+i), record.Key(i*300_000)))
 	}
-	snap, err := sys.SnapshotRecords()
-	if err != nil {
-		t.Fatalf("snapshot: %v", err)
-	}
+	snap := snapshotOf(t, sys)
 	old := snap.Records[:2]
 	for _, err := range []error{
 		wc.InsertBatch(recs[:20]),
@@ -331,4 +328,18 @@ func TestReplicaFeedCloseSilentPrimary(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("ReplicaFeed.Close still blocked after 2s behind a silent primary")
 	}
+}
+
+// snapshotOf decodes sys's snapshot bytes.
+func snapshotOf(t *testing.T, sys *core.DurableSystem) core.Snapshot {
+	t.Helper()
+	var b bytes.Buffer
+	if err := sys.WriteSnapshot(&b); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	snap, err := core.DecodeSnapshot(b.Bytes())
+	if err != nil {
+		t.Fatalf("decoding snapshot: %v", err)
+	}
+	return snap
 }

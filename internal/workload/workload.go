@@ -127,9 +127,10 @@ func Synthesize(pairs []uint64) []record.Record {
 // in their order, synthesizing each in place: what Synthesize would
 // encode, with no record built.
 func Reader(pairs []uint64) *record.Reader {
-	return record.NewReader(len(pairs), func(i int, dst []byte) {
+	return record.NewReader(len(pairs), func(i int, dst []byte) error {
 		key, id := Unpack(pairs[i])
 		record.SynthesizeInto(dst, id, key)
+		return nil
 	})
 }
 
