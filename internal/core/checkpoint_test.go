@@ -124,9 +124,8 @@ func TestGoldenCheckpoint(t *testing.T) {
 // TestOpenFreshAllocBudget holds a primary's fresh open of its 50 000
 // records to at most 1.75 bytes allocated per byte of live heap the open
 // leaves behind: each record is written once, into its heap slot, and
-// the index, catalog and checkpoint are read from there. Building a
-// []record.Record first (and encoding it again for the heap, the TE and
-// the checkpoint) allocated 2.4 bytes per live byte.
+// the index, catalog and checkpoint are read from there. A load that
+// materializes the records first (2.4 bytes per live byte) fails it.
 func TestOpenFreshAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations are not the open's")

@@ -2,14 +2,15 @@
 // 4096-byte pages — the "dataset file" both outsourcing models scan when
 // retrieving query results.
 //
-// Build lays records out in key order (a clustered file), so a range query's
-// result occupies a contiguous run of pages; later insertions append at the
-// tail, as in a conventional heap. Deletions tombstone their slot.
+// BuildFrom lays records out in key order (a clustered file), so a range
+// query's result occupies a contiguous run of pages; later insertions
+// append at the tail, as in a conventional heap. Deletions tombstone their
+// slot.
 //
-// Each slot holds its record in the canonical wire encoding
-// (record.AppendBinary), back to back after a 3-byte page header, so a run
-// of consecutive live slots is already the bytes a response carries. The
-// file keeps no decoded form and sits under no cache: every page access
+// Each slot holds its record in the canonical 500-byte wire encoding, back
+// to back after a 3-byte page header, so a run of consecutive live slots
+// is already the bytes a response carries. The file keeps no decoded form
+// and sits under no cache: every page access
 // borrows the store's own page bytes (pagestore.Store.Borrow) and is
 // charged as one read, and an update rewrites the raw page.
 package heapfile

@@ -1,7 +1,9 @@
 package heapfile
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"sort"
 	"testing"
 
@@ -238,4 +240,34 @@ func encoded(id record.ID, key record.Key) []byte {
 	b := make([]byte, record.Size)
 	record.SynthesizeInto(b, id, key)
 	return b
+}
+
+// TestRecordsStreamsLiveSlots: Records streams the live records' bytes in
+// page order, skipping tombstoned slots and a part-filled last page.
+func TestRecordsStreamsLiveSlots(t *testing.T) {
+	recs := make([]record.Record, 21)
+	for i := range recs {
+		recs[i] = record.Synthesize(record.ID(i+1), record.Key(i))
+	}
+	f, rids, err := Build(pagestore.NewMem(), recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for i := range recs {
+		if i == 0 || i == 7 || i == 8 || i == 20 {
+			if err := f.Delete(rids[i]); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want = recs[i].AppendBinary(want)
+	}
+	got, err := io.ReadAll(f.Records())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("streamed %d bytes, want the %d bytes of the live records", len(got), len(want))
+	}
 }

@@ -3,7 +3,9 @@ package record
 import (
 	"bytes"
 	"errors"
+	"io"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -128,5 +130,37 @@ func TestSortByKeyOrdering(t *testing.T) {
 	}
 	if SortByKey(a, a) != 0 {
 		t.Fatal("identical records must compare equal")
+	}
+}
+
+// TestReaderSplitsRecords: a Reader yields the same bytes whatever sizes
+// its Reads take, one byte at a time included, and ends with fill's error.
+func TestReaderSplitsRecords(t *testing.T) {
+	recs := []Record{Synthesize(1, 10), Synthesize(2, 20), Synthesize(3, 30)}
+	var want []byte
+	for i := range recs {
+		want = recs[i].AppendBinary(want)
+		var enc [Size]byte
+		SynthesizeInto(enc[:], recs[i].ID, recs[i].Key)
+		if !bytes.Equal(enc[:], want[i*Size:]) {
+			t.Fatalf("SynthesizeInto(%d) differs from Synthesize's encoding", recs[i].ID)
+		}
+	}
+	for _, r := range []io.Reader{ReaderOf(recs), iotest.OneByteReader(ReaderOf(recs)), iotest.HalfReader(ReaderOf(recs))} {
+		got, err := io.ReadAll(r)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("read %d bytes (%v), want %d", len(got), err, len(want))
+		}
+	}
+	boom := errors.New("boom")
+	r := NewReader(2, func(i int, dst []byte) error {
+		if i == 1 {
+			return boom
+		}
+		recs[i].AppendBinary(dst[:0])
+		return nil
+	})
+	if got, err := io.ReadAll(r); err != boom || !bytes.Equal(got, want[:Size]) {
+		t.Fatalf("a failing fill: read %d bytes, %v; want %d, %v", len(got), err, Size, boom)
 	}
 }

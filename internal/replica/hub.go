@@ -15,7 +15,6 @@
 package replica
 
 import (
-	"bytes"
 	"io"
 	"sync"
 
@@ -165,12 +164,3 @@ func (h *Hub) Since(after uint64, max int) (gs []wal.Group, snapshotNeeded bool,
 // a DurableSystem checkpoint would hold at that boundary
 // (core.DurableSystem.WriteSnapshot).
 func (h *Hub) WriteSnapshot(w io.Writer) error { return h.ds.WriteSnapshot(w) }
-
-// Snapshot decodes WriteSnapshot's dump.
-func (h *Hub) Snapshot() (core.Snapshot, error) {
-	var b bytes.Buffer
-	if err := h.WriteSnapshot(&b); err != nil {
-		return core.Snapshot{}, err
-	}
-	return core.DecodeSnapshot(b.Bytes())
-}

@@ -28,9 +28,18 @@ func newPrimary(t *testing.T, n int, maxGroup int) (*core.DurableSystem, *Hub) {
 	return sys, Attach(sys, 0)
 }
 
+// snapshotOf decodes the snapshot bytes h's primary serves a replica.
+func snapshotOf(h *Hub) (core.Snapshot, error) {
+	var b bytes.Buffer
+	if err := h.WriteSnapshot(&b); err != nil {
+		return core.Snapshot{}, err
+	}
+	return core.DecodeSnapshot(b.Bytes())
+}
+
 func bootstrap(t *testing.T, h *Hub) *Replica {
 	t.Helper()
-	snap, err := h.Snapshot()
+	snap, err := snapshotOf(h)
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
@@ -48,7 +57,7 @@ func catchUp(t *testing.T, h *Hub, r *Replica) {
 	for {
 		gs, snap, last := h.Since(r.Seq(), 8)
 		if snap {
-			snap, err := h.Snapshot()
+			snap, err := snapshotOf(h)
 			if err != nil {
 				t.Fatalf("re-snapshot: %v", err)
 			}
@@ -246,7 +255,7 @@ func TestServeWhileApplying(t *testing.T) {
 			}
 			gs, snap, last := hub.Since(rep.Seq(), 4)
 			if snap {
-				snap, err := hub.Snapshot()
+				snap, err := snapshotOf(hub)
 				if err != nil {
 					t.Errorf("feed snapshot: %v", err)
 					return
