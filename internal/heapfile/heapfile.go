@@ -99,7 +99,8 @@ func BuildFrom(store pagestore.Store, n int, src io.Reader, each func(rid RID, e
 		if err != nil {
 			return nil, err
 		}
-		clear(buf[:])
+		clear(buf[:headerSize])
+		clear(buf[slotOffset(k):])
 		if _, err := io.ReadFull(src, buf[headerSize:slotOffset(k)]); err != nil {
 			return nil, fmt.Errorf("heapfile: reading records %d..%d of %d: %w", start, start+k, n, err)
 		}
