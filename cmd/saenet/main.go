@@ -349,11 +349,11 @@ func runPrimary(o *opts) error {
 		return err
 	}
 	// The bulk load's transient peak (the drawn keys, the load's index
-	// entries and digest tuples) is well above what the primary keeps live, and how high it
-	// reaches depends on where the load's GCs happen to fall. Return it to
-	// the OS now rather than leaving it resident while the background
-	// scavenger releases it slowly; off the startup path, since the
-	// primary is already serving.
+	// entries and digest tuples) is well above what the primary keeps
+	// live, and how high it reaches depends on where the load's GCs
+	// happen to fall. Return it to the OS now rather than leaving it
+	// resident while the background scavenger releases it slowly; off
+	// the startup path, since the primary is already serving.
 	go debug.FreeOSMemory()
 	fmt.Fprintf(os.Stderr, "saenet primary: shard %d/%d owns span %v (synthesized %d of %d records, seq %d; partition %d ms, open %d ms)\n",
 		o.shardIndex, o.shards, plan.Span(o.shardIndex), len(part), o.n, sys.Seq(),
