@@ -72,19 +72,15 @@ func foldWireInto(acc *Accumulator, enc []byte) {
 	}
 }
 
-// digestRecordsInto fills dst[i] with OfRecord(&recs[i]), serializing 16
-// records at a time into one stack scratch and hashing it in place.
+// digestRecordsInto fills dst[i] with OfRecord(&recs[i]): ReadWire over
+// the records' encodings, each encoded once. The stream cannot run
+// short, so ReadWire cannot fail.
 func digestRecordsInto(dst []Digest, recs []record.Record) {
-	var buf [16 * record.Size]byte
-	for len(recs) > 0 {
-		k := min(len(recs), 16)
-		enc := buf[:0]
-		for j := range recs[:k] {
-			enc = recs[j].AppendBinary(enc)
-		}
-		sumRecords(dst[:k], enc)
-		dst, recs = dst[k:], recs[k:]
-	}
+	i := 0
+	ReadWire(record.ReaderOf(recs), len(recs), func(_ []byte, d Digest) {
+		dst[i] = d
+		i++
+	})
 }
 
 // AppendWire appends to dst the digest of each canonical record encoding
