@@ -699,15 +699,16 @@ func runCrashWriter(o *opts) error {
 }
 
 // runCrashVerify reopens a (possibly killed mid-group) durable system
-// and audits it against the writer's ack log: every acked update must be
-// present, no unacked update partially visible, and the full range must
-// verify against the trusted entity's token.
+// from the same base partition the writer loaded and audits it against
+// the writer's ack log: every acked update must be present, no unacked
+// update partially visible, and the full range must verify against the
+// trusted entity's token.
 func runCrashVerify(o *opts) error {
 	_, part, err := partition(o)
 	if err != nil {
 		return err
 	}
-	sys, err := core.OpenDurableSystem(o.dir, nil, 0)
+	sys, err := core.OpenDurableFrom(o.dir, len(part), workload.Reader(part), 0)
 	if err != nil {
 		return fmt.Errorf("reopening %s: %w", o.dir, err)
 	}

@@ -1,8 +1,11 @@
 // Persistence shows an SAE deployment surviving a restart the one way
 // this system has: a checkpoint (records.dat) plus the write-ahead log of
-// every commit group since (wal.log). Session 1 loads the data, commits
-// updates around a checkpoint and shuts down; session 2 reopens the
-// directory, replays the groups the log holds past the checkpoint, and
+// every commit group since (wal.log). Until its first checkpoint a
+// directory holds only a base record (base: the initial dataset's count
+// and fingerprint), and a reopen must pass that dataset again. Session 1
+// loads the data, commits updates around a checkpoint and shuts down;
+// because it checkpointed, session 2 reopens the directory with no
+// records, replays the groups the log holds past the checkpoint, and
 // keeps answering verified queries and applying updates — without the
 // data owner re-sending anything.
 package main

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"sae/internal/record"
@@ -31,11 +32,12 @@ func goldenPairs(t *testing.T) []uint64 {
 }
 
 // TestGoldenCheckpoint pins the checkpoint's bytes (SAECKP03):
-// testdata/parent.ckpt was written by writeCheckpoint when it encoded
-// every record of a []record.Record. A fresh open from packed pairs, a
-// fresh open of the records, and a Checkpoint after a reopen write
-// exactly those bytes, and opening the file gives back the same records,
-// tokens and fresh-id watermark.
+// testdata/parent.ckpt was written as the first checkpoint of a fresh
+// open that encoded every record of a []record.Record. A Checkpoint of a
+// fresh open from packed pairs, of a reopen of the records from their
+// base record, and of a reopen of that checkpoint write exactly those
+// bytes, and opening the file gives back the same records, tokens and
+// fresh-id watermark.
 func TestGoldenCheckpoint(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "parent.ckpt"))
 	if err != nil {
@@ -64,17 +66,30 @@ func TestGoldenCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
+	if err := fresh.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	checkpointOf("fresh open of pairs", fresh)
 
 	shim, err := OpenDurableSystem(t.TempDir(), recs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkpointOf("fresh open of records", shim)
 	if err := shim.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenDurableSystem(shim.Dir, nil, 0)
+	re, err := OpenDurableSystem(shim.Dir, recs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	checkpointOf("Checkpoint after a reopen of the records from their base", re)
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err = OpenDurableSystem(shim.Dir, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +97,7 @@ func TestGoldenCheckpoint(t *testing.T) {
 	if err := re.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	checkpointOf("Checkpoint after a reopen", re)
+	checkpointOf("Checkpoint after a reopen of that checkpoint", re)
 
 	dir := t.TempDir()
 	if err := os.WriteFile(checkpointPath(dir), golden, 0o644); err != nil {
@@ -153,13 +168,120 @@ func TestOpenFreshAllocBudget(t *testing.T) {
 	}
 }
 
-// TestLoadPathParity loads one dataset four ways — a fresh open streaming
-// packed pairs, a fresh open of the []record.Record, a reopen of the
-// first, and a replica's rebuild from the first's snapshot bytes (what
-// replica.NewFromSnapshot runs) — for both distributions at sizes with
-// no record, one record and a part-filled last page. Every range must
-// return the same records and token from each, and each must count the
-// same records and issue fresh ids from the same watermark.
+// TestFreshOpenWritesNoDump holds a primary's fresh open of its 50 000
+// records to a base record: the directory holds at most 1 KiB besides an
+// empty wal.log. The records themselves stay the caller's until the
+// first Checkpoint.
+func TestFreshOpenWritesNoDump(t *testing.T) {
+	pairs := shard0Pairs(t)
+	sys, err := OpenDurableFrom(t.TempDir(), len(pairs), workload.Reader(pairs), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	entries, err := os.ReadDir(sys.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rest int64
+	for _, e := range entries {
+		fi, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case e.Name() != "wal.log":
+			rest += fi.Size()
+		case fi.Size() != 0:
+			t.Fatalf("a fresh open left %d bytes in wal.log", fi.Size())
+		}
+	}
+	if rest > 1<<10 {
+		t.Fatalf("a fresh open of %d records left %d bytes besides wal.log, want at most 1 KiB", len(pairs), rest)
+	}
+}
+
+// TestBaseCrashWindows reopens a directory whose fresh open was cut
+// short: before its base record was published (a torn base.tmp and no
+// wal.log) and after it was published but before wal.log existed. Both
+// reopens must come up as a fresh open of the same dataset does, and
+// then commit and replay as usual.
+func TestBaseCrashWindows(t *testing.T) {
+	pairs, err := workload.Keys(workload.UNF, 700, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := OpenDurableFrom(t.TempDir(), len(pairs), workload.Reader(pairs), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer want.Close()
+	full := record.Range{Lo: 0, Hi: record.KeyDomain}
+	wantOut, err := want.Query(full)
+	if err != nil || wantOut.VerifyErr != nil {
+		t.Fatalf("%v / %v", err, wantOut.VerifyErr)
+	}
+
+	beforeBase := t.TempDir()
+	if err := os.WriteFile(basePath(beforeBase)+".tmp", []byte(baseMagic), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	afterBase, err := OpenDurableFrom(t.TempDir(), len(pairs), workload.Reader(pairs), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := afterBase.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(walPath(afterBase.Dir)); err != nil {
+		t.Fatal(err)
+	}
+
+	for name, dir := range map[string]string{"before the base record": beforeBase, "after the base record": afterBase.Dir} {
+		sys, err := OpenDurableFrom(dir, len(pairs), workload.Reader(pairs), 0)
+		if err != nil {
+			t.Fatalf("%s: reopen: %v", name, err)
+		}
+		out, err := sys.Query(full)
+		if err != nil || out.VerifyErr != nil {
+			t.Fatalf("%s: %v / %v", name, err, out.VerifyErr)
+		}
+		if out.VT != wantOut.VT || len(out.Result) != len(wantOut.Result) || sys.Owner.watermark() != want.Owner.watermark() {
+			t.Fatalf("%s: %d records, VT %v, watermark %d; a fresh open has %d, %v, %d", name,
+				len(out.Result), out.VT, sys.Owner.watermark(), len(wantOut.Result), wantOut.VT, want.Owner.watermark())
+		}
+		if _, err := os.Stat(basePath(dir) + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("%s: base.tmp is still there (stat: %v)", name, err)
+		}
+		if _, err := sys.InsertBatch([]record.Key{3, 30}); err != nil {
+			t.Fatalf("%s: insert: %v", name, err)
+		}
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re, err := OpenDurableFrom(dir, len(pairs), workload.Reader(pairs), 0)
+		if err != nil {
+			t.Fatalf("%s: second reopen: %v", name, err)
+		}
+		if re.ReplayedGroups() != 1 || re.SP.Count() != len(pairs)+2 {
+			t.Fatalf("%s: second reopen replayed %d groups to %d records, want 1 and %d", name, re.ReplayedGroups(), re.SP.Count(), len(pairs)+2)
+		}
+		re.Close()
+	}
+}
+
+// TestLoadPathParity loads one dataset five ways — a fresh open
+// streaming packed pairs, a fresh open of the []record.Record, a reopen
+// of the first from its base record, a reopen of that after its
+// Checkpoint, and a replica's rebuild from the first's snapshot bytes
+// (what replica.NewFromSnapshot runs) — for both distributions at sizes
+// with no record, one record and a part-filled last page. Every range
+// must return the same records and token from each, and each must count
+// the same records and issue fresh ids from the same watermark. Before
+// its first checkpoint the directory accepts only its own base dataset:
+// a reopen with no records, with another seed's records or with one
+// record more is refused and names the directory. (At n = 0 every
+// dataset is the same empty one.)
 func TestLoadPathParity(t *testing.T) {
 	for _, dist := range []workload.Distribution{workload.UNF, workload.SKW} {
 		for _, n := range []int{0, 1, 1003} {
@@ -179,7 +301,27 @@ func TestLoadPathParity(t *testing.T) {
 			if err := fresh.Close(); err != nil {
 				t.Fatal(err)
 			}
-			reopened, err := OpenDurableSystem(fresh.Dir, nil, 0)
+			if n > 0 {
+				otherSeed, err := workload.Keys(dist, n, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				oneMore, err := workload.Keys(dist, n+1, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for other, p := range map[string][]uint64{"no records": nil, "another seed": otherSeed, "one record more": oneMore} {
+					re, err := OpenDurableFrom(fresh.Dir, len(p), workload.Reader(p), 0)
+					if err == nil {
+						re.Close()
+						t.Fatalf("%s: reopened the base with %s", name, other)
+					}
+					if !strings.Contains(err.Error(), fresh.Dir) {
+						t.Fatalf("%s: reopen with %s: %q does not name %s", name, other, err, fresh.Dir)
+					}
+				}
+			}
+			reopened, err := OpenDurableFrom(fresh.Dir, n, workload.Reader(pairs), 0)
 			if err != nil {
 				t.Fatalf("%s: reopen: %v", name, err)
 			}
@@ -195,13 +337,9 @@ func TestLoadPathParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: replica rebuild: %v", name, err)
 			}
-			paths := map[string]*System{
-				"fresh open of pairs": {Owner: fresh.Owner, SP: fresh.SP, TE: fresh.TE},
-				"reopen":              {Owner: reopened.Owner, SP: reopened.SP, TE: reopened.TE},
-				"replica":             rep,
-			}
 			want := &System{Owner: shim.Owner, SP: shim.SP, TE: shim.TE}
-			for path, sys := range paths {
+			check := func(path string, sys *System) {
+				t.Helper()
 				if got, w := sys.SP.Count(), want.SP.Count(); got != w || got != n {
 					t.Fatalf("%s, %s: catalog of %d ids, the records' open %d, want %d", name, path, got, w, n)
 				}
@@ -228,7 +366,23 @@ func TestLoadPathParity(t *testing.T) {
 					}
 				}
 			}
+			check("fresh open of pairs", &System{Owner: fresh.Owner, SP: fresh.SP, TE: fresh.TE})
+			check("reopen from the base record", &System{Owner: reopened.Owner, SP: reopened.SP, TE: reopened.TE})
+			check("replica", rep)
+
+			if err := reopened.Checkpoint(); err != nil {
+				t.Fatalf("%s: checkpoint: %v", name, err)
+			}
+			if _, err := os.Stat(basePath(fresh.Dir)); !os.IsNotExist(err) {
+				t.Fatalf("%s: the base record outlived the checkpoint (stat: %v)", name, err)
+			}
 			reopened.Close()
+			fromCkpt, err := OpenDurableSystem(fresh.Dir, nil, 0)
+			if err != nil {
+				t.Fatalf("%s: reopen of the checkpoint: %v", name, err)
+			}
+			check("reopen of the checkpoint", &System{Owner: fromCkpt.Owner, SP: fromCkpt.SP, TE: fromCkpt.TE})
+			fromCkpt.Close()
 			shim.Close()
 		}
 	}

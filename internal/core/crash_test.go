@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"os"
 	osexec "os/exec"
 	"path/filepath"
@@ -89,7 +88,7 @@ func TestCrashRecoveryKillMidGroup(t *testing.T) {
 		}
 		cmd.Wait()
 
-		sys, err := OpenDurableSystem(dir, nil, 0)
+		sys, err := OpenDurableSystem(dir, seed, 0)
 		if err != nil {
 			t.Fatalf("cycle %d: reopening after kill: %v", cycle, err)
 		}
@@ -151,7 +150,7 @@ func ackLines(t *testing.T, path string) int {
 // directory's actual state.
 func reconcileObserved(t *testing.T, dir, ackPath string, seed []record.Record) {
 	t.Helper()
-	sys, err := OpenDurableSystem(dir, nil, 0)
+	sys, err := OpenDurableSystem(dir, seed, 0)
 	if err != nil {
 		t.Fatalf("reconcile reopen: %v", err)
 	}
@@ -228,7 +227,7 @@ func TestCheckpointCrashWindow(t *testing.T) {
 
 	// Publish the checkpoint exactly as Checkpoint() would, then "die"
 	// before the WAL reset.
-	if err := writeCheckpoint(dir, func(w io.Writer) ([]byte, error) { return nil, sys.WriteSnapshot(w) }); err != nil {
+	if err := publish(checkpointPath(dir), sys.WriteSnapshot); err != nil {
 		t.Fatalf("checkpoint publish: %v", err)
 	}
 	if err := sys.Close(); err != nil {

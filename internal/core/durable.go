@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -16,12 +17,17 @@ import (
 
 // DurableSystem is a crash-safe SAE deployment rooted in one directory:
 //
-//	records.dat — the last checkpoint, a flat dump of the record set
-//	wal.log     — every commit group since that checkpoint
+//	records.dat — the last checkpoint, a flat dump of the record set;
+//	              only Checkpoint writes it
+//	base        — until the first checkpoint: the record count and
+//	              fingerprint of the owner's base dataset, which the caller
+//	              supplies again at every open
+//	wal.log     — every commit group since that checkpoint or base
 //
 // Updates flow through a GroupCommitter whose WAL append+fsync precedes
 // the ack, so after a crash — even kill -9 mid-group — reopening the
-// directory reconstructs exactly the acked state: the checkpoint is
+// directory reconstructs exactly the acked state: the checkpoint (or the
+// caller's base dataset, checked against the base record) is
 // bulk-loaded and the WAL's committed groups are re-applied through the
 // same ApplyGroup body that ran before the crash. Torn trailing groups
 // (writes that never acked) are discarded by the WAL replay, so no
@@ -30,8 +36,8 @@ import (
 // determined by the record set.
 //
 // The parties run on in-memory page stores rebuilt at open; durability
-// lives entirely in the checkpoint + WAL pair, which keeps recovery a
-// sequential read instead of a page-by-page fsck.
+// lives entirely in the checkpoint (or base) + WAL pair, which keeps
+// recovery a sequential read instead of a page-by-page fsck.
 type DurableSystem struct {
 	Dir    string
 	Owner  *DataOwner
@@ -43,9 +49,13 @@ type DurableSystem struct {
 	replayed  int // committed WAL groups re-applied at open (tests, tooling)
 }
 
-const checkpointMagic = "SAECKP03"
+const (
+	checkpointMagic = "SAECKP03"
+	baseMagic       = "SAEBASE1"
+)
 
 func checkpointPath(dir string) string { return filepath.Join(dir, "records.dat") }
+func basePath(dir string) string       { return filepath.Join(dir, "base") }
 func walPath(dir string) string        { return filepath.Join(dir, "wal.log") }
 
 // Snapshot is a record dump cut at one commit boundary: the bytes of a
@@ -63,25 +73,20 @@ type Snapshot struct {
 	NextID record.ID
 }
 
-// writeCheckpoint publishes a checkpoint atomically: fill writes the
-// file's bytes to a temp file, which is fsynced, renamed over
-// records.dat, and the directory fsynced. A header fill returns is
-// written over the file's first bytes before the fsync, for a fill that
-// learns the header only once the records are written. On failure the
-// temp file is removed.
-func writeCheckpoint(dir string, fill func(w io.Writer) (header []byte, err error)) error {
-	tmp := checkpointPath(dir) + ".tmp"
+// publish writes the file at path atomically: fill writes its bytes to
+// a temp file beside path, which is fsynced, renamed over path, and the
+// directory fsynced. On failure the temp file is removed. The checkpoint
+// and the base record are both published through it.
+func publish(path string, fill func(w io.Writer) error) error {
+	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
-		return fmt.Errorf("core: creating checkpoint: %w", err)
+		return fmt.Errorf("core: creating %s: %w", tmp, err)
 	}
 	bw := bufio.NewWriterSize(f, 1<<20)
-	header, err := fill(bw)
+	err = fill(bw)
 	if err == nil {
 		err = bw.Flush()
-	}
-	if err == nil {
-		_, err = f.WriteAt(header, 0)
 	}
 	if err == nil {
 		err = f.Sync()
@@ -91,36 +96,20 @@ func writeCheckpoint(dir string, fill func(w io.Writer) (header []byte, err erro
 	}
 	if err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("core: writing checkpoint: %w", err)
+		return fmt.Errorf("core: writing %s: %w", path, err)
 	}
-	if err := os.Rename(tmp, checkpointPath(dir)); err != nil {
-		return fmt.Errorf("core: publishing checkpoint: %w", err)
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("core: publishing %s: %w", path, err)
 	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
+	d, err := os.Open(filepath.Dir(path))
+	if err == nil {
+		err = d.Sync()
 		d.Close()
 	}
+	if err != nil {
+		return fmt.Errorf("core: syncing the rename of %s: %w", path, err)
+	}
 	return nil
-}
-
-// freshCheckpoint loads a fresh directory's dataset, the canonical
-// encodings of n records in key order streamed by src, and writes the
-// same bytes, as they are read into the SP's heap slots, as the first
-// checkpoint. The header's watermark is known only after the load, so
-// it is written last.
-func freshCheckpoint(dir string, n int, src io.Reader) (*System, error) {
-	var sys *System
-	err := writeCheckpoint(dir, func(w io.Writer) ([]byte, error) {
-		_, err := w.Write(make([]byte, snapshotHeaderSize))
-		if err == nil {
-			sys, err = rebuildFrom(n, io.TeeReader(src, w), 0)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return appendSnapshotHeader(nil, 0, sys.Owner.watermark(), n), nil
-	})
-	return sys, err
 }
 
 // readCheckpoint rebuilds the parties from the checkpoint file f,
@@ -147,20 +136,71 @@ func readCheckpoint(f *os.File) (*System, uint64, error) {
 	return sys, seq, nil
 }
 
-// OpenDurableSystem opens (or initializes) a durable deployment in dir,
-// seeding a fresh directory with initial (in any order):
-// OpenDurableFrom over the records' encodings, each encoded once.
+// loadBase rebuilds the parties of a directory that holds no checkpoint
+// from the caller's base dataset: the canonical encodings of n records in
+// key order, streamed by src. A fresh directory publishes the base record
+// (magic, count, fingerprint) before anything else; a directory that
+// already holds one accepts only the dataset it records. The fingerprint
+// is the TE's whole-domain token, the XOR of the n record digests. A WAL
+// beside neither a checkpoint nor a base record is refused: its groups
+// are updates to a state the directory no longer holds.
+func loadBase(dir string, n int, src io.Reader) (*System, error) {
+	b, err := os.ReadFile(basePath(dir))
+	fresh := os.IsNotExist(err)
+	switch {
+	case fresh:
+		if _, err := os.Stat(walPath(dir)); err == nil {
+			return nil, fmt.Errorf("core: %s holds a WAL but neither a checkpoint nor a base record", dir)
+		}
+	case err != nil:
+		return nil, fmt.Errorf("core: reading base record: %w", err)
+	case len(b) != len(baseMagic)+8+digest.Size || string(b[:len(baseMagic)]) != baseMagic:
+		return nil, fmt.Errorf("core: %s: base record of %d bytes is not a %s record", dir, len(b), baseMagic)
+	case binary.BigEndian.Uint64(b[8:]) != uint64(n):
+		return nil, fmt.Errorf("core: %s holds a base of %d records with fingerprint %x; the dataset given has %d records", dir, binary.BigEndian.Uint64(b[8:]), b[16:], n)
+	}
+	sys, err := rebuildFrom(n, src, 0)
+	if err != nil {
+		return nil, err
+	}
+	fp, _, err := sys.TE.GenerateVTCtx(exec.NewContext(), record.Range{Lo: 0, Hi: record.KeyDomain})
+	if err != nil {
+		return nil, err
+	}
+	rec := append(binary.BigEndian.AppendUint64([]byte(baseMagic), uint64(n)), fp[:]...)
+	switch {
+	case fresh:
+		err = publish(basePath(dir), func(w io.Writer) error { _, err := w.Write(rec); return err })
+	case !bytes.Equal(rec, b):
+		err = fmt.Errorf("core: %s holds a base with fingerprint %x; the dataset given has fingerprint %v", dir, b[16:], fp)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return sys, nil
+}
+
+// OpenDurableSystem opens (or initializes) a durable deployment in dir
+// over the base dataset initial (in any order): OpenDurableFrom over the
+// records' encodings, each encoded once.
 func OpenDurableSystem(dir string, initial []record.Record, maxGroup int) (*DurableSystem, error) {
 	initial = sortedByKeyID(initial)
 	return OpenDurableFrom(dir, len(initial), record.ReaderOf(initial), maxGroup)
 }
 
-// OpenDurableFrom opens (or initializes) a durable deployment in dir.
-// When the directory is fresh, the canonical encodings of n records in
-// key order, streamed by src, seed the dataset and become the first
-// checkpoint; on reopen, n and src are ignored and the state is rebuilt
-// from the checkpoint plus the WAL's committed groups. maxGroup <= 0
-// selects DefaultMaxGroup.
+// OpenDurableFrom opens (or initializes) a durable deployment in dir,
+// whose base dataset is the canonical encodings of n records in key
+// order, streamed by src. The state is rebuilt from, in order of
+// precedence:
+//
+//	records.dat — the last checkpoint; n and src are ignored
+//	base        — no checkpoint yet: src is loaded, and must be the
+//	              dataset the base record names (count and fingerprint)
+//	neither     — a fresh directory: src is loaded and its base record
+//	              published, before wal.log is created
+//
+// and then wal.log's committed groups past it are re-applied. A WAL with
+// neither file is an error. maxGroup <= 0 selects DefaultMaxGroup.
 func OpenDurableFrom(dir string, n int, src io.Reader, maxGroup int) (*DurableSystem, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: creating durable dir: %w", err)
@@ -168,17 +208,14 @@ func OpenDurableFrom(dir string, n int, src io.Reader, maxGroup int) (*DurableSy
 	var sys *System
 	var ckptSeq uint64
 	f, err := os.Open(checkpointPath(dir))
-	_, walErr := os.Stat(walPath(dir))
 	switch {
 	case err == nil:
 		sys, ckptSeq, err = readCheckpoint(f)
 		f.Close()
-	case !os.IsNotExist(err):
-		err = fmt.Errorf("core: reading checkpoint: %w", err)
-	case walErr == nil:
-		sys, err = rebuildFrom(0, src, 0) // reads nothing
+	case os.IsNotExist(err):
+		sys, err = loadBase(dir, n, src)
 	default:
-		sys, err = freshCheckpoint(dir, n, src)
+		err = fmt.Errorf("core: reading checkpoint: %w", err)
 	}
 	if err != nil {
 		return nil, err
@@ -363,6 +400,8 @@ func (ds *DurableSystem) WriteSnapshot(w io.Writer) error {
 // for the checkpoint instead. The dump is WriteSnapshot — what the SP
 // serves at the applied sequence. The checkpoint is published (rename +
 // dir sync) before the log resets, so a crash in between loses nothing.
+// Once it is, the base record is removed: records.dat takes precedence
+// over it at every later open.
 func (ds *DurableSystem) Checkpoint() error {
 	gc := ds.committer
 	gc.mu.Lock()
@@ -370,11 +409,14 @@ func (ds *DurableSystem) Checkpoint() error {
 	for len(gc.queue) > 0 || gc.inflight {
 		gc.cond.Wait()
 	}
-	if err := writeCheckpoint(ds.Dir, func(w io.Writer) ([]byte, error) { return nil, ds.WriteSnapshot(w) }); err != nil {
+	if err := publish(checkpointPath(ds.Dir), ds.WriteSnapshot); err != nil {
 		return err
 	}
 	if err := gc.log.Reset(); err != nil {
 		return fmt.Errorf("core: resetting WAL after checkpoint: %w", err)
+	}
+	if err := os.Remove(basePath(ds.Dir)); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("core: removing the base record after checkpoint: %w", err)
 	}
 	return nil
 }

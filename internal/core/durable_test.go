@@ -65,7 +65,7 @@ func TestDurableSystemRecoversAckedState(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	re, err := OpenDurableSystem(dir, nil, 8)
+	re, err := OpenDurableSystem(dir, recs, 8)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -406,5 +406,37 @@ func TestDurableDeleteUnknownIDFailsCleanly(t *testing.T) {
 	// System still works after the failed batch.
 	if _, err := sys.Insert(1234); err != nil {
 		t.Fatalf("insert after failed delete: %v", err)
+	}
+}
+
+// TestWALWithoutBaseRefused reopens a directory whose WAL is all that is
+// left: the checkpoint and the base record are gone. The WAL holds only
+// the updates since one of them, so the open must fail and name the
+// directory rather than come up as a system holding just those updates.
+func TestWALWithoutBaseRefused(t *testing.T) {
+	dir := t.TempDir()
+	sys, err := OpenDurableSystem(dir, durableDataset(t, 300), 0)
+	if err != nil {
+		t.Fatalf("OpenDurableSystem: %v", err)
+	}
+	if _, err := sys.InsertBatch([]record.Key{7, 70, 700}); err != nil {
+		t.Fatalf("InsertBatch: %v", err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	for _, name := range []string{"records.dat", "base"} {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+	}
+	re, err := OpenDurableSystem(dir, nil, 0)
+	if err == nil {
+		n := re.SP.Count()
+		re.Close()
+		t.Fatalf("opened a WAL with neither a checkpoint nor a base record as %d records", n)
+	}
+	if !strings.Contains(err.Error(), dir) {
+		t.Fatalf("got %q, want an error naming %s", err, dir)
 	}
 }

@@ -446,7 +446,7 @@ func TestSubmitSliceReuse(t *testing.T) {
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := core.OpenDurableSystem(dir, nil, 0)
+	reopened, err := core.OpenDurableSystem(dir, ds.Records, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,7 +156,7 @@ func TestRefusedBatchPoisonsNothing(t *testing.T) {
 	if err := sys.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	re, err := core.OpenDurableSystem(sys.Dir, nil, 16)
+	re, err := core.OpenDurableSystem(sys.Dir, snap.Records, 16)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
