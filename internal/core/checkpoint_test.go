@@ -201,87 +201,20 @@ func TestFreshOpenWritesNoDump(t *testing.T) {
 	}
 }
 
-// TestBaseCrashWindows reopens a directory whose fresh open was cut
-// short: before its base record was published (a torn base.tmp and no
-// wal.log) and after it was published but before wal.log existed. Both
-// reopens must come up as a fresh open of the same dataset does, and
-// then commit and replay as usual.
-func TestBaseCrashWindows(t *testing.T) {
-	pairs, err := workload.Keys(workload.UNF, 700, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := OpenDurableFrom(t.TempDir(), len(pairs), workload.Reader(pairs), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer want.Close()
-	full := record.Range{Lo: 0, Hi: record.KeyDomain}
-	wantOut, err := want.Query(full)
-	if err != nil || wantOut.VerifyErr != nil {
-		t.Fatalf("%v / %v", err, wantOut.VerifyErr)
-	}
-
-	beforeBase := t.TempDir()
-	if err := os.WriteFile(basePath(beforeBase)+".tmp", []byte(baseMagic), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	afterBase, err := OpenDurableFrom(t.TempDir(), len(pairs), workload.Reader(pairs), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := afterBase.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(walPath(afterBase.Dir)); err != nil {
-		t.Fatal(err)
-	}
-
-	for name, dir := range map[string]string{"before the base record": beforeBase, "after the base record": afterBase.Dir} {
-		sys, err := OpenDurableFrom(dir, len(pairs), workload.Reader(pairs), 0)
-		if err != nil {
-			t.Fatalf("%s: reopen: %v", name, err)
-		}
-		out, err := sys.Query(full)
-		if err != nil || out.VerifyErr != nil {
-			t.Fatalf("%s: %v / %v", name, err, out.VerifyErr)
-		}
-		if out.VT != wantOut.VT || len(out.Result) != len(wantOut.Result) || sys.Owner.watermark() != want.Owner.watermark() {
-			t.Fatalf("%s: %d records, VT %v, watermark %d; a fresh open has %d, %v, %d", name,
-				len(out.Result), out.VT, sys.Owner.watermark(), len(wantOut.Result), wantOut.VT, want.Owner.watermark())
-		}
-		if _, err := os.Stat(basePath(dir) + ".tmp"); !os.IsNotExist(err) {
-			t.Fatalf("%s: base.tmp is still there (stat: %v)", name, err)
-		}
-		if _, err := sys.InsertBatch([]record.Key{3, 30}); err != nil {
-			t.Fatalf("%s: insert: %v", name, err)
-		}
-		if err := sys.Close(); err != nil {
-			t.Fatal(err)
-		}
-		re, err := OpenDurableFrom(dir, len(pairs), workload.Reader(pairs), 0)
-		if err != nil {
-			t.Fatalf("%s: second reopen: %v", name, err)
-		}
-		if re.ReplayedGroups() != 1 || re.SP.Count() != len(pairs)+2 {
-			t.Fatalf("%s: second reopen replayed %d groups to %d records, want 1 and %d", name, re.ReplayedGroups(), re.SP.Count(), len(pairs)+2)
-		}
-		re.Close()
-	}
-}
-
-// TestLoadPathParity loads one dataset five ways — a fresh open
-// streaming packed pairs, a fresh open of the []record.Record, a reopen
-// of the first from its base record, a reopen of that after its
-// Checkpoint, and a replica's rebuild from the first's snapshot bytes
-// (what replica.NewFromSnapshot runs) — for both distributions at sizes
-// with no record, one record and a part-filled last page. Every range
-// must return the same records and token from each, and each must count
-// the same records and issue fresh ids from the same watermark. Before
-// its first checkpoint the directory accepts only its own base dataset:
-// a reopen with no records, with another seed's records or with one
-// record more is refused and names the directory. (At n = 0 every
-// dataset is the same empty one.)
+// TestLoadPathParity loads one dataset six ways — a fresh open
+// streaming packed pairs, a fresh open of the []record.Record, a fresh
+// open over a torn base.tmp (a fresh open killed before its base record
+// was published), a reopen of the first from its base record after
+// losing wal.log (killed after the base record, before the WAL), a
+// reopen of that after its Checkpoint, and a replica's rebuild from the
+// first's snapshot bytes (what replica.NewFromSnapshot runs) — for both
+// distributions at sizes with no record, one record and a part-filled
+// last page. Every range must return the same records and token from
+// each, and each must count the same records and issue fresh ids from
+// the same watermark. Before its first checkpoint the directory accepts
+// only its own base dataset: a reopen with no records, with another
+// seed's records or with one record more is refused and names the
+// directory. (At n = 0 every dataset is the same empty one.)
 func TestLoadPathParity(t *testing.T) {
 	for _, dist := range []workload.Distribution{workload.UNF, workload.SKW} {
 		for _, n := range []int{0, 1, 1003} {
@@ -299,6 +232,9 @@ func TestLoadPathParity(t *testing.T) {
 				t.Fatalf("%s: snapshot: %v", name, err)
 			}
 			if err := fresh.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Remove(walPath(fresh.Dir)); err != nil {
 				t.Fatal(err)
 			}
 			if n > 0 {
@@ -328,6 +264,14 @@ func TestLoadPathParity(t *testing.T) {
 			shim, err := OpenDurableSystem(t.TempDir(), workload.Synthesize(pairs), 0)
 			if err != nil {
 				t.Fatalf("%s: fresh open of records: %v", name, err)
+			}
+			torn := t.TempDir()
+			if err := os.WriteFile(basePath(torn)+".tmp", []byte(baseMagic), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			overTorn, err := OpenDurableFrom(torn, n, workload.Reader(pairs), 0)
+			if err != nil {
+				t.Fatalf("%s: fresh open over a torn base.tmp: %v", name, err)
 			}
 			decoded, err := DecodeSnapshot(snap.Bytes())
 			if err != nil {
@@ -367,6 +311,7 @@ func TestLoadPathParity(t *testing.T) {
 				}
 			}
 			check("fresh open of pairs", &System{Owner: fresh.Owner, SP: fresh.SP, TE: fresh.TE})
+			check("fresh open over a torn base.tmp", &System{Owner: overTorn.Owner, SP: overTorn.SP, TE: overTorn.TE})
 			check("reopen from the base record", &System{Owner: reopened.Owner, SP: reopened.SP, TE: reopened.TE})
 			check("replica", rep)
 
@@ -383,6 +328,7 @@ func TestLoadPathParity(t *testing.T) {
 			}
 			check("reopen of the checkpoint", &System{Owner: fromCkpt.Owner, SP: fromCkpt.SP, TE: fromCkpt.TE})
 			fromCkpt.Close()
+			overTorn.Close()
 			shim.Close()
 		}
 	}
