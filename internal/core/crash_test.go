@@ -54,7 +54,9 @@ func crashChild(dir string) {
 // present, no unacked update partially visible, the whole range
 // verifying against the TE's token. Two kill cycles run back to back so
 // the second recovery also exercises reopening a crashed-and-recovered
-// directory.
+// directory. The first kill lands long before the writer's first
+// checkpoint (every 25 rounds, some 65 ack lines), so that recovery
+// rebuilds from the base record and replays the WAL on top of it.
 func TestCrashRecoveryKillMidGroup(t *testing.T) {
 	if dir := os.Getenv("SAE_CRASH_CHILD_DIR"); dir != "" {
 		crashChild(dir)
@@ -73,15 +75,19 @@ func TestCrashRecoveryKillMidGroup(t *testing.T) {
 		if err := cmd.Start(); err != nil {
 			t.Fatalf("cycle %d: starting crash child: %v", cycle, err)
 		}
-		// Let the child commit a few dozen groups, then kill -9.
+		// Let the child commit some groups, then kill -9.
+		more := 30
+		if cycle == 0 {
+			more = 4
+		}
 		deadline := time.Now().Add(30 * time.Second)
-		for ackLines(t, ackPath) < ackedBefore+30 {
+		for ackLines(t, ackPath) < ackedBefore+more {
 			if time.Now().After(deadline) {
 				cmd.Process.Kill()
 				cmd.Wait()
 				t.Fatalf("cycle %d: child made no progress; stderr:\n%s", cycle, childErr.String())
 			}
-			time.Sleep(5 * time.Millisecond)
+			time.Sleep(time.Millisecond)
 		}
 		if err := cmd.Process.Kill(); err != nil {
 			t.Fatalf("cycle %d: kill: %v", cycle, err)
@@ -91,6 +97,15 @@ func TestCrashRecoveryKillMidGroup(t *testing.T) {
 		sys, err := OpenDurableSystem(dir, seed, 0)
 		if err != nil {
 			t.Fatalf("cycle %d: reopening after kill: %v", cycle, err)
+		}
+		t.Logf("cycle %d: %d groups replayed, %d ack lines", cycle, sys.ReplayedGroups(), ackLines(t, ackPath))
+		if cycle == 0 {
+			_, baseErr := os.Stat(basePath(dir))
+			_, ckptErr := os.Stat(checkpointPath(dir))
+			if baseErr != nil || !os.IsNotExist(ckptErr) || sys.ReplayedGroups() == 0 {
+				t.Fatalf("cycle 0: want a recovery from base plus WAL, got base %v, checkpoint %v, %d groups replayed (%d ack lines)",
+					baseErr, ckptErr, sys.ReplayedGroups(), ackLines(t, ackPath))
+			}
 		}
 		acked, err := ReadAckLog(ackPath)
 		if err != nil {

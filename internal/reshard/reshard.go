@@ -345,6 +345,15 @@ func Run(cfg Config) (*Coordinator, *Result, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("reshard: opening target shard %d: %w", newIdx, err)
 		}
+		// A fresh directory records only its base's fingerprint, and this
+		// base is cut from sources that go on taking writes and are then
+		// retired: no one could hand it back on a restart. Checkpoint it
+		// before the target streams a group, so the directory reopens on
+		// its own.
+		if err := ds.Checkpoint(); err != nil {
+			ds.Close()
+			return nil, nil, fmt.Errorf("reshard: checkpointing target shard %d: %w", newIdx, err)
+		}
 		hub := replica.Attach(ds, 0)
 		addr := "127.0.0.1:0"
 		if len(cfg.TargetAddrs) > 0 {

@@ -158,13 +158,14 @@ func TestLiveSplit(t *testing.T) {
 		}
 	}()
 
+	dirs := []string{t.TempDir(), t.TempDir()}
 	co, res, err := Run(Config{
 		Current:    c.plan,
 		Next:       next,
 		FirstShard: 1,
 		Replaced:   1,
 		Primaries:  c.addrs,
-		TargetDirs: []string{t.TempDir(), t.TempDir()},
+		TargetDirs: dirs,
 		FreezeTTL:  2 * time.Second,
 		Logf:       t.Logf,
 	})
@@ -227,6 +228,23 @@ func TestLiveSplit(t *testing.T) {
 	}
 	if tvc.Epoch() != next.Epoch() {
 		t.Fatalf("target stamped epoch %d, want %d", tvc.Epoch(), next.Epoch())
+	}
+
+	// The targets' directories reopen on their own: no one keeps the
+	// migrated base to hand back, so it must have been checkpointed.
+	tvc.Close()
+	co.Close()
+	reopened := 0
+	for _, dir := range dirs {
+		sys, err := core.OpenDurableSystem(dir, nil, 0)
+		if err != nil {
+			t.Fatalf("reopening target directory: %v", err)
+		}
+		reopened += sys.SP.Count()
+		sys.Close()
+	}
+	if reopened != want {
+		t.Fatalf("reopened targets hold %d records, source owned %d", reopened, want)
 	}
 }
 

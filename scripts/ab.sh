@@ -4,7 +4,7 @@
 # every run recorded beside its metrics.
 #
 #   scripts/ab.sh PARENT_DIR CHANGE_DIR --workload W --pairs K \
-#       [--seed0 S] [--seconds N] [--out FILE] [-- extra run.sh args]
+#       [--seed0 S] [--seconds N] [--out FILE]
 #
 # Pair i (0-based) runs both checkouts on seed S+i (default S = 1,
 # N = 26 s, --trace 0); even pairs run PARENT_DIR first, odd pairs
@@ -31,12 +31,9 @@ def usage(msg):
 args = sys.argv[1:]
 parent, change, rest = os.path.abspath(args[0]), os.path.abspath(args[1]), args[2:]
 opt = {"--workload": None, "--pairs": None, "--seed0": "1", "--seconds": "26", "--out": None}
-extra = []
 while rest:
     a = rest.pop(0)
-    if a == "--":
-        extra, rest = rest, []
-    elif a in opt and rest:
+    if a in opt and rest:
         opt[a] = rest.pop(0)
     else:
         usage("unknown or incomplete argument %r" % a)
@@ -62,7 +59,7 @@ layer_line = re.compile(r"^\s+(\S+)\s+(-?[0-9.]+(?:e[-+]?[0-9]+)?) \S+$")
 
 def run(side, d, seed):
     cmd = ["bash", "bench/run.sh", "--workload", workload, "--seed", str(seed),
-           "--seconds", opt["--seconds"], "--trace", "0"] + extra
+           "--seconds", opt["--seconds"], "--trace", "0"]
     # The run's rusage is the delta of this process's RUSAGE_CHILDREN:
     # the benchmark and every process it waited for.
     r0, s0, t0 = resource.getrusage(resource.RUSAGE_CHILDREN), steal_ticks(), time.monotonic()
@@ -105,8 +102,7 @@ for i in range(pairs):
         runs.append(run(side, d, seed))
         with open(out, "w") as f:
             json.dump({"workload": workload, "parent": parent, "change": change,
-                       "pairs": pairs, "seed0": seed0, "seconds": float(opt["--seconds"]),
-                       "extra_args": extra, "runs": runs}, f, indent=1)
+                       "pairs": pairs, "seed0": seed0, "seconds": float(opt["--seconds"]), "runs": runs}, f, indent=1)
 
 def sign_p(wins, n):
     if n == 0:
