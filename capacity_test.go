@@ -1,11 +1,15 @@
 // Whole-index cache test: a party's decoded-node cache has no capacity,
 // so it holds the party's whole index however large, and a warmed sweep
 // over the key domain is served without a single miss. Both ways a party
-// is built are checked: NewSystem (the paper's figures) and core.Rebuild
-// (every checkpoint reopen, replica bootstrap and reshard target).
+// is built are checked: NewSystem (the paper's figures) and
+// core.LoadSnapshot over a snapshot's bytes (every checkpoint reopen,
+// replica bootstrap and replica reset).
 package sae
 
 import (
+	"bytes"
+	"encoding/binary"
+	"io"
 	"testing"
 
 	"sae/internal/core"
@@ -55,14 +59,18 @@ func TestSizedCacheStopsThrashing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, err := core.Rebuild(ds.Records, 0)
+	// The snapshot's header (magic, zero sequence and watermark, record
+	// count), then the records' encodings.
+	hdr := binary.BigEndian.AppendUint64(append([]byte("SAECKP03"), make([]byte, 16)...), uint64(thrashN))
+	rebuilt, _, err := core.LoadSnapshot(io.MultiReader(bytes.NewReader(hdr), record.ReaderOf(ds.Records)),
+		int64(len(hdr)+thrashN*record.Size))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
 		name string
 		sys  *core.System
-	}{{"NewSystem", built}, {"Rebuild", rebuilt}} {
+	}{{"NewSystem", built}, {"LoadSnapshot", rebuilt}} {
 		sweep(t, c.sys) // warm
 		warm := misses(c.sys)
 		sweep(t, c.sys)

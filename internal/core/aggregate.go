@@ -44,12 +44,6 @@ func (sp *ServiceProvider) SetAggTamper(t AggTamper) {
 	sp.aggTamper = t
 }
 
-// Aggregate answers an aggregate query with a fresh request context; see
-// AggregateCtx.
-func (sp *ServiceProvider) Aggregate(q record.Range) (agg.Agg, costmodel.Breakdown, error) {
-	return sp.AggregateCtx(exec.NewContext(), q)
-}
-
 // AggregateCtx answers COUNT/SUM/MIN/MAX over q from the B+-tree's
 // aggregate annotations: AggregateBurst at n = 1, measured on ctx. Compare
 // QueryCtx, whose cost grows linearly with the result cardinality — this
@@ -83,12 +77,6 @@ func (sp *ServiceProvider) AggregateBurst(ctxs []*exec.Context, qs []record.Rang
 		out[i] = a.Normalize()
 	}
 	return nil
-}
-
-// AggToken computes the aggregate verification token for q with a fresh
-// request context; see AggTokenCtx.
-func (te *TrustedEntity) AggToken(q record.Range) (agg.Token, costmodel.Breakdown, error) {
-	return te.AggTokenCtx(exec.NewContext(), q)
 }
 
 // AggTokenCtx computes the TE's aggregate token for q: AggTokenBurst at

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sae/internal/agg"
+	"sae/internal/exec"
 	"sae/internal/record"
 	"sae/internal/shard"
 	"sae/internal/workload"
@@ -147,11 +148,11 @@ func TestAggregateTokenRangeBinding(t *testing.T) {
 	sys, _ := newTestSystem(t, 2000, workload.UNF)
 	q1 := record.Range{Lo: 10_000, Hi: 40_000}
 	q2 := record.Range{Lo: 10_000, Hi: 50_000}
-	a1, _, err := sys.SP.Aggregate(q1)
+	a1, _, err := sys.SP.AggregateCtx(exec.NewContext(), q1)
 	if err != nil {
 		t.Fatalf("Aggregate: %v", err)
 	}
-	tok1, _, err := sys.TE.AggToken(q1)
+	tok1, _, err := sys.TE.AggTokenCtx(exec.NewContext(), q1)
 	if err != nil {
 		t.Fatalf("AggToken: %v", err)
 	}

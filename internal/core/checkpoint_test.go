@@ -206,8 +206,8 @@ func TestFreshOpenWritesNoDump(t *testing.T) {
 // open over a torn base.tmp (a fresh open killed before its base record
 // was published), a reopen of the first from its base record after
 // losing wal.log (killed after the base record, before the WAL), a
-// reopen of that after its Checkpoint, and a replica's rebuild from the
-// first's snapshot bytes (what replica.NewFromSnapshot runs) — for both
+// reopen of that after its Checkpoint, and a replica's load of the
+// first's snapshot bytes (LoadSnapshot, what replica.NewFromSnapshot runs) — for both
 // distributions at sizes with no record, one record and a part-filled
 // last page. Every range must return the same records and token from
 // each, and each must count the same records and issue fresh ids from
@@ -273,13 +273,12 @@ func TestLoadPathParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: fresh open over a torn base.tmp: %v", name, err)
 			}
-			decoded, err := DecodeSnapshot(snap.Bytes())
+			rep, seq, err := LoadSnapshot(bytes.NewReader(snap.Bytes()), int64(snap.Len()))
 			if err != nil {
-				t.Fatalf("%s: decoding the snapshot: %v", name, err)
+				t.Fatalf("%s: replica load: %v", name, err)
 			}
-			rep, err := Rebuild(decoded.Records, decoded.NextID)
-			if err != nil {
-				t.Fatalf("%s: replica rebuild: %v", name, err)
+			if seq != 0 {
+				t.Fatalf("%s: replica loaded at sequence %d, want 0", name, seq)
 			}
 			want := &System{Owner: shim.Owner, SP: shim.SP, TE: shim.TE}
 			check := func(path string, sys *System) {

@@ -58,21 +58,6 @@ func checkpointPath(dir string) string { return filepath.Join(dir, "records.dat"
 func basePath(dir string) string       { return filepath.Join(dir, "base") }
 func walPath(dir string) string        { return filepath.Join(dir, "wal.log") }
 
-// Snapshot is a record dump cut at one commit boundary: the bytes of a
-// checkpoint file and of the snapshot that bootstraps a replica.
-type Snapshot struct {
-	Records []record.Record
-	// Seq is the commit sequence folded into the dump; replay skips WAL
-	// groups at or below it, which makes a crash between checkpoint
-	// publish and WAL reset safe (the groups still in the log would
-	// otherwise double-apply).
-	Seq uint64
-	// NextID is the owner's fresh-id watermark. It can sit above every
-	// record in the dump (the newest ones may have been deleted), and a
-	// rebuilt owner must not issue those ids again.
-	NextID record.ID
-}
-
 // publish writes the file at path atomically: fill writes its bytes to
 // a temp file beside path, which is fsynced, renamed over path, and the
 // directory fsynced. On failure the temp file is removed. The checkpoint
@@ -110,30 +95,6 @@ func publish(path string, fill func(w io.Writer) error) error {
 		return fmt.Errorf("core: syncing the rename of %s: %w", path, err)
 	}
 	return nil
-}
-
-// readCheckpoint rebuilds the parties from the checkpoint file f,
-// streaming its records through a buffered reader straight into the SP's
-// heap slots, and returns them with the checkpoint's sequence.
-func readCheckpoint(f *os.File) (*System, uint64, error) {
-	st, err := f.Stat()
-	if err != nil {
-		return nil, 0, fmt.Errorf("core: reading checkpoint: %w", err)
-	}
-	br := bufio.NewReaderSize(f, 1<<16)
-	var hdr [snapshotHeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, 0, fmt.Errorf("core: snapshot of %d bytes is truncated", st.Size())
-	}
-	seq, nextID, n, err := parseSnapshotHeader(hdr[:], st.Size()-int64(snapshotHeaderSize))
-	if err != nil {
-		return nil, 0, err
-	}
-	sys, err := rebuildFrom(n, br, nextID)
-	if err != nil {
-		return nil, 0, fmt.Errorf("core: rebuilding from checkpoint: %w", err)
-	}
-	return sys, seq, nil
 }
 
 // loadBase rebuilds the parties of a directory that holds no checkpoint
@@ -210,7 +171,10 @@ func OpenDurableFrom(dir string, n int, src io.Reader, maxGroup int) (*DurableSy
 	f, err := os.Open(checkpointPath(dir))
 	switch {
 	case err == nil:
-		sys, ckptSeq, err = readCheckpoint(f)
+		var st os.FileInfo
+		if st, err = f.Stat(); err == nil {
+			sys, ckptSeq, err = LoadSnapshot(bufio.NewReaderSize(f, 1<<16), st.Size())
+		}
 		f.Close()
 	case os.IsNotExist(err):
 		sys, err = loadBase(dir, n, src)
@@ -289,19 +253,39 @@ func parseSnapshotHeader(b []byte, size int64) (seq uint64, nextID record.ID, n 
 	return binary.BigEndian.Uint64(b[8:16]), record.ID(binary.BigEndian.Uint64(b[16:24])), int(count), nil
 }
 
-// DecodeSnapshot parses a snapshot — WriteSnapshot's bytes, or a
-// checkpoint file's — back into a Snapshot.
-func DecodeSnapshot(b []byte) (Snapshot, error) {
-	seq, nextID, n, err := parseSnapshotHeader(b, int64(len(b))-int64(snapshotHeaderSize))
+// LoadSnapshot rebuilds the parties from a snapshot of size bytes read
+// from r — WriteSnapshot's bytes, or a checkpoint file's — streaming its
+// records straight into the SP's heap slots, and returns them with the
+// snapshot's sequence. The owner issues fresh ids from the header's
+// watermark or past the largest id loaded, whichever is higher. Every
+// snapshot is loaded through it: a checkpoint reopen, a replica's
+// bootstrap and reset.
+func LoadSnapshot(r io.Reader, size int64) (*System, uint64, error) {
+	var hdr [snapshotHeaderSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, 0, fmt.Errorf("core: snapshot of %d bytes is truncated", size)
+	}
+	seq, nextID, n, err := parseSnapshotHeader(hdr[:], size-int64(snapshotHeaderSize))
 	if err != nil {
-		return Snapshot{}, err
+		return nil, 0, err
 	}
-	snap := Snapshot{Seq: seq, NextID: nextID, Records: make([]record.Record, n)}
-	b = b[snapshotHeaderSize:]
-	for i := range snap.Records {
-		snap.Records[i], _ = record.Unmarshal(b[i*record.Size:])
+	sys, err := rebuildFrom(n, r, nextID)
+	if err != nil {
+		return nil, 0, fmt.Errorf("core: rebuilding from snapshot: %w", err)
 	}
-	return snap, nil
+	return sys, seq, nil
+}
+
+// SnapshotRecords returns an in-memory snapshot's sequence and its record
+// section, the canonical encodings of its records in key order, after the
+// header checks LoadSnapshot makes. A reshard target loads its span of
+// the section through OpenDurableFrom.
+func SnapshotRecords(b []byte) (seq uint64, recs []byte, err error) {
+	seq, _, _, err = parseSnapshotHeader(b, int64(len(b))-int64(snapshotHeaderSize))
+	if err != nil {
+		return 0, nil, err
+	}
+	return seq, b[snapshotHeaderSize:], nil
 }
 
 // Committer exposes the system's group committer (benchmarks, wire

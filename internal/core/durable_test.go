@@ -3,22 +3,25 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"sae/internal/exec"
 	"sae/internal/record"
 	"sae/internal/wal"
 	"sae/internal/workload"
 )
 
-// EncodeSnapshot appends snap in the checkpoint's byte format to buf.
-func EncodeSnapshot(buf []byte, snap Snapshot) []byte {
-	buf = appendSnapshotHeader(buf, snap.Seq, snap.NextID, len(snap.Records))
-	for i := range snap.Records {
-		buf = snap.Records[i].AppendBinary(buf)
+// encodeSnapshot returns recs in the checkpoint's byte format, under a
+// header carrying seq and the watermark nextID.
+func encodeSnapshot(recs []record.Record, seq uint64, nextID record.ID) []byte {
+	buf := appendSnapshotHeader(nil, seq, nextID, len(recs))
+	for i := range recs {
+		buf = recs[i].AppendBinary(buf)
 	}
 	return buf
 }
@@ -331,7 +334,7 @@ func openCheckpoint(t *testing.T, b []byte) error {
 // claims far more records than the file holds: the open must fail with
 // an error, not size an allocation from the header.
 func TestCorruptCheckpointCountRejected(t *testing.T) {
-	b := EncodeSnapshot(nil, Snapshot{Records: durableDataset(t, 10)})
+	b := encodeSnapshot(durableDataset(t, 10), 0, 0)
 	binary.BigEndian.PutUint64(b[snapshotHeaderSize-8:], 1<<40)
 	if openCheckpoint(t, b) == nil {
 		t.Fatal("opened a checkpoint whose count exceeds its length")
@@ -342,7 +345,7 @@ func TestCorruptCheckpointCountRejected(t *testing.T) {
 // magic, the previous format's magic (its header has no fresh-id
 // watermark), a header cut short, a record cut short: each open fails.
 func TestRestoreRejectsGarbage(t *testing.T) {
-	good := EncodeSnapshot(nil, Snapshot{Records: durableDataset(t, 3), Seq: 7, NextID: 9})
+	good := encodeSnapshot(durableDataset(t, 3), 7, 9)
 	for name, b := range map[string][]byte{
 		"bad magic":        append([]byte("junkjunk"), good[len(checkpointMagic):]...),
 		"older format":     append([]byte("SAECKP02"), good[len(checkpointMagic):]...),
@@ -362,18 +365,21 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 // still verify.
 func TestRebuildRejectsRepeatedID(t *testing.T) {
 	recs := []record.Record{record.Synthesize(1, 10), record.Synthesize(2, 20), record.Synthesize(2, 30)}
-	if _, err := Rebuild(recs, 0); err == nil || !strings.Contains(err.Error(), "id 2 ") {
-		t.Fatalf("Rebuild with id 2 twice: got %v, want an error naming id 2", err)
+	if _, err := NewSystem(recs); err == nil || !strings.Contains(err.Error(), "id 2 ") {
+		t.Fatalf("NewSystem with id 2 twice: got %v, want an error naming id 2", err)
 	}
-	err := openCheckpoint(t, EncodeSnapshot(nil, Snapshot{Records: recs, NextID: 3}))
+	err := openCheckpoint(t, encodeSnapshot(recs, 0, 3))
 	if err == nil || !strings.Contains(err.Error(), "id 2 ") {
 		t.Fatalf("opening a checkpoint with id 2 twice: got %v, want an error naming id 2", err)
 	}
 }
 
-// FuzzDecodeSnapshot feeds arbitrary bytes to the checkpoint decoder: it
-// must never panic, and any input it accepts must re-encode byte for byte.
-func FuzzDecodeSnapshot(f *testing.F) {
+// FuzzLoadSnapshot feeds arbitrary bytes to the snapshot loader: it must
+// never panic, and a snapshot it accepts must load whole. The SP serves
+// the input's records byte for byte in order, the sequence is the
+// header's, and the owner's watermark is the larger of the header's and
+// the largest id loaded plus one.
+func FuzzLoadSnapshot(f *testing.F) {
 	for _, n := range []int{0, 1, 3} {
 		recs := make([]record.Record, n)
 		for i := range recs {
@@ -381,15 +387,32 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 		// The watermark sits above every id in the dump, as after the
 		// newest records were deleted.
-		f.Add(EncodeSnapshot(nil, Snapshot{Records: recs, Seq: uint64(n), NextID: record.ID(n + 5)}))
+		f.Add(encodeSnapshot(recs, uint64(n), record.ID(n+5)))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		snap, err := DecodeSnapshot(b)
+		sys, seq, err := LoadSnapshot(bytes.NewReader(b), int64(len(b)))
 		if err != nil {
 			return
 		}
-		if got := EncodeSnapshot(nil, snap); !bytes.Equal(got, b) {
-			t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(b), len(got))
+		recs := b[snapshotHeaderSize:]
+		if want := binary.BigEndian.Uint64(b[8:]); seq != want {
+			t.Fatalf("sequence %d, header says %d", seq, want)
+		}
+		var maxID record.ID
+		for at := 0; at < len(recs); at += record.Size {
+			maxID = max(maxID, record.WireID(recs[at:]))
+		}
+		if got, want := sys.Owner.watermark(), max(maxID+1, record.ID(binary.BigEndian.Uint64(b[16:]))); got != want {
+			t.Fatalf("watermark %d, want %d", got, want)
+		}
+		var served []byte
+		err = sys.SP.ServeBurstCtx([]*exec.Context{exec.NewContext()}, []record.Range{{Lo: 0, Hi: math.MaxUint32}}, new(BurstScratch),
+			func(_ int, enc []byte) error {
+				served = append(served, enc...)
+				return nil
+			})
+		if err != nil || !bytes.Equal(served, recs) {
+			t.Fatalf("accepted %d records, served %d bytes of them back (%v)", len(recs)/record.Size, len(served), err)
 		}
 	})
 }

@@ -60,7 +60,7 @@ func NewShardedSystem(sorted []record.Record, shards int) (*ShardedSystem, error
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			systems[i], errs[i] = Rebuild(parts[i], 0)
+			systems[i], errs[i] = NewSystem(parts[i])
 		}(i)
 	}
 	wg.Wait()

@@ -23,12 +23,17 @@ type System struct {
 	Client Client
 }
 
-// NewSystem outsources a dataset (sorted by key, as produced by
-// workload.Generate) and returns the assembled system: a Rebuild with no
-// watermark of its own. Each party keeps its own decoded-node cache,
-// which holds its whole index and charges every hit, so node-access
-// counts match an uncached run exactly.
-func NewSystem(sorted []record.Record) (*System, error) { return Rebuild(sorted, 0) }
+// NewSystem outsources a dataset in any order and returns the assembled
+// system: rebuildFrom over the records' encodings, each encoded once.
+// Records already in (key, id) order, as workload.Generate produces them,
+// are loaded as they are; others from a sorted copy, and recs is never
+// modified. Each party keeps its own decoded-node cache, which holds its
+// whole index and charges every hit, so node-access counts match an
+// uncached run exactly.
+func NewSystem(recs []record.Record) (*System, error) {
+	sorted := sortedByKeyID(recs)
+	return rebuildFrom(len(sorted), record.ReaderOf(sorted), 0)
+}
 
 // QueryOutcome captures one verified query round-trip and its per-party
 // costs.
@@ -106,11 +111,11 @@ func (o *AggOutcome) ResponseTime() costmodel.Breakdown {
 // client compares — O(log n) work at both parties, O(1) at the client,
 // regardless of how many records the range covers.
 func (s *System) Aggregate(q record.Range) (*AggOutcome, error) {
-	a, spCost, err := s.SP.Aggregate(q)
+	a, spCost, err := s.SP.AggregateCtx(exec.NewContext(), q)
 	if err != nil {
 		return nil, err
 	}
-	tok, teCost, err := s.TE.AggToken(q)
+	tok, teCost, err := s.TE.AggTokenCtx(exec.NewContext(), q)
 	if err != nil {
 		return nil, err
 	}
@@ -146,23 +151,13 @@ func (s *System) apply(ops []wal.Op) error {
 	return ApplyGroup(exec.NewContext(), s.Owner, s.SP, s.TE, ops)
 }
 
-// Rebuild assembles the three parties over fresh in-memory page stores
-// from a record set in any order — a snapshot a replica bootstraps from.
-// Records already in (key, id) order are loaded as they are; others are
-// loaded from a sorted copy, and recs is never modified. It is
-// rebuildFrom over the records' encodings, each encoded once.
-func Rebuild(recs []record.Record, nextID record.ID) (*System, error) {
-	sorted := sortedByKeyID(recs)
-	return rebuildFrom(len(sorted), record.ReaderOf(sorted), nextID)
-}
-
 // rebuildFrom assembles the three parties over fresh in-memory page
 // stores from the canonical encodings of n records in key order,
 // streamed by src: the SP reads each record into its heap slot, the TE
 // digests the records from the finished pages, and the owner issues
 // fresh ids from nextID or past the largest id loaded, whichever is
-// higher. A repeated id is an error. Each party keeps its own
-// decoded-node cache, as under NewSystem.
+// higher. A repeated id or a key out of order is an error. Each party
+// keeps its own decoded-node cache, as under NewSystem.
 func rebuildFrom(n int, src io.Reader, nextID record.ID) (*System, error) {
 	s := &System{
 		SP: NewServiceProvider(pagestore.NewMem()),

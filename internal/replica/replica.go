@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -20,9 +21,9 @@ var ErrGap = errors.New("replica: group stream gap")
 // Replica is one read replica of a shard's SAE primary: a full SP+TE
 // pair rebuilt from a sequence-stamped snapshot and advanced by whole
 // commit groups. Construction and group application run the exact code
-// the primary's own crash recovery runs (core.Rebuild + core.ApplyGroup),
-// which is what makes replica answers bit-identical to the primary's at
-// the same generation stamp.
+// the primary's own crash recovery runs (core.LoadSnapshot +
+// core.ApplyGroup), which is what makes replica answers bit-identical to
+// the primary's at the same generation stamp.
 //
 // The replica-level lock orders group application against verified
 // serving: ServeVerified returns records, a token and a stamp that all
@@ -33,24 +34,26 @@ type Replica struct {
 	seq uint64
 }
 
-// NewFromSnapshot builds a replica from a snapshot: its record set, the
-// generation stamp it was cut at and the owner's fresh-id watermark.
-func NewFromSnapshot(snap core.Snapshot) (*Replica, error) {
-	sys, err := core.Rebuild(snap.Records, snap.NextID)
+// NewFromSnapshot builds a replica from a snapshot's bytes: its record
+// set, the generation stamp it was cut at and the owner's fresh-id
+// watermark, loaded by core.LoadSnapshot.
+func NewFromSnapshot(b []byte) (*Replica, error) {
+	sys, seq, err := core.LoadSnapshot(bytes.NewReader(b), int64(len(b)))
 	if err != nil {
-		return nil, fmt.Errorf("replica: rebuilding from snapshot: %w", err)
+		return nil, fmt.Errorf("replica: loading snapshot: %w", err)
 	}
-	return &Replica{sys: sys, seq: snap.Seq}, nil
+	return &Replica{sys: sys, seq: seq}, nil
 }
 
 // Reset replaces the replica's whole state with a fresh snapshot — the
 // catch-up path when the hub's retention window has moved past us.
 // Serving continues on the old state until the swap, then atomically
-// jumps to the new generation.
-func (r *Replica) Reset(snap core.Snapshot) error {
+// jumps to the new generation; a snapshot that does not load changes
+// nothing.
+func (r *Replica) Reset(b []byte) error {
 	// Build outside the lock (bulkload is the expensive part), swap under
 	// it.
-	nr, err := NewFromSnapshot(snap)
+	nr, err := NewFromSnapshot(b)
 	if err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sae/internal/core"
+	"sae/internal/exec"
 	"sae/internal/record"
 	"sae/internal/wal"
 	"sae/internal/workload"
@@ -28,13 +29,11 @@ func newPrimary(t *testing.T, n int, maxGroup int) (*core.DurableSystem, *Hub) {
 	return sys, Attach(sys, 0)
 }
 
-// snapshotOf decodes the snapshot bytes h's primary serves a replica.
-func snapshotOf(h *Hub) (core.Snapshot, error) {
+// snapshotOf returns the snapshot bytes h's primary serves a replica.
+func snapshotOf(h *Hub) ([]byte, error) {
 	var b bytes.Buffer
-	if err := h.WriteSnapshot(&b); err != nil {
-		return core.Snapshot{}, err
-	}
-	return core.DecodeSnapshot(b.Bytes())
+	err := h.WriteSnapshot(&b)
+	return b.Bytes(), err
 }
 
 func bootstrap(t *testing.T, h *Hub) *Replica {
@@ -119,11 +118,11 @@ func assertParity(t *testing.T, sys *core.DurableSystem, r *Replica) {
 		if _, err := (core.Client{}).Verify(q, rrec, rvt); err != nil {
 			t.Fatalf("verifying replica answer over %v: %v", q, err)
 		}
-		ptok, _, err := sys.TE.AggToken(q)
+		ptok, _, err := sys.TE.AggTokenCtx(exec.NewContext(), q)
 		if err != nil {
 			t.Fatalf("primary agg token %v: %v", q, err)
 		}
-		rtok, _, err := r.TE().AggToken(q)
+		rtok, _, err := r.TE().AggTokenCtx(exec.NewContext(), q)
 		if err != nil {
 			t.Fatalf("replica agg token %v: %v", q, err)
 		}

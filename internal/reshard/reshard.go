@@ -8,12 +8,12 @@
 //
 //  1. Bootstrap. Each source primary is asked for a sequence-stamped
 //     snapshot over its replication endpoint (the same MsgReplicaSnapReq
-//     a replica uses). The coordinator partitions the snapshot records
-//     by the successor plan's spans and opens one fresh DurableSystem
-//     per new shard — each with its OWN WAL, checkpoint and sequence
-//     domain — served immediately on its own address but marked WARMING:
-//     the server refuses client reads, so a target can never attest
-//     successor-epoch data it has not caught up to.
+//     a replica uses). A new shard's span is one run of each source's
+//     dump bytes; the coordinator loads those runs into one fresh
+//     DurableSystem per new shard — each with its OWN WAL, checkpoint
+//     and sequence domain — served immediately on its own address but
+//     marked WARMING: the server refuses client reads, so a target can
+//     never attest successor-epoch data it has not caught up to.
 //
 //  2. Catch-up. The coordinator tails each source's commit groups
 //     (MsgReplicaPull, the replica protocol again), filters every
@@ -44,8 +44,11 @@
 package reshard
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"sort"
 	"time"
 
 	"sae/internal/core"
@@ -120,11 +123,11 @@ type target struct {
 	srv    *wire.PrimaryServer
 }
 
-// source is one shard being migrated away.
+// source is one shard being migrated away. One connection carries its
+// snapshot, its group tail and the freeze and retire orders.
 type source struct {
 	oldIdx int
-	repl   *wire.Conn
-	ctrl   *wire.SPClient
+	conn   *wire.Conn
 	seq    uint64 // watermark: last source commit group folded into targets
 }
 
@@ -154,12 +157,7 @@ func (c *Coordinator) Close() error {
 		}
 	}
 	for _, s := range c.sources {
-		if s.repl != nil {
-			keep(s.repl.Close())
-		}
-		if s.ctrl != nil {
-			keep(s.ctrl.Close())
-		}
+		keep(s.conn.Close())
 	}
 	return first
 }
@@ -253,7 +251,7 @@ func (c *Coordinator) pullPass() (int, error) {
 	streamed := 0
 	for _, s := range c.sources {
 		for {
-			gs, snapshotNeeded, err := s.repl.Pull(context.Background(), s.seq, 64)
+			gs, snapshotNeeded, err := s.conn.Pull(context.Background(), s.seq, 64)
 			if err != nil {
 				return streamed, fmt.Errorf("reshard: tailing shard %d: %w", s.oldIdx, err)
 			}
@@ -305,43 +303,45 @@ func Run(cfg Config) (*Coordinator, *Result, error) {
 	// Phase 1: bootstrap. Snapshot every source, verify its attestation,
 	// and bring up one warming target per new shard.
 	res := &Result{Plan: cfg.Next}
-	var snapRecs [][]record.Record
+	var dumps, payloads [][]byte // per source: its records in key order, and the payload holding them
 	for i := 0; i < cfg.Replaced; i++ {
 		oldIdx := cfg.FirstShard + i
-		repl, err := wire.Dial(cfg.Primaries[oldIdx])
+		conn, err := wire.Dial(cfg.Primaries[oldIdx])
 		if err != nil {
 			return nil, nil, fmt.Errorf("reshard: dialing source shard %d: %w", oldIdx, err)
 		}
-		ctrl, err := wire.DialSP(cfg.Primaries[oldIdx])
-		if err != nil {
-			repl.Close()
-			return nil, nil, fmt.Errorf("reshard: dialing source shard %d control: %w", oldIdx, err)
-		}
-		c.sources = append(c.sources, &source{oldIdx: oldIdx, repl: repl, ctrl: ctrl})
-		si, snap, err := repl.Snapshot(context.Background())
+		c.sources = append(c.sources, &source{oldIdx: oldIdx, conn: conn})
+		si, dump, p, err := conn.Snapshot(context.Background())
 		if err != nil {
 			return nil, nil, fmt.Errorf("reshard: snapshotting source shard %d: %w", oldIdx, err)
 		}
+		payloads = append(payloads, p)
 		if si.Index != oldIdx || !si.Plan.Equal(cfg.Current) {
 			return nil, nil, fmt.Errorf("reshard: source %s attests shard %d of %v, want shard %d of %v",
 				cfg.Primaries[oldIdx], si.Index, si.Plan, oldIdx, cfg.Current)
 		}
-		c.sources[i].seq = snap.Seq
-		snapRecs = append(snapRecs, snap.Records)
-		logf("reshard: source shard %d snapshot: %d records at seq %d", oldIdx, len(snap.Records), snap.Seq)
+		seq, recs, err := core.SnapshotRecords(dump)
+		if err != nil {
+			return nil, nil, fmt.Errorf("reshard: source shard %d snapshot: %w", oldIdx, err)
+		}
+		c.sources[i].seq = seq
+		dumps = append(dumps, recs)
+		logf("reshard: source shard %d snapshot: %d records at seq %d", oldIdx, len(recs)/record.Size, seq)
 	}
 	for j := 0; j < newCount; j++ {
 		newIdx := cfg.FirstShard + j
 		span := cfg.Next.Span(newIdx)
-		var part []record.Record
-		for _, recs := range snapRecs {
-			for _, r := range recs {
-				if r.Key >= span.Lo && r.Key <= span.Hi {
-					part = append(part, r)
-				}
-			}
+		// A source's dump is in key order and the span is contiguous, so
+		// the span's records are one run of each dump, and the sources'
+		// runs follow one another in key order.
+		runs, n := make([]io.Reader, len(dumps)), 0
+		for i, recs := range dumps {
+			m := len(recs) / record.Size
+			lo := sort.Search(m, func(r int) bool { return record.WireKey(recs[r*record.Size:]) >= span.Lo })
+			hi := sort.Search(m, func(r int) bool { return record.WireKey(recs[r*record.Size:]) > span.Hi })
+			runs[i], n = bytes.NewReader(recs[lo*record.Size:hi*record.Size]), n+hi-lo
 		}
-		ds, err := core.OpenDurableSystem(cfg.TargetDirs[j], part, cfg.MaxGroup)
+		ds, err := core.OpenDurableFrom(cfg.TargetDirs[j], n, io.MultiReader(runs...), cfg.MaxGroup)
 		if err != nil {
 			return nil, nil, fmt.Errorf("reshard: opening target shard %d: %w", newIdx, err)
 		}
@@ -367,9 +367,12 @@ func Run(cfg Config) (*Coordinator, *Result, error) {
 		}
 		srv.SetWarming(true)
 		c.targets = append(c.targets, &target{newIdx: newIdx, span: span, ds: ds, srv: srv})
-		res.RecordsMigrated += len(part)
+		res.RecordsMigrated += n
 		res.TargetAddrs = append(res.TargetAddrs, srv.Addr())
-		logf("reshard: target shard %d warming on %s with %d records", newIdx, srv.Addr(), len(part))
+		logf("reshard: target shard %d warming on %s with %d records", newIdx, srv.Addr(), n)
+	}
+	for _, p := range payloads {
+		wire.Release(p)
 	}
 
 	// Phase 2: catch-up until one full pass over every source streams
@@ -391,7 +394,7 @@ func Run(cfg Config) (*Coordinator, *Result, error) {
 	// first freeze to the last router ack.
 	t0 := time.Now()
 	for _, s := range c.sources {
-		if err := s.ctrl.Freeze(freezeTTL); err != nil {
+		if err := s.conn.Freeze(freezeTTL); err != nil {
 			return nil, nil, fmt.Errorf("reshard: freezing shard %d: %w", s.oldIdx, err)
 		}
 	}
@@ -456,7 +459,7 @@ func Run(cfg Config) (*Coordinator, *Result, error) {
 	// freeze fails out with a retirement error and must re-route to the
 	// successor topology.
 	for _, s := range c.sources {
-		if err := s.ctrl.Retire(); err != nil {
+		if err := s.conn.Retire(); err != nil {
 			return nil, nil, fmt.Errorf("reshard: retiring shard %d: %w", s.oldIdx, err)
 		}
 	}

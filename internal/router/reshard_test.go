@@ -23,11 +23,11 @@ func epochSuccessor(t *testing.T, sys *core.DurableSystem, idx int, next shard.P
 	if err := sys.WriteSnapshot(&b); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := core.DecodeSnapshot(b.Bytes())
+	_, recs, err := core.SnapshotRecords(b.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone, err := core.OpenDurableSystem(t.TempDir(), snap.Records, 16)
+	clone, err := core.OpenDurableFrom(t.TempDir(), len(recs)/record.Size, bytes.NewReader(recs), 16)
 	if err != nil {
 		t.Fatal(err)
 	}

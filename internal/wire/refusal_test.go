@@ -30,8 +30,8 @@ func TestRefusedBatchPoisonsNothing(t *testing.T) {
 	feed := StartReplicaFeed(rep, srv.Addr(), nil)
 	defer feed.Close()
 
-	snap := snapshotOf(t, sys)
-	live := snap.Records[5]
+	snap := recordsOf(t, sys)
+	live := snap[5]
 	fresh := func(i int) record.Record {
 		return record.Synthesize(record.ID(1<<40+i), record.Key(i*700_001%record.KeyDomain))
 	}
@@ -123,7 +123,7 @@ func TestRefusedBatchPoisonsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("whole-domain verified read: %v", err)
 	}
-	if want := len(snap.Records) + 3; len(recs) != want {
+	if want := len(snap) + 3; len(recs) != want {
 		t.Fatalf("%d records served, want %d", len(recs), want)
 	}
 
@@ -156,7 +156,7 @@ func TestRefusedBatchPoisonsNothing(t *testing.T) {
 	if err := sys.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	re, err := core.OpenDurableSystem(sys.Dir, snap.Records, 16)
+	re, err := core.OpenDurableSystem(sys.Dir, snap, 16)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

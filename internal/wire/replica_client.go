@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sae/internal/core"
 	"sae/internal/digest"
 	"sae/internal/record"
 	"sae/internal/replica"
@@ -29,14 +28,16 @@ func (c *Conn) GenStamp(ctx context.Context) (uint64, error) {
 	return binary.BigEndian.Uint64(p), nil
 }
 
-// Snapshot fetches a primary's sequence-stamped bootstrap snapshot plus
-// its shard attestation.
-func (c *Conn) Snapshot(ctx context.Context) (ShardInfo, core.Snapshot, error) {
-	p, err := c.ask(ctx, MsgReplicaSnapReq, nil, MsgReplicaSnap)
-	if err != nil {
-		return ShardInfo{}, core.Snapshot{}, err
+// Snapshot fetches a primary's bootstrap snapshot: its shard attestation
+// and its sequence-stamped dump in the checkpoint's byte format, which
+// core.LoadSnapshot loads. The dump aliases the response payload p, which
+// is the caller's to Release once the dump is loaded.
+func (c *Conn) Snapshot(ctx context.Context) (si ShardInfo, dump, p []byte, err error) {
+	if p, err = c.ask(ctx, MsgReplicaSnapReq, nil, MsgReplicaSnap); err != nil {
+		return ShardInfo{}, nil, nil, err
 	}
-	return DecodeReplicaSnap(p)
+	si, dump, err = DecodeReplicaSnap(p)
+	return si, dump, p, err
 }
 
 // Pull fetches up to max commit groups after the tailer's sequence from a
@@ -60,11 +61,12 @@ func BootstrapReplica(primaryAddr string) (*replica.Replica, ShardInfo, error) {
 		return nil, ShardInfo{}, err
 	}
 	defer c.Close()
-	si, snap, err := c.Snapshot(context.Background())
+	si, dump, p, err := c.Snapshot(context.Background())
 	if err != nil {
 		return nil, ShardInfo{}, fmt.Errorf("wire: bootstrapping replica from %s: %w", primaryAddr, err)
 	}
-	rep, err := replica.NewFromSnapshot(snap)
+	rep, err := replica.NewFromSnapshot(dump)
+	Release(p)
 	if err != nil {
 		return nil, ShardInfo{}, err
 	}
@@ -187,12 +189,14 @@ func (f *ReplicaFeed) tail(c *Conn) {
 // reset re-bootstraps the replica from a snapshot pulled over c and
 // counts it; false means the connection should be dropped.
 func (f *ReplicaFeed) reset(c *Conn) bool {
-	_, snap, err := c.Snapshot(f.ctx)
+	_, dump, p, err := c.Snapshot(f.ctx)
 	if err != nil {
 		f.logf("replica feed: re-snapshot from %s: %v", f.addr, err)
 		return false
 	}
-	if err := f.rep.Reset(snap); err != nil {
+	err = f.rep.Reset(dump)
+	Release(p)
+	if err != nil {
 		f.logf("replica feed: resetting from snapshot: %v", err)
 		return false
 	}

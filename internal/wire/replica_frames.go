@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"sae/internal/core"
 	"sae/internal/digest"
 	"sae/internal/wal"
 )
@@ -63,25 +62,22 @@ func DecodeReplicaGroups(b []byte) ([]wal.Group, bool, error) {
 // DecodeReplicaSnap parses a MsgReplicaSnap payload: the primary's shard
 // attestation (index + partition plan, which the replica re-serves so
 // clients and routers see a consistent topology) followed by a
-// sequence-stamped record dump in the checkpoint's byte format.
-func DecodeReplicaSnap(b []byte) (ShardInfo, core.Snapshot, error) {
+// sequence-stamped record dump in the checkpoint's byte format, which is
+// returned as it is, aliasing b, for core.LoadSnapshot to check and load.
+func DecodeReplicaSnap(b []byte) (ShardInfo, []byte, error) {
 	if len(b) < 4 {
-		return ShardInfo{}, core.Snapshot{}, fmt.Errorf("%w: truncated replica snapshot", ErrProtocol)
+		return ShardInfo{}, nil, fmt.Errorf("%w: truncated replica snapshot", ErrProtocol)
 	}
 	silen := int(binary.BigEndian.Uint32(b[0:4]))
 	b = b[4:]
 	if silen > len(b) {
-		return ShardInfo{}, core.Snapshot{}, fmt.Errorf("%w: shard attestation of %d bytes in %d payload bytes", ErrProtocol, silen, len(b))
+		return ShardInfo{}, nil, fmt.Errorf("%w: shard attestation of %d bytes in %d payload bytes", ErrProtocol, silen, len(b))
 	}
 	si, err := DecodeShardInfo(b[:silen])
 	if err != nil {
-		return ShardInfo{}, core.Snapshot{}, err
+		return ShardInfo{}, nil, err
 	}
-	snap, err := core.DecodeSnapshot(b[silen:])
-	if err != nil {
-		return ShardInfo{}, core.Snapshot{}, fmt.Errorf("%w: %v", ErrProtocol, err)
-	}
-	return si, snap, nil
+	return si, b[silen:], nil
 }
 
 // DecodeVerifiedResult parses a MsgVerifiedResult payload into its plan
