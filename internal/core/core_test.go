@@ -6,6 +6,7 @@ import (
 
 	"sae/internal/digest"
 	"sae/internal/record"
+	"sae/internal/wal"
 	"sae/internal/workload"
 )
 
@@ -284,4 +285,45 @@ func TestVerifyEmptyResult(t *testing.T) {
 		t.Fatal("empty result with nonzero token accepted")
 	}
 	_ = sys
+}
+
+// TestChurnKeepsHeapFlat: under a churn that keeps the live count
+// constant (each batch of 16 inserts 8 records and deletes the 8
+// oldest), the SP's heap holds at most ⌈live/8⌉ + 1 pages: one part-dead
+// page at the front, one part-filled page at the tail. Every full page
+// the deletes empty goes back to the store, and the next tail page
+// reuses it.
+func TestChurnKeepsHeapFlat(t *testing.T) {
+	s, ds := newTestSystem(t, 5000, workload.UNF)
+	queue := make([]wal.Op, 0, len(ds.Records)+400*8)
+	for i := range ds.Records {
+		queue = append(queue, wal.DeleteOp(ds.Records[i].ID, ds.Records[i].Key))
+	}
+	ops := make([]wal.Op, 0, 16)
+	nextID := s.Owner.watermark()
+	for b := 0; b < 400; b++ {
+		ops = ops[:0]
+		for i := 0; i < 8; i++ {
+			r := record.Synthesize(nextID, record.Key(uint64(nextID)*7919%record.KeyDomain))
+			nextID++
+			ops = append(ops, wal.InsertOp(r))
+			queue = append(queue, wal.DeleteOp(r.ID, r.Key))
+		}
+		ops = append(ops, queue[:8]...)
+		queue = queue[8:]
+		if err := s.apply(ops); err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+		live, pages := s.SP.Count(), s.SP.heap.NumPages()
+		if bound := (live+7)/8 + 1; pages > bound {
+			t.Fatalf("after batch %d the heap holds %d pages for %d live records, want <= %d", b, pages, live, bound)
+		}
+	}
+	out, err := s.Query(record.Range{Lo: 0, Hi: record.KeyDomain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.VerifyErr != nil || len(out.Result) != len(ds.Records) {
+		t.Fatalf("whole-domain answer after the churn: %d records, verify %v; want %d verified", len(out.Result), out.VerifyErr, len(ds.Records))
+	}
 }

@@ -5,7 +5,11 @@
 // BuildFrom lays records out in key order (a clustered file), so a range
 // query's result occupies a contiguous run of pages; later insertions
 // append at the tail, as in a conventional heap. Deletions tombstone their
-// slot.
+// slot, and a slot is never reused. A delete that leaves a full page with
+// no live slot frees the page instead: the store recycles it for a later
+// tail page, so a file under churn holds only the pages that still carry
+// a live record or may yet take one. A page with some live slots keeps its
+// dead ones.
 //
 // Each slot holds its record in the canonical 500-byte wire encoding, back
 // to back after a 3-byte page header, so a run of consecutive live slots
@@ -51,15 +55,54 @@ var (
 )
 
 // File is a record file over a page store.
+//
+// Its pages form a list in allocation (and key, after Build) order,
+// linked through next and prev, which are indexed by page id: a freed
+// page leaves the list in O(1), and the store may hand its id to a later
+// tail page.
 type File struct {
-	store pagestore.Store
-	pages []pagestore.PageID // in allocation (and key, after Build) order
-	live  int                // live (non-deleted) record count
+	store      pagestore.Store
+	head, tail pagestore.PageID
+	next, prev []pagestore.PageID
+	pages      int // pages on the list
+	live       int // live (non-deleted) record count
 }
 
 // New returns an empty heap file on store.
 func New(store pagestore.Store) *File {
-	return &File{store: store}
+	return &File{store: store, head: pagestore.InvalidPage, tail: pagestore.InvalidPage}
+}
+
+// link appends page id to the tail of the page list.
+func (f *File) link(id pagestore.PageID) {
+	for int(id) >= len(f.next) {
+		f.next = append(f.next, pagestore.InvalidPage)
+		f.prev = append(f.prev, pagestore.InvalidPage)
+	}
+	f.next[id], f.prev[id] = pagestore.InvalidPage, f.tail
+	if f.tail == pagestore.InvalidPage {
+		f.head = id
+	} else {
+		f.next[f.tail] = id
+	}
+	f.tail = id
+	f.pages++
+}
+
+// unlink takes page id off the page list.
+func (f *File) unlink(id pagestore.PageID) {
+	p, n := f.prev[id], f.next[id]
+	if p == pagestore.InvalidPage {
+		f.head = n
+	} else {
+		f.next[p] = n
+	}
+	if n == pagestore.InvalidPage {
+		f.tail = p
+	} else {
+		f.prev[n] = p
+	}
+	f.pages--
 }
 
 // UseCache does nothing: heap pages are served from their page bytes and
@@ -114,7 +157,7 @@ func BuildFrom(store pagestore.Store, n int, src io.Reader, each func(rid RID, e
 		if err := f.write(nil, id, buf[:]); err != nil {
 			return nil, err
 		}
-		f.pages = append(f.pages, id)
+		f.link(id)
 	}
 	f.live = n
 	return f, nil
@@ -126,18 +169,23 @@ func BuildFrom(store pagestore.Store, n int, src io.Reader, each func(rid RID, e
 // stream is read.
 func (f *File) Records() *record.Reader {
 	var page []byte
-	pi, s := -1, uint16(RecordsPerPage)
+	id, s := pagestore.InvalidPage, uint16(RecordsPerPage)
 	return record.NewReader(f.live, func(_ int, dst []byte) error {
 		for ; ; s++ {
 			if s == RecordsPerPage {
-				pi, s = pi+1, 0
-				if pi == len(f.pages) {
+				if id == pagestore.InvalidPage {
+					id = f.head
+				} else {
+					id = f.next[id]
+				}
+				if id == pagestore.InvalidPage {
 					return ErrBadRID
 				}
 				var err error
-				if page, err = f.borrow(nil, f.pages[pi]); err != nil {
+				if page, err = f.borrow(nil, id); err != nil {
 					return err
 				}
+				s = 0
 			}
 			if live(page, s) {
 				copy(dst, page[slotOffset(int(s)):slotOffset(int(s)+1)])
@@ -328,8 +376,7 @@ func (f *File) Append(r record.Record) (RID, error) { return f.AppendCtx(nil, r.
 func (f *File) AppendCtx(ctx *exec.Context, enc []byte) (RID, error) {
 	buf := bufpool.GetPage()
 	defer bufpool.PutPage(buf)
-	if n := len(f.pages); n > 0 {
-		last := f.pages[n-1]
+	if last := f.tail; last != pagestore.InvalidPage {
 		if err := f.read(ctx, last, buf[:]); err != nil {
 			return InvalidRID, err
 		}
@@ -351,7 +398,7 @@ func (f *File) AppendCtx(ctx *exec.Context, enc []byte) (RID, error) {
 	if err := f.write(ctx, id, buf[:]); err != nil {
 		return InvalidRID, err
 	}
-	f.pages = append(f.pages, id)
+	f.link(id)
 	f.live++
 	return RID{Page: id, Slot: 0}, nil
 }
@@ -360,7 +407,11 @@ func (f *File) AppendCtx(ctx *exec.Context, enc []byte) (RID, error) {
 func (f *File) Delete(rid RID) error { return f.DeleteCtx(nil, rid) }
 
 // DeleteCtx tombstones a record (one read, one write). The slot is not
-// reused; range scans skip it.
+// reused; range scans skip it. If the page is full and rid was its last
+// live slot, the page is then freed: it leaves the file's page list and
+// goes back to the store, which may hand it out as a later tail page. The
+// caller must hold no other RID on it (its catalog and index no longer
+// do) and must keep readers of its bytes out, as for any write.
 func (f *File) DeleteCtx(ctx *exec.Context, rid RID) error {
 	buf := bufpool.GetPage()
 	defer bufpool.PutPage(buf)
@@ -375,14 +426,28 @@ func (f *File) DeleteCtx(ctx *exec.Context, rid RID) error {
 		return err
 	}
 	f.live--
+	if buf[0] == RecordsPerPage && buf[2] == 0 {
+		return f.free(ctx, rid.Page)
+	}
+	return nil
+}
+
+// free takes a wholly dead page off the list and returns it to the store.
+func (f *File) free(ctx *exec.Context, id pagestore.PageID) error {
+	f.unlink(id)
+	if err := f.store.Free(id); err != nil {
+		return fmt.Errorf("heapfile: freeing page %d: %w", id, err)
+	}
+	ctx.AccountFree()
 	return nil
 }
 
 // NumRecords returns the number of live records.
 func (f *File) NumRecords() int { return f.live }
 
-// NumPages returns the number of data pages in the file.
-func (f *File) NumPages() int { return len(f.pages) }
+// NumPages returns the number of data pages in the file; freed pages are
+// not counted.
+func (f *File) NumPages() int { return f.pages }
 
 // Bytes returns the storage footprint of the file in bytes.
-func (f *File) Bytes() int64 { return int64(len(f.pages)) * pagestore.PageSize }
+func (f *File) Bytes() int64 { return int64(f.pages) * pagestore.PageSize }

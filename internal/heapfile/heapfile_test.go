@@ -271,3 +271,61 @@ func TestRecordsStreamsLiveSlots(t *testing.T) {
 		t.Fatalf("streamed %d bytes, want the %d bytes of the live records", len(got), len(want))
 	}
 }
+
+// TestDeleteFreesEmptiedFullPage: the delete that empties a full page
+// frees it, so the file stops counting and streaming it and the next
+// tail page takes its id; a part-filled or part-live page is kept.
+func TestDeleteFreesEmptiedFullPage(t *testing.T) {
+	recs := make([]record.Record, 20) // pages of 8, 8 and 4
+	for i := range recs {
+		recs[i] = record.Synthesize(record.ID(i+1), record.Key(i))
+	}
+	store := pagestore.NewMem()
+	f, rids, err := Build(store, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{8, 9, 10, 11, 12, 13, 14, 16, 17, 18, 19} {
+		if err := f.Delete(rids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f.NumPages() != 3 || store.NumPages() != 3 {
+		t.Fatalf("pages = %d in the file, %d in the store; want 3 before any page is wholly dead", f.NumPages(), store.NumPages())
+	}
+	freed := rids[15].Page
+	if err := f.Delete(rids[15]); err != nil {
+		t.Fatal(err)
+	}
+	if f.NumPages() != 2 || store.NumPages() != 2 || f.Bytes() != 2*pagestore.PageSize {
+		t.Fatalf("pages = %d in the file, %d in the store; want 2 once the middle page is wholly dead", f.NumPages(), store.NumPages())
+	}
+	if _, err := f.Get(rids[15]); !errors.Is(err, pagestore.ErrBadPageID) {
+		t.Fatalf("Get on a freed page: err = %v, want ErrBadPageID", err)
+	}
+	got, err := io.ReadAll(f.Records())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for i := 0; i < 8; i++ {
+		want = recs[i].AppendBinary(want)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("streamed %d bytes, want the %d bytes of the first page", len(got), len(want))
+	}
+	// Filling the part-filled tail appends to it; the page after it
+	// reuses the freed id.
+	var rid RID
+	for i := 0; i < 5; i++ {
+		if rid, err = f.Append(record.Synthesize(record.ID(100+i), record.Key(100+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rid != (RID{Page: freed, Slot: 0}) || f.NumPages() != 3 {
+		t.Fatalf("the fifth append landed at %v with %d pages; want slot 0 of freed page %d, 3 pages", rid, f.NumPages(), freed)
+	}
+	if r, err := f.Get(rid); err != nil || r.ID != 104 {
+		t.Fatalf("Get(%v) = id %d, %v; want id 104", rid, r.ID, err)
+	}
+}

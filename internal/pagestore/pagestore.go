@@ -53,11 +53,24 @@ var (
 )
 
 // Mem is an in-memory store. It is safe for concurrent use.
+//
+// A freed page keeps its buffer: Allocate hands the most recently freed
+// id back with that buffer zeroed, so a structure that frees and
+// allocates at the same rate (a heap file under churn) allocates no
+// memory and makes no garbage. The buffer may be lent again under a new
+// id, so a borrower must be done with a page's bytes before its
+// structure lock lets the page be freed.
 type Mem struct {
 	mu     sync.RWMutex
 	pages  [][]byte
-	free   []PageID
+	free   []freed
 	closed bool
+}
+
+// freed is a freed page id with the buffer it held.
+type freed struct {
+	id  PageID
+	buf []byte
 }
 
 // NewMem returns an empty in-memory page store.
@@ -73,10 +86,11 @@ func (m *Mem) Allocate() (PageID, error) {
 		return 0, ErrStoreClosed
 	}
 	if n := len(m.free); n > 0 {
-		id := m.free[n-1]
+		f := m.free[n-1]
 		m.free = m.free[:n-1]
-		m.pages[id] = make([]byte, PageSize)
-		return id, nil
+		clear(f.buf)
+		m.pages[f.id] = f.buf
+		return f.id, nil
 	}
 	id := PageID(len(m.pages))
 	m.pages = append(m.pages, make([]byte, PageSize))
@@ -131,7 +145,7 @@ func (m *Mem) Write(id PageID, buf []byte) error {
 	return nil
 }
 
-// Free implements Store.
+// Free implements Store; see Mem for what becomes of the page's buffer.
 func (m *Mem) Free(id PageID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -141,8 +155,8 @@ func (m *Mem) Free(id PageID) error {
 	if int(id) >= len(m.pages) || m.pages[id] == nil {
 		return fmt.Errorf("%w: free %d", ErrBadPageID, id)
 	}
+	m.free = append(m.free, freed{id: id, buf: m.pages[id]})
 	m.pages[id] = nil
-	m.free = append(m.free, id)
 	return nil
 }
 

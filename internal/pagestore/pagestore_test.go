@@ -2,6 +2,7 @@ package pagestore
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -101,6 +102,47 @@ func TestStoreFreeAndRecycle(t *testing.T) {
 			}
 			_ = b
 		})
+	}
+}
+
+// TestMemRecyclesFreedPages: Mem keeps a freed page's buffer and hands
+// it back, zeroed, with the next Allocate, so a free+allocate pair costs
+// no memory; a freed id cannot be borrowed until it is allocated again.
+func TestMemRecyclesFreedPages(t *testing.T) {
+	m := NewMem()
+	defer m.Close()
+	id, _ := m.Allocate()
+	buf := bytes.Repeat([]byte{0xEE}, PageSize)
+	if err := m.Write(id, buf); err != nil {
+		t.Fatal(err)
+	}
+	old, _ := m.Borrow(id)
+	if err := m.Free(id); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Borrow(id); !errors.Is(err, ErrBadPageID) {
+		t.Fatalf("Borrow of a freed page: err = %v, want ErrBadPageID", err)
+	}
+	got, err := m.Allocate()
+	if err != nil || got != id {
+		t.Fatalf("Allocate after Free = %d, %v; want %d", got, err, id)
+	}
+	lent, _ := m.Borrow(got)
+	if &lent[0] != &old[0] {
+		t.Fatal("Allocate did not reuse the freed page's buffer")
+	}
+	if !bytes.Equal(lent, make([]byte, PageSize)) {
+		t.Fatal("a recycled page is not zeroed")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := m.Free(id); err != nil {
+			t.Fatal(err)
+		}
+		if id, err = m.Allocate(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a Free+Allocate pair allocates %.1f times, want 0", allocs)
 	}
 }
 
