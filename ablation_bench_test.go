@@ -71,13 +71,13 @@ func BenchmarkTEIndexAblation(b *testing.B) {
 	})
 }
 
-// BenchmarkBufferPoolAblation measures how the SAE SP's decoded-node
-// cache, seen as a conventional buffer pool, absorbs the repeated B+-tree
-// node reads of a query stream. Every access is charged, so reads/op is
-// what the SP reads with no pool at all; faults/op (reads less cache
-// hits) is what reaches the disk when hits are free. The heap file's
-// pages are never cached, so both count them all. Headline experiments
-// charge every access, because the paper does.
+// BenchmarkBufferPoolAblation measures how much of a query stream's page
+// reads a buffer pool holding the SAE SP's whole index would absorb. The
+// B+-tree's node table holds every node, and the SP counts each node read
+// as a cache hit. Every access is charged, so reads/op is what the SP
+// reads with no pool at all; faults/op (reads less hits, the heap file's
+// pages) is what reaches the disk when index reads are free. Headline
+// experiments charge every access, because the paper does.
 func BenchmarkBufferPoolAblation(b *testing.B) {
 	ds, err := workload.Generate(workload.UNF, benchN, 1)
 	if err != nil {

@@ -280,7 +280,7 @@ func serveUntilInterrupt(role, addr string, closers ...func() error) error {
 }
 
 // runServer serves one stand-alone party (sp or te) over its part of the
-// dataset; the party's decoded-node cache holds that part's whole index.
+// dataset; the party's tree holds that part's whole index as objects.
 func runServer(o *opts) error {
 	fmt.Fprintf(os.Stderr, "saenet %s: drawing %d %s keys (seed %d)...\n", o.role, o.n, o.dist, o.seed)
 	plan, part, err := partition(o)

@@ -14,12 +14,13 @@
 // full composite, so duplicate search keys are handled exactly (the same
 // heap-pointer tiebreak production systems use). Every child pointer also
 // carries the (count, sum, min, max) aggregate of its subtree, which lets
-// AggregateCtx answer COUNT/SUM/MIN/MAX from O(log n) nodes. Node layouts
-// are byte-accurate over 4096-byte pages.
+// AggregateCtx answer COUNT/SUM/MIN/MAX from O(log n) nodes. Nodes live as
+// objects in the tree's node table (bufpool.Table); each takes one page id
+// of the store, and its fanout is what its page layout would fit in 4096
+// bytes.
 package bptree
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -59,7 +60,8 @@ func Compare(a, b Entry) int {
 	return 0
 }
 
-// Page layout. With S the encoded size of one value D, a leaf page is
+// Page layout, which sets the fanout. With S the encoded size of one value
+// D, a leaf page is
 //
 //	[0] flags (1 = leaf) | [1:3] count | [3:7] next-leaf id |
 //	{key 4, rid page 4, rid slot 2, value S}...
@@ -94,19 +96,17 @@ var ErrNotFound = errors.New("entry not found")
 
 // Kind is what one instance of the tree keeps beside its entries: a value
 // of type D for every leaf entry and for every child of an internal node,
-// the value's page encoding, and the summary a parent stores as the value
+// the value's size on a page, and the summary a parent stores as the value
 // of a child node.
 type Kind[D comparable] struct {
-	Name    string                // prefixes the tree's errors
-	Size    int                   // encoded bytes of one value; 0 stores none
-	Put     func(buf []byte, v D) // len(buf) == Size
-	Get     func(buf []byte) D    // len(buf) == Size
+	Name    string // prefixes the tree's errors
+	Size    int    // bytes of one value on a page; 0 stores none
 	Summary func(n *Node[D]) D
 }
 
-// Node is the decoded form of one page. A node read through ReadNode may
-// be shared with the decoded-node cache and other readers: callers outside
-// the tree must not modify it.
+// Node is one node of the tree, a page's worth of entries. ReadNode hands
+// out the tree's own object, shared with every other reader: callers
+// outside the tree must not modify it.
 type Node[D comparable] struct {
 	Leaf     bool
 	Next     pagestore.PageID   // leaf-level sibling chain
@@ -152,21 +152,18 @@ func (n *Node[D]) setChild(i int, c child[D]) {
 // Annotated is a disk-based B+-tree whose entries and child pointers carry
 // a value of type D (see Kind).
 type Annotated[D comparable] struct {
-	io      *bufpool.IO
+	nodes   *bufpool.Table[*Node[D]]
 	kind    *Kind[D]
-	decode  func([]byte) *Node[D]
-	encode  func([]byte, *Node[D])
 	leafCap int
 	inCap   int
 	root    pagestore.PageID
 	rootVal D   // the root node's summary
 	height  int // 1 = root is a leaf
 	count   int // live entries
-	nodes   int // allocated nodes
 }
 
 func newAnnotated[D comparable](store pagestore.Store, k *Kind[D]) *Annotated[D] {
-	t := &Annotated[D]{io: bufpool.NewIO(store, nil), kind: k, decode: k.decodeNode, encode: k.encodeNode}
+	t := &Annotated[D]{nodes: bufpool.NewTable[*Node[D]](store), kind: k}
 	t.leafCap, t.inCap = Capacities(k.Size)
 	return t
 }
@@ -221,9 +218,7 @@ func BulkloadAnnotated[D comparable](store pagestore.Store, k *Kind[D], entries 
 		}
 		if prev != nil {
 			prev.Next = id
-			if err := t.writeNode(nil, level[len(level)-1].id, prev); err != nil {
-				return nil, err
-			}
+			t.nodes.Put(nil, level[len(level)-1].id, prev)
 		}
 		prev = n
 		level = append(level, built{t.summarize(id, n), entries[start]})
@@ -258,10 +253,12 @@ func BulkloadAnnotated[D comparable](store pagestore.Store, k *Kind[D], entries 
 	return t, nil
 }
 
-// UseCache attaches a decoded-node cache to the tree's read/write path
-// (nil detaches). Typically called right after New/Bulkload so the build
-// itself runs uncached.
-func (t *Annotated[D]) UseCache(c *bufpool.Cache) { t.io.SetCache(c) }
+// UseCache does nothing; it is kept for the bench/ harness (see
+// bufpool.Cache).
+func (t *Annotated[D]) UseCache(*bufpool.Cache) {}
+
+// NodeReads returns the number of node reads the tree has served.
+func (t *Annotated[D]) NodeReads() int64 { return t.nodes.Reads() }
 
 // Root returns the root page's id.
 func (t *Annotated[D]) Root() pagestore.PageID { return t.root }
@@ -276,132 +273,34 @@ func (t *Annotated[D]) Count() int { return t.count }
 // Height returns the number of levels (1 = the root is a leaf).
 func (t *Annotated[D]) Height() int { return t.height }
 
-// NodeCount returns the number of allocated tree nodes.
-func (t *Annotated[D]) NodeCount() int { return t.nodes }
+// NodeCount returns the number of tree nodes.
+func (t *Annotated[D]) NodeCount() int { return t.nodes.Len() }
 
-// Bytes returns the tree's storage footprint.
-func (t *Annotated[D]) Bytes() int64 { return int64(t.nodes) * pagestore.PageSize }
+// Bytes returns the tree's storage footprint, a page per node.
+func (t *Annotated[D]) Bytes() int64 { return int64(t.nodes.Len()) * pagestore.PageSize }
 
 func (t *Annotated[D]) summarize(id pagestore.PageID, n *Node[D]) child[D] {
 	return child[D]{id: id, val: t.kind.Summary(n), agg: n.aggAll()}
 }
 
-// allocNode allocates a page for n and writes it.
+// allocNode allocates a page id for n and puts it there.
 func (t *Annotated[D]) allocNode(ctx *exec.Context, n *Node[D]) (pagestore.PageID, error) {
-	id, err := t.io.Allocate(ctx)
+	id, err := t.nodes.Allocate(ctx)
 	if err != nil {
 		return 0, fmt.Errorf("%s: allocating node: %w", t.kind.Name, err)
 	}
-	t.nodes++
-	if err := t.writeNode(ctx, id, n); err != nil {
-		return 0, err
-	}
+	t.nodes.Put(ctx, id, n)
 	return id, nil
 }
 
-func (t *Annotated[D]) writeNode(ctx *exec.Context, id pagestore.PageID, n *Node[D]) error {
-	if err := bufpool.WriteNode(t.io, ctx, id, n, t.encode); err != nil {
-		return fmt.Errorf("%s: writing node %d: %w", t.kind.Name, id, err)
-	}
-	return nil
-}
-
-// ReadNode returns the decoded page id, charging the access to ctx. It is
-// how code built on the tree (the MB-Tree's VO builders) walks it.
+// ReadNode returns node id, charging the access to ctx. It is how code
+// built on the tree (the MB-Tree's VO builders) walks it.
 func (t *Annotated[D]) ReadNode(ctx *exec.Context, id pagestore.PageID) (*Node[D], error) {
-	n, err := bufpool.ReadNode(t.io, ctx, id, t.decode)
+	n, err := t.nodes.Get(ctx, id)
 	if err != nil {
 		return nil, fmt.Errorf("%s: reading node %d: %w", t.kind.Name, id, err)
 	}
 	return n, nil
-}
-
-func (k *Kind[D]) encodeNode(buf []byte, n *Node[D]) {
-	clear(buf)
-	binary.BigEndian.PutUint16(buf[1:3], uint16(len(n.Entries)))
-	if n.Leaf {
-		buf[0] = 1
-		binary.BigEndian.PutUint32(buf[3:7], uint32(n.Next))
-		off := headerSize
-		for i, e := range n.Entries {
-			putEntry(buf[off:], e)
-			if k.Size > 0 {
-				k.Put(buf[off+entrySize:off+entrySize+k.Size], n.Vals[i])
-			}
-			off += entrySize + k.Size
-		}
-		return
-	}
-	off := k.putChild(buf[3:], n, 0) + 3
-	for i, e := range n.Entries {
-		putEntry(buf[off:], e)
-		off += entrySize + k.putChild(buf[off+entrySize:], n, i+1)
-	}
-}
-
-// putChild writes child i as child id | value | agg and returns the bytes
-// written.
-func (k *Kind[D]) putChild(buf []byte, n *Node[D], i int) int {
-	binary.BigEndian.PutUint32(buf, uint32(n.Children[i]))
-	if k.Size > 0 {
-		k.Put(buf[childSize:childSize+k.Size], n.Vals[i])
-	}
-	n.Aggs[i].PutBytes(buf[childSize+k.Size:])
-	return childSize + k.Size + agg.Size
-}
-
-func (k *Kind[D]) decodeNode(buf []byte) *Node[D] {
-	n := &Node[D]{Leaf: buf[0] == 1}
-	count := int(binary.BigEndian.Uint16(buf[1:3]))
-	n.Entries = make([]Entry, count)
-	if n.Leaf {
-		n.Next = pagestore.PageID(binary.BigEndian.Uint32(buf[3:7]))
-		n.Vals = make([]D, count)
-		off := headerSize
-		for i := range n.Entries {
-			n.Entries[i] = getEntry(buf[off:])
-			if k.Size > 0 {
-				n.Vals[i] = k.Get(buf[off+entrySize : off+entrySize+k.Size])
-			}
-			off += entrySize + k.Size
-		}
-		return n
-	}
-	n.Children = make([]pagestore.PageID, count+1)
-	n.Vals = make([]D, count+1)
-	n.Aggs = make([]agg.Agg, count+1)
-	off := k.getChild(buf[3:], n, 0) + 3
-	for i := range n.Entries {
-		n.Entries[i] = getEntry(buf[off:])
-		off += entrySize + k.getChild(buf[off+entrySize:], n, i+1)
-	}
-	return n
-}
-
-// getChild reads child i as putChild wrote it and returns the bytes read.
-func (k *Kind[D]) getChild(buf []byte, n *Node[D], i int) int {
-	n.Children[i] = pagestore.PageID(binary.BigEndian.Uint32(buf))
-	if k.Size > 0 {
-		n.Vals[i] = k.Get(buf[childSize : childSize+k.Size])
-	}
-	n.Aggs[i] = agg.FromBytes(buf[childSize+k.Size:])
-	return childSize + k.Size + agg.Size
-}
-
-func putEntry(buf []byte, e Entry) {
-	binary.BigEndian.PutUint32(buf[0:4], uint32(e.Key))
-	binary.BigEndian.PutUint32(buf[4:8], uint32(e.RID.Page))
-	binary.BigEndian.PutUint16(buf[8:10], e.RID.Slot)
-}
-
-func getEntry(buf []byte) Entry {
-	return Entry{
-		Key: record.Key(binary.BigEndian.Uint32(buf[0:4])),
-		RID: heapfile.RID{
-			Page: pagestore.PageID(binary.BigEndian.Uint32(buf[4:8])),
-			Slot: binary.BigEndian.Uint16(buf[8:10]),
-		},
-	}
 }
 
 // upperBound returns the number of entries in s that are <= e.
@@ -475,9 +374,8 @@ func (t *Annotated[D]) RangeAppendCtx(ctx *exec.Context, lo, hi record.Key, out 
 // Each descent is exactly RangeAppendCtx (same node accesses, charged to
 // that query's own context), so per-query access counts match
 // per-request planning bit for bit; the burst's win is the shared arena
-// (one growing buffer instead of per-query slices) and the back-to-back
-// descents hitting a warm decoded-node cache. arena and offs are reused
-// via the usual out[:0] convention.
+// (one growing buffer instead of per-query slices). arena and offs are
+// reused via the usual out[:0] convention.
 func (t *Annotated[D]) RangeBurstCtx(ctxs []*exec.Context, los, his []record.Key, arena []heapfile.RID, offs []int) ([]heapfile.RID, []int, error) {
 	offs = append(offs[:0], len(arena))
 	for qi := range los {
@@ -502,9 +400,10 @@ type grown[D comparable] struct {
 
 // InsertCtx adds entry e with value v in O(height) node accesses,
 // splitting on overflow. Every node on the path is rewritten so its
-// parent's summary and aggregate annotation stay exact.
+// parent's summary and aggregate annotation stay exact. An error leaves
+// the tree as it was.
 func (t *Annotated[D]) InsertCtx(ctx *exec.Context, e Entry, v D) error {
-	g, err := t.insertAt(ctx, t.root, t.height, e, v)
+	g, err := t.insertAt(ctx, t.root, t.height, 2, e, v)
 	if err != nil {
 		return err
 	}
@@ -517,10 +416,8 @@ func (t *Annotated[D]) InsertCtx(ctx *exec.Context, e Entry, v D) error {
 			Vals:     []D{g.self.val, g.right.val},
 			Aggs:     []agg.Agg{g.self.agg, g.right.agg},
 		}
-		id, err := t.allocNode(ctx, n)
-		if err != nil {
-			return err
-		}
+		id := t.nodes.Take()
+		t.nodes.Put(ctx, id, n)
 		t.root = id
 		t.height++
 		top = t.summarize(id, n)
@@ -532,23 +429,36 @@ func (t *Annotated[D]) InsertCtx(ctx *exec.Context, e Entry, v D) error {
 
 // insertAt inserts e into the subtree rooted at id (at the given level,
 // 1 = leaf) and reports the subtree's new summaries, so the parent
-// refreshes its annotations without extra reads.
-func (t *Annotated[D]) insertAt(ctx *exec.Context, id pagestore.PageID, level int, e Entry, v D) (grown[D], error) {
+// refreshes its annotations without extra reads. splits is the number of
+// nodes the insert makes if this node splits: its right sibling, a new
+// root above the root, and whatever a full parent's own split makes. A
+// full leaf reserves them before it changes, so only the descent can
+// fail, and it changes nothing.
+func (t *Annotated[D]) insertAt(ctx *exec.Context, id pagestore.PageID, level, splits int, e Entry, v D) (grown[D], error) {
 	n, err := t.ReadNode(ctx, id)
 	if err != nil {
 		return grown[D]{}, err
 	}
 	if level == 1 {
+		if len(n.Entries) >= t.leafCap {
+			if err := t.nodes.Reserve(ctx, splits); err != nil {
+				return grown[D]{}, fmt.Errorf("%s: allocating node: %w", t.kind.Name, err)
+			}
+		}
 		pos := upperBound(n.Entries, e)
 		n.Entries = slices.Insert(n.Entries, pos, e)
 		n.Vals = slices.Insert(n.Vals, pos, v)
 		if len(n.Entries) > t.leafCap {
-			return t.split(ctx, id, n)
+			return t.split(ctx, id, n), nil
 		}
-		return t.rewrite(ctx, id, n)
+		return t.rewrite(ctx, id, n), nil
+	}
+	childSplits := 1
+	if len(n.Entries) >= t.inCap {
+		childSplits += splits
 	}
 	ci := upperBound(n.Entries, e)
-	g, err := t.insertAt(ctx, n.Children[ci], level-1, e, v)
+	g, err := t.insertAt(ctx, n.Children[ci], level-1, childSplits, e, v)
 	if err != nil {
 		return grown[D]{}, err
 	}
@@ -559,56 +469,46 @@ func (t *Annotated[D]) insertAt(ctx *exec.Context, id pagestore.PageID, level in
 		n.Vals = slices.Insert(n.Vals, ci+1, g.right.val)
 		n.Aggs = slices.Insert(n.Aggs, ci+1, g.right.agg)
 		if len(n.Entries) > t.inCap {
-			return t.split(ctx, id, n)
+			return t.split(ctx, id, n), nil
 		}
 	}
-	return t.rewrite(ctx, id, n)
+	return t.rewrite(ctx, id, n), nil
 }
 
-// rewrite writes n back to its page and reports its new summary.
-func (t *Annotated[D]) rewrite(ctx *exec.Context, id pagestore.PageID, n *Node[D]) (grown[D], error) {
-	if err := t.writeNode(ctx, id, n); err != nil {
-		return grown[D]{}, err
-	}
-	return grown[D]{self: t.summarize(id, n)}, nil
+// rewrite puts n back at its page id and reports its new summary.
+func (t *Annotated[D]) rewrite(ctx *exec.Context, id pagestore.PageID, n *Node[D]) grown[D] {
+	t.nodes.Put(ctx, id, n)
+	return grown[D]{self: t.summarize(id, n)}
 }
 
 // split moves the upper half of an overflowing node to a new right
-// sibling. A leaf's separator is the right sibling's first entry; an
-// internal node's is its middle separator, which moves up.
-func (t *Annotated[D]) split(ctx *exec.Context, id pagestore.PageID, n *Node[D]) (grown[D], error) {
+// sibling, at a reserved page id. A leaf's separator is the right
+// sibling's first entry; an internal node's is its middle separator,
+// which moves up.
+func (t *Annotated[D]) split(ctx *exec.Context, id pagestore.PageID, n *Node[D]) grown[D] {
 	mid := len(n.Entries) / 2
 	sep := n.Entries[mid]
 	right := &Node[D]{Leaf: n.Leaf}
+	rightID := t.nodes.Take()
 	if n.Leaf {
 		right.Next = n.Next
 		right.Entries = append(right.Entries, n.Entries[mid:]...)
 		right.Vals = append(right.Vals, n.Vals[mid:]...)
+		n.Vals = n.Vals[:mid]
+		n.Next = rightID
 	} else {
 		right.Entries = append(right.Entries, n.Entries[mid+1:]...)
 		right.Children = append(right.Children, n.Children[mid+1:]...)
 		right.Vals = append(right.Vals, n.Vals[mid+1:]...)
 		right.Aggs = append(right.Aggs, n.Aggs[mid+1:]...)
-	}
-	rightID, err := t.allocNode(ctx, right)
-	if err != nil {
-		// n was mutated in memory but never persisted; drop the cached copy.
-		t.io.Discard(id)
-		return grown[D]{}, err
-	}
-	n.Entries = n.Entries[:mid]
-	if n.Leaf {
-		n.Vals = n.Vals[:mid]
-		n.Next = rightID
-	} else {
 		n.Children = n.Children[:mid+1]
 		n.Vals = n.Vals[:mid+1]
 		n.Aggs = n.Aggs[:mid+1]
 	}
-	if err := t.writeNode(ctx, id, n); err != nil {
-		return grown[D]{}, err
-	}
-	return grown[D]{self: t.summarize(id, n), split: true, sep: sep, right: t.summarize(rightID, right)}, nil
+	n.Entries = n.Entries[:mid]
+	t.nodes.Put(ctx, rightID, right)
+	t.nodes.Put(ctx, id, n)
+	return grown[D]{self: t.summarize(id, n), split: true, sep: sep, right: t.summarize(rightID, right)}
 }
 
 // DeleteCtx removes the exact (key, rid) entry. Underfull nodes are left in
@@ -648,9 +548,7 @@ func (t *Annotated[D]) deleteAt(ctx *exec.Context, id pagestore.PageID, level in
 		}
 		n.setChild(ci, c)
 	}
-	if err := t.writeNode(ctx, id, n); err != nil {
-		return child[D]{}, err
-	}
+	t.nodes.Put(ctx, id, n)
 	return t.summarize(id, n), nil
 }
 

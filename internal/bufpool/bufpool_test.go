@@ -1,240 +1,179 @@
 package bufpool
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"sae/internal/exec"
 	"sae/internal/pagestore"
 )
 
-// val is the decoded-node type used throughout the tests: each page
-// stores a uint64 in its first eight bytes.
+// val is the node type used throughout the tests.
 type val struct{ n uint64 }
 
-func decodeVal(buf []byte) *val {
-	return &val{n: binary.BigEndian.Uint64(buf[:8])}
-}
-
-func encodeVal(buf []byte, v *val) {
-	for i := range buf {
-		buf[i] = 0
-	}
-	binary.BigEndian.PutUint64(buf[:8], v.n)
-}
-
-func newTestIO(t *testing.T, pages int) (*IO, *pagestore.Counting, []pagestore.PageID) {
+func newTestTable(t *testing.T, mem *pagestore.Mem, nodes int) (*Table[*val], *pagestore.Counting, []pagestore.PageID) {
 	t.Helper()
-	counting := pagestore.NewCounting(pagestore.NewMem())
-	io := NewIO(counting, new(Cache))
-	ids := make([]pagestore.PageID, pages)
+	counting := pagestore.NewCounting(mem)
+	tab := NewTable[*val](counting)
+	ids := make([]pagestore.PageID, nodes)
 	for i := range ids {
-		id, err := io.Allocate(nil)
+		id, err := tab.Allocate(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids[i] = id
-		if err := WriteNode(io, nil, id, &val{n: uint64(i)}, encodeVal); err != nil {
-			t.Fatal(err)
-		}
+		tab.Put(nil, id, &val{n: uint64(i)})
 	}
-	return io, counting, ids
+	return tab, counting, ids
 }
 
+// TestReadWriteThroughCache: the table is where the nodes are. A Get
+// returns the object last Put, and every access is charged to the
+// request's context and to the store's counters as the page access it
+// stands for, while the store holds no bytes for a node.
 func TestReadWriteThroughCache(t *testing.T) {
-	io, counting, ids := newTestIO(t, 8)
+	mem := pagestore.NewMem()
+	tab, counting, ids := newTestTable(t, mem, 8)
+	if s := counting.Stats(); s != (pagestore.Stats{Allocs: 8, Writes: 8}) {
+		t.Fatalf("building 8 nodes charged %+v, want 8 allocations and 8 writes", s)
+	}
+	ctx := exec.NewContext()
 	for i, id := range ids {
-		v, err := ReadNode(io, nil, id, decodeVal)
+		v, err := tab.Get(ctx, id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if v.n != uint64(i) {
-			t.Fatalf("page %d decoded %d, want %d", id, v.n, i)
+			t.Fatalf("node %d holds %d, want %d", id, v.n, i)
 		}
 	}
-	// Second pass must be served from the cache but still charged.
-	readsBefore := counting.Stats().Reads
-	hitsBefore := io.Cache().Stats().Hits
-	for range ids {
-		if _, err := ReadNode(io, nil, ids[0], decodeVal); err != nil {
-			t.Fatal(err)
-		}
+	tab.Put(ctx, ids[0], &val{n: 42})
+	if v, _ := tab.Get(ctx, ids[0]); v.n != 42 {
+		t.Fatalf("read %d after a Put of 42", v.n)
 	}
-	if got := io.Cache().Stats().Hits - hitsBefore; got != int64(len(ids)) {
-		t.Fatalf("expected %d hits, got %d", len(ids), got)
+	if s := ctx.Stats(); s.Reads != 9 || s.Writes != 1 {
+		t.Fatalf("context charged %+v, want 9 reads and 1 write", s)
 	}
-	if got := counting.Stats().Reads - readsBefore; got != int64(len(ids)) {
-		t.Fatalf("hits must charge reads: charged %d, want %d", got, len(ids))
+	if s := counting.Stats(); s.Reads != 9 || s.Writes != 9 {
+		t.Fatalf("store charged %+v, want 9 reads and 9 writes", s)
+	}
+	if n, b := mem.NumPages(), mem.Buffers(); n != 8 || b != 0 {
+		t.Fatalf("store has %d pages holding %d buffers, want 8 holding none", n, b)
 	}
 }
 
-// TestCacheKeepsEveryNode: the cache has no capacity, so every node
-// written through it stays cached and a sweep over all of them never
-// misses.
+// TestCacheKeepsEveryNode: the table has no capacity; it holds every node
+// put in it.
 func TestCacheKeepsEveryNode(t *testing.T) {
-	const pages = 4096
-	io, _, ids := newTestIO(t, pages)
-	if got := io.Cache().Len(); got != pages {
-		t.Fatalf("cache holds %d nodes after %d writes", got, pages)
+	const nodes = 4096
+	tab, _, ids := newTestTable(t, pagestore.NewMem(), nodes)
+	if got := tab.Len(); got != nodes {
+		t.Fatalf("table holds %d nodes after %d puts", got, nodes)
 	}
-	for _, id := range ids {
-		if _, err := ReadNode(io, nil, id, decodeVal); err != nil {
-			t.Fatal(err)
+	for i, id := range ids {
+		if v, err := tab.Get(nil, id); err != nil || v.n != uint64(i) {
+			t.Fatalf("node %d: %v, %v", id, v, err)
 		}
-	}
-	if s := io.Cache().Stats(); s.Misses != 0 || s.Hits != pages {
-		t.Fatalf("sweep over %d written pages: %+v, want all hits", pages, s)
-	}
-}
-
-func TestInvalidationAfterWrite(t *testing.T) {
-	io, _, ids := newTestIO(t, 1)
-	id := ids[0]
-	if _, err := ReadNode(io, nil, id, decodeVal); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteNode(io, nil, id, &val{n: 42}, encodeVal); err != nil {
-		t.Fatal(err)
-	}
-	v, err := ReadNode(io, nil, id, decodeVal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.n != 42 {
-		t.Fatalf("read %d after write, want 42", v.n)
-	}
-	// The store must agree (write-through, not write-back).
-	var buf [pagestore.PageSize]byte
-	if err := io.Store().Read(id, buf[:]); err != nil {
-		t.Fatal(err)
-	}
-	if got := binary.BigEndian.Uint64(buf[:8]); got != 42 {
-		t.Fatalf("store holds %d, want 42", got)
-	}
-	// Invalidate drops the node: the next read must decode from disk.
-	missesBefore := io.Cache().Stats().Misses
-	io.Cache().Invalidate(id)
-	if _, err := ReadNode(io, nil, id, decodeVal); err != nil {
-		t.Fatal(err)
-	}
-	if io.Cache().Stats().Misses != missesBefore+1 {
-		t.Fatal("read after Invalidate should miss")
 	}
 }
 
 func TestFreeInvalidates(t *testing.T) {
-	io, _, ids := newTestIO(t, 2)
-	if _, err := ReadNode(io, nil, ids[0], decodeVal); err != nil {
+	tab, counting, ids := newTestTable(t, pagestore.NewMem(), 2)
+	if err := tab.Free(nil, ids[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := io.Free(nil, ids[0]); err != nil {
-		t.Fatal(err)
+	if _, err := tab.Get(nil, ids[0]); !errors.Is(err, pagestore.ErrBadPageID) {
+		t.Fatalf("reading a freed node: err = %v, want ErrBadPageID", err)
 	}
-	if _, err := ReadNode(io, nil, ids[0], decodeVal); err == nil {
-		t.Fatal("reading a freed page should fail, not hit the cache")
+	if tab.Len() != 1 || counting.NumPages() != 1 || counting.Stats().Frees != 1 {
+		t.Fatalf("after a free: %d nodes, %d pages, %+v", tab.Len(), counting.NumPages(), counting.Stats())
 	}
 }
 
-// TestAllocateDropsRecycledPage: an id the store hands out again must not
-// resurface its old decoded node, even when the free bypassed the cache.
+// TestAllocateDropsRecycledPage: an id the store hands out again holds no
+// node until it is Put, whatever its previous life held.
 func TestAllocateDropsRecycledPage(t *testing.T) {
-	io, _, ids := newTestIO(t, 1)
-	if _, err := ReadNode(io, nil, ids[0], decodeVal); err != nil {
+	tab, _, ids := newTestTable(t, pagestore.NewMem(), 1)
+	if err := tab.Free(nil, ids[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := io.Store().Free(ids[0]); err != nil {
-		t.Fatal(err)
-	}
-	id, err := io.Allocate(nil)
+	id, err := tab.Allocate(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id != ids[0] {
 		t.Skipf("store did not recycle page %d (got %d)", ids[0], id)
 	}
-	missesBefore := io.Cache().Stats().Misses
-	if _, err := ReadNode(io, nil, id, decodeVal); err != nil {
-		t.Fatal(err)
-	}
-	if io.Cache().Stats().Misses != missesBefore+1 {
-		t.Fatal("a recycled page was served its previous life's cached node")
+	if _, err := tab.Get(nil, id); err == nil {
+		t.Fatal("a recycled page was served its previous life's node")
 	}
 }
 
+// TestStatsInvariantHitsPlusMissesEqualsReads: the table counts every
+// read it serves, which a party reports as its cache hits, with no misses.
 func TestStatsInvariantHitsPlusMissesEqualsReads(t *testing.T) {
-	io, _, ids := newTestIO(t, 32)
-	io.SetCache(new(Cache)) // cold, so the reads below both miss and hit
+	tab, _, ids := newTestTable(t, pagestore.NewMem(), 32)
 	const reads = 1000
 	for i := 0; i < reads; i++ {
-		if _, err := ReadNode(io, nil, ids[(i*7)%len(ids)], decodeVal); err != nil {
+		if _, err := tab.Get(nil, ids[(i*7)%len(ids)]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s := io.Cache().Stats()
-	if s.Hits+s.Misses != reads || s.Misses != int64(len(ids)) {
-		t.Fatalf("hits(%d) + misses(%d) != reads(%d), or misses != %d pages", s.Hits, s.Misses, reads, len(ids))
+	if _, err := tab.Get(nil, pagestore.PageID(999)); err == nil {
+		t.Fatal("read of an id the table never held succeeded")
+	}
+	s := Stats{Hits: tab.Reads()}
+	if s.Hits+s.Misses != reads {
+		t.Fatalf("hits(%d) + misses(%d) != reads(%d)", s.Hits, s.Misses, reads)
 	}
 }
 
-// TestConcurrentReadersAndWriters hammers one IO from parallel readers,
-// writers and invalidators, then checks that (a) the run is race-free
-// (run with -race), (b) the stats invariant holds, and (c) after all
-// writers finish, every page reads back its final written value — i.e.
-// no stale decoded node survives an overlapping write.
+// TestConcurrentReadersAndWriters runs readers under a shared lock against
+// a writer under the exclusive one, the discipline every party keeps
+// around its trees, and checks that (a) the run is race-free (run with
+// -race), (b) the read count is exact, and (c) every node reads back its
+// final value.
 func TestConcurrentReadersAndWriters(t *testing.T) {
 	const (
-		pages   = 64
-		writers = 4
+		nodes   = 64
 		readers = 4
 		rounds  = 500
 	)
-	counting := pagestore.NewCounting(pagestore.NewMem())
-	io := NewIO(counting, new(Cache))
-	ids := make([]pagestore.PageID, pages)
-	final := make([]atomic.Uint64, pages)
-	for i := range ids {
-		id, err := io.Allocate(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = id
-		if err := WriteNode(io, nil, id, &val{n: 0}, encodeVal); err != nil {
-			t.Fatal(err)
-		}
-	}
-
+	tab, counting, ids := newTestTable(t, pagestore.NewMem(), nodes)
+	var mu sync.RWMutex
 	var readsIssued atomic.Int64
 	var wg sync.WaitGroup
-	// Writers own disjoint page ranges so each page's last write is
-	// well-defined; readers roam over everything.
-	perWriter := pages / writers
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for r := 1; r <= rounds; r++ {
-				p := w*perWriter + r%perWriter
-				v := uint64(w)<<32 | uint64(r)
-				if err := WriteNode(io, nil, ids[p], &val{n: v}, encodeVal); err != nil {
-					t.Error(err)
-					return
-				}
-				final[p].Store(v)
-				if r%16 == 0 {
-					io.Cache().Invalidate(ids[p])
-				}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for r := 1; r <= rounds; r++ {
+			mu.Lock()
+			p := r % nodes
+			tab.Put(nil, ids[p], &val{n: uint64(r)})
+			if r%16 == 0 {
+				// A node changes in place, as a tree's insert changes it.
+				v, _ := tab.Get(nil, ids[p])
+				v.n++
+				tab.Put(nil, ids[p], v)
 			}
-		}(w)
-	}
+			mu.Unlock()
+		}
+	}()
 	for rd := 0; rd < readers; rd++ {
 		wg.Add(1)
 		go func(rd int) {
 			defer wg.Done()
 			for r := 0; r < rounds*4; r++ {
-				p := (rd*31 + r*7) % pages
-				if _, err := ReadNode(io, nil, ids[p], decodeVal); err != nil {
+				mu.RLock()
+				v, err := tab.Get(nil, ids[(rd*31+r*7)%nodes])
+				if err == nil {
+					_ = v.n
+				}
+				mu.RUnlock()
+				if err != nil {
 					t.Error(err)
 					return
 				}
@@ -244,40 +183,25 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	}
 	wg.Wait()
 
-	s := io.Cache().Stats()
-	if s.Hits+s.Misses != readsIssued.Load() {
-		t.Fatalf("hits(%d) + misses(%d) != reads issued (%d)", s.Hits, s.Misses, readsIssued.Load())
+	if got, want := tab.Reads(), readsIssued.Load()+rounds/16; got != want {
+		t.Fatalf("table counted %d reads, %d were issued", got, want)
 	}
-	// Convergence: cached nodes must match the store's final content.
+	if got := counting.Stats().Reads; got != tab.Reads() {
+		t.Fatalf("store charged %d reads, table served %d", got, tab.Reads())
+	}
 	for p, id := range ids {
-		v, err := ReadNode(io, nil, id, decodeVal)
-		if err != nil {
-			t.Fatal(err)
+		want := uint64(p)
+		for r := 1; r <= rounds; r++ {
+			if r%nodes == p {
+				want = uint64(r)
+				if r%16 == 0 {
+					want++
+				}
+			}
 		}
-		if want := final[p].Load(); v.n != want {
-			t.Fatalf("page %d converged to %d, want %d (stale cache?)", id, v.n, want)
+		if v, _ := tab.Get(nil, id); v.n != want {
+			t.Fatalf("node %d holds %d, want %d", id, v.n, want)
 		}
-	}
-}
-
-// TestGenerationDropsStaleFill drives the exact race the generation
-// stamps exist for: a miss decodes old bytes, a write lands in between,
-// and the stale fill must be discarded.
-func TestGenerationDropsStaleFill(t *testing.T) {
-	c := new(Cache)
-	id := pagestore.PageID(7)
-	_, gen, ok := c.get(id)
-	if ok {
-		t.Fatal("empty cache cannot hit")
-	}
-	c.Update(id, &val{n: 2}) // writer overtakes the in-flight miss
-	c.fill(id, gen, &val{n: 1})
-	v, _, ok := c.get(id)
-	if !ok {
-		t.Fatal("expected the written node to be cached")
-	}
-	if v.(*val).n != 2 {
-		t.Fatalf("stale fill overwrote a newer node: got %d, want 2", v.(*val).n)
 	}
 }
 
@@ -294,7 +218,7 @@ func TestPagePoolRoundTrip(t *testing.T) {
 
 func TestStatsString(t *testing.T) {
 	// Keep Stats printable for benchmark reporting.
-	s := Stats{Hits: 1, Misses: 2, Invalidations: 3}
+	s := Stats{Hits: 1, Misses: 2}
 	if got := fmt.Sprintf("%+v", s); got == "" {
 		t.Fatal("unprintable stats")
 	}

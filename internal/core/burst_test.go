@@ -27,7 +27,7 @@ var burstGroupSizes = []int{1, 2, 64}
 
 // TestServeBurstParity pins the streaming serve path to the materializing
 // reference: for identical providers and the same queries, at every group
-// size, cached and uncached, across selectivities from empty to
+// size, across selectivities from empty to
 // full-table, the emitted records AND each query's access counts must
 // match QueryCtx exactly — a burst may amortize locks and dispatches, but
 // not change what any single query reads or returns.
@@ -44,56 +44,51 @@ func TestServeBurstParity(t *testing.T) {
 		record.Range{Lo: 0, Hi: record.KeyDomain - 1},                // full table
 		record.Range{Lo: sorted[5990].Key, Hi: record.KeyDomain - 1}, // tail
 	)
-	for _, cached := range []bool{true, false} {
-		newSP := func() *ServiceProvider {
-			sp := NewServiceProvider(pagestore.NewMem())
-			if err := sp.Load(ds.Records); err != nil {
-				t.Fatal(err)
-			}
-			if !cached {
-				sp.index.UseCache(nil)
-			}
-			return sp
+	newSP := func() *ServiceProvider {
+		sp := NewServiceProvider(pagestore.NewMem())
+		if err := sp.Load(ds.Records); err != nil {
+			t.Fatal(err)
 		}
-		// Reference: QueryCtx, records serialized per query, stats per query.
-		ref := newSP()
-		wantBytes := make([][]byte, len(qs))
-		wantStats := make([]pagestore.Stats, len(qs))
-		for i, q := range qs {
-			ctx := exec.NewContext()
-			recs, _, err := ref.QueryCtx(ctx, q)
+		return sp
+	}
+	// Reference: QueryCtx, records serialized per query, stats per query.
+	ref := newSP()
+	wantBytes := make([][]byte, len(qs))
+	wantStats := make([]pagestore.Stats, len(qs))
+	for i, q := range qs {
+		ctx := exec.NewContext()
+		recs, _, err := ref.QueryCtx(ctx, q)
+		if err != nil {
+			t.Fatalf("QueryCtx(%v): %v", q, err)
+		}
+		for j := range recs {
+			wantBytes[i] = recs[j].AppendBinary(wantBytes[i])
+		}
+		wantStats[i] = ctx.Stats()
+	}
+	for _, g := range burstGroupSizes {
+		// Burst path on an identical twin, g queries at a time.
+		sp := newSP()
+		lane := exec.NewLane(0)
+		var sc BurstScratch
+		for lo := 0; lo < len(qs); lo += g {
+			group := qs[lo:min(lo+g, len(qs))]
+			ctxs := lane.Contexts(len(group))
+			gotBytes := make([][]byte, len(group))
+			err := sp.ServeBurstCtx(ctxs, group, &sc, func(qi int, enc []byte) error {
+				gotBytes[qi] = append(gotBytes[qi], enc...)
+				return nil
+			})
 			if err != nil {
-				t.Fatalf("QueryCtx(%v): %v", q, err)
+				t.Fatalf("groups of %d: ServeBurstCtx: %v", g, err)
 			}
-			for j := range recs {
-				wantBytes[i] = recs[j].AppendBinary(wantBytes[i])
-			}
-			wantStats[i] = ctx.Stats()
-		}
-		for _, g := range burstGroupSizes {
-			// Burst path on an identical twin, g queries at a time.
-			sp := newSP()
-			lane := exec.NewLane(0)
-			var sc BurstScratch
-			for lo := 0; lo < len(qs); lo += g {
-				group := qs[lo:min(lo+g, len(qs))]
-				ctxs := lane.Contexts(len(group))
-				gotBytes := make([][]byte, len(group))
-				err := sp.ServeBurstCtx(ctxs, group, &sc, func(qi int, enc []byte) error {
-					gotBytes[qi] = append(gotBytes[qi], enc...)
-					return nil
-				})
-				if err != nil {
-					t.Fatalf("cached=%v groups of %d: ServeBurstCtx: %v", cached, g, err)
+			for i := range group {
+				if !bytes.Equal(gotBytes[i], wantBytes[lo+i]) {
+					t.Errorf("groups of %d, query %d (%v): burst records != QueryCtx records", g, lo+i, group[i])
 				}
-				for i := range group {
-					if !bytes.Equal(gotBytes[i], wantBytes[lo+i]) {
-						t.Errorf("cached=%v groups of %d, query %d (%v): burst records != QueryCtx records", cached, g, lo+i, group[i])
-					}
-					if got := ctxs[i].Stats(); got != wantStats[lo+i] {
-						t.Errorf("cached=%v groups of %d, query %d (%v): burst accesses %+v != QueryCtx accesses %+v",
-							cached, g, lo+i, group[i], got, wantStats[lo+i])
-					}
+				if got := ctxs[i].Stats(); got != wantStats[lo+i] {
+					t.Errorf("groups of %d, query %d (%v): burst accesses %+v != QueryCtx accesses %+v",
+						g, lo+i, group[i], got, wantStats[lo+i])
 				}
 			}
 		}

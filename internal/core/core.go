@@ -85,7 +85,6 @@ func ModifyTamper(i int) Tamper {
 type ServiceProvider struct {
 	mu        sync.RWMutex
 	store     *pagestore.Counting
-	cache     bufpool.Cache // decoded B+-tree nodes (the heap is uncached)
 	heap      *heapfile.File
 	index     *bptree.Tree
 	catalog   heapfile.Catalog // which ids are live, where, under which key
@@ -93,17 +92,24 @@ type ServiceProvider struct {
 	aggTamper AggTamper
 }
 
-// NewServiceProvider returns an SP backed by the given page store. Its
-// decoded-node cache keeps the B+-tree's nodes and charges every hit, so
-// wall-clock time drops while the paper's node-access accounting stays
-// exact. The heap file serves records from their page bytes and is never
-// cached.
+// NewServiceProvider returns an SP backed by the given page store. The
+// heap file keeps its pages' bytes there; the B+-tree's nodes live as
+// objects in the tree, and the store is charged every node access, so the
+// paper's node-access accounting is exact.
 func NewServiceProvider(store pagestore.Store) *ServiceProvider {
 	return &ServiceProvider{store: pagestore.NewCounting(store)}
 }
 
-// CacheStats returns the decoded-node cache counters.
-func (sp *ServiceProvider) CacheStats() bufpool.Stats { return sp.cache.Stats() }
+// CacheStats reports every B+-tree node read as a hit: the tree holds all
+// its nodes, so none can miss.
+func (sp *ServiceProvider) CacheStats() bufpool.Stats {
+	sp.mu.RLock()
+	defer sp.mu.RUnlock()
+	if sp.index == nil {
+		return bufpool.Stats{}
+	}
+	return bufpool.Stats{Hits: sp.index.NodeReads()}
+}
 
 // Load receives the owner's initial dataset (sorted by key): LoadFrom
 // over the records' encodings, each encoded once.
@@ -140,7 +146,6 @@ func (sp *ServiceProvider) load(n int, src io.Reader) (maxID record.ID, err erro
 	if err != nil {
 		return 0, fmt.Errorf("core: SP loading index: %w", err)
 	}
-	index.UseCache(&sp.cache)
 	sp.heap = heap
 	sp.index = index
 	sp.catalog = catalog
@@ -329,19 +334,26 @@ func (sp *ServiceProvider) IndexHeight() int {
 type TrustedEntity struct {
 	mu    sync.RWMutex
 	store *pagestore.Counting
-	cache bufpool.Cache // decoded XB-Tree nodes
 	tree  *xbtree.Tree
 }
 
 // NewTrustedEntity returns a TE backed by the given page store. Like the
-// SP, it keeps its index's nodes in a decoded-node cache that charges
-// every hit.
+// SP's B+-tree, its XB-Tree keeps its nodes as objects and charges the
+// store every node access; the tuple lists keep their pages' bytes there.
 func NewTrustedEntity(store pagestore.Store) *TrustedEntity {
 	return &TrustedEntity{store: pagestore.NewCounting(store)}
 }
 
-// CacheStats returns the decoded-node cache counters.
-func (te *TrustedEntity) CacheStats() bufpool.Stats { return te.cache.Stats() }
+// CacheStats reports every XB-Tree node read as a hit: the tree holds all
+// its nodes, so none can miss.
+func (te *TrustedEntity) CacheStats() bufpool.Stats {
+	te.mu.RLock()
+	defer te.mu.RUnlock()
+	if te.tree == nil {
+		return bufpool.Stats{}
+	}
+	return bufpool.Stats{Hits: te.tree.NodeReads()}
+}
 
 // Load receives the owner's initial dataset (sorted by key): LoadFrom
 // over the records' encodings, each encoded once.
@@ -377,7 +389,6 @@ func (te *TrustedEntity) LoadFrom(n int, src io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("core: TE loading XB-Tree: %w", err)
 	}
-	tree.UseCache(&te.cache)
 	te.tree = tree
 	return nil
 }

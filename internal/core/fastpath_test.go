@@ -21,14 +21,11 @@ func fastpathRecords(n int) []record.Record {
 	return recs
 }
 
-func fastpathSP(t *testing.T, recs []record.Record, cached bool) *ServiceProvider {
+func fastpathSP(t *testing.T, recs []record.Record) *ServiceProvider {
 	t.Helper()
 	sp := NewServiceProvider(pagestore.NewMem())
 	if err := sp.Load(recs); err != nil {
 		t.Fatalf("SP load: %v", err)
-	}
-	if !cached {
-		sp.index.UseCache(nil)
 	}
 	return sp
 }
@@ -47,7 +44,7 @@ func TestVerifyPoolParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GenerateVT: %v", err)
 	}
-	sp := fastpathSP(t, recs, true)
+	sp := fastpathSP(t, recs)
 	honest, _, err := sp.Query(q)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
@@ -106,7 +103,7 @@ func TestVerifyPoolParity(t *testing.T) {
 // emits for a clustered ~400-record query, and not one allocation.
 func TestServeBurstAllocs(t *testing.T) {
 	recs := fastpathRecords(2000)
-	sp := fastpathSP(t, recs, true)
+	sp := fastpathSP(t, recs)
 	qs := []record.Range{{Lo: recs[100].Key, Hi: recs[500].Key}}
 	lane := exec.NewLane(0)
 	var sc BurstScratch

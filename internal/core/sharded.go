@@ -32,8 +32,8 @@ type ShardedSystem struct {
 }
 
 // NewShardedSystem outsources a dataset (sorted by key) across `shards`
-// key-range partitions over in-memory stores. Each party keeps its own
-// decoded-node cache, which holds its shard's whole index.
+// key-range partitions over in-memory stores. Each party's trees hold its
+// shard's whole index.
 func NewShardedSystem(sorted []record.Record, shards int) (*ShardedSystem, error) {
 	plan := shard.PlanFor(sorted, shards)
 	if err := plan.Validate(); err != nil {

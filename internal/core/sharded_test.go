@@ -262,8 +262,9 @@ func TestShardedEmptyRange(t *testing.T) {
 }
 
 // TestShardedCacheSizedFromPartition: each shard's parties keep their own
-// decoded-node caches, which hold the partition's whole index, so a
-// repeated full-span query is served without a miss.
+// node tables, which hold exactly the index of the partition (as many
+// nodes as a party loaded with that partition alone), and every node read
+// of a query counts as a hit, none as a miss.
 func TestShardedCacheSizedFromPartition(t *testing.T) {
 	ds, err := workload.Generate(workload.UNF, 8_000, 9)
 	if err != nil {
@@ -273,27 +274,36 @@ func TestShardedCacheSizedFromPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, sp := range sharded.SPs {
-		te, span := sharded.TEs[i], sharded.Plan.Span(i)
-		query := func() {
-			if _, _, err := sp.Query(span); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := te.GenerateVT(span); err != nil {
-				t.Fatal(err)
-			}
+	for i, part := range sharded.Plan.Partition(ds.Records) {
+		sp, te, span := sharded.SPs[i], sharded.TEs[i], sharded.Plan.Span(i)
+		alone, err := NewSystem(part)
+		if err != nil {
+			t.Fatal(err)
 		}
-		query() // warm
-		spWarm, teWarm := sp.CacheStats(), te.CacheStats()
-		if spWarm.Hits+spWarm.Misses == 0 || teWarm.Hits+teWarm.Misses == 0 {
-			t.Fatalf("shard %d: a cache is unused (SP %+v, TE %+v)", i, spWarm, teWarm)
+		if got, want := sp.index.NodeCount(), alone.SP.index.NodeCount(); got != want {
+			t.Errorf("shard %d: SP holds %d B+-tree nodes, its partition alone %d", i, got, want)
 		}
-		query()
-		if d := sp.CacheStats().Misses - spWarm.Misses; d != 0 {
-			t.Fatalf("shard %d: warmed SP missed %d times", i, d)
+		if got, want := te.tree.NodeCount(), alone.TE.tree.NodeCount(); got != want {
+			t.Errorf("shard %d: TE holds %d XB-Tree nodes, its partition alone %d", i, got, want)
 		}
-		if d := te.CacheStats().Misses - teWarm.Misses; d != 0 {
-			t.Fatalf("shard %d: warmed TE missed %d times", i, d)
+		spBefore, teBefore := sp.CacheStats(), te.CacheStats()
+		_, spCost, err := sp.Query(span)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, teCost, err := te.GenerateVT(span)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spAfter, teAfter := sp.CacheStats(), te.CacheStats()
+		if spAfter.Misses != 0 || teAfter.Misses != 0 {
+			t.Errorf("shard %d: a node table missed (SP %+v, TE %+v)", i, spAfter, teAfter)
+		}
+		if got, want := float64(spAfter.Hits-spBefore.Hits), spCost.Index.Accesses; got != want {
+			t.Errorf("shard %d: SP counted %v hits for %v index node reads", i, got, want)
+		}
+		if got := float64(teAfter.Hits - teBefore.Hits); got == 0 || got > teCost.Accesses {
+			t.Errorf("shard %d: TE counted %v hits for %v accesses", i, got, teCost.Accesses)
 		}
 	}
 }

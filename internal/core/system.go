@@ -27,9 +27,8 @@ type System struct {
 // system: rebuildFrom over the records' encodings, each encoded once.
 // Records already in (key, id) order, as workload.Generate produces them,
 // are loaded as they are; others from a sorted copy, and recs is never
-// modified. Each party keeps its own decoded-node cache, which holds its
-// whole index and charges every hit, so node-access counts match an
-// uncached run exactly.
+// modified. Each party's tree holds its whole index as objects and charges
+// every node access, so node-access counts are those of a paged tree.
 func NewSystem(recs []record.Record) (*System, error) {
 	sorted := sortedByKeyID(recs)
 	return rebuildFrom(len(sorted), record.ReaderOf(sorted), 0)
@@ -156,8 +155,7 @@ func (s *System) apply(ops []wal.Op) error {
 // streamed by src: the SP reads each record into its heap slot, the TE
 // digests the records from the finished pages, and the owner issues
 // fresh ids from nextID or past the largest id loaded, whichever is
-// higher. A repeated id or a key out of order is an error. Each party
-// keeps its own decoded-node cache, as under NewSystem.
+// higher. A repeated id or a key out of order is an error.
 func rebuildFrom(n int, src io.Reader, nextID record.ID) (*System, error) {
 	s := &System{
 		SP: NewServiceProvider(pagestore.NewMem()),

@@ -105,9 +105,8 @@ func (f *File) unlink(id pagestore.PageID) {
 	f.pages--
 }
 
-// UseCache does nothing: heap pages are served from their page bytes and
-// never enter a decoded-node cache. It is kept for callers that attach one
-// cache to every structure of a party.
+// UseCache does nothing: heap pages are served from their page bytes. It
+// is kept for the bench/ harness (see bufpool.Cache).
 func (f *File) UseCache(*bufpool.Cache) {}
 
 // Build creates a clustered file holding records in the given order (callers

@@ -9,7 +9,7 @@
 // service provider answers a range query with a verification object (VO)
 // from which the client re-derives the root digest and matches it against
 // the signature. This package holds only what is the MB-Tree's own: the
-// digest codec and summary, and building and checking VOs (vo.go,
+// digest summary, and building and checking VOs (vo.go,
 // aggvo.go); the tree structure is bptree's.
 //
 // Entry digests inflate every node by 20 bytes per entry, which is exactly
@@ -38,8 +38,8 @@ type Entry struct {
 
 func (e Entry) keyRID() bptree.Entry { return bptree.Entry{Key: e.Key, RID: e.RID} }
 
-// node is one decoded MB-Tree page: Vals holds the record digests of a
-// leaf's entries, and the page digests of an internal node's children.
+// node is one MB-Tree node: Vals holds the record digests of a leaf's
+// entries, and the node digests of an internal node's children.
 type node = bptree.Node[digest.Digest]
 
 // Tree is a disk-based MB-Tree.
@@ -53,8 +53,6 @@ var LeafCapacity, InnerCapacity = bptree.Capacities(digest.Size)
 var merkle = &bptree.Kind[digest.Digest]{
 	Name:    "mbtree",
 	Size:    digest.Size,
-	Put:     func(buf []byte, d digest.Digest) { copy(buf, d[:]) },
-	Get:     digest.FromBytes,
 	Summary: nodeDigest,
 }
 

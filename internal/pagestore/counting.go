@@ -34,12 +34,13 @@ func (s Stats) Add(o Stats) Stats {
 	}
 }
 
-// ReadAccountant is implemented by stores that can charge a read without
-// performing it. The decoded-node cache (internal/bufpool) charges every
-// hit through it, keeping the paper's node-access accounting exact while
-// skipping the page copy.
-type ReadAccountant interface {
+// Accountant is implemented by stores that can charge an access without
+// performing it. A tree's node table (bufpool.Table) charges every node
+// read and write through it: the node is a Go object, not page bytes, but
+// the paper's node-access accounting stays exact.
+type Accountant interface {
 	AccountRead(id PageID)
+	AccountWrite(id PageID)
 }
 
 // Counting wraps a Store and counts every operation. All experiments wrap
@@ -76,10 +77,16 @@ func (c *Counting) Borrow(id PageID) ([]byte, error) {
 	return c.inner.Borrow(id)
 }
 
-// AccountRead implements ReadAccountant: it charges a read that was
-// served from a decoded-node cache without touching the inner store.
+// AccountRead implements Accountant: it charges a node read without
+// touching the inner store.
 func (c *Counting) AccountRead(PageID) {
 	c.reads.Add(1)
+}
+
+// AccountWrite implements Accountant: it charges a node write without
+// touching the inner store.
+func (c *Counting) AccountWrite(PageID) {
+	c.writes.Add(1)
 }
 
 // Write implements Store.

@@ -2,10 +2,12 @@
 // in this repository is built on: fixed 4096-byte pages addressed by PageID.
 //
 // Mem is the backing store. Counting wraps it and tallies page accesses so
-// experiments can charge the paper's 10 ms per node access. Caching lives
-// a layer up, in package bufpool. No store here outlives its process: an
-// SAE party survives a restart through core.DurableSystem's checkpoint
-// plus WAL.
+// experiments can charge the paper's 10 ms per node access. A tree's
+// nodes live as objects in the tree (package bufpool's node table): the
+// store allocates their ids and is charged their accesses, but holds
+// bytes only for the pages written through it, the heap file's and the
+// XB-Tree's tuple lists. No store here outlives its process: an SAE party
+// survives a restart through core.DurableSystem's checkpoint plus WAL.
 package pagestore
 
 import (
@@ -54,24 +56,32 @@ var (
 
 // Mem is an in-memory store. It is safe for concurrent use.
 //
-// A freed page keeps its buffer: Allocate hands the most recently freed
-// id back with that buffer zeroed, so a structure that frees and
-// allocates at the same rate (a heap file under churn) allocates no
-// memory and makes no garbage. The buffer may be lent again under a new
-// id, so a borrower must be done with a page's bytes before its
-// structure lock lets the page be freed.
+// A page gets its 4 KiB buffer on its first Write: a page id that is only
+// allocated, such as a tree node's (the node lives as an object in its
+// tree's bufpool.Table), counts in NumPages but holds no bytes, and reads
+// as zeros. A freed page keeps its buffer: Allocate hands the most
+// recently freed id back with that buffer zeroed, so a structure that
+// frees and allocates at the same rate (a heap file under churn)
+// allocates no memory and makes no garbage. The buffer may be lent again
+// under a new id, so a borrower must be done with a page's bytes before
+// its structure lock lets the page be freed.
 type Mem struct {
 	mu     sync.RWMutex
-	pages  [][]byte
-	free   []freed
+	pages  []page
+	free   []PageID
 	closed bool
 }
 
-// freed is a freed page id with the buffer it held.
-type freed struct {
-	id  PageID
-	buf []byte
+// page is one id's slot: whether it is allocated, and its bytes, nil
+// until the first Write.
+type page struct {
+	buf  []byte
+	live bool
 }
+
+// zeros is what Read and Borrow see of a page never written. A borrower
+// never writes to the bytes it is lent.
+var zeros [PageSize]byte
 
 // NewMem returns an empty in-memory page store.
 func NewMem() *Mem {
@@ -86,15 +96,26 @@ func (m *Mem) Allocate() (PageID, error) {
 		return 0, ErrStoreClosed
 	}
 	if n := len(m.free); n > 0 {
-		f := m.free[n-1]
+		id := m.free[n-1]
 		m.free = m.free[:n-1]
-		clear(f.buf)
-		m.pages[f.id] = f.buf
-		return f.id, nil
+		clear(m.pages[id].buf)
+		m.pages[id].live = true
+		return id, nil
 	}
-	id := PageID(len(m.pages))
-	m.pages = append(m.pages, make([]byte, PageSize))
-	return id, nil
+	m.pages = append(m.pages, page{live: true})
+	return PageID(len(m.pages) - 1), nil
+}
+
+// live returns page id's slot, or an error naming op when the store is
+// closed or id is not allocated. Caller holds m.mu.
+func (m *Mem) live(id PageID, op string) (*page, error) {
+	if m.closed {
+		return nil, ErrStoreClosed
+	}
+	if int(id) >= len(m.pages) || !m.pages[id].live {
+		return nil, fmt.Errorf("%w: %s %d", ErrBadPageID, op, id)
+	}
+	return &m.pages[id], nil
 }
 
 // Read implements Store.
@@ -104,28 +125,31 @@ func (m *Mem) Read(id PageID, buf []byte) error {
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if m.closed {
-		return ErrStoreClosed
+	p, err := m.live(id, "read")
+	if err != nil {
+		return err
 	}
-	if int(id) >= len(m.pages) || m.pages[id] == nil {
-		return fmt.Errorf("%w: read %d", ErrBadPageID, id)
+	if p.buf == nil {
+		clear(buf)
+		return nil
 	}
-	copy(buf, m.pages[id])
+	copy(buf, p.buf)
 	return nil
 }
 
 // Borrow implements Store: it returns the page's backing slice, which a
-// later Write overwrites in place.
+// later Write overwrites in place. A page never written lends zeros.
 func (m *Mem) Borrow(id PageID) ([]byte, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if m.closed {
-		return nil, ErrStoreClosed
+	p, err := m.live(id, "borrow")
+	if err != nil {
+		return nil, err
 	}
-	if int(id) >= len(m.pages) || m.pages[id] == nil {
-		return nil, fmt.Errorf("%w: borrow %d", ErrBadPageID, id)
+	if p.buf == nil {
+		return zeros[:], nil
 	}
-	return m.pages[id], nil
+	return p.buf, nil
 }
 
 // Write implements Store.
@@ -135,13 +159,14 @@ func (m *Mem) Write(id PageID, buf []byte) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed {
-		return ErrStoreClosed
+	p, err := m.live(id, "write")
+	if err != nil {
+		return err
 	}
-	if int(id) >= len(m.pages) || m.pages[id] == nil {
-		return fmt.Errorf("%w: write %d", ErrBadPageID, id)
+	if p.buf == nil {
+		p.buf = make([]byte, PageSize)
 	}
-	copy(m.pages[id], buf)
+	copy(p.buf, buf)
 	return nil
 }
 
@@ -149,14 +174,12 @@ func (m *Mem) Write(id PageID, buf []byte) error {
 func (m *Mem) Free(id PageID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed {
-		return ErrStoreClosed
+	p, err := m.live(id, "free")
+	if err != nil {
+		return err
 	}
-	if int(id) >= len(m.pages) || m.pages[id] == nil {
-		return fmt.Errorf("%w: free %d", ErrBadPageID, id)
-	}
-	m.free = append(m.free, freed{id: id, buf: m.pages[id]})
-	m.pages[id] = nil
+	p.live = false
+	m.free = append(m.free, id)
 	return nil
 }
 
@@ -165,6 +188,20 @@ func (m *Mem) NumPages() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return len(m.pages) - len(m.free)
+}
+
+// Buffers returns the number of 4 KiB buffers m holds: one per page ever
+// written, freed pages' kept buffers included.
+func (m *Mem) Buffers() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	n := 0
+	for i := range m.pages {
+		if m.pages[i].buf != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // Close implements Store.

@@ -233,17 +233,23 @@ func (e *endpoint) closeAll() error {
 }
 
 // noteGen records a stamp observed from this upstream, raises its shard's
-// freshness bar and reports whether the upstream now exceeds the
-// staleness bound.
+// freshness bar and reports whether the answer carrying gen exceeds the
+// staleness bound. Neither recorded stamp ever moves back: a late answer
+// is stale, its upstream is only as far behind as its newest stamp.
 func (e *endpoint) noteGen(gen uint64) (stale bool) {
-	e.gen.Store(gen)
+	raise(&e.gen, gen)
+	raise(&e.fresh.maxGen, gen)
+	return e.fresh.stale(gen)
+}
+
+// raise sets v to gen if gen is larger.
+func raise(v *atomic.Uint64, gen uint64) {
 	for {
-		cur := e.fresh.maxGen.Load()
-		if gen <= cur || e.fresh.maxGen.CompareAndSwap(cur, gen) {
-			break
+		cur := v.Load()
+		if gen <= cur || v.CompareAndSwap(cur, gen) {
+			return
 		}
 	}
-	return e.fresh.stale(gen)
 }
 
 func (e *endpoint) isStale() bool {
@@ -334,14 +340,15 @@ type opFunc func(ctx context.Context, c *wire.Conn, ep *endpoint) ([]byte, error
 // are tried. A typed ServerError never fails over (it came over a
 // healthy connection and would recur anywhere); a parent-context expiry
 // never retries (the client's budget is spent); a stale answer retries
-// without eviction; everything else evicts the implicated connection and
-// moves on. With hedging configured, each attempt may race two
-// endpoints.
+// without eviction, on the same endpoint once when it is the set's only
+// one; everything else evicts the implicated connection and moves on.
+// With hedging configured, each attempt may race two endpoints.
 func (s *endpointSet) do(parent context.Context, op opFunc) ([]byte, error) {
 	// At most one endpoint per attempt plus its hedge: the list never
 	// outgrows its backing array.
 	tried := make([]*endpoint, 0, 2*maxAttempts)
 	var lastErr error
+	loneRetry := len(s.eps) == 1
 	for try := 0; try < maxAttempts; try++ {
 		ep := s.pick(tried)
 		if ep == nil {
@@ -364,6 +371,13 @@ func (s *endpointSet) do(parent context.Context, op opFunc) ([]byte, error) {
 		}
 		if parent.Err() != nil {
 			return nil, err
+		}
+		if loneRetry && errors.Is(err, errStale) {
+			// A lone endpoint's late answer: the upstream has no sibling
+			// to fail over to, and a fresh request is served at its
+			// current stamp.
+			loneRetry = false
+			tried = tried[:0]
 		}
 		lastErr = err
 		s.ctrs.failovers.Add(1)

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"sae/internal/bufpool"
 	"sae/internal/core"
 	"sae/internal/costmodel"
 	"sae/internal/digest"
@@ -60,7 +59,6 @@ type Tamper func([]record.Record) []record.Record
 type Provider struct {
 	mu      sync.RWMutex
 	store   *pagestore.Counting
-	cache   bufpool.Cache // decoded MB-Tree nodes (the heap is uncached)
 	heap    *heapfile.File
 	tree    *mbtree.Tree
 	sig     []byte
@@ -68,15 +66,12 @@ type Provider struct {
 	tamper  Tamper
 }
 
-// NewProvider returns a provider backed by the given page store. Its
-// decoded-node cache keeps the MB-Tree's nodes and charges every hit; the
-// heap file is never cached.
+// NewProvider returns a provider backed by the given page store. The heap
+// file keeps its pages' bytes there; the MB-Tree's nodes live as objects
+// in the tree, and the store is charged every node access.
 func NewProvider(store pagestore.Store) *Provider {
 	return &Provider{store: pagestore.NewCounting(store)}
 }
-
-// CacheStats returns the decoded-node cache counters.
-func (p *Provider) CacheStats() bufpool.Stats { return p.cache.Stats() }
 
 // Load builds the heap file and the MB-Tree from the owner's dataset
 // (sorted by key) and obtains the owner's signature over the root digest.
@@ -109,7 +104,6 @@ func (p *Provider) Load(records []record.Record, owner *Owner) error {
 	if err != nil {
 		return fmt.Errorf("tom: provider loading MB-Tree: %w", err)
 	}
-	tree.UseCache(&p.cache)
 	p.heap = heap
 	p.tree = tree
 	p.catalog = catalog
@@ -277,8 +271,8 @@ type System struct {
 }
 
 // NewSystem outsources a dataset (sorted by key) under TOM. The
-// provider's decoded-node cache holds its whole MB-Tree and charges every
-// hit.
+// provider's MB-Tree holds its nodes as objects and charges every node
+// access.
 func NewSystem(sorted []record.Record) (*System, error) {
 	owner, err := NewOwner()
 	if err != nil {

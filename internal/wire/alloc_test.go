@@ -52,7 +52,7 @@ func readServers(tb testing.TB, n int) (primary, replicaAddr string) {
 func allocsPerRequest(op func() (unpooled int), runs int) (bytes, objects float64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for i := 0; i < runs; i++ {
-		op() // pools, lane scratch and the decoded-node caches fill
+		op() // pools and lane scratch fill
 	}
 	var before, after runtime.MemStats
 	var own, owned int

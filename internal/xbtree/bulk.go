@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sae/internal/agg"
-	"sae/internal/bufpool"
 	"sae/internal/digest"
 	"sae/internal/pagestore"
 	"sae/internal/record"
@@ -34,7 +33,7 @@ func Bulkload(store pagestore.Store, items []KeyTuples) (*Tree, error) {
 	if len(items) == 0 {
 		return New(store)
 	}
-	t := &Tree{io: bufpool.NewIO(store, nil), lists: newLStore(store)}
+	t := newTree(store)
 
 	// Materialize every tuple list up front.
 	type loaded struct {
@@ -166,8 +165,8 @@ func (t *Tree) Lookup(key record.Key) ([]Tuple, bool, error) {
 // equals its list's XOR combined with its child subtree's aggregate — and
 // the (COUNT, SUM, MIN, MAX) annotations (listCount against the actual
 // list, childAgg/e0.agg against the recomputed subtree aggregate). It
-// recomputes everything from the page images, so tests can run it after
-// arbitrary operation interleavings.
+// recomputes everything from the nodes and the list pages, so tests can
+// run it after arbitrary operation interleavings.
 func (t *Tree) Validate() error {
 	tuples := 0
 	type subSummary struct {

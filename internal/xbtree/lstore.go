@@ -82,9 +82,9 @@ func newLStore(store pagestore.Store) *lstore {
 	return &lstore{store: store, fillPage: pagestore.InvalidPage}
 }
 
-// List pages are not served by the decoded-node cache (lists are read at
-// most once per query boundary), so the lstore talks to the raw store and
-// charges the request context at exactly the store-access points, keeping
+// List pages keep their bytes in the store (lists are read at most once
+// per query boundary), so the lstore talks to the raw store and charges
+// the request context at exactly the store-access points, keeping
 // the per-request counters in lockstep with the global ones. Reads borrow
 // the page's bytes (pagestore.Store.Borrow, charged as one read) and fold
 // or decode them where they lie: token generation holds the TE's shared

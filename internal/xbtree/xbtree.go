@@ -23,7 +23,6 @@
 package xbtree
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -35,7 +34,9 @@ import (
 	"sae/internal/record"
 )
 
-// Node layouts over 4096-byte pages.
+// Node layouts over 4096-byte pages, which set the fanout. Nodes live as
+// objects in the tree's node table (bufpool.Table); each takes one page id
+// of the store.
 //
 // Internal: [0] flags=0 | [1:3] count | [3:7] e0.c | [7:27] e0.X |
 // [27:51] e0.agg | entries { sk 4 | lref 6 | X 20 | c 4 | listCount 4 |
@@ -67,17 +68,19 @@ var ErrNotFound = errors.New("xbtree: tuple not found")
 
 // Tree is a disk-based XB-Tree.
 type Tree struct {
-	io     *bufpool.IO
+	nodes  *bufpool.Table[*xnode]
 	lists  *lstore
 	root   pagestore.PageID
 	height int // 1 = root is a leaf
-	nodes  int
 	tuples int
 }
 
-// UseCache attaches a decoded-node cache to the tree's read/write path
-// (nil detaches). Tuple-list pages are not cached — only tree nodes.
-func (t *Tree) UseCache(c *bufpool.Cache) { t.io.SetCache(c) }
+// UseCache does nothing; it is kept for the bench/ harness (see
+// bufpool.Cache).
+func (t *Tree) UseCache(*bufpool.Cache) {}
+
+// NodeReads returns the number of node reads the tree has served.
+func (t *Tree) NodeReads() int64 { return t.nodes.Reads() }
 
 // entry is the in-memory form of a keyed entry.
 type entry struct {
@@ -102,7 +105,7 @@ func newEntries(leaf bool, n int) []entry {
 	return make([]entry, n, InnerCapacity+1)
 }
 
-// xnode is the decoded form of one tree page.
+// xnode is one tree node, a page's worth of entries.
 type xnode struct {
 	leaf    bool
 	e0X     digest.Digest    // internal only
@@ -146,7 +149,8 @@ func (n *xnode) aggAll() agg.Agg {
 // New creates an empty XB-Tree. Tree nodes and tuple-list pages are both
 // allocated from store.
 func New(store pagestore.Store) (*Tree, error) {
-	t := &Tree{io: bufpool.NewIO(store, nil), lists: newLStore(store), height: 1}
+	t := newTree(store)
+	t.height = 1
 	id, err := t.allocNode(nil, &xnode{leaf: true})
 	if err != nil {
 		return nil, err
@@ -155,112 +159,26 @@ func New(store pagestore.Store) (*Tree, error) {
 	return t, nil
 }
 
+func newTree(store pagestore.Store) *Tree {
+	return &Tree{nodes: bufpool.NewTable[*xnode](store), lists: newLStore(store)}
+}
+
+// allocNode allocates a page id for n and puts it there.
 func (t *Tree) allocNode(ctx *exec.Context, n *xnode) (pagestore.PageID, error) {
-	id, err := t.io.Allocate(ctx)
+	id, err := t.nodes.Allocate(ctx)
 	if err != nil {
 		return 0, fmt.Errorf("xbtree: allocating node: %w", err)
 	}
-	t.nodes++
-	if err := t.writeNode(ctx, id, n); err != nil {
-		return 0, err
-	}
+	t.nodes.Put(ctx, id, n)
 	return id, nil
 }
 
-func (t *Tree) writeNode(ctx *exec.Context, id pagestore.PageID, n *xnode) error {
-	if err := bufpool.WriteNode(t.io, ctx, id, n, encodeXNode); err != nil {
-		return fmt.Errorf("xbtree: writing node %d: %w", id, err)
-	}
-	return nil
-}
-
 func (t *Tree) readNode(ctx *exec.Context, id pagestore.PageID) (*xnode, error) {
-	n, err := bufpool.ReadNode(t.io, ctx, id, decodeXNode)
+	n, err := t.nodes.Get(ctx, id)
 	if err != nil {
 		return nil, fmt.Errorf("xbtree: reading node %d: %w", id, err)
 	}
 	return n, nil
-}
-
-func putRef(buf []byte, r listRef) {
-	binary.BigEndian.PutUint32(buf[0:4], uint32(r.page))
-	binary.BigEndian.PutUint16(buf[4:6], r.slot)
-}
-
-func getRef(buf []byte) listRef {
-	return listRef{
-		page: pagestore.PageID(binary.BigEndian.Uint32(buf[0:4])),
-		slot: binary.BigEndian.Uint16(buf[4:6]),
-	}
-}
-
-func encodeXNode(buf []byte, n *xnode) {
-	for i := range buf {
-		buf[i] = 0
-	}
-	if n.leaf {
-		buf[0] = 1
-		binary.BigEndian.PutUint16(buf[1:3], uint16(len(n.entries)))
-		off := leafHeader
-		for i := range n.entries {
-			e := &n.entries[i]
-			binary.BigEndian.PutUint32(buf[off:off+4], uint32(e.sk))
-			putRef(buf[off+4:off+10], e.lref)
-			copy(buf[off+10:off+30], e.x[:])
-			binary.BigEndian.PutUint32(buf[off+30:off+34], e.listCount)
-			off += leafEntry
-		}
-		return
-	}
-	binary.BigEndian.PutUint16(buf[1:3], uint16(len(n.entries)))
-	binary.BigEndian.PutUint32(buf[3:7], uint32(n.e0C))
-	copy(buf[7:27], n.e0X[:])
-	n.e0Agg.PutBytes(buf[27:innerHeader])
-	off := innerHeader
-	for i := range n.entries {
-		e := &n.entries[i]
-		binary.BigEndian.PutUint32(buf[off:off+4], uint32(e.sk))
-		putRef(buf[off+4:off+10], e.lref)
-		copy(buf[off+10:off+30], e.x[:])
-		binary.BigEndian.PutUint32(buf[off+30:off+34], uint32(e.child))
-		binary.BigEndian.PutUint32(buf[off+34:off+38], e.listCount)
-		e.childAgg.PutBytes(buf[off+38 : off+innerEntry])
-		off += innerEntry
-	}
-}
-
-func decodeXNode(buf []byte) *xnode {
-	n := &xnode{leaf: buf[0] == 1}
-	count := int(binary.BigEndian.Uint16(buf[1:3]))
-	n.entries = newEntries(n.leaf, count)
-	if n.leaf {
-		off := leafHeader
-		for i := 0; i < count; i++ {
-			e := &n.entries[i]
-			e.sk = record.Key(binary.BigEndian.Uint32(buf[off : off+4]))
-			e.lref = getRef(buf[off+4 : off+10])
-			e.x = digest.FromBytes(buf[off+10 : off+30])
-			e.child = pagestore.InvalidPage
-			e.listCount = binary.BigEndian.Uint32(buf[off+30 : off+34])
-			off += leafEntry
-		}
-		return n
-	}
-	n.e0C = pagestore.PageID(binary.BigEndian.Uint32(buf[3:7]))
-	n.e0X = digest.FromBytes(buf[7:27])
-	n.e0Agg = agg.FromBytes(buf[27:innerHeader])
-	off := innerHeader
-	for i := 0; i < count; i++ {
-		e := &n.entries[i]
-		e.sk = record.Key(binary.BigEndian.Uint32(buf[off : off+4]))
-		e.lref = getRef(buf[off+4 : off+10])
-		e.x = digest.FromBytes(buf[off+10 : off+30])
-		e.child = pagestore.PageID(binary.BigEndian.Uint32(buf[off+30 : off+34]))
-		e.listCount = binary.BigEndian.Uint32(buf[off+34 : off+38])
-		e.childAgg = agg.FromBytes(buf[off+38 : off+innerEntry])
-		off += innerEntry
-	}
-	return n
 }
 
 // searchEntries returns (index of entry with sk == k, true) or (index of the
@@ -285,9 +203,10 @@ func searchEntries(entries []entry, k record.Key) (int, bool) {
 // exists anywhere in the tree, the tuple joins its list; otherwise a new
 // entry is created at the leaf level, splitting nodes B-tree-style on
 // overflow. Either way every X value on the tuple's root-to-entry path
-// absorbs the tuple's digest, which costs O(height) node accesses.
+// absorbs the tuple's digest, which costs O(height) node accesses. A
+// failed allocation leaves the tree as it was.
 func (t *Tree) InsertCtx(ctx *exec.Context, key record.Key, tup Tuple) error {
-	promoted, _, _, _, err := t.insertRec(ctx, t.root, key, tup)
+	promoted, _, _, _, err := t.insertRec(ctx, t.root, 2, key, tup)
 	if err != nil {
 		return err
 	}
@@ -303,10 +222,8 @@ func (t *Tree) InsertCtx(ctx *exec.Context, key record.Key, tup Tuple) error {
 			e0Agg:   oldRoot.aggAll(),
 			entries: append(newEntries(false, 0), *promoted),
 		}
-		id, err := t.allocNode(ctx, newRoot)
-		if err != nil {
-			return err
-		}
+		id := t.nodes.Take()
+		t.nodes.Put(ctx, id, newRoot)
 		t.root = id
 		t.height++
 	}
@@ -320,7 +237,11 @@ func (t *Tree) InsertCtx(ctx *exec.Context, key record.Key, tup Tuple) error {
 // promoted entry has been removed from it, plus this node's new subtree
 // aggregate annotation (same post-promotion view) so the parent refreshes
 // its childAgg without extra reads.
-func (t *Tree) insertRec(ctx *exec.Context, id pagestore.PageID, key record.Key, tup Tuple) (*entry, pagestore.PageID, digest.Digest, agg.Agg, error) {
+//
+// splits is the number of nodes the insert makes if this node splits: its
+// right sibling, a new root above the root, and whatever a full parent's
+// own split makes. A full leaf reserves them before anything changes.
+func (t *Tree) insertRec(ctx *exec.Context, id pagestore.PageID, splits int, key record.Key, tup Tuple) (*entry, pagestore.PageID, digest.Digest, agg.Agg, error) {
 	n, err := t.readNode(ctx, id)
 	if err != nil {
 		return nil, pagestore.InvalidPage, digest.Zero, agg.Agg{}, err
@@ -336,9 +257,7 @@ func (t *Tree) insertRec(ctx *exec.Context, id pagestore.PageID, key record.Key,
 		n.entries[pos].lref = newRef
 		n.entries[pos].x = n.entries[pos].x.XOR(tup.Digest)
 		n.entries[pos].listCount++
-		if err := t.writeNode(ctx, id, n); err != nil {
-			return nil, pagestore.InvalidPage, digest.Zero, agg.Agg{}, err
-		}
+		t.nodes.Put(ctx, id, n)
 		return nil, pagestore.InvalidPage, n.agg().XOR(aggBefore), n.aggAll(), nil
 	} else if !n.leaf {
 		// Descend: child pos-1 (or e0) covers keys below entries[pos].sk.
@@ -348,7 +267,11 @@ func (t *Tree) insertRec(ctx *exec.Context, id pagestore.PageID, key record.Key,
 			childID = n.entries[pos-1].child
 			applyTo = pos - 1
 		}
-		promoted, rightID, childDelta, childAgg, err := t.insertRec(ctx, childID, key, tup)
+		childSplits := 1
+		if len(n.entries) >= InnerCapacity {
+			childSplits += splits
+		}
+		promoted, rightID, childDelta, childAgg, err := t.insertRec(ctx, childID, childSplits, key, tup)
 		if err != nil {
 			return nil, pagestore.InvalidPage, digest.Zero, agg.Agg{}, err
 		}
@@ -360,9 +283,7 @@ func (t *Tree) insertRec(ctx *exec.Context, id pagestore.PageID, key record.Key,
 			n.entries[applyTo].childAgg = childAgg
 		}
 		if promoted == nil {
-			if err := t.writeNode(ctx, id, n); err != nil {
-				return nil, pagestore.InvalidPage, digest.Zero, agg.Agg{}, err
-			}
+			t.nodes.Put(ctx, id, n)
 			return nil, pagestore.InvalidPage, n.agg().XOR(aggBefore), n.aggAll(), nil
 		}
 		promoted.child = rightID
@@ -370,26 +291,27 @@ func (t *Tree) insertRec(ctx *exec.Context, id pagestore.PageID, key record.Key,
 		copy(n.entries[pos+1:], n.entries[pos:])
 		n.entries[pos] = *promoted
 		if len(n.entries) <= InnerCapacity {
-			if err := t.writeNode(ctx, id, n); err != nil {
-				return nil, pagestore.InvalidPage, digest.Zero, agg.Agg{}, err
-			}
+			t.nodes.Put(ctx, id, n)
 			return nil, pagestore.InvalidPage, n.agg().XOR(aggBefore), n.aggAll(), nil
 		}
 		return t.splitInner(ctx, id, n, aggBefore)
 	} else {
 		// New key at the leaf level.
+		if len(n.entries) >= LeafCapacity {
+			if err := t.nodes.Reserve(ctx, splits); err != nil {
+				return nil, pagestore.InvalidPage, digest.Zero, agg.Agg{}, fmt.Errorf("xbtree: allocating node: %w", err)
+			}
+		}
 		lref, err := t.lists.alloc(ctx, []Tuple{tup})
 		if err != nil {
-			return nil, pagestore.InvalidPage, digest.Zero, agg.Agg{}, err
+			return nil, pagestore.InvalidPage, digest.Zero, agg.Agg{}, t.nodes.Release(ctx, err)
 		}
 		e := entry{sk: key, lref: lref, x: tup.Digest, child: pagestore.InvalidPage, listCount: 1}
 		n.entries = append(n.entries, entry{})
 		copy(n.entries[pos+1:], n.entries[pos:])
 		n.entries[pos] = e
 		if len(n.entries) <= LeafCapacity {
-			if err := t.writeNode(ctx, id, n); err != nil {
-				return nil, pagestore.InvalidPage, digest.Zero, agg.Agg{}, err
-			}
+			t.nodes.Put(ctx, id, n)
 			return nil, pagestore.InvalidPage, n.agg().XOR(aggBefore), n.aggAll(), nil
 		}
 		return t.splitLeaf(ctx, id, n, aggBefore)
@@ -405,20 +327,14 @@ func (t *Tree) splitLeaf(ctx *exec.Context, id pagestore.PageID, n *xnode, aggBe
 	promoted := n.entries[mid]
 
 	right := &xnode{leaf: true, entries: append(newEntries(true, 0), n.entries[mid+1:]...)}
-	rightID, err := t.allocNode(ctx, right)
-	if err != nil {
-		// n was mutated in memory but never persisted; drop the cached copy.
-		t.io.Discard(id)
-		return nil, pagestore.InvalidPage, digest.Zero, agg.Agg{}, err
-	}
+	rightID := t.nodes.Take()
+	t.nodes.Put(ctx, rightID, right)
 	promoted.x = promoted.x.XOR(right.agg())
 	promoted.child = rightID
 	promoted.childAgg = right.aggAll()
 
 	n.entries = n.entries[:mid]
-	if err := t.writeNode(ctx, id, n); err != nil {
-		return nil, pagestore.InvalidPage, digest.Zero, agg.Agg{}, err
-	}
+	t.nodes.Put(ctx, id, n)
 	return &promoted, rightID, n.agg().XOR(aggBefore), n.aggAll(), nil
 }
 
@@ -426,14 +342,17 @@ func (t *Tree) splitLeaf(ctx *exec.Context, id pagestore.PageID, n *xnode, aggBe
 // its list but its subtree becomes the new right node, whose e0 must cover
 // the promoted entry's former child; computing that e0.X requires the
 // promoted entry's L⊕, read from its list page (one extra access per split).
+//
+// That read is the one step after the reservation that can fail, and only
+// on a closed store or a dangling list reference. The nodes below, already
+// split, are not restored then.
 func (t *Tree) splitInner(ctx *exec.Context, id pagestore.PageID, n *xnode, aggBefore digest.Digest) (*entry, pagestore.PageID, digest.Digest, agg.Agg, error) {
 	mid := len(n.entries) / 2
 	promoted := n.entries[mid]
 
 	lxor, err := t.lists.xorOf(ctx, promoted.lref)
 	if err != nil {
-		t.io.Discard(id)
-		return nil, pagestore.InvalidPage, digest.Zero, agg.Agg{}, err
+		return nil, pagestore.InvalidPage, digest.Zero, agg.Agg{}, t.nodes.Release(ctx, err)
 	}
 	right := &xnode{
 		leaf:    false,
@@ -442,19 +361,14 @@ func (t *Tree) splitInner(ctx *exec.Context, id pagestore.PageID, n *xnode, aggB
 		e0Agg:   promoted.childAgg,
 		entries: append(newEntries(false, 0), n.entries[mid+1:]...),
 	}
-	rightID, err := t.allocNode(ctx, right)
-	if err != nil {
-		t.io.Discard(id)
-		return nil, pagestore.InvalidPage, digest.Zero, agg.Agg{}, err
-	}
+	rightID := t.nodes.Take()
+	t.nodes.Put(ctx, rightID, right)
 	promoted.x = lxor.XOR(right.agg())
 	promoted.child = rightID
 	promoted.childAgg = right.aggAll()
 
 	n.entries = n.entries[:mid]
-	if err := t.writeNode(ctx, id, n); err != nil {
-		return nil, pagestore.InvalidPage, digest.Zero, agg.Agg{}, err
-	}
+	t.nodes.Put(ctx, id, n)
 	return &promoted, rightID, n.agg().XOR(aggBefore), n.aggAll(), nil
 }
 
@@ -496,9 +410,7 @@ func (t *Tree) deleteRec(ctx *exec.Context, nodeID pagestore.PageID, key record.
 		n.entries[pos].lref = newRef
 		n.entries[pos].x = n.entries[pos].x.XOR(d)
 		n.entries[pos].listCount--
-		if err := t.writeNode(ctx, nodeID, n); err != nil {
-			return digest.Zero, agg.Agg{}, false, err
-		}
+		t.nodes.Put(ctx, nodeID, n)
 		return d, n.aggAll(), true, nil
 	}
 	if n.leaf {
@@ -519,9 +431,7 @@ func (t *Tree) deleteRec(ctx *exec.Context, nodeID pagestore.PageID, key record.
 		n.e0X = n.e0X.XOR(d)
 		n.e0Agg = childAgg
 	}
-	if err := t.writeNode(ctx, nodeID, n); err != nil {
-		return digest.Zero, agg.Agg{}, false, err
-	}
+	t.nodes.Put(ctx, nodeID, n)
 	return d, n.aggAll(), true, nil
 }
 
@@ -630,12 +540,12 @@ func (t *Tree) cover(ctx *exec.Context, id pagestore.PageID, lo, hi record.Key, 
 func (t *Tree) Height() int { return t.height }
 
 // NodeCount returns the number of tree nodes (excluding list pages).
-func (t *Tree) NodeCount() int { return t.nodes }
+func (t *Tree) NodeCount() int { return t.nodes.Len() }
 
 // Tuples returns the number of live tuples.
 func (t *Tree) Tuples() int { return t.tuples }
 
 // Bytes returns the TE's total storage: tree nodes plus list pages.
 func (t *Tree) Bytes() int64 {
-	return int64(t.nodes+t.lists.pages) * pagestore.PageSize
+	return int64(t.nodes.Len()+t.lists.pages) * pagestore.PageSize
 }
