@@ -32,9 +32,10 @@ type CommitStats struct {
 // sequence order, at the very boundary the group became the system's
 // state. The replication hub rides this to retain recent groups for
 // replica tailing. Hooks must be fast and must not call back into the
-// committer. ops is the leader's group buffer, which the next group
-// overwrites: a hook that keeps the ops must copy them.
-type CommitHook func(seq uint64, ops []wal.Op)
+// committer. frames is the group as the WAL wrote it (wal.EncodeGroup's
+// bytes), in the log's buffer, which the next group overwrites: a hook
+// that keeps them must copy them.
+type CommitHook func(seq uint64, frames []byte)
 
 // GroupCommitter coalesces concurrent Insert/Delete submissions into
 // commit groups. Each group is logged with ONE WAL append + fsync,
@@ -260,9 +261,10 @@ func (gc *GroupCommitter) run() {
 // an unacked one never partially escapes a crash (the replay drops
 // uncommitted tails); the count precedes the acks, so Stats read by an
 // acked submitter includes its group. The admitted ops are flattened into
-// the leader's group buffer, which the WAL, both parties and the hook
-// only read. A group whose every submission was refused takes no
-// sequence number, so the log and the replication feed stay gapless.
+// the leader's group buffer, which the WAL and both parties only read;
+// the hook gets the frames the WAL wrote. A group whose every submission
+// was refused takes no sequence number, so the log and the replication
+// feed stay gapless.
 func (gc *GroupCommitter) commitGroup(subs []submission) {
 	gc.admit(subs)
 	ops, taken := gc.group[:0], 0
@@ -278,8 +280,9 @@ func (gc *GroupCommitter) commitGroup(subs []submission) {
 	var err error
 	if len(ops) > 0 {
 		gc.seq++
+		var frames []byte
 		if gc.log != nil {
-			err = gc.log.AppendGroup(gc.seq, ops)
+			frames, err = gc.log.Append(gc.seq, ops)
 		}
 		if err == nil {
 			ctx := exec.GetContext()
@@ -287,7 +290,7 @@ func (gc *GroupCommitter) commitGroup(subs []submission) {
 			if err = ApplyGroup(ctx, gc.owner, gc.sp, gc.te, ops); err == nil {
 				gc.applied = gc.seq
 				if gc.hook != nil {
-					gc.hook(gc.seq, ops)
+					gc.hook(gc.seq, frames)
 				}
 			}
 			gc.commitMu.Unlock()
@@ -330,11 +333,15 @@ func (gc *GroupCommitter) admit(subs []submission) {
 	}
 }
 
-// SetCommitHook installs the commit observer. Install it before the
-// committer sees traffic (or while quiesced): the hook is read under the
-// commit lock, but a group committing concurrently with the install may
-// run either with or without it.
+// SetCommitHook installs the commit observer; only a committer with a
+// WAL has frames to hand it. Install it before the committer sees traffic
+// (or while quiesced): the hook is read under the commit lock, but a
+// group committing concurrently with the install may run either with or
+// without it.
 func (gc *GroupCommitter) SetCommitHook(h CommitHook) {
+	if gc.log == nil {
+		panic("core: a commit hook needs a WAL")
+	}
 	gc.commitMu.Lock()
 	gc.hook = h
 	gc.commitMu.Unlock()

@@ -19,7 +19,6 @@ import (
 	"sync"
 
 	"sae/internal/core"
-	"sae/internal/wal"
 )
 
 // DefaultRetain is how many recent commit groups a hub keeps for delta
@@ -32,15 +31,15 @@ const DefaultRetain = 256
 // and when they have fallen behind the retention window the hub tells
 // them to re-bootstrap from a fresh snapshot instead.
 //
-// The hub keeps its own copy of each group, in the wal wire form a pull
-// ships, back to back in one byte log whose evicted front is reused: a
-// group is appended at the end, and when the end reaches the log's
-// capacity the retained groups move down over the evicted ones.
+// The hub copies each group's WAL frames, as the committer wrote them,
+// back to back into one byte log whose evicted front is reused: a group
+// is appended at the end, and when the end reaches the log's capacity
+// the retained groups move down over the evicted ones.
 type Hub struct {
 	ds *core.DurableSystem
 
 	mu     sync.Mutex
-	log    []byte  // retained groups in wal wire form, oldest first
+	log    []byte  // retained groups' WAL frames, oldest first
 	base   int64   // position of log[0] in the stream of every group appended
 	starts []int64 // starts[seq%retain]: stream position of group seq
 	first  uint64  // sequence of the oldest retained group; > last when none
@@ -61,33 +60,25 @@ func Attach(ds *core.DurableSystem, retain int) *Hub {
 }
 
 // onCommit runs under the commit lock, once per applied group, in
-// sequence order. ops is the committer's group buffer, which the next
-// group overwrites, so the hub encodes the group into its own log
-// before returning.
-func (h *Hub) onCommit(seq uint64, ops []wal.Op) {
+// sequence order. frames is the WAL's buffer, which the next group
+// overwrites, so the hub copies the group into its own log before
+// returning.
+func (h *Hub) onCommit(seq uint64, frames []byte) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if seq != h.last+1 {
 		// A sequence was skipped (an apply failed mid-stream). The log
-		// must stay contiguous or Since would hand out streams with holes;
-		// drop it and force every tailer through a snapshot.
+		// must stay contiguous or a pull would hand out a stream with
+		// holes; drop it and force every tailer through a snapshot.
 		h.first = seq
 	}
 	h.last = seq
 	if seq-h.first >= uint64(h.retain) {
 		h.first = seq - uint64(h.retain) + 1
 	}
-	h.reserve(wal.GroupWireSize(ops))
-	at := len(h.log)
-	var err error
-	if h.log, err = wal.AppendGroupWire(h.log, wal.Group{Seq: seq, Ops: ops}); err != nil {
-		// An op the parties applied but the wire form cannot carry: no
-		// tailer can follow past it without a snapshot.
-		h.log = h.log[:at]
-		h.first = seq + 1
-		return
-	}
-	h.starts[seq%uint64(h.retain)] = h.base + int64(at)
+	h.reserve(len(frames))
+	h.starts[seq%uint64(h.retain)] = h.base + int64(len(h.log))
+	h.log = append(h.log, frames...)
 }
 
 // reserve makes room for n more bytes at the end of the log for group
@@ -114,48 +105,27 @@ func (h *Hub) reserve(n int) {
 	h.base += int64(dead)
 }
 
-// AppendSince appends to buf, in wal wire form, up to max retained groups
+// AppendSince appends to buf the WAL frames of up to max retained groups
 // with sequences above after (max <= 0 means all), and returns the
-// extended buffer, how many groups it holds and the hub's newest
-// sequence. snapshotNeeded reports that the retention window no longer
-// reaches back to after — the tailer must re-bootstrap from Snapshot
-// before pulling again. The groups are copied out of the log under the
-// hub's lock, so buf is the caller's alone.
-func (h *Hub) AppendSince(buf []byte, after uint64, max int) (out []byte, n int, snapshotNeeded bool, last uint64) {
+// extended buffer and the hub's newest sequence. snapshotNeeded reports
+// that the retention window no longer reaches back to after — the tailer
+// must re-bootstrap from a snapshot before pulling again. The frames are
+// copied out of the log under the hub's lock, so buf is the caller's
+// alone.
+func (h *Hub) AppendSince(buf []byte, after uint64, max int) (out []byte, snapshotNeeded bool, last uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if after >= h.last {
-		return buf, 0, false, h.last
+		return buf, false, h.last
 	}
 	if after+1 < h.first {
-		return buf, 0, true, h.last
-	}
-	upto := h.last
-	if max > 0 && after+uint64(max) < upto {
-		upto = after + uint64(max)
+		return buf, true, h.last
 	}
 	from, to := h.starts[(after+1)%uint64(h.retain)]-h.base, int64(len(h.log))
-	if upto < h.last {
-		to = h.starts[(upto+1)%uint64(h.retain)] - h.base
+	if max > 0 && after+uint64(max) < h.last {
+		to = h.starts[(after+uint64(max)+1)%uint64(h.retain)] - h.base
 	}
-	return append(buf, h.log[from:to]...), int(upto - after), false, h.last
-}
-
-// Since returns up to max retained groups with sequences above after,
-// decoded into memory of their own, plus the hub's newest sequence;
-// snapshotNeeded and max are as for AppendSince.
-func (h *Hub) Since(after uint64, max int) (gs []wal.Group, snapshotNeeded bool, last uint64) {
-	b, n, snapshotNeeded, last := h.AppendSince(nil, after, max)
-	if n > 0 {
-		gs = make([]wal.Group, n)
-	}
-	for i := range gs {
-		var err error
-		if gs[i], b, err = wal.DecodeGroupWire(b); err != nil {
-			panic("replica: hub holds an undecodable group: " + err.Error())
-		}
-	}
-	return gs, snapshotNeeded, last
+	return append(buf, h.log[from:to]...), false, h.last
 }
 
 // WriteSnapshot writes a sequence-stamped record dump cut at a commit

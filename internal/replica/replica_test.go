@@ -3,6 +3,8 @@ package replica
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
@@ -54,7 +56,7 @@ func bootstrap(t *testing.T, h *Hub) *Replica {
 func catchUp(t *testing.T, h *Hub, r *Replica) {
 	t.Helper()
 	for {
-		gs, snap, last := h.Since(r.Seq(), 8)
+		gs, snap, last := since(t, h, r.Seq(), 8)
 		if snap {
 			snap, err := snapshotOf(h)
 			if err != nil {
@@ -72,6 +74,26 @@ func catchUp(t *testing.T, h *Hub, r *Replica) {
 			return
 		}
 	}
+}
+
+// since decodes what a pull of up to max groups above after ships: the
+// hub's frames, through the one group decoder.
+func since(t testing.TB, h *Hub, after uint64, max int) (gs []wal.Group, snapshotNeeded bool, last uint64) {
+	b, snapshotNeeded, last := h.AppendSince(nil, after, max)
+	gs, n := wal.DecodeGroups(b)
+	if n != len(b) {
+		t.Errorf("the hub's frames break at byte %d of %d", n, len(b))
+	}
+	return gs, snapshotNeeded, last
+}
+
+// frameSize is the length of a group's WAL frames.
+func frameSize(t testing.TB, ops []wal.Op) int {
+	b, err := wal.EncodeGroup(nil, 0, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(b)
 }
 
 // assertParity checks the replica against the primary record-for-record,
@@ -182,13 +204,13 @@ func TestGapForcesSnapshot(t *testing.T) {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
-	gs, snap, _ := hub.Since(rep.Seq(), 0)
+	gs, snap, _ := since(t, hub, rep.Seq(), 0)
 	if !snap {
 		t.Fatalf("expected snapshotNeeded after falling %d groups behind, got %d groups", 12, len(gs))
 	}
 	// Feeding a non-contiguous stream directly must fail loudly, not
 	// corrupt silently.
-	tail, _, _ := hub.Since(sys.Seq()-2, 0)
+	tail, _, _ := since(t, hub, sys.Seq()-2, 0)
 	if err := rep.ApplyGroups(tail); !errors.Is(err, ErrGap) {
 		t.Fatalf("applying gapped stream: got %v, want ErrGap", err)
 	}
@@ -204,7 +226,7 @@ func TestIdempotentRedelivery(t *testing.T) {
 	if _, err := sys.InsertBatch([]record.Key{1, 2, 3}); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
-	gs, _, _ := hub.Since(rep.Seq(), 0)
+	gs, _, _ := since(t, hub, rep.Seq(), 0)
 	if err := rep.ApplyGroups(gs); err != nil {
 		t.Fatalf("first apply: %v", err)
 	}
@@ -252,7 +274,7 @@ func TestServeWhileApplying(t *testing.T) {
 				return
 			default:
 			}
-			gs, snap, last := hub.Since(rep.Seq(), 4)
+			gs, snap, last := since(t, hub, rep.Seq(), 4)
 			if snap {
 				snap, err := snapshotOf(hub)
 				if err != nil {
@@ -363,7 +385,7 @@ func TestSubmitSliceReuse(t *testing.T) {
 	tailed := make(chan error, 1)
 	go func() {
 		for {
-			gs, snap, _ := hub.Since(tail.Seq(), 4)
+			gs, snap, _ := since(t, hub, tail.Seq(), 4)
 			if snap {
 				tailed <- errors.New("the hub's window moved past the tailer")
 				return
@@ -408,7 +430,7 @@ func TestSubmitSliceReuse(t *testing.T) {
 		return
 	}
 
-	gs, snap, last := hub.Since(0, 0)
+	gs, snap, last := since(t, hub, 0, 0)
 	if snap || last != sys.Seq() || len(gs) == 0 || gs[len(gs)-1].Seq != last {
 		t.Fatalf("hub holds %d groups up to %d (snapshot needed %v), primary at %d", len(gs), last, snap, sys.Seq())
 	}
@@ -453,6 +475,39 @@ func TestSubmitSliceReuse(t *testing.T) {
 	assertParity(t, reopened, ref)
 }
 
+// TestHubHoldsWALBytes: a commit group has one byte form. A hub that
+// retains every group a primary commits, inserts and deletes, holds
+// exactly the bytes of the primary's WAL, which a pull ships as they are.
+func TestHubHoldsWALBytes(t *testing.T) {
+	ds, err := workload.Generate(workload.UNF, 500, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	sys, err := core.OpenDurableSystem(dir, ds.Records, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	hub := Attach(sys, 64)
+	for b := 0; b < 40; b++ {
+		if err := sys.Committer().SubmitOps(reuseOps(0, b, 2+b%5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, snap, last := hub.AppendSince(nil, 0, 0)
+	log, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap || last != 40 || sys.Seq() != 40 {
+		t.Fatalf("hub at %d (snapshot needed %v), primary at %d, want both at 40", last, snap, sys.Seq())
+	}
+	if !bytes.Equal(got, log) {
+		t.Fatalf("the hub holds %d bytes that differ from the WAL's %d", len(got), len(log))
+	}
+}
+
 // TestHubLogReuse commits groups of varying sizes through a hub that
 // retains 5: every pull must return exactly the retained groups, a
 // tailer that fell behind the window must be sent to a snapshot, and the
@@ -473,13 +528,13 @@ func TestHubLogReuse(t *testing.T) {
 		kept := sent[max(0, len(sent)-retain):]
 		retained := 0
 		for _, g := range kept {
-			retained += wal.GroupWireSize(g.Ops)
+			retained += frameSize(t, g.Ops)
 		}
-		maxLog = max(maxLog, 2*(retained+wal.GroupWireSize(ops)))
+		maxLog = max(maxLog, 2*(retained+frameSize(t, ops)))
 		if c := cap(hub.log); c > maxLog {
 			t.Fatalf("after group %d the hub's log holds %d bytes of capacity for %d retained", sys.Seq(), c, retained)
 		}
-		gs, snap, last := hub.Since(kept[0].Seq-1, 0)
+		gs, snap, last := since(t, hub, kept[0].Seq-1, 0)
 		if snap || last != sys.Seq() || len(gs) != len(kept) {
 			t.Fatalf("after group %d: %d groups, snapshot needed %v, last %d", sys.Seq(), len(gs), snap, last)
 		}
@@ -488,10 +543,10 @@ func TestHubLogReuse(t *testing.T) {
 				t.Fatalf("after group %d: pulled group %d differs from the committed one", sys.Seq(), kept[i].Seq)
 			}
 		}
-		if gs, _, _ := hub.Since(kept[0].Seq, 2); len(gs) != min(2, len(kept)-1) {
+		if gs, _, _ := since(t, hub, kept[0].Seq, 2); len(gs) != min(2, len(kept)-1) {
 			t.Fatalf("a pull of at most 2 returned %d groups", len(gs))
 		}
-		if _, snap, _ := hub.Since(kept[0].Seq-2, 0); snap != (len(sent) > retain) {
+		if _, snap, _ := since(t, hub, kept[0].Seq-2, 0); snap != (len(sent) > retain) {
 			t.Fatalf("after group %d a tailer one group behind the window: snapshot needed %v", sys.Seq(), snap)
 		}
 	}

@@ -7,16 +7,23 @@
 // discarded and truncated, so an unacked group is never partially
 // visible.
 //
-// On-disk format, one frame per op:
+// Format, one frame per op:
 //
 //	[kind 1][len 4][payload len][crc32 4]
 //
 // where crc32 covers kind plus payload (IEEE). An insert's payload is the
 // canonical 500-byte record encoding; a delete's is id (8) + key (4). A
 // group ends with a commit frame whose payload is seq (8) + op count (4);
-// the count must match the ops buffered since the previous commit, or the
-// tail is treated as torn. The format is append-only and self-delimiting:
-// no in-place mutation, so a crash can only ever damage the tail.
+// the count must match the ops since the previous commit, or the tail is
+// treated as torn. The format is append-only and self-delimiting, so a
+// crash can only ever damage the tail.
+//
+// It is also the replication wire form: EncodeGroup and DecodeGroups are
+// a group's only encoder and decoder, and the hub retains, and a replica
+// pull ships, a group's frames exactly as the log holds them. The CRC
+// guards against accidental corruption, on disk or in transit; it is no
+// defence against a primary that lies, which can write a good CRC over
+// any record.
 package wal
 
 import (
@@ -77,8 +84,12 @@ type Group struct {
 // frameHeaderSize is kind (1) + payload length (4).
 const frameHeaderSize = 5
 
-// commitPayloadSize is seq (8) + count (4).
-const commitPayloadSize = 12
+// Payload sizes of a delete, id (8) + key (4), and of a commit marker,
+// seq (8) + count (4).
+const (
+	deletePayloadSize = 12
+	commitPayloadSize = 12
+)
 
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: log is closed")
@@ -92,7 +103,7 @@ type Log struct {
 	closed bool
 	syncs  int64  // fsyncs issued (the quantity group commit amortizes)
 	groups int64  // groups appended since open
-	buf    []byte // the encode buffer AppendGroup reuses, under mu
+	buf    []byte // the encode buffer Append reuses, under mu
 }
 
 // bufRetain caps the encode buffer a Log keeps between groups: a group
@@ -131,11 +142,10 @@ func Open(path string) (*Log, []Group, error) {
 	return &Log{f: f, size: good}, groups, nil
 }
 
-// replay scans the log from the start, returning the committed groups and
-// the byte offset of the last commit marker's end (everything after it is
-// torn). Frame-level damage simply ends the scan: the format is
-// append-only, so damage can only be at the tail.
-func replay(f *os.File) (groups []Group, good int64, err error) {
+// replay reads the whole log and decodes it. Frame-level damage simply
+// ends the decode: the format is append-only, so damage can only be at
+// the tail.
+func replay(f *os.File) ([]Group, int64, error) {
 	info, err := f.Stat()
 	if err != nil {
 		return nil, 0, fmt.Errorf("wal: stat: %w", err)
@@ -144,52 +154,48 @@ func replay(f *os.File) (groups []Group, good int64, err error) {
 	if _, err := io.ReadFull(io.NewSectionReader(f, 0, info.Size()), data); err != nil {
 		return nil, 0, fmt.Errorf("wal: reading log: %w", err)
 	}
+	groups, good := DecodeGroups(data)
+	return groups, int64(good), nil
+}
+
+// DecodeGroups is the one decoder of commit groups: it decodes the groups
+// framed from the start of b, in order, and returns them with n, the end
+// of the last good commit marker. It stops at the first frame that is
+// torn, fails its CRC or its kind's length, and at a commit marker whose
+// op count disagrees with the ops before it: nothing at or past such a
+// frame is decoded, and ops after the last marker are dropped. The
+// groups own their memory.
+func DecodeGroups(b []byte) (groups []Group, n int) {
 	var pending []Op
-	off := int64(0)
-	for int64(len(data))-off >= frameHeaderSize {
-		kind := OpKind(data[off])
-		plen := int64(binary.BigEndian.Uint32(data[off+1 : off+5]))
-		frameEnd := off + frameHeaderSize + plen + 4
-		if plen > maxPayload || frameEnd > int64(len(data)) {
-			break // torn or corrupt tail
+	for off := 0; len(b)-off >= frameHeaderSize; {
+		kind := OpKind(b[off])
+		plen := int(binary.BigEndian.Uint32(b[off+1 : off+frameHeaderSize]))
+		if plen > maxPayload || len(b)-off-frameHeaderSize-4 < plen {
+			break // torn or corrupt
 		}
-		payload := data[off+frameHeaderSize : off+frameHeaderSize+plen]
-		want := binary.BigEndian.Uint32(data[frameEnd-4 : frameEnd])
-		if frameCRC(kind, payload) != want {
+		payload := b[off+frameHeaderSize : off+frameHeaderSize+plen]
+		end := off + frameHeaderSize + plen + 4
+		if frameCRC(kind, payload) != binary.BigEndian.Uint32(b[end-4:end]) {
 			break
 		}
-		switch kind {
-		case OpInsert:
-			r, err := record.Unmarshal(payload)
-			if err != nil || int64(len(payload)) != record.Size {
-				return groups, good, nil // treat as torn
-			}
+		switch {
+		case kind == OpInsert && plen == record.Size:
+			r, _ := record.Unmarshal(payload) // a whole record: cannot fail
 			pending = append(pending, InsertOp(r))
-		case OpDelete:
-			if len(payload) != 12 {
-				return groups, good, nil
-			}
+		case kind == OpDelete && plen == deletePayloadSize:
 			pending = append(pending, DeleteOp(
 				record.ID(binary.BigEndian.Uint64(payload[0:8])),
 				record.Key(binary.BigEndian.Uint32(payload[8:12]))))
-		case kindCommit:
-			if len(payload) != commitPayloadSize {
-				return groups, good, nil
-			}
-			seq := binary.BigEndian.Uint64(payload[0:8])
-			count := int(binary.BigEndian.Uint32(payload[8:12]))
-			if count != len(pending) {
-				return groups, good, nil // marker disagrees with its ops: torn
-			}
-			groups = append(groups, Group{Seq: seq, Ops: pending})
-			pending = nil
-			good = frameEnd
+		case kind == kindCommit && plen == commitPayloadSize &&
+			int(binary.BigEndian.Uint32(payload[8:12])) == len(pending):
+			groups = append(groups, Group{Seq: binary.BigEndian.Uint64(payload[0:8]), Ops: pending})
+			pending, n = nil, end
 		default:
-			return groups, good, nil
+			return groups, n
 		}
-		off = frameEnd
+		off = end
 	}
-	return groups, good, nil
+	return groups, n
 }
 
 // maxPayload bounds a single frame payload; an op is at most one record.
@@ -224,18 +230,11 @@ func frameStart(buf []byte, kind OpKind) []byte {
 	return append(buf, byte(kind), 0, 0, 0, 0)
 }
 
-// AppendGroup appends a whole commit group — every op frame, then the
-// commit marker — as one write, and fsyncs once. When it returns nil, the
-// group is durable: a crash at any later point replays it in full. The
-// frames are encoded straight into the log's own buffer, which the next
-// group reuses; ops is only read, and not retained.
-func (l *Log) AppendGroup(seq uint64, ops []Op) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	buf := l.buf[:0]
+// EncodeGroup is the one encoder of a commit group: it appends the
+// group's frames — one per op, then the commit marker — to buf. These are
+// the bytes the log writes, the replication hub keeps and a replica pull
+// ships.
+func EncodeGroup(buf []byte, seq uint64, ops []Op) ([]byte, error) {
 	for i := range ops {
 		at := len(buf)
 		switch ops[i].Kind {
@@ -245,28 +244,50 @@ func (l *Log) AppendGroup(seq uint64, ops []Op) error {
 			buf = binary.BigEndian.AppendUint64(frameStart(buf, OpDelete), uint64(ops[i].ID))
 			buf = binary.BigEndian.AppendUint32(buf, uint32(ops[i].Key))
 		default:
-			return fmt.Errorf("wal: unknown op kind %d", ops[i].Kind)
+			return buf, fmt.Errorf("wal: unknown op kind %d", ops[i].Kind)
 		}
 		buf = frameEnd(buf, at)
 	}
 	at := len(buf)
 	buf = binary.BigEndian.AppendUint64(frameStart(buf, kindCommit), seq)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ops)))
-	buf = frameEnd(buf, at)
+	return frameEnd(buf, at), nil
+}
+
+// Append appends a whole commit group as one write and fsyncs once. When
+// it returns nil, the group is durable: a crash at any later point
+// replays it in full. It returns the group's frames, which it encoded
+// into the log's own buffer: they stay valid until the log's next
+// append. ops is only read, and not retained.
+func (l *Log) Append(seq uint64, ops []Op) ([]byte, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return nil, ErrClosed
+	}
+	buf, err := EncodeGroup(l.buf[:0], seq, ops)
+	if err != nil {
+		return nil, err
+	}
 	if cap(buf) <= bufRetain {
 		l.buf = buf
 	}
-
 	if _, err := l.f.WriteAt(buf, l.size); err != nil {
-		return fmt.Errorf("wal: appending group %d: %w", seq, err)
+		return nil, fmt.Errorf("wal: appending group %d: %w", seq, err)
 	}
 	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: syncing group %d: %w", seq, err)
+		return nil, fmt.Errorf("wal: syncing group %d: %w", seq, err)
 	}
 	l.size += int64(len(buf))
 	l.syncs++
 	l.groups++
-	return nil
+	return buf, nil
+}
+
+// AppendGroup is Append for a caller that keeps no frames.
+func (l *Log) AppendGroup(seq uint64, ops []Op) error {
+	_, err := l.Append(seq, ops)
+	return err
 }
 
 // Reset truncates the log to empty — the checkpoint barrier: every

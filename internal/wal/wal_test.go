@@ -2,6 +2,8 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -292,4 +294,56 @@ func TestAppendGroupAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("AppendGroup allocates %.1f objects per group, want 0", n)
 	}
+}
+
+// FuzzDecodeGroups feeds the one group decoder the golden log, a torn
+// tail and a flipped CRC, and mutations of them. It must never panic; the
+// prefix it consumes must re-encode, byte for byte, from the groups it
+// decoded; and that prefix must end at or before the first frame that is
+// torn or fails its CRC.
+func FuzzDecodeGroups(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "parent.wal"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add(golden[:len(golden)-7])
+	flipped := bytes.Clone(golden)
+	flipped[len(flipped)-1] ^= 0xFF // the last commit marker's CRC
+	f.Add(flipped)
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		gs, n := DecodeGroups(b)
+		if bad := firstBad(b); n < 0 || n > bad {
+			t.Fatalf("decoded %d bytes; the first bad frame starts at %d", n, bad)
+		}
+		var re []byte
+		for _, g := range gs {
+			if re, err = EncodeGroup(re, g.Seq, g.Ops); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(re, b[:n]) {
+			t.Fatalf("%d groups re-encode to %d bytes that differ from the %d decoded", len(gs), len(re), n)
+		}
+	})
+}
+
+// firstBad is the offset of b's first frame that is torn or fails its
+// CRC, or len(b) when there is none, found from frame lengths and CRCs
+// alone.
+func firstBad(b []byte) int {
+	off := 0
+	for len(b)-off >= frameHeaderSize {
+		end := off + frameHeaderSize + int(binary.BigEndian.Uint32(b[off+1:])) + 4
+		if end > len(b) {
+			return off
+		}
+		crc := crc32.Update(crc32.ChecksumIEEE(b[off:off+1]), crc32.IEEETable, b[off+frameHeaderSize:end-4])
+		if crc != binary.BigEndian.Uint32(b[end-4:end]) {
+			return off
+		}
+		off = end
+	}
+	return off
 }

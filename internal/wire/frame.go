@@ -89,7 +89,7 @@ const (
 	MsgReplicaPull MsgType = 31
 	// Primary -> replica: a flags byte (bit 0: the retention window no
 	// longer reaches your sequence — re-bootstrap from a snapshot) plus
-	// zero or more whole commit groups in wal wire form.
+	// zero or more whole commit groups, in their WAL frames.
 	MsgReplicaGroups MsgType = 32
 	// Client (or router) -> primary/replica: one range query whose
 	// records, verification token and generation stamp must be served

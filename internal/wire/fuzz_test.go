@@ -61,12 +61,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	verified = binary.BigEndian.AppendUint64(verified, 7)
 	verified = append(append(verified, vt[:]...), EncodeRecords(ds.Records)...)
 	f.Add(frameBytes(f, Frame{Type: MsgVerifiedResult, ID: 6, Payload: verified}))
-	groups := binary.BigEndian.AppendUint32([]byte{0}, 2)
+	groups := []byte{0}
 	for seq, g := range [][]wal.Op{
 		{wal.InsertOp(ds.Records[0]), wal.InsertOp(ds.Records[1])},
 		{wal.DeleteOp(ds.Records[0].ID, ds.Records[0].Key)},
 	} {
-		if groups, err = wal.AppendGroupWire(groups, wal.Group{Seq: uint64(seq + 1), Ops: g}); err != nil {
+		if groups, err = wal.EncodeGroup(groups, uint64(seq+1), g); err != nil {
 			f.Fatal(err)
 		}
 	}

@@ -456,21 +456,19 @@ func serveReplicaSnap(s *Server, _ Frame, rb *RespBuf) Frame {
 	return Frame{Type: MsgReplicaSnap, Payload: rb.b}
 }
 
-// serveReplicaPull copies the retained groups' wire form out of the hub
-// straight behind the flags byte and the group count.
+// serveReplicaPull copies the retained groups' WAL frames out of the
+// hub straight behind the flags byte.
 func serveReplicaPull(s *Server, req Frame, rb *RespBuf) Frame {
 	after, max, err := DecodeReplicaPull(req.Payload)
 	if err != nil {
 		return errFrame(err)
 	}
-	rb.b = append(rb.b, 0, 0, 0, 0, 0)
-	var n int
+	rb.b = append(rb.b, 0)
 	var snapshotNeeded bool
-	rb.b, n, snapshotNeeded, _ = s.party.hub.AppendSince(rb.b, after, max)
+	rb.b, snapshotNeeded, _ = s.party.hub.AppendSince(rb.b, after, max)
 	if snapshotNeeded {
-		rb.b[0] |= replicaFlagSnapshotNeeded
+		rb.b[0] = replicaFlagSnapshotNeeded
 	}
-	binary.BigEndian.PutUint32(rb.b[1:5], uint32(n))
 	return Frame{Type: MsgReplicaGroups, Payload: rb.b}
 }
 

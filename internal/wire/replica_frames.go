@@ -30,33 +30,19 @@ func DecodeReplicaPull(b []byte) (after uint64, max int, err error) {
 	return binary.BigEndian.Uint64(b[0:8]), int(binary.BigEndian.Uint32(b[8:12])), nil
 }
 
-// DecodeReplicaGroups parses a MsgReplicaGroups payload into whole commit
-// groups plus the snapshot-needed flag.
+// DecodeReplicaGroups parses a MsgReplicaGroups payload — the flags
+// byte, then whole commit groups in their WAL frames — into the groups
+// plus the snapshot-needed flag. The frames must decode to the last
+// byte: a torn frame, a failed CRC or trailing bytes is ErrProtocol.
 func DecodeReplicaGroups(b []byte) ([]wal.Group, bool, error) {
-	if len(b) < 5 {
-		return nil, false, fmt.Errorf("%w: truncated replica groups payload", ErrProtocol)
+	if len(b) < 1 {
+		return nil, false, fmt.Errorf("%w: empty replica groups payload", ErrProtocol)
 	}
-	snapshotNeeded := b[0]&replicaFlagSnapshotNeeded != 0
-	n := binary.BigEndian.Uint32(b[1:5])
-	b = b[5:]
-	// Every group costs at least its 12-byte header; bound a hostile
-	// count before the count-sized allocation.
-	if int(n) > len(b)/12+1 {
-		return nil, false, fmt.Errorf("%w: implausible group count %d for %d payload bytes", ErrProtocol, n, len(b))
+	gs, n := wal.DecodeGroups(b[1:])
+	if n != len(b)-1 {
+		return nil, false, fmt.Errorf("%w: replica groups break at byte %d of %d", ErrProtocol, n, len(b)-1)
 	}
-	gs := make([]wal.Group, 0, n)
-	for i := uint32(0); i < n; i++ {
-		g, rest, err := wal.DecodeGroupWire(b)
-		if err != nil {
-			return nil, false, fmt.Errorf("%w: %v", ErrProtocol, err)
-		}
-		gs = append(gs, g)
-		b = rest
-	}
-	if len(b) != 0 {
-		return nil, false, fmt.Errorf("%w: %d trailing bytes after replica groups", ErrProtocol, len(b))
-	}
-	return gs, snapshotNeeded, nil
+	return gs, b[0]&replicaFlagSnapshotNeeded != 0, nil
 }
 
 // DecodeReplicaSnap parses a MsgReplicaSnap payload: the primary's shard

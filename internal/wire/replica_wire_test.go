@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -340,4 +341,75 @@ func recordsOf(t *testing.T, sys *core.DurableSystem) []record.Record {
 		t.Fatalf("reading the records: %v", err)
 	}
 	return recs
+}
+
+// TestCorruptPullRefused flips one bit of a pull payload as the primary
+// serves it — in an insert's record, in a delete's id and in its key, in
+// a group's sequence — and checks that each decodes to ErrProtocol and
+// that a replica fed what it decodes to stays where it was. Each field is
+// found in the payload by its value, not at an offset.
+func TestCorruptPullRefused(t *testing.T) {
+	sys, _, psrv := startPrimary(t, 300)
+	rep, _, err := BootstrapReplica(psrv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := sys.InsertBatch([]record.Key{11, 22, 33})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.DeleteBatch([]record.ID{recs[1].ID}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(psrv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	p, err := c.ask(t.Context(), MsgReplicaPull, EncodeReplicaPull(rep.Seq(), 0), MsgReplicaGroups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Clone(p)
+	Release(p)
+	if gs, _, err := DecodeReplicaGroups(payload); err != nil || len(gs) != 2 {
+		t.Fatalf("the intact payload decodes to %d groups (%v), want 2", len(gs), err)
+	}
+
+	seq, count := rep.Seq(), rep.Count()
+	whole := record.Range{Lo: 0, Hi: record.KeyDomain}
+	_, vt, _, err := rep.Query(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	del := binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(nil, uint64(recs[1].ID)), uint32(recs[1].Key))
+	marker := binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(nil, seq+2), 1)
+	for _, tc := range []struct {
+		name  string
+		field []byte
+		at    int
+	}{
+		{"an insert's record", recs[0].Marshal(), 300},
+		{"a delete's id", del, 7},
+		{"a delete's key", del, 11},
+		{"a group's seq", marker, 7},
+	} {
+		i := bytes.Index(payload, tc.field)
+		if i < 0 {
+			t.Fatalf("%s is not in the payload", tc.name)
+		}
+		b := bytes.Clone(payload)
+		b[i+tc.at] ^= 1
+		gs, _, err := DecodeReplicaGroups(b)
+		if err == nil {
+			err = rep.ApplyGroups(gs)
+		}
+		if !errors.Is(err, ErrProtocol) {
+			t.Errorf("a flipped bit in %s: %v, want ErrProtocol", tc.name, err)
+		}
+		_, got, _, err := rep.Query(whole)
+		if err != nil || rep.Seq() != seq || rep.Count() != count || got != vt {
+			t.Fatalf("a flipped bit in %s moved the replica to seq %d, %d records (%v), from %d, %d", tc.name, rep.Seq(), rep.Count(), err, seq, count)
+		}
+	}
 }

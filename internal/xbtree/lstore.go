@@ -390,20 +390,30 @@ func (s *lstore) appendTuple(ctx *exec.Context, ref listRef, t Tuple) (listRef, 
 	}
 	ts = append(ts, t)
 	s.tuples = ts
-	if len(ts) > maxInlineTuples {
-		if err := s.freeSlot(ctx, ref); err != nil {
-			return invalidRef, err
-		}
-		return s.allocChain(ctx, ts)
-	}
-	// Try to grow in place: free the old slot, then place on the same page
-	// (compaction makes the freed bytes reusable immediately).
-	if err := s.freeSlot(ctx, ref); err != nil {
+	// Free the old slot first: a list that still fits its page grows in
+	// place, as compaction makes the freed bytes reusable at once. Its
+	// bytes stay put until the grown list is placed, so a failed
+	// placement brings the slot back.
+	ent, err := s.setSlot(ctx, ref, 0)
+	if err != nil {
 		return invalidRef, err
 	}
-	need := len(ts) * TupleSize
-	if newRef, ok, err := s.tryPlace(ctx, ref.page, ts, need); err != nil || ok {
-		return newRef, err
+	newRef, err := s.placeGrown(ctx, ref.page, ts)
+	if err != nil {
+		_, rerr := s.setSlot(ctx, ref, ent)
+		return invalidRef, errors.Join(err, rerr)
+	}
+	return newRef, nil
+}
+
+// placeGrown stores a list that has outgrown its slot on page: as a
+// chain past maxInlineTuples, else on page itself when it fits there.
+func (s *lstore) placeGrown(ctx *exec.Context, page pagestore.PageID, ts []Tuple) (listRef, error) {
+	if len(ts) > maxInlineTuples {
+		return s.allocChain(ctx, ts)
+	}
+	if ref, ok, err := s.tryPlace(ctx, page, ts, len(ts)*TupleSize); err != nil || ok {
+		return ref, err
 	}
 	return s.alloc(ctx, ts)
 }
@@ -429,20 +439,17 @@ func (s *lstore) removeTuple(ctx *exec.Context, ref listRef, id record.ID) (dige
 	}
 	d := ts[at].Digest
 	ts = append(ts[:at], ts[at+1:]...)
-	if ref.slot == chainSlot && len(ts) <= maxInlineTuples {
-		// Chain shrank enough to move back inline.
-		if err := s.freeChain(ctx, ref.page); err != nil {
-			return digest.Zero, invalidRef, err
-		}
-		newRef, err := s.alloc(ctx, ts)
-		return d, newRef, err
-	}
 	if ref.slot == chainSlot {
+		// Store the shrunk list, back inline once it fits, before the old
+		// chain goes: a failed allocation leaves the list where it was.
+		newRef, err := s.alloc(ctx, ts)
+		if err != nil {
+			return digest.Zero, invalidRef, err
+		}
 		if err := s.freeChain(ctx, ref.page); err != nil {
 			return digest.Zero, invalidRef, err
 		}
-		newRef, err := s.allocChain(ctx, ts)
-		return d, newRef, err
+		return d, newRef, nil
 	}
 	// Shrink in place: shorten the slot, leaving dead bytes for compaction.
 	buf, err := s.readPage(ctx, ref.page)
@@ -458,18 +465,21 @@ func (s *lstore) removeTuple(ctx *exec.Context, ref listRef, id record.ID) (dige
 	return d, ref, nil
 }
 
-// freeSlot marks a shared slot dead. The bytes are reclaimed by compaction.
-func (s *lstore) freeSlot(ctx *exec.Context, ref listRef) error {
+// setSlot writes a shared slot's directory entry, its offset and length
+// (0 marks the slot dead: its bytes are reclaimed by compaction), and
+// returns the entry it replaced.
+func (s *lstore) setSlot(ctx *exec.Context, ref listRef, ent uint32) (uint32, error) {
 	buf, err := s.readPage(ctx, ref.page)
 	if err != nil {
-		return fmt.Errorf("xbtree: reading list page %d: %w", ref.page, err)
+		return 0, fmt.Errorf("xbtree: reading list page %d: %w", ref.page, err)
 	}
-	binary.BigEndian.PutUint16(buf[slotHeader+int(ref.slot)*slotDirEnt:], 0)
-	binary.BigEndian.PutUint16(buf[slotHeader+int(ref.slot)*slotDirEnt+2:], 0)
+	dir := buf[slotHeader+int(ref.slot)*slotDirEnt:]
+	old := binary.BigEndian.Uint32(dir)
+	binary.BigEndian.PutUint32(dir, ent)
 	if err := s.writePage(ctx, ref.page, buf); err != nil {
-		return fmt.Errorf("xbtree: writing list page %d: %w", ref.page, err)
+		return 0, fmt.Errorf("xbtree: writing list page %d: %w", ref.page, err)
 	}
-	return nil
+	return old, nil
 }
 
 // allocChain stores a large list across dedicated chain pages.
@@ -483,7 +493,11 @@ func (s *lstore) allocChain(ctx *exec.Context, ts []Tuple) (listRef, error) {
 		}
 		id, err := s.store.Allocate()
 		if err != nil {
-			return invalidRef, fmt.Errorf("xbtree: allocating chain page: %w", err)
+			err = fmt.Errorf("xbtree: allocating chain page: %w", err)
+			if next != pagestore.InvalidPage {
+				err = errors.Join(err, s.freeChain(ctx, next)) // give back the pages placed so far
+			}
+			return invalidRef, err
 		}
 		ctx.AccountAlloc()
 		s.pages++

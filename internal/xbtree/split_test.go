@@ -1,6 +1,7 @@
 package xbtree
 
 import (
+	"cmp"
 	"errors"
 	"slices"
 	"testing"
@@ -96,5 +97,105 @@ func TestFailedSplitLeavesTreeAsItWas(t *testing.T) {
 	}
 	if vt, _ := tree.GenerateVTCtx(nil, 0, record.KeyDomain-1); vt == digest.Zero {
 		t.Fatal("empty token over a full tree")
+	}
+}
+
+// TestFailedListWriteLeavesTreeAsItWas: an insert or a delete whose tuple
+// list cannot get a page fails and leaves the tree exactly as it was: the
+// same tuples under every key, count, token and store pages. Four hot
+// keys share list pages with a hundred cold ones; their lists grow until
+// they must leave their page, turn into chains at maxInlineTuples+1 and
+// grow a chain page at a time, then shrink, each delete rewriting the
+// chain, until they move back inline. Each op is retried with the store
+// failing on its first, second, ... allocation until it needs no more
+// than it gets.
+func TestFailedListWriteLeavesTreeAsItWas(t *testing.T) {
+	store := &failingStore{Store: pagestore.NewMem()}
+	tree, err := New(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newReference()
+	failed := map[string]int{} // failed ops by what the hot list was doing
+	apply := func(path string, op func() error) {
+		t.Helper()
+		for k := 1; ; k++ {
+			store.failAt = store.calls + k
+			pages := store.NumPages()
+			err := op()
+			if err == nil {
+				return
+			}
+			if !errors.Is(err, errStoreFull) {
+				t.Fatalf("%s: %v", path, err)
+			}
+			failed[path]++
+			if err := tree.Validate(); err != nil {
+				t.Fatalf("%s, allocation %d failed: %v", path, k, err)
+			}
+			if tree.Tuples() != ref.tuples() || store.NumPages() != pages {
+				t.Fatalf("%s, allocation %d failed: %d tuples on %d pages, want %d on %d",
+					path, k, tree.Tuples(), store.NumPages(), ref.tuples(), pages)
+			}
+			for key, want := range ref.byKey {
+				// A chain keeps its tuples in no fixed order.
+				ts, _, err := tree.Lookup(key)
+				want = slices.Clone(want)
+				byID := func(a, b Tuple) int { return cmp.Compare(a.ID, b.ID) }
+				slices.SortFunc(ts, byID)
+				slices.SortFunc(want, byID)
+				if err != nil || !slices.Equal(ts, want) {
+					t.Fatalf("%s, allocation %d failed: key %d holds %d tuples (%v), want %d", path, k, key, len(ts), err, len(want))
+				}
+			}
+			if vt, err := tree.GenerateVTCtx(nil, 0, record.KeyDomain-1); err != nil || vt != ref.vt(0, record.KeyDomain-1) {
+				t.Fatalf("%s, allocation %d failed: token changed (%v)", path, k, err)
+			}
+		}
+	}
+	next := record.ID(1)
+	insert := func(path string, key record.Key) {
+		tup := tupleFor(next)
+		next++
+		apply(path, func() error { return tree.InsertCtx(nil, key, tup) })
+		ref.insert(key, tup)
+	}
+	for key := record.Key(100); key < 200; key++ {
+		insert("a new key", key)
+	}
+	const hot, most = 4, maxInlineTuples + 2*chainCapacity
+	for n := 0; n < most; n++ {
+		for key := record.Key(0); key < hot; key++ {
+			path := "an inline list grows"
+			switch {
+			case n == maxInlineTuples:
+				path = "a list turns into a chain"
+			case n > maxInlineTuples:
+				path = "a chain grows"
+			}
+			insert(path, key)
+		}
+	}
+	for n := most; n > 0; n-- {
+		for key := record.Key(0); key < hot; key++ {
+			path := "a list shrinks"
+			switch {
+			case n == maxInlineTuples+1:
+				path = "a chain moves inline"
+			case n > maxInlineTuples+1:
+				path = "a chain is rewritten"
+			}
+			id := ref.byKey[key][0].ID
+			apply(path, func() error { return tree.DeleteCtx(nil, key, id) })
+			ref.remove(key, id)
+		}
+	}
+	for _, path := range []string{"an inline list grows", "a list turns into a chain", "a chain grows", "a chain is rewritten", "a chain moves inline"} {
+		if failed[path] == 0 {
+			t.Errorf("no failed allocation when %s: %v", path, failed)
+		}
+	}
+	if err := tree.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
