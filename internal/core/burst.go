@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"sae/internal/agg"
 	"sae/internal/digest"
 	"sae/internal/exec"
 	"sae/internal/heapfile"
@@ -23,9 +24,10 @@ import (
 // BurstScratch holds the reusable plan buffers for one serve lane. A lane
 // serves one burst at a time on one goroutine, so the scratch needs no
 // locking; steady-state bursts reuse the arena and offset slices and
-// allocate nothing. View.ServeBurst also parks its arguments here for the
-// length of the call and runs the scratch's own serve func, built on the
-// first burst, so a verified burst builds no closure either.
+// allocate nothing. View.ServeBurst and View.AggregateBurst also park
+// their arguments here for the length of the call and run the scratch's
+// own serve funcs, built on the first burst, so a verified burst builds
+// no closure either.
 type BurstScratch struct {
 	arena []heapfile.RID
 	offs  []int
@@ -33,13 +35,19 @@ type BurstScratch struct {
 	los   []record.Key
 	his   []record.Key
 
-	// View.ServeBurst's arguments and result, valid during the call.
+	// View.ServeBurst's arguments and result, valid during the call;
+	// View.AggregateBurst shares ctxs and qs.
 	ctxs  []*exec.Context
 	qs    []record.Range
 	vts   []digest.Digest
 	emit  func(qi int, enc []byte) error
 	seq   uint64
 	serve func(seq uint64, sp *ServiceProvider, te *TrustedEntity) error
+
+	// View.AggregateBurst's results, valid during the call.
+	aggs      []agg.Agg
+	toks      []agg.Token
+	aggregate func(seq uint64, sp *ServiceProvider, te *TrustedEntity) error
 }
 
 // Planned is the number of records the burst being served has planned.
@@ -152,6 +160,32 @@ func (sc *BurstScratch) serveView(seq uint64, sp *ServiceProvider, te *TrustedEn
 		return err
 	}
 	return te.GenerateVTBurst(sc.ctxs, sc.qs, sc.vts)
+}
+
+// AggregateBurst answers a group of n ≥ 1 aggregate queries atomically
+// at a single commit boundary: the SP's scalars written to aggs and the
+// TE's tokens written to toks describe the same group sequence, so an
+// honest scalar always matches its token even while a write burst is
+// advancing the system. Both must be at least len(qs) long. Query qi's
+// two descents are charged to ctxs[qi]; like ServeBurst, the call builds
+// nothing per burst.
+func (v View) AggregateBurst(ctxs []*exec.Context, qs []record.Range, sc *BurstScratch, aggs []agg.Agg, toks []agg.Token) error {
+	if sc.aggregate == nil {
+		sc.aggregate = sc.aggregateView
+	}
+	sc.ctxs, sc.qs, sc.aggs, sc.toks = ctxs, qs, aggs, toks
+	err := v(sc.aggregate)
+	sc.ctxs, sc.qs, sc.aggs, sc.toks = nil, nil, nil, nil
+	return err
+}
+
+// aggregateView is the body View.AggregateBurst runs under the view's
+// lock.
+func (sc *BurstScratch) aggregateView(_ uint64, sp *ServiceProvider, te *TrustedEntity) error {
+	if err := sp.AggregateBurst(sc.ctxs, sc.qs, sc.aggs); err != nil {
+		return err
+	}
+	return te.AggTokenBurst(sc.ctxs, sc.qs, sc.toks)
 }
 
 // ServeVerified is ServeBurst at n = 1 with a fresh request context: a

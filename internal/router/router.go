@@ -3,8 +3,8 @@
 // process with ONE client-facing address. It speaks the single-system
 // wire protocol to clients — every query frame has one row in the frame
 // table (table.go: MsgQuery, MsgVTRequest, MsgAggQuery, MsgAggTokenReq,
-// MsgVerifiedQuery, plus the locally answered MsgShardMapReq,
-// MsgGenStampReq and MsgReshardCutover) —
+// MsgVerifiedQuery, MsgVerifiedAgg, plus the locally answered
+// MsgShardMapReq, MsgGenStampReq and MsgReshardCutover) —
 // scatters every request to the overlapping shards over pooled
 // pipelined upstream connections (plain wire.Conn: the router relays
 // bytes and needs no typed client), gathers in shard order and streams
@@ -145,6 +145,9 @@ type topology struct {
 	// only a process holding SP and TE together can stamp one atomic
 	// (epoch, gen, VT, records) quadruple).
 	sets [numRoles][]*endpointSet
+	// split is set when some shard's SP and TE are separate processes: a
+	// verified aggregate then runs as its two legs (row.split).
+	split bool
 }
 
 // closeAll closes every upstream connection.
@@ -238,6 +241,7 @@ func (r *Router) buildTopology(spAddrs, teAddrs []string, replicas [][]string) (
 	teConns := make([]*wire.Conn, len(spAddrs))
 	for i := range spAddrs {
 		combined := spAddrs[i] == teAddrs[i]
+		t.split = t.split || !combined
 		sp := r.join(t, roleSP, i, spAddrs[i], combined)
 		te := r.join(t, roleTE, i, teAddrs[i], combined)
 		if combined {

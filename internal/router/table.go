@@ -35,6 +35,11 @@ type row struct {
 	// error sends the leg to a sibling endpoint.
 	accept func(ep *endpoint, payload []byte) error
 	merge  func(r *Router, t *topology, g *gather, rb *wire.RespBuf) (wire.MsgType, error)
+	// split, when set, names the two rows whose answers this row's answer
+	// joins. A topology with split SP/TE shards has no upstream that holds
+	// both, so it runs those rows' scatters at the same time instead and
+	// appends their merges one after the other.
+	split [2]wire.MsgType
 }
 
 // gather is one scattered request on its way to its merge.
@@ -54,6 +59,8 @@ var rows = [...]row{
 	wire.MsgAggQuery:      {role: roleSP, subs: tamperedSubs, leg: wire.MsgAggQuery, want: wire.MsgAggResult, size: agg.Size, what: "SP aggregate", merge: mergeAgg},
 	wire.MsgAggTokenReq:   {role: roleTE, subs: attestedSubs, leg: wire.MsgAggTokenReq, want: wire.MsgAggToken, size: agg.TokenSize, what: "TE aggregate token", merge: mergeAggToken},
 	wire.MsgVerifiedQuery: {role: roleVerified, subs: tamperedSubs, leg: wire.MsgVerifiedQuery, want: wire.MsgVerifiedResult, what: "verified", accept: acceptVerified, merge: mergeVerified},
+	wire.MsgVerifiedAgg: {role: roleVerified, subs: tamperedSubs, leg: wire.MsgVerifiedAgg, want: wire.MsgVerifiedAggResult, size: agg.Size + agg.TokenSize, what: "verified aggregate", merge: mergeVerifiedAgg,
+		split: [2]wire.MsgType{wire.MsgAggQuery, wire.MsgAggTokenReq}},
 
 	wire.MsgShardMapReq:    {local: localShardMap},
 	wire.MsgGenStampReq:    {local: localGenStamp},
@@ -97,27 +104,70 @@ func (r *Router) answer(t *topology, ro *row, req wire.Frame, rb *wire.RespBuf) 
 	if ro.local != nil {
 		return ro.local(r, t, req, rb)
 	}
-	sets := t.sets[ro.role]
-	if len(sets) == 0 {
-		return 0, fmt.Errorf("%w: router has no %s upstreams", wire.ErrProtocol, ro.role)
-	}
 	q, err := wire.DecodeRange(req.Payload)
 	if err != nil {
 		return 0, err
 	}
-	g := gather{q: q, subs: ro.subs(r, t, q)}
 	ctx, cancel := r.reqCtx()
 	defer cancel()
-	if g.parts, err = scatter(ctx, sets, g.subs, ro); err != nil {
+	if t.split && ro.split != [2]wire.MsgType{} {
+		return r.answerSplit(ctx, t, ro, q, rb)
+	}
+	g, err := r.collect(ctx, t, ro, q)
+	hold(rb, g.parts)
+	if err != nil {
 		return 0, err
 	}
-	// The reply payloads are the router's now. The merge may reference
-	// their bytes in the answer, so they go back to the receive pool with
-	// the response buffer: once the answer is on the client's socket.
-	for _, p := range g.parts {
+	return ro.merge(r, t, &g, rb)
+}
+
+// answerSplit answers a split row over split SP/TE shards: both legs'
+// scatters run at once, and the answer is their merges back to back.
+func (r *Router) answerSplit(ctx context.Context, t *topology, ro *row, q record.Range, rb *wire.RespBuf) (wire.MsgType, error) {
+	var gs [2]gather
+	var errs [2]error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		gs[1], errs[1] = r.collect(ctx, t, &rows[ro.split[1]], q)
+	}()
+	gs[0], errs[0] = r.collect(ctx, t, &rows[ro.split[0]], q)
+	<-done
+	for k := range gs {
+		hold(rb, gs[k].parts)
+	}
+	for k, leg := range ro.split {
+		if errs[k] != nil {
+			return 0, errs[k]
+		}
+		if _, err := rows[leg].merge(r, t, &gs[k], rb); err != nil {
+			return 0, err
+		}
+	}
+	return ro.want, nil
+}
+
+// collect scatters q through a scatter row and returns what its merge
+// folds.
+func (r *Router) collect(ctx context.Context, t *topology, ro *row, q record.Range) (gather, error) {
+	sets := t.sets[ro.role]
+	if len(sets) == 0 {
+		return gather{}, fmt.Errorf("%w: router has no %s upstreams", wire.ErrProtocol, ro.role)
+	}
+	g := gather{q: q, subs: ro.subs(r, t, q)}
+	var err error
+	g.parts, err = scatter(ctx, sets, g.subs, ro)
+	return g, err
+}
+
+// hold hands gathered reply payloads, the router's now, to the response
+// buffer. The merge may reference their bytes in the answer, so they go
+// back to the receive pool with it: once the answer is on the client's
+// socket.
+func hold(rb *wire.RespBuf, parts [][]byte) {
+	for _, p := range parts {
 		rb.Hold(p)
 	}
-	return ro.merge(r, t, &g, rb)
 }
 
 // scatter sends one leg frame per sub-query to its shard's endpoint set
@@ -285,6 +335,27 @@ func mergeAggToken(_ *Router, _ *topology, g *gather, rb *wire.RespBuf) (wire.Ms
 	var buf [agg.TokenSize]byte
 	rb.Append(tok.AppendTo(buf[:0]))
 	return wire.MsgAggToken, nil
+}
+
+// mergeVerifiedAgg cuts each shard's scalar ‖ token answer into its two
+// legs and merges them as the split rows do: the scalars on the untrusted
+// path (mergeAgg), the tokens checked per shard, seam-checked and
+// re-tagged (mergeAggToken). One leg carries scalar and token for the
+// same sub-range, so a narrowed or dropped sub-query fails the tokens'
+// seam check here, before any scalar leaves.
+func mergeVerifiedAgg(r *Router, t *topology, g *gather, rb *wire.RespBuf) (wire.MsgType, error) {
+	scalars := gather{q: g.q, subs: g.subs, parts: make([][]byte, len(g.parts))}
+	tokens := gather{q: g.q, subs: g.subs, parts: make([][]byte, len(g.parts))}
+	for i, p := range g.parts {
+		scalars.parts[i], tokens.parts[i] = p[:agg.Size], p[agg.Size:]
+	}
+	if _, err := mergeAgg(r, t, &scalars, rb); err != nil {
+		return 0, err
+	}
+	if _, err := mergeAggToken(r, t, &tokens, rb); err != nil {
+		return 0, err
+	}
+	return wire.MsgVerifiedAggResult, nil
 }
 
 // acceptVerified records the generation stamp a verified leg carries and

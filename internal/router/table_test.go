@@ -65,6 +65,7 @@ func TestRouterRowMatrix(t *testing.T) {
 		wire.MsgAggQuery:      wire.MsgAggResult,
 		wire.MsgAggTokenReq:   wire.MsgAggToken,
 		wire.MsgVerifiedQuery: wire.MsgVerifiedResult,
+		wire.MsgVerifiedAgg:   wire.MsgVerifiedAggResult,
 		wire.MsgShardMapReq:   wire.MsgShardMap,
 		wire.MsgGenStampReq:   wire.MsgGenStamp,
 	}

@@ -15,7 +15,10 @@ import (
 // simultaneously — but the responses are constant-size: a 24-byte scalar
 // from the SP and a 44-byte range-bound token from the TE instead of the
 // result set. That constant response is the protocol's response-bytes win
-// over scan-and-fold, which ships every covered record.
+// over scan-and-fold, which ships every covered record. When both parties
+// sit behind one address (a primary, a replica, a router) the two legs
+// are one MsgVerifiedAgg frame, and its 68-byte answer — scalar, then
+// token — is read at one commit boundary.
 
 // AggregateMany fetches the COUNT/SUM/MIN/MAX scalars for a group of
 // ranges (a burst-mode server serves the group through one lane pass).
@@ -65,6 +68,35 @@ func decodeAggToken(p []byte) (agg.Token, error) {
 	return agg.TokenFromBytes(p), nil
 }
 
+// verifiedAggMany fetches scalar and token for a group of ranges from a
+// party that holds both (a primary, a replica, a router), one
+// MsgVerifiedAgg frame per range, each answered at one commit boundary.
+// Both align with qs; the scalars are untrusted until checked.
+func (c *Conn) verifiedAggMany(ctx context.Context, qs []record.Range) ([]agg.Agg, []agg.Token, error) {
+	raws, err := c.askMany(ctx, rangeFrames(MsgVerifiedAgg, qs), MsgVerifiedAggResult)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer releaseAll(raws)
+	as, toks := make([]agg.Agg, len(raws)), make([]agg.Token, len(raws))
+	for i, p := range raws {
+		if as[i], toks[i], err = decodeVerifiedAgg(p); err != nil {
+			return nil, nil, err
+		}
+	}
+	return as, toks, nil
+}
+
+// decodeVerifiedAgg parses a MsgVerifiedAggResult payload: the scalar,
+// then the token that checks it.
+func decodeVerifiedAgg(p []byte) (agg.Agg, agg.Token, error) {
+	if len(p) != agg.Size+agg.TokenSize {
+		return agg.Agg{}, agg.Token{}, fmt.Errorf("%w: verified aggregate of %d bytes, want %d",
+			ErrProtocol, len(p), agg.Size+agg.TokenSize)
+	}
+	return agg.FromBytes(p[:agg.Size]), agg.TokenFromBytes(p[agg.Size:]), nil
+}
+
 // Aggregate runs the verified aggregation fast path over the network:
 // AggregateBurst of one. The scalar is returned only if it matches the
 // TE's range-bound token bit for bit.
@@ -77,16 +109,25 @@ func (v *VerifyingClient) Aggregate(q record.Range) (agg.Agg, error) {
 }
 
 // AggregateBurst runs a group of verified aggregate queries as one burst:
-// the SP folds its B+-tree annotations while the TE issues the
-// range-bound tokens, in parallel, each party receiving the whole group
-// in a single write (served as one grouped lane pass), and every scalar
-// is checked against its own token. Requests and responses are
+// the SP folds its B+-tree annotations and the TE issues the range-bound
+// tokens, the group reaching each in a single write (served as one
+// grouped lane pass), and every scalar is checked against its own token.
+// When both legs reach one address the group goes there once, as
+// MsgVerifiedAgg frames whose scalar and token share a commit boundary;
+// split parties get the two legs in parallel. Requests and responses are
 // constant-size, so a query costs O(log n) at the parties and O(1) bytes
 // and client work regardless of how many records the range covers.
 // Results align with qs; the first verification failure rejects the
 // burst.
 func (v *VerifyingClient) AggregateBurst(qs []record.Range) ([]agg.Agg, error) {
-	as, toks, err := fetch(v, qs, (*SPClient).AggregateMany, (*TEClient).AggTokenMany)
+	var as []agg.Agg
+	var toks []agg.Token
+	var err error
+	if v.SP.c.RemoteAddr().String() == v.TE.c.RemoteAddr().String() {
+		as, toks, err = v.SP.verifiedAggMany(context.Background(), qs)
+	} else {
+		as, toks, err = fetch(v, qs, (*SPClient).AggregateMany, (*TEClient).AggTokenMany)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -100,12 +141,12 @@ func (v *VerifyingClient) AggregateBurst(qs []record.Range) ([]agg.Agg, error) {
 
 // Aggregate scatters a verified aggregate query across the shards: every
 // overlapping shard answers the clamp the client computed itself from the
-// TE-attested plan (AggregateBurst of one on the shard's own client:
-// scalar and token in parallel, the scalar verified against that shard's
-// range-bound token), and the partials must seam-check back into q
-// (shard.MergeAgg) before merging — so a suppressed, duplicated or
-// re-clamped partial fails loudly, exactly as in the in-process sharded
-// system.
+// TE-attested plan (AggregateBurst of one on the shard's own client: one
+// frame to a primary, scalar and token in parallel to split parties, the
+// scalar verified against that shard's range-bound token), and the
+// partials must seam-check back into q (shard.MergeAgg) before merging —
+// so a suppressed, duplicated or re-clamped partial fails loudly, exactly
+// as in the in-process sharded system.
 func (c *ShardedVerifyingClient) Aggregate(q record.Range) (agg.Agg, error) {
 	subs := c.Plan.Scatter(q)
 	if len(subs) == 0 {

@@ -109,6 +109,7 @@ var readVerbs = []struct{ req, resp MsgType }{
 	{MsgVTRequest, MsgVT},
 	{MsgAggQuery, MsgAggResult},
 	{MsgAggTokenReq, MsgAggToken},
+	{MsgVerifiedAgg, MsgVerifiedAggResult},
 }
 
 // Budget per read request, beyond an answer received outside the pool:

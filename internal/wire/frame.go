@@ -122,6 +122,13 @@ const (
 	// router re-runs attestation against the new upstreams and accepts
 	// only a strictly higher epoch.
 	MsgReshardCutover MsgType = 39
+	// Client (or router) -> primary/replica: one aggregate query whose
+	// SP scalar and TE token must be served at a single commit boundary
+	// — the aggregate's MsgVerifiedQuery.
+	MsgVerifiedAgg MsgType = 40
+	// Server -> client: the 24-byte scalar, then the 44-byte token that
+	// checks it (MsgAggResult's payload, then MsgAggToken's).
+	MsgVerifiedAggResult MsgType = 41
 )
 
 // MaxPayload bounds a frame payload (64 MiB — far above any legal

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sae/internal/agg"
 	"sae/internal/digest"
 	"sae/internal/mbtree"
 	"sae/internal/pagestore"
@@ -61,6 +62,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	verified = binary.BigEndian.AppendUint64(verified, 7)
 	verified = append(append(verified, vt[:]...), EncodeRecords(ds.Records)...)
 	f.Add(frameBytes(f, Frame{Type: MsgVerifiedResult, ID: 6, Payload: verified}))
+	// A verified aggregate: the scalar, then the token that checks it.
+	a := agg.Agg{}.Add(ds.Records[0].Key)
+	f.Add(frameBytes(f, Frame{Type: MsgVerifiedAggResult, ID: 6, Payload: agg.TokenFor(q, a).AppendTo(a.AppendTo(nil))}))
 	groups := []byte{0}
 	for seq, g := range [][]wal.Op{
 		{wal.InsertOp(ds.Records[0]), wal.InsertOp(ds.Records[1])},
@@ -117,6 +121,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		_, _ = DecodeDeletes(p, nil)
 		_, _ = DecodeInserts(p, nil)
 		_, _, _, _, _ = DecodeVerifiedResult(p)
+		_, _, _ = decodeVerifiedAgg(p)
 		_, _, _ = DecodeReplicaGroups(p)
 		_, _, _ = DecodeReplicaSnap(p)
 		_, _, _ = DecodeReplicaPull(p)

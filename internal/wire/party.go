@@ -379,6 +379,23 @@ func serveVerified(s *Server, l *lane, ids []uint32, qs []record.Range) error {
 	return nil
 }
 
+// serveVerifiedAgg answers MsgVerifiedAgg ranges at ONE commit boundary
+// (core.View.AggregateBurst): each response is the scalar and the token
+// that checks it, both from the same generation, so an honest answer
+// cannot tear across a commit.
+func serveVerifiedAgg(s *Server, l *lane, ids []uint32, qs []record.Range) error {
+	l.aggs, l.toks = grow(l.aggs, len(qs)), grow(l.toks, len(qs))
+	if err := s.party.view.AggregateBurst(l.exec.Contexts(len(qs)), qs, &l.spSc, l.aggs, l.toks); err != nil {
+		return err
+	}
+	for qi, id := range ids {
+		off := len(l.resp)
+		l.resp = l.toks[qi].AppendTo(l.aggs[qi].AppendTo(l.resp))
+		l.respond(MsgVerifiedAggResult, id, respPiece{off: off, end: len(l.resp)})
+	}
+	return nil
+}
+
 // --- own rows: one frame, its own goroutine ---
 
 // serveWrite decodes an update frame into one commit group's ops and

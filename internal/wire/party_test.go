@@ -167,6 +167,7 @@ func TestRoleFrameMatrix(t *testing.T) {
 		MsgFreeze:         {false, false, true, false},
 		MsgThaw:           {false, false, true, false},
 		MsgRetire:         {false, false, true, false},
+		MsgVerifiedAgg:    {false, false, true, true},
 	}
 	// The retired TOM query frames, with the range payload they carried:
 	// every role refuses them by number, before looking at the payload.
@@ -183,9 +184,15 @@ func TestRoleFrameMatrix(t *testing.T) {
 	// Frames are sent with an empty payload: a role that serves the frame
 	// answers with a decode error (or a real answer), a role that lacks it
 	// with CannotHandle — before looking at the payload. Frames go out in
-	// number order, so Retire (38) fences the primary only after every
-	// client frame has been through it.
+	// number order but for Retire, which goes last: it fences the primary
+	// only after every client frame has been through it.
+	order := make([]MsgType, 0, len(frameRegistry))
 	for n := MsgType(1); int(n) < len(frameRegistry); n++ {
+		if n != MsgRetire {
+			order = append(order, n)
+		}
+	}
+	for _, n := range append(order, MsgRetire) {
 		spec := frameRegistry[n]
 		want, listed := golden[n]
 		if spec.need == capNone {

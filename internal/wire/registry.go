@@ -67,45 +67,47 @@ type frameSpec struct {
 // Their empty rows hold the numbers, so a peer still sending one is
 // refused with CannotHandle instead of being answered as some newer frame.
 var frameRegistry = [...]frameSpec{
-	MsgQuery:          {Name: "Query", need: capSP, group: serveQuery},
-	MsgResult:         {Name: "Result"},
-	MsgVTRequest:      {Name: "VTRequest", need: capTE, group: serveVT},
-	MsgVT:             {Name: "VT"},
-	5:                 {}, // retired
-	6:                 {}, // retired
-	MsgAck:            {Name: "Ack"},
-	MsgErr:            {Name: "Err"},
-	9:                 {}, // retired
-	10:                {}, // retired
-	11:                {}, // retired
-	12:                {}, // retired
-	13:                {}, // retired
-	14:                {}, // retired
-	MsgShardMapReq:    {Name: "ShardMapReq", need: capShardMap, own: serveShardMap},
-	MsgShardMap:       {Name: "ShardMap"},
-	17:                {}, // retired
-	MsgBatchInsert:    {Name: "BatchInsert", need: capApply, own: serveWrite},
-	MsgBatchDelete:    {Name: "BatchDelete", need: capApply, own: serveWrite},
-	MsgAggQuery:       {Name: "AggQuery", need: capSP, group: serveAggQuery},
-	MsgAggResult:      {Name: "AggResult"},
-	MsgAggTokenReq:    {Name: "AggTokenReq", need: capTE, group: serveAggToken},
-	MsgAggToken:       {Name: "AggToken"},
-	24:                {}, // retired
-	25:                {}, // retired
-	26:                {}, // retired
-	MsgGenStampReq:    {Name: "GenStampReq", need: capView, own: serveGenStamp},
-	MsgGenStamp:       {Name: "GenStamp"},
-	MsgReplicaSnapReq: {Name: "ReplicaSnapReq", need: capHub, own: serveReplicaSnap},
-	MsgReplicaSnap:    {Name: "ReplicaSnap"},
-	MsgReplicaPull:    {Name: "ReplicaPull", need: capHub, own: serveReplicaPull},
-	MsgReplicaGroups:  {Name: "ReplicaGroups"},
-	MsgVerifiedQuery:  {Name: "VerifiedQuery", need: capView, span: true, group: serveVerified},
-	MsgVerifiedResult: {Name: "VerifiedResult"},
-	MsgPlanUpdate:     {Name: "PlanUpdate", need: capLifecycle, own: servePlanUpdate},
-	MsgFreeze:         {Name: "Freeze", need: capLifecycle, own: serveFreeze},
-	MsgThaw:           {Name: "Thaw", need: capLifecycle, own: serveThaw},
-	MsgRetire:         {Name: "Retire", need: capLifecycle, own: serveRetire},
-	MsgReshardCutover: {Name: "ReshardCutover"}, // a router's custom Handler answers it
+	MsgQuery:             {Name: "Query", need: capSP, group: serveQuery},
+	MsgResult:            {Name: "Result"},
+	MsgVTRequest:         {Name: "VTRequest", need: capTE, group: serveVT},
+	MsgVT:                {Name: "VT"},
+	5:                    {}, // retired
+	6:                    {}, // retired
+	MsgAck:               {Name: "Ack"},
+	MsgErr:               {Name: "Err"},
+	9:                    {}, // retired
+	10:                   {}, // retired
+	11:                   {}, // retired
+	12:                   {}, // retired
+	13:                   {}, // retired
+	14:                   {}, // retired
+	MsgShardMapReq:       {Name: "ShardMapReq", need: capShardMap, own: serveShardMap},
+	MsgShardMap:          {Name: "ShardMap"},
+	17:                   {}, // retired
+	MsgBatchInsert:       {Name: "BatchInsert", need: capApply, own: serveWrite},
+	MsgBatchDelete:       {Name: "BatchDelete", need: capApply, own: serveWrite},
+	MsgAggQuery:          {Name: "AggQuery", need: capSP, group: serveAggQuery},
+	MsgAggResult:         {Name: "AggResult"},
+	MsgAggTokenReq:       {Name: "AggTokenReq", need: capTE, group: serveAggToken},
+	MsgAggToken:          {Name: "AggToken"},
+	24:                   {}, // retired
+	25:                   {}, // retired
+	26:                   {}, // retired
+	MsgGenStampReq:       {Name: "GenStampReq", need: capView, own: serveGenStamp},
+	MsgGenStamp:          {Name: "GenStamp"},
+	MsgReplicaSnapReq:    {Name: "ReplicaSnapReq", need: capHub, own: serveReplicaSnap},
+	MsgReplicaSnap:       {Name: "ReplicaSnap"},
+	MsgReplicaPull:       {Name: "ReplicaPull", need: capHub, own: serveReplicaPull},
+	MsgReplicaGroups:     {Name: "ReplicaGroups"},
+	MsgVerifiedQuery:     {Name: "VerifiedQuery", need: capView, span: true, group: serveVerified},
+	MsgVerifiedResult:    {Name: "VerifiedResult"},
+	MsgPlanUpdate:        {Name: "PlanUpdate", need: capLifecycle, own: servePlanUpdate},
+	MsgFreeze:            {Name: "Freeze", need: capLifecycle, own: serveFreeze},
+	MsgThaw:              {Name: "Thaw", need: capLifecycle, own: serveThaw},
+	MsgRetire:            {Name: "Retire", need: capLifecycle, own: serveRetire},
+	MsgReshardCutover:    {Name: "ReshardCutover"}, // a router's custom Handler answers it
+	MsgVerifiedAgg:       {Name: "VerifiedAgg", need: capView, span: true, group: serveVerifiedAgg},
+	MsgVerifiedAggResult: {Name: "VerifiedAggResult"},
 }
 
 // FrameName returns the registered name of a message type, for logs and

@@ -52,7 +52,7 @@ func TestFrameRegistryDense(t *testing.T) {
 			t.Errorf("frame %s is span-bound but not a range row", e.Name)
 		}
 	}
-	if want := MsgType(39); max != want {
+	if want := MsgType(41); max != want {
 		t.Errorf("highest registered frame = %d, want %d (update this test when adding frames)", max, want)
 	}
 }
@@ -72,6 +72,8 @@ func TestFrameRegistryMatchesConstants(t *testing.T) {
 		{MsgThaw, "Thaw"},
 		{MsgRetire, "Retire"},
 		{MsgReshardCutover, "ReshardCutover"},
+		{MsgVerifiedAgg, "VerifiedAgg"},
+		{MsgVerifiedAggResult, "VerifiedAggResult"},
 	}
 	for _, c := range checks {
 		if got := FrameName(c.typ); got != c.name {
