@@ -508,9 +508,9 @@ func runClient(o *opts) error {
 		fmt.Printf("%-24v %6d records  verified  %v (matches scan)\n", q, len(recs), a)
 	}
 	fmt.Printf("\n%d queries, %d records, %v elapsed\n", len(qs), total, time.Since(start).Round(time.Millisecond))
-	// A verified aggregate at one address answers scalar and token on the
-	// SP connection, so the split by connection says nothing; the total is
-	// the protocol's answer bytes.
+	// A verified aggregate is a token on the TE connection, so the split
+	// by connection says nothing; the total is the protocol's answer
+	// bytes.
 	spBytes, teBytes := c.BytesReceived()
 	fmt.Printf("wire bytes: %d received\n", spBytes+teBytes)
 	return nil

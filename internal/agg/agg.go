@@ -112,11 +112,11 @@ func (a Agg) String() string {
 
 // Token is the trusted entity's aggregate verification token: the
 // aggregate it computed from its own annotated index, plus a tag binding
-// the aggregate to the exact query range. The client checks the service
-// provider's scalar against the token and recomputes the tag, exactly as
-// it checks a range result against the XOR verification token — the trust
-// argument is the same (the token travels the authenticated client↔TE
-// path; see the README's "Verified aggregation" section).
+// the aggregate to the exact query range. A verified aggregate is the
+// token alone: the client recomputes the tag and, if it binds the range,
+// takes the token's aggregate as the answer. The trust argument is the
+// range protocol's (the token travels the authenticated client↔TE path;
+// see the README's "Verified aggregation" section).
 type Token struct {
 	Agg Agg
 	Tag digest.Digest
@@ -155,15 +155,22 @@ func TokenFromBytes(buf []byte) Token {
 	return Token{Agg: FromBytes(buf[:Size]), Tag: digest.FromBytes(buf[Size : Size+digest.Size])}
 }
 
-// Verify checks a claimed scalar answer against the token for range q: the
-// tag must bind (q, token aggregate) and the scalar must equal the token's
-// aggregate bit for bit.
+// Check returns the token's aggregate if its tag binds range q.
+func (t Token) Check(q record.Range) (Agg, error) {
+	a := t.Agg.Normalize()
+	if t.Tag != TagFor(q, a) {
+		return Agg{}, fmt.Errorf("agg: token tag does not bind range [%d, %d]", q.Lo, q.Hi)
+	}
+	return a, nil
+}
+
+// Verify checks a claimed scalar answer against the token for range q:
+// the tag must bind (q, token aggregate) and the scalar must equal the
+// token's aggregate bit for bit.
 func (t Token) Verify(q record.Range, got Agg) error {
-	if t.Tag != TagFor(q, t.Agg.Normalize()) {
-		return fmt.Errorf("agg: token tag does not bind range [%d, %d]", q.Lo, q.Hi)
+	a, err := t.Check(q)
+	if err == nil && got.Normalize() != a {
+		err = fmt.Errorf("agg: answer %v contradicts trusted token %v", got, a)
 	}
-	if got.Normalize() != t.Agg.Normalize() {
-		return fmt.Errorf("agg: answer %v contradicts trusted token %v", got, t.Agg)
-	}
-	return nil
+	return err
 }

@@ -137,3 +137,22 @@ func TestTokenVerifyRejectsTampering(t *testing.T) {
 		t.Fatalf("normalized empty answer rejected: %v", err)
 	}
 }
+
+// TestTokenCheck: a token whose tag binds the range yields its own
+// aggregate; a rewritten aggregate or another range yields an error.
+func TestTokenCheck(t *testing.T) {
+	q := record.Range{Lo: 10, Hi: 99}
+	a := foldKeys([]record.Key{10, 50, 99})
+	tok := TokenFor(q, a)
+	if got, err := tok.Check(q); err != nil || got != a {
+		t.Fatalf("honest check: %v, %v; want %v", got, err, a)
+	}
+	forged := tok
+	forged.Agg.Sum++
+	if _, err := forged.Check(q); err == nil {
+		t.Fatal("aggregate rewritten without re-tagging accepted")
+	}
+	if _, err := tok.Check(record.Range{Lo: 10, Hi: 100}); err == nil {
+		t.Fatal("cross-range replay accepted")
+	}
+}

@@ -13,20 +13,21 @@ import (
 )
 
 // This file is the SAE side of the authenticated-aggregation fast path.
-// The division of labor mirrors the range protocol exactly:
+// The TE answers COUNT/SUM/MIN/MAX over a key range from its annotated
+// XB-Tree in O(log n) node accesses and wraps the aggregate in an
+// agg.Token whose tag binds it to the exact query range. The token is the
+// whole verified answer: the client checks the tag and takes the token's
+// aggregate. The trust argument is the range protocol's — the token
+// travels the authenticated client↔TE path — so neither a malicious SP
+// nor a router in between has a scalar to bend.
 //
-//   - the SP answers COUNT/SUM/MIN/MAX over a key range from its plain
-//     B+-tree's internal-node annotations in O(log n) node accesses — no
-//     heap access, no authentication work;
-//   - the TE computes the same aggregate from its own annotated XB-Tree
-//     and wraps it in an agg.Token whose tag binds the scalar to the
-//     exact query range;
-//   - the client compares the SP's scalar against the token. The trust
-//     argument is the range protocol's: the token travels the
-//     authenticated client↔TE path, so a malicious SP (or router in
-//     between) cannot forge a scalar without the comparison failing.
+// The SP keeps its own aggregate verb (AggregateCtx, from its plain
+// B+-tree's internal-node annotations, no heap access) for the
+// unverified MsgAggQuery frame and the traced benchmark.
 
 // AggTamper mutates an aggregate answer before it leaves a malicious SP.
+// No verified aggregate reads the SP, so it bends only the unverified
+// MsgAggQuery answer.
 type AggTamper func(agg.Agg) agg.Agg
 
 // InflateAggTamper adds delta phantom rows to the count (and their keys'
@@ -61,8 +62,7 @@ func (sp *ServiceProvider) AggregateCtx(ctx *exec.Context, q record.Range) (agg.
 // acquisition, each a canonical-cover descent touching O(log n) nodes and
 // zero heap pages, charged to its query's own context. out[i] receives
 // query i's scalar and must be at least len(qs) long. A tampering SP
-// forges each answer, so attack experiments behave identically on every
-// entry point.
+// forges each answer, on every entry point.
 func (sp *ServiceProvider) AggregateBurst(ctxs []*exec.Context, qs []record.Range, out []agg.Agg) error {
 	sp.mu.RLock()
 	defer sp.mu.RUnlock()
@@ -80,8 +80,7 @@ func (sp *ServiceProvider) AggregateBurst(ctxs []*exec.Context, qs []record.Rang
 }
 
 // AggTokenCtx computes the TE's aggregate token for q: AggTokenBurst at
-// n = 1, measured on ctx. The client checks the SP's scalar against this
-// token just as it checks a range result against the VT.
+// n = 1, measured on ctx.
 func (te *TrustedEntity) AggTokenCtx(ctx *exec.Context, q record.Range) (agg.Token, costmodel.Breakdown, error) {
 	var tok [1]agg.Token
 	cost, err := measured(ctx, func() error {
@@ -107,25 +106,23 @@ func (te *TrustedEntity) AggTokenBurst(ctxs []*exec.Context, qs []record.Range, 
 	return nil
 }
 
-// VerifyAggregate checks the SP's scalar answer against the TE's token:
-// the tag must bind the exact query range and the two aggregates must
-// match bit for bit. Pure client CPU, constant work — independent of how
-// many records the range contains.
-func (Client) VerifyAggregate(q record.Range, got agg.Agg, tok agg.Token) (costmodel.Breakdown, error) {
+// VerifyAggregate checks the TE's token for q and returns its aggregate:
+// the tag must bind the exact query range. Pure client CPU, constant work
+// — independent of how many records the range contains.
+func (Client) VerifyAggregate(q record.Range, tok agg.Token) (agg.Agg, costmodel.Breakdown, error) {
 	start := time.Now()
-	err := tok.Verify(q, got)
+	a, err := tok.Check(q)
 	cost := costmodel.Breakdown{CPU: time.Since(start)}
 	if err != nil {
-		return cost, fmt.Errorf("%w: %v", ErrVerificationFailed, err)
+		return agg.Agg{}, cost, fmt.Errorf("%w: %v", ErrVerificationFailed, err)
 	}
-	return cost, nil
+	return a, cost, nil
 }
 
 // ShardAggCost is one shard's contribution to a scattered aggregate query.
 type ShardAggCost struct {
 	Shard  int
 	Sub    record.Range // the query clamped to this shard's span
-	SPCost costmodel.Breakdown
 	TECost costmodel.Breakdown
 }
 
@@ -134,13 +131,13 @@ type ShardedAggOutcome struct {
 	Agg        agg.Agg
 	PerShard   []ShardAggCost
 	ClientCost costmodel.Breakdown
-	// VerifyErr is nil iff every per-shard scalar verified against its
-	// shard's token AND the sub-ranges seam-checked back into q.
+	// VerifyErr is nil iff every per-shard token's tag bound its clamp
+	// AND the sub-ranges seam-checked back into q.
 	VerifyErr error
 }
 
-// Aggregate scatters an aggregate query to the overlapping shards, checks
-// each shard's scalar against that shard's TE token, seam-checks the
+// Aggregate scatters an aggregate query to the overlapping shards' TEs,
+// checks each token's tag against its shard's clamp, seam-checks the
 // clamped sub-ranges against the plan, and merges the partials: counts
 // and sums add, min of mins, max of maxes. Each per-shard token binds its
 // clamp — which the client computes itself from the plan, never trusting
@@ -153,55 +150,35 @@ func (s *ShardedSystem) Aggregate(q record.Range) (*ShardedAggOutcome, error) {
 		// Empty range: the empty aggregate needs no shard work.
 		return out, nil
 	}
-	type shardReply struct {
-		a     agg.Agg
-		tok   agg.Token
-		cost  ShardAggCost
-		spErr error
-		teErr error
-	}
-	replies := make([]shardReply, len(subs))
+	toks := make([]agg.Token, len(subs))
+	out.PerShard = make([]ShardAggCost, len(subs))
+	errs := make([]error, len(subs))
 	var wg sync.WaitGroup
-	for i := range subs {
+	for i, sub := range subs {
+		out.PerShard[i] = ShardAggCost{Shard: sub.Shard, Sub: sub.Sub}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			idx, sub := subs[i].Shard, subs[i].Sub
-			r := &replies[i]
-			r.cost.Shard = idx
-			r.cost.Sub = sub
-			var inner sync.WaitGroup
-			inner.Add(1)
-			go func() {
-				defer inner.Done()
-				r.tok, r.cost.TECost, r.teErr = s.TEs[idx].AggTokenCtx(exec.NewContext(), sub)
-			}()
-			r.a, r.cost.SPCost, r.spErr = s.SPs[idx].AggregateCtx(exec.NewContext(), sub)
-			inner.Wait()
+			toks[i], out.PerShard[i].TECost, errs[i] = s.TEs[subs[i].Shard].AggTokenCtx(exec.NewContext(), subs[i].Sub)
 		}(i)
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
 
-	out.PerShard = make([]ShardAggCost, 0, len(subs))
 	parts := make([]shard.AggPart, len(subs))
 	start := time.Now()
-	for i := range replies {
-		r := &replies[i]
-		if r.spErr != nil {
-			return nil, r.spErr
-		}
-		if r.teErr != nil {
-			return nil, r.teErr
-		}
-		out.PerShard = append(out.PerShard, r.cost)
-		// Verify this shard's scalar against its own token before merging:
-		// the token's tag binds the clamp the client computed itself.
-		if err := r.tok.Verify(r.cost.Sub, r.a); err != nil {
+	for i, sub := range subs {
+		a, err := toks[i].Check(sub.Sub)
+		if err != nil {
 			out.ClientCost = costmodel.Breakdown{CPU: time.Since(start)}
-			out.VerifyErr = fmt.Errorf("%w: shard %d: %v", ErrVerificationFailed, r.cost.Shard, err)
+			out.VerifyErr = fmt.Errorf("%w: shard %d: %v", ErrVerificationFailed, sub.Shard, err)
 			return out, nil
 		}
-		parts[i] = shard.AggPart{Sub: r.cost.Sub, Agg: r.a}
+		parts[i] = shard.AggPart{Sub: sub.Sub, Agg: a}
 	}
 	merged, err := shard.MergeAgg(q, parts)
 	out.ClientCost = costmodel.Breakdown{CPU: time.Since(start)}

@@ -113,10 +113,13 @@ func TestAggregateAfterUpdates(t *testing.T) {
 }
 
 // TestAggregateTamperDetected: a malicious SP inflating (or otherwise
-// forging) the scalar is caught by the token comparison.
+// forging) its scalar never reaches the verified aggregate, which is the
+// TE's token alone: the answer stays the reference fold. A token whose
+// aggregate is rewritten without re-tagging is rejected.
 func TestAggregateTamperDetected(t *testing.T) {
-	sys, _ := newTestSystem(t, 2000, workload.UNF)
+	sys, ds := newTestSystem(t, 2000, workload.UNF)
 	q := record.Range{Lo: 10_000, Hi: 60_000}
+	want := refAgg(ds.Records, q).Normalize()
 
 	tampers := map[string]AggTamper{
 		"inflate":  InflateAggTamper(3, 20_000),
@@ -131,14 +134,19 @@ func TestAggregateTamperDetected(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Aggregate: %v", name, err)
 		}
-		if out.VerifyErr == nil {
-			t.Fatalf("%s: forged aggregate %v verified", name, out.Agg)
+		if out.VerifyErr != nil || out.Agg != want {
+			t.Fatalf("%s: tampered SP moved the verified aggregate: %v (%v), want %v", name, out.Agg, out.VerifyErr, want)
+		}
+		forged := out.Token
+		forged.Agg = tamper(forged.Agg)
+		if _, _, err := sys.Client.VerifyAggregate(q, forged); err == nil {
+			t.Fatalf("%s: token aggregate rewritten without re-tagging verified", name)
 		}
 	}
 	sys.SP.SetAggTamper(nil)
 	out, err := sys.Aggregate(q)
-	if err != nil || out.VerifyErr != nil {
-		t.Fatalf("honest aggregate after tamper cleared: err=%v verify=%v", err, out.VerifyErr)
+	if err != nil || out.VerifyErr != nil || out.Agg != want {
+		t.Fatalf("honest aggregate after tamper cleared: %v, err=%v verify=%v", out.Agg, err, out.VerifyErr)
 	}
 }
 
@@ -156,11 +164,11 @@ func TestAggregateTokenRangeBinding(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AggToken: %v", err)
 	}
-	if _, err := sys.Client.VerifyAggregate(q2, a1, tok1); err == nil {
+	if _, _, err := sys.Client.VerifyAggregate(q2, tok1); err == nil {
 		t.Fatal("token for q1 accepted as proof for q2")
 	}
-	if _, err := sys.Client.VerifyAggregate(q1, a1, tok1); err != nil {
-		t.Fatalf("honest binding rejected: %v", err)
+	if got, _, err := sys.Client.VerifyAggregate(q1, tok1); err != nil || got != a1 {
+		t.Fatalf("honest binding: %v (%v), the SP's scalar %v", got, err, a1)
 	}
 }
 
@@ -191,8 +199,9 @@ func TestShardedAggregateParity(t *testing.T) {
 	}
 }
 
-// TestShardedAggregateTamperDetected: one shard's forged partial fails
-// the scattered verification.
+// TestShardedAggregateTamperDetected: one shard SP's forged partial never
+// reaches the scattered verified aggregate, which is the shards' TE
+// tokens alone: the answer stays the reference fold.
 func TestShardedAggregateTamperDetected(t *testing.T) {
 	ds, err := workload.Generate(workload.UNF, 3000, 100)
 	if err != nil {
@@ -208,8 +217,8 @@ func TestShardedAggregateTamperDetected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Aggregate: %v", err)
 	}
-	if out.VerifyErr == nil {
-		t.Fatal("forged shard partial verified")
+	if want := refAgg(ds.Records, q).Normalize(); out.VerifyErr != nil || out.Agg != want {
+		t.Fatalf("tampered shard SP moved the verified aggregate: %v (%v), want %v", out.Agg, out.VerifyErr, want)
 	}
 }
 
@@ -255,9 +264,9 @@ func TestMergeAggSeamChecks(t *testing.T) {
 	}
 }
 
-// TestAggregateResponseConstantSize: the aggregate answer plus token is
-// constant-size regardless of result cardinality — the response-bytes
-// half of the fast-path win.
+// TestAggregateResponseConstantSize: the aggregate answer, the token
+// alone, is constant-size regardless of result cardinality — the
+// response-bytes half of the fast-path win.
 func TestAggregateResponseConstantSize(t *testing.T) {
 	if agg.TokenSize != agg.Size+20 {
 		t.Fatalf("TokenSize = %d", agg.TokenSize)
@@ -271,9 +280,9 @@ func TestAggregateResponseConstantSize(t *testing.T) {
 	if out.Agg.Count != 3000 {
 		t.Fatalf("full-domain count = %d", out.Agg.Count)
 	}
-	// The wire response is Agg (24B) + Token (44B): 68 bytes, vs 500 per
-	// record on the scan path.
-	if agg.Size+agg.TokenSize >= record.Size {
+	// The wire response is the 44-byte token, vs 500 per record on the
+	// scan path.
+	if agg.TokenSize >= record.Size {
 		t.Fatal("aggregate response not smaller than one record")
 	}
 }

@@ -86,47 +86,24 @@ func (s *System) Query(q record.Range) (*QueryOutcome, error) {
 type AggOutcome struct {
 	Agg        agg.Agg
 	Token      agg.Token
-	SPCost     costmodel.Breakdown
 	TECost     costmodel.Breakdown
 	ClientCost costmodel.Breakdown
-	// VerifyErr is nil iff the SP's scalar matched the TE's range-bound
-	// token.
+	// VerifyErr is nil iff the TE's token binds the query range; Agg is
+	// then the token's aggregate.
 	VerifyErr error
 }
 
-// ResponseTime models the client-perceived latency of an aggregate query:
-// both parties answer in parallel from their annotated indexes, then the
-// client performs the constant-work token check.
-func (o *AggOutcome) ResponseTime() costmodel.Breakdown {
-	slower := o.SPCost
-	if o.TECost.Total() > slower.Total() {
-		slower = o.TECost
-	}
-	return slower.Add(o.ClientCost)
-}
-
-// Aggregate runs the aggregation fast path for one range: the SP folds
-// its B+-tree annotations, the TE issues the range-bound token, and the
-// client compares — O(log n) work at both parties, O(1) at the client,
+// Aggregate runs the aggregation fast path for one range: the TE issues
+// the range-bound token from its XB-Tree annotations and the client
+// checks its tag — O(log n) work at the TE, O(1) at the client,
 // regardless of how many records the range covers.
 func (s *System) Aggregate(q record.Range) (*AggOutcome, error) {
-	a, spCost, err := s.SP.AggregateCtx(exec.NewContext(), q)
-	if err != nil {
-		return nil, err
-	}
 	tok, teCost, err := s.TE.AggTokenCtx(exec.NewContext(), q)
 	if err != nil {
 		return nil, err
 	}
-	clientCost, verifyErr := s.Client.VerifyAggregate(q, a, tok)
-	return &AggOutcome{
-		Agg:        a,
-		Token:      tok,
-		SPCost:     spCost,
-		TECost:     teCost,
-		ClientCost: clientCost,
-		VerifyErr:  verifyErr,
-	}, nil
+	a, clientCost, verifyErr := s.Client.VerifyAggregate(q, tok)
+	return &AggOutcome{Agg: a, Token: tok, TECost: teCost, ClientCost: clientCost, VerifyErr: verifyErr}, nil
 }
 
 // Insert routes an owner-side insertion of a fresh record with the given

@@ -108,8 +108,8 @@ func RunAgg(cfg AggConfig) (*AggResult, error) {
 
 	// One correctness pass doubles as the warm-up and gathers the response
 	// sizes: the scan ships every covered record (plus, under TOM, the
-	// range VO); the fast path ships a 24-byte scalar and a 44-byte token
-	// (under TOM one aggregate VO).
+	// range VO); the fast path ships the 44-byte token (under TOM one
+	// aggregate VO).
 	var totalRecs, tomScanBytes, tomAggBytes float64
 	for _, q := range qs {
 		scan, err := sys.Query(q)
@@ -143,7 +143,7 @@ func RunAgg(cfg AggConfig) (*AggResult, error) {
 	nq := float64(len(qs))
 	res.AvgRecords = totalRecs / nq
 	res.ScanRespBytes = res.AvgRecords*record.Size + digest.Size
-	res.AggRespBytes = agg.Size + agg.TokenSize
+	res.AggRespBytes = agg.TokenSize
 	res.RespBytesRatio = res.ScanRespBytes / res.AggRespBytes
 	res.TOMScanRespBytes = tomScanBytes / nq
 	res.TOMAggRespBytes = tomAggBytes / nq

@@ -1,7 +1,9 @@
 package router
 
 import (
+	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"sae/internal/agg"
@@ -53,8 +55,8 @@ func TestRoutedAggregateSingleShard(t *testing.T) {
 }
 
 // TestRouterForgedAggregateRejected: the router asserts a flat-out wrong
-// scalar on the untrusted result path. The client's comparison against
-// the TE-side aggregate token must reject it.
+// aggregate in the merged token without re-tagging it. The client's tag
+// check must reject it.
 func TestRouterForgedAggregateRejected(t *testing.T) {
 	d := newDeployment(t, 10_000, 3, Config{})
 	q := spanningQuery(t, d)
@@ -68,17 +70,21 @@ func TestRouterForgedAggregateRejected(t *testing.T) {
 	}})
 	defer d.router.setTamper(nil)
 	if _, err := client.Aggregate(q); !errors.Is(err, core.ErrVerificationFailed) {
-		t.Fatalf("forged routed scalar error = %v, want ErrVerificationFailed", err)
+		t.Fatalf("forged routed token aggregate error = %v, want ErrVerificationFailed", err)
 	}
 }
 
 // TestRouterAggregateSeamAttacksRejected: scatter-shape attacks on the
-// aggregate path — a shaved clamp or a dropped shard changes the merged
-// scalar, which the range-bound token no longer matches.
+// SP-side scatter — a shaved clamp or a dropped shard. A verified
+// aggregate is the TEs' tokens alone, scattered under the attested plan,
+// so the attacks do not reach it: the answer stays the oracle's, here
+// over split SP/TE shards and in TestVerifiedAggAttacksOverPrimaries over
+// primaries.
 func TestRouterAggregateSeamAttacksRejected(t *testing.T) {
 	d := newDeployment(t, 10_000, 3, Config{})
 	q := spanningQuery(t, d)
 	client := d.plainClient(t)
+	oracle := oracleAgg(t, d, q)
 
 	d.router.setTamper(&tamper{reshapeSubs: func(subs []shard.SubQuery) []shard.SubQuery {
 		out := append([]shard.SubQuery(nil), subs...)
@@ -87,8 +93,8 @@ func TestRouterAggregateSeamAttacksRejected(t *testing.T) {
 		}
 		return out
 	}})
-	if _, err := client.Aggregate(q); !errors.Is(err, core.ErrVerificationFailed) {
-		t.Fatalf("seam-narrowed routed aggregate error = %v, want ErrVerificationFailed", err)
+	if a, err := client.Aggregate(q); err != nil || a != oracle {
+		t.Fatalf("seam-narrowed SP scatter: routed aggregate %v (%v), want the oracle's %v", a, err, oracle)
 	}
 
 	d.router.setTamper(&tamper{reshapeSubs: func(subs []shard.SubQuery) []shard.SubQuery {
@@ -97,24 +103,63 @@ func TestRouterAggregateSeamAttacksRejected(t *testing.T) {
 		}
 		return subs
 	}})
-	if _, err := client.Aggregate(q); !errors.Is(err, core.ErrVerificationFailed) {
-		t.Fatalf("shard-suppressed routed aggregate error = %v, want ErrVerificationFailed", err)
+	if a, err := client.Aggregate(q); err != nil || a != oracle {
+		t.Fatalf("shard-suppressed SP scatter: routed aggregate %v (%v), want the oracle's %v", a, err, oracle)
 	}
 	d.router.setTamper(nil)
 }
 
 // TestUpstreamAggTamperThroughRouterRejected: a malicious upstream SP
-// inflating its partial stays detected when the partial arrives merged
-// through an honest router.
+// inflating its partial does not reach the routed verified aggregate,
+// which never asks for its scalar: the answer stays the oracle's.
 func TestUpstreamAggTamperThroughRouterRejected(t *testing.T) {
 	d := newDeployment(t, 10_000, 3, Config{})
 	q := spanningQuery(t, d)
 	client := d.plainClient(t)
+	oracle := oracleAgg(t, d, q)
 	d.sys.SPs[1].SetAggTamper(core.InflateAggTamper(2, 0))
 	defer d.sys.SPs[1].SetAggTamper(nil)
-	if _, err := client.Aggregate(q); !errors.Is(err, core.ErrVerificationFailed) {
-		t.Fatalf("upstream agg tamper error = %v, want ErrVerificationFailed", err)
+	if a, err := client.Aggregate(q); err != nil || a != oracle {
+		t.Fatalf("routed aggregate beside an inflating SP = %v (%v), want the oracle's %v", a, err, oracle)
 	}
+}
+
+// TestSplitVerifiedAggSkipsSPs: over split SP/TE shards one routed
+// verified aggregate sends no MsgAggQuery leg upstream — every shard SP's
+// aggregate verb stays idle — and still answers the oracle's value.
+func TestSplitVerifiedAggSkipsSPs(t *testing.T) {
+	d := newDeployment(t, 10_000, 3, Config{})
+	q := record.Range{Lo: 0, Hi: record.KeyDomain}
+	oracle := oracleAgg(t, d, q)
+	var spAggs atomic.Int64
+	for _, sp := range d.sys.SPs {
+		sp.SetAggTamper(func(a agg.Agg) agg.Agg { spAggs.Add(1); return a })
+		defer sp.SetAggTamper(nil)
+	}
+	client := d.plainClient(t)
+	if a, err := client.Aggregate(q); err != nil || a != oracle {
+		t.Fatalf("routed aggregate = %v (%v), want the oracle's %v", a, err, oracle)
+	}
+	if n := spAggs.Load(); n != 0 {
+		t.Fatalf("one routed verified aggregate asked the shard SPs for %d scalars, want 0", n)
+	}
+	// The probe counts: the unverified MsgAggQuery scatter reaches all three.
+	if _, err := client.SP.AggregateWithCtx(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	if n := spAggs.Load(); n != 3 {
+		t.Fatalf("one routed MsgAggQuery asked the shard SPs for %d scalars, want 3", n)
+	}
+}
+
+// oracleAgg is the in-process sharded system's verified aggregate of q.
+func oracleAgg(t *testing.T, d *deployment, q record.Range) agg.Agg {
+	t.Helper()
+	out, err := d.sys.Aggregate(q)
+	if err != nil || out.VerifyErr != nil {
+		t.Fatalf("oracle aggregate %v: %v / %v", q, err, out.VerifyErr)
+	}
+	return out.Agg
 }
 
 // TestRoutedAggregateEmptyRange: an empty range through the router yields

@@ -388,16 +388,10 @@ func (s *endpointSet) do(parent context.Context, op opFunc) ([]byte, error) {
 	return nil, lastErr
 }
 
-// attempt runs op once against ep under a per-attempt context.
-func (s *endpointSet) attempt(parent context.Context, ep *endpoint, op opFunc) ([]byte, error) {
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-	return s.attemptOn(ctx, ep, op)
-}
-
-// attemptOn is attempt with caller-owned context (the hedged race keeps
-// both legs' contexts alive until a winner is chosen).
-func (s *endpointSet) attemptOn(ctx context.Context, ep *endpoint, op opFunc) ([]byte, error) {
+// attempt runs op once against ep under ctx: the request's own context
+// for an unhedged leg, a per-leg one in the hedged race, whose loser is
+// cancelled.
+func (s *endpointSet) attempt(ctx context.Context, ep *endpoint, op opFunc) ([]byte, error) {
 	c, err := ep.acquire(s.conns)
 	if err != nil {
 		return nil, err
@@ -438,7 +432,7 @@ func (s *endpointSet) attemptHedged(parent context.Context, ep1 *endpoint, tried
 	ctx1, cancel1 := context.WithCancel(parent)
 	defer cancel1()
 	go func() {
-		v, err := s.attemptOn(ctx1, ep1, op)
+		v, err := s.attempt(ctx1, ep1, op)
 		ch <- legResult{v, err, false}
 	}()
 	timer := time.NewTimer(s.hedgeAfter)
@@ -465,7 +459,7 @@ func (s *endpointSet) attemptHedged(parent context.Context, ep1 *endpoint, tried
 			defer cancel2()
 			outstanding++
 			go func() {
-				v, err := s.attemptOn(ctx2, ep2, op)
+				v, err := s.attempt(ctx2, ep2, op)
 				ch <- legResult{v, err, true}
 			}()
 		case res := <-ch:

@@ -3,7 +3,7 @@
 // process with ONE client-facing address. It speaks the single-system
 // wire protocol to clients — every query frame has one row in the frame
 // table (table.go: MsgQuery, MsgVTRequest, MsgAggQuery, MsgAggTokenReq,
-// MsgVerifiedQuery, MsgVerifiedAgg, plus the locally answered
+// MsgVerifiedQuery, plus the locally answered
 // MsgShardMapReq, MsgGenStampReq and MsgReshardCutover) —
 // scatters every request to the overlapping shards over pooled
 // pipelined upstream connections (plain wire.Conn: the router relays
@@ -145,9 +145,6 @@ type topology struct {
 	// only a process holding SP and TE together can stamp one atomic
 	// (epoch, gen, VT, records) quadruple).
 	sets [numRoles][]*endpointSet
-	// split is set when some shard's SP and TE are separate processes: a
-	// verified aggregate then runs as its two legs (row.split).
-	split bool
 }
 
 // closeAll closes every upstream connection.
@@ -241,7 +238,6 @@ func (r *Router) buildTopology(spAddrs, teAddrs []string, replicas [][]string) (
 	teConns := make([]*wire.Conn, len(spAddrs))
 	for i := range spAddrs {
 		combined := spAddrs[i] == teAddrs[i]
-		t.split = t.split || !combined
 		sp := r.join(t, roleSP, i, spAddrs[i], combined)
 		te := r.join(t, roleTE, i, teAddrs[i], combined)
 		if combined {
@@ -468,11 +464,11 @@ func (r *Router) Close() error {
 	return first
 }
 
-// reqCtx builds the context bounding one client request's upstream
-// fan-out.
+// reqCtx builds the one context bounding a client request's upstream
+// fan-out; every unhedged leg runs under it.
 func (r *Router) reqCtx() (context.Context, context.CancelFunc) {
 	if r.cfg.UpstreamTimeout > 0 {
 		return context.WithTimeout(context.Background(), r.cfg.UpstreamTimeout)
 	}
-	return context.WithCancel(context.Background())
+	return context.Background(), func() {}
 }

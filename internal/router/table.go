@@ -14,14 +14,14 @@ import (
 )
 
 // row is one line of the router's frame table: how one client frame is
-// answered. A local row answers from the router's own state. Every other
-// row is a scatter row: the client's range is cut into per-shard
-// sub-queries (subs), each goes as one leg frame to its shard's role set
-// — failover, hedging and the staleness bar applied per leg — and merge
-// folds the want-typed reply payloads, in shard order, into the client's
-// answer.
+// answered, with a want-typed frame. A local row answers from the
+// router's own state. Every other row is a scatter row: the client's
+// range is cut into per-shard sub-queries (subs), each goes as one leg
+// frame to its shard's role set — failover, hedging and the staleness bar
+// applied per leg — and merge folds the want-typed reply payloads, in
+// shard order, into the client's answer.
 type row struct {
-	local func(r *Router, t *topology, req wire.Frame, rb *wire.RespBuf) (wire.MsgType, error)
+	local func(r *Router, t *topology, req wire.Frame, rb *wire.RespBuf) error
 
 	role role
 	// subs is attestedSubs on the token path (it models the authenticated
@@ -34,12 +34,7 @@ type row struct {
 	// accept, when set, judges each reply inside the failover loop: its
 	// error sends the leg to a sibling endpoint.
 	accept func(ep *endpoint, payload []byte) error
-	merge  func(r *Router, t *topology, g *gather, rb *wire.RespBuf) (wire.MsgType, error)
-	// split, when set, names the two rows whose answers this row's answer
-	// joins. A topology with split SP/TE shards has no upstream that holds
-	// both, so it runs those rows' scatters at the same time instead and
-	// appends their merges one after the other.
-	split [2]wire.MsgType
+	merge  func(r *Router, t *topology, g *gather, rb *wire.RespBuf) error
 }
 
 // gather is one scattered request on its way to its merge.
@@ -59,12 +54,10 @@ var rows = [...]row{
 	wire.MsgAggQuery:      {role: roleSP, subs: tamperedSubs, leg: wire.MsgAggQuery, want: wire.MsgAggResult, size: agg.Size, what: "SP aggregate", merge: mergeAgg},
 	wire.MsgAggTokenReq:   {role: roleTE, subs: attestedSubs, leg: wire.MsgAggTokenReq, want: wire.MsgAggToken, size: agg.TokenSize, what: "TE aggregate token", merge: mergeAggToken},
 	wire.MsgVerifiedQuery: {role: roleVerified, subs: tamperedSubs, leg: wire.MsgVerifiedQuery, want: wire.MsgVerifiedResult, what: "verified", accept: acceptVerified, merge: mergeVerified},
-	wire.MsgVerifiedAgg: {role: roleVerified, subs: tamperedSubs, leg: wire.MsgVerifiedAgg, want: wire.MsgVerifiedAggResult, size: agg.Size + agg.TokenSize, what: "verified aggregate", merge: mergeVerifiedAgg,
-		split: [2]wire.MsgType{wire.MsgAggQuery, wire.MsgAggTokenReq}},
 
-	wire.MsgShardMapReq:    {local: localShardMap},
-	wire.MsgGenStampReq:    {local: localGenStamp},
-	wire.MsgReshardCutover: {local: localCutover},
+	wire.MsgShardMapReq:    {local: localShardMap, want: wire.MsgShardMap},
+	wire.MsgGenStampReq:    {local: localGenStamp, want: wire.MsgGenStamp},
+	wire.MsgReshardCutover: {local: localCutover, want: wire.MsgAck},
 }
 
 // handle maps one client request to one response frame. Every row
@@ -93,58 +86,29 @@ func (r *Router) handleOn(t *topology, req wire.Frame, rb *wire.RespBuf) wire.Fr
 	if int(req.Type) >= len(rows) || (rows[req.Type].local == nil && rows[req.Type].merge == nil) {
 		return wire.ErrFrame(wire.CannotHandle("router", req.Type))
 	}
-	typ, err := r.answer(t, &rows[req.Type], req, rb)
-	if err != nil {
+	ro := &rows[req.Type]
+	if err := r.answer(t, ro, req, rb); err != nil {
 		return wire.ErrFrame(err)
 	}
-	return rb.Frame(typ)
+	return rb.Frame(ro.want)
 }
 
-func (r *Router) answer(t *topology, ro *row, req wire.Frame, rb *wire.RespBuf) (wire.MsgType, error) {
+func (r *Router) answer(t *topology, ro *row, req wire.Frame, rb *wire.RespBuf) error {
 	if ro.local != nil {
 		return ro.local(r, t, req, rb)
 	}
 	q, err := wire.DecodeRange(req.Payload)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	ctx, cancel := r.reqCtx()
 	defer cancel()
-	if t.split && ro.split != [2]wire.MsgType{} {
-		return r.answerSplit(ctx, t, ro, q, rb)
-	}
 	g, err := r.collect(ctx, t, ro, q)
 	hold(rb, g.parts)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	return ro.merge(r, t, &g, rb)
-}
-
-// answerSplit answers a split row over split SP/TE shards: both legs'
-// scatters run at once, and the answer is their merges back to back.
-func (r *Router) answerSplit(ctx context.Context, t *topology, ro *row, q record.Range, rb *wire.RespBuf) (wire.MsgType, error) {
-	var gs [2]gather
-	var errs [2]error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		gs[1], errs[1] = r.collect(ctx, t, &rows[ro.split[1]], q)
-	}()
-	gs[0], errs[0] = r.collect(ctx, t, &rows[ro.split[0]], q)
-	<-done
-	for k := range gs {
-		hold(rb, gs[k].parts)
-	}
-	for k, leg := range ro.split {
-		if errs[k] != nil {
-			return 0, errs[k]
-		}
-		if _, err := rows[leg].merge(r, t, &gs[k], rb); err != nil {
-			return 0, err
-		}
-	}
-	return ro.want, nil
 }
 
 // collect scatters q through a scatter row and returns what its merge
@@ -270,92 +234,75 @@ func splice(rb *wire.RespBuf, encs [][]byte) {
 	}
 }
 
-func mergeRecords(r *Router, _ *topology, g *gather, rb *wire.RespBuf) (wire.MsgType, error) {
+func mergeRecords(r *Router, _ *topology, g *gather, rb *wire.RespBuf) error {
 	encs := make([][]byte, len(g.parts))
 	for i, raw := range g.parts {
 		var err error
 		if encs[i], err = recordsOf(raw, g.subs[i].Shard, "result"); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	if tm := r.tamper.Load(); tm != nil && tm.reshapeParts != nil {
 		encs = tm.reshapeParts(encs)
 	}
 	splice(rb, encs)
-	return wire.MsgResult, nil
+	return nil
 }
 
 // mergeVT XOR-combines the shard TEs' tokens: every TE holds only its own
 // partition, so the XOR over the clamped sub-ranges IS the token a single
 // TE over the whole dataset would have issued.
-func mergeVT(_ *Router, _ *topology, g *gather, rb *wire.RespBuf) (wire.MsgType, error) {
+func mergeVT(_ *Router, _ *topology, g *gather, rb *wire.RespBuf) error {
 	var acc digest.Accumulator
 	for _, p := range g.parts {
 		acc.Add(digest.FromBytes(p))
 	}
 	vt := acc.Sum()
 	rb.Append(vt[:])
-	return wire.MsgVT, nil
+	return nil
 }
 
 // mergeAgg folds the partial scalars (contiguous non-overlapping clamps:
 // the monoid fold in any order is the whole range's scalar). This is the
-// untrusted result path: the merged scalar goes through forgeAgg, and the
-// client's token comparison must catch anything a rogue router bends.
-func mergeAgg(r *Router, _ *topology, g *gather, rb *wire.RespBuf) (wire.MsgType, error) {
+// SP's unverified aggregate; no verified answer carries it.
+func mergeAgg(_ *Router, _ *topology, g *gather, rb *wire.RespBuf) error {
 	var merged agg.Agg
 	for _, p := range g.parts {
 		merged = merged.Merge(agg.FromBytes(p))
 	}
-	if tm := r.tamper.Load(); tm != nil && tm.forgeAgg != nil {
-		merged = tm.forgeAgg(merged)
-	}
 	var buf [agg.Size]byte
 	rb.Append(merged.Normalize().AppendTo(buf[:0]))
-	return wire.MsgAggResult, nil
+	return nil
 }
 
 // mergeAggToken deterministically re-derives the whole-range token: every
-// upstream token's tag is checked before its scalar is trusted, and the
-// partials must seam-check back into q before the merged token is tagged.
-func mergeAggToken(_ *Router, _ *topology, g *gather, rb *wire.RespBuf) (wire.MsgType, error) {
+// upstream token's tag is checked against its shard's clamp before its
+// aggregate is trusted, and the partials must seam-check back into q
+// before the merged token is tagged. The merged token is the whole
+// verified aggregate, scattered under the attested plan, so no rogue
+// scatter reaches it; a forged aggregate (forgeAgg) leaves untagged, and
+// the client's tag check refuses it.
+func mergeAggToken(r *Router, _ *topology, g *gather, rb *wire.RespBuf) error {
 	parts := make([]shard.AggPart, len(g.parts))
 	for i, p := range g.parts {
-		tok, sub := agg.TokenFromBytes(p), g.subs[i].Sub
-		if err := tok.Verify(sub, tok.Agg); err != nil {
-			return 0, fmt.Errorf("router: shard %d TE aggregate token: %w", g.subs[i].Shard, err)
+		sub := g.subs[i].Sub
+		a, err := agg.TokenFromBytes(p).Check(sub)
+		if err != nil {
+			return fmt.Errorf("router: shard %d TE aggregate token: %w", g.subs[i].Shard, err)
 		}
-		parts[i] = shard.AggPart{Sub: sub, Agg: tok.Agg}
+		parts[i] = shard.AggPart{Sub: sub, Agg: a}
 	}
 	merged, err := shard.MergeAgg(g.q, parts)
 	if err != nil {
-		return 0, fmt.Errorf("router: merging shard aggregate tokens: %w", err)
+		return fmt.Errorf("router: merging shard aggregate tokens: %w", err)
 	}
 	tok := agg.TokenFor(g.q, merged)
+	if tm := r.tamper.Load(); tm != nil && tm.forgeAgg != nil {
+		tok.Agg = tm.forgeAgg(tok.Agg)
+	}
 	var buf [agg.TokenSize]byte
 	rb.Append(tok.AppendTo(buf[:0]))
-	return wire.MsgAggToken, nil
-}
-
-// mergeVerifiedAgg cuts each shard's scalar ‖ token answer into its two
-// legs and merges them as the split rows do: the scalars on the untrusted
-// path (mergeAgg), the tokens checked per shard, seam-checked and
-// re-tagged (mergeAggToken). One leg carries scalar and token for the
-// same sub-range, so a narrowed or dropped sub-query fails the tokens'
-// seam check here, before any scalar leaves.
-func mergeVerifiedAgg(r *Router, t *topology, g *gather, rb *wire.RespBuf) (wire.MsgType, error) {
-	scalars := gather{q: g.q, subs: g.subs, parts: make([][]byte, len(g.parts))}
-	tokens := gather{q: g.q, subs: g.subs, parts: make([][]byte, len(g.parts))}
-	for i, p := range g.parts {
-		scalars.parts[i], tokens.parts[i] = p[:agg.Size], p[agg.Size:]
-	}
-	if _, err := mergeAgg(r, t, &scalars, rb); err != nil {
-		return 0, err
-	}
-	if _, err := mergeAggToken(r, t, &tokens, rb); err != nil {
-		return 0, err
-	}
-	return wire.MsgVerifiedAggResult, nil
+	return nil
 }
 
 // acceptVerified records the generation stamp a verified leg carries and
@@ -382,7 +329,7 @@ func acceptVerified(ep *endpoint, raw []byte) error {
 // may already attest the successor epoch while the rest of the answer is
 // served under the old one; stamping min keeps the merged claim honest
 // (the answer is only as new as its oldest part).
-func mergeVerified(r *Router, t *topology, g *gather, rb *wire.RespBuf) (wire.MsgType, error) {
+func mergeVerified(r *Router, t *topology, g *gather, rb *wire.RespBuf) error {
 	raws := g.parts
 	if tm := r.tamper.Load(); tm != nil && tm.replayVerified != nil {
 		raws = tm.replayVerified(raws)
@@ -393,10 +340,10 @@ func mergeVerified(r *Router, t *topology, g *gather, rb *wire.RespBuf) (wire.Ms
 	for i, raw := range raws {
 		epoch, gen, vt, recsRaw, err := wire.DecodeVerifiedResult(raw)
 		if err != nil {
-			return 0, fmt.Errorf("router: shard %d verified result: %w", g.subs[i].Shard, err)
+			return fmt.Errorf("router: shard %d verified result: %w", g.subs[i].Shard, err)
 		}
 		if encs[i], err = recordsOf(recsRaw, g.subs[i].Shard, "verified result"); err != nil {
-			return 0, err
+			return err
 		}
 		acc.Add(vt)
 		if i == 0 || gen < minGen {
@@ -422,7 +369,7 @@ func mergeVerified(r *Router, t *topology, g *gather, rb *wire.RespBuf) (wire.Ms
 	vt := acc.Sum()
 	rb.Append(vt[:])
 	splice(rb, encs)
-	return wire.MsgVerifiedResult, nil
+	return nil
 }
 
 // localShardMap relays the TE-attested partition plan for observability
@@ -430,9 +377,9 @@ func mergeVerified(r *Router, t *topology, g *gather, rb *wire.RespBuf) (wire.Ms
 // it reports 0. Clients never need this answer — the whole point of the
 // tier is that they treat the router as a stand-alone system — and must
 // not trust it: verification never depends on it.
-func localShardMap(_ *Router, t *topology, _ wire.Frame, rb *wire.RespBuf) (wire.MsgType, error) {
+func localShardMap(_ *Router, t *topology, _ wire.Frame, rb *wire.RespBuf) error {
 	rb.Append(wire.EncodeShardInfo(wire.ShardInfo{Index: 0, Plan: t.plan}))
-	return wire.MsgShardMap, nil
+	return nil
 }
 
 // localGenStamp reports the freshest generation at which a spanning
@@ -440,19 +387,19 @@ func localShardMap(_ *Router, t *topology, _ wire.Frame, rb *wire.RespBuf) (wire
 // the newest stamp observed from any of the shard's upstreams. Clients
 // use it to seed a freshness floor (QueryAtLeast); they never need to
 // trust it — a floor built on a lying stamp only ever REJECTS more.
-func localGenStamp(_ *Router, t *topology, _ wire.Frame, rb *wire.RespBuf) (wire.MsgType, error) {
+func localGenStamp(_ *Router, t *topology, _ wire.Frame, rb *wire.RespBuf) error {
 	gen := t.fresh[0].maxGen.Load()
 	for _, f := range t.fresh[1:] {
 		gen = min(gen, f.maxGen.Load())
 	}
 	rb.AppendUint64(gen)
-	return wire.MsgGenStamp, nil
+	return nil
 }
 
-func localCutover(r *Router, _ *topology, req wire.Frame, _ *wire.RespBuf) (wire.MsgType, error) {
+func localCutover(r *Router, _ *topology, req wire.Frame, _ *wire.RespBuf) error {
 	cut, err := wire.DecodeCutover(req.Payload)
-	if err == nil {
-		err = r.Cutover(cut)
+	if err != nil {
+		return err
 	}
-	return wire.MsgAck, err
+	return r.Cutover(cut)
 }

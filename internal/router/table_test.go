@@ -65,14 +65,13 @@ func TestRouterRowMatrix(t *testing.T) {
 		wire.MsgAggQuery:      wire.MsgAggResult,
 		wire.MsgAggTokenReq:   wire.MsgAggToken,
 		wire.MsgVerifiedQuery: wire.MsgVerifiedResult,
-		wire.MsgVerifiedAgg:   wire.MsgVerifiedAggResult,
 		wire.MsgShardMapReq:   wire.MsgShardMap,
 		wire.MsgGenStampReq:   wire.MsgGenStamp,
 	}
 	all := wire.EncodeRange(record.Range{Lo: 0, Hi: record.KeyDomain})
-	for _, typ := range []wire.MsgType{9, 24} {
+	for _, typ := range []wire.MsgType{9, 24, 40} {
 		if _, refusal := ask(t, c, typ, all); refusal != wire.CannotHandle("router", typ).Error() {
-			t.Errorf("retired TOM frame %d: got %q, want the CannotHandle refusal", typ, refusal)
+			t.Errorf("retired frame %d: got %q, want the CannotHandle refusal", typ, refusal)
 		}
 	}
 	for i := 1; i <= 255; i++ {

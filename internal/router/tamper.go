@@ -7,11 +7,12 @@ import (
 
 // tamper makes a router malicious for the adversarial tests. The hooks
 // interpose only on what a real rogue router controls — the untrusted
-// result path (SP-side scatter shapes, gathered record payloads, merged
-// scalars, replayed verified answers). The token path is deliberately out of reach,
-// modeling the end-to-end-authenticated client↔TE aggregate the trust
-// argument rests on: a router that can also rewrite token bytes is the
-// paper's compromised-TE-channel case, which no VO-less scheme survives.
+// result path (SP-side scatter shapes, gathered record payloads, replayed
+// verified answers) and the bytes of a merged aggregate token, though not
+// its tag. Tagging is deliberately out of reach, modeling the
+// end-to-end-authenticated client↔TE token the trust argument rests on:
+// a router that can also mint tags is the paper's compromised-TE-channel
+// case, which no VO-less scheme survives.
 type tamper struct {
 	// scatterPlan substitutes a forged partition plan for the SP-side
 	// scatter (seam shifting: records between the true and forged splits
@@ -23,8 +24,9 @@ type tamper struct {
 	// reshapeParts rewrites the gathered raw record payloads before the
 	// merge (suppressing or swapping whole shards' sub-results).
 	reshapeParts func([][]byte) [][]byte
-	// forgeAgg rewrites the merged aggregate scalar before it is encoded
-	// (a rogue router asserting a flat-out wrong COUNT/SUM/MIN/MAX).
+	// forgeAgg rewrites the merged token's aggregate, keeping its tag,
+	// before it is encoded (a rogue router asserting a flat-out wrong
+	// COUNT/SUM/MIN/MAX).
 	forgeAgg func(agg.Agg) agg.Agg
 	// replayVerified rewrites the gathered per-shard verified payloads
 	// (gen + VT + records) before the merge — a rogue router replaying a

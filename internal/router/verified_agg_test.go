@@ -3,7 +3,6 @@ package router
 import (
 	"context"
 	"errors"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,10 +16,10 @@ import (
 )
 
 // TestAggBesideWriterRouted: verified aggregates routed over two
-// primaries while commits land at shard 0 are never rejected. Every
-// shard's scalar and token come from one commit boundary of that shard;
-// scattered as two legs, the SP leg and the TE leg of one shard could
-// straddle a commit and the honest answer was refused as forged.
+// primaries while commits land at shard 0 are never rejected. When the
+// answer was the SP's scalar checked against the TE's token, scattered as
+// two legs, the legs of one shard could straddle a commit and the honest
+// answer was refused as forged; every shard's token alone cannot tear.
 func TestAggBesideWriterRouted(t *testing.T) {
 	d := newReplicaDeployment(t, 20_000, 2, 0, Config{ProbeInterval: -1})
 	client, err := wire.DialVerifying(d.router.Addr(), d.router.Addr())
@@ -82,10 +81,10 @@ func TestAggBesideWriterRouted(t *testing.T) {
 }
 
 // TestVerifiedAggOneFrameThroughRouter: a plain client at the router
-// sends a verified aggregate as one MsgVerifiedAgg frame on its SP
-// connection, 17 bytes out and 77 back, over primaries and over split
-// SP/TE shards alike. So the router's aggregate tests run the new frame
-// whatever their topology.
+// sends a verified aggregate as one MsgAggTokenReq frame on its TE
+// connection, 17 bytes out and 53 back (the 44-byte token), over
+// primaries and over split SP/TE shards alike, and nothing on its SP
+// connection.
 func TestVerifiedAggOneFrameThroughRouter(t *testing.T) {
 	split := newDeployment(t, 4_000, 2, Config{})
 	combined := newReplicaDeployment(t, 4_000, 2, 0, Config{ProbeInterval: -1})
@@ -100,18 +99,18 @@ func TestVerifiedAggOneFrameThroughRouter(t *testing.T) {
 		sp := vc.SP.BytesSent() + vc.SP.BytesReceived()
 		te := vc.TE.BytesSent() + vc.TE.BytesReceived()
 		vc.Close()
-		if sp != 17+77 || te != 0 {
-			t.Errorf("%d B on the SP connection and %d B on the TE's, want %d and 0", sp, te, 17+77)
+		if sp != 0 || te != 17+53 {
+			t.Errorf("%d B on the SP connection and %d B on the TE's, want 0 and %d", sp, te, 17+53)
 		}
 	}
 }
 
 // TestVerifiedAggRoutedParity: the router's one-frame answer verifies
-// and carries the scalar its two legs answer, over split SP/TE shards
-// (where it runs the two legs' scatters) and over primaries (where each
-// shard answers scalar ‖ token in one leg); so its token is the two
-// legs' token too, which binds exactly that scalar and range. Over
-// primaries the scalar also equals a direct client-side scatter's.
+// and carries the scalar the two old legs answer, over split SP/TE shards
+// and over primaries, each shard answering its token in one
+// MsgAggTokenReq leg: every answer the two-leg client accepted is
+// accepted with the same value. Over primaries
+// it also equals a direct client-side scatter's.
 func TestVerifiedAggRoutedParity(t *testing.T) {
 	split := newDeployment(t, 12_000, 3, Config{})
 	combined := newReplicaDeployment(t, 12_000, 3, 0, Config{ProbeInterval: -1})
@@ -153,11 +152,12 @@ func TestVerifiedAggRoutedParity(t *testing.T) {
 }
 
 // TestVerifiedAggAttacksOverPrimaries: over primaries each shard's leg
-// carries scalar and token together. A forged merged scalar and an
-// inflating shard SP still reach the client as ErrVerificationFailed.
-// A narrowed or dropped sub-query now narrows the tokens too, so the
-// router's seam check on them fails the request before any scalar is
-// returned.
+// carries its token alone. A merged token whose aggregate is forged
+// without re-tagging reaches the client as ErrVerificationFailed; an
+// inflating shard SP is never read, so the answer stays the honest one.
+// A rogue SP-side scatter (narrowed or dropped sub-queries) does not
+// reach the token scatter, which runs under the attested plan, so the
+// answer stays the honest one too.
 func TestVerifiedAggAttacksOverPrimaries(t *testing.T) {
 	d := newReplicaDeployment(t, 10_000, 3, 0, Config{ProbeInterval: -1})
 	seam := d.plan.Span(0).Hi
@@ -167,7 +167,8 @@ func TestVerifiedAggAttacksOverPrimaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if _, err := client.Aggregate(q); err != nil {
+	honest, err := client.Aggregate(q)
+	if err != nil {
 		t.Fatalf("honest routed aggregate: %v", err)
 	}
 
@@ -176,13 +177,13 @@ func TestVerifiedAggAttacksOverPrimaries(t *testing.T) {
 		return a
 	}})
 	if _, err := client.Aggregate(q); !errors.Is(err, core.ErrVerificationFailed) {
-		t.Errorf("forged routed scalar: error %v, want ErrVerificationFailed", err)
+		t.Errorf("forged routed token aggregate: error %v, want ErrVerificationFailed", err)
 	}
 	d.router.setTamper(nil)
 
 	d.syss[1].SP.SetAggTamper(core.InflateAggTamper(2, 0))
-	if _, err := client.Aggregate(q); !errors.Is(err, core.ErrVerificationFailed) {
-		t.Errorf("inflating shard SP: error %v, want ErrVerificationFailed", err)
+	if a, err := client.Aggregate(q); err != nil || a != honest {
+		t.Errorf("inflating shard SP: routed aggregate %v (%v), want the honest %v", a, err, honest)
 	}
 	d.syss[1].SP.SetAggTamper(nil)
 
@@ -195,10 +196,8 @@ func TestVerifiedAggAttacksOverPrimaries(t *testing.T) {
 		"suppressed": func(subs []shard.SubQuery) []shard.SubQuery { return subs[1:] },
 	} {
 		d.router.setTamper(&tamper{reshapeSubs: reshape})
-		a, err := client.Aggregate(q)
-		var se *wire.ServerError
-		if !errors.As(err, &se) || !strings.Contains(se.Msg, "merging shard aggregate tokens") {
-			t.Errorf("%s sub-query: got %v, %v; want the router's token seam check to refuse it", name, a, err)
+		if a, err := client.Aggregate(q); err != nil || a != honest {
+			t.Errorf("%s SP sub-query: routed aggregate %v (%v), want the honest %v", name, a, err, honest)
 		}
 	}
 	d.router.setTamper(nil)

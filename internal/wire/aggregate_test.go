@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"errors"
 	"testing"
 
 	"sae/internal/agg"
@@ -63,8 +62,9 @@ func TestAggregateOverWire(t *testing.T) {
 	}
 }
 
-// TestAggregateWireTampered: a forged SP scalar crossing the wire must be
-// rejected by the client's token comparison, alone and in a group.
+// TestAggregateWireTampered: a forged SP scalar never reaches a split
+// client's verified aggregate, which asks the TE alone: the answers stay
+// the linear-scan fold, alone and in a group.
 func TestAggregateWireTampered(t *testing.T) {
 	r := launchRoles(t, 2000)
 	r.servedSP.SetAggTamper(core.InflateAggTamper(1, 0))
@@ -74,11 +74,18 @@ func TestAggregateWireTampered(t *testing.T) {
 	}
 	defer client.Close()
 	q := record.Range{Lo: 0, Hi: record.KeyDomain}
-	if _, err := client.Aggregate(q); !errors.Is(err, core.ErrVerificationFailed) {
-		t.Fatalf("tampered Aggregate error = %v, want ErrVerificationFailed", err)
+	if a, err := client.Aggregate(q); err != nil || a != foldAgg(r.ds.Records, q).Normalize() {
+		t.Fatalf("Aggregate beside a tampered SP = %v (%v), want %v", a, err, foldAgg(r.ds.Records, q))
 	}
-	if _, err := client.AggregateBurst(burstParityQueries(4)); !errors.Is(err, core.ErrVerificationFailed) {
-		t.Fatalf("tampered AggregateBurst error = %v, want ErrVerificationFailed", err)
+	qs := burstParityQueries(4)
+	as, err := client.AggregateBurst(qs)
+	if err != nil {
+		t.Fatalf("AggregateBurst beside a tampered SP: %v", err)
+	}
+	for i, q := range qs {
+		if want := foldAgg(r.ds.Records, q).Normalize(); as[i] != want {
+			t.Fatalf("AggregateBurst beside a tampered SP (%v) = %v, want %v", q, as[i], want)
+		}
 	}
 }
 
@@ -110,8 +117,9 @@ func TestShardedAggregateOverWire(t *testing.T) {
 	}
 }
 
-// TestShardedAggregateWireTampered: one shard SP forging its partial must
-// fail that shard's token comparison at the scatter client.
+// TestShardedAggregateWireTampered: one shard SP forging its partial
+// never reaches the scatter client's verified aggregate, which is the
+// shards' TE tokens alone: the answer stays the in-process oracle's.
 func TestShardedAggregateWireTampered(t *testing.T) {
 	sys, spAddrs, teAddrs := shardedDeployment(t, 6000, 3)
 	sys.SPs[1].SetAggTamper(core.InflateAggTamper(3, 0))
@@ -121,7 +129,11 @@ func TestShardedAggregateWireTampered(t *testing.T) {
 	}
 	defer client.Close()
 	q := record.Range{Lo: 0, Hi: record.KeyDomain}
-	if _, err := client.Aggregate(q); !errors.Is(err, core.ErrVerificationFailed) {
-		t.Fatalf("tampered sharded Aggregate error = %v, want ErrVerificationFailed", err)
+	oracle, err := sys.Aggregate(q)
+	if err != nil || oracle.VerifyErr != nil {
+		t.Fatalf("in-process sharded Aggregate: %v / %v", err, oracle.VerifyErr)
+	}
+	if a, err := client.Aggregate(q); err != nil || a != oracle.Agg {
+		t.Fatalf("sharded Aggregate beside a tampered SP = %v (%v), want %v", a, err, oracle.Agg)
 	}
 }

@@ -109,7 +109,6 @@ var readVerbs = []struct{ req, resp MsgType }{
 	{MsgVTRequest, MsgVT},
 	{MsgAggQuery, MsgAggResult},
 	{MsgAggTokenReq, MsgAggToken},
-	{MsgVerifiedAgg, MsgVerifiedAggResult},
 }
 
 // Budget per read request, beyond an answer received outside the pool:

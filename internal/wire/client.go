@@ -428,33 +428,30 @@ func (v *VerifyingClient) Close() error {
 	return err2
 }
 
-// fetch is the client's one SP‖TE body: it sends a group to the SP and to
-// the TE at the same time — "the client sends the query to both the TE
-// and the SP simultaneously" — each leg as one group on its connection,
-// and returns both answers once both are in. sp and te are the legs'
-// group verbs: raw sections and tokens for a range query, scalars and
-// aggregate tokens for an aggregate. Whatever the SP leg returned is
-// returned even when the TE leg failed, so the caller can release it.
-func fetch[S, T any](v *VerifyingClient, qs []record.Range,
-	sp func(*SPClient, context.Context, []record.Range) (S, error),
-	te func(*TEClient, context.Context, []record.Range) (T, error)) (S, T, error) {
+// fetch is the client's one SP‖TE body: it sends a group of range
+// queries to the SP and to the TE at the same time — "the client sends
+// the query to both the TE and the SP simultaneously" — each leg as one
+// group on its connection, and returns the raw record sections and the
+// tokens once both are in. Whatever the SP leg returned is returned even
+// when the TE leg failed, so the caller can release it.
+func fetch(v *VerifyingClient, qs []record.Range) ([][]byte, []digest.Digest, error) {
 	ctx := context.Background()
-	var t T
+	var vts []digest.Digest
 	var teErr error
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		t, teErr = te(v.TE, ctx, qs)
+		vts, teErr = v.TE.GenerateVTMany(ctx, qs)
 	}()
-	s, spErr := sp(v.SP, ctx, qs)
+	raws, spErr := v.SP.QueryRawMany(ctx, qs)
 	<-done
 	if spErr != nil {
-		return s, t, fmt.Errorf("wire: SP leg: %w", spErr)
+		return raws, vts, fmt.Errorf("wire: SP leg: %w", spErr)
 	}
 	if teErr != nil {
-		return s, t, fmt.Errorf("wire: TE leg: %w", teErr)
+		return raws, vts, fmt.Errorf("wire: TE leg: %w", teErr)
 	}
-	return s, t, nil
+	return raws, vts, nil
 }
 
 // Query runs the verified range query: QueryBurst of one. It returns the
@@ -474,7 +471,7 @@ func (v *VerifyingClient) Query(q record.Range) ([]record.Record, error) {
 // (VerifyEncodedBurst) instead of one fan-out per query. Results align
 // with qs; any verification failure rejects the whole burst.
 func (v *VerifyingClient) QueryBurst(qs []record.Range) ([][]record.Record, error) {
-	raws, vts, err := fetch(v, qs, (*SPClient).QueryRawMany, (*TEClient).GenerateVTMany)
+	raws, vts, err := fetch(v, qs)
 	defer releaseAll(raws)
 	if err != nil {
 		return nil, err

@@ -64,15 +64,16 @@ const (
 	MsgBatchInsert MsgType = 18
 	// Owner -> SP/TE/primary: a batch of deletions to commit as one group.
 	MsgBatchDelete MsgType = 19
-	// Client -> SP (or router): authenticated COUNT/SUM/MIN/MAX over a
-	// range — the aggregation fast path's untrusted half.
+	// Client -> SP (or router): COUNT/SUM/MIN/MAX over a range from the
+	// SP's annotations — unverified; no verified aggregate asks for it.
 	MsgAggQuery MsgType = 20
 	// SP -> client: the 24-byte aggregate scalar (agg.Agg wire form).
 	MsgAggResult MsgType = 21
-	// Client -> TE (or router): aggregate-token request for a range.
+	// Client -> TE, primary, replica (or router): a verified aggregate —
+	// the range-bound aggregate token for a range.
 	MsgAggTokenReq MsgType = 22
 	// TE -> client: the 44-byte range-bound aggregate token (agg.Token
-	// wire form) the scalar is checked against.
+	// wire form), whose aggregate is the verified answer.
 	MsgAggToken MsgType = 23
 	// 24-26 are retired and never reused (see the registry's reservation).
 	// Client/router -> primary or replica: what is your generation stamp
@@ -122,13 +123,7 @@ const (
 	// router re-runs attestation against the new upstreams and accepts
 	// only a strictly higher epoch.
 	MsgReshardCutover MsgType = 39
-	// Client (or router) -> primary/replica: one aggregate query whose
-	// SP scalar and TE token must be served at a single commit boundary
-	// — the aggregate's MsgVerifiedQuery.
-	MsgVerifiedAgg MsgType = 40
-	// Server -> client: the 24-byte scalar, then the 44-byte token that
-	// checks it (MsgAggResult's payload, then MsgAggToken's).
-	MsgVerifiedAggResult MsgType = 41
+	// 40-41 are retired and never reused (see the registry's reservation).
 )
 
 // MaxPayload bounds a frame payload (64 MiB — far above any legal

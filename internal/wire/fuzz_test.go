@@ -62,9 +62,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	verified = binary.BigEndian.AppendUint64(verified, 7)
 	verified = append(append(verified, vt[:]...), EncodeRecords(ds.Records)...)
 	f.Add(frameBytes(f, Frame{Type: MsgVerifiedResult, ID: 6, Payload: verified}))
-	// A verified aggregate: the scalar, then the token that checks it.
+	// A verified aggregate: the 44-byte token; and the 68-byte scalar ‖
+	// token answer of the retired frame 41, which decoders refuse.
 	a := agg.Agg{}.Add(ds.Records[0].Key)
-	f.Add(frameBytes(f, Frame{Type: MsgVerifiedAggResult, ID: 6, Payload: agg.TokenFor(q, a).AppendTo(a.AppendTo(nil))}))
+	f.Add(frameBytes(f, Frame{Type: MsgAggToken, ID: 6, Payload: agg.TokenFor(q, a).AppendTo(nil)}))
+	f.Add(frameBytes(f, Frame{Type: 41, ID: 6, Payload: agg.TokenFor(q, a).AppendTo(a.AppendTo(nil))}))
 	groups := []byte{0}
 	for seq, g := range [][]wal.Op{
 		{wal.InsertOp(ds.Records[0]), wal.InsertOp(ds.Records[1])},
@@ -121,7 +123,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		_, _ = DecodeDeletes(p, nil)
 		_, _ = DecodeInserts(p, nil)
 		_, _, _, _, _ = DecodeVerifiedResult(p)
-		_, _, _ = decodeVerifiedAgg(p)
+		_, _ = decodeAggToken(p)
 		_, _, _ = DecodeReplicaGroups(p)
 		_, _, _ = DecodeReplicaSnap(p)
 		_, _, _ = DecodeReplicaPull(p)

@@ -338,7 +338,9 @@ func serveAggQuery(s *Server, l *lane, ids []uint32, qs []record.Range) error {
 }
 
 // serveAggToken answers MsgAggTokenReq ranges with one read-lock pass
-// over the annotated XB-Tree; a 44-byte range-bound token each.
+// over the annotated XB-Tree; a 44-byte range-bound token each, the whole
+// verified aggregate. The TE applies a commit group under one write lock,
+// so a token never sees part of a group and needs no core.View.
 func serveAggToken(s *Server, l *lane, ids []uint32, qs []record.Range) error {
 	l.toks = grow(l.toks, len(qs))
 	if err := s.party.te().AggTokenBurst(l.exec.Contexts(len(qs)), qs, l.toks); err != nil {
@@ -375,23 +377,6 @@ func serveVerified(s *Server, l *lane, ids []uint32, qs []record.Range) error {
 		l.resp = binary.BigEndian.AppendUint64(l.resp, seq)
 		l.resp = append(l.resp, l.vts[qi][:]...)
 		l.respond(MsgVerifiedResult, id, respPiece{off: off, end: len(l.resp)}, l.sec.piece(qi))
-	}
-	return nil
-}
-
-// serveVerifiedAgg answers MsgVerifiedAgg ranges at ONE commit boundary
-// (core.View.AggregateBurst): each response is the scalar and the token
-// that checks it, both from the same generation, so an honest answer
-// cannot tear across a commit.
-func serveVerifiedAgg(s *Server, l *lane, ids []uint32, qs []record.Range) error {
-	l.aggs, l.toks = grow(l.aggs, len(qs)), grow(l.toks, len(qs))
-	if err := s.party.view.AggregateBurst(l.exec.Contexts(len(qs)), qs, &l.spSc, l.aggs, l.toks); err != nil {
-		return err
-	}
-	for qi, id := range ids {
-		off := len(l.resp)
-		l.resp = l.toks[qi].AppendTo(l.aggs[qi].AppendTo(l.resp))
-		l.respond(MsgVerifiedAggResult, id, respPiece{off: off, end: len(l.resp)})
 	}
 	return nil
 }

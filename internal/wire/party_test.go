@@ -147,7 +147,8 @@ func pipeline(t *testing.T, addr string, reqs []Frame, g int) []Frame {
 // unserved, or served by a role that must not have it (a replica is
 // read-only: it must refuse every update frame). The retired numbers are
 // refused by every role like any frame it lacks; the retired TOM query
-// frames 9 and 24 are checked by name as well.
+// frames 9 and 24 and the retired verified aggregate 40 are checked by
+// name as well.
 func TestRoleFrameMatrix(t *testing.T) {
 	r := launchRoles(t, 600)
 	// Columns: SP, TE, primary, replica.
@@ -167,12 +168,11 @@ func TestRoleFrameMatrix(t *testing.T) {
 		MsgFreeze:         {false, false, true, false},
 		MsgThaw:           {false, false, true, false},
 		MsgRetire:         {false, false, true, false},
-		MsgVerifiedAgg:    {false, false, true, true},
 	}
-	// The retired TOM query frames, with the range payload they carried:
+	// The retired range-query frames, with the range payload they carried:
 	// every role refuses them by number, before looking at the payload.
 	q := EncodeRange(record.Range{Lo: 0, Hi: record.KeyDomain})
-	for _, n := range []MsgType{9, 24} {
+	for _, n := range []MsgType{9, 24, 40} {
 		for _, srv := range r.addrs() {
 			resp := pipeline(t, srv.addr, []Frame{{Type: n, Payload: q}}, 1)[0]
 			want := CannotHandle(srv.role, n).Error()

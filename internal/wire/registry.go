@@ -63,51 +63,54 @@ type frameSpec struct {
 // 9-10, 17 and 24-26 carried networked TOM — its range query and
 // aggregate query with their answers, and the router's stitched
 // per-shard answers to both — which nothing deployed: TOM is the paper's
-// in-process cost baseline (package tom), not a second wire protocol.
+// in-process cost baseline (package tom), not a second wire protocol;
+// 40-41 were MsgVerifiedAgg/MsgVerifiedAggResult, the SP's scalar and
+// the TE's token from one address, which MsgAggTokenReq replaced once
+// the token alone became the verified aggregate.
 // Their empty rows hold the numbers, so a peer still sending one is
 // refused with CannotHandle instead of being answered as some newer frame.
 var frameRegistry = [...]frameSpec{
-	MsgQuery:             {Name: "Query", need: capSP, group: serveQuery},
-	MsgResult:            {Name: "Result"},
-	MsgVTRequest:         {Name: "VTRequest", need: capTE, group: serveVT},
-	MsgVT:                {Name: "VT"},
-	5:                    {}, // retired
-	6:                    {}, // retired
-	MsgAck:               {Name: "Ack"},
-	MsgErr:               {Name: "Err"},
-	9:                    {}, // retired
-	10:                   {}, // retired
-	11:                   {}, // retired
-	12:                   {}, // retired
-	13:                   {}, // retired
-	14:                   {}, // retired
-	MsgShardMapReq:       {Name: "ShardMapReq", need: capShardMap, own: serveShardMap},
-	MsgShardMap:          {Name: "ShardMap"},
-	17:                   {}, // retired
-	MsgBatchInsert:       {Name: "BatchInsert", need: capApply, own: serveWrite},
-	MsgBatchDelete:       {Name: "BatchDelete", need: capApply, own: serveWrite},
-	MsgAggQuery:          {Name: "AggQuery", need: capSP, group: serveAggQuery},
-	MsgAggResult:         {Name: "AggResult"},
-	MsgAggTokenReq:       {Name: "AggTokenReq", need: capTE, group: serveAggToken},
-	MsgAggToken:          {Name: "AggToken"},
-	24:                   {}, // retired
-	25:                   {}, // retired
-	26:                   {}, // retired
-	MsgGenStampReq:       {Name: "GenStampReq", need: capView, own: serveGenStamp},
-	MsgGenStamp:          {Name: "GenStamp"},
-	MsgReplicaSnapReq:    {Name: "ReplicaSnapReq", need: capHub, own: serveReplicaSnap},
-	MsgReplicaSnap:       {Name: "ReplicaSnap"},
-	MsgReplicaPull:       {Name: "ReplicaPull", need: capHub, own: serveReplicaPull},
-	MsgReplicaGroups:     {Name: "ReplicaGroups"},
-	MsgVerifiedQuery:     {Name: "VerifiedQuery", need: capView, span: true, group: serveVerified},
-	MsgVerifiedResult:    {Name: "VerifiedResult"},
-	MsgPlanUpdate:        {Name: "PlanUpdate", need: capLifecycle, own: servePlanUpdate},
-	MsgFreeze:            {Name: "Freeze", need: capLifecycle, own: serveFreeze},
-	MsgThaw:              {Name: "Thaw", need: capLifecycle, own: serveThaw},
-	MsgRetire:            {Name: "Retire", need: capLifecycle, own: serveRetire},
-	MsgReshardCutover:    {Name: "ReshardCutover"}, // a router's custom Handler answers it
-	MsgVerifiedAgg:       {Name: "VerifiedAgg", need: capView, span: true, group: serveVerifiedAgg},
-	MsgVerifiedAggResult: {Name: "VerifiedAggResult"},
+	MsgQuery:          {Name: "Query", need: capSP, group: serveQuery},
+	MsgResult:         {Name: "Result"},
+	MsgVTRequest:      {Name: "VTRequest", need: capTE, group: serveVT},
+	MsgVT:             {Name: "VT"},
+	5:                 {}, // retired
+	6:                 {}, // retired
+	MsgAck:            {Name: "Ack"},
+	MsgErr:            {Name: "Err"},
+	9:                 {}, // retired
+	10:                {}, // retired
+	11:                {}, // retired
+	12:                {}, // retired
+	13:                {}, // retired
+	14:                {}, // retired
+	MsgShardMapReq:    {Name: "ShardMapReq", need: capShardMap, own: serveShardMap},
+	MsgShardMap:       {Name: "ShardMap"},
+	17:                {}, // retired
+	MsgBatchInsert:    {Name: "BatchInsert", need: capApply, own: serveWrite},
+	MsgBatchDelete:    {Name: "BatchDelete", need: capApply, own: serveWrite},
+	MsgAggQuery:       {Name: "AggQuery", need: capSP, group: serveAggQuery},
+	MsgAggResult:      {Name: "AggResult"},
+	MsgAggTokenReq:    {Name: "AggTokenReq", need: capTE, span: true, group: serveAggToken},
+	MsgAggToken:       {Name: "AggToken"},
+	24:                {}, // retired
+	25:                {}, // retired
+	26:                {}, // retired
+	MsgGenStampReq:    {Name: "GenStampReq", need: capView, own: serveGenStamp},
+	MsgGenStamp:       {Name: "GenStamp"},
+	MsgReplicaSnapReq: {Name: "ReplicaSnapReq", need: capHub, own: serveReplicaSnap},
+	MsgReplicaSnap:    {Name: "ReplicaSnap"},
+	MsgReplicaPull:    {Name: "ReplicaPull", need: capHub, own: serveReplicaPull},
+	MsgReplicaGroups:  {Name: "ReplicaGroups"},
+	MsgVerifiedQuery:  {Name: "VerifiedQuery", need: capView, span: true, group: serveVerified},
+	MsgVerifiedResult: {Name: "VerifiedResult"},
+	MsgPlanUpdate:     {Name: "PlanUpdate", need: capLifecycle, own: servePlanUpdate},
+	MsgFreeze:         {Name: "Freeze", need: capLifecycle, own: serveFreeze},
+	MsgThaw:           {Name: "Thaw", need: capLifecycle, own: serveThaw},
+	MsgRetire:         {Name: "Retire", need: capLifecycle, own: serveRetire},
+	MsgReshardCutover: {Name: "ReshardCutover"}, // a router's custom Handler answers it
+	40:                {},                       // retired
+	41:                {},                       // retired
 }
 
 // FrameName returns the registered name of a message type, for logs and

@@ -17,7 +17,7 @@ import (
 func TestFrameRegistryDense(t *testing.T) {
 	byName := map[string]MsgType{}
 	retired := map[MsgType]bool{5: true, 6: true, 9: true, 10: true, 11: true, 12: true, 13: true, 14: true,
-		17: true, 24: true, 25: true, 26: true}
+		17: true, 24: true, 25: true, 26: true, 40: true, 41: true}
 	max := MsgType(len(frameRegistry) - 1)
 	for n := MsgType(1); n <= max; n++ {
 		e := frameRegistry[n]
@@ -72,8 +72,8 @@ func TestFrameRegistryMatchesConstants(t *testing.T) {
 		{MsgThaw, "Thaw"},
 		{MsgRetire, "Retire"},
 		{MsgReshardCutover, "ReshardCutover"},
-		{MsgVerifiedAgg, "VerifiedAgg"},
-		{MsgVerifiedAggResult, "VerifiedAggResult"},
+		{MsgAggTokenReq, "AggTokenReq"},
+		{MsgAggToken, "AggToken"},
 	}
 	for _, c := range checks {
 		if got := FrameName(c.typ); got != c.name {

@@ -163,7 +163,7 @@ func (c *ShardedVerifyingClient) Query(q record.Range) ([]record.Record, error) 
 		qs[i] = subs[i].Sub
 	}
 	err := c.scatter(subs, func(i int, vc *VerifyingClient) error {
-		raw, vt, err := fetch(vc, qs[i:i+1], (*SPClient).QueryRawMany, (*TEClient).GenerateVTMany)
+		raw, vt, err := fetch(vc, qs[i:i+1])
 		if raw != nil {
 			raws[i] = raw[0]
 		}

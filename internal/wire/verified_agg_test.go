@@ -17,10 +17,10 @@ import (
 )
 
 // TestAggBesideWriterDirect: a verified aggregate sent straight to a
-// primary while commits land beside it is never rejected. Its scalar and
-// its token must come from one commit boundary; served as two legs, each
-// under its own lock, about one answer in twenty-five tore across a
-// commit and was refused as forged.
+// primary while commits land beside it is never rejected. When the answer
+// was the SP's scalar checked against the TE's token, served as two legs
+// under two locks, about one answer in twenty-five tore across a commit
+// and was refused as forged; the token alone cannot tear.
 func TestAggBesideWriterDirect(t *testing.T) {
 	_, _, psrv := startPrimary(t, 20_000)
 	client, err := DialVerifying(psrv.Addr(), psrv.Addr())
@@ -80,9 +80,9 @@ func TestAggBesideWriterDirect(t *testing.T) {
 }
 
 // TestVerifiedAggOneFrame: a verified aggregate costs one 17-byte request
-// and one 77-byte answer at an address that holds both parties, all on
-// the SP connection; split parties still get the two legs, 17 + 33 and
-// 17 + 53 bytes.
+// and one 53-byte answer (the 44-byte token) on the TE connection, and
+// nothing on the SP's: one MsgAggTokenReq, whether the TE shares its
+// address with the SP or not.
 func TestVerifiedAggOneFrame(t *testing.T) {
 	r := launchRoles(t, 2000)
 	q := record.Range{Lo: 0, Hi: record.KeyDomain}
@@ -91,9 +91,9 @@ func TestVerifiedAggOneFrame(t *testing.T) {
 		sp, te   string
 		spB, teB int64
 	}{
-		{"primary", r.primary.Addr(), r.primary.Addr(), 17 + 77, 0},
-		{"replica", r.replica.Addr(), r.replica.Addr(), 17 + 77, 0},
-		{"SP+TE", r.sp.Addr(), r.te.Addr(), 17 + 33, 17 + 53},
+		{"primary", r.primary.Addr(), r.primary.Addr(), 0, 17 + 53},
+		{"replica", r.replica.Addr(), r.replica.Addr(), 0, 17 + 53},
+		{"SP+TE", r.sp.Addr(), r.te.Addr(), 0, 17 + 53},
 	} {
 		client, err := DialVerifying(c.sp, c.te)
 		if err != nil {
@@ -111,9 +111,10 @@ func TestVerifiedAggOneFrame(t *testing.T) {
 	}
 }
 
-// TestVerifiedAggTamperedPrimary: a direct client of a primary whose SP
-// inflates its scalars rejects the one-frame answer, alone and in a
-// group — the token in the same frame was read from the honest TE.
+// TestVerifiedAggTamperedPrimary: a primary whose SP inflates its scalars
+// answers a direct client's verified aggregate with the honest value,
+// alone and in a group — the answer is the token its TE read, and no
+// scalar of the SP's is in it.
 func TestVerifiedAggTamperedPrimary(t *testing.T) {
 	r := launchRoles(t, 2000)
 	r.sys.SP.SetAggTamper(core.InflateAggTamper(1, 0))
@@ -123,26 +124,38 @@ func TestVerifiedAggTamperedPrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if _, err := client.Aggregate(record.Range{Lo: 0, Hi: record.KeyDomain}); !errors.Is(err, core.ErrVerificationFailed) {
-		t.Fatalf("tampered primary's aggregate error = %v, want ErrVerificationFailed", err)
+	qs := append(burstParityQueries(4), record.Range{Lo: 0, Hi: record.KeyDomain})
+	for _, q := range qs {
+		if a, err := client.Aggregate(q); err != nil || a != foldAgg(r.ds.Records, q).Normalize() {
+			t.Fatalf("tampered primary's aggregate %v = %v (%v), want %v", q, a, err, foldAgg(r.ds.Records, q))
+		}
 	}
-	if _, err := client.AggregateBurst(burstParityQueries(4)); !errors.Is(err, core.ErrVerificationFailed) {
-		t.Fatalf("tampered primary's aggregate burst error = %v, want ErrVerificationFailed", err)
+	as, err := client.AggregateBurst(qs)
+	if err != nil {
+		t.Fatalf("tampered primary's aggregate burst: %v", err)
+	}
+	for i, q := range qs {
+		if as[i] != foldAgg(r.ds.Records, q).Normalize() {
+			t.Fatalf("tampered primary's aggregate burst %v = %v, want %v", q, as[i], foldAgg(r.ds.Records, q))
+		}
 	}
 }
 
-// TestVerifiedAggRefusals: an answer that is not scalar ‖ token, 68
-// bytes, is refused by the decoder, and a request whose range escapes
-// the shard's span is refused by the server before it is grouped; both
-// with ErrProtocol. A range inside the span is answered.
+// TestVerifiedAggRefusals: an answer that is not a token, 44 bytes, is
+// refused by the decoder — the 68-byte scalar ‖ token answer of the
+// retired frame 41 among them, never misread as a token — and a token
+// request whose range escapes the shard's span is refused by the server
+// before it is grouped; both with ErrProtocol. A range inside the span is answered.
 func TestVerifiedAggRefusals(t *testing.T) {
-	for _, n := range []int{0, agg.Size, agg.TokenSize, agg.Size + agg.TokenSize - 1, agg.Size + agg.TokenSize + 1} {
-		if _, _, err := decodeVerifiedAgg(make([]byte, n)); !errors.Is(err, ErrProtocol) {
-			t.Errorf("decodeVerifiedAgg of %d bytes: error %v, want ErrProtocol", n, err)
+	for _, n := range []int{0, agg.Size, agg.TokenSize - 1, agg.TokenSize + 1, agg.Size + agg.TokenSize} {
+		if _, err := decodeAggToken(make([]byte, n)); !errors.Is(err, ErrProtocol) {
+			t.Errorf("decoding a %d-byte verified aggregate: error %v, want ErrProtocol", n, err)
 		}
 	}
-	if _, _, err := decodeVerifiedAgg(make([]byte, agg.Size+agg.TokenSize)); err != nil {
-		t.Errorf("decodeVerifiedAgg of %d bytes: %v", agg.Size+agg.TokenSize, err)
+	q := record.Range{Lo: 5, Hi: 9}
+	a := agg.OfKey(7, 2)
+	if tok, err := decodeAggToken(agg.TokenFor(q, a).AppendTo(nil)); err != nil || tok != agg.TokenFor(q, a) {
+		t.Errorf("decoding a %d-byte verified aggregate: %v, %v", agg.TokenSize, tok, err)
 	}
 
 	ds, err := workload.Generate(workload.UNF, 2000, 11)
@@ -161,11 +174,11 @@ func TestVerifiedAggRefusals(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	resps := pipeline(t, srv.Addr(), rangeFrames(MsgVerifiedAgg, []record.Range{
+	resps := pipeline(t, srv.Addr(), rangeFrames(MsgAggTokenReq, []record.Range{
 		span,
 		{Lo: span.Hi - 10, Hi: span.Hi + 1}, // one key into shard 1
 	}), 2)
-	if resps[0].Type != MsgVerifiedAggResult || len(resps[0].Payload) != agg.Size+agg.TokenSize {
+	if resps[0].Type != MsgAggToken || len(resps[0].Payload) != agg.TokenSize {
 		t.Fatalf("in-span request: got %s of %d bytes", FrameName(resps[0].Type), len(resps[0].Payload))
 	}
 	if resp := resps[1]; resp.Type != MsgErr || !strings.Contains(string(resp.Payload), ErrProtocol.Error()) ||
